@@ -38,7 +38,7 @@ struct ColumnSummary {
 /// Section 3.2: SMAs and PSMAs exist so scans can skip blocks cheaply; the
 /// summary keeps that ability alive after the block itself is evicted to
 /// the archive). Extracted once at archive time, persisted in the archive
-/// v3 index, immutable afterwards.
+/// index, immutable afterwards.
 class BlockSummary {
  public:
   BlockSummary() = default;
@@ -55,7 +55,7 @@ class BlockSummary {
   /// Approximate resident footprint (reporting).
   uint64_t MemoryBytes() const;
 
-  // -- Serialization (archive v3 index blob) ------------------------------
+  // -- Serialization (archive index blob) ---------------------------------
 
   void AppendTo(std::vector<uint8_t>* out) const;
   /// Parses a summary previously produced by AppendTo. Aborts on a

@@ -347,7 +347,8 @@ DataBlock DataBlock::FromBytes(const uint8_t* bytes, uint64_t size) {
 DataBlock DataBlock::ForFill(uint64_t size) {
   DB_CHECK(size >= sizeof(BlockHeader));
   DataBlock block;
-  block.buf_.Allocate(size);
+  // The caller overwrites every byte; only the scan padding needs zeros.
+  block.buf_.AllocateForOverwrite(size);
   return block;
 }
 

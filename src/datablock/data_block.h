@@ -191,8 +191,9 @@ class DataBlock {
   static DataBlock FromBytes(const uint8_t* bytes, uint64_t size);
 
   /// Direct-fill reload path (avoids an intermediate copy): allocates a
-  /// `size`-byte block buffer; the caller reads a serialized image into
-  /// fill_bytes() and then calls ValidateFilled().
+  /// `size`-byte block buffer, uninitialized except for its zeroed scan
+  /// padding; the caller must write all `size` bytes of fill_bytes() and
+  /// then calls ValidateFilled().
   static DataBlock ForFill(uint64_t size);
   uint8_t* fill_bytes() { return buf_.data(); }
   void ValidateFilled() const;

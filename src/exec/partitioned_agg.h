@@ -221,6 +221,12 @@ class PartitionedDense {
       ReleaseHeld();
     }
 
+    /// Releases any run lock without applying the buffered updates: the
+    /// unwind path of a slot whose scan threw. Siblings flushing into the
+    /// held partition would otherwise block forever and the parallel
+    /// region would never join.
+    void Abandon() { ReleaseHeld(); }
+
     /// Spilled updates currently buffered (not yet applied); test hook.
     size_t pending() const {
       return cursor_ == nullptr ? 0 : size_t(cursor_ - buffer_.get());
@@ -389,18 +395,24 @@ std::vector<T> DensePartitionedScan(
     Batch batch;
     const int my_node = Scheduler::CurrentWorkerNode();
     size_t begin, end;
-    while (morsels.Next(my_node, &begin, &end)) {
-      scope.OnMorsel();
-      scanner.RestrictChunks(begin, end);
-      while (scanner.Next(&batch)) {
-        scope.OnBatch(batch.count, batch.AnyCoded());
-        produce(sink, batch);
+    try {
+      while (morsels.Next(my_node, &begin, &end)) {
+        scope.OnMorsel();
+        scanner.RestrictChunks(begin, end);
+        while (scanner.Next(&batch)) {
+          scope.OnBatch(batch.count, batch.AnyCoded());
+          produce(sink, batch);
+        }
+        // Per-morsel harvest: RestrictChunks reset the scanner's counters.
+        scope.OnScanTotals(scanner.chunks_scanned(),
+                           scanner.rows_considered(), scanner.chunks_skipped(),
+                           scanner.evicted_chunks_skipped(),
+                           scanner.pins_taken(), scanner.archive_reloads());
       }
-      // Per-morsel harvest: RestrictChunks reset the scanner's counters.
-      scope.OnScanTotals(scanner.chunks_scanned(), scanner.rows_considered(),
-                         scanner.chunks_skipped(),
-                         scanner.evicted_chunks_skipped(),
-                         scanner.pins_taken(), scanner.archive_reloads());
+    } catch (...) {
+      // A storage fault fails the query; it must not strand the run lock.
+      sink.Abandon();
+      throw;
     }
     sink.Flush();
   };

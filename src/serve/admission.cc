@@ -160,10 +160,13 @@ void AdmissionController::RunActions(std::vector<Action>& actions) {
 void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
   DB_CHECK(t != nullptr && t->grant && t->drop);
   Metrics().submitted->Add();
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Clocks are read under the lock everywhere: enqueue stamps and grant
+    // times are then ordered like the critical sections, so a grant never
+    // precedes its ticket's enqueue and queue_ns cannot wrap.
+    const auto now = std::chrono::steady_clock::now();
     if (shutdown_) {
       actions.push_back({std::move(t), false, 0, Status::kShutdown});
       RunActions(actions);
@@ -208,10 +211,10 @@ void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
 }
 
 void AdmissionController::OnDone(bool heavy) {
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto now = std::chrono::steady_clock::now();  // see Submit
     DB_CHECK(running_ > 0);
     --running_;
     if (heavy) {
@@ -226,10 +229,10 @@ void AdmissionController::OnDone(bool heavy) {
 }
 
 void AdmissionController::ReapExpired() {
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto now = std::chrono::steady_clock::now();  // see Submit
     ExpireLocked(now, &actions);
     if (!actions.empty()) {
       // Expiry can unblock the heavy gate's bypass scan.

@@ -19,26 +19,60 @@ namespace datablocks {
 
 namespace {
 
-/// FNV-1a-style mix, 8 bytes per multiply (with an extra fold so upper
-/// bits diffuse): blocks are megabytes and this runs on the reload hot
-/// path, so the byte-at-a-time variant would cost more CPU than the read.
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// One FNV-style step, 8 bytes per multiply (the extra fold makes the
+/// upper bits diffuse). Bijective in `h` for a fixed word and injective in
+/// the word for a fixed `h`, so a changed word always changes the result.
+inline uint64_t Mix(uint64_t h, uint64_t w) {
+  h ^= w;
+  h *= kFnvPrime;
+  return h ^ (h >> 32);
+}
+
+/// 8-lane FNV-style mix. Blocks are megabytes and this runs on the reload
+/// hot path: one serial multiply chain would cost more CPU than the read,
+/// so every 64-byte stripe feeds word k into lane k — eight independent
+/// chains the core overlaps — and the lanes fold into one value at the
+/// end. The tail under 64 bytes goes through the serial chain.
 uint64_t Fnv1a64(const uint8_t* data, uint64_t n, uint64_t seed) {
+  constexpr unsigned kLanes = 8;
+  constexpr uint64_t kLaneSeedStep = 0x9e3779b97f4a7c15ull;  // golden ratio
   uint64_t h = seed;
   uint64_t i = 0;
+  if (n >= kLanes * 8) {
+    uint64_t lane[kLanes];
+    for (unsigned k = 0; k < kLanes; ++k) lane[k] = seed + k * kLaneSeedStep;
+    for (; i + kLanes * 8 <= n; i += kLanes * 8) {
+      for (unsigned k = 0; k < kLanes; ++k) {
+        uint64_t w;
+        std::memcpy(&w, data + i + k * 8, 8);
+        lane[k] = Mix(lane[k], w);
+      }
+    }
+    for (unsigned k = 0; k < kLanes; ++k) h = Mix(h, lane[k]);
+  }
   for (; i + 8 <= n; i += 8) {
     uint64_t w;
     std::memcpy(&w, data + i, 8);
-    h ^= w;
-    h *= 0x100000001b3ull;
-    h ^= h >> 32;
+    h = Mix(h, w);
   }
   for (; i < n; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// The checksum an entry and its frame store: the block bytes, then the
+/// delete bitmap (if any) chained onto them.
+uint64_t PayloadChecksum(const uint8_t* block, uint64_t block_bytes,
+                         const void* bitmap, uint64_t bitmap_words) {
+  const uint64_t h = Fnv1a64(block, block_bytes, kFnvBasis);
+  if (bitmap_words == 0) return h;
+  return Fnv1a64(static_cast<const uint8_t*>(bitmap), bitmap_words * 8, h);
+}
 
 uint32_t FrameChecksum(const BlockFrame& f) {
   uint64_t h = Fnv1a64(reinterpret_cast<const uint8_t*>(&f),
@@ -123,6 +157,13 @@ Status PwriteFull(int fd, const void* buf, uint64_t n, uint64_t off,
   return Status::Ok();
 }
 
+/// fsync with the failure as a kIoError naming `what`.
+Status Fsync(int fd, const char* what) {
+  if (::fsync(fd) == 0) return Status::Ok();
+  return Status::IoError(std::string("fsync of ") + what +
+                         " failed: " + std::strerror(errno));
+}
+
 }  // namespace
 
 BlockArchive::~BlockArchive() {
@@ -133,20 +174,7 @@ BlockArchive::~BlockArchive() {
   }
 }
 
-BlockArchive::BlockArchive(BlockArchive&& o) noexcept
-    : path_(std::move(o.path_)),
-      fd_(o.fd_),
-      mu_(std::move(o.mu_)),
-      entries_(std::move(o.entries_)),
-      summaries_(std::move(o.summaries_)),
-      end_offset_(o.end_offset_),
-      payload_reads_(o.payload_reads_),
-      version_(o.version_),
-      writable_(o.writable_),
-      salvaged_(o.salvaged_) {
-  o.fd_ = -1;
-  o.writable_ = false;
-}
+BlockArchive::BlockArchive(BlockArchive&& o) noexcept { *this = std::move(o); }
 
 BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   if (this == &o) return *this;
@@ -161,7 +189,6 @@ BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   summaries_ = std::move(o.summaries_);
   end_offset_ = o.end_offset_;
   payload_reads_ = o.payload_reads_;
-  version_ = o.version_;
   writable_ = o.writable_;
   salvaged_ = o.salvaged_;
   o.fd_ = -1;
@@ -180,7 +207,6 @@ StatusOr<BlockArchive> BlockArchive::Create(const std::string& path) {
   a.fd_ = fd;
   a.mu_ = std::make_unique<std::mutex>();
   a.writable_ = true;
-  a.version_ = kVersion;
   FileHeader hdr{kMagic, kVersion, 0, 0, 0, 0};
   if (Status s = PwriteFull(fd, &hdr, sizeof(hdr), 0, "archive header");
       !s.ok()) {
@@ -234,10 +260,8 @@ StatusOr<BlockArchive> BlockArchive::Open(const std::string& path) {
   if (hdr.version < kMinVersion || hdr.version > kVersion) {
     return CountRead(Status::Corruption(
         "unsupported archive version " + std::to_string(hdr.version) +
-        " (readable: " + std::to_string(kMinVersion) + ".." +
-        std::to_string(kVersion) + ")"));
+        " (readable: " + std::to_string(kVersion) + ")"));
   }
-  a.version_ = hdr.version;
 
   Status index_status =
       hdr.index_offset == 0
@@ -247,12 +271,8 @@ StatusOr<BlockArchive> BlockArchive::Open(const std::string& path) {
     index_status = Status::Corruption("injected index fault (failpoint)");
   }
   if (!index_status.ok()) {
-    if (hdr.version < 4) {
-      // Pre-frame formats have no in-band redundancy to recover from.
-      return CountRead(std::move(index_status));
-    }
-    // v4: the payload region is self-describing — recover the longest
-    // valid prefix of blocks instead of refusing the whole file.
+    // The payload region is self-describing — recover the longest valid
+    // prefix of blocks instead of refusing the whole file.
     Metrics().read_errors->Add();
     std::fprintf(stderr,
                  "block_archive: salvaging '%s' (%s); recovering by frame "
@@ -287,9 +307,8 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
       return s;
     }
   }
-  const uint64_t record_bytes =
-      hdr.version == 2 ? kArchiveEntryV2Bytes : sizeof(ArchiveEntry);
-  const uint64_t entries_bytes = uint64_t(hdr.block_count) * record_bytes;
+  const uint64_t entries_bytes =
+      uint64_t(hdr.block_count) * sizeof(ArchiveEntry);
   if (entries_bytes > region_size) {
     return Status::Corruption(
         "truncated index: " + std::to_string(hdr.block_count) +
@@ -298,54 +317,44 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
   }
   a.entries_.resize(hdr.block_count);
   a.summaries_.resize(hdr.block_count);
-  for (uint32_t i = 0; i < hdr.block_count; ++i) {
-    a.entries_[i] = ArchiveEntry{};
-    std::memcpy(&a.entries_[i], region.data() + uint64_t(i) * record_bytes,
-                size_t(record_bytes));
-  }
+  std::memcpy(a.entries_.data(), region.data(), size_t(entries_bytes));
   uint64_t cursor = entries_bytes;
 
-  std::vector<uint8_t> blob;
-  if (hdr.version >= 3) {
-    uint64_t blob_bytes = 0;
-    if (cursor + sizeof(blob_bytes) > region_size) {
-      return Status::Corruption("truncated index (no summary-blob length)");
-    }
-    std::memcpy(&blob_bytes, region.data() + cursor, sizeof(blob_bytes));
-    cursor += sizeof(blob_bytes);
-    if (blob_bytes > region_size - cursor) {
-      return Status::Corruption(
-          "truncated index: summary blob claims " +
-          std::to_string(blob_bytes) + " bytes, " +
-          std::to_string(region_size - cursor) + " present");
-    }
-    blob.assign(region.data() + cursor, region.data() + cursor + blob_bytes);
-    cursor += blob_bytes;
+  uint64_t blob_bytes = 0;
+  if (cursor + sizeof(blob_bytes) > region_size) {
+    return Status::Corruption("truncated index (no summary-blob length)");
   }
-  if (hdr.version >= 4) {
-    // End-of-file checksum over the whole index region: entry records,
-    // blob length and blob. Catches index corruption that per-payload
-    // checksums cannot see.
-    uint64_t stored = 0;
-    if (cursor + sizeof(stored) > region_size) {
-      return Status::Corruption("truncated index (no index checksum)");
-    }
-    std::memcpy(&stored, region.data() + cursor, sizeof(stored));
-    const uint64_t actual = Fnv1a64(region.data(), cursor, kFnvBasis);
-    if (stored != actual) {
-      char msg[96];
-      std::snprintf(msg, sizeof(msg),
-                    "index checksum mismatch (stored %016llx, actual %016llx)",
-                    (unsigned long long)stored, (unsigned long long)actual);
-      return Status::Corruption(msg);
-    }
+  std::memcpy(&blob_bytes, region.data() + cursor, sizeof(blob_bytes));
+  cursor += sizeof(blob_bytes);
+  if (blob_bytes > region_size - cursor) {
+    return Status::Corruption(
+        "truncated index: summary blob claims " + std::to_string(blob_bytes) +
+        " bytes, " + std::to_string(region_size - cursor) + " present");
+  }
+  const uint8_t* blob = region.data() + cursor;
+  cursor += blob_bytes;
+
+  // End-of-file checksum over the whole index region: entry records, blob
+  // length and blob. Catches index corruption that per-payload checksums
+  // cannot see.
+  uint64_t stored = 0;
+  if (cursor + sizeof(stored) > region_size) {
+    return Status::Corruption("truncated index (no index checksum)");
+  }
+  std::memcpy(&stored, region.data() + cursor, sizeof(stored));
+  const uint64_t actual = Fnv1a64(region.data(), cursor, kFnvBasis);
+  if (stored != actual) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "index checksum mismatch (stored %016llx, actual %016llx)",
+                  (unsigned long long)stored, (unsigned long long)actual);
+    return Status::Corruption(msg);
   }
 
-  // Entry sanity: every payload must fit between the header (plus its v4
-  // frame) and the index. A corrupt record must not drive ReadBlock into a
-  // wild pread or an absurd allocation.
-  const uint64_t payload_floor =
-      sizeof(FileHeader) + (hdr.version >= 4 ? sizeof(BlockFrame) : 0);
+  // Entry sanity: every payload must fit between the header plus its frame
+  // and the index. A corrupt record must not drive ReadBlock into a wild
+  // pread or an absurd allocation.
+  const uint64_t payload_floor = sizeof(FileHeader) + sizeof(BlockFrame);
   for (uint32_t i = 0; i < hdr.block_count; ++i) {
     const ArchiveEntry& e = a.entries_[i];
     const uint64_t payload = e.block_bytes + e.bitmap_words * 8;
@@ -360,14 +369,13 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
     if (e.summary_bytes != 0) {
       // Overflow-proof bounds check: a corrupt entry must not wrap the sum
       // past the blob size and slip through.
-      if (e.summary_bytes > blob.size() ||
-          e.summary_offset > blob.size() - e.summary_bytes) {
+      if (e.summary_bytes > blob_bytes ||
+          e.summary_offset > blob_bytes - e.summary_bytes) {
         return Status::Corruption("entry " + std::to_string(i) +
                                   " summary out of blob bounds");
       }
       a.summaries_[i] = std::make_shared<const BlockSummary>(
-          BlockSummary::FromBytes(blob.data() + e.summary_offset,
-                                  e.summary_bytes));
+          BlockSummary::FromBytes(blob + e.summary_offset, e.summary_bytes));
     }
   }
   a.end_offset_ = hdr.index_offset;
@@ -396,12 +404,10 @@ void BlockArchive::Salvage(BlockArchive& a, uint64_t file_size) {
              .ok()) {
       break;
     }
-    uint64_t checksum = Fnv1a64(buf.data(), f.block_bytes, kFnvBasis);
-    if (f.bitmap_words != 0) {
-      checksum =
-          Fnv1a64(buf.data() + f.block_bytes, f.bitmap_words * 8, checksum);
+    if (PayloadChecksum(buf.data(), f.block_bytes, buf.data() + f.block_bytes,
+                        f.bitmap_words) != f.checksum) {
+      break;  // torn write: end of valid prefix
     }
-    if (checksum != f.checksum) break;  // torn write: end of valid prefix
     ArchiveEntry e{};
     e.offset = pos + sizeof(BlockFrame);
     e.block_bytes = f.block_bytes;
@@ -453,11 +459,8 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
     deleted_count += uint32_t(std::popcount(bitmap[w]));
   }
 
-  uint64_t checksum = Fnv1a64(block.raw_bytes(), block_bytes, kFnvBasis);
-  if (bitmap_words != 0) {
-    checksum = Fnv1a64(reinterpret_cast<const uint8_t*>(bitmap.data()),
-                       bitmap_words * 8, checksum);
-  }
+  const uint64_t checksum = PayloadChecksum(block.raw_bytes(), block_bytes,
+                                            bitmap.data(), bitmap_words);
 
   BlockFrame frame{};
   frame.magic = kFrameMagic;
@@ -552,11 +555,8 @@ StatusOr<DataBlock> BlockArchive::ReadBlock(
       return CountRead(std::move(s));
     }
   }
-  uint64_t checksum = Fnv1a64(block.raw_bytes(), e.block_bytes, kFnvBasis);
-  if (e.bitmap_words != 0) {
-    checksum = Fnv1a64(reinterpret_cast<const uint8_t*>(bitmap.data()),
-                       e.bitmap_words * 8, checksum);
-  }
+  const uint64_t checksum = PayloadChecksum(block.raw_bytes(), e.block_bytes,
+                                            bitmap.data(), e.bitmap_words);
   if (checksum != e.checksum || DB_FAILPOINT("archive.read.corruption")) {
     char msg[112];
     std::snprintf(msg, sizeof(msg),
@@ -615,8 +615,8 @@ Status BlockArchive::Finish() {
     entries_[i].summary_bytes = blob.size() - entries_[i].summary_offset;
   }
   // Index image: records, blob length, blob, then a checksum over all of
-  // it — the reader rejects a torn or bit-flipped index outright (and, for
-  // v4, falls back to the frame walk).
+  // it — the reader rejects a torn or bit-flipped index and falls back to
+  // the frame walk.
   std::vector<uint8_t> index;
   const uint8_t* entry_bytes =
       reinterpret_cast<const uint8_t*>(entries_.data());
@@ -639,27 +639,18 @@ Status BlockArchive::Finish() {
   // Durability order: payload first, then the index bytes, and only then
   // the header that makes the index reachable. A crash between any two
   // steps leaves a file that Open salvages by frame walk.
-  if (s.ok() && ::fsync(fd_) != 0) {
-    s = Status::IoError(std::string("fsync of payload failed: ") +
-                        std::strerror(errno));
-  }
+  if (s.ok()) s = Fsync(fd_, "payload");
   if (s.ok()) {
     s = PwriteFull(fd_, index.data(), index.size(), end_offset_,
                    "archive index");
   }
-  if (s.ok() && ::fsync(fd_) != 0) {
-    s = Status::IoError(std::string("fsync of index failed: ") +
-                        std::strerror(errno));
-  }
+  if (s.ok()) s = Fsync(fd_, "index");
   if (s.ok()) {
     FileHeader hdr{kMagic, kVersion, uint32_t(entries_.size()), 0,
                    end_offset_, 0};
     s = PwriteFull(fd_, &hdr, sizeof(hdr), 0, "archive header");
   }
-  if (s.ok() && ::fsync(fd_) != 0) {
-    s = Status::IoError(std::string("fsync of header failed: ") +
-                        std::strerror(errno));
-  }
+  if (s.ok()) s = Fsync(fd_, "header");
   if (!s.ok()) return CountWrite(std::move(s));
   return s;
 }

@@ -15,27 +15,24 @@ namespace datablocks {
 
 /// One archived block's catalog record. The optional delete bitmap is laid
 /// out immediately after the block payload; `checksum` covers payload +
-/// bitmap. The v3 fields locate the block's serialized BlockSummary inside
-/// the index summary blob — readable without touching any payload bytes.
-/// v2 archives carry only the first 40 bytes per record (no summaries).
+/// bitmap. The summary fields locate the block's serialized BlockSummary
+/// inside the index summary blob — readable without touching any payload
+/// bytes.
 struct ArchiveEntry {
   uint64_t offset;        // file offset of the serialized block
   uint64_t block_bytes;   // length of the serialized block
   uint64_t bitmap_words;  // delete-bitmap words stored after the block
-  uint64_t checksum;      // FNV-1a 64 over block payload + bitmap
+  uint64_t checksum;      // 8-lane FNV-style mix over block payload + bitmap
   uint32_t chunk_index;   // originating chunk slot (UINT32_MAX if n/a)
   uint32_t deleted_count; // set bits in the stored delete bitmap
-  // -- v3 additions (zero when reading a v2 archive) ----------------------
-  uint32_t row_count;       // tuples in the block
+  uint32_t row_count;     // tuples in the block
   uint32_t reserved;
   uint64_t summary_offset;  // offset into the index summary blob
   uint64_t summary_bytes;   // 0 = no summary stored
 };
 static_assert(sizeof(ArchiveEntry) == 64);
-/// On-disk record size of the v2 format (prefix of ArchiveEntry).
-inline constexpr uint64_t kArchiveEntryV2Bytes = 40;
 
-/// v4 per-block frame, written immediately before each payload. It
+/// Per-block frame, written immediately before each payload. It
 /// duplicates the entry fields a reader needs to re-discover the block
 /// without the index, which is what makes crash recovery possible: Open of
 /// an archive whose index was never published (torn write, crash before
@@ -47,7 +44,7 @@ struct BlockFrame {
   uint64_t bitmap_words;
   uint64_t checksum;        // payload + bitmap (matches ArchiveEntry)
   uint32_t row_count;
-  uint32_t frame_checksum;  // FNV-1a 64 of the preceding 36 bytes, folded
+  uint32_t frame_checksum;  // mix of the preceding 36 bytes, folded to 32
 };
 static_assert(sizeof(BlockFrame) == 40);
 
@@ -55,24 +52,28 @@ static_assert(sizeof(BlockFrame) == 40);
 /// maintaining a flat structure without pointers, Data Blocks are also
 /// suitable for eviction to secondary storage").
 ///
-/// Archive format v4: a versioned file header, the serialized blocks — each
-/// preceded by a self-describing BlockFrame and optionally followed by its
-/// delete bitmap — and an index written by Finish(): the ArchiveEntry
-/// records, a blob of serialized BlockSummary records, and a trailing
-/// checksum over the whole index region (so index corruption is detected,
-/// not just payload corruption). The index enables per-block random access,
-/// the per-entry checksum catches torn or corrupted payload writes on
-/// reload, and the summary blob makes every block's SMA/PSMA metadata
-/// restorable *without payload reads* — an SMA-pruned scan never has to
-/// fault the block in.
+/// Archive format v5, the only readable one: a versioned file header, the
+/// serialized blocks — each preceded by a self-describing BlockFrame and
+/// optionally followed by its delete bitmap — and an index written by
+/// Finish(): the ArchiveEntry records, a blob of serialized BlockSummary
+/// records, and a trailing checksum over the whole index region (so index
+/// corruption is detected, not just payload corruption). The index enables
+/// per-block random access, the per-entry checksum catches torn or
+/// corrupted payload writes on reload, and the summary blob makes every
+/// block's SMA/PSMA metadata restorable *without payload reads* — an
+/// SMA-pruned scan never has to fault the block in.
+///
+/// Every checksum (payload + bitmap, frame, index) is an 8-lane FNV-style
+/// mix: each 64-byte stripe feeds one word to each of eight independent
+/// multiply chains, which the core overlaps instead of waiting on one
+/// serial chain per 8 bytes. Every byte is still covered.
 ///
 /// Failure model: every fallible operation returns Status/StatusOr instead
 /// of aborting. Finish orders durability (fsync payload -> write + fsync
 /// index -> publish header -> fsync), so a crash at any point leaves either
 /// a finished archive or one that Open salvages from its frames. A failed
 /// append truncates back to the last good end-of-payload — pre-existing
-/// blocks stay readable. v2/v3 archives (no frames) are still readable but
-/// not salvageable; v1 and unknown versions are rejected.
+/// blocks stay readable. Any other version is rejected.
 ///
 /// An archive is either being written (Create + AppendBlock, index kept in
 /// memory, ReadBlock works on already-appended blocks) or opened read-only
@@ -81,8 +82,8 @@ class BlockArchive {
  public:
   static constexpr uint32_t kMagic = 0x52414244;       // "DBAR"
   static constexpr uint32_t kFrameMagic = 0x52464244;  // "DBFR"
-  static constexpr uint32_t kVersion = 4;
-  static constexpr uint32_t kMinVersion = 2;  // oldest readable format
+  static constexpr uint32_t kVersion = 5;
+  static constexpr uint32_t kMinVersion = 5;  // oldest readable format
 
   BlockArchive() = default;
   ~BlockArchive();
@@ -94,13 +95,13 @@ class BlockArchive {
 
   /// Opens an archive for random-access reads. A finished archive opens via
   /// its index (header, version and index checksum validated, with
-  /// diagnostic kCorruption on any mismatch; v2 archives open with null
-  /// summaries). A v4 archive whose index is missing or invalid —
-  /// truncated mid-block, truncated mid-index, torn header publish — is
-  /// *salvaged* instead: the frames are walked forward and the longest
-  /// checksum-valid prefix of blocks becomes readable (salvaged() reports
-  /// this; summaries are absent). Unreadable headers are errors, never
-  /// salvage: a bad magic means this is not an archive at all.
+  /// diagnostic kCorruption on any mismatch). An archive whose index is
+  /// missing or invalid — truncated mid-block, truncated mid-index, torn
+  /// header publish — is *salvaged* instead: the frames are walked forward
+  /// and the longest checksum-valid prefix of blocks becomes readable
+  /// (salvaged() reports this; summaries are absent). Unreadable headers
+  /// are errors, never salvage: a bad magic means this is not an archive at
+  /// all.
   static StatusOr<BlockArchive> Open(const std::string& path);
 
   /// Appends one block (and its delete bitmap, if any); written through to
@@ -124,7 +125,7 @@ class BlockArchive {
   StatusOr<DataBlock> ReadBlock(
       size_t id, std::vector<uint64_t>* delete_bitmap = nullptr) const;
 
-  /// Resident summary of block `id` (nullptr for v2/salvaged archives or
+  /// Resident summary of block `id` (nullptr for salvaged archives or
   /// blocks appended without one). Never touches the payload.
   const BlockSummary* summary(size_t id) const {
     return summaries_[id].get();
@@ -141,7 +142,6 @@ class BlockArchive {
   /// the rewritten archive onto the canonical path); the open handle
   /// follows the inode, only the reported path changes.
   void NotifyRenamed(std::string path) { path_ = std::move(path); }
-  uint32_t version() const { return version_; }
   /// True when Open recovered this archive by frame-walking (no index was
   /// readable); the entries are the longest valid prefix of the file.
   bool salvaged() const { return salvaged_; }
@@ -218,7 +218,6 @@ class BlockArchive {
   std::vector<std::shared_ptr<const BlockSummary>> summaries_;
   uint64_t end_offset_ = 0;
   mutable uint64_t payload_reads_ = 0;  // guarded by mu_
-  uint32_t version_ = kVersion;
   bool writable_ = false;
   bool salvaged_ = false;
 };

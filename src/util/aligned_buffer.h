@@ -44,12 +44,16 @@ class AlignedBuffer {
 
   /// Allocates `size` usable bytes (plus internal padding), zero-initialized.
   void Allocate(uint64_t size) {
-    Free();
-    uint64_t total = ((size + kScanPadding + 63) / 64) * 64;
-    data_ = static_cast<uint8_t*>(std::aligned_alloc(64, total));
-    DB_CHECK(data_ != nullptr);
+    const uint64_t total = AllocateRaw(size);
     std::memset(data_, 0, total);
-    size_ = size;
+  }
+
+  /// Like Allocate, but leaves the `size` usable bytes uninitialized: for
+  /// callers that overwrite every one of them (a block reloaded from disk).
+  /// Only the padding is zeroed — SIMD over-reads past the end see zeros.
+  void AllocateForOverwrite(uint64_t size) {
+    const uint64_t total = AllocateRaw(size);
+    std::memset(data_ + size, 0, total - size);
   }
 
   uint8_t* data() { return data_; }
@@ -58,6 +62,16 @@ class AlignedBuffer {
   bool empty() const { return size_ == 0; }
 
  private:
+  /// Frees, then allocates `size` bytes plus padding; returns the total.
+  uint64_t AllocateRaw(uint64_t size) {
+    Free();
+    const uint64_t total = ((size + kScanPadding + 63) / 64) * 64;
+    data_ = static_cast<uint8_t*>(std::aligned_alloc(64, total));
+    DB_CHECK(data_ != nullptr);
+    size_ = size;
+    return total;
+  }
+
   void Free() {
     if (data_ != nullptr) std::free(data_);
     data_ = nullptr;

@@ -1,18 +1,22 @@
 // BlockArchive format: versioned indexed archives with per-block random
 // access, checksums, delete-bitmap persistence and resident block summaries
 // readable without payload IO — round trips of blocks containing string
-// dictionaries and delete bitmaps, compaction, v2 compatibility, and the
-// fault model: every corruption (bit-flipped payload, truncated block,
-// truncated index, bad header) surfaces as a typed Status or a frame-walk
-// salvage, never as a process abort.
+// dictionaries and delete bitmaps, compaction, and the fault model: every
+// corruption (bit-flipped payload, bitmap or tail, swapped stripes,
+// truncated block, truncated index, bad header, older format version)
+// surfaces as a typed Status or a frame-walk salvage, never as a process
+// abort.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,7 +70,6 @@ TEST(BlockArchive, RandomAccessRoundTripWithStringsAndDeletes) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   BlockArchive& archive = *opened;
   ASSERT_EQ(archive.num_blocks(), *written);
-  EXPECT_EQ(archive.version(), BlockArchive::kVersion);
   EXPECT_FALSE(archive.salvaged());
 
   // Random access: read blocks out of order, verify entries line up.
@@ -289,7 +292,6 @@ TEST(BlockArchiveV3, SummariesRestorableWithoutPayloadReads) {
   StatusOr<BlockArchive> opened = BlockArchive::Open(path);
   ASSERT_TRUE(opened.ok());
   BlockArchive& archive = *opened;
-  EXPECT_EQ(archive.version(), BlockArchive::kVersion);
   EXPECT_EQ(archive.payload_reads(), 0u);  // Open touches only the index
   for (size_t i = 0; i < archive.num_blocks(); ++i) {
     const BlockSummary* s = archive.summary(i);
@@ -389,67 +391,159 @@ TEST(BlockArchiveV3, CompactionDropsDeadBlocksAndPreservesLiveOnes) {
   std::remove(compacted_path.c_str());
 }
 
-TEST(BlockArchiveV3, V2ArchivesStillReadable) {
-  Table t = MakeTable(3000, 1024, /*delete_every=*/4);
-  const std::string v4_path = "/tmp/datablocks_archive_compat_v4.dbar";
-  const std::string v2_path = "/tmp/datablocks_archive_compat_v2.dbar";
-  ASSERT_TRUE(BlockArchive::Save(t, v4_path).ok());
-
-  // Craft a v2 file from the v4 archive: same payload region (the v4 frames
-  // interleaved with the payloads are dead bytes to a v2 reader — entries
-  // address payloads directly), version 2 header, 40-byte index records
-  // (the v2 on-disk prefix of ArchiveEntry).
+TEST(BlockArchiveFaults, OlderFormatVersionIsRejected) {
+  static_assert(BlockArchive::kMinVersion == BlockArchive::kVersion);
+  Table t = MakeTable(1500, 1024, /*delete_every=*/4);
+  const std::string path = "/tmp/datablocks_archive_v4.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  // Stamp the previous format version on an otherwise valid archive: its
+  // checksums were computed differently, so it must be refused up front,
+  // not misread or salvaged.
   {
-    StatusOr<BlockArchive> opened = BlockArchive::Open(v4_path);
-    ASSERT_TRUE(opened.ok());
-    BlockArchive& src = *opened;
-    std::ifstream in(v4_path, std::ios::binary);
-    std::vector<char> file((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    struct V2Header {
-      uint32_t magic, version, block_count, flags;
-      uint64_t index_offset, reserved;
-    };
-    uint64_t index_offset;
-    std::memcpy(&index_offset, file.data() + 16, sizeof(index_offset));
-    V2Header hdr{BlockArchive::kMagic, 2, uint32_t(src.num_blocks()), 0,
-                 index_offset, 0};
-    std::ofstream out(v2_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
-    out.write(file.data() + sizeof(hdr),
-              std::streamsize(index_offset - sizeof(hdr)));
-    for (size_t i = 0; i < src.num_blocks(); ++i) {
-      out.write(reinterpret_cast<const char*>(&src.entry(i)),
-                std::streamsize(kArchiveEntryV2Bytes));
-    }
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    uint32_t v4 = 4;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&v4), 4);
+  }
+  StatusOr<BlockArchive> old = BlockArchive::Open(path);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(old.status().message().find("unsupported archive version 4"),
+            std::string::npos)
+      << old.status().ToString();
+  std::remove(path.c_str());
+}
+
+/// Payload checksum coverage: one archive, then one mutation per case of
+/// block 1's stored bytes. Every mutation must fail that block's read with
+/// kCorruption, and a frame-walk salvage must stop right before it.
+class ArchiveChecksumCoverage : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kRows = 1100;  // bitmap: 18 words, 16-byte tail
+
+  void SetUp() override {
+    table_ = std::make_unique<Table>(MakeTable(3 * kRows, kRows, 3));
+    ASSERT_TRUE(BlockArchive::Save(*table_, path_).ok());
+    StatusOr<BlockArchive> a = BlockArchive::Open(path_);
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(a->num_blocks(), 3u);
+    entry_ = a->entry(1);
+    ASSERT_GT(entry_.bitmap_words, 8u);
+    ASSERT_NE(entry_.bitmap_words % 8, 0u);  // the bitmap hash has a tail
+    std::ifstream in(path_, std::ios::binary);
+    pristine_.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
   }
 
-  StatusOr<BlockArchive> opened = BlockArchive::Open(v2_path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  BlockArchive& v2 = *opened;
-  EXPECT_EQ(v2.version(), 2u);
-  ASSERT_EQ(v2.num_blocks(), t.num_chunks());
-  for (size_t i = 0; i < v2.num_blocks(); ++i) {
-    EXPECT_EQ(v2.summary(i), nullptr);  // v2 has no summaries
-    std::vector<uint64_t> bitmap;
-    StatusOr<DataBlock> block = v2.ReadBlock(i, &bitmap);
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Rewrites the archive as saved, with `mutate` applied to its bytes.
+  void WriteMutated(const std::function<void(std::vector<char>&)>& mutate) {
+    std::vector<char> file = pristine_;
+    mutate(file);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), std::streamsize(file.size()));
+  }
+
+  void ExpectBlock1Corrupt(const std::string& what) {
+    SCOPED_TRACE(what);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path_);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_FALSE(a->salvaged());
+    EXPECT_TRUE(a->ReadBlock(0).ok());
+    StatusOr<DataBlock> bad = a->ReadBlock(1);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(bad.status().message().find("checksum"), std::string::npos)
+        << bad.status().ToString();
+    EXPECT_TRUE(a->ReadBlock(2).ok());
+  }
+
+  void ExpectSalvageStopsAtBlock1(
+      const std::function<void(std::vector<char>&)>& mutate) {
+    WriteMutated([&](std::vector<char>& file) {
+      mutate(file);
+      std::memset(file.data() + 16, 0, 8);  // unpublish the index
+    });
+    StatusOr<BlockArchive> a = BlockArchive::Open(path_);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_TRUE(a->salvaged());
+    EXPECT_EQ(a->num_blocks(), 1u);
+  }
+
+  void Check(const std::string& what,
+             const std::function<void(std::vector<char>&)>& mutate) {
+    WriteMutated(mutate);
+    ExpectBlock1Corrupt(what);
+    ExpectSalvageStopsAtBlock1(mutate);
+  }
+
+  const std::string path_ = "/tmp/datablocks_archive_coverage.dbar";
+  std::unique_ptr<Table> table_;
+  ArchiveEntry entry_{};
+  std::vector<char> pristine_;
+};
+
+TEST_F(ArchiveChecksumCoverage, BitFlipInEveryLane) {
+  // Stripe 5 of the block: word k of each 64-byte stripe feeds lane k.
+  for (uint64_t lane = 0; lane < 8; ++lane) {
+    const uint64_t at = entry_.offset + 5 * 64 + lane * 8 + 3;
+    Check("lane " + std::to_string(lane),
+          [at](std::vector<char>& f) { f[at] ^= 0x10; });
+  }
+}
+
+TEST_F(ArchiveChecksumCoverage, BitFlipInTailUnder64Bytes) {
+  // The bitmap's last word sits past its last full stripe.
+  const uint64_t at = entry_.offset + entry_.block_bytes +
+                      entry_.bitmap_words * 8 - 1;
+  Check("bitmap tail", [at](std::vector<char>& f) { f[at] ^= 0x01; });
+}
+
+TEST_F(ArchiveChecksumCoverage, BitFlipInBitmap) {
+  const uint64_t at = entry_.offset + entry_.block_bytes + 9;
+  Check("bitmap", [at](std::vector<char>& f) { f[at] ^= 0x04; });
+}
+
+TEST_F(ArchiveChecksumCoverage, SwappedStripes) {
+  // Two stripes of the payload trade places: every word keeps its lane,
+  // only the order within the lanes changes.
+  const uint64_t a = entry_.offset + 2 * 64;
+  const uint64_t b = entry_.offset + (entry_.block_bytes / 64 - 1) * 64;
+  ASSERT_NE(std::memcmp(pristine_.data() + a, pristine_.data() + b, 64), 0);
+  Check("swapped stripes", [a, b](std::vector<char>& f) {
+    std::swap_ranges(f.begin() + a, f.begin() + a + 64, f.begin() + b);
+  });
+}
+
+TEST(BlockArchive, ReloadedBlockScanPaddingIsZero) {
+  Table t = MakeTable(2048, 1024, 0);
+  const std::string path = "/tmp/datablocks_archive_padding.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_TRUE(a.ok());
+  // Leaves non-zero bytes where the next allocation of `size` bytes most
+  // likely lands, so a padding that is not zeroed explicitly shows up.
+  auto dirty_heap = [](uint64_t size) {
+    AlignedBuffer junk;
+    junk.AllocateForOverwrite(size);
+    std::memset(junk.data(), 0xAB, size + kScanPadding);
+  };
+  auto expect_zero_padding = [](const DataBlock& block) {
+    const uint8_t* end = block.raw_bytes() + block.SizeBytes();
+    for (uint64_t k = 0; k < kScanPadding; ++k) EXPECT_EQ(end[k], 0) << k;
+  };
+  for (size_t i = 0; i < a->num_blocks(); ++i) {
+    dirty_heap(a->entry(i).block_bytes);
+    StatusOr<DataBlock> block = a->ReadBlock(i);
     ASSERT_TRUE(block.ok());
-    EXPECT_EQ(block->num_rows(), t.chunk_rows(i));
+    expect_zero_padding(*block);
   }
-  StatusOr<Table> restored =
-      BlockArchive::Restore("tv2", TestTableSchema(), v2_path, 1024);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(FullScan(t) == FullScan(*restored));
-
-  // A truncated v2 index is an error, not a salvage: pre-frame formats
-  // carry no per-block self-description to recover from.
-  Truncate(v2_path, FileSize(v2_path) - kArchiveEntryV2Bytes / 2);
-  StatusOr<BlockArchive> cut = BlockArchive::Open(v2_path);
-  ASSERT_FALSE(cut.ok());
-  EXPECT_EQ(cut.status().code(), StatusCode::kCorruption);
-
-  std::remove(v4_path.c_str());
-  std::remove(v2_path.c_str());
+  // The same holds for the other ForFill user, FromBytes.
+  const DataBlock& src = *t.frozen_block(0);
+  dirty_heap(src.SizeBytes());
+  expect_zero_padding(DataBlock::FromBytes(src.raw_bytes(), src.SizeBytes()));
+  std::remove(path.c_str());
 }
 
 TEST(BlockArchive, AppendAndReadInterleaved) {

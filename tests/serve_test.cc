@@ -19,6 +19,7 @@
 
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
+#include "obs/query_profile.h"  // MonotonicNs
 #include "serve/server.h"
 #include "tpch/queries.h"
 
@@ -404,6 +405,64 @@ TEST(Server, ConcurrentClientsAllComplete) {
   EXPECT_EQ(ok.load(), kClients * kPerClient);
   EXPECT_EQ(executed.load(), kClients * kPerClient);
   server.Shutdown();
+}
+
+TEST(Admission, RacingSubmitAndDoneNeverWrapQueueTime) {
+  // One slot: nearly every ticket queues, and every OnDone grants the next
+  // queued one while other threads keep submitting into the same lock. A
+  // grant stamped with a clock read before the lock could precede its
+  // ticket's enqueue, and queue_ns would wrap to ~2^64. The controller is
+  // driven directly: without a scheduler hop between the calls, they
+  // contend for its lock far more often than through a Server.
+  serve::AdmissionConfig cfg;
+  cfg.max_running = 1;
+  cfg.max_queued = 1 << 20;
+  serve::AdmissionController admission(cfg, 1);
+  std::atomic<int> owed{0};  // granted tickets not finished yet
+  std::atomic<int> granted{0}, wrapped{0};
+  auto submit = [&] {
+    auto t = std::make_shared<serve::AdmissionController::Ticket>();
+    const uint64_t submit_ns = obs::MonotonicNs();
+    t->grant = [&, submit_ns](uint64_t queue_ns) {
+      // The server's total_ns: submit to response, here cut at the grant.
+      const uint64_t total_ns = obs::MonotonicNs() - submit_ns;
+      if (queue_ns > total_ns) wrapped.fetch_add(1);
+      granted.fetch_add(1);
+      owed.fetch_add(1);
+    };
+    t->drop = [](Status s) { ADD_FAILURE() << serve::StatusName(s); };
+    admission.Submit(std::move(t));
+  };
+  auto finish_one = [&] {
+    int o = owed.load();
+    while (o > 0 && !owed.compare_exchange_weak(o, o - 1)) {
+    }
+    if (o > 0) admission.OnDone(/*heavy=*/false);
+    return o > 0;
+  };
+
+  // Submitters and finishers on separate threads: a finisher's OnDone is
+  // in flight nearly whenever a submitter enqueues behind the one slot.
+  constexpr int kSubmitters = 2;
+  constexpr int kPerSubmitter = 20000;
+  std::atomic<int> submitting{kSubmitters};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kSubmitters; ++c) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerSubmitter; ++i) submit();
+      submitting.fetch_sub(1);
+    });
+    threads.emplace_back([&] {
+      while (submitting.load() > 0) finish_one();
+    });
+  }
+  for (auto& t : threads) t.join();
+  while (finish_one()) {  // drain: each OnDone grants the next queued one
+  }
+  EXPECT_EQ(granted.load(), kSubmitters * kPerSubmitter);
+  EXPECT_EQ(wrapped.load(), 0);
+  EXPECT_EQ(admission.running(), 0u);
+  EXPECT_EQ(admission.queued(), 0u);
 }
 
 TEST(Serve, TpchThroughServerMatchesDirectCall) {
