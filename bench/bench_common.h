@@ -246,82 +246,56 @@ inline void BenchProfileRecord(std::string profile_json) {
   s.profiles.push_back(std::move(profile_json));
 }
 
-/// Parses and strips `--threads N` (or `--threads=N`) from argv — the
-/// shared knob of every bench that can run its pipelines through the
-/// scheduler's worker pool. Returns the requested thread count (default 1:
-/// the sequential reference path; 0 = all hardware threads) and records it
-/// for the `--json` output so the perf harness never diffs runs of
-/// different parallelism.
-inline unsigned BenchThreadsFlag(int* argc, char** argv) {
-  unsigned threads = 1;
+/// Parses and strips `<name> N` (or `<name>=N`) from argv; the last
+/// occurrence wins. Returns `fallback` when the flag is absent and exits
+/// with a message when the value is not an integer >= `min`.
+inline unsigned BenchUnsignedFlag(int* argc, char** argv, const char* name,
+                                  unsigned fallback, unsigned min) {
+  const size_t len = std::strlen(name);
   const char* value = nullptr;
   int w = 1;
   for (int r = 1; r < *argc; ++r) {
-    if (std::strcmp(argv[r], "--threads") == 0) {
+    if (std::strcmp(argv[r], name) == 0) {
       if (r + 1 >= *argc) {
-        std::fprintf(stderr, "--threads requires a value\n");
+        std::fprintf(stderr, "%s requires a value\n", name);
         std::exit(1);
       }
       value = argv[++r];
       continue;
     }
-    if (std::strncmp(argv[r], "--threads=", 10) == 0) {
-      value = argv[r] + 10;
+    if (std::strncmp(argv[r], name, len) == 0 && argv[r][len] == '=') {
+      value = argv[r] + len + 1;
       continue;
     }
     argv[w++] = argv[r];
   }
   *argc = w;
-  if (value != nullptr) {
-    char* end;
-    long n = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "bad --threads value: %s\n", value);
-      std::exit(1);
-    }
-    threads = unsigned(n);
+  if (value == nullptr) return fallback;
+  char* end;
+  const long n = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || n < long(min)) {
+    std::fprintf(stderr, "bad %s value: %s\n", name, value);
+    std::exit(1);
   }
-  BenchJson().threads = threads;
-  return threads;
+  return unsigned(n);
 }
 
-/// Parses and strips `--shards N` (or `--shards=N`) from argv — the
-/// shard-parallel knob (exec/shard.h) of benches that can run fact-table
-/// pipelines over partitioned engine instances. Returns the requested
-/// shard count (default 1: single-table execution) and records it for the
-/// `--json` output so the perf harness never diffs runs of different
-/// sharding.
+/// `--threads N`: the parallelism slots every scan+aggregate pipeline runs
+/// through the morsel driver (default 1: one slot, inline on the caller;
+/// 0 = all hardware threads). Recorded for the `--json` output so the perf
+/// harness never diffs runs of different parallelism.
+inline unsigned BenchThreadsFlag(int* argc, char** argv) {
+  BenchJson().threads = BenchUnsignedFlag(argc, argv, "--threads", 1, 0);
+  return BenchJson().threads;
+}
+
+/// `--shards N` (N >= 1): the shard count (exec/shard.h) of benches that
+/// can run fact-table pipelines over partitioned engine instances (default
+/// 1: single-table execution). Recorded for the `--json` output like
+/// `--threads`.
 inline unsigned BenchShardsFlag(int* argc, char** argv) {
-  unsigned shards = 1;
-  const char* value = nullptr;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    if (std::strcmp(argv[r], "--shards") == 0) {
-      if (r + 1 >= *argc) {
-        std::fprintf(stderr, "--shards requires a value\n");
-        std::exit(1);
-      }
-      value = argv[++r];
-      continue;
-    }
-    if (std::strncmp(argv[r], "--shards=", 9) == 0) {
-      value = argv[r] + 9;
-      continue;
-    }
-    argv[w++] = argv[r];
-  }
-  *argc = w;
-  if (value != nullptr) {
-    char* end;
-    long n = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || n < 1) {
-      std::fprintf(stderr, "bad --shards value: %s\n", value);
-      std::exit(1);
-    }
-    shards = unsigned(n);
-  }
-  BenchJson().shards = shards;
-  return shards;
+  BenchJson().shards = BenchUnsignedFlag(argc, argv, "--shards", 1, 1);
+  return BenchJson().shards;
 }
 
 /// Median of a sample vector (scrambles the input order).

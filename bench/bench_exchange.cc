@@ -1,6 +1,6 @@
 // Shard-scaling sweep: the same scan+aggregate pipelines run against the
-// single-table engine and against N partitioned engine instances with
-// exchange repartitioning (exec/shard.h, exec/exchange.h).
+// single-table engine and against N partitioned engine instances
+// (exec/shard.h), all through the one morsel driver (exec/parallel_scan.h).
 //
 // Five pipelines, chosen to expose each side of the trade:
 //
@@ -23,11 +23,11 @@
 //                      groups, every local still sees most keys. The
 //                      neutral case.
 //   dense_orderkey     dense per-order aggregation with co-partitioned
-//                      routing (order ordinals invert to the shard key, so
-//                      each update is owned by the shard that produced it
-//                      and the exchange degenerates to self-delivery); the
-//                      residual cost vs the unsharded spill engine is the
-//                      per-element ownership hash.
+//                      ownership (order ordinals invert to the shard key,
+//                      so each update is owned by the shard that produced
+//                      it and applies in place under that shard's lock);
+//                      the residual cost vs the unsharded spill engine is
+//                      the per-element ownership hash.
 //   scan_filter_sum    Q6-shaped predicate scan + scalar sum: sharding
 //                      only changes which table the morsels come from.
 //

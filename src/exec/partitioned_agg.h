@@ -3,24 +3,26 @@
 
 // Partitioned aggregation states for the morsel-parallel query pipelines.
 //
-// The per-slot-state model of parallel_scan.h replicates the whole
-// aggregation state into every parallelism slot and merges the copies in
-// slot order. That is the right shape for small or sparse states, but a
-// dense rows-sized vector (per-order / per-customer / per-supplier
-// aggregates over dbgen's dense key spaces) replicated S times costs
-// O(rows x slots) memory plus an O(rows x slots) merge — growing with the
-// thread count and burying the scan-on-compressed-data wins the Data
-// Blocks layout pays for. This header provides the two state shapes that
-// kill that blow-up:
+// A per-slot state (ParallelScan in exec/parallel_scan.h) replicates the
+// whole aggregation state into every parallelism slot and merges the
+// copies in slot order. That is the right shape for small or sparse
+// states, but a dense rows-sized vector (per-order / per-customer /
+// per-supplier aggregates over dbgen's dense key spaces) replicated per
+// slot costs O(rows x slots) memory plus an O(rows x slots) merge —
+// growing with the thread count and burying the scan-on-compressed-data
+// wins the Data Blocks layout pays for. This header provides the state
+// shapes that kill that blow-up; the scan itself always runs through the
+// one MorselDriver, which feeds them batches:
 //
 //  * PartitionedDense<T, U, Apply>: ONE dense T vector over [0, domain),
 //    partitioned into contiguous power-of-two key ranges, one range per
 //    slot. Each slot appends (key, update) pairs to a small flat spill
 //    buffer (the hot path is a raw cursor store); a full buffer is
 //    drained partition-wise — grouped by the high key bits, applied under
-//    the owning partition's lock — and once more at end-of-slot (before
-//    TaskGroup::Wait returns). Memory is O(domain) + O(slots) bounded
-//    buffers, and there is no cross-slot merge at all.
+//    the owning partition's lock — and once more at end-of-slot, before
+//    the parallel region joins (tpch::detail::ParDenseAgg drives it).
+//    Memory is O(domain) + O(slots) bounded buffers, and there is no
+//    cross-slot merge at all.
 //
 //  * SharedStoreDense<T>: dense vectors filled by plain stores — either
 //    one writer per element (dense per-order sinks) or idempotent
@@ -36,7 +38,7 @@
 //
 // Determinism contract (the PR 4 invariant): Apply / the merge fold must
 // be exact and commutative+associative (integer sums, bitwise or, min/max,
-// the Q21 fold). Then the result is identical to the sequential path no
+// the Q21 fold). Then the result is identical to a one-slot run no
 // matter which worker claimed which morsel or in which order spills were
 // flushed.
 //
@@ -54,10 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "exec/batch.h"
 #include "exec/hash_table.h"
 #include "exec/scheduler.h"
-#include "exec/table_scanner.h"
-#include "obs/query_profile.h"
 
 namespace datablocks {
 
@@ -122,8 +123,8 @@ struct ApplyOr {
 /// which appends (key, U) updates to one flat spill buffer and drains it
 /// partition-wise under the owning partitions' locks; a sink streaming
 /// into a single partition upgrades to direct applies under that
-/// partition's lock. With slots == 1 the sink applies directly (the
-/// sequential fast path — no buffers, no locks).
+/// partition's lock. With one slot the sink applies directly (no buffers,
+/// no locks).
 ///
 /// Apply: (T&, const U&), commutative + associative + exact (see header
 /// comment). U is expected to be a small trivially copyable payload.
@@ -213,9 +214,8 @@ class PartitionedDense {
     }
 
     /// Drains the spill buffer into the dense vector and releases any run
-    /// lock. The parallel drivers call this at end-of-slot, so by the
-    /// time TaskGroup::Wait returns every buffered update has been
-    /// applied.
+    /// lock. ParDenseAgg calls this at end-of-slot, so by the time the
+    /// parallel region joins every buffered update has been applied.
     void Flush() {
       if (cursor_ != nullptr) FlushBuffer();
       ReleaseHeld();
@@ -343,6 +343,14 @@ class PartitionedDense {
   unsigned partitions() const { return parts_; }
   size_t OwnerOf(size_t key) const { return key >> part_shift_; }
 
+  /// Applies one update in place, bypassing the sinks and the partition
+  /// locks. The caller must own `key`'s element exclusively — e.g. under
+  /// the producing shard's lock of a co-partitioned domain (KeyOwner,
+  /// exec/shard.h).
+  void ApplyOwned(size_t key, const U& update) {
+    apply_(dense_[key], update);
+  }
+
   /// The dense vector; valid once every sink has flushed and the parallel
   /// region has joined.
   const std::vector<T>& dense() const { return dense_; }
@@ -366,59 +374,6 @@ class PartitionedDense {
   std::vector<Sink> sinks_;
   bool taken_ = false;
 };
-
-/// Morsel-parallel scan whose aggregation state is one PartitionedDense
-/// vector (see above) instead of a per-slot replica. `produce` is
-/// (Sink&, const Batch&) and calls sink.Add(key, update) per qualifying
-/// row. Each slot flushes its spill buffers after its last morsel, so the
-/// returned vector is complete — there is no merge step.
-template <typename T, typename U, typename Apply, typename Produce>
-std::vector<T> DensePartitionedScan(
-    const Table& table, std::vector<uint32_t> columns,
-    std::vector<Predicate> predicates, ScanMode mode, unsigned num_threads,
-    size_t domain, Produce produce, Apply apply = Apply{}, T init = T{},
-    uint32_t vector_size = TableScanner::kDefaultVectorSize,
-    Isa isa = BestIsa(), Scheduler* scheduler = nullptr,
-    obs::PipelineProfile* pipeline = nullptr) {
-  num_threads = EffectiveThreads(num_threads, scheduler);
-  PartitionedDense<T, U, Apply> state(domain, num_threads, std::move(apply),
-                                      init);
-  std::vector<int> chunk_nodes(table.num_chunks());
-  for (size_t i = 0; i < chunk_nodes.size(); ++i) {
-    chunk_nodes[i] = table.chunk_node(i);
-  }
-  NodeMorselDispatcher morsels(chunk_nodes);
-  auto worker = [&](unsigned slot) {
-    obs::WorkerScope scope(pipeline, slot);
-    auto& sink = state.sink(slot);
-    TableScanner scanner(table, columns, predicates, mode, vector_size, isa);
-    Batch batch;
-    const int my_node = Scheduler::CurrentWorkerNode();
-    size_t begin, end;
-    try {
-      while (morsels.Next(my_node, &begin, &end)) {
-        scope.OnMorsel();
-        scanner.RestrictChunks(begin, end);
-        while (scanner.Next(&batch)) {
-          scope.OnBatch(batch.count, batch.AnyCoded());
-          produce(sink, batch);
-        }
-        // Per-morsel harvest: RestrictChunks reset the scanner's counters.
-        scope.OnScanTotals(scanner.chunks_scanned(),
-                           scanner.rows_considered(), scanner.chunks_skipped(),
-                           scanner.evicted_chunks_skipped(),
-                           scanner.pins_taken(), scanner.archive_reloads());
-      }
-    } catch (...) {
-      // A storage fault fails the query; it must not strand the run lock.
-      sink.Abandon();
-      throw;
-    }
-    sink.Flush();
-  };
-  RunOnSlots(num_threads, worker, scheduler);
-  return state.Take();
-}
 
 /// One dense T vector over [0, domain) filled by scatter STORES (not
 /// read-modify-write accumulations): correct whenever every row that
@@ -604,7 +559,7 @@ class AggHashTable {
 /// the high Hash64 bits — independent of the in-table probe bits, and one
 /// hash serves both). Per-worker states built with the same partition
 /// count merge partition-wise — see MergeAggTables. With one partition
-/// this is just a plain table (the sequential path).
+/// this is just a plain table (the one-slot path).
 template <typename V>
 class PartitionedAggTable {
  public:
@@ -689,9 +644,9 @@ PartitionedAggTable<V> MergeAggTables(
 /// Across blocks (and across hot, non-coded batches) ids are stable because
 /// they are assigned by string value.
 ///
-/// Concurrency: parallel_scan.h invokes the consume callable concurrently
-/// from every slot, so an interner must live in per-worker state (one per
-/// ParAgg slot). Per-worker id spaces differ; merge across workers by NAME:
+/// Concurrency: the MorselDriver (exec/parallel_scan.h) invokes consume
+/// callables concurrently from every slot, so an interner must live in
+/// per-slot state (one per ParAgg slot). Per-worker id spaces differ; merge across workers by NAME:
 /// translate each worker-local id through name() and re-intern into the
 /// merged interner while folding the aggregate tables.
 class StringKeyInterner {

@@ -1,5 +1,7 @@
 #include "exec/shard.h"
 
+#include <string>
+
 namespace datablocks {
 
 ShardedTable::ShardedTable(const Table& source, unsigned num_shards,

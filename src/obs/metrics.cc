@@ -217,11 +217,6 @@ void RegisterEngineMetrics() {
   r.GetCounter("scheduler.steals");
   r.GetCounter("scheduler.periodic_fires");
   r.GetCounter("scheduler.morsels_remote");
-  // Exchange repartitioning (exec/exchange.cc).
-  r.GetCounter("exchange.partitions_shipped");
-  r.GetCounter("exchange.bytes_shipped");
-  r.GetHistogram("exchange.flush_ns");
-  r.GetHistogram("exchange.merge_ns");
   // Lifecycle manager (lifecycle/lifecycle_manager.cc).
   r.GetCounter("lifecycle.ticks");
   r.GetCounter("lifecycle.freezes");

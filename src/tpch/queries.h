@@ -1,7 +1,10 @@
 #ifndef DATABLOCKS_TPCH_QUERIES_H_
 #define DATABLOCKS_TPCH_QUERIES_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,12 +18,12 @@
 
 namespace datablocks::tpch {
 
-/// Execution knobs of one query run. `threads == 1` is the sequential
-/// reference path; anything else sends every fact-table scan+aggregate
-/// pipeline through the shared worker pool with one state per parallelism
-/// slot and a deterministic merge (results are identical to the sequential
-/// path by construction — every accumulation is exact and merged in slot
-/// order). `threads == 0` means "all hardware threads".
+/// Execution knobs of one query run. Every fact-table scan+aggregate
+/// pipeline runs `threads` parallelism slots through the one morsel driver
+/// (exec/parallel_scan.h) — one slot runs inline on the caller — with one
+/// state per slot and a deterministic merge: results are identical at every
+/// thread count by construction (every accumulation is exact and merged in
+/// slot order). `threads == 0` means "all hardware threads".
 struct QueryContext {
   unsigned threads = 1;
   /// Worker pool for the parallel pipelines; nullptr = the process-wide
@@ -32,9 +35,8 @@ struct QueryContext {
   /// per-worker slices. nullptr = profiling off (one branch per pipeline).
   obs::QueryProfile* profile = nullptr;
   /// When set, fact-table pipelines whose table has a sharded view in the
-  /// set run shard-parallel (exec/shard.h): shard-affine scans over the
-  /// per-shard engine instances, aggregation repartitioned to owning
-  /// shards through the Exchange. Results stay bit-identical to the
+  /// set scan the per-shard engine instances (exec/shard.h) instead of the
+  /// single table, shard-affine. Results stay bit-identical to the
   /// unsharded engine (exact accumulation, order-independent merges).
   /// nullptr = single-table execution.
   const ShardSet* shards = nullptr;
@@ -113,25 +115,6 @@ void ScanLoop(TableScanner scanner, Fn fn) {
   while (scanner.Next(&batch)) fn(batch);
 }
 
-/// ScanLoop recording into a pipeline profile: the sequential leg of the
-/// Par* helpers — slot 0, the whole table as one morsel. All recording is
-/// no-op when `pipeline` is null.
-template <typename Fn>
-void ProfiledScanLoop(TableScanner scanner, obs::PipelineProfile* pipeline,
-                      Fn fn) {
-  obs::WorkerScope scope(pipeline, 0);
-  scope.OnMorsel();
-  Batch batch;
-  while (scanner.Next(&batch)) {
-    scope.OnBatch(batch.count, batch.AnyCoded());
-    fn(batch);
-  }
-  scope.OnScanTotals(scanner.chunks_scanned(), scanner.rows_considered(),
-                     scanner.chunks_skipped(),
-                     scanner.evicted_chunks_skipped(), scanner.pins_taken(),
-                     scanner.archive_reloads());
-}
-
 /// Opens one pipeline on the context's profile (nullptr when profiling is
 /// off) and stamps its wall time on scope exit.
 class PipelineScope {
@@ -169,14 +152,12 @@ class PipelineScope {
 };
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline helpers. Every query pipeline is written once against
-// these: with ctx.threads == 1 they run the plain sequential ScanLoop; with
-// more threads the scan fans out over the scheduler's morsel dispatcher
-// with a State per parallelism slot, and `merge` folds the states in slot
-// order. Determinism contract: consume bodies only perform exact
-// accumulations (integer sums/counts, container inserts), so the merged
-// result equals the sequential result no matter which worker claimed which
-// morsel.
+// Pipeline helpers. Every query pipeline is written once against these, and
+// every helper runs ctx.threads slots through the one MorselDriver over the
+// table's shard list — the single table, or its shards when the context
+// carries a sharded view. Determinism contract: consume bodies only perform
+// exact accumulations (integer sums/counts, container inserts), so the
+// merged result is the same no matter which slot claimed which morsel.
 // ---------------------------------------------------------------------------
 
 /// The sharded view of `table` in the context's shard set, nullptr when
@@ -186,7 +167,13 @@ inline const ShardedTable* FindShards(const ScanOptions& opt,
   return opt.ctx.shards != nullptr ? opt.ctx.shards->Find(table) : nullptr;
 }
 
-/// Scan+aggregate with per-worker states and a merge step.
+/// The shard list a pipeline over `table` scans.
+inline ShardList ShardsOf(const ScanOptions& opt, const Table& table) {
+  const ShardedTable* st = FindShards(opt, table);
+  return st != nullptr ? st->shards() : ShardList(table);
+}
+
+/// Scan+aggregate with per-slot states and a merge step.
 /// `make_state`: () -> State; `consume`: (State&, const Batch&);
 /// `merge`: (State& dst, State& src) folds src into dst.
 template <typename State, typename MakeState, typename Consume,
@@ -195,27 +182,10 @@ State ParAgg(const Table& table, const ScanOptions& opt,
              std::vector<uint32_t> cols, std::vector<Predicate> preds,
              MakeState make_state, Consume consume, Merge merge) {
   PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    std::vector<State> states = ShardedParallelScan<State>(
-        *st, cols, preds, opt.mode, opt.ctx.threads, make_state, consume,
-        opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
-    State merged = std::move(states[0]);
-    pipeline.Merge([&] {
-      for (size_t i = 1; i < states.size(); ++i) merge(merged, states[i]);
-    });
-    return merged;
-  }
-  if (opt.ctx.threads == 1) {
-    State state = make_state();
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { consume(state, b); });
-    return state;
-  }
   std::vector<State> states = ParallelScan<State>(
-      table, std::move(cols), std::move(preds), opt.mode, opt.ctx.threads,
-      make_state, consume, opt.vector_size, opt.isa, opt.ctx.scheduler,
-      pipeline.get());
+      ShardsOf(opt, table), std::move(cols), std::move(preds), opt.mode,
+      opt.ctx.threads, make_state, consume, opt.vector_size, opt.isa,
+      opt.ctx.scheduler, pipeline.get());
   State merged = std::move(states[0]);
   pipeline.Merge([&] {
     for (size_t i = 1; i < states.size(); ++i) merge(merged, states[i]);
@@ -225,110 +195,115 @@ State ParAgg(const Table& table, const ScanOptions& opt,
 
 /// Dense-keyed scan+aggregate through the partitioned-aggregation engine
 /// (exec/partitioned_agg.h): ONE T vector over [0, domain) total — not one
-/// per slot — with each slot owning a contiguous key partition and routing
-/// foreign-partition rows through bounded spill buffers. No merge step.
-/// Use when the group key is dense by construction (orderkey / custkey /
-/// suppkey ordinals) and rows touching any element are many.
+/// per slot — with updates routed through bounded spill buffers to
+/// contiguous lock partitions. No merge step. Use when the group key is
+/// dense by construction (orderkey / custkey / suppkey ordinals) and rows
+/// touching any element are many.
 /// `produce`: (Sink&, const Batch&) calling sink.Add(key, U);
 /// `apply`: (T&, const U&), exact + commutative + associative, so results
-/// stay bit-identical to the sequential path.
+/// stay bit-identical at every thread and shard count.
 ///
 /// `route_key_of` (optional): when the dense domain is derived from the
 /// scanned table's shard key (e.g. order ordinals from l_orderkey), pass
-/// the inverse map (dense index -> routing key) and the sharded path
-/// elides the exchange entirely — every element is owned by the shard
-/// whose rows produce it, so updates apply in place under the producing
-/// shard's lock (KeyOwner, exec/shard.h) instead of shipping to generic
-/// contiguous spans. CONTRACT: the map must truly invert the dense index
-/// to the row's routing key (debug-asserted); results are then identical
-/// to every other routing.
+/// the inverse map (dense index -> routing key). On a sharded table every
+/// element is then owned by the shard whose rows produce it, so updates
+/// apply in place under the producing shard's lock (KeyOwner,
+/// exec/shard.h) instead of going through the lock partitions. CONTRACT:
+/// the map must truly invert the dense index to the row's routing key
+/// (debug-asserted); results are then identical to the partitioned path.
 template <typename T, typename U, typename Produce, typename Apply>
 std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
                            std::vector<uint32_t> cols,
                            std::vector<Predicate> preds, size_t domain,
                            Produce produce, Apply apply, T init = T{},
                            int64_t (*route_key_of)(size_t) = nullptr) {
+  using State = PartitionedDense<T, U, Apply>;
   PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    if (route_key_of != nullptr) {
-      return ShardedDenseScan<T, U>(
-          *st, cols, preds, opt.mode, opt.ctx.threads, domain, produce,
-          std::move(apply), init, opt.vector_size, opt.isa, opt.ctx.scheduler,
-          pipeline.get(), KeyOwner{route_key_of, st->num_shards()});
-    }
-    return ShardedDenseScan<T, U>(*st, cols, preds, opt.mode, opt.ctx.threads,
-                                  domain, produce, std::move(apply), init,
-                                  opt.vector_size, opt.isa, opt.ctx.scheduler,
-                                  pipeline.get());
-  }
-  if (opt.ctx.threads == 1) {
-    PartitionedDense<T, U, Apply> state(domain, 1, std::move(apply), init);
-    auto& sink = state.sink(0);  // single slot: direct apply, no buffers
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { produce(sink, b); });
+  const ShardedTable* st = FindShards(opt, table);
+  const unsigned threads =
+      EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
+  MorselDriver driver(ShardsOf(opt, table), std::move(cols), std::move(preds),
+                      opt.mode, opt.vector_size, opt.isa, pipeline.get());
+
+  if (st != nullptr && route_key_of != nullptr) {
+    // Co-partitioned: the producing shard owns every update of its rows.
+    // The shard lock still matters — two slots can drain the same shard
+    // (work stealing).
+    struct OwnedSink {
+      State* state;
+      KeyOwner owner;
+      unsigned shard;
+      void Add(size_t key, const U& u) {
+        assert(owner(key) == shard);
+        state->ApplyOwned(key, u);
+      }
+    };
+    State state(domain, 1, std::move(apply), init);
+    const KeyOwner owner{route_key_of, st->num_shards()};
+    std::vector<std::mutex> shard_locks(st->num_shards());
+    RunOnSlots(
+        threads,
+        [&](unsigned slot) {
+          driver.RunSlot(slot, [&](const Batch& b, unsigned s) {
+            std::lock_guard<std::mutex> lock(shard_locks[s]);
+            OwnedSink sink{&state, owner, s};
+            produce(sink, b);
+          });
+        },
+        opt.ctx.scheduler);
     return state.Take();
   }
-  return DensePartitionedScan<T, U>(
-      table, std::move(cols), std::move(preds), opt.mode, opt.ctx.threads,
-      domain, produce, std::move(apply), init, opt.vector_size, opt.isa,
-      opt.ctx.scheduler, pipeline.get());
+
+  State state(domain, threads, std::move(apply), init);
+  RunOnSlots(
+      threads,
+      [&](unsigned slot) {
+        auto& sink = state.sink(slot);
+        try {
+          driver.RunSlot(slot,
+                         [&](const Batch& b, unsigned) { produce(sink, b); });
+        } catch (...) {
+          // A storage fault fails the query; it must not strand the run
+          // lock, or sibling slots block in their flushes forever.
+          sink.Abandon();
+          throw;
+        }
+        sink.Flush();
+      },
+      opt.ctx.scheduler);
+  return state.Take();
 }
 
-/// Sparse group-by through the partitioned-aggregation engine: per-worker
+/// Sparse group-by through the partitioned-aggregation engine: per-slot
 /// hash-partitioned AggHashTables merged partition-wise (disjoint
-/// partitions, parallel merge) instead of a hand-rolled map + MergeAdd.
-/// Use when the group key is sparse or the group count is small relative
-/// to the scanned rows. `produce`: (PartitionedAggTable<V>&, const Batch&)
-/// calling t.Ref(key); `fold`: (V& dst, const V& src), exact +
-/// commutative (dst of a fresh key is value-initialized).
+/// partitions, parallel merge). Use when the group key is sparse or the
+/// group count is small relative to the scanned rows. `produce`:
+/// (PartitionedAggTable<V>&, const Batch&) calling t.Ref(key); `fold`:
+/// (V& dst, const V& src), exact + commutative (dst of a fresh key is
+/// value-initialized).
+///
+/// On a sharded table, shard-affine scanning keeps each slot-local table's
+/// keys within (mostly) one shard, so the merge folds each group from few
+/// locals. The partition count covers max(threads, shards).
 template <typename V, typename Produce, typename Fold>
 PartitionedAggTable<V> ParHashAgg(const Table& table, const ScanOptions& opt,
                                   std::vector<uint32_t> cols,
                                   std::vector<Predicate> preds,
                                   Produce produce, Fold fold) {
   PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    // Shard-affine scanning keeps each worker-local table's keys within
-    // (mostly) one shard, so the exchange-merge folds each group from few
-    // locals — the work saving that makes shards beat per-worker replicas
-    // even without extra cores. Partition count covers max(threads,
-    // shards) so every shard owns >= 1 partition.
-    const unsigned threads =
-        EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
-    const unsigned parts = std::max(threads, st->num_shards());
-    std::vector<PartitionedAggTable<V>> locals =
-        ShardedParallelScan<PartitionedAggTable<V>>(
-            *st, cols, preds, opt.mode, threads,
-            [parts] { return PartitionedAggTable<V>(parts); },
-            [&produce](PartitionedAggTable<V>& t, const Batch& b) {
-              produce(t, b);
-            },
-            opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
-    PartitionedAggTable<V> merged(0);
-    pipeline.Merge([&] {
-      merged = ExchangeMergeAggTables(locals, fold, st->num_shards(),
-                                      opt.ctx.scheduler);
-    });
-    return merged;
-  }
-  if (opt.ctx.threads == 1) {
-    PartitionedAggTable<V> t(1);
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { produce(t, b); });
-    return t;
-  }
+  ShardList shards = ShardsOf(opt, table);
   const unsigned threads =
       EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
+  const unsigned parts = std::max(threads, unsigned(shards.tables.size()));
   std::vector<PartitionedAggTable<V>> locals =
       ParallelScan<PartitionedAggTable<V>>(
-          table, std::move(cols), std::move(preds), opt.mode, threads,
-          [threads] { return PartitionedAggTable<V>(threads); },
+          std::move(shards), std::move(cols), std::move(preds), opt.mode,
+          threads, [parts] { return PartitionedAggTable<V>(parts); },
           [&produce](PartitionedAggTable<V>& t, const Batch& b) {
             produce(t, b);
           },
           opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
+  if (locals.size() == 1) return std::move(locals[0]);
   PartitionedAggTable<V> merged(0);
   pipeline.Merge(
       [&] { merged = MergeAggTables(locals, fold, opt.ctx.scheduler); });
@@ -415,7 +390,7 @@ inline int64_t OrderIdx(int64_t orderkey) { return orderkey / 4 - 1; }
 
 /// Inverse of OrderIdx — the ParDenseAgg `route_key_of` hint for
 /// OrderIdx-indexed dense domains on orderkey-sharded fact tables
-/// (co-partitioned exchange routing; see exec/shard.h KeyOwner).
+/// (co-partitioned apply; see exec/shard.h KeyOwner).
 inline int64_t OrderKeyOf(size_t idx) { return int64_t(idx + 1) * 4; }
 
 }  // namespace detail

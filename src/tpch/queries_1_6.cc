@@ -6,11 +6,10 @@
 // slot-order merge), detail::ParDenseAgg (ONE partitioned dense vector for
 // dense key spaces — no per-slot replica, no merge) and detail::ParHashAgg
 // (per-worker hash-partitioned group-by tables, merged partition-wise).
-// Sequential at ctx.threads == 1, morsel-parallel otherwise. Tiny
-// dimension scans (region, nation, supplier lookups) stay sequential —
-// there is nothing to win on a handful of rows. All accumulations are
-// exact (integer), so the parallel results are identical to the
-// sequential ones.
+// All of them run ctx.threads slots through the one morsel driver. Tiny
+// dimension scans (region, nation, supplier lookups) stay plain scanner
+// loops — there is nothing to win on a handful of rows. All accumulations
+// are exact (integer), so results are identical at every thread count.
 
 #include <algorithm>
 #include <map>

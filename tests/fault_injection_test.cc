@@ -15,12 +15,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/scheduler.h"
+#include "exec/shard.h"
 #include "lifecycle/lifecycle_manager.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -506,6 +508,43 @@ TEST(ServeFaults, BrokenEvictedBlockFailsQueryWhileHealthyQueriesFlow) {
   std::remove(path.c_str());
 }
 
+/// Runs Q1 with `lifecycle.reload` failing every third reload, on its own
+/// thread so a hang fails the test at a 60 s deadline instead of stalling
+/// the whole suite. Returns "completed", "storage error: ..." or "other
+/// exception".
+std::string Q1UnderFailingReloads(const tpch::TpchDatabase& db,
+                                  const tpch::ScanOptions& opt) {
+  std::promise<std::string> outcome;
+  std::future<std::string> result = outcome.get_future();
+  ScopedFailpoint fp("lifecycle.reload", "every:3");
+  std::thread runner([&] {
+    try {
+      tpch::RunQuery(1, db, opt);
+      outcome.set_value("completed");
+    } catch (const StorageException& e) {
+      outcome.set_value(std::string("storage error: ") + e.what());
+    } catch (...) {
+      outcome.set_value("other exception");
+    }
+  });
+  if (result.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "Q1 over failing reloads hung past 60 s\n");
+    std::abort();
+  }
+  runner.join();
+  return result.get();
+}
+
+/// Lifecycle settings that evict every frozen block and keep a chunk whose
+/// reload failed quarantined for the rest of the test.
+LifecycleConfig EvictEverything() {
+  LifecycleConfig lcfg = QuickCooling();
+  lcfg.memory_budget_bytes = 0;
+  lcfg.quarantine_backoff = std::chrono::milliseconds(60000);
+  return lcfg;
+}
+
 TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
   // Q1 aggregates through PartitionedDense run locks (one partition: its
   // domain is tiny). A slot whose scan throws on a failed reload must drop
@@ -526,37 +565,11 @@ TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
   const std::string baseline = tpch::RunQuery(1, *db, opt).ToString();
 
   const std::string path = TempArchive("reload_deadlock");
-  LifecycleConfig lcfg = QuickCooling();
-  lcfg.memory_budget_bytes = 0;  // evict every frozen lineitem block
-  lcfg.quarantine_backoff = std::chrono::milliseconds(60000);
-  LifecycleManager mgr(&db->lineitem, path, lcfg);
+  LifecycleManager mgr(&db->lineitem, path, EvictEverything());
   for (int i = 0; i < 10; ++i) mgr.Tick();
   ASSERT_TRUE(db->lineitem.is_evicted(0));
 
-  // The query runs on its own thread so a hang fails the test at a
-  // deadline instead of stalling the whole suite.
-  std::promise<std::string> outcome;
-  std::future<std::string> result = outcome.get_future();
-  {
-    ScopedFailpoint fp("lifecycle.reload", "every:3");
-    std::thread runner([&] {
-      try {
-        tpch::RunQuery(1, *db, opt);
-        outcome.set_value("completed");
-      } catch (const StorageException& e) {
-        outcome.set_value(std::string("storage error: ") + e.what());
-      } catch (...) {
-        outcome.set_value("other exception");
-      }
-    });
-    if (result.wait_for(std::chrono::seconds(60)) !=
-        std::future_status::ready) {
-      std::fprintf(stderr, "Q1 over failing reloads hung past 60 s\n");
-      std::abort();
-    }
-    runner.join();
-  }
-  const std::string got = result.get();
+  const std::string got = Q1UnderFailingReloads(*db, opt);
   EXPECT_EQ(got.rfind("storage error: ", 0), 0u) << got;
 
   // Nothing stayed locked: with storage healed the same query completes
@@ -564,6 +577,51 @@ TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
   mgr.ResetQuarantine();
   EXPECT_EQ(tpch::RunQuery(1, *db, opt).ToString(), baseline);
   std::remove(path.c_str());
+}
+
+TEST(ReloadFaults, ShardedDenseQueryFailsInsteadOfHanging) {
+  // The same unwind on the sharded path: Q1 over a 4-shard lineitem runs
+  // the shard-affine morsel loop into the same PartitionedDense run locks.
+  tpch::TpchConfig cfg;
+  cfg.scale_factor = 0.01;
+  cfg.chunk_capacity = 2048;
+  auto db = tpch::MakeTpch(cfg);
+  ShardSet shards = tpch::BuildTpchShards(*db, 4);
+  db->FreezeAll();
+  shards.FreezeAll();
+
+  Scheduler::Options pool;
+  pool.num_workers = 4;
+  pool.pin_workers = false;
+  Scheduler scheduler(pool);
+  tpch::ScanOptions opt;
+  opt.ctx.threads = 4;
+  opt.ctx.scheduler = &scheduler;
+  opt.ctx.shards = &shards;
+  const std::string baseline = tpch::RunQuery(1, *db, opt).ToString();
+
+  ShardedTable* lineitem = nullptr;
+  for (size_t t = 0; t < shards.size(); ++t) {
+    if (shards.at(t).source() == &db->lineitem) lineitem = &shards.at(t);
+  }
+  ASSERT_NE(lineitem, nullptr);
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<LifecycleManager>> managers;
+  for (unsigned i = 0; i < lineitem->num_shards(); ++i) {
+    paths.push_back(TempArchive(
+        ("sharded_reload_deadlock_" + std::to_string(i)).c_str()));
+    managers.push_back(std::make_unique<LifecycleManager>(
+        &lineitem->shard_mut(i), paths.back(), EvictEverything()));
+    for (int k = 0; k < 10; ++k) managers.back()->Tick();
+    ASSERT_TRUE(lineitem->shard(i).is_evicted(0)) << "shard " << i;
+  }
+
+  const std::string got = Q1UnderFailingReloads(*db, opt);
+  EXPECT_EQ(got.rfind("storage error: ", 0), 0u) << got;
+
+  for (auto& mgr : managers) mgr->ResetQuarantine();
+  EXPECT_EQ(tpch::RunQuery(1, *db, opt).ToString(), baseline);
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

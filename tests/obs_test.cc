@@ -368,9 +368,15 @@ TEST_F(ObsTpchTest, ProfiledQ1Q6MatchUnprofiledAndRecordScanWork) {
 
       // The profile saw the fact-table pipeline do real work.
       ASSERT_GE(profile.num_pipelines(), 1u);
+      ASSERT_EQ(profile.pipeline(0)->name(), "lineitem");
       const PipelineProfile::Totals t = profile.pipeline(0)->totals();
       EXPECT_GT(t.wall_ns, 0u);
-      EXPECT_GT(t.morsels, 0u);
+      // One morsel per chunk at every thread count: one slot runs the
+      // same morsel driver as many.
+      EXPECT_EQ(t.morsels, frozen_->lineitem.num_chunks())
+          << "Q" << q << " threads=" << threads;
+      // Shard slices are recorded only for sharded scans.
+      EXPECT_TRUE(profile.pipeline(0)->shards().empty());
       EXPECT_GT(t.batches, 0u);
       EXPECT_GT(t.rows_in, 0u);
       EXPECT_GT(t.rows_out, 0u);
