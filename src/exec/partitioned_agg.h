@@ -381,8 +381,10 @@ class PartitionedDense {
 /// element) or idempotent flags (any number of rows, same value). Stores
 /// are relaxed atomics, so concurrent slots share the single vector with
 /// no replicas, buffers, locks or merge; the parallel-region join
-/// publishes the values. T must be a lock-free atomic size (1/2/4/8-byte
-/// trivial types).
+/// publishes the values. Elements no row stores keep `init`, so a
+/// sentinel `init` marks "absent" (0 for flags, -1 where 0 is a valid
+/// payload). T must be a lock-free atomic size (1/2/4/8-byte trivial
+/// types).
 template <typename T>
 class SharedStoreDense {
  public:

@@ -328,6 +328,8 @@ void ParScan(const Table& table, const ScanOptions& opt,
 /// SharedStoreDense: ONE shared O(domain) vector, valid whenever every
 /// row writing an element stores the same value — unique writers (dense
 /// per-order sinks) or idempotent flags. No replicas, no locks, no merge.
+/// Elements nobody stores keep `init`, which is how dense join build sides
+/// read "absent".
 /// `produce`: (SharedStoreDense<T>&, const Batch&) calling
 /// sink.Store(key, value).
 template <typename T, typename Produce>
@@ -339,6 +341,36 @@ std::vector<T> ParDenseStore(const Table& table, const ScanOptions& opt,
   ParScan(table, opt, std::move(cols), std::move(preds),
           [&](const Batch& b) { produce(sink, b); });
   return sink.Take();
+}
+
+/// Membership flags over a dense int32 key (custkey / partkey / suppkey):
+/// 1 for each key in column `key_col` of a row matching `preds`, else 0.
+inline std::vector<uint8_t> KeyFlags(const Table& table, const ScanOptions& opt,
+                                     uint32_t key_col,
+                                     std::vector<Predicate> preds,
+                                     size_t domain) {
+  return ParDenseStore<uint8_t>(
+      table, opt, {key_col}, std::move(preds), domain,
+      [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
+}
+
+/// Dense int32 key -> nationkey for the rows of `table` whose nationkey
+/// passes `keep` (int32_t -> bool); -1 for every other key.
+template <typename Keep>
+std::vector<int8_t> KeyNations(const Table& table, const ScanOptions& opt,
+                               uint32_t key_col, uint32_t nation_col,
+                               size_t domain, Keep keep) {
+  return ParDenseStore<int8_t>(
+      table, opt, {key_col, nation_col}, {}, domain,
+      [&keep](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          if (keep(b.cols[1].i32[i]))
+            sink.Store(size_t(b.cols[0].i32[i]), int8_t(b.cols[1].i32[i]));
+      },
+      int8_t{-1});
 }
 
 // Slot-order merges for the common per-worker state shapes.
@@ -354,11 +386,6 @@ void MergeAdd(Map& dst, const Map& src) {
 template <typename Map>
 void MergeInsert(Map& dst, Map& src) {
   dst.merge(src);
-}
-
-template <typename Set>
-void MergeUnion(Set& dst, const Set& src) {
-  dst.insert(src.begin(), src.end());
 }
 
 /// Element-wise += over equally sized vectors/arrays.
@@ -384,6 +411,9 @@ inline std::string F2(double v) {
   std::snprintf(buf, sizeof(buf), "%.2f", v);
   return buf;
 }
+
+/// Nation keys are dense in [0, kNumNations).
+inline constexpr int32_t kNumNations = 25;
 
 /// Dense index of an order key (order keys are 4 * ordinal).
 inline int64_t OrderIdx(int64_t orderkey) { return orderkey / 4 - 1; }

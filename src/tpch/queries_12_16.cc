@@ -147,15 +147,10 @@ QueryResult Q14(const TpchDatabase& db, const ScanOptions& opt) {
   // LIKE 'PROMO%' is a pure prefix, so it pushes into the scan as a SARGable
   // Prefix predicate: on frozen blocks the order-preserving dictionary turns
   // it into a code-range comparison and p_type itself need not be read.
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet promo_parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  std::vector<uint8_t> promo_parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Prefix(prt::type, Value::Str("PROMO"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   struct Revenue {
     int64_t promo = 0;
@@ -169,7 +164,7 @@ QueryResult Q14(const TpchDatabase& db, const ScanOptions& opt) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int64_t v = b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
           r.total += v;
-          if (promo_parts.count(b.cols[0].i32[i])) r.promo += v;
+          if (promo_parts[size_t(b.cols[0].i32[i])]) r.promo += v;
         }
       },
       [](Revenue& dst, const Revenue& src) {
@@ -258,13 +253,13 @@ QueryResult Q16(const TpchDatabase& db, const ScanOptions& opt) {
       },
       MergeInsert<PartMap>);
 
-  std::unordered_set<int32_t> excluded_supp;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::comment}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               if (LikeMatch(b.cols[1].Str(i), "%Customer%Complaints%"))
-                 excluded_supp.insert(b.cols[0].i32[i]);
-           });
+  std::vector<uint8_t> excluded_supp = ParDenseStore<uint8_t>(
+      db.supplier, opt, {sup::suppkey, sup::comment}, {},
+      size_t(db.NumSuppliers()) + 1, [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          if (LikeMatch(b.cols[1].Str(i), "%Customer%Complaints%"))
+            sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 
   using GroupMap = std::map<std::string, std::unordered_set<int32_t>>;
   GroupMap group_supps = ParAgg<GroupMap>(
@@ -274,7 +269,7 @@ QueryResult Q16(const TpchDatabase& db, const ScanOptions& opt) {
         for (uint32_t i = 0; i < b.count; ++i) {
           auto pit = parts.find(b.cols[0].i32[i]);
           if (pit == parts.end()) continue;
-          if (excluded_supp.count(b.cols[1].i32[i])) continue;
+          if (excluded_supp[size_t(b.cols[1].i32[i])]) continue;
           std::string key = pit->second.brand + "|" + pit->second.type + "|" +
                             std::to_string(pit->second.size);
           g[key].insert(b.cols[1].i32[i]);

@@ -26,16 +26,11 @@ namespace nat = col::nation;
 // --- Q17: small-quantity-order revenue ---------------------------------------
 
 QueryResult Q17(const TpchDatabase& db, const ScanOptions& opt) {
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  std::vector<uint8_t> parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Eq(prt::brand, Value::Str("Brand#23")),
        Predicate::Eq(prt::container, Value::Str("MED BOX"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   struct QtyAgg {
     int64_t sum = 0;
@@ -46,7 +41,7 @@ QueryResult Q17(const TpchDatabase& db, const ScanOptions& opt) {
       [&parts](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!parts.count(pk)) continue;
+          if (!parts[size_t(pk)]) continue;
           QtyAgg& a = t.Ref(uint64_t(pk));
           a.sum += b.cols[1].i32[i];
           ++a.count;
@@ -149,33 +144,44 @@ QueryResult Q18(const TpchDatabase& db, const ScanOptions& opt) {
 // --- Q19: discounted revenue -----------------------------------------------------
 
 QueryResult Q19(const TpchDatabase& db, const ScanOptions& opt) {
-  struct PartInfo {
-    std::string brand, container;
-    int32_t size;
+  struct Clause {
+    const char* brand;
+    const char* containers[4];
+    int32_t max_size, min_qty, max_qty;
   };
-  using PartMap = std::unordered_map<int32_t, PartInfo>;
-  PartMap parts = ParAgg<PartMap>(
-      db.part, opt, {prt::partkey, prt::brand, prt::container, prt::size},
-      {Predicate::Between(prt::size, Value::Int(1), Value::Int(15))},
-      [] { return PartMap{}; },
-      [](PartMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i)
-          m[b.cols[0].i32[i]] =
-              PartInfo{std::string(b.cols[1].Str(i)),
-                       std::string(b.cols[2].Str(i)), b.cols[3].i32[i]};
-      },
-      MergeInsert<PartMap>);
+  static const Clause kClauses[3] = {
+      {"Brand#12", {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 5, 1, 11},
+      {"Brand#23", {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 10, 20},
+      {"Brand#34", {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 15, 20, 30}};
 
-  auto in = [](const std::string& v, std::initializer_list<const char*> set) {
-    for (const char* s : set)
-      if (v == s) return true;
-    return false;
-  };
+  // partkey -> clause mask: bit c is set when the part meets clause c's
+  // brand, container and size conditions, evaluated once per part row.
+  std::vector<uint8_t> mask = ParDenseStore<uint8_t>(
+      db.part, opt, {prt::partkey, prt::brand, prt::container, prt::size},
+      {Predicate::Between(prt::size, Value::Int(1), Value::Int(15)),
+       Predicate::In(prt::brand, {Value::Str("Brand#12"),
+                                  Value::Str("Brand#23"),
+                                  Value::Str("Brand#34")})},
+      size_t(db.NumParts()) + 1, [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i) {
+          std::string_view brand = b.cols[1].Str(i);
+          std::string_view container = b.cols[2].Str(i);
+          uint8_t m = 0;
+          for (int c = 0; c < 3; ++c) {
+            const Clause& k = kClauses[c];
+            if (brand != k.brand || b.cols[3].i32[i] > k.max_size) continue;
+            for (const char* ct : k.containers)
+              if (container == ct) m |= uint8_t(1 << c);
+          }
+          if (m != 0) sink.Store(size_t(b.cols[0].i32[i]), m);
+        }
+      });
 
   // Both lineitem string restrictions push into the scan: on frozen blocks
   // they run as dictionary-code comparisons and the strings themselves are
   // never read, so l_shipmode / l_shipinstruct drop out of the consumed
-  // column set entirely.
+  // column set entirely. The consume checks only the part's clause mask and
+  // the quantity range of each set bit.
   int64_t revenue = ParAgg<int64_t>(
       db.lineitem, opt,
       {li::partkey, li::quantity, li::extendedprice, li::discount},
@@ -183,26 +189,16 @@ QueryResult Q19(const TpchDatabase& db, const ScanOptions& opt) {
        Predicate::Eq(li::shipinstruct, Value::Str("DELIVER IN PERSON")),
        Predicate::In(li::shipmode, {Value::Str("AIR"), Value::Str("REG AIR")})},
       [] { return int64_t{0}; },
-      [&parts, &in](int64_t& rev, const Batch& b) {
+      [&mask](int64_t& rev, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = parts.find(b.cols[0].i32[i]);
-          if (it == parts.end()) continue;
-          const PartInfo& p = it->second;
-          int32_t qty = b.cols[1].i32[i];
-          bool clause1 = p.brand == "Brand#12" &&
-                         in(p.container,
-                            {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}) &&
-                         qty >= 1 && qty <= 11 && p.size <= 5;
-          bool clause2 = p.brand == "Brand#23" &&
-                         in(p.container,
-                            {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}) &&
-                         qty >= 10 && qty <= 20 && p.size <= 10;
-          bool clause3 = p.brand == "Brand#34" &&
-                         in(p.container,
-                            {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}) &&
-                         qty >= 20 && qty <= 30 && p.size <= 15;
-          if (clause1 || clause2 || clause3)
-            rev += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
+          const uint8_t m = mask[size_t(b.cols[0].i32[i])];
+          if (m == 0) continue;
+          const int32_t qty = b.cols[1].i32[i];
+          bool hit = false;
+          for (int c = 0; c < 3; ++c)
+            hit |= (m >> c & 1) != 0 && qty >= kClauses[c].min_qty &&
+                   qty <= kClauses[c].max_qty;
+          if (hit) rev += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
       },
       [](int64_t& dst, const int64_t& src) { dst += src; });
@@ -219,15 +215,10 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
 
   // LIKE 'forest%' pushes as a SARGable prefix predicate — a code-range
   // comparison on frozen blocks — so p_name is never materialized.
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet forest_parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  std::vector<uint8_t> forest_parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Prefix(prt::name, Value::Str("forest"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   const int64_t supp_span = db.NumSuppliers() + 1;
   auto shipped_qty = ParHashAgg<int64_t>(  // (pk,sk) -> qty
@@ -236,28 +227,26 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
       [&forest_parts, supp_span](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!forest_parts.count(pk)) continue;
+          if (!forest_parts[size_t(pk)]) continue;
           t.Ref(uint64_t(int64_t(pk) * supp_span + b.cols[1].i32[i])) +=
               b.cols[2].i32[i];
         }
       },
       ApplyAdd{});
 
-  KeySet candidate_supp = ParAgg<KeySet>(
+  std::vector<uint8_t> candidate_supp = ParDenseStore<uint8_t>(
       db.partsupp, opt, {ps::partkey, ps::suppkey, ps::availqty}, {},
-      [] { return KeySet{}; },
-      [&](KeySet& s, const Batch& b) {
+      size_t(db.NumSuppliers()) + 1, [&](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!forest_parts.count(pk)) continue;
+          if (!forest_parts[size_t(pk)]) continue;
           const int64_t* it = shipped_qty.Find(
               uint64_t(int64_t(pk) * supp_span + b.cols[1].i32[i]));
           int64_t q = it == nullptr ? 0 : *it;
           if (double(b.cols[2].i32[i]) > 0.5 * double(q) && q > 0)
-            s.insert(b.cols[1].i32[i]);
+            sink.Store(size_t(b.cols[1].i32[i]), 1);
         }
-      },
-      MergeUnion<KeySet>);
+      });
 
   int32_t canada = -1;
   ScanLoop(opt.Scan(db.nation, {nat::nationkey},
@@ -269,7 +258,7 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
                     {Predicate::Eq(sup::nationkey, Value::Int(canada))}),
            [&](const Batch& b) {
              for (uint32_t i = 0; i < b.count; ++i)
-               if (candidate_supp.count(b.cols[0].i32[i]))
+               if (candidate_supp[size_t(b.cols[0].i32[i])])
                  result.rows.push_back(std::string(b.cols[1].Str(i)) + "|" +
                                        std::string(b.cols[2].Str(i)));
            });

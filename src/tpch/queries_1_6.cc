@@ -6,15 +6,17 @@
 // slot-order merge), detail::ParDenseAgg (ONE partitioned dense vector for
 // dense key spaces — no per-slot replica, no merge) and detail::ParHashAgg
 // (per-worker hash-partitioned group-by tables, merged partition-wise).
-// All of them run ctx.threads slots through the one morsel driver. Tiny
-// dimension scans (region, nation, supplier lookups) stay plain scanner
-// loops — there is nothing to win on a handful of rows. All accumulations
+// All of them run ctx.threads slots through the one morsel driver. Join
+// build sides keyed by a dense key (custkey, partkey, suppkey, or an order
+// through OrderIdx) with a payload of at most 8 bytes are one shared
+// detail::ParDenseStore vector — flags, nationkeys, packed order fields —
+// so a probe is an array index; absent keys read as the store's `init`.
+// Tiny region/nation lookups stay plain scanner loops. All accumulations
 // are exact (integer), so results are identical at every thread count.
 
 #include <algorithm>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "exec/dict_memo.h"
 #include "tpch/queries.h"
@@ -221,32 +223,26 @@ QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t date = MakeDate(1995, 3, 15);
 
-  auto building = ParAgg<std::unordered_set<int32_t>>(
-      db.customer, opt, {cust::custkey},
+  std::vector<uint8_t> building = KeyFlags(
+      db.customer, opt, cust::custkey,
       {Predicate::Eq(cust::mktsegment, Value::Str("BUILDING"))},
-      [] { return std::unordered_set<int32_t>{}; },
-      [](std::unordered_set<int32_t>& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<std::unordered_set<int32_t>>);
+      size_t(db.NumCustomers()) + 1);
 
-  struct OrdInfo {
-    int32_t orderdate;
-    int32_t shippriority;
-  };
-  using OrdMap = std::unordered_map<int64_t, OrdInfo>;
-  OrdMap ord_info = ParAgg<OrdMap>(
+  // Qualifying orders -> kPresent | orderdate << 32 | shippriority (both
+  // non-negative 31-bit values); 0 = not a qualifying order.
+  constexpr uint64_t kPresent = uint64_t{1} << 63;
+  std::vector<uint64_t> ord_info = ParDenseStore<uint64_t>(
       db.orders, opt,
       {ord::orderkey, ord::custkey, ord::orderdate, ord::shippriority},
       {Predicate::Lt(ord::orderdate, Value::Int(date))},
-      [] { return OrdMap{}; },
-      [&building](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()), [&building](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!building.count(b.cols[1].i32[i])) continue;
-          m[b.cols[0].i64[i]] = OrdInfo{b.cols[2].i32[i], b.cols[3].i32[i]};
+          if (!building[size_t(b.cols[1].i32[i])]) continue;
+          sink.Store(size_t(OrderIdx(b.cols[0].i64[i])),
+                     kPresent | uint64_t(uint32_t(b.cols[2].i32[i])) << 32 |
+                         uint32_t(b.cols[3].i32[i]));
         }
-      },
-      MergeInsert<OrdMap>);
+      });
 
   auto revenue = ParHashAgg<int64_t>(
       db.lineitem, opt, {li::orderkey, li::extendedprice, li::discount},
@@ -254,7 +250,7 @@ QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
       [&ord_info](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int64_t ok = b.cols[0].i64[i];
-          if (!ord_info.count(ok)) continue;
+          if (ord_info[size_t(OrderIdx(ok))] == 0) continue;
           t.Ref(uint64_t(ok)) += b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
         }
       },
@@ -268,8 +264,9 @@ QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
   out.reserve(revenue.size());
   revenue.ForEach([&](uint64_t key, const int64_t& rev) {
     const int64_t ok = int64_t(key);
-    const OrdInfo& oi = ord_info[ok];
-    out.push_back({ok, rev, oi.orderdate, oi.shippriority});
+    const uint64_t info = ord_info[size_t(OrderIdx(ok))];
+    out.push_back({ok, rev, int32_t((info & ~kPresent) >> 32),
+                   int32_t(uint32_t(info))});
   });
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     if (a.rev != b.rev) return a.rev > b.rev;
@@ -323,26 +320,20 @@ QueryResult Q4(const TpchDatabase& db, const ScanOptions& opt) {
           dst.orders.emplace(ok, remap[id]);
       });
 
-  // Distinct quarter orders with at least one late lineitem.
-  auto late = ParAgg<std::unordered_set<int64_t>>(
+  // Orders with at least one late lineitem: an idempotent flag per order.
+  std::vector<uint8_t> late = ParDenseStore<uint8_t>(
       db.lineitem, opt, {li::orderkey, li::commitdate, li::receiptdate}, {},
-      [] { return std::unordered_set<int64_t>{}; },
-      [&in_quarter](std::unordered_set<int64_t>& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          if (b.cols[1].i32[i] >= b.cols[2].i32[i]) continue;
-          int64_t ok = b.cols[0].i64[i];
-          if (in_quarter.orders.count(ok)) s.insert(ok);
-        }
-      },
-      MergeUnion<std::unordered_set<int64_t>>);
+      size_t(db.NumOrders()), [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          if (b.cols[1].i32[i] < b.cols[2].i32[i])
+            sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), 1);
+      });
 
   // Priorities present in the quarter appear in the output even with a
   // zero count, exactly like the plan this replaces.
   std::map<std::string, int64_t> counts;
   for (const auto& [ok, id] : in_quarter.orders)
-    counts[in_quarter.prios.name(id)];
-  for (int64_t ok : late)
-    ++counts[in_quarter.prios.name(in_quarter.orders[ok])];
+    counts[in_quarter.prios.name(id)] += late[size_t(OrderIdx(ok))];
 
   QueryResult result;
   for (auto& [p, c] : counts)
@@ -368,58 +359,46 @@ QueryResult Q5(const TpchDatabase& db, const ScanOptions& opt) {
                nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
            });
 
-  using KeyMap = std::unordered_map<int32_t, int32_t>;
-  KeyMap cust_nation = ParAgg<KeyMap>(  // asian customers
-      db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeyMap{}; },
-      [&nation_name](KeyMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i)
-          if (nation_name.count(b.cols[1].i32[i]))
-            m[b.cols[0].i32[i]] = b.cols[1].i32[i];
-      },
-      MergeInsert<KeyMap>);
-
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_nation = ParAgg<OrdMap>(
+  // custkey / orderkey / suppkey -> nationkey of the asian ones, -1 else.
+  auto asian = [&nation_name](int32_t nk) { return nation_name.count(nk) > 0; };
+  std::vector<int8_t> cust_nation =
+      KeyNations(db.customer, opt, cust::custkey, cust::nationkey,
+                 size_t(db.NumCustomers()) + 1, asian);
+  std::vector<int8_t> order_nation = ParDenseStore<int8_t>(
       db.orders, opt, {ord::orderkey, ord::custkey},
       {Predicate::Between(ord::orderdate, Value::Int(lo),
                           Value::Int(hi - 1))},
-      [] { return OrdMap{}; },
-      [&cust_nation](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()), [&cust_nation](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = cust_nation.find(b.cols[1].i32[i]);
-          if (it != cust_nation.end()) m[b.cols[0].i64[i]] = it->second;
+          int8_t nk = cust_nation[size_t(b.cols[1].i32[i])];
+          if (nk >= 0) sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), nk);
         }
       },
-      MergeInsert<OrdMap>);
+      int8_t{-1});
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               if (nation_name.count(b.cols[1].i32[i]))
-                 supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
-           });
+  std::vector<int8_t> supp_nation =
+      KeyNations(db.supplier, opt, sup::suppkey, sup::nationkey,
+                 size_t(db.NumSuppliers()) + 1, asian);
 
-  auto revenue = ParAgg<std::unordered_map<int32_t, int64_t>>(
+  // nationkey -> revenue; every matching row adds a positive amount.
+  using RevVec = std::vector<int64_t>;
+  RevVec revenue = ParAgg<RevVec>(
       db.lineitem, opt,
       {li::orderkey, li::suppkey, li::extendedprice, li::discount}, {},
-      [] { return std::unordered_map<int32_t, int64_t>{}; },
-      [&order_nation, &supp_nation](std::unordered_map<int32_t, int64_t>& m,
-                                    const Batch& b) {
+      [] { return RevVec(kNumNations); },
+      [&order_nation, &supp_nation](RevVec& rev, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto oit = order_nation.find(b.cols[0].i64[i]);
-          if (oit == order_nation.end()) continue;
-          auto sit = supp_nation.find(b.cols[1].i32[i]);
-          if (sit == supp_nation.end()) continue;
-          if (oit->second != sit->second) continue;
-          m[oit->second] += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
+          int8_t nk = order_nation[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (nk < 0 || supp_nation[size_t(b.cols[1].i32[i])] != nk) continue;
+          rev[size_t(nk)] += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
       },
-      MergeAdd<std::unordered_map<int32_t, int64_t>>);
+      MergeSeqAdd<RevVec>);
 
   std::vector<std::pair<int64_t, std::string>> out;
-  for (auto& [nk, rev] : revenue) out.emplace_back(rev, nation_name[nk]);
+  for (int32_t nk = 0; nk < kNumNations; ++nk)
+    if (revenue[size_t(nk)] != 0)
+      out.emplace_back(revenue[size_t(nk)], nation_name[nk]);
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });

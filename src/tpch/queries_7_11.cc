@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "tpch/queries.h"
 #include "util/date.h"
@@ -26,14 +25,14 @@ namespace reg = col::region;
 
 namespace {
 
-/// nationkey -> name for all 25 nations.
-std::unordered_map<int32_t, std::string> AllNations(const TpchDatabase& db,
-                                                    const ScanOptions& opt) {
-  std::unordered_map<int32_t, std::string> names;
+/// nationkey -> name for all nations.
+std::vector<std::string> AllNations(const TpchDatabase& db,
+                                    const ScanOptions& opt) {
+  std::vector<std::string> names(kNumNations);
   ScanLoop(opt.Scan(db.nation, {nat::nationkey, nat::name}),
            [&](const Batch& b) {
              for (uint32_t i = 0; i < b.count; ++i)
-               names[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+               names[size_t(b.cols[0].i32[i])] = b.cols[1].Str(i);
            });
   return names;
 }
@@ -69,26 +68,16 @@ QueryResult Q7(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t germany = NationKeyOf(db, opt, "GERMANY");
   const int32_t lo = MakeDate(1995, 1, 1), hi = MakeDate(1996, 12, 31);
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i) {
-               int32_t nk = b.cols[1].i32[i];
-               if (nk == france || nk == germany)
-                 supp_nation[b.cols[0].i32[i]] = nk;
-             }
-           });
-  using KeyMap = std::unordered_map<int32_t, int32_t>;
-  KeyMap cust_nation = ParAgg<KeyMap>(
-      db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeyMap{}; },
-      [france, germany](KeyMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          int32_t nk = b.cols[1].i32[i];
-          if (nk == france || nk == germany) m[b.cols[0].i32[i]] = nk;
-        }
-      },
-      MergeInsert<KeyMap>);
+  // suppkey / custkey -> nationkey if FRANCE or GERMANY, -1 else.
+  auto french_or_german = [france, germany](int32_t nk) {
+    return nk == france || nk == germany;
+  };
+  std::vector<int8_t> supp_nation =
+      KeyNations(db.supplier, opt, sup::suppkey, sup::nationkey,
+                 size_t(db.NumSuppliers()) + 1, french_or_german);
+  std::vector<int8_t> cust_nation =
+      KeyNations(db.customer, opt, cust::custkey, cust::nationkey,
+                 size_t(db.NumCustomers()) + 1, french_or_german);
   std::vector<int32_t> order_cust = OrderCustVector(db, opt);
 
   // (supp_nation, cust_nation, year) -> volume.
@@ -101,13 +90,12 @@ QueryResult Q7(const TpchDatabase& db, const ScanOptions& opt) {
       [] { return VolMap{}; },
       [&](VolMap& m, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto sit = supp_nation.find(b.cols[1].i32[i]);
-          if (sit == supp_nation.end()) continue;
-          auto cit = cust_nation.find(
-              order_cust[size_t(OrderIdx(b.cols[0].i64[i]))]);
-          if (cit == cust_nation.end()) continue;
-          if (sit->second == cit->second) continue;
-          m[{sit->second, cit->second, DateYear(b.cols[4].i32[i])}] +=
+          int8_t sn = supp_nation[size_t(b.cols[1].i32[i])];
+          if (sn < 0) continue;
+          int8_t cn = cust_nation[size_t(
+              order_cust[size_t(OrderIdx(b.cols[0].i64[i]))])];
+          if (cn < 0 || sn == cn) continue;
+          m[{sn, cn, DateYear(b.cols[4].i32[i])}] +=
               b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
       },
@@ -136,53 +124,43 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
   ScanLoop(opt.Scan(db.region, {reg::regionkey},
                     {Predicate::Eq(reg::name, Value::Str("AMERICA"))}),
            [&](const Batch& b) { america = b.cols[0].i32[0]; });
-  std::unordered_set<int32_t> american_nations;
+  std::vector<uint8_t> american_nations(kNumNations);
   ScanLoop(opt.Scan(db.nation, {nat::nationkey},
                     {Predicate::Eq(nat::regionkey, Value::Int(america))}),
            [&](const Batch& b) {
              for (uint32_t i = 0; i < b.count; ++i)
-               american_nations.insert(b.cols[0].i32[i]);
+               american_nations[size_t(b.cols[0].i32[i])] = 1;
            });
 
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  std::vector<uint8_t> parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Eq(prt::type, Value::Str("ECONOMY ANODIZED STEEL"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
-  KeySet american_custs = ParAgg<KeySet>(
+  std::vector<uint8_t> american_custs = ParDenseStore<uint8_t>(
       db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeySet{}; },
-      [&american_nations](KeySet& s, const Batch& b) {
+      size_t(db.NumCustomers()) + 1,
+      [&american_nations](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          if (american_nations.count(b.cols[1].i32[i]))
-            s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+          if (american_nations[size_t(b.cols[1].i32[i])])
+            sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_year = ParAgg<OrdMap>(
+  // orderkey -> order year of american customers' orders; 0 = none.
+  std::vector<int16_t> order_year = ParDenseStore<int16_t>(
       db.orders, opt, {ord::orderkey, ord::custkey, ord::orderdate},
       {Predicate::Between(ord::orderdate, Value::Int(lo), Value::Int(hi))},
-      [] { return OrdMap{}; },
-      [&american_custs](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()), [&american_custs](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          if (american_custs.count(b.cols[1].i32[i]))
-            m[b.cols[0].i64[i]] = DateYear(b.cols[2].i32[i]);
-      },
-      MergeInsert<OrdMap>);
+          if (american_custs[size_t(b.cols[1].i32[i])])
+            sink.Store(size_t(OrderIdx(b.cols[0].i64[i])),
+                       int16_t(DateYear(b.cols[2].i32[i])));
+      });
 
-  std::unordered_map<int32_t, bool> supp_is_brazil;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               supp_is_brazil[b.cols[0].i32[i]] =
-                   b.cols[1].i32[i] == brazil;
-           });
+  std::vector<uint8_t> supp_is_brazil = KeyFlags(
+      db.supplier, opt, sup::suppkey,
+      {Predicate::Eq(sup::nationkey, Value::Int(brazil))},
+      size_t(db.NumSuppliers()) + 1);
 
   // year -> (brazil volume, total volume), accumulated exactly in cents *
   // percent so the parallel merge is bit-identical to the sequential sum.
@@ -199,13 +177,13 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
       [] { return ShareMap{}; },
       [&](ShareMap& m, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!parts.count(b.cols[1].i32[i])) continue;
-          auto oit = order_year.find(b.cols[0].i64[i]);
-          if (oit == order_year.end()) continue;
+          if (!parts[size_t(b.cols[1].i32[i])]) continue;
+          int16_t year = order_year[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (year == 0) continue;
           int64_t vol = b.cols[3].i64[i] * (100 - b.cols[4].i32[i]);
-          Share& s = m[oit->second];
+          Share& s = m[year];
           s.total += vol;
-          if (supp_is_brazil[b.cols[2].i32[i]]) s.brazil += vol;
+          if (supp_is_brazil[size_t(b.cols[2].i32[i])]) s.brazil += vol;
         }
       },
       [](ShareMap& dst, const ShareMap& src) {
@@ -230,23 +208,17 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
   auto nations = AllNations(db, opt);
 
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet green_parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey, prt::name}, {},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
+  std::vector<uint8_t> green_parts = ParDenseStore<uint8_t>(
+      db.part, opt, {prt::partkey, prt::name}, {}, size_t(db.NumParts()) + 1,
+      [](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
           if (b.cols[1].Str(i).find("green") != std::string_view::npos)
-            s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+            sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
-           });
+  std::vector<int8_t> supp_nation =
+      KeyNations(db.supplier, opt, sup::suppkey, sup::nationkey,
+                 size_t(db.NumSuppliers()) + 1, [](int32_t) { return true; });
 
   // (partkey, suppkey) -> supplycost, keys encoded densely. Keys are
   // unique per partsupp row, so the partition-wise fold is an overwrite.
@@ -255,7 +227,7 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
       db.partsupp, opt, {ps::partkey, ps::suppkey, ps::supplycost}, {},
       [&green_parts, supp_span](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!green_parts.count(b.cols[0].i32[i])) continue;
+          if (!green_parts[size_t(b.cols[0].i32[i])]) continue;
           t.Ref(uint64_t(int64_t(b.cols[0].i32[i]) * supp_span +
                          b.cols[1].i32[i])) = b.cols[2].i64[i];
         }
@@ -271,9 +243,9 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
                      DateYear(b.cols[1].i32[i]));
       });
 
-  // (nation, year) -> profit in units of 1e-4 dollars: ext*(100-disc) and
-  // cost*qty*100 are both exact in that scale, so the sum is an int64.
-  using ProfitMap = std::map<std::pair<std::string, int32_t>, int64_t>;
+  // (nationkey, year) -> profit in units of 1e-4 dollars: ext*(100-disc)
+  // and cost*qty*100 are both exact in that scale, so the sum is an int64.
+  using ProfitMap = std::map<std::pair<int32_t, int32_t>, int64_t>;
   ProfitMap profit = ParAgg<ProfitMap>(
       db.lineitem, opt,
       {li::orderkey, li::partkey, li::suppkey, li::quantity,
@@ -283,7 +255,7 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
       [&](ProfitMap& m, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[1].i32[i];
-          if (!green_parts.count(pk)) continue;
+          if (!green_parts[size_t(pk)]) continue;
           int32_t sk = b.cols[2].i32[i];
           const int64_t* c =
               ps_cost.Find(uint64_t(int64_t(pk) * supp_span + sk));
@@ -291,7 +263,7 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
           int64_t amount = b.cols[4].i64[i] * (100 - b.cols[5].i32[i]) -
                            cost * b.cols[3].i32[i] * 100;
           int32_t year = order_year[size_t(OrderIdx(b.cols[0].i64[i]))];
-          m[{nations[supp_nation[sk]], year}] += amount;
+          m[{supp_nation[size_t(sk)], year}] += amount;
         }
       },
       MergeAdd<ProfitMap>);
@@ -299,11 +271,11 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
   QueryResult result;
   for (auto it = profit.begin(); it != profit.end(); ++it) {
     // order by nation asc, year desc: collect per nation then reverse years.
-    result.rows.push_back(it->first.first + "|" +
+    result.rows.push_back(nations[it->first.first] + "|" +
                           std::to_string(it->first.second) + "|" +
                           F2(double(it->second) / 1e4));
   }
-  // std::map ordering gives (nation asc, year asc); flip year order.
+  // (nation name asc, year desc); (name, year) is unique per row.
   std::stable_sort(result.rows.begin(), result.rows.end(),
                    [](const std::string& a, const std::string& b) {
                      auto na = a.substr(0, a.find('|'));
@@ -320,26 +292,24 @@ QueryResult Q10(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t lo = MakeDate(1993, 10, 1), hi = MakeDate(1994, 1, 1);
   auto nations = AllNations(db, opt);
 
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_cust = ParAgg<OrdMap>(
+  // orderkey -> custkey of the quarter's orders; 0 = not in the quarter.
+  std::vector<int32_t> order_cust = ParDenseStore<int32_t>(
       db.orders, opt, {ord::orderkey, ord::custkey},
       {Predicate::Between(ord::orderdate, Value::Int(lo),
                           Value::Int(hi - 1))},
-      [] { return OrdMap{}; },
-      [](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()), [](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          m[b.cols[0].i64[i]] = b.cols[1].i32[i];
-      },
-      MergeInsert<OrdMap>);
+          sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), b.cols[1].i32[i]);
+      });
 
   auto revenue = ParHashAgg<int64_t>(
       db.lineitem, opt, {li::orderkey, li::extendedprice, li::discount},
       {Predicate::Eq(li::returnflag, Value::Int('R'))},
       [&order_cust](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = order_cust.find(b.cols[0].i64[i]);
-          if (it == order_cust.end()) continue;
-          t.Ref(uint64_t(it->second)) +=
+          int32_t ck = order_cust[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (ck == 0) continue;
+          t.Ref(uint64_t(ck)) +=
               b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
         }
       },
@@ -391,13 +361,10 @@ QueryResult Q10(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q11(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t germany = NationKeyOf(db, opt, "GERMANY");
 
-  std::unordered_set<int32_t> german_supp;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey},
-                    {Predicate::Eq(sup::nationkey, Value::Int(germany))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               german_supp.insert(b.cols[0].i32[i]);
-           });
+  std::vector<uint8_t> german_supp = KeyFlags(
+      db.supplier, opt, sup::suppkey,
+      {Predicate::Eq(sup::nationkey, Value::Int(germany))},
+      size_t(db.NumSuppliers()) + 1);
 
   struct ValueAgg {
     std::unordered_map<int32_t, int64_t> value;  // partkey -> cost*qty
@@ -409,7 +376,7 @@ QueryResult Q11(const TpchDatabase& db, const ScanOptions& opt) {
       [] { return ValueAgg{}; },
       [&german_supp](ValueAgg& a, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!german_supp.count(b.cols[1].i32[i])) continue;
+          if (!german_supp[size_t(b.cols[1].i32[i])]) continue;
           int64_t v = b.cols[3].i64[i] * b.cols[2].i32[i];
           a.value[b.cols[0].i32[i]] += v;
           a.total += v;

@@ -176,6 +176,52 @@ TEST(SharedStoreDense, IdempotentStoresFromConcurrentSlots) {
   EXPECT_GT(set, int64_t(kDomain) / 4);  // 80k draws over 2k even slots
 }
 
+TEST(ParDenseStore, PackedPayloadsLeaveUnstoredElementsAtInit) {
+  // The "absent" contract the TPC-H build sides rely on: concurrent slots
+  // store packed 8-byte payloads over a domain with gaps (deleted rows,
+  // rows the consume skips, keys past the table), and every element nobody
+  // stored still holds `init` after the call returns.
+  const uint32_t kRows = 20000;
+  const size_t kDomain = kRows + 100;
+  const uint64_t kInit = 0x5a5a5a5a5a5a5a5aull;
+  auto pack = [](int64_t id, int32_t val) {
+    return uint64_t{1} << 63 | uint64_t(uint32_t(val)) << 32 | uint32_t(id);
+  };
+  Table t = MakeTestTable(kRows, 1024, /*delete_every=*/7, /*freeze=*/true);
+  std::vector<uint64_t> expect(kDomain, kInit);
+  {
+    TableScanner scan(t, {0, 1}, {}, ScanMode::kDataBlocks);
+    Batch b;
+    while (scan.Next(&b)) {
+      for (uint32_t i = 0; i < b.count; ++i) {
+        if (b.cols[1].i32[i] % 3 == 0) continue;
+        expect[size_t(b.cols[0].i64[i])] =
+            pack(b.cols[0].i64[i], b.cols[1].i32[i]);
+      }
+    }
+  }
+  Scheduler sched(Scheduler::Options{.num_workers = 3});
+  for (unsigned threads : {1u, 4u}) {
+    tpch::ScanOptions opt;
+    opt.mode = ScanMode::kDataBlocks;
+    opt.ctx.threads = threads;
+    opt.ctx.scheduler = &sched;
+    std::vector<uint64_t> got = tpch::detail::ParDenseStore<uint64_t>(
+        t, opt, {0, 1}, {}, kDomain,
+        [&pack](auto& sink, const Batch& b) {
+          for (uint32_t i = 0; i < b.count; ++i) {
+            if (b.cols[1].i32[i] % 3 == 0) continue;
+            sink.Store(size_t(b.cols[0].i64[i]),
+                       pack(b.cols[0].i64[i], b.cols[1].i32[i]));
+          }
+        },
+        kInit);
+    EXPECT_EQ(got, expect) << "threads=" << threads;
+    EXPECT_EQ(got[0], kInit);           // deleted row
+    EXPECT_EQ(got[kDomain - 1], kInit);  // past the table
+  }
+}
+
 TEST(AggHashTable, InsertFindGrowForEach) {
   aggstate::ResetPeaks();
   AggHashTable<int64_t> t;
