@@ -73,7 +73,6 @@ struct BenchJsonState {
   std::string bench;
   bool quick = false;
   unsigned threads = 1;  // recorded by BenchThreadsFlag
-  unsigned shards = 1;   // recorded by BenchShardsFlag
   std::vector<BenchJsonEntry> entries;
 };
 
@@ -100,9 +99,9 @@ inline void BenchJsonFlush() {
   };
   std::fprintf(f,
                "{\n  \"bench\": \"%s\",\n  \"quick\": %s,\n"
-               "  \"threads\": %u,\n  \"shards\": %u,\n  \"results\": [",
+               "  \"threads\": %u,\n  \"results\": [",
                escape(s.bench).c_str(), s.quick ? "true" : "false",
-               s.threads, s.shards);
+               s.threads);
   for (size_t i = 0; i < s.entries.size(); ++i) {
     const BenchJsonEntry& e = s.entries[i];
     std::fprintf(f,
@@ -287,15 +286,6 @@ inline unsigned BenchUnsignedFlag(int* argc, char** argv, const char* name,
 inline unsigned BenchThreadsFlag(int* argc, char** argv) {
   BenchJson().threads = BenchUnsignedFlag(argc, argv, "--threads", 1, 0);
   return BenchJson().threads;
-}
-
-/// `--shards N` (N >= 1): the shard count (exec/shard.h) of benches that
-/// can run fact-table pipelines over partitioned engine instances (default
-/// 1: single-table execution). Recorded for the `--json` output like
-/// `--threads`.
-inline unsigned BenchShardsFlag(int* argc, char** argv) {
-  BenchJson().shards = BenchUnsignedFlag(argc, argv, "--shards", 1, 1);
-  return BenchJson().shards;
 }
 
 /// Median of a sample vector (scrambles the input order).

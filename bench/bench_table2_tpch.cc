@@ -8,7 +8,7 @@
 //   +SARG/SMA   Data Block scan with SARG pushdown and SMA skipping
 //   +PSMA       +SARG/SMA with PSMA range narrowing
 //
-// Usage: bench_table2_tpch [--queries 1,6] [--threads N] [--shards N]
+// Usage: bench_table2_tpch [--queries 1,6] [--threads N]
 //        [--profile] [--profile-json out.json] [scale_factor] [repetitions]
 //
 // --profile attaches an execution profile (obs/query_profile.h) to every
@@ -21,13 +21,10 @@
 // fact-table pipelines through the shared scheduler worker pool with N
 // parallelism slots (default 1 = the sequential reference path, 0 = all
 // hardware threads); the thread count is recorded in the --json output,
-// along with the peak aggregation-state bytes per measurement. --shards N
-// hash-shards the fact tables (lineitem + orders on orderkey) across N
-// independent engine instances and runs every fact-table pipeline
-// shard-parallel with exchange repartitioning (exec/shard.h). The final
+// along with the peak aggregation-state bytes per measurement. The final
 // "result checksum" line fingerprints every (query, config) result and is
-// identical across thread AND shard counts by the parallel-determinism
-// contract — the bench-smoke CI job asserts exactly that.
+// identical across thread counts by the parallel-determinism contract —
+// the bench-smoke CI job asserts exactly that.
 
 #include <cmath>
 #include <cstdio>
@@ -68,8 +65,7 @@ uint64_t ResultChecksum(const QueryResult& result) {
 }
 
 Measurement MeasureSeconds(int q, const TpchDatabase& db, ScanMode mode,
-                           const char* config, int reps, unsigned threads,
-                           const ShardSet* shards) {
+                           const char* config, int reps, unsigned threads) {
   std::vector<double> samples;
   double best = 1e30;
   uint64_t checksum = 0;
@@ -83,17 +79,14 @@ Measurement MeasureSeconds(int q, const TpchDatabase& db, ScanMode mode,
     if (BenchProfile().enabled) {
       char qname[8];
       std::snprintf(qname, sizeof(qname), "Q%d", q);
-      profile = std::make_unique<obs::QueryProfile>(
-          qname, config, threads,
-          shards != nullptr ? shards->num_shards() : 1);
+      profile = std::make_unique<obs::QueryProfile>(qname, config, threads);
     }
     Timer t;
     QueryResult result =
         RunQuery(q, db,
                  ScanOptions{.mode = mode,
                              .ctx = {.threads = threads,
-                                     .profile = profile.get(),
-                                     .shards = shards}});
+                                     .profile = profile.get()}});
     samples.push_back(t.ElapsedSeconds());
     best = std::min(best, samples.back());
     checksum = result.rows.empty() ? 1 : ResultChecksum(result);
@@ -155,7 +148,6 @@ int main(int argc, char** argv) {
   BenchJsonMode(&argc, argv, quick);
   const bool profiling = BenchProfileMode(&argc, argv);
   const unsigned threads = BenchThreadsFlag(&argc, argv);
-  const unsigned num_shards = BenchShardsFlag(&argc, argv);
   const std::vector<int> queries = ParseQueries(&argc, argv);
   TpchConfig cfg;
   cfg.scale_factor = argc > 1 ? atof(argv[1]) : (quick ? 0.02 : 0.2);
@@ -166,42 +158,30 @@ int main(int argc, char** argv) {
   Timer gen;
   auto hot = MakeTpch(cfg);
   auto frozen = MakeTpch(cfg);
-  // Shard sets snapshot the sources, so build the frozen one BEFORE the
-  // freeze (cheap hot-chunk reads), then freeze shards alongside sources.
-  std::unique_ptr<ShardSet> hot_shards, frozen_shards;
-  if (num_shards > 1) {
-    hot_shards = std::make_unique<ShardSet>(BuildTpchShards(*hot, num_shards));
-    frozen_shards =
-        std::make_unique<ShardSet>(BuildTpchShards(*frozen, num_shards));
-    frozen_shards->FreezeAll();
-  }
   frozen->FreezeAll();
-  std::printf("generated in %.1f s; lineitem rows = %llu%s\n\n",
+  std::printf("generated in %.1f s; lineitem rows = %llu\n\n",
               gen.ElapsedSeconds(),
-              (unsigned long long)hot->lineitem.num_rows(),
-              num_shards > 1 ? " (fact tables sharded)" : "");
+              (unsigned long long)hot->lineitem.num_rows());
 
   struct Config {
     const char* name;
     const TpchDatabase* db;
     ScanMode mode;
-    const ShardSet* shards;
   };
   const Config configs[6] = {
-      {"JIT", hot.get(), ScanMode::kJit, hot_shards.get()},
-      {"VEC", hot.get(), ScanMode::kVectorized, hot_shards.get()},
-      {"+SARG", hot.get(), ScanMode::kVectorizedSarg, hot_shards.get()},
-      {"DB", frozen.get(), ScanMode::kVectorized, frozen_shards.get()},
-      {"+SARG/SMA", frozen.get(), ScanMode::kDataBlocks, frozen_shards.get()},
-      {"+PSMA", frozen.get(), ScanMode::kDataBlocksPsma, frozen_shards.get()},
+      {"JIT", hot.get(), ScanMode::kJit},
+      {"VEC", hot.get(), ScanMode::kVectorized},
+      {"+SARG", hot.get(), ScanMode::kVectorizedSarg},
+      {"DB", frozen.get(), ScanMode::kVectorized},
+      {"+SARG/SMA", frozen.get(), ScanMode::kDataBlocks},
+      {"+PSMA", frozen.get(), ScanMode::kDataBlocksPsma},
   };
 
   std::printf(
-      "=== Table 2 / Table 4: TPC-H SF %.2f, %u thread%s, %u shard%s, "
-      "seconds per query ===\n",
+      "=== Table 2 / Table 4: TPC-H SF %.2f, %u thread%s, seconds per "
+      "query ===\n",
       cfg.scale_factor, threads == 0 ? cpu::HardwareThreads() : threads,
-      (threads == 0 ? cpu::HardwareThreads() : threads) == 1 ? "" : "s",
-      num_shards, num_shards == 1 ? "" : "s");
+      (threads == 0 ? cpu::HardwareThreads() : threads) == 1 ? "" : "s");
   std::printf("      %10s %10s %10s | %10s %10s %10s %9s\n", "JIT", "VEC",
               "+SARG", "DB", "+SARG/SMA", "+PSMA", "PSMA/JIT");
   const double lineitem_rows = double(hot->lineitem.num_rows());
@@ -218,8 +198,7 @@ int main(int argc, char** argv) {
     double state_peak = 0;
     for (int c = 0; c < 6; ++c) {
       Measurement m = MeasureSeconds(q, *configs[c].db, configs[c].mode,
-                                     configs[c].name, reps, threads,
-                                     configs[c].shards);
+                                     configs[c].name, reps, threads);
       secs[c] = m.best;
       sum[c] += secs[c];
       logsum[c] += std::log(secs[c]);

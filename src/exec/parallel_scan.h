@@ -1,7 +1,6 @@
 #ifndef DATABLOCKS_EXEC_PARALLEL_SCAN_H_
 #define DATABLOCKS_EXEC_PARALLEL_SCAN_H_
 
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -12,105 +11,76 @@
 
 namespace datablocks {
 
-/// The tables one pipeline scans: the shards of a ShardedTable
-/// (exec/shard.h), or an unsharded Table as the one-element list {&table}.
-struct ShardList {
-  ShardList(const Table& table) : tables{&table} {}  // NOLINT: implicit
-  explicit ShardList(std::vector<const Table*> shards)
-      : tables(std::move(shards)) {}
-
-  std::vector<const Table*> tables;
-};
-
 /// The engine's one morsel loop (Leis et al. [20], which HyPer uses for the
 /// paper's 64-thread measurements). Every scan+aggregate pipeline —
-/// sequential, parallel and sharded — runs its slots through RunSlot:
+/// sequential and parallel — runs its slots through RunSlot over the one
+/// table of its relation:
 ///
-///  * Slot t drains shard t % S first, then steals from the other shards
-///    in wrap-around order: one shard's working set per slot when slots >=
-///    shards, and no slot idles while any shard has unclaimed chunks.
-///  * Each shard hands out its chunks as morsels through a
+///  * The table hands out its chunks as morsels through a
 ///    NodeMorselDispatcher, so a worker drains chunks homed on its own NUMA
 ///    node before stealing remote ones (single-node hosts degrade to the
 ///    flat chunk order). Every chunk is claimed exactly once.
-///  * Scanners are built lazily, one per (slot, shard): a slot that never
-///    claims from a shard never builds a scanner for it. SMA/PSMA pruning
-///    happens inside every scanner.
+///  * Each slot builds its scanner lazily: a slot that never claims a
+///    morsel never builds one. SMA/PSMA pruning happens inside every
+///    scanner.
 ///  * `pipeline` (optional) receives per-slot profiles — morsel / batch /
-///    row counts and the scanners' block accounting — plus per-shard slices
-///    when S > 1.
+///    row counts and the scanners' block accounting.
 ///
 /// Safe to run concurrently with the block lifecycle: a scanner pins its
 /// claimed chunk (reloading it if evicted) for the duration of the morsel,
 /// so background freezing/eviction proceeds on all unclaimed chunks.
 class MorselDriver {
  public:
-  MorselDriver(ShardList shards, std::vector<uint32_t> columns,
+  MorselDriver(const Table& table, std::vector<uint32_t> columns,
                std::vector<Predicate> predicates, ScanMode mode,
                uint32_t vector_size, Isa isa, obs::PipelineProfile* pipeline)
-      : shards_(std::move(shards.tables)),
+      : table_(table),
+        morsels_(ChunkNodes(table)),
         columns_(std::move(columns)),
         predicates_(std::move(predicates)),
         mode_(mode),
         vector_size_(vector_size),
         isa_(isa),
-        pipeline_(pipeline) {
-    morsels_.reserve(shards_.size());
-    for (const Table* table : shards_) {
-      std::vector<int> chunk_nodes(table->num_chunks());
-      for (size_t i = 0; i < chunk_nodes.size(); ++i) {
-        chunk_nodes[i] = table->chunk_node(i);
-      }
-      morsels_.push_back(std::make_unique<NodeMorselDispatcher>(chunk_nodes));
-    }
-  }
+        pipeline_(pipeline) {}
 
-  /// Runs slot `slot` until every shard's morsels are claimed, calling
-  /// on_batch(const Batch&, unsigned shard) per produced vector — the
-  /// shard lets consumers exploit shard locality.
+  /// Runs slot `slot` until every morsel is claimed, calling
+  /// on_batch(const Batch&) per produced vector.
   template <typename OnBatch>
   void RunSlot(unsigned slot, OnBatch&& on_batch) {
     obs::WorkerScope scope(pipeline_, slot);
-    const unsigned num = unsigned(shards_.size());
     const int my_node = Scheduler::CurrentWorkerNode();
     Batch batch;
-    for (unsigned k = 0; k < num; ++k) {
-      const unsigned s = (slot + k) % num;
-      uint64_t sh_morsels = 0, sh_batches = 0, sh_rows = 0;
-      std::optional<TableScanner> scanner;
-      size_t begin, end;
-      while (morsels_[s]->Next(my_node, &begin, &end)) {
-        if (!scanner) {
-          scanner.emplace(*shards_[s], columns_, predicates_, mode_,
-                          vector_size_, isa_);
-        }
-        scope.OnMorsel();
-        ++sh_morsels;
-        scanner->RestrictChunks(begin, end);
-        while (scanner->Next(&batch)) {
-          scope.OnBatch(batch.count, batch.AnyCoded());
-          ++sh_batches;
-          sh_rows += batch.count;
-          on_batch(batch, s);
-        }
-        // Harvest per morsel: RestrictChunks just reset the counters, so
-        // the current values are exactly this morsel's delta.
-        scope.OnScanTotals(scanner->chunks_scanned(),
-                           scanner->rows_considered(),
-                           scanner->chunks_skipped(),
-                           scanner->evicted_chunks_skipped(),
-                           scanner->pins_taken(), scanner->archive_reloads());
+    std::optional<TableScanner> scanner;
+    size_t begin, end;
+    while (morsels_.Next(my_node, &begin, &end)) {
+      if (!scanner) {
+        scanner.emplace(table_, columns_, predicates_, mode_, vector_size_,
+                        isa_);
       }
-      if (num > 1 && pipeline_ != nullptr && sh_morsels != 0) {
-        pipeline_->AddShardSlice(s, sh_morsels, sh_batches, sh_rows);
+      scope.OnMorsel();
+      scanner->RestrictChunks(begin, end);
+      while (scanner->Next(&batch)) {
+        scope.OnBatch(batch.count, batch.AnyCoded());
+        on_batch(batch);
       }
+      // Harvest per morsel: RestrictChunks just reset the counters, so the
+      // current values are exactly this morsel's delta.
+      scope.OnScanTotals(scanner->chunks_scanned(), scanner->rows_considered(),
+                         scanner->chunks_skipped(),
+                         scanner->evicted_chunks_skipped(),
+                         scanner->pins_taken(), scanner->archive_reloads());
     }
   }
 
  private:
-  std::vector<const Table*> shards_;
-  // unique_ptr: the dispatchers hold atomics and are not movable.
-  std::vector<std::unique_ptr<NodeMorselDispatcher>> morsels_;
+  static std::vector<int> ChunkNodes(const Table& table) {
+    std::vector<int> nodes(table.num_chunks());
+    for (size_t i = 0; i < nodes.size(); ++i) nodes[i] = table.chunk_node(i);
+    return nodes;
+  }
+
+  const Table& table_;
+  NodeMorselDispatcher morsels_;
   std::vector<uint32_t> columns_;
   std::vector<Predicate> predicates_;
   ScanMode mode_;
@@ -131,7 +101,7 @@ class MorselDriver {
 /// when one is given); `scheduler == nullptr` uses the process-wide
 /// Scheduler::Default().
 template <typename State, typename MakeState, typename Consume>
-std::vector<State> ParallelScan(ShardList shards,
+std::vector<State> ParallelScan(const Table& table,
                                 std::vector<uint32_t> columns,
                                 std::vector<Predicate> predicates,
                                 ScanMode mode, unsigned num_threads,
@@ -147,14 +117,12 @@ std::vector<State> ParallelScan(ShardList shards,
   states.reserve(num_threads);
   for (unsigned t = 0; t < num_threads; ++t) states.push_back(make_state());
 
-  MorselDriver driver(std::move(shards), std::move(columns),
-                      std::move(predicates), mode, vector_size, isa, pipeline);
+  MorselDriver driver(table, std::move(columns), std::move(predicates), mode,
+                      vector_size, isa, pipeline);
   RunOnSlots(
       num_threads,
       [&](unsigned slot) {
-        driver.RunSlot(slot, [&](const Batch& b, unsigned) {
-          consume(states[slot], b);
-        });
+        driver.RunSlot(slot, [&](const Batch& b) { consume(states[slot], b); });
       },
       scheduler);
   return states;

@@ -343,14 +343,6 @@ class PartitionedDense {
   unsigned partitions() const { return parts_; }
   size_t OwnerOf(size_t key) const { return key >> part_shift_; }
 
-  /// Applies one update in place, bypassing the sinks and the partition
-  /// locks. The caller must own `key`'s element exclusively — e.g. under
-  /// the producing shard's lock of a co-partitioned domain (KeyOwner,
-  /// exec/shard.h).
-  void ApplyOwned(size_t key, const U& update) {
-    apply_(dense_[key], update);
-  }
-
   /// The dense vector; valid once every sink has flushed and the parallel
   /// region has joined.
   const std::vector<T>& dense() const { return dense_; }

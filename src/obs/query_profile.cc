@@ -63,20 +63,6 @@ void PipelineProfile::RecordWorker(const WorkerProfile& w,
   totals_.archive_reloads += contribution.archive_reloads;
 }
 
-void PipelineProfile::AddShardSlice(unsigned shard, uint64_t morsels,
-                                    uint64_t batches, uint64_t rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (ShardSliceProfile& s : shards_) {
-    if (s.shard == shard) {
-      s.morsels += morsels;
-      s.batches += batches;
-      s.rows += rows;
-      return;
-    }
-  }
-  shards_.push_back(ShardSliceProfile{shard, morsels, batches, rows});
-}
-
 void PipelineProfile::set_wall_ns(uint64_t ns) {
   std::lock_guard<std::mutex> lock(mu_);
   totals_.wall_ns = ns;
@@ -105,19 +91,6 @@ std::vector<WorkerProfile> PipelineProfile::workers() const {
   return out;
 }
 
-std::vector<ShardSliceProfile> PipelineProfile::shards() const {
-  std::vector<ShardSliceProfile> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = shards_;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ShardSliceProfile& a, const ShardSliceProfile& b) {
-              return a.shard < b.shard;
-            });
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // WorkerScope
 // ---------------------------------------------------------------------------
@@ -140,11 +113,10 @@ WorkerScope::~WorkerScope() {
 // ---------------------------------------------------------------------------
 
 QueryProfile::QueryProfile(std::string name, std::string config,
-                           unsigned threads, unsigned shards)
+                           unsigned threads)
     : name_(std::move(name)),
       config_(std::move(config)),
       threads_(threads),
-      shards_(shards == 0 ? 1 : shards),
       start_ns_(MonotonicNs()) {}
 
 QueryProfile::~QueryProfile() = default;
@@ -236,7 +208,6 @@ std::string QueryProfile::Report() const {
   AppendF(&out, "%s", name_.c_str());
   if (!config_.empty()) AppendF(&out, " [%s]", config_.c_str());
   AppendF(&out, "  threads=%u", threads_);
-  if (shards_ > 1) AppendF(&out, "  shards=%u", shards_);
   AppendF(&out, "  wall %s\n", Ms(wall_ns_).c_str());
   for (const auto& p : pipelines_) {
     const PipelineProfile::Totals t = p->totals();
@@ -260,12 +231,6 @@ std::string QueryProfile::Report() const {
               "  rows %" PRIu64 "  busy %s\n",
               w.slot, w.morsels, w.batches, w.rows, Ms(w.busy_ns).c_str());
     }
-    for (const ShardSliceProfile& s : p->shards()) {
-      AppendF(&out,
-              "    shard %u: morsels %" PRIu64 "  batches %" PRIu64
-              "  rows %" PRIu64 "\n",
-              s.shard, s.morsels, s.batches, s.rows);
-    }
   }
   for (const auto& span : spans_) {
     ReportSpan(*span, "", &out);
@@ -279,9 +244,9 @@ std::string QueryProfile::ToJson() const {
   std::string out;
   AppendF(&out,
           "{\"query\": \"%s\", \"config\": \"%s\", \"threads\": %u, "
-          "\"shards\": %u, \"wall_ns\": %" PRIu64 ", \"pipelines\": [",
+          "\"wall_ns\": %" PRIu64 ", \"pipelines\": [",
           JsonEscape(name_).c_str(), JsonEscape(config_).c_str(), threads_,
-          shards_, wall_ns_);
+          wall_ns_);
   for (size_t i = 0; i < pipelines_.size(); ++i) {
     const PipelineProfile& p = *pipelines_[i];
     const PipelineProfile::Totals t = p.totals();
@@ -306,16 +271,6 @@ std::string QueryProfile::ToJson() const {
               ", \"rows\": %" PRIu64 ", \"busy_ns\": %" PRIu64 "}",
               workers[w].slot, workers[w].morsels, workers[w].batches,
               workers[w].rows, workers[w].busy_ns);
-    }
-    out += "], \"shards\": [";
-    const std::vector<ShardSliceProfile> shards = p.shards();
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (s > 0) out += ", ";
-      AppendF(&out,
-              "{\"shard\": %u, \"morsels\": %" PRIu64 ", \"batches\": %"
-              PRIu64 ", \"rows\": %" PRIu64 "}",
-              shards[s].shard, shards[s].morsels, shards[s].batches,
-              shards[s].rows);
     }
     out += "]}";
   }

@@ -33,15 +33,6 @@ struct WorkerProfile {
   uint64_t busy_ns = 0;  // wall time inside the worker body
 };
 
-/// One shard's slice of a sharded pipeline (exec/shard.h): how much of the
-/// scan each engine instance contributed. Empty for unsharded pipelines.
-struct ShardSliceProfile {
-  unsigned shard = 0;
-  uint64_t morsels = 0;
-  uint64_t batches = 0;
-  uint64_t rows = 0;
-};
-
 /// One scan+aggregate pipeline of a query. Created via
 /// QueryProfile::AddPipeline; totals accumulate under a mutex (recording
 /// granularity is per-morsel / per-worker, never per-row).
@@ -68,23 +59,17 @@ class PipelineProfile {
 
   /// Folds one worker's slice into the totals and the per-slot list.
   void RecordWorker(const WorkerProfile& w, const Totals& contribution);
-  /// Accumulates one (worker, shard) scan contribution into the per-shard
-  /// slice; several workers may contribute to one shard (work stealing).
-  void AddShardSlice(unsigned shard, uint64_t morsels, uint64_t batches,
-                     uint64_t rows);
   void set_wall_ns(uint64_t ns);
   void set_merge_ns(uint64_t ns);
 
   Totals totals() const;
-  std::vector<WorkerProfile> workers() const;       // sorted by slot
-  std::vector<ShardSliceProfile> shards() const;    // sorted by shard
+  std::vector<WorkerProfile> workers() const;  // sorted by slot
 
  private:
   const std::string name_;
   mutable std::mutex mu_;
   Totals totals_;
   std::vector<WorkerProfile> workers_;
-  std::vector<ShardSliceProfile> shards_;
 };
 
 /// Accumulates one worker's slice of a pipeline locally (no shared-state
@@ -139,10 +124,8 @@ struct Span {
 class QueryProfile {
  public:
   /// `name` identifies the query ("Q6"); `config` the execution setup
-  /// ("+PSMA"); `threads` the parallelism knob (0 = all hardware threads);
-  /// `shards` the shard-parallel knob (1 = single-table execution).
-  QueryProfile(std::string name, std::string config = "", unsigned threads = 1,
-               unsigned shards = 1);
+  /// ("+PSMA"); `threads` the parallelism knob (0 = all hardware threads).
+  QueryProfile(std::string name, std::string config = "", unsigned threads = 1);
   ~QueryProfile();
 
   QueryProfile(const QueryProfile&) = delete;
@@ -176,7 +159,6 @@ class QueryProfile {
   const std::string name_;
   const std::string config_;
   const unsigned threads_;
-  const unsigned shards_;
   const uint64_t start_ns_;
 
   mutable std::mutex mu_;

@@ -415,11 +415,4 @@ std::unique_ptr<TpchDatabase> MakeTpch(const TpchConfig& config) {
   return db;
 }
 
-ShardSet BuildTpchShards(const TpchDatabase& db, unsigned num_shards) {
-  ShardSet set;
-  set.Add(db.lineitem, num_shards, col::lineitem::orderkey);
-  set.Add(db.orders, num_shards, col::orders::orderkey);
-  return set;
-}
-
 }  // namespace datablocks::tpch

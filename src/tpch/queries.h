@@ -2,16 +2,13 @@
 #define DATABLOCKS_TPCH_QUERIES_H_
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exec/parallel_scan.h"
 #include "exec/partitioned_agg.h"
-#include "exec/shard.h"
 #include "exec/table_scanner.h"
 #include "obs/query_profile.h"
 #include "tpch/tpch_db.h"
@@ -20,10 +17,11 @@ namespace datablocks::tpch {
 
 /// Execution knobs of one query run. Every fact-table scan+aggregate
 /// pipeline runs `threads` parallelism slots through the one morsel driver
-/// (exec/parallel_scan.h) — one slot runs inline on the caller — with one
-/// state per slot and a deterministic merge: results are identical at every
-/// thread count by construction (every accumulation is exact and merged in
-/// slot order). `threads == 0` means "all hardware threads".
+/// (exec/parallel_scan.h) over the one table of its relation — one slot
+/// runs inline on the caller — with one state per slot and a deterministic
+/// merge: results are identical at every thread count by construction
+/// (every accumulation is exact and merged in slot order). `threads == 0`
+/// means "all hardware threads".
 struct QueryContext {
   unsigned threads = 1;
   /// Worker pool for the parallel pipelines; nullptr = the process-wide
@@ -34,12 +32,6 @@ struct QueryContext {
   /// in/out, morsel/batch counts, block pruning, pins, archive reloads,
   /// per-worker slices. nullptr = profiling off (one branch per pipeline).
   obs::QueryProfile* profile = nullptr;
-  /// When set, fact-table pipelines whose table has a sharded view in the
-  /// set scan the per-shard engine instances (exec/shard.h) instead of the
-  /// single table, shard-affine. Results stay bit-identical to the
-  /// unsharded engine (exact accumulation, order-independent merges).
-  /// nullptr = single-table execution.
-  const ShardSet* shards = nullptr;
 };
 
 /// Scan configuration under which a query runs; every paper configuration
@@ -154,24 +146,10 @@ class PipelineScope {
 // ---------------------------------------------------------------------------
 // Pipeline helpers. Every query pipeline is written once against these, and
 // every helper runs ctx.threads slots through the one MorselDriver over the
-// table's shard list — the single table, or its shards when the context
-// carries a sharded view. Determinism contract: consume bodies only perform
+// relation's table. Determinism contract: consume bodies only perform
 // exact accumulations (integer sums/counts, container inserts), so the
 // merged result is the same no matter which slot claimed which morsel.
 // ---------------------------------------------------------------------------
-
-/// The sharded view of `table` in the context's shard set, nullptr when
-/// the table is unsharded (or no set is carried).
-inline const ShardedTable* FindShards(const ScanOptions& opt,
-                                      const Table& table) {
-  return opt.ctx.shards != nullptr ? opt.ctx.shards->Find(table) : nullptr;
-}
-
-/// The shard list a pipeline over `table` scans.
-inline ShardList ShardsOf(const ScanOptions& opt, const Table& table) {
-  const ShardedTable* st = FindShards(opt, table);
-  return st != nullptr ? st->shards() : ShardList(table);
-}
 
 /// Scan+aggregate with per-slot states and a merge step.
 /// `make_state`: () -> State; `consume`: (State&, const Batch&);
@@ -183,9 +161,9 @@ State ParAgg(const Table& table, const ScanOptions& opt,
              MakeState make_state, Consume consume, Merge merge) {
   PipelineScope pipeline(opt, table);
   std::vector<State> states = ParallelScan<State>(
-      ShardsOf(opt, table), std::move(cols), std::move(preds), opt.mode,
-      opt.ctx.threads, make_state, consume, opt.vector_size, opt.isa,
-      opt.ctx.scheduler, pipeline.get());
+      table, std::move(cols), std::move(preds), opt.mode, opt.ctx.threads,
+      make_state, consume, opt.vector_size, opt.isa, opt.ctx.scheduler,
+      pipeline.get());
   State merged = std::move(states[0]);
   pipeline.Merge([&] {
     for (size_t i = 1; i < states.size(); ++i) merge(merged, states[i]);
@@ -201,67 +179,26 @@ State ParAgg(const Table& table, const ScanOptions& opt,
 /// touching any element are many.
 /// `produce`: (Sink&, const Batch&) calling sink.Add(key, U);
 /// `apply`: (T&, const U&), exact + commutative + associative, so results
-/// stay bit-identical at every thread and shard count.
-///
-/// `route_key_of` (optional): when the dense domain is derived from the
-/// scanned table's shard key (e.g. order ordinals from l_orderkey), pass
-/// the inverse map (dense index -> routing key). On a sharded table every
-/// element is then owned by the shard whose rows produce it, so updates
-/// apply in place under the producing shard's lock (KeyOwner,
-/// exec/shard.h) instead of going through the lock partitions. CONTRACT:
-/// the map must truly invert the dense index to the row's routing key
-/// (debug-asserted); results are then identical to the partitioned path.
+/// stay bit-identical at every thread count.
 template <typename T, typename U, typename Produce, typename Apply>
 std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
                            std::vector<uint32_t> cols,
                            std::vector<Predicate> preds, size_t domain,
-                           Produce produce, Apply apply, T init = T{},
-                           int64_t (*route_key_of)(size_t) = nullptr) {
-  using State = PartitionedDense<T, U, Apply>;
+                           Produce produce, Apply apply, T init = T{}) {
   PipelineScope pipeline(opt, table);
-  const ShardedTable* st = FindShards(opt, table);
   const unsigned threads =
       EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
-  MorselDriver driver(ShardsOf(opt, table), std::move(cols), std::move(preds),
-                      opt.mode, opt.vector_size, opt.isa, pipeline.get());
+  MorselDriver driver(table, std::move(cols), std::move(preds), opt.mode,
+                      opt.vector_size, opt.isa, pipeline.get());
 
-  if (st != nullptr && route_key_of != nullptr) {
-    // Co-partitioned: the producing shard owns every update of its rows.
-    // The shard lock still matters — two slots can drain the same shard
-    // (work stealing).
-    struct OwnedSink {
-      State* state;
-      KeyOwner owner;
-      unsigned shard;
-      void Add(size_t key, const U& u) {
-        assert(owner(key) == shard);
-        state->ApplyOwned(key, u);
-      }
-    };
-    State state(domain, 1, std::move(apply), init);
-    const KeyOwner owner{route_key_of, st->num_shards()};
-    std::vector<std::mutex> shard_locks(st->num_shards());
-    RunOnSlots(
-        threads,
-        [&](unsigned slot) {
-          driver.RunSlot(slot, [&](const Batch& b, unsigned s) {
-            std::lock_guard<std::mutex> lock(shard_locks[s]);
-            OwnedSink sink{&state, owner, s};
-            produce(sink, b);
-          });
-        },
-        opt.ctx.scheduler);
-    return state.Take();
-  }
-
-  State state(domain, threads, std::move(apply), init);
+  PartitionedDense<T, U, Apply> state(domain, threads, std::move(apply),
+                                      init);
   RunOnSlots(
       threads,
       [&](unsigned slot) {
         auto& sink = state.sink(slot);
         try {
-          driver.RunSlot(slot,
-                         [&](const Batch& b, unsigned) { produce(sink, b); });
+          driver.RunSlot(slot, [&](const Batch& b) { produce(sink, b); });
         } catch (...) {
           // A storage fault fails the query; it must not strand the run
           // lock, or sibling slots block in their flushes forever.
@@ -280,25 +217,19 @@ std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
 /// group count is small relative to the scanned rows. `produce`:
 /// (PartitionedAggTable<V>&, const Batch&) calling t.Ref(key); `fold`:
 /// (V& dst, const V& src), exact + commutative (dst of a fresh key is
-/// value-initialized).
-///
-/// On a sharded table, shard-affine scanning keeps each slot-local table's
-/// keys within (mostly) one shard, so the merge folds each group from few
-/// locals. The partition count covers max(threads, shards).
+/// value-initialized). Each slot-local table has one partition per slot.
 template <typename V, typename Produce, typename Fold>
 PartitionedAggTable<V> ParHashAgg(const Table& table, const ScanOptions& opt,
                                   std::vector<uint32_t> cols,
                                   std::vector<Predicate> preds,
                                   Produce produce, Fold fold) {
   PipelineScope pipeline(opt, table);
-  ShardList shards = ShardsOf(opt, table);
   const unsigned threads =
       EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
-  const unsigned parts = std::max(threads, unsigned(shards.tables.size()));
   std::vector<PartitionedAggTable<V>> locals =
       ParallelScan<PartitionedAggTable<V>>(
-          std::move(shards), std::move(cols), std::move(preds), opt.mode,
-          threads, [parts] { return PartitionedAggTable<V>(parts); },
+          table, std::move(cols), std::move(preds), opt.mode, threads,
+          [threads] { return PartitionedAggTable<V>(threads); },
           [&produce](PartitionedAggTable<V>& t, const Batch& b) {
             produce(t, b);
           },
@@ -417,11 +348,6 @@ inline constexpr int32_t kNumNations = 25;
 
 /// Dense index of an order key (order keys are 4 * ordinal).
 inline int64_t OrderIdx(int64_t orderkey) { return orderkey / 4 - 1; }
-
-/// Inverse of OrderIdx — the ParDenseAgg `route_key_of` hint for
-/// OrderIdx-indexed dense domains on orderkey-sharded fact tables
-/// (co-partitioned apply; see exec/shard.h KeyOwner).
-inline int64_t OrderKeyOf(size_t idx) { return int64_t(idx + 1) * 4; }
 
 }  // namespace detail
 

@@ -84,7 +84,7 @@ QueryResult Q18(const TpchDatabase& db, const ScanOptions& opt) {
           sink.Add(size_t(OrderIdx(b.cols[0].i64[i])),
                    uint16_t(b.cols[1].i32[i]));
       },
-      ApplyAdd{}, uint16_t{0}, OrderKeyOf);
+      ApplyAdd{});
 
   struct OutRow {
     std::string c_name;
@@ -306,7 +306,7 @@ QueryResult Q21(const TpchDatabase& db, const ScanOptions& opt) {
         combine(s.supp, u.sk);
         if (u.is_late != 0) combine(s.late, u.sk);
       },
-      SuppState{-1, -1}, OrderKeyOf);
+      SuppState{-1, -1});
 
   // Dense per-order status flag, one writer per element.
   std::vector<uint8_t> status_f = ParDenseStore<uint8_t>(

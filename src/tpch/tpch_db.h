@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "datablock/data_block.h"
-#include "exec/shard.h"
 #include "storage/table.h"
 
 namespace datablocks::tpch {
@@ -93,16 +92,6 @@ class TpchDatabase {
 
 /// Populates all eight tables (deterministic for a given seed).
 void GenerateTpch(TpchDatabase* db);
-
-/// Hash-shards the two fact tables (lineitem and orders, both on their
-/// orderkey column) across `num_shards` independent engine instances.
-/// Both shard on the same key through the same hash, so an order and its
-/// lineitems always land on the same shard — fact-fact joins and group-bys
-/// keyed on orderkey never cross shards. Dimension tables stay unsharded
-/// (every shard probes the shared copy). Build shards BEFORE freezing if
-/// the shards themselves should later be frozen hot->cold; the source may
-/// be in any lifecycle state.
-ShardSet BuildTpchShards(const TpchDatabase& db, unsigned num_shards);
 
 /// Convenience: construct + generate.
 std::unique_ptr<TpchDatabase> MakeTpch(const TpchConfig& config);

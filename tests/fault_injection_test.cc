@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "exec/scheduler.h"
-#include "exec/shard.h"
 #include "lifecycle/lifecycle_manager.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -577,51 +576,6 @@ TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
   mgr.ResetQuarantine();
   EXPECT_EQ(tpch::RunQuery(1, *db, opt).ToString(), baseline);
   std::remove(path.c_str());
-}
-
-TEST(ReloadFaults, ShardedDenseQueryFailsInsteadOfHanging) {
-  // The same unwind on the sharded path: Q1 over a 4-shard lineitem runs
-  // the shard-affine morsel loop into the same PartitionedDense run locks.
-  tpch::TpchConfig cfg;
-  cfg.scale_factor = 0.01;
-  cfg.chunk_capacity = 2048;
-  auto db = tpch::MakeTpch(cfg);
-  ShardSet shards = tpch::BuildTpchShards(*db, 4);
-  db->FreezeAll();
-  shards.FreezeAll();
-
-  Scheduler::Options pool;
-  pool.num_workers = 4;
-  pool.pin_workers = false;
-  Scheduler scheduler(pool);
-  tpch::ScanOptions opt;
-  opt.ctx.threads = 4;
-  opt.ctx.scheduler = &scheduler;
-  opt.ctx.shards = &shards;
-  const std::string baseline = tpch::RunQuery(1, *db, opt).ToString();
-
-  ShardedTable* lineitem = nullptr;
-  for (size_t t = 0; t < shards.size(); ++t) {
-    if (shards.at(t).source() == &db->lineitem) lineitem = &shards.at(t);
-  }
-  ASSERT_NE(lineitem, nullptr);
-  std::vector<std::string> paths;
-  std::vector<std::unique_ptr<LifecycleManager>> managers;
-  for (unsigned i = 0; i < lineitem->num_shards(); ++i) {
-    paths.push_back(TempArchive(
-        ("sharded_reload_deadlock_" + std::to_string(i)).c_str()));
-    managers.push_back(std::make_unique<LifecycleManager>(
-        &lineitem->shard_mut(i), paths.back(), EvictEverything()));
-    for (int k = 0; k < 10; ++k) managers.back()->Tick();
-    ASSERT_TRUE(lineitem->shard(i).is_evicted(0)) << "shard " << i;
-  }
-
-  const std::string got = Q1UnderFailingReloads(*db, opt);
-  EXPECT_EQ(got.rfind("storage error: ", 0), 0u) << got;
-
-  for (auto& mgr : managers) mgr->ResetQuarantine();
-  EXPECT_EQ(tpch::RunQuery(1, *db, opt).ToString(), baseline);
-  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

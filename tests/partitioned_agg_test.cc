@@ -110,8 +110,8 @@ TEST(PartitionedDense, ExactlyOnceAcrossMorselInterleavings) {
 TEST(ParDenseAgg, FlushesBeforeTheParallelRegionJoins) {
   // End-to-end through the morsel driver: per-key sums over a real table
   // must equal the reference result immediately after the call returns —
-  // i.e. every spill buffer was flushed before the parallel region joined
-  // — on the plain table and on a 4-shard view of it.
+  // i.e. every spill buffer was flushed before the parallel region
+  // joined.
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
   const size_t kDomain = 64;
   std::vector<int64_t> expect(kDomain, 0);
@@ -124,28 +124,21 @@ TEST(ParDenseAgg, FlushesBeforeTheParallelRegionJoins) {
       }
     }
   }
-  ShardSet shards;
-  shards.Add(t, 4, /*route_col=*/0).FreezeAll();
   Scheduler sched(Scheduler::Options{.num_workers = 2});
-  for (const ShardSet* set : {static_cast<const ShardSet*>(nullptr),
-                              static_cast<const ShardSet*>(&shards)}) {
-    for (unsigned threads : {1u, 3u, 8u}) {
-      tpch::ScanOptions opt;
-      opt.mode = ScanMode::kDataBlocks;
-      opt.ctx.threads = threads;
-      opt.ctx.scheduler = &sched;
-      opt.ctx.shards = set;
-      std::vector<int64_t> got = tpch::detail::ParDenseAgg<int64_t, int64_t>(
-          t, opt, {0, 1}, {}, kDomain,
-          [](auto& sink, const Batch& b) {
-            for (uint32_t i = 0; i < b.count; ++i) {
-              sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
-            }
-          },
-          ApplyAdd{});
-      EXPECT_EQ(got, expect)
-          << "threads=" << threads << (set != nullptr ? " sharded" : "");
-    }
+  for (unsigned threads : {1u, 3u, 8u}) {
+    tpch::ScanOptions opt;
+    opt.mode = ScanMode::kDataBlocks;
+    opt.ctx.threads = threads;
+    opt.ctx.scheduler = &sched;
+    std::vector<int64_t> got = tpch::detail::ParDenseAgg<int64_t, int64_t>(
+        t, opt, {0, 1}, {}, kDomain,
+        [](auto& sink, const Batch& b) {
+          for (uint32_t i = 0; i < b.count; ++i) {
+            sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
+          }
+        },
+        ApplyAdd{});
+    EXPECT_EQ(got, expect) << "threads=" << threads;
   }
 }
 

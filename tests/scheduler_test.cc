@@ -1,15 +1,19 @@
 // Morsel-driven execution engine: worker pool + work stealing, the morsel
-// dispatcher, periodic tasks, scheduler-backed lifecycle ticks, parallel
-// TPC-H result equality, and the parallel-query-vs-eviction/compaction
-// stress the TSan CI leg leans on.
+// dispatchers (flat and NUMA-aware), periodic tasks, scheduler-backed
+// lifecycle ticks, parallel TPC-H result equality on hot, frozen and
+// evicted tables, and the parallel-query-vs-eviction/compaction stress the
+// TSan CI leg leans on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,6 +141,55 @@ TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {
   EXPECT_EQ(all.size(), 103u);  // no element dropped
 }
 
+TEST(NodeMorselDispatcher, PrefersLocalChunksThenSteals) {
+  // Chunks homed on two synthetic nodes. A node-0 claimant must drain all
+  // node-0 chunks before touching node-1's, and vice versa.
+  const std::vector<int> nodes = {0, 1, 0, 1, 0, 1};
+  NodeMorselDispatcher d(nodes);
+  EXPECT_EQ(d.total(), nodes.size());
+
+  std::vector<bool> claimed(nodes.size(), false);
+  size_t begin = 0, end = 0;
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(d.Next(0, &begin, &end));
+    EXPECT_EQ(end, begin + 1);
+    EXPECT_EQ(nodes[begin], 0) << "remote chunk claimed while local remained";
+    claimed[begin] = true;
+  }
+  EXPECT_EQ(d.local_claims(), 3u);
+  EXPECT_EQ(d.remote_claims(), 0u);
+
+  // Node 0 exhausted its own group: further claims steal from node 1.
+  while (d.Next(0, &begin, &end)) {
+    EXPECT_EQ(nodes[begin], 1);
+    EXPECT_FALSE(claimed[begin]);
+    claimed[begin] = true;
+  }
+  EXPECT_EQ(d.remote_claims(), 3u);
+  EXPECT_TRUE(std::all_of(claimed.begin(), claimed.end(),
+                          [](bool b) { return b; }));
+  EXPECT_FALSE(d.Next(0, &begin, &end));  // exhausted stays exhausted
+  EXPECT_FALSE(d.Next(1, &begin, &end));
+}
+
+TEST(NodeMorselDispatcher, UnknownNodesNeverCountRemote) {
+  // Single-node boxes and unstamped chunks report node -1 on one side or
+  // the other; none of those claims may count as remote.
+  NodeMorselDispatcher d({-1, -1, -1});
+  size_t begin = 0, end = 0;
+  size_t n = 0;
+  while (d.Next(0, &begin, &end)) ++n;
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(d.remote_claims(), 0u);
+}
+
+TEST(NodeMorselDispatcher, EmptyTableYieldsNothing) {
+  NodeMorselDispatcher d({});
+  size_t begin = 0, end = 0;
+  EXPECT_FALSE(d.Next(0, &begin, &end));
+  EXPECT_EQ(d.total(), 0u);
+}
+
 TEST(Scheduler, ParallelScanWithMoreSlotsThanWorkers) {
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
   ScanResult expect = FullScan(t);
@@ -206,7 +259,8 @@ TEST(Scheduler, LifecycleTicksRunOnTheSharedPool) {
 
 // Every TPC-H query must produce identical results through the parallel
 // pipelines (per-worker states merged in slot order) as through the
-// sequential reference path — on hot chunks and on Data Blocks.
+// sequential reference path — on hot chunks, on Data Blocks, and on Data
+// Blocks evicted to their archives, where every block faults back in.
 class ParallelTpch : public ::testing::TestWithParam<int> {
  protected:
   static void SetUpTestSuite() {
@@ -216,23 +270,59 @@ class ParallelTpch : public ::testing::TestWithParam<int> {
     db_ = tpch::MakeTpch(cfg).release();
     frozen_ = tpch::MakeTpch(cfg).release();
     frozen_->FreezeAll();
+    evicted_ = tpch::MakeTpch(cfg).release();
+    evicted_->FreezeAll();
+    // The managers live for the whole suite: they own the fetchers that
+    // fault evicted blocks back in.
+    managers_ = new std::vector<std::unique_ptr<LifecycleManager>>();
+    LifecycleConfig lcfg;
+    lcfg.memory_budget_bytes = 0;  // evict everything frozen
+    for (Table* t : {&evicted_->lineitem, &evicted_->orders}) {
+      managers_->push_back(
+          std::make_unique<LifecycleManager>(t, ArchivePath(*t), lcfg));
+    }
     sched_ = new Scheduler(Scheduler::Options{.num_workers = 3});
   }
   static void TearDownTestSuite() {
+    delete managers_;  // reloads every evicted block before evicted_ goes
+    for (const Table* t : {&evicted_->lineitem, &evicted_->orders}) {
+      std::remove(ArchivePath(*t).c_str());
+    }
     delete db_;
     delete frozen_;
+    delete evicted_;
     delete sched_;
+    managers_ = nullptr;
     db_ = nullptr;
     frozen_ = nullptr;
+    evicted_ = nullptr;
     sched_ = nullptr;
+  }
+  static std::string ArchivePath(const Table& t) {
+    return "/tmp/datablocks_parallel_tpch_" + t.name() + ".dbar";
+  }
+  /// Evicts every frozen lineitem and orders block again, so the next run
+  /// reloads each block it scans from the archive.
+  static void EvictAll() {
+    for (auto& mgr : *managers_) mgr->Tick();
+    for (const Table* t : {&evicted_->lineitem, &evicted_->orders}) {
+      for (size_t c = 0; c < t->num_chunks(); ++c) {
+        ASSERT_TRUE(t->is_evicted(c)) << t->name() << " chunk " << c;
+      }
+    }
   }
   static tpch::TpchDatabase* db_;
   static tpch::TpchDatabase* frozen_;
+  static tpch::TpchDatabase* evicted_;
+  static std::vector<std::unique_ptr<LifecycleManager>>* managers_;
   static Scheduler* sched_;
 };
 
 tpch::TpchDatabase* ParallelTpch::db_ = nullptr;
 tpch::TpchDatabase* ParallelTpch::frozen_ = nullptr;
+tpch::TpchDatabase* ParallelTpch::evicted_ = nullptr;
+std::vector<std::unique_ptr<LifecycleManager>>* ParallelTpch::managers_ =
+    nullptr;
 Scheduler* ParallelTpch::sched_ = nullptr;
 
 TEST_P(ParallelTpch, MatchesSequentialResults) {
@@ -242,18 +332,22 @@ TEST_P(ParallelTpch, MatchesSequentialResults) {
     ScanMode mode;
     const char* label;
   };
-  const Config configs[2] = {
+  const Config configs[3] = {
       {db_, ScanMode::kVectorizedSarg, "hot +SARG"},
       {frozen_, ScanMode::kDataBlocksPsma, "frozen +PSMA"},
+      {evicted_, ScanMode::kDataBlocksPsma, "evicted +PSMA"},
   };
   for (const Config& c : configs) {
+    const bool evicted = c.db == evicted_;
     tpch::ScanOptions seq;
     seq.mode = c.mode;
+    if (evicted) EvictAll();
     tpch::QueryResult ref = tpch::RunQuery(q, *c.db, seq);
     for (unsigned threads : {3u, 8u}) {
       tpch::ScanOptions par = seq;
       par.ctx.threads = threads;
       par.ctx.scheduler = sched_;
+      if (evicted) EvictAll();
       EXPECT_EQ(tpch::RunQuery(q, *c.db, par).rows, ref.rows)
           << c.label << " threads=" << threads;
     }

@@ -51,8 +51,7 @@ def load_results(path):
                 print(f"warning: duplicate result {key} in {f}",
                       file=sys.stderr)
             results[key] = dict(r, quick=data.get("quick", False),
-                                threads=data.get("threads", 1),
-                                shards=data.get("shards", 1))
+                                threads=data.get("threads", 1))
     return results, has_metrics
 
 
@@ -103,11 +102,6 @@ def main():
         if b.get("threads") != c.get("threads"):
             print(f"warning: {key} mixes thread counts "
                   f"({b.get('threads')} vs {c.get('threads')}); skipping",
-                  file=sys.stderr)
-            continue
-        if b.get("shards") != c.get("shards"):
-            print(f"warning: {key} mixes shard counts "
-                  f"({b.get('shards')} vs {c.get('shards')}); skipping",
                   file=sys.stderr)
             continue
         if b["median_ns_op"] <= 0:

@@ -97,9 +97,7 @@ def print_profile(p):
     header = p["query"]
     if p.get("config"):
         header += f" [{p['config']}]"
-    shards = f"  shards={p['shards']}" if p.get("shards", 1) > 1 else ""
-    print(f"{header}  threads={p['threads']}{shards}  "
-          f"wall {ms(p['wall_ns'])}")
+    print(f"{header}  threads={p['threads']}  wall {ms(p['wall_ns'])}")
     for pl in p.get("pipelines", []):
         print(f"  pipeline {pl['name']}  wall {ms(pl['wall_ns'])}  "
               f"rows {count(pl['rows_in'])} -> {count(pl['rows_out'])}  "
@@ -115,9 +113,6 @@ def print_profile(p):
             print(f"    worker {w['slot']}: morsels {w['morsels']}  "
                   f"batches {w['batches']}  rows {count(w['rows'])}  "
                   f"busy {ms(w['busy_ns'])}")
-        for s in pl.get("shards", []):
-            print(f"    shard {s['shard']}: morsels {s['morsels']}  "
-                  f"batches {s['batches']}  rows {count(s['rows'])}")
     for span in p.get("spans", []):
         print_span(span, "  ")
 
