@@ -19,10 +19,14 @@
 //    slot. Each slot appends (key, update) pairs to a small flat spill
 //    buffer (the hot path is a raw cursor store); a full buffer is
 //    drained partition-wise — grouped by the high key bits, applied under
-//    the owning partition's lock — and once more at end-of-slot, before
-//    the parallel region joins (tpch::detail::ParDenseAgg drives it).
-//    Memory is O(domain) + O(slots) bounded buffers, and there is no
-//    cross-slot merge at all.
+//    the owning partition's lock, which is released before the sink
+//    returns to its scan — and once more at end-of-slot, before the
+//    parallel region joins (tpch::detail::ParDenseAgg drives it). No lock
+//    is held between batches. Memory is O(domain) + O(slots) bounded
+//    buffers, and there is no cross-slot merge at all. Tiny group-bys
+//    (Q1's handful of groups) do not belong here: they would put every
+//    slot on one partition lock; per-slot arrays merged in slot order
+//    (tpch::detail::ParAgg) serve them.
 //
 //  * SharedStoreDense<T>: dense vectors filled by plain stores — either
 //    one writer per element (dense per-order sinks) or idempotent
@@ -121,10 +125,10 @@ struct ApplyOr {
 /// slots and lock-partitioned into up to kMaxPartitions contiguous
 /// power-of-two key ranges. Every slot accumulates through its own Sink,
 /// which appends (key, U) updates to one flat spill buffer and drains it
-/// partition-wise under the owning partitions' locks; a sink streaming
-/// into a single partition upgrades to direct applies under that
-/// partition's lock. With one slot the sink applies directly (no buffers,
-/// no locks).
+/// partition-wise, holding each partition's lock only while it applies
+/// that partition's updates. No lock outlives a flush, so a slot that
+/// stops mid-scan (a thrown storage fault) cannot block its siblings.
+/// With one slot the sink applies directly (no buffers, no locks).
 ///
 /// Apply: (T&, const U&), commutative + associative + exact (see header
 /// comment). U is expected to be a small trivially copyable payload.
@@ -136,14 +140,14 @@ class PartitionedDense {
   static constexpr size_t kSpillCapacity = 4096;
   /// Lock-granularity partitions over the key range (independent of the
   /// slot count): finer than the slots so neighbouring morsels — whose
-  /// key ranges are adjacent under dbgen clustering — run-lock different
-  /// partitions instead of contending for one.
+  /// key ranges are adjacent under dbgen clustering — flush into
+  /// different partitions instead of contending for one.
   static constexpr unsigned kMaxPartitions = 64;
   /// Minimum elements per partition. Domains below this collapse to ONE
-  /// partition, turning every sink into a run-lock direct-applier (small
-  /// states are cache-resident and cheap to apply; fragmenting them into
-  /// tiny partitions would push scattered keys onto the radix path for
-  /// no contention win).
+  /// partition, so every flush applies its whole buffer under one lock
+  /// (small states are cache-resident and cheap to apply; fragmenting
+  /// them into tiny partitions would push scattered keys onto the radix
+  /// path for no contention win).
   static constexpr size_t kMinPartitionSpan = 16384;
 
   struct Entry {
@@ -184,48 +188,28 @@ class PartitionedDense {
   PartitionedDense(const PartitionedDense&) = delete;
   PartitionedDense& operator=(const PartitionedDense&) = delete;
 
-  /// Direct applies under a held run lock before it is released, bounding
-  /// how long another slot's flush can block on a hot partition.
-  static constexpr uint32_t kMaxDirectRun = 65536;
-
   class Sink {
    public:
     /// Routes one update to the element's owning partition. Exact-once:
-    /// an update is applied directly (single-slot mode, or under the run
-    /// lock while this sink streams into one partition), or buffered and
+    /// an update is applied directly (single-slot mode), or buffered and
     /// applied by exactly one flush. The buffered hot path is a raw
     /// cursor store — routing happens wholesale at flush time, not per
     /// row.
     void Add(size_t key, U update) {
-      PartitionedDense& parent = *parent_;
-      if (unsigned(key >> parent.part_shift_) == held_p_) {
-        // Run-lock fast path: this sink streams into one partition (the
-        // clustered common case) and already holds its lock.
-        parent.apply_(parent.dense_[key], update);
-        if (++direct_run_ >= kMaxDirectRun) ReleaseHeld();
-        return;
-      }
       if (cursor_ == nullptr) {  // single-slot mode: no routing, no locks
-        parent.apply_(parent.dense_[key], update);
+        parent_->apply_(parent_->dense_[key], update);
         return;
       }
       *cursor_++ = Entry{uint32_t(key), std::move(update)};
       if (cursor_ == buffer_end_) FlushBuffer();
     }
 
-    /// Drains the spill buffer into the dense vector and releases any run
-    /// lock. ParDenseAgg calls this at end-of-slot, so by the time the
-    /// parallel region joins every buffered update has been applied.
+    /// Drains the spill buffer into the dense vector. ParDenseAgg calls
+    /// this at end-of-slot, so by the time the parallel region joins every
+    /// buffered update has been applied.
     void Flush() {
       if (cursor_ != nullptr) FlushBuffer();
-      ReleaseHeld();
     }
-
-    /// Releases any run lock without applying the buffered updates: the
-    /// unwind path of a slot whose scan threw. Siblings flushing into the
-    /// held partition would otherwise block forever and the parallel
-    /// region would never join.
-    void Abandon() { ReleaseHeld(); }
 
     /// Spilled updates currently buffered (not yet applied); test hook.
     size_t pending() const {
@@ -234,7 +218,6 @@ class PartitionedDense {
 
    private:
     friend class PartitionedDense;
-    static constexpr unsigned kNoPartition = ~0u;
 
     explicit Sink(PartitionedDense* parent) : parent_(parent) {
       if (parent_->slots_ > 1) {
@@ -249,10 +232,9 @@ class PartitionedDense {
     }
 
     /// Applies every buffered update: counts per partition, then either
-    /// applies the whole buffer under one lock (single-partition buffer —
-    /// and keeps that lock as the run lock, switching Add to direct
-    /// applies), or radix-scatters entries by partition (branch-free) and
-    /// applies each bucket under its lock.
+    /// applies the whole buffer under one lock (single-partition buffer),
+    /// or radix-scatters entries by partition (branch-free) and applies
+    /// each bucket under its lock. Every lock is released on return.
     void FlushBuffer() {
       PartitionedDense& parent = *parent_;
       Entry* const begin = buffer_.get();
@@ -265,19 +247,13 @@ class PartitionedDense {
       for (const Entry* e = begin; e != end; ++e) ++counts[e->key >> shift];
       for (unsigned p = 0; p < parts; ++p) {
         if (counts[p] != unsigned(end - begin)) continue;
-        // Single-partition buffer: apply in place and enter run mode.
-        if (p != held_p_) {
-          ReleaseHeld();
-          held_ = std::unique_lock<std::mutex>(parent.locks_[p]);
-          held_p_ = p;
-        }
-        direct_run_ = 0;
+        // Single-partition buffer: apply in place, no scatter.
+        std::lock_guard<std::mutex> lock(parent.locks_[p]);
         for (const Entry* e = begin; e != end; ++e) {
           parent.apply_(parent.dense_[e->key], e->update);
         }
         return;
       }
-      ReleaseHeld();  // mixed buffer: scattered keys, stay in buffer mode
       if (scatter_ == nullptr) {
         scatter_.reset(new Entry[kSpillCapacity]);
         aggstate::Add(aggstate::Kind::kSpill,
@@ -304,17 +280,7 @@ class PartitionedDense {
       }
     }
 
-    void ReleaseHeld() {
-      if (held_p_ != kNoPartition) {
-        held_.unlock();
-        held_ = std::unique_lock<std::mutex>();
-        held_p_ = kNoPartition;
-        direct_run_ = 0;
-      }
-    }
-
     void ReleaseBuffers() {
-      ReleaseHeld();
       if (buffer_ != nullptr) {
         aggstate::Sub(aggstate::Kind::kSpill,
                       kSpillCapacity * sizeof(Entry));
@@ -333,9 +299,6 @@ class PartitionedDense {
     std::unique_ptr<Entry[]> scatter_;  // lazy: only mixed buffers need it
     Entry* cursor_ = nullptr;           // next free entry
     Entry* buffer_end_ = nullptr;
-    std::unique_lock<std::mutex> held_;  // run lock (see FlushBuffer)
-    unsigned held_p_ = kNoPartition;
-    uint32_t direct_run_ = 0;
   };
 
   Sink& sink(unsigned slot) { return sinks_[slot]; }

@@ -174,9 +174,13 @@ State ParAgg(const Table& table, const ScanOptions& opt,
 /// Dense-keyed scan+aggregate through the partitioned-aggregation engine
 /// (exec/partitioned_agg.h): ONE T vector over [0, domain) total — not one
 /// per slot — with updates routed through bounded spill buffers to
-/// contiguous lock partitions. No merge step. Use when the group key is
-/// dense by construction (orderkey / custkey / suppkey ordinals) and rows
-/// touching any element are many.
+/// contiguous lock partitions, each lock held only while one flush applies
+/// to it. No merge step, and no unwind: a slot whose scan throws holds no
+/// lock, so its siblings finish and the exception propagates from the
+/// join. Use when the group key is dense by construction (orderkey /
+/// custkey / suppkey ordinals) and the domain is large; a domain of a few
+/// groups (Q1) would put every slot on one lock — use ParAgg with a
+/// per-slot array there.
 /// `produce`: (Sink&, const Batch&) calling sink.Add(key, U);
 /// `apply`: (T&, const U&), exact + commutative + associative, so results
 /// stay bit-identical at every thread count.
@@ -197,14 +201,7 @@ std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
       threads,
       [&](unsigned slot) {
         auto& sink = state.sink(slot);
-        try {
-          driver.RunSlot(slot, [&](const Batch& b) { produce(sink, b); });
-        } catch (...) {
-          // A storage fault fails the query; it must not strand the run
-          // lock, or sibling slots block in their flushes forever.
-          sink.Abandon();
-          throw;
-        }
+        driver.RunSlot(slot, [&](const Batch& b) { produce(sink, b); });
         sink.Flush();
       },
       opt.ctx.scheduler);

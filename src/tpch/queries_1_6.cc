@@ -15,6 +15,7 @@
 // are exact (integer), so results are identical at every thread count.
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <unordered_map>
 
@@ -45,23 +46,30 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
     int64_t sum_charge = 0;      // cents * 1e-4  (ext * (100-d) * (100+t))
     int64_t sum_disc = 0;        // percent units
     int64_t count = 0;
+
+    Agg& operator+=(const Agg& o) {
+      sum_qty += o.sum_qty;
+      sum_base += o.sum_base;
+      sum_disc_price += o.sum_disc_price;
+      sum_charge += o.sum_charge;
+      sum_disc += o.sum_disc;
+      count += o.count;
+      return *this;
+    }
   };
-  // One 3 MB dense state TOTAL (not per worker slot): the (returnflag,
-  // linestatus) key space is dense, so the partitioned-aggregation engine
-  // shares a single vector across slots with no merge.
-  struct Upd {
-    int32_t qty, disc, tax;
-    int64_t ext;
-  };
-  using Groups = std::vector<Agg>;
+  // (returnflag, linestatus) are upper-case letters (dbgen: A/N/R, F/O),
+  // so a 26 x 26 array holds every group: 32 KB per slot, merged in slot
+  // order.
+  using Groups = std::array<Agg, 26 * 26>;
   const int32_t cutoff = MakeDate(1998, 9, 2);
 
-  Groups groups = ParDenseAgg<Agg, Upd>(
+  Groups groups = ParAgg<Groups>(
       db.lineitem, opt,
       {li::quantity, li::extendedprice, li::discount, li::tax, li::returnflag,
        li::linestatus},
-      {Predicate::Le(li::shipdate, Value::Int(cutoff))}, 256 * 256,
-      [](auto& sink, const Batch& b) {
+      {Predicate::Le(li::shipdate, Value::Int(cutoff))},
+      [] { return Groups{}; },
+      [](Groups& g, const Batch& b) {
         const int32_t* qty = b.cols[0].i32.data();
         const int64_t* ext = b.cols[1].i64.data();
         const int32_t* disc = b.cols[2].i32.data();
@@ -69,19 +77,12 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
         const int32_t* rf = b.cols[4].i32.data();
         const int32_t* ls = b.cols[5].i32.data();
         for (uint32_t i = 0; i < b.count; ++i) {
-          sink.Add(size_t(rf[i]) * 256 + size_t(ls[i]),
-                   Upd{qty[i], disc[i], tax[i], ext[i]});
+          const int64_t dp = ext[i] * (100 - disc[i]);
+          g[size_t(rf[i] - 'A') * 26 + size_t(ls[i] - 'A')] +=
+              Agg{qty[i], ext[i], dp, dp * (100 + tax[i]) / 100, disc[i], 1};
         }
       },
-      [](Agg& a, const Upd& u) {
-        int64_t dp = u.ext * (100 - u.disc);
-        a.sum_qty += u.qty;
-        a.sum_base += u.ext;
-        a.sum_disc_price += dp;
-        a.sum_charge += dp * (100 + u.tax) / 100;
-        a.sum_disc += u.disc;
-        ++a.count;
-      });
+      MergeSeqAdd<Groups>);
 
   QueryResult result;
   for (size_t k = 0; k < groups.size(); ++k) {
@@ -90,7 +91,7 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
     char row[256];
     std::snprintf(
         row, sizeof(row), "%c|%c|%lld|%.2f|%.2f|%.2f|%.2f|%.2f|%.4f|%lld",
-        char(k / 256), char(k % 256), (long long)g.sum_qty,
+        char('A' + k / 26), char('A' + k % 26), (long long)g.sum_qty,
         double(g.sum_base) / 100, double(g.sum_disc_price) / 1e4,
         double(g.sum_charge) / 1e4, double(g.sum_qty) / double(g.count),
         double(g.sum_base) / 100 / double(g.count),

@@ -507,18 +507,18 @@ TEST(ServeFaults, BrokenEvictedBlockFailsQueryWhileHealthyQueriesFlow) {
   std::remove(path.c_str());
 }
 
-/// Runs Q1 with `lifecycle.reload` failing every third reload, on its own
-/// thread so a hang fails the test at a 60 s deadline instead of stalling
-/// the whole suite. Returns "completed", "storage error: ..." or "other
-/// exception".
-std::string Q1UnderFailingReloads(const tpch::TpchDatabase& db,
-                                  const tpch::ScanOptions& opt) {
+/// Runs TPC-H query `q` with `lifecycle.reload` failing every third
+/// reload, on its own thread so a hang fails the test at a 60 s deadline
+/// instead of stalling the whole suite. Returns "completed", "storage
+/// error: ..." or "other exception".
+std::string QueryUnderFailingReloads(int q, const tpch::TpchDatabase& db,
+                                     const tpch::ScanOptions& opt) {
   std::promise<std::string> outcome;
   std::future<std::string> result = outcome.get_future();
   ScopedFailpoint fp("lifecycle.reload", "every:3");
   std::thread runner([&] {
     try {
-      tpch::RunQuery(1, db, opt);
+      tpch::RunQuery(q, db, opt);
       outcome.set_value("completed");
     } catch (const StorageException& e) {
       outcome.set_value(std::string("storage error: ") + e.what());
@@ -528,7 +528,7 @@ std::string Q1UnderFailingReloads(const tpch::TpchDatabase& db,
   });
   if (result.wait_for(std::chrono::seconds(60)) !=
       std::future_status::ready) {
-    std::fprintf(stderr, "Q1 over failing reloads hung past 60 s\n");
+    std::fprintf(stderr, "Q%d over failing reloads hung past 60 s\n", q);
     std::abort();
   }
   runner.join();
@@ -545,9 +545,12 @@ LifecycleConfig EvictEverything() {
 }
 
 TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
-  // Q1 aggregates through PartitionedDense run locks (one partition: its
-  // domain is tiny). A slot whose scan throws on a failed reload must drop
-  // its run lock, or the sibling slots block in their flushes forever.
+  // A slot whose scan throws on a failed reload stops; its siblings must
+  // still finish so the parallel region joins and the query fails. Q1
+  // aggregates into per-slot arrays (ParAgg); Q18 sums lineitem per order
+  // through PartitionedDense, whose small domain here is one partition,
+  // so every slot flushes into the same lock. No flush keeps that lock,
+  // so the stopped slot blocks nobody.
   tpch::TpchConfig cfg;
   cfg.scale_factor = 0.01;
   cfg.chunk_capacity = 2048;  // ~30 lineitem chunks: every slot gets morsels
@@ -561,20 +564,28 @@ TEST(ReloadFaults, ParallelDenseQueryFailsInsteadOfHanging) {
   tpch::ScanOptions opt;
   opt.ctx.threads = 4;
   opt.ctx.scheduler = &scheduler;
-  const std::string baseline = tpch::RunQuery(1, *db, opt).ToString();
+  const std::vector<int> queries = {1, 18};
+  std::vector<std::string> baselines;
+  for (int q : queries) {
+    baselines.push_back(tpch::RunQuery(q, *db, opt).ToString());
+  }
 
   const std::string path = TempArchive("reload_deadlock");
   LifecycleManager mgr(&db->lineitem, path, EvictEverything());
-  for (int i = 0; i < 10; ++i) mgr.Tick();
-  ASSERT_TRUE(db->lineitem.is_evicted(0));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const int q = queries[i];
+    for (int t = 0; t < 10; ++t) mgr.Tick();  // evicts every lineitem block
+    ASSERT_TRUE(db->lineitem.is_evicted(0)) << "Q" << q;
 
-  const std::string got = Q1UnderFailingReloads(*db, opt);
-  EXPECT_EQ(got.rfind("storage error: ", 0), 0u) << got;
+    const std::string got = QueryUnderFailingReloads(q, *db, opt);
+    EXPECT_EQ(got.rfind("storage error: ", 0), 0u) << "Q" << q << ": " << got;
 
-  // Nothing stayed locked: with storage healed the same query completes
-  // with the fault-free result.
-  mgr.ResetQuarantine();
-  EXPECT_EQ(tpch::RunQuery(1, *db, opt).ToString(), baseline);
+    // Nothing stayed locked: with storage healed the same query completes
+    // with the fault-free result.
+    mgr.ResetQuarantine();
+    EXPECT_EQ(tpch::RunQuery(q, *db, opt).ToString(), baselines[i])
+        << "Q" << q;
+  }
   std::remove(path.c_str());
 }
 
