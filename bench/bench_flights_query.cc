@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   uint64_t hot_bytes = flights->MemoryBytes();
   flights->FreezeAll();
 
-  double decompress_all = Measure(*flights, ScanMode::kDecompressAll, &nrows);
+  double decompress_all = Measure(*flights, ScanMode::kVectorized, &nrows);
   double sma = Measure(*flights, ScanMode::kDataBlocks, &nrows);
   double psma = Measure(*flights, ScanMode::kDataBlocksPsma, &nrows);
 

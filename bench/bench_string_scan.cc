@@ -3,8 +3,8 @@
 // materialized lazily from the pinned block dictionary) versus the
 // decompress-then-filter reference that eagerly decodes every string.
 //
-// Four measurements, each across kDecompressAll / kDataBlocks /
-// kDataBlocksPsma:
+// Four measurements, each across kVectorized (decompress, then filter) /
+// kDataBlocks / kDataBlocksPsma:
 //   string_eq      point equality on a 1000-value dictionary column (~0.1%)
 //   string_in      3-value IN list on the same column (~0.3%)
 //   string_prefix  LIKE 'cat_1%' lowered to a code range (~11%)
@@ -76,7 +76,7 @@ struct ModeSpec {
 };
 
 constexpr ModeSpec kModes[] = {
-    {"decompress", ScanMode::kDecompressAll},
+    {"decompress", ScanMode::kVectorized},
     {"code-space", ScanMode::kDataBlocks},
     {"code+PSMA", ScanMode::kDataBlocksPsma},
 };

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-28s %10s %10s\n", "scan", "time", "speedup");
   std::printf("%-28s %8.1fms %9s\n", "JIT scan (uncompressed)", jit_ms, "1.0x");
-  for (ScanMode mode : {ScanMode::kDecompressAll, ScanMode::kDataBlocks,
+  for (ScanMode mode : {ScanMode::kVectorized, ScanMode::kDataBlocks,
                         ScanMode::kDataBlocksPsma}) {
     t.Reset();
     auto result = RunFlightsQuery(*flights, mode);

@@ -1,8 +1,6 @@
 #include "datablock/block_scan.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "util/bits.h"
 
@@ -10,500 +8,222 @@ namespace datablocks {
 
 namespace {
 
-constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
-constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
-
-/// Inclusive value-domain interval; empty when lo > hi.
-struct IntRange {
-  int64_t lo, hi;
-  bool empty() const { return lo > hi; }
-};
-
-// Maps a comparison op on integer constant(s) to an inclusive interval.
-// Returns an empty range for unsatisfiable ops (e.g. < INT64_MIN).
-IntRange OpToRange(CompareOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case CompareOp::kEq: return {a, a};
-    case CompareOp::kLt: return a == kI64Min ? IntRange{1, 0} : IntRange{kI64Min, a - 1};
-    case CompareOp::kLe: return {kI64Min, a};
-    case CompareOp::kGt: return a == kI64Max ? IntRange{1, 0} : IntRange{a + 1, kI64Max};
-    case CompareOp::kGe: return {a, kI64Max};
-    case CompareOp::kBetween: return {a, b};
-    default: DB_CHECK(false); return {1, 0};
-  }
-}
-
-int64_t ConstInt(const Value& v) {
-  DB_CHECK(!v.is_null());
-  return v.kind() == Value::Kind::kDouble ? int64_t(v.f64()) : v.i64();
-}
-
-double ConstDouble(const Value& v) {
-  DB_CHECK(!v.is_null());
-  return v.kind() == Value::Kind::kInt ? double(v.i64()) : v.f64();
-}
-
-enum class Translated { kAll, kNone, kKeep };
-
-// Translates one value predicate on an integer-like column. On kKeep, `bp`
-// is filled in. `needs_null_filter` is set when NULL rows could slip through
-// the residual (or absent) code-domain check.
-Translated TranslateIntPred(const DataBlock& block, uint32_t col,
-                            const Predicate& pred, BlockPred* bp,
-                            bool* needs_null_filter) {
-  const AttrMeta& m = block.attr(col);
-  const Compression scheme = Compression(m.compression);
-  const int64_t smin = m.min_val, smax = m.max_val;
-  const bool nullable = m.flags & AttrMeta::kHasNulls;
-
-  if (pred.op == CompareOp::kIn) {
-    // Translate each list value into the code domain; values outside
-    // [min, max] or missing from the dictionary are dropped without
-    // touching the data vector.
-    std::vector<uint64_t> codes;
-    bool signed_raw = false;
-    for (const Value& v : pred.list) {
-      const int64_t iv = ConstInt(v);
-      if (iv < smin || iv > smax) continue;
-      switch (scheme) {
-        case Compression::kSingleValue:
-          if (iv == smin) {
-            if (nullable) *needs_null_filter = true;
-            return Translated::kAll;
-          }
-          break;
-        case Compression::kDictionary: {
-          const int64_t* dict = block.int_dict(col);
-          const int64_t* pos = std::lower_bound(dict, dict + m.dict_count, iv);
-          if (pos != dict + m.dict_count && *pos == iv)
-            codes.push_back(uint64_t(pos - dict));
-          break;
-        }
-        case Compression::kTruncation:
-          codes.push_back(uint64_t(iv) - uint64_t(smin));
-          break;
-        case Compression::kRaw: {
-          TypeId t = TypeId(m.type);
-          signed_raw = (t == TypeId::kInt32 || t == TypeId::kInt64 ||
-                        t == TypeId::kDate);
-          codes.push_back(uint64_t(iv));
-          break;
-        }
-      }
-    }
-    if (codes.empty()) return Translated::kNone;
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-    if (scheme == Compression::kDictionary && codes.size() == m.dict_count) {
-      if (nullable) *needs_null_filter = true;
-      return Translated::kAll;
-    }
-    bp->col = col;
-    bp->width = m.code_width;
-    bp->is_signed = signed_raw;
-    if (codes.back() - codes.front() + 1 == codes.size()) {
-      // Contiguous code run: lower to the SIMD range kernel.
-      bp->kind = BlockPred::Kind::kRange;
-      bp->lo = codes.front();
-      bp->hi = codes.back();
-      bp->psma_usable = true;
-      if (scheme == Compression::kRaw) {
-        bp->psma_dlo = codes.front() - uint64_t(smin);
-        bp->psma_dhi = codes.back() - uint64_t(smin);
-        if (nullable && int64_t(codes.front()) <= 0 &&
-            0 <= int64_t(codes.back())) {
-          *needs_null_filter = true;
-        }
-      } else {
-        bp->psma_dlo = codes.front();
-        bp->psma_dhi = codes.back();
-        if (nullable && codes.front() == 0) *needs_null_filter = true;
-      }
-      return Translated::kKeep;
-    }
-    bp->kind = BlockPred::Kind::kInSet;
-    const bool has_zero =
-        std::binary_search(codes.begin(), codes.end(), uint64_t(0));
-    bp->in_codes = std::move(codes);
-    if (nullable && has_zero) *needs_null_filter = true;
-    return Translated::kKeep;
-  }
-
-  if (pred.op == CompareOp::kNe) {
-    const int64_t v = ConstInt(pred.lo);
-    if (nullable) *needs_null_filter = true;
-    if (scheme == Compression::kSingleValue)
-      return smin != v ? Translated::kAll : Translated::kNone;
-    if (v < smin || v > smax) return Translated::kAll;
-    bp->col = col;
-    bp->kind = BlockPred::Kind::kNe;
-    bp->width = m.code_width;
-    if (scheme == Compression::kDictionary) {
-      const int64_t* dict = block.int_dict(col);
-      const int64_t* pos = std::lower_bound(dict, dict + m.dict_count, v);
-      if (pos == dict + m.dict_count || *pos != v) return Translated::kAll;
-      bp->ne = uint64_t(pos - dict);
-    } else if (scheme == Compression::kTruncation) {
-      bp->ne = uint64_t(v) - uint64_t(smin);
-    } else {  // kRaw
-      TypeId t = TypeId(m.type);
-      bp->is_signed = (t == TypeId::kInt32 || t == TypeId::kInt64 ||
-                       t == TypeId::kDate);
-      bp->ne = uint64_t(v);
-    }
-    return Translated::kKeep;
-  }
-
-  IntRange r = OpToRange(pred.op, ConstInt(pred.lo),
-                         pred.op == CompareOp::kBetween ? ConstInt(pred.hi)
-                                                        : 0);
-  if (r.empty()) return Translated::kNone;
-  // SMA pruning (Section 3.2): rule the block out, or detect that the
-  // restriction is implied by [min, max].
-  if (r.hi < smin || r.lo > smax) return Translated::kNone;
-  if (scheme == Compression::kSingleValue) {
-    return (smin >= r.lo && smin <= r.hi) ? Translated::kAll
-                                          : Translated::kNone;
-  }
-  if (r.lo <= smin && r.hi >= smax) {
-    if (nullable) *needs_null_filter = true;
-    return Translated::kAll;
-  }
-  const int64_t vlo = std::max(r.lo, smin);
-  const int64_t vhi = std::min(r.hi, smax);
-
-  bp->col = col;
+/// A code interval [b, e) of a dictionary holding `count` entries.
+Verdict LowerCodeRange(uint32_t b, uint32_t e, uint32_t count, BlockPred* bp) {
+  if (b >= e) return Verdict::kNone;  // dictionary miss rules the block out
+  if (b == 0 && e == count) return Verdict::kAll;
   bp->kind = BlockPred::Kind::kRange;
-  bp->width = m.code_width;
-  switch (scheme) {
-    case Compression::kTruncation: {
-      bp->lo = uint64_t(vlo) - uint64_t(smin);
-      bp->hi = uint64_t(vhi) - uint64_t(smin);
-      bp->psma_usable = true;
-      bp->psma_dlo = bp->lo;
-      bp->psma_dhi = bp->hi;
-      // NULL codes are 0; they only collide when the range includes 0.
-      if (nullable && bp->lo == 0) *needs_null_filter = true;
-      break;
-    }
-    case Compression::kDictionary: {
-      const int64_t* dict = block.int_dict(col);
-      const int64_t* lb = std::lower_bound(dict, dict + m.dict_count, vlo);
-      const int64_t* ub = std::upper_bound(dict, dict + m.dict_count, vhi);
-      if (lb >= ub) return Translated::kNone;  // dictionary miss
-      bp->lo = uint64_t(lb - dict);
-      bp->hi = uint64_t(ub - dict) - 1;
-      if (bp->lo == 0 && bp->hi == m.dict_count - 1) {
-        if (nullable) *needs_null_filter = true;
-        return Translated::kAll;
-      }
-      bp->psma_usable = true;
-      bp->psma_dlo = bp->lo;
-      bp->psma_dhi = bp->hi;
-      if (nullable && bp->lo == 0) *needs_null_filter = true;
-      break;
-    }
-    case Compression::kRaw: {
-      TypeId t = TypeId(m.type);
-      bp->is_signed =
-          (t == TypeId::kInt32 || t == TypeId::kInt64 || t == TypeId::kDate);
-      bp->lo = uint64_t(vlo);
-      bp->hi = uint64_t(vhi);
-      bp->psma_usable = true;
-      bp->psma_dlo = uint64_t(vlo) - uint64_t(smin);
-      bp->psma_dhi = uint64_t(vhi) - uint64_t(smin);
-      if (nullable && vlo <= 0 && 0 <= vhi) *needs_null_filter = true;
-      break;
-    }
-    default:
-      DB_CHECK(false);
-  }
-  return Translated::kKeep;
-}
-
-Translated TranslateStringPred(const DataBlock& block, uint32_t col,
-                               const Predicate& pred, BlockPred* bp,
-                               bool* needs_null_filter) {
-  const AttrMeta& m = block.attr(col);
-  const bool nullable = m.flags & AttrMeta::kHasNulls;
-  const uint32_t count = m.dict_count;
-  DB_CHECK(count > 0);
-
-  auto dict_at = [&](uint32_t i) { return block.dict_string(col, i); };
-  // lower_bound: first index with dict[i] >= s.
-  auto lower = [&](std::string_view s) {
-    uint32_t lo = 0, hi = count;
-    while (lo < hi) {
-      uint32_t mid = (lo + hi) / 2;
-      if (dict_at(mid) < s) lo = mid + 1; else hi = mid;
-    }
-    return lo;
-  };
-  // upper_bound: first index with dict[i] > s.
-  auto upper = [&](std::string_view s) {
-    uint32_t lo = 0, hi = count;
-    while (lo < hi) {
-      uint32_t mid = (lo + hi) / 2;
-      if (dict_at(mid) <= s) lo = mid + 1; else hi = mid;
-    }
-    return lo;
-  };
-
-  if (Compression(m.compression) == Compression::kSingleValue) {
-    std::string_view v = dict_at(0);
-    bool match = false;
-    switch (pred.op) {
-      case CompareOp::kEq: match = v == pred.lo.str(); break;
-      case CompareOp::kNe: match = v != pred.lo.str(); break;
-      case CompareOp::kLt: match = v < pred.lo.str(); break;
-      case CompareOp::kLe: match = v <= pred.lo.str(); break;
-      case CompareOp::kGt: match = v > pred.lo.str(); break;
-      case CompareOp::kGe: match = v >= pred.lo.str(); break;
-      case CompareOp::kBetween:
-        match = v >= pred.lo.str() && v <= pred.hi.str();
-        break;
-      case CompareOp::kIn:
-        for (const Value& c : pred.list) match |= (v == c.str());
-        break;
-      case CompareOp::kPrefix:
-        match = v.substr(0, pred.lo.str().size()) == pred.lo.str();
-        break;
-      default: DB_CHECK(false);
-    }
-    return match ? Translated::kAll : Translated::kNone;
-  }
-
-  if (pred.op == CompareOp::kNe) {
-    if (nullable) *needs_null_filter = true;
-    uint32_t i = lower(pred.lo.str());
-    if (i == count || dict_at(i) != pred.lo.str()) return Translated::kAll;
-    bp->col = col;
-    bp->kind = BlockPred::Kind::kNe;
-    bp->width = m.code_width;
-    bp->ne = i;
-    return Translated::kKeep;
-  }
-
-  if (pred.op == CompareOp::kIn) {
-    // Each list value binary-searches the sorted dictionary; misses cost
-    // O(log |dict|) and never touch the data vector.
-    std::vector<uint64_t> codes;
-    for (const Value& c : pred.list) {
-      uint32_t i = lower(c.str());
-      if (i < count && dict_at(i) == c.str()) codes.push_back(i);
-    }
-    if (codes.empty()) return Translated::kNone;
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-    if (codes.size() == count) {
-      if (nullable) *needs_null_filter = true;
-      return Translated::kAll;
-    }
-    bp->col = col;
-    bp->width = m.code_width;
-    if (codes.back() - codes.front() + 1 == codes.size()) {
-      bp->kind = BlockPred::Kind::kRange;
-      bp->lo = codes.front();
-      bp->hi = codes.back();
-      bp->psma_usable = true;
-      bp->psma_dlo = bp->lo;
-      bp->psma_dhi = bp->hi;
-      if (nullable && bp->lo == 0) *needs_null_filter = true;
-      return Translated::kKeep;
-    }
-    bp->kind = BlockPred::Kind::kInSet;
-    if (nullable && codes.front() == 0) *needs_null_filter = true;
-    bp->in_codes = std::move(codes);
-    return Translated::kKeep;
-  }
-
-  if (pred.op == CompareOp::kPrefix) {
-    // The dictionary is order-preserving, so the strings sharing a prefix
-    // form one contiguous code run: binary-search with prefix-truncated
-    // comparisons instead of computing a successor string.
-    const std::string_view p = pred.lo.str();
-    const size_t plen = p.size();
-    uint32_t lo_idx = 0, hi_bound = count;
-    while (lo_idx < hi_bound) {  // first index with trunc(dict[i]) >= p
-      uint32_t mid = (lo_idx + hi_bound) / 2;
-      if (dict_at(mid).substr(0, plen) < p) lo_idx = mid + 1;
-      else hi_bound = mid;
-    }
-    uint32_t lo2 = lo_idx, hi_idx = count;
-    while (lo2 < hi_idx) {  // first index with trunc(dict[i]) > p
-      uint32_t mid = (lo2 + hi_idx) / 2;
-      if (dict_at(mid).substr(0, plen) <= p) lo2 = mid + 1;
-      else hi_idx = mid;
-    }
-    if (lo_idx >= hi_idx) return Translated::kNone;
-    if (lo_idx == 0 && hi_idx == count) {
-      if (nullable) *needs_null_filter = true;
-      return Translated::kAll;
-    }
-    bp->col = col;
-    bp->kind = BlockPred::Kind::kRange;
-    bp->width = m.code_width;
-    bp->lo = lo_idx;
-    bp->hi = hi_idx - 1;
-    bp->psma_usable = true;
-    bp->psma_dlo = bp->lo;
-    bp->psma_dhi = bp->hi;
-    if (nullable && lo_idx == 0) *needs_null_filter = true;
-    return Translated::kKeep;
-  }
-
-  // Inclusive code interval [lo_idx, hi_idx].
-  uint32_t lo_idx = 0, hi_idx = count - 1;
-  switch (pred.op) {
-    case CompareOp::kEq: {
-      uint32_t i = lower(pred.lo.str());
-      if (i == count || dict_at(i) != pred.lo.str())
-        return Translated::kNone;  // binary search miss rules block out
-      lo_idx = hi_idx = i;
-      break;
-    }
-    case CompareOp::kLt: {
-      uint32_t i = lower(pred.lo.str());
-      if (i == 0) return Translated::kNone;
-      hi_idx = i - 1;
-      break;
-    }
-    case CompareOp::kLe: {
-      uint32_t i = upper(pred.lo.str());
-      if (i == 0) return Translated::kNone;
-      hi_idx = i - 1;
-      break;
-    }
-    case CompareOp::kGt: {
-      uint32_t i = upper(pred.lo.str());
-      if (i == count) return Translated::kNone;
-      lo_idx = i;
-      break;
-    }
-    case CompareOp::kGe: {
-      uint32_t i = lower(pred.lo.str());
-      if (i == count) return Translated::kNone;
-      lo_idx = i;
-      break;
-    }
-    case CompareOp::kBetween: {
-      uint32_t a = lower(pred.lo.str());
-      uint32_t b = upper(pred.hi.str());
-      if (a >= b) return Translated::kNone;
-      lo_idx = a;
-      hi_idx = b - 1;
-      break;
-    }
-    default:
-      DB_CHECK(false);
-  }
-  if (lo_idx == 0 && hi_idx == count - 1) {
-    if (nullable) *needs_null_filter = true;
-    return Translated::kAll;
-  }
-  bp->col = col;
-  bp->kind = BlockPred::Kind::kRange;
-  bp->width = m.code_width;
-  bp->lo = lo_idx;
-  bp->hi = hi_idx;
+  bp->lo = bp->psma_dlo = b;
+  bp->hi = bp->psma_dhi = e - 1;
   bp->psma_usable = true;
-  bp->psma_dlo = lo_idx;
-  bp->psma_dhi = hi_idx;
-  if (nullable && lo_idx == 0) *needs_null_filter = true;
-  return Translated::kKeep;
+  return Verdict::kSome;
 }
 
-Translated TranslateDoublePred(const DataBlock& block, uint32_t col,
-                               const Predicate& pred, BlockPred* bp,
-                               bool* needs_null_filter) {
-  const AttrMeta& m = block.attr(col);
-  const bool nullable = m.flags & AttrMeta::kHasNulls;
-  const double smin = block.sma_min_double(col);
-  const double smax = block.sma_max_double(col);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The codes of an IN list's values, ascending in value order and without
+/// duplicates: a contiguous run becomes a kRange whose PSMA deltas are
+/// code - `psma_base`, any other set a kInSet.
+Verdict LowerCodeList(std::vector<uint64_t> codes, uint64_t psma_base,
+                      BlockPred* bp) {
+  if (codes.empty()) return Verdict::kNone;
+  if (codes.back() - codes.front() + 1 == codes.size()) {
+    bp->kind = BlockPred::Kind::kRange;
+    bp->lo = codes.front();
+    bp->hi = codes.back();
+    bp->psma_usable = true;
+    bp->psma_dlo = bp->lo - psma_base;
+    bp->psma_dhi = bp->hi - psma_base;
+    return Verdict::kSome;
+  }
+  // kInSet searches bit patterns: negative raw values sort last.
+  std::sort(codes.begin(), codes.end());
+  bp->kind = BlockPred::Kind::kInSet;
+  bp->in_codes = std::move(codes);
+  return Verdict::kSome;
+}
 
-  if (pred.op == CompareOp::kIn) {
-    std::vector<double> vals;
-    for (const Value& v : pred.list) {
-      const double dv = ConstDouble(v);
-      if (dv < smin || dv > smax) continue;
-      if (Compression(m.compression) == Compression::kSingleValue) {
-        if (dv == smin) {
-          if (nullable) *needs_null_filter = true;
-          return Translated::kAll;
-        }
-        continue;
+/// Integer columns. Raw storage keeps the value (compared signed except for
+/// char(1)), truncation stores value - min, a dictionary the value's index.
+/// PSMA deltas are value - min, or the code for dictionaries.
+Verdict LowerInt(const Predicate& p, const ColumnSma& sma, Compression scheme,
+                 const DataBlock* block, BlockPred* bp) {
+  const bool dict = scheme == Compression::kDictionary;
+  const int64_t* d = dict ? block->int_dict(p.col) : nullptr;
+  const uint32_t count = dict ? block->attr(p.col).dict_count : 0;
+  const uint64_t base = scheme == Compression::kTruncation ? sma.min : 0;
+  const uint64_t psma_base = scheme == Compression::kRaw ? sma.min : 0;
+  bp->is_signed = scheme == Compression::kRaw && sma.type != TypeId::kChar1;
+  // The code of v, or `count` when the dictionary does not hold v.
+  auto code = [&](int64_t v) -> uint64_t {
+    if (!dict) return uint64_t(v) - base;
+    const int64_t* at = std::lower_bound(d, d + count, v);
+    return at != d + count && *at == v ? uint64_t(at - d) : count;
+  };
+  switch (p.op) {
+    case CompareOp::kNe:
+      bp->kind = BlockPred::Kind::kNe;
+      bp->ne = code(ConstInt(p.lo));
+      return dict && bp->ne == count ? Verdict::kAll : Verdict::kSome;
+    case CompareOp::kIn: {
+      std::vector<int64_t> vals;
+      for (const Value& c : p.list) vals.push_back(ConstInt(c));
+      std::sort(vals.begin(), vals.end());
+      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
+      std::vector<uint64_t> codes;
+      for (int64_t v : vals) {
+        if (v < sma.min || v > sma.max) continue;
+        if (const uint64_t c = code(v); !dict || c != count) codes.push_back(c);
       }
-      vals.push_back(dv);
+      if (dict && codes.size() == count) return Verdict::kAll;
+      return LowerCodeList(std::move(codes), psma_base, bp);
     }
-    if (vals.empty()) return Translated::kNone;
-    std::sort(vals.begin(), vals.end());
-    vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-    bp->col = col;
-    bp->is_double = true;
-    bp->width = 8;
-    if (vals.size() == 1) {
+    default: {
+      const IntRange r = IntRangeOf(p);
+      if (dict) {
+        return LowerCodeRange(
+            uint32_t(std::lower_bound(d, d + count, r.lo) - d),
+            uint32_t(std::upper_bound(d, d + count, r.hi) - d), count, bp);
+      }
+      const uint64_t lo = std::max(r.lo, sma.min);
+      const uint64_t hi = std::min(r.hi, sma.max);
       bp->kind = BlockPred::Kind::kRange;
-      bp->dlo = bp->dhi = vals[0];
-      if (nullable && vals[0] == 0) *needs_null_filter = true;
-      return Translated::kKeep;
+      bp->lo = lo - base;
+      bp->hi = hi - base;
+      bp->psma_usable = true;
+      bp->psma_dlo = lo - uint64_t(sma.min);
+      bp->psma_dhi = hi - uint64_t(sma.min);
+      return Verdict::kSome;
     }
-    bp->kind = BlockPred::Kind::kInSet;
-    if (nullable && std::binary_search(vals.begin(), vals.end(), 0.0))
-      *needs_null_filter = true;
-    bp->in_dbls = std::move(vals);
-    return Translated::kKeep;
   }
+}
 
-  if (pred.op == CompareOp::kNe) {
-    double v = ConstDouble(pred.lo);
-    if (nullable) *needs_null_filter = true;
-    if (Compression(m.compression) == Compression::kSingleValue)
-      return smin != v ? Translated::kAll : Translated::kNone;
-    if (v < smin || v > smax) return Translated::kAll;
-    bp->col = col;
-    bp->kind = BlockPred::Kind::kNe;
-    bp->is_double = true;
-    bp->dne = v;
-    bp->width = 8;
-    return Translated::kKeep;
-  }
-
-  double lo = -kInf, hi = kInf;
-  switch (pred.op) {
-    case CompareOp::kEq: lo = hi = ConstDouble(pred.lo); break;
-    case CompareOp::kLt:
-      hi = std::nextafter(ConstDouble(pred.lo), -kInf);
-      break;
-    case CompareOp::kLe: hi = ConstDouble(pred.lo); break;
-    case CompareOp::kGt:
-      lo = std::nextafter(ConstDouble(pred.lo), kInf);
-      break;
-    case CompareOp::kGe: lo = ConstDouble(pred.lo); break;
-    case CompareOp::kBetween:
-      lo = ConstDouble(pred.lo);
-      hi = ConstDouble(pred.hi);
-      break;
-    default: DB_CHECK(false);
-  }
-  if (lo > hi || hi < smin || lo > smax) return Translated::kNone;
-  if (Compression(m.compression) == Compression::kSingleValue)
-    return (smin >= lo && smin <= hi) ? Translated::kAll : Translated::kNone;
-  if (lo <= smin && hi >= smax) {
-    if (nullable) *needs_null_filter = true;
-    return Translated::kAll;
-  }
-  bp->col = col;
-  bp->kind = BlockPred::Kind::kRange;
+/// Double columns are stored raw.
+Verdict LowerDouble(const Predicate& p, const ColumnSma& sma, BlockPred* bp) {
   bp->is_double = true;
-  bp->dlo = std::max(lo, smin);
-  bp->dhi = std::min(hi, smax);
-  bp->width = 8;
-  if (nullable && bp->dlo <= 0 && 0 <= bp->dhi) *needs_null_filter = true;
-  return Translated::kKeep;
+  switch (p.op) {
+    case CompareOp::kNe:
+      bp->kind = BlockPred::Kind::kNe;
+      bp->dne = ConstDouble(p.lo);
+      return Verdict::kSome;
+    case CompareOp::kIn: {
+      std::vector<double> vals;
+      for (const Value& c : p.list) {
+        const double v = ConstDouble(c);
+        if (v >= sma.dmin() && v <= sma.dmax()) vals.push_back(v);
+      }
+      std::sort(vals.begin(), vals.end());
+      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
+      if (vals.size() == 1) {
+        bp->kind = BlockPred::Kind::kRange;
+        bp->dlo = bp->dhi = vals[0];
+      } else {
+        bp->kind = BlockPred::Kind::kInSet;
+        bp->in_dbls = std::move(vals);
+      }
+      return Verdict::kSome;
+    }
+    default: {
+      const Interval<double> r = DoubleRangeOf(p);
+      bp->kind = BlockPred::Kind::kRange;
+      bp->dlo = std::max(r.lo, sma.dmin());
+      bp->dhi = std::min(r.hi, sma.dmax());
+      return Verdict::kSome;
+    }
+  }
+}
+
+/// String columns are dictionary-compressed; the dictionary is
+/// order-preserving, so every restriction but Ne and IN is one code run.
+Verdict LowerString(const Predicate& p, const DataBlock& block,
+                    BlockPred* bp) {
+  const uint32_t count = block.attr(p.col).dict_count;
+  // First index whose entry, cut to `len` characters, sorts above s
+  // (`upper`) or at or above s.
+  auto bound = [&](std::string_view s, bool upper,
+                   size_t len = std::string_view::npos) {
+    uint32_t lo = 0, hi = count;
+    while (lo < hi) {
+      const uint32_t mid = (lo + hi) / 2;
+      const std::string_view e = block.dict_string(p.col, mid).substr(0, len);
+      if (upper ? e <= s : e < s) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+  };
+  auto code = [&](std::string_view s) {
+    const uint32_t i = bound(s, false);
+    return i < count && block.dict_string(p.col, i) == s ? i : count;
+  };
+  const std::string_view c =
+      p.op == CompareOp::kIn ? std::string_view() : p.lo.str();
+  switch (p.op) {
+    case CompareOp::kNe:
+      bp->kind = BlockPred::Kind::kNe;
+      bp->ne = code(c);
+      return bp->ne == count ? Verdict::kAll : Verdict::kSome;
+    case CompareOp::kIn: {
+      std::vector<uint64_t> codes;
+      for (const Value& v : p.list)
+        if (const uint32_t i = code(v.str()); i != count) codes.push_back(i);
+      std::sort(codes.begin(), codes.end());
+      codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+      if (codes.size() == count) return Verdict::kAll;
+      return LowerCodeList(std::move(codes), 0, bp);
+    }
+    case CompareOp::kPrefix:
+      return LowerCodeRange(bound(c, false, c.size()), bound(c, true, c.size()),
+                            count, bp);
+    case CompareOp::kEq:
+      return LowerCodeRange(bound(c, false), bound(c, true), count, bp);
+    case CompareOp::kLt: return LowerCodeRange(0, bound(c, false), count, bp);
+    case CompareOp::kLe: return LowerCodeRange(0, bound(c, true), count, bp);
+    case CompareOp::kGt: return LowerCodeRange(bound(c, true), count, count, bp);
+    case CompareOp::kGe:
+      return LowerCodeRange(bound(c, false), count, count, bp);
+    case CompareOp::kBetween:
+      return LowerCodeRange(bound(c, false), bound(p.hi.str(), true), count,
+                            bp);
+    default: DB_CHECK(false); return Verdict::kSome;
+  }
 }
 
 }  // namespace
+
+ColumnSma BlockSma(const DataBlock& block, uint32_t col) {
+  const AttrMeta& m = block.attr(col);
+  ColumnSma sma;
+  sma.type = TypeId(m.type);
+  sma.has_nulls = m.flags & AttrMeta::kHasNulls;
+  sma.all_null = m.flags & AttrMeta::kAllNull;
+  sma.single_value = Compression(m.compression) == Compression::kSingleValue;
+  sma.min = m.min_val;
+  sma.max = m.max_val;
+  if (sma.type == TypeId::kString && m.dict_count > 0) {
+    sma.min_str = block.dict_string(col, 0);
+    sma.max_str = block.dict_string(col, m.dict_count - 1);
+  }
+  return sma;
+}
+
+Verdict LowerPredicate(const Predicate& p, const ColumnSma& sma,
+                       Compression scheme, const DataBlock* block,
+                       BlockPred* bp) {
+  const Verdict v = JudgeSma(p, sma);
+  if (v != Verdict::kSome) return v;
+  bp->col = p.col;
+  bp->width = block != nullptr ? block->attr(p.col).code_width
+                               : TypeWidth(sma.type);
+  switch (p.op) {
+    case CompareOp::kIsNull: bp->kind = BlockPred::Kind::kIsNull; return v;
+    case CompareOp::kIsNotNull:
+      bp->kind = BlockPred::Kind::kIsNotNull;
+      return v;
+    default: break;
+  }
+  switch (sma.type) {
+    case TypeId::kString: return LowerString(p, *block, bp);
+    case TypeId::kDouble: return LowerDouble(p, sma, bp);
+    default: return LowerInt(p, sma, scheme, block, bp);
+  }
+}
 
 BlockScanPrep PrepareBlockScan(const DataBlock& block,
                                const std::vector<Predicate>& preds,
@@ -513,60 +233,21 @@ BlockScanPrep PrepareBlockScan(const DataBlock& block,
   prep.range_end = block.num_rows();
 
   for (const Predicate& p : preds) {
-    const AttrMeta& m = block.attr(p.col);
-    const bool nullable = m.flags & AttrMeta::kHasNulls;
-    const bool all_null = m.flags & AttrMeta::kAllNull;
-
-    if (p.op == CompareOp::kIsNull) {
-      if (all_null) continue;  // trivially true
-      if (!nullable) {
-        prep.skip = true;
-        return prep;
-      }
-      BlockPred bp;
-      bp.col = p.col;
-      bp.kind = BlockPred::Kind::kIsNull;
-      prep.preds.push_back(bp);
-      continue;
-    }
-    if (p.op == CompareOp::kIsNotNull) {
-      if (all_null) {
-        prep.skip = true;
-        return prep;
-      }
-      if (!nullable) continue;  // trivially true
-      BlockPred bp;
-      bp.col = p.col;
-      bp.kind = BlockPred::Kind::kIsNotNull;
-      prep.preds.push_back(bp);
-      continue;
-    }
-    if (all_null) {  // value predicates never match NULL
-      prep.skip = true;
-      return prep;
-    }
-
+    const ColumnSma sma = BlockSma(block, p.col);
     BlockPred bp;
-    bool needs_null_filter = false;
-    Translated t;
-    switch (TypeId(m.type)) {
-      case TypeId::kString:
-        t = TranslateStringPred(block, p.col, p, &bp, &needs_null_filter);
-        break;
-      case TypeId::kDouble:
-        t = TranslateDoublePred(block, p.col, p, &bp, &needs_null_filter);
-        break;
-      default:
-        t = TranslateIntPred(block, p.col, p, &bp, &needs_null_filter);
-        break;
-    }
-    if (t == Translated::kNone) {
+    const Verdict v = LowerPredicate(
+        p, sma, Compression(block.attr(p.col).compression), &block, &bp);
+    if (v == Verdict::kNone) {
       prep.skip = true;
       return prep;
     }
-    if (needs_null_filter) prep.null_filters.push_back(p.col);
-    if (t == Translated::kAll) continue;
-    prep.preds.push_back(bp);
+    // NULL rows store code 0 and may pass a value predicate's code test, or
+    // the predicate may be implied for every non-NULL row: filter them.
+    if (sma.has_nulls && p.op != CompareOp::kIsNull &&
+        p.op != CompareOp::kIsNotNull) {
+      prep.null_filters.push_back(p.col);
+    }
+    if (v == Verdict::kSome) prep.preds.push_back(std::move(bp));
   }
 
   // PSMA narrowing: probe each usable predicate's lookup table and
@@ -591,10 +272,9 @@ BlockScanPrep PrepareBlockScan(const DataBlock& block,
 
 namespace {
 
-uint32_t RunRangePred(const DataBlock& block, const BlockPred& bp,
-                      uint32_t from, uint32_t to, Isa isa, bool first,
-                      const uint32_t* pos, uint32_t n, uint32_t* out) {
-  const uint8_t* base = block.codes(bp.col);
+uint32_t RunRangePred(const uint8_t* base, const BlockPred& bp, uint32_t from,
+                      uint32_t to, Isa isa, bool first, const uint32_t* pos,
+                      uint32_t n, uint32_t* out) {
   if (bp.is_double) {
     const double* data = reinterpret_cast<const double*>(base);
     if (bp.kind == BlockPred::Kind::kNe) {
@@ -695,11 +375,9 @@ uint32_t RunRangePred(const DataBlock& block, const BlockPred& bp,
 /// Scalar membership filter for non-contiguous IN sets: reads each code (or
 /// raw value, sign-extended so bit patterns match the translated constants)
 /// and binary-searches the sorted set.
-uint32_t RunInSetPred(const DataBlock& block, const BlockPred& bp,
-                      uint32_t from, uint32_t to, bool first,
-                      const uint32_t* pos, uint32_t n, uint32_t* out) {
-  const uint8_t* base = block.codes(bp.col);
-  auto member = [&](uint32_t row) -> bool {
+uint32_t RunInSetPred(const uint8_t* base, const BlockPred& bp, uint32_t from,
+                      uint32_t to, bool first, uint32_t n, uint32_t* out) {
+  return SelectRows(first, from, to, n, out, [&](uint32_t row) {
     if (bp.is_double) {
       const double v = reinterpret_cast<const double*>(base)[row];
       return std::binary_search(bp.in_dbls.begin(), bp.in_dbls.end(), v);
@@ -717,24 +395,28 @@ uint32_t RunInSetPred(const DataBlock& block, const BlockPred& bp,
       default: c = reinterpret_cast<const uint64_t*>(base)[row]; break;
     }
     return std::binary_search(bp.in_codes.begin(), bp.in_codes.end(), c);
-  };
-  uint32_t* w = out;
-  if (first) {
-    for (uint32_t i = from; i < to; ++i) {
-      *w = i;
-      w += member(i);
-    }
-  } else {
-    for (uint32_t j = 0; j < n; ++j) {
-      uint32_t p = pos[j];
-      *w = p;
-      w += member(p);
-    }
-  }
-  return static_cast<uint32_t>(w - out);
+  });
 }
 
 }  // namespace
+
+uint32_t RunBlockPred(const BlockPred& bp, const uint8_t* data,
+                      const uint64_t* nulls, uint32_t from, uint32_t to,
+                      Isa isa, bool first, uint32_t n, uint32_t* out) {
+  switch (bp.kind) {
+    case BlockPred::Kind::kRange:
+    case BlockPred::Kind::kNe:
+      return RunRangePred(data, bp, from, to, isa, first, out, n, out);
+    case BlockPred::Kind::kInSet:
+      return RunInSetPred(data, bp, from, to, first, n, out);
+    default: {
+      const bool keep_set = bp.kind == BlockPred::Kind::kIsNull;
+      return SelectRows(first, from, to, n, out, [&](uint32_t row) {
+        return (nulls != nullptr && BitmapTest(nulls, row)) == keep_set;
+      });
+    }
+  }
+}
 
 uint32_t FilterPositionsByBitmap(const uint32_t* positions, uint32_t n,
                                  const uint64_t* bitmap, bool keep_set,
@@ -760,35 +442,11 @@ uint32_t FindMatchesInBlock(const DataBlock& block, const BlockScanPrep& prep,
   DB_DCHECK(!prep.skip);
   uint32_t n = 0;
   bool first = true;
-
   for (const BlockPred& bp : prep.preds) {
-    switch (bp.kind) {
-      case BlockPred::Kind::kRange:
-      case BlockPred::Kind::kNe:
-        n = RunRangePred(block, bp, from, to, isa, first, out, n, out);
-        break;
-      case BlockPred::Kind::kInSet:
-        n = RunInSetPred(block, bp, from, to, first, out, n, out);
-        break;
-      case BlockPred::Kind::kIsNull:
-      case BlockPred::Kind::kIsNotNull: {
-        const uint64_t* bitmap = block.null_bitmap(bp.col);
-        bool keep_set = bp.kind == BlockPred::Kind::kIsNull;
-        if (first) {
-          uint32_t* w = out;
-          for (uint32_t i = from; i < to; ++i) {
-            *w = i;
-            w += ((bitmap != nullptr && BitmapTest(bitmap, i)) == keep_set);
-          }
-          n = static_cast<uint32_t>(w - out);
-        } else {
-          n = FilterPositionsByBitmap(out, n, bitmap, keep_set, out);
-        }
-        break;
-      }
-    }
+    n = RunBlockPred(bp, block.codes(bp.col), block.null_bitmap(bp.col), from,
+                     to, isa, first, n, out);
     first = false;
-    if (n == 0 && !first) return 0;
+    if (n == 0) return 0;
   }
 
   if (first) {
@@ -797,8 +455,8 @@ uint32_t FindMatchesInBlock(const DataBlock& block, const BlockScanPrep& prep,
     n = to - from;
   }
 
-  // Remove NULL rows that survived range predicates (code 0 collisions) or
-  // predicates that became trivially true on a nullable column.
+  // Remove NULL rows that survived a code test (NULLs store code 0) or a
+  // predicate implied for every non-NULL row.
   for (uint32_t col : prep.null_filters) {
     n = FilterPositionsByBitmap(out, n, block.null_bitmap(col), false, out);
   }

@@ -13,7 +13,8 @@ namespace datablocks {
 
 /// A SARGable predicate translated into one block's compressed domain
 /// (Section 3.4: "restriction constants have to be converted into their
-/// compressed representation", done once per block).
+/// compressed representation", done once per block). Hot chunks use the
+/// same form for their uncompressed columns, lowered once per scan.
 struct BlockPred {
   enum class Kind : uint8_t {
     kRange,     // lo <= code <= hi in the (unsigned or signed) code domain
@@ -56,11 +57,56 @@ struct BlockScanPrep {
   }
 };
 
+/// The SMA of one block column; for strings its first and last dictionary
+/// entries.
+ColumnSma BlockSma(const DataBlock& block, uint32_t col);
+
+/// Lowers predicate p, after the shared SMA check (JudgeSma), into the
+/// domain of the codes that column p.col stores under `scheme`. `block`
+/// holds the column; it may be null for raw and truncated integers and raw
+/// doubles, which lower from `sma` alone. A hot chunk column lowers as a
+/// kRaw column whose SMA is its type's full domain. Returns kNone or kAll
+/// when the column rules p out or implies it (NULLs aside), else kSome with
+/// the residual predicate in *bp.
+Verdict LowerPredicate(const Predicate& p, const ColumnSma& sma,
+                       Compression scheme, const DataBlock* block,
+                       BlockPred* bp);
+
 /// Translates `preds` against `block`: applies SMA skipping, dictionary
 /// lookups and (optionally) PSMA range narrowing.
 BlockScanPrep PrepareBlockScan(const DataBlock& block,
                                const std::vector<Predicate>& preds,
                                bool use_psma);
+
+/// Keeps the rows for which keep(row) holds: rows [from, to) when `first`,
+/// else the n ascending positions already in `out`, filtered in place.
+/// Returns the new count.
+template <typename Keep>
+uint32_t SelectRows(bool first, uint32_t from, uint32_t to, uint32_t n,
+                    uint32_t* out, Keep keep) {
+  uint32_t* w = out;
+  if (first) {
+    for (uint32_t i = from; i < to; ++i) {
+      *w = i;
+      w += keep(i);
+    }
+  } else {
+    for (uint32_t j = 0; j < n; ++j) {
+      const uint32_t p = out[j];
+      *w = p;
+      w += keep(p);
+    }
+  }
+  return uint32_t(w - out);
+}
+
+/// Evaluates one lowered predicate with SelectRows semantics on a column
+/// whose code (or raw value) vector is `data` and NULL bitmap `nulls` (null
+/// when there is none): a frozen block's column or a hot chunk's. `out`
+/// must have room for (to - from) + 8 entries.
+uint32_t RunBlockPred(const BlockPred& bp, const uint8_t* data,
+                      const uint64_t* nulls, uint32_t from, uint32_t to,
+                      Isa isa, bool first, uint32_t n, uint32_t* out);
 
 /// Evaluates the residual predicates of `prep` on rows [from, to) of the
 /// block and writes matching positions to `out` (ascending). `out` must have

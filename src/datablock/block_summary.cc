@@ -1,217 +1,25 @@
 #include "datablock/block_summary.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
+#include "datablock/block_scan.h"
 #include "util/macros.h"
 
 namespace datablocks {
 
-namespace {
-
-constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
-constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
-
-int64_t ConstInt(const Value& v) {
-  DB_CHECK(!v.is_null());
-  return v.kind() == Value::Kind::kDouble ? int64_t(v.f64()) : v.i64();
+ColumnSma ColumnSummary::sma() const {
+  ColumnSma sma;
+  sma.type = TypeId(type);
+  sma.has_nulls = has_nulls();
+  sma.all_null = all_null();
+  sma.single_value = Compression(compression) == Compression::kSingleValue;
+  sma.min = min_val;
+  sma.max = max_val;
+  sma.min_str = min_str;
+  sma.max_str = max_str;
+  return sma;
 }
-
-double ConstDouble(const Value& v) {
-  DB_CHECK(!v.is_null());
-  return v.kind() == Value::Kind::kInt ? double(v.i64()) : v.f64();
-}
-
-struct IntRange {
-  int64_t lo, hi;
-  bool empty() const { return lo > hi; }
-};
-
-IntRange OpToRange(CompareOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case CompareOp::kEq: return {a, a};
-    case CompareOp::kLt:
-      return a == kI64Min ? IntRange{1, 0} : IntRange{kI64Min, a - 1};
-    case CompareOp::kLe: return {kI64Min, a};
-    case CompareOp::kGt:
-      return a == kI64Max ? IntRange{1, 0} : IntRange{a + 1, kI64Max};
-    case CompareOp::kGe: return {a, kI64Max};
-    case CompareOp::kBetween: return {a, b};
-    default: DB_CHECK(false); return {1, 0};
-  }
-}
-
-/// Outcome of translating one predicate against a column summary.
-enum class Verdict {
-  kNone,  // provably no matching row in the block -> skip
-  kPass,  // cannot rule the block out without its payload
-};
-
-/// `psma_range` is intersected with the PSMA probe result when the
-/// predicate is a residual range on a PSMA-indexed, delta-addressable
-/// column — mirroring the probe PrepareBlockScan would issue.
-Verdict JudgeIntPred(const ColumnSummary& cs, const Predicate& pred,
-                     bool use_psma, PsmaRange* psma_range) {
-  const Compression scheme = Compression(cs.compression);
-  const int64_t smin = cs.min_val, smax = cs.max_val;
-
-  if (pred.op == CompareOp::kNe) {
-    if (scheme == Compression::kSingleValue && smin == ConstInt(pred.lo))
-      return Verdict::kNone;
-    return Verdict::kPass;
-  }
-
-  if (pred.op == CompareOp::kIn) {
-    // Skip only when every list value provably misses: outside [min, max],
-    // or different from the single stored value. Dictionary misses inside
-    // the range need the payload, so they pass.
-    for (const Value& v : pred.list) {
-      const int64_t iv = ConstInt(v);
-      if (iv < smin || iv > smax) continue;
-      if (scheme == Compression::kSingleValue && iv != smin) continue;
-      return Verdict::kPass;
-    }
-    return Verdict::kNone;
-  }
-
-  IntRange r = OpToRange(pred.op, ConstInt(pred.lo),
-                         pred.op == CompareOp::kBetween ? ConstInt(pred.hi)
-                                                        : 0);
-  if (r.empty()) return Verdict::kNone;
-  if (r.hi < smin || r.lo > smax) return Verdict::kNone;  // SMA miss
-  if (scheme == Compression::kSingleValue) {
-    return (smin >= r.lo && smin <= r.hi) ? Verdict::kPass : Verdict::kNone;
-  }
-  if (r.lo <= smin && r.hi >= smax) return Verdict::kPass;  // range-covering
-
-  // Residual range: the PSMA probe is reproducible summary-only for
-  // truncation and raw integer storage (delta = value - min). Dictionary
-  // codes would need the dictionary, which lives in the payload.
-  if (use_psma && !cs.psma.empty() &&
-      (scheme == Compression::kTruncation || scheme == Compression::kRaw)) {
-    const uint64_t dlo = uint64_t(std::max(r.lo, smin)) - uint64_t(smin);
-    const uint64_t dhi = uint64_t(std::min(r.hi, smax)) - uint64_t(smin);
-    PsmaRange probe =
-        PsmaProbe(cs.psma.data(), uint32_t(cs.psma.size()), dlo, dhi);
-    psma_range->begin = std::max(psma_range->begin, probe.begin);
-    psma_range->end = std::min(psma_range->end, probe.end);
-  }
-  return Verdict::kPass;
-}
-
-Verdict JudgeStringPred(const ColumnSummary& cs, const Predicate& pred) {
-  const std::string& smin = cs.min_str;
-  const std::string& smax = cs.max_str;
-
-  if (Compression(cs.compression) == Compression::kSingleValue) {
-    const std::string& v = smin;
-    switch (pred.op) {
-      case CompareOp::kEq: return v == pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kNe: return v != pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kLt: return v < pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kLe: return v <= pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kGt: return v > pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kGe: return v >= pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-      case CompareOp::kBetween:
-        return (v >= pred.lo.str() && v <= pred.hi.str()) ? Verdict::kPass
-                                                          : Verdict::kNone;
-      case CompareOp::kIn:
-        for (const Value& c : pred.list)
-          if (v == c.str()) return Verdict::kPass;
-        return Verdict::kNone;
-      case CompareOp::kPrefix:
-        return v.compare(0, pred.lo.str().size(), pred.lo.str()) == 0
-                   ? Verdict::kPass
-                   : Verdict::kNone;
-      default: DB_CHECK(false); return Verdict::kPass;
-    }
-  }
-
-  switch (pred.op) {
-    case CompareOp::kEq:
-      if (pred.lo.str() < smin || pred.lo.str() > smax) return Verdict::kNone;
-      return Verdict::kPass;
-    case CompareOp::kNe:
-      return Verdict::kPass;
-    case CompareOp::kIn:
-      for (const Value& c : pred.list)
-        if (c.str() >= smin && c.str() <= smax) return Verdict::kPass;
-      return Verdict::kNone;
-    case CompareOp::kPrefix: {
-      // Matching strings sort in [p, successor(p)): skip when the whole
-      // block sorts below p, or when even the minimum's p-length prefix
-      // already sorts above p.
-      const std::string_view p = pred.lo.str();
-      if (smax < p) return Verdict::kNone;
-      if (std::string_view(smin).substr(0, p.size()) > p)
-        return Verdict::kNone;
-      return Verdict::kPass;
-    }
-    case CompareOp::kLt:
-      return smin < pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-    case CompareOp::kLe:
-      return smin <= pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-    case CompareOp::kGt:
-      return smax > pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-    case CompareOp::kGe:
-      return smax >= pred.lo.str() ? Verdict::kPass : Verdict::kNone;
-    case CompareOp::kBetween:
-      if (pred.lo.str() > pred.hi.str()) return Verdict::kNone;
-      if (pred.hi.str() < smin || pred.lo.str() > smax) return Verdict::kNone;
-      return Verdict::kPass;
-    default:
-      DB_CHECK(false);
-      return Verdict::kPass;
-  }
-}
-
-Verdict JudgeDoublePred(const ColumnSummary& cs, const Predicate& pred) {
-  const double smin = std::bit_cast<double>(cs.min_val);
-  const double smax = std::bit_cast<double>(cs.max_val);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  if (pred.op == CompareOp::kNe) {
-    if (Compression(cs.compression) == Compression::kSingleValue &&
-        smin == ConstDouble(pred.lo)) {
-      return Verdict::kNone;
-    }
-    return Verdict::kPass;
-  }
-
-  if (pred.op == CompareOp::kIn) {
-    const bool single =
-        Compression(cs.compression) == Compression::kSingleValue;
-    for (const Value& v : pred.list) {
-      const double dv = ConstDouble(v);
-      if (dv < smin || dv > smax) continue;
-      if (single && dv != smin) continue;
-      return Verdict::kPass;
-    }
-    return Verdict::kNone;
-  }
-
-  double lo = -kInf, hi = kInf;
-  switch (pred.op) {
-    case CompareOp::kEq: lo = hi = ConstDouble(pred.lo); break;
-    case CompareOp::kLt: hi = std::nextafter(ConstDouble(pred.lo), -kInf); break;
-    case CompareOp::kLe: hi = ConstDouble(pred.lo); break;
-    case CompareOp::kGt: lo = std::nextafter(ConstDouble(pred.lo), kInf); break;
-    case CompareOp::kGe: lo = ConstDouble(pred.lo); break;
-    case CompareOp::kBetween:
-      lo = ConstDouble(pred.lo);
-      hi = ConstDouble(pred.hi);
-      break;
-    default: DB_CHECK(false);
-  }
-  if (lo > hi || hi < smin || lo > smax) return Verdict::kNone;
-  if (Compression(cs.compression) == Compression::kSingleValue)
-    return (smin >= lo && smin <= hi) ? Verdict::kPass : Verdict::kNone;
-  return Verdict::kPass;
-}
-
-}  // namespace
 
 BlockSummary BlockSummary::Extract(const DataBlock& block, bool keep_psma) {
   BlockSummary s;
@@ -313,8 +121,10 @@ BlockSummary BlockSummary::FromBytes(const uint8_t* data, uint64_t size) {
     cs.max_str.assign(reinterpret_cast<const char*>(data + pos), max_len);
     pos += max_len;
     cs.psma.resize(psma_entries);
-    std::memcpy(cs.psma.data(), data + pos,
-                psma_entries * sizeof(PsmaEntry));
+    if (psma_entries > 0) {  // memcpy must not see the empty vector's null
+      std::memcpy(cs.psma.data(), data + pos,
+                  psma_entries * sizeof(PsmaEntry));
+    }
     pos += uint64_t(psma_entries) * sizeof(PsmaEntry);
   }
   DB_CHECK(pos == size);
@@ -326,47 +136,31 @@ SummaryScanPrep PrepareSummaryScan(const BlockSummary& summary,
                                    bool use_psma) {
   SummaryScanPrep prep;
   PsmaRange range{0, summary.row_count()};
-
   for (const Predicate& p : preds) {
     DB_CHECK(p.col < summary.num_columns());
     const ColumnSummary& cs = summary.col(p.col);
-
-    if (p.op == CompareOp::kIsNull) {
-      if (cs.all_null()) continue;  // trivially true
-      if (!cs.has_nulls()) {
-        prep.skip = true;
-        return prep;
-      }
-      continue;  // needs the NULL bitmap -> undecidable here
-    }
-    if (p.op == CompareOp::kIsNotNull) {
-      if (cs.all_null()) {
-        prep.skip = true;
-        return prep;
-      }
-      continue;
-    }
-    if (cs.all_null()) {  // value predicates never match NULL
-      prep.skip = true;
-      return prep;
-    }
-
-    Verdict v;
-    switch (TypeId(cs.type)) {
-      case TypeId::kString:
-        v = JudgeStringPred(cs, p);
-        break;
-      case TypeId::kDouble:
-        v = JudgeDoublePred(cs, p);
-        break;
-      default:
-        v = JudgeIntPred(cs, p, use_psma, &range);
-        break;
-    }
+    const ColumnSma sma = cs.sma();
+    const Compression scheme = Compression(cs.compression);
+    // Raw and truncated integers lower without the payload, so the summary
+    // reproduces the block's own PSMA probe; dictionaries need the payload.
+    const bool lowers = IsIntegerLike(sma.type) &&
+                        (scheme == Compression::kRaw ||
+                         scheme == Compression::kTruncation);
+    BlockPred bp;
+    const Verdict v = lowers ? LowerPredicate(p, sma, scheme, nullptr, &bp)
+                             : JudgeSma(p, sma);
     if (v == Verdict::kNone) {
       prep.skip = true;
       return prep;
     }
+    if (v != Verdict::kSome || !use_psma || cs.psma.empty() ||
+        bp.kind != BlockPred::Kind::kRange || !bp.psma_usable) {
+      continue;
+    }
+    const PsmaRange probe = PsmaProbe(cs.psma.data(), uint32_t(cs.psma.size()),
+                                      bp.psma_dlo, bp.psma_dhi);
+    range.begin = std::max(range.begin, probe.begin);
+    range.end = std::min(range.end, probe.end);
     if (range.empty()) {  // intersected PSMA probe ranges are empty
       prep.skip = true;
       return prep;

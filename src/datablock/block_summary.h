@@ -32,6 +32,8 @@ struct ColumnSummary {
 
   bool has_nulls() const { return flags & AttrMeta::kHasNulls; }
   bool all_null() const { return flags & AttrMeta::kAllNull; }
+  /// The same SMA that BlockSma reads from the block itself.
+  ColumnSma sma() const;
 };
 
 /// A compact, always-resident summary of one frozen Data Block (paper
@@ -79,10 +81,13 @@ struct SummaryScanPrep {
 };
 
 /// Summary-only SMA (and optionally PSMA) pruning: the evicted-block
-/// counterpart of PrepareBlockScan. Conservative by construction — it only
-/// ever skips on evidence that is identical to what the full translation
-/// would derive (SMA range misses, single-value misses, NULL-bitmap
-/// contradictions, empty PSMA probe ranges).
+/// counterpart of PrepareBlockScan. Why a summary skip is a block skip: the
+/// summary holds the block's own SMA (ColumnSummary::sma() equals
+/// BlockSma()) and PSMA tables, both paths judge the SMA with the one
+/// JudgeSma, and the PSMA probe of a raw or truncated integer column comes
+/// from the one LowerPredicate. So every reason to skip here is one that
+/// PrepareBlockScan also finds; the block path only adds reasons that need
+/// the payload (dictionary misses, PSMA probes in dictionary codes).
 SummaryScanPrep PrepareSummaryScan(const BlockSummary& summary,
                                    const std::vector<Predicate>& preds,
                                    bool use_psma);

@@ -22,8 +22,8 @@ namespace datablocks {
 /// model behind HyPer's 64-thread Table 2 numbers): a fixed set of worker
 /// threads, each with its own task queue, stealing from siblings when their
 /// own queue drains. Query pipelines submit coarse tasks (one per
-/// parallelism slot) whose inner loop claims chunk-ranges as morsels from a
-/// MorselDispatcher; the lifecycle manager can register periodic ticks so
+/// parallelism slot) whose inner loop claims chunks as morsels from a
+/// NodeMorselDispatcher; the lifecycle manager can register periodic ticks so
 /// background freezing/compaction shares the same threads instead of owning
 /// one per table.
 ///
@@ -277,43 +277,16 @@ class TaskGroup {
   std::shared_ptr<State> state_;
 };
 
-/// Hands out [0, total) as contiguous ranges of `morsel_size` with one
-/// atomic add per claim — the shared work list of one parallel pipeline.
-/// Workers that finish their morsel early simply claim the next one, which
-/// is what balances skew (a worker stuck on an expensive chunk claims
-/// fewer morsels).
-class MorselDispatcher {
- public:
-  MorselDispatcher(size_t total, size_t morsel_size = 1)
-      : total_(total), morsel_(morsel_size == 0 ? 1 : morsel_size) {}
-
-  /// Claims the next morsel into [*begin, *end); false when exhausted.
-  bool Next(size_t* begin, size_t* end) {
-    size_t b = next_.fetch_add(morsel_, std::memory_order_relaxed);
-    if (b >= total_) return false;
-    *begin = b;
-    *end = b + morsel_ < total_ ? b + morsel_ : total_;
-    return true;
-  }
-
-  size_t total() const { return total_; }
-  size_t morsel_size() const { return morsel_; }
-
- private:
-  std::atomic<size_t> next_{0};
-  size_t total_;
-  size_t morsel_;
-};
-
-/// NUMA-aware variant of MorselDispatcher: chunk indexes are grouped by
-/// their home node (Table::chunk_node) and Next(node, ...) drains the
-/// requester's own group before stealing from remote groups — locality
-/// first, load balance second (an idle worker never starves while remote
-/// work remains). Claims from a *known* remote node are counted on the
+/// The shared work list of one parallel pipeline: hands out chunk indexes
+/// as single-chunk morsels, one atomic add per claim, so a worker that
+/// finishes early simply claims the next chunk (which is what balances
+/// skew). Chunks are grouped by their home node (Table::chunk_node) and
+/// Next(node, ...) drains the requester's own group before stealing from
+/// remote groups — locality first, load balance second (an idle worker
+/// never starves while remote work remains). Claims from a *known* remote node are counted on the
 /// instance and on the process-wide `scheduler.morsels_remote` counter;
 /// chunks with unknown homes (-1) and requesters with unknown nodes are
-/// always "local" (there is nothing to miss). Morsels are single chunks,
-/// matching MorselDispatcher's default granularity.
+/// always "local" (there is nothing to miss).
 class NodeMorselDispatcher {
  public:
   /// nodes[i] = home node of chunk i, -1 unknown. Grouping cost is one
@@ -349,7 +322,7 @@ class NodeMorselDispatcher {
 
 /// Runs `worker(slot)` on `slots` parallelism slots — slot 0 on the calling
 /// thread, the rest as pool tasks — and returns when all of them finished.
-/// The canonical body claims morsels from a shared MorselDispatcher and
+/// The canonical body claims morsels from a shared NodeMorselDispatcher and
 /// accumulates into a per-slot state that the caller merges afterwards in
 /// slot order (making the merged result independent of which worker claimed
 /// which morsel).

@@ -1,8 +1,6 @@
 #include "exec/table_scanner.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 #include "util/bits.h"
@@ -44,275 +42,52 @@ const char* ScanModeName(ScanMode mode) {
     case ScanMode::kVectorizedSarg: return "Vectorized+SARG";
     case ScanMode::kDataBlocks: return "DataBlocks+SARG/SMA";
     case ScanMode::kDataBlocksPsma: return "DataBlocks+PSMA";
-    case ScanMode::kDecompressAll: return "DecompressAll";
   }
   return "?";
 }
 
 namespace {
 
-constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
-constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
-
-int64_t ConstInt(const Value& v) {
-  return v.kind() == Value::Kind::kDouble ? int64_t(v.f64()) : v.i64();
-}
-double ConstDouble(const Value& v) {
-  return v.kind() == Value::Kind::kInt ? double(v.i64()) : v.f64();
-}
-
-/// Scalar evaluation of one predicate against a typed value; used by the
-/// tuple-at-a-time paths.
-bool EvalInt(CompareOp op, int64_t v, const Predicate& p) {
-  switch (op) {
-    case CompareOp::kEq: return v == ConstInt(p.lo);
-    case CompareOp::kNe: return v != ConstInt(p.lo);
-    case CompareOp::kLt: return v < ConstInt(p.lo);
-    case CompareOp::kLe: return v <= ConstInt(p.lo);
-    case CompareOp::kGt: return v > ConstInt(p.lo);
-    case CompareOp::kGe: return v >= ConstInt(p.lo);
-    case CompareOp::kBetween:
-      return v >= ConstInt(p.lo) && v <= ConstInt(p.hi);
-    case CompareOp::kIn:
-      for (const Value& c : p.list)
-        if (v == ConstInt(c)) return true;
-      return false;
-    default: return false;
-  }
-}
-
-bool EvalDouble(CompareOp op, double v, const Predicate& p) {
-  switch (op) {
-    case CompareOp::kEq: return v == ConstDouble(p.lo);
-    case CompareOp::kNe: return v != ConstDouble(p.lo);
-    case CompareOp::kLt: return v < ConstDouble(p.lo);
-    case CompareOp::kLe: return v <= ConstDouble(p.lo);
-    case CompareOp::kGt: return v > ConstDouble(p.lo);
-    case CompareOp::kGe: return v >= ConstDouble(p.lo);
-    case CompareOp::kBetween:
-      return v >= ConstDouble(p.lo) && v <= ConstDouble(p.hi);
-    case CompareOp::kIn:
-      for (const Value& c : p.list)
-        if (v == ConstDouble(c)) return true;
-      return false;
-    default: return false;
-  }
-}
-
-bool EvalString(CompareOp op, std::string_view v, const Predicate& p) {
-  switch (op) {
-    case CompareOp::kEq: return v == p.lo.str();
-    case CompareOp::kNe: return v != p.lo.str();
-    case CompareOp::kLt: return v < p.lo.str();
-    case CompareOp::kLe: return v <= p.lo.str();
-    case CompareOp::kGt: return v > p.lo.str();
-    case CompareOp::kGe: return v >= p.lo.str();
-    case CompareOp::kBetween: return v >= p.lo.str() && v <= p.hi.str();
-    case CompareOp::kIn:
-      for (const Value& c : p.list)
-        if (v == c.str()) return true;
-      return false;
-    case CompareOp::kPrefix:
-      return v.substr(0, p.lo.str().size()) == p.lo.str();
-    default: return false;
-  }
-}
-
-struct IntRange {
-  int64_t lo, hi;
-  bool empty() const { return lo > hi; }
-};
-
-IntRange OpToRange(CompareOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case CompareOp::kEq: return {a, a};
-    case CompareOp::kLt:
-      return a == kI64Min ? IntRange{1, 0} : IntRange{kI64Min, a - 1};
-    case CompareOp::kLe: return {kI64Min, a};
-    case CompareOp::kGt:
-      return a == kI64Max ? IntRange{1, 0} : IntRange{a + 1, kI64Max};
-    case CompareOp::kGe: return {a, kI64Max};
-    case CompareOp::kBetween: return {a, b};
-    default: return {1, 0};
-  }
-}
-
-/// SIMD (or scalar-fallback) evaluation of one predicate on a window of an
-/// uncompressed chunk. Returns the new match count.
-uint32_t RunHotPred(const Chunk& chunk, const Predicate& pred, TypeId type,
-                    uint32_t from, uint32_t to, Isa isa, bool first,
-                    uint32_t* buf, uint32_t n) {
-  const uint8_t* data = chunk.column_data(pred.col);
-
-  // NULL bitmap predicates.
-  if (pred.op == CompareOp::kIsNull || pred.op == CompareOp::kIsNotNull) {
-    const uint64_t* bitmap = chunk.null_bitmap(pred.col);
-    bool keep_set = pred.op == CompareOp::kIsNull;
-    if (first) {
-      uint32_t* w = buf;
-      for (uint32_t i = from; i < to; ++i) {
-        *w = i;
-        w += ((bitmap != nullptr && BitmapTest(bitmap, i)) == keep_set);
-      }
-      return uint32_t(w - buf);
-    }
-    return FilterPositionsByBitmap(buf, n, bitmap, keep_set, buf);
-  }
-
-  // IN / prefix restrictions have no SIMD kernel on uncompressed data;
-  // evaluate them scalar per row (frozen blocks translate them to code
-  // ranges or code sets instead).
-  if (pred.op == CompareOp::kIn || pred.op == CompareOp::kPrefix) {
-    auto eval = [&](uint32_t row) -> bool {
-      switch (type) {
-        case TypeId::kString:
-          return EvalString(pred.op, chunk.GetString(pred.col, row), pred);
-        case TypeId::kDouble:
-          return EvalDouble(pred.op,
-                            reinterpret_cast<const double*>(data)[row], pred);
-        case TypeId::kInt64:
-          return EvalInt(pred.op,
-                         reinterpret_cast<const int64_t*>(data)[row], pred);
-        case TypeId::kChar1:
-          return EvalInt(pred.op,
-                         reinterpret_cast<const uint32_t*>(data)[row], pred);
-        default:
-          return EvalInt(pred.op,
-                         reinterpret_cast<const int32_t*>(data)[row], pred);
-      }
-    };
-    uint32_t* w = buf;
-    if (first) {
-      for (uint32_t i = from; i < to; ++i) {
-        *w = i;
-        w += eval(i);
-      }
-    } else {
-      for (uint32_t j = 0; j < n; ++j) {
-        uint32_t p = buf[j];
-        *w = p;
-        w += eval(p);
-      }
-    }
-    return uint32_t(w - buf);
-  }
-
+/// One value predicate on one row of a hot chunk or a frozen block.
+bool EvalValue(const Predicate& p, TypeId type, const Chunk& chunk,
+               uint32_t row) {
+  const uint8_t* d = chunk.column_data(p.col);
   switch (type) {
-    case TypeId::kString: {
-      uint32_t* w = buf;
-      if (first) {
-        for (uint32_t i = from; i < to; ++i) {
-          *w = i;
-          w += EvalString(pred.op, chunk.GetString(pred.col, i), pred);
-        }
-      } else {
-        for (uint32_t j = 0; j < n; ++j) {
-          uint32_t p = buf[j];
-          *w = p;
-          w += EvalString(pred.op, chunk.GetString(pred.col, p), pred);
-        }
-      }
-      return uint32_t(w - buf);
-    }
-    case TypeId::kDouble: {
-      const double* d = reinterpret_cast<const double*>(data);
-      constexpr double kInf = std::numeric_limits<double>::infinity();
-      if (pred.op == CompareOp::kNe) {
-        return first ? FindMatchesNeF64(d, from, to, ConstDouble(pred.lo), buf)
-                     : ReduceMatchesNeF64(d, buf, n, ConstDouble(pred.lo),
-                                          buf);
-      }
-      double lo = -kInf, hi = kInf;
-      switch (pred.op) {
-        case CompareOp::kEq: lo = hi = ConstDouble(pred.lo); break;
-        case CompareOp::kLt: hi = std::nextafter(ConstDouble(pred.lo), -kInf); break;
-        case CompareOp::kLe: hi = ConstDouble(pred.lo); break;
-        case CompareOp::kGt: lo = std::nextafter(ConstDouble(pred.lo), kInf); break;
-        case CompareOp::kGe: lo = ConstDouble(pred.lo); break;
-        case CompareOp::kBetween:
-          lo = ConstDouble(pred.lo);
-          hi = ConstDouble(pred.hi);
-          break;
-        default: break;
-      }
-      return first ? FindMatchesBetweenF64(d, from, to, lo, hi, buf)
-                   : ReduceMatchesBetweenF64(d, buf, n, lo, hi, buf);
-    }
-    default: {
-      // Integer-like.
-      if (pred.op == CompareOp::kNe) {
-        int64_t v = ConstInt(pred.lo);
-        switch (type) {
-          case TypeId::kInt32:
-          case TypeId::kDate: {
-            const int32_t* d = reinterpret_cast<const int32_t*>(data);
-            if (v < INT32_MIN || v > INT32_MAX) {
-              // Everything differs: keep all (null filtering happens later).
-              if (first) {
-                uint32_t* w = buf;
-                for (uint32_t i = from; i < to; ++i) *w++ = i;
-                return uint32_t(w - buf);
-              }
-              return n;
-            }
-            return first ? FindMatchesNe<int32_t>(d, from, to, int32_t(v),
-                                                  isa, buf)
-                         : ReduceMatchesNe<int32_t>(d, buf, n, int32_t(v),
-                                                    isa, buf);
-          }
-          case TypeId::kChar1: {
-            const uint32_t* d = reinterpret_cast<const uint32_t*>(data);
-            return first ? FindMatchesNe<uint32_t>(d, from, to, uint32_t(v),
-                                                   isa, buf)
-                         : ReduceMatchesNe<uint32_t>(d, buf, n, uint32_t(v),
-                                                     isa, buf);
-          }
-          default: {
-            const int64_t* d = reinterpret_cast<const int64_t*>(data);
-            return first ? FindMatchesNe<int64_t>(d, from, to, v, isa, buf)
-                         : ReduceMatchesNe<int64_t>(d, buf, n, v, isa, buf);
-          }
-        }
-      }
-      IntRange r = OpToRange(pred.op, ConstInt(pred.lo),
-                             pred.op == CompareOp::kBetween
-                                 ? ConstInt(pred.hi)
-                                 : 0);
-      if (r.empty()) return 0;
-      switch (type) {
-        case TypeId::kInt32:
-        case TypeId::kDate: {
-          if (r.hi < INT32_MIN || r.lo > INT32_MAX) return 0;
-          int32_t lo = int32_t(std::max<int64_t>(r.lo, INT32_MIN));
-          int32_t hi = int32_t(std::min<int64_t>(r.hi, INT32_MAX));
-          const int32_t* d = reinterpret_cast<const int32_t*>(data);
-          return first
-                     ? FindMatchesBetween<int32_t>(d, from, to, lo, hi, isa,
-                                                   buf)
-                     : ReduceMatchesBetween<int32_t>(d, buf, n, lo, hi, isa,
-                                                     buf);
-        }
-        case TypeId::kChar1: {
-          if (r.hi < 0 || r.lo > int64_t(UINT32_MAX)) return 0;
-          uint32_t lo = uint32_t(std::max<int64_t>(r.lo, 0));
-          uint32_t hi = uint32_t(std::min<int64_t>(r.hi, int64_t(UINT32_MAX)));
-          const uint32_t* d = reinterpret_cast<const uint32_t*>(data);
-          return first
-                     ? FindMatchesBetween<uint32_t>(d, from, to, lo, hi, isa,
-                                                    buf)
-                     : ReduceMatchesBetween<uint32_t>(d, buf, n, lo, hi, isa,
-                                                      buf);
-        }
-        default: {
-          const int64_t* d = reinterpret_cast<const int64_t*>(data);
-          return first ? FindMatchesBetween<int64_t>(d, from, to, r.lo, r.hi,
-                                                     isa, buf)
-                       : ReduceMatchesBetween<int64_t>(d, buf, n, r.lo, r.hi,
-                                                       isa, buf);
-        }
-      }
+    case TypeId::kString: return EvalString(p, chunk.GetString(p.col, row));
+    case TypeId::kDouble:
+      return EvalDouble(p, reinterpret_cast<const double*>(d)[row]);
+    case TypeId::kInt64:
+      return EvalInt(p, reinterpret_cast<const int64_t*>(d)[row]);
+    case TypeId::kChar1:
+      return EvalInt(p, reinterpret_cast<const uint32_t*>(d)[row]);
+    default: return EvalInt(p, reinterpret_cast<const int32_t*>(d)[row]);
+  }
+}
+
+bool EvalValue(const Predicate& p, TypeId type, const DataBlock& block,
+               uint32_t row) {
+  switch (type) {
+    case TypeId::kString:
+      return EvalString(p, block.GetStringView(p.col, row));
+    case TypeId::kDouble: return EvalDouble(p, block.GetDouble(p.col, row));
+    default: return EvalInt(p, block.GetInt(p.col, row));
+  }
+}
+
+/// Tuple-at-a-time evaluation of every predicate on one row of `src`, a
+/// Chunk or a DataBlock (the kJit and kVectorized paths).
+template <typename Source>
+bool RowMatches(const std::vector<Predicate>& preds, const Schema& schema,
+                const Source& src, uint32_t row) {
+  for (const Predicate& p : preds) {
+    const bool is_null = src.IsNull(p.col, row);
+    if (p.op == CompareOp::kIsNull || p.op == CompareOp::kIsNotNull) {
+      if (is_null != (p.op == CompareOp::kIsNull)) return false;
+    } else if (is_null || !EvalValue(p, schema.type(p.col), src, row)) {
+      return false;
     }
   }
+  return true;
 }
 
 }  // namespace
@@ -328,6 +103,26 @@ TableScanner::TableScanner(const Table& table, std::vector<uint32_t> columns,
       isa_(isa) {
   DB_CHECK(vector_size_ > 0);
   positions_.resize(vector_size_ + 8);
+  // Hot chunks are raw storage: each predicate is lowered once, as for a
+  // kRaw block column whose SMA is its type's full domain. String value
+  // predicates stay scalar.
+  const Schema& schema = table.schema();
+  for (const Predicate& p : predicates_) {
+    HotPred h;
+    h.lowered.col = p.col;
+    const TypeId type = schema.type(p.col);
+    if (type == TypeId::kString && p.op != CompareOp::kIsNull &&
+        p.op != CompareOp::kIsNotNull) {
+      h.scalar = &p;
+    } else {
+      const Verdict v = LowerPredicate(
+          p, ColumnSma::FullDomain(type, schema.column(p.col).nullable),
+          Compression::kRaw, nullptr, &h.lowered);
+      hot_empty_ |= v == Verdict::kNone;
+      if (v != Verdict::kSome) continue;
+    }
+    hot_preds_.push_back(std::move(h));
+  }
 }
 
 TableScanner::~TableScanner() { ReleasePin(); }
@@ -455,7 +250,6 @@ void TableScanner::PrepareChunk() {
     switch (mode_) {
       case ScanMode::kJit:
       case ScanMode::kVectorized:
-      case ScanMode::kDecompressAll:
         break;  // no early filtering on these paths
       case ScanMode::kVectorizedSarg:
       case ScanMode::kDataBlocks:
@@ -520,82 +314,6 @@ bool TableScanner::Next(Batch* batch) {
     }
   }
   return false;
-}
-
-bool TableScanner::EvalPredsOnChunkRow(const Chunk& chunk,
-                                       uint32_t row) const {
-  const Schema& schema = table_->schema();
-  for (const Predicate& p : predicates_) {
-    if (p.op == CompareOp::kIsNull) {
-      if (!chunk.IsNull(p.col, row)) return false;
-      continue;
-    }
-    if (p.op == CompareOp::kIsNotNull) {
-      if (chunk.IsNull(p.col, row)) return false;
-      continue;
-    }
-    if (chunk.IsNull(p.col, row)) return false;
-    switch (schema.type(p.col)) {
-      case TypeId::kString:
-        if (!EvalString(p.op, chunk.GetString(p.col, row), p)) return false;
-        break;
-      case TypeId::kDouble: {
-        double v =
-            reinterpret_cast<const double*>(chunk.column_data(p.col))[row];
-        if (!EvalDouble(p.op, v, p)) return false;
-        break;
-      }
-      case TypeId::kInt32:
-      case TypeId::kDate: {
-        int64_t v =
-            reinterpret_cast<const int32_t*>(chunk.column_data(p.col))[row];
-        if (!EvalInt(p.op, v, p)) return false;
-        break;
-      }
-      case TypeId::kChar1: {
-        int64_t v =
-            reinterpret_cast<const uint32_t*>(chunk.column_data(p.col))[row];
-        if (!EvalInt(p.op, v, p)) return false;
-        break;
-      }
-      case TypeId::kInt64: {
-        int64_t v =
-            reinterpret_cast<const int64_t*>(chunk.column_data(p.col))[row];
-        if (!EvalInt(p.op, v, p)) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-bool TableScanner::EvalPredsOnBlockRow(const DataBlock& block,
-                                       uint32_t row) const {
-  for (const Predicate& p : predicates_) {
-    bool is_null = block.IsNull(p.col, row);
-    if (p.op == CompareOp::kIsNull) {
-      if (!is_null) return false;
-      continue;
-    }
-    if (p.op == CompareOp::kIsNotNull) {
-      if (is_null) return false;
-      continue;
-    }
-    if (is_null) return false;
-    switch (block.type(p.col)) {
-      case TypeId::kString:
-        if (!EvalString(p.op, block.GetStringView(p.col, row), p))
-          return false;
-        break;
-      case TypeId::kDouble:
-        if (!EvalDouble(p.op, block.GetDouble(p.col, row), p)) return false;
-        break;
-      default:
-        if (!EvalInt(p.op, block.GetInt(p.col, row), p)) return false;
-        break;
-    }
-  }
-  return true;
 }
 
 void TableScanner::AppendChunkRow(const Chunk& chunk, uint32_t row,
@@ -713,14 +431,14 @@ uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
     uint32_t produced = 0;
     for (uint32_t row = from; row < to; ++row) {
       if (deleted != nullptr && BitmapTest(deleted, row)) continue;
-      if (!EvalPredsOnChunkRow(chunk, row)) continue;
+      if (!RowMatches(predicates_, table_->schema(), chunk, row)) continue;
       AppendChunkRow(chunk, row, batch);
       ++produced;
     }
     return produced;
   }
 
-  if (mode_ == ScanMode::kVectorized || mode_ == ScanMode::kDecompressAll) {
+  if (mode_ == ScanMode::kVectorized) {
     // Copy the full vector range first, evaluate predicates afterwards
     // tuple-at-a-time (predicates stay "in the pipeline").
     uint32_t window = to - from;
@@ -733,7 +451,7 @@ uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
     for (uint32_t i = 0; i < window; ++i) {
       uint32_t row = from + i;
       if (deleted != nullptr && BitmapTest(deleted, row)) continue;
-      if (!EvalPredsOnChunkRow(chunk, row)) continue;
+      if (!RowMatches(predicates_, table_->schema(), chunk, row)) continue;
       keep.push_back(i);
     }
     if (keep.size() != window) {
@@ -743,33 +461,39 @@ uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
     return uint32_t(keep.size());
   }
 
-  // SARG pushdown on uncompressed data: SIMD find/reduce, then gather.
+  // SARG pushdown on uncompressed data: the block kernels, then gather.
+  if (hot_empty_) return 0;
   positions_.resize(std::max<size_t>(positions_.size(), (to - from) + 8));
+  uint32_t* pos = positions_.data();
   uint32_t n = 0;
   bool first = true;
-  for (const Predicate& p : predicates_) {
-    n = RunHotPred(chunk, p, table_->schema().type(p.col), from, to, isa_,
-                   first, positions_.data(), n);
+  for (const HotPred& h : hot_preds_) {
+    const uint32_t col = h.lowered.col;
+    n = h.scalar != nullptr
+            ? SelectRows(first, from, to, n, pos,
+                         [&](uint32_t row) {
+                           return EvalString(*h.scalar,
+                                             chunk.GetString(col, row));
+                         })
+            : RunBlockPred(h.lowered, chunk.column_data(col),
+                           chunk.null_bitmap(col), from, to, isa_, first, n,
+                           pos);
     first = false;
     if (n == 0) return 0;
   }
   if (first) {
     n = to - from;
-    for (uint32_t i = 0; i < n; ++i) positions_[i] = from + i;
+    for (uint32_t i = 0; i < n; ++i) pos[i] = from + i;
   }
   // Drop NULLs that slipped through value predicates (stored payload is 0).
   for (const Predicate& p : predicates_) {
     if (p.op == CompareOp::kIsNull || p.op == CompareOp::kIsNotNull) continue;
     if (!chunk.has_nulls(p.col)) continue;
-    n = FilterPositionsByBitmap(positions_.data(), n, chunk.null_bitmap(p.col),
-                                false, positions_.data());
+    n = FilterPositionsByBitmap(pos, n, chunk.null_bitmap(p.col), false, pos);
   }
-  if (deleted != nullptr) {
-    n = FilterPositionsByBitmap(positions_.data(), n, deleted, false,
-                                positions_.data());
-  }
+  if (deleted != nullptr) n = FilterPositionsByBitmap(pos, n, deleted, false, pos);
   if (n == 0) return 0;
-  GatherFromChunk(chunk, positions_.data(), n, batch);
+  GatherFromChunk(chunk, pos, n, batch);
   return n;
 }
 
@@ -779,7 +503,7 @@ uint32_t TableScanner::ProduceFrozenJit(const DataBlock& block, uint32_t from,
   uint32_t produced = 0;
   for (uint32_t row = from; row < to; ++row) {
     if (deleted != nullptr && BitmapTest(deleted, row)) continue;
-    if (!EvalPredsOnBlockRow(block, row)) continue;
+    if (!RowMatches(predicates_, table_->schema(), block, row)) continue;
     AppendBlockRow(block, row, batch);
     ++produced;
   }
@@ -802,7 +526,7 @@ uint32_t TableScanner::ProduceFrozenDecompressAll(const DataBlock& block,
   for (uint32_t i = 0; i < window; ++i) {
     uint32_t row = from + i;
     if (deleted != nullptr && BitmapTest(deleted, row)) continue;
-    if (!EvalPredsOnBlockRow(block, row)) continue;
+    if (!RowMatches(predicates_, table_->schema(), block, row)) continue;
     keep.push_back(i);
   }
   if (keep.size() != window) {
@@ -816,7 +540,7 @@ uint32_t TableScanner::ProduceFrozenWindow(const DataBlock& block,
                                            uint32_t from, uint32_t to,
                                            Batch* batch) {
   if (mode_ == ScanMode::kJit) return ProduceFrozenJit(block, from, to, batch);
-  if (mode_ == ScanMode::kVectorized || mode_ == ScanMode::kDecompressAll)
+  if (mode_ == ScanMode::kVectorized)
     return ProduceFrozenDecompressAll(block, from, to, batch);
 
   const uint64_t* deleted = table_->delete_bitmap(chunk_idx_);

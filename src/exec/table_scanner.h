@@ -17,21 +17,20 @@ namespace datablocks {
 ///                     inside the fused loop (what HyPer's LLVM pipeline
 ///                     emits; here: pre-compiled fused scalar code).
 ///  - kVectorized:     interpreted vectorized scan *without* SARG pushdown —
-///                     vectors are copied, predicates run in the pipeline.
+///                     vectors are copied (frozen blocks: decompressed in
+///                     full, the Vectorwise-style baseline), predicates run
+///                     in the pipeline.
 ///  - kVectorizedSarg: vectorized scan with SARGable predicates pushed down,
 ///                     evaluated with SIMD on uncompressed data (+SARG).
 ///  - kDataBlocks:     vectorized scan on compressed Data Blocks with SARG
 ///                     pushdown and SMA block skipping (+SARG/SMA).
 ///  - kDataBlocksPsma: kDataBlocks plus PSMA scan-range narrowing (+PSMA).
-///  - kDecompressAll:  Vectorwise-style baseline: no early filtering, full
-///                     vector ranges are decompressed, then filtered.
 enum class ScanMode : uint8_t {
   kJit,
   kVectorized,
   kVectorizedSarg,
   kDataBlocks,
   kDataBlocksPsma,
-  kDecompressAll,
 };
 
 const char* ScanModeName(ScanMode mode);
@@ -120,8 +119,14 @@ class TableScanner {
                        Batch* batch);
   void AppendChunkRow(const Chunk& chunk, uint32_t row, Batch* batch);
   void AppendBlockRow(const DataBlock& block, uint32_t row, Batch* batch);
-  bool EvalPredsOnChunkRow(const Chunk& chunk, uint32_t row) const;
-  bool EvalPredsOnBlockRow(const DataBlock& block, uint32_t row) const;
+
+  /// A pushed-down predicate as hot chunks run it: lowered to a BlockPred,
+  /// or evaluated row by row (`scalar`, string value predicates; it points
+  /// into predicates_, which is never resized).
+  struct HotPred {
+    BlockPred lowered;
+    const Predicate* scalar = nullptr;
+  };
 
   const Table* table_;
   std::vector<uint32_t> columns_;
@@ -129,6 +134,8 @@ class TableScanner {
   ScanMode mode_;
   uint32_t vector_size_;
   Isa isa_;
+  std::vector<HotPred> hot_preds_;  // kAll predicates dropped
+  bool hot_empty_ = false;          // a predicate no hot row can satisfy
 
   // Iteration state.
   size_t chunk_begin_ = 0;

@@ -2,6 +2,7 @@
 #define DATABLOCKS_SCAN_PREDICATE_H_
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,6 +78,72 @@ struct Predicate {
     return {col, CompareOp::kIsNotNull, Value(), Value(), {}};
   }
 };
+
+// -- Comparison semantics --------------------------------------------------
+//
+// The one definition of what a Predicate means. Tuple-at-a-time rows, hot
+// chunks, compressed frozen blocks and resident block summaries all derive
+// their decisions from the functions below.
+
+/// A comparison constant coerced into an integer column's domain (a double
+/// constant truncates toward zero) or a double column's domain.
+int64_t ConstInt(const Value& v);
+double ConstDouble(const Value& v);
+
+/// Inclusive interval of a column's value domain; empty when lo > hi.
+template <typename T>
+struct Interval {
+  T lo, hi;
+  bool empty() const { return lo > hi; }
+};
+using IntRange = Interval<int64_t>;
+
+/// The integers an Eq/Lt/Le/Gt/Ge/Between restriction with constants a (and
+/// b, Between only) admits. Lt(INT64_MIN) and Gt(INT64_MAX) are empty.
+IntRange OpToRange(CompareOp op, int64_t a, int64_t b);
+/// OpToRange over p's coerced constants.
+IntRange IntRangeOf(const Predicate& p);
+/// The doubles the same restrictions admit: a strict bound steps to the
+/// neighbouring double (nextafter); Lt(-inf) and Gt(+inf) are empty.
+Interval<double> DoubleRangeOf(const Predicate& p);
+
+/// Scalar evaluation of a value predicate (not IS [NOT] NULL) on one
+/// non-NULL value.
+bool EvalInt(const Predicate& p, int64_t v);
+bool EvalDouble(const Predicate& p, double v);
+bool EvalString(const Predicate& p, std::string_view v);
+
+/// What a column's SMA (Section 3.2) proves about the rows that satisfy a
+/// predicate — or, from a lowering, what a compressed domain proves.
+enum class Verdict : uint8_t {
+  kNone,  // no row does: the block can be skipped
+  kAll,   // every non-NULL row does (IS [NOT] NULL: every row)
+  kSome,  // undecided: the rows must be looked at
+};
+
+/// A column's small materialized aggregate as pruning reads it. Frozen
+/// blocks, their resident summaries and hot chunks each produce one.
+struct ColumnSma {
+  TypeId type = TypeId::kInt64;
+  bool has_nulls = false;
+  bool all_null = false;
+  bool single_value = false;  // every row holds `min` (never with NULLs)
+  int64_t min = 0, max = 0;   // integers; bit patterns for kDouble
+  std::string_view min_str, max_str;  // strings
+
+  double dmin() const;
+  double dmax() const;
+
+  /// The SMA of an uncompressed numeric column: its type's whole value
+  /// domain. Strings have no such bound; their predicates stay scalar.
+  static ColumnSma FullDomain(TypeId type, bool nullable);
+};
+
+/// The single interval-and-SMA check: empty interval, SMA miss, single
+/// value hit or miss, range-covering. Block translation and summary-only
+/// pruning both start from it, so a summary skip is a block skip by
+/// construction.
+Verdict JudgeSma(const Predicate& p, const ColumnSma& sma);
 
 }  // namespace datablocks
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "datablock/block_scan.h"
+#include "datablock/block_summary.h"
 #include "util/date.h"
 #include "util/rng.h"
 
@@ -109,6 +113,35 @@ TEST(Translate, PsmaNarrowsSortedBlock) {
   EXPECT_EQ(exact.range_end, 1020u);
 }
 
+/// The randomized block of BlockScanRandom: one column per storage kind,
+/// plus the values it holds for brute-force reference evaluation.
+struct RandomBlock {
+  std::vector<int64_t> a, b;
+  std::vector<std::string> s;
+  std::vector<double> d;
+  DataBlock block;
+};
+
+RandomBlock MakeRandomBlock(int seed, uint32_t n, Rng* rng) {
+  Schema schema({{"a", TypeId::kInt64},
+                 {"b", TypeId::kInt32},
+                 {"s", TypeId::kString},
+                 {"d", TypeId::kDouble}});
+  Chunk chunk(&schema, n);
+  RandomBlock rb;
+  for (uint32_t i = 0; i < n; ++i) {
+    rb.a.push_back(rng->Uniform(-500, 500) * (seed % 2 ? 1000000000ll : 1));
+    rb.b.push_back(rng->Uniform(0, 50));
+    rb.s.push_back(std::string("k") + std::to_string(rng->Uniform(0, 20)));
+    rb.d.push_back(rng->NextDouble() * 100);
+    std::vector<Value> row = {Value::Int(rb.a[i]), Value::Int(rb.b[i]),
+                              Value::Str(rb.s[i]), Value::Double(rb.d[i])};
+    chunk.Append(row);
+  }
+  rb.block = DataBlock::Build(chunk);
+  return rb;
+}
+
 // Randomized: FindMatchesInBlock must equal a brute-force evaluation for all
 // op/type/compression combinations.
 class BlockScanRandom : public ::testing::TestWithParam<int> {};
@@ -116,25 +149,13 @@ class BlockScanRandom : public ::testing::TestWithParam<int> {};
 TEST_P(BlockScanRandom, MatchesBruteForce) {
   const int seed = GetParam();
   Rng rng(uint64_t(seed) * 1337 + 11);
-  Schema schema({{"a", TypeId::kInt64},
-                 {"b", TypeId::kInt32},
-                 {"s", TypeId::kString},
-                 {"d", TypeId::kDouble}});
   const uint32_t n = 2000;
-  Chunk chunk(&schema, n);
-  std::vector<int64_t> a(n), b(n);
-  std::vector<std::string> s(n);
-  std::vector<double> d(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    a[i] = rng.Uniform(-500, 500) * (seed % 2 ? 1000000000ll : 1);
-    b[i] = rng.Uniform(0, 50);
-    s[i] = std::string("k") + std::to_string(rng.Uniform(0, 20));
-    d[i] = rng.NextDouble() * 100;
-    std::vector<Value> row = {Value::Int(a[i]), Value::Int(b[i]),
-                              Value::Str(s[i]), Value::Double(d[i])};
-    chunk.Append(row);
-  }
-  DataBlock block = DataBlock::Build(chunk);
+  const RandomBlock rb = MakeRandomBlock(seed, n, &rng);
+  const std::vector<int64_t>& a = rb.a;
+  const std::vector<int64_t>& b = rb.b;
+  const std::vector<std::string>& s = rb.s;
+  const std::vector<double>& d = rb.d;
+  const DataBlock& block = rb.block;
 
   struct Case {
     std::vector<Predicate> preds;
@@ -180,6 +201,149 @@ TEST_P(BlockScanRandom, MatchesBruteForce) {
       ASSERT_EQ(got, expect) << "psma=" << use_psma;
     }
   }
+}
+
+/// Brute-force meaning of a predicate on row i of a RandomBlock, written
+/// out independently of the engine's comparison code.
+bool RefEval(const RandomBlock& rb, const Predicate& p, uint32_t i) {
+  if (p.op == CompareOp::kIsNull) return false;  // no column holds NULLs
+  if (p.op == CompareOp::kIsNotNull) return true;
+  auto eval = [&p](const auto& v, auto get) {
+    switch (p.op) {
+      case CompareOp::kEq: return v == get(p.lo);
+      case CompareOp::kNe: return v != get(p.lo);
+      case CompareOp::kLt: return v < get(p.lo);
+      case CompareOp::kLe: return v <= get(p.lo);
+      case CompareOp::kGt: return v > get(p.lo);
+      case CompareOp::kGe: return v >= get(p.lo);
+      case CompareOp::kBetween: return v >= get(p.lo) && v <= get(p.hi);
+      case CompareOp::kIn:
+        for (const Value& c : p.list)
+          if (v == get(c)) return true;
+        return false;
+      default:  // kPrefix
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     std::string>) {
+          return v.compare(0, p.lo.str().size(), p.lo.str()) == 0;
+        }
+        ADD_FAILURE() << "prefix on a numeric column";
+        return false;
+    }
+  };
+  auto i64 = [](const Value& c) { return c.i64(); };
+  switch (p.col) {
+    case 0: return eval(rb.a[i], i64);
+    case 1: return eval(rb.b[i], i64);
+    case 2: return eval(rb.s[i], [](const Value& c) { return c.str(); });
+    default: return eval(rb.d[i], [](const Value& c) { return c.f64(); });
+  }
+}
+
+// The summary-skip promise: a PrepareSummaryScan skip is a PrepareBlockScan
+// skip, and a block skip leaves no matching row behind. The predicates sit
+// on and around each column's SMA edges, including string prefixes of the
+// block minimum, which match rows even though the minimum's prefix is no
+// greater than the pattern.
+TEST_P(BlockScanRandom, SummarySkipImpliesBlockSkip) {
+  const int seed = GetParam();
+  Rng rng(uint64_t(seed) * 1337 + 11);
+  const uint32_t n = 2000;
+  const RandomBlock rb = MakeRandomBlock(seed, n, &rng);
+  const auto [amin, amax] = std::minmax_element(rb.a.begin(), rb.a.end());
+  const auto [smin, smax] = std::minmax_element(rb.s.begin(), rb.s.end());
+  const auto [dmin, dmax] = std::minmax_element(rb.d.begin(), rb.d.end());
+  auto I = [](int64_t v) { return Value::Int(v); };
+  auto S = [](std::string v) { return Value::Str(std::move(v)); };
+  auto D = [](double v) { return Value::Double(v); };
+
+  std::vector<std::vector<Predicate>> cases = {
+      {Predicate::Gt(0, I(*amax))},
+      {Predicate::Ge(0, I(*amax))},
+      {Predicate::Lt(0, I(*amin))},
+      {Predicate::Le(0, I(*amin))},
+      {Predicate::Lt(0, I(INT64_MIN))},
+      {Predicate::Gt(0, I(INT64_MAX))},
+      {Predicate::Ne(0, I(*amin))},
+      {Predicate::Eq(0, I(rb.a[17]))},
+      {Predicate::In(0, {I(*amin - 1), I(*amax + 1)})},
+      {Predicate::Between(1, I(60), I(70))},
+      {Predicate::Between(1, I(10), I(5))},
+      {Predicate::Eq(1, I(51))},
+      {Predicate::In(1, {I(-1), I(51), I(99)})},
+      {Predicate::In(1, {I(-1), I(7)})},
+      {Predicate::Ne(1, I(7))},
+      {Predicate::Eq(2, S("a"))},
+      {Predicate::Eq(2, S(*smax + "0"))},
+      {Predicate::Eq(2, S("k05"))},  // inside [min, max], not stored
+      {Predicate::In(2, {S("k05"), S("k55")})},
+      {Predicate::Ne(2, S("k5"))},
+      {Predicate::Lt(2, S(*smin))},
+      {Predicate::Le(2, S(*smin))},
+      {Predicate::Gt(2, S(*smax))},
+      {Predicate::Ge(2, S(*smax))},
+      {Predicate::Between(2, S("l"), S("m"))},
+      {Predicate::Between(2, S("k5"), S("k1"))},
+      {Predicate::In(2, {S("a"), S("z")})},
+      {Predicate::In(2, {S("a"), S(*smin)})},
+      {Predicate::Prefix(2, S(smin->substr(0, 2)))},
+      {Predicate::Prefix(2, S(*smin))},
+      {Predicate::Prefix(2, S("k"))},
+      {Predicate::Prefix(2, S("k3"))},
+      {Predicate::Prefix(2, S("a"))},
+      {Predicate::Prefix(2, S("z"))},
+      {Predicate::Gt(3, D(*dmax))},
+      {Predicate::Ge(3, D(*dmax))},
+      {Predicate::Lt(3, D(*dmin))},
+      {Predicate::Le(3, D(*dmin))},
+      {Predicate::Gt(3, D(100.0))},
+      {Predicate::In(3, {D(-1.0), D(200.0)})},
+      {Predicate::Eq(3, D(rb.d[5]))},
+      {Predicate::IsNull(0)},
+      {Predicate::IsNotNull(2)},
+      {Predicate::Eq(1, I(3)), Predicate::Gt(0, I(*amax))},
+  };
+  // PSMA-only skips: equalities just above the minimum land in exact
+  // PSMA slots, and some of these values are missing from the block.
+  for (int64_t k = 1; k <= 6; ++k) {
+    cases.push_back({Predicate::Eq(0, I(*amin + k))});
+    cases.push_back({Predicate::Between(0, I(*amin + k), I(*amin + k + 1))});
+  }
+
+  int summary_skips = 0, block_only_skips = 0, scans = 0;
+  for (bool keep_psma : {false, true}) {
+    const BlockSummary summary = BlockSummary::Extract(rb.block, keep_psma);
+    for (const std::vector<Predicate>& preds : cases) {
+      for (bool use_psma : {false, true}) {
+        const bool summary_skip =
+            PrepareSummaryScan(summary, preds, use_psma).skip;
+        const bool block_skip =
+            PrepareBlockScan(rb.block, preds, use_psma).skip;
+        uint32_t matches = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+          bool all = true;
+          for (const Predicate& p : preds) all = all && RefEval(rb, p, i);
+          matches += all;
+        }
+        const std::string label = "case " +
+                                  std::to_string(&preds - cases.data()) +
+                                  " psma=" + std::to_string(use_psma) +
+                                  " kept=" + std::to_string(keep_psma);
+        if (summary_skip) {
+          EXPECT_TRUE(block_skip) << label;
+        }
+        if (block_skip) {
+          EXPECT_EQ(matches, 0u) << label;
+        }
+        summary_skips += summary_skip;
+        block_only_skips += block_skip && !summary_skip;
+        scans += !block_skip;
+      }
+    }
+  }
+  // Both outcomes occur, so the implications above are exercised.
+  EXPECT_GT(summary_skips, 0);
+  EXPECT_GT(block_only_skips, 0);
+  EXPECT_GT(scans, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockScanRandom, ::testing::Range(0, 8));

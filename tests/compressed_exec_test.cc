@@ -113,16 +113,17 @@ std::string Digest(const Table& t, const std::vector<uint32_t>& cols,
   return digest;
 }
 
-/// Code space (kDataBlocks, kDataBlocksPsma) vs decompress-then-filter
-/// (kDecompressAll) vs the tuple-at-a-time reference (kJit).
+/// Code space (kDataBlocks, kDataBlocksPsma) and SARG pushdown on
+/// uncompressed vectors (kVectorizedSarg) vs decompress-then-filter
+/// (kVectorized) vs the tuple-at-a-time reference (kJit).
 void ExpectCodeSpaceMatchesDecompress(const Table& t,
                                       const std::vector<Predicate>& preds,
                                       const char* label) {
   std::vector<uint32_t> cols(t.schema().num_columns());
   for (uint32_t c = 0; c < cols.size(); ++c) cols[c] = c;
-  const std::string ref = Digest(t, cols, preds, ScanMode::kDecompressAll);
-  for (ScanMode mode : {ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma,
-                        ScanMode::kJit}) {
+  const std::string ref = Digest(t, cols, preds, ScanMode::kVectorized);
+  for (ScanMode mode : {ScanMode::kVectorizedSarg, ScanMode::kDataBlocks,
+                        ScanMode::kDataBlocksPsma, ScanMode::kJit}) {
     EXPECT_EQ(Digest(t, cols, preds, mode), ref)
         << label << " mode=" << ScanModeName(mode);
   }
@@ -229,7 +230,7 @@ TEST(CompressedExec, FrozenBatchesCarryCodesAndMaterializeLate) {
   Table t = MakeMixedTable(1500, 512, 31, /*delete_every=*/0,
                            /*freeze_chunks=*/2);  // 2 frozen + hot tail
   TableScanner coded(t, {4, 6, 0}, {}, ScanMode::kDataBlocks);
-  TableScanner eager(t, {4, 6, 0}, {}, ScanMode::kDecompressAll);
+  TableScanner eager(t, {4, 6, 0}, {}, ScanMode::kVectorized);
   Batch cb, eb;
   size_t coded_batches = 0, hot_batches = 0;
   while (coded.Next(&cb)) {
@@ -260,7 +261,7 @@ TEST(CompressedExec, FrozenBatchesCarryCodesAndMaterializeLate) {
   EXPECT_GT(coded_batches, 0u);  // frozen chunks emitted codes
   EXPECT_GT(hot_batches, 0u);    // hot tail still materializes
   // The eager path never emits codes.
-  TableScanner check(t, {4}, {}, ScanMode::kDecompressAll);
+  TableScanner check(t, {4}, {}, ScanMode::kVectorized);
   while (check.Next(&eb)) EXPECT_FALSE(eb.cols[0].coded());
 }
 
@@ -308,7 +309,7 @@ TEST(CompressedExec, DictFilterMatchesDirectEvaluation) {
   Table t = MakeMixedTable(1500, 512, 59, /*delete_every=*/0,
                            /*freeze_chunks=*/2);
   auto pred = [](std::string_view s) { return LikeMatch(s, "name_1%"); };
-  for (ScanMode mode : {ScanMode::kDataBlocks, ScanMode::kDecompressAll}) {
+  for (ScanMode mode : {ScanMode::kDataBlocks, ScanMode::kVectorized}) {
     TableScanner scan(t, {4}, {}, mode);
     Batch b;
     while (scan.Next(&b)) {

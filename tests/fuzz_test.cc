@@ -80,8 +80,7 @@ class FuzzModel {
     for (const auto& [id, row] : live_) expect.emplace(row.key, row.val);
     for (ScanMode mode :
          {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
-          ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma,
-          ScanMode::kDecompressAll}) {
+          ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
       std::multimap<int64_t, int64_t> got;
       TableScanner scan(table_, {0, 1}, {}, mode, 128);
       Batch b;

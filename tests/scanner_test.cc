@@ -13,9 +13,8 @@ namespace datablocks {
 namespace {
 
 constexpr ScanMode kAllModes[] = {
-    ScanMode::kJit,           ScanMode::kVectorized,
-    ScanMode::kVectorizedSarg, ScanMode::kDataBlocks,
-    ScanMode::kDataBlocksPsma, ScanMode::kDecompressAll};
+    ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
+    ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma};
 
 Schema WideSchema() {
   return Schema({{"id", TypeId::kInt64},
@@ -141,6 +140,79 @@ TEST_P(ScannerProperty, AllModesAgreeOnMixedStorage) {
                       "point-ish");
   ExpectAllModesAgree(t, {3}, {Predicate::Lt(3, Value::Str("c"))},
                       "string-range");
+
+  // IN lists on every column kind. The int64 list spans the whole domain,
+  // so its sorted codes are not one run.
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(1, {Value::Int(3), Value::Int(7),
+                                         Value::Int(11), Value::Int(100)})},
+                      "in-int32");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(0, {Value::Int(5), Value::Int(600),
+                                         Value::Int(2999), Value::Int(-1)})},
+                      "in-int64");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(0, {Value::Int(INT64_MIN), Value::Int(7),
+                                         Value::Int(INT64_MAX)})},
+                      "in-int64-extremes");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(5, {Value::Char('A'), Value::Char('C')})},
+                      "in-char");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(3, {Value::Str("beta"), Value::Str("omega"),
+                                         Value::Str("nope")})},
+                      "in-string");
+  // Stored doubles from a frozen and a hot chunk.
+  std::vector<double> scores;
+  {
+    TableScanner scan(t, {4}, {}, ScanMode::kJit);
+    Batch b;
+    while (scan.Next(&b)) scores.insert(scores.end(), b.cols[0].f64.begin(),
+                                        b.cols[0].f64.begin() + b.count);
+  }
+  ASSERT_GT(scores.size(), 2000u);
+  const double frozen_score = scores[700], hot_score = scores[2000];
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::In(4, {Value::Double(frozen_score),
+                                         Value::Double(hot_score),
+                                         Value::Double(-1.0)})},
+                      "in-double");
+  ExpectAllModesAgree(t, all_cols, {Predicate::In(6, {Value::Int(0),
+                                                      Value::Int(5),
+                                                      Value::Int(50)})},
+                      "in-nullable-with-0");
+
+  ExpectAllModesAgree(t, all_cols, {Predicate::Prefix(3, Value::Str("ga"))},
+                      "prefix");
+  ExpectAllModesAgree(t, all_cols, {Predicate::Prefix(3, Value::Str("zz"))},
+                      "prefix-none");
+
+  // Constants outside the int32 domain on int32 and date columns.
+  const int64_t big = int64_t(1) << 40;
+  ExpectAllModesAgree(t, all_cols, {Predicate::Ne(1, Value::Int(big))},
+                      "ne-beyond-int32");
+  ExpectAllModesAgree(t, all_cols, {Predicate::Lt(1, Value::Int(-big))},
+                      "lt-below-int32");
+  ExpectAllModesAgree(t, all_cols, {Predicate::Gt(7, Value::Int(-big))},
+                      "gt-below-int32-date");
+  ExpectAllModesAgree(t, all_cols, {Predicate::Lt(7, Value::Int(big))},
+                      "lt-beyond-int32-date");
+  ExpectAllModesAgree(t, all_cols, {Predicate::Gt(7, Value::Int(big))},
+                      "gt-beyond-int32-date");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::Lt(0, Value::Int(INT64_MIN))},
+                      "lt-int64-min");
+  ExpectAllModesAgree(t, all_cols,
+                      {Predicate::Gt(2, Value::Int(INT64_MAX))},
+                      "gt-int64-max");
+
+  // Strict and non-strict double bounds at a stored value.
+  for (double v : {frozen_score, hot_score}) {
+    ExpectAllModesAgree(t, all_cols, {Predicate::Lt(4, Value::Double(v))},
+                        "double-lt-stored");
+    ExpectAllModesAgree(t, all_cols, {Predicate::Ge(4, Value::Double(v))},
+                        "double-ge-stored");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScannerProperty, ::testing::Range(0, 6));

@@ -113,16 +113,20 @@ TEST(Scheduler, UrgentSubmitOvertakesQueuedTasks) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {
-  MorselDispatcher morsels(103, 7);
+TEST(Scheduler, NodeMorselDispatcherHandsOutEveryChunkExactlyOnce) {
+  // 103 chunks homed on two nodes; four workers, two per node, claim
+  // concurrently and steal across nodes once their own group drains.
+  std::vector<int> nodes(103);
+  for (size_t i = 0; i < nodes.size(); ++i) nodes[i] = int(i % 3 == 0);
+  NodeMorselDispatcher morsels(nodes);
   std::vector<std::vector<size_t>> claimed(4);
   {
     Scheduler sched(Scheduler::Options{.num_workers = 4});
     TaskGroup group(&sched);
     for (unsigned t = 0; t < 4; ++t) {
-      group.Run([&morsels, &mine = claimed[t]] {
+      group.Run([&morsels, &mine = claimed[t], node = int(t % 2)] {
         size_t b, e;
-        while (morsels.Next(&b, &e)) {
+        while (morsels.Next(node, &b, &e)) {
           EXPECT_LT(b, e);
           EXPECT_LE(e, 103u);
           for (size_t i = b; i < e; ++i) mine.push_back(i);
@@ -137,8 +141,9 @@ TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {
     total += mine.size();
     all.insert(mine.begin(), mine.end());
   }
-  EXPECT_EQ(total, 103u);       // no element claimed twice
-  EXPECT_EQ(all.size(), 103u);  // no element dropped
+  EXPECT_EQ(total, 103u);       // no chunk claimed twice
+  EXPECT_EQ(all.size(), 103u);  // no chunk dropped
+  EXPECT_EQ(morsels.local_claims() + morsels.remote_claims(), 103u);
 }
 
 TEST(NodeMorselDispatcher, PrefersLocalChunksThenSteals) {

@@ -315,8 +315,8 @@ TEST_P(TpchQueryParity, AllScanConfigurationsAgree) {
         << "hot " << ScanModeName(mode);
   }
   for (ScanMode mode :
-       {ScanMode::kJit, ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma,
-        ScanMode::kDecompressAll}) {
+       {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kDataBlocks,
+        ScanMode::kDataBlocksPsma}) {
     ScanOptions o;
     o.mode = mode;
     EXPECT_EQ(RunQuery(q, *frozen_, o).rows, ref.rows)

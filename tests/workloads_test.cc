@@ -34,8 +34,8 @@ TEST(Flights, QueryAgreesAcrossModesAndSkipsBlocks) {
   auto ref = RunFlightsQuery(*flights, ScanMode::kJit);
   ASSERT_FALSE(ref.empty());
   flights->FreezeAll();
-  for (ScanMode mode : {ScanMode::kJit, ScanMode::kDataBlocks,
-                        ScanMode::kDataBlocksPsma, ScanMode::kDecompressAll}) {
+  for (ScanMode mode : {ScanMode::kJit, ScanMode::kVectorized,
+                        ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
     auto got = RunFlightsQuery(*flights, mode);
     ASSERT_EQ(got.size(), ref.size()) << ScanModeName(mode);
     for (size_t i = 0; i < ref.size(); ++i) {
