@@ -63,14 +63,32 @@ void AppendPod(std::vector<uint8_t>* out, const T& v) {
   out->insert(out->end(), p, p + sizeof(T));
 }
 
-template <typename T>
-T ReadPod(const uint8_t* data, uint64_t size, uint64_t* pos) {
-  DB_CHECK(*pos + sizeof(T) <= size);  // malformed summary blob
-  T v;
-  std::memcpy(&v, data + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return v;
-}
+/// Bounds-checked reader over an untrusted summary blob: every read past
+/// the end fails the whole parse instead of touching foreign bytes.
+class BlobReader {
+ public:
+  BlobReader(const uint8_t* data, uint64_t size) : data_(data), size_(size) {}
+
+  template <typename T>
+  bool Read(T* v) {
+    if (sizeof(T) > remaining()) return false;
+    std::memcpy(v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+  bool Read(void* out, uint64_t bytes) {
+    if (bytes > remaining()) return false;
+    if (bytes > 0) std::memcpy(out, data_ + pos_, bytes);
+    pos_ += bytes;
+    return true;
+  }
+  uint64_t remaining() const { return size_ - pos_; }
+
+ private:
+  const uint8_t* data_;
+  uint64_t size_;
+  uint64_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -95,39 +113,40 @@ void BlockSummary::AppendTo(std::vector<uint8_t>* out) const {
   }
 }
 
-BlockSummary BlockSummary::FromBytes(const uint8_t* data, uint64_t size) {
+StatusOr<BlockSummary> BlockSummary::FromBytes(const uint8_t* data,
+                                               uint64_t size) {
+  // Fixed bytes of one serialized column: three tag bytes, padding, the
+  // dictionary count, min/max and three lengths.
+  constexpr uint64_t kColumnBytes = 4 + 4 + 8 + 8 + 3 * 4;
+  const Status malformed = Status::Corruption("malformed block summary");
+  BlobReader in(data, size);
   BlockSummary s;
-  uint64_t pos = 0;
-  s.row_count_ = ReadPod<uint32_t>(data, size, &pos);
-  const uint32_t ncols = ReadPod<uint32_t>(data, size, &pos);
+  uint32_t ncols = 0;
+  if (!in.Read(&s.row_count_) || !in.Read(&ncols)) return malformed;
+  if (ncols > in.remaining() / kColumnBytes) return malformed;
   s.cols_.resize(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    ColumnSummary& cs = s.cols_[c];
-    cs.type = ReadPod<uint8_t>(data, size, &pos);
-    cs.compression = ReadPod<uint8_t>(data, size, &pos);
-    cs.flags = ReadPod<uint8_t>(data, size, &pos);
-    (void)ReadPod<uint8_t>(data, size, &pos);
-    cs.dict_count = ReadPod<uint32_t>(data, size, &pos);
-    cs.min_val = ReadPod<int64_t>(data, size, &pos);
-    cs.max_val = ReadPod<int64_t>(data, size, &pos);
-    const uint32_t min_len = ReadPod<uint32_t>(data, size, &pos);
-    const uint32_t max_len = ReadPod<uint32_t>(data, size, &pos);
-    const uint32_t psma_entries = ReadPod<uint32_t>(data, size, &pos);
-    DB_CHECK(pos + uint64_t(min_len) + max_len +
-                 uint64_t(psma_entries) * sizeof(PsmaEntry) <=
-             size);
-    cs.min_str.assign(reinterpret_cast<const char*>(data + pos), min_len);
-    pos += min_len;
-    cs.max_str.assign(reinterpret_cast<const char*>(data + pos), max_len);
-    pos += max_len;
-    cs.psma.resize(psma_entries);
-    if (psma_entries > 0) {  // memcpy must not see the empty vector's null
-      std::memcpy(cs.psma.data(), data + pos,
-                  psma_entries * sizeof(PsmaEntry));
+  for (ColumnSummary& cs : s.cols_) {
+    uint8_t pad;
+    uint32_t min_len, max_len, psma_entries;
+    if (!in.Read(&cs.type) || !in.Read(&cs.compression) ||
+        !in.Read(&cs.flags) || !in.Read(&pad) || !in.Read(&cs.dict_count) ||
+        !in.Read(&cs.min_val) || !in.Read(&cs.max_val) || !in.Read(&min_len) ||
+        !in.Read(&max_len) || !in.Read(&psma_entries)) {
+      return malformed;
     }
-    pos += uint64_t(psma_entries) * sizeof(PsmaEntry);
+    if (uint64_t(min_len) + max_len +
+            uint64_t(psma_entries) * sizeof(PsmaEntry) >
+        in.remaining()) {
+      return malformed;
+    }
+    cs.min_str.resize(min_len);
+    cs.max_str.resize(max_len);
+    cs.psma.resize(psma_entries);
+    in.Read(cs.min_str.data(), min_len);
+    in.Read(cs.max_str.data(), max_len);
+    in.Read(cs.psma.data(), uint64_t(psma_entries) * sizeof(PsmaEntry));
   }
-  DB_CHECK(pos == size);
+  if (in.remaining() != 0) return malformed;
   return s;
 }
 

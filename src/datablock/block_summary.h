@@ -60,10 +60,10 @@ class BlockSummary {
   // -- Serialization (archive index blob) ---------------------------------
 
   void AppendTo(std::vector<uint8_t>* out) const;
-  /// Parses a summary previously produced by AppendTo. Aborts on a
-  /// malformed blob (the archive checksums its index implicitly via the
-  /// header/entry validation; this is a belt-and-braces bounds check).
-  static BlockSummary FromBytes(const uint8_t* data, uint64_t size);
+  /// Parses a summary previously produced by AppendTo. The blob comes from
+  /// disk: any read past its end, a column count its bytes cannot hold, or
+  /// bytes left over is kCorruption, never an abort.
+  static StatusOr<BlockSummary> FromBytes(const uint8_t* data, uint64_t size);
 
  private:
   uint32_t row_count_ = 0;

@@ -337,23 +337,169 @@ Value DataBlock::GetValue(uint32_t col, uint32_t row) const {
   return Value::Null();
 }
 
-DataBlock DataBlock::FromBytes(const uint8_t* bytes, uint64_t size) {
-  DataBlock block = ForFill(size);
-  std::memcpy(block.buf_.data(), bytes, size);
-  block.ValidateFilled();
-  return block;
-}
-
-DataBlock DataBlock::ForFill(uint64_t size) {
-  DB_CHECK(size >= sizeof(BlockHeader));
+StatusOr<DataBlock> DataBlock::FromBytes(const uint8_t* bytes,
+                                         uint64_t size) {
   DataBlock block;
-  // The caller overwrites every byte; only the scan padding needs zeros.
-  block.buf_.AllocateForOverwrite(size);
+  block.ResizeForFill(size);
+  std::memcpy(block.buf_.data(), bytes, size);
+  if (Status s = block.Validate(ColumnSet::All()); !s.ok()) return s;
   return block;
 }
 
-void DataBlock::ValidateFilled() const {
-  DB_CHECK(header()->magic == kMagic && header()->total_bytes == buf_.size());
+ColumnSet::ColumnSet(std::vector<uint32_t> cols)
+    : all_(false), cols_(std::move(cols)) {
+  std::sort(cols_.begin(), cols_.end());
+  cols_.erase(std::unique(cols_.begin(), cols_.end()), cols_.end());
+}
+
+namespace {
+
+/// Offset of the first region of an attribute (its lowest region offset),
+/// or `none` when it has no region at all (a single-value integer).
+uint64_t FirstRegion(const AttrMeta& m, uint32_t rows, uint64_t none) {
+  uint64_t first = none;
+  auto region = [&](bool present, uint64_t offset) {
+    if (present) first = std::min(first, offset);
+  };
+  region(m.psma_entries > 0, m.psma_offset);
+  region(m.dict_count > 0, m.dict_offset);
+  region(Compression(m.compression) != Compression::kSingleValue &&
+             m.code_width > 0 && rows > 0,
+         m.data_offset);
+  region(TypeId(m.type) == TypeId::kString && m.string_offset != 0,
+         m.string_offset);
+  region((m.flags & AttrMeta::kHasNulls) != 0, m.null_offset);
+  return first;
+}
+
+template <typename T>
+uint64_t MaxOf(const uint8_t* data, uint32_t n) {
+  const T* v = reinterpret_cast<const T*>(data);
+  T max = 0;
+  for (uint32_t i = 0; i < n; ++i) max = std::max(max, v[i]);
+  return max;
+}
+
+/// Largest code of a `width`-byte data vector of `n` codes.
+uint64_t MaxCode(const uint8_t* codes, uint32_t width, uint32_t n) {
+  switch (width) {
+    case 1: return MaxOf<uint8_t>(codes, n);
+    case 2: return MaxOf<uint16_t>(codes, n);
+    case 4: return MaxOf<uint32_t>(codes, n);
+    default: return MaxOf<uint64_t>(codes, n);
+  }
+}
+
+}  // namespace
+
+Status DataBlock::Extents(std::vector<uint64_t>* begins) const {
+  if (buf_.size() < sizeof(BlockHeader) || header()->magic != kMagic ||
+      header()->total_bytes != buf_.size()) {
+    return Status::Corruption("not a block header of this size (" +
+                              std::to_string(buf_.size()) + " bytes)");
+  }
+  const uint64_t total = buf_.size();
+  const uint32_t ncols = num_columns();
+  if (uint64_t(ncols) > (total - sizeof(BlockHeader)) / sizeof(AttrMeta)) {
+    return Status::Corruption(std::to_string(ncols) +
+                              " attributes overrun a block of " +
+                              std::to_string(total) + " bytes");
+  }
+  // Back to front: an attribute without regions gets an empty extent at
+  // the next one's start, and min() keeps the boundaries ordered even for
+  // a malformed spine (whose regions then fail Validate instead).
+  begins->resize(ncols + 1);
+  (*begins)[ncols] = total;
+  for (uint32_t c = ncols; c-- > 1;) {
+    const uint64_t next = (*begins)[c + 1];
+    (*begins)[c] = std::min(FirstRegion(attr(c), num_rows(), next), next);
+  }
+  if (ncols > 0) (*begins)[0] = SpineBytes(ncols);
+  if (ncols > 1 && (*begins)[1] < (*begins)[0]) {
+    return Status::Corruption("attribute regions overlap the spine");
+  }
+  return Status::Ok();
+}
+
+Status DataBlock::Validate(const ColumnSet& columns) const {
+  std::vector<uint64_t> begins;
+  if (Status s = Extents(&begins); !s.ok()) return s;
+  const uint32_t ncols = num_columns();
+  const uint32_t n = num_rows();
+  for (uint32_t i = 0; i < columns.size(ncols); ++i) {
+    const uint32_t c = columns.at(i);
+    if (c >= ncols) {
+      return Status::Corruption("attribute " + std::to_string(c) +
+                                " requested from a block of " +
+                                std::to_string(ncols));
+    }
+    const AttrMeta& m = attr(c);
+    const uint64_t lo = begins[c], hi = begins[c + 1];
+    auto fail = [c](const char* what) {
+      return Status::Corruption("attribute " + std::to_string(c) + ": " +
+                                what);
+    };
+    // Overflow-proof: [offset, offset + len) within [lo, hi).
+    auto inside = [lo, hi](uint64_t offset, uint64_t len) {
+      return offset >= lo && offset <= hi && len <= hi - offset;
+    };
+    // Arrays are read through typed pointers, so they must also be aligned
+    // (Build aligns every region to 32 bytes).
+    auto array_inside = [&inside](uint64_t offset, uint64_t len) {
+      return offset % 8 == 0 && inside(offset, len);
+    };
+    if (m.compression > uint8_t(Compression::kRaw) ||
+        m.type > uint8_t(TypeId::kChar1)) {
+      return fail("unknown compression scheme or type");
+    }
+    const Compression scheme = Compression(m.compression);
+    const TypeId type = TypeId(m.type);
+    const bool all_null = (m.flags & AttrMeta::kAllNull) != 0;
+    if (scheme != Compression::kSingleValue) {
+      const uint32_t w = m.code_width;
+      if (w != 1 && w != 2 && w != 4 && w != 8) return fail("bad code width");
+      if (type == TypeId::kString && scheme != Compression::kDictionary)
+        return fail("strings must be dictionary-coded");
+      if (type == TypeId::kDouble && (scheme != Compression::kRaw || w != 8))
+        return fail("doubles must be raw 8-byte values");
+      if (!array_inside(m.data_offset, uint64_t(n) * w))
+        return fail("codes outside the extent or misaligned");
+    }
+    if (m.dict_count > 0 &&
+        !array_inside(m.dict_offset, uint64_t(m.dict_count) * 8))
+      return fail("dictionary outside the extent");
+    if (m.psma_entries > 0 &&
+        !array_inside(m.psma_offset,
+                      uint64_t(m.psma_entries) * sizeof(PsmaEntry)))
+      return fail("PSMA table outside the extent");
+    if ((m.flags & AttrMeta::kHasNulls) != 0 &&
+        !array_inside(m.null_offset, BitmapWords(n) * 8))
+      return fail("NULL bitmap outside the extent");
+    // Dictionary lookups index by code; a string value is a reference into
+    // the string area, which runs to the end of the extent.
+    if (scheme == Compression::kDictionary &&
+        (m.dict_count == 0 ||
+         MaxCode(codes(c), m.code_width, n) >= m.dict_count)) {
+      return fail("dictionary code out of range");
+    }
+    if (type == TypeId::kString) {
+      if (scheme == Compression::kSingleValue && !all_null &&
+          m.dict_count == 0) {
+        return fail("single string value without a dictionary entry");
+      }
+      const StringDictRef* refs =
+          reinterpret_cast<const StringDictRef*>(buf_.data() + m.dict_offset);
+      const bool area_inside = inside(m.string_offset, 0);
+      for (uint32_t k = 0; k < m.dict_count; ++k) {
+        if (refs[k].length != 0 &&
+            (!area_inside ||
+             !inside(m.string_offset + refs[k].offset, refs[k].length))) {
+          return fail("dictionary string outside the extent");
+        }
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 void DataBlock::Serialize(std::ostream& os) const {

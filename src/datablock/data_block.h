@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
+#include <vector>
 
 #include "datablock/compression.h"
 #include "datablock/psma.h"
 #include "storage/chunk.h"
 #include "storage/value.h"
 #include "util/aligned_buffer.h"
+#include "util/status.h"
 
 namespace datablocks {
 
@@ -53,6 +55,29 @@ struct StringDictRef {
   uint32_t length;
 };
 static_assert(sizeof(StringDictRef) == 8);
+
+/// A set of a block's attributes: all of them, or a list of indexes. Names
+/// what a projected archive read fetches and what DataBlock::Validate
+/// checks.
+class ColumnSet {
+ public:
+  static ColumnSet All() { return ColumnSet(); }
+  /// Just `cols`; order and duplicates do not matter.
+  explicit ColumnSet(std::vector<uint32_t> cols);
+
+  bool all() const { return all_; }
+  /// Members in a block of `ncols` attributes, in ascending order:
+  /// at(0) .. at(size(ncols) - 1).
+  uint32_t size(uint32_t ncols) const {
+    return all_ ? ncols : uint32_t(cols_.size());
+  }
+  uint32_t at(uint32_t i) const { return all_ ? i : cols_[i]; }
+
+ private:
+  ColumnSet() = default;
+  bool all_ = true;
+  std::vector<uint32_t> cols_;  // sorted, unique
+};
 
 /// A Data Block: a self-contained, immutable ("frozen"), byte-addressable
 /// compressed columnar container for one chunk of a relation (paper
@@ -187,22 +212,43 @@ class DataBlock {
   void Serialize(std::ostream& os) const;
   static DataBlock Deserialize(std::istream& is);
   /// Reconstructs a block from `size` bytes previously produced by
-  /// Serialize (or copied out via raw_bytes()).
-  static DataBlock FromBytes(const uint8_t* bytes, uint64_t size);
+  /// Serialize (or copied out via raw_bytes()); kCorruption if they do not
+  /// Validate.
+  static StatusOr<DataBlock> FromBytes(const uint8_t* bytes, uint64_t size);
 
-  /// Direct-fill reload path (avoids an intermediate copy): allocates a
-  /// `size`-byte block buffer, uninitialized except for its zeroed scan
-  /// padding; the caller must write all `size` bytes of fill_bytes() and
-  /// then calls ValidateFilled().
-  static DataBlock ForFill(uint64_t size);
+  /// Direct-fill path for bytes read from disk (no intermediate copy):
+  /// makes the buffer `size` bytes, reusing the current allocation when it
+  /// is large enough, with only the scan padding zeroed. The caller writes
+  /// the bytes it needs through fill_bytes() and then calls Validate on the
+  /// attributes it wrote.
+  void ResizeForFill(uint64_t size) { buf_.ResizeForOverwrite(size); }
   uint8_t* fill_bytes() { return buf_.data(); }
-  void ValidateFilled() const;
-  /// Non-aborting variant of ValidateFilled for untrusted bytes (archive
-  /// reload): false = the filled image is not a well-formed block.
-  bool CheckFilled() const {
-    return buf_.size() >= sizeof(BlockHeader) && header()->magic == kMagic &&
-           header()->total_bytes == buf_.size();
+
+  // -- Structure (Figure 3 layout, validated before untrusted use). -------
+
+  /// Bytes of the block's spine: the header plus the AttrMeta array.
+  static uint64_t SpineBytes(uint32_t ncols) {
+    return sizeof(BlockHeader) + uint64_t(ncols) * sizeof(AttrMeta);
   }
+
+  /// Attribute extents: attribute c owns bytes [begins[c], begins[c + 1]),
+  /// from its first region to where the next attribute's first region
+  /// begins. begins[0] is the end of the spine and begins[ncols] the end of
+  /// the block, so every byte lies in the spine or in exactly one extent.
+  /// Derived from the spine alone, which is all that has to be in the
+  /// buffer. kCorruption if the header is not a block header of this
+  /// buffer's size.
+  Status Extents(std::vector<uint64_t>* begins) const;
+
+  /// Structural check of untrusted bytes, reading only the spine and the
+  /// attributes in `columns`: a block header that matches the buffer, and
+  /// for each such attribute a valid scheme/type/code-width combination
+  /// whose every region (PSMA table, dictionary, codes, strings, NULL
+  /// bitmap) lies inside the attribute's extent, with dictionary codes
+  /// below the dictionary size. kCorruption names the first violation; a
+  /// block that passes is safe to scan and point-access on those
+  /// attributes.
+  Status Validate(const ColumnSet& columns) const;
 
   /// Total PSMA bytes in this block (reporting).
   uint64_t PsmaBytes() const;

@@ -80,7 +80,9 @@ struct ColumnVector {
 
   /// Number of distinct values Str() can take in this batch, or 0 when the
   /// column is not code-carrying. Per-code memoization (see DictMemo) is
-  /// valid across batches while (dict_block, dict_col) is unchanged.
+  /// valid for this batch only: a scanner refills one image with each
+  /// evicted chunk it reads, so the same dict_block can carry another
+  /// dictionary in the next batch.
   uint32_t dict_size() const {
     return dict_block != nullptr ? dict_block->attr(dict_col).dict_count : 0;
   }

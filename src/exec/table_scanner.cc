@@ -90,6 +90,14 @@ bool RowMatches(const std::vector<Predicate>& preds, const Schema& schema,
   return true;
 }
 
+/// What a scan reads of a block: its output and predicate columns.
+ColumnSet ScannedColumns(const std::vector<uint32_t>& columns,
+                         const std::vector<Predicate>& predicates) {
+  std::vector<uint32_t> cols = columns;
+  for (const Predicate& p : predicates) cols.push_back(p.col);
+  return ColumnSet(std::move(cols));
+}
+
 }  // namespace
 
 TableScanner::TableScanner(const Table& table, std::vector<uint32_t> columns,
@@ -98,6 +106,7 @@ TableScanner::TableScanner(const Table& table, std::vector<uint32_t> columns,
     : table_(&table),
       columns_(std::move(columns)),
       predicates_(std::move(predicates)),
+      image_cols_(ScannedColumns(columns_, predicates_)),
       mode_(mode),
       vector_size_(vector_size),
       isa_(isa) {
@@ -130,16 +139,11 @@ TableScanner::~TableScanner() { ReleasePin(); }
 void TableScanner::PinCurrentChunk() {
   if (pinned_chunk_ == chunk_idx_) return;
   ReleasePin();
-  // Sample the state before pinning: a pin that finds the chunk evicted is
-  // the scan-side archive-read path. The state may flip concurrently (another
-  // reader reloading first), so this classifies, it does not synchronize.
-  const bool was_evicted =
-      table_->chunk_state(chunk_idx_) == ChunkState::kEvicted;
   try {
-    table_->PinChunk(chunk_idx_);
+    streamed_ = table_->PinForScan(chunk_idx_, image_cols_, &image_);
   } catch (const StorageException& e) {
-    // PinChunk released its own pin; annotate with scan context and let the
-    // exception travel up the pipeline (TaskGroup carries it across pool
+    // PinForScan released its own pin; annotate with scan context and let
+    // the exception travel up the pipeline (TaskGroup carries it across pool
     // workers) — the query fails, the process does not.
     Metrics().pin_failures->Add();
     throw StorageException(Status(
@@ -150,7 +154,7 @@ void TableScanner::PinCurrentChunk() {
   pinned_chunk_ = chunk_idx_;
   ++pins_;
   Metrics().pins->Add();
-  if (was_evicted) {
+  if (streamed_) {
     ++archive_reloads_;
     Metrics().archive_reloads->Add();
   }
@@ -160,6 +164,7 @@ void TableScanner::ReleasePin() {
   if (pinned_chunk_ != SIZE_MAX) {
     table_->UnpinChunk(pinned_chunk_);
     pinned_chunk_ = SIZE_MAX;
+    streamed_ = false;
   }
 }
 
@@ -245,7 +250,7 @@ void TableScanner::PrepareChunk() {
     Metrics().chunks_pruned->Add();
     return;
   }
-  const DataBlock* block = table_->frozen_block(chunk_idx_);
+  const DataBlock* block = CurrentBlock();
   if (block != nullptr) {
     switch (mode_) {
       case ScanMode::kJit:
@@ -268,6 +273,11 @@ void TableScanner::PrepareChunk() {
       }
     }
   }
+  if (block != nullptr) {
+    frozen_deleted_ = table_->SnapshotDeleteBitmap(chunk_idx_, &deleted_copy_)
+                          ? deleted_copy_.data()
+                          : nullptr;
+  }
   ++chunks_scanned_;
   rows_considered_ += range_end_ - range_begin_;
   Metrics().chunks_scanned->Add();
@@ -285,8 +295,8 @@ bool TableScanner::Next(Batch* batch) {
         chunk_prepped_ = true;
         skip_chunk_ = true;
       } else {
-        // Pin before looking at the chunk: reloads it if evicted and blocks
-        // freeze/evict until the scan moves on.
+        // Pin before looking at the chunk: reads its columns if evicted and
+        // blocks freeze/evict/tombstone until the scan moves on.
         PinCurrentChunk();
         PrepareChunk();
       }
@@ -302,7 +312,7 @@ bool TableScanner::Next(Batch* batch) {
     uint32_t to = std::min(pos_ + vector_size_, range_end_);
     pos_ = to;
 
-    const DataBlock* block = table_->frozen_block(chunk_idx_);
+    const DataBlock* block = CurrentBlock();
     uint32_t produced =
         block != nullptr
             ? ProduceFrozenWindow(*block, from, to, batch)
@@ -499,7 +509,7 @@ uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
 
 uint32_t TableScanner::ProduceFrozenJit(const DataBlock& block, uint32_t from,
                                         uint32_t to, Batch* batch) {
-  const uint64_t* deleted = table_->delete_bitmap(chunk_idx_);
+  const uint64_t* deleted = frozen_deleted_;
   uint32_t produced = 0;
   for (uint32_t row = from; row < to; ++row) {
     if (deleted != nullptr && BitmapTest(deleted, row)) continue;
@@ -515,7 +525,7 @@ uint32_t TableScanner::ProduceFrozenDecompressAll(const DataBlock& block,
                                                   Batch* batch) {
   // Vectorwise-style: decompress full vector ranges of every required and
   // predicate column, then filter tuple-at-a-time on the decompressed data.
-  const uint64_t* deleted = table_->delete_bitmap(chunk_idx_);
+  const uint64_t* deleted = frozen_deleted_;
   const uint32_t window = to - from;
 
   for (size_t i = 0; i < columns_.size(); ++i)
@@ -543,14 +553,15 @@ uint32_t TableScanner::ProduceFrozenWindow(const DataBlock& block,
   if (mode_ == ScanMode::kVectorized)
     return ProduceFrozenDecompressAll(block, from, to, batch);
 
-  const uint64_t* deleted = table_->delete_bitmap(chunk_idx_);
+  const uint64_t* deleted = frozen_deleted_;
 
   // The Data Blocks modes emit dictionary-compressed string columns as
   // code-carrying vectors: survivors stay compressed through the pipeline
-  // and decode lazily via ColumnVector::Str(). The block stays valid for
-  // the batch's lifetime because the chunk pin is held until the scan moves
-  // on. The comparison baselines (kVectorizedSarg and below) keep
-  // materializing so they measure the decompress cost they are meant to.
+  // and decode lazily via ColumnVector::Str(). The block (or the image of
+  // an evicted one) stays valid for the batch's lifetime because the chunk
+  // pin is held until the scan moves on. The comparison baselines
+  // (kVectorizedSarg and below) keep materializing so they measure the
+  // decompress cost they are meant to.
   const bool emit_codes =
       mode_ == ScanMode::kDataBlocks || mode_ == ScanMode::kDataBlocksPsma;
   auto codeable = [&](uint32_t col) {

@@ -49,19 +49,23 @@ class TableScanner {
                Isa isa = BestIsa());
   ~TableScanner();
 
-  // The scanner holds a chunk pin across Next() calls (see below); copying
-  // would double-release it.
+  // The scanner holds a chunk pin and an image of the current evicted
+  // chunk across Next() calls (see below); copying would double-release
+  // the pin.
   TableScanner(const TableScanner&) = delete;
   TableScanner& operator=(const TableScanner&) = delete;
 
   /// Produces the next non-empty batch of matching tuples. Returns false
   /// when the scan is exhausted.
   ///
-  /// The chunk currently being produced stays pinned (Table::PinChunk)
-  /// between calls: evicted chunks are transparently reloaded when the scan
-  /// reaches them, and the lifecycle manager cannot evict a chunk out from
-  /// under an in-progress scan. The pin is dropped when the scan moves past
-  /// the chunk, is Reset, or the scanner is destroyed.
+  /// The chunk currently being produced stays pinned (Table::PinForScan)
+  /// between calls, so the lifecycle manager cannot evict or tombstone it
+  /// under an in-progress scan. An evicted chunk is not reloaded: the scan
+  /// reads just its output and predicate columns from the archive into an
+  /// image it reuses from chunk to chunk, and the chunk stays evicted. The
+  /// pin is dropped when the scan moves past the chunk, is Reset, or the
+  /// scanner is destroyed; string views in a batch stay valid until then,
+  /// so a consumer must copy what it keeps past the next Next() call.
   bool Next(Batch* batch);
 
   /// Restarts the scan from the beginning.
@@ -91,11 +95,11 @@ class TableScanner {
   /// narrowing) — the scan's input cardinality before predicates.
   uint64_t rows_considered() const { return rows_considered_; }
 
-  /// Chunk pins taken (Table::PinChunk calls).
+  /// Chunk pins taken (Table::PinForScan calls).
   uint64_t pins_taken() const { return pins_; }
 
-  /// Subset of pins_taken(): pins that found the chunk evicted and faulted
-  /// its block back in from the archive.
+  /// Subset of pins_taken(): pins that found the chunk evicted and read
+  /// its scanned columns from the archive.
   uint64_t archive_reloads() const { return archive_reloads_; }
 
  private:
@@ -106,6 +110,11 @@ class TableScanner {
   bool TrySkipChunkUnpinned();
   void PinCurrentChunk();
   void ReleasePin();
+  /// The pinned chunk's block: the image of an evicted chunk, else the
+  /// resident block (nullptr for a hot chunk).
+  const DataBlock* CurrentBlock() const {
+    return streamed_ ? &image_ : table_->frozen_block(chunk_idx_);
+  }
   void PrepareChunk();
   uint32_t ProduceHotWindow(const Chunk& chunk, uint32_t from, uint32_t to,
                             Batch* batch);
@@ -131,6 +140,7 @@ class TableScanner {
   const Table* table_;
   std::vector<uint32_t> columns_;
   std::vector<Predicate> predicates_;
+  ColumnSet image_cols_;  // output and predicate columns
   ScanMode mode_;
   uint32_t vector_size_;
   Isa isa_;
@@ -142,11 +152,17 @@ class TableScanner {
   size_t chunk_limit_ = SIZE_MAX;
   size_t chunk_idx_ = 0;
   size_t pinned_chunk_ = SIZE_MAX;
+  bool streamed_ = false;  // the pinned chunk was read into image_
+  DataBlock image_;        // evicted chunks' scanned columns, reused
   uint32_t pos_ = 0;
   bool chunk_prepped_ = false;
   bool skip_chunk_ = false;
   uint32_t range_begin_ = 0, range_end_ = 0;
   BlockScanPrep block_prep_;
+  // Deleted rows of the current frozen chunk (nullptr: none), copied once
+  // per chunk because deletes may land while the scan runs.
+  const uint64_t* frozen_deleted_ = nullptr;
+  std::vector<uint64_t> deleted_copy_;
   uint64_t chunks_skipped_ = 0;
   uint64_t evicted_skips_ = 0;
   uint64_t chunks_scanned_ = 0;

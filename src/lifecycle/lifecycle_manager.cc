@@ -26,6 +26,7 @@ struct LifecycleMetrics {
   obs::Counter* adopted;
   obs::Counter* evictions;
   obs::Counter* reloads;
+  obs::Counter* archive_bytes_read;
   obs::Counter* rearchived;
   obs::Counter* tombstoned;
   obs::Counter* compactions;
@@ -46,6 +47,7 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.adopted"),
                             r.GetCounter("lifecycle.evictions"),
                             r.GetCounter("lifecycle.reloads"),
+                            r.GetCounter("lifecycle.archive_bytes_read"),
                             r.GetCounter("lifecycle.rearchived"),
                             r.GetCounter("lifecycle.tombstoned"),
                             r.GetCounter("lifecycle.compactions"),
@@ -89,13 +91,15 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
     Metrics().degraded->Add(1);
     trace().Publish("lifecycle", "degrade", 0);
   }
-  // The reload path: must not call back into Table — it only touches the
-  // manager's own state (mu_) and the archive. Residency bookkeeping needs
-  // no update here: the chunk's state transition (kEvicted -> kFrozen) is
-  // the single source of truth the cache probes. The archive reference is
+  // The fetch path, for reloads and for scans' projected reads alike: must
+  // not call back into Table — it only touches the manager's own state
+  // (mu_) and the archive. Residency bookkeeping needs no update here: the
+  // chunk's state transition (kEvicted -> kFrozen on a reload) is the
+  // single source of truth the cache probes. The archive reference is
   // snapshotted under mu_ so a concurrent compaction swap cannot pull the
   // file out from under an in-flight read.
-  table_->SetBlockFetcher([this](size_t chunk_idx) -> StatusOr<DataBlock> {
+  table_->SetBlockFetcher([this](size_t chunk_idx, const ColumnSet& columns,
+                                 DataBlock* out) -> Status {
     std::shared_ptr<BlockArchive> archive;
     size_t block_id;
     {
@@ -124,20 +128,26 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
     if (archive == nullptr) {
       return Status::Unavailable("no archive (manager degraded at create)");
     }
-    StatusOr<DataBlock> block =
+    StatusOr<uint64_t> read =
         DB_FAILPOINT("lifecycle.reload")
-            ? StatusOr<DataBlock>(Status::IoError(
+            ? StatusOr<uint64_t>(Status::IoError(
                   "injected reload failure (failpoint lifecycle.reload)"))
-            : archive->ReadBlock(block_id);
-    if (!block.ok()) {
-      QuarantineChunk(chunk_idx, block.status());
-      return block.status();
+            : archive->ReadBlock(block_id, columns, out);
+    if (!read.ok()) {
+      QuarantineChunk(chunk_idx, read.status());
+      return read.status();
     }
     ClearQuarantine(chunk_idx);
-    Metrics().reloads->Add();
-    trace().Publish("lifecycle", "reload", int64_t(chunk_idx),
-                    int64_t(block_id));
-    return block;
+    Metrics().archive_bytes_read->Add(*read);
+    if (columns.all()) {
+      Metrics().reloads->Add();
+      trace().Publish("lifecycle", "reload", int64_t(chunk_idx),
+                      int64_t(block_id));
+    } else {
+      trace().Publish("lifecycle", "scan_read", int64_t(chunk_idx),
+                      int64_t(*read));
+    }
+    return Status::Ok();
   });
 }
 
@@ -455,6 +465,7 @@ size_t LifecycleManager::CompactLocked(bool force) {
   // from it throughout. The stat snapshot is taken *before* the copy so
   // compaction's own per-block reads don't inflate archive_reads.
   const uint64_t old_reads = old->payload_reads();
+  const uint64_t old_bytes_read = old->payload_bytes_read();
   const std::string tmp_path = archive_path_ + ".compact";
   std::vector<size_t> id_map;
   StatusOr<BlockArchive> compacted =
@@ -486,6 +497,8 @@ size_t LifecycleManager::CompactLocked(bool force) {
       entry.id = id_map[entry.id];
     }
     prior_archive_reads_.fetch_add(old_reads, std::memory_order_relaxed);
+    prior_archive_bytes_read_.fetch_add(old_bytes_read,
+                                        std::memory_order_relaxed);
     archive_ = std::move(fresh);
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
@@ -755,6 +768,9 @@ LifecycleStats LifecycleManager::stats() const {
     s.archive_bytes = archive_->PayloadBytes();
     s.archive_reads = archive_->payload_reads() +
                       prior_archive_reads_.load(std::memory_order_relaxed);
+    s.archive_bytes_read =
+        archive_->payload_bytes_read() +
+        prior_archive_bytes_read_.load(std::memory_order_relaxed);
   }
   s.resident_bytes = cache_.ResidentBytes([&](size_t c) {
     return table_->chunk_state(c) == ChunkState::kFrozen;

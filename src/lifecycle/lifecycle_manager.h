@@ -102,11 +102,12 @@ struct LifecycleStats {
   uint64_t freezes = 0;          // chunks auto-frozen by the policy
   uint64_t adopted = 0;          // manually-frozen chunks archived for eviction
   uint64_t evictions = 0;        // blocks dropped from memory
-  uint64_t reloads = 0;          // blocks transparently reloaded
+  uint64_t reloads = 0;          // blocks reloaded and installed resident
   uint64_t archived_blocks = 0;  // blocks written to the archive
   uint64_t archive_bytes = 0;    // archive payload size
   uint64_t resident_bytes = 0;   // resident frozen-block bytes (cache view)
-  uint64_t archive_reads = 0;    // payload reads served by the archive
+  uint64_t archive_reads = 0;    // payload reads, full or projected
+  uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
   uint64_t summary_bytes = 0;    // resident BlockSummary footprint
   uint64_t compactions = 0;      // archive compaction passes that rewrote
   uint64_t reclaimed_blocks = 0; // dead blocks dropped by compaction
@@ -124,14 +125,15 @@ struct LifecycleStats {
 /// The block lifecycle subsystem: per-chunk temperature statistics drive
 /// automatic freezing of cooled-down hot chunks into Data Blocks, and a
 /// block cache under a memory budget evicts the least recently used frozen
-/// blocks to a BlockArchive — from which they are transparently reloaded
-/// (and pinned) when a scan or point access touches them again.
+/// blocks to a BlockArchive. A point access to an evicted chunk reloads
+/// (and pins) its whole block; a scan reads just its columns from the
+/// archive into its own image and leaves the chunk evicted.
 ///
 /// One manager owns the lifecycle of one Table:
 ///
 ///   hot --(cold for N epochs)--> frozen --(over budget, LRU)--> evicted
 ///                                  ^                               |
-///                                  +---(scan/point access pin)-----+
+///                                  +------(point access pin)-------+
 ///
 /// Blocks are archived once, at freeze time (they are immutable; the
 /// mutable side delete-bitmap stays in memory), so eviction itself is just
@@ -269,6 +271,7 @@ class LifecycleManager {
   std::atomic<uint64_t> reclaimed_bytes_{0};
   std::atomic<uint64_t> rearchived_{0};
   std::atomic<uint64_t> prior_archive_reads_{0};  // reads on retired archives
+  std::atomic<uint64_t> prior_archive_bytes_read_{0};
   std::atomic<uint64_t> reload_failures_{0};
   std::atomic<uint64_t> retry_attempts_{0};
   std::atomic<uint64_t> write_failures_{0};

@@ -50,7 +50,7 @@ class PipelineProfile {
     uint64_t chunks_pruned = 0;          // SMA/PSMA or fully-deleted skips
     uint64_t evicted_chunks_pruned = 0;  // subset: summary-only, no reload
     uint64_t pins = 0;
-    uint64_t archive_reloads = 0;  // pins that faulted an evicted block in
+    uint64_t archive_reloads = 0;  // pins that read an evicted chunk
   };
 
   explicit PipelineProfile(std::string name) : name_(std::move(name)) {}

@@ -65,13 +65,100 @@ uint64_t Fnv1a64(const uint8_t* data, uint64_t n, uint64_t seed) {
 }
 constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
-/// The checksum an entry and its frame store: the block bytes, then the
-/// delete bitmap (if any) chained onto them.
-uint64_t PayloadChecksum(const uint8_t* block, uint64_t block_bytes,
-                         const void* bitmap, uint64_t bitmap_words) {
-  const uint64_t h = Fnv1a64(block, block_bytes, kFnvBasis);
-  if (bitmap_words == 0) return h;
-  return Fnv1a64(static_cast<const uint8_t*>(bitmap), bitmap_words * 8, h);
+constexpr size_t kSpineSum = 0;   // checksum-table word: spine checksum
+constexpr size_t kBitmapSum = 1;  // checksum-table word: bitmap checksum
+
+/// Words of a block's checksum table: the spine and bitmap checksums, then
+/// (extent start, extent checksum) per attribute.
+uint64_t TableWords(uint32_t attr_count) {
+  return 2 + 2 * uint64_t(attr_count);
+}
+
+uint64_t ExtentBegin(const std::vector<uint64_t>& t, uint32_t c) {
+  return t[2 + 2 * size_t(c)];
+}
+
+/// End of attribute c's extent: the next one's start, or the block's end.
+uint64_t ExtentEnd(const std::vector<uint64_t>& t, uint32_t c,
+                   uint64_t block_bytes) {
+  return 2 + 2 * size_t(c + 1) < t.size() ? ExtentBegin(t, c + 1)
+                                          : block_bytes;
+}
+
+uint64_t TableMix(const std::vector<uint64_t>& t) {
+  return Fnv1a64(reinterpret_cast<const uint8_t*>(t.data()), t.size() * 8,
+                 kFnvBasis);
+}
+
+/// The checksum table of `block` and its delete bitmap (AppendBlock).
+Status BuildChecksumTable(const DataBlock& block, const uint8_t* bitmap,
+                          uint64_t bitmap_words, std::vector<uint64_t>* t) {
+  std::vector<uint64_t> begins;
+  if (Status s = block.Extents(&begins); !s.ok()) return s;
+  const uint32_t ncols = block.num_columns();
+  const uint8_t* raw = block.raw_bytes();
+  t->assign(TableWords(ncols), 0);
+  (*t)[kSpineSum] = Fnv1a64(raw, DataBlock::SpineBytes(ncols), kFnvBasis);
+  (*t)[kBitmapSum] = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
+  for (uint32_t c = 0; c < ncols; ++c) {
+    (*t)[2 + 2 * size_t(c)] = begins[c];
+    (*t)[3 + 2 * size_t(c)] =
+        Fnv1a64(raw + begins[c], begins[c + 1] - begins[c], kFnvBasis);
+  }
+  return Status::Ok();
+}
+
+/// A stored table fits its entry: right size, extents in order from the
+/// spine's end to the block's end.
+bool TableWellFormed(const std::vector<uint64_t>& t, uint32_t attr_count,
+                     uint64_t block_bytes) {
+  if (t.size() != TableWords(attr_count)) return false;
+  uint64_t prev = DataBlock::SpineBytes(attr_count);
+  if (prev > block_bytes) return false;
+  for (uint32_t c = 0; c < attr_count; ++c) {
+    const uint64_t begin = ExtentBegin(t, c);
+    if ((c == 0 && begin != prev) || begin < prev || begin > block_bytes)
+      return false;
+    prev = begin;
+  }
+  return true;
+}
+
+/// Checks the regions of a block image that `columns` covers — the spine,
+/// their extents and, for ColumnSet::All(), the delete bitmap — against
+/// checksum table `t`. kCorruption names the first region that differs.
+Status VerifyChecksums(const uint8_t* block, uint64_t block_bytes,
+                       const uint8_t* bitmap, uint64_t bitmap_words,
+                       const std::vector<uint64_t>& t,
+                       const ColumnSet& columns, size_t id) {
+  const uint32_t ncols = uint32_t((t.size() - 2) / 2);
+  auto mismatch = [id](const std::string& region, uint64_t stored,
+                       uint64_t read) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "checksum mismatch on block %zu %s (stored %016llx, read "
+                  "%016llx)",
+                  id, region.c_str(), (unsigned long long)stored,
+                  (unsigned long long)read);
+    return Status::Corruption(msg);
+  };
+  uint64_t h = Fnv1a64(block, DataBlock::SpineBytes(ncols), kFnvBasis);
+  if (h != t[kSpineSum]) return mismatch("spine", t[kSpineSum], h);
+  for (uint32_t i = 0; i < columns.size(ncols); ++i) {
+    const uint32_t c = columns.at(i);
+    const uint64_t begin = ExtentBegin(t, c);
+    h = Fnv1a64(block + begin, ExtentEnd(t, c, block_bytes) - begin,
+                kFnvBasis);
+    if (h != t[3 + 2 * size_t(c)]) {
+      return mismatch("attribute " + std::to_string(c), t[3 + 2 * size_t(c)],
+                      h);
+    }
+  }
+  if (columns.all()) {
+    h = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
+    if (h != t[kBitmapSum]) return mismatch("delete bitmap", t[kBitmapSum], h);
+  }
+  return Status::Ok();
 }
 
 uint32_t FrameChecksum(const BlockFrame& f) {
@@ -187,8 +274,10 @@ BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   mu_ = std::move(o.mu_);
   entries_ = std::move(o.entries_);
   summaries_ = std::move(o.summaries_);
+  tables_ = std::move(o.tables_);
   end_offset_ = o.end_offset_;
   payload_reads_ = o.payload_reads_;
+  payload_bytes_read_ = o.payload_bytes_read_;
   writable_ = o.writable_;
   salvaged_ = o.salvaged_;
   o.fd_ = -1;
@@ -263,12 +352,20 @@ StatusOr<BlockArchive> BlockArchive::Open(const std::string& path) {
         " (readable: " + std::to_string(kVersion) + ")"));
   }
 
+  bool intact = false;
   Status index_status =
       hdr.index_offset == 0
           ? Status::Corruption("unfinished archive (index never published)")
-          : OpenIndex(a, hdr, file_size);
+          : OpenIndex(a, hdr, file_size, &intact);
   if (index_status.ok() && DB_FAILPOINT("archive.open.index")) {
     index_status = Status::Corruption("injected index fault (failpoint)");
+    intact = false;
+  }
+  if (!index_status.ok() && intact) {
+    // The index is exactly what its writer published, yet malformed: not
+    // a torn write, and no frame walk can make it trustworthy.
+    return CountRead(Status::Corruption("'" + path + "': " +
+                                        index_status.message()));
   }
   if (!index_status.ok()) {
     // The payload region is self-describing — recover the longest valid
@@ -284,9 +381,10 @@ StatusOr<BlockArchive> BlockArchive::Open(const std::string& path) {
 }
 
 Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
-                               uint64_t file_size) {
+                               uint64_t file_size, bool* intact) {
   a.entries_.clear();
   a.summaries_.clear();
+  a.tables_.clear();
   if (hdr.index_offset < sizeof(FileHeader) || hdr.index_offset > file_size) {
     return Status::Corruption(
         "index offset " + std::to_string(hdr.index_offset) +
@@ -317,6 +415,7 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
   }
   a.entries_.resize(hdr.block_count);
   a.summaries_.resize(hdr.block_count);
+  a.tables_.resize(hdr.block_count);
   std::memcpy(a.entries_.data(), region.data(), size_t(entries_bytes));
   uint64_t cursor = entries_bytes;
 
@@ -351,31 +450,58 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
     return Status::Corruption(msg);
   }
 
+  *intact = true;
+
   // Entry sanity: every payload must fit between the header plus its frame
-  // and the index. A corrupt record must not drive ReadBlock into a wild
-  // pread or an absurd allocation.
-  const uint64_t payload_floor = sizeof(FileHeader) + sizeof(BlockFrame);
+  // and checksum table and the index. A corrupt record must not drive
+  // ReadBlock into a wild pread or an absurd allocation.
+  const uint64_t frame_floor = sizeof(FileHeader) + sizeof(BlockFrame);
   for (uint32_t i = 0; i < hdr.block_count; ++i) {
     const ArchiveEntry& e = a.entries_[i];
+    auto bad = [&](const std::string& what) {
+      return Status::Corruption("entry " + std::to_string(i) + " " + what);
+    };
+    // Caps first, so the sums below cannot overflow.
+    if (e.block_bytes < sizeof(BlockHeader) || e.block_bytes > file_size ||
+        e.bitmap_words > file_size / 8 || e.attr_count > file_size / 16) {
+      return bad("has implausible sizes");
+    }
+    const uint64_t table_bytes = TableWords(e.attr_count) * 8;
     const uint64_t payload = e.block_bytes + e.bitmap_words * 8;
-    if (e.block_bytes < sizeof(BlockHeader) || e.offset < payload_floor ||
-        e.offset > hdr.index_offset || payload < e.block_bytes ||
+    if (e.offset < frame_floor + table_bytes || e.offset > hdr.index_offset ||
         payload > hdr.index_offset - e.offset) {
-      return Status::Corruption("entry " + std::to_string(i) +
-                                " out of bounds (offset " +
-                                std::to_string(e.offset) + ", " +
-                                std::to_string(e.block_bytes) + " bytes)");
+      return bad("out of bounds (offset " + std::to_string(e.offset) + ", " +
+                 std::to_string(e.block_bytes) + " bytes)");
     }
     if (e.summary_bytes != 0) {
       // Overflow-proof bounds check: a corrupt entry must not wrap the sum
       // past the blob size and slip through.
       if (e.summary_bytes > blob_bytes ||
           e.summary_offset > blob_bytes - e.summary_bytes) {
-        return Status::Corruption("entry " + std::to_string(i) +
-                                  " summary out of blob bounds");
+        return bad("summary out of blob bounds");
       }
-      a.summaries_[i] = std::make_shared<const BlockSummary>(
-          BlockSummary::FromBytes(blob + e.summary_offset, e.summary_bytes));
+      StatusOr<BlockSummary> summary =
+          BlockSummary::FromBytes(blob + e.summary_offset, e.summary_bytes);
+      if (!summary.ok()) return bad(summary.status().message());
+      if (summary->row_count() != e.row_count ||
+          summary->num_columns() != e.attr_count) {
+        return bad("summary does not describe its block");
+      }
+      a.summaries_[i] =
+          std::make_shared<const BlockSummary>(std::move(*summary));
+    }
+    // The checksum table sits right before the payload. One that fails its
+    // entry's checksum fails that block's reads alone, as a damaged payload
+    // does.
+    std::vector<uint64_t> table(TableWords(e.attr_count));
+    if (PreadFull(a.fd_, table.data(), table_bytes, e.offset - table_bytes,
+                  "checksum table")
+            .ok() &&
+        TableMix(table) == e.checksum &&
+        TableWellFormed(table, e.attr_count, e.block_bytes)) {
+      a.tables_[i] = std::move(table);
+    } else {
+      Metrics().read_errors->Add();
     }
   }
   a.end_offset_ = hdr.index_offset;
@@ -385,6 +511,7 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
 void BlockArchive::Salvage(BlockArchive& a, uint64_t file_size) {
   a.entries_.clear();
   a.summaries_.clear();
+  a.tables_.clear();
   a.salvaged_ = true;
   a.writable_ = false;
   uint64_t pos = sizeof(FileHeader);
@@ -393,28 +520,44 @@ void BlockArchive::Salvage(BlockArchive& a, uint64_t file_size) {
     BlockFrame f;
     if (!PreadFull(a.fd_, &f, sizeof(f), pos, "block frame").ok()) break;
     if (f.magic != kFrameMagic || f.frame_checksum != FrameChecksum(f)) break;
+    if (f.block_bytes < sizeof(BlockHeader) || f.block_bytes > file_size ||
+        f.bitmap_words > file_size / 8 || f.attr_count > file_size / 16) {
+      break;
+    }
+    const uint64_t table_bytes = TableWords(f.attr_count) * 8;
     const uint64_t payload = f.block_bytes + f.bitmap_words * 8;
-    if (f.block_bytes < sizeof(BlockHeader) || payload < f.block_bytes ||
-        payload > file_size - pos - sizeof(BlockFrame)) {
-      break;  // frame valid but payload truncated mid-block
+    if (table_bytes + payload > file_size - pos - sizeof(BlockFrame)) {
+      break;  // frame valid but table or payload truncated mid-block
+    }
+    std::vector<uint64_t> table(TableWords(f.attr_count));
+    const uint64_t table_off = pos + sizeof(BlockFrame);
+    if (!PreadFull(a.fd_, table.data(), table_bytes, table_off,
+                   "checksum table")
+             .ok() ||
+        TableMix(table) != f.checksum ||
+        !TableWellFormed(table, f.attr_count, f.block_bytes)) {
+      break;
     }
     buf.resize(payload);
-    if (!PreadFull(a.fd_, buf.data(), payload, pos + sizeof(BlockFrame),
+    if (!PreadFull(a.fd_, buf.data(), payload, table_off + table_bytes,
                    "block payload")
              .ok()) {
       break;
     }
-    if (PayloadChecksum(buf.data(), f.block_bytes, buf.data() + f.block_bytes,
-                        f.bitmap_words) != f.checksum) {
+    if (!VerifyChecksums(buf.data(), f.block_bytes, buf.data() + f.block_bytes,
+                         f.bitmap_words,
+                         table, ColumnSet::All(), a.entries_.size())
+             .ok()) {
       break;  // torn write: end of valid prefix
     }
     ArchiveEntry e{};
-    e.offset = pos + sizeof(BlockFrame);
+    e.offset = table_off + table_bytes;
     e.block_bytes = f.block_bytes;
     e.bitmap_words = f.bitmap_words;
     e.checksum = f.checksum;
     e.chunk_index = f.chunk_index;
     e.row_count = f.row_count;
+    e.attr_count = f.attr_count;
     uint32_t deleted = 0;
     for (uint64_t w = 0; w < f.bitmap_words; ++w) {
       uint64_t word;
@@ -424,7 +567,8 @@ void BlockArchive::Salvage(BlockArchive& a, uint64_t file_size) {
     e.deleted_count = deleted;
     a.entries_.push_back(e);
     a.summaries_.push_back(nullptr);
-    pos += sizeof(BlockFrame) + payload;
+    a.tables_.push_back(std::move(table));
+    pos = e.offset + payload;
   }
   a.end_offset_ = pos;
 }
@@ -459,23 +603,34 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
     deleted_count += uint32_t(std::popcount(bitmap[w]));
   }
 
-  const uint64_t checksum = PayloadChecksum(block.raw_bytes(), block_bytes,
-                                            bitmap.data(), bitmap_words);
+  std::vector<uint64_t> table;
+  if (Status s = BuildChecksumTable(
+          block, reinterpret_cast<const uint8_t*>(bitmap.data()), bitmap_words,
+          &table);
+      !s.ok()) {
+    return CountWrite(std::move(s));
+  }
+  const uint64_t table_bytes = table.size() * 8;
 
   BlockFrame frame{};
   frame.magic = kFrameMagic;
   frame.chunk_index = chunk_index;
   frame.block_bytes = block_bytes;
   frame.bitmap_words = bitmap_words;
-  frame.checksum = checksum;
+  frame.checksum = TableMix(table);
   frame.row_count = block.num_rows();
+  frame.attr_count = block.num_columns();
   frame.frame_checksum = FrameChecksum(frame);
 
-  // Frame, payload, bitmap — any failure truncates back to the last good
-  // end-of-payload so every previously appended block stays readable and a
-  // later Finish publishes a consistent index.
-  Status s = PwriteFull(fd_, &frame, sizeof(frame), end_offset_, "frame");
-  const uint64_t payload_off = end_offset_ + sizeof(frame);
+  // Frame + table, payload, bitmap — any failure truncates back to the last
+  // good end-of-payload so every previously appended block stays readable
+  // and a later Finish publishes a consistent index.
+  std::vector<uint8_t> head(sizeof(frame) + table_bytes);
+  std::memcpy(head.data(), &frame, sizeof(frame));
+  std::memcpy(head.data() + sizeof(frame), table.data(), table_bytes);
+  Status s = PwriteFull(fd_, head.data(), head.size(), end_offset_,
+                        "frame and checksum table");
+  const uint64_t payload_off = end_offset_ + head.size();
   if (s.ok() && DB_FAILPOINT("archive.append.short_write")) {
     // Simulated torn append: half the payload reaches the disk, then the
     // device gives up. Exactly what a crash/disk-full leaves behind — and
@@ -504,22 +659,26 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   e.offset = payload_off;
   e.block_bytes = block_bytes;
   e.bitmap_words = bitmap_words;
-  e.checksum = checksum;
+  e.checksum = frame.checksum;
   e.chunk_index = chunk_index;
   e.deleted_count = deleted_count;
   e.row_count = block.num_rows();
+  e.attr_count = block.num_columns();
   entries_.push_back(e);
   summaries_.push_back(
       summary != nullptr ? std::make_shared<const BlockSummary>(*summary)
                          : nullptr);
+  tables_.push_back(std::move(table));
   end_offset_ = payload_off + block_bytes + bitmap_words * 8;
   return entries_.size() - 1;
 }
 
-StatusOr<DataBlock> BlockArchive::ReadBlock(
-    size_t id, std::vector<uint64_t>* delete_bitmap) const {
+StatusOr<uint64_t> BlockArchive::ReadBlock(
+    size_t id, const ColumnSet& columns, DataBlock* out,
+    std::vector<uint64_t>* delete_bitmap) const {
   DB_CHECK(mu_ != nullptr);
   ArchiveEntry e;
+  std::vector<uint64_t> table;
   {
     std::lock_guard<std::mutex> lock(*mu_);
     if (id >= entries_.size()) {
@@ -528,50 +687,103 @@ StatusOr<DataBlock> BlockArchive::ReadBlock(
           std::to_string(entries_.size()) + ")"));
     }
     e = entries_[id];
+    table = tables_[id];
     ++payload_reads_;
   }
   if (DB_FAILPOINT("archive.read.ioerror")) {
     return CountRead(Status::IoError("injected read failure (failpoint)"));
   }
-  if (e.block_bytes < sizeof(BlockHeader)) {
-    return CountRead(Status::Corruption("block " + std::to_string(id) +
-                                        " entry is implausibly small"));
+  const std::string block_name = "block " + std::to_string(id);
+  if (table.empty()) {
+    return CountRead(Status::Corruption(
+        block_name + ": its checksum table failed verification"));
   }
-  // Read straight into the block's own buffer — reloads are a hot path
-  // under eviction churn, an intermediate copy would double the cost. The
-  // pread runs outside the catalog mutex: concurrent reloads of different
-  // blocks must overlap their disk time.
-  DataBlock block = DataBlock::ForFill(e.block_bytes);
-  std::vector<uint64_t> bitmap(e.bitmap_words);
-  if (Status s = PreadFull(fd_, block.fill_bytes(), e.block_bytes, e.offset,
-                           "block payload");
-      !s.ok()) {
-    return CountRead(std::move(s));
-  }
-  if (e.bitmap_words != 0) {
-    if (Status s = PreadFull(fd_, bitmap.data(), e.bitmap_words * 8,
-                             e.offset + e.block_bytes, "delete bitmap");
-        !s.ok()) {
-      return CountRead(std::move(s));
+  const uint32_t ncols = e.attr_count;
+  for (uint32_t i = 0; i < columns.size(ncols); ++i) {
+    if (columns.at(i) >= ncols) {
+      return CountRead(Status::Corruption(
+          block_name + " has no attribute " + std::to_string(columns.at(i))));
     }
   }
-  const uint64_t checksum = PayloadChecksum(block.raw_bytes(), e.block_bytes,
-                                            bitmap.data(), e.bitmap_words);
-  if (checksum != e.checksum || DB_FAILPOINT("archive.read.corruption")) {
-    char msg[112];
-    std::snprintf(msg, sizeof(msg),
-                  "checksum mismatch on block %zu (stored %016llx, read "
-                  "%016llx)",
-                  id, (unsigned long long)e.checksum,
-                  (unsigned long long)checksum);
-    return CountRead(Status::Corruption(msg));
+
+  // Read straight into the block's own buffer — reads are a hot path under
+  // eviction, an intermediate copy would double the cost. Only the spine
+  // and the requested extents are fetched, adjacent ones in one pread (the
+  // full read is a single one). The preads run outside the catalog mutex:
+  // concurrent reads of different blocks must overlap their disk time.
+  out->ResizeForFill(e.block_bytes);
+  uint8_t* buf = out->fill_bytes();
+  uint64_t bytes = 0;
+  uint64_t run_begin = 0, run_end = DataBlock::SpineBytes(ncols);
+  auto flush = [&]() -> Status {
+    if (run_end == run_begin) return Status::Ok();
+    bytes += run_end - run_begin;
+    return PreadFull(fd_, buf + run_begin, run_end - run_begin,
+                     e.offset + run_begin, "block payload");
+  };
+  Status s = Status::Ok();
+  for (uint32_t i = 0; i < columns.size(ncols) && s.ok(); ++i) {
+    const uint32_t c = columns.at(i);
+    const uint64_t begin = ExtentBegin(table, c);
+    const uint64_t end = ExtentEnd(table, c, e.block_bytes);
+    if (begin == end) continue;
+    if (begin != run_end) {
+      s = flush();
+      run_begin = begin;
+    }
+    run_end = end;
   }
-  if (!block.CheckFilled()) {
+  if (s.ok()) s = flush();
+  std::vector<uint64_t> bitmap(columns.all() ? e.bitmap_words : 0);
+  if (s.ok() && !bitmap.empty()) {
+    bytes += e.bitmap_words * 8;
+    s = PreadFull(fd_, bitmap.data(), e.bitmap_words * 8,
+                  e.offset + e.block_bytes, "delete bitmap");
+  }
+  if (!s.ok()) return CountRead(std::move(s));
+
+  s = VerifyChecksums(buf, e.block_bytes,
+                      reinterpret_cast<const uint8_t*>(bitmap.data()),
+                      bitmap.size(), table, columns, id);
+  if (s.ok() && DB_FAILPOINT("archive.read.corruption")) {
+    s = Status::Corruption("checksum mismatch on " + block_name +
+                           " (failpoint)");
+  }
+  if (!s.ok()) return CountRead(std::move(s));
+
+  // The checksums prove the bytes are the ones written; the structure must
+  // still be checked before anything indexes into them. The extents the
+  // spine implies must be the ones the table verified.
+  std::vector<uint64_t> begins;
+  s = out->Extents(&begins);
+  bool agree = s.ok() && begins.size() == size_t(ncols) + 1 &&
+               out->num_rows() == e.row_count;
+  for (uint32_t c = 0; agree && c < ncols; ++c)
+    agree = begins[c] == ExtentBegin(table, c);
+  if (agree) s = out->Validate(columns);
+  if (!agree || !s.ok()) {
+    const std::string why =
+        agree ? s.message() : "layout disagrees with its index";
     return CountRead(Status::Corruption(
-        "block " + std::to_string(id) + " bytes are not a well-formed block"));
+        block_name + " bytes are not a well-formed block: " + why));
   }
   if (delete_bitmap != nullptr) *delete_bitmap = std::move(bitmap);
+  std::lock_guard<std::mutex> lock(*mu_);
+  payload_bytes_read_ += bytes;
+  return bytes;
+}
+
+StatusOr<DataBlock> BlockArchive::ReadBlock(
+    size_t id, std::vector<uint64_t>* delete_bitmap) const {
+  DataBlock block;
+  StatusOr<uint64_t> read =
+      ReadBlock(id, ColumnSet::All(), &block, delete_bitmap);
+  if (!read.ok()) return read.status();
   return block;
+}
+
+uint64_t BlockArchive::Checksum(const void* data, uint64_t n) {
+  return Fnv1a64(static_cast<const uint8_t*>(data), n, kFnvBasis);
 }
 
 uint64_t BlockArchive::PayloadBytes() const {
@@ -585,6 +797,11 @@ uint64_t BlockArchive::PayloadBytes() const {
 uint64_t BlockArchive::payload_reads() const {
   std::lock_guard<std::mutex> lock(*mu_);
   return payload_reads_;
+}
+
+uint64_t BlockArchive::payload_bytes_read() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return payload_bytes_read_;
 }
 
 size_t BlockArchive::num_blocks() const {
@@ -745,6 +962,13 @@ StatusOr<Table> BlockArchive::Restore(const std::string& name, Schema schema,
     std::vector<uint64_t> bitmap;
     StatusOr<DataBlock> block = archive->ReadBlock(i, &bitmap);
     if (!block.ok()) return block.status();
+    bool matches = block->num_columns() == table.schema().num_columns();
+    for (uint32_t c = 0; matches && c < block->num_columns(); ++c)
+      matches = block->type(c) == table.schema().type(c);
+    if (!matches) {
+      return Status::Corruption("block " + std::to_string(i) + " of '" +
+                                path + "' does not match the table schema");
+    }
     table.AppendFrozen(std::move(*block), std::move(bitmap),
                        archive->entry(i).deleted_count);
     // Carry the archived summary over so the restored table prunes evicted

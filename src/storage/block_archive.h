@@ -13,60 +13,69 @@
 
 namespace datablocks {
 
-/// One archived block's catalog record. The optional delete bitmap is laid
-/// out immediately after the block payload; `checksum` covers payload +
-/// bitmap. The summary fields locate the block's serialized BlockSummary
-/// inside the index summary blob — readable without touching any payload
-/// bytes.
+/// One archived block's catalog record. The block's checksum table sits
+/// between its frame and its payload, and the optional delete bitmap right
+/// after the payload. The summary fields locate the block's serialized
+/// BlockSummary inside the index summary blob — readable without touching
+/// any payload bytes.
 struct ArchiveEntry {
   uint64_t offset;        // file offset of the serialized block
   uint64_t block_bytes;   // length of the serialized block
   uint64_t bitmap_words;  // delete-bitmap words stored after the block
-  uint64_t checksum;      // 8-lane FNV-style mix over block payload + bitmap
+  uint64_t checksum;      // 8-lane FNV-style mix over the checksum table
   uint32_t chunk_index;   // originating chunk slot (UINT32_MAX if n/a)
   uint32_t deleted_count; // set bits in the stored delete bitmap
   uint32_t row_count;     // tuples in the block
-  uint32_t reserved;
+  uint32_t attr_count;    // attributes in the block
   uint64_t summary_offset;  // offset into the index summary blob
   uint64_t summary_bytes;   // 0 = no summary stored
 };
 static_assert(sizeof(ArchiveEntry) == 64);
 
-/// Per-block frame, written immediately before each payload. It
-/// duplicates the entry fields a reader needs to re-discover the block
-/// without the index, which is what makes crash recovery possible: Open of
-/// an archive whose index was never published (torn write, crash before
-/// Finish) walks the frames forward and salvages the longest valid prefix.
+/// Per-block frame, written immediately before each block's checksum
+/// table. It duplicates the entry fields a reader needs to re-discover the
+/// block without the index, which is what makes crash recovery possible:
+/// Open of an archive whose index was never published (torn write, crash
+/// before Finish) walks the frames forward and salvages the longest valid
+/// prefix.
 struct BlockFrame {
   uint32_t magic;           // kFrameMagic
   uint32_t chunk_index;
   uint64_t block_bytes;
   uint64_t bitmap_words;
-  uint64_t checksum;        // payload + bitmap (matches ArchiveEntry)
+  uint64_t checksum;        // checksum-table mix (matches ArchiveEntry)
   uint32_t row_count;
-  uint32_t frame_checksum;  // mix of the preceding 36 bytes, folded to 32
+  uint32_t attr_count;
+  uint32_t reserved;
+  uint32_t frame_checksum;  // mix of the preceding 44 bytes, folded to 32
 };
-static_assert(sizeof(BlockFrame) == 40);
+static_assert(sizeof(BlockFrame) == 48);
 
 /// Eviction of frozen chunks to secondary storage (paper Section 3: "by
 /// maintaining a flat structure without pointers, Data Blocks are also
 /// suitable for eviction to secondary storage").
 ///
-/// Archive format v5, the only readable one: a versioned file header, the
+/// Archive format v6, the only readable one: a versioned file header, the
 /// serialized blocks — each preceded by a self-describing BlockFrame and
-/// optionally followed by its delete bitmap — and an index written by
-/// Finish(): the ArchiveEntry records, a blob of serialized BlockSummary
-/// records, and a trailing checksum over the whole index region (so index
-/// corruption is detected, not just payload corruption). The index enables
-/// per-block random access, the per-entry checksum catches torn or
-/// corrupted payload writes on reload, and the summary blob makes every
-/// block's SMA/PSMA metadata restorable *without payload reads* — an
-/// SMA-pruned scan never has to fault the block in.
+/// its checksum table, and optionally followed by its delete bitmap — and
+/// an index written by Finish(): the ArchiveEntry records, a blob of
+/// serialized BlockSummary records, and a trailing checksum over the whole
+/// index region (so index corruption is detected, not just payload
+/// corruption). The index enables per-block random access, and the summary
+/// blob makes every block's SMA/PSMA metadata restorable *without payload
+/// reads* — an SMA-pruned scan never has to fault the block in.
 ///
-/// Every checksum (payload + bitmap, frame, index) is an 8-lane FNV-style
-/// mix: each 64-byte stripe feeds one word to each of eight independent
-/// multiply chains, which the core overlaps instead of waiting on one
-/// serial chain per 8 bytes. Every byte is still covered.
+/// Checksums are per attribute, so a scan can read just its columns: a
+/// block's checksum table holds one checksum for its spine (BlockHeader
+/// plus the AttrMeta array), one for its delete bitmap, and the start and
+/// checksum of each attribute's extent (DataBlock::Extents: from the
+/// attribute's first region to where the next attribute's begins). Every
+/// payload byte is covered by exactly one of them, and the entry and frame
+/// store the mix of the table itself. A projected ReadBlock verifies only
+/// the spine and the extents it read; the full read verifies them all.
+/// Every checksum is an 8-lane FNV-style mix: each 64-byte stripe feeds one
+/// word to each of eight independent multiply chains, which the core
+/// overlaps instead of waiting on one serial chain per 8 bytes.
 ///
 /// Failure model: every fallible operation returns Status/StatusOr instead
 /// of aborting. Finish orders durability (fsync payload -> write + fsync
@@ -82,8 +91,8 @@ class BlockArchive {
  public:
   static constexpr uint32_t kMagic = 0x52414244;       // "DBAR"
   static constexpr uint32_t kFrameMagic = 0x52464244;  // "DBFR"
-  static constexpr uint32_t kVersion = 5;
-  static constexpr uint32_t kMinVersion = 5;  // oldest readable format
+  static constexpr uint32_t kVersion = 6;
+  static constexpr uint32_t kMinVersion = 6;  // oldest readable format
 
   BlockArchive() = default;
   ~BlockArchive();
@@ -96,12 +105,13 @@ class BlockArchive {
   /// Opens an archive for random-access reads. A finished archive opens via
   /// its index (header, version and index checksum validated, with
   /// diagnostic kCorruption on any mismatch). An archive whose index is
-  /// missing or invalid — truncated mid-block, truncated mid-index, torn
-  /// header publish — is *salvaged* instead: the frames are walked forward
-  /// and the longest checksum-valid prefix of blocks becomes readable
-  /// (salvaged() reports this; summaries are absent). Unreadable headers
-  /// are errors, never salvage: a bad magic means this is not an archive at
-  /// all.
+  /// missing or fails its checksum — truncated mid-block, truncated
+  /// mid-index, torn header publish — is *salvaged* instead: the frames are
+  /// walked forward and the longest checksum-valid prefix of blocks becomes
+  /// readable (salvaged() reports this; summaries are absent). Unreadable
+  /// headers are errors, never salvage: a bad magic means this is not an
+  /// archive at all. So is a checksum-valid index whose records or
+  /// summaries are malformed — no torn write produces one.
   static StatusOr<BlockArchive> Open(const std::string& path);
 
   /// Appends one block (and its delete bitmap, if any); written through to
@@ -118,10 +128,20 @@ class BlockArchive {
                                const uint64_t* delete_bitmap = nullptr,
                                const BlockSummary* summary = nullptr);
 
-  /// Random-access, checksum-verified reload of one block (kCorruption on a
-  /// checksum/shape mismatch, kIoError on a failed read — other blocks stay
-  /// readable). If `delete_bitmap` is non-null it receives the stored
-  /// bitmap (empty if none was stored).
+  /// Random-access, checksum-verified read of block `id` into `out`, whose
+  /// buffer is reused when large enough. Reads and verifies the spine and
+  /// the extents of `columns` only; the bytes of other attributes are left
+  /// undefined. With ColumnSet::All() it is the full reload: every extent
+  /// and the delete bitmap are read and verified, and `delete_bitmap`, if
+  /// non-null, receives the stored bitmap (empty if none was stored).
+  /// Returns the payload bytes read. kCorruption on a checksum mismatch or a
+  /// block that fails DataBlock::Validate(columns), kIoError on a failed
+  /// read — other blocks stay readable.
+  StatusOr<uint64_t> ReadBlock(
+      size_t id, const ColumnSet& columns, DataBlock* out,
+      std::vector<uint64_t>* delete_bitmap = nullptr) const;
+
+  /// The full reload as a fresh block.
   StatusOr<DataBlock> ReadBlock(
       size_t id, std::vector<uint64_t>* delete_bitmap = nullptr) const;
 
@@ -146,13 +166,19 @@ class BlockArchive {
   /// readable); the entries are the longest valid prefix of the file.
   bool salvaged() const { return salvaged_; }
 
+  /// The 8-lane FNV-style mix behind every archive checksum, for tools and
+  /// tests that check or craft archive bytes by hand.
+  static uint64_t Checksum(const void* data, uint64_t n);
+
   /// Total bytes of archived payload (blocks + bitmaps, without metadata).
   uint64_t PayloadBytes() const;
 
-  /// Payload reads served so far (ReadBlock calls). Summary accesses do not
-  /// count — that is the point: pruning evicted blocks must leave this at
-  /// zero, and the lifecycle tests pin it down.
+  /// Payload reads served so far (ReadBlock calls, full or projected).
+  /// Summary accesses do not count — that is the point: pruning evicted
+  /// blocks must leave this at zero, and the lifecycle tests pin it down.
   uint64_t payload_reads() const;
+  /// Payload bytes the successful ones fetched (spines, extents, bitmaps).
+  uint64_t payload_bytes_read() const;
 
   /// Writes the index + final header, fsyncing the payload region *before*
   /// the header publishes the index offset. Called automatically on
@@ -205,8 +231,10 @@ class BlockArchive {
   };
   static_assert(sizeof(FileHeader) == 32);
 
+  /// Loads the index; `*intact` turns true once its checksum verified, so
+  /// Open can tell a torn index (salvage) from a malformed one (error).
   static Status OpenIndex(BlockArchive& a, const FileHeader& hdr,
-                          uint64_t file_size);
+                          uint64_t file_size, bool* intact);
   static void Salvage(BlockArchive& a, uint64_t file_size);
 
   std::string path_;
@@ -216,8 +244,13 @@ class BlockArchive {
   /// Parsed summaries, parallel to entries_ (null where absent). Kept in
   /// memory on both the write and the read path so summary() never does IO.
   std::vector<std::shared_ptr<const BlockSummary>> summaries_;
+  /// Checksum tables, parallel to entries_ (see the class comment); empty
+  /// where the stored table failed verification, which fails reads of that
+  /// block alone.
+  std::vector<std::vector<uint64_t>> tables_;
   uint64_t end_offset_ = 0;
-  mutable uint64_t payload_reads_ = 0;  // guarded by mu_
+  mutable uint64_t payload_reads_ = 0;       // guarded by mu_
+  mutable uint64_t payload_bytes_read_ = 0;  // guarded by mu_
   bool writable_ = false;
   bool salvaged_ = false;
 };

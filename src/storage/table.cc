@@ -165,30 +165,86 @@ Status Table::TryPinChunk(size_t chunk_idx) const {
   BlockFetcher fetcher = fetcher_;
   ms.state.store(ChunkState::kReloading, std::memory_order_seq_cst);
   lock.unlock();
-  StatusOr<DataBlock> fetched = [&]() -> StatusOr<DataBlock> {
-    try {
-      return fetcher(chunk_idx);
-    } catch (const StorageException& e) {
-      return e.status();
-    } catch (const std::exception& e) {
-      return Status::IoError(std::string("block fetcher threw: ") + e.what());
-    }
-  }();
+  DataBlock fetched;
+  Status read = Fetch(fetcher, chunk_idx, ColumnSet::All(), &fetched);
   lock.lock();
-  if (!fetched.ok()) return fail(fetched.status());
-  if (fetched->num_rows() != ms.rows.load(std::memory_order_relaxed)) {
-    return fail(Status::Corruption(
-        "reloaded block for chunk " + std::to_string(chunk_idx) +
-        " of table '" + name_ + "' has " +
-        std::to_string(fetched->num_rows()) + " rows, chunk has " +
-        std::to_string(ms.rows.load(std::memory_order_relaxed))));
-  }
-  ms.frozen = std::make_unique<DataBlock>(std::move(*fetched));
+  if (!read.ok()) return fail(std::move(read));
+  ms.frozen = std::make_unique<DataBlock>(std::move(fetched));
   reloads_.fetch_add(1, std::memory_order_relaxed);
   ms.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
   lock.unlock();
   lifecycle_cv_.notify_all();
   return Status::Ok();
+}
+
+Status Table::Fetch(const BlockFetcher& fetcher, size_t chunk_idx,
+                    const ColumnSet& columns, DataBlock* out) const {
+  Status s;
+  try {
+    s = fetcher(chunk_idx, columns, out);
+  } catch (const StorageException& e) {
+    s = e.status();
+  } catch (const std::exception& e) {
+    s = Status::IoError(std::string("block fetcher threw: ") + e.what());
+  }
+  if (!s.ok()) return s;
+  const std::string where =
+      "chunk " + std::to_string(chunk_idx) + " of table '" + name_ + "'";
+  const uint32_t rows = slot(chunk_idx).rows.load(std::memory_order_relaxed);
+  if (out->num_rows() != rows) {
+    return Status::Corruption("block read for " + where + " has " +
+                              std::to_string(out->num_rows()) +
+                              " rows, chunk has " + std::to_string(rows));
+  }
+  bool matches = out->num_columns() == schema_->num_columns();
+  for (uint32_t i = 0; matches && i < columns.size(out->num_columns()); ++i)
+    matches = out->type(columns.at(i)) == schema_->type(columns.at(i));
+  if (!matches) {
+    return Status::Corruption("block read for " + where +
+                              " does not match the table schema");
+  }
+  return Status::Ok();
+}
+
+bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
+                       DataBlock* image) const {
+  const Slot& s = slot(chunk_idx);
+  s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+  // The PinChunk handshake: publish the pin, then read the state.
+  s.pins.fetch_add(1, std::memory_order_seq_cst);
+  const ChunkState st = s.state.load(std::memory_order_seq_cst);
+  if (st == ChunkState::kHot || st == ChunkState::kFrozen) return false;
+  BlockFetcher fetcher;
+  {
+    // Transients resolve under the mutex: wait out a freeze or another
+    // pin's reload, and see through a tombstone or eviction attempt that
+    // our pin just made back off.
+    std::unique_lock<std::mutex> lock(lifecycle_mu_);
+    lifecycle_cv_.wait(lock, [&] {
+      const ChunkState now = s.state.load(std::memory_order_relaxed);
+      return now != ChunkState::kReloading && now != ChunkState::kFreezing;
+    });
+    if (s.state.load(std::memory_order_relaxed) != ChunkState::kEvicted)
+      return false;  // resident again, or a tombstone
+    fetcher = fetcher_;
+  }
+  // Held on kEvicted, the pin keeps TombstoneChunk off this chunk, so the
+  // archive entry the fetcher reads stays attached (and compaction keeps
+  // it live) until the scan unpins. Another reader may reload the chunk
+  // meanwhile; the scan keeps using its own image.
+  Status read =
+      fetcher == nullptr
+          ? Status::Unavailable("chunk " + std::to_string(chunk_idx) +
+                                " of table '" + name_ +
+                                "' is evicted and no block fetcher is "
+                                "installed")
+          : Fetch(fetcher, chunk_idx, columns, image);
+  if (!read.ok()) {
+    s.pins.fetch_sub(1, std::memory_order_release);
+    throw StorageException(std::move(read));
+  }
+  return true;
 }
 
 void Table::UnpinChunk(size_t chunk_idx) const {
@@ -350,6 +406,20 @@ const uint64_t* Table::delete_bitmap(size_t chunk_idx) const {
   return slot.frozen_deleted_count.load(std::memory_order_acquire) == 0
              ? nullptr
              : slot.frozen_deleted.data();
+}
+
+bool Table::SnapshotDeleteBitmap(size_t chunk_idx,
+                                 std::vector<uint64_t>* out) const {
+  const Slot& slot = this->slot(chunk_idx);
+  if (slot.frozen_deleted_count.load(std::memory_order_acquire) == 0)
+    return false;
+  out->resize(slot.frozen_deleted.size());
+  for (size_t w = 0; w < out->size(); ++w) {
+    (*out)[w] = std::atomic_ref<uint64_t>(
+                    const_cast<uint64_t&>(slot.frozen_deleted[w]))
+                    .load(std::memory_order_relaxed);
+  }
+  return true;
 }
 
 void Table::SetBlockSummary(size_t chunk_idx,

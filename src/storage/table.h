@@ -45,8 +45,9 @@ inline uint32_t RowIdRow(RowId id) {
 ///              compressing the chunk; readers fall back to the slow path
 ///   kFrozen    immutable compressed DataBlock resident in memory
 ///   kEvicted   the block lives only in the archive; the side delete bitmap
-///              and row count stay in memory, the payload is reloaded on
-///              demand through the block fetcher
+///              and row count stay in memory. Through the block fetcher a
+///              point access reloads the payload, a scan reads just its
+///              columns and leaves the chunk evicted
 ///   kReloading transient: a pinning reader is fetching the evicted block
 ///              from the archive (without holding the lifecycle mutex, so
 ///              reloads of different chunks run in parallel); other pins
@@ -73,7 +74,7 @@ const char* ChunkStateName(ChunkState s);
 /// plus an insert into the hot tail (Section 3).
 ///
 /// Concurrency contract: point accesses, scans (which pin chunks, see
-/// PinChunk), Delete on frozen rows, FreezeChunk, EvictChunk and the
+/// PinForScan), Delete on frozen rows, FreezeChunk, EvictChunk and the
 /// lifecycle background thread may run concurrently with each other and
 /// with a single inserting writer. Chunk slots live in a segmented
 /// directory with stable addresses — structural growth never reallocates
@@ -83,14 +84,16 @@ const char* ChunkStateName(ChunkState s);
 /// still unsupported.
 class Table {
  public:
-  /// Reloads an evicted chunk's block from secondary storage. Installed by
-  /// the lifecycle manager; invoked without the table's lifecycle mutex
-  /// (the chunk is parked in kReloading instead), but it still must not
-  /// call back into this table. A failed reload (corrupt or unreadable
-  /// archive block, quarantined chunk) returns its Status instead of a
-  /// block — PinChunk then restores the chunk to kEvicted and throws
-  /// StorageException, so the *query* fails and the process survives.
-  using BlockFetcher = std::function<StatusOr<DataBlock>(size_t chunk_idx)>;
+  /// Reads an evicted chunk's block from secondary storage into `out`: all
+  /// of it (ColumnSet::All(), a reload that PinChunk then installs) or just
+  /// the spine and `columns` (PinForScan's projected read). Installed by
+  /// the lifecycle manager; invoked without the table's lifecycle mutex,
+  /// and it must not call back into this table. A failed read (corrupt or
+  /// unreadable archive block, quarantined chunk) returns its Status — the
+  /// pin then fails with StorageException, so the *query* fails and the
+  /// process survives.
+  using BlockFetcher = std::function<Status(
+      size_t chunk_idx, const ColumnSet& columns, DataBlock* out)>;
 
   Table(std::string name, Schema schema,
         uint32_t chunk_capacity = DataBlock::kDefaultCapacity);
@@ -184,6 +187,12 @@ class Table {
 
   /// Delete bitmap of a chunk (hot or frozen); nullptr if nothing deleted.
   const uint64_t* delete_bitmap(size_t chunk_idx) const;
+  /// Copies the side delete bitmap of a frozen, evicted or tombstoned chunk
+  /// into `out` and returns true; false, leaving `out` alone, when none of
+  /// its rows is deleted. Each word is read atomically, so deletes may race
+  /// the copy (a scan sees each of them or not).
+  bool SnapshotDeleteBitmap(size_t chunk_idx,
+                            std::vector<uint64_t>* out) const;
   uint32_t deleted_in_chunk(size_t chunk_idx) const;
 
   // -- Resident block summaries (SMA pruning without reload) --------------
@@ -221,6 +230,18 @@ class Table {
   /// reload without exception plumbing.
   Status TryPinChunk(size_t chunk_idx) const;
   void UnpinChunk(size_t chunk_idx) const;
+
+  /// Pins a chunk for a scan that reads only `columns`. A resident chunk is
+  /// pinned as by PinChunk, and false is returned. An evicted chunk is not
+  /// reloaded: the fetcher reads just the spine and `columns` into `image`,
+  /// the chunk stays kEvicted, and the pin is held on it — so it cannot
+  /// tombstone and its archive copy stays live while the scan uses the
+  /// image — and true is returned. A tombstone is pinned trivially (false;
+  /// there is no payload). Release with UnpinChunk. Throws StorageException,
+  /// leaving the chunk unpinned, when the read fails.
+  bool PinForScan(size_t chunk_idx, const ColumnSet& columns,
+                  DataBlock* image) const;
+
   uint32_t chunk_pins(size_t chunk_idx) const {
     return slot(chunk_idx).pins.load(std::memory_order_acquire);
   }
@@ -372,6 +393,11 @@ class Table {
                      std::memory_order_release);
   }
 
+  /// Runs `fetcher` for chunk `chunk_idx` — exceptions become a Status —
+  /// and checks that the block it read belongs to the chunk: its row count,
+  /// and the schema's types for `columns`.
+  Status Fetch(const BlockFetcher& fetcher, size_t chunk_idx,
+               const ColumnSet& columns, DataBlock* out) const;
   /// Pin that succeeds only if the chunk is resident (hot or frozen) —
   /// unlike PinChunk it never reloads an evicted block. Used by the
   /// accounting loops, which must not fault blocks in.

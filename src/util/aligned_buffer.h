@@ -29,13 +29,15 @@ class AlignedBuffer {
 
   AlignedBuffer(AlignedBuffer&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)) {}
+        size_(std::exchange(other.size_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)) {}
 
   AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
     if (this != &other) {
       Free();
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
+      capacity_ = std::exchange(other.capacity_, 0);
     }
     return *this;
   }
@@ -56,6 +58,19 @@ class AlignedBuffer {
     std::memset(data_ + size, 0, total - size);
   }
 
+  /// AllocateForOverwrite that keeps the current allocation when it is
+  /// large enough: a buffer refilled over and over (a scanner's image of
+  /// evicted blocks) allocates only when a block outgrows it. The usable
+  /// bytes keep whatever they held; the scan padding is zeroed again.
+  void ResizeForOverwrite(uint64_t size) {
+    if (data_ == nullptr || size + kScanPadding > capacity_) {
+      AllocateForOverwrite(size);
+      return;
+    }
+    size_ = size;
+    std::memset(data_ + size, 0, kScanPadding);
+  }
+
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
   uint64_t size() const { return size_; }
@@ -69,6 +84,7 @@ class AlignedBuffer {
     data_ = static_cast<uint8_t*>(std::aligned_alloc(64, total));
     DB_CHECK(data_ != nullptr);
     size_ = size;
+    capacity_ = total;
     return total;
   }
 
@@ -76,10 +92,12 @@ class AlignedBuffer {
     if (data_ != nullptr) std::free(data_);
     data_ = nullptr;
     size_ = 0;
+    capacity_ = 0;
   }
 
   uint8_t* data_ = nullptr;
   uint64_t size_ = 0;
+  uint64_t capacity_ = 0;  // allocated bytes, padding included
 };
 
 }  // namespace datablocks

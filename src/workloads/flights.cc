@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/date.h"
@@ -103,9 +106,16 @@ std::vector<CarrierDelay> RunFlightsQuery(const Table& flights, ScanMode mode,
     int64_t sum = 0;
     int64_t count = 0;
   };
-  // Group by carrier through string views (valid while the table lives);
-  // no per-tuple allocation in the aggregation loop.
-  std::unordered_map<std::string_view, Agg> groups;
+  // Group by carrier. A batch's string views only live until the next
+  // Next() call (an evicted chunk's image is refilled), so keys are owned
+  // strings — probed by view, allocated once per carrier, not per tuple.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, Agg, ViewHash, std::equal_to<>> groups;
 
   TableScanner scan(flights, {fc::uniquecarrier, fc::arrdelay},
                     {Predicate::Between(fc::year, Value::Int(1998),
@@ -115,7 +125,10 @@ std::vector<CarrierDelay> RunFlightsQuery(const Table& flights, ScanMode mode,
   Batch batch;
   while (scan.Next(&batch)) {
     for (uint32_t i = 0; i < batch.count; ++i) {
-      Agg& a = groups[batch.cols[0].Str(i)];
+      const std::string_view carrier = batch.cols[0].Str(i);
+      auto it = groups.find(carrier);
+      if (it == groups.end()) it = groups.emplace(carrier, Agg{}).first;
+      Agg& a = it->second;
       a.sum += batch.cols[1].i32[i];
       ++a.count;
     }
@@ -123,7 +136,7 @@ std::vector<CarrierDelay> RunFlightsQuery(const Table& flights, ScanMode mode,
 
   std::vector<CarrierDelay> out;
   for (auto& [carrier, a] : groups)
-    out.push_back({std::string(carrier),
+    out.push_back({carrier,
                    a.count ? double(a.sum) / double(a.count) : 0, a.count});
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.avg_delay != b.avg_delay ? a.avg_delay > b.avg_delay

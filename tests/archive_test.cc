@@ -1,11 +1,12 @@
 // BlockArchive format: versioned indexed archives with per-block random
-// access, checksums, delete-bitmap persistence and resident block summaries
-// readable without payload IO — round trips of blocks containing string
-// dictionaries and delete bitmaps, compaction, and the fault model: every
-// corruption (bit-flipped payload, bitmap or tail, swapped stripes,
-// truncated block, truncated index, bad header, older format version)
-// surfaces as a typed Status or a frame-walk salvage, never as a process
-// abort.
+// access, per-attribute checksums, projected reads of a column subset,
+// delete-bitmap persistence and resident block summaries readable without
+// payload IO — round trips of blocks containing string dictionaries and
+// delete bitmaps, compaction, and the fault model: every corruption
+// (bit-flipped payload, bitmap or tail, swapped stripes, truncated block,
+// truncated index, bad header, older format version, malformed layout or
+// summary behind valid checksums) surfaces as a typed Status or a
+// frame-walk salvage, never as a process abort.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 
 #include "storage/block_archive.h"
 #include "test_table_util.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace datablocks {
@@ -394,21 +396,21 @@ TEST(BlockArchiveV3, CompactionDropsDeadBlocksAndPreservesLiveOnes) {
 TEST(BlockArchiveFaults, OlderFormatVersionIsRejected) {
   static_assert(BlockArchive::kMinVersion == BlockArchive::kVersion);
   Table t = MakeTable(1500, 1024, /*delete_every=*/4);
-  const std::string path = "/tmp/datablocks_archive_v4.dbar";
+  const std::string path = "/tmp/datablocks_archive_v5.dbar";
   ASSERT_TRUE(BlockArchive::Save(t, path).ok());
   // Stamp the previous format version on an otherwise valid archive: its
   // checksums were computed differently, so it must be refused up front,
   // not misread or salvaged.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    uint32_t v4 = 4;
+    uint32_t v5 = 5;
     f.seekp(4);
-    f.write(reinterpret_cast<const char*>(&v4), 4);
+    f.write(reinterpret_cast<const char*>(&v5), 4);
   }
   StatusOr<BlockArchive> old = BlockArchive::Open(path);
   ASSERT_FALSE(old.ok());
   EXPECT_EQ(old.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(old.status().message().find("unsupported archive version 4"),
+  EXPECT_NE(old.status().message().find("unsupported archive version 5"),
             std::string::npos)
       << old.status().ToString();
   std::remove(path.c_str());
@@ -539,10 +541,13 @@ TEST(BlockArchive, ReloadedBlockScanPaddingIsZero) {
     ASSERT_TRUE(block.ok());
     expect_zero_padding(*block);
   }
-  // The same holds for the other ForFill user, FromBytes.
+  // The same holds for the other direct-fill user, FromBytes.
   const DataBlock& src = *t.frozen_block(0);
   dirty_heap(src.SizeBytes());
-  expect_zero_padding(DataBlock::FromBytes(src.raw_bytes(), src.SizeBytes()));
+  StatusOr<DataBlock> copy = DataBlock::FromBytes(src.raw_bytes(),
+                                                  src.SizeBytes());
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  expect_zero_padding(*copy);
   std::remove(path.c_str());
 }
 
@@ -568,6 +573,425 @@ TEST(BlockArchive, AppendAndReadInterleaved) {
   StatusOr<BlockArchive> reopened = BlockArchive::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->num_blocks(), t.num_chunks());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Projected reads (format v6): the spine plus a column subset
+// ---------------------------------------------------------------------------
+
+/// One column of every storage shape a block can give it: truncated and
+/// dictionary integers, raw doubles, dictionary strings, nullable columns
+/// with some NULLs, an all-NULL column and single-value columns.
+Schema WideSchema() {
+  return Schema({{"id", TypeId::kInt64},
+                 {"small", TypeId::kInt32},
+                 {"price", TypeId::kDouble},
+                 {"name", TypeId::kString},
+                 {"opt", TypeId::kInt32, true},
+                 {"none", TypeId::kInt64, true},
+                 {"konst", TypeId::kInt32},
+                 {"tag", TypeId::kString, true},
+                 {"kstr", TypeId::kString},
+                 {"day", TypeId::kDate}});
+}
+constexpr uint32_t kWideCols = 10;
+
+Table MakeWideTable(uint32_t n, uint32_t chunk_capacity, bool psma,
+                    uint64_t seed) {
+  Table t("wide", WideSchema(), chunk_capacity);
+  Rng rng(seed);
+  for (uint32_t i = 0; i < n; ++i) {
+    const bool null_opt = rng.Uniform(0, 4) == 0;
+    const bool null_tag = rng.Uniform(0, 3) == 0;
+    std::vector<Value> row = {
+        Value::Int(int64_t(i) * 3),
+        Value::Int(rng.Uniform(0, 9)),
+        Value::Double(double(rng.Uniform(0, 100000)) / 100.0),
+        Value::Str("name_" + std::to_string(rng.Uniform(0, 300))),
+        null_opt ? Value::Null() : Value::Int(rng.Uniform(-50, 50)),
+        Value::Null(),
+        Value::Int(42),
+        null_tag ? Value::Null()
+                 : Value::Str(std::string(1, char('a' + rng.Uniform(0, 5)))),
+        Value::Str("same"),
+        Value::Int(9000 + rng.Uniform(0, 365))};
+    t.Insert(row);
+  }
+  t.FreezeAll(/*sort_col=*/-1, psma);
+  return t;
+}
+
+/// Order-sensitive fingerprint of a scan's output: every value and NULL
+/// flag of every produced row.
+uint64_t ScanFingerprint(const Table& t, const std::vector<uint32_t>& cols,
+                         const std::vector<Predicate>& preds, ScanMode mode) {
+  TableScanner scan(t, cols, preds, mode);
+  Batch b;
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  while (scan.Next(&b)) {
+    for (uint32_t i = 0; i < b.count; ++i) {
+      for (size_t k = 0; k < cols.size(); ++k) {
+        const ColumnVector& cv = b.cols[k];
+        const bool null = cv.IsNull(i);
+        mix(null);
+        if (null) continue;
+        switch (t.schema().type(cols[k])) {
+          case TypeId::kInt64: mix(uint64_t(cv.i64[i])); break;
+          case TypeId::kDouble: mix(std::bit_cast<uint64_t>(cv.f64[i])); break;
+          case TypeId::kString:
+            mix(std::hash<std::string_view>()(cv.Str(i)));
+            break;
+          default: mix(uint64_t(int64_t(cv.i32[i]))); break;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+/// A random predicate on column `col` of the wide schema.
+Predicate RandomPredicate(uint32_t col, Rng& rng) {
+  switch (col) {
+    case 0: {
+      const int64_t lo = rng.Uniform(0, 9000);
+      return Predicate::Between(0, Value::Int(lo),
+                                Value::Int(lo + rng.Uniform(0, 3000)));
+    }
+    case 1: return Predicate::Lt(1, Value::Int(rng.Uniform(0, 10)));
+    case 2:
+      return Predicate::Gt(2, Value::Double(double(rng.Uniform(0, 1000))));
+    case 3:
+      return Predicate::Eq(3, Value::Str("name_" +
+                                         std::to_string(rng.Uniform(0, 300))));
+    case 4:
+      return rng.Uniform(0, 1) == 0 ? Predicate::IsNull(4)
+                                    : Predicate::Ge(4, Value::Int(0));
+    case 5: return Predicate::IsNull(5);
+    case 6: return Predicate::Eq(6, Value::Int(42));
+    case 7: return Predicate::In(7, {Value::Str("a"), Value::Str("c")});
+    case 8: return Predicate::Prefix(8, Value::Str("sa"));
+    default: return Predicate::Le(9, Value::Int(9000 + rng.Uniform(0, 365)));
+  }
+}
+
+TEST(BlockArchiveV6, ProjectedReadsScanLikeFullReloads) {
+  for (bool psma : {true, false}) {
+    SCOPED_TRACE(psma ? "PSMA on" : "PSMA off");
+    Table src = MakeWideTable(3 * 1500 + 700, 1500, psma, /*seed=*/11);
+    const std::string path = "/tmp/datablocks_archive_projected.dbar";
+    ASSERT_TRUE(BlockArchive::Save(src, path).ok());
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_EQ(a->num_blocks(), 4u);
+
+    Table full("full", WideSchema(), 1500);
+    for (size_t id = 0; id < a->num_blocks(); ++id) {
+      StatusOr<DataBlock> block = a->ReadBlock(id);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      full.AppendFrozen(std::move(*block));
+    }
+
+    Rng rng(psma ? 101 : 202);
+    DataBlock reused;  // one image refilled across blocks, as a scan does
+    for (int round = 0; round < 24; ++round) {
+      std::vector<uint32_t> out, pred_cols;
+      for (uint32_t c = 0; c < kWideCols; ++c) {
+        if (rng.Uniform(0, 2) == 0) out.push_back(c);
+        if (rng.Uniform(0, 4) == 0) pred_cols.push_back(c);
+      }
+      std::vector<Predicate> preds;
+      for (uint32_t c : pred_cols) preds.push_back(RandomPredicate(c, rng));
+      std::vector<uint32_t> cols = out;
+      cols.insert(cols.end(), pred_cols.begin(), pred_cols.end());
+      const ColumnSet set(cols);
+      SCOPED_TRACE("round " + std::to_string(round));
+
+      Table projected("projected", WideSchema(), 1500);
+      const uint64_t bytes_before = a->payload_bytes_read();
+      uint64_t bytes = 0;
+      for (size_t id = 0; id < a->num_blocks(); ++id) {
+        StatusOr<uint64_t> got = a->ReadBlock(id, set, &reused);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        bytes += *got;
+        // The reused image holds the spine and the requested extents
+        // byte for byte as the full reload does.
+        const DataBlock& whole = *full.frozen_block(id);
+        std::vector<uint64_t> begins;
+        ASSERT_TRUE(whole.Extents(&begins).ok());
+        EXPECT_EQ(std::memcmp(reused.raw_bytes(), whole.raw_bytes(),
+                              DataBlock::SpineBytes(kWideCols)),
+                  0);
+        uint64_t expect_bytes = DataBlock::SpineBytes(kWideCols);
+        for (uint32_t i = 0; i < set.size(kWideCols); ++i) {
+          const uint32_t c = set.at(i);
+          EXPECT_EQ(std::memcmp(reused.raw_bytes() + begins[c],
+                                whole.raw_bytes() + begins[c],
+                                begins[c + 1] - begins[c]),
+                    0)
+              << "attribute " << c;
+          expect_bytes += begins[c + 1] - begins[c];
+        }
+        EXPECT_EQ(*got, expect_bytes);
+        // A fresh image per block for the scan comparison below.
+        DataBlock image;
+        ASSERT_TRUE(a->ReadBlock(id, set, &image).ok());
+        bytes += expect_bytes;
+        projected.AppendFrozen(std::move(image));
+      }
+      EXPECT_EQ(a->payload_bytes_read() - bytes_before, bytes);
+
+      for (ScanMode mode :
+           {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
+            ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
+        EXPECT_EQ(ScanFingerprint(projected, out, preds, mode),
+                  ScanFingerprint(full, out, preds, mode))
+            << ScanModeName(mode);
+      }
+    }
+    EXPECT_EQ(ScanFingerprint(full, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks),
+              ScanFingerprint(src, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks));
+    std::remove(path.c_str());
+  }
+}
+
+/// Attribute extents of block `id` of the archive at `path`, from a clean
+/// full read.
+std::vector<uint64_t> BlockExtents(const std::string& path, size_t id) {
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  EXPECT_TRUE(a.ok());
+  StatusOr<DataBlock> block = a->ReadBlock(id);
+  EXPECT_TRUE(block.ok());
+  std::vector<uint64_t> begins;
+  EXPECT_TRUE(block->Extents(&begins).ok());
+  return begins;
+}
+
+TEST(BlockArchiveV6, FlipInUnrequestedExtentFailsOnlyReadsThatNeedIt) {
+  Table t = MakeWideTable(3000, 1500, /*psma=*/true, /*seed=*/5);
+  const std::string path = "/tmp/datablocks_archive_extent_flip.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  const std::vector<uint64_t> begins = BlockExtents(path, 1);
+  uint64_t offset;
+  {
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    offset = a->entry(1).offset;
+  }
+  // Damage the string column's extent (attribute 3).
+  ASSERT_GT(begins[4], begins[3] + 16);
+  FlipByte(path, offset + begins[3] + 9, 0x20);
+
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_TRUE(a.ok());
+  DataBlock image;
+  StatusOr<uint64_t> projected = a->ReadBlock(1, ColumnSet({0, 1, 2}), &image);
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  EXPECT_EQ(image.num_rows(), t.chunk_rows(1));
+  EXPECT_EQ(image.GetInt(0, 7), t.GetInt(MakeRowId(1, 7), 0));
+
+  StatusOr<uint64_t> needs_it = a->ReadBlock(1, ColumnSet({3}), &image);
+  ASSERT_FALSE(needs_it.ok());
+  EXPECT_EQ(needs_it.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(needs_it.status().message().find("attribute 3"), std::string::npos)
+      << needs_it.status().ToString();
+  StatusOr<DataBlock> full = a->ReadBlock(1);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(full.status().message().find("checksum"), std::string::npos);
+  EXPECT_TRUE(a->ReadBlock(0).ok());
+  std::remove(path.c_str());
+}
+
+TEST(BlockArchiveV6, FlipInSpineOrRequestedExtentIsCorruption) {
+  Table t = MakeWideTable(3000, 1500, /*psma=*/true, /*seed=*/6);
+  const std::string path = "/tmp/datablocks_archive_spine_flip.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  const std::vector<uint64_t> begins = BlockExtents(path, 0);
+  uint64_t offset;
+  {
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    offset = a->entry(0).offset;
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> pristine((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  in.close();
+  auto restore = [&] {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(pristine.data(), std::streamsize(pristine.size()));
+  };
+  // Spine: the header and an AttrMeta of an attribute nobody requests.
+  for (uint64_t at : {uint64_t(4), DataBlock::SpineBytes(9) + 20}) {
+    restore();
+    FlipByte(path, offset + at, 0x01);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    DataBlock image;
+    StatusOr<uint64_t> r = a->ReadBlock(0, ColumnSet({1}), &image);
+    ASSERT_FALSE(r.ok()) << "spine byte " << at;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(r.status().message().find("spine"), std::string::npos)
+        << r.status().ToString();
+  }
+  // A requested extent, first and last byte.
+  for (uint64_t at : {begins[2], begins[3] - 1}) {
+    restore();
+    FlipByte(path, offset + at, 0x80);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    DataBlock image;
+    StatusOr<uint64_t> r = a->ReadBlock(0, ColumnSet({0, 2}), &image);
+    ASSERT_FALSE(r.ok()) << "extent byte " << at;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(r.status().message().find("attribute 2"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_TRUE(a->ReadBlock(0, ColumnSet({0, 1}), &image).ok());
+  }
+  std::remove(path.c_str());
+}
+
+/// Writes `block` — possibly malformed — as the only block of a fresh
+/// archive at `path`. The writer computes every checksum over the bytes as
+/// given, so only the structural checks stand between them and a reader.
+void ArchiveAsIs(const DataBlock& block, const std::string& path) {
+  StatusOr<BlockArchive> created = BlockArchive::Create(path);
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(created->AppendBlock(block, 0).ok());
+  ASSERT_TRUE(created->Finish().ok());
+}
+
+TEST(BlockArchiveV6, MalformedLayoutBehindValidChecksumsIsCorruption) {
+  Table t = MakeWideTable(1500, 1500, /*psma=*/true, /*seed=*/8);
+  const DataBlock& good = *t.frozen_block(0);
+  std::vector<uint64_t> begins;
+  ASSERT_TRUE(good.Extents(&begins).ok());
+  const uint64_t total = good.SizeBytes();
+  const std::string path = "/tmp/datablocks_archive_malformed.dbar";
+
+  struct Case {
+    const char* what;
+    uint32_t col;
+    std::function<void(AttrMeta&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"codes moved into the next extent", 0,
+       [&](AttrMeta& m) { m.data_offset = begins[2] + 32; }},
+      {"codes moved past the block", 2,
+       [&](AttrMeta& m) { m.data_offset = total + 4096; }},
+      {"offset that wraps around", 2,
+       [](AttrMeta& m) { m.data_offset = UINT64_MAX - 16; }},
+      {"dictionary moved outside", 3,
+       [&](AttrMeta& m) { m.dict_offset = begins[7]; }},
+      {"string area moved outside", 3,
+       [&](AttrMeta& m) { m.string_offset = total - 8; }},
+      {"dictionary shrunk below its codes", 3,
+       [](AttrMeta& m) { m.dict_count = 1; }},
+      {"NULL bitmap moved past the block", 4,
+       [&](AttrMeta& m) { m.null_offset = total - 8; }},
+      {"misaligned codes", 0, [](AttrMeta& m) { m.data_offset += 4; }},
+      {"bad code width", 1, [](AttrMeta& m) { m.code_width = 3; }},
+      {"unknown scheme", 6, [](AttrMeta& m) { m.compression = 9; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    DataBlock bad;
+    bad.ResizeForFill(total);
+    std::memcpy(bad.fill_bytes(), good.raw_bytes(), total);
+    AttrMeta meta;
+    uint8_t* at = bad.fill_bytes() + sizeof(BlockHeader) +
+                  uint64_t(c.col) * sizeof(AttrMeta);
+    std::memcpy(&meta, at, sizeof(meta));
+    c.mutate(meta);
+    std::memcpy(at, &meta, sizeof(meta));
+
+    EXPECT_EQ(DataBlock::FromBytes(bad.raw_bytes(), total).status().code(),
+              StatusCode::kCorruption);
+    ArchiveAsIs(bad, path);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    DataBlock image;
+    StatusOr<uint64_t> projected = a->ReadBlock(0, ColumnSet({c.col}), &image);
+    ASSERT_FALSE(projected.ok());
+    EXPECT_EQ(projected.status().code(), StatusCode::kCorruption);
+    StatusOr<DataBlock> full = a->ReadBlock(0);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockSummaryBlob, MalformedBlobsAreCorruption) {
+  Table t = MakeWideTable(1500, 1500, /*psma=*/true, /*seed=*/9);
+  std::vector<uint8_t> blob;
+  BlockSummary::Extract(*t.frozen_block(0)).AppendTo(&blob);
+  ASSERT_TRUE(BlockSummary::FromBytes(blob.data(), blob.size()).ok());
+  // Every truncation, a byte too many, an absurd column count and an
+  // absurd string length.
+  for (uint64_t n = 0; n < blob.size(); n += 7) {
+    EXPECT_EQ(BlockSummary::FromBytes(blob.data(), n).status().code(),
+              StatusCode::kCorruption)
+        << n;
+  }
+  std::vector<uint8_t> longer = blob;
+  longer.push_back(0);
+  EXPECT_FALSE(BlockSummary::FromBytes(longer.data(), longer.size()).ok());
+  std::vector<uint8_t> ncols = blob;
+  std::memset(ncols.data() + 4, 0xff, 4);
+  EXPECT_FALSE(BlockSummary::FromBytes(ncols.data(), ncols.size()).ok());
+  std::vector<uint8_t> strlen = blob;
+  std::memset(strlen.data() + 8 + 24, 0xff, 4);  // column 0's min_str length
+  EXPECT_FALSE(BlockSummary::FromBytes(strlen.data(), strlen.size()).ok());
+}
+
+TEST(BlockSummaryBlob, OpenRefusesMalformedSummaryBehindValidIndexChecksum) {
+  Table t = MakeTable(2048, 1024, 0);
+  const std::string path = "/tmp/datablocks_archive_bad_summary.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  uint64_t index_offset;
+  uint32_t blocks;
+  std::memcpy(&blocks, file.data() + 8, 4);
+  std::memcpy(&index_offset, file.data() + 16, 8);
+  const uint64_t blob_at =
+      index_offset + uint64_t(blocks) * sizeof(ArchiveEntry) + 8;
+  ArchiveEntry e0;
+  std::memcpy(&e0, file.data() + index_offset, sizeof(e0));
+  ASSERT_GT(e0.summary_bytes, 8u);
+  // Block 0's summary claims 2^32-1 columns; the index checksum is
+  // recomputed, so only the summary parser can catch it.
+  std::memset(file.data() + blob_at + e0.summary_offset + 4, 0xff, 4);
+  const uint64_t sum = BlockArchive::Checksum(file.data() + index_offset,
+                                              file.size() - 8 - index_offset);
+  std::memcpy(file.data() + file.size() - 8, &sum, 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), std::streamsize(file.size()));
+  }
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_FALSE(a.ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(a.status().message().find("summary"), std::string::npos)
+      << a.status().ToString();
+
+  // A well-formed summary of some other block is refused the same way.
+  {
+    StatusOr<BlockArchive> created = BlockArchive::Create(path);
+    ASSERT_TRUE(created.ok());
+    BlockSummary other = BlockSummary::Extract(*t.frozen_block(0));
+    Table small = MakeTable(100, 1024, 0);
+    ASSERT_TRUE(
+        created->AppendBlock(*small.frozen_block(0), 0, nullptr, &other).ok());
+    ASSERT_TRUE(created->Finish().ok());
+  }
+  StatusOr<BlockArchive> b = BlockArchive::Open(path);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,8 @@
 
 #include "exec/parallel_scan.h"
 #include "lifecycle/lifecycle_manager.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_table_util.h"
 #include "tpcc/tpcc_db.h"
 
@@ -291,9 +293,13 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
 TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
   Table t = MakeTable(4096, 512);  // 8 full chunks, id == insert index
   const std::string path = TempArchive("summary_prune");
+  obs::TraceRing ring;
+  obs::Counter* bytes_counter = obs::MetricsRegistry::Default().GetCounter(
+      "lifecycle.archive_bytes_read");
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;  // evict every frozen block
+    cfg.trace = &ring;
     LifecycleManager mgr(&t, path, cfg);
     for (int e = 0; e < 4; ++e) mgr.Tick();
     for (size_t c = 0; c < t.num_chunks(); ++c)
@@ -322,8 +328,13 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
 
-    // A predicate inside exactly one block's range reloads exactly that
-    // block; the other seven stay summary-pruned and evicted.
+    // A predicate inside exactly one block's range reads exactly that
+    // block — only its spine and the extents of the scanned columns {0, 1},
+    // into the scanner's own image: the chunk is not reinstalled. The other
+    // seven stay summary-pruned.
+    const uint64_t bytes_before = mgr.stats().archive_bytes_read;
+    const uint64_t counter_before = bytes_counter->Value();
+    const uint64_t events_before = ring.published();
     TableScanner scan(t, {0, 1},
                       {Predicate::Between(0, Value::Int(1024 + 10),
                                           Value::Int(1024 + 19))},
@@ -334,10 +345,37 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
     EXPECT_EQ(found, 10u);
     EXPECT_EQ(scan.chunks_skipped(), t.num_chunks() - 1);
     EXPECT_EQ(scan.evicted_chunks_skipped(), t.num_chunks() - 1);
-    EXPECT_EQ(mgr.stats().archive_reads, reads_before + 1);
-    EXPECT_EQ(t.chunk_state(2), ChunkState::kFrozen);  // reloaded
-    for (size_t c : {size_t(0), size_t(1), size_t(3)})
+    EXPECT_EQ(scan.archive_reloads(), 1u);
+    const LifecycleStats after = mgr.stats();
+    EXPECT_EQ(after.archive_reads, reads_before + 1);
+    EXPECT_EQ(after.reloads, reloads_before);
+    for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    // Spine + extents of attributes 0 and 1 end where attribute 2's begins.
+    std::shared_ptr<const BlockArchive> archive = mgr.archive();
+    size_t id = 0;
+    while (archive->entry(id).chunk_index != 2) ++id;
+    StatusOr<DataBlock> whole = archive->ReadBlock(id);
+    ASSERT_TRUE(whole.ok());
+    std::vector<uint64_t> begins;
+    ASSERT_TRUE(whole->Extents(&begins).ok());
+    const uint64_t read = after.archive_bytes_read - bytes_before;
+    EXPECT_GT(read, 0u);
+    EXPECT_LE(read, begins[2]);
+    EXPECT_LT(begins[2], whole->SizeBytes());
+    // The process-wide counter and the trace agree: one scan_read of chunk
+    // 2 carrying those bytes, and no reload.
+    EXPECT_EQ(bytes_counter->Value() - counter_before, read);
+    int scan_reads = 0;
+    for (const obs::TraceEvent& ev : ring.Snapshot()) {
+      if (ev.seq < events_before) continue;
+      EXPECT_STRNE(ev.name, "reload");
+      if (std::string(ev.name) != "scan_read") continue;
+      ++scan_reads;
+      EXPECT_EQ(ev.a, 2);
+      EXPECT_EQ(uint64_t(ev.b), read);
+    }
+    EXPECT_EQ(scan_reads, 1);
   }
   std::remove(path.c_str());
 }
@@ -530,9 +568,49 @@ TEST(Lifecycle, CompactionTriggersOnGarbageRatio) {
 // the archive object and the chunk -> block-id remap must never strand an
 // in-flight reload or change scan results. (This is the test the TSan CI
 // leg leans on for the compaction handshake.)
+/// Deletes every row of chunk `c` except `keep` (UINT32_MAX: every row).
+void DeleteChunkRows(Table& t, size_t c, uint32_t keep = UINT32_MAX) {
+  for (uint32_t r = 0; r < t.chunk_rows(c); ++r)
+    if (r != keep) t.Delete(MakeRowId(c, r));
+}
+
+/// Scan results on either side of one row's delete: a scan racing it sees
+/// the row or does not, and nothing in between.
+struct EitherScan {
+  ScanResult before, after;
+  bool Matches(const ScanResult& r) const { return r == before || r == after; }
+};
+
+/// What FullScan returns over the MakeTable(n, cap) table once every row of
+/// `dead` chunks and of `victim` but its row 0 are deleted (`before`), and
+/// once the victim's last row is gone too (`after`).
+EitherScan VictimScans(uint32_t n, uint32_t cap, size_t dead, size_t victim) {
+  EitherScan e;
+  for (ScanResult* out : {&e.before, &e.after}) {
+    Table ref = MakeTable(n, cap);
+    ref.FreezeAll();
+    for (size_t c = 0; c < dead; ++c) DeleteChunkRows(ref, c);
+    DeleteChunkRows(ref, victim, out == &e.before ? 0 : UINT32_MAX);
+    *out = FullScan(ref);
+  }
+  return e;
+}
+
+// Archive compaction racing scans, reloads and point accesses: the swap of
+// the archive object and the chunk -> block-id remap must never strand an
+// in-flight reload or change scan results. Mid-run, the last live row of a
+// victim chunk is deleted, so the chunk tombstones while scans may be
+// streaming it from the archive. (This is the test the TSan CI leg leans on
+// for the compaction handshake.)
 TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
+  // The lowest live chunk: every scan touches it first, so it is the LRU
+  // victim and mostly evicted — scans stream it rather than pin it resident.
+  constexpr size_t kVictim = 5;
   Table t = MakeTable(12288, 1024);  // 12 chunks
   t.FreezeAll();
+  // Before the manager archives it, so its delete count is the archived
+  // baseline and it is never re-archived (which would add garbage).
+  DeleteChunkRows(t, kVictim, /*keep=*/0);
   const std::string path = TempArchive("compact_stress");
   {
     LifecycleConfig cfg = QuickCooling();
@@ -543,22 +621,24 @@ TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
     mgr.Tick();  // adopt every frozen chunk, evict down to ~3 resident
     // Fully delete 5 of 12 chunks: ~42% of the archive becomes garbage, so
     // the first background tick compacts while the workers are scanning.
-    for (size_t c = 0; c < 5; ++c)
-      for (uint32_t r = 0; r < t.chunk_rows(c); ++r)
-        t.Delete(MakeRowId(c, r));
-    ScanResult expect = FullScan(t);
+    for (size_t c = 0; c < 5; ++c) DeleteChunkRows(t, c);
+    const EitherScan expect = VictimScans(12288, 1024, 5, kVictim);
+    ASSERT_TRUE(FullScan(t) == expect.before);
     mgr.Start();
 
     std::atomic<bool> failed{false};
+    // Scans keep going until the victim has tombstoned under them.
     auto scan_worker = [&] {
-      for (int i = 0; i < 6; ++i) {
-        if (!(FullScan(t) == expect)) failed = true;
+      for (int i = 0; i < 6 || (i < 5000 && t.chunk_state(kVictim) !=
+                                                ChunkState::kTombstone);
+           ++i) {
+        if (!expect.Matches(FullScan(t))) failed = true;
       }
     };
     auto point_worker = [&] {
       Rng rng(23);
       for (int i = 0; i < 2000; ++i) {
-        uint64_t chunk = uint64_t(rng.Uniform(5, 11));
+        uint64_t chunk = uint64_t(rng.Uniform(kVictim + 1, 11));
         uint32_t row = uint32_t(rng.Uniform(0, 1023));
         if (t.GetInt(MakeRowId(chunk, row), 0) !=
             int64_t(chunk) * 1024 + row) {
@@ -566,49 +646,70 @@ TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
         }
       }
     };
+    // Once the first compaction is in, the victim's last row goes: the
+    // next ticks tombstone it unless a streaming scan's pin holds it off.
+    auto victim_worker = [&] {
+      while (mgr.stats().compactions == 0 && !failed.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      t.Delete(MakeRowId(kVictim, 0));
+    };
     std::vector<std::thread> workers;
     workers.emplace_back(scan_worker);
     workers.emplace_back(scan_worker);
     workers.emplace_back(point_worker);
+    workers.emplace_back(victim_worker);
     for (auto& w : workers) w.join();
     mgr.Stop();
+    mgr.Tick();  // no scan left: the victim tombstones now if not before
 
     EXPECT_FALSE(failed.load());
     EXPECT_GE(mgr.stats().compactions, 1u);
     EXPECT_EQ(mgr.stats().reclaimed_blocks, 5u);
-    EXPECT_TRUE(FullScan(t) == expect);
+    EXPECT_EQ(t.chunk_state(kVictim), ChunkState::kTombstone);
+    EXPECT_EQ(mgr.stats().tombstoned, 6u);
+    EXPECT_TRUE(FullScan(t) == expect.after);
   }
   std::remove(path.c_str());
 }
 
+// Scans, parallel scans and point accesses racing a background tick that
+// keeps evicting what they touch. Mid-run, the last live row of a victim
+// chunk is deleted, so it tombstones while scans may be streaming it.
 TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
+  constexpr size_t kVictim = 0;  // scanned first: the LRU victim
   Table t = MakeTable(20480, 1024);  // 20 chunks
   t.FreezeAll();
-  ScanResult expect = FullScan(t);
+  DeleteChunkRows(t, kVictim, /*keep=*/0);
+  const EitherScan expect = VictimScans(20480, 1024, 0, kVictim);
+  ASSERT_TRUE(FullScan(t) == expect.before);
 
   const std::string path = TempArchive("stress");
   {
     LifecycleConfig cfg = QuickCooling();
     // Budget for ~3 blocks: the background thread constantly evicts what
-    // scans keep reloading.
+    // point accesses keep reloading.
     cfg.memory_budget_bytes = (t.FrozenBytes() / 20) * 3;
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();  // adopt every frozen chunk, evict down to ~3 resident
     mgr.Start();
 
     std::atomic<bool> failed{false};
     std::atomic<int> scans_done{0};
+    // Scans keep going until the victim has tombstoned under them.
     auto scan_worker = [&] {
-      for (int i = 0; i < 6; ++i) {
+      for (int i = 0; i < 6 || (i < 5000 && t.chunk_state(kVictim) !=
+                                                ChunkState::kTombstone);
+           ++i) {
         ScanResult r = FullScan(t);
-        if (!(r == expect)) failed = true;
+        if (!expect.Matches(r)) failed = true;
         scans_done.fetch_add(1);
       }
     };
     auto point_worker = [&] {
       Rng rng(17);
       for (int i = 0; i < 3000; ++i) {
-        uint64_t chunk = uint64_t(rng.Uniform(0, int64_t(t.num_chunks()) - 1));
+        uint64_t chunk = uint64_t(rng.Uniform(kVictim + 1, 19));
         uint32_t row = uint32_t(rng.Uniform(0, 1023));
         RowId id = MakeRowId(chunk, row);
         // The id column stores the global insert index.
@@ -624,8 +725,14 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
             [](Agg& a, const Batch& b) { a.count += b.count; });
         int64_t total = 0;
         for (const Agg& a : states) total += a.count;
-        if (total != expect.count) failed = true;
+        if (total != expect.before.count && total != expect.after.count)
+          failed = true;
       }
+    };
+    auto victim_worker = [&] {
+      while (scans_done.load() == 0 && !failed.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      t.Delete(MakeRowId(kVictim, 0));
     };
 
     std::vector<std::thread> workers;
@@ -633,14 +740,20 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
     workers.emplace_back(scan_worker);
     workers.emplace_back(point_worker);
     workers.emplace_back(parallel_worker);
+    workers.emplace_back(victim_worker);
     for (auto& w : workers) w.join();
     mgr.Stop();
+    mgr.Tick();  // no scan left: the victim tombstones now if not before
 
     EXPECT_FALSE(failed.load());
     EXPECT_GT(scans_done.load(), 0);
-    // The churn actually happened.
+    // The churn actually happened: point accesses reloaded blocks, scans
+    // read evicted ones from the archive without installing them.
     EXPECT_GT(mgr.stats().evictions, 0u);
     EXPECT_GT(mgr.stats().reloads, 0u);
+    EXPECT_GT(mgr.stats().archive_reads, mgr.stats().reloads);
+    EXPECT_EQ(t.chunk_state(kVictim), ChunkState::kTombstone);
+    EXPECT_TRUE(FullScan(t) == expect.after);
   }
   std::remove(path.c_str());
 }
