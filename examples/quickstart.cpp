@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "exec/table_scanner.h"
 #include "storage/pk_index.h"
@@ -82,14 +84,24 @@ int main() {
               std::string(sales.GetStringView(moved, 1)).c_str(),
               (unsigned long long)RowIdChunk(moved));
 
-  // 7. Data Blocks are flat and pointer-free: write one to disk and reload.
+  // 7. Data Blocks are flat and pointer-free: write one to disk and reload
+  // it; FromBytes validates every offset before the block is used.
+  const DataBlock* block0 = sales.frozen_block(0);
   {
     std::ofstream out("/tmp/block0.bin", std::ios::binary);
-    sales.frozen_block(0)->Serialize(out);
+    out.write(reinterpret_cast<const char*>(block0->raw_bytes()),
+              std::streamsize(block0->SizeBytes()));
   }
   std::ifstream in("/tmp/block0.bin", std::ios::binary);
-  DataBlock reloaded = DataBlock::Deserialize(in);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  StatusOr<DataBlock> reloaded = DataBlock::FromBytes(
+      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  if (!reloaded.ok()) {
+    std::printf("reload failed: %s\n", reloaded.status().ToString().c_str());
+    return 1;
+  }
   std::printf("serialized block: %u rows, %.1f KB on disk\n",
-              reloaded.num_rows(), double(reloaded.SizeBytes()) / 1024);
+              reloaded->num_rows(), double(reloaded->SizeBytes()) / 1024);
   return 0;
 }

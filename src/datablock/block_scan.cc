@@ -465,218 +465,168 @@ uint32_t FindMatchesInBlock(const DataBlock& block, const BlockScanPrep& prep,
 
 namespace {
 
-template <typename Out>
-void UnpackIntPositions(const DataBlock& block, uint32_t col,
-                        const uint32_t* pos, uint32_t n, Out* out) {
-  const AttrMeta& m = block.attr(col);
+/// Row j of a contiguous range [from, from + n): indexed like a position
+/// vector, so every unpack body below serves both forms. With ranges the
+/// loads become contiguous and the integer widens vectorize.
+struct RowRange {
+  uint32_t from;
+  size_t operator[](uint32_t j) const { return size_t(from) + j; }
+};
+
+/// Calls fn with the column's code vector typed by its code width.
+template <typename Fn>
+void WithCodes(const DataBlock& block, uint32_t col, Fn fn) {
   const uint8_t* base = block.codes(col);
-  const Compression scheme = Compression(m.compression);
-  switch (scheme) {
-    case Compression::kSingleValue: {
-      Out v = Out(m.min_val);
-      for (uint32_t j = 0; j < n; ++j) out[j] = v;
+  switch (block.attr(col).code_width) {
+    case 1: return fn(base);
+    case 2: return fn(reinterpret_cast<const uint16_t*>(base));
+    case 4: return fn(reinterpret_cast<const uint32_t*>(base));
+    default: return fn(reinterpret_cast<const uint64_t*>(base));
+  }
+}
+
+/// The integer column's values at rows idx[0..n). `Idx` is a position
+/// vector (const uint32_t*) or a RowRange.
+template <typename Idx, typename Out>
+void UnpackInts(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
+                Out* __restrict out) {
+  const AttrMeta& m = block.attr(col);
+  switch (Compression(m.compression)) {
+    case Compression::kSingleValue:
+      std::fill_n(out, n, Out(m.min_val));
       return;
-    }
-    case Compression::kTruncation: {
-      const uint64_t min_u = uint64_t(m.min_val);
-      switch (m.code_width) {
-        case 1:
-          for (uint32_t j = 0; j < n; ++j)
-            out[j] = Out(min_u + base[pos[j]]);
-          return;
-        case 2: {
-          const uint16_t* d = reinterpret_cast<const uint16_t*>(base);
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(min_u + d[pos[j]]);
-          return;
-        }
-        case 4: {
-          const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(min_u + d[pos[j]]);
-          return;
-        }
-        default: {
-          const uint64_t* d = reinterpret_cast<const uint64_t*>(base);
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(min_u + d[pos[j]]);
-          return;
-        }
-      }
+    case Compression::kTruncation:
+    case Compression::kRaw: {
+      // A raw value is its code (Validate holds raw widths to the type's
+      // width); the unsigned load keeps its bits through the Out cast.
+      const uint64_t min_u = Compression(m.compression) == Compression::kRaw
+                                 ? 0
+                                 : uint64_t(m.min_val);
+      return WithCodes(block, col, [&](const auto* d) {
+        for (uint32_t j = 0; j < n; ++j) out[j] = Out(min_u + d[idx[j]]);
+      });
     }
     case Compression::kDictionary: {
       const int64_t* dict = block.int_dict(col);
-      switch (m.code_width) {
-        case 1:
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(dict[base[pos[j]]]);
-          return;
-        case 2: {
-          const uint16_t* d = reinterpret_cast<const uint16_t*>(base);
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(dict[d[pos[j]]]);
-          return;
-        }
-        default: {
-          const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-          for (uint32_t j = 0; j < n; ++j) out[j] = Out(dict[d[pos[j]]]);
-          return;
-        }
-      }
-    }
-    case Compression::kRaw: {
-      TypeId t = TypeId(m.type);
-      if (t == TypeId::kInt64) {
-        const int64_t* d = reinterpret_cast<const int64_t*>(base);
-        for (uint32_t j = 0; j < n; ++j) out[j] = Out(d[pos[j]]);
-      } else if (t == TypeId::kChar1) {
-        const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-        for (uint32_t j = 0; j < n; ++j) out[j] = Out(d[pos[j]]);
-      } else {
-        const int32_t* d = reinterpret_cast<const int32_t*>(base);
-        for (uint32_t j = 0; j < n; ++j) out[j] = Out(d[pos[j]]);
-      }
-      return;
+      return WithCodes(block, col, [&](const auto* d) {
+        for (uint32_t j = 0; j < n; ++j) out[j] = Out(dict[d[idx[j]]]);
+      });
     }
   }
 }
 
-void AppendNullMask(const DataBlock& block, uint32_t col, const uint32_t* pos,
-                    uint32_t n, ColumnVector* out) {
+/// The dictionary codes of a string column at rows idx[0..n); a
+/// single-value column is entry 0 on every row.
+template <typename Idx>
+void UnpackCodes(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
+                 uint32_t* __restrict out) {
+  if (Compression(block.attr(col).compression) == Compression::kSingleValue) {
+    std::fill_n(out, n, 0u);
+    return;
+  }
+  WithCodes(block, col, [&](const auto* d) {
+    for (uint32_t j = 0; j < n; ++j) out[j] = uint32_t(d[idx[j]]);
+  });
+}
+
+/// Appends rows idx[0..n)'s NULL flags to `out->null_mask`, which stays
+/// empty while every row appended so far is non-NULL. Must run before the
+/// values are appended: it backfills against the pre-append row count.
+template <typename Idx>
+void AppendNullMask(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
+                    ColumnVector* out) {
   const AttrMeta& m = block.attr(col);
   if (!(m.flags & (AttrMeta::kHasNulls | AttrMeta::kAllNull))) {
     if (!out->null_mask.empty())
       out->null_mask.insert(out->null_mask.end(), n, 0);
     return;
   }
-  size_t have = out->size();  // rows appended *before* this unpack
-  // Backfill zeros if the mask was empty so far.
-  out->null_mask.resize(have, 0);
-  if (m.flags & AttrMeta::kAllNull) {
-    out->null_mask.insert(out->null_mask.end(), n, 1);
-    return;
-  }
+  const size_t have = out->size();
+  out->null_mask.resize(have, 0);  // backfill the rows appended so far
+  out->null_mask.resize(have + n, 1);
+  if (m.flags & AttrMeta::kAllNull) return;
+  uint8_t* w = out->null_mask.data() + have;
   const uint64_t* bitmap = block.null_bitmap(col);
-  for (uint32_t j = 0; j < n; ++j)
-    out->null_mask.push_back(BitmapTest(bitmap, pos[j]) ? 1 : 0);
+  for (uint32_t j = 0; j < n; ++j) w[j] = BitmapTest(bitmap, idx[j]);
+}
+
+/// Appends `n` slots to `v` and returns the first.
+template <typename T>
+T* Grow(std::vector<T>& v, uint32_t n) {
+  const size_t old = v.size();
+  v.resize(old + n);
+  return v.data() + old;
+}
+
+template <typename Idx>
+void UnpackAt(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
+              ColumnVector* out) {
+  const AttrMeta& m = block.attr(col);
+  AppendNullMask(block, col, idx, n, out);
+  switch (TypeId(m.type)) {
+    case TypeId::kInt32:
+    case TypeId::kDate:
+    case TypeId::kChar1:
+      return UnpackInts(block, col, idx, n, Grow(out->i32, n));
+    case TypeId::kInt64:
+      return UnpackInts(block, col, idx, n, Grow(out->i64, n));
+    case TypeId::kDouble: {
+      double* __restrict w = Grow(out->f64, n);
+      if (Compression(m.compression) == Compression::kSingleValue) {
+        std::fill_n(w, n, std::bit_cast<double>(m.min_val));
+        return;
+      }
+      const double* d = reinterpret_cast<const double*>(block.codes(col));
+      for (uint32_t j = 0; j < n; ++j) w[j] = d[idx[j]];
+      return;
+    }
+    case TypeId::kString: {
+      std::string_view* w = Grow(out->str, n);
+      if (m.dict_count == 0) return;  // all NULL: empty views
+      if (Compression(m.compression) == Compression::kSingleValue) {
+        std::fill_n(w, n, block.dict_string(col, 0));
+        return;
+      }
+      return WithCodes(block, col, [&](const auto* d) {
+        for (uint32_t j = 0; j < n; ++j)
+          w[j] = block.dict_string(col, uint32_t(d[idx[j]]));
+      });
+    }
+  }
+}
+
+template <typename Idx>
+void UnpackCodesAt(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
+                   ColumnVector* out) {
+  DB_DCHECK(TypeId(block.attr(col).type) == TypeId::kString &&
+            block.attr(col).dict_count > 0);
+  AppendNullMask(block, col, idx, n, out);
+  out->dict_block = &block;
+  out->dict_col = col;
+  UnpackCodes(block, col, idx, n, Grow(out->codes, n));
 }
 
 }  // namespace
 
 void UnpackColumn(const DataBlock& block, uint32_t col,
                   const uint32_t* positions, uint32_t n, ColumnVector* out) {
-  const AttrMeta& m = block.attr(col);
-  const TypeId t = TypeId(m.type);
-  // The null mask must be computed against the pre-append row count.
-  AppendNullMask(block, col, positions, n, out);
-  switch (t) {
-    case TypeId::kInt32:
-    case TypeId::kDate:
-    case TypeId::kChar1: {
-      size_t old = out->i32.size();
-      out->i32.resize(old + n);
-      UnpackIntPositions(block, col, positions, n, out->i32.data() + old);
-      break;
-    }
-    case TypeId::kInt64: {
-      size_t old = out->i64.size();
-      out->i64.resize(old + n);
-      UnpackIntPositions(block, col, positions, n, out->i64.data() + old);
-      break;
-    }
-    case TypeId::kDouble: {
-      size_t old = out->f64.size();
-      out->f64.resize(old + n);
-      double* w = out->f64.data() + old;
-      if (Compression(m.compression) == Compression::kSingleValue) {
-        double v = std::bit_cast<double>(m.min_val);
-        for (uint32_t j = 0; j < n; ++j) w[j] = v;
-      } else {
-        const double* d = reinterpret_cast<const double*>(block.codes(col));
-        for (uint32_t j = 0; j < n; ++j) w[j] = d[positions[j]];
-      }
-      break;
-    }
-    case TypeId::kString: {
-      size_t old = out->str.size();
-      out->str.resize(old + n);
-      std::string_view* w = out->str.data() + old;
-      if (Compression(m.compression) == Compression::kSingleValue ||
-          m.dict_count == 0) {
-        std::string_view v =
-            m.dict_count > 0 ? block.dict_string(col, 0) : std::string_view();
-        for (uint32_t j = 0; j < n; ++j) w[j] = v;
-      } else {
-        const uint8_t* base = block.codes(col);
-        switch (m.code_width) {
-          case 1:
-            for (uint32_t j = 0; j < n; ++j)
-              w[j] = block.dict_string(col, base[positions[j]]);
-            break;
-          case 2: {
-            const uint16_t* d = reinterpret_cast<const uint16_t*>(base);
-            for (uint32_t j = 0; j < n; ++j)
-              w[j] = block.dict_string(col, d[positions[j]]);
-            break;
-          }
-          default: {
-            const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-            for (uint32_t j = 0; j < n; ++j)
-              w[j] = block.dict_string(col, d[positions[j]]);
-            break;
-          }
-        }
-      }
-      break;
-    }
-  }
+  UnpackAt(block, col, positions, n, out);
 }
 
 void UnpackColumnRange(const DataBlock& block, uint32_t col, uint32_t from,
                        uint32_t to, ColumnVector* out) {
-  // Reuses the positional path through a thread-local identity vector; the
-  // compiler vectorizes the contiguous gathers it induces.
-  static thread_local std::vector<uint32_t> pos;
-  uint32_t n = to - from;
-  pos.resize(n);
-  for (uint32_t i = 0; i < n; ++i) pos[i] = from + i;
-  UnpackColumn(block, col, pos.data(), n, out);
+  UnpackAt(block, col, RowRange{from}, to - from, out);
 }
 
 void UnpackColumnCodes(const DataBlock& block, uint32_t col,
                        const uint32_t* positions, uint32_t n,
                        ColumnVector* out) {
-  const AttrMeta& m = block.attr(col);
-  DB_DCHECK(TypeId(m.type) == TypeId::kString && m.dict_count > 0);
-  AppendNullMask(block, col, positions, n, out);
-  out->dict_block = &block;
-  out->dict_col = col;
-  size_t old = out->codes.size();
-  out->codes.resize(old + n);
-  uint32_t* w = out->codes.data() + old;
-  const uint8_t* base = block.codes(col);
-  switch (m.code_width) {
-    case 0:  // single-value column: every row decodes to dictionary entry 0
-      for (uint32_t j = 0; j < n; ++j) w[j] = 0;
-      break;
-    case 1:
-      for (uint32_t j = 0; j < n; ++j) w[j] = base[positions[j]];
-      break;
-    case 2: {
-      const uint16_t* d = reinterpret_cast<const uint16_t*>(base);
-      for (uint32_t j = 0; j < n; ++j) w[j] = d[positions[j]];
-      break;
-    }
-    default: {
-      const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-      for (uint32_t j = 0; j < n; ++j) w[j] = d[positions[j]];
-      break;
-    }
-  }
+  UnpackCodesAt(block, col, positions, n, out);
 }
 
 void UnpackColumnCodesRange(const DataBlock& block, uint32_t col,
                             uint32_t from, uint32_t to, ColumnVector* out) {
-  static thread_local std::vector<uint32_t> pos;
-  uint32_t n = to - from;
-  pos.resize(n);
-  for (uint32_t i = 0; i < n; ++i) pos[i] = from + i;
-  UnpackColumnCodes(block, col, pos.data(), n, out);
+  UnpackCodesAt(block, col, RowRange{from}, to - from, out);
 }
 
 }  // namespace datablocks

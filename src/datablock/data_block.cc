@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <unordered_map>
 
 #include "util/bits.h"
@@ -460,8 +458,10 @@ Status DataBlock::Validate(const ColumnSet& columns) const {
       if (w != 1 && w != 2 && w != 4 && w != 8) return fail("bad code width");
       if (type == TypeId::kString && scheme != Compression::kDictionary)
         return fail("strings must be dictionary-coded");
-      if (type == TypeId::kDouble && (scheme != Compression::kRaw || w != 8))
-        return fail("doubles must be raw 8-byte values");
+      if (type == TypeId::kDouble && scheme != Compression::kRaw)
+        return fail("doubles must be stored raw");
+      if (scheme == Compression::kRaw && w != TypeWidth(type))
+        return fail("raw values must be as wide as their type");
       if (!array_inside(m.data_offset, uint64_t(n) * w))
         return fail("codes outside the extent or misaligned");
     }
@@ -500,24 +500,6 @@ Status DataBlock::Validate(const ColumnSet& columns) const {
     }
   }
   return Status::Ok();
-}
-
-void DataBlock::Serialize(std::ostream& os) const {
-  os.write(reinterpret_cast<const char*>(buf_.data()),
-           std::streamsize(SizeBytes()));
-}
-
-DataBlock DataBlock::Deserialize(std::istream& is) {
-  BlockHeader hdr;
-  is.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  DB_CHECK(is.good() && hdr.magic == kMagic);
-  DataBlock block;
-  block.buf_.Allocate(hdr.total_bytes);
-  std::memcpy(block.buf_.data(), &hdr, sizeof(hdr));
-  is.read(reinterpret_cast<char*>(block.buf_.data() + sizeof(hdr)),
-          std::streamsize(hdr.total_bytes - sizeof(hdr)));
-  DB_CHECK(is.good());
-  return block;
 }
 
 uint64_t DataBlock::PsmaBytes() const {

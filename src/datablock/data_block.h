@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -209,11 +208,8 @@ class DataBlock {
   /// The entire block as one flat byte range (for archival/checksumming).
   const uint8_t* raw_bytes() const { return buf_.data(); }
 
-  void Serialize(std::ostream& os) const;
-  static DataBlock Deserialize(std::istream& is);
-  /// Reconstructs a block from `size` bytes previously produced by
-  /// Serialize (or copied out via raw_bytes()); kCorruption if they do not
-  /// Validate.
+  /// Reconstructs a block from `size` bytes copied out via raw_bytes()
+  /// (SizeBytes() of them); kCorruption if they do not Validate.
   static StatusOr<DataBlock> FromBytes(const uint8_t* bytes, uint64_t size);
 
   /// Direct-fill path for bytes read from disk (no intermediate copy):

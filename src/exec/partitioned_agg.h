@@ -15,14 +15,18 @@
 // one MorselDriver, which feeds them batches:
 //
 //  * PartitionedDense<T, U, Apply>: ONE dense T vector over [0, domain),
-//    partitioned into contiguous power-of-two key ranges, one range per
-//    slot. Each slot appends (key, update) pairs to a small flat spill
-//    buffer (the hot path is a raw cursor store); a full buffer is
-//    drained partition-wise — grouped by the high key bits, applied under
-//    the owning partition's lock, which is released before the sink
-//    returns to its scan — and once more at end-of-slot, before the
-//    parallel region joins (tpch::detail::ParDenseAgg drives it). No lock
-//    is held between batches. Memory is O(domain) + O(slots) bounded
+//    partitioned into contiguous power-of-two key ranges, each with a
+//    lock. A slot's sink works in batch scopes (tpch::detail::ParDenseAgg
+//    opens one per produced batch): within a scope the sink may own one
+//    partition, taken by a single try_lock, and applies that partition's
+//    keys in place — nearly every key when a batch's keys cluster, as
+//    orderkeys do along lineitem. Only boundary keys and keys of a
+//    partition another slot holds go to a small flat spill buffer (the
+//    hot path is a raw cursor store), which drains partition-wise under
+//    each partition's lock — when full, and once more at end-of-slot
+//    before the parallel region joins. A sink never blocks on a lock while it owns one (a flush first
+//    releases the owned partition), and the scope's end releases it, so no
+//    lock outlives a batch. Memory is O(domain) + O(slots) bounded
 //    buffers, and there is no cross-slot merge at all. Tiny group-bys
 //    (Q1's handful of groups) do not belong here: they would put every
 //    slot on one partition lock; per-slot arrays merged in slot order
@@ -49,6 +53,7 @@
 // All state allocated by this component is byte-accounted (aggstate::*),
 // so benches and tests can assert the O(rows x slots) -> O(rows) win.
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -123,12 +128,16 @@ struct ApplyOr {
 
 /// One dense T vector over [0, domain), shared by `slots` parallelism
 /// slots and lock-partitioned into up to kMaxPartitions contiguous
-/// power-of-two key ranges. Every slot accumulates through its own Sink,
-/// which appends (key, U) updates to one flat spill buffer and drains it
+/// power-of-two key ranges. Every slot accumulates through its own Sink.
+/// Inside a BatchScope (one per produced batch) the sink may own one
+/// partition: the first key it cannot apply makes one try_lock of that
+/// key's partition, and the keys of an owned partition apply in place.
+/// Every other key is appended to a flat spill buffer that drains
 /// partition-wise, holding each partition's lock only while it applies
-/// that partition's updates. No lock outlives a flush, so a slot that
-/// stops mid-scan (a thrown storage fault) cannot block its siblings.
-/// With one slot the sink applies directly (no buffers, no locks).
+/// that partition's updates. A sink never blocks on a lock while it owns
+/// one, and no lock outlives a batch or a flush, so a slot that stops
+/// mid-scan (a thrown storage fault) cannot block its siblings. With one
+/// slot the sink applies directly (no buffers, no locks).
 ///
 /// Apply: (T&, const U&), commutative + associative + exact (see header
 /// comment). U is expected to be a small trivially copyable payload.
@@ -140,8 +149,8 @@ class PartitionedDense {
   static constexpr size_t kSpillCapacity = 4096;
   /// Lock-granularity partitions over the key range (independent of the
   /// slot count): finer than the slots so neighbouring morsels — whose
-  /// key ranges are adjacent under dbgen clustering — flush into
-  /// different partitions instead of contending for one.
+  /// key ranges are adjacent under dbgen clustering — own different
+  /// partitions instead of contending for one.
   static constexpr unsigned kMaxPartitions = 64;
   /// Minimum elements per partition. Domains below this collapse to ONE
   /// partition, so every flush applies its whole buffer under one lock
@@ -190,18 +199,17 @@ class PartitionedDense {
 
   class Sink {
    public:
-    /// Routes one update to the element's owning partition. Exact-once:
-    /// an update is applied directly (single-slot mode), or buffered and
-    /// applied by exactly one flush. The buffered hot path is a raw
-    /// cursor store — routing happens wholesale at flush time, not per
-    /// row.
+    /// Applies one update exactly once: in place when the key lies in the
+    /// range this sink holds (the whole domain with one slot, else the
+    /// partition its batch scope owns), otherwise through the spill
+    /// buffer, whose hot path is a raw cursor store — routing happens
+    /// wholesale at flush time, not per row.
     void Add(size_t key, U update) {
-      if (cursor_ == nullptr) {  // single-slot mode: no routing, no locks
+      if (key - own_lo_ < own_span_) {
         parent_->apply_(parent_->dense_[key], update);
         return;
       }
-      *cursor_++ = Entry{uint32_t(key), std::move(update)};
-      if (cursor_ == buffer_end_) FlushBuffer();
+      Spill(key, std::move(update));
     }
 
     /// Drains the spill buffer into the dense vector. ParDenseAgg calls
@@ -216,6 +224,23 @@ class PartitionedDense {
       return cursor_ == nullptr ? 0 : size_t(cursor_ - buffer_.get());
     }
 
+    /// One produced batch. Inside it the sink may own one partition, and
+    /// the destructor releases it, also when the batch ends in an
+    /// exception. Outside a scope, Add only spills.
+    class BatchScope {
+     public:
+      explicit BatchScope(Sink& sink) : sink_(sink) { sink_.may_own_ = true; }
+      ~BatchScope() {
+        sink_.may_own_ = false;
+        sink_.Release();
+      }
+      BatchScope(const BatchScope&) = delete;
+      BatchScope& operator=(const BatchScope&) = delete;
+
+     private:
+      Sink& sink_;
+    };
+
    private:
     friend class PartitionedDense;
 
@@ -228,32 +253,66 @@ class PartitionedDense {
                       kSpillCapacity * sizeof(Entry));
         cursor_ = buffer_.get();
         buffer_end_ = cursor_ + kSpillCapacity;
+      } else {
+        own_span_ = parent_->dense_.size();
       }
     }
 
-    /// Applies every buffered update: counts per partition, then either
-    /// applies the whole buffer under one lock (single-partition buffer),
-    /// or radix-scatters entries by partition (branch-free) and applies
-    /// each bucket under its lock. Every lock is released on return.
+    /// A key outside the held range. The first one of a batch tries to
+    /// own its partition; failing that, and for every later one, the
+    /// update is buffered.
+    void Spill(size_t key, U update) {
+      PartitionedDense& parent = *parent_;
+      if (may_own_) {
+        may_own_ = false;
+        const size_t p = key >> parent.part_shift_;
+        owned_ = std::unique_lock<std::mutex>(parent.locks_[p],
+                                              std::try_to_lock);
+        if (owned_.owns_lock()) {
+          own_lo_ = p << parent.part_shift_;
+          own_span_ = size_t(1) << parent.part_shift_;
+          parent.apply_(parent.dense_[key], update);
+          return;
+        }
+      }
+      *cursor_++ = Entry{uint32_t(key), std::move(update)};
+      if (cursor_ == buffer_end_) FlushBuffer();
+    }
+
+    void Release() {
+      if (!owned_.owns_lock()) return;
+      own_span_ = 0;
+      owned_.unlock();
+    }
+
+    /// Applies every buffered update, after releasing any owned partition:
+    /// a buffer whose smallest and largest keys share a partition applies
+    /// under that one lock; otherwise entries are counted and
+    /// radix-scattered by partition and each bucket applies under its
+    /// lock. Every lock is released on return.
     void FlushBuffer() {
+      Release();
       PartitionedDense& parent = *parent_;
       Entry* const begin = buffer_.get();
       Entry* const end = cursor_;
       cursor_ = begin;
       if (begin == end) return;
       const unsigned shift = parent.part_shift_;
-      const unsigned parts = parent.parts_;
-      unsigned counts[kMaxPartitions] = {0};
-      for (const Entry* e = begin; e != end; ++e) ++counts[e->key >> shift];
-      for (unsigned p = 0; p < parts; ++p) {
-        if (counts[p] != unsigned(end - begin)) continue;
-        // Single-partition buffer: apply in place, no scatter.
-        std::lock_guard<std::mutex> lock(parent.locks_[p]);
+      uint32_t lo = begin->key, hi = begin->key;
+      for (const Entry* e = begin; e != end; ++e) {
+        lo = std::min(lo, e->key);
+        hi = std::max(hi, e->key);
+      }
+      if ((lo >> shift) == (hi >> shift)) {
+        std::lock_guard<std::mutex> lock(parent.locks_[lo >> shift]);
         for (const Entry* e = begin; e != end; ++e) {
           parent.apply_(parent.dense_[e->key], e->update);
         }
         return;
       }
+      const unsigned parts = parent.parts_;
+      unsigned counts[kMaxPartitions] = {0};
+      for (const Entry* e = begin; e != end; ++e) ++counts[e->key >> shift];
       if (scatter_ == nullptr) {
         scatter_.reset(new Entry[kSpillCapacity]);
         aggstate::Add(aggstate::Kind::kSpill,
@@ -299,6 +358,12 @@ class PartitionedDense {
     std::unique_ptr<Entry[]> scatter_;  // lazy: only mixed buffers need it
     Entry* cursor_ = nullptr;           // next free entry
     Entry* buffer_end_ = nullptr;
+    // Keys in [own_lo_, own_lo_ + own_span_) apply in place: the whole
+    // domain with one slot, else the partition whose lock owned_ holds.
+    size_t own_lo_ = 0;
+    size_t own_span_ = 0;
+    std::unique_lock<std::mutex> owned_;
+    bool may_own_ = false;  // in a batch scope that has not tried a lock
   };
 
   Sink& sink(unsigned slot) { return sinks_[slot]; }

@@ -173,14 +173,17 @@ State ParAgg(const Table& table, const ScanOptions& opt,
 
 /// Dense-keyed scan+aggregate through the partitioned-aggregation engine
 /// (exec/partitioned_agg.h): ONE T vector over [0, domain) total — not one
-/// per slot — with updates routed through bounded spill buffers to
-/// contiguous lock partitions, each lock held only while one flush applies
-/// to it. No merge step, and no unwind: a slot whose scan throws holds no
-/// lock, so its siblings finish and the exception propagates from the
-/// join. Use when the group key is dense by construction (orderkey /
-/// custkey / suppkey ordinals) and the domain is large; a domain of a few
-/// groups (Q1) would put every slot on one lock — use ParAgg with a
-/// per-slot array there.
+/// per slot — with no merge step. Each produced batch runs in a batch
+/// scope on its slot's sink: the sink may own the lock partition of the
+/// batch's keys for that batch and apply them in place; only boundary or
+/// contended keys go through the bounded spill buffers, applied under
+/// each partition's lock. A sink never blocks while it owns a partition,
+/// and the scope's end (also by exception) releases it, so there is no
+/// unwind: a slot whose scan throws holds no lock, its siblings finish and
+/// the exception propagates from the join. Use when the group key is
+/// dense by construction (orderkey / custkey / suppkey ordinals) and the
+/// domain is large; a domain of a few groups (Q1) would put every slot on
+/// one lock — use ParAgg with a per-slot array there.
 /// `produce`: (Sink&, const Batch&) calling sink.Add(key, U);
 /// `apply`: (T&, const U&), exact + commutative + associative, so results
 /// stay bit-identical at every thread count.
@@ -189,19 +192,22 @@ std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
                            std::vector<uint32_t> cols,
                            std::vector<Predicate> preds, size_t domain,
                            Produce produce, Apply apply, T init = T{}) {
+  using State = PartitionedDense<T, U, Apply>;
   PipelineScope pipeline(opt, table);
   const unsigned threads =
       EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
   MorselDriver driver(table, std::move(cols), std::move(preds), opt.mode,
                       opt.vector_size, opt.isa, pipeline.get());
 
-  PartitionedDense<T, U, Apply> state(domain, threads, std::move(apply),
-                                      init);
+  State state(domain, threads, std::move(apply), init);
   RunOnSlots(
       threads,
       [&](unsigned slot) {
-        auto& sink = state.sink(slot);
-        driver.RunSlot(slot, [&](const Batch& b) { produce(sink, b); });
+        typename State::Sink& sink = state.sink(slot);
+        driver.RunSlot(slot, [&](const Batch& b) {
+          typename State::Sink::BatchScope scope(sink);
+          produce(sink, b);
+        });
         sink.Flush();
       },
       opt.ctx.scheduler);

@@ -894,6 +894,8 @@ TEST(BlockArchiveV6, MalformedLayoutBehindValidChecksumsIsCorruption) {
       {"misaligned codes", 0, [](AttrMeta& m) { m.data_offset += 4; }},
       {"bad code width", 1, [](AttrMeta& m) { m.code_width = 3; }},
       {"unknown scheme", 6, [](AttrMeta& m) { m.compression = 9; }},
+      {"raw values narrower than their type", 0,
+       [](AttrMeta& m) { m.compression = uint8_t(Compression::kRaw); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);

@@ -1,11 +1,16 @@
 // Block scan logic: predicate translation into the compressed domain, SMA
-// skipping, dictionary-miss pruning, PSMA narrowing soundness, and
-// find-matches vs. brute force on randomized blocks.
+// skipping, dictionary-miss pruning, PSMA narrowing soundness,
+// find-matches vs. brute force on randomized blocks, and range and
+// positional unpacking vs. point access for every scheme and code width.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "datablock/block_scan.h"
 #include "datablock/block_summary.h"
@@ -414,23 +419,253 @@ TEST(BlockScan, UnpackColumnMatchesPointAccess) {
   }
 }
 
-TEST(BlockScan, UnpackRangeEqualsUnpackPositions) {
-  Schema schema({{"a", TypeId::kInt64}});
-  Chunk chunk(&schema, 300);
-  Rng rng(8);
-  for (int i = 0; i < 300; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 100000))};
+using Gen = std::function<Value(Rng&, uint32_t row)>;
+
+/// One column of the unpack property's blocks: the generator of its values
+/// and the scheme and code width the builder must choose for them.
+struct UnpackSpec {
+  const char* name;
+  TypeId type;
+  Compression scheme;
+  uint8_t width;
+  Gen gen;
+};
+
+/// base + scale * Uniform(lo, hi).
+Gen Ints(int64_t lo, int64_t hi, int64_t scale = 1, int64_t base = 0) {
+  return [=](Rng& r, uint32_t) {
+    return Value::Int(base + scale * r.Uniform(lo, hi));
+  };
+}
+Gen Strs(std::string prefix, int64_t hi) {
+  return [=](Rng& r, uint32_t) {
+    return Value::Str(prefix + std::to_string(r.Uniform(0, hi)));
+  };
+}
+Gen Doubles() {
+  return [](Rng& r, uint32_t) { return Value::Double(r.NextDouble()); };
+}
+Gen Same(Value v) {
+  return [=](Rng&, uint32_t) { return v; };
+}
+/// NULL one time in `one_in`, else `gen`.
+Gen OrNull(int one_in, Gen gen) {
+  return [=](Rng& r, uint32_t row) {
+    return r.Uniform(0, one_in - 1) == 0 ? Value::Null() : gen(r, row);
+  };
+}
+
+constexpr int64_t kE16 = 10000000000000000ll;
+
+/// Every scheme and code width the builder produces on blocks of a few
+/// thousand rows, NULLs included. "trunc8" is built raw and re-labelled
+/// truncated (with min 0 the codes are the values): the builder never
+/// picks truncation at a type's native width.
+std::vector<UnpackSpec> SmallUnpackSpecs() {
+  using C = Compression;
+  using T = TypeId;
+  return {
+      {"single", T::kInt64, C::kSingleValue, 0, Same(Value::Int(7))},
+      {"trunc1", T::kInt64, C::kTruncation, 1, Ints(0, 200, 1, kE16)},
+      {"trunc2", T::kInt32, C::kTruncation, 2, Ints(-30000, 30000)},
+      {"trunc4", T::kInt64, C::kTruncation, 4, Ints(0, 3000000000ll)},
+      {"raw64", T::kInt64, C::kRaw, 8, Ints(-400 * kE16, 400 * kE16)},
+      {"trunc8", T::kInt64, C::kTruncation, 8, Ints(0, 900 * kE16)},
+      {"dict1", T::kInt64, C::kDictionary, 1, Ints(-4, 5, kE16)},
+      {"dict2", T::kInt64, C::kDictionary, 2, Ints(0, 299, kE16)},
+      {"raw32", T::kInt32, C::kRaw, 4, Ints(INT32_MIN, INT32_MAX)},
+      {"rawdate", T::kDate, C::kRaw, 4, Ints(INT32_MIN, INT32_MAX)},
+      {"rawchar1", T::kChar1, C::kRaw, 4, Ints(0, UINT32_MAX)},
+      {"double", T::kDouble, C::kRaw, 8, Doubles()},
+      {"single_double", T::kDouble, C::kSingleValue, 0,
+       Same(Value::Double(2.5))},
+      {"str1", T::kString, C::kDictionary, 1, Strs("k", 20)},
+      {"str2", T::kString, C::kDictionary, 2, Strs("s", 999)},
+      {"single_str", T::kString, C::kSingleValue, 0, Same(Value::Str("x"))},
+      {"null_int", T::kInt32, C::kTruncation, 1, OrNull(4, Ints(0, 100))},
+      {"null_str", T::kString, C::kDictionary, 1, OrNull(3, Strs("n", 5))},
+      {"null_double", T::kDouble, C::kRaw, 8, OrNull(5, Doubles())},
+      {"all_null_int", T::kInt64, C::kSingleValue, 0, Same(Value::Null())},
+      {"all_null_str", T::kString, C::kSingleValue, 0, Same(Value::Null())},
+  };
+}
+
+/// Four-byte dictionary codes need more than 65536 distinct values, and an
+/// integer dictionary that wide beats raw storage only past twice as many
+/// rows.
+std::vector<UnpackSpec> WideDictSpecs() {
+  return {
+      {"dict4", TypeId::kInt64, Compression::kDictionary, 4,
+       [](Rng&, uint32_t row) {
+         return Value::Int((row % 66000) * (kE16 / 10000));
+       }},
+      {"str4", TypeId::kString, Compression::kDictionary, 4,
+       [](Rng&, uint32_t row) {
+         return Value::Str(std::to_string(row % 66000) + "v");
+       }},
+  };
+}
+
+DataBlock BuildUnpackBlock(const std::vector<UnpackSpec>& specs, uint32_t n,
+                           Rng* rng) {
+  std::vector<ColumnDef> defs;
+  for (const UnpackSpec& spec : specs) {
+    defs.push_back({spec.name, spec.type, /*nullable=*/true});
+  }
+  Schema schema(defs);
+  Chunk chunk(&schema, n);
+  std::vector<Value> row(specs.size());
+  for (uint32_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < specs.size(); ++c) row[c] = specs[c].gen(*rng, r);
     chunk.Append(row);
   }
   DataBlock block = DataBlock::Build(chunk);
-  ColumnVector by_range, by_pos;
-  by_range.Init(TypeId::kInt64);
-  by_pos.Init(TypeId::kInt64);
-  UnpackColumnRange(block, 0, 50, 250, &by_range);
-  std::vector<uint32_t> pos;
-  for (uint32_t i = 50; i < 250; ++i) pos.push_back(i);
-  UnpackColumn(block, 0, pos.data(), uint32_t(pos.size()), &by_pos);
-  EXPECT_EQ(by_range.i64, by_pos.i64);
+  // Re-label "trunc8" (built raw, min 0 needed) as truncated.
+  for (uint32_t c = 0; c < specs.size(); ++c) {
+    if (std::string_view(specs[c].name) != "trunc8") continue;
+    std::vector<uint8_t> bytes(block.raw_bytes(),
+                               block.raw_bytes() + block.SizeBytes());
+    AttrMeta m = block.attr(c);
+    m.compression = uint8_t(Compression::kTruncation);
+    m.min_val = 0;
+    const uint8_t* at = reinterpret_cast<const uint8_t*>(&block.attr(c));
+    std::memcpy(bytes.data() + (at - block.raw_bytes()), &m, sizeof(m));
+    StatusOr<DataBlock> relabelled =
+        DataBlock::FromBytes(bytes.data(), bytes.size());
+    EXPECT_TRUE(relabelled.ok()) << relabelled.status().ToString();
+    block = std::move(relabelled).value();
+  }
+  return block;
+}
+
+/// Element i of `cv` must be (column, row) rows[i] of `block`, read by
+/// point access, NULL flags included.
+using RowsOf = std::vector<std::pair<uint32_t, uint32_t>>;
+
+void ExpectPointAccess(const DataBlock& block, const ColumnVector& cv,
+                       const RowsOf& rows) {
+  ASSERT_EQ(cv.size(), rows.size());
+  ASSERT_TRUE(cv.null_mask.empty() || cv.null_mask.size() == rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto [c, r] = rows[i];
+    const bool null = block.IsNull(c, r);
+    ASSERT_EQ(cv.IsNull(uint32_t(i)), null) << "col " << c << " row " << r;
+    if (null) continue;
+    switch (cv.type) {
+      case TypeId::kInt32:
+      case TypeId::kDate:
+      case TypeId::kChar1:
+        ASSERT_EQ(cv.i32[i], int32_t(block.GetInt(c, r))) << "col " << c;
+        break;
+      case TypeId::kInt64:
+        ASSERT_EQ(cv.i64[i], block.GetInt(c, r)) << "col " << c;
+        break;
+      case TypeId::kDouble:
+        ASSERT_EQ(cv.f64[i], block.GetDouble(c, r)) << "col " << c;
+        break;
+      case TypeId::kString:
+        ASSERT_EQ(cv.Str(uint32_t(i)), block.GetStringView(c, r))
+            << "col " << c;
+        break;
+    }
+  }
+}
+
+void ExpectSameVector(const ColumnVector& a, const ColumnVector& b) {
+  EXPECT_EQ(a.i32, b.i32);
+  EXPECT_EQ(a.i64, b.i64);
+  EXPECT_EQ(a.f64, b.f64);
+  EXPECT_EQ(a.str, b.str);
+  EXPECT_EQ(a.codes, b.codes);
+  EXPECT_EQ(a.dict_block, b.dict_block);
+  EXPECT_EQ(a.dict_col, b.dict_col);
+  EXPECT_EQ(a.null_mask, b.null_mask);
+}
+
+/// For random ranges of every column, appended after a random prefix (of
+/// the same column, or of another column of its type, so NULL masks get
+/// backfilled and extended): range unpack == positional unpack == point
+/// access, and likewise for string codes. Random sorted positions must
+/// match point access too.
+void CheckUnpackProperty(const DataBlock& block,
+                         const std::vector<UnpackSpec>& specs, Rng* rng,
+                         int cases) {
+  const uint32_t n = block.num_rows();
+  for (uint32_t col = 0; col < specs.size(); ++col) {
+    SCOPED_TRACE(specs[col].name);
+    const AttrMeta& m = block.attr(col);
+    ASSERT_EQ(Compression(m.compression), specs[col].scheme);
+    ASSERT_EQ(m.code_width, specs[col].width);
+    const bool codes = specs[col].type == TypeId::kString && m.dict_count > 0;
+    std::vector<uint32_t> same_type;
+    for (uint32_t c = 0; c < specs.size(); ++c) {
+      if (specs[c].type == specs[col].type) same_type.push_back(c);
+    }
+    for (int k = 0; k < cases; ++k) {
+      uint32_t from = uint32_t(rng->Uniform(0, n));
+      uint32_t to = uint32_t(rng->Uniform(from, n));
+      if (k == 0) from = 0, to = n;
+      const uint32_t prefix = k % 3 == 0 ? 0 : uint32_t(rng->Uniform(0, 100));
+      for (bool coded : {false, true}) {
+        if (coded && !codes) continue;
+        // Coded prefixes must come from the same column: one vector decodes
+        // through one dictionary.
+        const uint32_t donor =
+            coded ? col
+                  : same_type[size_t(
+                        rng->Uniform(0, int64_t(same_type.size()) - 1))];
+        RowsOf rows;
+        ColumnVector by_range, by_pos;
+        by_range.Init(specs[col].type);
+        by_pos.Init(specs[col].type);
+        std::vector<uint32_t> pos;
+        for (uint32_t r = 0; r < prefix; ++r) {
+          pos.push_back(r);
+          rows.push_back({donor, r});
+        }
+        auto range = coded ? UnpackColumnCodesRange : UnpackColumnRange;
+        auto at = coded ? UnpackColumnCodes : UnpackColumn;
+        range(block, donor, 0, prefix, &by_range);
+        at(block, donor, pos.data(), prefix, &by_pos);
+        pos.clear();
+        for (uint32_t r = from; r < to; ++r) {
+          pos.push_back(r);
+          rows.push_back({col, r});
+        }
+        range(block, col, from, to, &by_range);
+        at(block, col, pos.data(), uint32_t(pos.size()), &by_pos);
+        ExpectSameVector(by_range, by_pos);
+        ExpectPointAccess(block, by_range, rows);
+
+        // Scattered positions (what a selective predicate leaves).
+        pos.clear();
+        rows.clear();
+        for (uint32_t r = from; r < to; r += uint32_t(rng->Uniform(1, 9))) {
+          pos.push_back(r);
+          rows.push_back({col, r});
+        }
+        ColumnVector scattered;
+        scattered.Init(specs[col].type);
+        at(block, col, pos.data(), uint32_t(pos.size()), &scattered);
+        ExpectPointAccess(block, scattered, rows);
+      }
+    }
+  }
+}
+
+TEST(BlockScan, UnpackRangeEqualsUnpackPositions) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::vector<UnpackSpec> specs = SmallUnpackSpecs();
+    const DataBlock block =
+        BuildUnpackBlock(specs, uint32_t(rng.Uniform(1500, 4000)), &rng);
+    CheckUnpackProperty(block, specs, &rng, 12);
+  }
+  Rng rng(5);
+  const std::vector<UnpackSpec> wide = WideDictSpecs();
+  const DataBlock block = BuildUnpackBlock(wide, 140000, &rng);
+  CheckUnpackProperty(block, wide, &rng, 3);
 }
 
 TEST(BlockScan, DateColumnsTranslate) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
 
 #include "datablock/data_block.h"
 #include "util/rng.h"
@@ -190,7 +189,7 @@ TEST(DataBlock, NullBitmapAndAllNull) {
   EXPECT_EQ(block.compression(1), Compression::kSingleValue);
 }
 
-TEST(DataBlock, SerializeRoundTrip) {
+TEST(DataBlock, RawBytesRoundTrip) {
   Schema schema({{"a", TypeId::kInt64},
                  {"s", TypeId::kString},
                  {"d", TypeId::kDouble},
@@ -205,16 +204,24 @@ TEST(DataBlock, SerializeRoundTrip) {
     chunk.Append(row);
   }
   DataBlock block = DataBlock::Build(chunk);
-  std::stringstream ss;
-  block.Serialize(ss);
-  EXPECT_EQ(uint64_t(ss.str().size()), block.SizeBytes());
-  DataBlock copy = DataBlock::Deserialize(ss);
-  ASSERT_EQ(copy.num_rows(), block.num_rows());
-  ASSERT_EQ(copy.num_columns(), block.num_columns());
+  // The flat block is its own serialization: copy the bytes out and back.
+  std::vector<uint8_t> bytes(block.raw_bytes(),
+                             block.raw_bytes() + block.SizeBytes());
+  StatusOr<DataBlock> copy = DataBlock::FromBytes(bytes.data(), bytes.size());
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  ASSERT_EQ(copy->num_rows(), block.num_rows());
+  ASSERT_EQ(copy->num_columns(), block.num_columns());
   for (uint32_t c = 0; c < block.num_columns(); ++c) {
-    EXPECT_EQ(copy.compression(c), block.compression(c));
+    EXPECT_EQ(copy->compression(c), block.compression(c));
     for (uint32_t r = 0; r < block.num_rows(); ++r)
-      EXPECT_TRUE(copy.GetValue(c, r) == block.GetValue(c, r));
+      EXPECT_TRUE(copy->GetValue(c, r) == block.GetValue(c, r));
+  }
+  // A truncated copy is corruption, not an abort.
+  for (uint64_t cut : {uint64_t{0}, uint64_t{16}, uint64_t(bytes.size() / 2),
+                       uint64_t(bytes.size() - 1)}) {
+    EXPECT_EQ(DataBlock::FromBytes(bytes.data(), cut).status().code(),
+              StatusCode::kCorruption)
+        << "cut=" << cut;
   }
 }
 

@@ -1,7 +1,9 @@
 // Partitioned aggregation engine: dense partition ownership is
 // exactly-once across morsel interleavings, no flush leaves a partition
-// lock held, spill buffers are flushed by the time the parallel region
-// joins, the single-worker degenerate case applies directly, the sparse
+// lock held, a batch scope releases its partition when it ends (also by
+// exception) and never blocks while owning one, straddling batches apply
+// every update once, spill buffers are flushed by the time the parallel
+// region joins, the single-worker degenerate case applies directly, the sparse
 // AggHashTable / partition-wise merge, and the O(rows x slots) -> O(rows)
 // dense-state guarantee on the TPC-H dense-keyed queries (asserted
 // through the aggregation-state byte counters).
@@ -11,7 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -141,6 +146,180 @@ TEST(PartitionedDense, ExactlyOnceAcrossMorselInterleavings) {
   EXPECT_EQ(total, int64_t(kSlots) * kPerSlotRounds);
 }
 
+using Dense = PartitionedDense<int64_t, int64_t, ApplyAdd>;
+using BatchScope = Dense::Sink::BatchScope;
+
+/// Waits up to `seconds` for `done`.
+bool WaitFor(const std::atomic<bool>& done, int seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done.load();
+}
+
+/// Whether a full buffer of `key` updates through `sink`, flushed on
+/// another thread, completes within a few seconds (it waits on `key`'s
+/// partition lock). Calls `unblock` either way; a flush that stays blocked
+/// after that cannot be joined, so the test binary aborts.
+template <typename Unblock>
+bool SiblingFlushCompletes(Dense::Sink& sink, size_t key, Unblock unblock) {
+  std::atomic<bool> flushed{false};
+  std::thread other([&] {
+    for (size_t i = 0; i < Dense::kSpillCapacity; ++i) sink.Add(key, 1);
+    flushed.store(true);
+  });
+  const bool in_time = WaitFor(flushed, 5);
+  unblock();
+  if (!WaitFor(flushed, 5)) {
+    std::fprintf(stderr, "a sibling's flush stays blocked on a partition "
+                         "lock nobody releases\n");
+    std::abort();
+  }
+  other.join();
+  return in_time;
+}
+
+TEST(PartitionedDense, BatchScopeOwnsOnePartitionUntilItEnds) {
+  // One partition, two slots. A scope's first key takes the partition and
+  // applies in place; the scope's end releases it, so a sibling's flush
+  // into it completes.
+  Dense state(10, 2);
+  ASSERT_EQ(state.partitions(), 1u);
+  Dense::Sink& owner = state.sink(0);
+  {
+    BatchScope scope(owner);
+    owner.Add(3, 1);
+    owner.Add(4, 2);
+    EXPECT_EQ(owner.pending(), 0u);  // applied in place, not buffered
+    EXPECT_EQ(state.dense()[3], 1);
+    EXPECT_EQ(state.dense()[4], 2);
+  }
+  owner.Add(5, 1);  // outside a scope: spill only
+  EXPECT_EQ(owner.pending(), 1u);
+  EXPECT_TRUE(SiblingFlushCompletes(state.sink(1), 7, [&] { owner.Flush(); }))
+      << "a sibling's flush waited on a partition whose scope had ended";
+  owner.Flush();
+  EXPECT_EQ(state.dense()[5], 1);
+  EXPECT_EQ(state.dense()[7], int64_t(Dense::kSpillCapacity));
+}
+
+TEST(PartitionedDense, BatchScopeEndingInAnExceptionReleasesItsPartition) {
+  Dense state(10, 2);
+  Dense::Sink& owner = state.sink(0);
+  try {
+    BatchScope scope(owner);
+    owner.Add(3, 1);
+    throw std::runtime_error("produce failed mid-batch");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(SiblingFlushCompletes(state.sink(1), 7, [] {}))
+      << "the partition stayed owned after the batch threw";
+  EXPECT_EQ(state.dense()[3], 1);
+  EXPECT_EQ(state.dense()[7], int64_t(Dense::kSpillCapacity));
+}
+
+TEST(PartitionedDense, StraddlingBatchesApplyEveryUpdateOnce) {
+  // Two slots' batches straddle the boundary between partitions 0 and 1.
+  // The first to reach partition 1 owns it; the other's try_lock fails and
+  // it spills. Keys of partition 0 spill in both (one try per batch).
+  Dense state(4 * Dense::kMinPartitionSpan, 2);
+  ASSERT_GE(state.partitions(), 2u);
+  const size_t boundary = Dense::kMinPartitionSpan;
+  ASSERT_EQ(state.OwnerOf(boundary - 1) + 1, state.OwnerOf(boundary));
+  Dense::Sink& a = state.sink(0);
+  Dense::Sink& b = state.sink(1);
+  {
+    BatchScope scope_a(a);
+    BatchScope scope_b(b);
+    a.Add(boundary, 1);      // a owns partition 1
+    b.Add(boundary + 1, 1);  // b cannot: spills, and spills from now on
+    for (size_t k = boundary - 50; k < boundary + 50; ++k) {
+      a.Add(k, 1);
+      b.Add(k, 1);
+    }
+    EXPECT_EQ(a.pending(), 50u);   // its partition-0 keys
+    EXPECT_EQ(b.pending(), 101u);  // everything
+    EXPECT_EQ(state.dense()[boundary], 2);  // a's two, in place
+  }
+  a.Flush();
+  b.Flush();
+  for (size_t k = boundary - 50; k < boundary + 50; ++k) {
+    const int64_t extra = (k == boundary) + (k == boundary + 1);
+    EXPECT_EQ(state.dense()[k], 2 + extra) << k;
+  }
+
+  // The same race on threads: every batch straddles the boundary, starting
+  // on either side, and every update lands exactly once.
+  Dense raced(4 * Dense::kMinPartitionSpan, 2);
+  const int kBatches = 2000;
+  std::atomic<int> finished{0};
+  std::atomic<bool> done{false};
+  auto run = [&](unsigned slot) {
+    Dense::Sink& sink = raced.sink(slot);
+    Rng rng(99 + slot);
+    for (int i = 0; i < kBatches; ++i) {
+      BatchScope scope(sink);
+      const bool up = rng.Uniform(0, 1) == 1;
+      for (size_t j = 0; j < 64; ++j) {
+        sink.Add(up ? boundary - 32 + j : boundary + 31 - j, 1);
+      }
+    }
+    sink.Flush();
+    if (finished.fetch_add(1) == 1) done.store(true);
+  };
+  std::thread t0(run, 0u), t1(run, 1u);
+  if (!WaitFor(done, 20)) {
+    std::fprintf(stderr, "straddling batches deadlocked\n");
+    std::abort();  // the threads cannot be joined
+  }
+  t0.join();
+  t1.join();
+  int64_t total = 0;
+  for (size_t k = boundary - 32; k < boundary + 32; ++k) {
+    EXPECT_EQ(raced.dense()[k], 2 * kBatches) << k;
+    total += raced.dense()[k];
+  }
+  EXPECT_EQ(total, 2 * kBatches * 64);
+}
+
+TEST(PartitionedDense, OwnersFlushingIntoEachOthersPartitionsFinish) {
+  // a owns partition 1 and flushes partition-0 updates, while b owns
+  // partition 0 and flushes partition-1 updates. A flush that waited for a
+  // lock while still owning its own partition would deadlock the pair.
+  Dense state(4 * Dense::kMinPartitionSpan, 2);
+  const size_t boundary = Dense::kMinPartitionSpan;
+  std::atomic<int> owning{0}, finished{0};
+  std::atomic<bool> done{false};
+  auto run = [&](unsigned slot) {
+    Dense::Sink& sink = state.sink(slot);
+    const size_t own = slot == 0 ? boundary : 0;
+    const size_t other = slot == 0 ? 0 : boundary;
+    BatchScope scope(sink);
+    sink.Add(own, 1);
+    owning.fetch_add(1);
+    while (owning.load() < 2) std::this_thread::yield();  // both own one
+    for (size_t i = 0; i < 3 * Dense::kSpillCapacity; ++i) {
+      sink.Add(other + i % 8, 1);
+    }
+    if (finished.fetch_add(1) == 1) done.store(true);
+  };
+  std::thread t0(run, 0u), t1(run, 1u);
+  if (!WaitFor(done, 10)) {
+    std::fprintf(stderr, "owners flushing into each other's partitions "
+                         "deadlocked\n");
+    std::abort();  // the threads cannot be joined
+  }
+  t0.join();
+  t1.join();
+  state.sink(0).Flush();
+  state.sink(1).Flush();
+  int64_t total = 0;
+  for (int64_t v : state.dense()) total += v;
+  EXPECT_EQ(total, 2 * (1 + 3 * int64_t(Dense::kSpillCapacity)));
+}
+
 TEST(ParDenseAgg, FlushesBeforeTheParallelRegionJoins) {
   // End-to-end through the morsel driver: per-key sums over a real table
   // must equal the reference result immediately after the call returns —
@@ -174,6 +353,32 @@ TEST(ParDenseAgg, FlushesBeforeTheParallelRegionJoins) {
         ApplyAdd{});
     EXPECT_EQ(got, expect) << "threads=" << threads;
   }
+}
+
+TEST(ParDenseAgg, ProduceThrowingMidBatchFailsTheQueryInsteadOfHanging) {
+  // A domain of one partition: every slot's batches contend for it. One
+  // produce call throws while its scope owns the partition; the siblings
+  // must still finish, and the exception must leave the join.
+  Table t = MakeTestTable(20000, 1024, /*delete_every=*/0, /*freeze=*/true);
+  Scheduler sched(Scheduler::Options{.num_workers = 3});
+  tpch::ScanOptions opt;
+  opt.mode = ScanMode::kDataBlocks;
+  opt.ctx.threads = 4;
+  opt.ctx.scheduler = &sched;
+  std::atomic<int> batches{0};
+  EXPECT_THROW(
+      (tpch::detail::ParDenseAgg<int64_t, int64_t>(
+          t, opt, {0, 1}, {}, 64,
+          [&](auto& sink, const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
+            }
+            if (batches.fetch_add(1) == 5) {
+              throw std::runtime_error("produce failed mid-batch");
+            }
+          },
+          ApplyAdd{})),
+      std::runtime_error);
 }
 
 TEST(SharedStoreDense, IdempotentStoresFromConcurrentSlots) {
