@@ -1,12 +1,15 @@
 // Figure 9: cost (cycles per element) of applying an *additional*
 // restriction ("reduce matches") as a function of the first predicate's
 // selectivity; second predicate selectivity fixed at 40%; scalar x86 vs
-// AVX2; 8/16/32/64-bit data.
+// AVX2; 8/16/32/64-bit data. Plus reduction by an IN list on 8- and 16-bit
+// codes.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "scan/match_finder.h"
@@ -29,10 +32,11 @@ struct Fixture {
   uint32_t n_pos;
   T lo, hi;  // second predicate, 40% selective
 
-  explicit Fixture(int first_sel_pct) {
+  // Values are uniform in [0, domain).
+  explicit Fixture(int first_sel_pct, uint32_t domain = 1000) {
     std::mt19937_64 rng(uint64_t(first_sel_pct) * 31 + sizeof(T));
     data.resize(kN + kScanPadding);
-    for (uint32_t i = 0; i < kN; ++i) data[i] = T(rng() % 1000);
+    for (uint32_t i = 0; i < kN; ++i) data[i] = T(rng() % domain);
     positions.reserve(kN + 8);
     // First predicate: keep each position with probability sel (uniformly
     // distributed matches, as in the paper's experiment).
@@ -83,40 +87,65 @@ BENCHMARK_TEMPLATE(BM_ReduceMatches, uint16_t) ARGS;
 BENCHMARK_TEMPLATE(BM_ReduceMatches, uint32_t) ARGS;
 BENCHMARK_TEMPLATE(BM_ReduceMatches, uint64_t) ARGS;
 
-template <typename T>
-void PrintSeries(const char* name) {
-  std::printf("%s:\n  sel1%%:", name);
+/// One series: cycles/element of reduce(fx, isa) at each first-predicate
+/// selectivity, on values uniform in [0, domain).
+template <typename T, typename Reduce>
+void PrintSeriesOf(const std::string& label, const std::string& record,
+                   uint32_t domain, std::initializer_list<Isa> isas,
+                   Reduce reduce) {
+  std::printf("%s:\n  sel1%%:", label.c_str());
   static const int kSels[] = {1, 5, 10, 25, 50, 75, 100};
   for (int s : kSels) std::printf("%8d", s);
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+  for (Isa isa : isas) {
     if (!IsaSupported(isa)) {
       std::printf("\n  %-5s: n/a (not supported on this host)", IsaName(isa));
       continue;
     }
     std::printf("\n  %-5s:", IsaName(isa));
     for (int s : kSels) {
-      Fixture<T> fx(s);
+      Fixture<T> fx(s, domain);
       uint64_t best = UINT64_MAX;
       std::vector<double> secs;
       for (int rep = 0; rep < 20; ++rep) {
         Timer t;
         uint64_t t0 = ReadTsc();
-        uint32_t n = ReduceMatchesBetween<T>(fx.data.data(),
-                                             fx.positions.data(), fx.n_pos,
-                                             fx.lo, fx.hi, isa,
-                                             fx.out.data());
+        uint32_t n = reduce(fx, isa);
         best = std::min(best, ReadTsc() - t0);
         secs.push_back(t.ElapsedSeconds());
         benchmark::DoNotOptimize(n);
       }
       double med = BenchMedian(secs);
-      BenchJsonRecord(std::string("fig9_reduce_") + name + "_sel" +
-                          std::to_string(s),
-                      IsaName(isa), med * 1e9 / kN, kN / med);
+      BenchJsonRecord(record + "_sel" + std::to_string(s), IsaName(isa),
+                      med * 1e9 / kN, kN / med);
       std::printf("%8.2f", double(best) / kN);
     }
   }
   std::printf("\n");
+}
+
+template <typename T>
+void PrintSeries(const char* name) {
+  PrintSeriesOf<T>(name, std::string("fig9_reduce_") + name, 1000,
+                   {Isa::kScalar, Isa::kAvx2}, [](Fixture<T>& fx, Isa isa) {
+                     return ReduceMatchesBetween<T>(
+                         fx.data.data(), fx.positions.data(), fx.n_pos, fx.lo,
+                         fx.hi, isa, fx.out.data());
+                   });
+}
+
+/// Reduce by an IN list of k codes out of 25. SSE has no reduce flavor: it
+/// runs the scalar loop, as for between (Section 4.2).
+template <typename T>
+void PrintInSeries(const char* name, uint32_t k) {
+  static const T kSet[] = {2, 5, 11, 17};
+  PrintSeriesOf<T>(std::string(name) + " IN" + std::to_string(k),
+                   "fig9_reduce_in" + std::to_string(k) + "_" + name, 25,
+                   {Isa::kScalar, Isa::kSse, Isa::kAvx2},
+                   [k](Fixture<T>& fx, Isa isa) {
+                     return ReduceMatchesIn<T>(fx.data.data(),
+                                               fx.positions.data(), fx.n_pos,
+                                               kSet, k, isa, fx.out.data());
+                   });
 }
 
 void PrintSummary() {
@@ -127,6 +156,13 @@ void PrintSummary() {
   PrintSeries<uint16_t>("16-bit");
   PrintSeries<uint32_t>("32-bit");
   PrintSeries<uint64_t>("64-bit");
+  std::printf(
+      "\n=== Reduce by an IN list of 2 or 4 codes out of 25 (2nd pred 8%%, "
+      "16%%) ===\n");
+  PrintInSeries<uint8_t>("8-bit", 2);
+  PrintInSeries<uint8_t>("8-bit", 4);
+  PrintInSeries<uint16_t>("16-bit", 2);
+  PrintInSeries<uint16_t>("16-bit", 4);
 }
 
 }  // namespace

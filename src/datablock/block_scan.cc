@@ -1,6 +1,8 @@
 #include "datablock/block_scan.h"
 
 #include <algorithm>
+#include <bit>
+#include <type_traits>
 
 #include "util/bits.h"
 
@@ -185,6 +187,36 @@ Verdict LowerString(const Predicate& p, const DataBlock& block,
   }
 }
 
+/// The share of a block's rows that bp is estimated to keep, from the
+/// block's own metadata with values taken as uniform: the restriction's
+/// codes over the column's domain (the dictionary, or max - min + 1 for
+/// truncated and raw integers); for doubles the covered share of
+/// [min, max]. NULL tests estimate 1.
+double EstimateSelectivity(const BlockPred& bp, const AttrMeta& m) {
+  using K = BlockPred::Kind;
+  if (bp.kind == K::kIsNull || bp.kind == K::kIsNotNull) return 1;
+  if (bp.is_double) {
+    const double dmin = std::bit_cast<double>(m.min_val);
+    const double dmax = std::bit_cast<double>(m.max_val);
+    if (bp.kind == K::kNe || !(dmax > dmin)) return 1;
+    if (bp.kind == K::kInSet) return 0;
+    return std::clamp((bp.dhi - bp.dlo) / (dmax - dmin), 0.0, 1.0);
+  }
+  const double domain = Compression(m.compression) == Compression::kDictionary
+                            ? double(m.dict_count)
+                            : double(m.max_val) - double(m.min_val) + 1;
+  switch (bp.kind) {
+    case K::kNe: return 1 - 1 / domain;
+    case K::kInSet: return std::min(1.0, double(bp.in_codes.size()) / domain);
+    default: {
+      const double span = bp.is_signed ? double(int64_t(bp.hi)) -
+                                             double(int64_t(bp.lo))
+                                       : double(bp.hi - bp.lo);
+      return std::min(1.0, (span + 1) / domain);
+    }
+  }
+}
+
 }  // namespace
 
 ColumnSma BlockSma(const DataBlock& block, uint32_t col) {
@@ -267,134 +299,95 @@ BlockScanPrep PrepareBlockScan(const DataBlock& block,
       }
     }
   }
+
+  // Most selective first, so each later restriction reduces fewer
+  // positions. A conjunction commutes and positions stay ascending, so the
+  // matches are the same in any order; ties keep the query order.
+  if (prep.preds.size() > 1) {
+    std::stable_sort(prep.preds.begin(), prep.preds.end(),
+                     [&](const BlockPred& a, const BlockPred& b) {
+                       return EstimateSelectivity(a, block.attr(a.col)) <
+                              EstimateSelectivity(b, block.attr(b.col));
+                     });
+  }
   return prep;
 }
 
 namespace {
 
-uint32_t RunRangePred(const uint8_t* base, const BlockPred& bp, uint32_t from,
-                      uint32_t to, Isa isa, bool first, const uint32_t* pos,
-                      uint32_t n, uint32_t* out) {
-  if (bp.is_double) {
-    const double* data = reinterpret_cast<const double*>(base);
-    if (bp.kind == BlockPred::Kind::kNe) {
-      return first ? FindMatchesNeF64(data, from, to, bp.dne, out)
-                   : ReduceMatchesNeF64(data, pos, n, bp.dne, out);
-    }
-    return first ? FindMatchesBetweenF64(data, from, to, bp.dlo, bp.dhi, out)
-                 : ReduceMatchesBetweenF64(data, pos, n, bp.dlo, bp.dhi, out);
-  }
-
-  const bool ne = bp.kind == BlockPred::Kind::kNe;
+/// Calls fn with the column's code (or raw value) vector typed by width and
+/// signedness: raw int32/int64 storage compares signed.
+template <typename Fn>
+uint32_t WithTypedData(const BlockPred& bp, const uint8_t* base, Fn fn) {
   switch (bp.width) {
-    case 1: {
-      const uint8_t* d = base;
-      if (ne)
-        return first ? FindMatchesNe<uint8_t>(d, from, to, uint8_t(bp.ne),
-                                              isa, out)
-                     : ReduceMatchesNe<uint8_t>(d, pos, n, uint8_t(bp.ne),
-                                                isa, out);
-      return first ? FindMatchesBetween<uint8_t>(d, from, to, uint8_t(bp.lo),
-                                                 uint8_t(bp.hi), isa, out)
-                   : ReduceMatchesBetween<uint8_t>(d, pos, n, uint8_t(bp.lo),
-                                                   uint8_t(bp.hi), isa, out);
-    }
-    case 2: {
-      const uint16_t* d = reinterpret_cast<const uint16_t*>(base);
-      if (ne)
-        return first ? FindMatchesNe<uint16_t>(d, from, to, uint16_t(bp.ne),
-                                               isa, out)
-                     : ReduceMatchesNe<uint16_t>(d, pos, n, uint16_t(bp.ne),
-                                                 isa, out);
-      return first
-                 ? FindMatchesBetween<uint16_t>(d, from, to, uint16_t(bp.lo),
-                                                uint16_t(bp.hi), isa, out)
-                 : ReduceMatchesBetween<uint16_t>(d, pos, n, uint16_t(bp.lo),
-                                                  uint16_t(bp.hi), isa, out);
-    }
-    case 4: {
-      if (bp.is_signed) {
-        const int32_t* d = reinterpret_cast<const int32_t*>(base);
-        if (ne)
-          return first ? FindMatchesNe<int32_t>(d, from, to,
-                                                int32_t(int64_t(bp.ne)), isa,
-                                                out)
-                       : ReduceMatchesNe<int32_t>(d, pos, n,
-                                                  int32_t(int64_t(bp.ne)),
-                                                  isa, out);
-        return first ? FindMatchesBetween<int32_t>(
-                           d, from, to, int32_t(int64_t(bp.lo)),
-                           int32_t(int64_t(bp.hi)), isa, out)
-                     : ReduceMatchesBetween<int32_t>(
-                           d, pos, n, int32_t(int64_t(bp.lo)),
-                           int32_t(int64_t(bp.hi)), isa, out);
-      }
-      const uint32_t* d = reinterpret_cast<const uint32_t*>(base);
-      if (ne)
-        return first ? FindMatchesNe<uint32_t>(d, from, to, uint32_t(bp.ne),
-                                               isa, out)
-                     : ReduceMatchesNe<uint32_t>(d, pos, n, uint32_t(bp.ne),
-                                                 isa, out);
-      return first
-                 ? FindMatchesBetween<uint32_t>(d, from, to, uint32_t(bp.lo),
-                                                uint32_t(bp.hi), isa, out)
-                 : ReduceMatchesBetween<uint32_t>(d, pos, n, uint32_t(bp.lo),
-                                                  uint32_t(bp.hi), isa, out);
-    }
-    case 8: {
-      if (bp.is_signed) {
-        const int64_t* d = reinterpret_cast<const int64_t*>(base);
-        if (ne)
-          return first ? FindMatchesNe<int64_t>(d, from, to, int64_t(bp.ne),
-                                                isa, out)
-                       : ReduceMatchesNe<int64_t>(d, pos, n, int64_t(bp.ne),
-                                                  isa, out);
-        return first ? FindMatchesBetween<int64_t>(d, from, to,
-                                                   int64_t(bp.lo),
-                                                   int64_t(bp.hi), isa, out)
-                     : ReduceMatchesBetween<int64_t>(d, pos, n,
-                                                     int64_t(bp.lo),
-                                                     int64_t(bp.hi), isa,
-                                                     out);
-      }
-      const uint64_t* d = reinterpret_cast<const uint64_t*>(base);
-      if (ne)
-        return first ? FindMatchesNe<uint64_t>(d, from, to, bp.ne, isa, out)
-                     : ReduceMatchesNe<uint64_t>(d, pos, n, bp.ne, isa, out);
-      return first ? FindMatchesBetween<uint64_t>(d, from, to, bp.lo, bp.hi,
-                                                  isa, out)
-                   : ReduceMatchesBetween<uint64_t>(d, pos, n, bp.lo, bp.hi,
-                                                    isa, out);
-    }
-    default:
-      DB_CHECK(false);
-      return 0;
+    case 1: return fn(base);
+    case 2: return fn(reinterpret_cast<const uint16_t*>(base));
+    case 4:
+      return bp.is_signed ? fn(reinterpret_cast<const int32_t*>(base))
+                          : fn(reinterpret_cast<const uint32_t*>(base));
+    case 8:
+      return bp.is_signed ? fn(reinterpret_cast<const int64_t*>(base))
+                          : fn(reinterpret_cast<const uint64_t*>(base));
+    default: DB_CHECK(false); return 0;
   }
 }
 
-/// Scalar membership filter for non-contiguous IN sets: reads each code (or
-/// raw value, sign-extended so bit patterns match the translated constants)
-/// and binary-searches the sorted set.
+/// kRange, kNe and kInSet of at most kMaxInKernelSet integer codes: the
+/// find/reduce-matches kernels. The translated constants are bit patterns,
+/// sign-extended when signed, so T(constant) is the typed value.
+uint32_t RunKernelPred(const uint8_t* base, const BlockPred& bp,
+                       uint32_t from, uint32_t to, Isa isa, bool first,
+                       uint32_t n, uint32_t* out) {
+  return WithTypedData(bp, base, [&](const auto* d) -> uint32_t {
+    using T = std::remove_cv_t<std::remove_pointer_t<decltype(d)>>;
+    switch (bp.kind) {
+      case BlockPred::Kind::kNe:
+        return first ? FindMatchesNe<T>(d, from, to, T(bp.ne), isa, out)
+                     : ReduceMatchesNe<T>(d, out, n, T(bp.ne), isa, out);
+      case BlockPred::Kind::kInSet: {
+        T set[kMaxInKernelSet] = {};
+        const uint32_t k = uint32_t(bp.in_codes.size());
+        for (uint32_t s = 0; s < k; ++s) set[s] = T(bp.in_codes[s]);
+        return first ? FindMatchesIn<T>(d, from, to, set, k, isa, out)
+                     : ReduceMatchesIn<T>(d, out, n, set, k, isa, out);
+      }
+      default:
+        return first ? FindMatchesBetween<T>(d, from, to, T(bp.lo), T(bp.hi),
+                                             isa, out)
+                     : ReduceMatchesBetween<T>(d, out, n, T(bp.lo), T(bp.hi),
+                                               isa, out);
+    }
+  });
+}
+
+/// Raw doubles: scalar range and inequality kernels (Section 4.2).
+uint32_t RunDoublePred(const double* data, const BlockPred& bp,
+                       uint32_t from, uint32_t to, bool first, uint32_t n,
+                       uint32_t* out) {
+  if (bp.kind == BlockPred::Kind::kNe) {
+    return first ? FindMatchesNeF64(data, from, to, bp.dne, out)
+                 : ReduceMatchesNeF64(data, out, n, bp.dne, out);
+  }
+  return first ? FindMatchesBetweenF64(data, from, to, bp.dlo, bp.dhi, out)
+               : ReduceMatchesBetweenF64(data, out, n, bp.dlo, bp.dhi, out);
+}
+
+/// Membership by binary search in the sorted set: IN lists on raw doubles
+/// and sets too large for the kernels.
 uint32_t RunInSetPred(const uint8_t* base, const BlockPred& bp, uint32_t from,
                       uint32_t to, bool first, uint32_t n, uint32_t* out) {
-  return SelectRows(first, from, to, n, out, [&](uint32_t row) {
-    if (bp.is_double) {
-      const double v = reinterpret_cast<const double*>(base)[row];
-      return std::binary_search(bp.in_dbls.begin(), bp.in_dbls.end(), v);
-    }
-    uint64_t c;
-    switch (bp.width) {
-      case 1: c = base[row]; break;
-      case 2: c = reinterpret_cast<const uint16_t*>(base)[row]; break;
-      case 4:
-        c = bp.is_signed
-                ? uint64_t(int64_t(
-                      reinterpret_cast<const int32_t*>(base)[row]))
-                : uint64_t(reinterpret_cast<const uint32_t*>(base)[row]);
-        break;
-      default: c = reinterpret_cast<const uint64_t*>(base)[row]; break;
-    }
-    return std::binary_search(bp.in_codes.begin(), bp.in_codes.end(), c);
+  if (bp.is_double) {
+    const double* d = reinterpret_cast<const double*>(base);
+    return SelectRows(first, from, to, n, out, [&](uint32_t row) {
+      return std::binary_search(bp.in_dbls.begin(), bp.in_dbls.end(), d[row]);
+    });
+  }
+  return WithTypedData(bp, base, [&](const auto* d) {
+    return SelectRows(first, from, to, n, out, [&](uint32_t row) {
+      // Signed values sign-extend, like the translated bit patterns.
+      return std::binary_search(bp.in_codes.begin(), bp.in_codes.end(),
+                                uint64_t(int64_t(d[row])));
+    });
   });
 }
 
@@ -403,19 +396,22 @@ uint32_t RunInSetPred(const uint8_t* base, const BlockPred& bp, uint32_t from,
 uint32_t RunBlockPred(const BlockPred& bp, const uint8_t* data,
                       const uint64_t* nulls, uint32_t from, uint32_t to,
                       Isa isa, bool first, uint32_t n, uint32_t* out) {
-  switch (bp.kind) {
-    case BlockPred::Kind::kRange:
-    case BlockPred::Kind::kNe:
-      return RunRangePred(data, bp, from, to, isa, first, out, n, out);
-    case BlockPred::Kind::kInSet:
-      return RunInSetPred(data, bp, from, to, first, n, out);
-    default: {
-      const bool keep_set = bp.kind == BlockPred::Kind::kIsNull;
-      return SelectRows(first, from, to, n, out, [&](uint32_t row) {
-        return (nulls != nullptr && BitmapTest(nulls, row)) == keep_set;
-      });
-    }
+  if (bp.kind == BlockPred::Kind::kIsNull ||
+      bp.kind == BlockPred::Kind::kIsNotNull) {
+    const bool keep_set = bp.kind == BlockPred::Kind::kIsNull;
+    return SelectRows(first, from, to, n, out, [&](uint32_t row) {
+      return (nulls != nullptr && BitmapTest(nulls, row)) == keep_set;
+    });
   }
+  if (bp.kind == BlockPred::Kind::kInSet &&
+      (bp.is_double || bp.in_codes.size() > kMaxInKernelSet)) {
+    return RunInSetPred(data, bp, from, to, first, n, out);
+  }
+  if (bp.is_double) {
+    return RunDoublePred(reinterpret_cast<const double*>(data), bp, from, to,
+                         first, n, out);
+  }
+  return RunKernelPred(data, bp, from, to, isa, first, n, out);
 }
 
 uint32_t FilterPositionsByBitmap(const uint32_t* positions, uint32_t n,
@@ -550,9 +546,10 @@ void AppendNullMask(const DataBlock& block, uint32_t col, Idx idx, uint32_t n,
   for (uint32_t j = 0; j < n; ++j) w[j] = BitmapTest(bitmap, idx[j]);
 }
 
-/// Appends `n` slots to `v` and returns the first.
-template <typename T>
-T* Grow(std::vector<T>& v, uint32_t n) {
+/// Appends `n` slots to `v` and returns the first. ColumnVector's numeric
+/// and code vectors leave them unwritten; every caller fills all `n`.
+template <typename V>
+auto* Grow(V& v, uint32_t n) {
   const size_t old = v.size();
   v.resize(old + n);
   return v.data() + old;

@@ -19,7 +19,7 @@ struct BlockPred {
   enum class Kind : uint8_t {
     kRange,     // lo <= code <= hi in the (unsigned or signed) code domain
     kNe,        // code != ne
-    kInSet,     // code (or raw value) is a member of the sorted in_codes set
+    kInSet,     // code (or raw value) is one of in_codes / in_dbls
     kIsNull,    // NULL bitmap bit set
     kIsNotNull  // NULL bitmap bit clear
   };
@@ -34,7 +34,9 @@ struct BlockPred {
   double dlo = 0, dhi = 0, dne = 0;
   // kInSet membership: sorted, deduplicated code (or sign-extended raw
   // value) bit patterns; in_dbls for raw double storage. An IN list whose
-  // surviving codes are contiguous is lowered to kRange instead.
+  // surviving codes are contiguous is lowered to kRange instead. Up to
+  // kMaxInKernelSet integer codes run the FindMatchesIn/ReduceMatchesIn
+  // kernels; larger sets and doubles binary-search the sorted set.
   std::vector<uint64_t> in_codes;
   std::vector<double> in_dbls;
   // PSMA probe deltas (only meaningful for kRange on PSMA-indexed columns).
@@ -73,7 +75,9 @@ Verdict LowerPredicate(const Predicate& p, const ColumnSma& sma,
                        BlockPred* bp);
 
 /// Translates `preds` against `block`: applies SMA skipping, dictionary
-/// lookups and (optionally) PSMA range narrowing.
+/// lookups and (optionally) PSMA range narrowing. The residual predicates
+/// come out most selective first, estimated from the block's metadata;
+/// ties keep the query order.
 BlockScanPrep PrepareBlockScan(const DataBlock& block,
                                const std::vector<Predicate>& preds,
                                bool use_psma);

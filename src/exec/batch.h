@@ -2,13 +2,36 @@
 #define DATABLOCKS_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "datablock/data_block.h"
 #include "storage/types.h"
 
 namespace datablocks {
+
+/// std::allocator whose value-less construct default-initializes, so
+/// resize() leaves new trivially constructible slots unwritten instead of
+/// zeroing them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  // Value-carrying construction falls through to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// A vector whose resize() leaves the new slots unspecified.
+template <typename T>
+using UninitVector = std::vector<T, DefaultInitAllocator<T>>;
 
 /// A typed output vector of a scan. Matching tuples are unpacked /
 /// copied into ColumnVectors ("temporary storage", Section 4.1) before being
@@ -26,16 +49,19 @@ namespace datablocks {
 /// for as long as the batch is live (until the next Next()/Reset/destruction),
 /// so both the code vector's dictionary handle and any materialized views
 /// stay valid for the batch's lifetime.
+///
+/// Resizing i32, i64, f64 or codes leaves the new slots unspecified (no
+/// zero-fill): every writer fills all the slots it adds.
 struct ColumnVector {
   TypeId type = TypeId::kInt64;
-  std::vector<int32_t> i32;
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
+  UninitVector<int32_t> i32;
+  UninitVector<int64_t> i64;
+  UninitVector<double> f64;
   std::vector<std::string_view> str;
   /// Code-carrying form of a string column: dictionary codes plus the block
   /// whose order-preserving dictionary decodes them. Null when the column is
   /// materialized (`str`).
-  std::vector<uint32_t> codes;
+  UninitVector<uint32_t> codes;
   const DataBlock* dict_block = nullptr;
   uint32_t dict_col = 0;
   /// Parallel validity flags (1 = NULL). Empty when the source column is not

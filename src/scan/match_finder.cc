@@ -6,6 +6,7 @@
 
 #include "scan/match_table.h"
 #include "util/cpu.h"
+#include "util/macros.h"
 
 // The library is compiled for baseline x86-64; every function that touches
 // AVX2/BMI2 or SSE4.2 instructions is annotated with a `target` attribute so
@@ -90,50 +91,51 @@ DB_TARGET_SSE42 inline uint32_t* EmitSse(uint32_t mask8, uint32_t base,
 // DATABLOCKS_FORCE_SCALAR.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-uint32_t FindBetweenScalar(const T* data, uint32_t from, uint32_t to, T lo,
-                           T hi, uint32_t* out) {
+// Positions in [from, to) whose value passes keep.
+template <typename T, typename Keep>
+uint32_t FindScalar(const T* data, uint32_t from, uint32_t to, Keep keep,
+                    uint32_t* out) {
   uint32_t* w = out;
   for (uint32_t i = from; i < to; ++i) {
     *w = i;
-    w += (data[i] >= lo) & (data[i] <= hi);
+    w += keep(data[i]);
   }
   return static_cast<uint32_t>(w - out);
 }
 
-template <typename T>
-uint32_t FindNeScalar(const T* data, uint32_t from, uint32_t to, T v,
-                      uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t i = from; i < to; ++i) {
-    *w = i;
-    w += (data[i] != v);
-  }
-  return static_cast<uint32_t>(w - out);
-}
-
-template <typename T>
-uint32_t ReduceBetweenScalar(const T* data, const uint32_t* positions,
-                             uint32_t n, T lo, T hi, uint32_t* out) {
+// The positions[0..n) whose value passes keep.
+template <typename T, typename Keep>
+uint32_t ReduceScalar(const T* data, const uint32_t* positions, uint32_t n,
+                      Keep keep, uint32_t* out) {
   uint32_t* w = out;
   for (uint32_t j = 0; j < n; ++j) {
     uint32_t p = positions[j];
     *w = p;
-    w += (data[p] >= lo) & (data[p] <= hi);
+    w += keep(data[p]);
   }
   return static_cast<uint32_t>(w - out);
 }
 
+// Whether v equals one of set[0..k): an OR over the whole set, no early exit.
 template <typename T>
-uint32_t ReduceNeScalar(const T* data, const uint32_t* positions, uint32_t n,
-                        T v, uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t j = 0; j < n; ++j) {
-    uint32_t p = positions[j];
-    *w = p;
-    w += (data[p] != v);
-  }
-  return static_cast<uint32_t>(w - out);
+inline bool InSet(T v, const T* set, uint32_t k) {
+  bool hit = false;
+  for (uint32_t s = 0; s < k; ++s) hit |= v == set[s];
+  return hit;
+}
+
+// The per-value tests of the scalar kernels.
+template <typename T>
+auto BetweenTest(T lo, T hi) {
+  return [lo, hi](T v) { return (v >= lo) & (v <= hi); };
+}
+template <typename T>
+auto NeTest(T ne) {
+  return [ne](T v) { return v != ne; };
+}
+template <typename T>
+auto InTest(const T* set, uint32_t k) {
+  return [set, k](T v) { return InSet(v, set, k); };
 }
 
 // ---------------------------------------------------------------------------
@@ -392,6 +394,35 @@ DB_TARGET_AVX2 inline __m256i SimdOr(__m256i a, __m256i b) {
       w += (data[i] >= lo) & (data[i] <= hi);                                  \
     }                                                                          \
     return static_cast<uint32_t>(w - out);                                     \
+  }                                                                            \
+                                                                               \
+  template <typename T>                                                        \
+  TARGET uint32_t FindIn##SUFFIX(const T* data, uint32_t from, uint32_t to,    \
+                                 const T* set, uint32_t k, uint32_t* out) {    \
+    using O = OPS<sizeof(T)>;                                                  \
+    using Reg = typename O::Reg;                                               \
+    constexpr uint32_t kLanes = O::kLanes;                                     \
+    using S = std::make_signed_t<T>;                                           \
+    Reg sv[kMaxInKernelSet];                                                   \
+    for (uint32_t s = 0; s < kMaxInKernelSet; ++s)                             \
+      sv[s] = O::Splat(int64_t(S(set[s < k ? s : 0])));                       \
+                                                                               \
+    uint32_t* w = out;                                                         \
+    uint32_t i = from;                                                         \
+    for (; i + kLanes <= to; i += kLanes) {                                    \
+      const Reg v = O::Load(data + i);                                         \
+      Reg hit = O::Eq(v, sv[0]);                                               \
+      for (uint32_t s = 1; s < k; ++s) hit = SimdOr(hit, O::Eq(v, sv[s]));     \
+      const uint32_t mask = O::Mask(hit);                                      \
+      for (uint32_t g = 0; g < kLanes; g += 8) {                               \
+        w = EMIT((mask >> g) & 0xFF, i + g, w);                                \
+      }                                                                        \
+    }                                                                          \
+    for (; i < to; ++i) {                                                      \
+      *w = i;                                                                  \
+      w += InSet(data[i], set, k);                                             \
+    }                                                                          \
+    return static_cast<uint32_t>(w - out);                                     \
   }
 
 DB_DEFINE_FIND_DRIVERS(Avx2K, DB_TARGET_AVX2, Avx2, EmitAvx2)
@@ -420,6 +451,23 @@ DB_TARGET_AVX2 inline __m256i Gather32(const void* base, __m256i idx) {
   }
 }
 
+// Stores the lanes of `idx` whose `mask8` bit is set at w, packed to the
+// front: the positions-table entry serves as the shuffle control.
+DB_TARGET_AVX2 inline uint32_t* CompactAvx2(__m256i idx, uint32_t mask8,
+                                            uint32_t* w) {
+  const MatchTableEntry& e = kMatchTable[mask8];
+  __m256i perm = _mm256_srai_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e.cell)), 8);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(w),
+                      _mm256_permutevar8x32_epi32(idx, perm));
+  return w + MatchCount(e);
+}
+
+// One bit per 32-bit lane of a compare result.
+DB_TARGET_AVX2 inline uint32_t LaneMask(__m256i m) {
+  return uint32_t(_mm256_movemask_ps(_mm256_castsi256_ps(m)));
+}
+
 // T is uint8_t/uint16_t (zero-extended, compared unbias'd because values fit
 // in int32) or uint32_t/int32_t (compared with sign-flip bias as needed).
 template <typename T>
@@ -446,14 +494,7 @@ DB_TARGET_AVX2 uint32_t ReduceBetweenAvx2(const T* data,
     if constexpr (kBias != 0) v = _mm256_xor_si256(v, biasv);
     __m256i bad = _mm256_or_si256(_mm256_cmpgt_epi32(lov, v),
                                   _mm256_cmpgt_epi32(v, hiv));
-    uint32_t mask =
-        ~uint32_t(_mm256_movemask_ps(_mm256_castsi256_ps(bad))) & 0xFFu;
-    const MatchTableEntry& e = kMatchTable[mask];
-    __m256i perm = _mm256_srai_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e.cell)), 8);
-    __m256i packed = _mm256_permutevar8x32_epi32(idx, perm);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w), packed);
-    w += MatchCount(e);
+    w = CompactAvx2(idx, ~LaneMask(bad) & 0xFFu, w);
   }
   for (; j < n; ++j) {
     uint32_t p = positions[j];
@@ -476,21 +517,42 @@ DB_TARGET_AVX2 uint32_t ReduceNeAvx2(const T* data, const uint32_t* positions,
     __m256i idx = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(positions + j));
     __m256i v = Gather32<W>(data, idx);
-    uint32_t mask =
-        ~uint32_t(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, cv)))) &
-        0xFFu;
-    const MatchTableEntry& e = kMatchTable[mask];
-    __m256i perm = _mm256_srai_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e.cell)), 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    w += MatchCount(e);
+    w = CompactAvx2(idx, ~LaneMask(_mm256_cmpeq_epi32(v, cv)) & 0xFFu, w);
   }
   for (; j < n; ++j) {
     uint32_t p = positions[j];
     *w = p;
     w += (data[p] != val);
+  }
+  return static_cast<uint32_t>(w - out);
+}
+
+// Set values compare zero-extended, like the gathered lanes.
+template <typename T>
+DB_TARGET_AVX2 uint32_t ReduceInAvx2(const T* data, const uint32_t* positions,
+                                     uint32_t n, const T* set, uint32_t k,
+                                     uint32_t* out) {
+  static_assert(sizeof(T) <= 4);
+  constexpr int W = sizeof(T);
+  __m256i sv[kMaxInKernelSet];
+  for (uint32_t s = 0; s < kMaxInKernelSet; ++s)
+    sv[s] = _mm256_set1_epi32(int(uint32_t(set[s < k ? s : 0])));
+
+  uint32_t* w = out;
+  uint32_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(positions + j));
+    const __m256i v = Gather32<W>(data, idx);
+    __m256i hit = _mm256_cmpeq_epi32(v, sv[0]);
+    for (uint32_t s = 1; s < k; ++s)
+      hit = _mm256_or_si256(hit, _mm256_cmpeq_epi32(v, sv[s]));
+    w = CompactAvx2(idx, LaneMask(hit), w);
+  }
+  for (; j < n; ++j) {
+    uint32_t p = positions[j];
+    *w = p;
+    w += InSet(data[p], set, k);
   }
   return static_cast<uint32_t>(w - out);
 }
@@ -509,7 +571,7 @@ uint32_t FindMatchesBetween(const T* data, uint32_t from, uint32_t to, T lo,
   if (lo > hi || from >= to) return 0;
   switch (ClampIsa(isa)) {
     case Isa::kScalar:
-      return FindBetweenScalar(data, from, to, lo, hi, out);
+      return FindScalar(data, from, to, BetweenTest(lo, hi), out);
     case Isa::kSse:
       return FindBetweenSseK(data, from, to, lo, hi, out);
     case Isa::kAvx2:
@@ -524,7 +586,7 @@ uint32_t FindMatchesNe(const T* data, uint32_t from, uint32_t to, T v, Isa isa,
   if (from >= to) return 0;
   switch (ClampIsa(isa)) {
     case Isa::kScalar:
-      return FindNeScalar(data, from, to, v, out);
+      return FindScalar(data, from, to, NeTest(v), out);
     case Isa::kSse:
       return FindNeSseK(data, from, to, v, out);
     case Isa::kAvx2:
@@ -545,7 +607,7 @@ uint32_t ReduceMatchesBetween(const T* data, const uint32_t* positions,
       return ReduceBetweenAvx2(data, positions, n, lo, hi, out);
     }
   }
-  return ReduceBetweenScalar(data, positions, n, lo, hi, out);
+  return ReduceScalar(data, positions, n, BetweenTest(lo, hi), out);
 }
 
 template <typename T>
@@ -556,50 +618,57 @@ uint32_t ReduceMatchesNe(const T* data, const uint32_t* positions, uint32_t n,
       return ReduceNeAvx2(data, positions, n, v, out);
     }
   }
-  return ReduceNeScalar(data, positions, n, v, out);
+  return ReduceScalar(data, positions, n, NeTest(v), out);
+}
+
+template <typename T>
+uint32_t FindMatchesIn(const T* data, uint32_t from, uint32_t to,
+                       const T* set, uint32_t k, Isa isa, uint32_t* out) {
+  DB_DCHECK(k <= kMaxInKernelSet);
+  if (k == 0 || from >= to) return 0;
+  switch (ClampIsa(isa)) {
+    case Isa::kScalar:
+      return FindScalar(data, from, to, InTest(set, k), out);
+    case Isa::kSse:
+      return FindInSseK(data, from, to, set, k, out);
+    case Isa::kAvx2:
+      return FindInAvx2K(data, from, to, set, k, out);
+  }
+  return 0;
+}
+
+template <typename T>
+uint32_t ReduceMatchesIn(const T* data, const uint32_t* positions, uint32_t n,
+                         const T* set, uint32_t k, Isa isa, uint32_t* out) {
+  DB_DCHECK(k <= kMaxInKernelSet);
+  if (k == 0) return 0;
+  if constexpr (sizeof(T) <= 4) {
+    if (ClampIsa(isa) == Isa::kAvx2) {
+      return ReduceInAvx2(data, positions, n, set, k, out);
+    }
+  }
+  return ReduceScalar(data, positions, n, InTest(set, k), out);
 }
 
 uint32_t FindMatchesBetweenF64(const double* data, uint32_t from, uint32_t to,
                                double lo, double hi, uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t i = from; i < to; ++i) {
-    *w = i;
-    w += (data[i] >= lo) & (data[i] <= hi);
-  }
-  return static_cast<uint32_t>(w - out);
+  return FindScalar(data, from, to, BetweenTest(lo, hi), out);
 }
 
 uint32_t ReduceMatchesBetweenF64(const double* data, const uint32_t* positions,
                                  uint32_t n, double lo, double hi,
                                  uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t j = 0; j < n; ++j) {
-    uint32_t p = positions[j];
-    *w = p;
-    w += (data[p] >= lo) & (data[p] <= hi);
-  }
-  return static_cast<uint32_t>(w - out);
+  return ReduceScalar(data, positions, n, BetweenTest(lo, hi), out);
 }
 
 uint32_t FindMatchesNeF64(const double* data, uint32_t from, uint32_t to,
                           double v, uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t i = from; i < to; ++i) {
-    *w = i;
-    w += (data[i] != v);
-  }
-  return static_cast<uint32_t>(w - out);
+  return FindScalar(data, from, to, NeTest(v), out);
 }
 
 uint32_t ReduceMatchesNeF64(const double* data, const uint32_t* positions,
                             uint32_t n, double v, uint32_t* out) {
-  uint32_t* w = out;
-  for (uint32_t j = 0; j < n; ++j) {
-    uint32_t p = positions[j];
-    *w = p;
-    w += (data[p] != v);
-  }
-  return static_cast<uint32_t>(w - out);
+  return ReduceScalar(data, positions, n, NeTest(v), out);
 }
 
 // Explicit instantiations: unsigned widths for compressed codes, signed for
@@ -612,7 +681,11 @@ uint32_t ReduceMatchesNeF64(const double* data, const uint32_t* positions,
   template uint32_t ReduceMatchesBetween<T>(const T*, const uint32_t*,        \
                                             uint32_t, T, T, Isa, uint32_t*);  \
   template uint32_t ReduceMatchesNe<T>(const T*, const uint32_t*, uint32_t,   \
-                                       T, Isa, uint32_t*);
+                                       T, Isa, uint32_t*);                    \
+  template uint32_t FindMatchesIn<T>(const T*, uint32_t, uint32_t, const T*,  \
+                                     uint32_t, Isa, uint32_t*);               \
+  template uint32_t ReduceMatchesIn<T>(const T*, const uint32_t*, uint32_t,   \
+                                       const T*, uint32_t, Isa, uint32_t*);
 
 DB_INSTANTIATE_KERNELS(uint8_t)
 DB_INSTANTIATE_KERNELS(uint16_t)

@@ -58,6 +58,22 @@ template <typename T>
 uint32_t ReduceMatchesNe(const T* data, const uint32_t* positions, uint32_t n,
                          T v, Isa isa, uint32_t* out);
 
+/// Most set values the IN kernels take: one broadcast register each.
+inline constexpr uint32_t kMaxInKernelSet = 8;
+
+/// Finds positions whose value equals any of set[0..k), 1 <= k <=
+/// kMaxInKernelSet (an OR of equality compares per vector). Same contract
+/// as FindMatchesBetween otherwise.
+template <typename T>
+uint32_t FindMatchesIn(const T* data, uint32_t from, uint32_t to,
+                       const T* set, uint32_t k, Isa isa, uint32_t* out);
+
+/// Shrinks a match vector keeping positions whose value is in set[0..k).
+/// `out` may alias `positions`.
+template <typename T>
+uint32_t ReduceMatchesIn(const T* data, const uint32_t* positions, uint32_t n,
+                         const T* set, uint32_t k, Isa isa, uint32_t* out);
+
 /// Scalar double kernels (the paper's SIMD algorithms target integer data;
 /// doubles fall back to scalar code, Section 4.2).
 uint32_t FindMatchesBetweenF64(const double* data, uint32_t from, uint32_t to,

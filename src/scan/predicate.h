@@ -14,9 +14,9 @@ namespace datablocks {
 /// between"). `is [not] null` is the paper's "is". kIn and kPrefix extend the
 /// paper's set with two restrictions that stay SARGable on compressed blocks:
 /// an IN list translates to a set of dictionary codes (or a code range when
-/// the matching codes are contiguous), and a prefix restriction (LIKE 'x%')
-/// translates to a code range because the string dictionaries are
-/// order-preserving.
+/// the matching codes are contiguous), which the equal-any SIMD kernels
+/// evaluate, and a prefix restriction (LIKE 'x%') translates to a code range
+/// because the string dictionaries are order-preserving.
 enum class CompareOp : uint8_t {
   kEq,
   kNe,

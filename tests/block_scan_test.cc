@@ -1,7 +1,9 @@
 // Block scan logic: predicate translation into the compressed domain, SMA
 // skipping, dictionary-miss pruning, PSMA narrowing soundness,
-// find-matches vs. brute force on randomized blocks, and range and
-// positional unpacking vs. point access for every scheme and code width.
+// find-matches vs. brute force on randomized blocks and in every predicate
+// order, IN sets on hot chunks and frozen blocks, and range and positional
+// unpacking vs. point access for every scheme and code width, with every
+// appended slot written.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 
 #include "datablock/block_scan.h"
 #include "datablock/block_summary.h"
+#include "exec/table_scanner.h"
+#include "storage/table.h"
 #include "util/date.h"
 #include "util/rng.h"
 
@@ -668,6 +672,84 @@ TEST(BlockScan, UnpackRangeEqualsUnpackPositions) {
   CheckUnpackProperty(block, wide, &rng, 3);
 }
 
+/// Fills the capacity of cv's numeric and code vectors with 0xAB bytes,
+/// then clears them: resize() does not zero-fill, so a slot an unpack
+/// leaves unwritten would keep the poison.
+void Poison(ColumnVector* cv, size_t cap) {
+  auto fill = [cap](auto& v) {
+    v.resize(cap);
+    std::memset(static_cast<void*>(v.data()), 0xAB, cap * sizeof(v[0]));
+  };
+  fill(cv->i32);
+  fill(cv->i64);
+  fill(cv->f64);
+  fill(cv->codes);
+  cv->Clear();
+}
+
+template <typename V>
+size_t PoisonedSlots(const V& v) {
+  size_t bad = 0;
+  for (const auto& x : v) {
+    const auto* b = reinterpret_cast<const uint8_t*>(&x);
+    bad += std::all_of(b, b + sizeof(x), [](uint8_t c) { return c == 0xAB; });
+  }
+  return bad;
+}
+
+/// Every unpack writes every slot it appends, NULL rows included: single
+/// value, truncation 1/2/4/8, dictionary, raw, double, nullable and all-NULL
+/// columns, by positions and by range, values and string codes, into an
+/// empty vector and appended to a non-empty one.
+TEST(BlockScan, UnpackLeavesNoSlotUnwritten) {
+  Rng rng(9);
+  const std::vector<UnpackSpec> specs = SmallUnpackSpecs();
+  const DataBlock block = BuildUnpackBlock(specs, 2000, &rng);
+  const uint32_t n = block.num_rows();
+  for (uint32_t col = 0; col < specs.size(); ++col) {
+    SCOPED_TRACE(specs[col].name);
+    const bool has_codes =
+        specs[col].type == TypeId::kString && block.attr(col).dict_count > 0;
+    for (bool coded : {false, true}) {
+      if (coded && !has_codes) continue;
+      for (bool by_range : {false, true}) {
+        for (uint32_t prefix : {0u, 37u}) {
+          // Unpacks rows [from, to), or every third row of them.
+          auto unpack = [&](uint32_t from, uint32_t to, ColumnVector* cv,
+                            RowsOf* rows) {
+            std::vector<uint32_t> pos;
+            for (uint32_t r = from; r < to; r += by_range ? 1 : 3) {
+              pos.push_back(r);
+              rows->push_back({col, r});
+            }
+            if (by_range) {
+              (coded ? UnpackColumnCodesRange : UnpackColumnRange)(
+                  block, col, from, to, cv);
+            } else {
+              (coded ? UnpackColumnCodes : UnpackColumn)(
+                  block, col, pos.data(), uint32_t(pos.size()), cv);
+            }
+          };
+          ColumnVector cv;
+          cv.Init(specs[col].type);
+          Poison(&cv, 2 * n);
+          RowsOf rows;
+          unpack(0, prefix, &cv, &rows);
+          unpack(prefix + 5, n, &cv, &rows);
+          SCOPED_TRACE(std::string(coded ? "codes" : "values") +
+                       (by_range ? " range" : " positions") + " prefix " +
+                       std::to_string(prefix));
+          // Checked first: a poisoned code would decode out of bounds.
+          ASSERT_EQ(PoisonedSlots(cv.i32) + PoisonedSlots(cv.i64) +
+                        PoisonedSlots(cv.f64) + PoisonedSlots(cv.codes),
+                    0u);
+          ExpectPointAccess(block, cv, rows);
+        }
+      }
+    }
+  }
+}
+
 TEST(BlockScan, DateColumnsTranslate) {
   Schema schema({{"d", TypeId::kDate}});
   Chunk chunk(&schema, 365);
@@ -687,6 +769,214 @@ TEST(BlockScan, DateColumnsTranslate) {
   uint32_t cnt = FindMatchesInBlock(block, prep, prep.range_begin,
                                     prep.range_end, BestIsa(), buf.data());
   EXPECT_EQ(cnt, 31u);
+}
+
+/// A nullable block with a dictionary, a truncated and a raw integer
+/// column and a string column, plus the values each row holds.
+struct MixedBlock {
+  std::vector<Value> dict, trunc, raw, str;
+  DataBlock block;
+};
+
+MixedBlock MakeMixedBlock(uint32_t n, Rng* rng) {
+  Schema schema({{"dict", TypeId::kInt64, true},
+                 {"trunc", TypeId::kInt32, true},
+                 {"raw", TypeId::kInt32, true},
+                 {"str", TypeId::kString, true}});
+  const Gen gens[] = {OrNull(9, Ints(-6, 6, kE16)), OrNull(7, Ints(-50, 49)),
+                      OrNull(8, Ints(INT32_MIN, INT32_MAX)),
+                      OrNull(6, Strs("v", 11))};
+  Chunk chunk(&schema, n);
+  MixedBlock mb;
+  std::vector<Value>* cols[] = {&mb.dict, &mb.trunc, &mb.raw, &mb.str};
+  std::vector<Value> row(4);
+  for (uint32_t r = 0; r < n; ++r) {
+    for (int c = 0; c < 4; ++c) cols[c]->push_back(row[c] = gens[c](*rng, r));
+    chunk.Append(row);
+  }
+  mb.block = DataBlock::Build(chunk);
+  return mb;
+}
+
+/// Restriction order never changes a block's matches: for random mixes of
+/// Eq, In, Between and Ne on dictionary, truncated, raw and string columns
+/// (NULLs included, IN sets below and above the kernels' size limit), every
+/// permutation of the predicate list equals per-row evaluation.
+TEST(BlockScan, EveryPredicateOrderMatchesRowEvaluation) {
+  int kernel_sets = 0, searched_sets = 0;
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 101);
+    const uint32_t n = uint32_t(rng.Uniform(1500, 3000));
+    const MixedBlock mb = MakeMixedBlock(n, &rng);
+    const std::vector<Value>* vals[] = {&mb.dict, &mb.trunc, &mb.raw,
+                                        &mb.str};
+    ASSERT_EQ(mb.block.compression(0), Compression::kDictionary);
+    ASSERT_EQ(mb.block.compression(1), Compression::kTruncation);
+    ASSERT_EQ(mb.block.compression(2), Compression::kRaw);
+    ASSERT_EQ(mb.block.compression(3), Compression::kDictionary);
+    // A stored value of column c (NULL rows skipped), or an absent one.
+    auto some = [&](uint32_t c) {
+      for (;;) {
+        const Value& v = (*vals[c])[size_t(rng.Uniform(0, n - 1))];
+        if (!v.is_null()) return v;
+      }
+    };
+    auto absent = [&](uint32_t c) {
+      return c == 3 ? Value::Str("w") : Value::Int(c == 1 ? 77 : 13);
+    };
+    auto list = [&](uint32_t c, int k) {
+      std::vector<Value> l;
+      for (int i = 0; i < k; ++i) l.push_back(i == 1 ? absent(c) : some(c));
+      return l;
+    };
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<Predicate> preds;
+      const int count = int(rng.Uniform(2, 4));
+      for (int i = 0; i < count; ++i) {
+        const uint32_t c = uint32_t(rng.Uniform(0, 3));
+        switch (rng.Uniform(0, 3)) {
+          case 0: preds.push_back(Predicate::Eq(c, some(c))); break;
+          case 1:
+            preds.push_back(
+                Predicate::In(c, list(c, int(rng.Uniform(2, 11)))));
+            break;
+          case 2: preds.push_back(Predicate::Ne(c, some(c))); break;
+          default: {
+            Value lo = some(c), hi = some(c);
+            if (c == 3 ? hi.str() < lo.str() : hi.i64() < lo.i64())
+              std::swap(lo, hi);
+            preds.push_back(Predicate::Between(c, lo, hi));
+          }
+        }
+      }
+      std::vector<uint32_t> expect;
+      for (uint32_t r = 0; r < n; ++r) {
+        bool keep = true;
+        for (const Predicate& p : preds) {
+          const Value& v = (*vals[p.col])[r];
+          keep = keep && !v.is_null() &&
+                 (p.col == 3 ? EvalString(p, v.str()) : EvalInt(p, v.i64()));
+        }
+        if (keep) expect.push_back(r);
+      }
+      std::vector<size_t> order(preds.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      do {
+        std::vector<Predicate> permuted;
+        for (size_t i : order) permuted.push_back(preds[i]);
+        for (bool use_psma : {false, true}) {
+          const BlockScanPrep prep =
+              PrepareBlockScan(mb.block, permuted, use_psma);
+          for (const BlockPred& bp : prep.preds) {
+            if (bp.kind != BlockPred::Kind::kInSet) continue;
+            (bp.in_codes.size() <= kMaxInKernelSet ? kernel_sets
+                                                   : searched_sets)++;
+          }
+          std::vector<uint32_t> got;
+          if (!prep.skip) {
+            std::vector<uint32_t> buf(n + 8);
+            got.assign(buf.begin(),
+                       buf.begin() + FindMatchesInBlock(
+                                         mb.block, prep, prep.range_begin,
+                                         prep.range_end, BestIsa(),
+                                         buf.data()));
+          }
+          ASSERT_EQ(got, expect) << "trial " << trial << " psma " << use_psma;
+        }
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+  }
+  // Both IN paths ran: the kernels and the binary search.
+  EXPECT_GT(kernel_sets, 0);
+  EXPECT_GT(searched_sets, 0);
+}
+
+/// The block evaluates its restrictions most selective first, by estimates
+/// from its own metadata; equal estimates keep the query order.
+TEST(Translate, PredicatesRunMostSelectiveFirst) {
+  Schema schema({{"qty", TypeId::kInt32},
+                 {"mode", TypeId::kString},
+                 {"kind", TypeId::kString}});
+  Chunk chunk(&schema, 1000);
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<Value> row = {Value::Int(1 + i % 50),
+                              Value::Str("m" + std::to_string(10 + i % 25)),
+                              Value::Str("k" + std::to_string(10 + i % 25))};
+    chunk.Append(row);
+  }
+  const DataBlock block = DataBlock::Build(chunk);
+  ASSERT_EQ(block.compression(0), Compression::kTruncation);
+  ASSERT_EQ(block.attr(1).dict_count, 25u);
+  // qty <= 40 covers 80% of [1, 50]; the equality keeps 1 of 25 codes.
+  const Predicate range = Predicate::Le(0, Value::Int(40));
+  const Predicate mode = Predicate::Eq(1, Value::Str("m17"));
+  const Predicate kind = Predicate::Eq(2, Value::Str("k17"));
+  auto cols = [&](const std::vector<Predicate>& preds) {
+    std::vector<uint32_t> out;
+    for (const BlockPred& bp : PrepareBlockScan(block, preds, false).preds)
+      out.push_back(bp.col);
+    return out;
+  };
+  EXPECT_EQ(cols({range, mode}), (std::vector<uint32_t>{1, 0}));
+  EXPECT_EQ(cols({mode, range}), (std::vector<uint32_t>{1, 0}));
+  // Equal estimates: query order.
+  EXPECT_EQ(cols({range, kind, mode}), (std::vector<uint32_t>{2, 1, 0}));
+  EXPECT_EQ(cols({mode, range, kind}), (std::vector<uint32_t>{1, 2, 0}));
+}
+
+/// Rows a kDataBlocks scan of column 0 of `t` returns.
+std::vector<int32_t> ScanInts(const Table& t,
+                              const std::vector<Predicate>& preds) {
+  TableScanner scan(t, {0}, preds, ScanMode::kDataBlocks);
+  Batch b;
+  std::vector<int32_t> out;
+  while (scan.Next(&b)) {
+    out.insert(out.end(), b.cols[0].i32.begin(),
+               b.cols[0].i32.begin() + b.count);
+  }
+  return out;
+}
+
+/// A non-contiguous IN on a raw int32 column returns the same rows from a
+/// hot chunk (lowered against the type's full domain) and from the frozen
+/// block, for sets the kernels take and for larger ones.
+TEST(BlockScan, RawInSetSameHotAndFrozen) {
+  Table t("t", Schema({{"v", TypeId::kInt32, true}}), 4096);
+  Rng rng(17);
+  std::vector<int64_t> stored;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 11 == 0) {
+      t.Insert(std::vector<Value>{Value::Null()});
+      continue;
+    }
+    // Repeat some values so each set member hits several rows.
+    const int64_t v = i % 5 == 0 && stored.size() > 7
+                          ? stored[size_t(i % 7)]
+                          : rng.Uniform(INT32_MIN, INT32_MAX);
+    stored.push_back(v);
+    t.Insert(std::vector<Value>{Value::Int(v)});
+  }
+  std::vector<std::vector<Predicate>> cases;
+  std::vector<std::vector<int32_t>> expect;
+  for (int k : {2, 5, 8, 12}) {
+    std::vector<Value> set = {Value::Int(-3)};  // absent
+    for (int i = 1; i < k; ++i) set.push_back(Value::Int(stored[size_t(i)]));
+    expect.emplace_back();
+    for (int64_t v : stored) {
+      if (std::any_of(set.begin(), set.end(),
+                      [&](const Value& c) { return c.i64() == v; }))
+        expect.back().push_back(int32_t(v));
+    }
+    cases.push_back({Predicate::In(0, std::move(set))});
+  }
+  for (size_t c = 0; c < cases.size(); ++c)
+    EXPECT_EQ(ScanInts(t, cases[c]), expect[c]) << "hot, case " << c;
+  t.FreezeAll();
+  ASSERT_NE(t.frozen_block(0), nullptr);
+  ASSERT_EQ(t.frozen_block(0)->compression(0), Compression::kRaw);
+  for (size_t c = 0; c < cases.size(); ++c)
+    EXPECT_EQ(ScanInts(t, cases[c]), expect[c]) << "frozen, case " << c;
 }
 
 TEST(FilterPositions, ByBitmap) {

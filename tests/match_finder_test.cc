@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "scan/match_finder.h"
@@ -157,6 +159,100 @@ TYPED_TEST(MatchFinderTypedTest, ReduceNeMatchesScalar) {
   for (uint32_t i = 0; i < nr; ++i) ASSERT_EQ(got[i], ref[i]);
 }
 
+/// Positions in `pos` (or [from, to) when pos is null) whose value is one
+/// of set[0..k): the reference the IN kernels must equal.
+template <typename T>
+std::vector<uint32_t> InReference(const std::vector<T>& data, uint32_t from,
+                                  uint32_t to, const std::vector<uint32_t>* pos,
+                                  const std::vector<T>& set) {
+  std::vector<uint32_t> out;
+  auto keep = [&](uint32_t p) {
+    if (std::find(set.begin(), set.end(), data[p]) != set.end())
+      out.push_back(p);
+  };
+  if (pos == nullptr) {
+    for (uint32_t i = from; i < to; ++i) keep(i);
+  } else {
+    for (uint32_t p : *pos) keep(p);
+  }
+  return out;
+}
+
+/// A value of the narrow test domain: [-20, 20] for signed types (negative
+/// values sign-extended), [0, 40] for unsigned ones. `slack` widens it, so
+/// set values drawn with slack may be absent from the data.
+template <typename T>
+T SmallValue(std::mt19937_64& rng, int64_t slack = 0) {
+  const int64_t v = int64_t(rng() % uint64_t(41 + 2 * slack)) - slack;
+  return std::is_signed_v<T> ? T(v - 20) : T(v < 0 ? 0 : v);
+}
+
+TYPED_TEST(MatchFinderTypedTest, FindInMatchesReference) {
+  using T = TypeParam;
+  std::mt19937_64 rng(53);
+  for (int trial = 0; trial < 48; ++trial) {
+    const uint32_t n = 1 + uint32_t(rng() % 3000);
+    const bool full_range = trial % 4 == 3;
+    std::vector<T> data(n + kScanPadding / sizeof(T) + 1);
+    for (uint32_t i = 0; i < n; ++i)
+      data[i] = full_range ? T(rng()) : SmallValue<T>(rng);
+    // Set sizes 1..8; some values absent (slack, or random full-range).
+    const uint32_t k = 1 + uint32_t(trial % int(kMaxInKernelSet));
+    std::vector<T> set;
+    for (uint32_t s = 0; s < k; ++s) {
+      set.push_back(full_range ? (s % 2 ? T(rng()) : data[rng() % n])
+                               : SmallValue<T>(rng, 4));
+    }
+    // Ranges with SIMD heads and tails.
+    const uint32_t from = trial % 3 == 0 ? 0 : uint32_t(rng() % n);
+    const uint32_t to = trial % 3 == 0
+                            ? n
+                            : from + uint32_t(rng() % (n - from + 1));
+    const std::vector<uint32_t> expect = InReference(data, from, to, nullptr,
+                                                     set);
+    std::vector<uint32_t> got(n + 8);
+    for (Isa isa : {Isa::kScalar, Isa::kSse, Isa::kAvx2}) {
+      const uint32_t ng = FindMatchesIn<T>(data.data(), from, to, set.data(),
+                                           k, isa, got.data());
+      ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.begin() + ng), expect)
+          << IsaName(isa) << " k=" << k << " from=" << from << " to=" << to;
+    }
+  }
+}
+
+TYPED_TEST(MatchFinderTypedTest, ReduceInMatchesReference) {
+  using T = TypeParam;
+  std::mt19937_64 rng(59);
+  for (int trial = 0; trial < 48; ++trial) {
+    const uint32_t n = 1 + uint32_t(rng() % 3000);
+    std::vector<T> data(n + kScanPadding / sizeof(T) + 1);
+    for (uint32_t i = 0; i < n; ++i) data[i] = SmallValue<T>(rng);
+    const uint32_t k = 1 + uint32_t(trial % int(kMaxInKernelSet));
+    std::vector<T> set;
+    for (uint32_t s = 0; s < k; ++s) set.push_back(SmallValue<T>(rng, 4));
+    std::vector<uint32_t> pos;
+    for (uint32_t i = 0; i < n; ++i)
+      if (rng() % 3 != 0) pos.push_back(i);
+    const uint32_t np = uint32_t(pos.size());
+    const std::vector<uint32_t> expect = InReference(data, 0, 0, &pos, set);
+    for (Isa isa : {Isa::kScalar, Isa::kSse, Isa::kAvx2}) {
+      std::vector<uint32_t> got(np + 8);
+      uint32_t ng = ReduceMatchesIn<T>(data.data(), pos.data(), np, set.data(),
+                                       k, isa, got.data());
+      ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.begin() + ng), expect)
+          << IsaName(isa) << " k=" << k;
+      // In place: out aliases positions.
+      std::vector<uint32_t> inplace(pos);
+      inplace.resize(np + 8);
+      ng = ReduceMatchesIn<T>(data.data(), inplace.data(), np, set.data(), k,
+                              isa, inplace.data());
+      ASSERT_EQ(std::vector<uint32_t>(inplace.begin(), inplace.begin() + ng),
+                expect)
+          << IsaName(isa) << " in place, k=" << k;
+    }
+  }
+}
+
 TYPED_TEST(MatchFinderTypedTest, EmptyRangeAndInvertedBounds) {
   using T = TypeParam;
   auto in = MakeInput<T>(100, 1, T(10));
@@ -196,6 +292,33 @@ TEST(MatchFinderSigned, NegativeValues) {
                                               got.data());
     ASSERT_EQ(ng, nr);
     for (uint32_t i = 0; i < nr; ++i) EXPECT_EQ(got[i], ref[i]);
+  }
+}
+
+TEST(MatchFinderSigned, InSetSignExtendedValues) {
+  std::vector<int32_t> d32 = {-1, INT32_MIN, 5, -7, INT32_MAX, 0, -1, 12, -7};
+  std::vector<int64_t> d64 = {-1, INT64_MIN, 5, -7, INT64_MAX, 0, -1, 12, -7};
+  d32.resize(d32.size() + 16);
+  d64.resize(d64.size() + 8);
+  const int32_t s32[] = {-7, INT32_MIN, -1};
+  const int64_t s64[] = {-7, INT64_MIN, -1};
+  const std::vector<uint32_t> expect = {0, 1, 3, 6, 8};
+  const uint32_t pos[] = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  for (Isa isa : {Isa::kScalar, Isa::kSse, Isa::kAvx2}) {
+    std::vector<uint32_t> out(32);
+    uint32_t n = FindMatchesIn<int32_t>(d32.data(), 0, 9, s32, 3, isa,
+                                        out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + n), expect)
+        << IsaName(isa);
+    n = ReduceMatchesIn<int32_t>(d32.data(), pos, 9, s32, 3, isa, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + n), expect)
+        << IsaName(isa);
+    n = FindMatchesIn<int64_t>(d64.data(), 0, 9, s64, 3, isa, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + n), expect)
+        << IsaName(isa);
+    n = ReduceMatchesIn<int64_t>(d64.data(), pos, 9, s64, 3, isa, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + n), expect)
+        << IsaName(isa);
   }
 }
 

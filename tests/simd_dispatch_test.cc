@@ -211,6 +211,30 @@ void CheckFindKernels(uint64_t seed) {
       ASSERT_EQ(rg, rn) << IsaName(isa);
       for (uint32_t i = 0; i < rn; ++i) ASSERT_EQ(rgot[i], rref[i]);
     }
+
+    // IN sets of 1..8 values, half of them taken from the data.
+    const uint32_t k = 1 + uint32_t(trial % int(kMaxInKernelSet));
+    std::vector<T> set;
+    for (uint32_t s = 0; s < k; ++s)
+      set.push_back(s % 2 ? T(rng()) : data[rng() % n]);
+    nr = FindMatchesIn<T>(data.data(), 0, n, set.data(), k, Isa::kScalar,
+                          ref.data());
+    for (Isa isa : {BestIsa(), Isa::kSse, Isa::kAvx2}) {
+      uint32_t ng = FindMatchesIn<T>(data.data(), 0, n, set.data(), k, isa,
+                                     got.data());
+      ASSERT_EQ(ng, nr) << IsaName(isa);
+      for (uint32_t i = 0; i < nr; ++i) ASSERT_EQ(got[i], ref[i]);
+    }
+    rn = ReduceMatchesIn<T>(data.data(), positions.data(),
+                            uint32_t(positions.size()), set.data(), k,
+                            Isa::kScalar, rref.data());
+    for (Isa isa : {BestIsa(), Isa::kAvx2}) {
+      uint32_t rg = ReduceMatchesIn<T>(data.data(), positions.data(),
+                                       uint32_t(positions.size()), set.data(),
+                                       k, isa, rgot.data());
+      ASSERT_EQ(rg, rn) << IsaName(isa);
+      for (uint32_t i = 0; i < rn; ++i) ASSERT_EQ(rgot[i], rref[i]);
+    }
   }
 }
 
