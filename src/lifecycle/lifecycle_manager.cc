@@ -27,7 +27,6 @@ struct LifecycleMetrics {
   obs::Counter* evictions;
   obs::Counter* reloads;
   obs::Counter* archive_bytes_read;
-  obs::Counter* rearchived;
   obs::Counter* tombstoned;
   obs::Counter* compactions;
   obs::Counter* reclaimed_blocks;
@@ -48,7 +47,6 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.evictions"),
                             r.GetCounter("lifecycle.reloads"),
                             r.GetCounter("lifecycle.archive_bytes_read"),
-                            r.GetCounter("lifecycle.rearchived"),
                             r.GetCounter("lifecycle.tombstoned"),
                             r.GetCounter("lifecycle.compactions"),
                             r.GetCounter("lifecycle.reclaimed_blocks"),
@@ -122,7 +120,7 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
         return Status::NotFound("chunk " + std::to_string(chunk_idx) +
                                 " is evicted but has no archive entry");
       }
-      block_id = it->second.id;
+      block_id = it->second;
       archive = archive_;
     }
     if (archive == nullptr) {
@@ -185,13 +183,9 @@ LifecycleManager::~LifecycleManager() {
     quarantine_.clear();
   }
   if (degraded_.load(std::memory_order_relaxed)) Metrics().degraded->Add(-1);
-  if (std::shared_ptr<BlockArchive> archive = ArchiveRef()) {
-    Status s = archive->Finish();
-    if (!s.ok()) {
-      std::fprintf(stderr, "lifecycle: archive finish failed for '%s': %s\n",
-                   archive_path_.c_str(), s.ToString().c_str());
-    }
-  }
+  // The archive is scratch (see the class comment): nothing reopens it, and
+  // the next manager on this path truncates it anyway.
+  if (ArchiveRef() != nullptr) std::remove(archive_path_.c_str());
 }
 
 std::shared_ptr<BlockArchive> LifecycleManager::ArchiveRef() const {
@@ -234,12 +228,8 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
                  BlockSummary::Extract(*block, cfg_.keep_summary_psma)));
   }
   // The delete bitmap is deliberately NOT archived here: it stays mutable
-  // in table memory across eviction. Whole-table BlockArchive::Save is the
-  // path that persists bitmaps, and RearchiveGarbageLocked refreshes the
-  // archived copy once the bitmap has grown enough to matter. The deleted
-  // count is read before the append so the recorded baseline can only lag
-  // the archived state — at worst re-archiving one tick early, never late.
-  const uint32_t deleted = table_->deleted_in_chunk(idx);
+  // in table memory across eviction, and whole-table BlockArchive::Save is
+  // the path that persists bitmaps.
   StatusOr<size_t> id = archive_->AppendBlock(*block, uint32_t(idx), nullptr,
                                               table_->block_summary(idx));
   if (!id.ok()) {
@@ -251,7 +241,7 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   }
   NoteWriteSuccess();
   std::lock_guard<std::mutex> lock(mu_);
-  archived_[idx] = ArchivedBlock{*id, deleted};
+  archived_[idx] = *id;
   cache_.Register(idx, block->SizeBytes());
   return true;
 }
@@ -305,7 +295,7 @@ void LifecycleManager::DetachFullyDeletedLocked() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     chunks.reserve(archived_.size());
-    for (const auto& [chunk, entry] : archived_) chunks.push_back(chunk);
+    for (const auto& [chunk, id] : archived_) chunks.push_back(chunk);
   }
   for (size_t chunk : chunks) {
     if (!FullyDeleted(chunk)) continue;
@@ -321,66 +311,6 @@ void LifecycleManager::DetachFullyDeletedLocked() {
     std::lock_guard<std::mutex> lock(mu_);
     archived_.erase(chunk);
     cache_.Unregister(chunk);
-  }
-}
-
-void LifecycleManager::RearchiveGarbageLocked() {
-  if (cfg_.rearchive_garbage_ratio > 1.0) return;
-  // Snapshot the candidates outside mu_ — the pin below can call back into
-  // Table, which must never happen with mu_ held.
-  std::vector<std::pair<size_t, uint32_t>> candidates;  // chunk, baseline
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    candidates.reserve(archived_.size());
-    for (const auto& [chunk, entry] : archived_)
-      candidates.emplace_back(chunk, entry.deleted_at_archive);
-  }
-  for (const auto& [chunk, baseline] : candidates) {
-    const uint32_t rows = table_->chunk_rows(chunk);
-    const uint32_t deleted = table_->deleted_in_chunk(chunk);
-    if (rows == 0 || deleted <= baseline) continue;
-    if (deleted == rows) continue;  // fully deleted: the detach path owns it
-    if (double(deleted - baseline) <
-        cfg_.rearchive_garbage_ratio * double(rows)) {
-      continue;
-    }
-    // Resident blocks only: pinning an evicted chunk would reload its
-    // payload from the very archive being refreshed. An evicted chunk whose
-    // bitmap keeps growing is picked up if it is resident on a later tick.
-    if (table_->chunk_state(chunk) != ChunkState::kFrozen) continue;
-    if (!table_->TryPinChunk(chunk).ok()) continue;  // Tick must not throw
-    struct Unpin {
-      const Table* t;
-      size_t c;
-      ~Unpin() { t->UnpinChunk(c); }
-    } unpin{table_, chunk};
-    const DataBlock* block = table_->frozen_block(chunk);
-    if (block == nullptr) continue;  // raced back to hot — skip
-    // Appends are serialized by tick_mu_ (held), and compaction (the only
-    // archive_ swapper) also runs under it, so archive_ is stable here. The
-    // deleted count is read before the append: the stored baseline can only
-    // lag the appended snapshot, re-triggering early rather than late.
-    const uint32_t now = table_->deleted_in_chunk(chunk);
-    StatusOr<size_t> id =
-        archive_->AppendBlock(*block, uint32_t(chunk),
-                              table_->delete_bitmap(chunk),
-                              table_->block_summary(chunk));
-    if (!id.ok()) {
-      // Failed re-append: the stale archive entry stays current — correct,
-      // just missing recent deletes — and the bitmap-growth trigger fires
-      // again next tick.
-      NoteWriteFailure(id.status());
-      continue;
-    }
-    NoteWriteSuccess();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = archived_.find(chunk);
-      if (it != archived_.end()) it->second = ArchivedBlock{*id, now};
-    }
-    rearchived_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rearchived->Add();
-    trace().Publish("lifecycle", "rearchive", int64_t(chunk), int64_t(*id));
   }
 }
 
@@ -421,7 +351,7 @@ double LifecycleManager::GarbageRatio() const {
     if (archive_ == nullptr) return 0.0;
     archive = archive_;
     live.assign(archive_->num_blocks(), false);
-    for (const auto& [chunk, entry] : archived_) live[entry.id] = true;
+    for (const auto& [chunk, id] : archived_) live[id] = true;
   }
   std::vector<ArchiveEntry> entries = archive->EntriesSnapshot();
   // Appends racing this snapshot may have grown the catalog past the live
@@ -436,8 +366,8 @@ size_t LifecycleManager::CompactLocked(bool force) {
   DetachFullyDeletedLocked();
 
   // Liveness: an archive block is live iff it is the current block of some
-  // managed chunk. Everything else — superseded re-appends, detached
-  // fully-deleted chunks — is garbage.
+  // managed chunk. Everything else — detached fully-deleted chunks — is
+  // garbage.
   std::shared_ptr<BlockArchive> old;
   std::vector<bool> live;
   {
@@ -445,9 +375,9 @@ size_t LifecycleManager::CompactLocked(bool force) {
     if (archive_ == nullptr) return 0;
     old = archive_;
     live.assign(old->num_blocks(), false);
-    for (const auto& [chunk, entry] : archived_) {
-      DB_CHECK(entry.id < live.size());
-      live[entry.id] = true;
+    for (const auto& [chunk, id] : archived_) {
+      DB_CHECK(id < live.size());
+      live[id] = true;
     }
   }
   // The catalog is append-quiescent here (appends only run under tick_mu_,
@@ -492,9 +422,9 @@ size_t LifecycleManager::CompactLocked(bool force) {
   NoteWriteSuccess();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [chunk, entry] : archived_) {
-      DB_CHECK(id_map[entry.id] != SIZE_MAX);
-      entry.id = id_map[entry.id];
+    for (auto& [chunk, id] : archived_) {
+      DB_CHECK(id_map[id] != SIZE_MAX);
+      id = id_map[id];
     }
     prior_archive_reads_.fetch_add(old_reads, std::memory_order_relaxed);
     prior_archive_bytes_read_.fetch_add(old_bytes_read,
@@ -577,7 +507,6 @@ void LifecycleManager::Tick() {
     table_->DecayChunkClock(i, cfg_.decay_shift);
   }
 
-  RearchiveGarbageLocked();
   RetryQuarantinedLocked();
   EnforceBudget();
   if (cfg_.compact_garbage_ratio <= 1.0) CompactLocked(/*force=*/false);
@@ -752,7 +681,6 @@ LifecycleStats LifecycleManager::stats() const {
   s.reclaimed_blocks = reclaimed_blocks_.load(std::memory_order_relaxed);
   s.reclaimed_bytes = reclaimed_bytes_.load(std::memory_order_relaxed);
   s.tombstoned = table_->tombstones();
-  s.rearchived = rearchived_.load(std::memory_order_relaxed);
   s.reload_failures = reload_failures_.load(std::memory_order_relaxed);
   s.retry_attempts = retry_attempts_.load(std::memory_order_relaxed);
   s.write_failures = write_failures_.load(std::memory_order_relaxed);

@@ -53,18 +53,9 @@ struct LifecycleConfig {
 
   // -- Archive compaction/GC ----------------------------------------------
   /// Rewrite the archive when at least this fraction of its payload bytes
-  /// is garbage (superseded or fully-deleted blocks). > 1.0 disables
+  /// is garbage (blocks of fully-deleted chunks). > 1.0 disables
   /// automatic compaction; CompactArchive() still works explicitly.
   double compact_garbage_ratio = 0.5;
-  /// Re-archive a resident frozen chunk when its delete bitmap grew by at
-  /// least this fraction of the chunk's rows since it was last appended:
-  /// the fresh append snapshots the current bitmap (so a Restore from the
-  /// archive reflects the deletes) and supersedes the stale entry, which
-  /// the compactor then reclaims. > 1.0 disables re-archiving. Evicted
-  /// chunks are never re-archived — that would reload their payload from
-  /// the very archive being refreshed; they are picked up if resident on a
-  /// later tick.
-  double rearchive_garbage_ratio = 0.25;
 
   // -- Fault tolerance ------------------------------------------------------
   /// A chunk whose reload failed is quarantined: pins fail fast with
@@ -92,7 +83,7 @@ struct LifecycleConfig {
 
   // -- Observability --------------------------------------------------------
   /// Ring the manager publishes lifecycle events into (freeze, evict,
-  /// reload, re-archive, tombstone, compaction, tick durations). nullptr =
+  /// reload, tombstone, compaction, tick durations). nullptr =
   /// the process-wide obs::TraceRing::Default(); tests inject private rings.
   obs::TraceRing* trace = nullptr;
 };
@@ -113,7 +104,6 @@ struct LifecycleStats {
   uint64_t reclaimed_blocks = 0; // dead blocks dropped by compaction
   uint64_t reclaimed_bytes = 0;  // payload bytes reclaimed by compaction
   uint64_t tombstoned = 0;       // fully-deleted chunks whose payload dropped
-  uint64_t rearchived = 0;       // blocks re-appended for delete growth
   // -- Fault tolerance ----------------------------------------------------
   uint64_t quarantined = 0;      // chunks currently quarantined
   uint64_t reload_failures = 0;  // failed reload attempts (incl. retries)
@@ -152,9 +142,16 @@ struct LifecycleStats {
 /// and atomically repoints the chunk -> block-id directory at it. In-flight
 /// reloads keep reading the superseded archive object until they drain.
 ///
+/// The archive is a spill file, not a snapshot: it is created truncated at
+/// `archive_path`, read only by this manager, and never finished or
+/// reopened. BlockArchive::Save/Restore is the one snapshot of a table, and
+/// it works with the manager attached. Recovering the spill file after a
+/// crash would also need a log of the hot chunks, which this engine does
+/// not keep.
+///
 /// The manager must outlive all use of the table's evicted chunks; its
 /// destructor reloads every evicted block (restoring a fully resident
-/// table) and detaches from the table.
+/// table), detaches from the table and deletes the archive file.
 class LifecycleManager {
  public:
   LifecycleManager(Table* table, std::string archive_path,
@@ -178,8 +175,8 @@ class LifecycleManager {
   void Stop();
   bool running() const { return bg_.joinable() || periodic_id_ != 0; }
 
-  /// Explicit archive compaction/GC: reclaims superseded and fully-deleted
-  /// blocks regardless of the garbage-ratio threshold. Returns the number
+  /// Explicit archive compaction/GC: reclaims the blocks of fully-deleted
+  /// chunks regardless of the garbage-ratio threshold. Returns the number
   /// of blocks reclaimed (0 if the archive had no garbage).
   size_t CompactArchive();
 
@@ -219,11 +216,6 @@ class LifecycleManager {
   /// cost. Chunks that are transiently pinned stay attached and are
   /// retried on the next pass.
   void DetachFullyDeletedLocked();
-  /// Re-appends resident frozen chunks whose delete bitmap grew past
-  /// cfg_.rearchive_garbage_ratio since their last append (with the fresh
-  /// bitmap snapshot); the superseded entries become compactor garbage.
-  /// Requires tick_mu_.
-  void RearchiveGarbageLocked();
   bool FullyDeleted(size_t chunk_idx) const;
   std::shared_ptr<BlockArchive> ArchiveRef() const;
   obs::TraceRing& trace() const;
@@ -251,11 +243,7 @@ class LifecycleManager {
   std::mutex tick_mu_;  // serializes Tick / CompactArchive
   std::shared_ptr<BlockArchive> archive_;  // swapped atomically by compaction
   BlockCache cache_;
-  struct ArchivedBlock {
-    size_t id;                    // current archive block id
-    uint32_t deleted_at_archive;  // chunk's deleted count when last appended
-  };
-  std::unordered_map<size_t, ArchivedBlock> archived_;  // chunk -> entry
+  std::unordered_map<size_t, size_t> archived_;  // chunk -> archive block id
   std::vector<uint32_t> cold_epochs_;
   struct Quarantined {
     uint32_t retries = 0;  // consecutive failed reloads
@@ -269,7 +257,6 @@ class LifecycleManager {
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> reclaimed_blocks_{0};
   std::atomic<uint64_t> reclaimed_bytes_{0};
-  std::atomic<uint64_t> rearchived_{0};
   std::atomic<uint64_t> prior_archive_reads_{0};  // reads on retired archives
   std::atomic<uint64_t> prior_archive_bytes_read_{0};
   std::atomic<uint64_t> reload_failures_{0};

@@ -224,7 +224,6 @@ void RegisterEngineMetrics() {
   r.GetCounter("lifecycle.evictions");
   r.GetCounter("lifecycle.reloads");
   r.GetCounter("lifecycle.archive_bytes_read");
-  r.GetCounter("lifecycle.rearchived");
   r.GetCounter("lifecycle.tombstoned");
   r.GetCounter("lifecycle.compactions");
   r.GetCounter("lifecycle.reclaimed_blocks");

@@ -2,7 +2,7 @@
 #define DATABLOCKS_OBS_TRACE_H_
 
 // Bounded in-memory event trace: the lifecycle manager and scheduler
-// publish discrete events (freeze, evict, reload, re-archive, compaction,
+// publish discrete events (freeze, evict, reload, tombstone, compaction,
 // tick durations, ...) into a fixed-capacity ring that overwrites its
 // oldest entries — a flight recorder, not a log. Events are small PODs
 // (no allocation on the publish path) and publishing takes one short

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -161,12 +160,6 @@ Status VerifyChecksums(const uint8_t* block, uint64_t block_bytes,
   return Status::Ok();
 }
 
-uint32_t FrameChecksum(const BlockFrame& f) {
-  uint64_t h = Fnv1a64(reinterpret_cast<const uint8_t*>(&f),
-                       offsetof(BlockFrame, frame_checksum), kFnvBasis);
-  return uint32_t(h ^ (h >> 32));
-}
-
 /// Process-wide failure counters ("archive.*"): every Status returned from
 /// a read or write path is also counted here, so dashboards see storage
 /// trouble even when a caller swallows the Status.
@@ -254,21 +247,14 @@ Status Fsync(int fd, const char* what) {
 }  // namespace
 
 BlockArchive::~BlockArchive() {
-  if (fd_ >= 0) {
-    if (writable_) Finish();  // best effort; failures already counted
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 BlockArchive::BlockArchive(BlockArchive&& o) noexcept { *this = std::move(o); }
 
 BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   if (this == &o) return *this;
-  if (fd_ >= 0) {
-    if (writable_) Finish();
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
   path_ = std::move(o.path_);
   fd_ = o.fd_;
   mu_ = std::move(o.mu_);
@@ -279,7 +265,6 @@ BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   payload_reads_ = o.payload_reads_;
   payload_bytes_read_ = o.payload_bytes_read_;
   writable_ = o.writable_;
-  salvaged_ = o.salvaged_;
   o.fd_ = -1;
   o.writable_ = false;
   return *this;
@@ -352,39 +337,22 @@ StatusOr<BlockArchive> BlockArchive::Open(const std::string& path) {
         " (readable: " + std::to_string(kVersion) + ")"));
   }
 
-  bool intact = false;
   Status index_status =
       hdr.index_offset == 0
           ? Status::Corruption("unfinished archive (index never published)")
-          : OpenIndex(a, hdr, file_size, &intact);
+          : OpenIndex(a, hdr, file_size);
   if (index_status.ok() && DB_FAILPOINT("archive.open.index")) {
     index_status = Status::Corruption("injected index fault (failpoint)");
-    intact = false;
-  }
-  if (!index_status.ok() && intact) {
-    // The index is exactly what its writer published, yet malformed: not
-    // a torn write, and no frame walk can make it trustworthy.
-    return CountRead(Status::Corruption("'" + path + "': " +
-                                        index_status.message()));
   }
   if (!index_status.ok()) {
-    // The payload region is self-describing — recover the longest valid
-    // prefix of blocks instead of refusing the whole file.
-    Metrics().read_errors->Add();
-    std::fprintf(stderr,
-                 "block_archive: salvaging '%s' (%s); recovering by frame "
-                 "walk\n",
-                 path.c_str(), index_status.ToString().c_str());
-    Salvage(a, file_size);
+    return CountRead(Status::Corruption("'" + path + "': " +
+                                        index_status.message()));
   }
   return a;
 }
 
 Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
-                               uint64_t file_size, bool* intact) {
-  a.entries_.clear();
-  a.summaries_.clear();
-  a.tables_.clear();
+                               uint64_t file_size) {
   if (hdr.index_offset < sizeof(FileHeader) || hdr.index_offset > file_size) {
     return Status::Corruption(
         "index offset " + std::to_string(hdr.index_offset) +
@@ -450,12 +418,10 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
     return Status::Corruption(msg);
   }
 
-  *intact = true;
-
-  // Entry sanity: every payload must fit between the header plus its frame
-  // and checksum table and the index. A corrupt record must not drive
-  // ReadBlock into a wild pread or an absurd allocation.
-  const uint64_t frame_floor = sizeof(FileHeader) + sizeof(BlockFrame);
+  // Entry sanity: every payload must fit between the header plus its
+  // checksum table and the index, and its deletion count must agree with
+  // its bitmap's shape. A corrupt record must not drive ReadBlock into a
+  // wild pread or an absurd allocation, nor Restore into a wrong count.
   for (uint32_t i = 0; i < hdr.block_count; ++i) {
     const ArchiveEntry& e = a.entries_[i];
     auto bad = [&](const std::string& what) {
@@ -468,10 +434,16 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
     }
     const uint64_t table_bytes = TableWords(e.attr_count) * 8;
     const uint64_t payload = e.block_bytes + e.bitmap_words * 8;
-    if (e.offset < frame_floor + table_bytes || e.offset > hdr.index_offset ||
+    if (e.offset < sizeof(FileHeader) + table_bytes ||
+        e.offset > hdr.index_offset ||
         payload > hdr.index_offset - e.offset) {
       return bad("out of bounds (offset " + std::to_string(e.offset) + ", " +
                  std::to_string(e.block_bytes) + " bytes)");
+    }
+    if (e.deleted_count > e.row_count ||
+        (e.bitmap_words != 0 && e.bitmap_words != BitmapWords(e.row_count)) ||
+        (e.bitmap_words == 0 && e.deleted_count != 0)) {
+      return bad("has a deletion count its bitmap cannot hold");
     }
     if (e.summary_bytes != 0) {
       // Overflow-proof bounds check: a corrupt entry must not wrap the sum
@@ -506,71 +478,6 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
   }
   a.end_offset_ = hdr.index_offset;
   return Status::Ok();
-}
-
-void BlockArchive::Salvage(BlockArchive& a, uint64_t file_size) {
-  a.entries_.clear();
-  a.summaries_.clear();
-  a.tables_.clear();
-  a.salvaged_ = true;
-  a.writable_ = false;
-  uint64_t pos = sizeof(FileHeader);
-  std::vector<uint8_t> buf;
-  while (pos + sizeof(BlockFrame) <= file_size) {
-    BlockFrame f;
-    if (!PreadFull(a.fd_, &f, sizeof(f), pos, "block frame").ok()) break;
-    if (f.magic != kFrameMagic || f.frame_checksum != FrameChecksum(f)) break;
-    if (f.block_bytes < sizeof(BlockHeader) || f.block_bytes > file_size ||
-        f.bitmap_words > file_size / 8 || f.attr_count > file_size / 16) {
-      break;
-    }
-    const uint64_t table_bytes = TableWords(f.attr_count) * 8;
-    const uint64_t payload = f.block_bytes + f.bitmap_words * 8;
-    if (table_bytes + payload > file_size - pos - sizeof(BlockFrame)) {
-      break;  // frame valid but table or payload truncated mid-block
-    }
-    std::vector<uint64_t> table(TableWords(f.attr_count));
-    const uint64_t table_off = pos + sizeof(BlockFrame);
-    if (!PreadFull(a.fd_, table.data(), table_bytes, table_off,
-                   "checksum table")
-             .ok() ||
-        TableMix(table) != f.checksum ||
-        !TableWellFormed(table, f.attr_count, f.block_bytes)) {
-      break;
-    }
-    buf.resize(payload);
-    if (!PreadFull(a.fd_, buf.data(), payload, table_off + table_bytes,
-                   "block payload")
-             .ok()) {
-      break;
-    }
-    if (!VerifyChecksums(buf.data(), f.block_bytes, buf.data() + f.block_bytes,
-                         f.bitmap_words,
-                         table, ColumnSet::All(), a.entries_.size())
-             .ok()) {
-      break;  // torn write: end of valid prefix
-    }
-    ArchiveEntry e{};
-    e.offset = table_off + table_bytes;
-    e.block_bytes = f.block_bytes;
-    e.bitmap_words = f.bitmap_words;
-    e.checksum = f.checksum;
-    e.chunk_index = f.chunk_index;
-    e.row_count = f.row_count;
-    e.attr_count = f.attr_count;
-    uint32_t deleted = 0;
-    for (uint64_t w = 0; w < f.bitmap_words; ++w) {
-      uint64_t word;
-      std::memcpy(&word, buf.data() + f.block_bytes + w * 8, 8);
-      deleted += uint32_t(std::popcount(word));
-    }
-    e.deleted_count = deleted;
-    a.entries_.push_back(e);
-    a.summaries_.push_back(nullptr);
-    a.tables_.push_back(std::move(table));
-    pos = e.offset + payload;
-  }
-  a.end_offset_ = pos;
 }
 
 StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
@@ -612,25 +519,12 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   }
   const uint64_t table_bytes = table.size() * 8;
 
-  BlockFrame frame{};
-  frame.magic = kFrameMagic;
-  frame.chunk_index = chunk_index;
-  frame.block_bytes = block_bytes;
-  frame.bitmap_words = bitmap_words;
-  frame.checksum = TableMix(table);
-  frame.row_count = block.num_rows();
-  frame.attr_count = block.num_columns();
-  frame.frame_checksum = FrameChecksum(frame);
-
-  // Frame + table, payload, bitmap — any failure truncates back to the last
-  // good end-of-payload so every previously appended block stays readable
-  // and a later Finish publishes a consistent index.
-  std::vector<uint8_t> head(sizeof(frame) + table_bytes);
-  std::memcpy(head.data(), &frame, sizeof(frame));
-  std::memcpy(head.data() + sizeof(frame), table.data(), table_bytes);
-  Status s = PwriteFull(fd_, head.data(), head.size(), end_offset_,
-                        "frame and checksum table");
-  const uint64_t payload_off = end_offset_ + head.size();
+  // Table, payload, bitmap — any failure truncates back to the last good
+  // end-of-payload so every previously appended block stays readable and a
+  // later Finish publishes a consistent index.
+  Status s = PwriteFull(fd_, table.data(), table_bytes, end_offset_,
+                        "checksum table");
+  const uint64_t payload_off = end_offset_ + table_bytes;
   if (s.ok() && DB_FAILPOINT("archive.append.short_write")) {
     // Simulated torn append: half the payload reaches the disk, then the
     // device gives up. Exactly what a crash/disk-full leaves behind — and
@@ -649,8 +543,7 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   }
   if (!s.ok()) {
     // Roll the file back; ignore a failed truncate (the stray bytes sit
-    // past end_offset_, invisible to the index and rejected by the frame
-    // walk's checksum on a later salvage).
+    // past end_offset_, invisible to the index).
     (void)::ftruncate(fd_, off_t(end_offset_));
     return CountWrite(std::move(s));
   }
@@ -659,7 +552,7 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   e.offset = payload_off;
   e.block_bytes = block_bytes;
   e.bitmap_words = bitmap_words;
-  e.checksum = frame.checksum;
+  e.checksum = TableMix(table);
   e.chunk_index = chunk_index;
   e.deleted_count = deleted_count;
   e.row_count = block.num_rows();
@@ -749,6 +642,17 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
     s = Status::Corruption("checksum mismatch on " + block_name +
                            " (failpoint)");
   }
+  if (s.ok() && columns.all()) {
+    // Restore trusts the entry's count as the chunk's deletion count: it
+    // must be the one the verified bitmap holds.
+    uint64_t set = 0;
+    for (uint64_t w : bitmap) set += uint64_t(std::popcount(w));
+    if (set != e.deleted_count) {
+      s = Status::Corruption(block_name + " delete bitmap holds " +
+                             std::to_string(set) + " deletions, its entry " +
+                             std::to_string(e.deleted_count));
+    }
+  }
   if (!s.ok()) return CountRead(std::move(s));
 
   // The checksums prove the bytes are the ones written; the structure must
@@ -832,8 +736,7 @@ Status BlockArchive::Finish() {
     entries_[i].summary_bytes = blob.size() - entries_[i].summary_offset;
   }
   // Index image: records, blob length, blob, then a checksum over all of
-  // it — the reader rejects a torn or bit-flipped index and falls back to
-  // the frame walk.
+  // it — the reader rejects a torn or bit-flipped index.
   std::vector<uint8_t> index;
   const uint8_t* entry_bytes =
       reinterpret_cast<const uint8_t*>(entries_.data());
@@ -854,8 +757,9 @@ Status BlockArchive::Finish() {
     s = Status::IoError("injected finish failure (failpoint)");
   }
   // Durability order: payload first, then the index bytes, and only then
-  // the header that makes the index reachable. A crash between any two
-  // steps leaves a file that Open salvages by frame walk.
+  // the header that makes the index reachable. Save publishes the file by
+  // rename only after this succeeded, so a crash anywhere in between
+  // leaves a `.tmp` file nobody opens, never a torn archive at its path.
   if (s.ok()) s = Fsync(fd_, "payload");
   if (s.ok()) {
     s = PwriteFull(fd_, index.data(), index.size(), end_offset_,

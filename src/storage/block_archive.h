@@ -14,10 +14,9 @@
 namespace datablocks {
 
 /// One archived block's catalog record. The block's checksum table sits
-/// between its frame and its payload, and the optional delete bitmap right
-/// after the payload. The summary fields locate the block's serialized
-/// BlockSummary inside the index summary blob — readable without touching
-/// any payload bytes.
+/// right before its payload, and the optional delete bitmap right after it.
+/// The summary fields locate the block's serialized BlockSummary inside the
+/// index summary blob — readable without touching any payload bytes.
 struct ArchiveEntry {
   uint64_t offset;        // file offset of the serialized block
   uint64_t block_bytes;   // length of the serialized block
@@ -32,65 +31,54 @@ struct ArchiveEntry {
 };
 static_assert(sizeof(ArchiveEntry) == 64);
 
-/// Per-block frame, written immediately before each block's checksum
-/// table. It duplicates the entry fields a reader needs to re-discover the
-/// block without the index, which is what makes crash recovery possible:
-/// Open of an archive whose index was never published (torn write, crash
-/// before Finish) walks the frames forward and salvages the longest valid
-/// prefix.
-struct BlockFrame {
-  uint32_t magic;           // kFrameMagic
-  uint32_t chunk_index;
-  uint64_t block_bytes;
-  uint64_t bitmap_words;
-  uint64_t checksum;        // checksum-table mix (matches ArchiveEntry)
-  uint32_t row_count;
-  uint32_t attr_count;
-  uint32_t reserved;
-  uint32_t frame_checksum;  // mix of the preceding 44 bytes, folded to 32
-};
-static_assert(sizeof(BlockFrame) == 48);
-
 /// Eviction of frozen chunks to secondary storage (paper Section 3: "by
 /// maintaining a flat structure without pointers, Data Blocks are also
 /// suitable for eviction to secondary storage").
 ///
 /// Archive format v6, the only readable one: a versioned file header, the
-/// serialized blocks — each preceded by a self-describing BlockFrame and
-/// its checksum table, and optionally followed by its delete bitmap — and
-/// an index written by Finish(): the ArchiveEntry records, a blob of
-/// serialized BlockSummary records, and a trailing checksum over the whole
-/// index region (so index corruption is detected, not just payload
-/// corruption). The index enables per-block random access, and the summary
-/// blob makes every block's SMA/PSMA metadata restorable *without payload
-/// reads* — an SMA-pruned scan never has to fault the block in.
+/// serialized blocks — each preceded by its checksum table and optionally
+/// followed by its delete bitmap — and an index written by Finish(): the
+/// ArchiveEntry records, a blob of serialized BlockSummary records, and a
+/// trailing checksum over the whole index region (so index corruption is
+/// detected, not just payload corruption). The index enables per-block
+/// random access, and the summary blob makes every block's SMA/PSMA
+/// metadata restorable *without payload reads* — an SMA-pruned scan never
+/// has to fault the block in.
 ///
 /// Checksums are per attribute, so a scan can read just its columns: a
 /// block's checksum table holds one checksum for its spine (BlockHeader
 /// plus the AttrMeta array), one for its delete bitmap, and the start and
 /// checksum of each attribute's extent (DataBlock::Extents: from the
 /// attribute's first region to where the next attribute's begins). Every
-/// payload byte is covered by exactly one of them, and the entry and frame
-/// store the mix of the table itself. A projected ReadBlock verifies only
-/// the spine and the extents it read; the full read verifies them all.
-/// Every checksum is an 8-lane FNV-style mix: each 64-byte stripe feeds one
-/// word to each of eight independent multiply chains, which the core
-/// overlaps instead of waiting on one serial chain per 8 bytes.
+/// payload byte is covered by exactly one of them, and the entry stores
+/// the mix of the table itself. A projected ReadBlock verifies only the
+/// spine and the extents it read; the full read verifies them all. Every
+/// checksum is an 8-lane FNV-style mix: each 64-byte stripe feeds one word
+/// to each of eight independent multiply chains, which the core overlaps
+/// instead of waiting on one serial chain per 8 bytes.
+///
+/// Two kinds of file use this format, and neither is ever recovered:
+/// - A lifecycle manager's eviction archive is scratch. It is created
+///   truncated, read only by the process that wrote it, and deleted when
+///   the manager goes away; it is never finished or reopened.
+/// - Save/Restore is the one snapshot. Save builds the file beside its
+///   target and publishes it by rename once Finish succeeded, so a saved
+///   archive is either complete or absent.
+/// An archive whose index is missing, torn or fails its checksum is
+/// therefore simply corrupt: Open returns kCorruption with the reason.
 ///
 /// Failure model: every fallible operation returns Status/StatusOr instead
-/// of aborting. Finish orders durability (fsync payload -> write + fsync
-/// index -> publish header -> fsync), so a crash at any point leaves either
-/// a finished archive or one that Open salvages from its frames. A failed
-/// append truncates back to the last good end-of-payload — pre-existing
-/// blocks stay readable. Any other version is rejected.
+/// of aborting. A failed append truncates back to the last good
+/// end-of-payload — pre-existing blocks stay readable. Checksums, the
+/// structural checks of DataBlock::Validate and the lifecycle's quarantine
+/// protect reads; any other format version is rejected.
 ///
 /// An archive is either being written (Create + AppendBlock, index kept in
 /// memory, ReadBlock works on already-appended blocks) or opened read-only
 /// from a finished file (Open). All methods are thread-safe.
 class BlockArchive {
  public:
-  static constexpr uint32_t kMagic = 0x52414244;       // "DBAR"
-  static constexpr uint32_t kFrameMagic = 0x52464244;  // "DBFR"
+  static constexpr uint32_t kMagic = 0x52414244;  // "DBAR"
   static constexpr uint32_t kVersion = 6;
   static constexpr uint32_t kMinVersion = 6;  // oldest readable format
 
@@ -102,16 +90,11 @@ class BlockArchive {
   /// Creates/truncates an archive for writing.
   static StatusOr<BlockArchive> Create(const std::string& path);
 
-  /// Opens an archive for random-access reads. A finished archive opens via
-  /// its index (header, version and index checksum validated, with
-  /// diagnostic kCorruption on any mismatch). An archive whose index is
-  /// missing or fails its checksum — truncated mid-block, truncated
-  /// mid-index, torn header publish — is *salvaged* instead: the frames are
-  /// walked forward and the longest checksum-valid prefix of blocks becomes
-  /// readable (salvaged() reports this; summaries are absent). Unreadable
-  /// headers are errors, never salvage: a bad magic means this is not an
-  /// archive at all. So is a checksum-valid index whose records or
-  /// summaries are malformed — no torn write produces one.
+  /// Opens a finished archive for random-access reads: header, version and
+  /// index checksum are validated, and so is every index record. Any
+  /// mismatch — a foreign file, a missing, torn or bit-flipped index, a
+  /// checksum-valid index whose records or summaries are malformed — is
+  /// kCorruption naming the reason.
   static StatusOr<BlockArchive> Open(const std::string& path);
 
   /// Appends one block (and its delete bitmap, if any); written through to
@@ -145,8 +128,8 @@ class BlockArchive {
   StatusOr<DataBlock> ReadBlock(
       size_t id, std::vector<uint64_t>* delete_bitmap = nullptr) const;
 
-  /// Resident summary of block `id` (nullptr for salvaged archives or
-  /// blocks appended without one). Never touches the payload.
+  /// Resident summary of block `id` (nullptr for blocks appended without
+  /// one). Never touches the payload.
   const BlockSummary* summary(size_t id) const {
     return summaries_[id].get();
   }
@@ -162,9 +145,6 @@ class BlockArchive {
   /// the rewritten archive onto the canonical path); the open handle
   /// follows the inode, only the reported path changes.
   void NotifyRenamed(std::string path) { path_ = std::move(path); }
-  /// True when Open recovered this archive by frame-walking (no index was
-  /// readable); the entries are the longest valid prefix of the file.
-  bool salvaged() const { return salvaged_; }
 
   /// The 8-lane FNV-style mix behind every archive checksum, for tools and
   /// tests that check or craft archive bytes by hand.
@@ -181,9 +161,10 @@ class BlockArchive {
   uint64_t payload_bytes_read() const;
 
   /// Writes the index + final header, fsyncing the payload region *before*
-  /// the header publishes the index offset. Called automatically on
-  /// destruction of a writable archive (failures then ignored); appends are
-  /// illegal afterwards either way.
+  /// the header publishes the index offset: that order is Save's
+  /// durability, and Save publishes by rename, so a file is either finished
+  /// or discarded. Appends are illegal afterwards. Destroying an unfinished
+  /// archive just closes it; Open then refuses the file.
   Status Finish();
 
   /// Rewrites the live blocks of `src` into a fresh archive at `path`
@@ -231,11 +212,9 @@ class BlockArchive {
   };
   static_assert(sizeof(FileHeader) == 32);
 
-  /// Loads the index; `*intact` turns true once its checksum verified, so
-  /// Open can tell a torn index (salvage) from a malformed one (error).
+  /// Loads and checks the index (records, summaries, checksum tables).
   static Status OpenIndex(BlockArchive& a, const FileHeader& hdr,
-                          uint64_t file_size, bool* intact);
-  static void Salvage(BlockArchive& a, uint64_t file_size);
+                          uint64_t file_size);
 
   std::string path_;
   int fd_ = -1;
@@ -252,7 +231,6 @@ class BlockArchive {
   mutable uint64_t payload_reads_ = 0;       // guarded by mu_
   mutable uint64_t payload_bytes_read_ = 0;  // guarded by mu_
   bool writable_ = false;
-  bool salvaged_ = false;
 };
 
 }  // namespace datablocks

@@ -4,9 +4,9 @@
 // payload IO — round trips of blocks containing string dictionaries and
 // delete bitmaps, compaction, and the fault model: every corruption
 // (bit-flipped payload, bitmap or tail, swapped stripes, truncated block,
-// truncated index, bad header, older format version, malformed layout or
-// summary behind valid checksums) surfaces as a typed Status or a
-// frame-walk salvage, never as a process abort.
+// truncated or unfinished index, bad header, older format version,
+// malformed layout, summary or deletion count behind valid checksums)
+// surfaces as a typed Status, never as a process abort.
 
 #include <gtest/gtest.h>
 
@@ -72,7 +72,6 @@ TEST(BlockArchive, RandomAccessRoundTripWithStringsAndDeletes) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   BlockArchive& archive = *opened;
   ASSERT_EQ(archive.num_blocks(), *written);
-  EXPECT_FALSE(archive.salvaged());
 
   // Random access: read blocks out of order, verify entries line up.
   for (size_t i = archive.num_blocks(); i-- > 0;) {
@@ -120,7 +119,6 @@ TEST(BlockArchiveFaults, BitFlippedPayloadFailsThatBlockOnly) {
 
   StatusOr<BlockArchive> corrupted = BlockArchive::Open(path);
   ASSERT_TRUE(corrupted.ok()) << corrupted.status().ToString();
-  EXPECT_FALSE(corrupted->salvaged());
   StatusOr<DataBlock> bad = corrupted->ReadBlock(0);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
@@ -177,112 +175,150 @@ TEST(BlockArchiveFaults, RejectsForeignShortAndWrongVersionFiles) {
   std::remove(path.c_str());
 }
 
-TEST(BlockArchiveFaults, TruncatedMidBlockSalvagesValidPrefix) {
-  Table t = MakeTable(4096, 1024, /*delete_every=*/6);
-  const std::string path = "/tmp/datablocks_archive_midblock.dbar";
-  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
-  const size_t n = t.num_chunks();
-  ASSERT_GE(n, 2u);
+/// FileHeader::index_offset of the archive at `path`.
+uint64_t IndexOffset(const std::string& path) {
+  uint64_t index_offset = 0;
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(16);
+  f.read(reinterpret_cast<char*>(&index_offset), sizeof(index_offset));
+  return index_offset;
+}
 
-  // Cut into the middle of the last block's payload (which also severs the
-  // index behind it) — the crash-mid-append shape.
-  uint64_t last_offset, last_bytes;
-  {
+TEST(BlockArchiveFaults, TornArchiveIsCorruption) {
+  // A torn or unfinished file is never repaired: Save publishes by rename,
+  // and an eviction archive is never reopened, so Open refuses it whole.
+  const Table t = MakeTable(4096, 1024, /*delete_every=*/6);
+  const std::string path = "/tmp/datablocks_archive_torn.dbar";
+  struct Case {
+    const char* what;
+    std::function<void()> make;
+  };
+  auto save = [&] { ASSERT_TRUE(BlockArchive::Save(t, path).ok()); };
+  const std::vector<Case> cases = {
+      {"truncated mid-block",
+       [&] {
+         save();
+         StatusOr<BlockArchive> a = BlockArchive::Open(path);
+         ASSERT_TRUE(a.ok());
+         const ArchiveEntry last = a->entry(a->num_blocks() - 1);
+         Truncate(path, last.offset + last.block_bytes / 2);
+       }},
+      {"truncated mid-index",
+       [&] {
+         save();
+         const uint64_t index_offset = IndexOffset(path);
+         ASSERT_LT(index_offset, FileSize(path));
+         Truncate(path, index_offset + (FileSize(path) - index_offset) / 2);
+       }},
+      {"index byte flipped",
+       [&] {
+         save();
+         FlipByte(path, IndexOffset(path) + 8, 0x01);
+       }},
+      {"never finished",
+       [&] {
+         StatusOr<BlockArchive> created = BlockArchive::Create(path);
+         ASSERT_TRUE(created.ok());
+         for (size_t c = 0; c < t.num_chunks(); ++c) {
+           ASSERT_TRUE(created
+                           ->AppendBlock(*t.frozen_block(c), uint32_t(c),
+                                         t.delete_bitmap(c))
+                           .ok());
+         }
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    c.make();
     StatusOr<BlockArchive> a = BlockArchive::Open(path);
-    ASSERT_TRUE(a.ok());
-    last_offset = a->entry(n - 1).offset;
-    last_bytes = a->entry(n - 1).block_bytes;
-  }
-  Truncate(path, last_offset + last_bytes / 2);
-
-  StatusOr<BlockArchive> salvaged = BlockArchive::Open(path);
-  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
-  EXPECT_TRUE(salvaged->salvaged());
-  ASSERT_EQ(salvaged->num_blocks(), n - 1);
-  for (size_t i = 0; i < n - 1; ++i) {
-    std::vector<uint64_t> bitmap;
-    StatusOr<DataBlock> block = salvaged->ReadBlock(i, &bitmap);
-    ASSERT_TRUE(block.ok()) << block.status().ToString();
-    EXPECT_EQ(block->num_rows(), t.chunk_rows(i));
-    EXPECT_EQ(salvaged->entry(i).deleted_count, t.deleted_in_chunk(i));
-    EXPECT_EQ(salvaged->summary(i), nullptr);  // salvage has no index blob
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(a.status().message().find(path), std::string::npos)
+        << a.status().ToString();
+    StatusOr<Table> restored =
+        BlockArchive::Restore("torn", TestTableSchema(), path, 1024);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
   }
   std::remove(path.c_str());
 }
 
-TEST(BlockArchiveFaults, TruncatedMidIndexSalvagesAllBlocks) {
-  Table t = MakeTable(3000, 1024, 0);
-  const std::string path = "/tmp/datablocks_archive_midindex.dbar";
-  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
-
-  uint64_t index_offset;
-  {
-    std::ifstream f(path, std::ios::binary);
-    f.seekg(16);  // FileHeader::index_offset
-    f.read(reinterpret_cast<char*>(&index_offset), sizeof(index_offset));
-  }
-  ASSERT_LT(index_offset, FileSize(path));
-  // Keep the payload region whole, cut the index in half: every block is
-  // recoverable by the frame walk.
-  Truncate(path, index_offset + (FileSize(path) - index_offset) / 2);
-
-  StatusOr<BlockArchive> salvaged = BlockArchive::Open(path);
-  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
-  EXPECT_TRUE(salvaged->salvaged());
-  ASSERT_EQ(salvaged->num_blocks(), t.num_chunks());
-  for (size_t i = 0; i < salvaged->num_blocks(); ++i) {
-    StatusOr<DataBlock> block = salvaged->ReadBlock(i);
-    ASSERT_TRUE(block.ok()) << block.status().ToString();
-    EXPECT_EQ(block->num_rows(), t.chunk_rows(i));
-  }
-  std::remove(path.c_str());
+/// Rewrites index entry `id` of the archive at `path` with `mutate` applied
+/// and the index checksum recomputed, so only the entry checks stand
+/// between the edited record and a reader.
+void RewriteEntry(const std::string& path, size_t id,
+                  const std::function<void(ArchiveEntry&)>& mutate) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  const uint64_t index_offset = IndexOffset(path);
+  const uint64_t at = index_offset + id * sizeof(ArchiveEntry);
+  ArchiveEntry e;
+  std::memcpy(&e, file.data() + at, sizeof(e));
+  mutate(e);
+  std::memcpy(file.data() + at, &e, sizeof(e));
+  const uint64_t sum = BlockArchive::Checksum(file.data() + index_offset,
+                                              file.size() - 8 - index_offset);
+  std::memcpy(file.data() + file.size() - 8, &sum, 8);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), std::streamsize(file.size()));
 }
 
-TEST(BlockArchiveFaults, IndexChecksumCatchesIndexCorruptionAndSalvages) {
-  Table t = MakeTable(3000, 1024, /*delete_every=*/5);
-  const std::string path = "/tmp/datablocks_archive_badindex.dbar";
-  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+TEST(BlockArchiveFaults, DeletedCountMustMatchItsBitmap) {
+  const std::string path = "/tmp/datablocks_archive_deleted_count.dbar";
+  auto expect_open_refuses = [&](const char* what) {
+    SCOPED_TRACE(what);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(a.status().message().find("deletion count"), std::string::npos)
+        << a.status().ToString();
+    EXPECT_EQ(BlockArchive::Restore("d", TestTableSchema(), path, 1024)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+  };
 
-  uint64_t index_offset;
+  // No bitmap stored, yet the entry claims deletions.
+  Table clean = MakeTable(1024, 1024, 0);
   {
-    std::ifstream f(path, std::ios::binary);
-    f.seekg(16);
-    f.read(reinterpret_cast<char*>(&index_offset), sizeof(index_offset));
+    StatusOr<BlockArchive> created = BlockArchive::Create(path);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(created->AppendBlock(*clean.frozen_block(0), 0).ok());
+    ASSERT_TRUE(created->Finish().ok());
   }
-  // Flip a byte inside an index record: the end-of-file checksum over the
-  // index region catches it and the archive is recovered from its frames.
-  FlipByte(path, index_offset + 8, 0x01);
+  RewriteEntry(path, 0, [](ArchiveEntry& e) { e.deleted_count = 5; });
+  expect_open_refuses("deletions without a bitmap");
 
-  StatusOr<BlockArchive> salvaged = BlockArchive::Open(path);
-  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
-  EXPECT_TRUE(salvaged->salvaged());
-  ASSERT_EQ(salvaged->num_blocks(), t.num_chunks());
+  // 147 of 1024 rows deleted: more deletions than rows, and a bitmap of
+  // the wrong length, are refused at Open.
+  Table t = MakeTable(1024, 1024, /*delete_every=*/7);
+  ASSERT_EQ(t.deleted_in_chunk(0), 147u);
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  RewriteEntry(path, 0, [](ArchiveEntry& e) { e.deleted_count = 1025; });
+  expect_open_refuses("more deletions than rows");
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  RewriteEntry(path, 0, [](ArchiveEntry& e) { e.bitmap_words -= 1; });
+  expect_open_refuses("bitmap shorter than the block");
+
+  // A plausible count that disagrees with the verified bitmap passes Open
+  // and fails the full read, so Restore never installs it.
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  RewriteEntry(path, 0, [](ArchiveEntry& e) { e.deleted_count += 5; });
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  DataBlock image;
+  EXPECT_TRUE(a->ReadBlock(0, ColumnSet({0}), &image).ok());
+  StatusOr<DataBlock> full = a->ReadBlock(0);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(full.status().message().find("delete bitmap"), std::string::npos)
+      << full.status().ToString();
   StatusOr<Table> restored =
-      BlockArchive::Restore("ts", TestTableSchema(), path, 1024);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(FullScan(t) == FullScan(*restored));
-  std::remove(path.c_str());
-}
-
-TEST(BlockArchiveFaults, UnpublishedIndexSalvages) {
-  Table t = MakeTable(2048, 1024, 0);
-  const std::string path = "/tmp/datablocks_archive_unfinished.dbar";
-  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
-
-  // Zero the header's index_offset: the crash-before-Finish shape (the
-  // header publish is the last write in the Finish ordering).
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    uint64_t zero = 0;
-    f.seekp(16);
-    f.write(reinterpret_cast<const char*>(&zero), sizeof(zero));
-  }
-  StatusOr<BlockArchive> salvaged = BlockArchive::Open(path);
-  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
-  EXPECT_TRUE(salvaged->salvaged());
-  ASSERT_EQ(salvaged->num_blocks(), t.num_chunks());
-  for (size_t i = 0; i < salvaged->num_blocks(); ++i)
-    EXPECT_TRUE(salvaged->ReadBlock(i).ok());
+      BlockArchive::Restore("d", TestTableSchema(), path, 1024);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
@@ -400,7 +436,7 @@ TEST(BlockArchiveFaults, OlderFormatVersionIsRejected) {
   ASSERT_TRUE(BlockArchive::Save(t, path).ok());
   // Stamp the previous format version on an otherwise valid archive: its
   // checksums were computed differently, so it must be refused up front,
-  // not misread or salvaged.
+  // not misread.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     uint32_t v5 = 5;
@@ -418,7 +454,7 @@ TEST(BlockArchiveFaults, OlderFormatVersionIsRejected) {
 
 /// Payload checksum coverage: one archive, then one mutation per case of
 /// block 1's stored bytes. Every mutation must fail that block's read with
-/// kCorruption, and a frame-walk salvage must stop right before it.
+/// kCorruption, and leave the blocks around it readable.
 class ArchiveChecksumCoverage : public ::testing::Test {
  protected:
   static constexpr uint32_t kRows = 1100;  // bitmap: 18 words, 16-byte tail
@@ -451,7 +487,6 @@ class ArchiveChecksumCoverage : public ::testing::Test {
     SCOPED_TRACE(what);
     StatusOr<BlockArchive> a = BlockArchive::Open(path_);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_FALSE(a->salvaged());
     EXPECT_TRUE(a->ReadBlock(0).ok());
     StatusOr<DataBlock> bad = a->ReadBlock(1);
     ASSERT_FALSE(bad.ok());
@@ -461,23 +496,10 @@ class ArchiveChecksumCoverage : public ::testing::Test {
     EXPECT_TRUE(a->ReadBlock(2).ok());
   }
 
-  void ExpectSalvageStopsAtBlock1(
-      const std::function<void(std::vector<char>&)>& mutate) {
-    WriteMutated([&](std::vector<char>& file) {
-      mutate(file);
-      std::memset(file.data() + 16, 0, 8);  // unpublish the index
-    });
-    StatusOr<BlockArchive> a = BlockArchive::Open(path_);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    EXPECT_TRUE(a->salvaged());
-    EXPECT_EQ(a->num_blocks(), 1u);
-  }
-
   void Check(const std::string& what,
              const std::function<void(std::vector<char>&)>& mutate) {
     WriteMutated(mutate);
     ExpectBlock1Corrupt(what);
-    ExpectSalvageStopsAtBlock1(mutate);
   }
 
   const std::string path_ = "/tmp/datablocks_archive_coverage.dbar";

@@ -2,9 +2,8 @@
 // evaluation must be bit-identical to decompress-then-filter across all four
 // compression schemes, NULLs, deleted rows and evicted blocks; frozen scans
 // in the Data Blocks modes must carry dictionary codes (late string
-// materialization) rather than eagerly decoded strings; and the lifecycle
-// manager must re-archive blocks whose delete bitmaps outgrew the archived
-// snapshot.
+// materialization) rather than eagerly decoded strings; and a Save of a
+// managed table with evicted chunks keeps the deletes made after archiving.
 
 #include <gtest/gtest.h>
 
@@ -337,61 +336,49 @@ TEST(CompressedExec, InternerBatchKeysMatchDirectInterning) {
   EXPECT_EQ(via_codes.size(), direct.size());
 }
 
-TEST(CompressedExec, RearchiveRefreshesArchivedDeleteBitmaps) {
-  const uint32_t kRows = 1024, kChunk = 256;
-  Table t("t", MixedSchema(), kChunk);
-  Rng rng(73);
-  std::vector<RowId> ids;
-  for (uint32_t i = 0; i < kRows; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i), Value::Int(42), Value::Int(100), Value::Int(1),
-        Value::Str("name_" + std::to_string(i % 20)), Value::Str("c"),
-        Value::Str("o"), Value::Int(1), Value::Double(0.5)};
-    ids.push_back(t.Insert(row));
-  }
-  t.FreezeAll();
-
-  const std::string path = "/tmp/datablocks_compressed_exec_rearchive.dbar";
-  std::remove(path.c_str());
+TEST(CompressedExec, SaveOfManagedTableKeepsDeletes) {
+  const uint32_t kChunk = 256;
+  Table t = MakeMixedTable(4 * kChunk, kChunk, 73, /*delete_every=*/0,
+                           /*freeze_chunks=*/4);
+  const std::string spill = "/tmp/datablocks_compressed_exec_spill.dbar";
+  const std::string path = "/tmp/datablocks_compressed_exec_save.dbar";
   {
-    LifecycleManager mgr(&t, path, {});  // default rearchive ratio 0.25
-    mgr.Tick();                          // adopt + archive all chunks
+    LifecycleConfig cfg;
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, spill, cfg);
+    mgr.Tick();  // adopt, archive and evict every chunk
     ASSERT_EQ(mgr.stats().archived_blocks, 4u);
-    ASSERT_EQ(mgr.stats().rearchived, 0u);
+    for (size_t c = 0; c < 4; ++c) ASSERT_TRUE(t.is_evicted(c)) << c;
+    ASSERT_TRUE(t.TryPinChunk(1).ok());  // chunk 1 resident again
+    t.UnpinChunk(1);
 
-    // Delete 40% of chunk 0 (> 25% growth threshold) and 10% of chunk 1
-    // (below threshold): only chunk 0 re-archives.
-    for (uint32_t r = 0; r < kChunk; r += 5) {
-      t.Delete(ids[r]);                   // chunk 0
-      t.Delete(ids[r + 1]);               // chunk 0
-      if (r % 10 == 0) t.Delete(ids[kChunk + r]);  // chunk 1
+    // Deletes after archiving land in evicted and resident chunks alike;
+    // none of them reaches the archive.
+    for (uint32_t r = 0; r < kChunk; ++r) {
+      if (r % 5 == 0) t.Delete(MakeRowId(0, r));
+      if (r % 3 == 0) t.Delete(MakeRowId(1, r));
+      if (r % 2 == 0) t.Delete(MakeRowId(3, r));
     }
+    ASSERT_TRUE(t.is_evicted(0));
+    ASSERT_FALSE(t.is_evicted(1));
     mgr.Tick();
-    EXPECT_EQ(mgr.stats().rearchived, 1u);
-    // The superseded entry is garbage the compactor reclaims.
-    EXPECT_GT(mgr.GarbageRatio(), 0.0);
-    EXPECT_GE(mgr.CompactArchive(), 1u);
-    EXPECT_EQ(mgr.GarbageRatio(), 0.0);
-    // No repeated re-archiving without further delete growth.
-    mgr.Tick();
-    EXPECT_EQ(mgr.stats().rearchived, 1u);
-  }
+    EXPECT_EQ(mgr.stats().archived_blocks, 4u);
 
-  // The finished archive restores with the refreshed bitmap. Compaction
-  // keeps live entries in append order, so the re-archived chunk 0 is the
-  // LAST restored chunk; chunk 1's below-threshold deletes were never
-  // persisted (the initial archive deliberately stores no bitmap).
-  Table restored =
-      BlockArchive::Restore("restored", MixedSchema(), path, kChunk).value();
-  ASSERT_EQ(restored.num_chunks(), 4u);
-  EXPECT_EQ(restored.deleted_in_chunk(3), t.deleted_in_chunk(0));
-  EXPECT_EQ(restored.deleted_in_chunk(0), 0u);
-  // Chunk 0's visible rows (id < kChunk) round-trip bit-identically.
-  std::vector<uint32_t> cols = {0, 4};
-  const std::vector<Predicate> chunk0 = {
-      Predicate::Lt(0, Value::Int(kChunk))};
-  EXPECT_EQ(Digest(restored, cols, chunk0, ScanMode::kDataBlocks),
-            Digest(t, cols, chunk0, ScanMode::kDataBlocks));
+    // The snapshot is Save, taken with the manager attached.
+    StatusOr<size_t> saved = BlockArchive::Save(t, path);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    EXPECT_EQ(*saved, 4u);
+  }
+  StatusOr<Table> restored =
+      BlockArchive::Restore("restored", MixedSchema(), path, kChunk);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->num_chunks(), 4u);
+  for (size_t c = 0; c < 4; ++c)
+    EXPECT_EQ(restored->deleted_in_chunk(c), t.deleted_in_chunk(c)) << c;
+  EXPECT_EQ(restored->num_visible(), t.num_visible());
+  const std::vector<uint32_t> cols = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(Digest(*restored, cols, {}, ScanMode::kDataBlocks),
+            Digest(t, cols, {}, ScanMode::kDataBlocks));
   std::remove(path.c_str());
 }
 

@@ -180,7 +180,6 @@ TEST(ArchiveFaults, NoSpaceAppendLeavesPriorBlocksReadable) {
   StatusOr<BlockArchive> reopened = BlockArchive::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->num_blocks(), 3u);
-  EXPECT_FALSE(reopened->salvaged());
   for (size_t i = 0; i < 3; ++i) EXPECT_TRUE(reopened->ReadBlock(i).ok());
   std::remove(path.c_str());
 }
@@ -200,12 +199,11 @@ TEST(ArchiveFaults, ShortWriteDetectedTruncatedAndRecoverable) {
     EXPECT_EQ(id.status().code(), StatusCode::kNoSpace);
   }
   // The torn tail was truncated away: the retry succeeds and the file
-  // round-trips without salvage.
+  // round-trips.
   ASSERT_TRUE(archive.AppendBlock(*t.frozen_block(1), 1).ok());
   ASSERT_TRUE(archive.Finish().ok());
   StatusOr<BlockArchive> reopened = BlockArchive::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_FALSE(reopened->salvaged());
   ASSERT_EQ(reopened->num_blocks(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     StatusOr<DataBlock> block = reopened->ReadBlock(i);
@@ -233,6 +231,45 @@ TEST(ArchiveFaults, ReadIoErrorIsTransientNotSticky) {
     EXPECT_EQ(block.status().code(), StatusCode::kIoError);
   }
   EXPECT_TRUE(opened->ReadBlock(0).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFaults, FailedFinishKeepsThePublishedSave) {
+  Table t = MakeTestTable(3072, 1024, /*delete_every=*/5, /*freeze=*/true);
+  const std::string path = TempArchive("finish");
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  const ScanResult saved = FullScan(t);
+
+  // A later Save of the changed table fails at Finish: the archive already
+  // at `path` is untouched and its build file is gone.
+  for (uint32_t r = 1; r < t.chunk_rows(1); r += 3) t.Delete(MakeRowId(1, r));
+  {
+    ScopedFailpoint fp("archive.finish.ioerror", "once");
+    StatusOr<size_t> failed = BlockArchive::Save(t, path);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  }
+  std::ifstream tmp(path + ".tmp");
+  EXPECT_FALSE(tmp.good());
+  StatusOr<Table> restored =
+      BlockArchive::Restore("r", TestTableSchema(), path, 1024);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(FullScan(*restored) == saved);
+  EXPECT_FALSE(FullScan(t) == saved);
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFaults, OpenIndexFaultIsCorruption) {
+  Table t = MakeTestTable(2048, 1024, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("openindex");
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  {
+    ScopedFailpoint fp("archive.open.index", "once");
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kCorruption);
+  }
+  EXPECT_TRUE(BlockArchive::Open(path).ok());
   std::remove(path.c_str());
 }
 

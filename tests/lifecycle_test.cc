@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -477,7 +478,7 @@ TEST(Lifecycle, CompactionReclaimsFullyDeletedBlocks) {
     EXPECT_EQ(r.count, int64_t(4096 - 3 * 512));
 
     // Fully-deleted chunks produce nothing and are skipped without a pin in
-    // every mode (they must never be re-archived either).
+    // every mode (they must never be re-adopted either).
     TableScanner scan(t, {0, 1, 2}, {}, ScanMode::kJit);
     Batch b;
     int64_t count = 0;
@@ -487,7 +488,10 @@ TEST(Lifecycle, CompactionReclaimsFullyDeletedBlocks) {
     mgr.Tick();
     EXPECT_EQ(mgr.stats().archived_blocks, 5u);  // not re-adopted
   }
-  std::remove(path.c_str());
+  // The archive is scratch: the manager deletes it, and compaction leaves
+  // no rewrite file behind.
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".compact"));
 }
 
 // The tombstone transition itself: only fully-deleted frozen/evicted
@@ -608,8 +612,8 @@ TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
   constexpr size_t kVictim = 5;
   Table t = MakeTable(12288, 1024);  // 12 chunks
   t.FreezeAll();
-  // Before the manager archives it, so its delete count is the archived
-  // baseline and it is never re-archived (which would add garbage).
+  // All but the victim's row 0 go before the manager starts; the last row
+  // goes mid-run.
   DeleteChunkRows(t, kVictim, /*keep=*/0);
   const std::string path = TempArchive("compact_stress");
   {
