@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "util/bits.h"
 
@@ -10,41 +9,56 @@ namespace datablocks {
 
 namespace {
 
-int64_t ReadIntLike(const Chunk& chunk, TypeId type, uint32_t col,
-                    uint32_t row) {
-  const uint8_t* data = chunk.column_data(col);
-  switch (type) {
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return reinterpret_cast<const int32_t*>(data)[row];
-    case TypeId::kChar1:
-      return reinterpret_cast<const uint32_t*>(data)[row];
-    case TypeId::kInt64:
-      return reinterpret_cast<const int64_t*>(data)[row];
-    default:
-      DB_CHECK(false);
-      return 0;
-  }
+/// Writes the `width`-byte code of every output position of an
+/// integer-like column stored as T: encode(v) of its source value, 0 under
+/// NULL.
+template <typename T, typename Encode>
+void EncodeInts(const Chunk& chunk, uint32_t col, const uint32_t* perm,
+                uint32_t width, uint8_t* out, Encode encode) {
+  const T* src = reinterpret_cast<const T*>(chunk.column_data(col));
+  const uint64_t* nulls = chunk.null_bitmap(col);
+  const uint32_t n = chunk.size();
+  WithCodeType(width, [&](auto tag) {
+    using C = decltype(tag);
+    C* codes = reinterpret_cast<C*>(out);
+    if (perm == nullptr && nulls == nullptr) {
+      for (uint32_t i = 0; i < n; ++i) codes[i] = C(encode(src[i]));
+      return;
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t row = perm ? perm[i] : i;
+      codes[i] = nulls != nullptr && BitmapTest(nulls, row)
+                     ? C(0)
+                     : C(encode(src[row]));
+    }
+  });
 }
 
-void WriteCode(uint8_t* base, uint32_t width, uint32_t row, uint64_t code) {
-  switch (width) {
-    case 1: base[row] = uint8_t(code); break;
-    case 2: reinterpret_cast<uint16_t*>(base)[row] = uint16_t(code); break;
-    case 4: reinterpret_cast<uint32_t*>(base)[row] = uint32_t(code); break;
-    case 8: reinterpret_cast<uint64_t*>(base)[row] = code; break;
-    default: DB_CHECK(false);
-  }
-}
-
-uint64_t ReadCodeRaw(const uint8_t* base, uint32_t width, uint32_t row) {
-  switch (width) {
-    case 1: return base[row];
-    case 2: return reinterpret_cast<const uint16_t*>(base)[row];
-    case 4: return reinterpret_cast<const uint32_t*>(base)[row];
-    case 8: return reinterpret_cast<const uint64_t*>(base)[row];
-    default: return 0;
-  }
+/// Builds an attribute's PSMA over its written codes (one O(n) pass,
+/// Appendix B), skipping NULL positions. Truncation and dictionary codes
+/// *are* the deltas; a raw value derives its delta from the stored bits
+/// read back as T (sign-extending 32-bit integers, zero-extending char1).
+template <typename T>
+void BuildCodePsma(const AttrMeta& m, uint8_t* buf, uint32_t n) {
+  PsmaEntry* table = reinterpret_cast<PsmaEntry*>(buf + m.psma_offset);
+  const uint64_t* nulls =
+      (m.flags & AttrMeta::kHasNulls)
+          ? reinterpret_cast<const uint64_t*>(buf + m.null_offset)
+          : nullptr;
+  const uint64_t min_u = uint64_t(m.min_val);
+  const bool raw = Compression(m.compression) == Compression::kRaw;
+  WithCodeType(m.code_width, [&](auto tag) {
+    using C = decltype(tag);
+    const C* codes = reinterpret_cast<const C*>(buf + m.data_offset);
+    if (raw) {
+      BuildPsma(table, n, [&](uint32_t i) {
+        return uint64_t(int64_t(T(codes[i]))) - min_u;
+      }, nulls);
+    } else {
+      BuildPsma(table, n, [&](uint32_t i) { return uint64_t(codes[i]); },
+                nulls);
+    }
+  });
 }
 
 }  // namespace
@@ -169,13 +183,15 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
     const Compression scheme = Compression(m.compression);
     const TypeId type = schema.type(c);
 
-    uint64_t* nulls = s.has_nulls
-                          ? reinterpret_cast<uint64_t*>(buf + m.null_offset)
-                          : nullptr;
-    if (nulls != nullptr) {
-      for (uint32_t i = 0; i < n; ++i) {
-        uint32_t row = perm ? perm[i] : i;
-        if (chunk.IsNull(c, row)) BitmapSet(nulls, i);
+    if (s.has_nulls) {
+      uint64_t* nulls = reinterpret_cast<uint64_t*>(buf + m.null_offset);
+      if (perm == nullptr) {
+        std::memcpy(nulls, chunk.null_bitmap(c), BitmapWords(n) * 8);
+        if (n % 64 != 0) nulls[n / 64] &= (uint64_t(1) << (n % 64)) - 1;
+      } else {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (chunk.IsNull(c, perm[i])) BitmapSet(nulls, i);
+        }
       }
     }
     if (scheme == Compression::kSingleValue) {
@@ -191,26 +207,24 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
 
     uint8_t* codes = buf + m.data_offset;
     if (type == TypeId::kString) {
-      // Write the ordered dictionary.
+      // The ordered dictionary, then the codes CollectStats assigned.
       StringDictRef* refs =
           reinterpret_cast<StringDictRef*>(buf + m.dict_offset);
       uint8_t* str_area = buf + m.string_offset;
       uint32_t str_off = 0;
-      std::unordered_map<std::string_view, uint32_t> code_of;
-      code_of.reserve(s.dict_s.size() * 2);
       for (uint32_t k = 0; k < s.dict_s.size(); ++k) {
         std::string_view v = s.dict_s[k];
         refs[k] = {str_off, uint32_t(v.size())};
         std::memcpy(str_area + str_off, v.data(), v.size());
         str_off += uint32_t(v.size());
-        code_of.emplace(v, k);
       }
-      for (uint32_t i = 0; i < n; ++i) {
-        uint32_t row = perm ? perm[i] : i;
-        uint64_t code = 0;
-        if (!chunk.IsNull(c, row)) code = code_of[chunk.GetString(c, row)];
-        WriteCode(codes, m.code_width, i, code);
-      }
+      WithCodeType(m.code_width, [&](auto tag) {
+        using C = decltype(tag);
+        C* out = reinterpret_cast<C*>(codes);
+        for (uint32_t i = 0; i < n; ++i) out[i] = C(s.codes[i]);
+      });
+      // Dictionary codes are the deltas; the value type plays no part.
+      if (m.psma_entries > 0) BuildCodePsma<uint32_t>(m, buf, n);
     } else if (type == TypeId::kDouble) {
       const double* src =
           reinterpret_cast<const double*>(chunk.column_data(c));
@@ -220,65 +234,24 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
         dst[i] = chunk.IsNull(c, row) ? 0.0 : src[row];
       }
     } else {
-      // Integer-like.
-      if (scheme == Compression::kDictionary) {
-        int64_t* dict = reinterpret_cast<int64_t*>(buf + m.dict_offset);
-        std::memcpy(dict, s.dict_i.data(), s.dict_i.size() * 8);
-        for (uint32_t i = 0; i < n; ++i) {
-          uint32_t row = perm ? perm[i] : i;
-          uint64_t code = 0;
-          if (!chunk.IsNull(c, row)) {
-            int64_t v = ReadIntLike(chunk, type, c, row);
-            code = uint64_t(std::lower_bound(s.dict_i.begin(), s.dict_i.end(),
-                                             v) -
-                            s.dict_i.begin());
-          }
-          WriteCode(codes, m.code_width, i, code);
+      WithIntType(type, [&](auto tag) {
+        using T = decltype(tag);
+        const uint64_t min_u = uint64_t(s.min_i);
+        if (scheme == Compression::kDictionary) {
+          std::memcpy(buf + m.dict_offset, s.dict_i.data(),
+                      s.dict_i.size() * 8);
+          const IntDictCoder code_of(s.dict_i);
+          EncodeInts<T>(chunk, c, perm, m.code_width, codes,
+                        [&](T v) { return code_of(v); });
+        } else if (scheme == Compression::kTruncation) {
+          EncodeInts<T>(chunk, c, perm, m.code_width, codes,
+                        [min_u](T v) { return uint64_t(int64_t(v)) - min_u; });
+        } else {  // kRaw
+          EncodeInts<T>(chunk, c, perm, m.code_width, codes,
+                        [](T v) { return uint64_t(int64_t(v)); });
         }
-      } else if (scheme == Compression::kTruncation) {
-        for (uint32_t i = 0; i < n; ++i) {
-          uint32_t row = perm ? perm[i] : i;
-          uint64_t code = 0;
-          if (!chunk.IsNull(c, row)) {
-            code = uint64_t(ReadIntLike(chunk, type, c, row)) -
-                   uint64_t(s.min_i);
-          }
-          WriteCode(codes, m.code_width, i, code);
-        }
-      } else {  // kRaw
-        for (uint32_t i = 0; i < n; ++i) {
-          uint32_t row = perm ? perm[i] : i;
-          uint64_t v = 0;
-          if (!chunk.IsNull(c, row)) {
-            v = uint64_t(ReadIntLike(chunk, type, c, row));
-          }
-          WriteCode(codes, m.code_width, i, v);
-        }
-      }
-    }
-
-    // Build the PSMA over the written codes (one O(n) pass, Appendix B).
-    // Truncation and dictionary codes *are* the deltas; raw integers derive
-    // the delta from the stored value (sign-extending 32-bit raw patterns).
-    if (m.psma_entries > 0) {
-      PsmaEntry* table = reinterpret_cast<PsmaEntry*>(buf + m.psma_offset);
-      const uint64_t min_u = uint64_t(s.min_i);
-      auto delta_at = [&](uint32_t i) -> uint64_t {
-        uint64_t raw = ReadCodeRaw(codes, m.code_width, i);
-        if (scheme != Compression::kRaw) return raw;
-        if (type == TypeId::kInt32 || type == TypeId::kDate)
-          return uint64_t(int64_t(int32_t(uint32_t(raw)))) - min_u;
-        return raw - min_u;
-      };
-      for (uint32_t i = 0; i < n; ++i) {
-        if (nulls != nullptr && BitmapTest(nulls, i)) continue;
-        PsmaEntry& e = table[PsmaSlot(delta_at(i))];
-        if (e.empty()) {
-          e = {i, i + 1};
-        } else {
-          e.end = i + 1;
-        }
-      }
+        if (m.psma_entries > 0) BuildCodePsma<T>(m, buf, n);
+      });
     }
   }
   return block;
@@ -370,22 +343,17 @@ uint64_t FirstRegion(const AttrMeta& m, uint32_t rows, uint64_t none) {
   return first;
 }
 
-template <typename T>
-uint64_t MaxOf(const uint8_t* data, uint32_t n) {
-  const T* v = reinterpret_cast<const T*>(data);
-  T max = 0;
-  for (uint32_t i = 0; i < n; ++i) max = std::max(max, v[i]);
-  return max;
-}
-
 /// Largest code of a `width`-byte data vector of `n` codes.
 uint64_t MaxCode(const uint8_t* codes, uint32_t width, uint32_t n) {
-  switch (width) {
-    case 1: return MaxOf<uint8_t>(codes, n);
-    case 2: return MaxOf<uint16_t>(codes, n);
-    case 4: return MaxOf<uint32_t>(codes, n);
-    default: return MaxOf<uint64_t>(codes, n);
-  }
+  uint64_t max = 0;
+  WithCodeType(width, [&](auto tag) {
+    using C = decltype(tag);
+    const C* v = reinterpret_cast<const C*>(codes);
+    C m = 0;
+    for (uint32_t i = 0; i < n; ++i) m = std::max(m, v[i]);
+    max = m;
+  });
+  return max;
 }
 
 }  // namespace

@@ -44,12 +44,15 @@ inline uint32_t PsmaTableEntries(uint64_t max_delta) {
   return BytesNeeded(max_delta) * 256;
 }
 
-/// Builds a PSMA over `n` delta values produced by `deltas(i)`; `table` must
-/// hold PsmaTableEntries(max_delta) zero-initialized entries. One O(n) pass
+/// Builds a PSMA over `n` delta values produced by `deltas(i)`, skipping the
+/// positions set in `skip` (NULLs) if non-null; `table` must hold
+/// PsmaTableEntries(max_delta) zero-initialized entries. One O(n) pass
 /// (Appendix B).
 template <typename DeltaFn>
-void BuildPsma(PsmaEntry* table, uint32_t n, DeltaFn deltas) {
+void BuildPsma(PsmaEntry* table, uint32_t n, DeltaFn deltas,
+               const uint64_t* skip = nullptr) {
   for (uint32_t tid = 0; tid < n; ++tid) {
+    if (skip != nullptr && BitmapTest(skip, tid)) continue;
     PsmaEntry& e = table[PsmaSlot(deltas(tid))];
     if (e.empty()) {
       e.begin = tid;

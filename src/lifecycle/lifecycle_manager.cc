@@ -31,6 +31,7 @@ struct LifecycleMetrics {
   obs::Counter* compactions;
   obs::Counter* reclaimed_blocks;
   obs::Histogram* tick_ns;
+  obs::Histogram* freeze_ns;  // sorting and building one Data Block
   obs::Counter* reload_failures;
   obs::Counter* retries;
   obs::Counter* write_failures;
@@ -51,6 +52,7 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.compactions"),
                             r.GetCounter("lifecycle.reclaimed_blocks"),
                             r.GetHistogram("lifecycle.tick_ns"),
+                            r.GetHistogram("lifecycle.freeze_ns"),
                             r.GetCounter("lifecycle.reload_failures"),
                             r.GetCounter("lifecycle.retries"),
                             r.GetCounter("lifecycle.write_failures"),
@@ -471,11 +473,14 @@ void LifecycleManager::Tick() {
         cold = cold_epochs_[i];
       }
       if (candidate && cold >= cfg_.freeze_after_cold_epochs) {
+        const uint64_t freeze_start = obs::MonotonicNs();
         if (table_->FreezeChunk(i, cfg_.sort_col, cfg_.build_psma)) {
+          const uint64_t freeze_ns = obs::MonotonicNs() - freeze_start;
           freezes_.fetch_add(1, std::memory_order_relaxed);
           Metrics().freezes->Add();
+          Metrics().freeze_ns->Observe(freeze_ns);
           trace().Publish("lifecycle", "freeze", int64_t(i),
-                          int64_t(table_->chunk_rows(i)));
+                          int64_t(freeze_ns));
           ArchiveChunk(i);
         }
       }

@@ -228,6 +228,7 @@ void RegisterEngineMetrics() {
   r.GetCounter("lifecycle.compactions");
   r.GetCounter("lifecycle.reclaimed_blocks");
   r.GetHistogram("lifecycle.tick_ns");
+  r.GetHistogram("lifecycle.freeze_ns");
   r.GetCounter("lifecycle.reload_failures");
   r.GetCounter("lifecycle.retries");
   r.GetCounter("lifecycle.write_failures");

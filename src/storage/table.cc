@@ -472,7 +472,6 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   std::vector<uint32_t> perm;
   const uint32_t* perm_ptr = nullptr;
   if (sort_col >= 0) {
-    DB_CHECK(chunk->num_deleted() == 0);  // sorting would scramble RowIds
     perm.resize(chunk->size());
     std::iota(perm.begin(), perm.end(), 0u);
     const TypeId sort_type = schema_->type(uint32_t(sort_col));
@@ -484,20 +483,12 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
                                 chunk->GetString(uint32_t(sort_col), b);
                        });
     } else {
-      DB_CHECK(IsIntegerLike(sort_type));
-      auto key = [&](uint32_t r) -> int64_t {
-        switch (sort_type) {
-          case TypeId::kInt32:
-          case TypeId::kDate:
-            return reinterpret_cast<const int32_t*>(data)[r];
-          case TypeId::kChar1:
-            return reinterpret_cast<const uint32_t*>(data)[r];
-          default:
-            return reinterpret_cast<const int64_t*>(data)[r];
-        }
-      };
-      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-        return key(a) < key(b);
+      WithIntType(sort_type, [&](auto tag) {
+        const auto* key = reinterpret_cast<const decltype(tag)*>(data);
+        std::stable_sort(perm.begin(), perm.end(),
+                         [key](uint32_t a, uint32_t b) {
+                           return key[a] < key[b];
+                         });
       });
     }
     perm_ptr = perm.data();
@@ -509,12 +500,14 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   lock.lock();
   // Side bitmap is preallocated for every frozen chunk so later deletes
   // never reallocate it under concurrent readers. Deletion flags carry over
-  // (positions are preserved without sorting).
+  // through the sort: block row i is deleted iff source row perm[i] was.
   slot.frozen_deleted.assign(BitmapWords(chunk->size()), 0);
   slot.frozen_deleted_count.store(0, std::memory_order_relaxed);
   if (chunk->num_deleted() > 0) {
     for (uint32_t r = 0; r < chunk->size(); ++r) {
-      if (chunk->IsDeleted(r)) BitmapSet(slot.frozen_deleted.data(), r);
+      if (chunk->IsDeleted(perm_ptr != nullptr ? perm_ptr[r] : r)) {
+        BitmapSet(slot.frozen_deleted.data(), r);
+      }
     }
     slot.frozen_deleted_count.store(chunk->num_deleted(),
                                     std::memory_order_release);

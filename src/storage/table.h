@@ -296,7 +296,8 @@ class Table {
   /// Freezes chunk `chunk_idx` into a DataBlock. `sort_col >= 0` reorders
   /// the block's rows by that column before compressing (Section 3.2:
   /// clustering improves PSMA precision); sorting invalidates RowIds into
-  /// this chunk, so it must only be used before indexes are built.
+  /// this chunk, so it must only be used before indexes are built. Deleted
+  /// rows stay deleted: the delete flags move with their rows.
   /// Returns false (and leaves the chunk hot) if the chunk is not hot, is
   /// empty, or is currently pinned by a reader.
   bool FreezeChunk(size_t chunk_idx, int sort_col = -1, bool build_psma = true);

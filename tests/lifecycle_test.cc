@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +59,79 @@ TEST(Lifecycle, ChunksFreezeAutomaticallyAfterCooling) {
     EXPECT_EQ(mgr.stats().archived_blocks, 3u);
   }
   std::remove(path.c_str());
+}
+
+// A policy freeze sorted on a column carries each delete flag with its row:
+// block row i is deleted iff source row perm[i] was. Each freeze is timed
+// on its trace event and in the lifecycle.freeze_ns histogram.
+TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
+  constexpr uint32_t kRows = 1024, kCap = 256;
+  Table t = MakeTable(kRows, kCap);  // 4 full chunks, id == insert index
+  struct Row {
+    int64_t val;
+    std::string name;
+    bool operator==(const Row&) const = default;
+  };
+  std::map<int64_t, Row> visible;
+  std::vector<uint32_t> deleted(kRows / kCap, 0);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    const RowId id = MakeRowId(i / kCap, i % kCap);
+    if (i % 5 == 0) {
+      t.Delete(id);
+      ++deleted[i / kCap];
+    } else {
+      visible[i] = {t.GetInt(id, 1), std::string(t.GetStringView(id, 2))};
+    }
+  }
+  const std::string path = TempArchive("sorted_deletes");
+  obs::TraceRing ring;
+  obs::Histogram* freeze_ns =
+      obs::MetricsRegistry::Default().GetHistogram("lifecycle.freeze_ns");
+  const uint64_t observed_before = freeze_ns->count();
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.sort_col = 1;
+    cfg.trace = &ring;
+    LifecycleManager mgr(&t, path, cfg);
+    for (int e = 0; e < 3; ++e) mgr.Tick();
+    ASSERT_EQ(mgr.stats().freezes, kRows / kCap);
+
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      ASSERT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
+      EXPECT_EQ(t.deleted_in_chunk(c), deleted[c]) << c;
+      // The block is sorted on val, and exactly the rows whose id was
+      // deleted are flagged.
+      const DataBlock* block = t.frozen_block(c);
+      const uint64_t* flags = t.delete_bitmap(c);
+      ASSERT_NE(flags, nullptr);
+      for (uint32_t r = 0; r < block->num_rows(); ++r) {
+        if (r > 0) {
+          EXPECT_LE(block->GetInt(1, r - 1), block->GetInt(1, r));
+        }
+        EXPECT_EQ(BitmapTest(flags, r), block->GetInt(0, r) % 5 == 0) << r;
+      }
+    }
+    std::map<int64_t, Row> scanned;
+    TableScanner scan(t, {0, 1, 2}, {}, ScanMode::kDataBlocks);
+    Batch b;
+    while (scan.Next(&b)) {
+      for (uint32_t i = 0; i < b.count; ++i) {
+        scanned[b.cols[0].i64[i]] = {b.cols[1].i32[i],
+                                     std::string(b.cols[2].Str(i))};
+      }
+    }
+    EXPECT_TRUE(scanned == visible);
+  }
+  std::remove(path.c_str());
+
+  int freezes = 0;
+  for (const obs::TraceEvent& ev : ring.Snapshot()) {
+    if (std::string(ev.name) != "freeze") continue;
+    ++freezes;
+    EXPECT_GT(ev.b, 0) << "freeze of chunk " << ev.a << " carries its ns";
+  }
+  EXPECT_EQ(freezes, int(kRows / kCap));
+  EXPECT_EQ(freeze_ns->count() - observed_before, kRows / kCap);
 }
 
 TEST(Lifecycle, PointAccessesKeepChunksHot) {
