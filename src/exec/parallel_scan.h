@@ -27,8 +27,9 @@ namespace datablocks {
 ///    row counts and the scanners' block accounting.
 ///
 /// Safe to run concurrently with the block lifecycle: a scanner pins its
-/// claimed chunk (reloading it if evicted) for the duration of the morsel,
-/// so background freezing/eviction proceeds on all unclaimed chunks.
+/// claimed chunk (reading an evicted one's columns into its own image) for
+/// the duration of the morsel, so background freezing/eviction proceeds on
+/// all unclaimed chunks.
 class MorselDriver {
  public:
   MorselDriver(const Table& table, std::vector<uint32_t> columns,

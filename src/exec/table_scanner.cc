@@ -197,7 +197,7 @@ bool TableScanner::TrySkipChunkUnpinned() {
   }
 
   // A fully-deleted chunk produces no tuples in any scan mode; skipping it
-  // here avoids the pin (and, if evicted, the archive reload).
+  // here avoids the pin (and, if evicted, the archive read).
   if (table_->deleted_in_chunk(c) == rows) {
     ++chunks_skipped_;
     Metrics().chunks_pruned->Add();
@@ -212,9 +212,9 @@ bool TableScanner::TrySkipChunkUnpinned() {
   // summaries resident. Only the SARG-pushdown modes prune on SMAs (the
   // baseline modes deliberately scan everything), and the decision is
   // conservative — a skip here is a skip PrepareBlockScan would also make,
-  // just without faulting the payload back in or touching the LRU. The
-  // chunk may be reloaded concurrently by another reader; that cannot
-  // invalidate the decision, which rests only on immutable block metadata.
+  // just without reading the payload or touching the LRU. The chunk may
+  // change state concurrently; that cannot invalidate the decision, which
+  // rests only on immutable block metadata.
   if (st != ChunkState::kEvicted || predicates_.empty()) return false;
   if (mode_ != ScanMode::kVectorizedSarg && mode_ != ScanMode::kDataBlocks &&
       mode_ != ScanMode::kDataBlocksPsma) {

@@ -13,10 +13,9 @@ namespace datablocks {
 /// The cache holds only immutable facts — which chunks have an archived
 /// block and how big each block is. *Residency* is never mirrored here:
 /// the table's chunk state (kFrozen = resident, kEvicted = not) is the
-/// single source of truth, probed through the `resident` callback. This
-/// avoids any bookkeeping race with transparent reloads, which can flip a
-/// chunk back to resident at any moment; a reload registering between two
-/// probes is simply picked up by the next tick.
+/// single source of truth, probed through the `resident` callback. Only
+/// the lifecycle manager changes it (eviction in a tick, readmission at
+/// detach), so a probe inside a tick sees every change.
 ///
 /// Not internally synchronized — the manager guards it with its own mutex.
 class BlockCache {

@@ -25,7 +25,8 @@ struct LifecycleMetrics {
   obs::Counter* freezes;
   obs::Counter* adopted;
   obs::Counter* evictions;
-  obs::Counter* reloads;
+  obs::Counter* reloads;  // blocks installed (at detach)
+  obs::Counter* point_reads;
   obs::Counter* archive_bytes_read;
   obs::Counter* tombstoned;
   obs::Counter* compactions;
@@ -47,6 +48,7 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.adopted"),
                             r.GetCounter("lifecycle.evictions"),
                             r.GetCounter("lifecycle.reloads"),
+                            r.GetCounter("lifecycle.point_reads"),
                             r.GetCounter("lifecycle.archive_bytes_read"),
                             r.GetCounter("lifecycle.tombstoned"),
                             r.GetCounter("lifecycle.compactions"),
@@ -76,7 +78,7 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
       cache_(config.memory_budget_bytes) {
   DB_CHECK(table_ != nullptr);
   // Archive creation can fail (bad path, disk full). A manager without an
-  // archive is born degraded: it never evicts (nothing could be reloaded),
+  // archive is born degraded: it never evicts (nothing could be read back),
   // but the table keeps working fully resident.
   auto created = BlockArchive::Create(archive_path_);
   if (created.ok()) {
@@ -91,90 +93,36 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
     Metrics().degraded->Add(1);
     trace().Publish("lifecycle", "degrade", 0);
   }
-  // The fetch path, for reloads and for scans' projected reads alike: must
-  // not call back into Table — it only touches the manager's own state
-  // (mu_) and the archive. Residency bookkeeping needs no update here: the
-  // chunk's state transition (kEvicted -> kFrozen on a reload) is the
-  // single source of truth the cache probes. The archive reference is
-  // snapshotted under mu_ so a concurrent compaction swap cannot pull the
-  // file out from under an in-flight read.
+  // The table's read path for evicted chunks, for scans' and point reads'
+  // projected images alike. It must not call back into Table — ReadChunk
+  // only touches the manager's own state (mu_) and the archive.
   table_->SetBlockFetcher([this](size_t chunk_idx, const ColumnSet& columns,
-                                 DataBlock* out) -> Status {
-    std::shared_ptr<BlockArchive> archive;
-    size_t block_id;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto q = quarantine_.find(chunk_idx);
-      if (q != quarantine_.end()) {
-        // Quarantined: fail fast while the backoff runs, so a flood of
-        // queries over a broken chunk does not hammer the disk. Once the
-        // deadline passes, the next pin (query or Tick probe) retries.
-        if (std::chrono::steady_clock::now() < q->second.next_retry) {
-          return Status::Unavailable(
-              "chunk " + std::to_string(chunk_idx) + " quarantined after " +
-              std::to_string(q->second.retries) + " failed reload(s)");
-        }
-        retry_attempts_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().retries->Add();
-      }
-      auto it = archived_.find(chunk_idx);
-      if (it == archived_.end()) {
-        return Status::NotFound("chunk " + std::to_string(chunk_idx) +
-                                " is evicted but has no archive entry");
-      }
-      block_id = it->second;
-      archive = archive_;
-    }
-    if (archive == nullptr) {
-      return Status::Unavailable("no archive (manager degraded at create)");
-    }
-    StatusOr<uint64_t> read =
-        DB_FAILPOINT("lifecycle.reload")
-            ? StatusOr<uint64_t>(Status::IoError(
-                  "injected reload failure (failpoint lifecycle.reload)"))
-            : archive->ReadBlock(block_id, columns, out);
-    if (!read.ok()) {
-      QuarantineChunk(chunk_idx, read.status());
-      return read.status();
-    }
-    ClearQuarantine(chunk_idx);
-    Metrics().archive_bytes_read->Add(*read);
-    if (columns.all()) {
-      Metrics().reloads->Add();
-      trace().Publish("lifecycle", "reload", int64_t(chunk_idx),
-                      int64_t(block_id));
-    } else {
-      trace().Publish("lifecycle", "scan_read", int64_t(chunk_idx),
-                      int64_t(*read));
-    }
+                                 BlockRead why, DataBlock* out) -> Status {
+    StatusOr<uint64_t> read = ReadChunk(chunk_idx, columns, out);
+    if (!read.ok()) return read.status();
+    const bool point = why == BlockRead::kPoint;
+    if (point) Metrics().point_reads->Add();
+    trace().Publish("lifecycle", point ? "point_read" : "scan_read",
+                    int64_t(chunk_idx), int64_t(*read));
     return Status::Ok();
   });
 }
 
 LifecycleManager::~LifecycleManager() {
   Stop();
-  // Leave the table self-contained: reload every evicted block, then
+  // Leave the table self-contained: readmit every evicted block, then
   // detach. Afterwards the table no longer depends on this manager or its
-  // archive file. A chunk whose reload fails here is unrecoverable — its
+  // archive file. A chunk whose read fails here is unrecoverable — its
   // only payload copy is the unreadable archive entry — so warn and detach
-  // anyway rather than aborting the process.
+  // anyway rather than aborting the process. The final attempt ignores
+  // any backoff deadline.
+  ResetQuarantine();
   for (size_t c = 0; c < table_->num_chunks(); ++c) {
     if (!table_->is_evicted(c)) continue;
-    {
-      // Final attempt ignores any backoff deadline (the entry itself stays:
-      // a successful reload clears it via the fetcher, keeping the gauge
-      // consistent).
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = quarantine_.find(c);
-      if (it != quarantine_.end()) it->second = Quarantined{};
-    }
-    Status s = table_->TryPinChunk(c);
-    if (s.ok()) {
-      table_->UnpinChunk(c);
-    } else {
+    if (Status s = Readmit(c); !s.ok()) {
       std::fprintf(stderr,
                    "lifecycle: chunk %zu of table '%s' lost at detach "
-                   "(reload failed: %s)\n",
+                   "(read failed: %s)\n",
                    c, table_->name().c_str(), s.ToString().c_str());
     }
   }
@@ -188,6 +136,64 @@ LifecycleManager::~LifecycleManager() {
   // The archive is scratch (see the class comment): nothing reopens it, and
   // the next manager on this path truncates it anyway.
   if (ArchiveRef() != nullptr) std::remove(archive_path_.c_str());
+}
+
+StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
+                                               const ColumnSet& columns,
+                                               DataBlock* out) {
+  // The archive reference is snapshotted under mu_ so a concurrent
+  // compaction swap cannot pull the file out from under an in-flight read.
+  std::shared_ptr<BlockArchive> archive;
+  size_t block_id;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto q = quarantine_.find(chunk_idx);
+    if (q != quarantine_.end()) {
+      // Quarantined: fail fast while the backoff runs, so a flood of
+      // queries over a broken chunk does not hammer the disk. Once the
+      // deadline passes, the next read (query or Tick probe) retries.
+      if (std::chrono::steady_clock::now() < q->second.next_retry) {
+        return Status::Unavailable(
+            "chunk " + std::to_string(chunk_idx) + " quarantined after " +
+            std::to_string(q->second.retries) + " failed read(s)");
+      }
+      retry_attempts_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().retries->Add();
+    }
+    auto it = archived_.find(chunk_idx);
+    if (it == archived_.end()) {
+      return Status::NotFound("chunk " + std::to_string(chunk_idx) +
+                              " is evicted but has no archive entry");
+    }
+    block_id = it->second;
+    archive = archive_;
+  }
+  if (archive == nullptr) {
+    return Status::Unavailable("no archive (manager degraded at create)");
+  }
+  StatusOr<uint64_t> read =
+      DB_FAILPOINT("lifecycle.reload")
+          ? StatusOr<uint64_t>(Status::IoError(
+                "injected reload failure (failpoint lifecycle.reload)"))
+          : archive->ReadBlock(block_id, columns, out);
+  if (!read.ok()) {
+    QuarantineChunk(chunk_idx, read.status());
+    return read;
+  }
+  ClearQuarantine(chunk_idx);
+  Metrics().archive_bytes_read->Add(*read);
+  return read;
+}
+
+Status LifecycleManager::Readmit(size_t chunk_idx) {
+  DataBlock block;
+  StatusOr<uint64_t> read = ReadChunk(chunk_idx, ColumnSet::All(), &block);
+  if (!read.ok()) return read.status();
+  if (Status s = table_->ReadmitChunk(chunk_idx, std::move(block)); !s.ok())
+    return s;
+  Metrics().reloads->Add();
+  trace().Publish("lifecycle", "reload", int64_t(chunk_idx), int64_t(*read));
+  return Status::Ok();
 }
 
 std::shared_ptr<BlockArchive> LifecycleManager::ArchiveRef() const {
@@ -209,15 +215,7 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   // needed again (scans skip them, visibility checks only read the side
   // bitmap), so archiving would create instant garbage.
   if (FullyDeleted(idx)) return false;
-  // The chunk is frozen (resident), so the pin cannot trigger a reload —
-  // but guard anyway: Tick runs on pool workers and must never throw.
-  Status pin_status = table_->TryPinChunk(idx);
-  if (!pin_status.ok()) return false;
-  struct Unpin {
-    const Table* t;
-    size_t c;
-    ~Unpin() { t->UnpinChunk(c); }
-  } unpin{table_, idx};
+  Table::PinGuard pin(*table_, idx);
   const DataBlock* block = table_->frozen_block(idx);
   if (block == nullptr) return false;  // raced back to hot — skip
   // Extract and install the resident summary before the chunk can be
@@ -249,9 +247,9 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
 }
 
 void LifecycleManager::EnforceBudget() {
-  // Residency is probed straight from the chunk states (this manager is
-  // the only evictor, and concurrent reloads can only *add* residency —
-  // an addition missed by this pass is picked up next tick).
+  // Residency is probed straight from the chunk states: this manager is
+  // the only code that evicts a block (Tick serializes it) or installs one
+  // (only at detach).
   auto resident = [&](size_t c) {
     return table_->chunk_state(c) == ChunkState::kFrozen;
   };
@@ -302,10 +300,10 @@ void LifecycleManager::DetachFullyDeletedLocked() {
   for (size_t chunk : chunks) {
     if (!FullyDeleted(chunk)) continue;
     // Tombstone-before-reclaim: the transition drops the resident payload
-    // (if any) and guarantees no reload will ever be attempted, so the
+    // (if any) and guarantees no read will ever be attempted, so the
     // archive copy can be detached without reading it back first. A
     // transiently pinned chunk fails the transition and is retried on the
-    // next pass — it must then stay attached, or an in-flight reload could
+    // next pass — it must then stay attached, or an in-flight read could
     // look up a block id we already dropped.
     if (!table_->TombstoneChunk(chunk)) continue;
     Metrics().tombstoned->Add();
@@ -393,7 +391,7 @@ size_t LifecycleManager::CompactLocked(bool force) {
 
   // Rewrite the live blocks into a fresh archive beside the current one.
   // Appends are serialized by tick_mu_ (held by the caller), so the old
-  // archive is append-quiescent; concurrent *reloads* keep being served
+  // archive is append-quiescent; concurrent *reads* keep being served
   // from it throughout. The stat snapshot is taken *before* the copy so
   // compaction's own per-block reads don't inflate archive_reads.
   const uint64_t old_reads = old->payload_reads();
@@ -412,9 +410,9 @@ size_t LifecycleManager::CompactLocked(bool force) {
   auto fresh = std::make_shared<BlockArchive>(std::move(*compacted));
 
   // Atomically repoint: the file takes the canonical path, then the
-  // chunk -> block-id directory swaps to the new ids under mu_. Reloads
+  // chunk -> block-id directory swaps to the new ids under mu_. Reads
   // that already snapshotted the old archive keep their (still-open) file
-  // handle; new reloads see the new archive and new ids together.
+  // handle; new reads see the new archive and new ids together.
   if (std::rename(tmp_path.c_str(), archive_path_.c_str()) != 0) {
     std::remove(tmp_path.c_str());
     NoteWriteFailure(Status::IoError("rename of compacted archive failed"));
@@ -565,8 +563,7 @@ void LifecycleManager::ClearQuarantine(size_t chunk_idx) {
 }
 
 void LifecycleManager::RetryQuarantinedLocked() {
-  // Snapshot the due chunks: the probe pin below re-enters the fetcher,
-  // which takes mu_.
+  // Snapshot the due chunks: the probe below takes mu_.
   std::vector<size_t> due;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -574,16 +571,18 @@ void LifecycleManager::RetryQuarantinedLocked() {
     for (const auto& [chunk, q] : quarantine_)
       if (now >= q.next_retry) due.push_back(chunk);
   }
+  DataBlock spine;
   for (size_t chunk : due) {
     if (!table_->is_evicted(chunk)) {
-      // Reloaded (or tombstoned) behind our back — quarantine is moot.
+      // Tombstoned behind our back — quarantine is moot.
       ClearQuarantine(chunk);
       continue;
     }
-    // Probe with a real reload pin. Success heals (the fetcher clears the
-    // quarantine); failure re-quarantines with doubled backoff. Either way
-    // Tick itself must not throw, hence the non-throwing pin.
-    if (table_->TryPinChunk(chunk).ok()) table_->UnpinChunk(chunk);
+    // Probe with a spine read. Success heals (ReadChunk clears the
+    // quarantine); failure re-quarantines with doubled backoff. No pin is
+    // needed: tombstones and compaction only happen in Tick, which holds
+    // tick_mu_ for this whole pass.
+    (void)ReadChunk(chunk, ColumnSet(std::vector<uint32_t>{}), &spine);
   }
 }
 

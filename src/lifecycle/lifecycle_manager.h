@@ -58,13 +58,14 @@ struct LifecycleConfig {
   double compact_garbage_ratio = 0.5;
 
   // -- Fault tolerance ------------------------------------------------------
-  /// A chunk whose reload failed is quarantined: pins fail fast with
-  /// kUnavailable while the backoff runs, then the lifecycle tick probes a
-  /// retry. The backoff doubles per consecutive failure, starting here.
+  /// A chunk whose archive read failed is quarantined: reads fail fast
+  /// with kUnavailable while the backoff runs, then the lifecycle tick
+  /// probes a retry. The backoff doubles per consecutive failure, starting
+  /// here.
   std::chrono::milliseconds quarantine_backoff{100};
-  /// After this many consecutive reload failures the chunk stays
+  /// After this many consecutive read failures the chunk stays
   /// quarantined indefinitely (no more automatic probes; a successful
-  /// organic reload after ResetQuarantine still heals it).
+  /// scan or point read after ResetQuarantine still heals it).
   uint32_t quarantine_max_retries = 5;
   /// Consecutive archive append failures (disk full, I/O errors) before
   /// the manager flips into no-evict degraded mode: the memory budget is
@@ -83,7 +84,7 @@ struct LifecycleConfig {
 
   // -- Observability --------------------------------------------------------
   /// Ring the manager publishes lifecycle events into (freeze, evict,
-  /// reload, tombstone, compaction, tick durations). nullptr =
+  /// reads and installs, tombstone, compaction, tick durations). nullptr =
   /// the process-wide obs::TraceRing::Default(); tests inject private rings.
   obs::TraceRing* trace = nullptr;
 };
@@ -93,11 +94,11 @@ struct LifecycleStats {
   uint64_t freezes = 0;          // chunks auto-frozen by the policy
   uint64_t adopted = 0;          // manually-frozen chunks archived for eviction
   uint64_t evictions = 0;        // blocks dropped from memory
-  uint64_t reloads = 0;          // blocks reloaded and installed resident
+  uint64_t reloads = 0;          // blocks installed (at detach)
   uint64_t archived_blocks = 0;  // blocks written to the archive
   uint64_t archive_bytes = 0;    // archive payload size
   uint64_t resident_bytes = 0;   // resident frozen-block bytes (cache view)
-  uint64_t archive_reads = 0;    // payload reads, full or projected
+  uint64_t archive_reads = 0;    // payload reads: scans, points, installs
   uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
   uint64_t summary_bytes = 0;    // resident BlockSummary footprint
   uint64_t compactions = 0;      // archive compaction passes that rewrote
@@ -106,7 +107,7 @@ struct LifecycleStats {
   uint64_t tombstoned = 0;       // fully-deleted chunks whose payload dropped
   // -- Fault tolerance ----------------------------------------------------
   uint64_t quarantined = 0;      // chunks currently quarantined
-  uint64_t reload_failures = 0;  // failed reload attempts (incl. retries)
+  uint64_t reload_failures = 0;  // failed archive reads (incl. retries)
   uint64_t retry_attempts = 0;   // quarantine retries attempted
   uint64_t write_failures = 0;   // failed archive appends/compactions
   bool degraded = false;         // no-evict degraded mode active
@@ -115,15 +116,17 @@ struct LifecycleStats {
 /// The block lifecycle subsystem: per-chunk temperature statistics drive
 /// automatic freezing of cooled-down hot chunks into Data Blocks, and a
 /// block cache under a memory budget evicts the least recently used frozen
-/// blocks to a BlockArchive. A point access to an evicted chunk reloads
-/// (and pins) its whole block; a scan reads just its columns from the
-/// archive into its own image and leaves the chunk evicted.
+/// blocks to a BlockArchive. Reads never install an evicted block: a scan
+/// reads just its columns from the archive into its own image, a point
+/// read the spine and the accessed column into its thread's point image,
+/// and the chunk stays evicted. The manager is the only code that installs
+/// a block, and only when it detaches (see the destructor).
 ///
 /// One manager owns the lifecycle of one Table:
 ///
 ///   hot --(cold for N epochs)--> frozen --(over budget, LRU)--> evicted
 ///                                  ^                               |
-///                                  +------(point access pin)-------+
+///                                  +-----------(detach)------------+
 ///
 /// Blocks are archived once, at freeze time (they are immutable; the
 /// mutable side delete-bitmap stays in memory), so eviction itself is just
@@ -140,7 +143,7 @@ struct LifecycleStats {
 /// a compaction pass (automatic past config.compact_garbage_ratio, or
 /// explicit via CompactArchive) rewrites the live blocks into a fresh file
 /// and atomically repoints the chunk -> block-id directory at it. In-flight
-/// reloads keep reading the superseded archive object until they drain.
+/// reads keep reading the superseded archive object until they drain.
 ///
 /// The archive is a spill file, not a snapshot: it is created truncated at
 /// `archive_path`, read only by this manager, and never finished or
@@ -150,7 +153,7 @@ struct LifecycleStats {
 /// not keep.
 ///
 /// The manager must outlive all use of the table's evicted chunks; its
-/// destructor reloads every evicted block (restoring a fully resident
+/// destructor readmits every evicted block (restoring a fully resident
 /// table), detaches from the table and deletes the archive file.
 class LifecycleManager {
  public:
@@ -162,8 +165,9 @@ class LifecycleManager {
   LifecycleManager& operator=(const LifecycleManager&) = delete;
 
   /// One policy epoch: decay clocks, freeze cooled-down chunks (archiving
-  /// them), adopt manually-frozen chunks, enforce the memory budget, and
-  /// compact the archive if its garbage ratio crossed the threshold.
+  /// them), adopt manually-frozen chunks, probe quarantined chunks, enforce
+  /// the memory budget, and compact the archive if its garbage ratio
+  /// crossed the threshold.
   /// Thread-safe; concurrent ticks are serialized.
   void Tick();
 
@@ -190,10 +194,10 @@ class LifecycleManager {
   /// True while the manager refuses to evict because archive writes keep
   /// failing (or the archive could not be created at all).
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
-  /// Chunks currently quarantined after failed reloads.
+  /// Chunks currently quarantined after failed archive reads.
   size_t quarantined_chunks() const;
   /// Clears all quarantine state (retry counters and backoff deadlines):
-  /// the next pin of each chunk attempts a fresh reload immediately. The
+  /// the next read of each chunk goes to the archive immediately. The
   /// operator hook for "the disk is fixed, try again now".
   void ResetQuarantine();
   /// Current archive. Returned by shared_ptr because a concurrent
@@ -207,24 +211,33 @@ class LifecycleManager {
   /// true if newly archived.
   bool ArchiveChunk(size_t idx);
   void EnforceBudget();
+  /// Reads the spine and `columns` of evicted chunk `chunk_idx` from the
+  /// archive into `out`: the one read path (quarantine backoff, the
+  /// lifecycle.reload failpoint, checksums, Validate). A failure
+  /// quarantines the chunk, a success heals it. Returns the bytes read.
+  StatusOr<uint64_t> ReadChunk(size_t chunk_idx, const ColumnSet& columns,
+                               DataBlock* out);
+  /// Reads chunk `chunk_idx`'s whole block and installs it resident (at
+  /// detach).
+  Status Readmit(size_t chunk_idx);
   /// Compaction pass; requires tick_mu_. `force` rewrites even below the
   /// configured garbage threshold (as long as there is garbage at all).
   size_t CompactLocked(bool force);
   /// Detaches fully-deleted chunks from the archive directory by
   /// tombstoning them (Table::TombstoneChunk): the in-memory payload is
-  /// dropped along with the archive copy — no reload, no residual RAM
+  /// dropped along with the archive copy — no read, no residual RAM
   /// cost. Chunks that are transiently pinned stay attached and are
   /// retried on the next pass.
   void DetachFullyDeletedLocked();
   bool FullyDeleted(size_t chunk_idx) const;
   std::shared_ptr<BlockArchive> ArchiveRef() const;
   obs::TraceRing& trace() const;
-  /// Records a failed reload of `chunk_idx`: enters/extends quarantine with
+  /// Records a failed read of `chunk_idx`: enters/extends quarantine with
   /// doubled backoff, parks the chunk after quarantine_max_retries.
   void QuarantineChunk(size_t chunk_idx, const Status& why);
-  /// Drops `chunk_idx` from quarantine (successful reload / tombstoned).
+  /// Drops `chunk_idx` from quarantine (successful read / tombstoned).
   void ClearQuarantine(size_t chunk_idx);
-  /// Probes quarantined chunks whose backoff expired with a reload pin;
+  /// Probes quarantined chunks whose backoff expired with a spine read;
   /// runs from Tick (requires tick_mu_).
   void RetryQuarantinedLocked();
   /// Failed archive write: bumps the failure streak and degrades past the
@@ -236,9 +249,8 @@ class LifecycleManager {
   LifecycleConfig cfg_;
   std::string archive_path_;
 
-  /// Guards archive_/cache_/archived_/cold_epochs_. Lock order: a table's
-  /// lifecycle mutex may be held when mu_ is taken (the reload fetcher), so
-  /// Tick never calls into Table while holding mu_.
+  /// Guards archive_/cache_/archived_/cold_epochs_/quarantine_. Tick never
+  /// calls into Table while holding mu_.
   mutable std::mutex mu_;
   std::mutex tick_mu_;  // serializes Tick / CompactArchive
   std::shared_ptr<BlockArchive> archive_;  // swapped atomically by compaction
@@ -246,7 +258,7 @@ class LifecycleManager {
   std::unordered_map<size_t, size_t> archived_;  // chunk -> archive block id
   std::vector<uint32_t> cold_epochs_;
   struct Quarantined {
-    uint32_t retries = 0;  // consecutive failed reloads
+    uint32_t retries = 0;  // consecutive failed reads
     std::chrono::steady_clock::time_point next_retry{};
   };
   std::unordered_map<size_t, Quarantined> quarantine_;  // guarded by mu_

@@ -223,6 +223,7 @@ void RegisterEngineMetrics() {
   r.GetCounter("lifecycle.adopted");
   r.GetCounter("lifecycle.evictions");
   r.GetCounter("lifecycle.reloads");
+  r.GetCounter("lifecycle.point_reads");
   r.GetCounter("lifecycle.archive_bytes_read");
   r.GetCounter("lifecycle.tombstoned");
   r.GetCounter("lifecycle.compactions");

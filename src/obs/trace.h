@@ -2,12 +2,12 @@
 #define DATABLOCKS_OBS_TRACE_H_
 
 // Bounded in-memory event trace: the lifecycle manager and scheduler
-// publish discrete events (freeze, evict, reload, tombstone, compaction,
-// tick durations, ...) into a fixed-capacity ring that overwrites its
-// oldest entries — a flight recorder, not a log. Events are small PODs
-// (no allocation on the publish path) and publishing takes one short
-// mutex section, which is fine at lifecycle/scheduler event rates (these
-// are per-chunk / per-tick operations, never per-row).
+// publish discrete events (freeze, evict, archive reads, installs,
+// tombstone, compaction, tick durations, ...) into a fixed-capacity ring
+// that overwrites its oldest entries — a flight recorder, not a log.
+// Events are small PODs (no allocation on the publish path) and publishing
+// takes one short mutex section, which is fine at lifecycle/scheduler
+// event rates (these are per-chunk / per-tick operations, never per-row).
 //
 // Dump with ToJsonl()/DumpJsonl(): one JSON object per line, schema
 //   {"seq": N, "ts_ns": N, "cat": "...", "name": "...", "a": N, "b": N}

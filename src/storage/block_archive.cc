@@ -814,16 +814,23 @@ StatusOr<size_t> BlockArchive::Save(const Table& table,
   StatusOr<BlockArchive> archive_or = Create(tmp_path);
   if (!archive_or.ok()) return fail(archive_or.status());
   BlockArchive archive = std::move(*archive_or);
+  DataBlock image;  // an evicted chunk's block, read whole
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     if (!table.is_frozen(c) || table.chunk_rows(c) == 0) continue;
     try {
-      // Pin: reloads the block if evicted and keeps it resident for the
-      // write. A failed reload surfaces as StorageException.
-      Table::PinGuard pin(table, c);
-      const DataBlock* block = table.frozen_block(c);
+      // The pin keeps a resident block resident for the write; an evicted
+      // one is read whole into `image` and stays evicted. A failed read
+      // surfaces as StorageException.
+      const bool evicted = table.PinForScan(c, ColumnSet::All(), &image);
+      struct Unpin {
+        const Table& t;
+        size_t c;
+        ~Unpin() { t.UnpinChunk(c); }
+      } unpin{table, c};
+      const DataBlock* block = evicted ? &image : table.frozen_block(c);
       // Our own pin can abort a freeze that was in flight when we sampled
       // is_frozen — the chunk is simply hot again, and hot chunks are not
-      // archived.
+      // archived. Tombstones have no block either.
       if (block == nullptr) continue;
       BlockSummary summary = BlockSummary::Extract(*block);
       StatusOr<size_t> id = archive.AppendBlock(

@@ -184,7 +184,7 @@ class BlockArchive {
 
   /// Writes every frozen chunk of `table` to `path` (in chunk order),
   /// including per-chunk delete bitmaps and summaries. Evicted chunks are
-  /// transparently reloaded for the duration of the write. The archive is
+  /// read whole into a local image and stay evicted. The archive is
   /// built at `path + ".tmp"` and atomically renamed onto `path` once
   /// finished, so a crash or failure mid-save never clobbers a pre-existing
   /// archive at `path`. Returns the number of blocks written.

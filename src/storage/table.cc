@@ -7,13 +7,29 @@
 
 namespace datablocks {
 
+namespace {
+
+/// Source of Table::id_; 0 is never handed out (an empty point image).
+std::atomic<uint64_t> g_next_table_id{1};
+
+/// The calling thread's image of the last evicted chunk it point-read: the
+/// spine plus the extents of the columns read so far, in a reused buffer.
+struct PointImage {
+  uint64_t table = 0;  // Table::id_ of the imaged chunk; 0 = empty or torn
+  size_t chunk = 0;
+  std::vector<bool> has;  // per column: its extent is in `block`
+  DataBlock block;
+};
+thread_local PointImage t_point_image;
+
+}  // namespace
+
 const char* ChunkStateName(ChunkState s) {
   switch (s) {
     case ChunkState::kHot: return "hot";
     case ChunkState::kFreezing: return "freezing";
     case ChunkState::kFrozen: return "frozen";
     case ChunkState::kEvicted: return "evicted";
-    case ChunkState::kReloading: return "reloading";
     case ChunkState::kTombstone: return "tombstone";
   }
   return "?";
@@ -22,7 +38,8 @@ const char* ChunkStateName(ChunkState s) {
 Table::Table(std::string name, Schema schema, uint32_t chunk_capacity)
     : name_(std::move(name)),
       schema_(std::make_unique<Schema>(std::move(schema))),
-      chunk_capacity_(chunk_capacity) {
+      chunk_capacity_(chunk_capacity),
+      id_(g_next_table_id.fetch_add(1, std::memory_order_relaxed)) {
   DB_CHECK(chunk_capacity_ > 0 && chunk_capacity_ <= (1u << kRowIdxBits));
 }
 
@@ -33,6 +50,7 @@ Table::Table(Table&& o) noexcept
       num_rows_(o.num_rows_),
       num_deleted_(o.num_deleted_.load(std::memory_order_relaxed)),
       fetcher_(std::move(o.fetcher_)),
+      id_(g_next_table_id.fetch_add(1, std::memory_order_relaxed)),
       access_epoch_(o.access_epoch_.load(std::memory_order_relaxed)),
       evictions_(o.evictions_.load(std::memory_order_relaxed)),
       reloads_(o.reloads_.load(std::memory_order_relaxed)) {
@@ -108,97 +126,76 @@ bool Table::TryPinResident(size_t chunk_idx) const {
   return false;
 }
 
-void Table::PinChunk(size_t chunk_idx) const {
-  ThrowIfError(TryPinChunk(chunk_idx));
+ChunkState Table::PinSlot(const Slot& s) const {
+  // Dekker-style handshake with FreezeChunk/EvictChunk/TombstoneChunk: we
+  // publish the pin first, then read the state; the state-changers publish
+  // the transient state first, then read the pin count. Sequential
+  // consistency guarantees at least one side observes the other.
+  s.pins.fetch_add(1, std::memory_order_seq_cst);
+  const ChunkState st = s.state.load(std::memory_order_seq_cst);
+  // A freezer that checked the pins before ours arrived installs without
+  // looking again, so wait for it. Every other state is taken as read.
+  return st == ChunkState::kFreezing ? Settle(s) : st;
 }
 
-Status Table::TryPinChunk(size_t chunk_idx) const {
+ChunkState Table::Settle(const Slot& s) const {
+  // Evictions, tombstones and freezes publish under the lifecycle mutex,
+  // so the state read under it is settled.
+  std::unique_lock<std::mutex> lock(lifecycle_mu_);
+  lifecycle_cv_.wait(lock, [&] {
+    return s.state.load(std::memory_order_relaxed) != ChunkState::kFreezing;
+  });
+  return s.state.load(std::memory_order_relaxed);
+}
+
+void Table::PinChunk(size_t chunk_idx) const {
   const Slot& s = slot(chunk_idx);
   s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  // Dekker-style handshake with FreezeChunk/EvictChunk: we publish the pin
-  // first, then read the state; the state-changers publish the transient
-  // state first, then read the pin count. Sequential consistency guarantees
-  // at least one side observes the other.
-  s.pins.fetch_add(1, std::memory_order_seq_cst);
-  ChunkState st = s.state.load(std::memory_order_seq_cst);
-  if (st == ChunkState::kHot || st == ChunkState::kFrozen) {
-    return Status::Ok();
-  }
+                      std::memory_order_relaxed);
+  // Callers read frozen_block(): settle an eviction or tombstone, so the
+  // block they drop is gone (or, if they backed off, still there) first.
+  const ChunkState st = PinSlot(s);
+  if (st == ChunkState::kEvicted || st == ChunkState::kTombstone) Settle(s);
+}
 
-  // Slow path: the chunk is evicted (reload it), mid-freeze (wait for the
-  // freezer to finish or abort), or being reloaded by another pin (wait
-  // for the install).
-  std::unique_lock<std::mutex> lock(lifecycle_mu_);
-  Slot& ms = const_cast<Slot&>(s);
-  for (;;) {
-    st = ms.state.load(std::memory_order_relaxed);
-    if (st == ChunkState::kReloading || st == ChunkState::kFreezing) {
-      lifecycle_cv_.wait(lock);
-      continue;
-    }
-    // Resolved while we waited — or a terminal tombstone, which is "pinned"
-    // trivially: there is no payload to protect and never will be.
-    if (st != ChunkState::kEvicted) return Status::Ok();
-    break;
+Status Table::FetchEvicted(size_t chunk_idx, const ColumnSet& columns,
+                           BlockRead why, DataBlock* out) const {
+  BlockFetcher fetcher;
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    fetcher = fetcher_;
   }
-  // Reload failure: undo everything — back to kEvicted (a later pin may
-  // retry), entry pin released, waiters on kReloading woken — and hand the
-  // reason out. The *query* fails; the table and the process stay healthy.
-  auto fail = [&](Status why) {
-    ms.state.store(ChunkState::kEvicted, std::memory_order_seq_cst);
-    ms.pins.fetch_sub(1, std::memory_order_release);
-    lock.unlock();
-    lifecycle_cv_.notify_all();
-    return why;
-  };
-  if (fetcher_ == nullptr) {
-    ms.pins.fetch_sub(1, std::memory_order_release);
+  if (fetcher == nullptr) {
     return Status::Unavailable("chunk " + std::to_string(chunk_idx) +
                                " of table '" + name_ +
                                "' is evicted and no block fetcher is "
                                "installed");
   }
-  // Park the chunk in kReloading and drop the mutex for the duration of
-  // the archive read: reloads of different chunks proceed in parallel, and
-  // unrelated lifecycle operations are not stalled behind disk I/O.
-  BlockFetcher fetcher = fetcher_;
-  ms.state.store(ChunkState::kReloading, std::memory_order_seq_cst);
-  lock.unlock();
-  DataBlock fetched;
-  Status read = Fetch(fetcher, chunk_idx, ColumnSet::All(), &fetched);
-  lock.lock();
-  if (!read.ok()) return fail(std::move(read));
-  ms.frozen = std::make_unique<DataBlock>(std::move(fetched));
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  ms.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
-  lock.unlock();
-  lifecycle_cv_.notify_all();
-  return Status::Ok();
-}
-
-Status Table::Fetch(const BlockFetcher& fetcher, size_t chunk_idx,
-                    const ColumnSet& columns, DataBlock* out) const {
   Status s;
   try {
-    s = fetcher(chunk_idx, columns, out);
+    s = fetcher(chunk_idx, columns, why, out);
   } catch (const StorageException& e) {
     s = e.status();
   } catch (const std::exception& e) {
     s = Status::IoError(std::string("block fetcher threw: ") + e.what());
   }
   if (!s.ok()) return s;
+  return CheckBlock(chunk_idx, columns, *out);
+}
+
+Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
+                         const DataBlock& block) const {
   const std::string where =
       "chunk " + std::to_string(chunk_idx) + " of table '" + name_ + "'";
   const uint32_t rows = slot(chunk_idx).rows.load(std::memory_order_relaxed);
-  if (out->num_rows() != rows) {
+  if (block.num_rows() != rows) {
     return Status::Corruption("block read for " + where + " has " +
-                              std::to_string(out->num_rows()) +
+                              std::to_string(block.num_rows()) +
                               " rows, chunk has " + std::to_string(rows));
   }
-  bool matches = out->num_columns() == schema_->num_columns();
-  for (uint32_t i = 0; matches && i < columns.size(out->num_columns()); ++i)
-    matches = out->type(columns.at(i)) == schema_->type(columns.at(i));
+  bool matches = block.num_columns() == schema_->num_columns();
+  for (uint32_t i = 0; matches && i < columns.size(block.num_columns()); ++i)
+    matches = block.type(columns.at(i)) == schema_->type(columns.at(i));
   if (!matches) {
     return Status::Corruption("block read for " + where +
                               " does not match the table schema");
@@ -211,40 +208,40 @@ bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
   const Slot& s = slot(chunk_idx);
   s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  // The PinChunk handshake: publish the pin, then read the state.
-  s.pins.fetch_add(1, std::memory_order_seq_cst);
-  const ChunkState st = s.state.load(std::memory_order_seq_cst);
-  if (st == ChunkState::kHot || st == ChunkState::kFrozen) return false;
-  BlockFetcher fetcher;
-  {
-    // Transients resolve under the mutex: wait out a freeze or another
-    // pin's reload, and see through a tombstone or eviction attempt that
-    // our pin just made back off.
-    std::unique_lock<std::mutex> lock(lifecycle_mu_);
-    lifecycle_cv_.wait(lock, [&] {
-      const ChunkState now = s.state.load(std::memory_order_relaxed);
-      return now != ChunkState::kReloading && now != ChunkState::kFreezing;
-    });
-    if (s.state.load(std::memory_order_relaxed) != ChunkState::kEvicted)
-      return false;  // resident again, or a tombstone
-    fetcher = fetcher_;
-  }
+  ChunkState st = PinSlot(s);
+  // The caller reads a tombstone's (absent) block: settle it.
+  if (st == ChunkState::kTombstone) st = Settle(s);
+  if (st != ChunkState::kEvicted) return false;
   // Held on kEvicted, the pin keeps TombstoneChunk off this chunk, so the
   // archive entry the fetcher reads stays attached (and compaction keeps
-  // it live) until the scan unpins. Another reader may reload the chunk
-  // meanwhile; the scan keeps using its own image.
-  Status read =
-      fetcher == nullptr
-          ? Status::Unavailable("chunk " + std::to_string(chunk_idx) +
-                                " of table '" + name_ +
-                                "' is evicted and no block fetcher is "
-                                "installed")
-          : Fetch(fetcher, chunk_idx, columns, image);
+  // it live) until the scan unpins. A kEvicted read may also be an
+  // eviction backing off from the pin; the archived copy is the same
+  // block.
+  Status read = FetchEvicted(chunk_idx, columns, BlockRead::kScan, image);
   if (!read.ok()) {
-    s.pins.fetch_sub(1, std::memory_order_release);
+    UnpinChunk(chunk_idx);
     throw StorageException(std::move(read));
   }
   return true;
+}
+
+Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
+  if (Status s = CheckBlock(chunk_idx, ColumnSet::All(), block); !s.ok())
+    return s;
+  Slot& target = slot(chunk_idx);
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  // A reader that pins after the pin check reads the archived copy until
+  // the state store below, and the installed block after it.
+  if (target.state.load(std::memory_order_relaxed) != ChunkState::kEvicted ||
+      target.pins.load(std::memory_order_seq_cst) != 0) {
+    return Status::FailedPrecondition("chunk " + std::to_string(chunk_idx) +
+                                      " of table '" + name_ +
+                                      "' is not evicted or is pinned");
+  }
+  target.frozen = std::make_unique<DataBlock>(std::move(block));
+  reloads_.fetch_add(1, std::memory_order_relaxed);
+  target.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
+  return Status::Ok();
 }
 
 void Table::UnpinChunk(size_t chunk_idx) const {
@@ -257,46 +254,32 @@ void Table::SetBlockFetcher(BlockFetcher fetcher) {
 }
 
 void Table::Delete(RowId id) {
-  Slot& slot = this->slot(RowIdChunk(id));
-  uint32_t row = RowIdRow(id);
+  const size_t chunk = RowIdChunk(id);
+  Slot& slot = this->slot(chunk);
+  const uint32_t row = RowIdRow(id);
   DB_CHECK(row < slot.rows.load(std::memory_order_acquire));
   Touch(slot);
-  for (;;) {
-    slot.pins.fetch_add(1, std::memory_order_seq_cst);
-    if (slot.state.load(std::memory_order_seq_cst) == ChunkState::kHot) {
-      uint32_t before = slot.hot->num_deleted();
-      slot.hot->MarkDeleted(row);
-      num_deleted_.fetch_add(slot.hot->num_deleted() - before,
-                             std::memory_order_relaxed);
-      slot.pins.fetch_sub(1, std::memory_order_release);
-      return;
-    }
-    slot.pins.fetch_sub(1, std::memory_order_release);
-
-    // Frozen or evicted: flag the row in the side bitmap — no reload
-    // needed, the block itself stays immutable. An in-flight freeze
-    // rewrites the side bitmap at install time, so wait it out first.
-    std::unique_lock<std::mutex> lock(lifecycle_mu_);
-    ChunkState st = slot.state.load(std::memory_order_relaxed);
-    while (st == ChunkState::kFreezing) {
-      lifecycle_cv_.wait(lock);
-      st = slot.state.load(std::memory_order_relaxed);
-    }
-    if (st == ChunkState::kHot) continue;  // freeze aborted under our feet
-    DB_CHECK(!slot.frozen_deleted.empty());
-    uint64_t word = std::atomic_ref<uint64_t>(
-                        const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
-                        .load(std::memory_order_relaxed);
-    if ((word & (uint64_t(1) << (row & 63))) == 0) {
-      // atomic_ref: scans and IsVisible read these words lock-free; the
-      // count's release/acquire pairing publishes the set bit.
-      std::atomic_ref<uint64_t>(slot.frozen_deleted[row >> 6])
-          .fetch_or(uint64_t(1) << (row & 63), std::memory_order_relaxed);
+  if (PinSlot(slot) == ChunkState::kHot) {
+    const uint32_t before = slot.hot->num_deleted();
+    slot.hot->MarkDeleted(row);
+    num_deleted_.fetch_add(slot.hot->num_deleted() - before,
+                           std::memory_order_relaxed);
+  } else {
+    // Frozen, evicted or tombstoned (or an eviction or tombstone backing
+    // off from the pin): flag the row in the side bitmap — the block itself
+    // stays immutable and is never read. The pin keeps a freeze from
+    // rewriting the bitmap. atomic_ref: scans and IsVisible read these
+    // words lock-free; the count's release/acquire pairing publishes the
+    // set bit, and fetch_or counts a racing double delete once.
+    const uint64_t bit = uint64_t(1) << (row & 63);
+    if ((std::atomic_ref<uint64_t>(slot.frozen_deleted[row >> 6])
+             .fetch_or(bit, std::memory_order_relaxed) &
+         bit) == 0) {
       slot.frozen_deleted_count.fetch_add(1, std::memory_order_release);
       num_deleted_.fetch_add(1, std::memory_order_relaxed);
     }
-    return;
   }
+  UnpinChunk(chunk);
 }
 
 RowId Table::Update(RowId id, std::span<const Value> row) {
@@ -309,95 +292,112 @@ void Table::UpdateInPlace(RowId id, uint32_t col, const Value& v) {
 }
 
 bool Table::TryUpdateInPlace(RowId id, uint32_t col, const Value& v) {
-  size_t chunk = RowIdChunk(id);
+  const size_t chunk = RowIdChunk(id);
   Slot& slot = this->slot(chunk);
   Touch(slot);
-  PinGuard pin(*this, chunk);
-  if (slot.hot == nullptr) return false;
-  slot.hot->SetValue(col, RowIdRow(id), v);
-  return true;
+  const bool hot = PinSlot(slot) == ChunkState::kHot;
+  if (hot) slot.hot->SetValue(col, RowIdRow(id), v);
+  UnpinChunk(chunk);
+  return hot;
 }
 
 bool Table::IsVisible(RowId id) const {
-  const Slot& slot = this->slot(RowIdChunk(id));
-  uint32_t row = RowIdRow(id);
+  const size_t chunk = RowIdChunk(id);
+  const Slot& slot = this->slot(chunk);
+  const uint32_t row = RowIdRow(id);
   if (row >= slot.rows.load(std::memory_order_acquire)) return false;
-  for (;;) {
-    slot.pins.fetch_add(1, std::memory_order_seq_cst);
-    ChunkState st = slot.state.load(std::memory_order_seq_cst);
-    if (st == ChunkState::kHot) {
-      bool visible = !slot.hot->IsDeleted(row);
-      slot.pins.fetch_sub(1, std::memory_order_release);
-      return visible;
-    }
-    slot.pins.fetch_sub(1, std::memory_order_release);
-    if (st == ChunkState::kFreezing) {
-      // Wait for the freeze (which carries delete flags over) to settle.
-      std::unique_lock<std::mutex> lock(lifecycle_mu_);
-      lifecycle_cv_.wait(lock, [&] {
-        return slot.state.load(std::memory_order_relaxed) !=
-               ChunkState::kFreezing;
-      });
-      continue;
-    }
-    // Frozen/evicted: the side bitmap is preallocated at freeze time, so
-    // this read needs no lock.
-    if (slot.frozen_deleted_count.load(std::memory_order_acquire) == 0)
-      return true;
-    uint64_t word = std::atomic_ref<uint64_t>(
-                        const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
-                        .load(std::memory_order_relaxed);
-    return (word & (uint64_t(1) << (row & 63))) == 0;
+  bool visible;
+  if (PinSlot(slot) == ChunkState::kHot) {
+    visible = !slot.hot->IsDeleted(row);
+  } else {
+    // Frozen, evicted or tombstoned (settled or not): the side bitmap,
+    // preallocated at freeze time and rewritten only by a freeze.
+    visible = slot.frozen_deleted_count.load(std::memory_order_acquire) == 0 ||
+              (std::atomic_ref<uint64_t>(
+                   const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
+                   .load(std::memory_order_relaxed) &
+               (uint64_t(1) << (row & 63))) == 0;
   }
+  UnpinChunk(chunk);
+  return visible;
+}
+
+template <typename FromBlock, typename FromHot>
+auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
+                      FromHot&& from_hot) const {
+  const size_t chunk = RowIdChunk(id);
+  const uint32_t row = RowIdRow(id);
+  const Slot& s = slot(chunk);
+  Touch(s);
+  ChunkState st = PinSlot(s);
+  struct Unpin {
+    const Slot& s;
+    ~Unpin() { s.pins.fetch_sub(1, std::memory_order_release); }
+  } unpin{s};
+  if (st == ChunkState::kTombstone) st = Settle(s);
+  if (st == ChunkState::kFrozen) return from_block(*s.frozen, row);
+  if (st != ChunkState::kEvicted) return from_hot(*s.hot, row);
+  // Evicted (or an eviction backing off from the pin, whose archived copy
+  // is the same block): read through the thread's point image, fetching
+  // the column's extent if the image lacks it. The pin keeps the archive
+  // entry attached for the read.
+  PointImage& image = t_point_image;
+  if (image.table != id_ || image.chunk != chunk) {
+    image.table = 0;
+    image.has.assign(schema_->num_columns(), false);
+  }
+  if (!image.has[col]) {
+    image.table = 0;  // a failed read may leave the buffer torn
+    ThrowIfError(FetchEvicted(chunk, ColumnSet({col}), BlockRead::kPoint,
+                              &image.block));
+    image.table = id_;
+    image.chunk = chunk;
+    image.has[col] = true;
+  }
+  return from_block(image.block, row);
 }
 
 Value Table::GetValue(RowId id, uint32_t col) const {
-  size_t chunk = RowIdChunk(id);
-  const Slot& slot = this->slot(chunk);
-  uint32_t row = RowIdRow(id);
-  Touch(slot);
-  PinGuard pin(*this, chunk);
-  if (slot.frozen != nullptr) return slot.frozen->GetValue(col, row);
-  return slot.hot->GetValue(col, row);
+  return PointRead(
+      id, col,
+      [col](const DataBlock& b, uint32_t row) { return b.GetValue(col, row); },
+      [col](const Chunk& c, uint32_t row) { return c.GetValue(col, row); });
 }
 
 int64_t Table::GetInt(RowId id, uint32_t col) const {
-  size_t chunk = RowIdChunk(id);
-  const Slot& slot = this->slot(chunk);
-  uint32_t row = RowIdRow(id);
-  Touch(slot);
-  PinGuard pin(*this, chunk);
-  if (slot.frozen != nullptr) return slot.frozen->GetInt(col, row);
-  const uint8_t* data = slot.hot->column_data(col);
-  switch (schema_->type(col)) {
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return reinterpret_cast<const int32_t*>(data)[row];
-    case TypeId::kChar1:
-      return reinterpret_cast<const uint32_t*>(data)[row];
-    default:
-      return reinterpret_cast<const int64_t*>(data)[row];
-  }
+  return PointRead(
+      id, col,
+      [col](const DataBlock& b, uint32_t row) { return b.GetInt(col, row); },
+      [this, col](const Chunk& c, uint32_t row) -> int64_t {
+        const uint8_t* data = c.column_data(col);
+        switch (schema_->type(col)) {
+          case TypeId::kInt32:
+          case TypeId::kDate:
+            return reinterpret_cast<const int32_t*>(data)[row];
+          case TypeId::kChar1:
+            return reinterpret_cast<const uint32_t*>(data)[row];
+          default:
+            return reinterpret_cast<const int64_t*>(data)[row];
+        }
+      });
 }
 
 double Table::GetDouble(RowId id, uint32_t col) const {
-  size_t chunk = RowIdChunk(id);
-  const Slot& slot = this->slot(chunk);
-  uint32_t row = RowIdRow(id);
-  Touch(slot);
-  PinGuard pin(*this, chunk);
-  if (slot.frozen != nullptr) return slot.frozen->GetDouble(col, row);
-  return reinterpret_cast<const double*>(slot.hot->column_data(col))[row];
+  return PointRead(
+      id, col,
+      [col](const DataBlock& b, uint32_t row) { return b.GetDouble(col, row); },
+      [col](const Chunk& c, uint32_t row) {
+        return reinterpret_cast<const double*>(c.column_data(col))[row];
+      });
 }
 
 std::string_view Table::GetStringView(RowId id, uint32_t col) const {
-  size_t chunk = RowIdChunk(id);
-  const Slot& slot = this->slot(chunk);
-  uint32_t row = RowIdRow(id);
-  Touch(slot);
-  PinGuard pin(*this, chunk);
-  if (slot.frozen != nullptr) return slot.frozen->GetStringView(col, row);
-  return slot.hot->GetString(col, row);
+  return PointRead(
+      id, col,
+      [col](const DataBlock& b, uint32_t row) {
+        return b.GetStringView(col, row);
+      },
+      [col](const Chunk& c, uint32_t row) { return c.GetString(col, row); });
 }
 
 const uint64_t* Table::delete_bitmap(size_t chunk_idx) const {
@@ -591,16 +591,9 @@ void Table::AppendFrozen(DataBlock block, std::vector<uint64_t> delete_bitmap,
 }
 
 void Table::FreezeAll(int sort_col, bool build_psma) {
+  // FreezeChunk skips chunks that are not hot, empty or pinned.
   const size_t n = num_chunks();
-  for (size_t i = 0; i < n; ++i) {
-    bool candidate = false;
-    if (TryPinResident(i)) {
-      candidate = slot(i).hot != nullptr && slot(i).hot->size() > 0;
-      UnpinChunk(i);
-    }
-    // FreezeChunk re-validates under the lifecycle mutex.
-    if (candidate) FreezeChunk(i, sort_col, build_psma);
-  }
+  for (size_t i = 0; i < n; ++i) FreezeChunk(i, sort_col, build_psma);
 }
 
 uint64_t Table::HotBytes() const {

@@ -45,13 +45,11 @@ inline uint32_t RowIdRow(RowId id) {
 ///              compressing the chunk; readers fall back to the slow path
 ///   kFrozen    immutable compressed DataBlock resident in memory
 ///   kEvicted   the block lives only in the archive; the side delete bitmap
-///              and row count stay in memory. Through the block fetcher a
-///              point access reloads the payload, a scan reads just its
-///              columns and leaves the chunk evicted
-///   kReloading transient: a pinning reader is fetching the evicted block
-///              from the archive (without holding the lifecycle mutex, so
-///              reloads of different chunks run in parallel); other pins
-///              of this chunk wait on the lifecycle condvar
+///              and row count stay in memory. Reads never install it: a
+///              scan reads its columns into its own image, a point read the
+///              accessed column into the thread's point image, and the
+///              chunk stays evicted. Only the lifecycle manager readmits it,
+///              when it detaches (ReadmitChunk)
 ///   kTombstone terminal: every row of the chunk was deleted and its
 ///              payload (resident block and archive copy alike) has been
 ///              dropped for good. Only the side delete bitmap and row
@@ -62,8 +60,14 @@ enum class ChunkState : uint8_t {
   kFreezing,
   kFrozen,
   kEvicted,
-  kReloading,
   kTombstone,
+};
+
+/// What a read of an evicted chunk's block is for; the fetcher counts and
+/// traces the two apart.
+enum class BlockRead : uint8_t {
+  kScan,   // PinForScan: a scan's (or Save's) own image
+  kPoint,  // a point read's per-thread image
 };
 
 const char* ChunkStateName(ChunkState s);
@@ -84,16 +88,17 @@ const char* ChunkStateName(ChunkState s);
 /// still unsupported.
 class Table {
  public:
-  /// Reads an evicted chunk's block from secondary storage into `out`: all
-  /// of it (ColumnSet::All(), a reload that PinChunk then installs) or just
-  /// the spine and `columns` (PinForScan's projected read). Installed by
-  /// the lifecycle manager; invoked without the table's lifecycle mutex,
-  /// and it must not call back into this table. A failed read (corrupt or
+  /// Reads the spine and `columns` of an evicted chunk's block from
+  /// secondary storage into `out` (ColumnSet::All() reads all of it);
+  /// `why` says whether a scan or a point read asks. Installed by the
+  /// lifecycle manager; invoked without the table's lifecycle mutex, and it
+  /// must not call back into this table. A failed read (corrupt or
   /// unreadable archive block, quarantined chunk) returns its Status — the
-  /// pin then fails with StorageException, so the *query* fails and the
+  /// read then throws StorageException, so the *query* fails and the
   /// process survives.
   using BlockFetcher = std::function<Status(
-      size_t chunk_idx, const ColumnSet& columns, DataBlock* out)>;
+      size_t chunk_idx, const ColumnSet& columns, BlockRead why,
+      DataBlock* out)>;
 
   Table(std::string name, Schema schema,
         uint32_t chunk_capacity = DataBlock::kDefaultCapacity);
@@ -127,17 +132,25 @@ class Table {
   void UpdateInPlace(RowId id, uint32_t col, const Value& v);
 
   /// Like UpdateInPlace, but returns false instead of aborting when the row
-  /// is frozen — the race-free building block for callers that fall back to
-  /// Update (delete + reinsert) when a chunk freezes underneath them.
+  /// is not hot (frozen, evicted) — decided from the chunk state alone, so
+  /// an evicted chunk is never read. The race-free building block for
+  /// callers that fall back to Update (delete + reinsert) when a chunk
+  /// freezes underneath them.
   bool TryUpdateInPlace(RowId id, uint32_t col, const Value& v);
 
   bool IsVisible(RowId id) const;
 
-  /// Point access (hot or frozen; frozen values are decompressed from a
-  /// single position, evicted chunks are transparently reloaded). The
-  /// returned string_view points into the chunk/block and is only
-  /// guaranteed to stay valid while the chunk is resident — i.e. until the
-  /// lifecycle manager evicts it again.
+  /// Point access. A hot row is read from its chunk, a frozen one is
+  /// decompressed from a single position of the resident block. An evicted
+  /// chunk stays evicted: the spine and the accessed column's extent are
+  /// read through the block fetcher (checksummed and validated, as scans
+  /// read) into the calling thread's point image, which keeps the extents
+  /// of the last evicted chunk it read, so further reads of that chunk
+  /// fetch only columns it lacks. A failed read throws StorageException.
+  /// The string_view of GetStringView points into the chunk, the resident
+  /// block or the point image: for a hot or frozen row it stays valid
+  /// while the chunk stays in that state; for an evicted row, until the
+  /// same thread next point-reads an evicted chunk other than this one.
   Value GetValue(RowId id, uint32_t col) const;
   int64_t GetInt(RowId id, uint32_t col) const;
   double GetDouble(RowId id, uint32_t col) const;
@@ -166,8 +179,9 @@ class Table {
   const Chunk* hot_chunk(size_t chunk_idx) const {
     return slot(chunk_idx).hot.get();
   }
-  /// Resident frozen block, nullptr while hot or evicted. Readers that can
-  /// race with eviction must hold a pin (PinChunk) around the access.
+  /// Resident frozen block, nullptr while hot, evicted or tombstoned.
+  /// Readers that can race with the lifecycle must hold a pin (PinChunk)
+  /// around the access.
   const DataBlock* frozen_block(size_t chunk_idx) const {
     return slot(chunk_idx).frozen.get();
   }
@@ -217,23 +231,18 @@ class Table {
 
   // -- Pinning (readers vs freeze/evict) ---------------------------------
 
-  /// Pins a chunk: while pinned it cannot be frozen or evicted, and an
-  /// evicted chunk is synchronously reloaded through the block fetcher, so
-  /// hot_chunk()/frozen_block() stay valid until UnpinChunk. Pins are
-  /// cheap (one atomic RMW) and may be taken from any thread. Throws
-  /// StorageException — leaving the chunk evicted, unpinned and retryable —
-  /// when the reload fails (no fetcher installed, fetcher Status, or a
-  /// block whose row count does not match the chunk).
+  /// Pins a chunk: while pinned it cannot be frozen, evicted, readmitted
+  /// or tombstoned, so hot_chunk()/frozen_block() stay valid until
+  /// UnpinChunk. An evicted chunk is pinned as it is — the pin never reads
+  /// or installs its block, and frozen_block() stays nullptr. Pins are
+  /// cheap (one atomic RMW) and may be taken from any thread; a pin that
+  /// meets a freeze in flight waits for it.
   void PinChunk(size_t chunk_idx) const;
-  /// Non-throwing PinChunk: OK = the pin is held, error = it is not. The
-  /// lifecycle manager's quarantine-retry probe uses this to test a
-  /// reload without exception plumbing.
-  Status TryPinChunk(size_t chunk_idx) const;
   void UnpinChunk(size_t chunk_idx) const;
 
   /// Pins a chunk for a scan that reads only `columns`. A resident chunk is
   /// pinned as by PinChunk, and false is returned. An evicted chunk is not
-  /// reloaded: the fetcher reads just the spine and `columns` into `image`,
+  /// installed: the fetcher reads just the spine and `columns` into `image`,
   /// the chunk stays kEvicted, and the pin is held on it — so it cannot
   /// tombstone and its archive copy stays live while the scan uses the
   /// image — and true is returned. A tombstone is pinned trivially (false;
@@ -313,14 +322,22 @@ class Table {
 
   /// Drops the payload of a *fully deleted* frozen or evicted chunk
   /// (-> tombstone, a terminal state): the resident block (if any) is
-  /// freed, no reload will ever be attempted, and the caller may reclaim
+  /// freed, no read will ever be attempted, and the caller may reclaim
   /// the archive copy. The side delete bitmap and row count stay, so
   /// IsVisible and scans keep answering correctly (all rows deleted).
   /// Returns false if the chunk is not fully deleted, not frozen/evicted,
   /// or pinned — callers (the lifecycle compactor) retry on a later pass.
   bool TombstoneChunk(size_t chunk_idx);
 
-  /// Installs the reload callback used by PinChunk on evicted chunks.
+  /// Installs `block`, read whole from the archive, as the resident block
+  /// of evicted chunk `chunk_idx` (evicted -> frozen). Only the lifecycle
+  /// manager calls it, when it detaches. kCorruption if the block
+  /// does not belong to the chunk (row count, schema types),
+  /// kFailedPrecondition if the chunk is not evicted or is pinned (a
+  /// pinned reader keeps the state it pinned).
+  Status ReadmitChunk(size_t chunk_idx, DataBlock block);
+
+  /// Installs the read path for evicted chunks (PinForScan, point reads).
   void SetBlockFetcher(BlockFetcher fetcher);
   bool has_block_fetcher() const { return fetcher_ != nullptr; }
 
@@ -328,6 +345,7 @@ class Table {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
+  /// Blocks installed by ReadmitChunk.
   uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
   uint64_t tombstones() const {
     return tombstones_.load(std::memory_order_relaxed);
@@ -394,14 +412,35 @@ class Table {
                      std::memory_order_release);
   }
 
-  /// Runs `fetcher` for chunk `chunk_idx` — exceptions become a Status —
-  /// and checks that the block it read belongs to the chunk: its row count,
-  /// and the schema's types for `columns`.
-  Status Fetch(const BlockFetcher& fetcher, size_t chunk_idx,
-               const ColumnSet& columns, DataBlock* out) const;
+  /// Publishes a pin on `s` and returns the chunk's state under it, after
+  /// waiting out a freeze in flight; no lock is taken otherwise. Hot,
+  /// frozen and evicted hold until the unpin (readmission refuses a pinned
+  /// chunk, tombstones back off from it), except that kEvicted or
+  /// kTombstone may be an eviction or tombstone backing off from the pin:
+  /// fine for the side bitmap and for reading the archived copy, while
+  /// callers that read the resident block Settle first.
+  ChunkState PinSlot(const Slot& s) const;
+  /// Re-reads a pinned slot's state under the lifecycle mutex, after any
+  /// freeze in flight.
+  ChunkState Settle(const Slot& s) const;
+  /// Reads the spine and `columns` of evicted chunk `chunk_idx` into `out`
+  /// through the fetcher — exceptions become a Status — and checks that
+  /// the block belongs to the chunk (CheckBlock).
+  Status FetchEvicted(size_t chunk_idx, const ColumnSet& columns,
+                      BlockRead why, DataBlock* out) const;
+  /// kCorruption unless `block` has the chunk's row count and the schema's
+  /// types for `columns`.
+  Status CheckBlock(size_t chunk_idx, const ColumnSet& columns,
+                    const DataBlock& block) const;
+  /// Pins the chunk of `id` and reads `col` of its row: `from_block` on the
+  /// resident block or the thread's point image, `from_hot` on the hot
+  /// chunk.
+  template <typename FromBlock, typename FromHot>
+  auto PointRead(RowId id, uint32_t col, FromBlock&& from_block,
+                 FromHot&& from_hot) const;
   /// Pin that succeeds only if the chunk is resident (hot or frozen) —
-  /// unlike PinChunk it never reloads an evicted block. Used by the
-  /// accounting loops, which must not fault blocks in.
+  /// unlike PinChunk it neither waits out a freeze nor stamps the access
+  /// recency. Used by the accounting loops.
   bool TryPinResident(size_t chunk_idx) const;
   /// Bumps the temperature clock + recency stamp of a chunk (point access).
   void Touch(const Slot& slot) const {
@@ -422,12 +461,15 @@ class Table {
   std::array<std::atomic<SlotSegment*>, kMaxSlotSegments> segments_{};
   std::atomic<size_t> num_slots_{0};
 
-  /// Serializes lifecycle transitions (freeze/evict/reload install) and
+  /// Serializes lifecycle transitions (freeze/evict/readmit/tombstone) and
   /// the slow pin path; not held across the fetcher's archive I/O. Never
   /// held while calling user code.
   mutable std::mutex lifecycle_mu_;
-  mutable std::condition_variable lifecycle_cv_;  // reload completion
+  mutable std::condition_variable lifecycle_cv_;  // freeze completion
   BlockFetcher fetcher_;
+  /// Process-unique, never reused: names this table's chunks in the
+  /// threads' point images (a moved-to table gets a fresh one).
+  uint64_t id_;
   std::atomic<uint32_t> access_epoch_{0};
   mutable std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<uint64_t> reloads_{0};

@@ -117,9 +117,10 @@ class StatusOr {
 };
 
 /// The exception that carries a storage Status through the execution layer:
-/// thrown by Table::PinChunk when an evicted block cannot be reloaded,
-/// propagated across pool workers by TaskGroup, and mapped to an error
-/// *response* (not an aborted process) by serve::Server.
+/// thrown when an evicted chunk's block cannot be read from the archive (by
+/// a scan's Table::PinForScan or a Table::Get* point read), propagated
+/// across pool workers by TaskGroup, and mapped to an error *response* (not
+/// an aborted process) by serve::Server.
 class StorageException : public std::runtime_error {
  public:
   explicit StorageException(Status status)

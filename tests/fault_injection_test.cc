@@ -57,6 +57,17 @@ void EvictAll(LifecycleManager& mgr, const Table& t, size_t full_chunks) {
     ASSERT_TRUE(t.is_evicted(c)) << "chunk " << c << " not evicted";
 }
 
+/// A point read of chunk `c` (row 0, the id column): OK, or the Status of
+/// the StorageException it throws when the chunk's block cannot be read.
+Status PointRead(const Table& t, size_t c) {
+  try {
+    (void)t.GetInt(MakeRowId(c, 0), 0);
+    return Status::Ok();
+  } catch (const StorageException& e) {
+    return e.status();
+  }
+}
+
 /// Scoped failpoint: disarms on destruction even if the test fails, so one
 /// test's faults never leak into the next.
 struct ScopedFailpoint {
@@ -274,7 +285,7 @@ TEST(ArchiveFaults, OpenIndexFaultIsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Quarantine: failed reloads fail the access, back off, and heal
+// Quarantine: failed archive reads fail the access, back off, and heal
 // ---------------------------------------------------------------------------
 
 TEST(Quarantine, FailedReloadQuarantinesThenFailsFast) {
@@ -288,15 +299,15 @@ TEST(Quarantine, FailedReloadQuarantinesThenFailsFast) {
     EvictAll(mgr, t, t.num_chunks());
 
     ScopedFailpoint fp("lifecycle.reload", "always");
-    // The reload failure surfaces as the injected error...
-    Status first = t.TryPinChunk(0);
+    // The failed read surfaces as the injected error...
+    Status first = PointRead(t, 0);
     ASSERT_FALSE(first.ok());
     EXPECT_EQ(first.code(), StatusCode::kIoError);
     EXPECT_EQ(mgr.quarantined_chunks(), 1u);
     EXPECT_GE(mgr.stats().reload_failures, 1u);
     // ...and while the backoff runs, accesses fail fast without touching
     // storage (kUnavailable, not the injected kIoError).
-    Status second = t.TryPinChunk(0);
+    Status second = PointRead(t, 0);
     ASSERT_FALSE(second.ok());
     EXPECT_EQ(second.code(), StatusCode::kUnavailable);
 
@@ -310,13 +321,13 @@ TEST(Quarantine, FailedReloadQuarantinesThenFailsFast) {
       EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
     }
 
-    // Operator fixed the disk: reset clears the backoff, the next pin
-    // reloads for real and the quarantine heals.
+    // Operator fixed the disk: reset clears the backoff, the next read
+    // goes to the archive for real and the quarantine heals.
     FailpointRegistry::Instance().Disarm("lifecycle.reload");
     mgr.ResetQuarantine();
-    EXPECT_TRUE(t.TryPinChunk(0).ok());
-    t.UnpinChunk(0);
+    EXPECT_TRUE(PointRead(t, 0).ok());
     EXPECT_EQ(mgr.quarantined_chunks(), 0u);
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
   }
   std::remove(path.c_str());
 }
@@ -333,21 +344,20 @@ TEST(Quarantine, TickProbesAndHealsAfterBackoff) {
 
     {
       ScopedFailpoint fp("lifecycle.reload", "once");
-      ASSERT_FALSE(t.TryPinChunk(0).ok());
+      ASSERT_FALSE(PointRead(t, 0).ok());
     }
     ASSERT_EQ(mgr.quarantined_chunks(), 1u);
 
-    // The periodic tick retries once the backoff expired; the reload now
-    // succeeds (failpoint fired only once) and the chunk heals — back to
-    // resident, quarantine empty, the retry accounted.
+    // The periodic tick retries once the backoff expired; its spine read
+    // now succeeds (failpoint fired only once) and the chunk heals —
+    // quarantine empty, the retry accounted, the chunk still evicted.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     mgr.Tick();
     EXPECT_EQ(mgr.quarantined_chunks(), 0u);
     EXPECT_GE(mgr.stats().retry_attempts, 1u);
-    // The chunk is reachable again (the zero budget may have re-evicted
-    // the now-healthy block right after the probe — that's fine).
-    EXPECT_TRUE(t.TryPinChunk(0).ok());
-    t.UnpinChunk(0);
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+    // The chunk is readable again.
+    EXPECT_TRUE(PointRead(t, 0).ok());
   }
   std::remove(path.c_str());
 }
@@ -364,22 +374,21 @@ TEST(Quarantine, ParkedAfterMaxRetriesUntilReset) {
     EvictAll(mgr, t, t.num_chunks());
 
     ScopedFailpoint fp("lifecycle.reload", "always");
-    ASSERT_FALSE(t.TryPinChunk(0).ok());  // retries = 1, still due
-    ASSERT_FALSE(t.TryPinChunk(0).ok());  // retries = 2 = max -> parked
+    ASSERT_FALSE(PointRead(t, 0).ok());  // retries = 1, still due
+    ASSERT_FALSE(PointRead(t, 0).ok());  // retries = 2 = max -> parked
     // Parked: fails fast forever, and Tick does not probe it either.
     mgr.Tick();
-    Status parked = t.TryPinChunk(0);
+    Status parked = PointRead(t, 0);
     ASSERT_FALSE(parked.ok());
     EXPECT_EQ(parked.code(), StatusCode::kUnavailable);
     EXPECT_EQ(mgr.quarantined_chunks(), 1u);
 
     // Even disarmed, the park holds (no probe will ever run)...
     FailpointRegistry::Instance().Disarm("lifecycle.reload");
-    EXPECT_EQ(t.TryPinChunk(0).code(), StatusCode::kUnavailable);
+    EXPECT_EQ(PointRead(t, 0).code(), StatusCode::kUnavailable);
     // ...until the operator resets.
     mgr.ResetQuarantine();
-    EXPECT_TRUE(t.TryPinChunk(0).ok());
-    t.UnpinChunk(0);
+    EXPECT_TRUE(PointRead(t, 0).ok());
     EXPECT_EQ(mgr.quarantined_chunks(), 0u);
   }
   std::remove(path.c_str());
@@ -646,6 +655,7 @@ TEST(FailpointEnv, ReloadsSurviveInjectedFaultsProcessWide) {
   if (std::getenv("DATABLOCKS_FAILPOINTS") == nullptr)
     GTEST_SKIP() << "DATABLOCKS_FAILPOINTS not set";
   Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
+  const ScanResult resident = FullScan(t);
   const std::string path = TempArchive("env");
   {
     LifecycleConfig cfg = QuickCooling();
@@ -654,16 +664,14 @@ TEST(FailpointEnv, ReloadsSurviveInjectedFaultsProcessWide) {
     LifecycleManager mgr(&t, path, cfg);
     EvictAll(mgr, t, t.num_chunks());
 
-    // Pins race the every:3 fault injection: some fail with the injected
-    // error, some succeed — the process survives all of it and every
-    // chunk is eventually readable.
+    // Point reads race the every:3 fault injection: some fail with the
+    // injected error, some succeed — the process survives all of it and
+    // every chunk is eventually readable.
     int failures = 0, successes = 0;
     for (int round = 0; round < 12; ++round) {
       for (size_t c = 0; c < t.num_chunks(); ++c) {
-        Status s = t.TryPinChunk(c);
-        if (s.ok()) {
+        if (PointRead(t, c).ok()) {
           ++successes;
-          t.UnpinChunk(c);
         } else {
           ++failures;
         }
@@ -672,20 +680,26 @@ TEST(FailpointEnv, ReloadsSurviveInjectedFaultsProcessWide) {
     }
     EXPECT_GT(successes, 0);
     EXPECT_GT(failures, 0);
-    // Drain: every:3 lets 2 of 3 reloads through, so a few bounded retries
-    // get every chunk resident again — then scans are clean.
+    // Drain: every:3 lets 2 of 3 reads through, so a few bounded retries
+    // read every chunk.
     for (size_t c = 0; c < t.num_chunks(); ++c) {
-      bool resident = false;
-      for (int attempt = 0; attempt < 10 && !resident; ++attempt) {
+      bool readable = false;
+      for (int attempt = 0; attempt < 10 && !readable; ++attempt) {
         mgr.ResetQuarantine();
-        if (t.TryPinChunk(c).ok()) {
-          t.UnpinChunk(c);
-          resident = true;
-        }
+        readable = PointRead(t, c).ok();
       }
-      ASSERT_TRUE(resident) << "chunk " << c;
+      ASSERT_TRUE(readable) << "chunk " << c;
     }
-    EXPECT_TRUE(FullScan(t) == FullScan(t));
+    // The chunks stay evicted, so a scan reads all four through the
+    // faults — one of any three reads fails, and the scan throws. Once
+    // disarmed, scans are clean and match the table before eviction.
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    mgr.ResetQuarantine();
+    EXPECT_THROW(FullScan(t), StorageException);
+    FailpointRegistry::Instance().Disarm("lifecycle.reload");
+    mgr.ResetQuarantine();
+    EXPECT_TRUE(FullScan(t) == resident);
   }
   std::remove(path.c_str());
 }

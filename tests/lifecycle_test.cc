@@ -1,6 +1,7 @@
 // Block lifecycle subsystem: temperature-driven automatic freezing,
-// archival eviction under a memory budget, transparent reload on scans and
-// point accesses, and safety of eviction concurrent with scans.
+// archival eviction under a memory budget, scans and point reads of evicted
+// chunks that leave them evicted, and safety of eviction and compaction
+// concurrent with readers.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "obs/trace.h"
 #include "test_table_util.h"
 #include "tpcc/tpcc_db.h"
+#include "util/failpoint.h"
 
 namespace datablocks {
 namespace {
@@ -192,13 +194,21 @@ TEST(Lifecycle, EvictsUnderMemoryBudgetAndReloadsTransparently) {
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
 
-    // Point access on an evicted chunk transparently reloads it.
+    // A point access on an evicted chunk reads the spine and the accessed
+    // column from the archive, one read per column; the chunk stays
+    // evicted and nothing is installed.
+    const uint64_t reads_before = mgr.stats().archive_reads;
     EXPECT_EQ(t.GetInt(probe, 0), probe_val);
     EXPECT_EQ(t.GetStringView(probe, 2), probe_str);
-    EXPECT_GT(mgr.stats().reloads, 0u);
+    EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+    EXPECT_EQ(mgr.stats().archive_reads, reads_before + 2);
+    EXPECT_EQ(mgr.stats().reloads, 0u);
+    // Nor does a tick install it.
+    mgr.Tick();
+    EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+    EXPECT_EQ(mgr.stats().reloads, 0u);
 
     // A full scan over the evicted table matches the never-frozen scan.
-    mgr.Tick();  // re-evict the probe's chunk
     EXPECT_TRUE(FullScan(t) == before);
     EXPECT_TRUE(FullScan(t, ScanMode::kJit) == before);
 
@@ -764,12 +774,16 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
   const std::string path = TempArchive("stress");
   {
     LifecycleConfig cfg = QuickCooling();
-    // Budget for ~3 blocks: the background thread constantly evicts what
-    // point accesses keep reloading.
+    // Budget for ~3 blocks: most chunks stay evicted, and scans and point
+    // accesses read them from the archive while the background thread
+    // ticks.
     cfg.memory_budget_bytes = (t.FrozenBytes() / 20) * 3;
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);
     mgr.Tick();  // adopt every frozen chunk, evict down to ~3 resident
+    obs::Counter* point_reads =
+        obs::MetricsRegistry::Default().GetCounter("lifecycle.point_reads");
+    const uint64_t point_reads_before = point_reads->Value();
     mgr.Start();
 
     std::atomic<bool> failed{false};
@@ -825,13 +839,315 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
 
     EXPECT_FALSE(failed.load());
     EXPECT_GT(scans_done.load(), 0);
-    // The churn actually happened: point accesses reloaded blocks, scans
-    // read evicted ones from the archive without installing them.
+    // The churn actually happened: point accesses and scans read evicted
+    // chunks from the archive without installing them.
     EXPECT_GT(mgr.stats().evictions, 0u);
-    EXPECT_GT(mgr.stats().reloads, 0u);
+    EXPECT_GT(point_reads->Value(), point_reads_before);
     EXPECT_GT(mgr.stats().archive_reads, mgr.stats().reloads);
     EXPECT_EQ(t.chunk_state(kVictim), ChunkState::kTombstone);
     EXPECT_TRUE(FullScan(t) == expect.after);
+  }
+  std::remove(path.c_str());
+}
+
+
+// -- Point reads of evicted chunks ---------------------------------------
+
+/// Every column type the engine stores, with NULLs and the compression
+/// schemes that shape a point read: truncated, single-value and raw ints,
+/// a date, a char(1), a raw double, dictionary and single-value strings,
+/// and nullable ints and strings.
+Schema AllTypesSchema() {
+  return Schema({{"id", TypeId::kInt64},
+                 {"small", TypeId::kInt32},
+                 {"wide", TypeId::kInt64},
+                 {"day", TypeId::kDate},
+                 {"flag", TypeId::kChar1},
+                 {"score", TypeId::kDouble},
+                 {"name", TypeId::kString},
+                 {"const_s", TypeId::kString},
+                 {"opt_i", TypeId::kInt32, true},
+                 {"opt_s", TypeId::kString, true}});
+}
+
+Table MakeAllTypesTable(uint32_t n, uint32_t chunk_capacity) {
+  Table t("all_types", AllTypesSchema(), chunk_capacity);
+  Rng rng(31);
+  for (uint32_t i = 0; i < n; ++i) {
+    std::vector<Value> row = {
+        Value::Int(i),
+        Value::Int(int32_t(rng.Uniform(0, 200))),
+        Value::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
+        Value::Int(int32_t(9000 + rng.Uniform(0, 400))),
+        Value::Char("AFNR"[rng.Uniform(0, 3)]),
+        Value::Double(rng.NextDouble() * 1000),
+        Value::Str("name_" + std::to_string(rng.Uniform(0, 60))),
+        Value::Str("constant"),
+        rng.Uniform(0, 3) == 0 ? Value::Null()
+                               : Value::Int(int32_t(rng.Uniform(0, 90))),
+        rng.Uniform(0, 3) == 0
+            ? Value::Null()
+            : Value::Str("opt_" + std::to_string(rng.Uniform(0, 25)))};
+    t.Insert(row);
+  }
+  t.FreezeAll();
+  return t;
+}
+
+/// Every value of `t` through GetValue, row-major.
+std::vector<Value> AllValues(const Table& t) {
+  std::vector<Value> out;
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    for (uint32_t r = 0; r < t.chunk_rows(c); ++r) {
+      for (uint32_t col = 0; col < t.schema().num_columns(); ++col)
+        out.push_back(t.GetValue(MakeRowId(c, r), col));
+    }
+  }
+  return out;
+}
+
+// Point reads of an evicted chunk return the resident block's values for
+// every column type — through GetValue and the typed getters — read only
+// the spine and the accessed extents, and leave the chunk evicted.
+TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
+  Table t = MakeAllTypesTable(2000, 512);  // 3 full chunks + a partial one
+  const std::vector<Value> resident = AllValues(t);
+  const uint32_t ncols = t.schema().num_columns();
+  const std::string path = TempArchive("point_reads");
+  obs::TraceRing ring;
+  obs::Counter* point_reads =
+      obs::MetricsRegistry::Default().GetCounter("lifecycle.point_reads");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.trace = &ring;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      ASSERT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    const LifecycleStats before = mgr.stats();
+    const uint64_t counter_before = point_reads->Value();
+
+    EXPECT_TRUE(AllValues(t) == resident);
+    size_t i = 0;
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      for (uint32_t r = 0; r < t.chunk_rows(c); ++r) {
+        const RowId id = MakeRowId(c, r);
+        for (uint32_t col = 0; col < ncols; ++col, ++i) {
+          const Value& v = resident[i];
+          if (v.is_null()) continue;
+          switch (t.schema().type(col)) {
+            case TypeId::kString:
+              ASSERT_EQ(t.GetStringView(id, col), v.str()) << c << "/" << r;
+              break;
+            case TypeId::kDouble:
+              ASSERT_EQ(t.GetDouble(id, col), v.f64()) << c << "/" << r;
+              break;
+            default:
+              ASSERT_EQ(t.GetInt(id, col), v.i64()) << c << "/" << r;
+          }
+        }
+      }
+    }
+
+    // Each chunk's image gained its columns one extent at a time: one
+    // archive read per (chunk, column) for the GetValue pass, and one more
+    // per (chunk, column) for the typed pass, which starts over at chunk
+    // 0 after the image moved on. Nothing was installed.
+    const LifecycleStats after = mgr.stats();
+    const uint64_t reads = 2 * t.num_chunks() * ncols;
+    EXPECT_EQ(after.archive_reads - before.archive_reads, reads);
+    EXPECT_EQ(point_reads->Value() - counter_before, reads);
+    EXPECT_EQ(after.reloads, before.reloads);
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    // Every read fetched the spine plus one extent, and each pass read
+    // every extent once: the bytes of both passes are the blocks' bytes
+    // plus the spine re-read with every column after the first.
+    std::shared_ptr<const BlockArchive> archive = mgr.archive();
+    uint64_t pass_bytes = 0;
+    for (size_t b = 0; b < archive->num_blocks(); ++b) {
+      pass_bytes += archive->entry(b).block_bytes +
+                    (ncols - 1) * DataBlock::SpineBytes(ncols);
+    }
+    EXPECT_EQ(after.archive_bytes_read - before.archive_bytes_read,
+              2 * pass_bytes);
+    int traced = 0;
+    for (const obs::TraceEvent& ev : ring.Snapshot()) {
+      EXPECT_STRNE(ev.name, "reload");
+      if (std::string(ev.name) == "point_read") {
+        ++traced;
+        EXPECT_GT(ev.b, 0);
+      }
+    }
+    EXPECT_EQ(uint64_t(traced), reads);
+
+    // A view of an evicted row survives reads of other columns of the same
+    // chunk, which only add extents to the thread's image.
+    const RowId probe = MakeRowId(1, 7);
+    const std::string_view name = t.GetStringView(probe, 6);
+    const std::string copy(name);
+    for (uint32_t col = 0; col < ncols; ++col) (void)t.GetValue(probe, col);
+    EXPECT_EQ(name, copy);
+  }
+  // Detach readmits every block: the resident values are unchanged.
+  for (size_t c = 0; c < t.num_chunks(); ++c)
+    EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
+  EXPECT_TRUE(AllValues(t) == resident);
+  std::remove(path.c_str());
+}
+
+// An in-place update of an evicted row is refused from the chunk state
+// alone: no archive read, the chunk stays evicted, and the caller's
+// fallback (delete + insert) works as on a resident frozen row.
+TEST(Lifecycle, TryUpdateInPlaceOnEvictedRowReadsNothing) {
+  Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("update_evicted");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    const RowId id = MakeRowId(2, 5);
+    ASSERT_EQ(t.chunk_state(2), ChunkState::kEvicted);
+    const uint64_t reads = mgr.stats().archive_reads;
+    EXPECT_FALSE(t.TryUpdateInPlace(id, 1, Value::Int(77)));
+    EXPECT_EQ(mgr.stats().archive_reads, reads);
+    EXPECT_EQ(t.chunk_state(2), ChunkState::kEvicted);
+
+    const RowId moved = t.Update(
+        id, std::vector<Value>{Value::Int(2 * 256 + 5), Value::Int(77),
+                               Value::Str("moved")});
+    EXPECT_EQ(mgr.stats().archive_reads, reads);
+    EXPECT_FALSE(t.IsVisible(id));
+    EXPECT_EQ(t.GetInt(moved, 1), 77);
+    EXPECT_EQ(t.GetStringView(moved, 2), "moved");
+  }
+  std::remove(path.c_str());
+}
+
+// A point read whose archive read fails throws StorageException and
+// quarantines the chunk; once the fault is gone and the backoff expired,
+// the next point read succeeds and heals it.
+TEST(Lifecycle, FailedPointReadQuarantinesAndHeals) {
+  Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
+  const RowId id = MakeRowId(3, 9);
+  const int64_t val = t.GetInt(id, 1);
+  const std::string path = TempArchive("point_quarantine");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.quarantine_backoff = std::chrono::milliseconds(1);
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    ASSERT_EQ(t.chunk_state(3), ChunkState::kEvicted);
+    ASSERT_TRUE(fail::FailpointRegistry::Instance().Arm("lifecycle.reload",
+                                                        "always"));
+    try {
+      (void)t.GetInt(id, 1);
+      ADD_FAILURE() << "a failed point read must throw";
+    } catch (const StorageException& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kIoError);
+    }
+    fail::FailpointRegistry::Instance().Disarm("lifecycle.reload");
+    EXPECT_EQ(mgr.quarantined_chunks(), 1u);
+    EXPECT_GE(mgr.stats().reload_failures, 1u);
+    EXPECT_EQ(t.chunk_state(3), ChunkState::kEvicted);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(t.GetInt(id, 1), val);
+    EXPECT_EQ(mgr.quarantined_chunks(), 0u);
+    EXPECT_EQ(t.chunk_state(3), ChunkState::kEvicted);
+    EXPECT_EQ(mgr.stats().reloads, 0u);
+  }
+  std::remove(path.c_str());
+}
+
+// Point readers on several threads race background ticks that archive and
+// evict the very chunks they read, tombstone and compact the archive, and
+// evict again once a writer's inserts freeze. (The TSan CI leg repeats
+// this suite.)
+TEST(Lifecycle, PointReadsConcurrentWithEvictionAndCompaction) {
+  constexpr uint32_t kCap = 512;
+  constexpr size_t kRead = 12;  // readers use chunks [0, kRead)
+  constexpr size_t kNew = 5;    // chunks the writer appends
+  Table t = MakeTable(16 * kCap, kCap);
+  std::vector<std::pair<int64_t, std::string>> expect;
+  for (size_t c = 0; c < kRead; ++c) {
+    for (uint32_t r = 0; r < kCap; ++r) {
+      const RowId id = MakeRowId(c, r);
+      expect.emplace_back(t.GetInt(id, 1), std::string(t.GetStringView(id, 2)));
+    }
+  }
+  t.FreezeAll();
+  const std::string path = TempArchive("point_stress");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = (t.FrozenBytes() / 16) * 7 / 2;  // ~3.5 blocks
+    cfg.tick_interval = std::chrono::milliseconds(1);
+    cfg.compact_garbage_ratio = 0.1;
+    LifecycleManager mgr(&t, path, cfg);
+
+    std::atomic<bool> failed{false}, writer_done{false};
+    auto reader = [&](uint64_t seed) {
+      Rng rng(seed);
+      for (int i = 0; i < 500 || !writer_done.load(); ++i) {
+        const size_t chunk = size_t(rng.Uniform(0, kRead - 1));
+        const uint32_t row = uint32_t(rng.Uniform(0, kCap - 1));
+        const RowId id = MakeRowId(chunk, row);
+        const auto& [val, name] = expect[chunk * kCap + row];
+        // GetValue copies the string under the pin: a GetStringView of a
+        // resident row dangles once a tick evicts its chunk.
+        if (t.GetInt(id, 0) != int64_t(chunk * kCap + row) ||
+            t.GetInt(id, 1) != val ||
+            !(t.GetValue(id, 2) == Value::Str(name))) {
+          failed = true;
+        }
+      }
+    };
+    // The readers start on resident blocks; the first ticks archive and
+    // evict them. Once all are archived, chunks 13..15 are deleted and
+    // tombstone, leaving archive garbage to compact, then kNew chunks of
+    // new rows freeze and push the residency over budget again.
+    auto writer = [&] {
+      for (int i = 0; i < 2000 && mgr.stats().adopted < 16; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      for (size_t c = 13; c < 16; ++c) {
+        DeleteChunkRows(t, c);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      Rng rng(44);
+      for (uint32_t i = 0; i < kNew * kCap; ++i) {
+        t.Insert(std::vector<Value>{
+            Value::Int(16 * kCap + i), Value::Int(int32_t(rng.Uniform(0, 1000))),
+            Value::Str("name_" + std::to_string(rng.Uniform(0, 50)))});
+      }
+      for (int i = 0; i < 2000 && mgr.stats().freezes < kNew; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      writer_done = true;
+    };
+    std::vector<std::thread> threads;
+    for (uint64_t seed : {41, 42, 43}) threads.emplace_back(reader, seed);
+    mgr.Start();
+    threads.emplace_back(writer);
+    for (auto& th : threads) th.join();
+    mgr.Stop();
+    mgr.Tick();
+
+    EXPECT_FALSE(failed.load());
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.tombstoned, 3u);
+    EXPECT_GE(s.compactions, 1u);
+    EXPECT_EQ(s.freezes, kNew);
+    EXPECT_EQ(s.reloads, 0u);
+    // 13 live resident blocks and kNew new ones, about 3 kept.
+    EXPECT_GE(s.evictions, 13 + kNew - 4);
+    EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);
+    for (size_t c = 0; c < kRead; ++c) {
+      const RowId id = MakeRowId(c, 11);
+      EXPECT_EQ(t.GetInt(id, 0), int64_t(c * kCap + 11)) << c;
+    }
   }
   std::remove(path.c_str());
 }
