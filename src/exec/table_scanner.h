@@ -153,7 +153,8 @@ class TableScanner {
   size_t chunk_idx_ = 0;
   size_t pinned_chunk_ = SIZE_MAX;
   bool streamed_ = false;  // the pinned chunk was read into image_
-  DataBlock image_;        // evicted chunks' scanned columns, reused
+  DataBlock image_;        // evicted chunks' scanned columns, reused; the
+                           // thread's spare image (table_scanner.cc)
   uint32_t pos_ = 0;
   bool chunk_prepped_ = false;
   bool skip_chunk_ = false;

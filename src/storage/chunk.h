@@ -20,6 +20,12 @@ namespace datablocks {
 ///
 /// Chunks are the unit of freezing: a full chunk identified as cold is
 /// compressed into an immutable DataBlock (paper Section 1/3).
+///
+/// Each fixed-width column is sized for `capacity` rows up front, and each
+/// string column's arena grows with its strings. Large ones are page-backed
+/// (AlignedBuffer): a chunk holding a few rows keeps only the pages those
+/// rows touch resident, and freeing a frozen chunk returns its pages to the
+/// OS, so the process's resident set follows MemoryBytes().
 class Chunk {
  public:
   Chunk(const Schema* schema, uint32_t capacity);

@@ -1,10 +1,13 @@
 #ifndef DATABLOCKS_STORAGE_STRING_ARENA_H_
 #define DATABLOCKS_STORAGE_STRING_ARENA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
-#include <vector>
+#include <utility>
+
+#include "util/aligned_buffer.h"
 
 namespace datablocks {
 
@@ -20,14 +23,30 @@ static_assert(sizeof(StringRef) == 8);
 /// chunks. Views returned by Get() are resolved against the current backing
 /// store and remain valid until the next Add() (the store may relocate when
 /// it grows); scans therefore re-resolve views per batch.
+///
+/// The store is an AlignedBuffer that doubles when full, so a large arena
+/// is page-backed like the chunk's columns: it holds only the pages its
+/// strings touch, and freeing the chunk returns them to the OS.
 class StringArena {
  public:
   StringArena() = default;
 
+  StringArena(StringArena&& other) noexcept
+      : bytes_(std::move(other.bytes_)), used_(std::exchange(other.used_, 0)) {}
+  StringArena& operator=(StringArena&& other) noexcept {
+    bytes_ = std::move(other.bytes_);
+    used_ = std::exchange(other.used_, 0);
+    return *this;
+  }
+
   StringRef Add(std::string_view s) {
-    StringRef ref{static_cast<uint32_t>(bytes_.size()),
+    if (used_ + s.size() > bytes_.size()) {
+      bytes_.Grow(std::max<uint64_t>(used_ + s.size(), 2 * bytes_.size()));
+    }
+    StringRef ref{static_cast<uint32_t>(used_),
                   static_cast<uint32_t>(s.size())};
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(bytes_.data() + used_, s.data(), s.size());
+    used_ += s.size();
     return ref;
   }
 
@@ -36,14 +55,11 @@ class StringArena {
         reinterpret_cast<const char*>(bytes_.data()) + ref.offset, ref.length);
   }
 
-  uint64_t size_bytes() const { return bytes_.size(); }
-
-  /// Reserves capacity up-front so Get() views remain stable while a chunk is
-  /// being filled (vector reallocation would otherwise move the bytes).
-  void Reserve(uint64_t n) { bytes_.reserve(n); }
+  uint64_t size_bytes() const { return used_; }
 
  private:
-  std::vector<uint8_t> bytes_;
+  AlignedBuffer bytes_;  // capacity: bytes_.size()
+  uint64_t used_ = 0;
 };
 
 }  // namespace datablocks

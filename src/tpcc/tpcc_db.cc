@@ -330,14 +330,6 @@ void TpccDatabase::LifecycleTick() {
   for (auto& m : lifecycle_) m->Tick();
 }
 
-void TpccDatabase::StartLifecycle() {
-  for (auto& m : lifecycle_) m->Start();
-}
-
-void TpccDatabase::StopLifecycle() {
-  for (auto& m : lifecycle_) m->Stop();
-}
-
 std::vector<LifecycleManager*> TpccDatabase::lifecycle_managers() {
   std::vector<LifecycleManager*> out;
   for (auto& m : lifecycle_) out.push_back(m.get());

@@ -108,10 +108,6 @@ class TpccDatabase {
   /// Runs one policy epoch on every attached manager.
   void LifecycleTick();
 
-  /// Starts/stops background compaction threads on all managers.
-  void StartLifecycle();
-  void StopLifecycle();
-
   std::vector<LifecycleManager*> lifecycle_managers();
 
   /// Validates invariants (W_YTD = sum(D_YTD), order/orderline counts, ...).

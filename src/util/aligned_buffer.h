@@ -2,11 +2,7 @@
 #define DATABLOCKS_UTIL_ALIGNED_BUFFER_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
-
-#include "util/macros.h"
 
 namespace datablocks {
 
@@ -15,9 +11,23 @@ namespace datablocks {
 /// unmapped memory.
 inline constexpr uint64_t kScanPadding = 32;
 
+/// Buffers of at least this many bytes (scan padding included) are
+/// page-backed; smaller ones come from the heap.
+inline constexpr uint64_t kPageBackedBytes = 64 << 10;
+
 /// A 64-byte-aligned, move-only byte buffer with scan padding.
 ///
-/// Used as backing storage for Data Blocks and uncompressed column chunks.
+/// Backing storage for Data Blocks, hot chunk columns, string arenas and
+/// scan and point images. A large buffer (kPageBackedBytes and up) maps its
+/// own anonymous pages and unmaps them when freed, so freed bytes leave the
+/// process instead of staying in the allocator's heap, and pages nobody has
+/// written are never resident: a hot column sized for 65536 rows that holds
+/// 40 costs the pages those 40 rows touch. Fresh pages are zero, so
+/// Allocate skips its memset; they cost a page fault on first touch, which
+/// is why buffers refilled over and over (scan images) are reused rather
+/// than allocated per use. Under AddressSanitizer, the page-rounding slack
+/// past the scan padding is poisoned: reading beyond the padding is
+/// reported even though the page is mapped.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
@@ -44,32 +54,23 @@ class AlignedBuffer {
 
   ~AlignedBuffer() { Free(); }
 
-  /// Allocates `size` usable bytes (plus internal padding), zero-initialized.
-  void Allocate(uint64_t size) {
-    const uint64_t total = AllocateRaw(size);
-    std::memset(data_, 0, total);
-  }
+  /// Allocates `size` usable bytes plus scan padding, all zero.
+  void Allocate(uint64_t size);
 
-  /// Like Allocate, but leaves the `size` usable bytes uninitialized: for
-  /// callers that overwrite every one of them (a block reloaded from disk).
-  /// Only the padding is zeroed — SIMD over-reads past the end see zeros.
-  void AllocateForOverwrite(uint64_t size) {
-    const uint64_t total = AllocateRaw(size);
-    std::memset(data_ + size, 0, total - size);
-  }
+  /// Makes the buffer `size` bytes, keeping the current allocation when it
+  /// is large enough: a buffer refilled over and over (a scanner's image of
+  /// evicted blocks) allocates only when a block outgrows it. Kept usable
+  /// bytes hold whatever they held; the scan padding is zeroed again.
+  /// Otherwise as Allocate.
+  void ResizeForOverwrite(uint64_t size);
 
-  /// AllocateForOverwrite that keeps the current allocation when it is
-  /// large enough: a buffer refilled over and over (a scanner's image of
-  /// evicted blocks) allocates only when a block outgrows it. The usable
-  /// bytes keep whatever they held; the scan padding is zeroed again.
-  void ResizeForOverwrite(uint64_t size) {
-    if (data_ == nullptr || size + kScanPadding > capacity_) {
-      AllocateForOverwrite(size);
-      return;
-    }
-    size_ = size;
-    std::memset(data_ + size, 0, kScanPadding);
-  }
+  /// Grows the buffer to `size` >= size() bytes, keeping the current bytes;
+  /// the new ones are zero. It grows in place while the allocation has room
+  /// (a page-backed one up to its last page). Beyond that a heap buffer is
+  /// copied into a new allocation, and a page-backed one moves its pages
+  /// to a larger mapping (mremap) without copying them. Callers grow
+  /// geometrically.
+  void Grow(uint64_t size);
 
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
@@ -77,28 +78,21 @@ class AlignedBuffer {
   bool empty() const { return size_ == 0; }
 
  private:
-  /// Frees, then allocates `size` bytes plus padding; returns the total.
-  uint64_t AllocateRaw(uint64_t size) {
-    Free();
-    const uint64_t total = ((size + kScanPadding + 63) / 64) * 64;
-    data_ = static_cast<uint8_t*>(std::aligned_alloc(64, total));
-    DB_CHECK(data_ != nullptr);
-    size_ = size;
-    capacity_ = total;
-    return total;
-  }
-
-  void Free() {
-    if (data_ != nullptr) std::free(data_);
-    data_ = nullptr;
-    size_ = 0;
-    capacity_ = 0;
-  }
+  bool page_backed() const { return capacity_ >= kPageBackedBytes; }
+  /// After size_ changed from `old_size`: poisons (AddressSanitizer) the
+  /// bytes past the scan padding and unpoisons those the buffer grew into.
+  void PoisonSlack(uint64_t old_size);
+  void Free();
 
   uint8_t* data_ = nullptr;
   uint64_t size_ = 0;
   uint64_t capacity_ = 0;  // allocated bytes, padding included
 };
+
+/// The process's resident set in bytes, from /proc/self/statm (0 where
+/// that is unavailable). With large buffers page-backed, it follows the
+/// engine's own byte count: freed data areas leave it.
+uint64_t ResidentBytes();
 
 }  // namespace datablocks
 

@@ -22,4 +22,17 @@
 #define DB_DCHECK(cond) DB_CHECK(cond)
 #endif
 
+/// 1 in AddressSanitizer builds (GCC defines __SANITIZE_ADDRESS__, Clang
+/// answers __has_feature), else 0.
+#if defined(__SANITIZE_ADDRESS__)
+#define DB_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DB_ASAN 1
+#endif
+#endif
+#ifndef DB_ASAN
+#define DB_ASAN 0
+#endif
+
 #endif  // DATABLOCKS_UTIL_MACROS_H_

@@ -549,8 +549,7 @@ TEST(BlockArchive, ReloadedBlockScanPaddingIsZero) {
   // Leaves non-zero bytes where the next allocation of `size` bytes most
   // likely lands, so a padding that is not zeroed explicitly shows up.
   auto dirty_heap = [](uint64_t size) {
-    AlignedBuffer junk;
-    junk.AllocateForOverwrite(size);
+    AlignedBuffer junk(size);
     std::memset(junk.data(), 0xAB, size + kScanPadding);
   };
   auto expect_zero_padding = [](const DataBlock& block) {

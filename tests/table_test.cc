@@ -1,9 +1,11 @@
 // Table semantics: insert/delete/update visibility, freeze behaviour,
-// RowId stability, point accesses across hot and frozen chunks, PK index.
+// RowId stability, point accesses across hot and frozen chunks, PK index,
+// and the string arena behind hot string columns.
 
 #include <gtest/gtest.h>
 
 #include "storage/pk_index.h"
+#include "storage/string_arena.h"
 #include "storage/table.h"
 #include "util/rng.h"
 
@@ -18,6 +20,37 @@ Schema TestSchema() {
 
 std::vector<Value> Row(int64_t id, int32_t val, const std::string& name) {
   return {Value::Int(id), Value::Int(val), Value::Str(name)};
+}
+
+TEST(StringArena, GrowthAcrossThePageThresholdKeepsEveryString) {
+  StringArena arena;
+  std::vector<std::string> strings;
+  std::vector<StringRef> refs;
+  Rng rng(3);
+  // From the heap into page-backed storage, then through several doublings
+  // of the mapping.
+  while (arena.size_bytes() < 8 * kPageBackedBytes) {
+    std::string s(size_t(rng.Uniform(0, 300)), '\0');
+    for (char& ch : s) ch = char(rng.Uniform(0, 255));
+    refs.push_back(arena.Add(s));
+    strings.push_back(std::move(s));
+  }
+  for (size_t i = 0; i < strings.size(); ++i)
+    ASSERT_EQ(arena.Get(refs[i]), strings[i]) << i;
+
+  StringArena moved(std::move(arena));
+  EXPECT_EQ(arena.size_bytes(), 0u);
+  for (size_t i = 0; i < strings.size(); ++i)
+    ASSERT_EQ(moved.Get(refs[i]), strings[i]) << i;
+  StringArena assigned;
+  assigned.Add("gone");
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.size_bytes(), 0u);
+  for (size_t i = 0; i < strings.size(); ++i)
+    ASSERT_EQ(assigned.Get(refs[i]), strings[i]) << i;
+  // A moved-from arena starts over.
+  EXPECT_EQ(arena.Add("x").offset, 0u);
+  EXPECT_EQ(arena.Get(StringRef{0, 1}), "x");
 }
 
 TEST(Table, InsertAndPointAccess) {

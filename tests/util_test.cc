@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "scan/match_table.h"
 #include "util/aligned_buffer.h"
 #include "util/bits.h"
 #include "util/date.h"
 #include "util/like.h"
+#include "util/macros.h"
 #include "util/rng.h"
 
 namespace datablocks {
@@ -72,6 +76,59 @@ TEST(AlignedBuffer, MoveSemantics) {
   EXPECT_TRUE(a.empty());
   a = std::move(b);
   EXPECT_EQ(a.data()[0], 42);
+}
+
+TEST(AlignedBuffer, LargeBufferIsResidentOnlyOnceWrittenAndFreedToTheOs) {
+  constexpr uint64_t kBytes = 16 << 20;
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  AlignedBuffer buf(kBytes);
+  EXPECT_LT(ResidentBytes(), before + (1 << 20));
+  // All zero, scan padding included, without a memset.
+  const uint8_t* p = buf.data();
+  uint64_t nonzero = 0;
+  for (uint64_t i = 0; i < kBytes + kScanPadding; i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p + i, 8);
+    nonzero += word != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+
+  std::memset(buf.data(), 0x5A, kBytes);
+  const uint64_t written = ResidentBytes();
+  EXPECT_GE(written, before + kBytes * 9 / 10);
+  buf = AlignedBuffer();
+  EXPECT_GE(written - std::min(written, ResidentBytes()), kBytes * 9 / 10);
+}
+
+TEST(AlignedBuffer, ResizeAndGrowKeepPaddingZero) {
+  AlignedBuffer buf(kPageBackedBytes);
+  std::memset(buf.data(), 0xAB, kPageBackedBytes);
+  buf.ResizeForOverwrite(100);  // keeps the mapping
+  EXPECT_EQ(buf.size(), 100u);
+  for (uint64_t k = 0; k < kScanPadding; ++k)
+    EXPECT_EQ(buf.data()[100 + k], 0) << k;
+  buf.Grow(200);  // in place: bytes past the old size are zeroed again
+  for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(buf.data()[i], 0xAB) << i;
+  for (uint64_t i = 100; i < 200 + kScanPadding; ++i)
+    EXPECT_EQ(buf.data()[i], 0) << i;
+  buf.Grow(4 * kPageBackedBytes);  // into a new mapping
+  for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(buf.data()[i], 0xAB) << i;
+  for (uint64_t i = 100; i < 4 * kPageBackedBytes + kScanPadding; ++i)
+    ASSERT_EQ(buf.data()[i], 0) << i;
+}
+
+TEST(AlignedBuffer, ReadPastScanPaddingIsReportedUnderAsan) {
+#if !DB_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  // Page-backed: the mapping extends past size + kScanPadding to the end of
+  // its last page, and only the poison makes that slack visible.
+  AlignedBuffer buf(kPageBackedBytes);
+  const volatile uint8_t* p = buf.data();
+  EXPECT_EQ(p[kPageBackedBytes + kScanPadding - 1], 0);
+  EXPECT_DEATH((void)p[kPageBackedBytes + kScanPadding], "use-after-poison");
+#endif
 }
 
 TEST(Date, RoundTrip) {
