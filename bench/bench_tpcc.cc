@@ -3,6 +3,8 @@
 //      database whose cold neworder records are frozen into Data Blocks.
 //  (2) Read-only transactions (OrderStatus + StockLevel) on uncompressed
 //      storage vs. a database stored entirely in Data Blocks.
+// The uncompressed database's table and primary-key index bytes are printed
+// after loading and after the mixed run.
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +26,17 @@ double MixedTps(TpccDatabase& db, int txns, uint64_t seed) {
   Timer t;
   for (int i = 0; i < txns; ++i) db.RunMixedTransaction(rng);
   return txns / t.ElapsedSeconds();
+}
+
+void PrintBytes(const char* when, const TpccDatabase& db) {
+  uint64_t table_bytes = 0;
+  for (const Table* t : {&db.item, &db.warehouse, &db.district, &db.customer,
+                         &db.history, &db.neworder, &db.order, &db.orderline,
+                         &db.stock}) {
+    table_bytes += t->MemoryBytes();
+  }
+  std::printf("%-38s %9.1f MB tables %8.1f MB index\n", when,
+              double(table_bytes) / 1e6, double(db.IndexBytes()) / 1e6);
 }
 
 double ReadOnlyTps(TpccDatabase& db, int txns, uint64_t seed) {
@@ -53,13 +66,16 @@ int main(int argc, char** argv) {
   uncompressed.Load();
   TpccDatabase frozen_no(cfg);
   frozen_no.Load();
-  std::printf("loaded in %.1f s (%llu order lines each)\n\n",
+  std::printf("loaded in %.1f s (%llu order lines each)\n",
               load.ElapsedSeconds(),
               (unsigned long long)uncompressed.orderline.num_rows());
+  PrintBytes("after load", uncompressed);
+  std::printf("\n");
 
   std::printf("=== Section 5.3 (1): mixed workload, cold neworders frozen "
               "===\n");
   double tps_hot = MixedTps(uncompressed, txns, 1);
+  PrintBytes("uncompressed, after the mixed run", uncompressed);
   frozen_no.FreezeOldNewOrders();
   double tps_frozen = MixedTps(frozen_no, txns, 1);
   std::printf("%-38s %12.0f txn/s\n", "uncompressed storage", tps_hot);

@@ -148,7 +148,7 @@ void TpccDatabase::Load() {
   std::vector<Value> row;
   char buf[32];
 
-  // items.
+  // items. Rows load in key order, so the keyed arrays fill by appending.
   item_idx_.resize(size_t(config_.num_items));
   for (int i = 1; i <= config_.num_items; ++i) {
     std::string data = rng.RandomString(26, 50);
@@ -186,7 +186,7 @@ void TpccDatabase::Load() {
              Value::Int(0),
              Value::Int(0),
              Value::Str(data)};
-      stock_idx_[StockKey(w, i)] = stock.Insert(row);
+      stock_idx_.push_back(stock.Insert(row));
     }
 
     for (int d = 1; d <= 10; ++d) {
@@ -202,7 +202,7 @@ void TpccDatabase::Load() {
              Value::Int(rng.Uniform(0, 2000)),
              Value::Int(3000000),                // ytd = 30,000.00
              Value::Int(config_.orders_per_district + 1)};
-      district_idx_[DistKey(w, d)] = district.Insert(row);
+      district_idx_.push_back(district.Insert(row));
 
       // customers.
       for (int c = 1; c <= config_.customers_per_district; ++c) {
@@ -229,7 +229,7 @@ void TpccDatabase::Load() {
                Value::Int(1),
                Value::Int(0),
                Value::Str(rng.RandomString(50, 100))};
-        customer_idx_[CustKey(w, d, c)] = customer.Insert(row);
+        customer_idx_.push_back(customer.Insert(row));
       }
 
       // orders 1..orders_per_district over a random customer permutation.
@@ -241,6 +241,9 @@ void TpccDatabase::Load() {
                                         0, int64_t(i) - 1))]);
       const int new_order_start =
           config_.orders_per_district - config_.orders_per_district * 3 / 10;
+      orders_.emplace_back(size_t(config_.orders_per_district));
+      oldest_undelivered_.push_back(new_order_start + 1);
+      last_order_of_cust_.resize(customer_idx_.size());
       for (int o = 1; o <= config_.orders_per_district; ++o) {
         int c = cust_perm[size_t(o - 1) % cust_perm.size()];
         int ol_cnt = int(rng.Uniform(5, 15));
@@ -254,11 +257,11 @@ void TpccDatabase::Load() {
                          : Value::Null(),
                Value::Int(ol_cnt),
                Value::Int(1)};
-        int64_t okey = OrderKey(w, d, o);
-        order_idx_[okey] = order.Insert(row);
+        OrderEntry& e = Entry(w, d, o);
+        e.order = order.Insert(row);
+        e.ol_cnt = ol_cnt;
         last_order_of_cust_[CustKey(w, d, c)] = o;
 
-        std::vector<RowId>& lines = orderlines_idx_[okey];
         for (int l = 1; l <= ol_cnt; ++l) {
           int64_t amount = delivered ? 0 : rng.Uniform(1, 999999);
           row = {Value::Int(o),
@@ -271,12 +274,11 @@ void TpccDatabase::Load() {
                  Value::Int(5),
                  Value::Int(amount),
                  Value::Str(rng.RandomString(24, 24))};
-          lines.push_back(orderline.Insert(row));
+          SetLine(e, l - 1, orderline.Insert(row));
         }
         if (!delivered) {
           row = {Value::Int(o), Value::Int(d), Value::Int(w)};
-          neworder_idx_[okey] = neworder.Insert(row);
-          neworder_queue_[DistKey(w, d)].push_back(o);
+          e.neworder = neworder.Insert(row);
         }
       }
 
@@ -298,6 +300,18 @@ void TpccDatabase::FreezeOldNewOrders() {
     if (!neworder.is_frozen(i) && neworder.chunk_rows(i) > 0)
       neworder.FreezeChunk(i);
   }
+}
+
+void TpccDatabase::SetLine(OrderEntry& e, int l, RowId id) {
+  if (!e.scattered && l > 0 && id != e.lines + RowId(l)) {
+    // Not consecutive: list the order's lines explicitly from now on (those
+    // past l are placeholders until they are recorded).
+    for (int k = 0; k < e.ol_cnt; ++k) scattered_.push_back(e.lines + k);
+    e.lines = scattered_.size() - size_t(e.ol_cnt);
+    e.scattered = true;
+  }
+  if (e.scattered) scattered_[e.lines + size_t(l)] = id;
+  else if (l == 0) e.lines = id;
 }
 
 RowId TpccDatabase::UpdateColumns(
@@ -349,39 +363,51 @@ void TpccDatabase::FreezeEverything() {
 }
 
 bool TpccDatabase::CheckConsistency(std::string* msg) const {
+  auto fail = [msg](std::string what) {
+    if (msg != nullptr) *msg = std::move(what);
+    return false;
+  };
   // W_YTD == sum(D_YTD) per warehouse.
   for (int w = 1; w <= config_.num_warehouses; ++w) {
     int64_t w_ytd =
         warehouse.GetInt(warehouse_idx_[size_t(w - 1)], col::warehouse::ytd);
     int64_t d_sum = 0;
     for (int d = 1; d <= 10; ++d)
-      d_sum += district.GetInt(district_idx_.at(DistKey(w, d)),
+      d_sum += district.GetInt(district_idx_[DistKey(w, d)],
                                col::district::ytd);
-    if (w_ytd != d_sum) {
-      if (msg != nullptr)
-        *msg = "W_YTD mismatch for warehouse " + std::to_string(w);
-      return false;
-    }
+    if (w_ytd != d_sum)
+      return fail("W_YTD mismatch for warehouse " + std::to_string(w));
   }
-  // D_NEXT_O_ID - 1 == max order id per district; neworder queue sanity.
+  // D_NEXT_O_ID - 1 == max order id per district; the undelivered range
+  // [oldest, D_NEXT_O_ID) is well formed. Row counts come from the index.
+  uint64_t lines = 0, undelivered = 0;
   for (int w = 1; w <= config_.num_warehouses; ++w) {
     for (int d = 1; d <= 10; ++d) {
-      int32_t next =
-          int32_t(district.GetInt(district_idx_.at(DistKey(w, d)),
-                                  col::district::next_o_id));
-      if (!order_idx_.count(OrderKey(w, d, next - 1))) {
-        if (msg != nullptr) *msg = "missing max order";
-        return false;
-      }
-      const auto it = neworder_queue_.find(DistKey(w, d));
-      if (it != neworder_queue_.end() && !it->second.empty() &&
-          it->second.back() >= next) {
-        if (msg != nullptr) *msg = "neworder beyond next_o_id";
-        return false;
-      }
+      const int64_t next = district.GetInt(district_idx_[DistKey(w, d)],
+                                           col::district::next_o_id);
+      const std::vector<OrderEntry>& orders = orders_[DistKey(w, d)];
+      if (int64_t(orders.size()) != next - 1) return fail("missing max order");
+      const int32_t oldest = oldest_undelivered_[DistKey(w, d)];
+      if (oldest < 1 || oldest > next) return fail("neworder beyond next_o_id");
+      undelivered += uint64_t(next - oldest);
+      for (const OrderEntry& e : orders) lines += uint64_t(e.ol_cnt);
     }
   }
+  if (lines != orderline.num_visible())
+    return fail("sum(O_OL_CNT) != |ORDER-LINE|");
+  if (undelivered != neworder.num_visible())
+    return fail("|NEW-ORDER| != undelivered orders");
   return true;
+}
+
+size_t TpccDatabase::IndexBytes() const {
+  auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  size_t n = bytes(item_idx_) + bytes(warehouse_idx_) + bytes(district_idx_) +
+             bytes(customer_idx_) + bytes(stock_idx_) + bytes(orders_) +
+             bytes(oldest_undelivered_) + bytes(last_order_of_cust_) +
+             bytes(scattered_);
+  for (const auto& o : orders_) n += bytes(o);
+  return n;
 }
 
 }  // namespace datablocks::tpcc

@@ -2,10 +2,8 @@
 #define DATABLOCKS_TPCC_TPCC_DB_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,9 +64,13 @@ struct NewOrderResult {
 };
 
 /// TPC-C database with the five standard transactions. Primary-key indexes
-/// are hash maps over stable RowIds; freezing cold chunks keeps RowIds valid
-/// so OLTP point accesses transparently hit compressed Data Blocks —
-/// the scenario of the paper's Section 5.3 experiments.
+/// are arrays of stable RowIds addressed by the (dense) key; freezing keeps
+/// RowIds valid so OLTP point accesses transparently hit compressed Data
+/// Blocks — the scenario of the paper's Section 5.3. An order's lines are
+/// inserted back to back, so its entry stores only the first RowId; lines
+/// that are not consecutive (they straddle a chunk, or Delivery relocated
+/// only some out of a frozen chunk) are listed explicitly instead. A
+/// district's undelivered orders are always [oldest, D_NEXT_O_ID).
 class TpccDatabase {
  public:
   explicit TpccDatabase(const TpccConfig& config);
@@ -113,6 +115,9 @@ class TpccDatabase {
   /// Validates invariants (W_YTD = sum(D_YTD), order/orderline counts, ...).
   bool CheckConsistency(std::string* msg) const;
 
+  /// Heap bytes held by the primary-key indexes.
+  size_t IndexBytes() const;
+
   const TpccConfig& config() const { return config_; }
 
   Table item;
@@ -135,17 +140,31 @@ class TpccDatabase {
       Table& table, RowId id,
       std::initializer_list<std::pair<uint32_t, Value>> changes);
 
-  // Composite-key encodings.
-  int64_t DistKey(int w, int d) const { return int64_t(w) * 10 + d - 11; }
-  int64_t CustKey(int w, int d, int c) const {
-    return DistKey(w, d) * 100000 + c;
+  // Dense composite-key encodings (array positions).
+  size_t DistKey(int w, int d) const { return size_t((w - 1) * 10 + d - 1); }
+  size_t CustKey(int w, int d, int c) const {
+    return DistKey(w, d) * size_t(config_.customers_per_district) +
+           size_t(c - 1);
   }
-  int64_t StockKey(int w, int i) const {
-    return int64_t(w - 1) * config_.num_items + i - 1;
+  size_t StockKey(int w, int i) const {
+    return size_t(w - 1) * size_t(config_.num_items) + size_t(i - 1);
   }
-  int64_t OrderKey(int w, int d, int o) const {
-    return DistKey(w, d) * 10000000 + o;
+
+  struct OrderEntry {
+    RowId order = 0;
+    RowId neworder = 0;  // meaningful while the order is undelivered
+    RowId lines = 0;     // first line's RowId, or its offset in scattered_
+    int32_t ol_cnt = 0;
+    bool scattered = false;
+  };
+  OrderEntry& Entry(int w, int d, int o) {
+    return orders_[DistKey(w, d)][size_t(o - 1)];
   }
+  RowId Line(const OrderEntry& e, int l) const {
+    return e.scattered ? scattered_[e.lines + size_t(l)] : e.lines + RowId(l);
+  }
+  /// Records line `l`'s RowId; lines 0..l-1 are already recorded.
+  void SetLine(OrderEntry& e, int l, RowId id);
 
   int RandomCustomerId(Rng& rng) {
     return int(rng.NuRand(1023, 1, config_.customers_per_district));
@@ -159,14 +178,13 @@ class TpccDatabase {
   // Primary-key indexes (RowIds stay stable across freezing).
   std::vector<RowId> item_idx_;                       // by i_id - 1
   std::vector<RowId> warehouse_idx_;                  // by w_id - 1
-  std::unordered_map<int64_t, RowId> district_idx_;
-  std::unordered_map<int64_t, RowId> customer_idx_;
-  std::unordered_map<int64_t, RowId> stock_idx_;
-  std::unordered_map<int64_t, RowId> order_idx_;
-  std::unordered_map<int64_t, std::vector<RowId>> orderlines_idx_;
-  std::unordered_map<int64_t, RowId> neworder_idx_;   // by OrderKey
-  std::unordered_map<int64_t, std::deque<int32_t>> neworder_queue_;
-  std::unordered_map<int64_t, int32_t> last_order_of_cust_;  // CustKey -> o_id
+  std::vector<RowId> district_idx_;                   // by DistKey
+  std::vector<RowId> customer_idx_;                   // by CustKey
+  std::vector<RowId> stock_idx_;                      // by StockKey
+  std::vector<std::vector<OrderEntry>> orders_;       // by DistKey, o_id - 1
+  std::vector<int32_t> oldest_undelivered_;           // by DistKey
+  std::vector<int32_t> last_order_of_cust_;           // by CustKey; 0 = none
+  std::vector<RowId> scattered_;  // lines of non-consecutive orders
 
   std::vector<std::unique_ptr<LifecycleManager>> lifecycle_;
 };

@@ -4,7 +4,6 @@
 // updated in place, frozen rows can only be deleted (Section 3).
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "tpcc/tpcc_db.h"
 #include "util/date.h"
@@ -48,7 +47,7 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
     if (ln.i_id > config_.num_items) return result;  // not committed
   }
 
-  RowId d_row = district_idx_.at(DistKey(w, d));
+  RowId d_row = district_idx_[DistKey(w, d)];
   const int32_t o_id =
       int32_t(district.GetInt(d_row, col::district::next_o_id));
   district.UpdateInPlace(d_row, col::district::next_o_id,
@@ -57,7 +56,7 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
       warehouse.GetInt(warehouse_idx_[size_t(w - 1)], col::warehouse::tax);
   const int64_t d_tax = district.GetInt(d_row, col::district::tax);
   const int64_t c_disc =
-      customer.GetInt(customer_idx_.at(CustKey(w, d, c)),
+      customer.GetInt(customer_idx_[CustKey(w, d, c)],
                       col::customer::discount);
 
   bool all_local = true;
@@ -67,21 +66,20 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
                             Value::Int(w),      Value::Int(c),
                             Value::Int(kTxnDate), Value::Null(),
                             Value::Int(ol_cnt), Value::Int(all_local ? 1 : 0)};
-  int64_t okey = OrderKey(w, d, o_id);
-  order_idx_[okey] = order.Insert(row);
+  OrderEntry& e = orders_[DistKey(w, d)].emplace_back();
+  e.order = order.Insert(row);
+  e.ol_cnt = ol_cnt;
   last_order_of_cust_[CustKey(w, d, c)] = o_id;
 
   row = {Value::Int(o_id), Value::Int(d), Value::Int(w)};
-  neworder_idx_[okey] = neworder.Insert(row);
-  neworder_queue_[DistKey(w, d)].push_back(o_id);
+  e.neworder = neworder.Insert(row);
 
   int64_t total = 0;
-  std::vector<RowId>& ol_rows = orderlines_idx_[okey];
   for (int l = 0; l < ol_cnt; ++l) {
     const Line& ln = lines[size_t(l)];
     RowId i_row = item_idx_[size_t(ln.i_id - 1)];
     int64_t price = item.GetInt(i_row, col::item::price);
-    RowId s_row = stock_idx_.at(StockKey(ln.supply_w, ln.i_id));
+    RowId s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
     int32_t s_qty = int32_t(stock.GetInt(s_row, col::stock::quantity));
     s_qty = s_qty >= ln.qty + 10 ? s_qty - ln.qty : s_qty - ln.qty + 91;
     stock.UpdateInPlace(s_row, col::stock::quantity, Value::Int(s_qty));
@@ -109,7 +107,7 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
            Value::Int(amount),
            Value::Str(std::string(stock.GetStringView(s_row,
                                                       col::stock::dist)))};
-    ol_rows.push_back(orderline.Insert(row));
+    SetLine(e, l, orderline.Insert(row));
   }
 
   result.committed = true;
@@ -134,13 +132,13 @@ void TpccDatabase::Payment(Rng& rng) {
   warehouse.UpdateInPlace(
       w_row, col::warehouse::ytd,
       Value::Int(warehouse.GetInt(w_row, col::warehouse::ytd) + amount));
-  RowId d_row = district_idx_.at(DistKey(w, d));
+  RowId d_row = district_idx_[DistKey(w, d)];
   district.UpdateInPlace(
       d_row, col::district::ytd,
       Value::Int(district.GetInt(d_row, col::district::ytd) + amount));
 
   const int c = RandomCustomerId(rng);
-  RowId c_row = customer_idx_.at(CustKey(c_w, c_d, c));
+  RowId c_row = customer_idx_[CustKey(c_w, c_d, c)];
   customer.UpdateInPlace(
       c_row, col::customer::balance,
       Value::Int(customer.GetInt(c_row, col::customer::balance) - amount));
@@ -164,20 +162,20 @@ void TpccDatabase::OrderStatus(Rng& rng) {
   const int d = int(rng.Uniform(1, 10));
   const int c = RandomCustomerId(rng);
 
-  RowId c_row = customer_idx_.at(CustKey(w, d, c));
+  RowId c_row = customer_idx_[CustKey(w, d, c)];
   volatile int64_t balance =
       customer.GetInt(c_row, col::customer::balance);
   (void)balance;
 
-  auto it = last_order_of_cust_.find(CustKey(w, d, c));
-  if (it == last_order_of_cust_.end()) return;
-  int64_t okey = OrderKey(w, d, it->second);
-  RowId o_row = order_idx_.at(okey);
-  volatile int64_t entry = order.GetInt(o_row, col::order::entry_d);
+  const int32_t o_id = last_order_of_cust_[CustKey(w, d, c)];
+  if (o_id == 0) return;
+  const OrderEntry& e = Entry(w, d, o_id);
+  volatile int64_t entry = order.GetInt(e.order, col::order::entry_d);
   (void)entry;
 
   int64_t sum_amount = 0;
-  for (RowId ol : orderlines_idx_.at(okey)) {
+  for (int l = 0; l < e.ol_cnt; ++l) {
+    const RowId ol = Line(e, l);
     sum_amount += orderline.GetInt(ol, col::orderline::amount);
     volatile int64_t qty = orderline.GetInt(ol, col::orderline::quantity);
     (void)qty;
@@ -190,34 +188,29 @@ int TpccDatabase::Delivery(Rng& rng) {
   const int carrier = int(rng.Uniform(1, 10));
   int delivered = 0;
   for (int d = 1; d <= 10; ++d) {
-    auto qit = neworder_queue_.find(DistKey(w, d));
-    if (qit == neworder_queue_.end() || qit->second.empty()) continue;
-    int32_t o_id = qit->second.front();
-    qit->second.pop_front();
-    int64_t okey = OrderKey(w, d, o_id);
+    int32_t& oldest = oldest_undelivered_[DistKey(w, d)];
+    if (size_t(oldest) > orders_[DistKey(w, d)].size()) continue;
+    OrderEntry& e = Entry(w, d, oldest++);
 
     // Delete the neworder row (works on hot *and* frozen chunks).
-    auto nit = neworder_idx_.find(okey);
-    if (nit != neworder_idx_.end()) {
-      neworder.Delete(nit->second);
-      neworder_idx_.erase(nit);
-    }
+    neworder.Delete(e.neworder);
 
-    RowId o_row = order_idx_.at(okey);
-    int c = int(order.GetInt(o_row, col::order::c_id));
+    int c = int(order.GetInt(e.order, col::order::c_id));
     // Under a lifecycle manager the order's chunk may have frozen; the
     // update then relocates the row, so refresh the index.
-    RowId o_new = UpdateColumns(order, o_row,
-                                {{col::order::carrier_id, Value::Int(carrier)}});
-    if (o_new != o_row) order_idx_[okey] = o_new;
+    e.order = UpdateColumns(order, e.order,
+                            {{col::order::carrier_id, Value::Int(carrier)}});
 
     int64_t total = 0;
-    for (RowId& ol : orderlines_idx_.at(okey)) {
-      ol = UpdateColumns(orderline, ol,
-                         {{col::orderline::delivery_d, Value::Int(kTxnDate)}});
+    const OrderEntry before = e;  // lines are read from the old RowIds
+    for (int l = 0; l < before.ol_cnt; ++l) {
+      const RowId ol = UpdateColumns(
+          orderline, Line(before, l),
+          {{col::orderline::delivery_d, Value::Int(kTxnDate)}});
+      SetLine(e, l, ol);
       total += orderline.GetInt(ol, col::orderline::amount);
     }
-    RowId c_row = customer_idx_.at(CustKey(w, d, c));
+    RowId c_row = customer_idx_[CustKey(w, d, c)];
     customer.UpdateInPlace(
         c_row, col::customer::balance,
         Value::Int(customer.GetInt(c_row, col::customer::balance) + total));
@@ -234,22 +227,24 @@ int TpccDatabase::StockLevel(Rng& rng) {
   const int d = int(rng.Uniform(1, 10));
   const int threshold = int(rng.Uniform(10, 20));
 
-  RowId d_row = district_idx_.at(DistKey(w, d));
+  RowId d_row = district_idx_[DistKey(w, d)];
   const int32_t next_o =
       int32_t(district.GetInt(d_row, col::district::next_o_id));
 
-  std::unordered_set<int32_t> low_items;
+  int32_t low_items[20 * 15];  // 20 orders of at most 15 lines
+  size_t n = 0;
   for (int32_t o = std::max(1, next_o - 20); o < next_o; ++o) {
-    auto it = orderlines_idx_.find(OrderKey(w, d, o));
-    if (it == orderlines_idx_.end()) continue;
-    for (RowId ol : it->second) {
-      int32_t i_id = int32_t(orderline.GetInt(ol, col::orderline::i_id));
-      RowId s_row = stock_idx_.at(StockKey(w, i_id));
+    const OrderEntry& e = Entry(w, d, o);
+    for (int l = 0; l < e.ol_cnt; ++l) {
+      int32_t i_id =
+          int32_t(orderline.GetInt(Line(e, l), col::orderline::i_id));
+      RowId s_row = stock_idx_[StockKey(w, i_id)];
       if (stock.GetInt(s_row, col::stock::quantity) < threshold)
-        low_items.insert(i_id);
+        low_items[n++] = i_id;
     }
   }
-  return int(low_items.size());
+  std::sort(low_items, low_items + n);
+  return int(std::unique(low_items, low_items + n) - low_items);
 }
 
 int TpccDatabase::RunMixedTransaction(Rng& rng) {

@@ -3,6 +3,12 @@
 // chunks — the Section 5.3 scenarios.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
+#include <tuple>
+#include <unordered_set>
 
 #include "tpcc/tpcc_db.h"
 
@@ -146,5 +152,173 @@ TEST_F(TpccFixture, FreezingCompressesTpccData) {
   EXPECT_LT(frozen, hot);
 }
 
+TEST_F(TpccFixture, ConsistencyCountsCatchRowsDeletedBehindTheIndex) {
+  std::string msg;
+  db_->orderline.Delete(MakeRowId(0, 3));
+  EXPECT_FALSE(db_->CheckConsistency(&msg));
+  EXPECT_EQ(msg, "sum(O_OL_CNT) != |ORDER-LINE|");
+
+  db_ = std::make_unique<TpccDatabase>(SmallConfig());
+  db_->Load();
+  db_->neworder.Delete(MakeRowId(0, 0));
+  EXPECT_FALSE(db_->CheckConsistency(&msg));
+  EXPECT_EQ(msg, "|NEW-ORDER| != undelivered orders");
+}
+
+// StockLevel counts distinct low-stock items by sort + unique; a hash set
+// over rows found by scanning the tables (not through the index) must
+// agree on every call.
+TEST_F(TpccFixture, StockLevelMatchesHashSetOverScannedRows) {
+  Rng rng(29);
+  for (int i = 0; i < 2000; ++i) db_->RunMixedTransaction(rng);
+
+  namespace ol = col::orderline;
+  std::map<std::tuple<int64_t, int64_t, int64_t>, std::vector<int64_t>> items;
+  std::map<std::pair<int64_t, int64_t>, int64_t> quantity, next_o_id;
+  auto for_rows = [](const Table& t, auto fn) {
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      for (uint32_t r = 0; r < t.chunk_rows(c); ++r)
+        if (t.IsVisible(MakeRowId(c, r))) fn(MakeRowId(c, r));
+  };
+  for_rows(db_->orderline, [&](RowId id) {
+    const Table& t = db_->orderline;
+    items[{t.GetInt(id, ol::w_id), t.GetInt(id, ol::d_id),
+           t.GetInt(id, ol::o_id)}]
+        .push_back(t.GetInt(id, ol::i_id));
+  });
+  for_rows(db_->stock, [&](RowId id) {
+    quantity[{db_->stock.GetInt(id, col::stock::w_id),
+              db_->stock.GetInt(id, col::stock::i_id)}] =
+        db_->stock.GetInt(id, col::stock::quantity);
+  });
+  for_rows(db_->district, [&](RowId id) {
+    next_o_id[{db_->district.GetInt(id, col::district::w_id),
+               db_->district.GetInt(id, col::district::id)}] =
+        db_->district.GetInt(id, col::district::next_o_id);
+  });
+
+  int64_t total = 0;
+  for (int i = 0; i < 300; ++i) {
+    Rng draw = rng;  // StockLevel's own draws, in its order
+    const int64_t w = draw.Uniform(1, db_->config().num_warehouses);
+    const int64_t d = draw.Uniform(1, 10);
+    const int64_t threshold = draw.Uniform(10, 20);
+    const int64_t next = next_o_id.at({w, d});
+    std::unordered_set<int64_t> low;
+    for (int64_t o = std::max<int64_t>(1, next - 20); o < next; ++o)
+      for (int64_t i_id : items.at({w, d, o}))
+        if (quantity.at({w, i_id}) < threshold) low.insert(i_id);
+    ASSERT_EQ(db_->StockLevel(rng), int(low.size())) << "call " << i;
+    total += int64_t(low.size());
+  }
+  EXPECT_GT(total, 0);
+}
+
+TEST_F(TpccFixture, IndexBytesAreBoundedPerRow) {
+  // 64 B per order (a 32 B entry, up to twice over by vector growth, plus
+  // the rare explicit line list), 8 B per stock, item, district and
+  // customer row, and 4 B more per customer for its last order.
+  auto bound = [this] {
+    const TpccDatabase& db = *db_;
+    return 64 * db.order.num_visible() +
+           8 * (db.stock.num_rows() + db.item.num_rows() +
+                db.warehouse.num_rows()) +
+           64 * db.district.num_rows() + 12 * db.customer.num_rows();
+  };
+  EXPECT_GT(db_->IndexBytes(), 32 * db_->order.num_visible());
+  EXPECT_LE(db_->IndexBytes(), bound());
+  Rng rng(31);
+  for (int i = 0; i < 3000; ++i) db_->RunMixedTransaction(rng);
+  EXPECT_LE(db_->IndexBytes(), bound());
+}
+
 }  // namespace
+
+// Friend of TpccDatabase: reads its private index.
+class TpccTest : public ::testing::Test {
+ protected:
+  static size_t ScatteredLines(const TpccDatabase& db) {
+    return db.scattered_.size();
+  }
+
+  // Reads every order and its lines, and a sample of stock and customer
+  // rows, through the index and checks the keys stored in the rows.
+  static void ExpectIndexAgrees(const TpccDatabase& db) {
+    namespace o = col::order;
+    namespace ol = col::orderline;
+    const TpccConfig& cfg = db.config();
+    for (int w = 1; w <= cfg.num_warehouses; ++w) {
+      for (int d = 1; d <= 10; ++d) {
+        const auto& orders = db.orders_[db.DistKey(w, d)];
+        for (size_t i = 0; i < orders.size(); ++i) {
+          const auto& e = orders[i];
+          const int64_t o_id = int64_t(i) + 1;
+          ASSERT_TRUE(db.order.IsVisible(e.order)) << w << "/" << d;
+          ASSERT_EQ(db.order.GetInt(e.order, o::id), o_id) << w << "/" << d;
+          ASSERT_EQ(db.order.GetInt(e.order, o::d_id), d);
+          ASSERT_EQ(db.order.GetInt(e.order, o::w_id), w);
+          ASSERT_EQ(db.order.GetInt(e.order, o::ol_cnt), e.ol_cnt);
+          for (int l = 0; l < e.ol_cnt; ++l) {
+            const RowId id = db.Line(e, l);
+            ASSERT_TRUE(db.orderline.IsVisible(id));
+            ASSERT_EQ(db.orderline.GetInt(id, ol::o_id), o_id)
+                << w << "/" << d << " line " << l;
+            ASSERT_EQ(db.orderline.GetInt(id, ol::d_id), d);
+            ASSERT_EQ(db.orderline.GetInt(id, ol::w_id), w);
+            ASSERT_EQ(db.orderline.GetInt(id, ol::number), l + 1);
+          }
+        }
+        for (int c = 1; c <= cfg.customers_per_district; c += 7) {
+          const RowId id = db.customer_idx_[db.CustKey(w, d, c)];
+          ASSERT_EQ(db.customer.GetInt(id, col::customer::id), c);
+          ASSERT_EQ(db.customer.GetInt(id, col::customer::d_id), d);
+          ASSERT_EQ(db.customer.GetInt(id, col::customer::w_id), w);
+        }
+      }
+      for (int i = 1; i <= cfg.num_items; i += 13) {
+        const RowId id = db.stock_idx_[db.StockKey(w, i)];
+        ASSERT_EQ(db.stock.GetInt(id, col::stock::i_id), i);
+        ASSERT_EQ(db.stock.GetInt(id, col::stock::w_id), w);
+      }
+    }
+  }
+};
+
+// Orders and order lines freeze (partial tails included), evict and get
+// relocated by Delivery while the mix runs; every index entry must still
+// name the rows of its key.
+TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
+  const std::string dir = ::testing::TempDir() + "tpcc_index_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  {
+    TpccDatabase db(SmallConfig());
+    db.Load();
+    LifecycleConfig lc;
+    lc.cold_threshold = 64;
+    lc.freeze_partial_tail = true;
+    lc.memory_budget_bytes = 256 << 10;
+    db.EnableLifecycle(lc, dir);
+    Rng rng(37);
+    for (int i = 1; i <= 4000; ++i) {
+      db.RunMixedTransaction(rng);
+      if (i % 50 == 0) db.LifecycleTick();
+    }
+    uint64_t evictions = 0;
+    for (LifecycleManager* m : db.lifecycle_managers())
+      evictions += m->stats().evictions;
+    EXPECT_GT(evictions, 0u);
+    // Both uncommon paths ran: some order lists its lines explicitly, and
+    // Delivery relocated orders and lines out of frozen chunks (each
+    // relocation leaves a deleted row behind).
+    EXPECT_GT(ScatteredLines(db), 0u);
+    EXPECT_GT(db.order.num_rows(), db.order.num_visible());
+    EXPECT_GT(db.orderline.num_rows(), db.orderline.num_visible());
+    ExpectIndexAgrees(db);
+    std::string msg;
+    EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace datablocks::tpcc
