@@ -4,10 +4,14 @@
 // Blocks (± PSMA), for both the natural c_custkey order and a shuffled
 // relation (where SMAs/PSMAs cannot narrow the scan). The indexed lookups
 // also run on evicted Data Blocks (a lifecycle manager at budget 0): each
-// reads the spine and the accessed columns from the archive into the
-// thread's point image, and the run exits non-zero if any evicted tuple
-// differs from the resident one. The "x4" rows run four lookup threads at
-// once, resident and evicted, to show how evicted lookups scale.
+// reads the 4 KB pages that hold its row — and the spine, on moving to
+// another block — from the archive into the thread's point image. The run
+// exits non-zero if any evicted tuple differs from the resident one, or
+// if evicted lookups read more than kMaxEvictedKbPerLookup of archive
+// each. The "x4" rows run four lookup threads at once, resident and
+// evicted, to show how evicted lookups scale. With --quick the evicted
+// copies use 1024-row chunks, so that a lookup usually lands in another
+// block than the one before it, as lookups over a large relation do.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,8 +37,15 @@ using namespace datablocks::tpch;
 
 namespace {
 
+/// Archive KB an evicted lookup may read: the row's pages of every column,
+/// not their extents. Deterministic for the fixed seeds: lookups read
+/// 44.5 KB with --quick and 58.6 KB at the default SF 0.5, where reading
+/// the accessed columns' whole extents took 172 KB and 1867 KB.
+constexpr double kMaxEvictedKbPerLookup = 64;
+
 std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
-                                uint64_t seed) {
+                                uint64_t seed,
+                                uint32_t chunk_capacity = 0) {
   std::vector<RowId> ids;
   for (size_t c = 0; c < src.num_chunks(); ++c)
     for (uint32_t r = 0; r < src.chunk_rows(c); ++r)
@@ -43,8 +54,9 @@ std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
     std::mt19937_64 rng(seed);
     std::shuffle(ids.begin(), ids.end(), rng);
   }
-  auto dst = std::make_unique<Table>(src.name() + "_copy", src.schema(),
-                                     src.chunk_capacity());
+  auto dst = std::make_unique<Table>(
+      src.name() + "_copy", src.schema(),
+      chunk_capacity != 0 ? chunk_capacity : src.chunk_capacity());
   std::vector<Value> row(src.schema().num_columns());
   for (RowId id : ids) {
     for (uint32_t c = 0; c < src.schema().num_columns(); ++c)
@@ -173,10 +185,14 @@ int main(int argc, char** argv) {
   PkIndex idx_frozen_shuf(*frozen_shuf, col::customer::custkey);
 
   // Evicted twins of the frozen tables: indexed while resident, then every
-  // block goes to a temporary archive and stays there.
-  auto evicted_ord = CopyRows(hot_ordered, /*shuffle=*/false, 0);
+  // block goes to a temporary archive and stays there. The quick run's
+  // relation fits one default block, so its twins use small ones.
+  const uint32_t evicted_capacity = quick ? 1024 : 0;
+  auto evicted_ord =
+      CopyRows(hot_ordered, /*shuffle=*/false, 0, evicted_capacity);
   evicted_ord->FreezeAll();
-  auto evicted_shuf = CopyRows(hot_ordered, /*shuffle=*/true, 3);
+  auto evicted_shuf =
+      CopyRows(hot_ordered, /*shuffle=*/true, 3, evicted_capacity);
   evicted_shuf->FreezeAll();
   PkIndex idx_evicted_ord(*evicted_ord, col::customer::custkey);
   PkIndex idx_evicted_shuf(*evicted_shuf, col::customer::custkey);
@@ -242,9 +258,16 @@ int main(int argc, char** argv) {
                                        max_key, idx_probes, kThreads));
   const LifecycleStats lo = mgr_ord.stats(), ls = mgr_shuf.stats();
   const double evicted_lookups = double(idx_probes) * (1 + kThreads);
+  const double kb_ord = double(lo.archive_bytes_read) / 1024 / evicted_lookups;
+  const double kb_shuf =
+      double(ls.archive_bytes_read) / 1024 / evicted_lookups;
   std::printf("%-34s %14.1f %14.1f\n", "  evicted: archive KB per lookup",
-              double(lo.archive_bytes_read) / 1024 / evicted_lookups,
-              double(ls.archive_bytes_read) / 1024 / evicted_lookups);
+              kb_ord, kb_shuf);
+  std::printf("%-34s %14.1f %14.1f\n", "  evicted: pages read per lookup",
+              double(lo.archive_pages_read) / evicted_lookups,
+              double(ls.archive_pages_read) / evicted_lookups);
+  std::printf("%-34s %14zu %14zu\n", "  evicted: blocks",
+              evicted_ord->num_chunks(), evicted_shuf->num_chunks());
   const int mismatches =
       CountMismatches(frozen_ord, idx_frozen_ord, *evicted_ord,
                       idx_evicted_ord, max_key, idx_probes) +
@@ -276,12 +299,18 @@ int main(int argc, char** argv) {
       " at a constant factor below uncompressed; index-less scans are\n"
       " orders of magnitude slower except on ordered Data Blocks, where\n"
       " SMAs/PSMAs narrow the scan; shuffling removes that advantage.\n"
-      " Evicted lookups read from the archive whenever they move to\n"
-      " another block, so they depend on how many blocks the relation\n"
-      " spans.)\n");
+      " Evicted lookups read the 4 KB pages that hold their row, plus the\n"
+      " spine whenever they move to another block.)\n");
   if (mismatches != 0) {
     std::fprintf(stderr, "%d evicted lookups differ from the resident ones\n",
                  mismatches);
+    return 1;
+  }
+  if (std::max(kb_ord, kb_shuf) > kMaxEvictedKbPerLookup) {
+    std::fprintf(stderr,
+                 "evicted lookups read %.1f / %.1f KB of archive each, more "
+                 "than %.0f KB\n",
+                 kb_ord, kb_shuf, kMaxEvictedKbPerLookup);
     return 1;
   }
   std::printf("evicted lookups agree with resident ones: %d keys\n",

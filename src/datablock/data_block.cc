@@ -343,6 +343,20 @@ uint64_t FirstRegion(const AttrMeta& m, uint32_t rows, uint64_t none) {
   return first;
 }
 
+/// Whether the string `ref` names lies inside the attribute's string area,
+/// which runs from its string offset to the extent's end `hi`. An empty
+/// string reads no byte and always does.
+bool StringInside(const AttrMeta& m, const StringDictRef& ref, uint64_t lo,
+                  uint64_t hi) {
+  if (ref.length == 0) return true;
+  // Overflow-proof: the offsets are untrusted.
+  if (m.string_offset < lo || m.string_offset > hi ||
+      ref.offset > hi - m.string_offset) {
+    return false;
+  }
+  return ref.length <= hi - (m.string_offset + ref.offset);
+}
+
 /// Largest code of a `width`-byte data vector of `n` codes.
 uint64_t MaxCode(const uint8_t* codes, uint32_t width, uint32_t n) {
   uint64_t max = 0;
@@ -387,11 +401,73 @@ Status DataBlock::Extents(std::vector<uint64_t>* begins) const {
   return Status::Ok();
 }
 
+void DataBlock::FirstPages(const std::vector<uint64_t>& begins,
+                           std::vector<uint64_t>* first) {
+  first->resize(begins.size());
+  if (begins.empty()) return;
+  (*first)[0] = 0;
+  for (size_t c = 0; c + 1 < begins.size(); ++c) {
+    const uint64_t bytes = begins[c + 1] - begins[c];
+    (*first)[c + 1] = (*first)[c] + (bytes + kPageBytes - 1) / kPageBytes;
+  }
+}
+
+Status DataBlock::ValidateAttr(uint32_t c, uint64_t lo, uint64_t hi) const {
+  const AttrMeta& m = attr(c);
+  const uint32_t n = num_rows();
+  auto fail = [c](const char* what) {
+    return Status::Corruption("attribute " + std::to_string(c) + ": " + what);
+  };
+  // Overflow-proof: [offset, offset + len) within [lo, hi).
+  auto inside = [lo, hi](uint64_t offset, uint64_t len) {
+    return offset >= lo && offset <= hi && len <= hi - offset;
+  };
+  // Arrays are read through typed pointers, so they must also be aligned
+  // (Build aligns every region to 32 bytes).
+  auto array_inside = [&inside](uint64_t offset, uint64_t len) {
+    return offset % 8 == 0 && inside(offset, len);
+  };
+  if (m.compression > uint8_t(Compression::kRaw) ||
+      m.type > uint8_t(TypeId::kChar1)) {
+    return fail("unknown compression scheme or type");
+  }
+  const Compression scheme = Compression(m.compression);
+  const TypeId type = TypeId(m.type);
+  if (scheme != Compression::kSingleValue) {
+    const uint32_t w = m.code_width;
+    if (w != 1 && w != 2 && w != 4 && w != 8) return fail("bad code width");
+    if (type == TypeId::kString && scheme != Compression::kDictionary)
+      return fail("strings must be dictionary-coded");
+    if (type == TypeId::kDouble && scheme != Compression::kRaw)
+      return fail("doubles must be stored raw");
+    if (scheme == Compression::kRaw && w != TypeWidth(type))
+      return fail("raw values must be as wide as their type");
+    if (!array_inside(m.data_offset, uint64_t(n) * w))
+      return fail("codes outside the extent or misaligned");
+  }
+  if (m.dict_count > 0 &&
+      !array_inside(m.dict_offset, uint64_t(m.dict_count) * 8))
+    return fail("dictionary outside the extent");
+  if (m.psma_entries > 0 &&
+      !array_inside(m.psma_offset,
+                    uint64_t(m.psma_entries) * sizeof(PsmaEntry)))
+    return fail("PSMA table outside the extent");
+  if ((m.flags & AttrMeta::kHasNulls) != 0 &&
+      !array_inside(m.null_offset, BitmapWords(n) * 8))
+    return fail("NULL bitmap outside the extent");
+  if (scheme == Compression::kDictionary && m.dict_count == 0)
+    return fail("dictionary code out of range");
+  if (type == TypeId::kString && scheme == Compression::kSingleValue &&
+      (m.flags & AttrMeta::kAllNull) == 0 && m.dict_count == 0) {
+    return fail("single string value without a dictionary entry");
+  }
+  return Status::Ok();
+}
+
 Status DataBlock::Validate(const ColumnSet& columns) const {
   std::vector<uint64_t> begins;
   if (Status s = Extents(&begins); !s.ok()) return s;
   const uint32_t ncols = num_columns();
-  const uint32_t n = num_rows();
   for (uint32_t i = 0; i < columns.size(ncols); ++i) {
     const uint32_t c = columns.at(i);
     if (c >= ncols) {
@@ -399,75 +475,113 @@ Status DataBlock::Validate(const ColumnSet& columns) const {
                                 " requested from a block of " +
                                 std::to_string(ncols));
     }
+    if (Status s = ValidateAttr(c, begins[c], begins[c + 1]); !s.ok())
+      return s;
     const AttrMeta& m = attr(c);
-    const uint64_t lo = begins[c], hi = begins[c + 1];
     auto fail = [c](const char* what) {
       return Status::Corruption("attribute " + std::to_string(c) + ": " +
                                 what);
     };
-    // Overflow-proof: [offset, offset + len) within [lo, hi).
-    auto inside = [lo, hi](uint64_t offset, uint64_t len) {
-      return offset >= lo && offset <= hi && len <= hi - offset;
-    };
-    // Arrays are read through typed pointers, so they must also be aligned
-    // (Build aligns every region to 32 bytes).
-    auto array_inside = [&inside](uint64_t offset, uint64_t len) {
-      return offset % 8 == 0 && inside(offset, len);
-    };
-    if (m.compression > uint8_t(Compression::kRaw) ||
-        m.type > uint8_t(TypeId::kChar1)) {
-      return fail("unknown compression scheme or type");
-    }
-    const Compression scheme = Compression(m.compression);
-    const TypeId type = TypeId(m.type);
-    const bool all_null = (m.flags & AttrMeta::kAllNull) != 0;
-    if (scheme != Compression::kSingleValue) {
-      const uint32_t w = m.code_width;
-      if (w != 1 && w != 2 && w != 4 && w != 8) return fail("bad code width");
-      if (type == TypeId::kString && scheme != Compression::kDictionary)
-        return fail("strings must be dictionary-coded");
-      if (type == TypeId::kDouble && scheme != Compression::kRaw)
-        return fail("doubles must be stored raw");
-      if (scheme == Compression::kRaw && w != TypeWidth(type))
-        return fail("raw values must be as wide as their type");
-      if (!array_inside(m.data_offset, uint64_t(n) * w))
-        return fail("codes outside the extent or misaligned");
-    }
-    if (m.dict_count > 0 &&
-        !array_inside(m.dict_offset, uint64_t(m.dict_count) * 8))
-      return fail("dictionary outside the extent");
-    if (m.psma_entries > 0 &&
-        !array_inside(m.psma_offset,
-                      uint64_t(m.psma_entries) * sizeof(PsmaEntry)))
-      return fail("PSMA table outside the extent");
-    if ((m.flags & AttrMeta::kHasNulls) != 0 &&
-        !array_inside(m.null_offset, BitmapWords(n) * 8))
-      return fail("NULL bitmap outside the extent");
-    // Dictionary lookups index by code; a string value is a reference into
-    // the string area, which runs to the end of the extent.
-    if (scheme == Compression::kDictionary &&
-        (m.dict_count == 0 ||
-         MaxCode(codes(c), m.code_width, n) >= m.dict_count)) {
+    // Dictionary lookups index by code.
+    if (Compression(m.compression) == Compression::kDictionary &&
+        MaxCode(codes(c), m.code_width, num_rows()) >= m.dict_count) {
       return fail("dictionary code out of range");
     }
-    if (type == TypeId::kString) {
-      if (scheme == Compression::kSingleValue && !all_null &&
-          m.dict_count == 0) {
-        return fail("single string value without a dictionary entry");
-      }
-      const StringDictRef* refs =
-          reinterpret_cast<const StringDictRef*>(buf_.data() + m.dict_offset);
-      const bool area_inside = inside(m.string_offset, 0);
-      for (uint32_t k = 0; k < m.dict_count; ++k) {
-        if (refs[k].length != 0 &&
-            (!area_inside ||
-             !inside(m.string_offset + refs[k].offset, refs[k].length))) {
-          return fail("dictionary string outside the extent");
-        }
-      }
+    if (TypeId(m.type) != TypeId::kString) continue;
+    const StringDictRef* refs =
+        reinterpret_cast<const StringDictRef*>(buf_.data() + m.dict_offset);
+    for (uint32_t k = 0; k < m.dict_count; ++k) {
+      if (!StringInside(m, refs[k], begins[c], begins[c + 1]))
+        return fail("dictionary string outside the extent");
     }
   }
   return Status::Ok();
+}
+
+Status DataBlock::ValidateSpine(std::vector<uint64_t>* begins) const {
+  if (Status s = Extents(begins); !s.ok()) return s;
+  for (uint32_t c = 0; c < num_columns(); ++c) {
+    if (Status s = ValidateAttr(c, (*begins)[c], (*begins)[c + 1]); !s.ok())
+      return s;
+  }
+  return Status::Ok();
+}
+
+Status DataBlock::ValidateRow(
+    uint32_t col, uint32_t row, uint64_t lo, uint64_t hi,
+    const std::function<Status(uint64_t offset, uint64_t len)>& need) const {
+  if (row >= num_rows()) {
+    return Status::FailedPrecondition("row " + std::to_string(row) +
+                                      " read from a block of " +
+                                      std::to_string(num_rows()));
+  }
+  const AttrMeta& m = attr(col);
+  const Compression scheme = Compression(m.compression);
+  if ((m.flags & AttrMeta::kHasNulls) != 0) {
+    if (Status s = need(m.null_offset + uint64_t(row / 64) * 8, 8); !s.ok())
+      return s;
+  }
+  uint64_t code = 0;
+  if (scheme != Compression::kSingleValue) {
+    if (Status s = need(m.data_offset + uint64_t(row) * m.code_width,
+                        m.code_width);
+        !s.ok()) {
+      return s;
+    }
+    code = ReadCode(col, row);
+  }
+  const bool str = TypeId(m.type) == TypeId::kString;
+  // A dictionary entry: the code's, or a single string value's only one.
+  if (scheme == Compression::kDictionary) {
+    if (code >= m.dict_count) {
+      return Status::Corruption("attribute " + std::to_string(col) +
+                                ": dictionary code out of range at row " +
+                                std::to_string(row));
+    }
+  } else if (!str || scheme != Compression::kSingleValue ||
+             m.dict_count == 0) {
+    return Status::Ok();
+  }
+  if (Status s = need(m.dict_offset + code * 8, 8); !s.ok()) return s;
+  if (!str) return Status::Ok();
+  const StringDictRef ref = reinterpret_cast<const StringDictRef*>(
+      buf_.data() + m.dict_offset)[code];
+  if (ref.length == 0) return Status::Ok();
+  if (!StringInside(m, ref, lo, hi)) {
+    return Status::Corruption("attribute " + std::to_string(col) +
+                              ": dictionary string outside the extent at "
+                              "row " + std::to_string(row));
+  }
+  return need(m.string_offset + ref.offset, ref.length);
+}
+
+Status PartialBlock::AdoptSpine() {
+  first_page_.clear();
+  if (Status s = block_.ValidateSpine(&begins_); !s.ok()) return s;
+  DataBlock::FirstPages(begins_, &first_page_);
+  present_.assign(BitmapWords(first_page_.back()), 0);
+  return Status::Ok();
+}
+
+void PartialBlock::PageRange(uint32_t col, uint64_t page, uint64_t* begin,
+                             uint64_t* end) const {
+  *begin = begins_[col] + (page - first_page_[col]) * DataBlock::kPageBytes;
+  *end = std::min(*begin + DataBlock::kPageBytes, begins_[col + 1]);
+}
+
+bool PartialBlock::Serves(uint32_t col, uint32_t row) const {
+  if (!has_spine()) return false;
+  return block_
+      .ValidateRow(col, row, begins_[col], begins_[col + 1],
+                   [&](uint64_t offset, uint64_t len) {
+                     for (uint64_t p = PageOf(col, offset),
+                                   last = PageOf(col, offset + len - 1);
+                          p <= last; ++p) {
+                       if (!HasPage(p)) return Status::NotFound("");
+                     }
+                     return Status::Ok();
+                   })
+      .ok();
 }
 
 uint64_t DataBlock::PsmaBytes() const {

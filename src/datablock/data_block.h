@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -227,6 +228,17 @@ class DataBlock {
     return sizeof(BlockHeader) + uint64_t(ncols) * sizeof(AttrMeta);
   }
 
+  /// Page of an attribute extent: the unit an archive checksums and a
+  /// point read of an evicted block fetches. Pages are counted from the
+  /// extent's start; its last page may be short.
+  static constexpr uint64_t kPageBytes = 4096;
+
+  /// Page ids of the extents `begins` describes (see Extents), numbered
+  /// across the block: extent c holds pages (*first)[c] up to, not
+  /// including, (*first)[c + 1], and first->back() is the page count.
+  static void FirstPages(const std::vector<uint64_t>& begins,
+                         std::vector<uint64_t>* first);
+
   /// Attribute extents: attribute c owns bytes [begins[c], begins[c + 1]),
   /// from its first region to where the next attribute's first region
   /// begins. begins[0] is the end of the spine and begins[ncols] the end of
@@ -246,6 +258,26 @@ class DataBlock {
   /// attributes.
   Status Validate(const ColumnSet& columns) const;
 
+  /// The part of Validate that reads the spine alone, for every attribute:
+  /// the block header, and each attribute's scheme, type and code width
+  /// with every region inside its extent. What a PartialBlock checks once
+  /// it holds the spine; `begins` receives the extents.
+  Status ValidateSpine(std::vector<uint64_t>* begins) const;
+
+  /// Row-level structural check, for an image that holds the spine (which
+  /// passed ValidateSpine) but only some other bytes: Validate's scan over
+  /// every code and dictionary entry cannot run on a partial extent.
+  /// Calls `need(offset, len)` on each byte range a point access of
+  /// (col, row) reads, before reading it and in order: the NULL-bitmap
+  /// word, the code, then for dictionaries the entry and the string bytes,
+  /// each located through the bytes before it. `need` returns Ok once the
+  /// range is present; any other Status ends the walk and is returned.
+  /// kCorruption if the code is not below dict_count or the string lies
+  /// outside the string area, which ends with the extent [lo, hi).
+  Status ValidateRow(
+      uint32_t col, uint32_t row, uint64_t lo, uint64_t hi,
+      const std::function<Status(uint64_t offset, uint64_t len)>& need) const;
+
   /// Total PSMA bytes in this block (reporting).
   uint64_t PsmaBytes() const;
 
@@ -253,8 +285,53 @@ class DataBlock {
   const BlockHeader* header() const {
     return reinterpret_cast<const BlockHeader*>(buf_.data());
   }
+  /// Spine-only checks of attribute `c`, whose extent is [lo, hi).
+  Status ValidateAttr(uint32_t c, uint64_t lo, uint64_t hi) const;
 
   AlignedBuffer buf_;
+};
+
+/// A point reader's partial image of one block: the spine plus the pages
+/// (DataBlock::kPageBytes) that point reads fetched into it, each verified
+/// by its archive checksum before it was added. The buffer has the whole
+/// block's size and every present byte sits at its offset, so the block's
+/// point accessors work unchanged on the rows the image serves.
+class PartialBlock {
+ public:
+  /// Forgets the spine and every page; the buffer is kept for reuse.
+  void Clear() { first_page_.clear(); }
+  bool has_spine() const { return !first_page_.empty(); }
+
+  const DataBlock& block() const { return block_; }
+  /// The buffer a reader fills: the spine, sized by ResizeForFill, before
+  /// AdoptSpine, then the pages it adds.
+  DataBlock* mutable_block() { return &block_; }
+  /// Takes the spine written into mutable_block() as this image's:
+  /// ValidateSpine, then no page present. kCorruption leaves no spine.
+  Status AdoptSpine();
+  /// Attribute extents, from the adopted spine.
+  const std::vector<uint64_t>& begins() const { return begins_; }
+  /// Id of the page that holds byte `offset` of attribute `col`'s extent.
+  uint64_t PageOf(uint32_t col, uint64_t offset) const {
+    return first_page_[col] + (offset - begins_[col]) / DataBlock::kPageBytes;
+  }
+  /// Byte range [*begin, *end) of page `page` of attribute `col`.
+  void PageRange(uint32_t col, uint64_t page, uint64_t* begin,
+                 uint64_t* end) const;
+  bool HasPage(uint64_t page) const {
+    return BitmapTest(present_.data(), page);
+  }
+  void AddPage(uint64_t page) { BitmapSet(present_.data(), page); }
+
+  /// Whether the image holds every byte a point access of (col, row) reads
+  /// and they pass ValidateRow.
+  bool Serves(uint32_t col, uint32_t row) const;
+
+ private:
+  DataBlock block_;
+  std::vector<uint64_t> begins_;
+  std::vector<uint64_t> first_page_;  // DataBlock::FirstPages; empty: none
+  std::vector<uint64_t> present_;     // bitmap over page ids
 };
 
 }  // namespace datablocks

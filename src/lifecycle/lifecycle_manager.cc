@@ -96,16 +96,16 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
   // The table's read path for evicted chunks, for scans' and point reads'
   // projected images alike. It must not call back into Table — ReadChunk
   // only touches the manager's own state (mu_) and the archive.
-  table_->SetBlockFetcher([this](size_t chunk_idx, const ColumnSet& columns,
-                                 BlockRead why, DataBlock* out) -> Status {
-    StatusOr<uint64_t> read = ReadChunk(chunk_idx, columns, out);
-    if (!read.ok()) return read.status();
-    const bool point = why == BlockRead::kPoint;
-    if (point) Metrics().point_reads->Add();
-    trace().Publish("lifecycle", point ? "point_read" : "scan_read",
-                    int64_t(chunk_idx), int64_t(*read));
-    return Status::Ok();
-  });
+  table_->SetBlockFetcher(
+      [this](size_t chunk_idx, const BlockRead& read) -> Status {
+        StatusOr<uint64_t> bytes = ReadChunk(chunk_idx, read);
+        if (!bytes.ok()) return bytes.status();
+        const bool point = read.kind == BlockRead::kPoint;
+        if (point) Metrics().point_reads->Add();
+        trace().Publish("lifecycle", point ? "point_read" : "scan_read",
+                        int64_t(chunk_idx), int64_t(*bytes));
+        return Status::Ok();
+      });
 }
 
 LifecycleManager::~LifecycleManager() {
@@ -139,8 +139,7 @@ LifecycleManager::~LifecycleManager() {
 }
 
 StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
-                                               const ColumnSet& columns,
-                                               DataBlock* out) {
+                                               const BlockRead& read) {
   // The archive reference is snapshotted under mu_ so a concurrent
   // compaction swap cannot pull the file out from under an in-flight read.
   std::shared_ptr<BlockArchive> archive;
@@ -171,23 +170,26 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
   if (archive == nullptr) {
     return Status::Unavailable("no archive (manager degraded at create)");
   }
-  StatusOr<uint64_t> read =
+  StatusOr<uint64_t> bytes =
       DB_FAILPOINT("lifecycle.reload")
           ? StatusOr<uint64_t>(Status::IoError(
                 "injected reload failure (failpoint lifecycle.reload)"))
-          : archive->ReadBlock(block_id, columns, out);
-  if (!read.ok()) {
-    QuarantineChunk(chunk_idx, read.status());
-    return read;
+      : read.kind == BlockRead::kPoint
+          ? archive->ReadRow(block_id, read.col, read.row, read.pages)
+          : archive->ReadBlock(block_id, read.columns, read.image);
+  if (!bytes.ok()) {
+    QuarantineChunk(chunk_idx, bytes.status());
+    return bytes;
   }
   ClearQuarantine(chunk_idx);
-  Metrics().archive_bytes_read->Add(*read);
-  return read;
+  Metrics().archive_bytes_read->Add(*bytes);
+  return bytes;
 }
 
 Status LifecycleManager::Readmit(size_t chunk_idx) {
   DataBlock block;
-  StatusOr<uint64_t> read = ReadChunk(chunk_idx, ColumnSet::All(), &block);
+  StatusOr<uint64_t> read =
+      ReadChunk(chunk_idx, BlockRead::Scan(ColumnSet::All(), &block));
   if (!read.ok()) return read.status();
   if (Status s = table_->ReadmitChunk(chunk_idx, std::move(block)); !s.ok())
     return s;
@@ -396,6 +398,7 @@ size_t LifecycleManager::CompactLocked(bool force) {
   // compaction's own per-block reads don't inflate archive_reads.
   const uint64_t old_reads = old->payload_reads();
   const uint64_t old_bytes_read = old->payload_bytes_read();
+  const uint64_t old_pages_read = old->payload_pages_read();
   const std::string tmp_path = archive_path_ + ".compact";
   std::vector<size_t> id_map;
   StatusOr<BlockArchive> compacted =
@@ -428,6 +431,8 @@ size_t LifecycleManager::CompactLocked(bool force) {
     }
     prior_archive_reads_.fetch_add(old_reads, std::memory_order_relaxed);
     prior_archive_bytes_read_.fetch_add(old_bytes_read,
+                                        std::memory_order_relaxed);
+    prior_archive_pages_read_.fetch_add(old_pages_read,
                                         std::memory_order_relaxed);
     archive_ = std::move(fresh);
   }
@@ -582,7 +587,8 @@ void LifecycleManager::RetryQuarantinedLocked() {
     // quarantine); failure re-quarantines with doubled backoff. No pin is
     // needed: tombstones and compaction only happen in Tick, which holds
     // tick_mu_ for this whole pass.
-    (void)ReadChunk(chunk, ColumnSet(std::vector<uint32_t>{}), &spine);
+    (void)ReadChunk(
+        chunk, BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
   }
 }
 
@@ -703,6 +709,9 @@ LifecycleStats LifecycleManager::stats() const {
     s.archive_bytes_read =
         archive_->payload_bytes_read() +
         prior_archive_bytes_read_.load(std::memory_order_relaxed);
+    s.archive_pages_read =
+        archive_->payload_pages_read() +
+        prior_archive_pages_read_.load(std::memory_order_relaxed);
   }
   s.resident_bytes = cache_.ResidentBytes([&](size_t c) {
     return table_->chunk_state(c) == ChunkState::kFrozen;

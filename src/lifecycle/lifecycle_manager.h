@@ -100,6 +100,7 @@ struct LifecycleStats {
   uint64_t resident_bytes = 0;   // resident frozen-block bytes (cache view)
   uint64_t archive_reads = 0;    // payload reads: scans, points, installs
   uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
+  uint64_t archive_pages_read = 0;  // extent pages those reads fetched
   uint64_t summary_bytes = 0;    // resident BlockSummary footprint
   uint64_t compactions = 0;      // archive compaction passes that rewrote
   uint64_t reclaimed_blocks = 0; // dead blocks dropped by compaction
@@ -118,9 +119,9 @@ struct LifecycleStats {
 /// block cache under a memory budget evicts the least recently used frozen
 /// blocks to a BlockArchive. Reads never install an evicted block: a scan
 /// reads just its columns from the archive into its own image, a point
-/// read the spine and the accessed column into its thread's point image,
-/// and the chunk stays evicted. The manager is the only code that installs
-/// a block, and only when it detaches (see the destructor).
+/// read the spine and the pages that hold its row into its thread's point
+/// image, and the chunk stays evicted. The manager is the only code that
+/// installs a block, and only when it detaches (see the destructor).
 ///
 /// One manager owns the lifecycle of one Table:
 ///
@@ -211,12 +212,12 @@ class LifecycleManager {
   /// true if newly archived.
   bool ArchiveChunk(size_t idx);
   void EnforceBudget();
-  /// Reads the spine and `columns` of evicted chunk `chunk_idx` from the
-  /// archive into `out`: the one read path (quarantine backoff, the
-  /// lifecycle.reload failpoint, checksums, Validate). A failure
-  /// quarantines the chunk, a success heals it. Returns the bytes read.
-  StatusOr<uint64_t> ReadChunk(size_t chunk_idx, const ColumnSet& columns,
-                               DataBlock* out);
+  /// Performs `read` of evicted chunk `chunk_idx` from the archive — a
+  /// scan's columns or a point read's pages: the one read path (quarantine
+  /// backoff, the lifecycle.reload failpoint, checksums, Validate or the
+  /// row check). A failure quarantines the chunk, a success heals it.
+  /// Returns the bytes read.
+  StatusOr<uint64_t> ReadChunk(size_t chunk_idx, const BlockRead& read);
   /// Reads chunk `chunk_idx`'s whole block and installs it resident (at
   /// detach).
   Status Readmit(size_t chunk_idx);
@@ -271,6 +272,7 @@ class LifecycleManager {
   std::atomic<uint64_t> reclaimed_bytes_{0};
   std::atomic<uint64_t> prior_archive_reads_{0};  // reads on retired archives
   std::atomic<uint64_t> prior_archive_bytes_read_{0};
+  std::atomic<uint64_t> prior_archive_pages_read_{0};
   std::atomic<uint64_t> reload_failures_{0};
   std::atomic<uint64_t> retry_attempts_{0};
   std::atomic<uint64_t> write_failures_{0};

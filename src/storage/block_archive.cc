@@ -67,95 +67,126 @@ constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 constexpr size_t kSpineSum = 0;   // checksum-table word: spine checksum
 constexpr size_t kBitmapSum = 1;  // checksum-table word: bitmap checksum
 
-/// Words of a block's checksum table: the spine and bitmap checksums, then
-/// (extent start, extent checksum) per attribute.
-uint64_t TableWords(uint32_t attr_count) {
-  return 2 + 2 * uint64_t(attr_count);
-}
-
-uint64_t ExtentBegin(const std::vector<uint64_t>& t, uint32_t c) {
-  return t[2 + 2 * size_t(c)];
-}
-
-/// End of attribute c's extent: the next one's start, or the block's end.
-uint64_t ExtentEnd(const std::vector<uint64_t>& t, uint32_t c,
-                   uint64_t block_bytes) {
-  return 2 + 2 * size_t(c + 1) < t.size() ? ExtentBegin(t, c + 1)
-                                          : block_bytes;
-}
+/// Words of a block's checksum table before its page checksums: the spine
+/// and bitmap checksums, then the start of each attribute extent.
+uint64_t HeadWords(uint32_t attr_count) { return 2 + uint64_t(attr_count); }
 
 uint64_t TableMix(const std::vector<uint64_t>& t) {
   return Fnv1a64(reinterpret_cast<const uint8_t*>(t.data()), t.size() * 8,
                  kFnvBasis);
 }
 
+uint64_t PageSum(const uint8_t* block, uint64_t begin, uint64_t end) {
+  return Fnv1a64(block + begin, end - begin, kFnvBasis);
+}
+
+}  // namespace
+
+/// The table's head parsed: extents in order from the spine's end to the
+/// block's end. False for a head no block of `block_bytes` has.
+bool BlockArchive::ChecksumTable::Parse(uint32_t attr_count,
+                                        uint64_t block_bytes) {
+  if (words.size() < HeadWords(attr_count)) return false;
+  uint64_t prev = DataBlock::SpineBytes(attr_count);
+  if (prev > block_bytes) return false;
+  begins.resize(attr_count + 1);
+  for (uint32_t c = 0; c < attr_count; ++c) {
+    const uint64_t begin = words[2 + c];
+    if ((c == 0 && begin != prev) || begin < prev || begin > block_bytes)
+      return false;
+    begins[c] = prev = begin;
+  }
+  begins[attr_count] = block_bytes;
+  DataBlock::FirstPages(begins, &first_page);
+  return true;
+}
+
+uint64_t BlockArchive::ChecksumTable::Words() const {
+  return begins.size() + 1 + first_page.back();  // head, then pages
+}
+
+uint64_t BlockArchive::ChecksumTable::page_sum(uint64_t page) const {
+  return words[begins.size() + 1 + page];  // after the head's 2 + ncols
+}
+
+namespace {
+
 /// The checksum table of `block` and its delete bitmap (AppendBlock).
 Status BuildChecksumTable(const DataBlock& block, const uint8_t* bitmap,
-                          uint64_t bitmap_words, std::vector<uint64_t>* t) {
+                          uint64_t bitmap_words,
+                          BlockArchive::ChecksumTable* t) {
   std::vector<uint64_t> begins;
   if (Status s = block.Extents(&begins); !s.ok()) return s;
   const uint32_t ncols = block.num_columns();
   const uint8_t* raw = block.raw_bytes();
-  t->assign(TableWords(ncols), 0);
-  (*t)[kSpineSum] = Fnv1a64(raw, DataBlock::SpineBytes(ncols), kFnvBasis);
-  (*t)[kBitmapSum] = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
+  t->words.assign(HeadWords(ncols), 0);
+  t->words[kSpineSum] =
+      Fnv1a64(raw, DataBlock::SpineBytes(ncols), kFnvBasis);
+  t->words[kBitmapSum] = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
+  for (uint32_t c = 0; c < ncols; ++c) t->words[2 + c] = begins[c];
   for (uint32_t c = 0; c < ncols; ++c) {
-    (*t)[2 + 2 * size_t(c)] = begins[c];
-    (*t)[3 + 2 * size_t(c)] =
-        Fnv1a64(raw + begins[c], begins[c + 1] - begins[c], kFnvBasis);
+    for (uint64_t b = begins[c]; b < begins[c + 1];
+         b += DataBlock::kPageBytes) {
+      t->words.push_back(PageSum(
+          raw, b, std::min(b + DataBlock::kPageBytes, begins[c + 1])));
+    }
   }
+  DB_CHECK(t->Parse(ncols, block.SizeBytes()));
   return Status::Ok();
 }
 
-/// A stored table fits its entry: right size, extents in order from the
-/// spine's end to the block's end.
-bool TableWellFormed(const std::vector<uint64_t>& t, uint32_t attr_count,
-                     uint64_t block_bytes) {
-  if (t.size() != TableWords(attr_count)) return false;
-  uint64_t prev = DataBlock::SpineBytes(attr_count);
-  if (prev > block_bytes) return false;
-  for (uint32_t c = 0; c < attr_count; ++c) {
-    const uint64_t begin = ExtentBegin(t, c);
-    if ((c == 0 && begin != prev) || begin < prev || begin > block_bytes)
-      return false;
-    prev = begin;
-  }
-  return true;
+Status Mismatch(size_t id, const std::string& region, uint64_t stored,
+                uint64_t read) {
+  char msg[200];
+  std::snprintf(msg, sizeof(msg),
+                "checksum mismatch on block %zu %s (stored %016llx, read "
+                "%016llx)",
+                id, region.c_str(), (unsigned long long)stored,
+                (unsigned long long)read);
+  return Status::Corruption(msg);
+}
+
+/// Checks page `page` of attribute `c`'s extent in `block` against `t`.
+Status VerifyPage(const uint8_t* block, const BlockArchive::ChecksumTable& t,
+                  uint32_t c, uint64_t page, size_t id) {
+  const uint64_t begin =
+      t.begins[c] + (page - t.first_page[c]) * DataBlock::kPageBytes;
+  const uint64_t h = PageSum(
+      block, begin, std::min(begin + DataBlock::kPageBytes, t.begins[c + 1]));
+  if (h == t.page_sum(page)) return Status::Ok();
+  return Mismatch(id,
+                  "attribute " + std::to_string(c) + " page " +
+                      std::to_string(page - t.first_page[c]),
+                  t.page_sum(page), h);
+}
+
+Status VerifySpine(const uint8_t* block, const BlockArchive::ChecksumTable& t,
+                   uint32_t ncols, size_t id) {
+  const uint64_t h = Fnv1a64(block, DataBlock::SpineBytes(ncols), kFnvBasis);
+  if (h == t.words[kSpineSum]) return Status::Ok();
+  return Mismatch(id, "spine", t.words[kSpineSum], h);
 }
 
 /// Checks the regions of a block image that `columns` covers — the spine,
-/// their extents and, for ColumnSet::All(), the delete bitmap — against
-/// checksum table `t`. kCorruption names the first region that differs.
-Status VerifyChecksums(const uint8_t* block, uint64_t block_bytes,
-                       const uint8_t* bitmap, uint64_t bitmap_words,
-                       const std::vector<uint64_t>& t,
+/// every page of their extents and, for ColumnSet::All(), the delete
+/// bitmap — against checksum table `t`. kCorruption names the first region
+/// that differs.
+Status VerifyChecksums(const uint8_t* block, const uint8_t* bitmap,
+                       uint64_t bitmap_words,
+                       const BlockArchive::ChecksumTable& t,
                        const ColumnSet& columns, size_t id) {
-  const uint32_t ncols = uint32_t((t.size() - 2) / 2);
-  auto mismatch = [id](const std::string& region, uint64_t stored,
-                       uint64_t read) {
-    char msg[160];
-    std::snprintf(msg, sizeof(msg),
-                  "checksum mismatch on block %zu %s (stored %016llx, read "
-                  "%016llx)",
-                  id, region.c_str(), (unsigned long long)stored,
-                  (unsigned long long)read);
-    return Status::Corruption(msg);
-  };
-  uint64_t h = Fnv1a64(block, DataBlock::SpineBytes(ncols), kFnvBasis);
-  if (h != t[kSpineSum]) return mismatch("spine", t[kSpineSum], h);
+  const uint32_t ncols = uint32_t(t.begins.size() - 1);
+  if (Status s = VerifySpine(block, t, ncols, id); !s.ok()) return s;
   for (uint32_t i = 0; i < columns.size(ncols); ++i) {
     const uint32_t c = columns.at(i);
-    const uint64_t begin = ExtentBegin(t, c);
-    h = Fnv1a64(block + begin, ExtentEnd(t, c, block_bytes) - begin,
-                kFnvBasis);
-    if (h != t[3 + 2 * size_t(c)]) {
-      return mismatch("attribute " + std::to_string(c), t[3 + 2 * size_t(c)],
-                      h);
+    for (uint64_t p = t.first_page[c]; p < t.first_page[c + 1]; ++p) {
+      if (Status s = VerifyPage(block, t, c, p, id); !s.ok()) return s;
     }
   }
   if (columns.all()) {
-    h = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
-    if (h != t[kBitmapSum]) return mismatch("delete bitmap", t[kBitmapSum], h);
+    const uint64_t h = Fnv1a64(bitmap, bitmap_words * 8, kFnvBasis);
+    if (h != t.words[kBitmapSum])
+      return Mismatch(id, "delete bitmap", t.words[kBitmapSum], h);
   }
   return Status::Ok();
 }
@@ -264,6 +295,7 @@ BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   end_offset_ = o.end_offset_;
   payload_reads_ = o.payload_reads_;
   payload_bytes_read_ = o.payload_bytes_read_;
+  payload_pages_read_ = o.payload_pages_read_;
   writable_ = o.writable_;
   o.fd_ = -1;
   o.writable_ = false;
@@ -418,10 +450,11 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
     return Status::Corruption(msg);
   }
 
-  // Entry sanity: every payload must fit between the header plus its
-  // checksum table and the index, and its deletion count must agree with
-  // its bitmap's shape. A corrupt record must not drive ReadBlock into a
-  // wild pread or an absurd allocation, nor Restore into a wrong count.
+  // Entry sanity: every payload, with its checksum table's head after it,
+  // must fit between the header and the index, and its deletion count must
+  // agree with its bitmap's shape. A corrupt record must not drive
+  // ReadBlock into a wild pread or an absurd allocation, nor Restore into a
+  // wrong count.
   for (uint32_t i = 0; i < hdr.block_count; ++i) {
     const ArchiveEntry& e = a.entries_[i];
     auto bad = [&](const std::string& what) {
@@ -432,11 +465,10 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
         e.bitmap_words > file_size / 8 || e.attr_count > file_size / 16) {
       return bad("has implausible sizes");
     }
-    const uint64_t table_bytes = TableWords(e.attr_count) * 8;
+    const uint64_t head_bytes = HeadWords(e.attr_count) * 8;
     const uint64_t payload = e.block_bytes + e.bitmap_words * 8;
-    if (e.offset < sizeof(FileHeader) + table_bytes ||
-        e.offset > hdr.index_offset ||
-        payload > hdr.index_offset - e.offset) {
+    if (e.offset < sizeof(FileHeader) || e.offset > hdr.index_offset ||
+        payload + head_bytes > hdr.index_offset - e.offset) {
       return bad("out of bounds (offset " + std::to_string(e.offset) + ", " +
                  std::to_string(e.block_bytes) + " bytes)");
     }
@@ -462,15 +494,27 @@ Status BlockArchive::OpenIndex(BlockArchive& a, const FileHeader& hdr,
       a.summaries_[i] =
           std::make_shared<const BlockSummary>(std::move(*summary));
     }
-    // The checksum table sits right before the payload. One that fails its
-    // entry's checksum fails that block's reads alone, as a damaged payload
-    // does.
-    std::vector<uint64_t> table(TableWords(e.attr_count));
-    if (PreadFull(a.fd_, table.data(), table_bytes, e.offset - table_bytes,
-                  "checksum table")
-            .ok() &&
-        TableMix(table) == e.checksum &&
-        TableWellFormed(table, e.attr_count, e.block_bytes)) {
+    // The checksum table sits right after the payload: its head, whose
+    // extents give the number of page checksums that follow. One that is
+    // malformed or fails its entry's checksum fails that block's reads
+    // alone, as a damaged payload does.
+    const uint64_t table_off = e.offset + payload;
+    auto table = std::make_unique<ChecksumTable>();
+    table->words.resize(HeadWords(e.attr_count));
+    bool ok = PreadFull(a.fd_, table->words.data(), head_bytes, table_off,
+                        "checksum table")
+                  .ok() &&
+              table->Parse(e.attr_count, e.block_bytes) &&
+              table->Words() * 8 <= hdr.index_offset - table_off;
+    if (ok) {
+      table->words.resize(table->Words());
+      ok = PreadFull(a.fd_, table->words.data() + HeadWords(e.attr_count),
+                     table->words.size() * 8 - head_bytes,
+                     table_off + head_bytes, "checksum table")
+               .ok() &&
+           TableMix(table->words) == e.checksum;
+    }
+    if (ok) {
       a.tables_[i] = std::move(table);
     } else {
       Metrics().read_errors->Add();
@@ -510,22 +554,22 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
     deleted_count += uint32_t(std::popcount(bitmap[w]));
   }
 
-  std::vector<uint64_t> table;
+  auto table = std::make_unique<ChecksumTable>();
   if (Status s = BuildChecksumTable(
           block, reinterpret_cast<const uint8_t*>(bitmap.data()), bitmap_words,
-          &table);
+          table.get());
       !s.ok()) {
     return CountWrite(std::move(s));
   }
-  const uint64_t table_bytes = table.size() * 8;
+  const uint64_t table_bytes = table->words.size() * 8;
 
-  // Table, payload, bitmap — any failure truncates back to the last good
+  // Payload, bitmap, table — any failure truncates back to the last good
   // end-of-payload so every previously appended block stays readable and a
   // later Finish publishes a consistent index.
-  Status s = PwriteFull(fd_, table.data(), table_bytes, end_offset_,
-                        "checksum table");
-  const uint64_t payload_off = end_offset_ + table_bytes;
-  if (s.ok() && DB_FAILPOINT("archive.append.short_write")) {
+  const uint64_t payload_off = end_offset_;
+  const uint64_t table_off = payload_off + block_bytes + bitmap_words * 8;
+  Status s = Status::Ok();
+  if (DB_FAILPOINT("archive.append.short_write")) {
     // Simulated torn append: half the payload reaches the disk, then the
     // device gives up. Exactly what a crash/disk-full leaves behind — and
     // what the truncate below must clean up.
@@ -541,6 +585,10 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
     s = PwriteFull(fd_, bitmap.data(), bitmap_words * 8,
                    payload_off + block_bytes, "delete bitmap");
   }
+  if (s.ok()) {
+    s = PwriteFull(fd_, table->words.data(), table_bytes, table_off,
+                   "checksum table");
+  }
   if (!s.ok()) {
     // Roll the file back; ignore a failed truncate (the stray bytes sit
     // past end_offset_, invisible to the index).
@@ -552,7 +600,7 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   e.offset = payload_off;
   e.block_bytes = block_bytes;
   e.bitmap_words = bitmap_words;
-  e.checksum = TableMix(table);
+  e.checksum = TableMix(table->words);
   e.chunk_index = chunk_index;
   e.deleted_count = deleted_count;
   e.row_count = block.num_rows();
@@ -562,8 +610,37 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
       summary != nullptr ? std::make_shared<const BlockSummary>(*summary)
                          : nullptr);
   tables_.push_back(std::move(table));
-  end_offset_ = payload_off + block_bytes + bitmap_words * 8;
+  end_offset_ = table_off + table_bytes;
   return entries_.size() - 1;
+}
+
+Status BlockArchive::BeginRead(size_t id, ArchiveEntry* e,
+                               const ChecksumTable** table) const {
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    if (id >= entries_.size()) {
+      return Status::NotFound("no archived block " + std::to_string(id) +
+                              " (archive has " +
+                              std::to_string(entries_.size()) + ")");
+    }
+    *e = entries_[id];
+    *table = tables_[id].get();
+    ++payload_reads_;
+  }
+  if (DB_FAILPOINT("archive.read.ioerror")) {
+    return Status::IoError("injected read failure (failpoint)");
+  }
+  if (*table == nullptr) {
+    return Status::Corruption("block " + std::to_string(id) +
+                              ": its checksum table failed verification");
+  }
+  return Status::Ok();
+}
+
+void BlockArchive::CountBytesRead(uint64_t bytes, uint64_t pages) const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  payload_bytes_read_ += bytes;
+  payload_pages_read_ += pages;
 }
 
 StatusOr<uint64_t> BlockArchive::ReadBlock(
@@ -571,26 +648,10 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
     std::vector<uint64_t>* delete_bitmap) const {
   DB_CHECK(mu_ != nullptr);
   ArchiveEntry e;
-  std::vector<uint64_t> table;
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    if (id >= entries_.size()) {
-      return CountRead(Status::NotFound(
-          "no archived block " + std::to_string(id) + " (archive has " +
-          std::to_string(entries_.size()) + ")"));
-    }
-    e = entries_[id];
-    table = tables_[id];
-    ++payload_reads_;
-  }
-  if (DB_FAILPOINT("archive.read.ioerror")) {
-    return CountRead(Status::IoError("injected read failure (failpoint)"));
-  }
+  const ChecksumTable* table;
+  if (Status s = BeginRead(id, &e, &table); !s.ok())
+    return CountRead(std::move(s));
   const std::string block_name = "block " + std::to_string(id);
-  if (table.empty()) {
-    return CountRead(Status::Corruption(
-        block_name + ": its checksum table failed verification"));
-  }
   const uint32_t ncols = e.attr_count;
   for (uint32_t i = 0; i < columns.size(ncols); ++i) {
     if (columns.at(i) >= ncols) {
@@ -606,7 +667,7 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
   // concurrent reads of different blocks must overlap their disk time.
   out->ResizeForFill(e.block_bytes);
   uint8_t* buf = out->fill_bytes();
-  uint64_t bytes = 0;
+  uint64_t bytes = 0, pages = 0;
   uint64_t run_begin = 0, run_end = DataBlock::SpineBytes(ncols);
   auto flush = [&]() -> Status {
     if (run_end == run_begin) return Status::Ok();
@@ -617,8 +678,8 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
   Status s = Status::Ok();
   for (uint32_t i = 0; i < columns.size(ncols) && s.ok(); ++i) {
     const uint32_t c = columns.at(i);
-    const uint64_t begin = ExtentBegin(table, c);
-    const uint64_t end = ExtentEnd(table, c, e.block_bytes);
+    const uint64_t begin = table->begins[c], end = table->begins[c + 1];
+    pages += table->first_page[c + 1] - table->first_page[c];
     if (begin == end) continue;
     if (begin != run_end) {
       s = flush();
@@ -635,9 +696,8 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
   }
   if (!s.ok()) return CountRead(std::move(s));
 
-  s = VerifyChecksums(buf, e.block_bytes,
-                      reinterpret_cast<const uint8_t*>(bitmap.data()),
-                      bitmap.size(), table, columns, id);
+  s = VerifyChecksums(buf, reinterpret_cast<const uint8_t*>(bitmap.data()),
+                      bitmap.size(), *table, columns, id);
   if (s.ok() && DB_FAILPOINT("archive.read.corruption")) {
     s = Status::Corruption("checksum mismatch on " + block_name +
                            " (failpoint)");
@@ -660,10 +720,8 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
   // spine implies must be the ones the table verified.
   std::vector<uint64_t> begins;
   s = out->Extents(&begins);
-  bool agree = s.ok() && begins.size() == size_t(ncols) + 1 &&
-               out->num_rows() == e.row_count;
-  for (uint32_t c = 0; agree && c < ncols; ++c)
-    agree = begins[c] == ExtentBegin(table, c);
+  const bool agree =
+      s.ok() && begins == table->begins && out->num_rows() == e.row_count;
   if (agree) s = out->Validate(columns);
   if (!agree || !s.ok()) {
     const std::string why =
@@ -672,8 +730,86 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(
         block_name + " bytes are not a well-formed block: " + why));
   }
   if (delete_bitmap != nullptr) *delete_bitmap = std::move(bitmap);
-  std::lock_guard<std::mutex> lock(*mu_);
-  payload_bytes_read_ += bytes;
+  CountBytesRead(bytes, pages);
+  return bytes;
+}
+
+StatusOr<uint64_t> BlockArchive::ReadRow(size_t id, uint32_t col,
+                                         uint32_t row,
+                                         PartialBlock* image) const {
+  DB_CHECK(mu_ != nullptr);
+  ArchiveEntry e;
+  const ChecksumTable* table;
+  if (Status s = BeginRead(id, &e, &table); !s.ok())
+    return CountRead(std::move(s));
+  const std::string block_name = "block " + std::to_string(id);
+  if (col >= e.attr_count) {
+    return CountRead(Status::Corruption(block_name + " has no attribute " +
+                                        std::to_string(col)));
+  }
+  auto malformed = [&block_name](const Status& why) {
+    return Status::Corruption(block_name +
+                              " bytes are not a well-formed block: " +
+                              why.message());
+  };
+  uint64_t bytes = 0, pages = 0;
+  Status s = Status::Ok();
+  DataBlock* block = image->mutable_block();
+  if (!image->has_spine()) {
+    // The spine, checked as a projected read checks it; its extents must
+    // be the ones the table's page checksums cover.
+    block->ResizeForFill(e.block_bytes);
+    const uint64_t spine = DataBlock::SpineBytes(e.attr_count);
+    bytes += spine;
+    s = PreadFull(fd_, block->fill_bytes(), spine, e.offset, "block spine");
+    if (s.ok()) s = VerifySpine(block->raw_bytes(), *table, e.attr_count, id);
+    if (s.ok()) {
+      s = image->AdoptSpine();
+      if (!s.ok()) {
+        s = malformed(s);
+      } else if (image->begins() != table->begins ||
+                 block->num_rows() != e.row_count) {
+        image->Clear();
+        s = malformed(Status::Corruption("layout disagrees with its index"));
+      }
+    }
+  }
+  // The row's pages: each range ValidateRow is about to read is fetched
+  // where the image lacks it, in one pread, and each page is verified
+  // before it is added.
+  Status fetch = Status::Ok();
+  auto need = [&](uint64_t offset, uint64_t len) -> Status {
+    uint64_t first = image->PageOf(col, offset);
+    uint64_t last = image->PageOf(col, offset + len - 1);
+    while (first <= last && image->HasPage(first)) ++first;
+    while (last > first && image->HasPage(last)) --last;
+    if (first > last) return Status::Ok();
+    uint64_t begin, end, unused;
+    image->PageRange(col, first, &begin, &unused);
+    image->PageRange(col, last, &unused, &end);
+    bytes += end - begin;
+    pages += last - first + 1;
+    fetch = PreadFull(fd_, block->fill_bytes() + begin, end - begin,
+                      e.offset + begin, "block page");
+    for (uint64_t p = first; fetch.ok() && p <= last; ++p) {
+      fetch = VerifyPage(block->raw_bytes(), *table, col, p, id);
+      if (fetch.ok()) image->AddPage(p);
+    }
+    return fetch;
+  };
+  if (s.ok()) {
+    s = block->ValidateRow(col, row, table->begins[col],
+                           table->begins[col + 1], need);
+    // A failure of the row check itself, not of a fetch: the bytes passed
+    // their checksums but are not a well-formed block.
+    if (fetch.ok() && s.code() == StatusCode::kCorruption) s = malformed(s);
+  }
+  if (s.ok() && DB_FAILPOINT("archive.read.corruption")) {
+    s = Status::Corruption("checksum mismatch on " + block_name +
+                           " (failpoint)");
+  }
+  if (!s.ok()) return CountRead(std::move(s));
+  CountBytesRead(bytes, pages);
   return bytes;
 }
 
@@ -706,6 +842,11 @@ uint64_t BlockArchive::payload_reads() const {
 uint64_t BlockArchive::payload_bytes_read() const {
   std::lock_guard<std::mutex> lock(*mu_);
   return payload_bytes_read_;
+}
+
+uint64_t BlockArchive::payload_pages_read() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return payload_pages_read_;
 }
 
 size_t BlockArchive::num_blocks() const {

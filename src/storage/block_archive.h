@@ -13,10 +13,11 @@
 
 namespace datablocks {
 
-/// One archived block's catalog record. The block's checksum table sits
-/// right before its payload, and the optional delete bitmap right after it.
-/// The summary fields locate the block's serialized BlockSummary inside the
-/// index summary blob — readable without touching any payload bytes.
+/// One archived block's catalog record. The optional delete bitmap sits
+/// right after the block's payload, and the block's checksum table after
+/// that. The summary fields locate the block's serialized BlockSummary
+/// inside the index summary blob — readable without touching any payload
+/// bytes.
 struct ArchiveEntry {
   uint64_t offset;        // file offset of the serialized block
   uint64_t block_bytes;   // length of the serialized block
@@ -35,27 +36,32 @@ static_assert(sizeof(ArchiveEntry) == 64);
 /// maintaining a flat structure without pointers, Data Blocks are also
 /// suitable for eviction to secondary storage").
 ///
-/// Archive format v6, the only readable one: a versioned file header, the
-/// serialized blocks — each preceded by its checksum table and optionally
-/// followed by its delete bitmap — and an index written by Finish(): the
-/// ArchiveEntry records, a blob of serialized BlockSummary records, and a
-/// trailing checksum over the whole index region (so index corruption is
-/// detected, not just payload corruption). The index enables per-block
-/// random access, and the summary blob makes every block's SMA/PSMA
-/// metadata restorable *without payload reads* — an SMA-pruned scan never
-/// has to fault the block in.
+/// Archive format v7, the only readable one: a versioned file header, the
+/// serialized blocks — each followed by its optional delete bitmap and its
+/// checksum table — and an index written by Finish(): the ArchiveEntry
+/// records, a blob of serialized BlockSummary records, and a trailing
+/// checksum over the whole index region (so index corruption is detected,
+/// not just payload corruption). The index enables per-block random
+/// access, and the summary blob makes every block's SMA/PSMA metadata
+/// restorable *without payload reads* — an SMA-pruned scan never has to
+/// fault the block in.
 ///
-/// Checksums are per attribute, so a scan can read just its columns: a
-/// block's checksum table holds one checksum for its spine (BlockHeader
-/// plus the AttrMeta array), one for its delete bitmap, and the start and
-/// checksum of each attribute's extent (DataBlock::Extents: from the
-/// attribute's first region to where the next attribute's begins). Every
+/// Checksums are per 4 KB page, so a scan can read just its columns and a
+/// point read just its row. A block's checksum table holds one checksum for
+/// its spine (BlockHeader plus the AttrMeta array), one for its delete
+/// bitmap, the start of each attribute's extent (DataBlock::Extents: from
+/// the attribute's first region to where the next attribute's begins),
+/// and then one checksum per page of every extent, pages counted from the
+/// extent's start (DataBlock::kPageBytes, DataBlock::FirstPages). Every
 /// payload byte is covered by exactly one of them, and the entry stores
-/// the mix of the table itself. A projected ReadBlock verifies only the
-/// spine and the extents it read; the full read verifies them all. Every
-/// checksum is an 8-lane FNV-style mix: each 64-byte stripe feeds one word
-/// to each of eight independent multiply chains, which the core overlaps
-/// instead of waiting on one serial chain per 8 bytes.
+/// the mix of the table itself. A projected ReadBlock reads whole extents
+/// and verifies the spine and every page of the extents it read; the full
+/// read verifies them all. ReadRow reads the spine if the image lacks it,
+/// then only the pages that hold one row's value, and verifies each page
+/// before use. Every checksum is an 8-lane FNV-style mix: each 64-byte
+/// stripe feeds one word to each of eight independent multiply chains,
+/// which the core overlaps instead of waiting on one serial chain per 8
+/// bytes.
 ///
 /// Two kinds of file use this format, and neither is ever recovered:
 /// - A lifecycle manager's eviction archive is scratch. It is created
@@ -71,7 +77,9 @@ static_assert(sizeof(ArchiveEntry) == 64);
 /// of aborting. A failed append truncates back to the last good
 /// end-of-payload — pre-existing blocks stay readable. Checksums, the
 /// structural checks of DataBlock::Validate and the lifecycle's quarantine
-/// protect reads; any other format version is rejected.
+/// protect reads; any other format version is rejected. A point read's
+/// row check (DataBlock::ValidateRow) stands in for Validate's full scan
+/// of codes and dictionary entries, which a partial extent cannot run.
 ///
 /// An archive is either being written (Create + AppendBlock, index kept in
 /// memory, ReadBlock works on already-appended blocks) or opened read-only
@@ -79,8 +87,8 @@ static_assert(sizeof(ArchiveEntry) == 64);
 class BlockArchive {
  public:
   static constexpr uint32_t kMagic = 0x52414244;  // "DBAR"
-  static constexpr uint32_t kVersion = 6;
-  static constexpr uint32_t kMinVersion = 6;  // oldest readable format
+  static constexpr uint32_t kVersion = 7;
+  static constexpr uint32_t kMinVersion = 7;  // oldest readable format
 
   BlockArchive() = default;
   ~BlockArchive();
@@ -124,6 +132,17 @@ class BlockArchive {
       size_t id, const ColumnSet& columns, DataBlock* out,
       std::vector<uint64_t>* delete_bitmap = nullptr) const;
 
+  /// Point read of row `row`, attribute `col` of block `id` into `image`:
+  /// the spine if `image` lacks it, then the pages that hold the row's
+  /// code, its NULL-bitmap word and, for dictionaries, its entry and
+  /// string bytes, where `image` lacks them. Every page is verified before
+  /// it is added, and the row passes DataBlock::ValidateRow. `image` must
+  /// be empty or hold pages of this block. Returns the payload bytes read.
+  /// kCorruption on a checksum mismatch or malformed bytes, kIoError on a
+  /// failed read.
+  StatusOr<uint64_t> ReadRow(size_t id, uint32_t col, uint32_t row,
+                             PartialBlock* image) const;
+
   /// The full reload as a fresh block.
   StatusOr<DataBlock> ReadBlock(
       size_t id, std::vector<uint64_t>* delete_bitmap = nullptr) const;
@@ -157,8 +176,10 @@ class BlockArchive {
   /// Summary accesses do not count — that is the point: pruning evicted
   /// blocks must leave this at zero, and the lifecycle tests pin it down.
   uint64_t payload_reads() const;
-  /// Payload bytes the successful ones fetched (spines, extents, bitmaps).
+  /// Payload bytes the successful ones fetched (spines, pages, bitmaps).
   uint64_t payload_bytes_read() const;
+  /// Extent pages the successful ones fetched.
+  uint64_t payload_pages_read() const;
 
   /// Writes the index + final header, fsyncing the payload region *before*
   /// the header publishes the index offset: that order is Save's
@@ -179,6 +200,21 @@ class BlockArchive {
                                         const std::vector<bool>& live,
                                         const std::string& path,
                                         std::vector<size_t>* id_map = nullptr);
+
+  /// A block's checksum table (see the class comment) as kept in memory:
+  /// the stored words, and the extents and page ids its head gives.
+  struct ChecksumTable {
+    std::vector<uint64_t> words;       // as stored
+    std::vector<uint64_t> begins;      // extent starts, then the block end
+    std::vector<uint64_t> first_page;  // DataBlock::FirstPages(begins)
+
+    /// Derives begins and first_page from the head of `words`; false if
+    /// they are not extents of a block of `block_bytes`.
+    bool Parse(uint32_t attr_count, uint64_t block_bytes);
+    /// Words of the whole table, once parsed.
+    uint64_t Words() const;
+    uint64_t page_sum(uint64_t page) const;
+  };
 
   // -- Whole-table conveniences -------------------------------------------
 
@@ -215,6 +251,11 @@ class BlockArchive {
   /// Loads and checks the index (records, summaries, checksum tables).
   static Status OpenIndex(BlockArchive& a, const FileHeader& hdr,
                           uint64_t file_size);
+  /// A read's start: block `id`'s entry and table (counted as a payload
+  /// read), or why it cannot be read.
+  Status BeginRead(size_t id, ArchiveEntry* e,
+                   const ChecksumTable** table) const;
+  void CountBytesRead(uint64_t bytes, uint64_t pages) const;
 
   std::string path_;
   int fd_ = -1;
@@ -223,13 +264,14 @@ class BlockArchive {
   /// Parsed summaries, parallel to entries_ (null where absent). Kept in
   /// memory on both the write and the read path so summary() never does IO.
   std::vector<std::shared_ptr<const BlockSummary>> summaries_;
-  /// Checksum tables, parallel to entries_ (see the class comment); empty
-  /// where the stored table failed verification, which fails reads of that
-  /// block alone.
-  std::vector<std::vector<uint64_t>> tables_;
+  /// Checksum tables, parallel to entries_; null where the stored table
+  /// failed verification, which fails reads of that block alone. Never
+  /// changed once appended, so readers use them outside mu_.
+  std::vector<std::unique_ptr<const ChecksumTable>> tables_;
   uint64_t end_offset_ = 0;
   mutable uint64_t payload_reads_ = 0;       // guarded by mu_
   mutable uint64_t payload_bytes_read_ = 0;  // guarded by mu_
+  mutable uint64_t payload_pages_read_ = 0;  // guarded by mu_
   bool writable_ = false;
 };
 

@@ -13,12 +13,11 @@ namespace {
 std::atomic<uint64_t> g_next_table_id{1};
 
 /// The calling thread's image of the last evicted chunk it point-read: the
-/// spine plus the extents of the columns read so far, in a reused buffer.
+/// spine plus the pages read so far, in a reused buffer.
 struct PointImage {
   uint64_t table = 0;  // Table::id_ of the imaged chunk; 0 = empty or torn
   size_t chunk = 0;
-  std::vector<bool> has;  // per column: its extent is in `block`
-  DataBlock block;
+  PartialBlock pages;
 };
 thread_local PointImage t_point_image;
 
@@ -158,8 +157,7 @@ void Table::PinChunk(size_t chunk_idx) const {
   if (st == ChunkState::kEvicted || st == ChunkState::kTombstone) Settle(s);
 }
 
-Status Table::FetchEvicted(size_t chunk_idx, const ColumnSet& columns,
-                           BlockRead why, DataBlock* out) const {
+Status Table::FetchEvicted(size_t chunk_idx, const BlockRead& read) const {
   BlockFetcher fetcher;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -173,14 +171,16 @@ Status Table::FetchEvicted(size_t chunk_idx, const ColumnSet& columns,
   }
   Status s;
   try {
-    s = fetcher(chunk_idx, columns, why, out);
+    s = fetcher(chunk_idx, read);
   } catch (const StorageException& e) {
     s = e.status();
   } catch (const std::exception& e) {
     s = Status::IoError(std::string("block fetcher threw: ") + e.what());
   }
   if (!s.ok()) return s;
-  return CheckBlock(chunk_idx, columns, *out);
+  return CheckBlock(chunk_idx, read.columns,
+                    read.kind == BlockRead::kScan ? *read.image
+                                                  : read.pages->block());
 }
 
 Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
@@ -217,7 +217,7 @@ bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
   // it live) until the scan unpins. A kEvicted read may also be an
   // eviction backing off from the pin; the archived copy is the same
   // block.
-  Status read = FetchEvicted(chunk_idx, columns, BlockRead::kScan, image);
+  Status read = FetchEvicted(chunk_idx, BlockRead::Scan(columns, image));
   if (!read.ok()) {
     UnpinChunk(chunk_idx);
     throw StorageException(std::move(read));
@@ -336,25 +336,30 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
   } unpin{s};
   if (st == ChunkState::kTombstone) st = Settle(s);
   if (st == ChunkState::kFrozen) return from_block(*s.frozen, row);
-  if (st != ChunkState::kEvicted) return from_hot(*s.hot, row);
+  if (st == ChunkState::kHot) return from_hot(*s.hot, row);
+  if (st == ChunkState::kTombstone) {
+    throw StorageException(Status::NotFound(
+        "point read of row " + std::to_string(row) + " of chunk " +
+        std::to_string(chunk) + " of table '" + name_ +
+        "': the chunk is a tombstone, every row of it was deleted"));
+  }
   // Evicted (or an eviction backing off from the pin, whose archived copy
   // is the same block): read through the thread's point image, fetching
-  // the column's extent if the image lacks it. The pin keeps the archive
-  // entry attached for the read.
+  // the row's pages if the image cannot serve it. The pin keeps the
+  // archive entry attached for the read.
   PointImage& image = t_point_image;
   if (image.table != id_ || image.chunk != chunk) {
     image.table = 0;
-    image.has.assign(schema_->num_columns(), false);
+    image.pages.Clear();
   }
-  if (!image.has[col]) {
-    image.table = 0;  // a failed read may leave the buffer torn
-    ThrowIfError(FetchEvicted(chunk, ColumnSet({col}), BlockRead::kPoint,
-                              &image.block));
+  if (!image.pages.Serves(col, row)) {
+    image.table = 0;  // a failed read may leave the image torn
+    ThrowIfError(
+        FetchEvicted(chunk, BlockRead::Point(col, row, &image.pages)));
     image.table = id_;
     image.chunk = chunk;
-    image.has[col] = true;
   }
-  return from_block(image.block, row);
+  return from_block(image.pages.block(), row);
 }
 
 Value Table::GetValue(RowId id, uint32_t col) const {

@@ -63,11 +63,28 @@ enum class ChunkState : uint8_t {
   kTombstone,
 };
 
-/// What a read of an evicted chunk's block is for; the fetcher counts and
-/// traces the two apart.
-enum class BlockRead : uint8_t {
-  kScan,   // PinForScan: a scan's (or Save's) own image
-  kPoint,  // a point read's per-thread image
+/// One read of an evicted chunk's block through the block fetcher, which
+/// counts and traces the two kinds apart.
+struct BlockRead {
+  enum Kind : uint8_t {
+    kScan,   // PinForScan: the spine and whole extents of `columns` into
+             // a scan's (or Save's) own `image`
+    kPoint,  // a point read: the pages that hold `row` of column `col`
+             // into the thread's partial image `pages`
+  };
+
+  static BlockRead Scan(const ColumnSet& columns, DataBlock* image) {
+    return BlockRead{kScan, columns, image, 0, 0, nullptr};
+  }
+  static BlockRead Point(uint32_t col, uint32_t row, PartialBlock* pages) {
+    return BlockRead{kPoint, ColumnSet({col}), nullptr, col, row, pages};
+  }
+
+  Kind kind;
+  ColumnSet columns;   // kPoint: {col}
+  DataBlock* image;    // kScan
+  uint32_t col, row;   // kPoint
+  PartialBlock* pages; // kPoint
 };
 
 const char* ChunkStateName(ChunkState s);
@@ -88,17 +105,15 @@ const char* ChunkStateName(ChunkState s);
 /// still unsupported.
 class Table {
  public:
-  /// Reads the spine and `columns` of an evicted chunk's block from
-  /// secondary storage into `out` (ColumnSet::All() reads all of it);
-  /// `why` says whether a scan or a point read asks. Installed by the
-  /// lifecycle manager; invoked without the table's lifecycle mutex, and it
-  /// must not call back into this table. A failed read (corrupt or
-  /// unreadable archive block, quarantined chunk) returns its Status — the
-  /// read then throws StorageException, so the *query* fails and the
-  /// process survives.
-  using BlockFetcher = std::function<Status(
-      size_t chunk_idx, const ColumnSet& columns, BlockRead why,
-      DataBlock* out)>;
+  /// Reads part of an evicted chunk's block from secondary storage, as
+  /// `read` says: a scan's spine and columns (ColumnSet::All() reads all of
+  /// it) or a point read's pages. Installed by the lifecycle manager;
+  /// invoked without the table's lifecycle mutex, and it must not call back
+  /// into this table. A failed read (corrupt or unreadable archive block,
+  /// quarantined chunk) returns its Status — the read then throws
+  /// StorageException, so the *query* fails and the process survives.
+  using BlockFetcher =
+      std::function<Status(size_t chunk_idx, const BlockRead& read)>;
 
   Table(std::string name, Schema schema,
         uint32_t chunk_capacity = DataBlock::kDefaultCapacity);
@@ -142,11 +157,14 @@ class Table {
 
   /// Point access. A hot row is read from its chunk, a frozen one is
   /// decompressed from a single position of the resident block. An evicted
-  /// chunk stays evicted: the spine and the accessed column's extent are
-  /// read through the block fetcher (checksummed and validated, as scans
-  /// read) into the calling thread's point image, which keeps the extents
-  /// of the last evicted chunk it read, so further reads of that chunk
-  /// fetch only columns it lacks. A failed read throws StorageException.
+  /// chunk stays evicted: it is read through the calling thread's point
+  /// image, which holds pages, not extents — the spine and the 4 KB pages
+  /// that earlier reads of the last evicted chunk it read fetched. A read
+  /// the image cannot serve fetches, through the block fetcher, the pages
+  /// that hold the row's code, NULL word and dictionary entry and string
+  /// (each verified by its checksum); every read passes the row check
+  /// (DataBlock::ValidateRow). A failed read throws StorageException, and
+  /// so does a read of a tombstoned chunk, whose rows are all deleted.
   /// The string_view of GetStringView points into the chunk, the resident
   /// block or the point image: for a hot or frozen row it stays valid
   /// while the chunk stays in that state; for an evicted row, until the
@@ -423,11 +441,10 @@ class Table {
   /// Re-reads a pinned slot's state under the lifecycle mutex, after any
   /// freeze in flight.
   ChunkState Settle(const Slot& s) const;
-  /// Reads the spine and `columns` of evicted chunk `chunk_idx` into `out`
-  /// through the fetcher — exceptions become a Status — and checks that
-  /// the block belongs to the chunk (CheckBlock).
-  Status FetchEvicted(size_t chunk_idx, const ColumnSet& columns,
-                      BlockRead why, DataBlock* out) const;
+  /// Performs `read` of evicted chunk `chunk_idx` through the fetcher —
+  /// exceptions become a Status — and checks that the block belongs to the
+  /// chunk (CheckBlock).
+  Status FetchEvicted(size_t chunk_idx, const BlockRead& read) const;
   /// kCorruption unless `block` has the chunk's row count and the schema's
   /// types for `columns`.
   Status CheckBlock(size_t chunk_idx, const ColumnSet& columns,

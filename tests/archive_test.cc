@@ -157,7 +157,7 @@ TEST(BlockArchiveFaults, RejectsForeignShortAndWrongVersionFiles) {
   ASSERT_TRUE(BlockArchive::Save(t, path).ok());
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    uint32_t bad_version = 7;
+    uint32_t bad_version = BlockArchive::kVersion + 1;
     f.seekp(4);
     f.write(reinterpret_cast<const char*>(&bad_version), 4);
   }
@@ -432,21 +432,21 @@ TEST(BlockArchiveV3, CompactionDropsDeadBlocksAndPreservesLiveOnes) {
 TEST(BlockArchiveFaults, OlderFormatVersionIsRejected) {
   static_assert(BlockArchive::kMinVersion == BlockArchive::kVersion);
   Table t = MakeTable(1500, 1024, /*delete_every=*/4);
-  const std::string path = "/tmp/datablocks_archive_v5.dbar";
+  const std::string path = "/tmp/datablocks_archive_v6.dbar";
   ASSERT_TRUE(BlockArchive::Save(t, path).ok());
-  // Stamp the previous format version on an otherwise valid archive: its
-  // checksums were computed differently, so it must be refused up front,
-  // not misread.
+  // Stamp the previous format version on an otherwise valid archive: v6
+  // kept one checksum per extent before the payload, so it must be
+  // refused up front, not misread.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    uint32_t v5 = 5;
+    uint32_t v6 = 6;
     f.seekp(4);
-    f.write(reinterpret_cast<const char*>(&v5), 4);
+    f.write(reinterpret_cast<const char*>(&v6), 4);
   }
   StatusOr<BlockArchive> old = BlockArchive::Open(path);
   ASSERT_FALSE(old.ok());
   EXPECT_EQ(old.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(old.status().message().find("unsupported archive version 5"),
+  EXPECT_NE(old.status().message().find("unsupported archive version 6"),
             std::string::npos)
       << old.status().ToString();
   std::remove(path.c_str());
@@ -943,6 +943,241 @@ TEST(BlockArchiveV6, MalformedLayoutBehindValidChecksumsIsCorruption) {
     ASSERT_FALSE(full.ok());
     EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
   }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Point reads (format v7): the spine plus the pages that hold one row
+// ---------------------------------------------------------------------------
+
+/// (col, row) of block `id` read through a fresh partial image: its value,
+/// or the Status of the failed read. `bytes` receives the bytes read.
+StatusOr<Value> ReadRowValue(const BlockArchive& a, size_t id, uint32_t col,
+                             uint32_t row, uint64_t* bytes = nullptr) {
+  PartialBlock image;
+  StatusOr<uint64_t> got = a.ReadRow(id, col, row, &image);
+  if (!got.ok()) return got.status();
+  if (bytes != nullptr) *bytes = *got;
+  return image.block().GetValue(col, row);
+}
+
+/// Offset of row `row`'s code of attribute `col` in `block`.
+uint64_t CodeOffset(const DataBlock& block, uint32_t col, uint32_t row) {
+  return block.attr(col).data_offset +
+         uint64_t(row) * block.attr(col).code_width;
+}
+
+TEST(BlockArchiveV7, PointReadsFetchOnlyTheRowsPages) {
+  constexpr uint32_t kRows = 12000;
+  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/21);
+  const DataBlock& whole = *t.frozen_block(0);
+  const std::string path = "/tmp/datablocks_archive_rows.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  std::vector<uint64_t> begins;
+  ASSERT_TRUE(whole.Extents(&begins).ok());
+
+  // A fresh image per read: the spine plus at most the pages of the NULL
+  // word, the code, the dictionary entry and a string that straddles a
+  // page boundary.
+  const uint64_t cap = DataBlock::SpineBytes(kWideCols) +
+                       5 * DataBlock::kPageBytes;
+  Rng rng(3);
+  std::vector<uint32_t> rows = {0, 1, 2047, 2048, 4095, 4096, kRows - 1};
+  for (int i = 0; i < 40; ++i)
+    rows.push_back(uint32_t(rng.Uniform(0, kRows - 1)));
+  for (uint32_t row : rows) {
+    for (uint32_t col = 0; col < kWideCols; ++col) {
+      uint64_t bytes = 0;
+      StatusOr<Value> v = ReadRowValue(*a, 0, col, row, &bytes);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      EXPECT_TRUE(*v == whole.GetValue(col, row)) << col << "/" << row;
+      EXPECT_LE(bytes, cap) << col << "/" << row;
+    }
+  }
+  // The id codes span several pages, of which a read fetched one.
+  ASSERT_GT(begins[1] - begins[0], 4 * DataBlock::kPageBytes);
+
+  // One image across reads gains pages: a row it serves reads nothing,
+  // and no page is fetched twice.
+  PartialBlock image;
+  const uint64_t pages_before = a->payload_pages_read();
+  for (uint32_t row : rows) {
+    for (uint32_t col = 0; col < kWideCols; ++col) {
+      if (image.Serves(col, row)) {
+        EXPECT_TRUE(image.block().GetValue(col, row) ==
+                    whole.GetValue(col, row));
+        continue;
+      }
+      StatusOr<uint64_t> got = a->ReadRow(0, col, row, &image);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_GT(*got, 0u);
+      ASSERT_TRUE(image.Serves(col, row));
+      EXPECT_TRUE(image.block().GetValue(col, row) ==
+                  whole.GetValue(col, row));
+    }
+  }
+  std::vector<uint64_t> first;
+  DataBlock::FirstPages(begins, &first);
+  EXPECT_LE(a->payload_pages_read() - pages_before, first.back());
+  uint64_t present = 0;
+  for (uint64_t p = 0; p < first.back(); ++p) present += image.HasPage(p);
+  EXPECT_EQ(a->payload_pages_read() - pages_before, present);
+  std::remove(path.c_str());
+}
+
+TEST(BlockArchiveV7, FlippedPageFailsOnlyRowsOnThatPage) {
+  constexpr uint32_t kRows = 12000;
+  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/22);
+  const DataBlock& whole = *t.frozen_block(0);
+  const std::string path = "/tmp/datablocks_archive_page_flip.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  std::vector<uint64_t> begins;
+  ASSERT_TRUE(whole.Extents(&begins).ok());
+  // Attribute 2 holds raw doubles, 8 bytes a row: rows 2000 and 10 sit on
+  // different pages of its extent.
+  constexpr uint32_t kCol = 2, kBad = 2000, kGood = 10;
+  const uint64_t bad_at = CodeOffset(whole, kCol, kBad);
+  ASSERT_NE((bad_at - begins[kCol]) / DataBlock::kPageBytes,
+            (CodeOffset(whole, kCol, kGood) - begins[kCol]) /
+                DataBlock::kPageBytes);
+  uint64_t offset;
+  {
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    offset = a->entry(0).offset;
+  }
+  FlipByte(path, offset + bad_at + 3, 0x10);
+
+  StatusOr<BlockArchive> a = BlockArchive::Open(path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  StatusOr<Value> bad = ReadRowValue(*a, 0, kCol, kBad);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(bad.status().message().find("attribute 2 page"),
+            std::string::npos)
+      << bad.status().ToString();
+  StatusOr<Value> good = ReadRowValue(*a, 0, kCol, kGood);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(*good == whole.GetValue(kCol, kGood));
+  // The other columns of the bad row are on other pages.
+  StatusOr<Value> other = ReadRowValue(*a, 0, 0, kBad);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_TRUE(*other == whole.GetValue(0, kBad));
+  // A scan of the column reads every page of it, so it fails.
+  DataBlock image;
+  StatusOr<uint64_t> scan = a->ReadBlock(0, ColumnSet({kCol}), &image);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(a->ReadBlock(0, ColumnSet({0, 3}), &image).ok());
+  std::remove(path.c_str());
+}
+
+TEST(BlockArchiveV7, CorruptChecksumTableIsCorruption) {
+  Table t = MakeWideTable(2 * 6000, 6000, /*psma=*/true, /*seed=*/23);
+  const std::string path = "/tmp/datablocks_archive_page_table.dbar";
+  ASSERT_TRUE(BlockArchive::Save(t, path).ok());
+  ArchiveEntry e;
+  {
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok());
+    e = a->entry(0);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> pristine((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  in.close();
+  // Block 0's table follows its payload and bitmap: a flip in its head
+  // (an extent start) and one among its page checksums.
+  const uint64_t table_at = e.offset + e.block_bytes + e.bitmap_words * 8;
+  const uint64_t head = (2 + uint64_t(kWideCols)) * 8;
+  for (uint64_t at : {table_at + 2 * 8 + 1, table_at + head + 5 * 8 + 2}) {
+    SCOPED_TRACE(at - table_at);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(pristine.data(), std::streamsize(pristine.size()));
+    }
+    FlipByte(path, at, 0x08);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    StatusOr<Value> row = ReadRowValue(*a, 0, 1, 7);
+    ASSERT_FALSE(row.ok());
+    EXPECT_EQ(row.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(row.status().message().find("checksum table"),
+              std::string::npos)
+        << row.status().ToString();
+    EXPECT_EQ(a->ReadBlock(0).status().code(), StatusCode::kCorruption);
+    StatusOr<Value> other = ReadRowValue(*a, 1, 1, 7);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    EXPECT_TRUE(*other == t.GetValue(MakeRowId(1, 7), 1));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockArchiveV7, MalformedRowBehindValidChecksumsIsCorruption) {
+  constexpr uint32_t kRows = 6000;
+  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/24);
+  const DataBlock& good = *t.frozen_block(0);
+  const uint64_t total = good.SizeBytes();
+  constexpr uint32_t kName = 3;  // dictionary strings
+  const AttrMeta& m = good.attr(kName);
+  ASSERT_EQ(Compression(m.compression), Compression::kDictionary);
+  ASSERT_GE(m.code_width, 2);
+  const std::string path = "/tmp/datablocks_archive_bad_row.dbar";
+  constexpr uint32_t kBad = 100, kNeighbour = 101;
+
+  /// `good` with `mutate` applied to its bytes, archived as is: every
+  /// checksum is valid, only the row check stands in the way.
+  auto archive_mutated = [&](const std::function<void(uint8_t*)>& mutate) {
+    DataBlock bad;
+    bad.ResizeForFill(total);
+    std::memcpy(bad.fill_bytes(), good.raw_bytes(), total);
+    mutate(bad.fill_bytes());
+    ArchiveAsIs(bad, path);
+  };
+  auto expect_bad_row = [&](const char* why) {
+    SCOPED_TRACE(why);
+    StatusOr<BlockArchive> a = BlockArchive::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    StatusOr<Value> bad = ReadRowValue(*a, 0, kName, kBad);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(bad.status().message().find(why), std::string::npos)
+        << bad.status().ToString();
+    // The neighbour's code sits on the same page, which is intact.
+    PartialBlock image;
+    StatusOr<uint64_t> read = a->ReadRow(0, kName, kNeighbour, &image);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(image.block().GetStringView(kName, kNeighbour),
+              good.GetStringView(kName, kNeighbour));
+    // The image holds the bad row's code page, yet it does not serve it,
+    // and a read through it fails the same way.
+    EXPECT_FALSE(image.Serves(kName, kBad));
+    StatusOr<uint64_t> again = a->ReadRow(0, kName, kBad, &image);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), StatusCode::kCorruption);
+    // A full read runs Validate over every code and entry.
+    EXPECT_EQ(a->ReadBlock(0).status().code(), StatusCode::kCorruption);
+  };
+
+  // A code at dict_count.
+  archive_mutated([&](uint8_t* buf) {
+    const uint64_t code = m.dict_count;
+    std::memcpy(buf + CodeOffset(good, kName, kBad), &code, m.code_width);
+  });
+  expect_bad_row("dictionary code out of range");
+  // An entry whose string runs past the extent.
+  archive_mutated([&](uint8_t* buf) {
+    const uint64_t code = good.ReadCode(kName, kBad);
+    StringDictRef ref;
+    uint8_t* at = buf + m.dict_offset + code * sizeof(StringDictRef);
+    std::memcpy(&ref, at, sizeof(ref));
+    ref.length = 0x7fffffff;
+    std::memcpy(at, &ref, sizeof(ref));
+  });
+  ASSERT_NE(good.ReadCode(kName, kBad), good.ReadCode(kName, kNeighbour));
+  expect_bad_row("dictionary string outside the extent");
   std::remove(path.c_str());
 }
 

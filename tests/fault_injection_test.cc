@@ -394,6 +394,56 @@ TEST(Quarantine, ParkedAfterMaxRetriesUntilReset) {
   std::remove(path.c_str());
 }
 
+// A point read fetches pages once its thread's image holds the chunk's
+// spine. Every read failpoint fires on that page path as on the extent
+// path: the read fails with the injected Status, the chunk is quarantined,
+// and after the fault is gone and the quarantine reset the same read
+// succeeds.
+TEST(Quarantine, PageReadsFailAndHealLikeExtentReads) {
+  constexpr uint32_t kRows = 16384;
+  Table t = MakeTestTable(kRows, kRows, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("page_path");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.quarantine_backoff = std::chrono::milliseconds(60000);  // park it
+    LifecycleManager mgr(&t, path, cfg);
+    EvictAll(mgr, t, t.num_chunks());
+    ASSERT_EQ(t.GetInt(MakeRowId(0, 0), 0), 0);  // the spine and one page
+    struct Case {
+      const char* failpoint;
+      StatusCode code;
+      uint32_t row;  // a row on a page the image lacks
+    };
+    for (const Case& c : {Case{"archive.read.ioerror", StatusCode::kIoError,
+                               4000},
+                          Case{"archive.read.corruption",
+                               StatusCode::kCorruption, 8000},
+                          Case{"lifecycle.reload", StatusCode::kIoError,
+                               12000}}) {
+      SCOPED_TRACE(c.failpoint);
+      const uint64_t reads = mgr.stats().archive_reads;
+      {
+        ScopedFailpoint fp(c.failpoint, "always");
+        try {
+          (void)t.GetInt(MakeRowId(0, c.row), 0);
+          ADD_FAILURE() << "the page read must fail";
+        } catch (const StorageException& e) {
+          EXPECT_EQ(e.status().code(), c.code) << e.what();
+        }
+        EXPECT_EQ(mgr.quarantined_chunks(), 1u);
+        EXPECT_EQ(PointRead(t, 0).code(), StatusCode::kUnavailable);
+      }
+      mgr.ResetQuarantine();
+      EXPECT_EQ(t.GetInt(MakeRowId(0, c.row), 0), int64_t(c.row));
+      EXPECT_EQ(mgr.quarantined_chunks(), 0u);
+      EXPECT_GT(mgr.stats().archive_reads, reads);
+      EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Degraded no-evict mode under repeated write failures
 // ---------------------------------------------------------------------------

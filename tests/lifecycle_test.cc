@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -195,9 +196,9 @@ TEST(Lifecycle, EvictsUnderMemoryBudgetAndReloadsTransparently) {
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
 
-    // A point access on an evicted chunk reads the spine and the accessed
-    // column from the archive, one read per column; the chunk stays
-    // evicted and nothing is installed.
+    // A point access on an evicted chunk reads the spine and the pages
+    // that hold its row from the archive, one read per column; the chunk
+    // stays evicted and nothing is installed.
     const uint64_t reads_before = mgr.stats().archive_reads;
     EXPECT_EQ(t.GetInt(probe, 0), probe_val);
     EXPECT_EQ(t.GetStringView(probe, 2), probe_str);
@@ -968,7 +969,7 @@ std::vector<Value> AllValues(const Table& t) {
 
 // Point reads of an evicted chunk return the resident block's values for
 // every column type — through GetValue and the typed getters — read only
-// the spine and the accessed extents, and leave the chunk evicted.
+// the spine and the pages that hold the rows, and leave the chunk evicted.
 TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
   Table t = MakeAllTypesTable(2000, 512);  // 3 full chunks + a partial one
   const std::vector<Value> resident = AllValues(t);
@@ -989,6 +990,7 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
     const uint64_t counter_before = point_reads->Value();
 
     EXPECT_TRUE(AllValues(t) == resident);
+    const LifecycleStats mid = mgr.stats();
     size_t i = 0;
     for (size_t c = 0; c < t.num_chunks(); ++c) {
       for (uint32_t r = 0; r < t.chunk_rows(c); ++r) {
@@ -1010,28 +1012,43 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
       }
     }
 
-    // Each chunk's image gained its columns one extent at a time: one
-    // archive read per (chunk, column) for the GetValue pass, and one more
-    // per (chunk, column) for the typed pass, which starts over at chunk
-    // 0 after the image moved on. Nothing was installed.
+    // Each pass fetched every chunk's spine once and each page a row
+    // needed once, never a page twice: the typed pass, which starts over
+    // at chunk 0 after the image moved on, read what the GetValue pass
+    // read. No pass read a whole block, nothing was installed, and every
+    // read is counted, traced and fetched bytes.
     const LifecycleStats after = mgr.stats();
-    const uint64_t reads = 2 * t.num_chunks() * ncols;
-    EXPECT_EQ(after.archive_reads - before.archive_reads, reads);
+    const uint64_t reads = after.archive_reads - before.archive_reads;
+    EXPECT_EQ(reads, 2 * (mid.archive_reads - before.archive_reads));
+    EXPECT_EQ(after.archive_bytes_read - mid.archive_bytes_read,
+              mid.archive_bytes_read - before.archive_bytes_read);
+    EXPECT_EQ(after.archive_pages_read - mid.archive_pages_read,
+              mid.archive_pages_read - before.archive_pages_read);
     EXPECT_EQ(point_reads->Value() - counter_before, reads);
     EXPECT_EQ(after.reloads, before.reloads);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
-    // Every read fetched the spine plus one extent, and each pass read
-    // every extent once: the bytes of both passes are the blocks' bytes
-    // plus the spine re-read with every column after the first.
     std::shared_ptr<const BlockArchive> archive = mgr.archive();
-    uint64_t pass_bytes = 0;
+    uint64_t block_bytes = 0, block_pages = 0, spines = 0;
     for (size_t b = 0; b < archive->num_blocks(); ++b) {
-      pass_bytes += archive->entry(b).block_bytes +
-                    (ncols - 1) * DataBlock::SpineBytes(ncols);
+      StatusOr<DataBlock> whole = archive->ReadBlock(b);
+      ASSERT_TRUE(whole.ok());
+      std::vector<uint64_t> begins, first;
+      ASSERT_TRUE(whole->Extents(&begins).ok());
+      DataBlock::FirstPages(begins, &first);
+      block_bytes += whole->SizeBytes();
+      block_pages += first.back();
+      spines += DataBlock::SpineBytes(ncols);
     }
-    EXPECT_EQ(after.archive_bytes_read - before.archive_bytes_read,
-              2 * pass_bytes);
+    const uint64_t pass_bytes =
+        mid.archive_bytes_read - before.archive_bytes_read;
+    const uint64_t pass_pages =
+        mid.archive_pages_read - before.archive_pages_read;
+    EXPECT_GT(pass_pages, 0u);
+    EXPECT_LE(pass_pages, block_pages);
+    EXPECT_GT(pass_bytes, spines);
+    EXPECT_LE(pass_bytes, spines + pass_pages * DataBlock::kPageBytes);
+    EXPECT_LT(pass_bytes, block_bytes);
     int traced = 0;
     for (const obs::TraceEvent& ev : ring.Snapshot()) {
       EXPECT_STRNE(ev.name, "reload");
@@ -1043,7 +1060,7 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
     EXPECT_EQ(uint64_t(traced), reads);
 
     // A view of an evicted row survives reads of other columns of the same
-    // chunk, which only add extents to the thread's image.
+    // chunk, which only add pages to the thread's image.
     const RowId probe = MakeRowId(1, 7);
     const std::string_view name = t.GetStringView(probe, 6);
     const std::string copy(name);
@@ -1054,6 +1071,216 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
   for (size_t c = 0; c < t.num_chunks(); ++c)
     EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
   EXPECT_TRUE(AllValues(t) == resident);
+  std::remove(path.c_str());
+}
+
+/// Every encoding a point read meets, with extents of many pages: truncated
+/// and raw ints, a date, a char(1), a raw double, single-value ints and
+/// strings, nullable ints and strings, and dictionary strings of thousands
+/// of entries and varied lengths, so codes, NULL words, entries and
+/// strings fall on 4 KB page boundaries.
+Schema PagedSchema() {
+  return Schema({{"id", TypeId::kInt64},
+                 {"small", TypeId::kInt32},
+                 {"wide", TypeId::kInt64},
+                 {"day", TypeId::kDate},
+                 {"flag", TypeId::kChar1},
+                 {"score", TypeId::kDouble},
+                 {"konst", TypeId::kInt32},
+                 {"const_s", TypeId::kString},
+                 {"opt_i", TypeId::kInt32, true},
+                 {"opt_s", TypeId::kString, true},
+                 {"name", TypeId::kString}});
+}
+
+Table MakePagedTable(uint32_t n, uint32_t chunk_capacity) {
+  Table t("paged", PagedSchema(), chunk_capacity);
+  Rng rng(57);
+  for (uint32_t i = 0; i < n; ++i) {
+    std::vector<Value> row = {
+        Value::Int(i),
+        Value::Int(int32_t(rng.Uniform(-70000, 70000))),
+        Value::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
+        Value::Int(int32_t(9000 + rng.Uniform(0, 400))),
+        Value::Char("AFNR"[rng.Uniform(0, 3)]),
+        Value::Double(rng.NextDouble() * 1000),
+        Value::Int(42),
+        Value::Str("constant"),
+        rng.Uniform(0, 3) == 0 ? Value::Null()
+                               : Value::Int(int32_t(rng.Uniform(0, 90))),
+        rng.Uniform(0, 3) == 0
+            ? Value::Null()
+            : Value::Str("opt_" + std::to_string(rng.Uniform(0, 25))),
+        Value::Str(std::to_string(rng.Uniform(0, 5000)) + "/" +
+                   std::string(size_t(rng.Uniform(0, 120)), 'x'))};
+    t.Insert(row);
+  }
+  t.FreezeAll();
+  return t;
+}
+
+/// Rows of `block` whose point read of `col` touches bytes on both sides
+/// of a page boundary of the column's extent, or right at one: a code, a
+/// NULL-bitmap word, a dictionary entry or a string. `straddles` counts the
+/// strings that cross a boundary.
+std::vector<uint32_t> PageBoundaryRows(const DataBlock& block, uint32_t col,
+                                       int* straddles) {
+  std::vector<uint64_t> begins;
+  EXPECT_TRUE(block.Extents(&begins).ok());
+  const AttrMeta& m = block.attr(col);
+  const uint32_t n = block.num_rows();
+  const bool coded = Compression(m.compression) != Compression::kSingleValue;
+  std::vector<uint32_t> rows;
+  // The first row with each code, for entries and strings.
+  std::map<uint64_t, uint32_t> row_of;
+  for (uint32_t r = 0; coded && r < n; ++r)
+    row_of.emplace(block.ReadCode(col, r), r);
+  auto add_code = [&](uint64_t code) {
+    if (auto it = row_of.find(code); it != row_of.end())
+      rows.push_back(it->second);
+  };
+  const uint64_t lo = begins[col], hi = begins[col + 1];
+  auto page = [lo](uint64_t at) { return (at - lo) / DataBlock::kPageBytes; };
+  for (uint64_t b = lo + DataBlock::kPageBytes; b < hi;
+       b += DataBlock::kPageBytes) {
+    auto within = [b](uint64_t begin, uint64_t bytes) {
+      return b >= begin && b < begin + bytes;
+    };
+    if (coded && within(m.data_offset, uint64_t(n) * m.code_width)) {
+      const uint32_t r = uint32_t((b - m.data_offset) / m.code_width);
+      rows.push_back(r);
+      if (r > 0) rows.push_back(r - 1);
+    }
+    if (block.has_nulls(col) && within(m.null_offset, BitmapWords(n) * 8)) {
+      const uint32_t r = uint32_t((b - m.null_offset) / 8 * 64);
+      if (r < n) rows.push_back(r);
+      rows.push_back(r - 1);
+    }
+    if (coded && Compression(m.compression) == Compression::kDictionary &&
+        within(m.dict_offset, uint64_t(m.dict_count) * 8)) {
+      const uint64_t e = (b - m.dict_offset) / 8;
+      add_code(e);
+      if (e > 0) add_code(e - 1);
+    }
+  }
+  if (block.type(col) == TypeId::kString && coded) {
+    for (const auto& [code, r] : row_of) {
+      const std::string_view v = block.dict_string(col, uint32_t(code));
+      const uint64_t at = uint64_t(v.data() - reinterpret_cast<const char*>(
+                                                  block.raw_bytes()));
+      if (!v.empty() && page(at) != page(at + v.size() - 1)) {
+        rows.push_back(r);
+        ++*straddles;
+      }
+    }
+  }
+  return rows;
+}
+
+/// `v` read from `t` through the getter its type uses, as a Value.
+Value TypedRead(const Table& t, RowId id, uint32_t col, const Value& v) {
+  if (v.is_null()) return t.GetValue(id, col);
+  switch (t.schema().type(col)) {
+    case TypeId::kString:
+      return Value::Str(std::string(t.GetStringView(id, col)));
+    case TypeId::kDouble:
+      return Value::Double(t.GetDouble(id, col));
+    default:
+      return Value::Int(t.GetInt(id, col));
+  }
+}
+
+// Evicted point reads equal resident ones for every encoding, on random
+// rows and on the rows whose code, NULL word, dictionary entry or string
+// sits at or straddles a 4 KB page boundary.
+TEST(Lifecycle, EvictedPointReadsAcrossPageBoundariesMatchResident) {
+  constexpr uint32_t kCap = 8192;
+  Table t = MakePagedTable(3 * kCap, kCap);
+  const uint32_t ncols = t.schema().num_columns();
+  struct Probe {
+    RowId id;
+    uint32_t col;
+    Value v;
+  };
+  std::vector<Probe> probes;
+  int straddles = 0;
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    for (uint32_t col = 0; col < ncols; ++col) {
+      for (uint32_t r :
+           PageBoundaryRows(*t.frozen_block(c), col, &straddles)) {
+        const RowId id = MakeRowId(c, r);
+        probes.push_back({id, col, t.GetValue(id, col)});
+      }
+    }
+  }
+  EXPECT_GT(straddles, 10);
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const RowId id = MakeRowId(size_t(rng.Uniform(0, 2)),
+                               uint32_t(rng.Uniform(0, kCap - 1)));
+    for (uint32_t col = 0; col < ncols; ++col)
+      probes.push_back({id, col, t.GetValue(id, col)});
+  }
+  ASSERT_GT(probes.size(), 3000u);
+
+  const std::string path = TempArchive("page_boundaries");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      ASSERT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    for (const Probe& p : probes) {
+      const size_t c = RowIdChunk(p.id);
+      SCOPED_TRACE(std::to_string(c) + "/" + std::to_string(RowIdRow(p.id)) +
+                   " column " + std::to_string(p.col));
+      // A read of another chunk first, so the probe starts a fresh image
+      // and fetches its own pages.
+      (void)t.GetValue(MakeRowId((c + 1) % t.num_chunks(), 0), 0);
+      ASSERT_TRUE(t.GetValue(p.id, p.col) == p.v);
+      ASSERT_TRUE(TypedRead(t, p.id, p.col, p.v) == p.v);
+    }
+    EXPECT_EQ(mgr.stats().reloads, 0u);
+    // No probe read more than the spine and five pages.
+    EXPECT_LE(mgr.stats().archive_bytes_read,
+              mgr.stats().archive_reads *
+                  (DataBlock::SpineBytes(ncols) + 5 * DataBlock::kPageBytes));
+  }
+  std::remove(path.c_str());
+}
+
+// A point read of a row in a tombstoned chunk throws StorageException
+// naming the table and the chunk; the dropped payload is never touched.
+TEST(Lifecycle, PointReadOfTombstonedChunkThrows) {
+  Table t = MakeTestTable(128, 64, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("tombstone_read");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    ASSERT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+    for (uint32_t r = 0; r < 64; ++r) t.Delete(MakeRowId(0, r));
+    mgr.Tick();
+    ASSERT_EQ(t.chunk_state(0), ChunkState::kTombstone);
+    auto expect_throws = [&](const std::function<void()>& read) {
+      try {
+        read();
+        ADD_FAILURE() << "a point read of a tombstone must throw";
+      } catch (const StorageException& e) {
+        EXPECT_NE(std::string(e.what()).find("chunk 0 of table 't'"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    const RowId id = MakeRowId(0, 5);
+    expect_throws([&] { (void)t.GetInt(id, 0); });
+    expect_throws([&] { (void)t.GetValue(id, 1); });
+    expect_throws([&] { (void)t.GetStringView(id, 2); });
+    EXPECT_FALSE(t.IsVisible(id));
+    EXPECT_EQ(t.GetInt(MakeRowId(1, 5), 0), 64 + 5);
+  }
   std::remove(path.c_str());
 }
 
