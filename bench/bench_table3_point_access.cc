@@ -8,8 +8,9 @@
 // another block — from the archive into the thread's point image. The run
 // exits non-zero if any evicted tuple differs from the resident one, or
 // if evicted lookups read more than kMaxEvictedKbPerLookup of archive
-// each. The "x4" rows run four lookup threads at once, resident and
-// evicted, to show how evicted lookups scale. With --quick the evicted
+// each. Each tuple is read inside one Table::ReadSection. The "x4" rows
+// run four lookup threads at once, resident and evicted, to show how
+// lookups scale. With --quick the evicted
 // copies use 1024-row chunks, so that a lookup usually lands in another
 // block than the one before it, as lookups over a large relation do.
 
@@ -97,7 +98,9 @@ double IndexLookupsPerSecond(const Table& t, const PkIndex& idx,
   for (int i = 0; i < probes; ++i) {
     auto rid = idx.Lookup(int64_t(rng() % uint64_t(max_key)) + 1);
     if (rid) {
-      // Reconstruct the full tuple, like `select *`.
+      // Reconstruct the full tuple, like `select *`, in one read section:
+      // its column reads take no pin.
+      Table::ReadSection section;
       for (uint32_t c = 0; c < t.schema().num_columns(); ++c) {
         switch (t.schema().type(c)) {
           case TypeId::kString:

@@ -1,7 +1,9 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "util/cpu.h"
 
@@ -21,7 +23,117 @@ struct PointImage {
 };
 thread_local PointImage t_point_image;
 
+// -- Read sections ----------------------------------------------------------
+
+/// One thread's read-section slot, alone on its cache line. Its sequence
+/// number is odd while the thread is inside a section; only the owning
+/// thread writes it. Slots are never freed — a thread that exits hands its
+/// slot to the next thread that needs one — so Synchronize can wait on a
+/// slot without holding the registry lock.
+struct alignas(64) SectionSlot {
+  std::atomic<uint64_t> seq{0};
+};
+
+struct SectionRegistry {
+  std::mutex mu;
+  std::vector<SectionSlot*> slots;  // every slot ever made
+  std::vector<SectionSlot*> spare;  // slots of exited threads
+};
+
+SectionRegistry& Registry() {
+  static auto* registry = new SectionRegistry;  // outlives thread exits
+  return *registry;
+}
+
+/// The calling thread's slot (null before its first section) and nesting
+/// depth. Constant-initialized and trivially destructible, so an access is
+/// a plain thread-local load with no initialization check.
+struct ThreadSection {
+  SectionSlot* slot = nullptr;
+  uint32_t depth = 0;
+};
+thread_local ThreadSection t_section;
+
+SectionSlot* AcquireSectionSlot() {
+  // Hands the slot back when the thread exits.
+  struct GiveBack {
+    ~GiveBack() {
+      SectionRegistry& r = Registry();
+      std::lock_guard<std::mutex> lock(r.mu);
+      r.spare.push_back(t_section.slot);
+    }
+  };
+  thread_local GiveBack give_back;
+  (void)give_back;
+  SectionRegistry& r = Registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  if (!r.spare.empty()) {
+    SectionSlot* s = r.spare.back();
+    r.spare.pop_back();
+    return s;
+  }
+  return r.slots.emplace_back(new SectionSlot);
+}
+
+inline void EnterSection() {
+  ThreadSection& t = t_section;
+  if (t.depth++ != 0) return;
+  if (t.slot == nullptr) t.slot = AcquireSectionSlot();
+  // Odd: open. Sequentially consistent, like the state stores and loads
+  // it pairs with: either Synchronize sees this section open and waits for
+  // it, or the section's state loads see the state published before the
+  // Synchronize call.
+  t.slot->seq.store(t.slot->seq.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_seq_cst);
+}
+
+inline void ExitSection() {
+  ThreadSection& t = t_section;
+  if (--t.depth != 0) return;
+  // Even: closed. Release: everything the section read or wrote happens
+  // before whatever a Synchronize that sees this store frees.
+  t.slot->seq.store(t.slot->seq.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
+}
+
+/// PinChunk, PinForScan and Synchronize may wait for a freeze, and a
+/// freeze (like every lifecycle transition) waits for every open section:
+/// the caller's own would deadlock. Transitions check on entry, so a
+/// misuse aborts even on the calls that return early.
+void CheckOutsideSection() { DB_CHECK(t_section.depth == 0); }
+
 }  // namespace
+
+Table::ReadSection::ReadSection() { EnterSection(); }
+
+Table::ReadSection::~ReadSection() { ExitSection(); }
+
+void Table::Synchronize() {
+  CheckOutsideSection();
+  std::vector<std::pair<const SectionSlot*, uint64_t>> open;
+  {
+    SectionRegistry& r = Registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    for (const SectionSlot* s : r.slots) {
+      const uint64_t seq = s->seq.load(std::memory_order_seq_cst);
+      if ((seq & 1) != 0) open.emplace_back(s, seq);
+    }
+  }
+  // A slot that registers after the scan opens its sections after the
+  // registry lock hand-off, so they see the published state. Sections are
+  // short (a transaction, a tuple): spin first, then poll with short
+  // sleeps — not sched_yield, which on a busy host can give the core away
+  // for a whole time slice.
+  for (const auto& [s, seq] : open) {
+    for (uint32_t spins = 0; s->seq.load(std::memory_order_acquire) == seq;
+         ++spins) {
+      if (spins < 4096)
+        cpu::Relax();
+      else
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }
+}
 
 const char* ChunkStateName(ChunkState s) {
   switch (s) {
@@ -86,15 +198,14 @@ Table::Slot& Table::NewSlot() {
 }
 
 RowId Table::Insert(std::span<const Value> row) {
+  // A freezer (e.g. freeze_partial_tail) that publishes kFreezing waits
+  // for this section before it reads the tail, so a tail seen hot stays
+  // ours for the append.
+  ReadSection section;
   for (;;) {
     size_t n = num_slots_.load(std::memory_order_relaxed);
     if (n != 0) {
       Slot& s = slot(n - 1);
-      // Pin before touching the tail chunk so a lifecycle tick (e.g.
-      // freeze_partial_tail) cannot freeze/free it out from under the
-      // writer; same handshake as PinChunk. While pinned and kHot, s.hot
-      // is non-null and stable.
-      s.pins.fetch_add(1, std::memory_order_seq_cst);
       if (s.state.load(std::memory_order_seq_cst) == ChunkState::kHot &&
           !s.hot->full()) {
         uint32_t r = s.hot->Append(row);
@@ -102,27 +213,16 @@ RowId Table::Insert(std::span<const Value> row) {
         // bytes written by Append are visible with the new count.
         s.rows.store(s.hot->size(), std::memory_order_release);
         Touch(s);
-        s.pins.fetch_sub(1, std::memory_order_release);
         ++num_rows_;
         return MakeRowId(n - 1, r);
       }
-      s.pins.fetch_sub(1, std::memory_order_release);
     }
-    // No tail, tail full, or tail frozen under our feet: start a new
-    // chunk and retry.
+    // No tail, tail full, or tail freezing or frozen under our feet: start
+    // a new chunk and retry.
     Slot& fresh = NewSlot();
     fresh.hot = std::make_unique<Chunk>(schema_.get(), chunk_capacity_);
     PublishSlot();
   }
-}
-
-bool Table::TryPinResident(size_t chunk_idx) const {
-  const Slot& s = slot(chunk_idx);
-  s.pins.fetch_add(1, std::memory_order_seq_cst);
-  ChunkState st = s.state.load(std::memory_order_seq_cst);
-  if (st == ChunkState::kHot || st == ChunkState::kFrozen) return true;
-  s.pins.fetch_sub(1, std::memory_order_release);
-  return false;
 }
 
 ChunkState Table::PinSlot(const Slot& s) const {
@@ -138,21 +238,25 @@ ChunkState Table::PinSlot(const Slot& s) const {
 }
 
 ChunkState Table::Settle(const Slot& s) const {
-  // Evictions, tombstones and freezes publish under the lifecycle mutex,
-  // so the state read under it is settled.
+  // Evictions, tombstones and freezes publish, back off and free the block
+  // under the lifecycle mutex, so the state read under it is settled.
   std::unique_lock<std::mutex> lock(lifecycle_mu_);
   lifecycle_cv_.wait(lock, [&] {
-    return s.state.load(std::memory_order_relaxed) != ChunkState::kFreezing;
+    const ChunkState st = s.state.load(std::memory_order_relaxed);
+    return st == ChunkState::kEvicted || st == ChunkState::kTombstone
+               ? s.frozen == nullptr
+               : st != ChunkState::kFreezing;
   });
   return s.state.load(std::memory_order_relaxed);
 }
 
 void Table::PinChunk(size_t chunk_idx) const {
+  CheckOutsideSection();
   const Slot& s = slot(chunk_idx);
   s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   // Callers read frozen_block(): settle an eviction or tombstone, so the
-  // block they drop is gone (or, if they backed off, still there) first.
+  // block it retires is freed (or, if it backed off, still there) first.
   const ChunkState st = PinSlot(s);
   if (st == ChunkState::kEvicted || st == ChunkState::kTombstone) Settle(s);
 }
@@ -205,11 +309,14 @@ Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
 
 bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
                        DataBlock* image) const {
+  CheckOutsideSection();
   const Slot& s = slot(chunk_idx);
   s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   ChunkState st = PinSlot(s);
-  // The caller reads a tombstone's (absent) block: settle it.
+  // The caller reads a tombstone's (absent) block: settle it, so a
+  // back-off reads as the state it restored and a block in its grace
+  // period is freed first.
   if (st == ChunkState::kTombstone) st = Settle(s);
   if (st != ChunkState::kEvicted) return false;
   // Held on kEvicted, the pin keeps TombstoneChunk off this chunk, so the
@@ -226,21 +333,29 @@ bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
 }
 
 Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
+  CheckOutsideSection();
   if (Status s = CheckBlock(chunk_idx, ColumnSet::All(), block); !s.ok())
     return s;
   Slot& target = slot(chunk_idx);
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  // A reader that pins after the pin check reads the archived copy until
-  // the state store below, and the installed block after it.
-  if (target.state.load(std::memory_order_relaxed) != ChunkState::kEvicted ||
-      target.pins.load(std::memory_order_seq_cst) != 0) {
-    return Status::FailedPrecondition("chunk " + std::to_string(chunk_idx) +
-                                      " of table '" + name_ +
-                                      "' is not evicted or is pinned");
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    // A reader that pins after the pin check reads the archived copy until
+    // the state store below, and the installed block after it. A block
+    // still set is an eviction's, freed when its grace period ends.
+    if (target.state.load(std::memory_order_relaxed) !=
+            ChunkState::kEvicted ||
+        target.pins.load(std::memory_order_seq_cst) != 0 ||
+        target.frozen != nullptr) {
+      return Status::FailedPrecondition(
+          "chunk " + std::to_string(chunk_idx) + " of table '" + name_ +
+          "' is not evicted, is pinned or is still being evicted");
+    }
+    target.frozen = std::make_unique<DataBlock>(std::move(block));
+    reloads_.fetch_add(1, std::memory_order_relaxed);
+    target.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
   }
-  target.frozen = std::make_unique<DataBlock>(std::move(block));
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  target.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
+  // Sections that saw kEvicted may still be reading the archived copy.
+  Synchronize();
   return Status::Ok();
 }
 
@@ -258,19 +373,21 @@ void Table::Delete(RowId id) {
   Slot& slot = this->slot(chunk);
   const uint32_t row = RowIdRow(id);
   DB_CHECK(row < slot.rows.load(std::memory_order_acquire));
+  ReadSection section;
   Touch(slot);
-  if (PinSlot(slot) == ChunkState::kHot) {
+  auto delete_hot = [&] {
     const uint32_t before = slot.hot->num_deleted();
     slot.hot->MarkDeleted(row);
     num_deleted_.fetch_add(slot.hot->num_deleted() - before,
                            std::memory_order_relaxed);
-  } else {
-    // Frozen, evicted or tombstoned (or an eviction or tombstone backing
-    // off from the pin): flag the row in the side bitmap — the block itself
-    // stays immutable and is never read. The pin keeps a freeze from
-    // rewriting the bitmap. atomic_ref: scans and IsVisible read these
-    // words lock-free; the count's release/acquire pairing publishes the
-    // set bit, and fetch_or counts a racing double delete once.
+  };
+  // Frozen, evicted or tombstoned (or an eviction or tombstone backing
+  // off from a pin): flag the row in the side bitmap — the block itself
+  // stays immutable and is never read. Only a freeze rewrites the bitmap,
+  // before it publishes kFrozen. atomic_ref: scans and IsVisible read
+  // these words lock-free; the count's release/acquire pairing publishes
+  // the set bit, and fetch_or counts a racing double delete once.
+  auto delete_frozen = [&] {
     const uint64_t bit = uint64_t(1) << (row & 63);
     if ((std::atomic_ref<uint64_t>(slot.frozen_deleted[row >> 6])
              .fetch_or(bit, std::memory_order_relaxed) &
@@ -278,8 +395,22 @@ void Table::Delete(RowId id) {
       slot.frozen_deleted_count.fetch_add(1, std::memory_order_release);
       num_deleted_.fetch_add(1, std::memory_order_relaxed);
     }
+  };
+  const ChunkState st = slot.state.load(std::memory_order_seq_cst);
+  if (st == ChunkState::kHot) {
+    delete_hot();
+  } else if (st == ChunkState::kFreezing) {
+    // The freezer copies the hot chunk's flags into the side bitmap under
+    // the lifecycle mutex, so mark under it: in the hot chunk while the
+    // freeze is still in flight, in the side bitmap once it installed.
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    if (IsHotState(slot.state.load(std::memory_order_relaxed)))
+      delete_hot();
+    else
+      delete_frozen();
+  } else {
+    delete_frozen();
   }
-  UnpinChunk(chunk);
 }
 
 RowId Table::Update(RowId id, std::span<const Value> row) {
@@ -292,34 +423,47 @@ void Table::UpdateInPlace(RowId id, uint32_t col, const Value& v) {
 }
 
 bool Table::TryUpdateInPlace(RowId id, uint32_t col, const Value& v) {
-  const size_t chunk = RowIdChunk(id);
-  Slot& slot = this->slot(chunk);
+  Slot& slot = this->slot(RowIdChunk(id));
+  ReadSection section;
   Touch(slot);
-  const bool hot = PinSlot(slot) == ChunkState::kHot;
+  // Not on kFreezing either: the freezer may be reading the chunk, so the
+  // caller relocates the row.
+  const bool hot =
+      slot.state.load(std::memory_order_seq_cst) == ChunkState::kHot;
   if (hot) slot.hot->SetValue(col, RowIdRow(id), v);
-  UnpinChunk(chunk);
   return hot;
 }
 
 bool Table::IsVisible(RowId id) const {
-  const size_t chunk = RowIdChunk(id);
-  const Slot& slot = this->slot(chunk);
+  const Slot& slot = this->slot(RowIdChunk(id));
   const uint32_t row = RowIdRow(id);
   if (row >= slot.rows.load(std::memory_order_acquire)) return false;
-  bool visible;
-  if (PinSlot(slot) == ChunkState::kHot) {
-    visible = !slot.hot->IsDeleted(row);
-  } else {
-    // Frozen, evicted or tombstoned (settled or not): the side bitmap,
-    // preallocated at freeze time and rewritten only by a freeze.
-    visible = slot.frozen_deleted_count.load(std::memory_order_acquire) == 0 ||
-              (std::atomic_ref<uint64_t>(
-                   const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
-                   .load(std::memory_order_relaxed) &
-               (uint64_t(1) << (row & 63))) == 0;
+  ReadSection section;
+  if (IsHotState(slot.state.load(std::memory_order_seq_cst)))
+    return !slot.hot->IsDeleted(row);
+  // Frozen, evicted or tombstoned (settled or not): the side bitmap,
+  // preallocated at freeze time and rewritten only by a freeze.
+  return slot.frozen_deleted_count.load(std::memory_order_acquire) == 0 ||
+         (std::atomic_ref<uint64_t>(
+              const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
+              .load(std::memory_order_relaxed) &
+          (uint64_t(1) << (row & 63))) == 0;
+}
+
+void Table::Prefetch(RowId id, uint32_t col) const {
+  const size_t chunk = RowIdChunk(id);
+  const uint32_t row = RowIdRow(id);
+  if (chunk >= num_chunks() || col >= schema_->num_columns()) return;
+  const Slot& s = slot(chunk);
+  // The section keeps the hot chunk allocated while its column pointer is
+  // read; the prefetch itself cannot fault.
+  ReadSection section;
+  if (!IsHotState(s.state.load(std::memory_order_seq_cst)) ||
+      row >= s.rows.load(std::memory_order_acquire)) {
+    return;
   }
-  UnpinChunk(chunk);
-  return visible;
+  __builtin_prefetch(s.hot->column_data(col) +
+                     size_t(row) * TypeWidth(schema_->type(col)));
 }
 
 template <typename FromBlock, typename FromHot>
@@ -328,25 +472,28 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
   const size_t chunk = RowIdChunk(id);
   const uint32_t row = RowIdRow(id);
   const Slot& s = slot(chunk);
+  ReadSection section;
   Touch(s);
-  ChunkState st = PinSlot(s);
-  struct Unpin {
-    const Slot& s;
-    ~Unpin() { s.pins.fetch_sub(1, std::memory_order_release); }
-  } unpin{s};
-  if (st == ChunkState::kTombstone) st = Settle(s);
+  ChunkState st = s.state.load(std::memory_order_seq_cst);
+  if (st == ChunkState::kTombstone) {
+    // Maybe a tombstone backing off from a scan pin: re-read under the
+    // mutex, which no state changer holds while it synchronizes.
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    st = s.state.load(std::memory_order_relaxed);
+  }
   if (st == ChunkState::kFrozen) return from_block(*s.frozen, row);
-  if (st == ChunkState::kHot) return from_hot(*s.hot, row);
+  if (IsHotState(st)) return from_hot(*s.hot, row);
   if (st == ChunkState::kTombstone) {
     throw StorageException(Status::NotFound(
         "point read of row " + std::to_string(row) + " of chunk " +
         std::to_string(chunk) + " of table '" + name_ +
         "': the chunk is a tombstone, every row of it was deleted"));
   }
-  // Evicted (or an eviction backing off from the pin, whose archived copy
-  // is the same block): read through the thread's point image, fetching
-  // the row's pages if the image cannot serve it. The pin keeps the
-  // archive entry attached for the read.
+  // Evicted (or an eviction backing off from a scan pin, whose archived
+  // copy is the same block): read through the thread's point image,
+  // fetching the row's pages if the image cannot serve it. The section
+  // keeps the archive entry attached for the read: a tombstone detaches it
+  // only after Synchronize.
   PointImage& image = t_point_image;
   if (image.table != id_ || image.chunk != chunk) {
     image.table = 0;
@@ -407,7 +554,8 @@ std::string_view Table::GetStringView(RowId id, uint32_t col) const {
 
 const uint64_t* Table::delete_bitmap(size_t chunk_idx) const {
   const Slot& slot = this->slot(chunk_idx);
-  if (slot.hot != nullptr) return slot.hot->delete_bitmap();
+  if (IsHotState(slot.state.load(std::memory_order_acquire)))
+    return slot.hot->delete_bitmap();
   return slot.frozen_deleted_count.load(std::memory_order_acquire) == 0
              ? nullptr
              : slot.frozen_deleted.data();
@@ -446,17 +594,25 @@ void Table::SetBlockSummary(size_t chunk_idx,
 
 uint32_t Table::deleted_in_chunk(size_t chunk_idx) const {
   const Slot& slot = this->slot(chunk_idx);
-  if (slot.hot != nullptr) return slot.hot->num_deleted();
+  // By the state, not by which pointer is set: a frozen chunk's hot chunk
+  // outlives kFrozen by a grace period, and unpinned callers (a scanner's
+  // fully-deleted check) must then read the side count. The section keeps
+  // a hot chunk that freezes meanwhile allocated.
+  ReadSection section;
+  if (IsHotState(slot.state.load(std::memory_order_seq_cst)))
+    return slot.hot->num_deleted();
   return slot.frozen_deleted_count.load(std::memory_order_acquire);
 }
 
 bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
+  CheckOutsideSection();
   Slot& slot = this->slot(chunk_idx);
   std::unique_lock<std::mutex> lock(lifecycle_mu_);
   if (slot.state.load(std::memory_order_relaxed) != ChunkState::kHot)
     return false;
   Chunk* chunk = slot.hot.get();
-  if (chunk == nullptr || chunk->size() == 0) return false;
+  // The row count, not chunk->size(): the writer may be appending.
+  if (slot.rows.load(std::memory_order_acquire) == 0) return false;
 
   // Publish the transient state, then check for pinned readers (the other
   // half of the PinChunk handshake). A pinned chunk is left hot; the policy
@@ -468,11 +624,13 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
     lifecycle_cv_.notify_all();
     return false;
   }
-  // Compress without holding the mutex: pins==0 guarantees no reader holds
-  // the chunk, new pins see kFreezing and wait on the condvar, and the
-  // writer starts a fresh tail instead of appending here — so the chunk is
-  // effectively private to this freezer while unlocked.
+  // Compress without holding the mutex, once the read sections that saw
+  // kHot — and may still update, delete or append in place — have closed.
+  // Then the chunk is private to this freezer: new pins see kFreezing and
+  // wait on the condvar, point reads only read it, point writes relocate
+  // (deletes mark under the mutex) and the writer starts a fresh tail.
   lock.unlock();
+  Synchronize();
 
   std::vector<uint32_t> perm;
   const uint32_t* perm_ptr = nullptr;
@@ -519,33 +677,58 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   }
   slot.rows.store(chunk->size(), std::memory_order_relaxed);
   slot.frozen = std::move(block);
-  slot.hot.reset();
   slot.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
   lock.unlock();
+  lifecycle_cv_.notify_all();
+  // Sections that saw kFreezing may still read the hot chunk. Nothing else
+  // loads `hot` once the state says kFrozen, so it is reset unlocked.
+  Synchronize();
+  slot.hot.reset();
+  return true;
+}
+
+bool Table::RetireBlock(Slot& slot, ChunkState from, ChunkState to,
+                        std::unique_lock<std::mutex>& lock) {
+  // Same handshake as FreezeChunk: publish the new state, then check pins.
+  // A racing pinner that reads the transient state blocks on the lifecycle
+  // mutex and re-reads the (possibly restored) state there, so the
+  // transient publish can never strand it; so does a section reader that
+  // sees a tombstone. A reader that already held its pin reads the block
+  // pointer, which the back-off leaves alone, not the state.
+  slot.state.store(to, std::memory_order_seq_cst);
+  if (slot.pins.load(std::memory_order_seq_cst) != 0) {
+    slot.state.store(from, std::memory_order_seq_cst);
+    return false;
+  }
+  // Sections that saw kFrozen may still read the block. Meanwhile the
+  // block stays set, which keeps ReadmitChunk off the slot and holds new
+  // pinners in Settle.
+  lock.unlock();
+  Synchronize();
+  lock.lock();
+  slot.frozen.reset();
   lifecycle_cv_.notify_all();
   return true;
 }
 
 bool Table::EvictChunk(size_t chunk_idx) {
+  CheckOutsideSection();
   Slot& slot = this->slot(chunk_idx);
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::unique_lock<std::mutex> lock(lifecycle_mu_);
   if (slot.state.load(std::memory_order_relaxed) != ChunkState::kFrozen)
     return false;
   // Without a fetcher the block could never come back.
   if (fetcher_ == nullptr) return false;
-  slot.state.store(ChunkState::kEvicted, std::memory_order_seq_cst);
-  if (slot.pins.load(std::memory_order_seq_cst) != 0) {
-    slot.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
+  if (!RetireBlock(slot, ChunkState::kFrozen, ChunkState::kEvicted, lock))
     return false;
-  }
-  slot.frozen.reset();
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool Table::TombstoneChunk(size_t chunk_idx) {
+  CheckOutsideSection();
   Slot& slot = this->slot(chunk_idx);
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::unique_lock<std::mutex> lock(lifecycle_mu_);
   const ChunkState st = slot.state.load(std::memory_order_relaxed);
   if (st != ChunkState::kFrozen && st != ChunkState::kEvicted) return false;
   const uint32_t rows = slot.rows.load(std::memory_order_relaxed);
@@ -553,16 +736,9 @@ bool Table::TombstoneChunk(size_t chunk_idx) {
       slot.frozen_deleted_count.load(std::memory_order_acquire) != rows) {
     return false;  // not fully deleted: the payload is still live data
   }
-  // Same handshake as EvictChunk: publish the new state, then check pins.
-  // A racing pinner that reads kTombstone blocks on the lifecycle mutex and
-  // re-reads the (possibly restored) state there, so the transient publish
-  // can never strand it.
-  slot.state.store(ChunkState::kTombstone, std::memory_order_seq_cst);
-  if (slot.pins.load(std::memory_order_seq_cst) != 0) {
-    slot.state.store(st, std::memory_order_seq_cst);
-    return false;
-  }
-  slot.frozen.reset();
+  // From kEvicted too: sections that read the archive copy close before
+  // this returns, and only then may the caller detach it.
+  if (!RetireBlock(slot, st, ChunkState::kTombstone, lock)) return false;
   tombstones_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -604,10 +780,11 @@ void Table::FreezeAll(int sort_col, bool build_psma) {
 uint64_t Table::HotBytes() const {
   uint64_t total = 0;
   const size_t n = num_chunks();
+  ReadSection section;  // keeps each hot chunk allocated while it is measured
   for (size_t i = 0; i < n; ++i) {
-    if (!TryPinResident(i)) continue;  // evicted/transient: no hot bytes
-    if (slot(i).hot != nullptr) total += slot(i).hot->MemoryBytes();
-    UnpinChunk(i);
+    const Slot& s = slot(i);
+    if (IsHotState(s.state.load(std::memory_order_seq_cst)))
+      total += s.hot->MemoryBytes();
   }
   return total;
 }
@@ -615,10 +792,11 @@ uint64_t Table::HotBytes() const {
 uint64_t Table::FrozenBytes() const {
   uint64_t total = 0;
   const size_t n = num_chunks();
+  ReadSection section;  // keeps each resident block allocated while measured
   for (size_t i = 0; i < n; ++i) {
-    if (!TryPinResident(i)) continue;  // evicted blocks contribute nothing
-    if (slot(i).frozen != nullptr) total += slot(i).frozen->SizeBytes();
-    UnpinChunk(i);
+    const Slot& s = slot(i);
+    if (s.state.load(std::memory_order_seq_cst) == ChunkState::kFrozen)
+      total += s.frozen->SizeBytes();
   }
   return total;
 }

@@ -41,8 +41,9 @@ inline uint32_t RowIdRow(RowId id) {
 /// storage").
 ///
 ///   kHot       uncompressed, mutable Chunk in memory
-///   kFreezing  transient: a freezer holds the lifecycle mutex and is
-///              compressing the chunk; readers fall back to the slow path
+///   kFreezing  transient: a freezer is compressing the chunk. Point reads
+///              still read the intact hot chunk, writes relocate, Insert
+///              starts a new tail, and pins wait for the freeze
 ///   kFrozen    immutable compressed DataBlock resident in memory
 ///   kEvicted   the block lives only in the archive; the side delete bitmap
 ///              and row count stay in memory. Reads never install it: a
@@ -89,20 +90,30 @@ struct BlockRead {
 
 const char* ChunkStateName(ChunkState s);
 
+/// True while a chunk's rows live in its hot chunk: kHot, and kFreezing,
+/// whose hot chunk stays intact until the freezer installs the block.
+inline bool IsHotState(ChunkState s) {
+  return s == ChunkState::kHot || s == ChunkState::kFreezing;
+}
+
 /// A relation: a sequence of fixed-size chunks, each either hot
 /// (uncompressed, mutable) or frozen into an immutable compressed DataBlock
 /// (paper Figure 1). Updates to frozen rows are translated into a delete
 /// plus an insert into the hot tail (Section 3).
 ///
 /// Concurrency contract: point accesses, scans (which pin chunks, see
-/// PinForScan), Delete on frozen rows, FreezeChunk, EvictChunk and the
-/// lifecycle background thread may run concurrently with each other and
-/// with a single inserting writer. Chunk slots live in a segmented
-/// directory with stable addresses — structural growth never reallocates
-/// existing slots, and num_chunks() is published only after the new slot
-/// is fully initialized — so slot readers never observe a torn directory.
-/// Multiple concurrent *writers* (Insert/Update from several threads) are
-/// still unsupported.
+/// PinForScan), Delete on frozen rows, FreezeChunk, EvictChunk,
+/// TombstoneChunk and the lifecycle background thread may run concurrently
+/// with each other and with a single writer (Insert, Update, in-place
+/// updates and hot deletes). Point accesses take no pin: they run inside a
+/// read section (ReadSection), and a state changer frees a hot chunk or a
+/// resident block only after Synchronize() has waited out every section
+/// that could still read it. Scans and explicit pins keep the per-chunk
+/// pin count, which state changers back off from. Chunk slots live in a
+/// segmented directory with stable addresses — structural growth never
+/// reallocates existing slots, and num_chunks() is published only after
+/// the new slot is fully initialized — so slot readers never observe a
+/// torn directory. Multiple concurrent *writers* are still unsupported.
 class Table {
  public:
   /// Reads part of an evicted chunk's block from secondary storage, as
@@ -147,9 +158,9 @@ class Table {
   void UpdateInPlace(RowId id, uint32_t col, const Value& v);
 
   /// Like UpdateInPlace, but returns false instead of aborting when the row
-  /// is not hot (frozen, evicted) — decided from the chunk state alone, so
-  /// an evicted chunk is never read. The race-free building block for
-  /// callers that fall back to Update (delete + reinsert) when a chunk
+  /// is not hot (freezing, frozen, evicted) — decided from the chunk state
+  /// alone, so an evicted chunk is never read. The race-free building block
+  /// for callers that fall back to Update (delete + reinsert) when a chunk
   /// freezes underneath them.
   bool TryUpdateInPlace(RowId id, uint32_t col, const Value& v);
 
@@ -169,10 +180,19 @@ class Table {
   /// block or the point image: for a hot or frozen row it stays valid
   /// while the chunk stays in that state; for an evicted row, until the
   /// same thread next point-reads an evicted chunk other than this one.
+  /// "While the chunk stays in that state" includes the read section the
+  /// view was taken in: a freeze, eviction or tombstone frees the bytes
+  /// only after that section closes.
   Value GetValue(RowId id, uint32_t col) const;
   int64_t GetInt(RowId id, uint32_t col) const;
   double GetDouble(RowId id, uint32_t col) const;
   std::string_view GetStringView(RowId id, uint32_t col) const;
+
+  /// Hint that `col` of row `id` will soon be read or updated: prefetches
+  /// its bytes if the row is hot, and does nothing otherwise. It reads no
+  /// archive bytes, leaves the temperature clock and the recency stamp
+  /// alone, and never throws (an out-of-range RowId is ignored).
+  void Prefetch(RowId id, uint32_t col) const;
 
   uint64_t num_rows() const { return num_rows_; }
   uint64_t num_visible() const {
@@ -194,12 +214,20 @@ class Table {
   bool is_evicted(size_t chunk_idx) const {
     return chunk_state(chunk_idx) == ChunkState::kEvicted;
   }
+  /// Hot chunk while the chunk is hot or freezing, else nullptr. It goes by
+  /// the chunk state, not by whether the pointer is set: a hot chunk
+  /// outlives kFrozen by a grace period. Readers that can race with the
+  /// lifecycle must hold a pin (PinChunk) or a read section around the
+  /// access.
   const Chunk* hot_chunk(size_t chunk_idx) const {
-    return slot(chunk_idx).hot.get();
+    return IsHotState(chunk_state(chunk_idx)) ? slot(chunk_idx).hot.get()
+                                              : nullptr;
   }
-  /// Resident frozen block, nullptr while hot, evicted or tombstoned.
-  /// Readers that can race with the lifecycle must hold a pin (PinChunk)
-  /// around the access.
+  /// Resident frozen block, nullptr while hot, evicted or tombstoned. Read
+  /// it under a pin (PinChunk, or PinForScan returning false): the pin
+  /// settles a freeze, and an eviction or tombstone with its grace period,
+  /// so the pointer holds until the unpin — also while an eviction or
+  /// tombstone that meets the pin publishes its state and backs off.
   const DataBlock* frozen_block(size_t chunk_idx) const {
     return slot(chunk_idx).frozen.get();
   }
@@ -217,7 +245,9 @@ class Table {
     return chunk_rows(chunk_idx) == chunk_capacity_;
   }
 
-  /// Delete bitmap of a chunk (hot or frozen); nullptr if nothing deleted.
+  /// Delete bitmap of a chunk (the hot chunk's while hot or freezing, else
+  /// the side bitmap); nullptr if nothing deleted. A hot chunk's bitmap is
+  /// valid only while the caller holds a pin.
   const uint64_t* delete_bitmap(size_t chunk_idx) const;
   /// Copies the side delete bitmap of a frozen, evicted or tombstoned chunk
   /// into `out` and returns true; false, leaving `out` alone, when none of
@@ -247,14 +277,48 @@ class Table {
   void SetBlockSummary(size_t chunk_idx,
                        std::unique_ptr<const BlockSummary> summary);
 
-  // -- Pinning (readers vs freeze/evict) ---------------------------------
+  // -- Read sections (point accesses vs freeze/evict/tombstone) ----------
+
+  /// RAII read section of the calling thread, not tied to a table. Inside
+  /// one, a point access (GetInt, GetDouble, GetStringView, GetValue,
+  /// IsVisible, TryUpdateInPlace, Delete, Insert) only loads the chunk
+  /// state and reads or writes what it names — no pin, no locked
+  /// read-modify-write on the chunk slot. Whatever hot chunk or resident
+  /// block a section saw stays allocated until the section closes: state
+  /// changers publish the new state and call Synchronize() before they
+  /// compress a hot chunk or free anything. A section holder never waits
+  /// for a state changer in return (on kFreezing a read uses the intact
+  /// hot chunk, a write relocates and Insert starts a new tail), but it
+  /// delays every freeze, eviction and tombstone until it closes, so keep
+  /// sections short — one transaction or one tuple. Sections nest; only
+  /// the outermost one publishes. A point access outside a section opens
+  /// its own. Inside a section, PinChunk, PinForScan, Synchronize and the
+  /// lifecycle transitions are illegal (DB_CHECK): each may wait for it.
+  class ReadSection {
+   public:
+    ReadSection();
+    ~ReadSection();
+    ReadSection(const ReadSection&) = delete;
+    ReadSection& operator=(const ReadSection&) = delete;
+  };
+
+  /// Returns once every read section open at the call, on any thread, has
+  /// closed. Sections opened later see whatever state was published before
+  /// the call. Never call it inside a section or under a lock that a
+  /// section holder may take.
+  static void Synchronize();
+
+  // -- Pinning (scans vs freeze/evict) -----------------------------------
 
   /// Pins a chunk: while pinned it cannot be frozen, evicted, readmitted
   /// or tombstoned, so hot_chunk()/frozen_block() stay valid until
   /// UnpinChunk. An evicted chunk is pinned as it is — the pin never reads
-  /// or installs its block, and frozen_block() stays nullptr. Pins are
-  /// cheap (one atomic RMW) and may be taken from any thread; a pin that
-  /// meets a freeze in flight waits for it.
+  /// or installs its block, and frozen_block() stays nullptr. Pins cost
+  /// one atomic RMW each way on the chunk slot, so scans take one per
+  /// chunk and point accesses none (they use read sections). They may be
+  /// taken from any thread outside a read section; a pin that meets a
+  /// freeze in flight waits for it, and one that meets an eviction or
+  /// tombstone waits until the retired block is freed.
   void PinChunk(size_t chunk_idx) const;
   void UnpinChunk(size_t chunk_idx) const;
 
@@ -293,9 +357,13 @@ class Table {
 
   // -- Temperature (lifecycle statistics) --------------------------------
 
-  /// Access clock of a chunk: bumped by point reads/updates/deletes (not by
-  /// scans), decayed epochally by the lifecycle manager. The clock is the
-  /// freeze signal: a full chunk whose clock stays low is cold.
+  /// Access clock of a chunk: bumped by point reads/updates/deletes and
+  /// inserts (not by scans or Prefetch), decayed epochally by the lifecycle
+  /// manager. The clock is the freeze signal: a full chunk whose clock
+  /// stays low is cold. A bump is a relaxed load and store, not a locked
+  /// increment: on one thread the clock is exact, while concurrent point
+  /// readers and decays may lose each other's updates, so it is only
+  /// approximate then.
   uint32_t chunk_clock(size_t chunk_idx) const {
     return slot(chunk_idx).clock.load(std::memory_order_relaxed);
   }
@@ -320,13 +388,18 @@ class Table {
 
   // -- Lifecycle transitions ---------------------------------------------
 
+  // Each transition below publishes its new state and, unless it backs off
+  // from a pin, calls Synchronize() before it compresses or frees anything,
+  // so none may run inside a read section.
+
   /// Freezes chunk `chunk_idx` into a DataBlock. `sort_col >= 0` reorders
   /// the block's rows by that column before compressing (Section 3.2:
   /// clustering improves PSMA precision); sorting invalidates RowIds into
   /// this chunk, so it must only be used before indexes are built. Deleted
   /// rows stay deleted: the delete flags move with their rows.
   /// Returns false (and leaves the chunk hot) if the chunk is not hot, is
-  /// empty, or is currently pinned by a reader.
+  /// empty, or is currently pinned by a reader. The hot chunk is freed a
+  /// grace period after kFrozen is published.
   bool FreezeChunk(size_t chunk_idx, int sort_col = -1, bool build_psma = true);
 
   /// Freezes all hot chunks (including a partially filled tail).
@@ -351,8 +424,10 @@ class Table {
   /// of evicted chunk `chunk_idx` (evicted -> frozen). Only the lifecycle
   /// manager calls it, when it detaches. kCorruption if the block
   /// does not belong to the chunk (row count, schema types),
-  /// kFailedPrecondition if the chunk is not evicted or is pinned (a
-  /// pinned reader keeps the state it pinned).
+  /// kFailedPrecondition if the chunk is not evicted, is pinned (a pinned
+  /// reader keeps the state it pinned) or its eviction is still in its
+  /// grace period. Returns once no read section still reads the chunk as
+  /// evicted, so the caller may then drop the archive copy.
   Status ReadmitChunk(size_t chunk_idx, DataBlock block);
 
   /// Installs the read path for evicted chunks (PinForScan, point reads).
@@ -384,8 +459,13 @@ class Table {
 
  private:
   struct Slot {
-    std::unique_ptr<Chunk> hot;        // set iff state is kHot/kFreezing
-    std::unique_ptr<DataBlock> frozen; // set iff state is kFrozen
+    // Chosen by the state, never by which pointer is set: `hot` is set
+    // while kHot/kFreezing and through the grace period after kFrozen,
+    // `frozen` while kFrozen and through the grace period after kEvicted
+    // or kTombstone. Both are written only under lifecycle_mu_ or after
+    // Synchronize(), never while a reader may still load them.
+    std::unique_ptr<Chunk> hot;
+    std::unique_ptr<DataBlock> frozen;
     /// Resident summary (SMA/PSMA metadata) of the frozen block; installed
     /// at archive time (release store), kept across eviction, freed by the
     /// slot. Atomic so stats readers and unpinned scans can load it while
@@ -399,7 +479,7 @@ class Table {
     std::atomic<uint32_t> frozen_deleted_count{0};
     std::atomic<uint32_t> rows{0};
     std::atomic<ChunkState> state{ChunkState::kHot};
-    mutable std::atomic<uint32_t> pins{0};
+    mutable std::atomic<uint32_t> pins{0};  // scans and explicit pins only
     mutable std::atomic<uint32_t> clock{0};
     mutable std::atomic<uint32_t> last_access{0};
     /// Home NUMA node (-1 unknown); written once in NewSlot before
@@ -434,13 +514,22 @@ class Table {
   /// waiting out a freeze in flight; no lock is taken otherwise. Hot,
   /// frozen and evicted hold until the unpin (readmission refuses a pinned
   /// chunk, tombstones back off from it), except that kEvicted or
-  /// kTombstone may be an eviction or tombstone backing off from the pin:
-  /// fine for the side bitmap and for reading the archived copy, while
-  /// callers that read the resident block Settle first.
+  /// kTombstone may be an eviction or tombstone backing off from the pin,
+  /// or one whose block is still in its grace period: fine for the side
+  /// bitmap and for reading the archived copy, while callers that read the
+  /// resident block Settle first.
   ChunkState PinSlot(const Slot& s) const;
   /// Re-reads a pinned slot's state under the lifecycle mutex, after any
-  /// freeze in flight.
+  /// freeze in flight and, on kEvicted or kTombstone, after the retired
+  /// block is freed — so frozen_block() is then null exactly when the
+  /// chunk has no resident block.
   ChunkState Settle(const Slot& s) const;
+  /// Publishes `to` (a state that leaves kFrozen) after the caller checked
+  /// `from` under the lifecycle mutex, backs off to `from` if a scan holds
+  /// a pin, and otherwise frees the resident block once Synchronize() has
+  /// waited out every section that may still read it.
+  bool RetireBlock(Slot& slot, ChunkState from, ChunkState to,
+                   std::unique_lock<std::mutex>& lock);
   /// Performs `read` of evicted chunk `chunk_idx` through the fetcher —
   /// exceptions become a Status — and checks that the block belongs to the
   /// chunk (CheckBlock).
@@ -449,21 +538,22 @@ class Table {
   /// types for `columns`.
   Status CheckBlock(size_t chunk_idx, const ColumnSet& columns,
                     const DataBlock& block) const;
-  /// Pins the chunk of `id` and reads `col` of its row: `from_block` on the
+  /// Reads `col` of row `id` inside a read section: `from_block` on the
   /// resident block or the thread's point image, `from_hot` on the hot
   /// chunk.
   template <typename FromBlock, typename FromHot>
   auto PointRead(RowId id, uint32_t col, FromBlock&& from_block,
                  FromHot&& from_hot) const;
-  /// Pin that succeeds only if the chunk is resident (hot or frozen) —
-  /// unlike PinChunk it neither waits out a freeze nor stamps the access
-  /// recency. Used by the accounting loops.
-  bool TryPinResident(size_t chunk_idx) const;
   /// Bumps the temperature clock + recency stamp of a chunk (point access).
+  /// Plain load and store, not a locked increment (see chunk_clock()), and
+  /// the stamp is stored only when it changes: a point access writes the
+  /// slot's line once, not with three locked instructions.
   void Touch(const Slot& slot) const {
-    slot.clock.fetch_add(1, std::memory_order_relaxed);
-    slot.last_access.store(access_epoch_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+    slot.clock.store(slot.clock.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+    const uint32_t epoch = access_epoch_.load(std::memory_order_relaxed);
+    if (slot.last_access.load(std::memory_order_relaxed) != epoch)
+      slot.last_access.store(epoch, std::memory_order_relaxed);
   }
 
   std::string name_;
@@ -479,8 +569,9 @@ class Table {
   std::atomic<size_t> num_slots_{0};
 
   /// Serializes lifecycle transitions (freeze/evict/readmit/tombstone) and
-  /// the slow pin path; not held across the fetcher's archive I/O. Never
-  /// held while calling user code.
+  /// the slow pin path; not held across the fetcher's archive I/O or
+  /// Synchronize() (section holders take it briefly). Never held while
+  /// calling user code.
   mutable std::mutex lifecycle_mu_;
   mutable std::condition_variable lifecycle_cv_;  // freeze completion
   BlockFetcher fetcher_;

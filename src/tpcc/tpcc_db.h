@@ -85,8 +85,8 @@ class TpccDatabase {
   int Delivery(Rng& rng);      // returns #orders delivered
   int StockLevel(Rng& rng);    // read-only; returns low-stock count
 
-  /// Runs the standard mix (45/43/4/4/4) once; returns the transaction type
-  /// executed (0..4).
+  /// Runs the standard mix (45/43/4/4/4) once, inside one
+  /// Table::ReadSection; returns the transaction type executed (0..4).
   int RunMixedTransaction(Rng& rng);
 
   // -- Experiments ---------------------------------------------------------

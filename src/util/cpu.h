@@ -71,6 +71,14 @@ unsigned HardwareThreads();
 /// a worker's node for NUMA-local morsel handout.
 int CurrentNode();
 
+/// Spin-wait hint (PAUSE on x86): frees the core's pipeline for its
+/// sibling hyperthread while a waiter polls.
+inline void Relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 }  // namespace cpu
 }  // namespace datablocks
 

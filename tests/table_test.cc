@@ -1,9 +1,26 @@
 // Table semantics: insert/delete/update visibility, freeze behaviour,
 // RowId stability, point accesses across hot and frozen chunks, PK index,
-// and the string arena behind hot string columns.
+// the string arena behind hot string columns, and read sections: point
+// accesses racing freeze, evict and tombstone, the grace period that keeps
+// what a section saw allocated, pinned scans and Save through eviction
+// and tombstone back-offs, and the Prefetch contract.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <thread>
+#include <unordered_map>
+
+#include "exec/table_scanner.h"
+#include "storage/block_archive.h"
 #include "storage/pk_index.h"
 #include "storage/string_arena.h"
 #include "storage/table.h"
@@ -252,6 +269,550 @@ TEST(Table, NullableColumnsThroughFreeze) {
     Value v = t.GetValue(ids[size_t(i)], 1);
     EXPECT_EQ(v.is_null(), i % 2 == 1);
   }
+}
+
+// -- Read sections ------------------------------------------------------
+
+/// Archives a table's frozen chunks to a temporary file and serves the
+/// table's evicted reads from it, counting every fetcher call.
+class CountingFetcher {
+ public:
+  explicit CountingFetcher(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               ("datablocks_table_test_" + name + "_" +
+                std::to_string(::getpid()) + ".dbar"))
+                  .string()) {
+    StatusOr<BlockArchive> created = BlockArchive::Create(path_);
+    DB_CHECK(created.ok());
+    archive_ = std::move(*created);
+  }
+  ~CountingFetcher() { std::remove(path_.c_str()); }
+
+  void Install(Table& t) {
+    t.SetBlockFetcher([this](size_t chunk, const BlockRead& read) -> Status {
+      calls_.fetch_add(1, std::memory_order_relaxed);
+      size_t id;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = ids_.find(chunk);
+        if (it == ids_.end()) return Status::NotFound("chunk not archived");
+        id = it->second;
+      }
+      StatusOr<uint64_t> bytes =
+          read.kind == BlockRead::kPoint
+              ? archive_.ReadRow(id, read.col, read.row, read.pages)
+              : archive_.ReadBlock(id, read.columns, read.image);
+      return bytes.ok() ? Status::Ok() : bytes.status();
+    });
+  }
+
+  /// Archives frozen chunk `c` once; false if it is not frozen.
+  bool Archive(const Table& t, size_t c) {
+    if (archived(c)) return true;
+    Table::PinGuard pin(t, c);
+    const DataBlock* block = t.frozen_block(c);
+    if (block == nullptr) return false;
+    StatusOr<size_t> id = archive_.AppendBlock(*block, uint32_t(c));
+    DB_CHECK(id.ok());
+    std::lock_guard<std::mutex> lock(mu_);
+    ids_[c] = *id;
+    return true;
+  }
+  bool archived(size_t c) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ids_.count(c) != 0;
+  }
+  /// Reads archived chunk `c` whole and readmits it (fails while it is
+  /// pinned or still being evicted).
+  Status Readmit(Table& t, size_t c) {
+    size_t id;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      id = ids_.at(c);
+    }
+    DataBlock block;
+    StatusOr<uint64_t> bytes =
+        archive_.ReadBlock(id, ColumnSet::All(), &block);
+    if (!bytes.ok()) return bytes.status();
+    return t.ReadmitChunk(c, std::move(block));
+  }
+  uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  std::string path_;
+  BlockArchive archive_;
+  mutable std::mutex mu_;
+  std::unordered_map<size_t, size_t> ids_;  // chunk -> archive block id
+  std::atomic<uint64_t> calls_{0};
+};
+
+/// Runs `stop`, then joins `thread`, when the scope ends — also when an
+/// assertion returns early or an exception escapes, which would otherwise
+/// leave the thread joinable and end the program.
+struct StopAndJoin {
+  std::function<void()> stop;
+  std::thread& thread;
+  ~StopAndJoin() {
+    stop();
+    if (thread.joinable()) thread.join();
+  }
+};
+
+std::string LongName(int i) {
+  return "row " + std::to_string(i) + std::string(200, char('a' + i % 26));
+}
+
+// One thread runs point reads, in-place updates, deletes and inserts in
+// read sections of 1 to 64 accesses and checks every answer against a
+// model; a second thread freezes, archives, evicts and tombstones the same
+// chunks the whole time. Run under TSan in CI.
+TEST(ReadSection, PointAccessesRaceFreezeEvictAndTombstone) {
+  CountingFetcher fetcher("race");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  struct Model {
+    int64_t key;
+    int32_t val;
+    std::string name;
+  };
+  std::map<RowId, Model> live;  // visible rows, by RowId (oldest first)
+  int64_t next_key = 0;
+  auto insert = [&](int32_t val, const std::string& name) {
+    const int64_t key = next_key++;
+    const RowId id = t.Insert(Row(key, val, name));
+    live[id] = Model{key, val, name};
+  };
+  for (int i = 0; i < 256; ++i) insert(i, LongName(i));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> rounds{0};
+  std::thread lifecycle([&] {
+    Rng rng(31);
+    while (!done.load(std::memory_order_acquire)) {
+      const int round = rounds.load(std::memory_order_relaxed);
+      const size_t n = t.num_chunks();
+      for (size_t c = 0; c < n; ++c) {
+        // The partial tail only every fourth round, so that tails fill.
+        if (t.chunk_state(c) == ChunkState::kHot &&
+            (t.chunk_full(c) || round % 4 == 3)) {
+          t.FreezeChunk(c);
+        }
+        if (t.chunk_state(c) == ChunkState::kFrozen && fetcher.Archive(t, c) &&
+            (round == 0 || rng.Uniform(0, 2) == 0)) {
+          t.EvictChunk(c);
+        }
+        t.TombstoneChunk(c);  // refused unless fully deleted
+      }
+      rounds.fetch_add(1, std::memory_order_release);
+    }
+  });
+  StopAndJoin stop_lifecycle{[&] { done.store(true); }, lifecycle};
+  // Start once the first round has frozen and evicted the loaded chunks.
+  while (rounds.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
+
+  Rng rng(29);
+  auto pick = [&] {
+    auto it = live.begin();
+    std::advance(it, rng.Uniform(0, int64_t(live.size()) - 1));
+    return it;
+  };
+  int mismatches = 0;
+  auto expect = [&](bool ok, const char* what, RowId id) {
+    if (ok) return;
+    if (++mismatches <= 5)
+      ADD_FAILURE() << what << " of row " << id << " (chunk "
+                    << RowIdChunk(id) << ", "
+                    << ChunkStateName(t.chunk_state(RowIdChunk(id))) << ")";
+  };
+  // Every transition waits for the section in flight, so the two threads
+  // interleave at section boundaries for the whole run.
+  for (int section_no = 0; section_no < 1500; ++section_no) {
+    Table::ReadSection section;
+    const int64_t len = rng.Uniform(1, 64);
+    for (int64_t k = 0; k < len; ++k) {
+      // Reads, updates, deletes and inserts at 5:2:1:1, plus one more
+      // delete or insert that keeps about 256 rows live.
+      int64_t op = live.empty() ? 8 : rng.Uniform(0, 9);
+      if (op == 9) op = live.size() > 256 ? 7 : 8;
+      if (op <= 4) {
+        const auto [id, m] = *pick();
+        expect(t.IsVisible(id), "visibility", id);
+        expect(t.GetInt(id, 0) == m.key, "key", id);
+        expect(t.GetInt(id, 1) == m.val, "val", id);
+        expect(t.GetStringView(id, 2) == m.name, "name", id);
+      } else if (op <= 6) {
+        // An in-place update, or the relocation of a row that is no
+        // longer hot (paper Section 3).
+        auto it = pick();
+        Model m = it->second;
+        const bool string_col = op == 6;
+        if (string_col)
+          m.name = LongName(int(rng.Uniform(0, 1000)));
+        else
+          m.val = int32_t(rng.Uniform(0, 1 << 30));
+        const Value v = string_col ? Value::Str(m.name) : Value::Int(m.val);
+        if (t.TryUpdateInPlace(it->first, string_col ? 2 : 1, v)) {
+          it->second = m;
+        } else {
+          const RowId moved = t.Update(it->first, Row(m.key, m.val, m.name));
+          live.erase(it);
+          live[moved] = m;
+        }
+      } else if (op == 7) {
+        // Mostly the oldest rows, so that whole chunks become deletable.
+        auto it = rng.Uniform(0, 1) == 0 ? live.begin() : pick();
+        const RowId id = it->first;
+        t.Delete(id);
+        expect(!t.IsVisible(id), "delete", id);
+        live.erase(it);
+      } else {
+        insert(int32_t(next_key), LongName(int(next_key)));
+      }
+    }
+  }
+  stop_lifecycle.stop();
+  lifecycle.join();
+
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(t.num_visible(), live.size());
+  for (const auto& [id, m] : live) {
+    ASSERT_TRUE(t.IsVisible(id)) << id;
+    ASSERT_EQ(t.GetInt(id, 1), m.val) << id;
+    ASSERT_EQ(t.GetStringView(id, 2), m.name) << id;
+  }
+  EXPECT_GT(t.evictions(), 0u);
+  EXPECT_GT(fetcher.calls(), 0u);
+  std::printf("%d lifecycle rounds, %zu chunks, %llu evictions, %llu "
+              "tombstones, %llu fetches\n",
+              rounds.load(), t.num_chunks(),
+              static_cast<unsigned long long>(t.evictions()),
+              static_cast<unsigned long long>(t.tombstones()),
+              static_cast<unsigned long long>(fetcher.calls()));
+}
+
+/// Waits up to `limit` for `done`; false on timeout.
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::milliseconds limit =
+                            std::chrono::milliseconds(5000)) {
+  const auto end = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > end) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+constexpr auto kGrace = std::chrono::milliseconds(50);
+
+// A string_view of a frozen row, taken inside a section, stays readable
+// while another thread evicts or tombstones the chunk, and that thread
+// returns only after the section closes. Under ASan a block freed early is
+// a use-after-free; without it, the early return fails the test.
+void CheckBlockOutlivesSection(bool tombstone) {
+  CountingFetcher fetcher(tombstone ? "grace_tombstone" : "grace_evict");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  std::vector<RowId> ids;
+  for (int i = 0; i < 64; ++i) ids.push_back(t.Insert(Row(i, i, LongName(i))));
+  ASSERT_TRUE(t.FreezeChunk(0));
+  ASSERT_TRUE(fetcher.Archive(t, 0));
+  if (tombstone) {
+    for (RowId id : ids) t.Delete(id);  // frozen rows stay readable
+  }
+  const ChunkState after =
+      tombstone ? ChunkState::kTombstone : ChunkState::kEvicted;
+
+  std::atomic<bool> returned{false};
+  std::thread changer;
+  StopAndJoin join_changer{[] {}, changer};  // after the section closed
+  {
+    Table::ReadSection section;
+    const std::string_view view = t.GetStringView(ids[7], 2);
+    changer = std::thread([&] {
+      EXPECT_TRUE(tombstone ? t.TombstoneChunk(0) : t.EvictChunk(0));
+      returned.store(true);
+    });
+    // The new state is published before the grace period starts.
+    ASSERT_TRUE(WaitFor([&] { return t.chunk_state(0) == after; }));
+    std::this_thread::sleep_for(kGrace);
+    EXPECT_FALSE(returned.load());
+    EXPECT_EQ(view, LongName(7));
+  }
+  changer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(t.frozen_block(0), nullptr);
+}
+
+TEST(ReadSection, EvictionWaitsForTheSectionThatReadTheBlock) {
+  CheckBlockOutlivesSection(/*tombstone=*/false);
+}
+
+TEST(ReadSection, TombstoneWaitsForTheSectionThatReadTheBlock) {
+  CheckBlockOutlivesSection(/*tombstone=*/true);
+}
+
+// A pinned reader sees the chunk it pinned while evictions and tombstones
+// back off from its pin: their transient state is never taken for an
+// evicted or tombstoned chunk, so a scan never loses its block and Save
+// never leaves a resident chunk out. Run under TSan in CI.
+TEST(Table, PinnedReadersSeeTheirBlockThroughEvictAndTombstoneBackOffs) {
+  CountingFetcher fetcher("backoff");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  constexpr size_t kChunks = 8, kLive = 6;  // chunks 6 and 7 fully deleted
+  std::vector<RowId> ids;
+  for (int i = 0; i < int(kChunks) * 64; ++i)
+    ids.push_back(t.Insert(Row(i, i, "b")));
+  for (size_t c = 0; c < kChunks; ++c) {
+    ASSERT_TRUE(t.FreezeChunk(c));
+    ASSERT_TRUE(fetcher.Archive(t, c));
+  }
+  for (size_t i = kLive * 64; i < ids.size(); ++i) t.Delete(ids[i]);
+  int64_t expected = 0;
+  for (int i = 0; i < int(kLive) * 64; ++i) expected += i;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("datablocks_table_test_backoff_save_" + std::to_string(::getpid()) +
+        ".dbar"))
+          .string();
+
+  // While these pins are held, every tombstone of chunks 6 and 7 backs off.
+  auto pin6 = std::make_unique<Table::PinGuard>(t, 6);
+  auto pin7 = std::make_unique<Table::PinGuard>(t, 7);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> evictions{0}, tombstone_tries{0};
+  std::thread changer([&] {
+    while (!stop.load()) {
+      for (size_t c = 0; c < kLive; ++c) {
+        if (t.EvictChunk(c)) evictions.fetch_add(1);
+        if (t.chunk_state(c) == ChunkState::kEvicted)
+          (void)fetcher.Readmit(t, c);  // refused while a scan pins it
+      }
+      for (int k = 0; k < 32; ++k) {
+        EXPECT_FALSE(t.TombstoneChunk(6));
+        EXPECT_FALSE(t.TombstoneChunk(7));
+      }
+      tombstone_tries.fetch_add(64);
+    }
+  });
+  StopAndJoin join_changer{[&] { stop.store(true); }, changer};
+  // Point reads in read sections stretch each eviction's grace period, in
+  // which a new pin must not take the retiring block for a resident one.
+  std::thread reader([&] {
+    Rng rng(7);
+    while (!stop.load()) {
+      Table::ReadSection section;
+      const int i = int(rng.Uniform(0, int64_t(kLive) * 64 - 1));
+      EXPECT_EQ(t.GetInt(ids[size_t(i)], 1), i);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  StopAndJoin join_reader{[&] { stop.store(true); }, reader};
+
+  for (int round = 0; round < 200; ++round) {
+    TableScanner scan(t, {1}, {}, ScanMode::kDataBlocks);
+    Batch b;
+    int64_t sum = 0;
+    while (scan.Next(&b)) {
+      for (uint32_t i = 0; i < b.count; ++i) sum += b.cols[0].i32[i];
+    }
+    ASSERT_EQ(sum, expected) << "round " << round;
+
+    StatusOr<size_t> saved = BlockArchive::Save(t, path);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    ASSERT_EQ(*saved, kChunks) << "round " << round;
+
+    for (int k = 0; k < 2000; ++k) {
+      ASSERT_NE(t.frozen_block(6), nullptr);
+      ASSERT_NE(t.frozen_block(7), nullptr);
+    }
+    Table::PinGuard pin(t, 0);
+    const DataBlock* block = t.frozen_block(0);  // nullptr if evicted
+    for (int k = 0; k < 2000; ++k) {
+      ASSERT_EQ(t.frozen_block(0), block);
+      if (block != nullptr) {
+        ASSERT_EQ(block->num_rows(), 64u);
+      }
+    }
+  }
+  stop.store(true);
+  changer.join();
+  reader.join();
+  EXPECT_GT(evictions.load(), 0u);
+  EXPECT_GT(tombstone_tries.load(), 0u);
+
+  // Unpinned, the fully deleted chunks tombstone and drop out of Save.
+  pin6.reset();
+  pin7.reset();
+  EXPECT_TRUE(t.TombstoneChunk(6));
+  EXPECT_TRUE(t.TombstoneChunk(7));
+  EXPECT_EQ(t.frozen_block(6), nullptr);
+  StatusOr<size_t> saved = BlockArchive::Save(t, path);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(*saved, kLive);
+  std::remove(path.c_str());
+}
+
+// A freeze compresses only after the sections that saw the chunk hot have
+// closed, and frees the hot chunk only after the sections that read it
+// while kFreezing have closed too.
+TEST(ReadSection, FreezeWaitsForSectionsOnBothSidesOfKFreezing) {
+  Table t("t", TestSchema(), 64);
+  std::vector<RowId> ids;
+  for (int i = 0; i < 64; ++i) ids.push_back(t.Insert(Row(i, i, LongName(i))));
+
+  // A section opened before the freeze holds it at kFreezing.
+  std::atomic<int> holder_phase{0};  // 1: section open, 2: close it
+  std::thread holder([&] {
+    Table::ReadSection section;
+    holder_phase.store(1);
+    while (holder_phase.load() != 2) std::this_thread::yield();
+  });
+  StopAndJoin join_holder{[&] { holder_phase.store(2); }, holder};
+  ASSERT_TRUE(WaitFor([&] { return holder_phase.load() == 1; }));
+  std::atomic<bool> returned{false};
+  std::thread freezer([&] {
+    EXPECT_TRUE(t.FreezeChunk(0));
+    returned.store(true);
+  });
+  // The freezer finishes only once the holder has closed its section.
+  StopAndJoin join_freezer{[&] { holder_phase.store(2); }, freezer};
+  EXPECT_TRUE(
+      WaitFor([&] { return t.chunk_state(0) == ChunkState::kFreezing; }));
+  std::this_thread::sleep_for(kGrace);
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kFreezing);  // not compressed yet
+  {
+    // Opened at kFreezing: reads the intact hot chunk. Once the holder
+    // closes, the freezer installs the block, but keeps the hot chunk
+    // until this section closes too.
+    Table::ReadSection section;
+    const std::string_view view = t.GetStringView(ids[7], 2);
+    EXPECT_FALSE(t.TryUpdateInPlace(ids[8], 1, Value::Int(-1)));
+    holder_phase.store(2);
+    // The freezer's first grace period may have started after this
+    // section opened, and then waits for it: only check when it did not.
+    if (WaitFor([&] { return t.chunk_state(0) == ChunkState::kFrozen; },
+                std::chrono::milliseconds(1000))) {
+      std::this_thread::sleep_for(kGrace);
+      EXPECT_FALSE(returned.load());
+    }
+    EXPECT_EQ(view, LongName(7));
+  }
+  holder.join();
+  freezer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(t.hot_chunk(0), nullptr);
+  EXPECT_EQ(t.GetStringView(ids[7], 2), LongName(7));
+  EXPECT_EQ(t.GetInt(ids[8], 1), 8);
+}
+
+// Prefetch is a hint: on hot, frozen, evicted and tombstoned chunks it
+// leaves the clock and the recency stamp alone, reads nothing from the
+// archive and never throws.
+TEST(Table, PrefetchLeavesClockRecencyAndArchiveAlone) {
+  CountingFetcher fetcher("prefetch");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  std::vector<RowId> ids;
+  for (int i = 0; i < 4 * 64; ++i) ids.push_back(t.Insert(Row(i, i, "p")));
+  for (size_t c = 1; c < 4; ++c) {
+    ASSERT_TRUE(t.FreezeChunk(c));
+    ASSERT_TRUE(fetcher.Archive(t, c));
+  }
+  ASSERT_TRUE(t.EvictChunk(2));
+  for (int i = 3 * 64; i < 4 * 64; ++i) t.Delete(ids[size_t(i)]);
+  ASSERT_TRUE(t.TombstoneChunk(3));
+  const ChunkState states[] = {ChunkState::kHot, ChunkState::kFrozen,
+                               ChunkState::kEvicted, ChunkState::kTombstone};
+  for (size_t c = 0; c < 4; ++c) ASSERT_EQ(t.chunk_state(c), states[c]);
+  t.AdvanceAccessEpoch();  // a touch would now restamp every chunk
+
+  std::vector<uint32_t> clocks, stamps;
+  for (size_t c = 0; c < 4; ++c) {
+    clocks.push_back(t.chunk_clock(c));
+    stamps.push_back(t.chunk_last_access(c));
+  }
+  const uint64_t calls = fetcher.calls();
+  auto prefetch_all = [&] {
+    for (RowId id : ids) {
+      for (uint32_t col = 0; col <= 3; ++col)  // 3 is out of range
+        EXPECT_NO_THROW(t.Prefetch(id, col));
+    }
+    EXPECT_NO_THROW(t.Prefetch(MakeRowId(0, 1000), 0));  // past the rows
+    EXPECT_NO_THROW(t.Prefetch(MakeRowId(99, 0), 0));    // past the chunks
+  };
+  prefetch_all();
+  {
+    Table::ReadSection section;
+    prefetch_all();
+  }
+  for (size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(t.chunk_state(c), states[c]) << c;
+    EXPECT_EQ(t.chunk_clock(c), clocks[c]) << c;
+    EXPECT_EQ(t.chunk_last_access(c), stamps[c]) << c;
+  }
+  EXPECT_EQ(fetcher.calls(), calls);
+}
+
+// Pins, Synchronize and the lifecycle transitions may wait for the
+// caller's own section: inside a section they abort instead of
+// deadlocking.
+TEST(ReadSectionDeathTest, PinsAndSynchronizeAbortInsideASection) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table t("t", TestSchema(), 64);
+  t.Insert(Row(1, 1, "x"));
+  DataBlock image;
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        t.PinChunk(0);
+      },
+      "DB_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        t.PinForScan(0, ColumnSet::All(), &image);
+      },
+      "DB_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        Table::Synchronize();
+      },
+      "DB_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Table::ReadSection outer;
+        Table::ReadSection nested;
+        t.FreezeChunk(0);
+      },
+      "DB_CHECK failed");
+  // Lifecycle transitions check on entry, also when they would return
+  // false: the chunk is hot, so it cannot be evicted, tombstoned or
+  // readmitted.
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        t.EvictChunk(0);
+      },
+      "DB_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        t.TombstoneChunk(0);
+      },
+      "DB_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Table::ReadSection section;
+        (void)t.ReadmitChunk(0, DataBlock());
+      },
+      "DB_CHECK failed");
+  // Closed sections leave the thread free to pin and synchronize.
+  { Table::ReadSection section; }
+  Table::PinGuard pin(t, 0);
+  Table::Synchronize();
 }
 
 }  // namespace
