@@ -133,7 +133,7 @@ void UnpackColumnRange(const DataBlock& block, uint32_t col, uint32_t from,
 /// ColumnVector: the dictionary codes at `positions` are appended to
 /// `out->codes` and `out` is bound to the block's dictionary, so strings are
 /// only decoded for rows the consumer materializes through Str(). The block
-/// must outlive the batch (the scanner's chunk pin guarantees this).
+/// must outlive the batch (the scanner's read section guarantees this).
 void UnpackColumnCodes(const DataBlock& block, uint32_t col,
                        const uint32_t* positions, uint32_t n,
                        ColumnVector* out);

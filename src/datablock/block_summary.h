@@ -72,7 +72,7 @@ class BlockSummary {
 
 /// Result of summary-only predicate translation. `skip == true` is a proof
 /// that the full per-block translation (PrepareBlockScan) would also rule
-/// the block out — so the scan may pass over the block without pinning,
+/// the block out — so the scan may pass over the block without opening,
 /// fetching or LRU-promoting it. `skip == false` means "cannot decide
 /// without the payload" (e.g. a dictionary equality probe needs the
 /// dictionary): the caller reloads the block and runs the precise path.

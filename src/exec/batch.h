@@ -45,10 +45,10 @@ using UninitVector = std::vector<T, DefaultInitAllocator<T>>;
 /// *code-carrying*: `codes` holds the dictionary codes of the matching rows
 /// and `dict_block`/`dict_col` identify the block dictionary that decodes
 /// them. The strings are materialized lazily through Str(), only for rows the
-/// consumer actually touches. The scanner keeps the producing chunk pinned
-/// for as long as the batch is live (until the next Next()/Reset/destruction),
-/// so both the code vector's dictionary handle and any materialized views
-/// stay valid for the batch's lifetime.
+/// consumer actually touches. The scanner keeps the producing chunk's read
+/// section open for as long as the batch is live (until the next
+/// Next()/Reset/destruction), so both the code vector's dictionary handle
+/// and any materialized views stay valid for the batch's lifetime.
 ///
 /// Resizing i32, i64, f64 or codes leaves the new slots unspecified (no
 /// zero-fill): every writer fills all the slots it adds.

@@ -26,10 +26,11 @@ namespace datablocks {
 ///  * `pipeline` (optional) receives per-slot profiles — morsel / batch /
 ///    row counts and the scanners' block accounting.
 ///
-/// Safe to run concurrently with the block lifecycle: a scanner pins its
-/// claimed chunk (reading an evicted one's columns into its own image) for
-/// the duration of the morsel, so background freezing/eviction proceeds on
-/// all unclaimed chunks.
+/// Safe to run concurrently with the block lifecycle: a scanner reads each
+/// chunk of its morsel inside one read section (an evicted one's columns
+/// into its own image), so a freeze, eviction or tombstone of that chunk
+/// waits until the scanner moves past it and proceeds on every other chunk
+/// meanwhile. A slot runs on one thread, as its scanner's sections need.
 class MorselDriver {
  public:
   MorselDriver(const Table& table, std::vector<uint32_t> columns,

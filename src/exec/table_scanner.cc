@@ -142,44 +142,40 @@ TableScanner::TableScanner(const Table& table, std::vector<uint32_t> columns,
 }
 
 TableScanner::~TableScanner() {
-  ReleasePin();
+  CloseChunk();
   if (t_spare_image.empty()) t_spare_image = std::move(image_);
 }
 
-void TableScanner::PinCurrentChunk() {
-  if (pinned_chunk_ == chunk_idx_) return;
-  ReleasePin();
+void TableScanner::OpenChunk() {
+  section_.emplace();
   try {
-    streamed_ = table_->PinForScan(chunk_idx_, image_cols_, &image_);
+    source_ = table_->OpenForScan(chunk_idx_, image_cols_, &image_);
   } catch (const StorageException& e) {
-    // PinForScan released its own pin; annotate with scan context and let
-    // the exception travel up the pipeline (TaskGroup carries it across pool
-    // workers) — the query fails, the process does not.
+    // Annotate with scan context and let the exception travel up the
+    // pipeline (TaskGroup carries it across pool workers) — the query
+    // fails, the process does not.
+    CloseChunk();
     Metrics().pin_failures->Add();
     throw StorageException(Status(
         e.status().code(), "scan of table '" + table_->name() + "' chunk " +
                                std::to_string(chunk_idx_) +
                                " failed: " + e.status().message()));
   }
-  pinned_chunk_ = chunk_idx_;
   ++pins_;
   Metrics().pins->Add();
-  if (streamed_) {
+  if (source_.block == &image_) {
     ++archive_reloads_;
     Metrics().archive_reloads->Add();
   }
 }
 
-void TableScanner::ReleasePin() {
-  if (pinned_chunk_ != SIZE_MAX) {
-    table_->UnpinChunk(pinned_chunk_);
-    pinned_chunk_ = SIZE_MAX;
-    streamed_ = false;
-  }
+void TableScanner::CloseChunk() {
+  source_ = {};
+  section_.reset();
 }
 
 void TableScanner::Reset() {
-  ReleasePin();
+  CloseChunk();
   chunk_idx_ = chunk_begin_;
   pos_ = 0;
   chunk_prepped_ = false;
@@ -192,7 +188,7 @@ void TableScanner::Reset() {
   archive_reloads_ = 0;
 }
 
-bool TableScanner::TrySkipChunkUnpinned() {
+bool TableScanner::TrySkipUnopened() {
   const size_t c = chunk_idx_;
   const uint32_t rows = table_->chunk_rows(c);
   if (rows == 0) return false;  // PrepareChunk handles empty chunks cheaply
@@ -207,7 +203,7 @@ bool TableScanner::TrySkipChunkUnpinned() {
   }
 
   // A fully-deleted chunk produces no tuples in any scan mode; skipping it
-  // here avoids the pin (and, if evicted, the archive read).
+  // here avoids opening it (and, if evicted, the archive read).
   if (table_->deleted_in_chunk(c) == rows) {
     ++chunks_skipped_;
     Metrics().chunks_pruned->Add();
@@ -231,7 +227,7 @@ bool TableScanner::TrySkipChunkUnpinned() {
     return false;
   }
   const BlockSummary* summary = table_->block_summary(c);
-  if (summary == nullptr) return false;  // not archived by a manager: pin
+  if (summary == nullptr) return false;  // not archived by a manager: open
   SummaryScanPrep prep = PrepareSummaryScan(
       *summary, predicates_, mode_ == ScanMode::kDataBlocksPsma);
   if (!prep.skip) return false;
@@ -251,16 +247,15 @@ void TableScanner::PrepareChunk() {
     skip_chunk_ = true;
     return;
   }
-  // A chunk can tombstone between the unpinned skip probe and the pin (its
-  // last row deleted in that window). Once pinned the state is stable —
-  // tombstone is terminal — and there is no payload to produce from.
-  if (table_->chunk_state(chunk_idx_) == ChunkState::kTombstone) {
+  // A chunk can tombstone between the skip probe and the open (its last row
+  // deleted in that window): there is no payload to produce from.
+  if (source_.hot == nullptr && source_.block == nullptr) {
     skip_chunk_ = true;
     ++chunks_skipped_;
     Metrics().chunks_pruned->Add();
     return;
   }
-  const DataBlock* block = CurrentBlock();
+  const DataBlock* block = source_.block;
   if (block != nullptr) {
     switch (mode_) {
       case ScanMode::kJit:
@@ -298,22 +293,22 @@ bool TableScanner::Next(Batch* batch) {
   const size_t end = std::min<size_t>(chunk_limit_, table_->num_chunks());
   while (chunk_idx_ < end) {
     if (!chunk_prepped_) {
-      // First chance: rule the chunk out without pinning it at all — an
+      // First chance: rule the chunk out without opening it at all — an
       // SMA-skipped evicted block must never be fetched from the archive
       // or promoted in the LRU.
-      if (TrySkipChunkUnpinned()) {
+      if (TrySkipUnopened()) {
         chunk_prepped_ = true;
         skip_chunk_ = true;
       } else {
-        // Pin before looking at the chunk: reads its columns if evicted and
-        // blocks freeze/evict/tombstone until the scan moves on.
-        PinCurrentChunk();
+        // Open before looking at the chunk: reads its columns if evicted,
+        // and freeze/evict/tombstone wait until the scan moves on.
+        OpenChunk();
         PrepareChunk();
       }
       pos_ = range_begin_;
     }
     if (skip_chunk_ || pos_ >= range_end_) {
-      ReleasePin();
+      CloseChunk();
       ++chunk_idx_;
       chunk_prepped_ = false;
       continue;
@@ -322,12 +317,12 @@ bool TableScanner::Next(Batch* batch) {
     uint32_t to = std::min(pos_ + vector_size_, range_end_);
     pos_ = to;
 
-    const DataBlock* block = CurrentBlock();
+    // What OpenChunk returned, never re-asked: a chunk opened kFreezing
+    // may be kFrozen by now, and the hot chunk is still the one to read.
     uint32_t produced =
-        block != nullptr
-            ? ProduceFrozenWindow(*block, from, to, batch)
-            : ProduceHotWindow(*table_->hot_chunk(chunk_idx_), from, to,
-                               batch);
+        source_.block != nullptr
+            ? ProduceFrozenWindow(*source_.block, from, to, batch)
+            : ProduceHotWindow(*source_.hot, from, to, batch);
     if (produced > 0) {
       batch->count = produced;
       return true;
@@ -568,8 +563,8 @@ uint32_t TableScanner::ProduceFrozenWindow(const DataBlock& block,
   // The Data Blocks modes emit dictionary-compressed string columns as
   // code-carrying vectors: survivors stay compressed through the pipeline
   // and decode lazily via ColumnVector::Str(). The block (or the image of
-  // an evicted one) stays valid for the batch's lifetime because the chunk
-  // pin is held until the scan moves on. The comparison baselines
+  // an evicted one) stays valid for the batch's lifetime because the read
+  // section is held until the scan moves on. The comparison baselines
   // (kVectorizedSarg and below) keep materializing so they measure the
   // decompress cost they are meant to.
   const bool emit_codes =

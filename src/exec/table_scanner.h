@@ -2,6 +2,7 @@
 #define DATABLOCKS_EXEC_TABLE_SCANNER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "datablock/block_scan.h"
@@ -49,23 +50,28 @@ class TableScanner {
                Isa isa = BestIsa());
   ~TableScanner();
 
-  // The scanner holds a chunk pin and an image of the current evicted
-  // chunk across Next() calls (see below); copying would double-release
-  // the pin.
+  // The scanner holds a read section and an image of the current evicted
+  // chunk across Next() calls (see below); copying would close the section
+  // twice.
   TableScanner(const TableScanner&) = delete;
   TableScanner& operator=(const TableScanner&) = delete;
 
   /// Produces the next non-empty batch of matching tuples. Returns false
   /// when the scan is exhausted.
   ///
-  /// The chunk currently being produced stays pinned (Table::PinForScan)
-  /// between calls, so the lifecycle manager cannot evict or tombstone it
-  /// under an in-progress scan. An evicted chunk is not reloaded: the scan
-  /// reads just its output and predicate columns from the archive into an
-  /// image it reuses from chunk to chunk, and the chunk stays evicted. The
-  /// pin is dropped when the scan moves past the chunk, is Reset, or the
-  /// scanner is destroyed; string views in a batch stay valid until then,
-  /// so a consumer must copy what it keeps past the next Next() call.
+  /// The chunk currently being produced is read inside one read section
+  /// (Table::OpenForScan), held between calls: a freeze, eviction or
+  /// tombstone of it waits until the scan moves past it, and the scan reads
+  /// the hot chunk, block or image it opened to the end. An evicted chunk
+  /// is not reloaded: the scan reads just its output and predicate columns
+  /// from the archive into an image it reuses from chunk to chunk, and the
+  /// chunk stays evicted. The section closes when the scan moves past the
+  /// chunk, is Reset, or the scanner is destroyed; string views in a batch
+  /// stay valid until then, so a consumer must copy what it keeps past the
+  /// next Next() call. Because the section belongs to the calling thread, a
+  /// scanner is advanced, Reset and destroyed on one thread, and a caller
+  /// that stops partway Resets or destroys it before anything that waits
+  /// for sections (Table::Synchronize, a lifecycle transition or tick).
   bool Next(Batch* batch);
 
   /// Restarts the scan from the beginning.
@@ -84,8 +90,8 @@ class TableScanner {
   uint64_t chunks_skipped() const { return chunks_skipped_; }
 
   /// Subset of chunks_skipped(): evicted chunks ruled out purely from their
-  /// resident BlockSummary — without a pin, an archive read, or an LRU
-  /// promotion.
+  /// resident BlockSummary — without opening the chunk, an archive read, or
+  /// an LRU promotion.
   uint64_t evicted_chunks_skipped() const { return evicted_skips_; }
 
   /// Chunks actually prepared for scanning (not pruned, not empty).
@@ -95,26 +101,23 @@ class TableScanner {
   /// narrowing) — the scan's input cardinality before predicates.
   uint64_t rows_considered() const { return rows_considered_; }
 
-  /// Chunk pins taken (Table::PinForScan calls).
+  /// Chunks opened by the scan (Table::OpenForScan calls); reported as the
+  /// `scan.pins` counter and the profiles' `pins` field.
   uint64_t pins_taken() const { return pins_; }
 
-  /// Subset of pins_taken(): pins that found the chunk evicted and read
-  /// its scanned columns from the archive.
+  /// Subset of pins_taken(): opened chunks that were evicted, so their
+  /// scanned columns were read from the archive.
   uint64_t archive_reloads() const { return archive_reloads_; }
 
  private:
-  /// Pin-free skip decision for the chunk about to be prepared: rules out
-  /// fully-deleted chunks and (in SMA modes) evicted chunks whose resident
-  /// summary excludes every predicate. Returns true if the chunk can be
-  /// passed over without pinning it.
-  bool TrySkipChunkUnpinned();
-  void PinCurrentChunk();
-  void ReleasePin();
-  /// The pinned chunk's block: the image of an evicted chunk, else the
-  /// resident block (nullptr for a hot chunk).
-  const DataBlock* CurrentBlock() const {
-    return streamed_ ? &image_ : table_->frozen_block(chunk_idx_);
-  }
+  /// Skip decision for the chunk about to be prepared, made before opening
+  /// it: rules out fully-deleted chunks and (in SMA modes) evicted chunks
+  /// whose resident summary excludes every predicate. Returns true if the
+  /// chunk can be passed over without opening it.
+  bool TrySkipUnopened();
+  /// Opens a read section and the current chunk in it (source_).
+  void OpenChunk();
+  void CloseChunk();
   void PrepareChunk();
   uint32_t ProduceHotWindow(const Chunk& chunk, uint32_t from, uint32_t to,
                             Batch* batch);
@@ -151,10 +154,11 @@ class TableScanner {
   size_t chunk_begin_ = 0;
   size_t chunk_limit_ = SIZE_MAX;
   size_t chunk_idx_ = 0;
-  size_t pinned_chunk_ = SIZE_MAX;
-  bool streamed_ = false;  // the pinned chunk was read into image_
-  DataBlock image_;        // evicted chunks' scanned columns, reused; the
-                           // thread's spare image (table_scanner.cc)
+  // Open while the scan is inside a chunk; source_ is valid only then.
+  std::optional<Table::ReadSection> section_;
+  Table::ScanSource source_;
+  DataBlock image_;  // evicted chunks' scanned columns, reused; the
+                     // thread's spare image (table_scanner.cc)
   uint32_t pos_ = 0;
   bool chunk_prepped_ = false;
   bool skip_chunk_ = false;

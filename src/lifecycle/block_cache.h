@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace datablocks {
 
@@ -47,15 +46,14 @@ class BlockCache {
     return total;
   }
 
-  /// Least-recently-used resident chunk not in `skip` (SIZE_MAX if none).
-  /// `last_access` maps chunk index to its recency stamp (higher = newer).
+  /// Least-recently-used resident chunk (SIZE_MAX if none). `last_access`
+  /// maps chunk index to its recency stamp (higher = newer).
   template <typename ResidentFn, typename LastAccessFn>
-  size_t PickVictim(ResidentFn&& resident, LastAccessFn&& last_access,
-                    const std::unordered_set<size_t>& skip) const {
+  size_t PickVictim(ResidentFn&& resident, LastAccessFn&& last_access) const {
     size_t victim = SIZE_MAX;
     uint64_t oldest = UINT64_MAX;
     for (const auto& [chunk, bytes] : blocks_) {
-      if (!resident(chunk) || skip.count(chunk) != 0) continue;
+      if (!resident(chunk)) continue;
       uint64_t stamp = last_access(chunk);
       // Tie-break on chunk index for determinism.
       if (stamp < oldest || (stamp == oldest && chunk < victim)) {

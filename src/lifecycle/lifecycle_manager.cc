@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 #include <utility>
 
 #include "exec/scheduler.h"
@@ -217,13 +216,16 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   // needed again (scans skip them, visibility checks only read the side
   // bitmap), so archiving would create instant garbage.
   if (FullyDeleted(idx)) return false;
-  Table::PinGuard pin(*table_, idx);
+  // The section keeps the block allocated while it is written; only this
+  // manager's Tick evicts or tombstones it, and not meanwhile.
+  Table::ReadSection section;
   const DataBlock* block = table_->frozen_block(idx);
-  if (block == nullptr) return false;  // raced back to hot — skip
+  if (block == nullptr) return false;  // not frozen (any more) — skip
   // Extract and install the resident summary before the chunk can be
   // evicted — scanners rely on "evicted implies summary present" to prune
-  // without pinning. A summary installed earlier (BlockArchive::Restore)
-  // is reused: summaries are install-once (see Table::SetBlockSummary).
+  // without opening the chunk. A summary installed earlier
+  // (BlockArchive::Restore) is reused: summaries are install-once (see
+  // Table::SetBlockSummary).
   if (table_->block_summary(idx) == nullptr) {
     table_->SetBlockSummary(
         idx, std::make_unique<BlockSummary>(
@@ -272,21 +274,20 @@ void LifecycleManager::EnforceBudget() {
   auto last_access = [&](size_t c) {
     return uint64_t(table_->chunk_last_access(c));
   };
-  std::unordered_set<size_t> skip;  // pinned victims to retry next tick
   for (;;) {
     size_t victim = SIZE_MAX;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (cache_.ResidentBytes(resident) <= cache_.budget_bytes()) return;
-      victim = cache_.PickVictim(resident, last_access, skip);
+      victim = cache_.PickVictim(resident, last_access);
     }
-    if (victim == SIZE_MAX) return;  // everything left is pinned
-    if (table_->EvictChunk(victim)) {
-      Metrics().evictions->Add();
-      trace().Publish("lifecycle", "evict", int64_t(victim));
-    } else {
-      skip.insert(victim);
-    }
+    if (victim == SIZE_MAX) return;
+    // A resident victim always evicts (open scans only delay it), unless a
+    // caller outside this manager changed its state meanwhile: then the
+    // next tick tries again.
+    if (!table_->EvictChunk(victim)) return;
+    Metrics().evictions->Add();
+    trace().Publish("lifecycle", "evict", int64_t(victim));
   }
 }
 
@@ -302,11 +303,10 @@ void LifecycleManager::DetachFullyDeletedLocked() {
   for (size_t chunk : chunks) {
     if (!FullyDeleted(chunk)) continue;
     // Tombstone-before-reclaim: the transition drops the resident payload
-    // (if any) and guarantees no read will ever be attempted, so the
-    // archive copy can be detached without reading it back first. A
-    // transiently pinned chunk fails the transition and is retried on the
-    // next pass — it must then stay attached, or an in-flight read could
-    // look up a block id we already dropped.
+    // (if any) and returns only after every read section that could still
+    // read the archive copy has closed, so the copy can be detached without
+    // reading it back first. A chunk that is no longer frozen or evicted
+    // fails the transition and stays attached.
     if (!table_->TombstoneChunk(chunk)) continue;
     Metrics().tombstoned->Add();
     trace().Publish("lifecycle", "tombstone", int64_t(chunk));
@@ -584,9 +584,9 @@ void LifecycleManager::RetryQuarantinedLocked() {
       continue;
     }
     // Probe with a spine read. Success heals (ReadChunk clears the
-    // quarantine); failure re-quarantines with doubled backoff. No pin is
-    // needed: tombstones and compaction only happen in Tick, which holds
-    // tick_mu_ for this whole pass.
+    // quarantine); failure re-quarantines with doubled backoff. No read
+    // section is needed: tombstones and compaction only happen in Tick,
+    // which holds tick_mu_ for this whole pass.
     (void)ReadChunk(
         chunk, BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
   }
@@ -631,7 +631,7 @@ size_t LifecycleManager::quarantined_chunks() const {
 void LifecycleManager::ResetQuarantine() {
   std::lock_guard<std::mutex> lock(mu_);
   // Keep the entries (and the gauge) but zero the counters and deadlines:
-  // the next pin retries immediately, and a success erases the entry.
+  // the next read retries immediately, and a success erases the entry.
   for (auto& [chunk, q] : quarantine_) q = Quarantined{};
 }
 

@@ -227,8 +227,7 @@ class LifecycleManager {
   /// Detaches fully-deleted chunks from the archive directory by
   /// tombstoning them (Table::TombstoneChunk): the in-memory payload is
   /// dropped along with the archive copy — no read, no residual RAM
-  /// cost. Chunks that are transiently pinned stay attached and are
-  /// retried on the next pass.
+  /// cost. The transition waits for open scans of the chunk first.
   void DetachFullyDeletedLocked();
   bool FullyDeleted(size_t chunk_idx) const;
   std::shared_ptr<BlockArchive> ArchiveRef() const;

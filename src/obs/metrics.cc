@@ -206,7 +206,7 @@ void RegisterEngineMetrics() {
   r.GetCounter("scan.chunks_pruned");
   r.GetCounter("scan.evicted_chunks_pruned");
   r.GetCounter("scan.chunks_scanned");
-  r.GetCounter("scan.pins");
+  r.GetCounter("scan.pins");  // chunks opened by scans
   r.GetCounter("scan.archive_reloads");
   r.GetCounter("scan.pin_failures");
   // Block archive (storage/block_archive.cc).

@@ -7,10 +7,11 @@
 // the scan/aggregate pipeline helpers. Each pipeline (one fact-table
 // scan+aggregate fan-out) records wall time, rows in/out, batch counts
 // (split into code-carrying vs materialized), scanner-side block
-// accounting (summary-pruned vs scanned, pins, archive reloads), the
-// merge-step duration, and one entry per parallelism slot (morsels
-// claimed, rows produced, busy time). Query drivers can add free-form
-// nested spans around non-pipeline phases (sort, output).
+// accounting (summary-pruned vs scanned, chunks opened — "pins" — and
+// archive reloads), the merge-step duration, and one entry per
+// parallelism slot (morsels claimed, rows produced, busy time). Query
+// drivers can add free-form nested spans around non-pipeline phases (sort,
+// output).
 //
 // Render with Report() — an EXPLAIN-ANALYZE-style tree — or ToJson() for
 // tools/profile_report.py. All recording methods are thread-safe; a null
@@ -49,8 +50,8 @@ class PipelineProfile {
     uint64_t chunks_scanned = 0;
     uint64_t chunks_pruned = 0;          // SMA/PSMA or fully-deleted skips
     uint64_t evicted_chunks_pruned = 0;  // subset: summary-only, no reload
-    uint64_t pins = 0;
-    uint64_t archive_reloads = 0;  // pins that read an evicted chunk
+    uint64_t pins = 0;             // chunks opened by scans
+    uint64_t archive_reloads = 0;  // opened chunks read from the archive
   };
 
   explicit PipelineProfile(std::string name) : name_(std::move(name)) {}

@@ -959,19 +959,14 @@ StatusOr<size_t> BlockArchive::Save(const Table& table,
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     if (!table.is_frozen(c) || table.chunk_rows(c) == 0) continue;
     try {
-      // The pin keeps a resident block resident for the write; an evicted
-      // one is read whole into `image` and stays evicted. A failed read
-      // surfaces as StorageException.
-      const bool evicted = table.PinForScan(c, ColumnSet::All(), &image);
-      struct Unpin {
-        const Table& t;
-        size_t c;
-        ~Unpin() { t.UnpinChunk(c); }
-      } unpin{table, c};
-      const DataBlock* block = evicted ? &image : table.frozen_block(c);
-      // Our own pin can abort a freeze that was in flight when we sampled
-      // is_frozen — the chunk is simply hot again, and hot chunks are not
-      // archived. Tombstones have no block either.
+      // The section keeps a resident block allocated for the write; an
+      // evicted one is read whole into `image` and stays evicted. A failed
+      // read surfaces as StorageException.
+      Table::ReadSection section;
+      const DataBlock* block =
+          table.OpenForScan(c, ColumnSet::All(), &image).block;
+      // A chunk still freezing at its turn is read as hot, and hot chunks
+      // are not archived. Tombstones have no block either.
       if (block == nullptr) continue;
       BlockSummary summary = BlockSummary::Extract(*block);
       StatusOr<size_t> id = archive.AppendBlock(

@@ -96,10 +96,9 @@ inline void ExitSection() {
                     std::memory_order_release);
 }
 
-/// PinChunk, PinForScan and Synchronize may wait for a freeze, and a
-/// freeze (like every lifecycle transition) waits for every open section:
-/// the caller's own would deadlock. Transitions check on entry, so a
-/// misuse aborts even on the calls that return early.
+/// Synchronize, and with it every lifecycle transition, waits for every
+/// open section: the caller's own would deadlock. Transitions check on
+/// entry, so a misuse aborts even on the calls that return early.
 void CheckOutsideSection() { DB_CHECK(t_section.depth == 0); }
 
 }  // namespace
@@ -121,9 +120,9 @@ void Table::Synchronize() {
   }
   // A slot that registers after the scan opens its sections after the
   // registry lock hand-off, so they see the published state. Sections are
-  // short (a transaction, a tuple): spin first, then poll with short
-  // sleeps — not sched_yield, which on a busy host can give the core away
-  // for a whole time slice.
+  // short (a transaction, a tuple, a chunk's scan): spin first, then poll
+  // with short sleeps — not sched_yield, which on a busy host can give the
+  // core away for a whole time slice.
   for (const auto& [s, seq] : open) {
     for (uint32_t spins = 0; s->seq.load(std::memory_order_acquire) == seq;
          ++spins) {
@@ -164,7 +163,8 @@ Table::Table(Table&& o) noexcept
       id_(g_next_table_id.fetch_add(1, std::memory_order_relaxed)),
       access_epoch_(o.access_epoch_.load(std::memory_order_relaxed)),
       evictions_(o.evictions_.load(std::memory_order_relaxed)),
-      reloads_(o.reloads_.load(std::memory_order_relaxed)) {
+      reloads_(o.reloads_.load(std::memory_order_relaxed)),
+      tombstones_(o.tombstones_.load(std::memory_order_relaxed)) {
   for (size_t i = 0; i < kMaxSlotSegments; ++i) {
     segments_[i].store(o.segments_[i].exchange(nullptr,
                                                std::memory_order_relaxed),
@@ -225,42 +225,6 @@ RowId Table::Insert(std::span<const Value> row) {
   }
 }
 
-ChunkState Table::PinSlot(const Slot& s) const {
-  // Dekker-style handshake with FreezeChunk/EvictChunk/TombstoneChunk: we
-  // publish the pin first, then read the state; the state-changers publish
-  // the transient state first, then read the pin count. Sequential
-  // consistency guarantees at least one side observes the other.
-  s.pins.fetch_add(1, std::memory_order_seq_cst);
-  const ChunkState st = s.state.load(std::memory_order_seq_cst);
-  // A freezer that checked the pins before ours arrived installs without
-  // looking again, so wait for it. Every other state is taken as read.
-  return st == ChunkState::kFreezing ? Settle(s) : st;
-}
-
-ChunkState Table::Settle(const Slot& s) const {
-  // Evictions, tombstones and freezes publish, back off and free the block
-  // under the lifecycle mutex, so the state read under it is settled.
-  std::unique_lock<std::mutex> lock(lifecycle_mu_);
-  lifecycle_cv_.wait(lock, [&] {
-    const ChunkState st = s.state.load(std::memory_order_relaxed);
-    return st == ChunkState::kEvicted || st == ChunkState::kTombstone
-               ? s.frozen == nullptr
-               : st != ChunkState::kFreezing;
-  });
-  return s.state.load(std::memory_order_relaxed);
-}
-
-void Table::PinChunk(size_t chunk_idx) const {
-  CheckOutsideSection();
-  const Slot& s = slot(chunk_idx);
-  s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  // Callers read frozen_block(): settle an eviction or tombstone, so the
-  // block it retires is freed (or, if it backed off, still there) first.
-  const ChunkState st = PinSlot(s);
-  if (st == ChunkState::kEvicted || st == ChunkState::kTombstone) Settle(s);
-}
-
 Status Table::FetchEvicted(size_t chunk_idx, const BlockRead& read) const {
   BlockFetcher fetcher;
   {
@@ -307,29 +271,20 @@ Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
   return Status::Ok();
 }
 
-bool Table::PinForScan(size_t chunk_idx, const ColumnSet& columns,
-                       DataBlock* image) const {
-  CheckOutsideSection();
+Table::ScanSource Table::OpenForScan(size_t chunk_idx,
+                                     const ColumnSet& columns,
+                                     DataBlock* image) const {
+  DB_CHECK(t_section.depth != 0);
   const Slot& s = slot(chunk_idx);
-  s.last_access.store(access_epoch_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  ChunkState st = PinSlot(s);
-  // The caller reads a tombstone's (absent) block: settle it, so a
-  // back-off reads as the state it restored and a block in its grace
-  // period is freed first.
-  if (st == ChunkState::kTombstone) st = Settle(s);
-  if (st != ChunkState::kEvicted) return false;
-  // Held on kEvicted, the pin keeps TombstoneChunk off this chunk, so the
-  // archive entry the fetcher reads stays attached (and compaction keeps
-  // it live) until the scan unpins. A kEvicted read may also be an
-  // eviction backing off from the pin; the archived copy is the same
-  // block.
-  Status read = FetchEvicted(chunk_idx, BlockRead::Scan(columns, image));
-  if (!read.ok()) {
-    UnpinChunk(chunk_idx);
-    throw StorageException(std::move(read));
-  }
-  return true;
+  const uint32_t epoch = access_epoch_.load(std::memory_order_relaxed);
+  if (s.last_access.load(std::memory_order_relaxed) != epoch)
+    s.last_access.store(epoch, std::memory_order_relaxed);
+  const ChunkState st = s.state.load(std::memory_order_seq_cst);
+  if (IsHotState(st)) return {s.hot.get(), nullptr};
+  if (st == ChunkState::kFrozen) return {nullptr, s.frozen.get()};
+  if (st == ChunkState::kTombstone) return {};
+  ThrowIfError(FetchEvicted(chunk_idx, BlockRead::Scan(columns, image)));
+  return {nullptr, image};
 }
 
 Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
@@ -339,16 +294,15 @@ Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
   Slot& target = slot(chunk_idx);
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    // A reader that pins after the pin check reads the archived copy until
-    // the state store below, and the installed block after it. A block
-    // still set is an eviction's, freed when its grace period ends.
+    // A reader reads the archived copy until the state store below, and
+    // the installed block after it. A block still set is an eviction's,
+    // freed when its grace period ends.
     if (target.state.load(std::memory_order_relaxed) !=
             ChunkState::kEvicted ||
-        target.pins.load(std::memory_order_seq_cst) != 0 ||
         target.frozen != nullptr) {
       return Status::FailedPrecondition(
           "chunk " + std::to_string(chunk_idx) + " of table '" + name_ +
-          "' is not evicted, is pinned or is still being evicted");
+          "' is not evicted or is still being evicted");
     }
     target.frozen = std::make_unique<DataBlock>(std::move(block));
     reloads_.fetch_add(1, std::memory_order_relaxed);
@@ -357,10 +311,6 @@ Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
   // Sections that saw kEvicted may still be reading the archived copy.
   Synchronize();
   return Status::Ok();
-}
-
-void Table::UnpinChunk(size_t chunk_idx) const {
-  slot(chunk_idx).pins.fetch_sub(1, std::memory_order_release);
 }
 
 void Table::SetBlockFetcher(BlockFetcher fetcher) {
@@ -381,12 +331,12 @@ void Table::Delete(RowId id) {
     num_deleted_.fetch_add(slot.hot->num_deleted() - before,
                            std::memory_order_relaxed);
   };
-  // Frozen, evicted or tombstoned (or an eviction or tombstone backing
-  // off from a pin): flag the row in the side bitmap — the block itself
-  // stays immutable and is never read. Only a freeze rewrites the bitmap,
-  // before it publishes kFrozen. atomic_ref: scans and IsVisible read
-  // these words lock-free; the count's release/acquire pairing publishes
-  // the set bit, and fetch_or counts a racing double delete once.
+  // Frozen, evicted or tombstoned: flag the row in the side bitmap — the
+  // block itself stays immutable and is never read. Only a freeze rewrites
+  // the bitmap, before it publishes kFrozen. atomic_ref: scans and
+  // IsVisible read these words lock-free; the count's release/acquire
+  // pairing publishes the set bit, and fetch_or counts a racing double
+  // delete once.
   auto delete_frozen = [&] {
     const uint64_t bit = uint64_t(1) << (row & 63);
     if ((std::atomic_ref<uint64_t>(slot.frozen_deleted[row >> 6])
@@ -474,13 +424,7 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
   const Slot& s = slot(chunk);
   ReadSection section;
   Touch(s);
-  ChunkState st = s.state.load(std::memory_order_seq_cst);
-  if (st == ChunkState::kTombstone) {
-    // Maybe a tombstone backing off from a scan pin: re-read under the
-    // mutex, which no state changer holds while it synchronizes.
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    st = s.state.load(std::memory_order_relaxed);
-  }
+  const ChunkState st = s.state.load(std::memory_order_seq_cst);
   if (st == ChunkState::kFrozen) return from_block(*s.frozen, row);
   if (IsHotState(st)) return from_hot(*s.hot, row);
   if (st == ChunkState::kTombstone) {
@@ -489,11 +433,10 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
         std::to_string(chunk) + " of table '" + name_ +
         "': the chunk is a tombstone, every row of it was deleted"));
   }
-  // Evicted (or an eviction backing off from a scan pin, whose archived
-  // copy is the same block): read through the thread's point image,
-  // fetching the row's pages if the image cannot serve it. The section
-  // keeps the archive entry attached for the read: a tombstone detaches it
-  // only after Synchronize.
+  // Evicted: read through the thread's point image, fetching the row's
+  // pages if the image cannot serve it. The section keeps the archive
+  // entry attached for the read: a tombstone detaches it only after
+  // Synchronize.
   PointImage& image = t_point_image;
   if (image.table != id_ || image.chunk != chunk) {
     image.table = 0;
@@ -587,17 +530,17 @@ void Table::SetBlockSummary(size_t chunk_idx,
            summary->row_count() == slot.rows.load(std::memory_order_relaxed));
   const BlockSummary* old =
       slot.summary.exchange(summary.release(), std::memory_order_release);
-  // Install-once: unpinned readers (summary pruning, stats) may hold the
-  // pointer without a lock, so replacement would be a use-after-free.
+  // Install-once: readers (summary pruning, stats) may hold the pointer
+  // without a lock, so replacement would be a use-after-free.
   DB_CHECK(old == nullptr);
 }
 
 uint32_t Table::deleted_in_chunk(size_t chunk_idx) const {
   const Slot& slot = this->slot(chunk_idx);
   // By the state, not by which pointer is set: a frozen chunk's hot chunk
-  // outlives kFrozen by a grace period, and unpinned callers (a scanner's
-  // fully-deleted check) must then read the side count. The section keeps
-  // a hot chunk that freezes meanwhile allocated.
+  // outlives kFrozen by a grace period, and callers (a scanner's
+  // fully-deleted check) must then read the side count. The section
+  // keeps a hot chunk that freezes meanwhile allocated.
   ReadSection section;
   if (IsHotState(slot.state.load(std::memory_order_seq_cst)))
     return slot.hot->num_deleted();
@@ -614,21 +557,12 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   // The row count, not chunk->size(): the writer may be appending.
   if (slot.rows.load(std::memory_order_acquire) == 0) return false;
 
-  // Publish the transient state, then check for pinned readers (the other
-  // half of the PinChunk handshake). A pinned chunk is left hot; the policy
-  // engine simply retries on a later tick.
-  slot.state.store(ChunkState::kFreezing, std::memory_order_seq_cst);
-  if (slot.pins.load(std::memory_order_seq_cst) != 0) {
-    slot.state.store(ChunkState::kHot, std::memory_order_seq_cst);
-    lock.unlock();
-    lifecycle_cv_.notify_all();
-    return false;
-  }
   // Compress without holding the mutex, once the read sections that saw
   // kHot — and may still update, delete or append in place — have closed.
-  // Then the chunk is private to this freezer: new pins see kFreezing and
-  // wait on the condvar, point reads only read it, point writes relocate
-  // (deletes mark under the mutex) and the writer starts a fresh tail.
+  // Then the chunk is private to this freezer: reads and scans only read
+  // it, point writes relocate (deletes mark under the mutex) and the
+  // writer starts a fresh tail.
+  slot.state.store(ChunkState::kFreezing, std::memory_order_seq_cst);
   lock.unlock();
   Synchronize();
 
@@ -679,7 +613,6 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   slot.frozen = std::move(block);
   slot.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
   lock.unlock();
-  lifecycle_cv_.notify_all();
   // Sections that saw kFreezing may still read the hot chunk. Nothing else
   // loads `hot` once the state says kFrozen, so it is reset unlocked.
   Synchronize();
@@ -687,28 +620,15 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   return true;
 }
 
-bool Table::RetireBlock(Slot& slot, ChunkState from, ChunkState to,
+void Table::RetireBlock(Slot& slot, ChunkState to,
                         std::unique_lock<std::mutex>& lock) {
-  // Same handshake as FreezeChunk: publish the new state, then check pins.
-  // A racing pinner that reads the transient state blocks on the lifecycle
-  // mutex and re-reads the (possibly restored) state there, so the
-  // transient publish can never strand it; so does a section reader that
-  // sees a tombstone. A reader that already held its pin reads the block
-  // pointer, which the back-off leaves alone, not the state.
   slot.state.store(to, std::memory_order_seq_cst);
-  if (slot.pins.load(std::memory_order_seq_cst) != 0) {
-    slot.state.store(from, std::memory_order_seq_cst);
-    return false;
-  }
   // Sections that saw kFrozen may still read the block. Meanwhile the
-  // block stays set, which keeps ReadmitChunk off the slot and holds new
-  // pinners in Settle.
+  // block stays set, which keeps ReadmitChunk off the slot.
   lock.unlock();
   Synchronize();
   lock.lock();
   slot.frozen.reset();
-  lifecycle_cv_.notify_all();
-  return true;
 }
 
 bool Table::EvictChunk(size_t chunk_idx) {
@@ -719,8 +639,7 @@ bool Table::EvictChunk(size_t chunk_idx) {
     return false;
   // Without a fetcher the block could never come back.
   if (fetcher_ == nullptr) return false;
-  if (!RetireBlock(slot, ChunkState::kFrozen, ChunkState::kEvicted, lock))
-    return false;
+  RetireBlock(slot, ChunkState::kEvicted, lock);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -738,7 +657,7 @@ bool Table::TombstoneChunk(size_t chunk_idx) {
   }
   // From kEvicted too: sections that read the archive copy close before
   // this returns, and only then may the caller detach it.
-  if (!RetireBlock(slot, st, ChunkState::kTombstone, lock)) return false;
+  RetireBlock(slot, ChunkState::kTombstone, lock);
   tombstones_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -772,7 +691,7 @@ void Table::AppendFrozen(DataBlock block, std::vector<uint64_t> delete_bitmap,
 }
 
 void Table::FreezeAll(int sort_col, bool build_psma) {
-  // FreezeChunk skips chunks that are not hot, empty or pinned.
+  // FreezeChunk skips chunks that are not hot or empty.
   const size_t n = num_chunks();
   for (size_t i = 0; i < n; ++i) FreezeChunk(i, sort_col, build_psma);
 }

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <condition_variable>
 #include <mutex>
 #include <span>
 #include <string>
@@ -41,9 +40,9 @@ inline uint32_t RowIdRow(RowId id) {
 /// storage").
 ///
 ///   kHot       uncompressed, mutable Chunk in memory
-///   kFreezing  transient: a freezer is compressing the chunk. Point reads
-///              still read the intact hot chunk, writes relocate, Insert
-///              starts a new tail, and pins wait for the freeze
+///   kFreezing  transient: a freezer is compressing the chunk. Reads and
+///              scans still read the intact hot chunk, writes relocate and
+///              Insert starts a new tail
 ///   kFrozen    immutable compressed DataBlock resident in memory
 ///   kEvicted   the block lives only in the archive; the side delete bitmap
 ///              and row count stay in memory. Reads never install it: a
@@ -54,8 +53,8 @@ inline uint32_t RowIdRow(RowId id) {
 ///   kTombstone terminal: every row of the chunk was deleted and its
 ///              payload (resident block and archive copy alike) has been
 ///              dropped for good. Only the side delete bitmap and row
-///              count remain; scans skip the chunk pin-free in every mode
-///              and visibility checks answer from the bitmap.
+///              count remain; scans skip the chunk in every mode and
+///              visibility checks answer from the bitmap.
 enum class ChunkState : uint8_t {
   kHot,
   kFreezing,
@@ -68,7 +67,7 @@ enum class ChunkState : uint8_t {
 /// counts and traces the two kinds apart.
 struct BlockRead {
   enum Kind : uint8_t {
-    kScan,   // PinForScan: the spine and whole extents of `columns` into
+    kScan,   // OpenForScan: the spine and whole extents of `columns` into
              // a scan's (or Save's) own `image`
     kPoint,  // a point read: the pages that hold `row` of column `col`
              // into the thread's partial image `pages`
@@ -101,19 +100,19 @@ inline bool IsHotState(ChunkState s) {
 /// (paper Figure 1). Updates to frozen rows are translated into a delete
 /// plus an insert into the hot tail (Section 3).
 ///
-/// Concurrency contract: point accesses, scans (which pin chunks, see
-/// PinForScan), Delete on frozen rows, FreezeChunk, EvictChunk,
-/// TombstoneChunk and the lifecycle background thread may run concurrently
-/// with each other and with a single writer (Insert, Update, in-place
-/// updates and hot deletes). Point accesses take no pin: they run inside a
-/// read section (ReadSection), and a state changer frees a hot chunk or a
+/// Concurrency contract: point accesses, scans, Delete on frozen rows,
+/// FreezeChunk, EvictChunk, TombstoneChunk and the lifecycle background
+/// thread may run concurrently with each other and with a single writer
+/// (Insert, Update, in-place updates and hot deletes). Readers take no
+/// per-chunk lock or count: a point access runs inside a read section
+/// (ReadSection), and so does a scan of one chunk (OpenForScan). A state
+/// changer publishes the new state and compresses a hot chunk or frees a
 /// resident block only after Synchronize() has waited out every section
-/// that could still read it. Scans and explicit pins keep the per-chunk
-/// pin count, which state changers back off from. Chunk slots live in a
-/// segmented directory with stable addresses — structural growth never
-/// reallocates existing slots, and num_chunks() is published only after
-/// the new slot is fully initialized — so slot readers never observe a
-/// torn directory. Multiple concurrent *writers* are still unsupported.
+/// that could still read it. Chunk slots live in a segmented directory
+/// with stable addresses — structural growth never reallocates existing
+/// slots, and num_chunks() is published only after the new slot is fully
+/// initialized — so slot readers never observe a torn directory. Multiple
+/// concurrent *writers* are still unsupported.
 class Table {
  public:
   /// Reads part of an evicted chunk's block from secondary storage, as
@@ -214,22 +213,21 @@ class Table {
   bool is_evicted(size_t chunk_idx) const {
     return chunk_state(chunk_idx) == ChunkState::kEvicted;
   }
-  /// Hot chunk while the chunk is hot or freezing, else nullptr. It goes by
-  /// the chunk state, not by whether the pointer is set: a hot chunk
-  /// outlives kFrozen by a grace period. Readers that can race with the
-  /// lifecycle must hold a pin (PinChunk) or a read section around the
-  /// access.
+  /// Hot chunk while the chunk is hot or freezing, else nullptr; resident
+  /// block while it is frozen, else nullptr. Both go by the chunk state,
+  /// not by whether the pointer is set: a hot chunk outlives kFrozen, and a
+  /// block kEvicted or kTombstone, by a grace period. A reader that can
+  /// race with the lifecycle asks once inside a read section and keeps the
+  /// pointer until the section closes: asked again, a freezing chunk that
+  /// turned frozen, or a block being evicted, answers nullptr.
   const Chunk* hot_chunk(size_t chunk_idx) const {
     return IsHotState(chunk_state(chunk_idx)) ? slot(chunk_idx).hot.get()
                                               : nullptr;
   }
-  /// Resident frozen block, nullptr while hot, evicted or tombstoned. Read
-  /// it under a pin (PinChunk, or PinForScan returning false): the pin
-  /// settles a freeze, and an eviction or tombstone with its grace period,
-  /// so the pointer holds until the unpin — also while an eviction or
-  /// tombstone that meets the pin publishes its state and backs off.
   const DataBlock* frozen_block(size_t chunk_idx) const {
-    return slot(chunk_idx).frozen.get();
+    return chunk_state(chunk_idx) == ChunkState::kFrozen
+               ? slot(chunk_idx).frozen.get()
+               : nullptr;
   }
   uint32_t chunk_rows(size_t chunk_idx) const {
     // Acquire pairs with Insert's release store: a reader that sees the
@@ -247,7 +245,7 @@ class Table {
 
   /// Delete bitmap of a chunk (the hot chunk's while hot or freezing, else
   /// the side bitmap); nullptr if nothing deleted. A hot chunk's bitmap is
-  /// valid only while the caller holds a pin.
+  /// valid only inside the read section it was taken in.
   const uint64_t* delete_bitmap(size_t chunk_idx) const;
   /// Copies the side delete bitmap of a frozen, evicted or tombstoned chunk
   /// into `out` and returns true; false, leaving `out` alone, when none of
@@ -262,7 +260,7 @@ class Table {
   /// Always-resident summary of a frozen chunk's block, surviving eviction
   /// (nullptr until installed). Installed at archive time by the lifecycle
   /// manager (or by BlockArchive::Restore) and immutable afterwards, so
-  /// scans may consult it without pinning the chunk — the acquire load
+  /// scans may consult it without opening the chunk — the acquire load
   /// pairs with the installing release store. The lifecycle manager
   /// installs it before the chunk can be evicted, so an evicted chunk it
   /// manages always has one.
@@ -271,9 +269,10 @@ class Table {
   }
 
   /// Installs a frozen chunk's summary (taking ownership). Only legal
-  /// while the chunk is frozen and resident (the caller typically holds a
-  /// pin), and only once per chunk — unpinned readers hold the pointer
-  /// without a lock, so replacement would be a use-after-free (enforced).
+  /// while the chunk is frozen and resident (the lifecycle manager installs
+  /// it inside a read section, in the tick that alone evicts the chunk),
+  /// and only once per chunk — readers hold the pointer without a lock or
+  /// section, so replacement would be a use-after-free (enforced).
   void SetBlockSummary(size_t chunk_idx,
                        std::unique_ptr<const BlockSummary> summary);
 
@@ -282,7 +281,7 @@ class Table {
   /// RAII read section of the calling thread, not tied to a table. Inside
   /// one, a point access (GetInt, GetDouble, GetStringView, GetValue,
   /// IsVisible, TryUpdateInPlace, Delete, Insert) only loads the chunk
-  /// state and reads or writes what it names — no pin, no locked
+  /// state and reads or writes what it names — no lock, no locked
   /// read-modify-write on the chunk slot. Whatever hot chunk or resident
   /// block a section saw stays allocated until the section closes: state
   /// changers publish the new state and call Synchronize() before they
@@ -290,10 +289,11 @@ class Table {
   /// for a state changer in return (on kFreezing a read uses the intact
   /// hot chunk, a write relocates and Insert starts a new tail), but it
   /// delays every freeze, eviction and tombstone until it closes, so keep
-  /// sections short — one transaction or one tuple. Sections nest; only
-  /// the outermost one publishes. A point access outside a section opens
-  /// its own. Inside a section, PinChunk, PinForScan, Synchronize and the
-  /// lifecycle transitions are illegal (DB_CHECK): each may wait for it.
+  /// sections short — one transaction, one tuple or one chunk's scan.
+  /// Sections nest; only the outermost one publishes, and a section closes
+  /// on the thread that opened it. A point access outside a section opens
+  /// its own. Inside a section, Synchronize and the lifecycle transitions
+  /// are illegal (DB_CHECK): each waits for it.
   class ReadSection {
    public:
     ReadSection();
@@ -302,58 +302,38 @@ class Table {
     ReadSection& operator=(const ReadSection&) = delete;
   };
 
+  /// A read section opened for one chunk. The chunk index is not used: a
+  /// section covers every chunk of every table.
+  class PinGuard : public ReadSection {
+   public:
+    PinGuard(const Table&, size_t) {}
+  };
+
   /// Returns once every read section open at the call, on any thread, has
   /// closed. Sections opened later see whatever state was published before
   /// the call. Never call it inside a section or under a lock that a
   /// section holder may take.
   static void Synchronize();
 
-  // -- Pinning (scans vs freeze/evict) -----------------------------------
-
-  /// Pins a chunk: while pinned it cannot be frozen, evicted, readmitted
-  /// or tombstoned, so hot_chunk()/frozen_block() stay valid until
-  /// UnpinChunk. An evicted chunk is pinned as it is — the pin never reads
-  /// or installs its block, and frozen_block() stays nullptr. Pins cost
-  /// one atomic RMW each way on the chunk slot, so scans take one per
-  /// chunk and point accesses none (they use read sections). They may be
-  /// taken from any thread outside a read section; a pin that meets a
-  /// freeze in flight waits for it, and one that meets an eviction or
-  /// tombstone waits until the retired block is freed.
-  void PinChunk(size_t chunk_idx) const;
-  void UnpinChunk(size_t chunk_idx) const;
-
-  /// Pins a chunk for a scan that reads only `columns`. A resident chunk is
-  /// pinned as by PinChunk, and false is returned. An evicted chunk is not
-  /// installed: the fetcher reads just the spine and `columns` into `image`,
-  /// the chunk stays kEvicted, and the pin is held on it — so it cannot
-  /// tombstone and its archive copy stays live while the scan uses the
-  /// image — and true is returned. A tombstone is pinned trivially (false;
-  /// there is no payload). Release with UnpinChunk. Throws StorageException,
-  /// leaving the chunk unpinned, when the read fails.
-  bool PinForScan(size_t chunk_idx, const ColumnSet& columns,
-                  DataBlock* image) const;
-
-  uint32_t chunk_pins(size_t chunk_idx) const {
-    return slot(chunk_idx).pins.load(std::memory_order_acquire);
-  }
-
-  /// RAII pin over one chunk.
-  class PinGuard {
-   public:
-    PinGuard(const Table& table, size_t chunk_idx)
-        : table_(&table), idx_(chunk_idx) {
-      table_->PinChunk(idx_);
-    }
-    ~PinGuard() {
-      if (table_ != nullptr) table_->UnpinChunk(idx_);
-    }
-    PinGuard(const PinGuard&) = delete;
-    PinGuard& operator=(const PinGuard&) = delete;
-
-   private:
-    const Table* table_;
-    size_t idx_;
+  /// What a scan reads of one chunk: its hot chunk (kHot, kFreezing), its
+  /// resident block (kFrozen) or the image read from the archive
+  /// (kEvicted); neither for a tombstone, which has no payload.
+  struct ScanSource {
+    const Chunk* hot = nullptr;
+    const DataBlock* block = nullptr;
   };
+
+  /// Opens chunk `chunk_idx` for a scan that reads only `columns`. Must be
+  /// called inside a read section (DB_CHECK), and the result is valid until
+  /// that section closes. The state is loaded once: the scan keeps the
+  /// pointer it got for the whole chunk, also when a freezing chunk turns
+  /// frozen or a block is evicted meanwhile. An evicted chunk is not
+  /// installed: the fetcher reads just the spine and `columns` into
+  /// `image`, which is returned, and the chunk stays kEvicted; the section
+  /// keeps a tombstone from detaching its archive copy while the image is
+  /// read. Throws StorageException when the read fails.
+  ScanSource OpenForScan(size_t chunk_idx, const ColumnSet& columns,
+                         DataBlock* image) const;
 
   // -- Temperature (lifecycle statistics) --------------------------------
 
@@ -373,7 +353,7 @@ class Table {
     clock.store(shift >= 32 ? 0 : v >> shift, std::memory_order_relaxed);
   }
 
-  /// Epoch stamp of the last access (point access, delete or pin) to a
+  /// Epoch stamp of the last access (point access, delete or scan) to a
   /// chunk — the recency signal the block cache uses for LRU eviction.
   uint32_t chunk_last_access(size_t chunk_idx) const {
     return slot(chunk_idx).last_access.load(std::memory_order_relaxed);
@@ -388,18 +368,19 @@ class Table {
 
   // -- Lifecycle transitions ---------------------------------------------
 
-  // Each transition below publishes its new state and, unless it backs off
-  // from a pin, calls Synchronize() before it compresses or frees anything,
-  // so none may run inside a read section.
+  // Each transition below publishes its new state and calls Synchronize()
+  // before it compresses or frees anything, so it waits for every read
+  // section open at the publish (a scan's included) and none may run
+  // inside one.
 
   /// Freezes chunk `chunk_idx` into a DataBlock. `sort_col >= 0` reorders
   /// the block's rows by that column before compressing (Section 3.2:
   /// clustering improves PSMA precision); sorting invalidates RowIds into
   /// this chunk, so it must only be used before indexes are built. Deleted
   /// rows stay deleted: the delete flags move with their rows.
-  /// Returns false (and leaves the chunk hot) if the chunk is not hot, is
-  /// empty, or is currently pinned by a reader. The hot chunk is freed a
-  /// grace period after kFrozen is published.
+  /// Returns false (and leaves the chunk alone) if the chunk is not hot or
+  /// is empty. The hot chunk is freed a grace period after kFrozen is
+  /// published.
   bool FreezeChunk(size_t chunk_idx, int sort_col = -1, bool build_psma = true);
 
   /// Freezes all hot chunks (including a partially filled tail).
@@ -408,7 +389,7 @@ class Table {
   /// Drops a frozen chunk's resident block (frozen -> evicted). Requires an
   /// installed block fetcher (the archived copy must exist — the caller,
   /// normally the lifecycle manager, archives at freeze time). Returns
-  /// false if the chunk is not frozen or is pinned.
+  /// false if the chunk is not frozen or no fetcher is installed.
   bool EvictChunk(size_t chunk_idx);
 
   /// Drops the payload of a *fully deleted* frozen or evicted chunk
@@ -416,21 +397,19 @@ class Table {
   /// freed, no read will ever be attempted, and the caller may reclaim
   /// the archive copy. The side delete bitmap and row count stay, so
   /// IsVisible and scans keep answering correctly (all rows deleted).
-  /// Returns false if the chunk is not fully deleted, not frozen/evicted,
-  /// or pinned — callers (the lifecycle compactor) retry on a later pass.
+  /// Returns false if the chunk is not fully deleted or not frozen/evicted.
   bool TombstoneChunk(size_t chunk_idx);
 
   /// Installs `block`, read whole from the archive, as the resident block
   /// of evicted chunk `chunk_idx` (evicted -> frozen). Only the lifecycle
   /// manager calls it, when it detaches. kCorruption if the block
   /// does not belong to the chunk (row count, schema types),
-  /// kFailedPrecondition if the chunk is not evicted, is pinned (a pinned
-  /// reader keeps the state it pinned) or its eviction is still in its
-  /// grace period. Returns once no read section still reads the chunk as
-  /// evicted, so the caller may then drop the archive copy.
+  /// kFailedPrecondition if the chunk is not evicted or its eviction is
+  /// still in its grace period. Returns once no read section still reads
+  /// the chunk as evicted, so the caller may then drop the archive copy.
   Status ReadmitChunk(size_t chunk_idx, DataBlock block);
 
-  /// Installs the read path for evicted chunks (PinForScan, point reads).
+  /// Installs the read path for evicted chunks (OpenForScan, point reads).
   void SetBlockFetcher(BlockFetcher fetcher);
   bool has_block_fetcher() const { return fetcher_ != nullptr; }
 
@@ -468,8 +447,8 @@ class Table {
     std::unique_ptr<DataBlock> frozen;
     /// Resident summary (SMA/PSMA metadata) of the frozen block; installed
     /// at archive time (release store), kept across eviction, freed by the
-    /// slot. Atomic so stats readers and unpinned scans can load it while
-    /// an install races.
+    /// slot. Atomic so stats readers and scans can load it while an install
+    /// races.
     std::atomic<const BlockSummary*> summary{nullptr};
 
     ~Slot() { delete summary.load(std::memory_order_relaxed); }
@@ -479,7 +458,6 @@ class Table {
     std::atomic<uint32_t> frozen_deleted_count{0};
     std::atomic<uint32_t> rows{0};
     std::atomic<ChunkState> state{ChunkState::kHot};
-    mutable std::atomic<uint32_t> pins{0};  // scans and explicit pins only
     mutable std::atomic<uint32_t> clock{0};
     mutable std::atomic<uint32_t> last_access{0};
     /// Home NUMA node (-1 unknown); written once in NewSlot before
@@ -510,25 +488,10 @@ class Table {
                      std::memory_order_release);
   }
 
-  /// Publishes a pin on `s` and returns the chunk's state under it, after
-  /// waiting out a freeze in flight; no lock is taken otherwise. Hot,
-  /// frozen and evicted hold until the unpin (readmission refuses a pinned
-  /// chunk, tombstones back off from it), except that kEvicted or
-  /// kTombstone may be an eviction or tombstone backing off from the pin,
-  /// or one whose block is still in its grace period: fine for the side
-  /// bitmap and for reading the archived copy, while callers that read the
-  /// resident block Settle first.
-  ChunkState PinSlot(const Slot& s) const;
-  /// Re-reads a pinned slot's state under the lifecycle mutex, after any
-  /// freeze in flight and, on kEvicted or kTombstone, after the retired
-  /// block is freed — so frozen_block() is then null exactly when the
-  /// chunk has no resident block.
-  ChunkState Settle(const Slot& s) const;
-  /// Publishes `to` (a state that leaves kFrozen) after the caller checked
-  /// `from` under the lifecycle mutex, backs off to `from` if a scan holds
-  /// a pin, and otherwise frees the resident block once Synchronize() has
-  /// waited out every section that may still read it.
-  bool RetireBlock(Slot& slot, ChunkState from, ChunkState to,
+  /// Publishes `to` (a state that leaves kFrozen) and frees the resident
+  /// block once Synchronize() has waited out every section that may still
+  /// read it. Called with `lock` held on lifecycle_mu_; drops it meanwhile.
+  void RetireBlock(Slot& slot, ChunkState to,
                    std::unique_lock<std::mutex>& lock);
   /// Performs `read` of evicted chunk `chunk_idx` through the fetcher —
   /// exceptions become a Status — and checks that the block belongs to the
@@ -568,12 +531,10 @@ class Table {
   std::array<std::atomic<SlotSegment*>, kMaxSlotSegments> segments_{};
   std::atomic<size_t> num_slots_{0};
 
-  /// Serializes lifecycle transitions (freeze/evict/readmit/tombstone) and
-  /// the slow pin path; not held across the fetcher's archive I/O or
-  /// Synchronize() (section holders take it briefly). Never held while
-  /// calling user code.
+  /// Serializes lifecycle transitions (freeze/evict/readmit/tombstone); not
+  /// held across the fetcher's archive I/O or Synchronize() (section
+  /// holders take it briefly). Never held while calling user code.
   mutable std::mutex lifecycle_mu_;
-  mutable std::condition_variable lifecycle_cv_;  // freeze completion
   BlockFetcher fetcher_;
   /// Process-unique, never reused: names this table's chunks in the
   /// threads' point images (a moved-to table gets a fresh one).

@@ -271,7 +271,7 @@ int TpccDatabase::StockLevel(Rng& rng) {
 
 int TpccDatabase::RunMixedTransaction(Rng& rng) {
   // One read section for the whole transaction: its point accesses then
-  // take no pin and make no locked write to a chunk slot.
+  // open no section of their own and make no locked write to a chunk slot.
   Table::ReadSection section;
   int64_t roll = rng.Uniform(1, 100);
   if (roll <= 45) {

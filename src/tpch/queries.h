@@ -29,8 +29,8 @@ struct QueryContext {
   Scheduler* scheduler = nullptr;
   /// When set, every scan+aggregate pipeline the query runs records an
   /// execution profile (obs/query_profile.h) into it: wall time, rows
-  /// in/out, morsel/batch counts, block pruning, pins, archive reloads,
-  /// per-worker slices. nullptr = profiling off (one branch per pipeline).
+  /// in/out, morsel/batch counts, block pruning, chunks opened ("pins"),
+  /// archive reloads, per-worker slices. nullptr = profiling off (one branch per pipeline).
   obs::QueryProfile* profile = nullptr;
 };
 

@@ -118,7 +118,7 @@ class StatusOr {
 
 /// The exception that carries a storage Status through the execution layer:
 /// thrown when an evicted chunk's block cannot be read from the archive (by
-/// a scan's Table::PinForScan or a Table::Get* point read), propagated
+/// a scan's Table::OpenForScan or a Table::Get* point read), propagated
 /// across pool workers by TaskGroup, and mapped to an error *response* (not
 /// an aborted process) by serve::Server.
 class StorageException : public std::runtime_error {

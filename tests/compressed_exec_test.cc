@@ -238,7 +238,8 @@ TEST(CompressedExec, FrozenBatchesCarryCodesAndMaterializeLate) {
     const bool frozen_batch = cb.cols[0].coded();
     if (frozen_batch) {
       ++coded_batches;
-      // Late materialization: codes + pinned dictionary, no string copies.
+      // Late materialization: codes + the block's dictionary, no string
+      // copies.
       EXPECT_TRUE(cb.cols[0].str.empty());
       EXPECT_EQ(cb.cols[0].codes.size(), cb.count);
       EXPECT_GT(cb.cols[0].dict_size(), 0u);
@@ -283,8 +284,9 @@ TEST(CompressedExec, EvictedBlocksAgreeAndPruneInCodeSpace) {
       evicted += t.chunk_state(c) == ChunkState::kEvicted ? 1 : 0;
     ASSERT_GT(evicted, 0u);
 
-    // Pin-free pruning: IN / Prefix values outside every block's dictionary
-    // domain are decided from resident summaries alone — no archive reads.
+    // Summary-only pruning: IN / Prefix values outside every block's
+    // dictionary domain are decided from resident summaries alone — no
+    // archive reads.
     const uint64_t reads_before = mgr.stats().archive_reads;
     EXPECT_EQ(Digest(t, cols,
                      {Predicate::In(4, {Value::Str("absent"),

@@ -157,22 +157,6 @@ TEST(Lifecycle, PointAccessesKeepChunksHot) {
   std::remove(path.c_str());
 }
 
-TEST(Lifecycle, PinnedChunksAreNotFrozen) {
-  Table t = MakeTable(512, 256);
-  const std::string path = TempArchive("pinned");
-  {
-    LifecycleManager mgr(&t, path, QuickCooling());
-    t.PinChunk(0);
-    for (int e = 0; e < 5; ++e) mgr.Tick();
-    EXPECT_EQ(t.chunk_state(0), ChunkState::kHot);  // pin blocks the freeze
-    EXPECT_EQ(t.chunk_state(1), ChunkState::kFrozen);
-    t.UnpinChunk(0);
-    for (int e = 0; e < 3; ++e) mgr.Tick();
-    EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(Lifecycle, EvictsUnderMemoryBudgetAndReloadsTransparently) {
   Table t = MakeTable(4096, 512);  // 8 full chunks
   ScanResult before = FullScan(t);
@@ -435,7 +419,7 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
 // Tentpole acceptance: a scan whose predicate excludes every evicted
 // block's SMA range performs ZERO archive payload reads — the resident
 // BlockSummary answers the pruning question, and the blocks are neither
-// pinned, reloaded nor promoted in the LRU.
+// opened, reloaded nor promoted in the LRU.
 TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
   Table t = MakeTable(4096, 512);  // 8 full chunks, id == insert index
   const std::string path = TempArchive("summary_prune");
@@ -622,7 +606,7 @@ TEST(Lifecycle, CompactionReclaimsFullyDeletedBlocks) {
     ScanResult r = FullScan(t);
     EXPECT_EQ(r.count, int64_t(4096 - 3 * 512));
 
-    // Fully-deleted chunks produce nothing and are skipped without a pin in
+    // Fully-deleted chunks produce nothing and are skipped unopened in
     // every mode (they must never be re-adopted either).
     TableScanner scan(t, {0, 1, 2}, {}, ScanMode::kJit);
     Batch b;
@@ -640,8 +624,8 @@ TEST(Lifecycle, CompactionReclaimsFullyDeletedBlocks) {
 }
 
 // The tombstone transition itself: only fully-deleted frozen/evicted
-// chunks qualify, pins block it, and a tombstoned chunk answers scans and
-// visibility checks from the side bitmap alone.
+// chunks qualify, and a tombstoned chunk answers scans and visibility
+// checks from the side bitmap alone.
 TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
   Table t = MakeTable(1024, 512);  // 2 full chunks
   t.FreezeAll();
@@ -650,11 +634,6 @@ TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
   EXPECT_FALSE(t.TombstoneChunk(0));  // not fully deleted yet
   for (uint32_t r = 0; r < 512; ++r) t.Delete(MakeRowId(0, r));
 
-  t.PinChunk(0);
-  EXPECT_FALSE(t.TombstoneChunk(0));  // pinned readers win
-  EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
-  t.UnpinChunk(0);
-
   EXPECT_TRUE(t.TombstoneChunk(0));
   EXPECT_EQ(t.chunk_state(0), ChunkState::kTombstone);
   EXPECT_EQ(t.tombstones(), 1u);
@@ -662,7 +641,7 @@ TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
   EXPECT_LT(t.FrozenBytes(), frozen_before);
   EXPECT_EQ(t.frozen_block(0), nullptr);
 
-  // Scans skip the tombstone pin-free in every mode; chunk 1 is unharmed.
+  // Scans skip the tombstone in every mode; chunk 1 is unharmed.
   for (ScanMode mode : {ScanMode::kJit, ScanMode::kVectorized,
                         ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
     TableScanner scan(t, {0, 1, 2}, {}, mode);
@@ -753,7 +732,8 @@ EitherScan VictimScans(uint32_t n, uint32_t cap, size_t dead, size_t victim) {
 // for the compaction handshake.)
 TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
   // The lowest live chunk: every scan touches it first, so it is the LRU
-  // victim and mostly evicted — scans stream it rather than pin it resident.
+  // victim and mostly evicted — scans stream it rather than keep it
+  // resident.
   constexpr size_t kVictim = 5;
   Table t = MakeTable(12288, 1024);  // 12 chunks
   t.FreezeAll();
@@ -796,7 +776,7 @@ TEST(Lifecycle, CompactionConcurrentWithScansIsConsistent) {
       }
     };
     // Once the first compaction is in, the victim's last row goes: the
-    // next ticks tombstone it unless a streaming scan's pin holds it off.
+    // next ticks tombstone it, each waiting for the scans that stream it.
     auto victim_worker = [&] {
       while (mgr.stats().compactions == 0 && !failed.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1383,8 +1363,9 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndCompaction) {
         const uint32_t row = uint32_t(rng.Uniform(0, kCap - 1));
         const RowId id = MakeRowId(chunk, row);
         const auto& [val, name] = expect[chunk * kCap + row];
-        // GetValue copies the string under the pin: a GetStringView of a
-        // resident row dangles once a tick evicts its chunk.
+        // GetValue copies the string inside its read section: a
+        // GetStringView of a resident row dangles once a tick evicts its
+        // chunk.
         if (t.GetInt(id, 0) != int64_t(chunk * kCap + row) ||
             t.GetInt(id, 1) != val ||
             !(t.GetValue(id, 2) == Value::Str(name))) {

@@ -419,8 +419,8 @@ TEST(Scheduler, ParallelQueriesVsEvictionAndCompactionStress) {
     mgr.Stop();
     EXPECT_FALSE(failed.load());
 
-    // Quiesced now: whatever the racing ticks could not tombstone (chunks
-    // transiently pinned by the scans) is reclaimed by one explicit pass.
+    // Quiesced now: whatever the racing ticks did not get to tombstone is
+    // reclaimed by one explicit pass.
     mgr.CompactArchive();
     LifecycleStats s = mgr.stats();
     EXPECT_EQ(s.tombstoned, 5u);

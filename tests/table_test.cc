@@ -2,8 +2,8 @@
 // RowId stability, point accesses across hot and frozen chunks, PK index,
 // the string arena behind hot string columns, and read sections: point
 // accesses racing freeze, evict and tombstone, the grace period that keeps
-// what a section saw allocated, pinned scans and Save through eviction
-// and tombstone back-offs, and the Prefetch contract.
+// what a section or a scan saw allocated, scans and Save racing eviction,
+// readmission and tombstones, and the Prefetch contract.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <unordered_map>
 
@@ -309,7 +310,7 @@ class CountingFetcher {
   /// Archives frozen chunk `c` once; false if it is not frozen.
   bool Archive(const Table& t, size_t c) {
     if (archived(c)) return true;
-    Table::PinGuard pin(t, c);
+    Table::ReadSection section;
     const DataBlock* block = t.frozen_block(c);
     if (block == nullptr) return false;
     StatusOr<size_t> id = archive_.AppendBlock(*block, uint32_t(c));
@@ -322,8 +323,8 @@ class CountingFetcher {
     std::lock_guard<std::mutex> lock(mu_);
     return ids_.count(c) != 0;
   }
-  /// Reads archived chunk `c` whole and readmits it (fails while it is
-  /// pinned or still being evicted).
+  /// Reads archived chunk `c` whole and readmits it (fails unless it is
+  /// evicted and past its eviction's grace period).
   Status Readmit(Table& t, size_t c) {
     size_t id;
     {
@@ -505,59 +506,125 @@ bool WaitFor(Pred done, std::chrono::milliseconds limit =
 
 constexpr auto kGrace = std::chrono::milliseconds(50);
 
-// A string_view of a frozen row, taken inside a section, stays readable
-// while another thread evicts or tombstones the chunk, and that thread
-// returns only after the section closes. Under ASan a block freed early is
-// a use-after-free; without it, the early return fails the test.
-void CheckBlockOutlivesSection(bool tombstone) {
-  CountingFetcher fetcher(tombstone ? "grace_tombstone" : "grace_evict");
+enum class Change { kFreeze, kEvict, kTombstone };
+
+// A freeze, eviction or tombstone on another thread publishes its state
+// and then waits for the reader that holds chunk 0: a read section with a
+// string_view of one of its rows, or a TableScanner partway through it.
+// The view stays readable, the scan's result is unchanged, and the changer
+// returns only once the section closes or the scanner moves past the
+// chunk. Under ASan a hot chunk or block freed early is a use-after-free;
+// without it, the early return fails the test.
+void CheckBlockOutlivesSection(Change change, bool scanner) {
+  const char* names[] = {"freeze", "evict", "tombstone"};
+  CountingFetcher fetcher(std::string("grace_") + names[int(change)] +
+                          (scanner ? "_scan" : ""));
   Table t("t", TestSchema(), 64);
   fetcher.Install(t);
-  std::vector<RowId> ids;
-  for (int i = 0; i < 64; ++i) ids.push_back(t.Insert(Row(i, i, LongName(i))));
-  ASSERT_TRUE(t.FreezeChunk(0));
-  ASSERT_TRUE(fetcher.Archive(t, 0));
-  if (tombstone) {
-    for (RowId id : ids) t.Delete(id);  // frozen rows stay readable
+  std::vector<RowId> ids;  // chunk 0, and chunk 1 for the scan to move to
+  for (int i = 0; i < 128; ++i)
+    ids.push_back(t.Insert(Row(i, i, LongName(i))));
+  if (change != Change::kFreeze) {
+    ASSERT_TRUE(t.FreezeChunk(0));
+    ASSERT_TRUE(fetcher.Archive(t, 0));
   }
-  const ChunkState after =
-      tombstone ? ChunkState::kTombstone : ChunkState::kEvicted;
+  // A tombstone needs chunk 0 fully deleted. Frozen rows stay readable in
+  // a section, and a scan keeps the delete bitmap it opened the chunk with.
+  auto delete_chunk0 = [&] {
+    for (int i = 0; i < 64; ++i) t.Delete(ids[size_t(i)]);
+  };
+  if (change == Change::kTombstone && !scanner) delete_chunk0();
+  const ChunkState published = change == Change::kFreeze ? ChunkState::kFreezing
+                               : change == Change::kEvict ? ChunkState::kEvicted
+                                                          : ChunkState::kTombstone;
 
   std::atomic<bool> returned{false};
   std::thread changer;
-  StopAndJoin join_changer{[] {}, changer};  // after the section closed
-  {
-    Table::ReadSection section;
-    const std::string_view view = t.GetStringView(ids[7], 2);
+  StopAndJoin join_changer{[] {}, changer};  // after the reader let go
+  auto start_changer = [&] {
     changer = std::thread([&] {
-      EXPECT_TRUE(tombstone ? t.TombstoneChunk(0) : t.EvictChunk(0));
+      EXPECT_TRUE(change == Change::kFreeze  ? t.FreezeChunk(0)
+                  : change == Change::kEvict ? t.EvictChunk(0)
+                                             : t.TombstoneChunk(0));
       returned.store(true);
     });
     // The new state is published before the grace period starts.
-    ASSERT_TRUE(WaitFor([&] { return t.chunk_state(0) == after; }));
+    EXPECT_TRUE(WaitFor([&] { return t.chunk_state(0) == published; }));
     std::this_thread::sleep_for(kGrace);
     EXPECT_FALSE(returned.load());
+  };
+  if (!scanner) {
+    Table::ReadSection section;
+    const std::string_view view = t.GetStringView(ids[7], 2);
+    start_changer();
     EXPECT_EQ(view, LongName(7));
+  } else {
+    TableScanner scan(t, {1, 2}, {}, ScanMode::kDataBlocks,
+                      /*vector_size=*/16);
+    Batch b;
+    int64_t rows = 0, sum = 0;
+    int wrong_names = 0;
+    auto consume = [&] {
+      for (uint32_t i = 0; i < b.count; ++i) {
+        const int32_t v = b.cols[0].i32[i];
+        sum += v;
+        wrong_names += b.cols[1].Str(i) != LongName(v);
+      }
+      rows += b.count;
+    };
+    ASSERT_TRUE(scan.Next(&b));  // chunk 0's first vector
+    consume();
+    if (change == Change::kTombstone) delete_chunk0();
+    start_changer();
+    for (int v = 1; v < 4; ++v) {  // the rest of chunk 0
+      ASSERT_TRUE(scan.Next(&b));
+      consume();
+      EXPECT_FALSE(returned.load()) << "vector " << v;
+    }
+    while (scan.Next(&b)) consume();
+    EXPECT_EQ(rows, 128);
+    EXPECT_EQ(sum, 127 * 128 / 2);
+    EXPECT_EQ(wrong_names, 0);
   }
   changer.join();
   EXPECT_TRUE(returned.load());
-  EXPECT_EQ(t.frozen_block(0), nullptr);
+  if (change == Change::kFreeze) {
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+    EXPECT_EQ(t.hot_chunk(0), nullptr);
+  } else {
+    EXPECT_EQ(t.chunk_state(0), published);
+    EXPECT_EQ(t.frozen_block(0), nullptr);
+  }
 }
 
 TEST(ReadSection, EvictionWaitsForTheSectionThatReadTheBlock) {
-  CheckBlockOutlivesSection(/*tombstone=*/false);
+  CheckBlockOutlivesSection(Change::kEvict, /*scanner=*/false);
 }
 
 TEST(ReadSection, TombstoneWaitsForTheSectionThatReadTheBlock) {
-  CheckBlockOutlivesSection(/*tombstone=*/true);
+  CheckBlockOutlivesSection(Change::kTombstone, /*scanner=*/false);
 }
 
-// A pinned reader sees the chunk it pinned while evictions and tombstones
-// back off from its pin: their transient state is never taken for an
-// evicted or tombstoned chunk, so a scan never loses its block and Save
-// never leaves a resident chunk out. Run under TSan in CI.
-TEST(Table, PinnedReadersSeeTheirBlockThroughEvictAndTombstoneBackOffs) {
-  CountingFetcher fetcher("backoff");
+TEST(ReadSection, FreezeWaitsForTheScanThatHoldsTheChunk) {
+  CheckBlockOutlivesSection(Change::kFreeze, /*scanner=*/true);
+}
+
+TEST(ReadSection, EvictionWaitsForTheScanThatHoldsTheChunk) {
+  CheckBlockOutlivesSection(Change::kEvict, /*scanner=*/true);
+}
+
+TEST(ReadSection, TombstoneWaitsForTheScanThatHoldsTheChunk) {
+  CheckBlockOutlivesSection(Change::kTombstone, /*scanner=*/true);
+}
+
+// Scans, Save and point readers race a changer that really evicts and
+// readmits every chunk and, halfway through, tombstones the fully deleted
+// chunks 6 and 7: every scan sum is exact, and every Save writes each
+// chunk that is frozen or evicted at its turn. Run under TSan in CI; under
+// ASan, a block freed while a scan or Save still reads it is a
+// use-after-free.
+TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
+  CountingFetcher fetcher("scan_race");
   Table t("t", TestSchema(), 64);
   fetcher.Install(t);
   constexpr size_t kChunks = 8, kLive = 6;  // chunks 6 and 7 fully deleted
@@ -573,32 +640,30 @@ TEST(Table, PinnedReadersSeeTheirBlockThroughEvictAndTombstoneBackOffs) {
   for (int i = 0; i < int(kLive) * 64; ++i) expected += i;
   const std::string path =
       (std::filesystem::temp_directory_path() /
-       ("datablocks_table_test_backoff_save_" + std::to_string(::getpid()) +
+       ("datablocks_table_test_race_save_" + std::to_string(::getpid()) +
         ".dbar"))
           .string();
 
-  // While these pins are held, every tombstone of chunks 6 and 7 backs off.
-  auto pin6 = std::make_unique<Table::PinGuard>(t, 6);
-  auto pin7 = std::make_unique<Table::PinGuard>(t, 7);
+  constexpr int kRounds = 200;
+  std::atomic<int> round{0};
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> evictions{0}, tombstone_tries{0};
+  std::atomic<uint64_t> evictions{0}, readmits{0};
   std::thread changer([&] {
+    Rng rng(5);
     while (!stop.load()) {
-      for (size_t c = 0; c < kLive; ++c) {
+      for (size_t c = 0; c < kChunks; ++c) {
         if (t.EvictChunk(c)) evictions.fetch_add(1);
-        if (t.chunk_state(c) == ChunkState::kEvicted)
-          (void)fetcher.Readmit(t, c);  // refused while a scan pins it
+        if (rng.Uniform(0, 1) == 0 && fetcher.Readmit(t, c).ok())
+          readmits.fetch_add(1);
       }
-      for (int k = 0; k < 32; ++k) {
-        EXPECT_FALSE(t.TombstoneChunk(6));
-        EXPECT_FALSE(t.TombstoneChunk(7));
+      if (round.load() >= kRounds / 2) {
+        t.TombstoneChunk(6);
+        t.TombstoneChunk(7);
       }
-      tombstone_tries.fetch_add(64);
     }
   });
   StopAndJoin join_changer{[&] { stop.store(true); }, changer};
-  // Point reads in read sections stretch each eviction's grace period, in
-  // which a new pin must not take the retiring block for a resident one.
+  // Point reads in read sections stretch each eviction's grace period.
   std::thread reader([&] {
     Rng rng(7);
     while (!stop.load()) {
@@ -610,29 +675,40 @@ TEST(Table, PinnedReadersSeeTheirBlockThroughEvictAndTombstoneBackOffs) {
   });
   StopAndJoin join_reader{[&] { stop.store(true); }, reader};
 
-  for (int round = 0; round < 200; ++round) {
-    TableScanner scan(t, {1}, {}, ScanMode::kDataBlocks);
+  auto tombstoned = [&](size_t c) {
+    return t.chunk_state(c) == ChunkState::kTombstone;
+  };
+  for (int r = 0; r < kRounds; ++r) {
+    round.store(r);
+    const ScanMode mode = r % 2 == 0 ? ScanMode::kDataBlocks : ScanMode::kJit;
+    TableScanner scan(t, {1}, {}, mode, /*vector_size=*/16);
     Batch b;
     int64_t sum = 0;
     while (scan.Next(&b)) {
       for (uint32_t i = 0; i < b.count; ++i) sum += b.cols[0].i32[i];
     }
-    ASSERT_EQ(sum, expected) << "round " << round;
+    ASSERT_EQ(sum, expected) << "round " << r;
 
+    // Chunks 0-5 are frozen or evicted throughout; 6 and 7 until their
+    // tombstone, which is terminal.
+    const bool gone_before[] = {tombstoned(6), tombstoned(7)};
     StatusOr<size_t> saved = BlockArchive::Save(t, path);
     ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-    ASSERT_EQ(*saved, kChunks) << "round " << round;
-
-    for (int k = 0; k < 2000; ++k) {
-      ASSERT_NE(t.frozen_block(6), nullptr);
-      ASSERT_NE(t.frozen_block(7), nullptr);
-    }
-    Table::PinGuard pin(t, 0);
-    const DataBlock* block = t.frozen_block(0);  // nullptr if evicted
-    for (int k = 0; k < 2000; ++k) {
-      ASSERT_EQ(t.frozen_block(0), block);
-      if (block != nullptr) {
-        ASSERT_EQ(block->num_rows(), 64u);
+    const bool gone_after[] = {tombstoned(6), tombstoned(7)};
+    StatusOr<BlockArchive> archive = BlockArchive::Open(path);
+    ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+    std::set<uint32_t> chunks;
+    for (size_t i = 0; i < archive->num_blocks(); ++i)
+      chunks.insert(archive->entry(i).chunk_index);
+    ASSERT_EQ(chunks.size(), *saved) << "round " << r;
+    for (uint32_t c = 0; c < kLive; ++c)
+      ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
+    for (uint32_t c = kLive; c < kChunks; ++c) {
+      if (gone_before[c - kLive]) {
+        ASSERT_EQ(chunks.count(c), 0u) << "round " << r << " chunk " << c;
+      }
+      if (!gone_after[c - kLive]) {
+        ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
       }
     }
   }
@@ -640,14 +716,12 @@ TEST(Table, PinnedReadersSeeTheirBlockThroughEvictAndTombstoneBackOffs) {
   changer.join();
   reader.join();
   EXPECT_GT(evictions.load(), 0u);
-  EXPECT_GT(tombstone_tries.load(), 0u);
+  EXPECT_GT(readmits.load(), 0u);
 
-  // Unpinned, the fully deleted chunks tombstone and drop out of Save.
-  pin6.reset();
-  pin7.reset();
-  EXPECT_TRUE(t.TombstoneChunk(6));
-  EXPECT_TRUE(t.TombstoneChunk(7));
-  EXPECT_EQ(t.frozen_block(6), nullptr);
+  // Both fully deleted chunks end as tombstones and drop out of Save.
+  t.TombstoneChunk(6);
+  t.TombstoneChunk(7);
+  EXPECT_EQ(t.tombstones(), 2u);
   StatusOr<size_t> saved = BlockArchive::Save(t, path);
   ASSERT_TRUE(saved.ok());
   EXPECT_EQ(*saved, kLive);
@@ -755,26 +829,73 @@ TEST(Table, PrefetchLeavesClockRecencyAndArchiveAlone) {
   EXPECT_EQ(fetcher.calls(), calls);
 }
 
-// Pins, Synchronize and the lifecycle transitions may wait for the
-// caller's own section: inside a section they abort instead of
-// deadlocking.
-TEST(ReadSectionDeathTest, PinsAndSynchronizeAbortInsideASection) {
+// A scan that opens a chunk while it is kFreezing reads its hot chunk to
+// the end, also once the freezer has installed the block mid-chunk (and
+// hot_chunk() would answer nullptr): every row exactly once.
+TEST(ReadSection, ScanOpenedWhileFreezingReadsTheHotChunkToItsEnd) {
+  Table t("t", TestSchema(), 256);
+  for (int i = 0; i < 256; ++i) t.Insert(Row(i, i, LongName(i)));
+
+  // A section opened before the freeze holds it at kFreezing.
+  std::atomic<int> holder_phase{0};  // 1: section open, 2: close it
+  std::thread holder([&] {
+    Table::ReadSection section;
+    holder_phase.store(1);
+    while (holder_phase.load() != 2) std::this_thread::yield();
+  });
+  StopAndJoin join_holder{[&] { holder_phase.store(2); }, holder};
+  ASSERT_TRUE(WaitFor([&] { return holder_phase.load() == 1; }));
+  std::thread freezer([&] { EXPECT_TRUE(t.FreezeChunk(0)); });
+  StopAndJoin join_freezer{[&] { holder_phase.store(2); }, freezer};
+  ASSERT_TRUE(
+      WaitFor([&] { return t.chunk_state(0) == ChunkState::kFreezing; }));
+
+  TableScanner scan(t, {0, 2}, {}, ScanMode::kDataBlocks, /*vector_size=*/64);
+  Batch b;
+  std::vector<int> seen(256, 0);
+  int wrong_names = 0;
+  auto consume = [&] {
+    for (uint32_t i = 0; i < b.count; ++i) {
+      const int64_t key = b.cols[0].i64[i];
+      ++seen[size_t(key)];
+      wrong_names += b.cols[1].Str(i) != LongName(int(key));
+    }
+  };
+  ASSERT_TRUE(scan.Next(&b));  // opened at kFreezing
+  consume();
+  holder_phase.store(2);
+  ASSERT_TRUE(
+      WaitFor([&] { return t.chunk_state(0) == ChunkState::kFrozen; }));
+  while (scan.Next(&b)) consume();
+  for (int i = 0; i < 256; ++i) EXPECT_EQ(seen[size_t(i)], 1) << i;
+  EXPECT_EQ(wrong_names, 0);
+  holder.join();
+  freezer.join();
+  EXPECT_EQ(t.hot_chunk(0), nullptr);
+}
+
+// A move carries the lifetime counters with the slots they count.
+TEST(Table, MoveKeepsTheTombstoneCount) {
+  Table t("t", TestSchema(), 64);
+  std::vector<RowId> ids;
+  for (int i = 0; i < 64; ++i) ids.push_back(t.Insert(Row(i, i, "m")));
+  ASSERT_TRUE(t.FreezeChunk(0));
+  for (RowId id : ids) t.Delete(id);
+  ASSERT_TRUE(t.TombstoneChunk(0));
+  Table moved(std::move(t));
+  EXPECT_EQ(moved.chunk_state(0), ChunkState::kTombstone);
+  EXPECT_EQ(moved.tombstones(), 1u);
+}
+
+// Synchronize and the lifecycle transitions wait for every open section,
+// the caller's own included: inside a section they abort instead of
+// deadlocking. OpenForScan is only legal inside one, and a whole scan,
+// whose chunks open sections of their own, runs inside an outer section.
+TEST(ReadSectionDeathTest, SynchronizeAndTransitionsAbortInsideASection) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Table t("t", TestSchema(), 64);
   t.Insert(Row(1, 1, "x"));
   DataBlock image;
-  EXPECT_DEATH(
-      {
-        Table::ReadSection section;
-        t.PinChunk(0);
-      },
-      "DB_CHECK failed");
-  EXPECT_DEATH(
-      {
-        Table::ReadSection section;
-        t.PinForScan(0, ColumnSet::All(), &image);
-      },
-      "DB_CHECK failed");
   EXPECT_DEATH(
       {
         Table::ReadSection section;
@@ -809,10 +930,18 @@ TEST(ReadSectionDeathTest, PinsAndSynchronizeAbortInsideASection) {
         (void)t.ReadmitChunk(0, DataBlock());
       },
       "DB_CHECK failed");
-  // Closed sections leave the thread free to pin and synchronize.
-  { Table::ReadSection section; }
-  Table::PinGuard pin(t, 0);
+  EXPECT_DEATH(t.OpenForScan(0, ColumnSet::All(), &image), "DB_CHECK failed");
+  {
+    Table::ReadSection outer;
+    TableScanner scan(t, {0}, {}, ScanMode::kDataBlocks);
+    Batch b;
+    int64_t rows = 0;
+    while (scan.Next(&b)) rows += b.count;
+    EXPECT_EQ(rows, 1);
+  }
+  // Closed sections leave the thread free to synchronize and freeze.
   Table::Synchronize();
+  EXPECT_TRUE(t.FreezeChunk(0));
 }
 
 }  // namespace
