@@ -83,7 +83,7 @@ std::vector<EagerAggResult> EagerAggregateGrouped(
     const ColumnVector& a = batch.cols[1];
     for (uint32_t i = 0; i < batch.count; ++i) {
       int64_t key = IntAt(g, i);
-      DB_DCHECK(key >= 0 && uint64_t(key) < num_groups);
+      DB_CHECK(key >= 0 && uint64_t(key) < num_groups);
       EagerAggResult& agg = groups[size_t(key)];
       int64_t va = IntAt(a, i);
       ++agg.count;

@@ -39,7 +39,8 @@ EagerAggResult EagerAggregate(const Table& table, uint32_t col_a,
 
 /// Grouped variant for small integer group keys in [0, num_groups): returns
 /// one partial aggregate per group (Q1 shape: group count is tiny, so the
-/// group array stays cache-resident inside the scan).
+/// group array stays cache-resident inside the scan). A key outside
+/// [0, num_groups) aborts.
 std::vector<EagerAggResult> EagerAggregateGrouped(
     const Table& table, uint32_t group_col, uint32_t num_groups,
     uint32_t col_a, uint32_t col_b, std::vector<Predicate> preds,

@@ -24,7 +24,8 @@ namespace datablocks {
 ///    morsel never builds one. SMA/PSMA pruning happens inside every
 ///    scanner.
 ///  * `pipeline` (optional) receives per-slot profiles — morsel / batch /
-///    row counts and the scanners' block accounting.
+///    row counts, the time inside on_batch (the consume) and the
+///    scanners' block accounting.
 ///
 /// Safe to run concurrently with the block lifecycle: a scanner reads each
 /// chunk of its morsel inside one read section (an evicted one's columns
@@ -63,7 +64,7 @@ class MorselDriver {
       scanner->RestrictChunks(begin, end);
       while (scanner->Next(&batch)) {
         scope.OnBatch(batch.count, batch.AnyCoded());
-        on_batch(batch);
+        scope.Consume([&] { on_batch(batch); });
       }
       // Harvest per morsel: RestrictChunks just reset the counters, so the
       // current values are exactly this morsel's delta.

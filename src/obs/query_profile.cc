@@ -54,6 +54,7 @@ void PipelineProfile::RecordWorker(const WorkerProfile& w,
   totals_.morsels += w.morsels;
   totals_.batches += w.batches;
   totals_.rows_out += w.rows;
+  totals_.consume_ns += w.consume_ns;
   totals_.code_batches += contribution.code_batches;
   totals_.rows_in += contribution.rows_in;
   totals_.chunks_scanned += contribution.chunks_scanned;
@@ -222,14 +223,16 @@ std::string QueryProfile::Report() const {
             PRIu64 "\n",
             t.chunks_scanned, t.chunks_pruned, t.evicted_chunks_pruned,
             t.pins, t.archive_reloads);
+    AppendF(&out, "    consume %s\n", Ms(t.consume_ns).c_str());
     if (t.merge_ns > 0) {
       AppendF(&out, "    merge %s\n", Ms(t.merge_ns).c_str());
     }
     for (const WorkerProfile& w : p->workers()) {
       AppendF(&out,
               "    worker %u: morsels %" PRIu64 "  batches %" PRIu64
-              "  rows %" PRIu64 "  busy %s\n",
-              w.slot, w.morsels, w.batches, w.rows, Ms(w.busy_ns).c_str());
+              "  rows %" PRIu64 "  busy %s  consume %s\n",
+              w.slot, w.morsels, w.batches, w.rows, Ms(w.busy_ns).c_str(),
+              Ms(w.consume_ns).c_str());
     }
   }
   for (const auto& span : spans_) {
@@ -253,14 +256,15 @@ std::string QueryProfile::ToJson() const {
     if (i > 0) out += ", ";
     AppendF(&out,
             "{\"name\": \"%s\", \"wall_ns\": %" PRIu64 ", \"merge_ns\": %"
-            PRIu64 ", \"morsels\": %" PRIu64 ", \"batches\": %" PRIu64
-            ", \"code_batches\": %" PRIu64 ", \"rows_in\": %" PRIu64
-            ", \"rows_out\": %" PRIu64 ", \"chunks_scanned\": %" PRIu64
+            PRIu64 ", \"consume_ns\": %" PRIu64 ", \"morsels\": %" PRIu64
+            ", \"batches\": %" PRIu64 ", \"code_batches\": %" PRIu64
+            ", \"rows_in\": %" PRIu64 ", \"rows_out\": %" PRIu64
+            ", \"chunks_scanned\": %" PRIu64
             ", \"chunks_pruned\": %" PRIu64 ", \"evicted_chunks_pruned\": %"
             PRIu64 ", \"pins\": %" PRIu64 ", \"archive_reloads\": %" PRIu64
             ", \"workers\": [",
-            JsonEscape(p.name()).c_str(), t.wall_ns, t.merge_ns, t.morsels,
-            t.batches, t.code_batches, t.rows_in, t.rows_out,
+            JsonEscape(p.name()).c_str(), t.wall_ns, t.merge_ns, t.consume_ns,
+            t.morsels, t.batches, t.code_batches, t.rows_in, t.rows_out,
             t.chunks_scanned, t.chunks_pruned, t.evicted_chunks_pruned,
             t.pins, t.archive_reloads);
     const std::vector<WorkerProfile> workers = p.workers();
@@ -268,9 +272,10 @@ std::string QueryProfile::ToJson() const {
       if (w > 0) out += ", ";
       AppendF(&out,
               "{\"slot\": %u, \"morsels\": %" PRIu64 ", \"batches\": %" PRIu64
-              ", \"rows\": %" PRIu64 ", \"busy_ns\": %" PRIu64 "}",
+              ", \"rows\": %" PRIu64 ", \"busy_ns\": %" PRIu64
+              ", \"consume_ns\": %" PRIu64 "}",
               workers[w].slot, workers[w].morsels, workers[w].batches,
-              workers[w].rows, workers[w].busy_ns);
+              workers[w].rows, workers[w].busy_ns, workers[w].consume_ns);
     }
     out += "]}";
   }

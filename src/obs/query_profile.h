@@ -8,10 +8,11 @@
 // scan+aggregate fan-out) records wall time, rows in/out, batch counts
 // (split into code-carrying vs materialized), scanner-side block
 // accounting (summary-pruned vs scanned, chunks opened — "pins" — and
-// archive reloads), the merge-step duration, and one entry per
-// parallelism slot (morsels claimed, rows produced, busy time). Query
-// drivers can add free-form nested spans around non-pipeline phases (sort,
-// output).
+// archive reloads), the time in the consume (the pipeline body that folds
+// each batch into its state), the merge-step duration, and one entry per
+// parallelism slot (morsels claimed, rows produced, busy and consume time).
+// Query drivers can add free-form nested spans around non-pipeline phases
+// (sort, output).
 //
 // Render with Report() — an EXPLAIN-ANALYZE-style tree — or ToJson() for
 // tools/profile_report.py. All recording methods are thread-safe; a null
@@ -25,13 +26,17 @@
 
 namespace datablocks::obs {
 
+/// Monotonic nanoseconds since an arbitrary process-local epoch.
+uint64_t MonotonicNs();
+
 /// One parallelism slot's slice of a pipeline.
 struct WorkerProfile {
   unsigned slot = 0;
   uint64_t morsels = 0;
   uint64_t batches = 0;
-  uint64_t rows = 0;     // rows produced into this slot's batches
-  uint64_t busy_ns = 0;  // wall time inside the worker body
+  uint64_t rows = 0;        // rows produced into this slot's batches
+  uint64_t busy_ns = 0;     // wall time inside the worker body
+  uint64_t consume_ns = 0;  // of that, time inside the pipeline's consume
 };
 
 /// One scan+aggregate pipeline of a query. Created via
@@ -42,6 +47,7 @@ class PipelineProfile {
   struct Totals {
     uint64_t wall_ns = 0;   // pipeline open -> close (set by the scope)
     uint64_t merge_ns = 0;  // slot-order merge step, 0 when merge-free
+    uint64_t consume_ns = 0;  // summed over workers: time in the consume
     uint64_t morsels = 0;
     uint64_t batches = 0;
     uint64_t code_batches = 0;  // batches with >= 1 code-carrying column
@@ -92,6 +98,17 @@ class WorkerScope {
     ++worker_.batches;
     worker_.rows += rows;
     totals_.code_batches += coded ? 1 : 0;
+  }
+  /// Runs the pipeline's consume of one batch, timing it when profiling.
+  template <typename Fn>
+  void Consume(Fn&& fn) {
+    if (pipeline_ == nullptr) {
+      fn();
+      return;
+    }
+    const uint64_t t0 = MonotonicNs();
+    fn();
+    worker_.consume_ns += MonotonicNs() - t0;
   }
   /// Scanner counter harvest — pass deltas (the scanner's counters since
   /// the last harvest point, e.g. per morsel: RestrictChunks resets them).
@@ -172,9 +189,6 @@ class QueryProfile {
   };
   std::vector<OpenSpan> open_spans_;
 };
-
-/// Monotonic nanoseconds since an arbitrary process-local epoch.
-uint64_t MonotonicNs();
 
 }  // namespace datablocks::obs
 

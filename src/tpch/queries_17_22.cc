@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "exec/batch_agg.h"
 #include "tpch/queries.h"
 #include "util/date.h"
 #include "util/like.h"
@@ -79,10 +80,18 @@ QueryResult Q18(const TpchDatabase& db, const ScanOptions& opt) {
   QtyVec order_qty = ParDenseAgg<uint16_t, uint16_t>(
       db.lineitem, opt, {li::orderkey, li::quantity}, {},
       size_t(db.NumOrders()),
-      [](auto& sink, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i)
-          sink.Add(size_t(OrderIdx(b.cols[0].i64[i])),
-                   uint16_t(b.cols[1].i32[i]));
+      [isa = opt.isa](auto& sink, const Batch& b) {
+        // lineitem arrives in orderkey runs of 1-7 rows: one sink update
+        // per run (a run split across steps or batches adds twice).
+        constexpr uint32_t kStep = 1024;
+        int64_t keys[kStep], sums[kStep];
+        for (uint32_t off = 0; off < b.count; off += kStep) {
+          const uint32_t runs = RunSums(
+              b.cols[0].i64.data() + off, b.cols[1].i32.data() + off,
+              std::min(kStep, b.count - off), keys, sums, isa);
+          for (uint32_t j = 0; j < runs; ++j)
+            sink.Add(size_t(OrderIdx(keys[j])), uint16_t(sums[j]));
+        }
       },
       ApplyAdd{});
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "exec/batch_agg.h"
 #include "exec/dict_memo.h"
 #include "tpch/queries.h"
 #include "util/date.h"
@@ -39,28 +40,13 @@ namespace reg = col::region;
 // --- Q1: pricing summary report ------------------------------------------
 
 QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
-  struct Agg {
-    int64_t sum_qty = 0;
-    int64_t sum_base = 0;        // cents
-    int64_t sum_disc_price = 0;  // cents * 1e-2  (ext * (100-d))
-    int64_t sum_charge = 0;      // cents * 1e-4  (ext * (100-d) * (100+t))
-    int64_t sum_disc = 0;        // percent units
-    int64_t count = 0;
-
-    Agg& operator+=(const Agg& o) {
-      sum_qty += o.sum_qty;
-      sum_base += o.sum_base;
-      sum_disc_price += o.sum_disc_price;
-      sum_charge += o.sum_charge;
-      sum_disc += o.sum_disc;
-      count += o.count;
-      return *this;
-    }
-  };
   // (returnflag, linestatus) are upper-case letters (dbgen: A/N/R, F/O),
-  // so a 26 x 26 array holds every group: 32 KB per slot, merged in slot
-  // order.
-  using Groups = std::array<Agg, 26 * 26>;
+  // so a 26 x 26 grid of group keys holds every group: 32 KB per slot,
+  // merged in slot order. Per group: five sums and a row count.
+  struct Groups {
+    std::array<int64_t, kFlagGrid * kPricingSums> sums{};  // key major
+    std::array<int64_t, kFlagGrid> counts{};
+  };
   const int32_t cutoff = MakeDate(1998, 9, 2);
 
   Groups groups = ParAgg<Groups>(
@@ -69,36 +55,33 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
        li::linestatus},
       {Predicate::Le(li::shipdate, Value::Int(cutoff))},
       [] { return Groups{}; },
-      [](Groups& g, const Batch& b) {
-        const int32_t* qty = b.cols[0].i32.data();
-        const int64_t* ext = b.cols[1].i64.data();
-        const int32_t* disc = b.cols[2].i32.data();
-        const int32_t* tax = b.cols[3].i32.data();
-        const int32_t* rf = b.cols[4].i32.data();
-        const int32_t* ls = b.cols[5].i32.data();
-        for (uint32_t i = 0; i < b.count; ++i) {
-          const int64_t dp = ext[i] * (100 - disc[i]);
-          g[size_t(rf[i] - 'A') * 26 + size_t(ls[i] - 'A')] +=
-              Agg{qty[i], ext[i], dp, dp * (100 + tax[i]) / 100, disc[i], 1};
-        }
+      [isa = opt.isa](Groups& g, const Batch& b) {
+        const PricingColumns rows{b.cols[0].i32.data(), b.cols[1].i64.data(),
+                                  b.cols[2].i32.data(), b.cols[3].i32.data(),
+                                  b.cols[4].i32.data(), b.cols[5].i32.data()};
+        PricingSums(rows, b.count, g.sums.data(), g.counts.data(), isa);
       },
-      MergeSeqAdd<Groups>);
+      [](Groups& dst, const Groups& src) {
+        MergeSeqAdd(dst.sums, src.sums);
+        MergeSeqAdd(dst.counts, src.counts);
+      });
 
   QueryResult result;
-  for (size_t k = 0; k < groups.size(); ++k) {
-    const Agg& g = groups[k];
-    if (g.count == 0) continue;
+  for (uint32_t k = 0; k < kFlagGrid; ++k) {
+    const int64_t count = groups.counts[k];
+    if (count == 0) continue;
+    const int64_t* s = &groups.sums[k * kPricingSums];
     char row[256];
     std::snprintf(
         row, sizeof(row), "%c|%c|%lld|%.2f|%.2f|%.2f|%.2f|%.2f|%.4f|%lld",
-        char('A' + k / 26), char('A' + k % 26), (long long)g.sum_qty,
-        double(g.sum_base) / 100, double(g.sum_disc_price) / 1e4,
-        double(g.sum_charge) / 1e4, double(g.sum_qty) / double(g.count),
-        double(g.sum_base) / 100 / double(g.count),
-        double(g.sum_disc) / 100 / double(g.count), (long long)g.count);
+        char('A' + k / 26), char('A' + k % 26), (long long)s[kSumQty],
+        double(s[kSumBasePrice]) / 100, double(s[kSumDiscPrice]) / 1e4,
+        double(s[kSumCharge]) / 1e4, double(s[kSumQty]) / double(count),
+        double(s[kSumBasePrice]) / 100 / double(count),
+        double(s[kSumDisc]) / 100 / double(count), (long long)count);
     result.rows.push_back(row);
   }
-  return result;  // array iteration order == (returnflag, linestatus) order
+  return result;  // grid order == (returnflag, linestatus) order
 }
 
 // --- Q2: minimum cost supplier --------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <random>
 #include <string>
@@ -304,6 +305,39 @@ TEST(QueryProfileTest, WorkerScopesFoldIntoPipelineTotals) {
   EXPECT_EQ(p->Get("workers")->array().size(), 2u);
 }
 
+TEST(QueryProfileTest, ConsumeTimeFoldsIntoPipelineTotals) {
+  QueryProfile profile("Q0");
+  PipelineProfile* pipeline = profile.AddPipeline("lineitem");
+  int calls = 0;
+  {
+    WorkerScope w0(pipeline, 0);
+    w0.Consume([&] {
+      ++calls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+    w0.Consume([&] { ++calls; });
+    // Profiling off: the consume still runs, untimed.
+    WorkerScope off(nullptr, 1);
+    off.Consume([&] { ++calls; });
+  }
+  EXPECT_EQ(calls, 3);
+  const PipelineProfile::Totals t = pipeline->totals();
+  EXPECT_GE(t.consume_ns, 2'000'000u);
+  const std::vector<WorkerProfile> workers = pipeline->workers();
+  ASSERT_EQ(workers.size(), 1u);
+  EXPECT_EQ(workers[0].consume_ns, t.consume_ns);
+  EXPECT_LE(workers[0].consume_ns, workers[0].busy_ns);
+
+  EXPECT_NE(profile.Report().find("consume "), std::string::npos);
+  std::string error;
+  json::ValuePtr root = json::Parse(profile.ToJson(), &error);
+  ASSERT_NE(root, nullptr) << error;
+  const json::Value* p = root->Get("pipelines")->At(0);
+  EXPECT_EQ(uint64_t(p->Get("consume_ns")->i64()), t.consume_ns);
+  EXPECT_EQ(uint64_t(p->Get("workers")->At(0)->Get("consume_ns")->i64()),
+            t.consume_ns);
+}
+
 // ---------------------------------------------------------------------------
 // Scanner-side block accounting (feeds both the registry and profiles)
 // ---------------------------------------------------------------------------
@@ -382,6 +416,15 @@ TEST_F(ObsTpchTest, ProfiledQ1Q6MatchUnprofiledAndRecordScanWork) {
       EXPECT_GT(t.pins, 0u);
       EXPECT_FALSE(profile.pipeline(0)->workers().empty());
       EXPECT_GT(profile.wall_ns(), 0u);  // RunQuery called Finish()
+      // The consume split: time inside the pipeline body, a part of each
+      // worker's busy time, summed over the workers.
+      EXPECT_GT(t.consume_ns, 0u);
+      uint64_t consume_ns = 0;
+      for (const WorkerProfile& w : profile.pipeline(0)->workers()) {
+        EXPECT_LE(w.consume_ns, w.busy_ns);
+        consume_ns += w.consume_ns;
+      }
+      EXPECT_EQ(t.consume_ns, consume_ns);
 
       std::string error;
       ASSERT_NE(json::Parse(profile.ToJson(), &error), nullptr) << error;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -214,6 +215,60 @@ TEST_F(TpchFixture, Q3MatchesBruteForce) {
                      std::to_string(od.shippriority));
   }
   ExpectFrozenRunMatches(3, *frozen_, expect);
+}
+
+TEST_F(TpchFixture, Q18MatchesBruteForce) {
+  namespace cu = col::customer;
+  namespace o = col::orders;
+  namespace li = col::lineitem;
+  // The fixture's SF 0.01 has no order above Q18's 300-unit threshold; SF
+  // 0.05 has two. Every other order must stay below it, so a wrong
+  // per-order sum anywhere shows as a missing or an extra row.
+  TpchConfig cfg;
+  cfg.scale_factor = 0.05;
+  cfg.chunk_capacity = 4096;
+  std::unique_ptr<TpchDatabase> hot = MakeTpch(cfg);
+  std::unique_ptr<TpchDatabase> frozen = MakeTpch(cfg);
+  frozen->FreezeAll();
+
+  // Per-order quantity sums by a plain loop over every lineitem row.
+  std::unordered_map<int64_t, int64_t> qty;
+  ForEachRow(hot->lineitem, [&](RowId id) {
+    qty[hot->lineitem.GetInt(id, li::orderkey)] +=
+        hot->lineitem.GetInt(id, li::quantity);
+  });
+  std::unordered_map<int64_t, std::string> names;
+  ForEachRow(hot->customer, [&](RowId id) {
+    names[hot->customer.GetInt(id, cu::custkey)] =
+        std::string(hot->customer.GetStringView(id, cu::name));
+  });
+  struct Row {
+    int64_t custkey, orderkey, orderdate, totalprice, qty;
+  };
+  std::vector<Row> rows;
+  ForEachRow(hot->orders, [&](RowId id) {
+    const int64_t ok = hot->orders.GetInt(id, o::orderkey);
+    const auto it = qty.find(ok);
+    if (it == qty.end() || it->second <= 300) return;
+    rows.push_back({hot->orders.GetInt(id, o::custkey), ok,
+                    hot->orders.GetInt(id, o::orderdate),
+                    hot->orders.GetInt(id, o::totalprice), it->second});
+  });
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.totalprice != b.totalprice) return a.totalprice > b.totalprice;
+    if (a.orderdate != b.orderdate) return a.orderdate < b.orderdate;
+    return a.orderkey < b.orderkey;
+  });
+  if (rows.size() > 100) rows.resize(100);
+  std::vector<std::string> expect;
+  for (const Row& r : rows) {
+    expect.push_back(names[r.custkey] + "|" + std::to_string(r.custkey) + "|" +
+                     std::to_string(r.orderkey) + "|" +
+                     DateToString(int32_t(r.orderdate)) + "|" +
+                     detail::Money(r.totalprice) + "|" + std::to_string(r.qty));
+  }
+  ASSERT_FALSE(expect.empty());
+  ExpectFrozenRunMatches(18, *frozen, expect);
 }
 
 TEST_F(TpchFixture, Q14MatchesBruteForce) {

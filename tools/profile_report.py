@@ -6,8 +6,8 @@ Input files, auto-detected by their top-level keys:
   * a profile file written by a bench run with `--profile-json <path>`
     ({"bench": ..., "profiles": [...]}) — one QueryProfile JSON object
     per measured (query, config), rendered as an EXPLAIN-ANALYZE-style
-    tree with per-pipeline wall time, rows, block pruning and per-worker
-    morsel counts;
+    tree with per-pipeline wall time, consume time, rows, block pruning
+    and per-worker morsel counts;
   * a bench results file written with `--json <path>` — its "metrics"
     section (obs::MetricsRegistry::ToJson()) is rendered as a sorted
     metric table with histogram p50/p95/p99;
@@ -107,12 +107,14 @@ def print_profile(p):
               f"{pl['chunks_pruned']} pruned "
               f"({pl['evicted_chunks_pruned']} evicted, summary-only), "
               f"pins {pl['pins']}, archive reloads {pl['archive_reloads']}")
+        print(f"    consume {ms(pl.get('consume_ns', 0))}")
         if pl.get("merge_ns", 0) > 0:
             print(f"    merge {ms(pl['merge_ns'])}")
         for w in pl.get("workers", []):
             print(f"    worker {w['slot']}: morsels {w['morsels']}  "
                   f"batches {w['batches']}  rows {count(w['rows'])}  "
-                  f"busy {ms(w['busy_ns'])}")
+                  f"busy {ms(w['busy_ns'])}  "
+                  f"consume {ms(w.get('consume_ns', 0))}")
     for span in p.get("spans", []):
         print_span(span, "  ")
 
