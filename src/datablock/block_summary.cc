@@ -1,7 +1,6 @@
 #include "datablock/block_summary.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "datablock/block_scan.h"
 #include "util/macros.h"
@@ -53,101 +52,6 @@ uint64_t BlockSummary::MemoryBytes() const {
              cs.psma.size() * sizeof(PsmaEntry);
   }
   return total;
-}
-
-namespace {
-
-template <typename T>
-void AppendPod(std::vector<uint8_t>* out, const T& v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
-/// Bounds-checked reader over an untrusted summary blob: every read past
-/// the end fails the whole parse instead of touching foreign bytes.
-class BlobReader {
- public:
-  BlobReader(const uint8_t* data, uint64_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    if (sizeof(T) > remaining()) return false;
-    std::memcpy(v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-  bool Read(void* out, uint64_t bytes) {
-    if (bytes > remaining()) return false;
-    if (bytes > 0) std::memcpy(out, data_ + pos_, bytes);
-    pos_ += bytes;
-    return true;
-  }
-  uint64_t remaining() const { return size_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  uint64_t size_;
-  uint64_t pos_ = 0;
-};
-
-}  // namespace
-
-void BlockSummary::AppendTo(std::vector<uint8_t>* out) const {
-  AppendPod(out, row_count_);
-  AppendPod(out, uint32_t(cols_.size()));
-  for (const ColumnSummary& cs : cols_) {
-    AppendPod(out, cs.type);
-    AppendPod(out, cs.compression);
-    AppendPod(out, cs.flags);
-    AppendPod(out, uint8_t(0));
-    AppendPod(out, cs.dict_count);
-    AppendPod(out, cs.min_val);
-    AppendPod(out, cs.max_val);
-    AppendPod(out, uint32_t(cs.min_str.size()));
-    AppendPod(out, uint32_t(cs.max_str.size()));
-    AppendPod(out, uint32_t(cs.psma.size()));
-    out->insert(out->end(), cs.min_str.begin(), cs.min_str.end());
-    out->insert(out->end(), cs.max_str.begin(), cs.max_str.end());
-    const uint8_t* p = reinterpret_cast<const uint8_t*>(cs.psma.data());
-    out->insert(out->end(), p, p + cs.psma.size() * sizeof(PsmaEntry));
-  }
-}
-
-StatusOr<BlockSummary> BlockSummary::FromBytes(const uint8_t* data,
-                                               uint64_t size) {
-  // Fixed bytes of one serialized column: three tag bytes, padding, the
-  // dictionary count, min/max and three lengths.
-  constexpr uint64_t kColumnBytes = 4 + 4 + 8 + 8 + 3 * 4;
-  const Status malformed = Status::Corruption("malformed block summary");
-  BlobReader in(data, size);
-  BlockSummary s;
-  uint32_t ncols = 0;
-  if (!in.Read(&s.row_count_) || !in.Read(&ncols)) return malformed;
-  if (ncols > in.remaining() / kColumnBytes) return malformed;
-  s.cols_.resize(ncols);
-  for (ColumnSummary& cs : s.cols_) {
-    uint8_t pad;
-    uint32_t min_len, max_len, psma_entries;
-    if (!in.Read(&cs.type) || !in.Read(&cs.compression) ||
-        !in.Read(&cs.flags) || !in.Read(&pad) || !in.Read(&cs.dict_count) ||
-        !in.Read(&cs.min_val) || !in.Read(&cs.max_val) || !in.Read(&min_len) ||
-        !in.Read(&max_len) || !in.Read(&psma_entries)) {
-      return malformed;
-    }
-    if (uint64_t(min_len) + max_len +
-            uint64_t(psma_entries) * sizeof(PsmaEntry) >
-        in.remaining()) {
-      return malformed;
-    }
-    cs.min_str.resize(min_len);
-    cs.max_str.resize(max_len);
-    cs.psma.resize(psma_entries);
-    in.Read(cs.min_str.data(), min_len);
-    in.Read(cs.max_str.data(), max_len);
-    in.Read(cs.psma.data(), uint64_t(psma_entries) * sizeof(PsmaEntry));
-  }
-  if (in.remaining() != 0) return malformed;
-  return s;
 }
 
 SummaryScanPrep PrepareSummaryScan(const BlockSummary& summary,

@@ -19,7 +19,6 @@ struct ColumnSummary {
   uint8_t type;         // TypeId
   uint8_t compression;  // Compression
   uint8_t flags;        // AttrMeta::kHasNulls / kAllNull
-  uint8_t reserved = 0;
   uint32_t dict_count = 0;
   int64_t min_val = 0;  // SMA min (int64, or double bit pattern)
   int64_t max_val = 0;  // SMA max
@@ -39,8 +38,8 @@ struct ColumnSummary {
 /// A compact, always-resident summary of one frozen Data Block (paper
 /// Section 3.2: SMAs and PSMAs exist so scans can skip blocks cheaply; the
 /// summary keeps that ability alive after the block itself is evicted to
-/// the archive). Extracted once at archive time, persisted in the archive
-/// index, immutable afterwards.
+/// the archive). Extracted once at archive time and kept in table memory,
+/// immutable afterwards.
 class BlockSummary {
  public:
   BlockSummary() = default;
@@ -56,14 +55,6 @@ class BlockSummary {
 
   /// Approximate resident footprint (reporting).
   uint64_t MemoryBytes() const;
-
-  // -- Serialization (archive index blob) ---------------------------------
-
-  void AppendTo(std::vector<uint8_t>* out) const;
-  /// Parses a summary previously produced by AppendTo. The blob comes from
-  /// disk: any read past its end, a column count its bytes cannot hold, or
-  /// bytes left over is kCorruption, never an abort.
-  static StatusOr<BlockSummary> FromBytes(const uint8_t* data, uint64_t size);
 
  private:
   uint32_t row_count_ = 0;

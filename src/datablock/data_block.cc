@@ -563,12 +563,6 @@ Status PartialBlock::AdoptSpine() {
   return Status::Ok();
 }
 
-void PartialBlock::PageRange(uint32_t col, uint64_t page, uint64_t* begin,
-                             uint64_t* end) const {
-  *begin = begins_[col] + (page - first_page_[col]) * DataBlock::kPageBytes;
-  *end = std::min(*begin + DataBlock::kPageBytes, begins_[col + 1]);
-}
-
 bool PartialBlock::Serves(uint32_t col, uint32_t row) const {
   if (!has_spine()) return false;
   return block_

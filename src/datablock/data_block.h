@@ -315,9 +315,6 @@ class PartialBlock {
   uint64_t PageOf(uint32_t col, uint64_t offset) const {
     return first_page_[col] + (offset - begins_[col]) / DataBlock::kPageBytes;
   }
-  /// Byte range [*begin, *end) of page `page` of attribute `col`.
-  void PageRange(uint32_t col, uint64_t page, uint64_t* begin,
-                 uint64_t* end) const;
   bool HasPage(uint64_t page) const {
     return BitmapTest(present_.data(), page);
   }

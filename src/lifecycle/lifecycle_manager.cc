@@ -223,19 +223,17 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   if (block == nullptr) return false;  // not frozen (any more) — skip
   // Extract and install the resident summary before the chunk can be
   // evicted — scanners rely on "evicted implies summary present" to prune
-  // without opening the chunk. A summary installed earlier
-  // (BlockArchive::Restore) is reused: summaries are install-once (see
+  // without opening the chunk. A summary installed earlier (by a manager
+  // attached before this one) is reused: summaries are install-once (see
   // Table::SetBlockSummary).
   if (table_->block_summary(idx) == nullptr) {
     table_->SetBlockSummary(
         idx, std::make_unique<BlockSummary>(
                  BlockSummary::Extract(*block, cfg_.keep_summary_psma)));
   }
-  // The delete bitmap is deliberately NOT archived here: it stays mutable
-  // in table memory across eviction, and whole-table BlockArchive::Save is
-  // the path that persists bitmaps.
-  StatusOr<size_t> id = archive_->AppendBlock(*block, uint32_t(idx), nullptr,
-                                              table_->block_summary(idx));
+  // Only the block goes to the archive: the delete bitmap and the summary
+  // stay in table memory across eviction, the bitmap mutable.
+  StatusOr<size_t> id = archive_->AppendBlock(*block, uint32_t(idx));
   if (!id.ok()) {
     // The append left the archive file truncated back to its previous end
     // (see BlockArchive::AppendBlock), so prior entries stay readable. The
@@ -331,8 +329,7 @@ GarbageTally TallyGarbage(const std::vector<ArchiveEntry>& entries,
                           const std::vector<bool>& live) {
   GarbageTally t;
   for (size_t i = 0; i < entries.size(); ++i) {
-    const uint64_t bytes =
-        entries[i].block_bytes + entries[i].bitmap_words * 8;
+    const uint64_t bytes = entries[i].block_bytes;
     t.total_bytes += bytes;
     if (live[i]) continue;
     ++t.dead_blocks;
@@ -344,8 +341,7 @@ GarbageTally TallyGarbage(const std::vector<ArchiveEntry>& entries,
 }  // namespace
 
 double LifecycleManager::GarbageRatio() const {
-  // Snapshot the catalog first: the background tick may be appending, and
-  // entry() is not safe against concurrent appends.
+  // Snapshot the catalog first: the background tick may be appending.
   std::shared_ptr<BlockArchive> archive;
   std::vector<bool> live;
   {
@@ -421,7 +417,6 @@ size_t LifecycleManager::CompactLocked(bool force) {
     NoteWriteFailure(Status::IoError("rename of compacted archive failed"));
     return 0;
   }
-  fresh->NotifyRenamed(archive_path_);
   NoteWriteSuccess();
   {
     std::lock_guard<std::mutex> lock(mu_);

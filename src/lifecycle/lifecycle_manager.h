@@ -147,11 +147,11 @@ struct LifecycleStats {
 /// reads keep reading the superseded archive object until they drain.
 ///
 /// The archive is a spill file, not a snapshot: it is created truncated at
-/// `archive_path`, read only by this manager, and never finished or
-/// reopened. BlockArchive::Save/Restore is the one snapshot of a table, and
-/// it works with the manager attached. Recovering the spill file after a
-/// crash would also need a log of the hot chunks, which this engine does
-/// not keep.
+/// `archive_path`, holds block payloads only (catalog and checksums stay in
+/// memory), is read only by this manager and is never reopened. Nothing
+/// survives the process: the engine keeps no snapshot of a table, and
+/// recovering one would also need a log of the hot chunks, which this
+/// engine does not keep.
 ///
 /// The manager must outlive all use of the table's evicted chunks; its
 /// destructor readmits every evicted block (restoring a fully resident

@@ -663,11 +663,6 @@ bool Table::TombstoneChunk(size_t chunk_idx) {
 }
 
 void Table::AppendFrozen(DataBlock block) {
-  AppendFrozen(std::move(block), {}, 0);
-}
-
-void Table::AppendFrozen(DataBlock block, std::vector<uint64_t> delete_bitmap,
-                         uint32_t deleted_count) {
   DB_CHECK(block.num_columns() == schema_->num_columns());
   for (uint32_t c = 0; c < schema_->num_columns(); ++c) {
     DB_CHECK(block.type(c) == schema_->type(c));
@@ -675,18 +670,11 @@ void Table::AppendFrozen(DataBlock block, std::vector<uint64_t> delete_bitmap,
   Slot& slot = NewSlot();
   const uint32_t rows = block.num_rows();
   slot.rows.store(rows, std::memory_order_relaxed);
-  if (delete_bitmap.empty()) {
-    delete_bitmap.assign(BitmapWords(rows), 0);
-    DB_CHECK(deleted_count == 0);
-  } else {
-    DB_CHECK(delete_bitmap.size() >= BitmapWords(rows));
-  }
-  slot.frozen_deleted = std::move(delete_bitmap);
-  slot.frozen_deleted_count.store(deleted_count, std::memory_order_relaxed);
+  slot.frozen_deleted.assign(BitmapWords(rows), 0);
+  slot.frozen_deleted_count.store(0, std::memory_order_relaxed);
   slot.frozen = std::make_unique<DataBlock>(std::move(block));
   slot.state.store(ChunkState::kFrozen, std::memory_order_relaxed);
   num_rows_ += rows;
-  num_deleted_.fetch_add(deleted_count, std::memory_order_relaxed);
   PublishSlot();
 }
 

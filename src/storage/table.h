@@ -68,7 +68,7 @@ enum class ChunkState : uint8_t {
 struct BlockRead {
   enum Kind : uint8_t {
     kScan,   // OpenForScan: the spine and whole extents of `columns` into
-             // a scan's (or Save's) own `image`
+             // the reader's own `image`
     kPoint,  // a point read: the pages that hold `row` of column `col`
              // into the thread's partial image `pages`
   };
@@ -129,7 +129,7 @@ class Table {
         uint32_t chunk_capacity = DataBlock::kDefaultCapacity);
   ~Table();
 
-  // Movable (for factory-style construction, e.g. BlockArchive::Restore) —
+  // Movable (for factory-style construction: loaders return a Table) —
   // but only while no concurrent readers/lifecycle exist, and a moved table
   // gets a fresh lifecycle mutex. A LifecycleManager binds to the table's
   // address, so attach managers only after the table has its final home.
@@ -259,11 +259,10 @@ class Table {
 
   /// Always-resident summary of a frozen chunk's block, surviving eviction
   /// (nullptr until installed). Installed at archive time by the lifecycle
-  /// manager (or by BlockArchive::Restore) and immutable afterwards, so
+  /// manager, before the chunk can be evicted, and immutable afterwards:
   /// scans may consult it without opening the chunk — the acquire load
-  /// pairs with the installing release store. The lifecycle manager
-  /// installs it before the chunk can be evicted, so an evicted chunk it
-  /// manages always has one.
+  /// pairs with the installing release store — and an evicted chunk always
+  /// has one.
   const BlockSummary* block_summary(size_t chunk_idx) const {
     return slot(chunk_idx).summary.load(std::memory_order_acquire);
   }
@@ -423,12 +422,9 @@ class Table {
     return tombstones_.load(std::memory_order_relaxed);
   }
 
-  /// Appends an already-frozen block as a new chunk (e.g., reloaded from a
-  /// BlockArchive). The block's column types must match the schema. The
-  /// optional delete bitmap restores archived deletion flags.
+  /// Appends an already-frozen block as a new chunk with no row deleted.
+  /// The block's column types must match the schema.
   void AppendFrozen(DataBlock block);
-  void AppendFrozen(DataBlock block, std::vector<uint64_t> delete_bitmap,
-                    uint32_t deleted_count);
 
   /// Memory accounting for the compression experiments. FrozenBytes counts
   /// only *resident* blocks; evicted chunks contribute nothing.

@@ -2,8 +2,8 @@
 // evaluation must be bit-identical to decompress-then-filter across all four
 // compression schemes, NULLs, deleted rows and evicted blocks; frozen scans
 // in the Data Blocks modes must carry dictionary codes (late string
-// materialization) rather than eagerly decoded strings; and a Save of a
-// managed table with evicted chunks keeps the deletes made after archiving.
+// materialization) rather than eagerly decoded strings; and deletes made
+// after archiving stay in table memory, honoured by scans of evicted chunks.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "exec/scheduler.h"
 #include "exec/table_scanner.h"
 #include "lifecycle/lifecycle_manager.h"
-#include "storage/block_archive.h"
 #include "storage/table.h"
 #include "tpch/queries.h"
 #include "util/like.h"
@@ -338,49 +337,44 @@ TEST(CompressedExec, InternerBatchKeysMatchDirectInterning) {
   EXPECT_EQ(via_codes.size(), direct.size());
 }
 
-TEST(CompressedExec, SaveOfManagedTableKeepsDeletes) {
+TEST(CompressedExec, DeletesAfterArchivingStayInTableMemory) {
   const uint32_t kChunk = 256;
   Table t = MakeMixedTable(4 * kChunk, kChunk, 73, /*delete_every=*/0,
                            /*freeze_chunks=*/4);
+  Table ref = MakeMixedTable(4 * kChunk, kChunk, 73, /*delete_every=*/0,
+                             /*freeze_chunks=*/4);
   const std::string spill = "/tmp/datablocks_compressed_exec_spill.dbar";
-  const std::string path = "/tmp/datablocks_compressed_exec_save.dbar";
-  {
-    LifecycleConfig cfg;
-    cfg.memory_budget_bytes = t.frozen_block(3)->SizeBytes();
-    LifecycleManager mgr(&t, spill, cfg);
-    mgr.Tick();  // adopt and archive every chunk, evict 0..2 (LRU ties)
-    ASSERT_EQ(mgr.stats().archived_blocks, 4u);
-    for (size_t c = 0; c < 3; ++c) ASSERT_TRUE(t.is_evicted(c)) << c;
-    ASSERT_EQ(t.chunk_state(3), ChunkState::kFrozen);
-
-    // Deletes after archiving land in evicted and resident chunks alike;
-    // none of them reaches the archive.
-    for (uint32_t r = 0; r < kChunk; ++r) {
-      if (r % 5 == 0) t.Delete(MakeRowId(0, r));
-      if (r % 3 == 0) t.Delete(MakeRowId(1, r));
-      if (r % 2 == 0) t.Delete(MakeRowId(3, r));
-    }
-    ASSERT_TRUE(t.is_evicted(0));
-    ASSERT_FALSE(t.is_evicted(3));
-    mgr.Tick();
-    EXPECT_EQ(mgr.stats().archived_blocks, 4u);
-
-    // The snapshot is Save, taken with the manager attached.
-    StatusOr<size_t> saved = BlockArchive::Save(t, path);
-    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-    EXPECT_EQ(*saved, 4u);
-  }
-  StatusOr<Table> restored =
-      BlockArchive::Restore("restored", MixedSchema(), path, kChunk);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->num_chunks(), 4u);
-  for (size_t c = 0; c < 4; ++c)
-    EXPECT_EQ(restored->deleted_in_chunk(c), t.deleted_in_chunk(c)) << c;
-  EXPECT_EQ(restored->num_visible(), t.num_visible());
   const std::vector<uint32_t> cols = {0, 1, 2, 3, 4, 5, 6, 7, 8};
-  EXPECT_EQ(Digest(*restored, cols, {}, ScanMode::kDataBlocks),
-            Digest(t, cols, {}, ScanMode::kDataBlocks));
-  std::remove(path.c_str());
+  LifecycleConfig cfg;
+  cfg.memory_budget_bytes = t.frozen_block(3)->SizeBytes();
+  LifecycleManager mgr(&t, spill, cfg);
+  mgr.Tick();  // adopt and archive every chunk, evict 0..2 (LRU ties)
+  ASSERT_EQ(mgr.stats().archived_blocks, 4u);
+  for (size_t c = 0; c < 3; ++c) ASSERT_TRUE(t.is_evicted(c)) << c;
+  ASSERT_EQ(t.chunk_state(3), ChunkState::kFrozen);
+  const uint64_t archive_bytes = mgr.stats().archive_bytes;
+
+  // Deletes after archiving land in evicted and resident chunks alike;
+  // none of them reaches the archive, and scans of the evicted chunks
+  // honour them as the resident reference table does.
+  for (Table* table : {&t, &ref}) {
+    for (uint32_t r = 0; r < kChunk; ++r) {
+      if (r % 5 == 0) table->Delete(MakeRowId(0, r));
+      if (r % 3 == 0) table->Delete(MakeRowId(1, r));
+      if (r % 2 == 0) table->Delete(MakeRowId(3, r));
+    }
+  }
+  ASSERT_TRUE(t.is_evicted(0));
+  ASSERT_FALSE(t.is_evicted(3));
+  mgr.Tick();
+  EXPECT_EQ(mgr.stats().archived_blocks, 4u);
+  EXPECT_EQ(mgr.stats().archive_bytes, archive_bytes);
+  for (size_t c = 0; c < 4; ++c)
+    EXPECT_EQ(t.deleted_in_chunk(c), ref.deleted_in_chunk(c)) << c;
+  EXPECT_EQ(t.num_visible(), ref.num_visible());
+  EXPECT_EQ(Digest(t, cols, {}, ScanMode::kDataBlocks),
+            Digest(ref, cols, {}, ScanMode::kDataBlocks));
+  EXPECT_TRUE(t.is_evicted(0));
 }
 
 // String-keyed queries (interned group-by keys, dictionary memos, code-space

@@ -161,43 +161,35 @@ TEST(MicroAdaptive, AdaptsWhenCostsShift) {
   EXPECT_EQ(chooser.Best(), 1u);
 }
 
-TEST(BlockArchiveTest, SaveLoadRestoreRoundTrip) {
+TEST(BlockArchiveTest, AppendReadRoundTrip) {
   Table t = MakeTable(10000, 2048, true);
   const std::string path = "/tmp/datablocks_archive_test.bin";
-  size_t written = BlockArchive::Save(t, path).value();
-  EXPECT_EQ(written, t.num_chunks());
+  StatusOr<BlockArchive> archive = BlockArchive::Create(path);
+  ASSERT_TRUE(archive.ok());
+  for (size_t c = 0; c < t.num_chunks(); ++c)
+    ASSERT_TRUE(archive->AppendBlock(*t.frozen_block(c), uint32_t(c)).ok());
 
-  auto blocks = BlockArchive::Load(path).value();
-  ASSERT_EQ(blocks.size(), written);
-  EXPECT_EQ(blocks[0].num_rows(), t.chunk_rows(0));
-
-  Table restored = BlockArchive::Restore("t2", TestSchema(), path, 2048).value();
-  EXPECT_EQ(restored.num_rows(), t.num_rows());
+  Table reloaded("t2", TestSchema(), 2048);
+  for (size_t c = 0; c < t.num_chunks(); ++c)
+    reloaded.AppendFrozen(archive->ReadBlock(c).value());
+  EXPECT_EQ(reloaded.num_rows(), t.num_rows());
   // Identical point accesses...
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
     RowId id = MakeRowId(uint64_t(rng.Uniform(0, int64_t(t.num_chunks()) - 1)),
                          uint32_t(rng.Uniform(0, 2047)));
     if (RowIdRow(id) >= t.chunk_rows(RowIdChunk(id))) continue;
-    EXPECT_TRUE(t.GetValue(id, 1) == restored.GetValue(id, 1));
-    EXPECT_EQ(t.GetStringView(id, 3), restored.GetStringView(id, 3));
+    EXPECT_TRUE(t.GetValue(id, 1) == reloaded.GetValue(id, 1));
+    EXPECT_EQ(t.GetStringView(id, 3), reloaded.GetStringView(id, 3));
   }
   // ...and identical scans.
   auto a = EagerAggregate(t, 1, 2, {Predicate::Ge(2, Value::Int(50))},
                           ScanMode::kDataBlocksPsma);
-  auto b = EagerAggregate(restored, 1, 2,
+  auto b = EagerAggregate(reloaded, 1, 2,
                           {Predicate::Ge(2, Value::Int(50))},
                           ScanMode::kDataBlocksPsma);
   EXPECT_EQ(a.sum_product, b.sum_product);
   EXPECT_EQ(a.count, b.count);
-  std::remove(path.c_str());
-}
-
-TEST(BlockArchiveTest, HotChunksAreNotArchived) {
-  Table t = MakeTable(5000, 1024, false);
-  t.FreezeChunk(0);
-  const std::string path = "/tmp/datablocks_archive_partial.bin";
-  EXPECT_EQ(BlockArchive::Save(t, path).value(), 1u);
   std::remove(path.c_str());
 }
 

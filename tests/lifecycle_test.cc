@@ -483,8 +483,9 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
     // Spine + extents of attributes 0 and 1 end where attribute 2's begins.
     std::shared_ptr<const BlockArchive> archive = mgr.archive();
+    const std::vector<ArchiveEntry> entries = archive->EntriesSnapshot();
     size_t id = 0;
-    while (archive->entry(id).chunk_index != 2) ++id;
+    while (entries[id].chunk_index != 2) ++id;
     StatusOr<DataBlock> whole = archive->ReadBlock(id);
     ASSERT_TRUE(whole.ok());
     std::vector<uint64_t> begins;
@@ -534,24 +535,34 @@ TEST(Lifecycle, SummaryPruningWorksWithoutResidentPsma) {
   std::remove(path.c_str());
 }
 
-// A table rebuilt by BlockArchive::Restore already carries the archived
-// summaries; a manager adopting it must reuse them (summaries are
-// install-once) and still prune evicted blocks without archive reads.
-TEST(Lifecycle, RestoredTablesReuseArchivedSummaries) {
-  Table orig = MakeTestTable(2048, 512, /*delete_every=*/0, /*freeze=*/true);
-  const std::string save_path = TempArchive("restore_save");
-  ASSERT_TRUE(BlockArchive::Save(orig, save_path).ok());
-  Table t = BlockArchive::Restore("r", TestTableSchema(), save_path, 512).value();
-  for (size_t c = 0; c < t.num_chunks(); ++c)
-    ASSERT_NE(t.block_summary(c), nullptr) << c;
-
-  const std::string path = TempArchive("restore_adopt");
+// A table that an earlier manager summarized keeps those summaries after
+// that manager detached; a second manager adopting it must reuse them
+// (summaries are install-once) and still prune evicted blocks without
+// archive reads.
+TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
+  Table t = MakeTestTable(2048, 512, /*delete_every=*/0, /*freeze=*/true);
+  LifecycleConfig cfg = QuickCooling();
+  cfg.memory_budget_bytes = 0;
+  const std::string first_path = TempArchive("reuse_first");
   {
-    LifecycleConfig cfg = QuickCooling();
-    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, first_path, cfg);
+    mgr.Tick();  // adopt, summarize + evict everything
+    ASSERT_EQ(mgr.stats().evictions, t.num_chunks());
+  }  // readmits every block
+  std::vector<const BlockSummary*> summaries;
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    ASSERT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
+    ASSERT_NE(t.block_summary(c), nullptr) << c;
+    summaries.push_back(t.block_summary(c));
+  }
+
+  const std::string path = TempArchive("reuse_second");
+  {
     LifecycleManager mgr(&t, path, cfg);
     mgr.Tick();  // adopt + evict everything
     EXPECT_EQ(mgr.stats().adopted, t.num_chunks());
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      EXPECT_EQ(t.block_summary(c), summaries[c]) << c;
     const uint64_t reads = mgr.stats().archive_reads;
     TableScanner scan(t, {0}, {Predicate::Gt(0, Value::Int(1 << 20))},
                       ScanMode::kDataBlocks);
@@ -561,7 +572,7 @@ TEST(Lifecycle, RestoredTablesReuseArchivedSummaries) {
     EXPECT_EQ(scan.evicted_chunks_skipped(), t.num_chunks());
     EXPECT_EQ(mgr.stats().archive_reads, reads);
   }
-  std::remove(save_path.c_str());
+  std::remove(first_path.c_str());
   std::remove(path.c_str());
 }
 

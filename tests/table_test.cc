@@ -2,8 +2,8 @@
 // RowId stability, point accesses across hot and frozen chunks, PK index,
 // the string arena behind hot string columns, and read sections: point
 // accesses racing freeze, evict and tombstone, the grace period that keeps
-// what a section or a scan saw allocated, scans and Save racing eviction,
-// readmission and tombstones, and the Prefetch contract.
+// what a section or a scan saw allocated, scans and whole-block readers
+// racing eviction, readmission and tombstones, and the Prefetch contract.
 
 #include <gtest/gtest.h>
 
@@ -617,13 +617,14 @@ TEST(ReadSection, TombstoneWaitsForTheScanThatHoldsTheChunk) {
   CheckBlockOutlivesSection(Change::kTombstone, /*scanner=*/true);
 }
 
-// Scans, Save and point readers race a changer that really evicts and
-// readmits every chunk and, halfway through, tombstones the fully deleted
-// chunks 6 and 7: every scan sum is exact, and every Save writes each
-// chunk that is frozen or evicted at its turn. Run under TSan in CI; under
-// ASan, a block freed while a scan or Save still reads it is a
+// Scans, whole-block readers and point readers race a changer that really
+// evicts and readmits every chunk and, halfway through, tombstones the
+// fully deleted chunks 6 and 7: every scan sum is exact, and every
+// whole-block pass, one section per chunk, reads each chunk that is frozen
+// or evicted at its turn, byte for byte. Run under TSan in CI; under ASan,
+// a block freed while a scan or a whole-block reader still reads it is a
 // use-after-free.
-TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
+TEST(ReadSection, ScansAndBlockReadersRaceEvictReadmitAndTombstone) {
   CountingFetcher fetcher("scan_race");
   Table t("t", TestSchema(), 64);
   fetcher.Install(t);
@@ -638,16 +639,32 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
   for (size_t i = kLive * 64; i < ids.size(); ++i) t.Delete(ids[i]);
   int64_t expected = 0;
   for (int i = 0; i < int(kLive) * 64; ++i) expected += i;
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("datablocks_table_test_race_save_" + std::to_string(::getpid()) +
-        ".dbar"))
-          .string();
+  auto block_sum = [](const DataBlock& block) {
+    return BlockArchive::Checksum(block.raw_bytes(), block.SizeBytes());
+  };
+  std::vector<uint64_t> sums;
+  for (size_t c = 0; c < kChunks; ++c)
+    sums.push_back(block_sum(*t.frozen_block(c)));
+  // One pass of whole-block reads, one section per chunk: the chunks that
+  // yielded their block.
+  auto read_blocks = [&] {
+    std::set<uint32_t> chunks;
+    DataBlock image;
+    for (uint32_t c = 0; c < kChunks; ++c) {
+      Table::ReadSection section;
+      const DataBlock* block =
+          t.OpenForScan(c, ColumnSet::All(), &image).block;
+      if (block == nullptr) continue;
+      EXPECT_EQ(block_sum(*block), sums[c]) << "chunk " << c;
+      chunks.insert(c);
+    }
+    return chunks;
+  };
 
   constexpr int kRounds = 200;
   std::atomic<int> round{0};
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> evictions{0}, readmits{0};
+  std::atomic<uint64_t> evictions{0}, readmits{0}, passes{0};
   std::thread changer([&] {
     Rng rng(5);
     while (!stop.load()) {
@@ -660,6 +677,7 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
         t.TombstoneChunk(6);
         t.TombstoneChunk(7);
       }
+      passes.fetch_add(1);
     }
   });
   StopAndJoin join_changer{[&] { stop.store(true); }, changer};
@@ -680,6 +698,7 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
   };
   for (int r = 0; r < kRounds; ++r) {
     round.store(r);
+    const uint64_t passes_before = passes.load();
     const ScanMode mode = r % 2 == 0 ? ScanMode::kDataBlocks : ScanMode::kJit;
     TableScanner scan(t, {1}, {}, mode, /*vector_size=*/16);
     Batch b;
@@ -692,15 +711,8 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
     // Chunks 0-5 are frozen or evicted throughout; 6 and 7 until their
     // tombstone, which is terminal.
     const bool gone_before[] = {tombstoned(6), tombstoned(7)};
-    StatusOr<size_t> saved = BlockArchive::Save(t, path);
-    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    const std::set<uint32_t> chunks = read_blocks();
     const bool gone_after[] = {tombstoned(6), tombstoned(7)};
-    StatusOr<BlockArchive> archive = BlockArchive::Open(path);
-    ASSERT_TRUE(archive.ok()) << archive.status().ToString();
-    std::set<uint32_t> chunks;
-    for (size_t i = 0; i < archive->num_blocks(); ++i)
-      chunks.insert(archive->entry(i).chunk_index);
-    ASSERT_EQ(chunks.size(), *saved) << "round " << r;
     for (uint32_t c = 0; c < kLive; ++c)
       ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
     for (uint32_t c = kLive; c < kChunks; ++c) {
@@ -711,6 +723,9 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
         ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
       }
     }
+    // Every round overlaps at least one whole changer pass, however fast
+    // the round itself runs.
+    while (passes.load() == passes_before) std::this_thread::yield();
   }
   stop.store(true);
   changer.join();
@@ -718,14 +733,11 @@ TEST(ReadSection, ScansAndSaveRaceEvictReadmitAndTombstone) {
   EXPECT_GT(evictions.load(), 0u);
   EXPECT_GT(readmits.load(), 0u);
 
-  // Both fully deleted chunks end as tombstones and drop out of Save.
+  // Both fully deleted chunks end as tombstones and yield no block.
   t.TombstoneChunk(6);
   t.TombstoneChunk(7);
   EXPECT_EQ(t.tombstones(), 2u);
-  StatusOr<size_t> saved = BlockArchive::Save(t, path);
-  ASSERT_TRUE(saved.ok());
-  EXPECT_EQ(*saved, kLive);
-  std::remove(path.c_str());
+  EXPECT_EQ(read_blocks().size(), kLive);
 }
 
 // A freeze compresses only after the sections that saw the chunk hot have
