@@ -1,11 +1,15 @@
 // Hybrid OLTP & OLAP on one database state (paper Figure 1): transactional
 // updates hit hot chunks and relocate frozen records, while analytical
 // scans run over the same table across both storage forms — with the block
-// lifecycle subsystem freezing cooled-down chunks in the background and
-// evicting cold blocks to an archive under a memory budget.
+// lifecycle subsystem, ticking as a periodic task on the default worker
+// pool, freezing cooled-down chunks in the background and evicting cold
+// blocks to an archive under a memory budget. Exits 1 if no background
+// tick ran.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "exec/table_scanner.h"
 #include "lifecycle/lifecycle_manager.h"
@@ -72,10 +76,11 @@ int main() {
   PkIndex pk(orders, 0);
   int64_t next_id = kHistory;
 
-  // Block lifecycle: a background thread freezes chunks once OLTP traffic
-  // cools down on them and keeps only half the frozen bytes resident; the
-  // rest is evicted to the archive, which the OLAP scan and point reads
-  // read in place without installing the blocks again.
+  // Block lifecycle: periodic ticks on the default worker pool freeze
+  // chunks once OLTP traffic cools down on them and keep only half the
+  // frozen bytes resident; the rest is evicted to the archive, which the
+  // OLAP scan and point reads read in place without installing the blocks
+  // again.
   LifecycleConfig lcfg;
   lcfg.cold_threshold = 2;
   lcfg.freeze_after_cold_epochs = 2;
@@ -142,7 +147,22 @@ int main() {
         double(ls.resident_bytes) / 1e6, double(orders.MemoryBytes()) / 1e6,
         double(ResidentBytes()) / 1e6);
   }
+  // The rounds can finish before many 10 ms ticks fired, so wait a bounded
+  // time for the first one: if none runs, the background driver is broken.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (lifecycle.stats().epochs == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const uint64_t epochs = lifecycle.stats().epochs;
   lifecycle.Stop();
+  std::printf("lifecycle ticks in the background: %llu\n",
+              (unsigned long long)epochs);
+  if (epochs == 0) {
+    std::fprintf(stderr, "no background lifecycle tick ran\n");
+    return 1;
+  }
 
   // Cross-check: the OLAP answer is identical on every scan path.
   int64_t a = TotalOpenAmount(orders, ScanMode::kJit);

@@ -1,6 +1,7 @@
 #ifndef DATABLOCKS_EXEC_PARALLEL_SCAN_H_
 #define DATABLOCKS_EXEC_PARALLEL_SCAN_H_
 
+#include <atomic>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -16,10 +17,10 @@ namespace datablocks {
 /// sequential and parallel — runs its slots through RunSlot over the one
 /// table of its relation:
 ///
-///  * The table hands out its chunks as morsels through a
-///    NodeMorselDispatcher, so a worker drains chunks homed on its own NUMA
-///    node before stealing remote ones (single-node hosts degrade to the
-///    flat chunk order). Every chunk is claimed exactly once.
+///  * The table hands out its chunks as single-chunk morsels in index
+///    order through one shared atomic cursor: a slot that finishes early
+///    claims the next chunk, which is what balances skew. Every chunk is
+///    claimed exactly once.
 ///  * Each slot builds its scanner lazily: a slot that never claims a
 ///    morsel never builds one. SMA/PSMA pruning happens inside every
 ///    scanner.
@@ -38,7 +39,7 @@ class MorselDriver {
                std::vector<Predicate> predicates, ScanMode mode,
                uint32_t vector_size, Isa isa, obs::PipelineProfile* pipeline)
       : table_(table),
-        morsels_(ChunkNodes(table)),
+        num_chunks_(table.num_chunks()),
         columns_(std::move(columns)),
         predicates_(std::move(predicates)),
         mode_(mode),
@@ -51,17 +52,17 @@ class MorselDriver {
   template <typename OnBatch>
   void RunSlot(unsigned slot, OnBatch&& on_batch) {
     obs::WorkerScope scope(pipeline_, slot);
-    const int my_node = Scheduler::CurrentWorkerNode();
     Batch batch;
     std::optional<TableScanner> scanner;
-    size_t begin, end;
-    while (morsels_.Next(my_node, &begin, &end)) {
+    size_t chunk;
+    while ((chunk = next_chunk_.fetch_add(1, std::memory_order_relaxed)) <
+           num_chunks_) {
       if (!scanner) {
         scanner.emplace(table_, columns_, predicates_, mode_, vector_size_,
                         isa_);
       }
       scope.OnMorsel();
-      scanner->RestrictChunks(begin, end);
+      scanner->RestrictChunks(chunk, chunk + 1);
       while (scanner->Next(&batch)) {
         scope.OnBatch(batch.count, batch.AnyCoded());
         scope.Consume([&] { on_batch(batch); });
@@ -76,14 +77,9 @@ class MorselDriver {
   }
 
  private:
-  static std::vector<int> ChunkNodes(const Table& table) {
-    std::vector<int> nodes(table.num_chunks());
-    for (size_t i = 0; i < nodes.size(); ++i) nodes[i] = table.chunk_node(i);
-    return nodes;
-  }
-
   const Table& table_;
-  NodeMorselDispatcher morsels_;
+  const size_t num_chunks_;  // chunks present when the pipeline started
+  std::atomic<size_t> next_chunk_{0};  // the morsel cursor
   std::vector<uint32_t> columns_;
   std::vector<Predicate> predicates_;
   ScanMode mode_;

@@ -1,7 +1,6 @@
 #include "exec/scheduler.h"
 
 #include <algorithm>
-#include <climits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -36,7 +35,6 @@ struct SchedulerMetrics {
   obs::Counter* tasks_run;
   obs::Counter* steals;
   obs::Counter* periodic_fires;
-  obs::Counter* morsels_remote;
 };
 
 const SchedulerMetrics& Metrics() {
@@ -44,23 +42,12 @@ const SchedulerMetrics& Metrics() {
     obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
     return SchedulerMetrics{r.GetCounter("scheduler.tasks_run"),
                             r.GetCounter("scheduler.steals"),
-                            r.GetCounter("scheduler.periodic_fires"),
-                            r.GetCounter("scheduler.morsels_remote")};
+                            r.GetCounter("scheduler.periodic_fires")};
   }();
   return m;
 }
 
-/// Node of the pool worker running this thread; INT_MIN = not a pool
-/// worker (resolve via cpu::CurrentNode() instead).
-constexpr int kNotAPoolWorker = INT_MIN;
-thread_local int tls_worker_node = kNotAPoolWorker;
-
 }  // namespace
-
-int Scheduler::CurrentWorkerNode() {
-  const int n = tls_worker_node;
-  return n != kNotAPoolWorker ? n : cpu::CurrentNode();
-}
 
 Scheduler::Scheduler() : Scheduler(Options{}) {}
 
@@ -71,9 +58,7 @@ Scheduler::Scheduler(Options opts) {
   for (unsigned w = 0; w < n; ++w) {
     auto worker = std::make_unique<Worker>();
     if (opts.pin_workers && !topo.cpus.empty()) {
-      const size_t slot = w % topo.cpus.size();
-      worker->cpu = int(topo.cpus[slot]);
-      worker->node = topo.node_of[slot];
+      worker->cpu = int(topo.cpus[w % topo.cpus.size()]);
     }
     workers_.push_back(std::move(worker));
   }
@@ -179,7 +164,6 @@ std::vector<Scheduler::WorkerStats> Scheduler::worker_stats() const {
 
 void Scheduler::WorkerLoop(unsigned self) {
   if (workers_[self]->cpu >= 0) PinSelfTo(unsigned(workers_[self]->cpu));
-  tls_worker_node = workers_[self]->node;
   for (;;) {
     if (TryRunOne(self)) continue;
     std::unique_lock<std::mutex> lock(sleep_mu_);
@@ -242,55 +226,6 @@ void Scheduler::FirePeriodic(uint64_t id) {
     if (it->second.removed) periodics_.erase(it);
   }
   timer_cv_.notify_all();
-}
-
-NodeMorselDispatcher::NodeMorselDispatcher(const std::vector<int>& nodes)
-    : total_(nodes.size()) {
-  // Group chunk indexes by home node, preserving index order within a
-  // group. Few distinct nodes (typically 1-8), so linear group lookup.
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    Group* g = nullptr;
-    for (auto& cand : groups_) {
-      if (cand->node == nodes[i]) {
-        g = cand.get();
-        break;
-      }
-    }
-    if (g == nullptr) {
-      groups_.push_back(std::make_unique<Group>());
-      g = groups_.back().get();
-      g->node = nodes[i];
-    }
-    g->chunks.push_back(i);
-  }
-}
-
-bool NodeMorselDispatcher::Claim(Group& g, size_t* begin, size_t* end) {
-  const size_t c = g.cursor.fetch_add(1, std::memory_order_relaxed);
-  if (c >= g.chunks.size()) return false;
-  *begin = g.chunks[c];
-  *end = g.chunks[c] + 1;
-  return true;
-}
-
-bool NodeMorselDispatcher::Next(int node, size_t* begin, size_t* end) {
-  // Own group first, then sweep the rest (steal). A claim is "remote" only
-  // when both sides know their node and they differ.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (auto& g : groups_) {
-      const bool own = g->node == node;
-      if (own != (pass == 0)) continue;
-      if (!Claim(*g, begin, end)) continue;
-      if (own || node < 0 || g->node < 0) {
-        local_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        remote_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().morsels_remote->Add();
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 void Scheduler::TimerLoop() {

@@ -22,15 +22,15 @@ namespace datablocks {
 /// model behind HyPer's 64-thread Table 2 numbers): a fixed set of worker
 /// threads, each with its own task queue, stealing from siblings when their
 /// own queue drains. Query pipelines submit coarse tasks (one per
-/// parallelism slot) whose inner loop claims chunks as morsels from a
-/// NodeMorselDispatcher; the lifecycle manager can register periodic ticks so
-/// background freezing/compaction shares the same threads instead of owning
-/// one per table.
+/// parallelism slot) whose inner loop claims chunks as morsels from one
+/// shared cursor (MorselDriver); the lifecycle manager registers its ticks
+/// as periodic tasks, so background freezing, eviction and compaction share
+/// the same threads. This pool and its timer are the only threads the
+/// engine starts.
 ///
-/// Workers are pinned to cores round-robin over the host topology
-/// (util/cpu HostTopology), node-major so co-scheduled workers share a NUMA
-/// node as long as possible; pinning silently degrades to unpinned workers
-/// when the topology cannot be probed or the affinity call fails.
+/// Workers are pinned to cores round-robin over the usable cpus (util/cpu
+/// HostTopology); pinning silently degrades to unpinned workers when the
+/// affinity mask cannot be read or the affinity call fails.
 ///
 /// One instance is usually enough: Scheduler::Default() is a lazily
 /// constructed process-wide pool sized to the hardware. Components accept
@@ -60,17 +60,6 @@ class Scheduler {
   static Scheduler& Default();
 
   unsigned num_workers() const { return unsigned(workers_.size()); }
-  /// CPU the worker was pinned to, -1 when unpinned.
-  int worker_cpu(unsigned worker) const { return workers_[worker]->cpu; }
-  /// NUMA node of that CPU, -1 when unknown.
-  int worker_node(unsigned worker) const { return workers_[worker]->node; }
-
-  /// NUMA node of the calling thread: the pinned node of the pool worker
-  /// executing this call, or (for non-pool threads — e.g. the caller
-  /// running slot 0 of RunOnSlots) the node it is currently scheduled on
-  /// via cpu::CurrentNode(). -1 when unknown. This is what morsel handout
-  /// uses to prefer node-local chunks.
-  static int CurrentWorkerNode();
 
   /// Enqueues one task (round-robin over the worker queues; an idle sibling
   /// steals it if the assigned worker is busy). Prefer TaskGroup for
@@ -117,8 +106,7 @@ class Scheduler {
     std::mutex mu;
     std::deque<std::function<void()>> queue;  // guarded by mu
     std::thread thread;
-    int cpu = -1;
-    int node = -1;
+    int cpu = -1;  // pinned cpu, -1 when unpinned
     std::atomic<uint64_t> tasks_run{0};
     std::atomic<uint64_t> steals{0};
   };
@@ -277,52 +265,9 @@ class TaskGroup {
   std::shared_ptr<State> state_;
 };
 
-/// The shared work list of one parallel pipeline: hands out chunk indexes
-/// as single-chunk morsels, one atomic add per claim, so a worker that
-/// finishes early simply claims the next chunk (which is what balances
-/// skew). Chunks are grouped by their home node (Table::chunk_node) and
-/// Next(node, ...) drains the requester's own group before stealing from
-/// remote groups — locality first, load balance second (an idle worker
-/// never starves while remote work remains). Claims from a *known* remote node are counted on the
-/// instance and on the process-wide `scheduler.morsels_remote` counter;
-/// chunks with unknown homes (-1) and requesters with unknown nodes are
-/// always "local" (there is nothing to miss).
-class NodeMorselDispatcher {
- public:
-  /// nodes[i] = home node of chunk i, -1 unknown. Grouping cost is one
-  /// O(chunks) pass at pipeline start.
-  explicit NodeMorselDispatcher(const std::vector<int>& nodes);
-
-  /// Claims one chunk into [*begin, *end), preferring `node`'s group;
-  /// false when every group is exhausted.
-  bool Next(int node, size_t* begin, size_t* end);
-
-  size_t total() const { return total_; }
-  uint64_t local_claims() const {
-    return local_.load(std::memory_order_relaxed);
-  }
-  uint64_t remote_claims() const {
-    return remote_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Group {
-    int node = -1;                  // -1 = unknown-home group
-    std::vector<size_t> chunks;
-    std::atomic<size_t> cursor{0};
-  };
-
-  bool Claim(Group& g, size_t* begin, size_t* end);
-
-  std::vector<std::unique_ptr<Group>> groups_;
-  size_t total_ = 0;
-  std::atomic<uint64_t> local_{0};
-  std::atomic<uint64_t> remote_{0};
-};
-
 /// Runs `worker(slot)` on `slots` parallelism slots — slot 0 on the calling
 /// thread, the rest as pool tasks — and returns when all of them finished.
-/// The canonical body claims morsels from a shared NodeMorselDispatcher and
+/// The canonical body claims morsels from a shared MorselDriver and
 /// accumulates into a per-slot state that the caller merges afterwards in
 /// slot order (making the merged result independent of which worker claimed
 /// which morsel).

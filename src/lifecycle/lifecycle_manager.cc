@@ -632,47 +632,23 @@ void LifecycleManager::ResetQuarantine() {
 
 void LifecycleManager::Start() {
   if (running()) return;
-  if (cfg_.scheduler != nullptr) {
-    // Scheduler-backed ticking: freeze/eviction/compaction work runs as a
-    // periodic task on the shared worker pool — no dedicated thread per
-    // managed table. Concurrent ticks are impossible (the scheduler skips
-    // a firing while the previous one executes) and would be harmless
-    // anyway (tick_mu_). A zero tick_interval (busy-tick, legal on the
-    // dedicated-thread path) is clamped: the periodic timer needs a
-    // positive period.
-    periodic_id_ = cfg_.scheduler->AddPeriodic(
-        std::max(cfg_.tick_interval, std::chrono::milliseconds(1)),
-        [this] { Tick(); });
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    bg_stop_ = false;
-  }
-  bg_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(bg_mu_);
-    while (!bg_stop_) {
-      lock.unlock();
-      Tick();
-      lock.lock();
-      bg_cv_.wait_for(lock, cfg_.tick_interval, [this] { return bg_stop_; });
-    }
-  });
+  // Freeze, eviction and compaction run as a periodic task on the worker
+  // pool: no thread per managed table. Concurrent ticks are impossible
+  // (the scheduler skips a firing while the previous one executes) and
+  // would be harmless anyway (tick_mu_). The periodic timer needs a
+  // positive period, so a zero tick_interval becomes 1 ms.
+  ticker_ = cfg_.scheduler != nullptr ? cfg_.scheduler : &Scheduler::Default();
+  periodic_id_ = ticker_->AddPeriodic(
+      std::max(cfg_.tick_interval, std::chrono::milliseconds(1)),
+      [this] { Tick(); });
 }
 
 void LifecycleManager::Stop() {
-  if (periodic_id_ != 0) {
-    // Blocks until any in-flight tick finished; afterwards no tick can
-    // ever run again, so destruction is safe.
-    cfg_.scheduler->RemovePeriodic(periodic_id_);
-    periodic_id_ = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_all();
-  if (bg_.joinable()) bg_.join();
+  if (!running()) return;
+  // Blocks until any in-flight tick finished; afterwards no tick can ever
+  // run again, so destruction is safe.
+  ticker_->RemovePeriodic(periodic_id_);
+  periodic_id_ = 0;
 }
 
 LifecycleStats LifecycleManager::stats() const {

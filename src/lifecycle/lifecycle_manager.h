@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -75,11 +73,11 @@ struct LifecycleConfig {
   uint32_t degrade_after_write_failures = 3;
 
   // -- Background ticks -----------------------------------------------------
+  /// Period of the ticks Start() schedules; rounded up to 1 ms.
   std::chrono::milliseconds tick_interval{50};
-  /// When set, Start() registers a periodic task on this worker pool
-  /// instead of spawning a dedicated background thread: ticks run on the
-  /// shared scheduler workers, so N managed tables cost zero extra threads.
-  /// The scheduler must outlive the manager (or at least its Stop()).
+  /// Pool the ticks run on as a periodic task; nullptr =
+  /// Scheduler::Default(). N managed tables cost no extra threads. The
+  /// pool must outlive the manager (or at least its Stop()).
   Scheduler* scheduler = nullptr;
 
   // -- Observability --------------------------------------------------------
@@ -135,10 +133,10 @@ struct LifecycleStats {
 /// (SMA min/max, dictionary domain, optional PSMA) is extracted and
 /// installed in the table — it stays resident across eviction, so
 /// SMA-pruned scans skip evicted blocks without any archive read. Ticks
-/// may run from a caller thread (Tick()), from the built-in background
-/// thread (Start()/Stop()), or — with config.scheduler set — as a periodic
-/// task on the shared worker pool; all of these may be active concurrently
-/// with OLTP point accesses and OLAP scans on the table.
+/// run from a caller thread (Tick()) or, between Start() and Stop(), as a
+/// periodic task on a worker pool (config.scheduler, default
+/// Scheduler::Default()); both may be active concurrently with OLTP point
+/// accesses and OLAP scans on the table.
 ///
 /// The archive accumulates garbage as archived chunks become fully deleted;
 /// a compaction pass (automatic past config.compact_garbage_ratio, or
@@ -172,13 +170,13 @@ class LifecycleManager {
   /// Thread-safe; concurrent ticks are serialized.
   void Tick();
 
-  /// Runs Tick every config.tick_interval in the background: on a
-  /// dedicated thread by default, or as a periodic task of
-  /// config.scheduler when one is set (ticks then execute on the shared
-  /// pool workers).
+  /// Runs Tick every config.tick_interval (rounded up to 1 ms) as a
+  /// periodic task on config.scheduler, or on Scheduler::Default() when
+  /// that is null: the ticks execute on the pool's workers. Stop() returns
+  /// after any in-flight tick finished; no tick runs after it.
   void Start();
   void Stop();
-  bool running() const { return bg_.joinable() || periodic_id_ != 0; }
+  bool running() const { return periodic_id_ != 0; }
 
   /// Explicit archive compaction/GC: reclaims the blocks of fully-deleted
   /// chunks regardless of the garbage-ratio threshold. Returns the number
@@ -278,11 +276,8 @@ class LifecycleManager {
   std::atomic<uint32_t> append_fail_streak_{0};
   std::atomic<bool> degraded_{false};
 
-  std::thread bg_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
-  uint64_t periodic_id_ = 0;  // nonzero while ticking via cfg_.scheduler
+  Scheduler* ticker_ = nullptr;  // pool the periodic ticks run on
+  uint64_t periodic_id_ = 0;     // nonzero between Start() and Stop()
 };
 
 }  // namespace datablocks

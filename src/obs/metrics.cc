@@ -216,7 +216,6 @@ void RegisterEngineMetrics() {
   r.GetCounter("scheduler.tasks_run");
   r.GetCounter("scheduler.steals");
   r.GetCounter("scheduler.periodic_fires");
-  r.GetCounter("scheduler.morsels_remote");
   // Lifecycle manager (lifecycle/lifecycle_manager.cc).
   r.GetCounter("lifecycle.ticks");
   r.GetCounter("lifecycle.freezes");

@@ -189,12 +189,8 @@ Table::Slot& Table::NewSlot() {
   if (segments_[seg].load(std::memory_order_relaxed) == nullptr) {
     segments_[seg].store(new SlotSegment(), std::memory_order_release);
   }
-  Slot& s = segments_[seg].load(std::memory_order_relaxed)
-                ->slots[idx & (kSlotSegSize - 1)];
-  // First-touch: the appending thread's node is where the chunk's pages
-  // will land, so stamp it as the chunk's home for NUMA-local handout.
-  s.node = cpu::CurrentNode();
-  return s;
+  return segments_[seg].load(std::memory_order_relaxed)
+      ->slots[idx & (kSlotSegSize - 1)];
 }
 
 RowId Table::Insert(std::span<const Value> row) {

@@ -101,18 +101,19 @@ inline bool IsHotState(ChunkState s) {
 /// plus an insert into the hot tail (Section 3).
 ///
 /// Concurrency contract: point accesses, scans, Delete on frozen rows,
-/// FreezeChunk, EvictChunk, TombstoneChunk and the lifecycle background
-/// thread may run concurrently with each other and with a single writer
-/// (Insert, Update, in-place updates and hot deletes). Readers take no
-/// per-chunk lock or count: a point access runs inside a read section
-/// (ReadSection), and so does a scan of one chunk (OpenForScan). A state
-/// changer publishes the new state and compresses a hot chunk or frees a
-/// resident block only after Synchronize() has waited out every section
-/// that could still read it. Chunk slots live in a segmented directory
-/// with stable addresses — structural growth never reallocates existing
-/// slots, and num_chunks() is published only after the new slot is fully
-/// initialized — so slot readers never observe a torn directory. Multiple
-/// concurrent *writers* are still unsupported.
+/// FreezeChunk, EvictChunk, TombstoneChunk and lifecycle ticks (a caller's
+/// Tick() or the periodic task on a worker pool) may run concurrently with
+/// each other and with a single writer (Insert, Update, in-place updates
+/// and hot deletes). Readers take no per-chunk lock or count: a point
+/// access runs inside a read section (ReadSection), and so does a scan of
+/// one chunk (OpenForScan). A state changer publishes the new state and
+/// compresses a hot chunk or frees a resident block only after
+/// Synchronize() has waited out every section that could still read it.
+/// Chunk slots live in a segmented directory with stable addresses —
+/// structural growth never reallocates existing slots, and num_chunks() is
+/// published only after the new slot is fully initialized — so slot
+/// readers never observe a torn directory. Multiple concurrent *writers*
+/// are still unsupported.
 class Table {
  public:
   /// Reads part of an evicted chunk's block from secondary storage, as
@@ -234,11 +235,6 @@ class Table {
     // new count also sees the appended row's column bytes.
     return slot(chunk_idx).rows.load(std::memory_order_acquire);
   }
-  /// NUMA node the chunk's slot was allocated on (-1 unknown). Stamped once
-  /// in NewSlot before the slot is published and immutable afterwards —
-  /// NUMA-local morsel handout uses it to route each chunk to workers on
-  /// the node whose memory most likely backs it (first-touch allocation).
-  int chunk_node(size_t chunk_idx) const { return slot(chunk_idx).node; }
   bool chunk_full(size_t chunk_idx) const {
     return chunk_rows(chunk_idx) == chunk_capacity_;
   }
@@ -456,9 +452,6 @@ class Table {
     std::atomic<ChunkState> state{ChunkState::kHot};
     mutable std::atomic<uint32_t> clock{0};
     mutable std::atomic<uint32_t> last_access{0};
-    /// Home NUMA node (-1 unknown); written once in NewSlot before
-    /// PublishSlot's release store, plain int is race-free afterwards.
-    int node = -1;
   };
 
   // Slots live in a segmented directory: fixed-size heap segments hung off

@@ -1,10 +1,7 @@
 #include "util/cpu.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 #include <thread>
 
 #ifdef __linux__
@@ -32,82 +29,20 @@ Features Detect() {
   return f;
 }
 
-/// Assigns NUMA nodes to the usable cpus by parsing
-/// /sys/devices/system/node/node<k>/cpulist ("0-3,8,10-11"). Returns the
-/// highest node id seen, or -1 when the layout is unreadable.
-int ProbeNumaNodes(const std::vector<unsigned>& cpus, std::vector<int>* node) {
-  int max_node = -1;
-#ifdef __linux__
-  for (int n = 0; n < 256; ++n) {
-    char path[64];
-    std::snprintf(path, sizeof(path),
-                  "/sys/devices/system/node/node%d/cpulist", n);
-    std::FILE* f = std::fopen(path, "r");
-    if (f == nullptr) continue;  // node ids may be sparse
-    char buf[4096];
-    size_t len = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    buf[len] = '\0';
-    for (const char* p = buf; *p != '\0' && *p != '\n';) {
-      char* end;
-      long lo = std::strtol(p, &end, 10);
-      if (end == p) break;
-      long hi = lo;
-      if (*end == '-') hi = std::strtol(end + 1, &end, 10);
-      for (size_t i = 0; i < cpus.size(); ++i) {
-        if (long(cpus[i]) >= lo && long(cpus[i]) <= hi) (*node)[i] = n;
-      }
-      max_node = std::max(max_node, n);
-      p = *end == ',' ? end + 1 : end;
-    }
-  }
-#else
-  (void)cpus;
-  (void)node;
-#endif
-  return max_node;
-}
-
 Topology DetectTopology() {
   Topology t;
-  std::vector<unsigned> cpus;
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
     for (unsigned c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+      if (CPU_ISSET(c, &set)) t.cpus.push_back(c);
     }
   }
 #endif
   const unsigned hc = std::thread::hardware_concurrency();
   t.hardware_threads =
-      !cpus.empty() ? unsigned(cpus.size()) : (hc != 0 ? hc : 1u);
-  if (cpus.empty()) return t;  // no per-cpu info: pinning stays a no-op
-
-  std::vector<int> node(cpus.size(), -1);
-  ProbeNumaNodes(cpus, &node);
-
-  // Node-major order: pinning consumers walk `cpus` round-robin, so
-  // grouping keeps co-scheduled workers on one socket for as long as
-  // possible. Unknown-node cpus (-1) sort first, which is harmless: either
-  // all nodes are unknown or /sys covered every cpu.
-  std::vector<size_t> order(cpus.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return node[a] < node[b];
-  });
-  t.cpus.reserve(cpus.size());
-  t.node_of.reserve(cpus.size());
-  for (size_t i : order) {
-    t.cpus.push_back(cpus[i]);
-    t.node_of.push_back(node[i]);
-  }
-  std::vector<int> distinct(node);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  t.num_nodes = std::max<unsigned>(1u, unsigned(distinct.size()));
+      !t.cpus.empty() ? unsigned(t.cpus.size()) : (hc != 0 ? hc : 1u);
   return t;
 }
 
@@ -124,26 +59,6 @@ const Topology& HostTopology() {
 }
 
 unsigned HardwareThreads() { return HostTopology().hardware_threads; }
-
-int CurrentNode() {
-#ifdef __linux__
-  // node_of is positional (node of cpus[i]); build the cpu-id-keyed table
-  // once so the per-call cost is one getcpu + one load.
-  static const std::vector<int> by_cpu = [] {
-    const Topology& t = HostTopology();
-    unsigned max_cpu = 0;
-    for (unsigned c : t.cpus) max_cpu = std::max(max_cpu, c);
-    std::vector<int> m(t.cpus.empty() ? 0 : size_t(max_cpu) + 1, -1);
-    for (size_t i = 0; i < t.cpus.size(); ++i) m[t.cpus[i]] = t.node_of[i];
-    return m;
-  }();
-  int c = sched_getcpu();
-  if (c < 0 || size_t(c) >= by_cpu.size()) return -1;
-  return by_cpu[size_t(c)];
-#else
-  return -1;
-#endif
-}
 
 }  // namespace cpu
 }  // namespace datablocks

@@ -38,23 +38,18 @@ inline bool ForcedScalar() { return HostFeatures().forced_scalar; }
 
 /// Host execution topology, probed once at first use. The scheduler
 /// (src/exec/scheduler.h) uses it to size the worker pool and to pin
-/// workers to cores grouped by NUMA node. Every field degrades gracefully:
-/// on hosts where the affinity mask or /sys NUMA layout cannot be read,
-/// `cpus` stays empty (pinning becomes a no-op) and `hardware_threads`
-/// falls back to std::thread::hardware_concurrency(), and to 1 when even
-/// that is unknown — this is the single place that guards the standard's
+/// workers to cores. Every field degrades gracefully: on hosts where the
+/// affinity mask cannot be read, `cpus` stays empty (pinning becomes a
+/// no-op) and `hardware_threads` falls back to
+/// std::thread::hardware_concurrency(), and to 1 when even that is unknown
+/// — this is the single place that guards the standard's
 /// "hardware_concurrency() may return 0" escape hatch.
 struct Topology {
   /// Usable logical CPUs; always >= 1.
   unsigned hardware_threads = 1;
-  /// Logical CPU ids this process may run on, in node-major order (all of
-  /// NUMA node 0 first, then node 1, ...) so round-robin pinning fills one
-  /// socket before spilling to the next. Empty when unprobeable.
+  /// Logical CPU ids this process may run on, ascending. Empty when
+  /// unprobeable.
   std::vector<unsigned> cpus;
-  /// NUMA node of cpus[i]; -1 when the node layout is unknown.
-  std::vector<int> node_of;
-  /// Distinct NUMA nodes spanned by `cpus` (>= 1 even when unknown).
-  unsigned num_nodes = 1;
 };
 
 /// The latched topology snapshot.
@@ -62,14 +57,6 @@ const Topology& HostTopology();
 
 /// HostTopology().hardware_threads: the "how many workers" default, >= 1.
 unsigned HardwareThreads();
-
-/// NUMA node of the cpu the calling thread is running on right now, or -1
-/// when unknown (non-Linux, unprobeable layout, or a cpu outside the
-/// affinity mask at probe time). `Topology::node_of` is indexed by position
-/// in `cpus`, not by cpu id; this is the id-keyed lookup built on top of it.
-/// Used to stamp chunks with their home node at append time and to resolve
-/// a worker's node for NUMA-local morsel handout.
-int CurrentNode();
 
 /// Spin-wait hint (PAUSE on x86): frees the core's pipeline for its
 /// sibling hyperthread while a waiter polls.

@@ -827,8 +827,8 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
   {
     LifecycleConfig cfg = QuickCooling();
     // Budget for ~3 blocks: most chunks stay evicted, and scans and point
-    // accesses read them from the archive while the background thread
-    // ticks.
+    // accesses read them from the archive while background ticks run on
+    // the default pool.
     cfg.memory_budget_bytes = (t.FrozenBytes() / 20) * 3;
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);

@@ -1,12 +1,11 @@
 // Morsel-driven execution engine: worker pool + work stealing, the morsel
-// dispatchers (flat and NUMA-aware), periodic tasks, scheduler-backed
-// lifecycle ticks, parallel TPC-H result equality on hot, frozen and
-// evicted tables, and the parallel-query-vs-eviction/compaction stress the
-// TSan CI leg leans on.
+// cursor's exactly-once handout, periodic tasks, lifecycle ticks on a
+// private and on the default pool, parallel TPC-H result equality on hot,
+// frozen and evicted tables, and the parallel-query-vs-eviction/compaction
+// stress the TSan CI leg leans on.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -43,13 +42,8 @@ TEST(Topology, HardwareThreadsGuardAndShape) {
   // The one hardware_concurrency()==0 guard of the codebase: always >= 1.
   EXPECT_GE(cpu::HardwareThreads(), 1u);
   const cpu::Topology& topo = cpu::HostTopology();
-  EXPECT_EQ(topo.cpus.size(), topo.node_of.size());
-  EXPECT_GE(topo.num_nodes, 1u);
   if (!topo.cpus.empty()) {
     EXPECT_EQ(topo.hardware_threads, unsigned(topo.cpus.size()));
-    // Node-major order: nodes never decrease along the cpu list.
-    for (size_t i = 1; i < topo.node_of.size(); ++i)
-      EXPECT_LE(topo.node_of[i - 1], topo.node_of[i]) << i;
   }
   EXPECT_GE(EffectiveThreads(0), 1u);
   EXPECT_EQ(EffectiveThreads(5), 5u);
@@ -113,86 +107,52 @@ TEST(Scheduler, UrgentSubmitOvertakesQueuedTasks) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Scheduler, NodeMorselDispatcherHandsOutEveryChunkExactlyOnce) {
-  // 103 chunks homed on two nodes; four workers, two per node, claim
-  // concurrently and steal across nodes once their own group drains.
-  std::vector<int> nodes(103);
-  for (size_t i = 0; i < nodes.size(); ++i) nodes[i] = int(i % 3 == 0);
-  NodeMorselDispatcher morsels(nodes);
-  std::vector<std::vector<size_t>> claimed(4);
-  {
-    Scheduler sched(Scheduler::Options{.num_workers = 4});
-    TaskGroup group(&sched);
-    for (unsigned t = 0; t < 4; ++t) {
-      group.Run([&morsels, &mine = claimed[t], node = int(t % 2)] {
-        size_t b, e;
-        while (morsels.Next(node, &b, &e)) {
-          EXPECT_LT(b, e);
-          EXPECT_LE(e, 103u);
-          for (size_t i = b; i < e; ++i) mine.push_back(i);
-        }
-      });
-    }
-    group.Wait();
-  }
-  std::set<size_t> all;
+/// Ids (column 0) each of four slots of a four-worker pool scanned from
+/// `t`; `pipeline` receives the scan's profile.
+std::vector<std::vector<int64_t>> ScanIdsOnFourSlots(
+    const Table& t, obs::PipelineProfile* pipeline) {
+  Scheduler sched(Scheduler::Options{.num_workers = 4});
+  return ParallelScan<std::vector<int64_t>>(
+      t, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/4,
+      [] { return std::vector<int64_t>{}; },
+      [](std::vector<int64_t>& ids, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i) ids.push_back(b.cols[0].i64[i]);
+      },
+      TableScanner::kDefaultVectorSize, BestIsa(), &sched, pipeline);
+}
+
+TEST(Scheduler, ParallelScanClaimsEveryChunkExactlyOnce) {
+  // 100 chunks, every other one frozen, with a short hot tail. Four slots
+  // claim concurrently from the one morsel cursor: together they scan
+  // every row exactly once, one morsel per chunk.
+  const uint32_t rows = 99 * 256 + 100;
+  Table t = MakeTestTable(rows, 256);
+  ASSERT_EQ(t.num_chunks(), 100u);
+  for (size_t c = 0; c < 99; c += 2) ASSERT_TRUE(t.FreezeChunk(c));
+  obs::PipelineProfile pipeline("t");
+  const auto slots = ScanIdsOnFourSlots(t, &pipeline);
+  ASSERT_EQ(slots.size(), 4u);
+  std::set<int64_t> all;
   size_t total = 0;
-  for (const auto& mine : claimed) {
-    total += mine.size();
-    all.insert(mine.begin(), mine.end());
+  for (const auto& ids : slots) {
+    total += ids.size();
+    all.insert(ids.begin(), ids.end());
   }
-  EXPECT_EQ(total, 103u);       // no chunk claimed twice
-  EXPECT_EQ(all.size(), 103u);  // no chunk dropped
-  EXPECT_EQ(morsels.local_claims() + morsels.remote_claims(), 103u);
+  EXPECT_EQ(total, size_t(rows));     // no row scanned twice
+  EXPECT_EQ(all.size(), size_t(rows));  // no row dropped
+  EXPECT_EQ(*all.begin(), 0);
+  EXPECT_EQ(*all.rbegin(), int64_t(rows) - 1);
+  EXPECT_EQ(pipeline.totals().morsels, t.num_chunks());
 }
 
-TEST(NodeMorselDispatcher, PrefersLocalChunksThenSteals) {
-  // Chunks homed on two synthetic nodes. A node-0 claimant must drain all
-  // node-0 chunks before touching node-1's, and vice versa.
-  const std::vector<int> nodes = {0, 1, 0, 1, 0, 1};
-  NodeMorselDispatcher d(nodes);
-  EXPECT_EQ(d.total(), nodes.size());
-
-  std::vector<bool> claimed(nodes.size(), false);
-  size_t begin = 0, end = 0;
-  for (int k = 0; k < 3; ++k) {
-    ASSERT_TRUE(d.Next(0, &begin, &end));
-    EXPECT_EQ(end, begin + 1);
-    EXPECT_EQ(nodes[begin], 0) << "remote chunk claimed while local remained";
-    claimed[begin] = true;
-  }
-  EXPECT_EQ(d.local_claims(), 3u);
-  EXPECT_EQ(d.remote_claims(), 0u);
-
-  // Node 0 exhausted its own group: further claims steal from node 1.
-  while (d.Next(0, &begin, &end)) {
-    EXPECT_EQ(nodes[begin], 1);
-    EXPECT_FALSE(claimed[begin]);
-    claimed[begin] = true;
-  }
-  EXPECT_EQ(d.remote_claims(), 3u);
-  EXPECT_TRUE(std::all_of(claimed.begin(), claimed.end(),
-                          [](bool b) { return b; }));
-  EXPECT_FALSE(d.Next(0, &begin, &end));  // exhausted stays exhausted
-  EXPECT_FALSE(d.Next(1, &begin, &end));
-}
-
-TEST(NodeMorselDispatcher, UnknownNodesNeverCountRemote) {
-  // Single-node boxes and unstamped chunks report node -1 on one side or
-  // the other; none of those claims may count as remote.
-  NodeMorselDispatcher d({-1, -1, -1});
-  size_t begin = 0, end = 0;
-  size_t n = 0;
-  while (d.Next(0, &begin, &end)) ++n;
-  EXPECT_EQ(n, 3u);
-  EXPECT_EQ(d.remote_claims(), 0u);
-}
-
-TEST(NodeMorselDispatcher, EmptyTableYieldsNothing) {
-  NodeMorselDispatcher d({});
-  size_t begin = 0, end = 0;
-  EXPECT_FALSE(d.Next(0, &begin, &end));
-  EXPECT_EQ(d.total(), 0u);
+TEST(Scheduler, ParallelScanOfAnEmptyTableClaimsNothing) {
+  Table t("empty", TestTableSchema(), 256);
+  obs::PipelineProfile pipeline("empty");
+  const auto slots = ScanIdsOnFourSlots(t, &pipeline);
+  ASSERT_EQ(slots.size(), 4u);
+  for (const auto& ids : slots) EXPECT_TRUE(ids.empty());
+  EXPECT_EQ(t.num_chunks(), 0u);
+  EXPECT_EQ(pipeline.totals().morsels, 0u);
 }
 
 TEST(Scheduler, ParallelScanWithMoreSlotsThanWorkers) {
@@ -235,31 +195,40 @@ TEST(Scheduler, PeriodicTasksFireUntilRemoved) {
 }
 
 TEST(Scheduler, LifecycleTicksRunOnTheSharedPool) {
+  // Start() is the only background driver: ticks run as a periodic task on
+  // the configured pool, or on Scheduler::Default() when none is set.
   Scheduler sched(Scheduler::Options{.num_workers = 2});
-  Table t = MakeTestTable(1024, 256);
-  const std::string path = "/tmp/datablocks_scheduler_lifecycle.dbar";
-  {
-    LifecycleConfig cfg;
-    cfg.cold_threshold = 0;
-    cfg.freeze_after_cold_epochs = 2;
-    cfg.decay_shift = 32;
-    cfg.tick_interval = std::chrono::milliseconds(1);
-    cfg.scheduler = &sched;
-    LifecycleManager mgr(&t, path, cfg);
-    EXPECT_FALSE(mgr.running());
-    mgr.Start();
-    EXPECT_TRUE(mgr.running());
-    // Ticks advance (on pool workers — no dedicated thread) and the policy
-    // still freezes cooled-down chunks.
-    EXPECT_TRUE(WaitFor([&] { return mgr.stats().epochs >= 4; }));
-    EXPECT_TRUE(WaitFor([&] { return mgr.stats().freezes >= 3; }));
-    mgr.Stop();
-    EXPECT_FALSE(mgr.running());
-    const uint64_t epochs = mgr.stats().epochs;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(mgr.stats().epochs, epochs);  // no tick after Stop
+  for (Scheduler* configured : {&sched, static_cast<Scheduler*>(nullptr)}) {
+    SCOPED_TRACE(configured != nullptr ? "private pool" : "default pool");
+    Scheduler& pool =
+        configured != nullptr ? *configured : Scheduler::Default();
+    Table t = MakeTestTable(1024, 256);
+    const std::string path = "/tmp/datablocks_scheduler_lifecycle.dbar";
+    {
+      LifecycleConfig cfg;
+      cfg.cold_threshold = 0;
+      cfg.freeze_after_cold_epochs = 2;
+      cfg.decay_shift = 32;
+      cfg.tick_interval = std::chrono::milliseconds(1);
+      cfg.scheduler = configured;
+      LifecycleManager mgr(&t, path, cfg);
+      EXPECT_FALSE(mgr.running());
+      const uint64_t tasks_before = pool.tasks_run();
+      mgr.Start();
+      EXPECT_TRUE(mgr.running());
+      // Ticks advance on the pool's workers and the policy still freezes
+      // cooled-down chunks.
+      EXPECT_TRUE(WaitFor([&] { return mgr.stats().epochs >= 4; }));
+      EXPECT_TRUE(WaitFor([&] { return mgr.stats().freezes >= 3; }));
+      EXPECT_TRUE(WaitFor([&] { return pool.tasks_run() > tasks_before; }));
+      mgr.Stop();
+      EXPECT_FALSE(mgr.running());
+      const uint64_t epochs = mgr.stats().epochs;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      EXPECT_EQ(mgr.stats().epochs, epochs);  // no tick after Stop
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 // Every TPC-H query must produce identical results through the parallel
