@@ -52,11 +52,8 @@ struct Setup {
                    {"b", TypeId::kInt32},
                    {"c", TypeId::kInt32}});
     Chunk chunk(&schema, kN);
-    std::vector<Value> row;
-    for (uint32_t i = 0; i < kN; ++i) {
-      row = {Value::Int(a[i]), Value::Int(b[i]), Value::Int(c[i])};
-      chunk.Append(row);
-    }
+    for (uint32_t i = 0; i < kN; ++i)
+      chunk.Append({Cell::Int(a[i]), Cell::Int(b[i]), Cell::Int(c[i])});
     block = DataBlock::Build(chunk);
   }
 };

@@ -2,6 +2,7 @@
 // number of storage-layout combinations grows — JIT-compiled ("unrolled")
 // scan code vs. the pre-compiled interpreted vectorized scan.
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,8 +38,8 @@ int main(int argc, char** argv) {
   Table t("rel", schema, 1024);
   Rng rng(1);
   for (int i = 0; i < 1024; ++i) {
-    std::vector<Value> row;
-    for (int c = 0; c < 8; ++c) row.push_back(Value::Int(rng.Uniform(0, 99)));
+    std::array<Cell, 8> row;
+    for (Cell& cell : row) cell = Cell::Int(rng.Uniform(0, 99));
     t.Insert(row);
   }
   t.FreezeAll();

@@ -39,12 +39,10 @@ Table MakeFrozenTable(uint32_t rows) {
                  {"payload", TypeId::kInt64}});
   Table t("strings", schema, /*chunk_capacity=*/65536);
   Rng rng(17);
-  std::vector<Value> row(3);
   for (uint32_t i = 0; i < rows; ++i) {
-    row[0] = Value::Str("cat_" + std::to_string(rng.Uniform(0, kCategories)));
-    row[1] = Value::Str("tag_" + std::to_string(rng.Uniform(0, 32)));
-    row[2] = Value::Int(int64_t(rng.Uniform(0, 10000)));
-    t.Insert(row);
+    t.Insert({Cell::Str("cat_" + std::to_string(rng.Uniform(0, kCategories))),
+              Cell::Str("tag_" + std::to_string(rng.Uniform(0, 32))),
+              Cell::Int(int64_t(rng.Uniform(0, 10000)))});
   }
   t.FreezeAll();
   return t;

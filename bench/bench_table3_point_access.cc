@@ -13,6 +13,10 @@
 // lookups scale. With --quick the evicted
 // copies use 1024-row chunks, so that a lookup usually lands in another
 // block than the one before it, as lookups over a large relation do.
+// Beside the lookups it prints the OLTP write unit costs in ns per row:
+// an insert of a whole customer row into the hot tail, a one-column
+// in-place update of a hot row, and a relocation (Table::UpdateRow of a
+// frozen row: the row copied out of its Data Block into the hot tail).
 
 #include <algorithm>
 #include <cstdio>
@@ -62,9 +66,71 @@ std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
   for (RowId id : ids) {
     for (uint32_t c = 0; c < src.schema().num_columns(); ++c)
       row[c] = src.GetValue(id, c);
-    dst->Insert(row);
+    dst->Insert(CellsOf(row));
   }
   return dst;
+}
+
+struct WriteCosts {
+  double insert_ns = 0, inplace_ns = 0, relocate_ns = 0;
+};
+
+/// Write unit costs over `n` rows, the median of three runs on fresh
+/// tables: n inserts of `src`'s rows (cycled), each written as cells of
+/// the row's values, one in-place update of c_acctbal per inserted row,
+/// and, after freezing the table, one UpdateRow of c_acctbal per row, each
+/// a relocation out of the resident block. Writes run 16 to a read
+/// section, as a transaction's do.
+WriteCosts MeasureWrites(const Table& src, int n) {
+  constexpr int kPerSection = 16;
+  const uint32_t ncols = src.schema().num_columns();
+  std::vector<std::vector<Value>> rows;
+  for (size_t c = 0; c < src.num_chunks(); ++c) {
+    for (uint32_t r = 0; r < src.chunk_rows(c); ++r) {
+      std::vector<Value>& row = rows.emplace_back();
+      for (uint32_t col = 0; col < ncols; ++col)
+        row.push_back(src.GetValue(MakeRowId(c, r), col));
+    }
+  }
+  std::vector<Cell> cells(ncols);
+  std::vector<double> insert, inplace, relocate;
+  for (int rep = 0; rep < 3; ++rep) {
+    Table t("writes", src.schema(), src.chunk_capacity());
+    std::vector<RowId> ids(size_t(n), 0);
+    // Runs write(i) for every row, kPerSection to a section; ns per row.
+    auto per_row = [n](auto&& write) {
+      Timer timer;
+      for (int i = 0; i < n;) {
+        Table::ReadSection section;
+        for (const int end = std::min(n, i + kPerSection); i < end; ++i)
+          write(size_t(i));
+      }
+      return timer.ElapsedSeconds() * 1e9 / n;
+    };
+    insert.push_back(per_row([&](size_t i) {
+      const std::vector<Value>& row = rows[i % rows.size()];
+      for (uint32_t c = 0; c < ncols; ++c) cells[c] = row[c].cell();
+      ids[i] = t.Insert(cells);
+    }));
+    inplace.push_back(per_row([&](size_t i) {
+      t.UpdateInPlace(ids[i],
+                      {{col::customer::acctbal, Cell::Int(int64_t(i))}});
+    }));
+    t.FreezeAll();
+    relocate.push_back(per_row([&](size_t i) {
+      ids[i] = t.UpdateRow(ids[i],
+                           {{col::customer::acctbal, Cell::Int(-int64_t(i))}});
+    }));
+    if (t.num_visible() != uint64_t(n) ||
+        t.GetInt(ids[0], col::customer::acctbal) != 0) {
+      std::abort();
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(insert), median(inplace), median(relocate)};
 }
 
 /// One point query via a full (SMA/PSMA-narrowed) scan.
@@ -297,6 +363,21 @@ int main(int argc, char** argv) {
                               scan_probes),
          ScanLookupsPerSecond(*frozen_shuf, ScanMode::kDataBlocksPsma,
                               max_key, scan_probes));
+  const int write_rows = quick ? 20000 : 200000;
+  const WriteCosts writes = MeasureWrites(hot_ordered, write_rows);
+  std::printf("\n=== OLTP write unit costs (ns per row, %d rows) ===\n",
+              write_rows);
+  auto report_write = [](const char* label, const char* json_name,
+                         double ns) {
+    std::printf("%-34s %14.1f\n", label, ns);
+    BenchJsonRecord(json_name, "customer", ns, 1e9 / ns);
+  };
+  report_write("insert (hot tail)", "table3_write_insert",
+               writes.insert_ns);
+  report_write("in-place update (hot row)", "table3_write_inplace",
+               writes.inplace_ns);
+  report_write("relocation (frozen row)", "table3_write_relocate",
+               writes.relocate_ns);
   std::printf(
       "\n(Expected shape, per the paper: indexed lookups on Data Blocks run\n"
       " at a constant factor below uncompressed; index-less scans are\n"

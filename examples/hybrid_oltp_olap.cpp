@@ -47,13 +47,11 @@ int main() {
 
   // Historical (cold) orders...
   const int64_t kHistory = 2'000'000;
-  std::vector<Value> row;
   for (int64_t i = 0; i < kHistory; ++i) {
-    row = {Value::Int(i), Value::Int(rng.Uniform(1, 100000)),
-           Value::Int(rng.Uniform(100, 100000)),
-           Value::Char(rng.Uniform(0, 9) == 0 ? 'O' : 'F'),
-           Value::Int(MakeDate(2024, 1, 1) + int32_t(i / 5000))};
-    orders.Insert(row);
+    orders.Insert({Cell::Int(i), Cell::Int(rng.Uniform(1, 100000)),
+                   Cell::Int(rng.Uniform(100, 100000)),
+                   Cell::Char(rng.Uniform(0, 9) == 0 ? 'O' : 'F'),
+                   Cell::Int(MakeDate(2024, 1, 1) + int32_t(i / 5000))});
   }
   uint64_t before = orders.MemoryBytes();
   uint64_t rss_before = ResidentBytes();
@@ -102,10 +100,12 @@ int main() {
           rng.Uniform(std::max<int64_t>(0, next_id - kHotWindow), next_id - 1);
       switch (rng.Uniform(0, 2)) {
         case 0: {  // new order -> hot tail
-          row = {Value::Int(next_id), Value::Int(rng.Uniform(1, 100000)),
-                 Value::Int(rng.Uniform(100, 100000)), Value::Char('O'),
-                 Value::Int(MakeDate(2026, 6, 10))};
-          pk.Put(next_id, orders.Insert(row));
+          pk.Put(next_id,
+                 orders.Insert({Cell::Int(next_id),
+                                Cell::Int(rng.Uniform(1, 100000)),
+                                Cell::Int(rng.Uniform(100, 100000)),
+                                Cell::Char('O'),
+                                Cell::Int(MakeDate(2026, 6, 10))}));
           ++next_id;
           break;
         }
@@ -117,12 +117,8 @@ int main() {
           break;
         }
         case 2: {  // close an order: frozen rows relocate to hot storage
-          if (auto rid = pk.Lookup(pick)) {
-            row = {Value::Int(pick), Value::Int(int32_t(orders.GetInt(*rid, 1))),
-                   Value::Int(orders.GetInt(*rid, 2)), Value::Char('F'),
-                   Value::Int(int32_t(orders.GetInt(*rid, 4)))};
-            pk.Put(pick, orders.Update(*rid, row));
-          }
+          if (auto rid = pk.Lookup(pick))
+            pk.Put(pick, orders.UpdateRow(*rid, {{3, Cell::Char('F')}}));
           break;
         }
       }

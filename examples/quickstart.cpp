@@ -26,12 +26,11 @@ int main() {
   // 2. Insert one million rows (OLTP writes go to hot, uncompressed chunks).
   Rng rng(42);
   const char* categories[4] = {"books", "games", "garden", "tools"};
-  std::vector<Value> row;
   for (int64_t i = 0; i < 1000000; ++i) {
-    row = {Value::Int(i), Value::Str(categories[rng.Uniform(0, 3)]),
-           Value::Int(rng.Uniform(1, 50)), Value::Int(rng.Uniform(99, 9999)),
-           Value::Double(rng.NextDouble() * 5)};
-    sales.Insert(row);
+    sales.Insert({Cell::Int(i), Cell::Str(categories[rng.Uniform(0, 3)]),
+                  Cell::Int(rng.Uniform(1, 50)),
+                  Cell::Int(rng.Uniform(99, 9999)),
+                  Cell::Double(rng.NextDouble() * 5)});
   }
   uint64_t hot_bytes = sales.MemoryBytes();
 
@@ -76,9 +75,10 @@ int main() {
               double(sales.GetInt(rid, 3)) / 100);
 
   // 6. Updates relocate frozen rows into the hot tail (delete + insert).
-  row = {Value::Int(123456), Value::Str("books"), Value::Int(1),
-         Value::Int(100), Value::Double(5.0)};
-  RowId moved = sales.Update(rid, row);
+  RowId moved = sales.UpdateRow(rid, {{1, Cell::Str("books")},
+                                      {2, Cell::Int(1)},
+                                      {3, Cell::Int(100)},
+                                      {4, Cell::Double(5.0)}});
   pk.Put(123456, moved);
   std::printf("after update: category=%s (row now in hot chunk %llu)\n",
               std::string(sales.GetStringView(moved, 1)).c_str(),

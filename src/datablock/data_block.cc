@@ -292,20 +292,20 @@ std::string_view DataBlock::GetStringView(uint32_t col, uint32_t row) const {
   return dict_string(col, uint32_t(ReadCode(col, row)));
 }
 
-Value DataBlock::GetValue(uint32_t col, uint32_t row) const {
-  if (IsNull(col, row)) return Value::Null();
+Cell DataBlock::GetCell(uint32_t col, uint32_t row) const {
+  if (IsNull(col, row)) return Cell::Null();
   switch (type(col)) {
     case TypeId::kInt32:
     case TypeId::kInt64:
     case TypeId::kDate:
     case TypeId::kChar1:
-      return Value::Int(GetInt(col, row));
+      return Cell::Int(GetInt(col, row));
     case TypeId::kDouble:
-      return Value::Double(GetDouble(col, row));
+      return Cell::Double(GetDouble(col, row));
     case TypeId::kString:
-      return Value::Str(std::string(GetStringView(col, row)));
+      return Cell::Str(GetStringView(col, row));
   }
-  return Value::Null();
+  return Cell::Null();
 }
 
 StatusOr<DataBlock> DataBlock::FromBytes(const uint8_t* bytes,

@@ -201,8 +201,13 @@ class DataBlock {
 
   std::string_view GetStringView(uint32_t col, uint32_t row) const;
 
-  /// Generic point access with NULL handling.
-  Value GetValue(uint32_t col, uint32_t row) const;
+  /// Typed point access with NULL handling; a string cell borrows the
+  /// block's bytes.
+  Cell GetCell(uint32_t col, uint32_t row) const;
+  /// Like GetCell, with the string copied.
+  Value GetValue(uint32_t col, uint32_t row) const {
+    return Value::Of(GetCell(col, row));
+  }
 
   // -- Serialization (blocks are flat and pointer-free). -----------------
 

@@ -209,6 +209,12 @@ void RegisterEngineMetrics() {
   r.GetCounter("scan.pins");  // chunks opened by scans
   r.GetCounter("scan.archive_reloads");
   r.GetCounter("scan.pin_failures");
+  // Table writes (storage/table.cc): rows appended by Insert (a
+  // relocation's included), rows updated in place, and rows UpdateRow
+  // relocated out of a non-hot chunk.
+  r.GetCounter("table.inserts");
+  r.GetCounter("table.inplace_updates");
+  r.GetCounter("table.relocations");
   // Block archive (storage/block_archive.cc).
   r.GetCounter("archive.read_errors");
   r.GetCounter("archive.write_errors");

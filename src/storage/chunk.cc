@@ -18,68 +18,42 @@ void Chunk::EnsureNullBitmap(uint32_t col) {
   }
 }
 
-uint32_t Chunk::Append(std::span<const Value> row) {
+uint32_t Chunk::Append(std::span<const Cell> row) {
   DB_CHECK(!full());
   DB_CHECK(row.size() == schema_->num_columns());
-  uint32_t r = size_;
-  for (uint32_t c = 0; c < row.size(); ++c) {
-    SetValue(c, r, row[c]);
-  }
+  const uint32_t r = size_;
+  for (uint32_t c = 0; c < row.size(); ++c) Set(c, r, row[c]);
   ++size_;
   return r;
 }
 
-Value Chunk::GetValue(uint32_t col, uint32_t row) const {
+Cell Chunk::GetCell(uint32_t col, uint32_t row) const {
   DB_DCHECK(row < size_);
-  if (IsNull(col, row)) return Value::Null();
+  if (IsNull(col, row)) return Cell::Null();
   const uint8_t* data = cols_[col].fixed.data();
   switch (schema_->type(col)) {
     case TypeId::kInt32:
     case TypeId::kDate:
-      return Value::Int(reinterpret_cast<const int32_t*>(data)[row]);
+      return Cell::Int(reinterpret_cast<const int32_t*>(data)[row]);
     case TypeId::kChar1:
-      return Value::Int(reinterpret_cast<const uint32_t*>(data)[row]);
+      return Cell::Int(reinterpret_cast<const uint32_t*>(data)[row]);
     case TypeId::kInt64:
-      return Value::Int(reinterpret_cast<const int64_t*>(data)[row]);
+      return Cell::Int(reinterpret_cast<const int64_t*>(data)[row]);
     case TypeId::kDouble:
-      return Value::Double(reinterpret_cast<const double*>(data)[row]);
+      return Cell::Double(reinterpret_cast<const double*>(data)[row]);
     case TypeId::kString:
-      return Value::Str(std::string(GetString(col, row)));
+      return Cell::Str(GetString(col, row));
   }
-  return Value::Null();
+  return Cell::Null();
 }
 
-void Chunk::SetValue(uint32_t col, uint32_t row, const Value& v) {
-  DB_DCHECK(row < capacity_);
-  uint8_t* data = cols_[col].fixed.data();
-  if (v.is_null()) {
-    DB_CHECK(schema_->column(col).nullable);
-    EnsureNullBitmap(col);
-    BitmapSet(cols_[col].nulls.data(), row);
-    // Store a deterministic zero payload under the NULL.
-    std::memset(data + uint64_t(row) * TypeWidth(schema_->type(col)), 0,
-                TypeWidth(schema_->type(col)));
-    return;
-  }
-  if (!cols_[col].nulls.empty()) BitmapClear(cols_[col].nulls.data(), row);
-  switch (schema_->type(col)) {
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      reinterpret_cast<int32_t*>(data)[row] = static_cast<int32_t>(v.i64());
-      break;
-    case TypeId::kChar1:
-      reinterpret_cast<uint32_t*>(data)[row] = static_cast<uint32_t>(v.i64());
-      break;
-    case TypeId::kInt64:
-      reinterpret_cast<int64_t*>(data)[row] = v.i64();
-      break;
-    case TypeId::kDouble:
-      reinterpret_cast<double*>(data)[row] = v.f64();
-      break;
-    case TypeId::kString:
-      reinterpret_cast<StringRef*>(data)[row] = cols_[col].arena.Add(v.str());
-      break;
-  }
+void Chunk::SetNull(uint32_t col, uint32_t row) {
+  DB_CHECK(schema_->column(col).nullable);
+  EnsureNullBitmap(col);
+  BitmapSet(cols_[col].nulls.data(), row);
+  // Store a deterministic zero payload under the NULL.
+  const uint32_t width = TypeWidth(schema_->type(col));
+  std::memset(cols_[col].fixed.data() + uint64_t(row) * width, 0, width);
 }
 
 void Chunk::MarkDeleted(uint32_t row) {

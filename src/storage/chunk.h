@@ -2,10 +2,12 @@
 #define DATABLOCKS_STORAGE_CHUNK_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "storage/cell.h"
 #include "storage/string_arena.h"
 #include "storage/types.h"
 #include "storage/value.h"
@@ -40,9 +42,13 @@ class Chunk {
   bool full() const { return size_ == capacity_; }
   const Schema& schema() const { return *schema_; }
 
-  /// Appends one row; `row` must have one Value per schema column.
-  /// Returns the row index within this chunk.
-  uint32_t Append(std::span<const Value> row);
+  /// Appends one row; `row` must have one Cell per schema column, each
+  /// fitting its column (Cell::Fits, or NULL in a nullable column —
+  /// DB_CHECK). Returns the row index within this chunk.
+  uint32_t Append(std::span<const Cell> row);
+  uint32_t Append(std::initializer_list<Cell> row) {
+    return Append(std::span<const Cell>(row.begin(), row.size()));
+  }
 
   /// Raw fixed-width column data (int32/int64/double/StringRef), padded by
   /// kScanPadding bytes beyond the last row.
@@ -57,11 +63,44 @@ class Chunk {
     return cols_[col].arena.Get(refs[row]);
   }
 
-  /// Generic (slow-path) point accessors. In-place string updates append
-  /// the new bytes to the arena; the superseded bytes are reclaimed when
-  /// the chunk is frozen (rewritten into the block's dictionary).
-  Value GetValue(uint32_t col, uint32_t row) const;
-  void SetValue(uint32_t col, uint32_t row, const Value& v);
+  /// Typed point accessors. GetCell borrows a string from the arena (valid
+  /// until the column's next write). Set checks `v` as Append does; an
+  /// in-place string update appends the new bytes to the arena, and the
+  /// superseded bytes are reclaimed when the chunk is frozen (rewritten
+  /// into the block's dictionary).
+  Cell GetCell(uint32_t col, uint32_t row) const;
+  Value GetValue(uint32_t col, uint32_t row) const {
+    return Value::Of(GetCell(col, row));
+  }
+  void Set(uint32_t col, uint32_t row, Cell v) {
+    DB_DCHECK(row < capacity_);
+    if (v.is_null()) return SetNull(col, row);
+    const TypeId type = schema_->type(col);
+    // Checked in every build: a mismatched kind would store garbage.
+    DB_CHECK(v.Fits(type));
+    ColumnStore& store = cols_[col];
+    if (!store.nulls.empty()) BitmapClear(store.nulls.data(), row);
+    uint8_t* data = store.fixed.data();
+    switch (type) {
+      case TypeId::kInt32:
+      case TypeId::kDate:
+        reinterpret_cast<int32_t*>(data)[row] = static_cast<int32_t>(v.i64());
+        break;
+      case TypeId::kChar1:
+        reinterpret_cast<uint32_t*>(data)[row] =
+            static_cast<uint32_t>(v.i64());
+        break;
+      case TypeId::kInt64:
+        reinterpret_cast<int64_t*>(data)[row] = v.i64();
+        break;
+      case TypeId::kDouble:
+        reinterpret_cast<double*>(data)[row] = v.f64();
+        break;
+      case TypeId::kString:
+        reinterpret_cast<StringRef*>(data)[row] = store.arena.Add(v.str());
+        break;
+    }
+  }
 
   bool IsNull(uint32_t col, uint32_t row) const {
     const auto& nulls = cols_[col].nulls;
@@ -98,6 +137,8 @@ class Chunk {
   };
 
   void EnsureNullBitmap(uint32_t col);
+  /// Set of a NULL: only in a nullable column (DB_CHECK).
+  void SetNull(uint32_t col, uint32_t row);
 
   const Schema* schema_;
   uint32_t capacity_;

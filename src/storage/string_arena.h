@@ -39,9 +39,19 @@ class StringArena {
     return *this;
   }
 
+  /// `s` may be a view of this arena (a string copied within its chunk):
+  /// it is found again after the store moves.
   StringRef Add(std::string_view s) {
     if (used_ + s.size() > bytes_.size()) {
+      const auto base = reinterpret_cast<uintptr_t>(bytes_.data());
+      const auto at = reinterpret_cast<uintptr_t>(s.data());
+      const bool inside = !s.empty() && at >= base && at < base + used_;
       bytes_.Grow(std::max<uint64_t>(used_ + s.size(), 2 * bytes_.size()));
+      if (inside) {
+        s = std::string_view(
+            reinterpret_cast<const char*>(bytes_.data()) + (at - base),
+            s.size());
+      }
     }
     StringRef ref{static_cast<uint32_t>(used_),
                   static_cast<uint32_t>(s.size())};

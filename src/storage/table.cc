@@ -5,11 +5,29 @@
 #include <numeric>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "util/cpu.h"
 
 namespace datablocks {
 
 namespace {
+
+struct WriteMetrics {
+  obs::Counter* inserts;
+  obs::Counter* inplace_updates;
+  obs::Counter* relocations;
+};
+
+/// Resolved once, at the first publish of write counts.
+const WriteMetrics& Metrics() {
+  static const WriteMetrics m = [] {
+    obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
+    return WriteMetrics{r.GetCounter("table.inserts"),
+                        r.GetCounter("table.inplace_updates"),
+                        r.GetCounter("table.relocations")};
+  }();
+  return m;
+}
 
 /// Source of Table::id_; 0 is never handed out (an empty point image).
 std::atomic<uint64_t> g_next_table_id{1};
@@ -45,14 +63,35 @@ SectionRegistry& Registry() {
   return *registry;
 }
 
-/// The calling thread's slot (null before its first section) and nesting
-/// depth. Constant-initialized and trivially destructible, so an access is
-/// a plain thread-local load with no initialization check.
+/// Writes a thread made in its open section, not yet added to the write
+/// counters: every write runs inside a section, and the outermost one adds
+/// them when it closes. A transaction's writes then cost one locked add per
+/// counter, not one per row, and nothing drains the store buffer between
+/// its rows.
+struct WriteCounts {
+  uint32_t inserts = 0;
+  uint32_t inplace_updates = 0;
+  uint32_t relocations = 0;
+};
+
+/// The calling thread's slot (null before its first section), nesting
+/// depth and uncounted writes. Constant-initialized and trivially
+/// destructible, so an access is a plain thread-local load with no
+/// initialization check.
 struct ThreadSection {
   SectionSlot* slot = nullptr;
   uint32_t depth = 0;
+  WriteCounts writes;
 };
 thread_local ThreadSection t_section;
+
+[[gnu::noinline]] void PublishWriteCounts(WriteCounts* w) {
+  if (w->inserts != 0) Metrics().inserts->Add(w->inserts);
+  if (w->inplace_updates != 0)
+    Metrics().inplace_updates->Add(w->inplace_updates);
+  if (w->relocations != 0) Metrics().relocations->Add(w->relocations);
+  *w = WriteCounts();
+}
 
 SectionSlot* AcquireSectionSlot() {
   // Hands the slot back when the thread exits.
@@ -94,6 +133,9 @@ inline void ExitSection() {
   // before whatever a Synchronize that sees this store frees.
   t.slot->seq.store(t.slot->seq.load(std::memory_order_relaxed) + 1,
                     std::memory_order_release);
+  const WriteCounts& w = t.writes;
+  if ((w.inserts | w.inplace_updates | w.relocations) != 0)
+    PublishWriteCounts(&t.writes);
 }
 
 /// Synchronize, and with it every lifecycle transition, waits for every
@@ -193,7 +235,7 @@ Table::Slot& Table::NewSlot() {
       ->slots[idx & (kSlotSegSize - 1)];
 }
 
-RowId Table::Insert(std::span<const Value> row) {
+RowId Table::Insert(std::span<const Cell> row) {
   // A freezer (e.g. freeze_partial_tail) that publishes kFreezing waits
   // for this section before it reads the tail, so a tail seen hot stays
   // ours for the append.
@@ -210,6 +252,7 @@ RowId Table::Insert(std::span<const Value> row) {
         s.rows.store(s.hot->size(), std::memory_order_release);
         Touch(s);
         ++num_rows_;
+        ++t_section.writes.inserts;
         return MakeRowId(n - 1, r);
       }
     }
@@ -359,25 +402,61 @@ void Table::Delete(RowId id) {
   }
 }
 
-RowId Table::Update(RowId id, std::span<const Value> row) {
+RowId Table::Update(RowId id, std::span<const Cell> row) {
   Delete(id);
   return Insert(row);
 }
 
-void Table::UpdateInPlace(RowId id, uint32_t col, const Value& v) {
-  DB_CHECK(TryUpdateInPlace(id, col, v));  // frozen data is immutable
-}
-
-bool Table::TryUpdateInPlace(RowId id, uint32_t col, const Value& v) {
+void Table::UpdateInPlace(RowId id, std::span<const CellUpdate> changes) {
   Slot& slot = this->slot(RowIdChunk(id));
   ReadSection section;
   Touch(slot);
-  // Not on kFreezing either: the freezer may be reading the chunk, so the
-  // caller relocates the row.
-  const bool hot =
-      slot.state.load(std::memory_order_seq_cst) == ChunkState::kHot;
-  if (hot) slot.hot->SetValue(col, RowIdRow(id), v);
-  return hot;
+  // Not on kFreezing either: the freezer may be reading the chunk.
+  DB_CHECK(slot.state.load(std::memory_order_seq_cst) == ChunkState::kHot);
+  const uint32_t row = RowIdRow(id);
+  for (const CellUpdate& u : changes) slot.hot->Set(u.col, row, u.cell);
+  ++t_section.writes.inplace_updates;
+}
+
+RowId Table::UpdateRow(RowId id, std::span<const CellUpdate> changes) {
+  const size_t chunk = RowIdChunk(id);
+  const uint32_t row = RowIdRow(id);
+  Slot& slot = this->slot(chunk);
+  // The section keeps whatever the row is copied from allocated until the
+  // copy is in the tail.
+  ReadSection section;
+  Touch(slot);
+  const ChunkState st = slot.state.load(std::memory_order_seq_cst);
+  if (st == ChunkState::kHot) {
+    for (const CellUpdate& u : changes) slot.hot->Set(u.col, row, u.cell);
+    ++t_section.writes.inplace_updates;
+    return id;
+  }
+  if (st == ChunkState::kTombstone) ThrowTombstoneRead(chunk, row);
+  // Relocate. The cells borrow strings from the source, which no write
+  // below touches: the tail is another chunk, kHot.
+  const uint32_t ncols = schema_->num_columns();
+  Cell on_stack[32];
+  std::vector<Cell> on_heap(ncols > 32 ? ncols : 0);
+  Cell* out = ncols > 32 ? on_heap.data() : on_stack;
+  if (st == ChunkState::kFreezing) {
+    for (uint32_t c = 0; c < ncols; ++c) out[c] = slot.hot->GetCell(c, row);
+  } else if (st == ChunkState::kFrozen) {
+    for (uint32_t c = 0; c < ncols; ++c) out[c] = slot.frozen->GetCell(c, row);
+  } else {
+    // Evicted: column by column through the point image, whose buffer
+    // stays put while it fills with one chunk's pages.
+    for (uint32_t c = 0; c < ncols; ++c)
+      out[c] = ServePointImage(chunk, c, row).GetCell(c, row);
+  }
+  for (const CellUpdate& u : changes) {
+    DB_CHECK(u.col < ncols);
+    out[u.col] = u.cell;
+  }
+  Delete(id);
+  const RowId moved = Insert(std::span<const Cell>(out, ncols));
+  ++t_section.writes.relocations;
+  return moved;
 }
 
 bool Table::IsVisible(RowId id) const {
@@ -396,20 +475,23 @@ bool Table::IsVisible(RowId id) const {
           (uint64_t(1) << (row & 63))) == 0;
 }
 
-void Table::Prefetch(RowId id, uint32_t col) const {
+void Table::Prefetch(RowId id, std::initializer_list<uint32_t> cols) const {
   const size_t chunk = RowIdChunk(id);
   const uint32_t row = RowIdRow(id);
-  if (chunk >= num_chunks() || col >= schema_->num_columns()) return;
+  if (chunk >= num_chunks()) return;
   const Slot& s = slot(chunk);
-  // The section keeps the hot chunk allocated while its column pointer is
-  // read; the prefetch itself cannot fault.
+  // The section keeps the hot chunk allocated while its column pointers
+  // are read; the prefetches themselves cannot fault.
   ReadSection section;
   if (!IsHotState(s.state.load(std::memory_order_seq_cst)) ||
       row >= s.rows.load(std::memory_order_acquire)) {
     return;
   }
-  __builtin_prefetch(s.hot->column_data(col) +
-                     size_t(row) * TypeWidth(schema_->type(col)));
+  for (const uint32_t col : cols) {
+    if (col >= schema_->num_columns()) continue;
+    __builtin_prefetch(s.hot->column_data(col) +
+                       size_t(row) * TypeWidth(schema_->type(col)));
+  }
 }
 
 template <typename FromBlock, typename FromHot>
@@ -423,16 +505,22 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
   const ChunkState st = s.state.load(std::memory_order_seq_cst);
   if (st == ChunkState::kFrozen) return from_block(*s.frozen, row);
   if (IsHotState(st)) return from_hot(*s.hot, row);
-  if (st == ChunkState::kTombstone) {
-    throw StorageException(Status::NotFound(
-        "point read of row " + std::to_string(row) + " of chunk " +
-        std::to_string(chunk) + " of table '" + name_ +
-        "': the chunk is a tombstone, every row of it was deleted"));
-  }
-  // Evicted: read through the thread's point image, fetching the row's
-  // pages if the image cannot serve it. The section keeps the archive
-  // entry attached for the read: a tombstone detaches it only after
-  // Synchronize.
+  if (st == ChunkState::kTombstone) ThrowTombstoneRead(chunk, row);
+  return from_block(ServePointImage(chunk, col, row), row);
+}
+
+void Table::ThrowTombstoneRead(size_t chunk, uint32_t row) const {
+  throw StorageException(Status::NotFound(
+      "point read of row " + std::to_string(row) + " of chunk " +
+      std::to_string(chunk) + " of table '" + name_ +
+      "': the chunk is a tombstone, every row of it was deleted"));
+}
+
+const DataBlock& Table::ServePointImage(size_t chunk, uint32_t col,
+                                        uint32_t row) const {
+  // Fetches the row's pages if the image cannot serve it. The caller's
+  // section keeps the archive entry attached for the read: a tombstone
+  // detaches it only after Synchronize.
   PointImage& image = t_point_image;
   if (image.table != id_ || image.chunk != chunk) {
     image.table = 0;
@@ -445,7 +533,7 @@ auto Table::PointRead(RowId id, uint32_t col, FromBlock&& from_block,
     image.table = id_;
     image.chunk = chunk;
   }
-  return from_block(image.pages.block(), row);
+  return image.pages.block();
 }
 
 Value Table::GetValue(RowId id, uint32_t col) const {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -13,6 +14,7 @@
 
 #include "datablock/block_summary.h"
 #include "datablock/data_block.h"
+#include "storage/cell.h"
 #include "storage/chunk.h"
 #include "storage/types.h"
 #include "storage/value.h"
@@ -97,16 +99,18 @@ inline bool IsHotState(ChunkState s) {
 
 /// A relation: a sequence of fixed-size chunks, each either hot
 /// (uncompressed, mutable) or frozen into an immutable compressed DataBlock
-/// (paper Figure 1). Updates to frozen rows are translated into a delete
-/// plus an insert into the hot tail (Section 3).
+/// (paper Figure 1). Writes take Cells (storage/cell.h), which borrow
+/// their strings. UpdateRow updates a hot row in place and turns the update
+/// of a frozen one into a delete plus an insert into the hot tail
+/// (Section 3).
 ///
 /// Concurrency contract: point accesses, scans, Delete on frozen rows,
 /// FreezeChunk, EvictChunk, TombstoneChunk and lifecycle ticks (a caller's
 /// Tick() or the periodic task on a worker pool) may run concurrently with
-/// each other and with a single writer (Insert, Update, in-place updates
-/// and hot deletes). Readers take no per-chunk lock or count: a point
-/// access runs inside a read section (ReadSection), and so does a scan of
-/// one chunk (OpenForScan). A state changer publishes the new state and
+/// each other and with a single writer (Insert, Update, UpdateInPlace,
+/// UpdateRow and hot deletes). Readers take no per-chunk lock or count: a
+/// point access runs inside a read section (ReadSection), and so does a
+/// scan of one chunk (OpenForScan). A state changer publishes the new state and
 /// compresses a hot chunk or frees a resident block only after
 /// Synchronize() has waited out every section that could still read it.
 /// Chunk slots live in a segmented directory with stable addresses —
@@ -142,27 +146,47 @@ class Table {
   const Schema& schema() const { return *schema_; }
   uint32_t chunk_capacity() const { return chunk_capacity_; }
 
-  /// Appends a row to the hot tail. Returns its stable RowId.
-  RowId Insert(std::span<const Value> row);
+  /// Appends a row to the hot tail: one Cell per column, each fitting its
+  /// column (DB_CHECK, see Chunk::Append). Returns its stable RowId.
+  RowId Insert(std::span<const Cell> row);
+  RowId Insert(std::initializer_list<Cell> row) {
+    return Insert(std::span<const Cell>(row.begin(), row.size()));
+  }
 
   /// Marks a row deleted (works on hot, frozen and evicted rows; frozen
   /// records are flagged in a side bitmap, the block itself stays
   /// immutable — deleting from an evicted chunk does not reload it).
   void Delete(RowId id);
 
-  /// Update = delete + insert (paper Section 3). Returns the new RowId.
-  RowId Update(RowId id, std::span<const Value> row);
+  /// Replaces a whole row: delete + insert (paper Section 3). Returns the
+  /// new RowId.
+  RowId Update(RowId id, std::span<const Cell> row);
 
-  /// In-place update of a single attribute; only legal on hot rows (frozen
-  /// data is immutable — use Update for frozen rows).
-  void UpdateInPlace(RowId id, uint32_t col, const Value& v);
+  /// Updates attributes of a hot row in place, with one chunk lookup for
+  /// the row. Only legal while the chunk is kHot (DB_CHECK): frozen data is
+  /// immutable, and a freezing chunk is being compressed — UpdateRow
+  /// handles both.
+  void UpdateInPlace(RowId id, std::span<const CellUpdate> changes);
+  void UpdateInPlace(RowId id, std::initializer_list<CellUpdate> changes) {
+    UpdateInPlace(id, std::span<const CellUpdate>(changes.begin(),
+                                                  changes.size()));
+  }
 
-  /// Like UpdateInPlace, but returns false instead of aborting when the row
-  /// is not hot (freezing, frozen, evicted) — decided from the chunk state
-  /// alone, so an evicted chunk is never read. The race-free building block
-  /// for callers that fall back to Update (delete + reinsert) when a chunk
-  /// freezes underneath them.
-  bool TryUpdateInPlace(RowId id, uint32_t col, const Value& v);
+  /// Updates attributes of a row and returns its RowId afterwards — the
+  /// paper's rule for frozen tuples (Section 3). While the chunk is kHot
+  /// the row is updated in place and keeps `id`. Otherwise (freezing,
+  /// frozen or evicted) the row is relocated: its cells are read, typed,
+  /// from the intact hot chunk, the resident block or the thread's point
+  /// image (an evicted chunk stays evicted; see GetValue), the changes are
+  /// overlaid, the row is deleted and reinserted into the hot tail, and the
+  /// new RowId is returned for the caller's index. Throws StorageException
+  /// as a point read does (failed archive read, tombstoned chunk), before
+  /// anything is written.
+  RowId UpdateRow(RowId id, std::span<const CellUpdate> changes);
+  RowId UpdateRow(RowId id, std::initializer_list<CellUpdate> changes) {
+    return UpdateRow(id, std::span<const CellUpdate>(changes.begin(),
+                                                     changes.size()));
+  }
 
   bool IsVisible(RowId id) const;
 
@@ -188,11 +212,12 @@ class Table {
   double GetDouble(RowId id, uint32_t col) const;
   std::string_view GetStringView(RowId id, uint32_t col) const;
 
-  /// Hint that `col` of row `id` will soon be read or updated: prefetches
-  /// its bytes if the row is hot, and does nothing otherwise. It reads no
-  /// archive bytes, leaves the temperature clock and the recency stamp
-  /// alone, and never throws (an out-of-range RowId is ignored).
-  void Prefetch(RowId id, uint32_t col) const;
+  /// Hint that `cols` of row `id` will soon be read or updated: prefetches
+  /// their bytes if the row is hot, with one chunk lookup for the row, and
+  /// does nothing otherwise. It reads no archive bytes, leaves the
+  /// temperature clock and the recency stamp alone, and never throws (an
+  /// out-of-range RowId or column is ignored).
+  void Prefetch(RowId id, std::initializer_list<uint32_t> cols) const;
 
   uint64_t num_rows() const { return num_rows_; }
   uint64_t num_visible() const {
@@ -275,7 +300,7 @@ class Table {
 
   /// RAII read section of the calling thread, not tied to a table. Inside
   /// one, a point access (GetInt, GetDouble, GetStringView, GetValue,
-  /// IsVisible, TryUpdateInPlace, Delete, Insert) only loads the chunk
+  /// IsVisible, UpdateInPlace, UpdateRow, Delete, Insert) only loads the chunk
   /// state and reads or writes what it names — no lock, no locked
   /// read-modify-write on the chunk slot. Whatever hot chunk or resident
   /// block a section saw stays allocated until the section closes: state
@@ -496,6 +521,13 @@ class Table {
   template <typename FromBlock, typename FromHot>
   auto PointRead(RowId id, uint32_t col, FromBlock&& from_block,
                  FromHot&& from_hot) const;
+  /// The calling thread's point image of evicted chunk `chunk`, made to
+  /// serve (col, row) first: the pages it lacks are fetched. Inside a read
+  /// section. Throws StorageException when the read fails.
+  const DataBlock& ServePointImage(size_t chunk, uint32_t col,
+                                   uint32_t row) const;
+  /// Throws the StorageException of a point access to a tombstoned chunk.
+  [[noreturn]] void ThrowTombstoneRead(size_t chunk, uint32_t row) const;
   /// Bumps the temperature clock + recency stamp of a chunk (point access).
   /// Plain load and store, not a locked increment (see chunk_clock()), and
   /// the stamp is stored only when it changes: a point access writes the

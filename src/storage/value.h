@@ -2,18 +2,23 @@
 #define DATABLOCKS_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "storage/cell.h"
 #include "storage/types.h"
 
 namespace datablocks {
 
-/// A dynamically typed value used on slow paths: tuple insertion, point
-/// access results and predicate constants. Scans never materialize Values.
+/// A dynamically typed value that owns its string, for where ownership is
+/// needed: point access results (GetValue) and predicate constants. Scans
+/// never materialize Values, and writes take Cells, which borrow: a caller
+/// holding Values writes them through cell() or CellsOf().
 class Value {
  public:
-  enum class Kind : uint8_t { kNull, kInt, kDouble, kString };
+  using Kind = Cell::Kind;
 
   Value() : kind_(Kind::kNull) {}
 
@@ -42,6 +47,29 @@ class Value {
 
   /// char(1) helper: stores the character as its integer code point.
   static Value Char(char c) { return Int(static_cast<unsigned char>(c)); }
+
+  /// Copies `c`, and its string if it has one.
+  static Value Of(Cell c) {
+    switch (c.kind()) {
+      case Kind::kNull: return Null();
+      case Kind::kInt: return Int(c.i64());
+      case Kind::kDouble: return Double(c.f64());
+      case Kind::kString: return Str(std::string(c.str()));
+    }
+    return Null();
+  }
+
+  /// This value as a cell to write; a string cell borrows this Value's
+  /// string, so the Value must outlive the write.
+  Cell cell() const {
+    switch (kind_) {
+      case Kind::kNull: return Cell::Null();
+      case Kind::kInt: return Cell::Int(i_);
+      case Kind::kDouble: return Cell::Double(d_);
+      case Kind::kString: return Cell::Str(s_);
+    }
+    return Cell::Null();
+  }
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -75,6 +103,15 @@ class Value {
   double d_ = 0;
   std::string s_;
 };
+
+/// A row of Values as cells (Value::cell() of each), borrowing their
+/// strings.
+inline std::vector<Cell> CellsOf(std::span<const Value> row) {
+  std::vector<Cell> cells;
+  cells.reserve(row.size());
+  for (const Value& v : row) cells.push_back(v.cell());
+  return cells;
+}
 
 }  // namespace datablocks
 

@@ -145,91 +145,92 @@ TpccDatabase::TpccDatabase(const TpccConfig& config)
 
 void TpccDatabase::Load() {
   Rng rng(config_.seed);
-  std::vector<Value> row;
   char buf[32];
+  // Each row is written as one Insert of cells. A cell borrows its string,
+  // and a generated string is a temporary that lives until the Insert
+  // returns; the braces evaluate in order, so the Rng draws do too.
 
   // items. Rows load in key order, so the keyed arrays fill by appending.
   item_idx_.resize(size_t(config_.num_items));
   for (int i = 1; i <= config_.num_items; ++i) {
     std::string data = rng.RandomString(26, 50);
     if (rng.Uniform(0, 9) == 0) data.replace(data.size() / 2, 8, "ORIGINAL");
-    row = {Value::Int(i), Value::Int(rng.Uniform(1, 10000)),
-           Value::Str(rng.RandomString(14, 24)),
-           Value::Int(rng.Uniform(100, 10000)), Value::Str(data)};
-    item_idx_[size_t(i - 1)] = item.Insert(row);
+    item_idx_[size_t(i - 1)] = item.Insert(
+        {Cell::Int(i), Cell::Int(rng.Uniform(1, 10000)),
+         Cell::Str(rng.RandomString(14, 24)),
+         Cell::Int(rng.Uniform(100, 10000)), Cell::Str(data)});
   }
 
   warehouse_idx_.resize(size_t(config_.num_warehouses));
   for (int w = 1; w <= config_.num_warehouses; ++w) {
     std::snprintf(buf, sizeof(buf), "WH%04d", w);
-    row = {Value::Int(w),
-           Value::Str(buf),
-           Value::Str(rng.RandomString(10, 20)),
-           Value::Str(rng.RandomString(10, 20)),
-           Value::Str(rng.RandomString(10, 20)),
-           Value::Str(rng.RandomString(2, 2)),
-           Value::Str(rng.RandomString(9, 9)),
-           Value::Int(rng.Uniform(0, 2000)),     // tax, basis points
-           Value::Int(30000000)};                // ytd = 300,000.00
-    warehouse_idx_[size_t(w - 1)] = warehouse.Insert(row);
+    warehouse_idx_[size_t(w - 1)] =
+        warehouse.Insert({Cell::Int(w),
+                          Cell::Str(buf),
+                          Cell::Str(rng.RandomString(10, 20)),
+                          Cell::Str(rng.RandomString(10, 20)),
+                          Cell::Str(rng.RandomString(10, 20)),
+                          Cell::Str(rng.RandomString(2, 2)),
+                          Cell::Str(rng.RandomString(9, 9)),
+                          Cell::Int(rng.Uniform(0, 2000)),  // tax, basis points
+                          Cell::Int(30000000)});            // ytd = 300,000.00
 
     // stock for this warehouse.
     for (int i = 1; i <= config_.num_items; ++i) {
       std::string data = rng.RandomString(26, 50);
       if (rng.Uniform(0, 9) == 0)
         data.replace(data.size() / 2, 8, "ORIGINAL");
-      row = {Value::Int(i),
-             Value::Int(w),
-             Value::Int(rng.Uniform(10, 100)),
-             Value::Str(rng.RandomString(24, 24)),
-             Value::Int(0),
-             Value::Int(0),
-             Value::Int(0),
-             Value::Str(data)};
-      stock_idx_.push_back(stock.Insert(row));
+      stock_idx_.push_back(stock.Insert({Cell::Int(i),
+                                         Cell::Int(w),
+                                         Cell::Int(rng.Uniform(10, 100)),
+                                         Cell::Str(rng.RandomString(24, 24)),
+                                         Cell::Int(0),
+                                         Cell::Int(0),
+                                         Cell::Int(0),
+                                         Cell::Str(data)}));
     }
 
     for (int d = 1; d <= 10; ++d) {
       std::snprintf(buf, sizeof(buf), "DIST%02d", d);
-      row = {Value::Int(d),
-             Value::Int(w),
-             Value::Str(buf),
-             Value::Str(rng.RandomString(10, 20)),
-             Value::Str(rng.RandomString(10, 20)),
-             Value::Str(rng.RandomString(10, 20)),
-             Value::Str(rng.RandomString(2, 2)),
-             Value::Str(rng.RandomString(9, 9)),
-             Value::Int(rng.Uniform(0, 2000)),
-             Value::Int(3000000),                // ytd = 30,000.00
-             Value::Int(config_.orders_per_district + 1)};
-      district_idx_.push_back(district.Insert(row));
+      district_idx_.push_back(
+          district.Insert({Cell::Int(d),
+                           Cell::Int(w),
+                           Cell::Str(buf),
+                           Cell::Str(rng.RandomString(10, 20)),
+                           Cell::Str(rng.RandomString(10, 20)),
+                           Cell::Str(rng.RandomString(10, 20)),
+                           Cell::Str(rng.RandomString(2, 2)),
+                           Cell::Str(rng.RandomString(9, 9)),
+                           Cell::Int(rng.Uniform(0, 2000)),
+                           Cell::Int(3000000),  // ytd = 30,000.00
+                           Cell::Int(config_.orders_per_district + 1)}));
 
       // customers.
       for (int c = 1; c <= config_.customers_per_district; ++c) {
         int last_num = c <= 1000 ? c - 1 : int(rng.NuRand(255, 0, 999));
         std::snprintf(buf, sizeof(buf), "%016d", c);
-        row = {Value::Int(c),
-               Value::Int(d),
-               Value::Int(w),
-               Value::Str(rng.RandomString(8, 16)),   // first
-               Value::Str("OE"),
-               Value::Str(LastName(last_num)),
-               Value::Str(rng.RandomString(10, 20)),
-               Value::Str(rng.RandomString(10, 20)),
-               Value::Str(rng.RandomString(10, 20)),
-               Value::Str(rng.RandomString(2, 2)),
-               Value::Str(rng.RandomString(9, 9)),
-               Value::Str(buf),                        // phone
-               Value::Int(kLoadDate),
-               Value::Str(rng.Uniform(0, 9) == 0 ? "BC" : "GC"),
-               Value::Int(5000000),                    // credit_lim 50,000.00
-               Value::Int(rng.Uniform(0, 5000)),       // discount bp
-               Value::Int(-1000),                      // balance -10.00
-               Value::Int(1000),                       // ytd_payment 10.00
-               Value::Int(1),
-               Value::Int(0),
-               Value::Str(rng.RandomString(50, 100))};
-        customer_idx_.push_back(customer.Insert(row));
+        customer_idx_.push_back(customer.Insert(
+            {Cell::Int(c),
+             Cell::Int(d),
+             Cell::Int(w),
+             Cell::Str(rng.RandomString(8, 16)),  // first
+             Cell::Str("OE"),
+             Cell::Str(LastName(last_num)),
+             Cell::Str(rng.RandomString(10, 20)),
+             Cell::Str(rng.RandomString(10, 20)),
+             Cell::Str(rng.RandomString(10, 20)),
+             Cell::Str(rng.RandomString(2, 2)),
+             Cell::Str(rng.RandomString(9, 9)),
+             Cell::Str(buf),  // phone
+             Cell::Int(kLoadDate),
+             Cell::Str(rng.Uniform(0, 9) == 0 ? "BC" : "GC"),
+             Cell::Int(5000000),               // credit_lim 50,000.00
+             Cell::Int(rng.Uniform(0, 5000)),  // discount bp
+             Cell::Int(-1000),                 // balance -10.00
+             Cell::Int(1000),                  // ytd_payment 10.00
+             Cell::Int(1),
+             Cell::Int(0),
+             Cell::Str(rng.RandomString(50, 100))}));
       }
 
       // orders 1..orders_per_district over a random customer permutation.
@@ -248,47 +249,38 @@ void TpccDatabase::Load() {
         int c = cust_perm[size_t(o - 1) % cust_perm.size()];
         int ol_cnt = int(rng.Uniform(5, 15));
         bool delivered = o <= new_order_start;
-        row = {Value::Int(o),
-               Value::Int(d),
-               Value::Int(w),
-               Value::Int(c),
-               Value::Int(kLoadDate),
-               delivered ? Value::Int(int(rng.Uniform(1, 10)))
-                         : Value::Null(),
-               Value::Int(ol_cnt),
-               Value::Int(1)};
         OrderEntry& e = Entry(w, d, o);
-        e.order = order.Insert(row);
+        e.order = order.Insert(
+            {Cell::Int(o), Cell::Int(d), Cell::Int(w), Cell::Int(c),
+             Cell::Int(kLoadDate),
+             delivered ? Cell::Int(int(rng.Uniform(1, 10))) : Cell::Null(),
+             Cell::Int(ol_cnt), Cell::Int(1)});
         e.ol_cnt = ol_cnt;
         last_order_of_cust_[CustKey(w, d, c)] = o;
 
         for (int l = 1; l <= ol_cnt; ++l) {
           int64_t amount = delivered ? 0 : rng.Uniform(1, 999999);
-          row = {Value::Int(o),
-                 Value::Int(d),
-                 Value::Int(w),
-                 Value::Int(l),
-                 Value::Int(int(rng.Uniform(1, config_.num_items))),
-                 Value::Int(w),
-                 delivered ? Value::Int(kLoadDate) : Value::Null(),
-                 Value::Int(5),
-                 Value::Int(amount),
-                 Value::Str(rng.RandomString(24, 24))};
-          SetLine(e, l - 1, orderline.Insert(row));
+          SetLine(e, l - 1,
+                  orderline.Insert(
+                      {Cell::Int(o), Cell::Int(d), Cell::Int(w), Cell::Int(l),
+                       Cell::Int(int(rng.Uniform(1, config_.num_items))),
+                       Cell::Int(w),
+                       delivered ? Cell::Int(kLoadDate) : Cell::Null(),
+                       Cell::Int(5), Cell::Int(amount),
+                       Cell::Str(rng.RandomString(24, 24))}));
         }
         if (!delivered) {
-          row = {Value::Int(o), Value::Int(d), Value::Int(w)};
-          e.neworder = neworder.Insert(row);
+          e.neworder =
+              neworder.Insert({Cell::Int(o), Cell::Int(d), Cell::Int(w)});
         }
       }
 
       // One history row per customer.
       for (int c = 1; c <= config_.customers_per_district; ++c) {
-        row = {Value::Int(c),          Value::Int(d),
-               Value::Int(w),          Value::Int(d),
-               Value::Int(w),          Value::Int(kLoadDate),
-               Value::Int(1000),       Value::Str(rng.RandomString(12, 24))};
-        history.Insert(row);
+        history.Insert({Cell::Int(c), Cell::Int(d), Cell::Int(w),
+                        Cell::Int(d), Cell::Int(w), Cell::Int(kLoadDate),
+                        Cell::Int(1000),
+                        Cell::Str(rng.RandomString(12, 24))});
       }
     }
   }
@@ -312,23 +304,6 @@ void TpccDatabase::SetLine(OrderEntry& e, int l, RowId id) {
   }
   if (e.scattered) scattered_[e.lines + size_t(l)] = id;
   else if (l == 0) e.lines = id;
-}
-
-RowId TpccDatabase::UpdateColumns(
-    Table& table, RowId id,
-    std::initializer_list<std::pair<uint32_t, Value>> changes) {
-  size_t applied = 0;
-  for (const auto& [col, v] : changes) {
-    if (!table.TryUpdateInPlace(id, col, v)) break;
-    ++applied;
-  }
-  if (applied == changes.size()) return id;
-  // The row's chunk is frozen: rewrite it into the hot tail. Values already
-  // applied in place are picked up by GetValue, the rest are overlaid.
-  std::vector<Value> row(table.schema().num_columns());
-  for (uint32_t c = 0; c < row.size(); ++c) row[c] = table.GetValue(id, c);
-  for (const auto& [col, v] : changes) row[col] = v;
-  return table.Update(id, row);
 }
 
 void TpccDatabase::EnableLifecycle(const LifecycleConfig& config,

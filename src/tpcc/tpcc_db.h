@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lifecycle/lifecycle_manager.h"
@@ -103,8 +102,9 @@ class TpccDatabase {
   /// evict to per-table archives under `dir` when over the memory budget.
   /// Tables receiving unconditional in-place updates (warehouse, district,
   /// customer, stock) and the read-only item table stay unmanaged.
-  /// Transactions remain correct when managed rows freeze: updates fall
-  /// back to delete + reinsert (paper Section 3).
+  /// Transactions remain correct when managed rows freeze: Table::UpdateRow
+  /// relocates a frozen row into the hot tail (delete + reinsert, paper
+  /// Section 3) and the index takes its new RowId.
   void EnableLifecycle(const LifecycleConfig& config, const std::string& dir);
 
   /// Runs one policy epoch on every attached manager.
@@ -132,13 +132,6 @@ class TpccDatabase {
 
  private:
   friend class TpccTest;
-
-  /// Applies single-column updates in place when the row is hot; if the
-  /// chunk froze (e.g. under a lifecycle manager), rewrites the row into
-  /// the hot tail instead and returns the new RowId for index fixup.
-  static RowId UpdateColumns(
-      Table& table, RowId id,
-      std::initializer_list<std::pair<uint32_t, Value>> changes);
 
   // Dense composite-key encodings (array positions).
   size_t DistKey(int w, int d) const { return size_t((w - 1) * 10 + d - 1); }

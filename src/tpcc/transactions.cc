@@ -1,9 +1,13 @@
 // The five TPC-C transactions, implemented against the Table point-access
 // API. Reads transparently hit hot chunks or frozen Data Blocks (single
 // position decompression); writes follow the paper's rules: hot rows are
-// updated in place, frozen rows can only be deleted (Section 3).
+// updated in place, frozen rows can only be deleted, so Table::UpdateRow
+// relocates them into the hot tail (Section 3). Rows are written as Cells,
+// never as owning Values.
 
 #include <algorithm>
+#include <span>
+#include <string_view>
 
 #include "tpcc/tpcc_db.h"
 #include "util/date.h"
@@ -26,10 +30,14 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
     int i_id;
     int supply_w;
     int qty;
+    RowId i_row, s_row;
+    // The stock row's, borrowed: no write in this transaction touches the
+    // stock table's strings.
+    std::string_view dist;
   };
-  std::vector<Line> lines(static_cast<size_t>(ol_cnt));
+  Line lines[15];  // ol_cnt <= 15
   for (int l = 0; l < ol_cnt; ++l) {
-    Line& ln = lines[size_t(l)];
+    Line& ln = lines[l];
     ln.i_id = RandomItemId(rng);
     if (rollback && l == ol_cnt - 1) ln.i_id = config_.num_items + 1;
     ln.supply_w = w;
@@ -43,81 +51,81 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
 
   // Validate items first (a failed lookup aborts the transaction before any
   // write, which is how the 1% rollback manifests here).
-  for (const Line& ln : lines) {
-    if (ln.i_id > config_.num_items) return result;  // not committed
+  for (int l = 0; l < ol_cnt; ++l) {
+    if (lines[l].i_id > config_.num_items) return result;  // not committed
   }
-  // Start every line's item and stock rows towards the cache; the loop at
-  // the end reads them one line at a time, each a likely miss.
-  for (const Line& ln : lines) {
-    item.Prefetch(item_idx_[size_t(ln.i_id - 1)], col::item::price);
-    const RowId s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
-    for (uint32_t c : {col::stock::quantity, col::stock::ytd,
-                       col::stock::order_cnt, col::stock::dist}) {
-      stock.Prefetch(s_row, c);
-    }
+  // The borrowed dist strings stay valid until the section closes.
+  Table::ReadSection section;
+  // Start the customer row and every line's item and stock rows towards
+  // the cache; the loop at the end reads them one line at a time, each a
+  // likely miss.
+  const RowId c_row = customer_idx_[CustKey(w, d, c)];
+  customer.Prefetch(c_row, {col::customer::discount});
+  for (int l = 0; l < ol_cnt; ++l) {
+    Line& ln = lines[l];
+    ln.i_row = item_idx_[size_t(ln.i_id - 1)];
+    ln.s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
+    item.Prefetch(ln.i_row, {col::item::price});
+    stock.Prefetch(ln.s_row, {col::stock::quantity, col::stock::ytd,
+                              col::stock::order_cnt, col::stock::dist});
   }
 
   RowId d_row = district_idx_[DistKey(w, d)];
   const int32_t o_id =
       int32_t(district.GetInt(d_row, col::district::next_o_id));
-  district.UpdateInPlace(d_row, col::district::next_o_id,
-                         Value::Int(o_id + 1));
+  district.UpdateInPlace(d_row,
+                         {{col::district::next_o_id, Cell::Int(o_id + 1)}});
   const int64_t w_tax =
       warehouse.GetInt(warehouse_idx_[size_t(w - 1)], col::warehouse::tax);
   const int64_t d_tax = district.GetInt(d_row, col::district::tax);
-  const int64_t c_disc =
-      customer.GetInt(customer_idx_[CustKey(w, d, c)],
-                      col::customer::discount);
+  const int64_t c_disc = customer.GetInt(c_row, col::customer::discount);
 
   bool all_local = true;
-  for (const Line& ln : lines) all_local &= ln.supply_w == w;
+  for (int l = 0; l < ol_cnt; ++l) all_local &= lines[l].supply_w == w;
 
-  std::vector<Value> row = {Value::Int(o_id),   Value::Int(d),
-                            Value::Int(w),      Value::Int(c),
-                            Value::Int(kTxnDate), Value::Null(),
-                            Value::Int(ol_cnt), Value::Int(all_local ? 1 : 0)};
   OrderEntry& e = orders_[DistKey(w, d)].emplace_back();
-  e.order = order.Insert(row);
+  e.order = order.Insert({Cell::Int(o_id), Cell::Int(d), Cell::Int(w),
+                          Cell::Int(c), Cell::Int(kTxnDate), Cell::Null(),
+                          Cell::Int(ol_cnt), Cell::Int(all_local ? 1 : 0)});
   e.ol_cnt = ol_cnt;
   last_order_of_cust_[CustKey(w, d, c)] = o_id;
 
-  row = {Value::Int(o_id), Value::Int(d), Value::Int(w)};
-  e.neworder = neworder.Insert(row);
+  e.neworder = neworder.Insert({Cell::Int(o_id), Cell::Int(d), Cell::Int(w)});
+
+  // The stock rows' string references have arrived by now: start the dist
+  // strings they point to towards the cache as well.
+  for (int l = 0; l < ol_cnt; ++l) {
+    lines[l].dist = stock.GetStringView(lines[l].s_row, col::stock::dist);
+    __builtin_prefetch(lines[l].dist.data());
+  }
 
   int64_t total = 0;
   for (int l = 0; l < ol_cnt; ++l) {
-    const Line& ln = lines[size_t(l)];
-    RowId i_row = item_idx_[size_t(ln.i_id - 1)];
-    int64_t price = item.GetInt(i_row, col::item::price);
-    RowId s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
+    const Line& ln = lines[l];
+    const RowId s_row = ln.s_row;
+    int64_t price = item.GetInt(ln.i_row, col::item::price);
     int32_t s_qty = int32_t(stock.GetInt(s_row, col::stock::quantity));
     s_qty = s_qty >= ln.qty + 10 ? s_qty - ln.qty : s_qty - ln.qty + 91;
-    stock.UpdateInPlace(s_row, col::stock::quantity, Value::Int(s_qty));
-    stock.UpdateInPlace(
-        s_row, col::stock::ytd,
-        Value::Int(stock.GetInt(s_row, col::stock::ytd) + ln.qty));
-    stock.UpdateInPlace(
-        s_row, col::stock::order_cnt,
-        Value::Int(stock.GetInt(s_row, col::stock::order_cnt) + 1));
-    if (ln.supply_w != w) {
-      stock.UpdateInPlace(
-          s_row, col::stock::remote_cnt,
-          Value::Int(stock.GetInt(s_row, col::stock::remote_cnt) + 1));
-    }
+    // The remote count changes only for a remote supplier.
+    const bool remote = ln.supply_w != w;
+    const CellUpdate changes[] = {
+        {col::stock::quantity, Cell::Int(s_qty)},
+        {col::stock::ytd,
+         Cell::Int(stock.GetInt(s_row, col::stock::ytd) + ln.qty)},
+        {col::stock::order_cnt,
+         Cell::Int(stock.GetInt(s_row, col::stock::order_cnt) + 1)},
+        {col::stock::remote_cnt,
+         Cell::Int(remote ? stock.GetInt(s_row, col::stock::remote_cnt) + 1
+                          : 0)}};
+    stock.UpdateInPlace(s_row, std::span(changes, remote ? 4 : 3));
     int64_t amount = price * ln.qty;
     total += amount;
-    row = {Value::Int(o_id),
-           Value::Int(d),
-           Value::Int(w),
-           Value::Int(l + 1),
-           Value::Int(ln.i_id),
-           Value::Int(ln.supply_w),
-           Value::Null(),
-           Value::Int(ln.qty),
-           Value::Int(amount),
-           Value::Str(std::string(stock.GetStringView(s_row,
-                                                      col::stock::dist)))};
-    SetLine(e, l, orderline.Insert(row));
+    SetLine(e, l,
+            orderline.Insert({Cell::Int(o_id), Cell::Int(d), Cell::Int(w),
+                              Cell::Int(l + 1), Cell::Int(ln.i_id),
+                              Cell::Int(ln.supply_w), Cell::Null(),
+                              Cell::Int(ln.qty), Cell::Int(amount),
+                              Cell::Str(ln.dist)}));
   }
 
   result.committed = true;
@@ -139,36 +147,33 @@ void TpccDatabase::Payment(Rng& rng) {
   const int64_t amount = rng.Uniform(100, 500000);
   const int c = RandomCustomerId(rng);
   const RowId c_row = customer_idx_[CustKey(c_w, c_d, c)];
-  for (uint32_t column : {col::customer::balance, col::customer::ytd_payment,
-                          col::customer::payment_cnt}) {
-    customer.Prefetch(c_row, column);
-  }
+  customer.Prefetch(c_row, {col::customer::balance, col::customer::ytd_payment,
+                            col::customer::payment_cnt});
 
   RowId w_row = warehouse_idx_[size_t(w - 1)];
   warehouse.UpdateInPlace(
-      w_row, col::warehouse::ytd,
-      Value::Int(warehouse.GetInt(w_row, col::warehouse::ytd) + amount));
+      w_row,
+      {{col::warehouse::ytd,
+        Cell::Int(warehouse.GetInt(w_row, col::warehouse::ytd) + amount)}});
   RowId d_row = district_idx_[DistKey(w, d)];
   district.UpdateInPlace(
-      d_row, col::district::ytd,
-      Value::Int(district.GetInt(d_row, col::district::ytd) + amount));
+      d_row,
+      {{col::district::ytd,
+        Cell::Int(district.GetInt(d_row, col::district::ytd) + amount)}});
 
   customer.UpdateInPlace(
-      c_row, col::customer::balance,
-      Value::Int(customer.GetInt(c_row, col::customer::balance) - amount));
-  customer.UpdateInPlace(
-      c_row, col::customer::ytd_payment,
-      Value::Int(customer.GetInt(c_row, col::customer::ytd_payment) +
-                 amount));
-  customer.UpdateInPlace(
-      c_row, col::customer::payment_cnt,
-      Value::Int(customer.GetInt(c_row, col::customer::payment_cnt) + 1));
+      c_row,
+      {{col::customer::balance,
+        Cell::Int(customer.GetInt(c_row, col::customer::balance) - amount)},
+       {col::customer::ytd_payment,
+        Cell::Int(customer.GetInt(c_row, col::customer::ytd_payment) +
+                  amount)},
+       {col::customer::payment_cnt,
+        Cell::Int(customer.GetInt(c_row, col::customer::payment_cnt) + 1)}});
 
-  std::vector<Value> row = {Value::Int(c),        Value::Int(c_d),
-                            Value::Int(c_w),      Value::Int(d),
-                            Value::Int(w),        Value::Int(kTxnDate),
-                            Value::Int(amount),   Value::Str("payment")};
-  history.Insert(row);
+  history.Insert({Cell::Int(c), Cell::Int(c_d), Cell::Int(c_w), Cell::Int(d),
+                  Cell::Int(w), Cell::Int(kTxnDate), Cell::Int(amount),
+                  Cell::Str("payment")});
 }
 
 void TpccDatabase::OrderStatus(Rng& rng) {
@@ -212,25 +217,24 @@ int TpccDatabase::Delivery(Rng& rng) {
     int c = int(order.GetInt(e.order, col::order::c_id));
     // Under a lifecycle manager the order's chunk may have frozen; the
     // update then relocates the row, so refresh the index.
-    e.order = UpdateColumns(order, e.order,
-                            {{col::order::carrier_id, Value::Int(carrier)}});
+    e.order = order.UpdateRow(e.order,
+                              {{col::order::carrier_id, Cell::Int(carrier)}});
 
     int64_t total = 0;
     const OrderEntry before = e;  // lines are read from the old RowIds
     for (int l = 0; l < before.ol_cnt; ++l) {
-      const RowId ol = UpdateColumns(
-          orderline, Line(before, l),
-          {{col::orderline::delivery_d, Value::Int(kTxnDate)}});
+      const RowId ol = orderline.UpdateRow(
+          Line(before, l), {{col::orderline::delivery_d, Cell::Int(kTxnDate)}});
       SetLine(e, l, ol);
       total += orderline.GetInt(ol, col::orderline::amount);
     }
     RowId c_row = customer_idx_[CustKey(w, d, c)];
     customer.UpdateInPlace(
-        c_row, col::customer::balance,
-        Value::Int(customer.GetInt(c_row, col::customer::balance) + total));
-    customer.UpdateInPlace(
-        c_row, col::customer::delivery_cnt,
-        Value::Int(customer.GetInt(c_row, col::customer::delivery_cnt) + 1));
+        c_row,
+        {{col::customer::balance,
+          Cell::Int(customer.GetInt(c_row, col::customer::balance) + total)},
+         {col::customer::delivery_cnt,
+          Cell::Int(customer.GetInt(c_row, col::customer::delivery_cnt) + 1)}});
     ++delivered;
   }
   return delivered;
@@ -257,7 +261,7 @@ int TpccDatabase::StockLevel(Rng& rng) {
     }
   }
   for (size_t k = 0; k < num_items; ++k)
-    stock.Prefetch(stock_idx_[StockKey(w, items[k])], col::stock::quantity);
+    stock.Prefetch(stock_idx_[StockKey(w, items[k])], {col::stock::quantity});
   size_t n = 0;  // low-stock items, compacted in place
   for (size_t k = 0; k < num_items; ++k) {
     if (stock.GetInt(stock_idx_[StockKey(w, items[k])],

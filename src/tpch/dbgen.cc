@@ -229,19 +229,20 @@ uint64_t TpchDatabase::TotalBytes() const {
 
 void GenerateTpch(TpchDatabase* db) {
   Rng rng(db->config.seed);
-  std::vector<Value> row;
   char buf[64];
+  // Each row is one Insert of cells; a generated string is a temporary
+  // that lives until the Insert returns, and the braces evaluate in order,
+  // so the Rng draws do too.
 
   // region / nation.
   for (int r = 0; r < 5; ++r) {
-    row = {Value::Int(r), Value::Str(kRegions[r]),
-           Value::Str(Comment(rng, 4, 10))};
-    db->region.Insert(row);
+    db->region.Insert({Cell::Int(r), Cell::Str(kRegions[r]),
+                       Cell::Str(Comment(rng, 4, 10))});
   }
   for (int n = 0; n < 25; ++n) {
-    row = {Value::Int(n), Value::Str(kNations[n]),
-           Value::Int(kNationRegion[n]), Value::Str(Comment(rng, 4, 10))};
-    db->nation.Insert(row);
+    db->nation.Insert({Cell::Int(n), Cell::Str(kNations[n]),
+                       Cell::Int(kNationRegion[n]),
+                       Cell::Str(Comment(rng, 4, 10))});
   }
 
   const int64_t num_supp = db->NumSuppliers();
@@ -257,29 +258,27 @@ void GenerateTpch(TpchDatabase* db) {
     std::string comment = Comment(rng, 6, 15);
     if (rng.Uniform(0, 1999) == 0)
       comment = "sly Customer Complaints " + comment;
-    row = {Value::Int(s),
-           Value::Str(buf),
-           Value::Str(rng.RandomString(10, 30)),
-           Value::Int(nationkey),
-           Value::Str(Phone(nationkey, rng)),
-           Value::Int(rng.Uniform(-99999, 999999)),
-           Value::Str(comment)};
-    db->supplier.Insert(row);
+    db->supplier.Insert({Cell::Int(s),
+                         Cell::Str(buf),
+                         Cell::Str(rng.RandomString(10, 30)),
+                         Cell::Int(nationkey),
+                         Cell::Str(Phone(nationkey, rng)),
+                         Cell::Int(rng.Uniform(-99999, 999999)),
+                         Cell::Str(comment)});
   }
 
   // customer.
   for (int64_t c = 1; c <= num_cust; ++c) {
     std::snprintf(buf, sizeof(buf), "Customer#%09lld", (long long)c);
     int64_t nationkey = rng.Uniform(0, 24);
-    row = {Value::Int(c),
-           Value::Str(buf),
-           Value::Str(rng.RandomString(10, 30)),
-           Value::Int(nationkey),
-           Value::Str(Phone(nationkey, rng)),
-           Value::Int(rng.Uniform(-99999, 999999)),
-           Value::Str(kSegments[rng.Uniform(0, 4)]),
-           Value::Str(Comment(rng, 10, 20))};
-    db->customer.Insert(row);
+    db->customer.Insert({Cell::Int(c),
+                         Cell::Str(buf),
+                         Cell::Str(rng.RandomString(10, 30)),
+                         Cell::Int(nationkey),
+                         Cell::Str(Phone(nationkey, rng)),
+                         Cell::Int(rng.Uniform(-99999, 999999)),
+                         Cell::Str(kSegments[rng.Uniform(0, 4)]),
+                         Cell::Str(Comment(rng, 10, 20))});
   }
 
   // part.
@@ -294,33 +293,30 @@ void GenerateTpch(TpchDatabase* db) {
                        kTypeSyl3[rng.Uniform(0, 4)];
     std::string container = std::string(kContSyl1[rng.Uniform(0, 4)]) + " " +
                             kContSyl2[rng.Uniform(0, 7)];
-    row = {Value::Int(p),
-           Value::Str(rng.RandomWords(Colors(), 5)),
-           Value::Str(mfgr),
-           Value::Str(brand),
-           Value::Str(type),
-           Value::Int(rng.Uniform(1, 50)),
-           Value::Str(container),
-           Value::Int(PartPrice(p)),
-           Value::Str(Comment(rng, 2, 6))};
-    db->part.Insert(row);
+    db->part.Insert({Cell::Int(p),
+                     Cell::Str(rng.RandomWords(Colors(), 5)),
+                     Cell::Str(mfgr),
+                     Cell::Str(brand),
+                     Cell::Str(type),
+                     Cell::Int(rng.Uniform(1, 50)),
+                     Cell::Str(container),
+                     Cell::Int(PartPrice(p)),
+                     Cell::Str(Comment(rng, 2, 6))});
   }
 
   // partsupp (4 suppliers per part, spec formula for join consistency).
   for (int64_t p = 1; p <= num_part; ++p) {
     for (int64_t i = 0; i < 4; ++i) {
-      row = {Value::Int(p),
-             Value::Int(PartSupplier(p, i, num_supp)),
-             Value::Int(rng.Uniform(1, 9999)),
-             Value::Int(rng.Uniform(100, 100000)),
-             Value::Str(Comment(rng, 10, 30))};
-      db->partsupp.Insert(row);
+      db->partsupp.Insert({Cell::Int(p),
+                           Cell::Int(PartSupplier(p, i, num_supp)),
+                           Cell::Int(rng.Uniform(1, 9999)),
+                           Cell::Int(rng.Uniform(100, 100000)),
+                           Cell::Str(Comment(rng, 10, 30))});
     }
   }
 
   // orders + lineitem, generated together so o_totalprice and o_orderstatus
   // are consistent with the order's lineitems.
-  std::vector<Value> li_row;
   for (int64_t o = 1; o <= num_ord; ++o) {
     // Order keys are sparse in dbgen (8 per 32); keep them dense * 4 for the
     // same flavor without complicating the key space.
@@ -375,36 +371,34 @@ void GenerateTpch(TpchDatabase* db) {
     // ~1% of order comments match Q13's '%special%requests%' filter.
     if (rng.Uniform(0, 99) == 0)
       o_comment = "special packages wake requests " + o_comment;
-    row = {Value::Int(orderkey),
-           Value::Int(custkey),
-           Value::Char(status),
-           Value::Int(totalprice),
-           Value::Int(orderdate),
-           Value::Str(kPriorities[rng.Uniform(0, 4)]),
-           Value::Str(buf),
-           Value::Int(0),
-           Value::Str(o_comment)};
-    db->orders.Insert(row);
+    db->orders.Insert({Cell::Int(orderkey),
+                       Cell::Int(custkey),
+                       Cell::Char(status),
+                       Cell::Int(totalprice),
+                       Cell::Int(orderdate),
+                       Cell::Str(kPriorities[rng.Uniform(0, 4)]),
+                       Cell::Str(buf),
+                       Cell::Int(0),
+                       Cell::Str(o_comment)});
 
     for (int l = 0; l < num_lines; ++l) {
       const LineTmp& t = lines[size_t(l)];
-      li_row = {Value::Int(orderkey),
-                Value::Int(t.partkey),
-                Value::Int(t.suppkey),
-                Value::Int(l + 1),
-                Value::Int(t.qty),
-                Value::Int(t.extprice),
-                Value::Int(t.disc),
-                Value::Int(t.tax),
-                Value::Char(t.returnflag),
-                Value::Char(t.linestatus),
-                Value::Int(t.shipdate),
-                Value::Int(t.commitdate),
-                Value::Int(t.receiptdate),
-                Value::Str(kInstructs[t.instr]),
-                Value::Str(kShipModes[t.mode]),
-                Value::Str(Comment(rng, 2, 6))};
-      db->lineitem.Insert(li_row);
+      db->lineitem.Insert({Cell::Int(orderkey),
+                           Cell::Int(t.partkey),
+                           Cell::Int(t.suppkey),
+                           Cell::Int(l + 1),
+                           Cell::Int(t.qty),
+                           Cell::Int(t.extprice),
+                           Cell::Int(t.disc),
+                           Cell::Int(t.tax),
+                           Cell::Char(t.returnflag),
+                           Cell::Char(t.linestatus),
+                           Cell::Int(t.shipdate),
+                           Cell::Int(t.commitdate),
+                           Cell::Int(t.receiptdate),
+                           Cell::Str(kInstructs[t.instr]),
+                           Cell::Str(kShipModes[t.mode]),
+                           Cell::Str(Comment(rng, 2, 6))});
     }
   }
 }

@@ -62,7 +62,6 @@ std::unique_ptr<Table> MakeFlights(const FlightsConfig& config) {
   const int32_t end = MakeDate(config.year_to, 4, 30);
   const double days = double(end - start + 1);
 
-  std::vector<Value> row;
   for (uint64_t i = 0; i < config.num_rows; ++i) {
     // Rows arrive in date order (the data set's natural ordering).
     int32_t date = start + int32_t(double(i) / double(config.num_rows) * days);
@@ -79,22 +78,21 @@ std::unique_ptr<Table> MakeFlights(const FlightsConfig& config) {
                                 (rng.Uniform(0, 9) == 0 ? 4 : 1));
     int32_t arr_delay = dep_delay + int32_t(rng.Uniform(-15, 15));
     int32_t deptime = int32_t(rng.Uniform(0, 2359));
-    row = {Value::Int(cd.year),
-           Value::Int(cd.month),
-           Value::Int(cd.day),
-           Value::Int(dow),
-           Value::Int(date),
-           Value::Int(deptime),
-           Value::Int((deptime + 200) % 2400),
-           Value::Str(kCarriers[rng.Uniform(0, 19)]),
-           Value::Int(rng.Uniform(1, 7999)),
-           Value::Int(arr_delay),
-           Value::Int(dep_delay),
-           Value::Str(origin),
-           Value::Str(dest),
-           Value::Int(rng.Uniform(100, 2500)),
-           Value::Int(rng.Uniform(0, 99) == 0 ? 1 : 0)};
-    table->Insert(row);
+    table->Insert({Cell::Int(cd.year),
+                   Cell::Int(cd.month),
+                   Cell::Int(cd.day),
+                   Cell::Int(dow),
+                   Cell::Int(date),
+                   Cell::Int(deptime),
+                   Cell::Int((deptime + 200) % 2400),
+                   Cell::Str(kCarriers[rng.Uniform(0, 19)]),
+                   Cell::Int(rng.Uniform(1, 7999)),
+                   Cell::Int(arr_delay),
+                   Cell::Int(dep_delay),
+                   Cell::Str(origin),
+                   Cell::Str(dest),
+                   Cell::Int(rng.Uniform(100, 2500)),
+                   Cell::Int(rng.Uniform(0, 99) == 0 ? 1 : 0)});
   }
   return table;
 }

@@ -29,7 +29,6 @@ std::unique_ptr<Table> MakeCastInfo(const ImdbConfig& config) {
   auto table = std::make_unique<Table>("cast_info", CastInfoSchema(),
                                        config.chunk_capacity);
   Rng rng(config.seed);
-  std::vector<Value> row;
   for (uint64_t i = 0; i < config.num_rows; ++i) {
     // person/movie ids are Zipf-skewed: a few prolific actors / big casts.
     int64_t person = int64_t(rng.Zipf(config.num_persons, 0.8)) + 1;
@@ -40,14 +39,14 @@ std::unique_ptr<Table> MakeCastInfo(const ImdbConfig& config) {
     bool has_role = rng.Uniform(0, 9) < 4;    // ~40% non-NULL
     bool has_note = rng.Uniform(0, 9) < 2;    // ~20% non-NULL
     bool has_order = rng.Uniform(0, 9) < 6;   // ~60% non-NULL
-    row = {Value::Int(int64_t(i) + 1),
-           Value::Int(person),
-           Value::Int(movie),
-           has_role ? Value::Int(rng.Uniform(1, 2000000)) : Value::Null(),
-           has_note ? Value::Str(kNotes[rng.Uniform(0, 11)]) : Value::Null(),
-           has_order ? Value::Int(rng.Uniform(1, 80)) : Value::Null(),
-           Value::Int(rng.Uniform(1, 11))};
-    table->Insert(row);
+    table->Insert({Cell::Int(int64_t(i) + 1),
+                   Cell::Int(person),
+                   Cell::Int(movie),
+                   has_role ? Cell::Int(rng.Uniform(1, 2000000)) : Cell::Null(),
+                   has_note ? Cell::Str(kNotes[rng.Uniform(0, 11)])
+                            : Cell::Null(),
+                   has_order ? Cell::Int(rng.Uniform(1, 80)) : Cell::Null(),
+                   Cell::Int(rng.Uniform(1, 11))});
   }
   return table;
 }

@@ -367,19 +367,18 @@ Table MakeWideTable(uint32_t n, uint32_t chunk_capacity, bool psma,
   for (uint32_t i = 0; i < n; ++i) {
     const bool null_opt = rng.Uniform(0, 4) == 0;
     const bool null_tag = rng.Uniform(0, 3) == 0;
-    std::vector<Value> row = {
-        Value::Int(int64_t(i) * 3),
-        Value::Int(rng.Uniform(0, 9)),
-        Value::Double(double(rng.Uniform(0, 100000)) / 100.0),
-        Value::Str("name_" + std::to_string(rng.Uniform(0, 300))),
-        null_opt ? Value::Null() : Value::Int(rng.Uniform(-50, 50)),
-        Value::Null(),
-        Value::Int(42),
-        null_tag ? Value::Null()
-                 : Value::Str(std::string(1, char('a' + rng.Uniform(0, 5)))),
-        Value::Str("same"),
-        Value::Int(9000 + rng.Uniform(0, 365))};
-    t.Insert(row);
+    t.Insert({Cell::Int(int64_t(i) * 3),
+              Cell::Int(rng.Uniform(0, 9)),
+              Cell::Double(double(rng.Uniform(0, 100000)) / 100.0),
+              Cell::Str("name_" + std::to_string(rng.Uniform(0, 300))),
+              null_opt ? Cell::Null() : Cell::Int(rng.Uniform(-50, 50)),
+              Cell::Null(),
+              Cell::Int(42),
+              null_tag
+                  ? Cell::Null()
+                  : Cell::Str(std::string(1, char('a' + rng.Uniform(0, 5)))),
+              Cell::Str("same"),
+              Cell::Int(9000 + rng.Uniform(0, 365))});
   }
   t.FreezeAll(/*sort_col=*/-1, psma);
   return t;

@@ -40,9 +40,7 @@ TEST(EagerAggregateGroupedDeathTest, OutOfRangeKeyAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Table t("t", Schema({{"g", TypeId::kInt32}, {"a", TypeId::kInt64}}), 1024);
   for (int i = 0; i < 3000; ++i) {
-    const std::vector<Value> row = {Value::Int(i == 2021 ? 8 : i % 8),
-                                    Value::Int(i)};
-    t.Insert(row);
+    t.Insert({Cell::Int(i == 2021 ? 8 : i % 8), Cell::Int(i)});
   }
   // The in-range table aggregates; one key of 8 in an 8-group grid aborts
   // at the range check itself (an unchecked write past the group array can

@@ -29,8 +29,7 @@ DataBlock MakeIntBlock(const std::vector<int64_t>& values, TypeId type,
   *schema = Schema({{"c", type}});
   Chunk chunk(schema, uint32_t(values.size()));
   for (int64_t v : values) {
-    std::vector<Value> row = {Value::Int(v)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(v)});
   }
   return DataBlock::Build(chunk);
 }
@@ -73,8 +72,7 @@ TEST(Translate, StringDictionaryMiss) {
   Schema schema({{"s", TypeId::kString}});
   Chunk chunk(&schema, 10);
   for (int i = 0; i < 10; ++i) {
-    std::vector<Value> row = {Value::Str(i % 2 ? "alpha" : "omega")};
-    chunk.Append(row);
+    chunk.Append({Cell::Str(i % 2 ? "alpha" : "omega")});
   }
   DataBlock block = DataBlock::Build(chunk);
   auto prep = PrepareBlockScan(
@@ -143,9 +141,8 @@ RandomBlock MakeRandomBlock(int seed, uint32_t n, Rng* rng) {
     rb.b.push_back(rng->Uniform(0, 50));
     rb.s.push_back(std::string("k") + std::to_string(rng->Uniform(0, 20)));
     rb.d.push_back(rng->NextDouble() * 100);
-    std::vector<Value> row = {Value::Int(rb.a[i]), Value::Int(rb.b[i]),
-                              Value::Str(rb.s[i]), Value::Double(rb.d[i])};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(rb.a[i]), Cell::Int(rb.b[i]),
+                  Cell::Str(rb.s[i]), Cell::Double(rb.d[i])});
   }
   rb.block = DataBlock::Build(chunk);
   return rb;
@@ -361,9 +358,7 @@ TEST(BlockScan, NullsExcludedFromValuePredicates) {
   Schema schema({{"x", TypeId::kInt64, true}});
   Chunk chunk(&schema, 100);
   for (int i = 0; i < 100; ++i) {
-    std::vector<Value> row = {i % 4 == 0 ? Value::Null()
-                                         : Value::Int(i % 10)};
-    chunk.Append(row);
+    chunk.Append({i % 4 == 0 ? Cell::Null() : Cell::Int(i % 10)});
   }
   DataBlock block = DataBlock::Build(chunk);
   // NULL payload is code 0 == value min; predicate >= min must not match
@@ -382,8 +377,7 @@ TEST(BlockScan, IsNullAndIsNotNull) {
   Schema schema({{"x", TypeId::kInt64, true}});
   Chunk chunk(&schema, 60);
   for (int i = 0; i < 60; ++i) {
-    std::vector<Value> row = {i % 3 == 0 ? Value::Null() : Value::Int(i)};
-    chunk.Append(row);
+    chunk.Append({i % 3 == 0 ? Cell::Null() : Cell::Int(i)});
   }
   DataBlock block = DataBlock::Build(chunk);
   std::vector<uint32_t> buf(68);
@@ -402,10 +396,9 @@ TEST(BlockScan, UnpackColumnMatchesPointAccess) {
   Chunk chunk(&schema, 500);
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 1000)),
-                              Value::Str(rng.RandomString(1, 8)),
-                              Value::Double(rng.NextDouble())};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(rng.Uniform(0, 1000)),
+                  Cell::Str(rng.RandomString(1, 8)),
+                  Cell::Double(rng.NextDouble())});
   }
   DataBlock block = DataBlock::Build(chunk);
   std::vector<uint32_t> pos = {0, 7, 13, 42, 99, 400, 499};
@@ -521,7 +514,7 @@ DataBlock BuildUnpackBlock(const std::vector<UnpackSpec>& specs, uint32_t n,
   std::vector<Value> row(specs.size());
   for (uint32_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < specs.size(); ++c) row[c] = specs[c].gen(*rng, r);
-    chunk.Append(row);
+    chunk.Append(CellsOf(row));
   }
   DataBlock block = DataBlock::Build(chunk);
   // Re-label "trunc8" (built raw, min 0 needed) as truncated.
@@ -754,8 +747,7 @@ TEST(BlockScan, DateColumnsTranslate) {
   Schema schema({{"d", TypeId::kDate}});
   Chunk chunk(&schema, 365);
   for (int i = 0; i < 365; ++i) {
-    std::vector<Value> row = {Value::Int(MakeDate(1994, 1, 1) + i)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(MakeDate(1994, 1, 1) + i)});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_EQ(block.compression(0), Compression::kTruncation);
@@ -792,7 +784,7 @@ MixedBlock MakeMixedBlock(uint32_t n, Rng* rng) {
   std::vector<Value> row(4);
   for (uint32_t r = 0; r < n; ++r) {
     for (int c = 0; c < 4; ++c) cols[c]->push_back(row[c] = gens[c](*rng, r));
-    chunk.Append(row);
+    chunk.Append(CellsOf(row));
   }
   mb.block = DataBlock::Build(chunk);
   return mb;
@@ -900,10 +892,9 @@ TEST(Translate, PredicatesRunMostSelectiveFirst) {
                  {"kind", TypeId::kString}});
   Chunk chunk(&schema, 1000);
   for (int i = 0; i < 1000; ++i) {
-    std::vector<Value> row = {Value::Int(1 + i % 50),
-                              Value::Str("m" + std::to_string(10 + i % 25)),
-                              Value::Str("k" + std::to_string(10 + i % 25))};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(1 + i % 50),
+                  Cell::Str("m" + std::to_string(10 + i % 25)),
+                  Cell::Str("k" + std::to_string(10 + i % 25))});
   }
   const DataBlock block = DataBlock::Build(chunk);
   ASSERT_EQ(block.compression(0), Compression::kTruncation);
@@ -947,7 +938,7 @@ TEST(BlockScan, RawInSetSameHotAndFrozen) {
   std::vector<int64_t> stored;
   for (int i = 0; i < 4000; ++i) {
     if (i % 11 == 0) {
-      t.Insert(std::vector<Value>{Value::Null()});
+      t.Insert({Cell::Null()});
       continue;
     }
     // Repeat some values so each set member hits several rows.
@@ -955,7 +946,7 @@ TEST(BlockScan, RawInSetSameHotAndFrozen) {
                           ? stored[size_t(i % 7)]
                           : rng.Uniform(INT32_MIN, INT32_MAX);
     stored.push_back(v);
-    t.Insert(std::vector<Value>{Value::Int(v)});
+    t.Insert({Cell::Int(v)});
   }
   std::vector<std::vector<Predicate>> cases;
   std::vector<std::vector<int32_t>> expect;

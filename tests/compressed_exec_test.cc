@@ -46,20 +46,19 @@ Table MakeMixedTable(uint32_t n, uint32_t chunk_capacity, uint64_t seed,
   std::vector<RowId> ids;
   ids.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i),
-        Value::Int(42),
-        Value::Int(int32_t(100 + rng.Uniform(0, 255))),
-        Value::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 40) + i)),
-        Value::Str("name_" + std::to_string(rng.Uniform(0, 40))),
-        Value::Str("constant"),
-        rng.Uniform(0, 3) == 0
-            ? Value::Null()
-            : Value::Str("opt_" + std::to_string(rng.Uniform(0, 30))),
-        rng.Uniform(0, 3) == 0 ? Value::Null()
-                               : Value::Int(int32_t(rng.Uniform(0, 100))),
-        Value::Double(rng.NextDouble() * 100)};
-    ids.push_back(t.Insert(row));
+    ids.push_back(t.Insert(
+        {Cell::Int(i),
+         Cell::Int(42),
+         Cell::Int(int32_t(100 + rng.Uniform(0, 255))),
+         Cell::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 40) + i)),
+         Cell::Str("name_" + std::to_string(rng.Uniform(0, 40))),
+         Cell::Str("constant"),
+         rng.Uniform(0, 3) == 0
+             ? Cell::Null()
+             : Cell::Str("opt_" + std::to_string(rng.Uniform(0, 30))),
+         rng.Uniform(0, 3) == 0 ? Cell::Null()
+                                : Cell::Int(int32_t(rng.Uniform(0, 100))),
+         Cell::Double(rng.NextDouble() * 100)}));
   }
   if (delete_every != 0) {
     for (uint32_t i = 0; i < n; i += delete_every) t.Delete(ids[i]);

@@ -22,8 +22,7 @@ Chunk MakeIntChunk(const std::vector<int64_t>& values, TypeId type,
   *schema = Schema({{"c", type}});
   Chunk chunk(schema, uint32_t(values.size()));
   for (int64_t v : values) {
-    std::vector<Value> row = {Value::Int(v)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(v)});
   }
   return chunk;
 }
@@ -126,8 +125,7 @@ TEST(Choose, StringsAlwaysDictionary) {
   Schema schema({{"s", TypeId::kString}});
   Chunk chunk(&schema, 100);
   for (int i = 0; i < 100; ++i) {
-    std::vector<Value> row = {Value::Str(i % 3 == 0 ? "aa" : "bb")};
-    chunk.Append(row);
+    chunk.Append({Cell::Str(i % 3 == 0 ? "aa" : "bb")});
   }
   ColumnStats s = CollectStats(chunk, 0, nullptr);
   CompressionChoice c = ChooseCompression(TypeId::kString, s);
@@ -141,8 +139,7 @@ TEST(Choose, ConstantStringIsSingleValue) {
   Schema schema({{"s", TypeId::kString}});
   Chunk chunk(&schema, 50);
   for (int i = 0; i < 50; ++i) {
-    std::vector<Value> row = {Value::Str("constant")};
-    chunk.Append(row);
+    chunk.Append({Cell::Str("constant")});
   }
   CompressionChoice c =
       ChooseCompression(TypeId::kString, CollectStats(chunk, 0, nullptr));
@@ -154,8 +151,7 @@ TEST(Choose, DoublesStayRaw) {
   Schema schema({{"d", TypeId::kDouble}});
   Chunk chunk(&schema, 10);
   for (int i = 0; i < 10; ++i) {
-    std::vector<Value> row = {Value::Double(i * 1.5)};
-    chunk.Append(row);
+    chunk.Append({Cell::Double(i * 1.5)});
   }
   CompressionChoice c =
       ChooseCompression(TypeId::kDouble, CollectStats(chunk, 0, nullptr));
@@ -167,8 +163,7 @@ TEST(Choose, AllNullIsSingleValue) {
   Schema schema({{"x", TypeId::kInt32, /*nullable=*/true}});
   Chunk chunk(&schema, 20);
   for (int i = 0; i < 20; ++i) {
-    std::vector<Value> row = {Value::Null()};
-    chunk.Append(row);
+    chunk.Append({Cell::Null()});
   }
   ColumnStats s = CollectStats(chunk, 0, nullptr);
   EXPECT_TRUE(s.all_null);
@@ -180,8 +175,7 @@ TEST(Choose, NullsDisableSingleValueButKeepCompression) {
   Schema schema({{"x", TypeId::kInt32, /*nullable=*/true}});
   Chunk chunk(&schema, 20);
   for (int i = 0; i < 20; ++i) {
-    std::vector<Value> row = {i == 7 ? Value::Null() : Value::Int(5)};
-    chunk.Append(row);
+    chunk.Append({i == 7 ? Cell::Null() : Cell::Int(5)});
   }
   ColumnStats s = CollectStats(chunk, 0, nullptr);
   EXPECT_TRUE(s.has_nulls);
@@ -212,8 +206,7 @@ struct Column {
       : schema({{"c", type, /*nullable=*/true}}),
         chunk(&schema, uint32_t(values.size())) {
     for (const Value& v : values) {
-      std::vector<Value> row = {v};
-      chunk.Append(row);
+      chunk.Append({v.cell()});
     }
   }
 };

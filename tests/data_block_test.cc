@@ -57,8 +57,7 @@ TEST_P(RoundTrip, FreezeThenPointAccessIsIdentity) {
   for (uint32_t i = 0; i < n; ++i) {
     Value v = GenFor(kind, rng, i);
     expect.push_back(v);
-    std::vector<Value> row = {v};
-    chunk.Append(row);
+    chunk.Append({v.cell()});
   }
   DataBlock block = DataBlock::Build(chunk);
   ASSERT_EQ(block.num_rows(), n);
@@ -85,8 +84,7 @@ TEST(DataBlock, SmaIsExact) {
     mx = std::max(mx, v);
     dmn = std::min(dmn, d);
     dmx = std::max(dmx, d);
-    std::vector<Value> row = {Value::Int(v), Value::Double(d)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(v), Cell::Double(d)});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_EQ(block.sma_min_int(0), mn);
@@ -103,11 +101,9 @@ TEST(DataBlock, SchemesMatchDistributions) {
   Chunk chunk(&schema, 500);
   Rng rng(9);
   for (int i = 0; i < 500; ++i) {
-    std::vector<Value> row = {
-        Value::Int(7), Value::Int(1000 + rng.Uniform(0, 200)),
-        Value::Int(rng.Uniform(0, 1) ? -5000000000ll : 8000000000ll),
-        Value::Str(rng.Uniform(0, 1) ? "x" : "y")};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(7), Cell::Int(1000 + rng.Uniform(0, 200)),
+                  Cell::Int(rng.Uniform(0, 1) ? -5000000000ll : 8000000000ll),
+                  Cell::Str(rng.Uniform(0, 1) ? "x" : "y")});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_EQ(block.compression(0), Compression::kSingleValue);
@@ -122,8 +118,7 @@ TEST(DataBlock, OrderedStringDictionary) {
   Schema schema({{"s", TypeId::kString}});
   Chunk chunk(&schema, 6);
   for (const char* s : {"pear", "apple", "mango", "apple", "zebra", "fig"}) {
-    std::vector<Value> row = {Value::Str(s)};
-    chunk.Append(row);
+    chunk.Append({Cell::Str(s)});
   }
   DataBlock block = DataBlock::Build(chunk);
   ASSERT_EQ(block.attr(0).dict_count, 5u);
@@ -139,9 +134,7 @@ TEST(DataBlock, OrderedIntDictionary) {
   Chunk chunk(&schema, 400);
   Rng rng(4);
   for (int i = 0; i < 400; ++i) {
-    std::vector<Value> row = {
-        Value::Int((rng.Uniform(0, 3)) * 1000000000000ll)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int((rng.Uniform(0, 3)) * 1000000000000ll)});
   }
   DataBlock block = DataBlock::Build(chunk);
   ASSERT_EQ(block.compression(0), Compression::kDictionary);
@@ -155,8 +148,7 @@ TEST(DataBlock, SortPermutationClusters) {
   Chunk chunk(&schema, 1000);
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 9999)), Value::Int(i)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(rng.Uniform(0, 9999)), Cell::Int(i)});
   }
   std::vector<uint32_t> perm(1000);
   for (uint32_t i = 0; i < 1000; ++i) perm[i] = i;
@@ -176,9 +168,8 @@ TEST(DataBlock, NullBitmapAndAllNull) {
   Schema schema({{"a", TypeId::kInt64, true}, {"b", TypeId::kString, true}});
   Chunk chunk(&schema, 100);
   for (int i = 0; i < 100; ++i) {
-    std::vector<Value> row = {i % 3 == 0 ? Value::Null() : Value::Int(i),
-                              Value::Null()};
-    chunk.Append(row);
+    chunk.Append({i % 3 == 0 ? Cell::Null() : Cell::Int(i),
+                  Cell::Null()});
   }
   DataBlock block = DataBlock::Build(chunk);
   for (uint32_t i = 0; i < 100; ++i) {
@@ -197,11 +188,10 @@ TEST(DataBlock, RawBytesRoundTrip) {
   Chunk chunk(&schema, 500);
   Rng rng(21);
   for (int i = 0; i < 500; ++i) {
-    std::vector<Value> row = {
-        Value::Int(rng.Uniform(0, 1000)), Value::Str(rng.RandomString(1, 20)),
-        Value::Double(rng.NextDouble()),
-        rng.Uniform(0, 4) == 0 ? Value::Null() : Value::Int(rng.Uniform(0, 9))};
-    chunk.Append(row);
+    chunk.Append(
+        {Cell::Int(rng.Uniform(0, 1000)), Cell::Str(rng.RandomString(1, 20)),
+         Cell::Double(rng.NextDouble()),
+         rng.Uniform(0, 4) == 0 ? Cell::Null() : Cell::Int(rng.Uniform(0, 9))});
   }
   DataBlock block = DataBlock::Build(chunk);
   // The flat block is its own serialization: copy the bytes out and back.
@@ -232,9 +222,8 @@ TEST(DataBlock, PsmaPresenceRules) {
   Chunk chunk(&schema, 100);
   Rng rng(2);
   for (int i = 0; i < 100; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 1000)),
-                              Value::Double(rng.NextDouble()), Value::Int(5)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(rng.Uniform(0, 1000)),
+                  Cell::Double(rng.NextDouble()), Cell::Int(5)});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_NE(block.psma(0), nullptr);   // integers get a PSMA
@@ -252,8 +241,7 @@ TEST(DataBlock, PsmaFootprintMatchesPaper) {
   Chunk chunk(&schema, 1000);
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 200))};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(rng.Uniform(0, 200))});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_EQ(block.attr(0).psma_entries * sizeof(PsmaEntry), 2048u);  // 2 KB
@@ -267,10 +255,9 @@ TEST(DataBlock, CompressionShrinksTypicalData) {
   Chunk chunk(&schema, n);
   Rng rng(7);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {Value::Int(int64_t(i) + 5000000),
-                              Value::Str(rng.Uniform(0, 1) ? "AAA" : "BBB"),
-                              Value::Int(rng.Uniform(1, 50))};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(int64_t(i) + 5000000),
+                  Cell::Str(rng.Uniform(0, 1) ? "AAA" : "BBB"),
+                  Cell::Int(rng.Uniform(1, 50))});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_LT(block.SizeBytes(), chunk.MemoryBytes() / 2);
@@ -282,8 +269,7 @@ TEST(DataBlock, Int32FullRangeRaw) {
   Chunk chunk(&schema, 4);
   for (int64_t v : {int64_t(INT32_MIN), int64_t(-1), int64_t(0),
                     int64_t(INT32_MAX)}) {
-    std::vector<Value> row = {Value::Int(v)};
-    chunk.Append(row);
+    chunk.Append({Cell::Int(v)});
   }
   DataBlock block = DataBlock::Build(chunk);
   EXPECT_EQ(block.GetInt(0, 0), INT32_MIN);

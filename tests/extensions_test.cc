@@ -25,11 +25,10 @@ Table MakeTable(uint32_t n, uint32_t chunk_capacity, bool freeze) {
   Table t("t", TestSchema(), chunk_capacity);
   Rng rng(99);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {Value::Int(rng.Uniform(0, 7)),
-                              Value::Int(rng.Uniform(0, 100000)),
-                              Value::Int(rng.Uniform(0, 100)),
-                              Value::Str(rng.Uniform(0, 1) ? "x" : "y")};
-    t.Insert(row);
+    t.Insert({Cell::Int(rng.Uniform(0, 7)),
+              Cell::Int(rng.Uniform(0, 100000)),
+              Cell::Int(rng.Uniform(0, 100)),
+              Cell::Str(rng.Uniform(0, 1) ? "x" : "y")});
   }
   if (freeze) t.FreezeAll();
   return t;

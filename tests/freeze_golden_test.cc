@@ -102,23 +102,21 @@ std::unique_ptr<Table> MakeEdgeTable() {
     std::string text = pieces[rng.Uniform(0, 7)];
     text += pieces[rng.Uniform(0, 7)];
     if (rng.Uniform(0, 2) == 0) text += std::to_string(rng.Uniform(0, 400));
-    std::vector<Value> row = {
-        Value::Int(extreme),
-        i % 11 == 0 ? Value::Null()
-                    : Value::Int(-(int64_t(rng.Uniform(0, 299)) << 33)),
-        Value::Int(rng.Uniform(-100, 99) * (int64_t(1) << 40)),
-        Value::Int(rng.Uniform(0, 1 << 20)),
-        Value::Int(rng.Uniform(100, 200)),
-        Value::Int(rng.Uniform(0, 599) * 100003),
-        Value::Null(),
-        Value::Null(),
-        Value::Int("NRA"[rng.Uniform(0, 2)]),
-        Value::Int('F'),
-        i % 5 == 0 ? Value::Null() : Value::Double(rng.NextDouble() - 0.5),
-        Value::Double(2.5),
-        i % 13 == 0 ? Value::Null() : Value::Str(text),
-        Value::Int(9000 + 97 * rng.Uniform(0, 9))};
-    t->Insert(row);
+    t->Insert({Cell::Int(extreme),
+               i % 11 == 0 ? Cell::Null()
+                           : Cell::Int(-(int64_t(rng.Uniform(0, 299)) << 33)),
+               Cell::Int(rng.Uniform(-100, 99) * (int64_t(1) << 40)),
+               Cell::Int(rng.Uniform(0, 1 << 20)),
+               Cell::Int(rng.Uniform(100, 200)),
+               Cell::Int(rng.Uniform(0, 599) * 100003),
+               Cell::Null(),
+               Cell::Null(),
+               Cell::Int("NRA"[rng.Uniform(0, 2)]),
+               Cell::Int('F'),
+               i % 5 == 0 ? Cell::Null() : Cell::Double(rng.NextDouble() - 0.5),
+               Cell::Double(2.5),
+               i % 13 == 0 ? Cell::Null() : Cell::Str(text),
+               Cell::Int(9000 + 97 * rng.Uniform(0, 9))});
   }
   return t;
 }

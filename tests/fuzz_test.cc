@@ -1,11 +1,13 @@
 // Model-based randomized testing: a Table is driven through random
-// interleavings of inserts, deletes, updates, in-place updates and chunk
+// interleavings of inserts, deletes, updates, row updates (in place while
+// the row is hot, else relocations out of its frozen chunk) and chunk
 // freezes while a simple in-memory model tracks the expected visible rows.
 // After every phase, point accesses and full scans under every ScanMode
 // must agree with the model exactly.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <optional>
 
@@ -48,7 +50,7 @@ class FuzzModel {
         UpdateRandom();
         break;
       case 7:
-        InPlaceUpdateRandom();
+        UpdateRowRandom();
         break;
       case 8:
         FreezeOneChunk();
@@ -116,10 +118,7 @@ class FuzzModel {
     } else {
       row.opt = rng_.Uniform(0, 100);
     }
-    std::vector<Value> values = {
-        Value::Int(row.key), Value::Int(row.val), Value::Str(row.tag),
-        row.opt ? Value::Int(*row.opt) : Value::Null()};
-    RowId id = table_.Insert(values);
+    RowId id = table_.Insert(Cells(row));
     live_[id] = row;
   }
 
@@ -142,25 +141,34 @@ class FuzzModel {
     ModelRow row = live_[id];
     row.val = rng_.Uniform(0, 999);
     row.tag = "u" + std::to_string(rng_.Uniform(0, 20));
-    std::vector<Value> values = {
-        Value::Int(row.key), Value::Int(row.val), Value::Str(row.tag),
-        row.opt ? Value::Int(*row.opt) : Value::Null()};
-    RowId fresh = table_.Update(id, values);
+    RowId fresh = table_.Update(id, Cells(row));
     live_.erase(id);
     live_[fresh] = row;
   }
 
-  void InPlaceUpdateRandom() {
+  /// Hot rows are updated in place, frozen ones relocated.
+  void UpdateRowRandom() {
     if (live_.empty()) return;
-    // Only hot rows may be updated in place.
-    for (int attempts = 0; attempts < 8; ++attempts) {
-      RowId id = PickLive();
-      if (table_.is_frozen(RowIdChunk(id))) continue;
-      int64_t v = rng_.Uniform(0, 999);
-      table_.UpdateInPlace(id, 1, Value::Int(v));
-      live_[id].val = v;
-      return;
-    }
+    RowId id = PickLive();
+    ModelRow row = live_[id];
+    row.val = rng_.Uniform(0, 999);
+    if (rng_.Uniform(0, 1) == 0)
+      row.opt = std::nullopt;
+    else
+      row.tag = "r" + std::to_string(rng_.Uniform(0, 20));
+    const RowId moved = table_.UpdateRow(
+        id, {{1, Cell::Int(row.val)},
+             {2, Cell::Str(row.tag)},
+             {3, row.opt ? Cell::Int(*row.opt) : Cell::Null()}});
+    EXPECT_EQ(moved == id, !table_.is_frozen(RowIdChunk(id)));
+    live_.erase(id);
+    live_[moved] = row;
+  }
+
+  /// The row as cells, borrowing its tag.
+  static std::array<Cell, 4> Cells(const ModelRow& row) {
+    return {Cell::Int(row.key), Cell::Int(row.val), Cell::Str(row.tag),
+            row.opt ? Cell::Int(*row.opt) : Cell::Null()};
   }
 
   void FreezeOneChunk() {

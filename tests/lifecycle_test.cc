@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -243,11 +244,12 @@ TEST(Lifecycle, EvictionReturnsBlockMemoryToTheOs) {
                           {"s", TypeId::kString}}),
           kCap);
   Rng rng(11);
-  std::vector<Value> row(4);
+  std::array<Cell, 4> row;
   uint64_t expected = 0;  // unsigned: the sum wraps
   for (uint32_t i = 0; i < 11 * kCap; ++i) {
-    for (int c = 0; c < 3; ++c) row[c] = Value::Int(int64_t(rng.Next() >> 1));
-    row[3] = Value::Str(std::string(40, char('a' + rng.Uniform(0, 25))));
+    for (int c = 0; c < 3; ++c) row[c] = Cell::Int(int64_t(rng.Next() >> 1));
+    const std::string s(40, char('a' + rng.Uniform(0, 25)));
+    row[3] = Cell::Str(s);
     expected += uint64_t(row[0].i64());
     t.Insert(row);
   }
@@ -926,21 +928,19 @@ Table MakeAllTypesTable(uint32_t n, uint32_t chunk_capacity) {
   Table t("all_types", AllTypesSchema(), chunk_capacity);
   Rng rng(31);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i),
-        Value::Int(int32_t(rng.Uniform(0, 200))),
-        Value::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
-        Value::Int(int32_t(9000 + rng.Uniform(0, 400))),
-        Value::Char("AFNR"[rng.Uniform(0, 3)]),
-        Value::Double(rng.NextDouble() * 1000),
-        Value::Str("name_" + std::to_string(rng.Uniform(0, 60))),
-        Value::Str("constant"),
-        rng.Uniform(0, 3) == 0 ? Value::Null()
-                               : Value::Int(int32_t(rng.Uniform(0, 90))),
-        rng.Uniform(0, 3) == 0
-            ? Value::Null()
-            : Value::Str("opt_" + std::to_string(rng.Uniform(0, 25)))};
-    t.Insert(row);
+    t.Insert({Cell::Int(i),
+              Cell::Int(int32_t(rng.Uniform(0, 200))),
+              Cell::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
+              Cell::Int(int32_t(9000 + rng.Uniform(0, 400))),
+              Cell::Char("AFNR"[rng.Uniform(0, 3)]),
+              Cell::Double(rng.NextDouble() * 1000),
+              Cell::Str("name_" + std::to_string(rng.Uniform(0, 60))),
+              Cell::Str("constant"),
+              rng.Uniform(0, 3) == 0 ? Cell::Null()
+                                     : Cell::Int(int32_t(rng.Uniform(0, 90))),
+              rng.Uniform(0, 3) == 0
+                  ? Cell::Null()
+                  : Cell::Str("opt_" + std::to_string(rng.Uniform(0, 25)))});
   }
   t.FreezeAll();
   return t;
@@ -1088,23 +1088,21 @@ Table MakePagedTable(uint32_t n, uint32_t chunk_capacity) {
   Table t("paged", PagedSchema(), chunk_capacity);
   Rng rng(57);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i),
-        Value::Int(int32_t(rng.Uniform(-70000, 70000))),
-        Value::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
-        Value::Int(int32_t(9000 + rng.Uniform(0, 400))),
-        Value::Char("AFNR"[rng.Uniform(0, 3)]),
-        Value::Double(rng.NextDouble() * 1000),
-        Value::Int(42),
-        Value::Str("constant"),
-        rng.Uniform(0, 3) == 0 ? Value::Null()
-                               : Value::Int(int32_t(rng.Uniform(0, 90))),
-        rng.Uniform(0, 3) == 0
-            ? Value::Null()
-            : Value::Str("opt_" + std::to_string(rng.Uniform(0, 25))),
-        Value::Str(std::to_string(rng.Uniform(0, 5000)) + "/" +
-                   std::string(size_t(rng.Uniform(0, 120)), 'x'))};
-    t.Insert(row);
+    t.Insert({Cell::Int(i),
+              Cell::Int(int32_t(rng.Uniform(-70000, 70000))),
+              Cell::Int((i % 2 != 0 ? 1 : -1) * ((int64_t(1) << 41) + i)),
+              Cell::Int(int32_t(9000 + rng.Uniform(0, 400))),
+              Cell::Char("AFNR"[rng.Uniform(0, 3)]),
+              Cell::Double(rng.NextDouble() * 1000),
+              Cell::Int(42),
+              Cell::Str("constant"),
+              rng.Uniform(0, 3) == 0 ? Cell::Null()
+                                     : Cell::Int(int32_t(rng.Uniform(0, 90))),
+              rng.Uniform(0, 3) == 0
+                  ? Cell::Null()
+                  : Cell::Str("opt_" + std::to_string(rng.Uniform(0, 25))),
+              Cell::Str(std::to_string(rng.Uniform(0, 5000)) + "/" +
+                         std::string(size_t(rng.Uniform(0, 120)), 'x'))});
   }
   t.FreezeAll();
   return t;
@@ -1269,16 +1267,18 @@ TEST(Lifecycle, PointReadOfTombstonedChunkThrows) {
     expect_throws([&] { (void)t.GetInt(id, 0); });
     expect_throws([&] { (void)t.GetValue(id, 1); });
     expect_throws([&] { (void)t.GetStringView(id, 2); });
+    expect_throws([&] { (void)t.UpdateRow(id, {{1, Cell::Int(1)}}); });
     EXPECT_FALSE(t.IsVisible(id));
     EXPECT_EQ(t.GetInt(MakeRowId(1, 5), 0), 64 + 5);
   }
   std::remove(path.c_str());
 }
 
-// An in-place update of an evicted row is refused from the chunk state
-// alone: no archive read, the chunk stays evicted, and the caller's
-// fallback (delete + insert) works as on a resident frozen row.
-TEST(Lifecycle, TryUpdateInPlaceOnEvictedRowReadsNothing) {
+// UpdateRow of an evicted row relocates it through the point image: it
+// reads only the row's pages (no reload), the chunk stays evicted, and the
+// row moves to the hot tail with its other columns intact. A whole-row
+// Update (delete + insert) reads nothing at all.
+TEST(Lifecycle, UpdateRowOnEvictedRowRelocatesWithoutReload) {
   Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
   const std::string path = TempArchive("update_evicted");
   {
@@ -1288,18 +1288,27 @@ TEST(Lifecycle, TryUpdateInPlaceOnEvictedRowReadsNothing) {
     mgr.Tick();
     const RowId id = MakeRowId(2, 5);
     ASSERT_EQ(t.chunk_state(2), ChunkState::kEvicted);
+    const std::string name(t.GetStringView(id, 2));
     const uint64_t reads = mgr.stats().archive_reads;
-    EXPECT_FALSE(t.TryUpdateInPlace(id, 1, Value::Int(77)));
-    EXPECT_EQ(mgr.stats().archive_reads, reads);
+    const uint64_t reloads = mgr.stats().reloads;
+    const RowId moved = t.UpdateRow(id, {{1, Cell::Int(77)}});
+    EXPECT_GT(mgr.stats().archive_reads, reads);
+    EXPECT_EQ(mgr.stats().reloads, reloads);
     EXPECT_EQ(t.chunk_state(2), ChunkState::kEvicted);
-
-    const RowId moved = t.Update(
-        id, std::vector<Value>{Value::Int(2 * 256 + 5), Value::Int(77),
-                               Value::Str("moved")});
-    EXPECT_EQ(mgr.stats().archive_reads, reads);
     EXPECT_FALSE(t.IsVisible(id));
+    EXPECT_EQ(t.GetInt(moved, 0), 2 * 256 + 5);
     EXPECT_EQ(t.GetInt(moved, 1), 77);
-    EXPECT_EQ(t.GetStringView(moved, 2), "moved");
+    EXPECT_EQ(t.GetStringView(moved, 2), name);
+
+    const RowId other = MakeRowId(2, 6);
+    const uint64_t before = mgr.stats().archive_reads;
+    const std::array<Cell, 3> row = {Cell::Int(2 * 256 + 6), Cell::Int(78),
+                                     Cell::Str("moved")};
+    const RowId replaced = t.Update(other, row);
+    EXPECT_EQ(mgr.stats().archive_reads, before);
+    EXPECT_FALSE(t.IsVisible(other));
+    EXPECT_EQ(t.GetInt(replaced, 1), 78);
+    EXPECT_EQ(t.GetStringView(replaced, 2), "moved");
   }
   std::remove(path.c_str());
 }
@@ -1397,9 +1406,9 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndCompaction) {
       }
       Rng rng(44);
       for (uint32_t i = 0; i < kNew * kCap; ++i) {
-        t.Insert(std::vector<Value>{
-            Value::Int(16 * kCap + i), Value::Int(int32_t(rng.Uniform(0, 1000))),
-            Value::Str("name_" + std::to_string(rng.Uniform(0, 50)))});
+        t.Insert({Cell::Int(16 * kCap + i),
+                  Cell::Int(int32_t(rng.Uniform(0, 1000))),
+                  Cell::Str("name_" + std::to_string(rng.Uniform(0, 50)))});
       }
       for (int i = 0; i < 2000 && mgr.stats().freezes < kNew; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -32,17 +32,15 @@ void FillRandom(Table* t, uint32_t n, uint64_t seed) {
   static const char* names[6] = {"alpha", "beta",  "gamma",
                                  "delta", "omega", "zeta"};
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i),
-        Value::Int(rng.Uniform(0, 15)),
-        Value::Int(rng.Uniform(-1000000, 1000000)),
-        Value::Str(names[rng.Uniform(0, 5)]),
-        Value::Double(rng.NextDouble() * 100),
-        Value::Char(char('A' + rng.Uniform(0, 3))),
-        rng.Uniform(0, 4) == 0 ? Value::Null()
-                               : Value::Int(rng.Uniform(0, 100)),
-        Value::Int(int32_t(9000 + rng.Uniform(0, 2000)))};
-    t->Insert(row);
+    t->Insert({Cell::Int(i),
+               Cell::Int(rng.Uniform(0, 15)),
+               Cell::Int(rng.Uniform(-1000000, 1000000)),
+               Cell::Str(names[rng.Uniform(0, 5)]),
+               Cell::Double(rng.NextDouble() * 100),
+               Cell::Char(char('A' + rng.Uniform(0, 3))),
+               rng.Uniform(0, 4) == 0 ? Cell::Null()
+                                      : Cell::Int(rng.Uniform(0, 100)),
+               Cell::Int(int32_t(9000 + rng.Uniform(0, 2000)))});
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include <unordered_map>
 
 #include "exec/table_scanner.h"
+#include "obs/metrics.h"
 #include "storage/block_archive.h"
 #include "storage/pk_index.h"
 #include "storage/string_arena.h"
@@ -36,8 +38,9 @@ Schema TestSchema() {
                  {"name", TypeId::kString}});
 }
 
-std::vector<Value> Row(int64_t id, int32_t val, const std::string& name) {
-  return {Value::Int(id), Value::Int(val), Value::Str(name)};
+/// A TestSchema row; the name cell borrows `name`.
+std::array<Cell, 3> Row(int64_t id, int32_t val, std::string_view name) {
+  return {Cell::Int(id), Cell::Int(val), Cell::Str(name)};
 }
 
 TEST(StringArena, GrowthAcrossThePageThresholdKeepsEveryString) {
@@ -112,10 +115,19 @@ TEST(Table, UpdateIsDeletePlusInsert) {
 TEST(Table, UpdateInPlaceOnHotRows) {
   Table t("t", TestSchema(), 64);
   RowId a = t.Insert(Row(1, 10, "a"));
-  t.UpdateInPlace(a, 1, Value::Int(99));
+  t.UpdateInPlace(a, {{1, Cell::Int(99)}});
   EXPECT_EQ(t.GetInt(a, 1), 99);
-  t.UpdateInPlace(a, 2, Value::Str("changed"));
+  t.UpdateInPlace(a, {{2, Cell::Str("changed")}, {0, Cell::Int(2)}});
   EXPECT_EQ(t.GetStringView(a, 2), "changed");
+  EXPECT_EQ(t.GetInt(a, 0), 2);
+  // A string copied within its chunk survives the arena growing under it.
+  const RowId b = t.Insert(Row(3, 30, std::string(300, 'b')));
+  for (int i = 0; i < 20; ++i) {
+    t.UpdateInPlace(a, {{2, Cell::Str(t.GetStringView(b, 2))}});
+    t.UpdateInPlace(b, {{2, Cell::Str(t.GetStringView(a, 2))}});
+  }
+  EXPECT_EQ(t.GetStringView(a, 2), std::string(300, 'b'));
+  EXPECT_EQ(t.GetStringView(b, 2), std::string(300, 'b'));
 }
 
 TEST(Table, FreezePreservesRowIdsAndValues) {
@@ -261,15 +273,32 @@ TEST(Table, NullableColumnsThroughFreeze) {
   Table t("t", schema, 64);
   std::vector<RowId> ids;
   for (int i = 0; i < 64; ++i) {
-    std::vector<Value> row = {Value::Int(i), i % 2 ? Value::Null()
-                                                   : Value::Int(i)};
-    ids.push_back(t.Insert(row));
+    ids.push_back(
+        t.Insert({Cell::Int(i), i % 2 ? Cell::Null() : Cell::Int(i)}));
   }
   t.FreezeAll();
   for (int i = 0; i < 64; ++i) {
     Value v = t.GetValue(ids[size_t(i)], 1);
     EXPECT_EQ(v.is_null(), i % 2 == 1);
   }
+}
+
+// A write checks each cell's kind against its column type in every build
+// type: a mismatch would otherwise store 0 or an empty string.
+TEST(TableDeathTest, MismatchedCellKindAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table t("t", Schema({{"i64", TypeId::kInt64}, {"i32", TypeId::kInt32}}),
+          64);
+  const RowId id = t.Insert({Cell::Int(1), Cell::Int(2)});
+  EXPECT_DEATH(t.Insert({Cell::Double(1.5), Cell::Int(2)}), "DB_CHECK failed");
+  EXPECT_DEATH(t.Insert({Cell::Int(1), Cell::Str("2")}), "DB_CHECK failed");
+  EXPECT_DEATH(t.Insert({Cell::Int(1), Cell::Null()}), "DB_CHECK failed");
+  EXPECT_DEATH(t.Insert({Cell::Int(1)}), "DB_CHECK failed");
+  EXPECT_DEATH(t.UpdateInPlace(id, {{0, Cell::Double(1.5)}}),
+               "DB_CHECK failed");
+  EXPECT_DEATH(t.UpdateRow(id, {{1, Cell::Str("2")}}), "DB_CHECK failed");
+  EXPECT_EQ(t.GetInt(id, 0), 1);
+  EXPECT_EQ(t.GetInt(id, 1), 2);
 }
 
 // -- Read sections ------------------------------------------------------
@@ -452,11 +481,12 @@ TEST(ReadSection, PointAccessesRaceFreezeEvictAndTombstone) {
           m.name = LongName(int(rng.Uniform(0, 1000)));
         else
           m.val = int32_t(rng.Uniform(0, 1 << 30));
-        const Value v = string_col ? Value::Str(m.name) : Value::Int(m.val);
-        if (t.TryUpdateInPlace(it->first, string_col ? 2 : 1, v)) {
+        const Cell v = string_col ? Cell::Str(m.name) : Cell::Int(m.val);
+        const RowId moved =
+            t.UpdateRow(it->first, {{string_col ? 2u : 1u, v}});
+        if (moved == it->first) {
           it->second = m;
         } else {
-          const RowId moved = t.Update(it->first, Row(m.key, m.val, m.name));
           live.erase(it);
           live[moved] = m;
         }
@@ -774,7 +804,12 @@ TEST(ReadSection, FreezeWaitsForSectionsOnBothSidesOfKFreezing) {
     // until this section closes too.
     Table::ReadSection section;
     const std::string_view view = t.GetStringView(ids[7], 2);
-    EXPECT_FALSE(t.TryUpdateInPlace(ids[8], 1, Value::Int(-1)));
+    // A write relocates the row, copied from the intact hot chunk.
+    const RowId moved = t.UpdateRow(ids[8], {{1, Cell::Int(-1)}});
+    EXPECT_NE(moved, ids[8]);
+    EXPECT_FALSE(t.IsVisible(ids[8]));
+    EXPECT_EQ(t.GetInt(moved, 1), -1);
+    EXPECT_EQ(t.GetStringView(moved, 2), LongName(8));
     holder_phase.store(2);
     // The freezer's first grace period may have started after this
     // section opened, and then waits for it: only check when it did not.
@@ -822,11 +857,10 @@ TEST(Table, PrefetchLeavesClockRecencyAndArchiveAlone) {
   const uint64_t calls = fetcher.calls();
   auto prefetch_all = [&] {
     for (RowId id : ids) {
-      for (uint32_t col = 0; col <= 3; ++col)  // 3 is out of range
-        EXPECT_NO_THROW(t.Prefetch(id, col));
+      EXPECT_NO_THROW(t.Prefetch(id, {0, 1, 2, 3}));  // 3 is out of range
     }
-    EXPECT_NO_THROW(t.Prefetch(MakeRowId(0, 1000), 0));  // past the rows
-    EXPECT_NO_THROW(t.Prefetch(MakeRowId(99, 0), 0));    // past the chunks
+    EXPECT_NO_THROW(t.Prefetch(MakeRowId(0, 1000), {0}));  // past the rows
+    EXPECT_NO_THROW(t.Prefetch(MakeRowId(99, 0), {0}));    // past the chunks
   };
   prefetch_all();
   {
@@ -954,6 +988,145 @@ TEST(ReadSectionDeathTest, SynchronizeAndTransitionsAbortInsideASection) {
   // Closed sections leave the thread free to synchronize and freeze.
   Table::Synchronize();
   EXPECT_TRUE(t.FreezeChunk(0));
+}
+
+// One nullable column of every TypeId, through insert, in-place update,
+// freeze, and UpdateRow relocations out of a resident frozen block and out
+// of an evicted one read through the point image. After every step each
+// live row reads back as the model says; NULLs, empty strings and strings
+// longer than 15 bytes included.
+TEST(TableWrites, EveryTypeRoundTripsThroughUpdateFreezeAndRelocation) {
+  const std::vector<TypeId> types = {TypeId::kInt32,  TypeId::kInt64,
+                                     TypeId::kDouble, TypeId::kString,
+                                     TypeId::kDate,   TypeId::kChar1};
+  std::vector<ColumnDef> defs;
+  for (TypeId type : types)
+    defs.push_back({TypeName(type), type, /*nullable=*/true});
+  Table t("t", Schema(defs), 64);
+  CountingFetcher fetcher("round_trip");
+  fetcher.Install(t);
+  Rng rng(41);
+  auto gen = [&rng](TypeId type) -> Value {
+    if (rng.Uniform(0, 5) == 0) return Value::Null();
+    switch (type) {
+      case TypeId::kInt32:
+        return Value::Int(rng.Uniform(INT32_MIN, INT32_MAX));
+      case TypeId::kInt64:
+        return Value::Int(rng.Uniform(INT64_MIN / 2, INT64_MAX / 2));
+      case TypeId::kDouble:
+        return Value::Double(rng.NextDouble() * 1e6 - 5e5);
+      case TypeId::kString: {
+        const int64_t shape = rng.Uniform(0, 2);  // empty, short, long
+        return Value::Str(shape == 0   ? ""
+                          : shape == 1 ? rng.RandomString(1, 15)
+                                       : rng.RandomString(16, 60));
+      }
+      case TypeId::kDate:
+        return Value::Int(rng.Uniform(0, 20000));
+      case TypeId::kChar1:
+        return Value::Char(char(rng.Uniform('A', 'Z')));
+    }
+    return Value::Null();
+  };
+  auto gen_row = [&] {
+    std::vector<Value> row;
+    for (TypeId type : types) row.push_back(gen(type));
+    return row;
+  };
+  std::map<RowId, std::vector<Value>> model;
+  auto check = [&](const char* step) {
+    ASSERT_EQ(t.num_visible(), model.size()) << step;
+    for (const auto& [id, row] : model) {
+      ASSERT_TRUE(t.IsVisible(id)) << step;
+      for (uint32_t c = 0; c < row.size(); ++c) {
+        const Value got = t.GetValue(id, c);
+        ASSERT_TRUE(got == row[c] && got.is_null() == row[c].is_null())
+            << step << ": row " << id << " column " << c << " is "
+            << got.ToString() << ", want " << row[c].ToString();
+      }
+    }
+  };
+  // Changes of one to three random columns, as Values and as cells.
+  auto gen_changes = [&](std::vector<Value>* row,
+                         std::vector<CellUpdate>* changes) {
+    std::set<uint32_t> cols;
+    const int64_t n = rng.Uniform(1, 3);
+    for (int64_t k = 0; k < n; ++k) {
+      const uint32_t c = uint32_t(rng.Uniform(0, int64_t(types.size()) - 1));
+      (*row)[c] = gen(types[c]);
+      cols.insert(c);
+    }
+    changes->clear();
+    for (uint32_t c : cols) changes->push_back({c, (*row)[c].cell()});
+  };
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  const uint64_t inserts0 = metrics.GetCounter("table.inserts")->Value();
+  const uint64_t inplace0 =
+      metrics.GetCounter("table.inplace_updates")->Value();
+  const uint64_t moves0 = metrics.GetCounter("table.relocations")->Value();
+
+  for (int i = 0; i < 192; ++i) {
+    std::vector<Value> row = gen_row();
+    model[t.Insert(CellsOf(row))] = std::move(row);
+  }
+  check("insert");
+
+  std::vector<CellUpdate> changes;
+  int in_place = 0;
+  for (auto& [id, row] : model) {
+    if (rng.Uniform(0, 1) == 0) continue;
+    gen_changes(&row, &changes);
+    if (in_place++ % 2 == 0) {
+      t.UpdateInPlace(id, changes);
+    } else {
+      ASSERT_EQ(t.UpdateRow(id, changes), id);  // hot: stays in place
+    }
+  }
+  check("in-place update");
+
+  ASSERT_TRUE(t.FreezeChunk(0));
+  ASSERT_TRUE(t.FreezeChunk(1));
+  check("freeze");
+  // Evicted only now, so that the relocations below are the first reads of
+  // it: they fetch its pages.
+  ASSERT_TRUE(fetcher.Archive(t, 1));
+  ASSERT_TRUE(t.EvictChunk(1));
+
+  // Relocate every other row of the evicted chunk, then of the frozen one
+  // (the check reads the rest of the evicted chunk into the point image).
+  int moved = 0;
+  for (size_t chunk : {size_t(1), size_t(0)}) {
+    const uint64_t calls = fetcher.calls();
+    std::vector<RowId> ids;
+    for (const auto& [id, row] : model)
+      if (RowIdChunk(id) == chunk && RowIdRow(id) % 2 == 0) ids.push_back(id);
+    for (RowId id : ids) {
+      std::vector<Value> row = model.at(id);
+      gen_changes(&row, &changes);
+      const RowId fresh = t.UpdateRow(id, changes);
+      ASSERT_NE(fresh, id);
+      ASSERT_FALSE(t.IsVisible(id));
+      model.erase(id);
+      model[fresh] = std::move(row);
+      ++moved;
+    }
+    EXPECT_EQ(fetcher.calls() > calls, chunk == 1);
+    check(chunk == 0 ? "relocation from a frozen block"
+                     : "relocation from an evicted block");
+  }
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+  EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+
+  // Each relocation inserted its row once more.
+  EXPECT_EQ(metrics.GetCounter("table.inserts")->Value() - inserts0,
+            uint64_t(192 + moved));
+  EXPECT_EQ(metrics.GetCounter("table.inplace_updates")->Value() - inplace0,
+            uint64_t(in_place));
+  EXPECT_EQ(metrics.GetCounter("table.relocations")->Value() - moves0,
+            uint64_t(moved));
+
+  t.FreezeAll();
+  check("freeze of the relocated rows");
 }
 
 }  // namespace

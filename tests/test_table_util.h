@@ -32,10 +32,9 @@ inline Table MakeTestTable(uint32_t n, uint32_t chunk_capacity,
   std::vector<RowId> ids;
   ids.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Value> row = {
-        Value::Int(i), Value::Int(int32_t(rng.Uniform(0, 1000))),
-        Value::Str("name_" + std::to_string(rng.Uniform(0, 50)))};
-    ids.push_back(t.Insert(row));
+    ids.push_back(
+        t.Insert({Cell::Int(i), Cell::Int(int32_t(rng.Uniform(0, 1000))),
+                  Cell::Str("name_" + std::to_string(rng.Uniform(0, 50)))}));
   }
   if (delete_every != 0) {
     for (uint32_t i = 0; i < n; i += delete_every) t.Delete(ids[i]);

@@ -10,6 +10,7 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "obs/metrics.h"
 #include "tpcc/tpcc_db.h"
 
 namespace datablocks::tpcc {
@@ -314,6 +315,42 @@ TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
     EXPECT_GT(ScatteredLines(db), 0u);
     EXPECT_GT(db.order.num_rows(), db.order.num_visible());
     EXPECT_GT(db.orderline.num_rows(), db.orderline.num_visible());
+    ExpectIndexAgrees(db);
+    std::string msg;
+    EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// oltp_tpcc's lifecycle config (a 16 MB budget, cold threshold 256, ticks
+// between transactions): cold order and order-line chunks freeze, so
+// Delivery's carrier and delivery-date updates relocate frozen rows through
+// Table::UpdateRow. The table.relocations counter sees them, and the
+// database stays consistent.
+TEST_F(TpccTest, DeliveryRelocatesFrozenRowsUnderTheBenchLifecycle) {
+  const std::string dir = ::testing::TempDir() + "tpcc_relocate_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  {
+    TpccDatabase db(SmallConfig());
+    db.Load();
+    LifecycleConfig lc;
+    lc.memory_budget_bytes = 16ull << 20;
+    lc.cold_threshold = 256;
+    db.EnableLifecycle(lc, dir);
+    obs::Counter* relocations =
+        obs::MetricsRegistry::Default().GetCounter("table.relocations");
+    const uint64_t before = relocations->Value();
+    Rng rng(41);
+    for (int i = 1; i <= 20000; ++i) {
+      db.RunMixedTransaction(rng);
+      if (i % 100 == 0) db.LifecycleTick();
+    }
+    uint64_t freezes = 0;
+    for (LifecycleManager* m : db.lifecycle_managers())
+      freezes += m->stats().freezes;
+    EXPECT_GT(freezes, 0u);
+    EXPECT_GT(relocations->Value(), before);
     ExpectIndexAgrees(db);
     std::string msg;
     EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
