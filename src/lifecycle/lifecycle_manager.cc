@@ -28,7 +28,6 @@ struct LifecycleMetrics {
   obs::Counter* point_reads;
   obs::Counter* archive_bytes_read;
   obs::Counter* tombstoned;
-  obs::Counter* compactions;
   obs::Counter* reclaimed_blocks;
   obs::Histogram* tick_ns;
   obs::Histogram* freeze_ns;  // sorting and building one Data Block
@@ -50,7 +49,6 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.point_reads"),
                             r.GetCounter("lifecycle.archive_bytes_read"),
                             r.GetCounter("lifecycle.tombstoned"),
-                            r.GetCounter("lifecycle.compactions"),
                             r.GetCounter("lifecycle.reclaimed_blocks"),
                             r.GetHistogram("lifecycle.tick_ns"),
                             r.GetHistogram("lifecycle.freeze_ns"),
@@ -73,15 +71,14 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
                                    LifecycleConfig config)
     : table_(table),
       cfg_(config),
-      archive_path_(std::move(archive_path)),
-      cache_(config.memory_budget_bytes) {
+      archive_path_(std::move(archive_path)) {
   DB_CHECK(table_ != nullptr);
   // Archive creation can fail (bad path, disk full). A manager without an
   // archive is born degraded: it never evicts (nothing could be read back),
   // but the table keeps working fully resident.
   auto created = BlockArchive::Create(archive_path_);
   if (created.ok()) {
-    archive_ = std::make_shared<BlockArchive>(std::move(*created));
+    archive_ = std::make_unique<BlockArchive>(std::move(*created));
   } else {
     std::fprintf(stderr,
                  "lifecycle: archive create failed for '%s' (%s); "
@@ -134,14 +131,11 @@ LifecycleManager::~LifecycleManager() {
   if (degraded_.load(std::memory_order_relaxed)) Metrics().degraded->Add(-1);
   // The archive is scratch (see the class comment): nothing reopens it, and
   // the next manager on this path truncates it anyway.
-  if (ArchiveRef() != nullptr) std::remove(archive_path_.c_str());
+  if (archive_ != nullptr) std::remove(archive_path_.c_str());
 }
 
 StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
                                                const BlockRead& read) {
-  // The archive reference is snapshotted under mu_ so a concurrent
-  // compaction swap cannot pull the file out from under an in-flight read.
-  std::shared_ptr<BlockArchive> archive;
   size_t block_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -163,10 +157,9 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
       return Status::NotFound("chunk " + std::to_string(chunk_idx) +
                               " is evicted but has no archive entry");
     }
-    block_id = it->second;
-    archive = archive_;
+    block_id = it->second.id;
   }
-  if (archive == nullptr) {
+  if (archive_ == nullptr) {
     return Status::Unavailable("no archive (manager degraded at create)");
   }
   StatusOr<uint64_t> bytes =
@@ -174,8 +167,8 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
           ? StatusOr<uint64_t>(Status::IoError(
                 "injected reload failure (failpoint lifecycle.reload)"))
       : read.kind == BlockRead::kPoint
-          ? archive->ReadRow(block_id, read.col, read.row, read.pages)
-          : archive->ReadBlock(block_id, read.columns, read.image);
+          ? archive_->ReadRow(block_id, read.col, read.row, read.pages)
+          : archive_->ReadBlock(block_id, read.columns, read.image);
   if (!bytes.ok()) {
     QuarantineChunk(chunk_idx, bytes.status());
     return bytes;
@@ -197,20 +190,16 @@ Status LifecycleManager::Readmit(size_t chunk_idx) {
   return Status::Ok();
 }
 
-std::shared_ptr<BlockArchive> LifecycleManager::ArchiveRef() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return archive_;
-}
-
 bool LifecycleManager::FullyDeleted(size_t chunk_idx) const {
   const uint32_t rows = table_->chunk_rows(chunk_idx);
   return rows > 0 && table_->deleted_in_chunk(chunk_idx) == rows;
 }
 
 bool LifecycleManager::ArchiveChunk(size_t idx) {
+  if (archive_ == nullptr) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (archive_ == nullptr || archived_.count(idx) != 0) return false;
+    if (archived_.count(idx) != 0) return false;
   }
   // Fully-deleted chunks are never archived: their payload can never be
   // needed again (scans skip them, visibility checks only read the side
@@ -243,18 +232,34 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   }
   NoteWriteSuccess();
   std::lock_guard<std::mutex> lock(mu_);
-  archived_[idx] = *id;
-  cache_.Register(idx, block->SizeBytes());
+  archived_[idx] = Archived{*id, block->SizeBytes()};
   return true;
 }
 
+uint64_t LifecycleManager::ResidentBytesLocked() const {
+  uint64_t total = 0;
+  for (const auto& [chunk, a] : archived_)
+    if (table_->chunk_state(chunk) == ChunkState::kFrozen) total += a.bytes;
+  return total;
+}
+
+size_t LifecycleManager::PickVictimLocked() const {
+  size_t victim = SIZE_MAX;
+  uint64_t oldest = UINT64_MAX;
+  for (const auto& [chunk, a] : archived_) {
+    if (table_->chunk_state(chunk) != ChunkState::kFrozen) continue;
+    const uint64_t stamp = table_->chunk_last_access(chunk);
+    // Tie-break on chunk index for determinism.
+    if (stamp < oldest || (stamp == oldest && chunk < victim)) {
+      oldest = stamp;
+      victim = chunk;
+    }
+  }
+  return victim;
+}
+
 void LifecycleManager::EnforceBudget() {
-  // Residency is probed straight from the chunk states: this manager is
-  // the only code that evicts a block (Tick serializes it) or installs one
-  // (only at detach).
-  auto resident = [&](size_t c) {
-    return table_->chunk_state(c) == ChunkState::kFrozen;
-  };
+  const uint64_t budget = cfg_.memory_budget_bytes;
   if (degraded_.load(std::memory_order_relaxed)) {
     // No-evict degraded mode: archive writes keep failing, so evicting a
     // block whose archive copy cannot be trusted risks losing it. The
@@ -262,22 +267,19 @@ void LifecycleManager::EnforceBudget() {
     uint64_t over = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const uint64_t bytes = cache_.ResidentBytes(resident);
-      if (bytes > cache_.budget_bytes()) over = bytes - cache_.budget_bytes();
+      const uint64_t bytes = ResidentBytesLocked();
+      if (bytes > budget) over = bytes - budget;
     }
     if (over > 0)
       trace().Publish("lifecycle", "budget_overrun", int64_t(over));
     return;
   }
-  auto last_access = [&](size_t c) {
-    return uint64_t(table_->chunk_last_access(c));
-  };
   for (;;) {
     size_t victim = SIZE_MAX;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (cache_.ResidentBytes(resident) <= cache_.budget_bytes()) return;
-      victim = cache_.PickVictim(resident, last_access);
+      if (ResidentBytesLocked() <= budget) return;
+      victim = PickVictimLocked();
     }
     if (victim == SIZE_MAX) return;
     // A resident victim always evicts (open scans only delay it), unless a
@@ -296,154 +298,38 @@ void LifecycleManager::DetachFullyDeletedLocked() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     chunks.reserve(archived_.size());
-    for (const auto& [chunk, id] : archived_) chunks.push_back(chunk);
+    for (const auto& [chunk, a] : archived_) chunks.push_back(chunk);
   }
   for (size_t chunk : chunks) {
     if (!FullyDeleted(chunk)) continue;
-    // Tombstone-before-reclaim: the transition drops the resident payload
+    // Tombstone-before-release: the transition drops the resident payload
     // (if any) and returns only after every read section that could still
-    // read the archive copy has closed, so the copy can be detached without
+    // read the archive copy has closed, so the copy can be freed without
     // reading it back first. A chunk that is no longer frozen or evicted
     // fails the transition and stays attached.
     if (!table_->TombstoneChunk(chunk)) continue;
     Metrics().tombstoned->Add();
     trace().Publish("lifecycle", "tombstone", int64_t(chunk));
-    std::lock_guard<std::mutex> lock(mu_);
-    archived_.erase(chunk);
-    cache_.Unregister(chunk);
-  }
-}
-
-namespace {
-
-struct GarbageTally {
-  uint64_t total_bytes = 0;
-  uint64_t dead_bytes = 0;
-  size_t dead_blocks = 0;
-};
-
-/// The one definition of archive garbage: payload bytes of entries that are
-/// not anyone's current block. Shared by the ratio accessor and the
-/// compaction trigger so the two can never disagree.
-GarbageTally TallyGarbage(const std::vector<ArchiveEntry>& entries,
-                          const std::vector<bool>& live) {
-  GarbageTally t;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const uint64_t bytes = entries[i].block_bytes;
-    t.total_bytes += bytes;
-    if (live[i]) continue;
-    ++t.dead_blocks;
-    t.dead_bytes += bytes;
-  }
-  return t;
-}
-
-}  // namespace
-
-double LifecycleManager::GarbageRatio() const {
-  // Snapshot the catalog first: the background tick may be appending.
-  std::shared_ptr<BlockArchive> archive;
-  std::vector<bool> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (archive_ == nullptr) return 0.0;
-    archive = archive_;
-    live.assign(archive_->num_blocks(), false);
-    for (const auto& [chunk, id] : archived_) live[id] = true;
-  }
-  std::vector<ArchiveEntry> entries = archive->EntriesSnapshot();
-  // Appends racing this snapshot may have grown the catalog past the live
-  // vector; brand-new entries are someone's current block.
-  live.resize(entries.size(), true);
-  GarbageTally t = TallyGarbage(entries, live);
-  if (t.total_bytes == 0) return 0.0;
-  return double(t.dead_bytes) / double(t.total_bytes);
-}
-
-size_t LifecycleManager::CompactLocked(bool force) {
-  DetachFullyDeletedLocked();
-
-  // Liveness: an archive block is live iff it is the current block of some
-  // managed chunk. Everything else — detached fully-deleted chunks — is
-  // garbage.
-  std::shared_ptr<BlockArchive> old;
-  std::vector<bool> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (archive_ == nullptr) return 0;
-    old = archive_;
-    live.assign(old->num_blocks(), false);
-    for (const auto& [chunk, id] : archived_) {
-      DB_CHECK(id < live.size());
-      live[id] = true;
+    Archived a;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      a = archived_.extract(chunk).mapped();
     }
-  }
-  // The catalog is append-quiescent here (appends only run under tick_mu_,
-  // which the caller holds), so the snapshot is exact.
-  GarbageTally tally = TallyGarbage(old->EntriesSnapshot(), live);
-  if (tally.dead_blocks == 0) return 0;
-  if (!force && double(tally.dead_bytes) <
-                    cfg_.compact_garbage_ratio * double(tally.total_bytes)) {
-    return 0;
-  }
-
-  // Rewrite the live blocks into a fresh archive beside the current one.
-  // Appends are serialized by tick_mu_ (held by the caller), so the old
-  // archive is append-quiescent; concurrent *reads* keep being served
-  // from it throughout. The stat snapshot is taken *before* the copy so
-  // compaction's own per-block reads don't inflate archive_reads.
-  const uint64_t old_reads = old->payload_reads();
-  const uint64_t old_bytes_read = old->payload_bytes_read();
-  const uint64_t old_pages_read = old->payload_pages_read();
-  const std::string tmp_path = archive_path_ + ".compact";
-  std::vector<size_t> id_map;
-  StatusOr<BlockArchive> compacted =
-      BlockArchive::Compact(*old, live, tmp_path, &id_map);
-  if (!compacted.ok()) {
-    // A failed rewrite (disk full, unreadable source block) leaves the old
-    // archive untouched and authoritative; only the scratch file dies.
-    std::remove(tmp_path.c_str());
-    NoteWriteFailure(compacted.status());
-    return 0;
-  }
-  auto fresh = std::make_shared<BlockArchive>(std::move(*compacted));
-
-  // Atomically repoint: the file takes the canonical path, then the
-  // chunk -> block-id directory swaps to the new ids under mu_. Reads
-  // that already snapshotted the old archive keep their (still-open) file
-  // handle; new reads see the new archive and new ids together.
-  if (std::rename(tmp_path.c_str(), archive_path_.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    NoteWriteFailure(Status::IoError("rename of compacted archive failed"));
-    return 0;
-  }
-  NoteWriteSuccess();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [chunk, id] : archived_) {
-      DB_CHECK(id_map[id] != SIZE_MAX);
-      id = id_map[id];
+    // A failed punch costs disk space only: the block is already
+    // unreadable and no live block is touched, so it does not count
+    // towards degraded mode.
+    if (Status s = archive_->Release(a.id); !s.ok()) {
+      std::fprintf(stderr,
+                   "lifecycle: releasing the archive block of chunk %zu of "
+                   "table '%s' failed: %s\n",
+                   chunk, table_->name().c_str(), s.ToString().c_str());
+      continue;
     }
-    prior_archive_reads_.fetch_add(old_reads, std::memory_order_relaxed);
-    prior_archive_bytes_read_.fetch_add(old_bytes_read,
-                                        std::memory_order_relaxed);
-    prior_archive_pages_read_.fetch_add(old_pages_read,
-                                        std::memory_order_relaxed);
-    archive_ = std::move(fresh);
+    reclaimed_blocks_.fetch_add(1, std::memory_order_relaxed);
+    reclaimed_bytes_.fetch_add(a.bytes, std::memory_order_relaxed);
+    Metrics().reclaimed_blocks->Add();
+    trace().Publish("lifecycle", "release", int64_t(chunk), int64_t(a.bytes));
   }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  reclaimed_blocks_.fetch_add(tally.dead_blocks, std::memory_order_relaxed);
-  reclaimed_bytes_.fetch_add(tally.dead_bytes, std::memory_order_relaxed);
-  Metrics().compactions->Add();
-  Metrics().reclaimed_blocks->Add(tally.dead_blocks);
-  trace().Publish("lifecycle", "compact", int64_t(tally.dead_blocks),
-                  int64_t(tally.dead_bytes));
-  return tally.dead_blocks;
-}
-
-size_t LifecycleManager::CompactArchive() {
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
-  return CompactLocked(/*force=*/true);
 }
 
 void LifecycleManager::Tick() {
@@ -512,7 +398,7 @@ void LifecycleManager::Tick() {
 
   RetryQuarantinedLocked();
   EnforceBudget();
-  if (cfg_.compact_garbage_ratio <= 1.0) CompactLocked(/*force=*/false);
+  DetachFullyDeletedLocked();
   const uint64_t epoch = epochs_.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t tick_ns = obs::MonotonicNs() - tick_start;
   Metrics().ticks->Add();
@@ -580,7 +466,7 @@ void LifecycleManager::RetryQuarantinedLocked() {
     }
     // Probe with a spine read. Success heals (ReadChunk clears the
     // quarantine); failure re-quarantines with doubled backoff. No read
-    // section is needed: tombstones and compaction only happen in Tick,
+    // section is needed: tombstones and releases only happen in Tick,
     // which holds tick_mu_ for this whole pass.
     (void)ReadChunk(
         chunk, BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
@@ -632,7 +518,7 @@ void LifecycleManager::ResetQuarantine() {
 
 void LifecycleManager::Start() {
   if (running()) return;
-  // Freeze, eviction and compaction run as a periodic task on the worker
+  // Freeze, eviction and release run as a periodic task on the worker
   // pool: no thread per managed table. Concurrent ticks are impossible
   // (the scheduler skips a firing while the previous one executes) and
   // would be harmless anyway (tick_mu_). The periodic timer needs a
@@ -658,7 +544,6 @@ LifecycleStats LifecycleManager::stats() const {
   s.adopted = adopted_.load(std::memory_order_relaxed);
   s.evictions = table_->evictions();
   s.reloads = table_->reloads();
-  s.compactions = compactions_.load(std::memory_order_relaxed);
   s.reclaimed_blocks = reclaimed_blocks_.load(std::memory_order_relaxed);
   s.reclaimed_bytes = reclaimed_bytes_.load(std::memory_order_relaxed);
   s.tombstoned = table_->tombstones();
@@ -670,23 +555,16 @@ LifecycleStats LifecycleManager::stats() const {
     if (const BlockSummary* sum = table_->block_summary(c))
       s.summary_bytes += sum->MemoryBytes();
   }
+  if (archive_ != nullptr) {
+    s.archive_bytes = archive_->PayloadBytes() - s.reclaimed_bytes;
+    s.archive_reads = archive_->payload_reads();
+    s.archive_bytes_read = archive_->payload_bytes_read();
+    s.archive_pages_read = archive_->payload_pages_read();
+  }
   std::lock_guard<std::mutex> lock(mu_);
   s.quarantined = quarantine_.size();
-  if (archive_ != nullptr) {
-    s.archived_blocks = archive_->num_blocks();
-    s.archive_bytes = archive_->PayloadBytes();
-    s.archive_reads = archive_->payload_reads() +
-                      prior_archive_reads_.load(std::memory_order_relaxed);
-    s.archive_bytes_read =
-        archive_->payload_bytes_read() +
-        prior_archive_bytes_read_.load(std::memory_order_relaxed);
-    s.archive_pages_read =
-        archive_->payload_pages_read() +
-        prior_archive_pages_read_.load(std::memory_order_relaxed);
-  }
-  s.resident_bytes = cache_.ResidentBytes([&](size_t c) {
-    return table_->chunk_state(c) == ChunkState::kFrozen;
-  });
+  s.archived_blocks = archived_.size();
+  s.resident_bytes = ResidentBytesLocked();
   return s;
 }
 

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "lifecycle/block_cache.h"
 #include "storage/block_archive.h"
 #include "storage/table.h"
 
@@ -49,12 +48,6 @@ struct LifecycleConfig {
   /// blocks). SMAs are always kept.
   bool keep_summary_psma = true;
 
-  // -- Archive compaction/GC ----------------------------------------------
-  /// Rewrite the archive when at least this fraction of its payload bytes
-  /// is garbage (blocks of fully-deleted chunks). > 1.0 disables
-  /// automatic compaction; CompactArchive() still works explicitly.
-  double compact_garbage_ratio = 0.5;
-
   // -- Fault tolerance ------------------------------------------------------
   /// A chunk whose archive read failed is quarantined: reads fail fast
   /// with kUnavailable while the backoff runs, then the lifecycle tick
@@ -82,7 +75,7 @@ struct LifecycleConfig {
 
   // -- Observability --------------------------------------------------------
   /// Ring the manager publishes lifecycle events into (freeze, evict,
-  /// reads and installs, tombstone, compaction, tick durations). nullptr =
+  /// reads and installs, tombstone, release, tick durations). nullptr =
   /// the process-wide obs::TraceRing::Default(); tests inject private rings.
   obs::TraceRing* trace = nullptr;
 };
@@ -93,29 +86,28 @@ struct LifecycleStats {
   uint64_t adopted = 0;          // manually-frozen chunks archived for eviction
   uint64_t evictions = 0;        // blocks dropped from memory
   uint64_t reloads = 0;          // blocks installed (at detach)
-  uint64_t archived_blocks = 0;  // blocks written to the archive
-  uint64_t archive_bytes = 0;    // archive payload size
-  uint64_t resident_bytes = 0;   // resident frozen-block bytes (cache view)
+  uint64_t archived_blocks = 0;  // live blocks in the archive
+  uint64_t archive_bytes = 0;    // live archive payload (released excluded)
+  uint64_t resident_bytes = 0;   // resident bytes of archived blocks
   uint64_t archive_reads = 0;    // payload reads: scans, points, installs
   uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
   uint64_t archive_pages_read = 0;  // extent pages those reads fetched
   uint64_t summary_bytes = 0;    // resident BlockSummary footprint
-  uint64_t compactions = 0;      // archive compaction passes that rewrote
-  uint64_t reclaimed_blocks = 0; // dead blocks dropped by compaction
-  uint64_t reclaimed_bytes = 0;  // payload bytes reclaimed by compaction
+  uint64_t reclaimed_blocks = 0; // dead blocks released from the archive
+  uint64_t reclaimed_bytes = 0;  // payload bytes of those blocks
   uint64_t tombstoned = 0;       // fully-deleted chunks whose payload dropped
   // -- Fault tolerance ----------------------------------------------------
   uint64_t quarantined = 0;      // chunks currently quarantined
   uint64_t reload_failures = 0;  // failed archive reads (incl. retries)
   uint64_t retry_attempts = 0;   // quarantine retries attempted
-  uint64_t write_failures = 0;   // failed archive appends/compactions
+  uint64_t write_failures = 0;   // failed archive appends
   bool degraded = false;         // no-evict degraded mode active
 };
 
 /// The block lifecycle subsystem: per-chunk temperature statistics drive
 /// automatic freezing of cooled-down hot chunks into Data Blocks, and a
-/// block cache under a memory budget evicts the least recently used frozen
-/// blocks to a BlockArchive. Reads never install an evicted block: a scan
+/// memory budget evicts the least recently used frozen blocks to a
+/// BlockArchive. Reads never install an evicted block: a scan
 /// reads just its columns from the archive into its own image, a point
 /// read the spine and the pages that hold its row into its thread's point
 /// image, and the chunk stays evicted. The manager is the only code that
@@ -138,11 +130,10 @@ struct LifecycleStats {
 /// Scheduler::Default()); both may be active concurrently with OLTP point
 /// accesses and OLAP scans on the table.
 ///
-/// The archive accumulates garbage as archived chunks become fully deleted;
-/// a compaction pass (automatic past config.compact_garbage_ratio, or
-/// explicit via CompactArchive) rewrites the live blocks into a fresh file
-/// and atomically repoints the chunk -> block-id directory at it. In-flight
-/// reads keep reading the superseded archive object until they drain.
+/// Every tick tombstones the archived chunks that became fully deleted
+/// (Table::TombstoneChunk, which waits out the reads of the chunk) and then
+/// releases their archive blocks in place (BlockArchive::Release): the
+/// disk space comes back at once, and no live block moves.
 ///
 /// The archive is a spill file, not a snapshot: it is created truncated at
 /// `archive_path`, holds block payloads only (catalog and checksums stay in
@@ -165,8 +156,8 @@ class LifecycleManager {
 
   /// One policy epoch: decay clocks, freeze cooled-down chunks (archiving
   /// them), adopt manually-frozen chunks, probe quarantined chunks, enforce
-  /// the memory budget, and compact the archive if its garbage ratio
-  /// crossed the threshold.
+  /// the memory budget, and tombstone fully-deleted archived chunks,
+  /// releasing their archive blocks.
   /// Thread-safe; concurrent ticks are serialized.
   void Tick();
 
@@ -177,14 +168,6 @@ class LifecycleManager {
   void Start();
   void Stop();
   bool running() const { return periodic_id_ != 0; }
-
-  /// Explicit archive compaction/GC: reclaims the blocks of fully-deleted
-  /// chunks regardless of the garbage-ratio threshold. Returns the number
-  /// of blocks reclaimed (0 if the archive had no garbage).
-  size_t CompactArchive();
-
-  /// Fraction of archive payload bytes that is garbage (dead blocks).
-  double GarbageRatio() const;
 
   LifecycleStats stats() const;
   const LifecycleConfig& config() const { return cfg_; }
@@ -199,17 +182,22 @@ class LifecycleManager {
   /// the next read of each chunk goes to the archive immediately. The
   /// operator hook for "the disk is fixed, try again now".
   void ResetQuarantine();
-  /// Current archive. Returned by shared_ptr because a concurrent
-  /// compaction pass may swap in a rewritten archive at any time; holders
-  /// keep a consistent (possibly superseded) snapshot.
-  std::shared_ptr<const BlockArchive> archive() const { return ArchiveRef(); }
+  /// The archive, created with the manager and never replaced; nullptr if
+  /// it could not be created.
+  const BlockArchive* archive() const { return archive_.get(); }
 
  private:
   /// Archives chunk `idx`'s resident block if not archived yet; extracts
-  /// and installs its summary and registers it with the cache. Returns
-  /// true if newly archived.
+  /// and installs its summary. Returns true if newly archived.
   bool ArchiveChunk(size_t idx);
   void EnforceBudget();
+  /// Bytes of archived blocks whose chunk is resident; requires mu_.
+  /// Residency is read from the chunk states, never mirrored: only this
+  /// manager evicts (in a tick) or installs (at detach) a block.
+  uint64_t ResidentBytesLocked() const;
+  /// Least recently used resident archived chunk, the lowest index among
+  /// equals (SIZE_MAX if none); requires mu_.
+  size_t PickVictimLocked() const;
   /// Performs `read` of evicted chunk `chunk_idx` from the archive — a
   /// scan's columns or a point read's pages: the one read path (quarantine
   /// backoff, the lifecycle.reload failpoint, checksums, Validate or the
@@ -219,16 +207,13 @@ class LifecycleManager {
   /// Reads chunk `chunk_idx`'s whole block and installs it resident (at
   /// detach).
   Status Readmit(size_t chunk_idx);
-  /// Compaction pass; requires tick_mu_. `force` rewrites even below the
-  /// configured garbage threshold (as long as there is garbage at all).
-  size_t CompactLocked(bool force);
-  /// Detaches fully-deleted chunks from the archive directory by
-  /// tombstoning them (Table::TombstoneChunk): the in-memory payload is
-  /// dropped along with the archive copy — no read, no residual RAM
-  /// cost. The transition waits for open scans of the chunk first.
+  /// Detaches fully-deleted archived chunks by tombstoning them
+  /// (Table::TombstoneChunk), then releases their archive blocks: the
+  /// in-memory payload and the disk copy both go — no read, no residual
+  /// RAM cost. The transition waits for open reads of the chunk first.
+  /// Requires tick_mu_.
   void DetachFullyDeletedLocked();
   bool FullyDeleted(size_t chunk_idx) const;
-  std::shared_ptr<BlockArchive> ArchiveRef() const;
   obs::TraceRing& trace() const;
   /// Records a failed read of `chunk_idx`: enters/extends quarantine with
   /// doubled backoff, parks the chunk after quarantine_max_retries.
@@ -247,13 +232,16 @@ class LifecycleManager {
   LifecycleConfig cfg_;
   std::string archive_path_;
 
-  /// Guards archive_/cache_/archived_/cold_epochs_/quarantine_. Tick never
-  /// calls into Table while holding mu_.
+  /// Guards archived_/cold_epochs_/quarantine_. Tick never starts a
+  /// Table state change (freeze, evict, tombstone) while holding mu_.
   mutable std::mutex mu_;
-  std::mutex tick_mu_;  // serializes Tick / CompactArchive
-  std::shared_ptr<BlockArchive> archive_;  // swapped atomically by compaction
-  BlockCache cache_;
-  std::unordered_map<size_t, size_t> archived_;  // chunk -> archive block id
+  std::mutex tick_mu_;  // serializes Tick
+  std::unique_ptr<BlockArchive> archive_;  // set once, in the constructor
+  struct Archived {
+    size_t id;       // archive block id
+    uint64_t bytes;  // block size (blocks are immutable)
+  };
+  std::unordered_map<size_t, Archived> archived_;  // chunk -> its block
   std::vector<uint32_t> cold_epochs_;
   struct Quarantined {
     uint32_t retries = 0;  // consecutive failed reads
@@ -264,12 +252,8 @@ class LifecycleManager {
   std::atomic<uint64_t> epochs_{0};
   std::atomic<uint64_t> freezes_{0};
   std::atomic<uint64_t> adopted_{0};
-  std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> reclaimed_blocks_{0};
   std::atomic<uint64_t> reclaimed_bytes_{0};
-  std::atomic<uint64_t> prior_archive_reads_{0};  // reads on retired archives
-  std::atomic<uint64_t> prior_archive_bytes_read_{0};
-  std::atomic<uint64_t> prior_archive_pages_read_{0};
   std::atomic<uint64_t> reload_failures_{0};
   std::atomic<uint64_t> retry_attempts_{0};
   std::atomic<uint64_t> write_failures_{0};

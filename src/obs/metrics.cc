@@ -231,7 +231,6 @@ void RegisterEngineMetrics() {
   r.GetCounter("lifecycle.point_reads");
   r.GetCounter("lifecycle.archive_bytes_read");
   r.GetCounter("lifecycle.tombstoned");
-  r.GetCounter("lifecycle.compactions");
   r.GetCounter("lifecycle.reclaimed_blocks");
   r.GetHistogram("lifecycle.tick_ns");
   r.GetHistogram("lifecycle.freeze_ns");

@@ -3,7 +3,7 @@
 
 // Bounded in-memory event trace: the lifecycle manager and scheduler
 // publish discrete events (freeze, evict, archive reads, installs,
-// tombstone, compaction, tick durations, ...) into a fixed-capacity ring
+// tombstone, release, tick durations, ...) into a fixed-capacity ring
 // that overwrites its oldest entries — a flight recorder, not a log.
 // Events are small PODs (no allocation on the publish path) and publishing
 // takes one short mutex section, which is fine at lifecycle/scheduler

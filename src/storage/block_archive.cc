@@ -1,6 +1,7 @@
 #include "storage/block_archive.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -204,6 +205,7 @@ BlockArchive& BlockArchive::operator=(BlockArchive&& o) noexcept {
   if (this == &o) return *this;
   if (fd_ >= 0) ::close(fd_);
   fd_ = o.fd_;
+  punch_align_ = o.punch_align_;
   mu_ = std::move(o.mu_);
   entries_ = std::move(o.entries_);
   tables_ = std::move(o.tables_);
@@ -225,6 +227,9 @@ StatusOr<BlockArchive> BlockArchive::Create(const std::string& path) {
   }
   BlockArchive a;
   a.fd_ = fd;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_blksize > 4096)
+    a.punch_align_ = uint64_t(st.st_blksize);
   a.mu_ = std::make_unique<std::mutex>();
   a.writable_ = true;
   return a;
@@ -282,6 +287,10 @@ Status BlockArchive::BeginRead(size_t id, ArchiveEntry* e,
       return Status::NotFound("no archived block " + std::to_string(id) +
                               " (archive has " +
                               std::to_string(entries_.size()) + ")");
+    }
+    if (entries_[id].released) {
+      return Status::NotFound("archived block " + std::to_string(id) +
+                              " was released");
     }
     *e = entries_[id];
     *table = tables_[id].get();
@@ -512,27 +521,35 @@ Status BlockArchive::Finish() {
   return Status::Ok();
 }
 
-StatusOr<BlockArchive> BlockArchive::Compact(const BlockArchive& src,
-                                             const std::vector<bool>& live,
-                                             const std::string& path,
-                                             std::vector<size_t>* id_map) {
-  const std::vector<ArchiveEntry> entries = src.EntriesSnapshot();
-  DB_CHECK(live.size() == entries.size());
-  StatusOr<BlockArchive> out_or = Create(path);
-  if (!out_or.ok()) return out_or.status();
-  BlockArchive out = std::move(*out_or);
-  if (id_map != nullptr) id_map->assign(live.size(), SIZE_MAX);
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (!live[i]) continue;
-    // ReadBlock re-verifies the checksums, so corruption cannot silently
-    // propagate into the compacted file.
-    StatusOr<DataBlock> block = src.ReadBlock(i);
-    if (!block.ok()) return block.status();
-    StatusOr<size_t> id = out.AppendBlock(*block, entries[i].chunk_index);
-    if (!id.ok()) return id.status();
-    if (id_map != nullptr) (*id_map)[i] = *id;
+Status BlockArchive::Release(size_t id) {
+  DB_CHECK(mu_ != nullptr);
+  ArchiveEntry e;
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    if (id >= entries_.size() || entries_[id].released) {
+      return CountWrite(Status::NotFound("no live archived block " +
+                                         std::to_string(id) + " to release"));
+    }
+    entries_[id].released = true;
+    e = entries_[id];
   }
-  return out;
+  if (DB_FAILPOINT("archive.release.ioerror")) {
+    return CountWrite(Status::IoError("injected punch failure (failpoint)"));
+  }
+  // Only the filesystem blocks wholly inside the block: punching a partial
+  // one zeroes its bytes, and those belong to the neighbours too. The punch
+  // runs outside the catalog mutex, as reads of other blocks do.
+  const uint64_t begin =
+      (e.offset + punch_align_ - 1) / punch_align_ * punch_align_;
+  const uint64_t end = (e.offset + e.block_bytes) / punch_align_ * punch_align_;
+  if (begin < end &&
+      ::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                  off_t(begin), off_t(end - begin)) != 0) {
+    return CountWrite(Status::IoError("punching out block " +
+                                      std::to_string(id) + " failed: " +
+                                      std::strerror(errno)));
+  }
+  return Status::Ok();
 }
 
 }  // namespace datablocks

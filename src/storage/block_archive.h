@@ -19,6 +19,7 @@ struct ArchiveEntry {
   uint32_t chunk_index;  // originating chunk slot (UINT32_MAX if n/a)
   uint32_t row_count;    // tuples in the block
   uint32_t attr_count;   // attributes in the block
+  bool released = false; // Release()d: unreadable, its pages punched out
 };
 
 /// Eviction of frozen chunks to secondary storage (paper Section 3: "by
@@ -31,6 +32,8 @@ struct ArchiveEntry {
 /// read only by the process that wrote it, through this object. It is
 /// created truncated and never reopened; a lifecycle manager deletes it
 /// when it goes away. There is no header, no index and no format version.
+/// A dead block is freed where it lies (Release): ids and offsets never
+/// change, so nothing is ever rewritten or swapped.
 ///
 /// Checksums are per region, so a scan can read just its columns and a
 /// point read just its row. A block's regions tile it: the spine
@@ -100,7 +103,8 @@ class BlockArchive {
   /// tests that check or craft archive bytes by hand.
   static uint64_t Checksum(const void* data, uint64_t n);
 
-  /// Total bytes of archived blocks — the size of the file.
+  /// Total bytes of appended blocks, released ones included — the size of
+  /// the file.
   uint64_t PayloadBytes() const;
 
   /// Payload reads served so far (ReadBlock and ReadRow calls). Summary
@@ -116,17 +120,15 @@ class BlockArchive {
   /// Ends appends; reads keep working. Nothing is written.
   Status Finish();
 
-  /// Rewrites the live blocks of `src` into a fresh archive at `path`
-  /// (compaction/GC): block `i` is copied iff `live[i]` is true, with
-  /// checksums re-verified in transit. `id_map`, if non-null, receives
-  /// old-id -> new-id (SIZE_MAX for reclaimed blocks). The result is still
-  /// writable, so a lifecycle manager can keep appending after swapping it
-  /// in. Any read or write failure aborts the compaction with its Status
-  /// (the source is untouched; the caller removes the partial output file).
-  static StatusOr<BlockArchive> Compact(const BlockArchive& src,
-                                        const std::vector<bool>& live,
-                                        const std::string& path,
-                                        std::vector<size_t>* id_map = nullptr);
+  /// Frees block `id` in place: its catalog entry is marked dead, so every
+  /// later ReadBlock, ReadRow or Release of `id` returns kNotFound, then
+  /// the file pages that lie wholly inside the block are punched out (a
+  /// hole; the file size stays). The pages it shares with its neighbours
+  /// stay, so they read back unchanged. The caller must know no read of
+  /// `id` is in flight: a read racing the punch sees zeros, which fail
+  /// their checksums. kIoError if the punch fails (the entry stays dead
+  /// and its bytes stay until the file is deleted).
+  Status Release(size_t id);
 
   /// A block's checksums (see the class comment): one for the spine, then
   /// one per extent page, pages numbered across the block's extents.
@@ -151,6 +153,7 @@ class BlockArchive {
   void CountBytesRead(uint64_t bytes, uint64_t pages) const;
 
   int fd_ = -1;
+  uint64_t punch_align_ = 4096;  // filesystem block size (st_blksize)
   mutable std::unique_ptr<std::mutex> mu_;
   std::vector<ArchiveEntry> entries_;
   /// Checksum tables, parallel to entries_. Never changed once appended,

@@ -414,10 +414,12 @@ class Table {
 
   /// Drops the payload of a *fully deleted* frozen or evicted chunk
   /// (-> tombstone, a terminal state): the resident block (if any) is
-  /// freed, no read will ever be attempted, and the caller may reclaim
-  /// the archive copy. The side delete bitmap and row count stay, so
-  /// IsVisible and scans keep answering correctly (all rows deleted).
-  /// Returns false if the chunk is not fully deleted or not frozen/evicted.
+  /// freed and no read will ever be attempted. Returns only after every
+  /// read section that could still read the archive copy has closed, so
+  /// the caller may then release that copy (BlockArchive::Release). The
+  /// side delete bitmap and row count stay, so IsVisible and scans keep
+  /// answering correctly (all rows deleted). Returns false if the chunk is
+  /// not fully deleted or not frozen/evicted.
   bool TombstoneChunk(size_t chunk_idx);
 
   /// Installs `block`, read whole from the archive, as the resident block

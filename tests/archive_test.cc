@@ -1,14 +1,15 @@
 // BlockArchive, the eviction spill file: per-block random access, per-page
 // checksums, projected reads of a column subset and point reads of one
 // row — round trips of blocks containing string dictionaries, a file that
-// holds nothing but block bytes, compaction, and the fault model: every
-// corruption of the live file (bit-flipped payload, tail or spine, swapped
-// stripes, truncated block, malformed layout or row behind valid
-// checksums) surfaces as a typed Status, never as a process abort. Each
-// case damages the file through a second descriptor and reads it through
-// the same BlockArchive that wrote it.
+// holds nothing but block bytes, release of a block in place, and the
+// fault model: every corruption of the live file (bit-flipped payload,
+// tail or spine, swapped stripes, truncated block, malformed layout or row
+// behind valid checksums) surfaces as a typed Status, never as a process
+// abort. Each case damages the file through a second descriptor and reads
+// it through the same BlockArchive that wrote it.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <bit>
@@ -148,49 +149,55 @@ TEST(BlockArchiveFaults, TruncatedBlockIsCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(BlockArchive, CompactionDropsDeadBlocksAndPreservesLiveOnes) {
-  Table t = MakeTable(4096, 1024, 0);
-  const std::string path = "/tmp/datablocks_archive_compact.dbar";
-  const std::string compacted_path = path + ".out";
+// Releasing a block frees its file pages in place: the block becomes
+// unreadable, its neighbours (which share its boundary pages) read back
+// byte for byte with clean checksums, ids and offsets do not move, and the
+// file keeps taking appends.
+TEST(BlockArchive, ReleaseFreesOnlyThatBlock) {
+  const Table t = MakeTable(3 * 8192, 8192, 0);
+  const std::string path = "/tmp/datablocks_archive_release.dbar";
+  BlockArchive archive = SpillAll(t, path);
+  ASSERT_EQ(archive.num_blocks(), 3u);
+  const std::vector<ArchiveEntry> before = archive.EntriesSnapshot();
+  // Block 1 spans several filesystem pages, and its ends fall inside
+  // pages it shares with blocks 0 and 2.
+  ASSERT_GT(before[1].block_bytes, 4 * 4096u);
+  struct stat st_before;
+  ASSERT_EQ(::stat(path.c_str(), &st_before), 0);
 
-  // An archive with a superseded entry: chunk 0 appended twice (the later
-  // append supersedes the earlier one), everything else once.
-  StatusOr<BlockArchive> created = BlockArchive::Create(path);
-  ASSERT_TRUE(created.ok());
-  BlockArchive& src = *created;
-  ASSERT_TRUE(src.AppendBlock(*t.frozen_block(0), 0).ok());
-  for (size_t c = 0; c < t.num_chunks(); ++c)
-    ASSERT_TRUE(src.AppendBlock(*t.frozen_block(c), uint32_t(c)).ok());
-  ASSERT_EQ(src.num_blocks(), t.num_chunks() + 1);
+  ASSERT_TRUE(archive.Release(1).ok());
+  StatusOr<DataBlock> dead = archive.ReadBlock(1);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kNotFound);
+  PartialBlock image;
+  StatusOr<uint64_t> row = archive.ReadRow(1, 0, 0, &image);
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(archive.Release(1).code(), StatusCode::kNotFound);
 
-  // Liveness: latest entry per chunk -> the duplicate first entry is dead.
-  std::vector<bool> live(src.num_blocks(), true);
-  live[0] = false;
-  std::vector<size_t> id_map;
-  StatusOr<BlockArchive> compacted =
-      BlockArchive::Compact(src, live, compacted_path, &id_map);
-  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
-  EXPECT_EQ(compacted->num_blocks(), t.num_chunks());
-  EXPECT_LT(compacted->PayloadBytes(), src.PayloadBytes());
-  EXPECT_EQ(std::filesystem::file_size(compacted_path),
-            compacted->PayloadBytes());
-  ASSERT_EQ(id_map.size(), src.num_blocks());
-  EXPECT_EQ(id_map[0], SIZE_MAX);
-  for (size_t i = 1; i < id_map.size(); ++i) EXPECT_EQ(id_map[i], i - 1);
-
-  // The rewritten archive holds every live block byte for byte, under its
-  // chunk index, and is still writable.
-  const std::vector<ArchiveEntry> entries = compacted->EntriesSnapshot();
-  for (size_t i = 0; i < compacted->num_blocks(); ++i) {
-    StatusOr<DataBlock> block = compacted->ReadBlock(i);
-    ASSERT_TRUE(block.ok()) << block.status().ToString();
-    EXPECT_TRUE(SameBytes(*block, *t.frozen_block(i))) << i;
-    EXPECT_EQ(entries[i].chunk_index, uint32_t(i));
+  for (size_t id : {size_t{0}, size_t{2}}) {
+    StatusOr<DataBlock> block = archive.ReadBlock(id);
+    ASSERT_TRUE(block.ok()) << id << ": " << block.status().ToString();
+    EXPECT_TRUE(SameBytes(*block, *t.frozen_block(id))) << id;
   }
-  EXPECT_TRUE(compacted->AppendBlock(*t.frozen_block(0), 0).ok());
+  const std::vector<ArchiveEntry> after = archive.EntriesSnapshot();
+  for (size_t id = 0; id < 3; ++id) {
+    EXPECT_EQ(after[id].offset, before[id].offset) << id;
+    EXPECT_EQ(after[id].released, id == 1) << id;
+  }
+  // The file keeps its size; its allocated blocks fall.
+  struct stat st_after;
+  ASSERT_EQ(::stat(path.c_str(), &st_after), 0);
+  EXPECT_EQ(uint64_t(st_after.st_size), archive.PayloadBytes());
+  EXPECT_LT(st_after.st_blocks, st_before.st_blocks);
 
+  StatusOr<size_t> id = archive.AppendBlock(*t.frozen_block(1), 1);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, 3u);
+  StatusOr<DataBlock> again = archive.ReadBlock(3);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(SameBytes(*again, *t.frozen_block(1)));
   std::remove(path.c_str());
-  std::remove(compacted_path.c_str());
 }
 
 /// Payload checksum coverage: one live archive of three blocks, then one

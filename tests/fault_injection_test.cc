@@ -1,14 +1,16 @@
 // Fault injection: failpoint semantics (spec grammar, once/every/prob,
 // env arming), storage faults surfacing as typed Status instead of aborts,
-// quarantine + backoff + healing of chunks whose reload fails, no-evict
-// degraded mode under repeated archive write failures, exception
-// propagation through the worker pool (a parallel dense aggregation over
-// failing reloads ends in an error, not a hang), and the end-to-end
-// acceptance shape: a query over a broken evicted block fails through
-// Session::Call while concurrent healthy queries keep completing with
-// identical results.
+// a failed release of a dead archive block (disk space only, never
+// degraded mode), quarantine + backoff + healing of chunks whose reload
+// fails, no-evict degraded mode under repeated archive write failures,
+// exception propagation through the worker pool (a parallel dense
+// aggregation over failing reloads ends in an error, not a hang), and the
+// end-to-end acceptance shape: a query over a broken evicted block fails
+// through Session::Call while concurrent healthy queries keep completing
+// with identical results.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdio>
@@ -234,6 +236,89 @@ TEST(ArchiveFaults, ReadIoErrorIsTransientNotSticky) {
   }
   EXPECT_TRUE(archive->ReadBlock(0).ok());
   std::remove(path.c_str());
+}
+
+TEST(ArchiveFaults, ReleaseIoErrorIsReturnedAndCounted) {
+  Table t = MakeTestTable(2048, 1024, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("release_io");
+  StatusOr<BlockArchive> archive = BlockArchive::Create(path);
+  ASSERT_TRUE(archive.ok());
+  ASSERT_TRUE(archive->AppendBlock(*t.frozen_block(0), 0).ok());
+  ASSERT_TRUE(archive->AppendBlock(*t.frozen_block(1), 1).ok());
+  obs::Counter* write_errors =
+      obs::MetricsRegistry::Default().GetCounter("archive.write_errors");
+  const uint64_t errors_before = write_errors->Value();
+  {
+    ScopedFailpoint fp("archive.release.ioerror", "once");
+    EXPECT_EQ(archive->Release(0).code(), StatusCode::kIoError);
+  }
+  EXPECT_EQ(write_errors->Value(), errors_before + 1);
+  // The entry died before the punch failed: it stays unreadable and
+  // cannot be released twice; its neighbour is untouched.
+  EXPECT_EQ(archive->ReadBlock(0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(archive->Release(0).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(archive->ReadBlock(1).ok());
+  std::remove(path.c_str());
+}
+
+// A failed punch: the block is already dead, so the failure costs disk
+// space only. The chunk still tombstones and detaches, its bytes stay in
+// the file until the manager deletes it, nothing counts as reclaimed, and
+// the manager does not degrade: every live block still reads.
+TEST(ArchiveFaults, FailedReleaseKeepsBytesAndDoesNotDegrade) {
+  Table t = MakeTestTable(4 * 2048, 2048, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("release");
+  obs::Counter* write_errors =
+      obs::MetricsRegistry::Default().GetCounter("archive.write_errors");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.degrade_after_write_failures = 1;  // any counted failure degrades
+    LifecycleManager mgr(&t, path, cfg);
+    EvictAll(mgr, t, t.num_chunks());
+    const LifecycleStats before = mgr.stats();
+    struct stat st_before;
+    ASSERT_EQ(::stat(path.c_str(), &st_before), 0);
+    const uint64_t errors_before = write_errors->Value();
+
+    for (uint32_t r = 0; r < t.chunk_rows(1); ++r) t.Delete(MakeRowId(1, r));
+    {
+      ScopedFailpoint fp("archive.release.ioerror", "always");
+      mgr.Tick();
+    }
+    EXPECT_EQ(write_errors->Value(), errors_before + 1);
+    EXPECT_EQ(t.chunk_state(1), ChunkState::kTombstone);
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.tombstoned, 1u);
+    EXPECT_EQ(s.archived_blocks, before.archived_blocks - 1);  // detached
+    EXPECT_EQ(s.reclaimed_blocks, 0u);
+    EXPECT_EQ(s.reclaimed_bytes, 0u);
+    EXPECT_EQ(s.archive_bytes, before.archive_bytes);
+    EXPECT_FALSE(mgr.degraded());
+    struct stat st_after;
+    ASSERT_EQ(::stat(path.c_str(), &st_after), 0);
+    EXPECT_EQ(st_after.st_blocks, st_before.st_blocks);
+
+    // The dead block is unreadable and stays released; every other block
+    // reads, and the evicted chunks scan like a resident table.
+    const BlockArchive* archive = mgr.archive();
+    const std::vector<ArchiveEntry> entries = archive->EntriesSnapshot();
+    for (size_t id = 0; id < entries.size(); ++id) {
+      StatusOr<DataBlock> block = archive->ReadBlock(id);
+      if (entries[id].chunk_index == 1) {
+        EXPECT_TRUE(entries[id].released);
+        ASSERT_FALSE(block.ok());
+        EXPECT_EQ(block.status().code(), StatusCode::kNotFound);
+      } else {
+        EXPECT_TRUE(block.ok()) << id << ": " << block.status().ToString();
+      }
+    }
+    Table expect = MakeTestTable(4 * 2048, 2048, /*delete_every=*/0);
+    for (uint32_t r = 0; r < expect.chunk_rows(1); ++r)
+      expect.Delete(MakeRowId(1, r));
+    EXPECT_TRUE(FullScan(t) == FullScan(expect));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------
