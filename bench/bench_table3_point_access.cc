@@ -6,13 +6,15 @@
 // also run on evicted Data Blocks (a lifecycle manager at budget 0): each
 // reads the 4 KB pages that hold its row — and the spine, on moving to
 // another block — from the archive into the thread's point image. The run
-// exits non-zero if any evicted tuple differs from the resident one, or
-// if evicted lookups read more than kMaxEvictedKbPerLookup of archive
-// each. Each tuple is read inside one Table::ReadSection. The "x4" rows
-// run four lookup threads at once, resident and evicted, to show how
-// lookups scale. With --quick the evicted
-// copies use 1024-row chunks, so that a lookup usually lands in another
-// block than the one before it, as lookups over a large relation do.
+// exits non-zero if any evicted tuple differs from the resident one, if
+// evicted lookups read more than kMaxEvictedKbPerLookup of archive each,
+// or, with --quick at its default scale, if they read other than exactly
+// the pinned bytes and pages (kQuickEvicted*). Each tuple is read inside
+// one Table::ReadSection. The "x4" rows run four lookup threads at once,
+// resident and evicted, to show how lookups scale. With --quick the
+// evicted copies use 1024-row chunks, so that a lookup usually lands in
+// another block than the one before it, as lookups over a large relation
+// do.
 // Beside the lookups it prints the OLTP write unit costs in ns per row:
 // an insert of a whole customer row into the hot tail, a one-column
 // in-place update of a hot row, and a relocation (Table::UpdateRow of a
@@ -47,6 +49,13 @@ namespace {
 /// 44.5 KB with --quick and 58.6 KB at the default SF 0.5, where reading
 /// the accessed columns' whole extents took 172 KB and 1867 KB.
 constexpr double kMaxEvictedKbPerLookup = 64;
+
+/// Archive bytes and extent pages all evicted lookups of a --quick run at
+/// its default scale read, ordered and shuffled: 44.5 and 44.4 KB, 12.0
+/// pages a lookup. The run pins them exactly, so a change to what a point
+/// read fetches fails it.
+constexpr uint64_t kQuickEvictedBytes[2] = {1139267808, 1136058272};
+constexpr uint64_t kQuickEvictedPages[2] = {299752, 298938};
 
 std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
                                 uint64_t seed,
@@ -395,6 +404,24 @@ int main(int argc, char** argv) {
                  "evicted lookups read %.1f / %.1f KB of archive each, more "
                  "than %.0f KB\n",
                  kb_ord, kb_shuf, kMaxEvictedKbPerLookup);
+    return 1;
+  }
+  if (quick && argc <= 1 &&
+      (lo.archive_bytes_read != kQuickEvictedBytes[0] ||
+       ls.archive_bytes_read != kQuickEvictedBytes[1] ||
+       lo.archive_pages_read != kQuickEvictedPages[0] ||
+       ls.archive_pages_read != kQuickEvictedPages[1])) {
+    std::fprintf(stderr,
+                 "evicted lookups read %llu / %llu bytes in %llu / %llu "
+                 "pages; --quick pins %llu / %llu bytes in %llu / %llu\n",
+                 (unsigned long long)lo.archive_bytes_read,
+                 (unsigned long long)ls.archive_bytes_read,
+                 (unsigned long long)lo.archive_pages_read,
+                 (unsigned long long)ls.archive_pages_read,
+                 (unsigned long long)kQuickEvictedBytes[0],
+                 (unsigned long long)kQuickEvictedBytes[1],
+                 (unsigned long long)kQuickEvictedPages[0],
+                 (unsigned long long)kQuickEvictedPages[1]);
     return 1;
   }
   std::printf("evicted lookups agree with resident ones: %d keys\n",

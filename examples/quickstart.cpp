@@ -3,11 +3,10 @@
 // OLTP-style point accesses — the core API surface of the library.
 
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <vector>
 
 #include "exec/table_scanner.h"
+#include "storage/block_archive.h"
 #include "storage/pk_index.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -84,19 +83,19 @@ int main() {
               std::string(sales.GetStringView(moved, 1)).c_str(),
               (unsigned long long)RowIdChunk(moved));
 
-  // 7. Data Blocks are flat and pointer-free: write one to disk and reload
-  // it; FromBytes validates every offset before the block is used.
-  const DataBlock* block0 = sales.frozen_block(0);
-  {
-    std::ofstream out("/tmp/block0.bin", std::ios::binary);
-    out.write(reinterpret_cast<const char*>(block0->raw_bytes()),
-              std::streamsize(block0->SizeBytes()));
-  }
-  std::ifstream in("/tmp/block0.bin", std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  StatusOr<DataBlock> reloaded = DataBlock::FromBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  // 7. Data Blocks are flat and pointer-free: spill one to disk verbatim
+  // and read it back. The archive verifies every page's checksum and
+  // validates every offset before the block is used.
+  const char* spill = "/tmp/quickstart_blocks.dbar";
+  auto spill_and_reload = [&]() -> StatusOr<DataBlock> {
+    StatusOr<BlockArchive> archive = BlockArchive::Create(spill);
+    if (!archive.ok()) return archive.status();
+    StatusOr<size_t> id = archive->AppendBlock(*sales.frozen_block(0));
+    if (!id.ok()) return id.status();
+    return archive->ReadBlock(*id);
+  };
+  StatusOr<DataBlock> reloaded = spill_and_reload();
+  std::remove(spill);
   if (!reloaded.ok()) {
     std::printf("reload failed: %s\n", reloaded.status().ToString().c_str());
     return 1;

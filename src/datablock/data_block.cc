@@ -308,15 +308,6 @@ Cell DataBlock::GetCell(uint32_t col, uint32_t row) const {
   return Cell::Null();
 }
 
-StatusOr<DataBlock> DataBlock::FromBytes(const uint8_t* bytes,
-                                         uint64_t size) {
-  DataBlock block;
-  block.ResizeForFill(size);
-  std::memcpy(block.buf_.data(), bytes, size);
-  if (Status s = block.Validate(ColumnSet::All()); !s.ok()) return s;
-  return block;
-}
-
 ColumnSet::ColumnSet(std::vector<uint32_t> cols)
     : all_(false), cols_(std::move(cols)) {
   std::sort(cols_.begin(), cols_.end());
@@ -498,15 +489,6 @@ Status DataBlock::Validate(const ColumnSet& columns) const {
   return Status::Ok();
 }
 
-Status DataBlock::ValidateSpine(std::vector<uint64_t>* begins) const {
-  if (Status s = Extents(begins); !s.ok()) return s;
-  for (uint32_t c = 0; c < num_columns(); ++c) {
-    if (Status s = ValidateAttr(c, (*begins)[c], (*begins)[c + 1]); !s.ok())
-      return s;
-  }
-  return Status::Ok();
-}
-
 Status DataBlock::ValidateRow(
     uint32_t col, uint32_t row, uint64_t lo, uint64_t hi,
     const std::function<Status(uint64_t offset, uint64_t len)>& need) const {
@@ -515,6 +497,7 @@ Status DataBlock::ValidateRow(
                                       " read from a block of " +
                                       std::to_string(num_rows()));
   }
+  if (Status s = ValidateAttr(col, lo, hi); !s.ok()) return s;
   const AttrMeta& m = attr(col);
   const Compression scheme = Compression(m.compression);
   if ((m.flags & AttrMeta::kHasNulls) != 0) {
@@ -555,15 +538,15 @@ Status DataBlock::ValidateRow(
   return need(m.string_offset + ref.offset, ref.length);
 }
 
-Status PartialBlock::AdoptSpine() {
+Status BlockImage::AdoptSpine() {
   first_page_.clear();
-  if (Status s = block_.ValidateSpine(&begins_); !s.ok()) return s;
+  if (Status s = block_.Extents(&begins_); !s.ok()) return s;
   DataBlock::FirstPages(begins_, &first_page_);
   present_.assign(BitmapWords(first_page_.back()), 0);
   return Status::Ok();
 }
 
-bool PartialBlock::Serves(uint32_t col, uint32_t row) const {
+bool BlockImage::Serves(uint32_t col, uint32_t row) const {
   if (!has_spine()) return false;
   return block_
       .ValidateRow(col, row, begins_[col], begins_[col + 1],

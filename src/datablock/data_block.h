@@ -214,18 +214,6 @@ class DataBlock {
   /// The entire block as one flat byte range (for archival/checksumming).
   const uint8_t* raw_bytes() const { return buf_.data(); }
 
-  /// Reconstructs a block from `size` bytes copied out via raw_bytes()
-  /// (SizeBytes() of them); kCorruption if they do not Validate.
-  static StatusOr<DataBlock> FromBytes(const uint8_t* bytes, uint64_t size);
-
-  /// Direct-fill path for bytes read from disk (no intermediate copy):
-  /// makes the buffer `size` bytes, reusing the current allocation when it
-  /// is large enough, with only the scan padding zeroed. The caller writes
-  /// the bytes it needs through fill_bytes() and then calls Validate on the
-  /// attributes it wrote.
-  void ResizeForFill(uint64_t size) { buf_.ResizeForOverwrite(size); }
-  uint8_t* fill_bytes() { return buf_.data(); }
-
   // -- Structure (Figure 3 layout, validated before untrusted use). -------
 
   /// Bytes of the block's spine: the header plus the AttrMeta array.
@@ -263,16 +251,11 @@ class DataBlock {
   /// attributes.
   Status Validate(const ColumnSet& columns) const;
 
-  /// The part of Validate that reads the spine alone, for every attribute:
-  /// the block header, and each attribute's scheme, type and code width
-  /// with every region inside its extent. What a PartialBlock checks once
-  /// it holds the spine; `begins` receives the extents.
-  Status ValidateSpine(std::vector<uint64_t>* begins) const;
-
-  /// Row-level structural check, for an image that holds the spine (which
-  /// passed ValidateSpine) but only some other bytes: Validate's scan over
-  /// every code and dictionary entry cannot run on a partial extent.
-  /// Calls `need(offset, len)` on each byte range a point access of
+  /// Row-level structural check, for an image that holds the spine (whose
+  /// extents passed Extents) but only some other bytes: Validate's scan
+  /// over every code and dictionary entry cannot run on a partial extent.
+  /// Checks attribute `col`'s scheme, type and regions as Validate does,
+  /// then calls `need(offset, len)` on each byte range a point access of
   /// (col, row) reads, before reading it and in order: the NULL-bitmap
   /// word, the code, then for dictionaries the entry and the string bytes,
   /// each located through the bytes before it. `need` returns Ok once the
@@ -293,27 +276,51 @@ class DataBlock {
   /// Spine-only checks of attribute `c`, whose extent is [lo, hi).
   Status ValidateAttr(uint32_t c, uint64_t lo, uint64_t hi) const;
 
+  // Only Build and an image write a block's bytes (see BlockImage).
+  friend class BlockImage;
+
   AlignedBuffer buf_;
 };
 
-/// A point reader's partial image of one block: the spine plus the pages
-/// (DataBlock::kPageBytes) that point reads fetched into it, each verified
-/// by its archive checksum before it was added. The buffer has the whole
-/// block's size and every present byte sits at its offset, so the block's
-/// point accessors work unchanged on the rows the image serves.
-class PartialBlock {
+/// Some verified regions of one block read back from an archive, in a
+/// buffer of the block's size: the spine, whose extents passed Extents,
+/// and the extent pages (DataBlock::kPageBytes) that reads fetched into
+/// it, each verified by its archive checksum before it was added. Every
+/// present byte sits at its block offset, so the block's accessors work
+/// unchanged on what the image holds: a scan's whole extents, or the pages
+/// of the rows point reads fetched (BlockArchive::Read fills it). The
+/// structural checks of an attribute run with each read that uses it.
+class BlockImage {
  public:
   /// Forgets the spine and every page; the buffer is kept for reuse.
   void Clear() { first_page_.clear(); }
   bool has_spine() const { return !first_page_.empty(); }
+  /// No buffer yet: nothing was ever read into the image.
+  bool empty() const { return block_.empty(); }
 
   const DataBlock& block() const { return block_; }
-  /// The buffer a reader fills: the spine, sized by ResizeForFill, before
-  /// AdoptSpine, then the pages it adds.
-  DataBlock* mutable_block() { return &block_; }
-  /// Takes the spine written into mutable_block() as this image's:
-  /// ValidateSpine, then no page present. kCorruption leaves no spine.
+  /// The block, taken out of an image that holds all of it; the image is
+  /// left empty.
+  DataBlock TakeBlock() {
+    Clear();
+    return std::move(block_);
+  }
+
+  /// Starts over on a `size`-byte block: no spine, no page. Returns the
+  /// buffer to read the spine and pages into, at their block offsets; it
+  /// reuses the current allocation when that is large enough, with only
+  /// the scan padding zeroed.
+  uint8_t* Reset(uint64_t size) {
+    Clear();
+    block_.buf_.ResizeForOverwrite(size);
+    return buffer();
+  }
+  /// The buffer, once Reset.
+  uint8_t* buffer() { return block_.buf_.data(); }
+  /// Takes the spine read into the buffer as this image's: it must pass
+  /// Extents, then no page is present. kCorruption leaves no spine.
   Status AdoptSpine();
+
   /// Attribute extents, from the adopted spine.
   const std::vector<uint64_t>& begins() const { return begins_; }
   /// Id of the page that holds byte `offset` of attribute `col`'s extent.
@@ -323,7 +330,10 @@ class PartialBlock {
   bool HasPage(uint64_t page) const {
     return BitmapTest(present_.data(), page);
   }
-  void AddPage(uint64_t page) { BitmapSet(present_.data(), page); }
+  /// Marks pages [first, end), read and verified, present.
+  void AddPages(uint64_t first, uint64_t end) {
+    for (uint64_t p = first; p < end; ++p) BitmapSet(present_.data(), p);
+  }
 
   /// Whether the image holds every byte a point access of (col, row) reads
   /// and they pass ValidateRow.

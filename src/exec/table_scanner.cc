@@ -94,7 +94,7 @@ bool RowMatches(const std::vector<Predicate>& preds, const Schema& schema,
 /// construction and hands it back at destruction, so the pages of one
 /// image, faulted in once, serve every scan the thread runs: a page-backed
 /// image mapped afresh per scan would pay a page fault per 4 KB it reads.
-thread_local DataBlock t_spare_image;
+thread_local BlockImage t_spare_image;
 
 /// What a scan reads of a block: its output and predicate columns.
 ColumnSet ScannedColumns(const std::vector<uint32_t>& columns,
@@ -163,7 +163,7 @@ void TableScanner::OpenChunk() {
   }
   ++pins_;
   Metrics().pins->Add();
-  if (source_.block == &image_) {
+  if (source_.block == &image_.block()) {
     ++archive_reloads_;
     Metrics().archive_reloads->Add();
   }

@@ -157,8 +157,8 @@ class TableScanner {
   // Open while the scan is inside a chunk; source_ is valid only then.
   std::optional<Table::ReadSection> section_;
   Table::ScanSource source_;
-  DataBlock image_;  // evicted chunks' scanned columns, reused; the
-                     // thread's spare image (table_scanner.cc)
+  BlockImage image_;  // evicted chunks' scanned columns, reused; the
+                      // thread's spare image (table_scanner.cc)
   uint32_t pos_ = 0;
   bool chunk_prepped_ = false;
   bool skip_chunk_ = false;

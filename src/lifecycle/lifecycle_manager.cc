@@ -89,14 +89,15 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
     Metrics().degraded->Add(1);
     trace().Publish("lifecycle", "degrade", 0);
   }
-  // The table's read path for evicted chunks, for scans' and point reads'
-  // projected images alike. It must not call back into Table — ReadChunk
-  // only touches the manager's own state (mu_) and the archive.
+  // The table's read path for evicted chunks: one archive read into the
+  // reader's image, for scans and point reads alike. It must not call
+  // back into Table — ReadChunk only touches the manager's own state (mu_)
+  // and the archive.
   table_->SetBlockFetcher(
       [this](size_t chunk_idx, const BlockRead& read) -> Status {
         StatusOr<uint64_t> bytes = ReadChunk(chunk_idx, read);
         if (!bytes.ok()) return bytes.status();
-        const bool point = read.kind == BlockRead::kPoint;
+        const bool point = read.row.has_value();
         if (point) Metrics().point_reads->Add();
         trace().Publish("lifecycle", point ? "point_read" : "scan_read",
                         int64_t(chunk_idx), int64_t(*bytes));
@@ -166,9 +167,7 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
       DB_FAILPOINT("lifecycle.reload")
           ? StatusOr<uint64_t>(Status::IoError(
                 "injected reload failure (failpoint lifecycle.reload)"))
-      : read.kind == BlockRead::kPoint
-          ? archive_->ReadRow(block_id, read.col, read.row, read.pages)
-          : archive_->ReadBlock(block_id, read.columns, read.image);
+          : archive_->Read(block_id, read);
   if (!bytes.ok()) {
     QuarantineChunk(chunk_idx, bytes.status());
     return bytes;
@@ -179,11 +178,11 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
 }
 
 Status LifecycleManager::Readmit(size_t chunk_idx) {
-  DataBlock block;
+  BlockImage image;
   StatusOr<uint64_t> read =
-      ReadChunk(chunk_idx, BlockRead::Scan(ColumnSet::All(), &block));
+      ReadChunk(chunk_idx, BlockRead::Scan(ColumnSet::All(), &image));
   if (!read.ok()) return read.status();
-  if (Status s = table_->ReadmitChunk(chunk_idx, std::move(block)); !s.ok())
+  if (Status s = table_->ReadmitChunk(chunk_idx, image.TakeBlock()); !s.ok())
     return s;
   Metrics().reloads->Add();
   trace().Publish("lifecycle", "reload", int64_t(chunk_idx), int64_t(*read));
@@ -457,7 +456,6 @@ void LifecycleManager::RetryQuarantinedLocked() {
     for (const auto& [chunk, q] : quarantine_)
       if (now >= q.next_retry) due.push_back(chunk);
   }
-  DataBlock spine;
   for (size_t chunk : due) {
     if (!table_->is_evicted(chunk)) {
       // Tombstoned behind our back — quarantine is moot.
@@ -468,6 +466,7 @@ void LifecycleManager::RetryQuarantinedLocked() {
     // quarantine); failure re-quarantines with doubled backoff. No read
     // section is needed: tombstones and releases only happen in Tick,
     // which holds tick_mu_ for this whole pass.
+    BlockImage spine;
     (void)ReadChunk(
         chunk, BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
   }

@@ -279,29 +279,6 @@ StatusOr<size_t> BlockArchive::AppendBlock(const DataBlock& block,
   return entries_.size() - 1;
 }
 
-Status BlockArchive::BeginRead(size_t id, ArchiveEntry* e,
-                               const ChecksumTable** table) const {
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    if (id >= entries_.size()) {
-      return Status::NotFound("no archived block " + std::to_string(id) +
-                              " (archive has " +
-                              std::to_string(entries_.size()) + ")");
-    }
-    if (entries_[id].released) {
-      return Status::NotFound("archived block " + std::to_string(id) +
-                              " was released");
-    }
-    *e = entries_[id];
-    *table = tables_[id].get();
-    ++payload_reads_;
-  }
-  if (DB_FAILPOINT("archive.read.ioerror")) {
-    return Status::IoError("injected read failure (failpoint)");
-  }
-  return Status::Ok();
-}
-
 Status BlockArchive::ReadRegions(size_t id, const ArchiveEntry& e,
                                  const ChecksumTable& table, uint64_t first,
                                  uint64_t end, uint8_t* buf,
@@ -338,20 +315,29 @@ Status BlockArchive::ReadRegions(size_t id, const ArchiveEntry& e,
   return Status::Ok();
 }
 
-void BlockArchive::CountBytesRead(uint64_t bytes, uint64_t pages) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  payload_bytes_read_ += bytes;
-  payload_pages_read_ += pages;
-}
-
-StatusOr<uint64_t> BlockArchive::ReadBlock(size_t id, const ColumnSet& columns,
-                                           DataBlock* out) const {
+StatusOr<uint64_t> BlockArchive::Read(size_t id, const BlockRead& read) const {
   DB_CHECK(mu_ != nullptr);
   ArchiveEntry e;
   const ChecksumTable* table;
-  if (Status s = BeginRead(id, &e, &table); !s.ok())
-    return CountRead(std::move(s));
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    if (id >= entries_.size()) {
+      return CountRead(Status::NotFound(
+          "no archived block " + std::to_string(id) + " (archive has " +
+          std::to_string(entries_.size()) + ")"));
+    }
+    if (entries_[id].released) {
+      return CountRead(Status::NotFound(
+          "archived block " + std::to_string(id) + " was released"));
+    }
+    e = entries_[id];
+    table = tables_[id].get();
+    ++payload_reads_;
+  }
+  if (DB_FAILPOINT("archive.read.ioerror"))
+    return CountRead(Status::IoError("injected read failure (failpoint)"));
   const std::string block_name = "block " + std::to_string(id);
+  const ColumnSet& columns = read.columns;
   const uint32_t ncols = e.attr_count;
   for (uint32_t i = 0; i < columns.size(ncols); ++i) {
     if (columns.at(i) >= ncols) {
@@ -359,125 +345,115 @@ StatusOr<uint64_t> BlockArchive::ReadBlock(size_t id, const ColumnSet& columns,
           block_name + " has no attribute " + std::to_string(columns.at(i))));
     }
   }
-
-  // The spine and the requested extents' pages, adjacent ones in one run
-  // (the full read is a single one).
-  out->ResizeForFill(e.block_bytes);
-  uint8_t* buf = out->fill_bytes();
-  uint64_t bytes = 0, pages = 0;
-  uint64_t run_first = 0, run_end = 1;
-  Status s = Status::Ok();
-  for (uint32_t i = 0; i < columns.size(ncols) && s.ok(); ++i) {
-    const uint32_t c = columns.at(i);
-    const uint64_t first = 1 + table->first_page[c];
-    const uint64_t end = 1 + table->first_page[c + 1];
-    pages += end - first;
-    if (first == end) continue;
-    if (first != run_end) {
-      s = ReadRegions(id, e, *table, run_first, run_end, buf, &bytes);
-      run_first = first;
-    }
-    run_end = end;
-  }
-  if (s.ok()) s = ReadRegions(id, e, *table, run_first, run_end, buf, &bytes);
-  if (s.ok() && DB_FAILPOINT("archive.read.corruption")) {
-    s = Status::Corruption("checksum mismatch on " + block_name +
-                           " (failpoint)");
-  }
-  if (!s.ok()) return CountRead(std::move(s));
-
-  // The checksums prove the bytes are the ones written; the structure must
-  // still be checked before anything indexes into them. The extents the
-  // spine implies must be the ones the table verified.
-  std::vector<uint64_t> begins;
-  s = out->Extents(&begins);
-  const bool agree =
-      s.ok() && begins == table->begins && out->num_rows() == e.row_count;
-  if (agree) s = out->Validate(columns);
-  if (!agree || !s.ok()) {
-    const std::string why =
-        agree ? s.message() : "layout disagrees with its catalog entry";
-    return CountRead(Status::Corruption(
-        block_name + " bytes are not a well-formed block: " + why));
-  }
-  CountBytesRead(bytes, pages);
-  return bytes;
-}
-
-StatusOr<uint64_t> BlockArchive::ReadRow(size_t id, uint32_t col,
-                                         uint32_t row,
-                                         PartialBlock* image) const {
-  DB_CHECK(mu_ != nullptr);
-  ArchiveEntry e;
-  const ChecksumTable* table;
-  if (Status s = BeginRead(id, &e, &table); !s.ok())
-    return CountRead(std::move(s));
-  const std::string block_name = "block " + std::to_string(id);
-  if (col >= e.attr_count) {
-    return CountRead(Status::Corruption(block_name + " has no attribute " +
-                                        std::to_string(col)));
-  }
   auto malformed = [&block_name](const Status& why) {
     return Status::Corruption(block_name +
                               " bytes are not a well-formed block: " +
                               why.message());
   };
+
+  BlockImage& image = *read.image;
   uint64_t bytes = 0, pages = 0;
+  // Regions [run_first, run_end) wait to be read as one run.
+  uint64_t run_first = 0, run_end = 0;
+  auto flush = [&]() -> Status {
+    if (run_first == run_end) return Status::Ok();
+    return ReadRegions(id, e, *table, run_first, run_end, image.buffer(),
+                       &bytes);
+  };
+  // The spine, checked once read: its extents must be the ones the
+  // table's page checksums cover.
+  auto adopt = [&]() -> Status {
+    if (Status s = image.AdoptSpine(); !s.ok()) return malformed(s);
+    if (image.begins() != table->begins ||
+        image.block().num_rows() != e.row_count) {
+      image.Clear();
+      return malformed(
+          Status::Corruption("layout disagrees with its catalog entry"));
+    }
+    return Status::Ok();
+  };
+  const bool adopting = !image.has_spine();
+  if (adopting) {
+    image.Reset(e.block_bytes);
+    run_end = 1;
+  }
+
   Status s = Status::Ok();
-  DataBlock* block = image->mutable_block();
-  if (!image->has_spine()) {
-    // The spine, checked as a projected read checks it; its extents must
-    // be the ones the table's page checksums cover.
-    block->ResizeForFill(e.block_bytes);
-    s = ReadRegions(id, e, *table, 0, 1, block->fill_bytes(), &bytes);
-    if (s.ok()) {
-      s = image->AdoptSpine();
-      if (!s.ok()) {
-        s = malformed(s);
-      } else if (image->begins() != table->begins ||
-                 block->num_rows() != e.row_count) {
-        image->Clear();
-        s = malformed(
-            Status::Corruption("layout disagrees with its catalog entry"));
+  if (!read.row.has_value()) {
+    // A scan: the whole extents the image lacks, adjacent ones in one run
+    // with each other and the spine (a full read is a single one).
+    for (uint32_t i = 0; i < columns.size(ncols) && s.ok(); ++i) {
+      const uint32_t c = columns.at(i);
+      for (uint64_t p = table->first_page[c];
+           p < table->first_page[c + 1] && s.ok(); ++p) {
+        if (!adopting && image.HasPage(p)) continue;
+        ++pages;
+        if (1 + p != run_end) {
+          s = flush();
+          run_first = 1 + p;
+        }
+        run_end = 2 + p;
       }
     }
-  }
-  // The row's pages: each range ValidateRow is about to read is fetched
-  // where the image lacks it, as one run of pages, and added once verified.
-  Status fetch = Status::Ok();
-  auto need = [&](uint64_t offset, uint64_t len) -> Status {
-    uint64_t first = image->PageOf(col, offset);
-    uint64_t last = image->PageOf(col, offset + len - 1);
-    while (first <= last && image->HasPage(first)) ++first;
-    while (last > first && image->HasPage(last)) --last;
-    if (first > last) return Status::Ok();
-    pages += last - first + 1;
-    fetch = ReadRegions(id, e, *table, 1 + first, 2 + last,
-                        block->fill_bytes(), &bytes);
-    for (uint64_t p = first; fetch.ok() && p <= last; ++p) image->AddPage(p);
-    return fetch;
-  };
-  if (s.ok()) {
-    s = block->ValidateRow(col, row, table->begins[col],
-                           table->begins[col + 1], need);
-    // A failure of the row check itself, not of a fetch: the bytes passed
-    // their checksums but are not a well-formed block.
-    if (fetch.ok() && s.code() == StatusCode::kCorruption) s = malformed(s);
+    if (s.ok()) s = flush();
+    if (s.ok() && adopting) s = adopt();
+    if (s.ok()) {
+      for (uint32_t i = 0; i < columns.size(ncols); ++i) {
+        const uint32_t c = columns.at(i);
+        image.AddPages(table->first_page[c], table->first_page[c + 1]);
+      }
+      // The checksums prove the bytes are the ones written; the structure
+      // must still be checked before anything indexes into them.
+      if (Status v = image.block().Validate(columns); !v.ok())
+        s = malformed(v);
+    }
+  } else {
+    // A point read: the spine first, which locates the row's bytes. Each
+    // range ValidateRow is about to read is fetched where the image lacks
+    // it, as one run of pages, and added once verified.
+    if (adopting) {
+      s = flush();
+      if (s.ok()) s = adopt();
+    }
+    for (uint32_t i = 0; i < columns.size(ncols) && s.ok(); ++i) {
+      const uint32_t col = columns.at(i);
+      Status fetch = Status::Ok();
+      auto need = [&](uint64_t offset, uint64_t len) -> Status {
+        uint64_t first = image.PageOf(col, offset);
+        uint64_t last = image.PageOf(col, offset + len - 1);
+        while (first <= last && image.HasPage(first)) ++first;
+        while (last > first && image.HasPage(last)) --last;
+        if (first > last) return Status::Ok();
+        pages += last - first + 1;
+        fetch = ReadRegions(id, e, *table, 1 + first, 2 + last,
+                            image.buffer(), &bytes);
+        if (fetch.ok()) image.AddPages(first, last + 1);
+        return fetch;
+      };
+      s = image.block().ValidateRow(col, *read.row, table->begins[col],
+                                    table->begins[col + 1], need);
+      // A failure of the row check itself, not of a fetch: the bytes
+      // passed their checksums but are not a well-formed block.
+      if (fetch.ok() && s.code() == StatusCode::kCorruption) s = malformed(s);
+    }
   }
   if (s.ok() && DB_FAILPOINT("archive.read.corruption")) {
     s = Status::Corruption("checksum mismatch on " + block_name +
                            " (failpoint)");
   }
   if (!s.ok()) return CountRead(std::move(s));
-  CountBytesRead(bytes, pages);
+  std::lock_guard<std::mutex> lock(*mu_);
+  payload_bytes_read_ += bytes;
+  payload_pages_read_ += pages;
   return bytes;
 }
 
 StatusOr<DataBlock> BlockArchive::ReadBlock(size_t id) const {
-  DataBlock block;
-  StatusOr<uint64_t> read = ReadBlock(id, ColumnSet::All(), &block);
+  BlockImage image;
+  StatusOr<uint64_t> read =
+      Read(id, BlockRead::Scan(ColumnSet::All(), &image));
   if (!read.ok()) return read.status();
-  return block;
+  return image.TakeBlock();
 }
 
 uint64_t BlockArchive::Checksum(const void* data, uint64_t n) {

@@ -40,9 +40,10 @@ struct ArchiveEntry {
 /// (BlockHeader plus the AttrMeta array), then every attribute's extent
 /// (DataBlock::Extents: from the attribute's first region to where the
 /// next attribute's begins) cut into 4 KB pages counted from the extent's
-/// start (DataBlock::kPageBytes, DataBlock::FirstPages). Every read — a
-/// projected or full ReadBlock, a ReadRow — preads runs of consecutive
-/// regions and verifies each region before its bytes are used. Every
+/// start (DataBlock::kPageBytes, DataBlock::FirstPages). The one read,
+/// Read, fills a BlockImage: a scan's spine and whole extents or a point
+/// read's pages, as runs of consecutive regions, each pread once and each
+/// region verified before its bytes are used. Every
 /// checksum is an 8-lane FNV-style mix: each 64-byte stripe feeds one word
 /// to each of eight independent multiply chains, which the core overlaps
 /// instead of waiting on one serial chain per 8 bytes.
@@ -51,9 +52,10 @@ struct ArchiveEntry {
 /// of aborting. A failed append truncates back to the last good end of
 /// payload — pre-existing blocks stay readable. Checksums, the structural
 /// checks of DataBlock::Validate and the lifecycle's quarantine protect
-/// reads. A point read's row check (DataBlock::ValidateRow) stands in for
-/// Validate's full scan of codes and dictionary entries, which a partial
-/// extent cannot run. All methods are thread-safe.
+/// reads. A read checks the attributes it reads: a scan runs Validate over
+/// its columns, and a point read's row check (DataBlock::ValidateRow)
+/// stands in for Validate's full scan of codes and dictionary entries,
+/// which a partial extent cannot run. All methods are thread-safe.
 class BlockArchive {
  public:
   BlockArchive() = default;
@@ -65,34 +67,28 @@ class BlockArchive {
   static StatusOr<BlockArchive> Create(const std::string& path);
 
   /// Appends one block, written through to the OS before returning. Returns
-  /// the block's id for ReadBlock; on failure (kNoSpace for short writes /
+  /// the block's id for Read; on failure (kNoSpace for short writes /
   /// ENOSPC, kIoError otherwise) the file is truncated back so every
   /// previously appended block stays readable.
   StatusOr<size_t> AppendBlock(const DataBlock& block,
                                uint32_t chunk_index = UINT32_MAX);
 
-  /// Random-access, checksum-verified read of block `id` into `out`, whose
-  /// buffer is reused when large enough. Reads and verifies the spine and
-  /// the extents of `columns` only; the bytes of other attributes are left
-  /// undefined. With ColumnSet::All() it is the full reload. Returns the
-  /// payload bytes read. kCorruption on a checksum mismatch or a block that
-  /// fails DataBlock::Validate(columns), kIoError on a failed read — other
-  /// blocks stay readable.
-  StatusOr<uint64_t> ReadBlock(size_t id, const ColumnSet& columns,
-                               DataBlock* out) const;
+  /// Random-access, checksum-verified read of block `id` into
+  /// `read.image`, which must be empty or hold regions of this block; its
+  /// buffer is reused when large enough. Adopts the spine if the image
+  /// lacks it, then fetches what the read needs and the image lacks: a
+  /// scan (no `read.row`) the whole extents of `read.columns`, a point
+  /// read the pages that hold row `*read.row` of each of `read.columns` —
+  /// its code, NULL-bitmap word and, for dictionaries, its entry and string
+  /// bytes. Every region is verified before its page is added, and the read
+  /// passes the structural checks: DataBlock::Validate over a scan's
+  /// columns, DataBlock::ValidateRow for a point read. Returns the payload
+  /// bytes read. kCorruption on a checksum mismatch or malformed bytes,
+  /// kIoError on a failed read — other blocks stay readable.
+  StatusOr<uint64_t> Read(size_t id, const BlockRead& read) const;
 
-  /// Point read of row `row`, attribute `col` of block `id` into `image`:
-  /// the spine if `image` lacks it, then the pages that hold the row's
-  /// code, its NULL-bitmap word and, for dictionaries, its entry and
-  /// string bytes, where `image` lacks them. Every page is verified before
-  /// it is added, and the row passes DataBlock::ValidateRow. `image` must
-  /// be empty or hold pages of this block. Returns the payload bytes read.
-  /// kCorruption on a checksum mismatch or malformed bytes, kIoError on a
-  /// failed read.
-  StatusOr<uint64_t> ReadRow(size_t id, uint32_t col, uint32_t row,
-                             PartialBlock* image) const;
-
-  /// The full reload as a fresh block.
+  /// The full reload as a fresh block: Read of every column into a fresh
+  /// image.
   StatusOr<DataBlock> ReadBlock(size_t id) const;
 
   size_t num_blocks() const;  // thread-safe
@@ -107,7 +103,7 @@ class BlockArchive {
   /// the file.
   uint64_t PayloadBytes() const;
 
-  /// Payload reads served so far (ReadBlock and ReadRow calls). Summary
+  /// Payload reads served so far (Read and ReadBlock calls). Summary
   /// accesses do not touch the archive — that is the point: pruning
   /// evicted blocks must leave this at zero, and the lifecycle tests pin
   /// it down.
@@ -121,7 +117,7 @@ class BlockArchive {
   Status Finish();
 
   /// Frees block `id` in place: its catalog entry is marked dead, so every
-  /// later ReadBlock, ReadRow or Release of `id` returns kNotFound, then
+  /// later Read, ReadBlock or Release of `id` returns kNotFound, then
   /// the file pages that lie wholly inside the block are punched out (a
   /// hole; the file size stays). The pages it shares with its neighbours
   /// stay, so they read back unchanged. The caller must know no read of
@@ -140,17 +136,12 @@ class BlockArchive {
   };
 
  private:
-  /// A read's start: block `id`'s entry and table (counted as a payload
-  /// read), or why it cannot be read.
-  Status BeginRead(size_t id, ArchiveEntry* e,
-                   const ChecksumTable** table) const;
   /// Preads regions [first, end) of block `e` — region 0 is the spine,
   /// region 1 + p is page p — into `buf` at their block offsets and
   /// verifies each. Adds the bytes read to `*bytes`.
   Status ReadRegions(size_t id, const ArchiveEntry& e,
                      const ChecksumTable& table, uint64_t first, uint64_t end,
                      uint8_t* buf, uint64_t* bytes) const;
-  void CountBytesRead(uint64_t bytes, uint64_t pages) const;
 
   int fd_ = -1;
   uint64_t punch_align_ = 4096;  // filesystem block size (st_blksize)

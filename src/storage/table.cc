@@ -37,7 +37,7 @@ std::atomic<uint64_t> g_next_table_id{1};
 struct PointImage {
   uint64_t table = 0;  // Table::id_ of the imaged chunk; 0 = empty or torn
   size_t chunk = 0;
-  PartialBlock pages;
+  BlockImage pages;
 };
 thread_local PointImage t_point_image;
 
@@ -276,6 +276,7 @@ Status Table::FetchEvicted(size_t chunk_idx, const BlockRead& read) const {
                                "' is evicted and no block fetcher is "
                                "installed");
   }
+  const bool adopts = !read.image->has_spine();
   Status s;
   try {
     s = fetcher(chunk_idx, read);
@@ -284,14 +285,11 @@ Status Table::FetchEvicted(size_t chunk_idx, const BlockRead& read) const {
   } catch (const std::exception& e) {
     s = Status::IoError(std::string("block fetcher threw: ") + e.what());
   }
-  if (!s.ok()) return s;
-  return CheckBlock(chunk_idx, read.columns,
-                    read.kind == BlockRead::kScan ? *read.image
-                                                  : read.pages->block());
+  if (!s.ok() || !adopts) return s;
+  return CheckBlock(chunk_idx, read.image->block());
 }
 
-Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
-                         const DataBlock& block) const {
+Status Table::CheckBlock(size_t chunk_idx, const DataBlock& block) const {
   const std::string where =
       "chunk " + std::to_string(chunk_idx) + " of table '" + name_ + "'";
   const uint32_t rows = slot(chunk_idx).rows.load(std::memory_order_relaxed);
@@ -301,8 +299,8 @@ Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
                               " rows, chunk has " + std::to_string(rows));
   }
   bool matches = block.num_columns() == schema_->num_columns();
-  for (uint32_t i = 0; matches && i < columns.size(block.num_columns()); ++i)
-    matches = block.type(columns.at(i)) == schema_->type(columns.at(i));
+  for (uint32_t c = 0; matches && c < block.num_columns(); ++c)
+    matches = block.type(c) == schema_->type(c);
   if (!matches) {
     return Status::Corruption("block read for " + where +
                               " does not match the table schema");
@@ -312,7 +310,7 @@ Status Table::CheckBlock(size_t chunk_idx, const ColumnSet& columns,
 
 Table::ScanSource Table::OpenForScan(size_t chunk_idx,
                                      const ColumnSet& columns,
-                                     DataBlock* image) const {
+                                     BlockImage* image) const {
   DB_CHECK(t_section.depth != 0);
   const Slot& s = slot(chunk_idx);
   const uint32_t epoch = access_epoch_.load(std::memory_order_relaxed);
@@ -322,13 +320,14 @@ Table::ScanSource Table::OpenForScan(size_t chunk_idx,
   if (IsHotState(st)) return {s.hot.get(), nullptr};
   if (st == ChunkState::kFrozen) return {nullptr, s.frozen.get()};
   if (st == ChunkState::kTombstone) return {};
+  image->Clear();
   ThrowIfError(FetchEvicted(chunk_idx, BlockRead::Scan(columns, image)));
-  return {nullptr, image};
+  return {nullptr, &image->block()};
 }
 
 Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
   CheckOutsideSection();
-  if (Status s = CheckBlock(chunk_idx, ColumnSet::All(), block); !s.ok())
+  if (Status s = CheckBlock(chunk_idx, block); !s.ok())
     return s;
   Slot& target = slot(chunk_idx);
   {

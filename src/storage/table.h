@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,28 +66,21 @@ enum class ChunkState : uint8_t {
   kTombstone,
 };
 
-/// One read of an evicted chunk's block through the block fetcher, which
-/// counts and traces the two kinds apart.
+/// One read of an evicted chunk's block into `image` (BlockArchive::Read):
+/// a scan fetches the whole extents of `columns`, a point read (`row` set)
+/// the pages that hold that row of `columns`. The image keeps what it
+/// holds, so a read fetches only what it lacks.
 struct BlockRead {
-  enum Kind : uint8_t {
-    kScan,   // OpenForScan: the spine and whole extents of `columns` into
-             // the reader's own `image`
-    kPoint,  // a point read: the pages that hold `row` of column `col`
-             // into the thread's partial image `pages`
-  };
-
-  static BlockRead Scan(const ColumnSet& columns, DataBlock* image) {
-    return BlockRead{kScan, columns, image, 0, 0, nullptr};
+  static BlockRead Scan(const ColumnSet& columns, BlockImage* image) {
+    return BlockRead{columns, std::nullopt, image};
   }
-  static BlockRead Point(uint32_t col, uint32_t row, PartialBlock* pages) {
-    return BlockRead{kPoint, ColumnSet({col}), nullptr, col, row, pages};
+  static BlockRead Point(uint32_t col, uint32_t row, BlockImage* image) {
+    return BlockRead{ColumnSet({col}), row, image};
   }
 
-  Kind kind;
-  ColumnSet columns;   // kPoint: {col}
-  DataBlock* image;    // kScan
-  uint32_t col, row;   // kPoint
-  PartialBlock* pages; // kPoint
+  ColumnSet columns;
+  std::optional<uint32_t> row;  // set: a point read of this row
+  BlockImage* image;
 };
 
 const char* ChunkStateName(ChunkState s);
@@ -120,9 +114,9 @@ inline bool IsHotState(ChunkState s) {
 /// are still unsupported.
 class Table {
  public:
-  /// Reads part of an evicted chunk's block from secondary storage, as
-  /// `read` says: a scan's spine and columns (ColumnSet::All() reads all of
-  /// it) or a point read's pages. Installed by the lifecycle manager;
+  /// Reads part of an evicted chunk's block from secondary storage into
+  /// `read.image`, as `read` says: a scan's columns (ColumnSet::All() reads
+  /// all of it) or a point read's pages. Installed by the lifecycle manager;
   /// invoked without the table's lifecycle mutex, and it must not call back
   /// into this table. A failed read (corrupt or unreadable archive block,
   /// quarantined chunk) returns its Status — the read then throws
@@ -193,13 +187,14 @@ class Table {
   /// Point access. A hot row is read from its chunk, a frozen one is
   /// decompressed from a single position of the resident block. An evicted
   /// chunk stays evicted: it is read through the calling thread's point
-  /// image, which holds pages, not extents — the spine and the 4 KB pages
-  /// that earlier reads of the last evicted chunk it read fetched. A read
-  /// the image cannot serve fetches, through the block fetcher, the pages
-  /// that hold the row's code, NULL word and dictionary entry and string
-  /// (each verified by its checksum); every read passes the row check
-  /// (DataBlock::ValidateRow). A failed read throws StorageException, and
-  /// so does a read of a tombstoned chunk, whose rows are all deleted.
+  /// image (a BlockImage of the last evicted chunk it read), which holds
+  /// the spine and the 4 KB pages earlier point reads of that chunk
+  /// fetched. A read the image cannot serve fetches, through the block
+  /// fetcher, the pages that hold the row's code, NULL word and dictionary
+  /// entry and string (each verified by its checksum); every read passes
+  /// the row check (DataBlock::ValidateRow). A failed read throws
+  /// StorageException, and so does a read of a tombstoned chunk, whose rows
+  /// are all deleted.
   /// The string_view of GetStringView points into the chunk, the resident
   /// block or the point image: for a hot or frozen row it stays valid
   /// while the chunk stays in that state; for an evicted row, until the
@@ -348,12 +343,14 @@ class Table {
   /// that section closes. The state is loaded once: the scan keeps the
   /// pointer it got for the whole chunk, also when a freezing chunk turns
   /// frozen or a block is evicted meanwhile. An evicted chunk is not
-  /// installed: the fetcher reads just the spine and `columns` into
-  /// `image`, which is returned, and the chunk stays kEvicted; the section
-  /// keeps a tombstone from detaching its archive copy while the image is
+  /// installed: `image` is cleared, the fetcher reads the spine and the
+  /// whole extents of `columns` into it, and its block is returned; the
+  /// chunk stays kEvicted. Every open reads afresh, reusing the buffer but
+  /// no page of an earlier open or of the thread's point reads. The section
+  /// keeps a tombstone from detaching the archive copy while the image is
   /// read. Throws StorageException when the read fails.
   ScanSource OpenForScan(size_t chunk_idx, const ColumnSet& columns,
-                         DataBlock* image) const;
+                         BlockImage* image) const;
 
   // -- Temperature (lifecycle statistics) --------------------------------
 
@@ -374,7 +371,8 @@ class Table {
   }
 
   /// Epoch stamp of the last access (point access, delete or scan) to a
-  /// chunk — the recency signal the block cache uses for LRU eviction.
+  /// chunk — the recency signal of the lifecycle manager's LRU eviction
+  /// (LifecycleManager::PickVictimLocked).
   uint32_t chunk_last_access(size_t chunk_idx) const {
     return slot(chunk_idx).last_access.load(std::memory_order_relaxed);
   }
@@ -510,13 +508,12 @@ class Table {
   void RetireBlock(Slot& slot, ChunkState to,
                    std::unique_lock<std::mutex>& lock);
   /// Performs `read` of evicted chunk `chunk_idx` through the fetcher —
-  /// exceptions become a Status — and checks that the block belongs to the
-  /// chunk (CheckBlock).
+  /// exceptions become a Status — and, when the read adopted the image's
+  /// spine, checks that the block belongs to the chunk (CheckBlock).
   Status FetchEvicted(size_t chunk_idx, const BlockRead& read) const;
   /// kCorruption unless `block` has the chunk's row count and the schema's
-  /// types for `columns`.
-  Status CheckBlock(size_t chunk_idx, const ColumnSet& columns,
-                    const DataBlock& block) const;
+  /// column count and types. Reads the spine alone.
+  Status CheckBlock(size_t chunk_idx, const DataBlock& block) const;
   /// Reads `col` of row `id` inside a read section: `from_block` on the
   /// resident block or the thread's point image, `from_hot` on the hot
   /// chunk.

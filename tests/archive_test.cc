@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -73,6 +74,18 @@ BlockArchive SpillAll(const Table& t, const std::string& path) {
 bool SameBytes(const DataBlock& a, const DataBlock& b) {
   return a.SizeBytes() == b.SizeBytes() &&
          std::memcmp(a.raw_bytes(), b.raw_bytes(), a.SizeBytes()) == 0;
+}
+
+/// A scan's read of `columns` of block `id` of `a` into `image`.
+StatusOr<uint64_t> ScanRead(const BlockArchive& a, size_t id,
+                            const ColumnSet& columns, BlockImage* image) {
+  return a.Read(id, BlockRead::Scan(columns, image));
+}
+
+/// A point read of row `row`, attribute `col` of block `id` into `image`.
+StatusOr<uint64_t> PointRead(const BlockArchive& a, size_t id, uint32_t col,
+                             uint32_t row, BlockImage* image) {
+  return a.Read(id, BlockRead::Point(col, row, image));
 }
 
 TEST(BlockArchive, RandomAccessRoundTripWithStrings) {
@@ -169,8 +182,8 @@ TEST(BlockArchive, ReleaseFreesOnlyThatBlock) {
   StatusOr<DataBlock> dead = archive.ReadBlock(1);
   ASSERT_FALSE(dead.ok());
   EXPECT_EQ(dead.status().code(), StatusCode::kNotFound);
-  PartialBlock image;
-  StatusOr<uint64_t> row = archive.ReadRow(1, 0, 0, &image);
+  BlockImage image;
+  StatusOr<uint64_t> row = PointRead(archive, 1, 0, 0, &image);
   ASSERT_FALSE(row.ok());
   EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(archive.Release(1).code(), StatusCode::kNotFound);
@@ -306,13 +319,6 @@ TEST(BlockArchive, ReloadedBlockScanPaddingIsZero) {
     ASSERT_TRUE(block.ok());
     expect_zero_padding(*block);
   }
-  // The same holds for the other direct-fill user, FromBytes.
-  const DataBlock& src = *t.frozen_block(0);
-  dirty_heap(src.SizeBytes());
-  StatusOr<DataBlock> copy = DataBlock::FromBytes(src.raw_bytes(),
-                                                  src.SizeBytes());
-  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
-  expect_zero_padding(*copy);
   std::remove(path.c_str());
 }
 
@@ -461,7 +467,7 @@ TEST(BlockArchiveProjected, ProjectedReadsScanLikeFullReloads) {
     }
 
     Rng rng(psma ? 101 : 202);
-    DataBlock reused;  // one image refilled across blocks, as a scan does
+    BlockImage reused;  // one image refilled across blocks, as a scan does
     for (int round = 0; round < 24; ++round) {
       std::vector<uint32_t> out, pred_cols;
       for (uint32_t c = 0; c < kWideCols; ++c) {
@@ -479,7 +485,8 @@ TEST(BlockArchiveProjected, ProjectedReadsScanLikeFullReloads) {
       const uint64_t bytes_before = a.payload_bytes_read();
       uint64_t bytes = 0;
       for (size_t id = 0; id < a.num_blocks(); ++id) {
-        StatusOr<uint64_t> got = a.ReadBlock(id, set, &reused);
+        reused.Clear();
+        StatusOr<uint64_t> got = ScanRead(a, id, set, &reused);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         bytes += *got;
         // The reused image holds the spine and the requested extents
@@ -487,13 +494,13 @@ TEST(BlockArchiveProjected, ProjectedReadsScanLikeFullReloads) {
         const DataBlock& whole = *full.frozen_block(id);
         std::vector<uint64_t> begins;
         ASSERT_TRUE(whole.Extents(&begins).ok());
-        EXPECT_EQ(std::memcmp(reused.raw_bytes(), whole.raw_bytes(),
+        EXPECT_EQ(std::memcmp(reused.block().raw_bytes(), whole.raw_bytes(),
                               DataBlock::SpineBytes(kWideCols)),
                   0);
         uint64_t expect_bytes = DataBlock::SpineBytes(kWideCols);
         for (uint32_t i = 0; i < set.size(kWideCols); ++i) {
           const uint32_t c = set.at(i);
-          EXPECT_EQ(std::memcmp(reused.raw_bytes() + begins[c],
+          EXPECT_EQ(std::memcmp(reused.block().raw_bytes() + begins[c],
                                 whole.raw_bytes() + begins[c],
                                 begins[c + 1] - begins[c]),
                     0)
@@ -502,10 +509,10 @@ TEST(BlockArchiveProjected, ProjectedReadsScanLikeFullReloads) {
         }
         EXPECT_EQ(*got, expect_bytes);
         // A fresh image per block for the scan comparison below.
-        DataBlock image;
-        ASSERT_TRUE(a.ReadBlock(id, set, &image).ok());
+        BlockImage image;
+        ASSERT_TRUE(ScanRead(a, id, set, &image).ok());
         bytes += expect_bytes;
-        projected.AppendFrozen(std::move(image));
+        projected.AppendFrozen(image.TakeBlock());
       }
       EXPECT_EQ(a.payload_bytes_read() - bytes_before, bytes);
 
@@ -541,13 +548,13 @@ TEST(BlockArchiveProjected, FlipInUnrequestedExtentFailsOnlyReadsThatNeedIt) {
   ASSERT_GT(begins[4], begins[3] + 16);
   FlipByte(path, a.EntriesSnapshot()[1].offset + begins[3] + 9, 0x20);
 
-  DataBlock image;
-  StatusOr<uint64_t> projected = a.ReadBlock(1, ColumnSet({0, 1, 2}), &image);
+  BlockImage image;
+  StatusOr<uint64_t> projected = ScanRead(a, 1, ColumnSet({0, 1, 2}), &image);
   ASSERT_TRUE(projected.ok()) << projected.status().ToString();
-  EXPECT_EQ(image.num_rows(), t.chunk_rows(1));
-  EXPECT_EQ(image.GetInt(0, 7), t.GetInt(MakeRowId(1, 7), 0));
+  EXPECT_EQ(image.block().num_rows(), t.chunk_rows(1));
+  EXPECT_EQ(image.block().GetInt(0, 7), t.GetInt(MakeRowId(1, 7), 0));
 
-  StatusOr<uint64_t> needs_it = a.ReadBlock(1, ColumnSet({3}), &image);
+  StatusOr<uint64_t> needs_it = ScanRead(a, 1, ColumnSet({3}), &image);
   ASSERT_FALSE(needs_it.ok());
   EXPECT_EQ(needs_it.status().code(), StatusCode::kCorruption);
   EXPECT_NE(needs_it.status().message().find("attribute 3"), std::string::npos)
@@ -569,8 +576,8 @@ TEST(BlockArchiveProjected, FlipInSpineOrRequestedExtentIsCorruption) {
   // Spine: the header and an AttrMeta of an attribute nobody requests.
   for (uint64_t at : {uint64_t(4), DataBlock::SpineBytes(9) + 20}) {
     FlipByte(path, offset + at, 0x01);
-    DataBlock image;
-    StatusOr<uint64_t> r = a.ReadBlock(0, ColumnSet({1}), &image);
+    BlockImage image;
+    StatusOr<uint64_t> r = ScanRead(a, 0, ColumnSet({1}), &image);
     ASSERT_FALSE(r.ok()) << "spine byte " << at;
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
     EXPECT_NE(r.status().message().find("spine"), std::string::npos)
@@ -580,13 +587,13 @@ TEST(BlockArchiveProjected, FlipInSpineOrRequestedExtentIsCorruption) {
   // A requested extent, first and last byte.
   for (uint64_t at : {begins[2], begins[3] - 1}) {
     FlipByte(path, offset + at, 0x80);
-    DataBlock image;
-    StatusOr<uint64_t> r = a.ReadBlock(0, ColumnSet({0, 2}), &image);
+    BlockImage image;
+    StatusOr<uint64_t> r = ScanRead(a, 0, ColumnSet({0, 2}), &image);
     ASSERT_FALSE(r.ok()) << "extent byte " << at;
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
     EXPECT_NE(r.status().message().find("attribute 2"), std::string::npos)
         << r.status().ToString();
-    EXPECT_TRUE(a.ReadBlock(0, ColumnSet({0, 1}), &image).ok());
+    EXPECT_TRUE(ScanRead(a, 0, ColumnSet({0, 1}), &image).ok());
     FlipByte(path, offset + at, 0x80);  // undo
   }
   EXPECT_TRUE(a.ReadBlock(0).ok());
@@ -639,21 +646,20 @@ TEST(BlockArchiveProjected, MalformedLayoutBehindValidChecksumsIsCorruption) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
-    DataBlock bad;
-    bad.ResizeForFill(total);
-    std::memcpy(bad.fill_bytes(), good.raw_bytes(), total);
+    BlockImage bad;
+    std::memcpy(bad.Reset(total), good.raw_bytes(), total);
     AttrMeta meta;
-    uint8_t* at = bad.fill_bytes() + sizeof(BlockHeader) +
+    uint8_t* at = bad.buffer() + sizeof(BlockHeader) +
                   uint64_t(c.col) * sizeof(AttrMeta);
     std::memcpy(&meta, at, sizeof(meta));
     c.mutate(meta);
     std::memcpy(at, &meta, sizeof(meta));
 
-    EXPECT_EQ(DataBlock::FromBytes(bad.raw_bytes(), total).status().code(),
+    EXPECT_EQ(bad.block().Validate(ColumnSet::All()).code(),
               StatusCode::kCorruption);
-    BlockArchive a = ArchiveAsIs(bad, path);
-    DataBlock image;
-    StatusOr<uint64_t> projected = a.ReadBlock(0, ColumnSet({c.col}), &image);
+    BlockArchive a = ArchiveAsIs(bad.block(), path);
+    BlockImage image;
+    StatusOr<uint64_t> projected = ScanRead(a, 0, ColumnSet({c.col}), &image);
     ASSERT_FALSE(projected.ok());
     EXPECT_EQ(projected.status().code(), StatusCode::kCorruption);
     StatusOr<DataBlock> full = a.ReadBlock(0);
@@ -667,12 +673,12 @@ TEST(BlockArchiveProjected, MalformedLayoutBehindValidChecksumsIsCorruption) {
 // Point reads: the spine plus the pages that hold one row
 // ---------------------------------------------------------------------------
 
-/// (col, row) of block `id` read through a fresh partial image: its value,
-/// or the Status of the failed read. `bytes` receives the bytes read.
+/// (col, row) of block `id` read through a fresh image: its value, or the
+/// Status of the failed read. `bytes` receives the bytes read.
 StatusOr<Value> ReadRowValue(const BlockArchive& a, size_t id, uint32_t col,
                              uint32_t row, uint64_t* bytes = nullptr) {
-  PartialBlock image;
-  StatusOr<uint64_t> got = a.ReadRow(id, col, row, &image);
+  BlockImage image;
+  StatusOr<uint64_t> got = PointRead(a, id, col, row, &image);
   if (!got.ok()) return got.status();
   if (bytes != nullptr) *bytes = *got;
   return image.block().GetValue(col, row);
@@ -716,7 +722,7 @@ TEST(BlockArchivePoint, PointReadsFetchOnlyTheRowsPages) {
 
   // One image across reads gains pages: a row it serves reads nothing,
   // and no page is fetched twice.
-  PartialBlock image;
+  BlockImage image;
   const uint64_t pages_before = a.payload_pages_read();
   for (uint32_t row : rows) {
     for (uint32_t col = 0; col < kWideCols; ++col) {
@@ -725,7 +731,7 @@ TEST(BlockArchivePoint, PointReadsFetchOnlyTheRowsPages) {
                     whole.GetValue(col, row));
         continue;
       }
-      StatusOr<uint64_t> got = a.ReadRow(0, col, row, &image);
+      StatusOr<uint64_t> got = PointRead(a, 0, col, row, &image);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_GT(*got, 0u);
       ASSERT_TRUE(image.Serves(col, row));
@@ -773,11 +779,11 @@ TEST(BlockArchivePoint, FlippedPageFailsOnlyRowsOnThatPage) {
   ASSERT_TRUE(other.ok()) << other.status().ToString();
   EXPECT_TRUE(*other == whole.GetValue(0, kBad));
   // A scan of the column reads every page of it, so it fails.
-  DataBlock image;
-  StatusOr<uint64_t> scan = a.ReadBlock(0, ColumnSet({kCol}), &image);
+  BlockImage image;
+  StatusOr<uint64_t> scan = ScanRead(a, 0, ColumnSet({kCol}), &image);
   ASSERT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), StatusCode::kCorruption);
-  EXPECT_TRUE(a.ReadBlock(0, ColumnSet({0, 3}), &image).ok());
+  EXPECT_TRUE(ScanRead(a, 0, ColumnSet({0, 3}), &image).ok());
   std::remove(path.c_str());
 }
 
@@ -796,11 +802,10 @@ TEST(BlockArchivePoint, MalformedRowBehindValidChecksumsIsCorruption) {
   /// `good` with `mutate` applied to its bytes, archived as is: every
   /// checksum is valid, only the row check stands in the way.
   auto archive_mutated = [&](const std::function<void(uint8_t*)>& mutate) {
-    DataBlock bad;
-    bad.ResizeForFill(total);
-    std::memcpy(bad.fill_bytes(), good.raw_bytes(), total);
-    mutate(bad.fill_bytes());
-    return ArchiveAsIs(bad, path);
+    BlockImage bad;
+    std::memcpy(bad.Reset(total), good.raw_bytes(), total);
+    mutate(bad.buffer());
+    return ArchiveAsIs(bad.block(), path);
   };
   auto expect_bad_row = [&](const BlockArchive& a, const char* why) {
     SCOPED_TRACE(why);
@@ -810,15 +815,15 @@ TEST(BlockArchivePoint, MalformedRowBehindValidChecksumsIsCorruption) {
     EXPECT_NE(bad.status().message().find(why), std::string::npos)
         << bad.status().ToString();
     // The neighbour's code sits on the same page, which is intact.
-    PartialBlock image;
-    StatusOr<uint64_t> read = a.ReadRow(0, kName, kNeighbour, &image);
+    BlockImage image;
+    StatusOr<uint64_t> read = PointRead(a, 0, kName, kNeighbour, &image);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     EXPECT_EQ(image.block().GetStringView(kName, kNeighbour),
               good.GetStringView(kName, kNeighbour));
     // The image holds the bad row's code page, yet it does not serve it,
     // and a read through it fails the same way.
     EXPECT_FALSE(image.Serves(kName, kBad));
-    StatusOr<uint64_t> again = a.ReadRow(0, kName, kBad, &image);
+    StatusOr<uint64_t> again = PointRead(a, 0, kName, kBad, &image);
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(again.status().code(), StatusCode::kCorruption);
     // A full read runs Validate over every code and entry.
@@ -844,6 +849,227 @@ TEST(BlockArchivePoint, MalformedRowBehindValidChecksumsIsCorruption) {
                    std::memcpy(at, &ref, sizeof(ref));
                  }),
                  "dictionary string outside the extent");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Structural mutations: malformed spines behind valid checksums
+// ---------------------------------------------------------------------------
+
+/// `good` with one seeded mutation of its header or AttrMeta array, as the
+/// bytes of a block to append: a bit flip, a boundary value in one field,
+/// two attributes' offsets swapped, or total_bytes shrunk or grown with
+/// the buffer cut or zero-extended to match.
+std::vector<uint8_t> MutateSpine(const DataBlock& good, Rng& rng) {
+  const uint64_t total = good.SizeBytes();
+  const uint32_t ncols = good.num_columns();
+  std::vector<uint8_t> bytes(good.raw_bytes(), good.raw_bytes() + total);
+  auto meta_at = [ncols, &rng](uint32_t* col) {
+    *col = uint32_t(rng.Uniform(0, int64_t(ncols) - 1));
+    return sizeof(BlockHeader) + uint64_t(*col) * sizeof(AttrMeta);
+  };
+  // Byte offsets and widths of the fields a mutation targets.
+  struct Field {
+    uint64_t offset;
+    uint32_t width;
+  };
+  // The offsets come last: a swap picks from them.
+  constexpr Field kMetaFields[] = {{offsetof(AttrMeta, compression), 1},
+                                   {offsetof(AttrMeta, type), 1},
+                                   {offsetof(AttrMeta, code_width), 1},
+                                   {offsetof(AttrMeta, flags), 1},
+                                   {offsetof(AttrMeta, dict_count), 4},
+                                   {offsetof(AttrMeta, psma_entries), 4},
+                                   {offsetof(AttrMeta, min_val), 8},
+                                   {offsetof(AttrMeta, max_val), 8},
+                                   {offsetof(AttrMeta, psma_offset), 8},
+                                   {offsetof(AttrMeta, dict_offset), 8},
+                                   {offsetof(AttrMeta, data_offset), 8},
+                                   {offsetof(AttrMeta, string_offset), 8},
+                                   {offsetof(AttrMeta, null_offset), 8}};
+  constexpr int64_t kFirstOffsetField = 8;
+  constexpr Field kHeaderFields[] = {{offsetof(BlockHeader, tuple_count), 4},
+                                     {offsetof(BlockHeader, attr_count), 4}};
+  std::vector<uint64_t> begins;
+  EXPECT_TRUE(good.Extents(&begins).ok());
+  auto put = [&bytes](Field f, uint64_t v) {
+    std::memcpy(bytes.data() + f.offset, &v, f.width);  // little endian
+  };
+  switch (rng.Uniform(0, 3)) {
+    case 0: {  // a bit flip anywhere in the spine
+      const uint64_t at =
+          uint64_t(rng.Uniform(0, int64_t(DataBlock::SpineBytes(ncols)) - 1));
+      bytes[at] ^= uint8_t(1u << rng.Uniform(0, 7));
+      break;
+    }
+    case 1: {  // a boundary value in one field
+      Field f;
+      if (rng.Uniform(0, 5) == 0) {
+        f = kHeaderFields[rng.Uniform(0, 1)];
+      } else {
+        uint32_t col;
+        const uint64_t base = meta_at(&col);
+        f = kMetaFields[rng.Uniform(0, int64_t(std::size(kMetaFields)) - 1)];
+        f.offset += base;
+      }
+      const uint64_t max = f.width == 8 ? UINT64_MAX
+                                        : (uint64_t(1) << (8 * f.width)) - 1;
+      const uint64_t values[] = {0,
+                                 1,
+                                 max,
+                                 max - 7,
+                                 total,
+                                 total - 8,
+                                 total + 8,
+                                 begins[rng.Uniform(0, ncols)],
+                                 begins[rng.Uniform(0, ncols)] + 8,
+                                 uint64_t(good.num_rows()) + 1};
+      put(f, values[rng.Uniform(0, int64_t(std::size(values)) - 1)] & max);
+      break;
+    }
+    case 2: {  // two attributes' offsets swapped
+      uint32_t a, b;
+      const uint64_t at_a = meta_at(&a), at_b = meta_at(&b);
+      const Field f = kMetaFields[rng.Uniform(
+          kFirstOffsetField, int64_t(std::size(kMetaFields)) - 1)];
+      std::swap_ranges(bytes.begin() + at_a + f.offset,
+                       bytes.begin() + at_a + f.offset + 8,
+                       bytes.begin() + at_b + f.offset);
+      break;
+    }
+    default: {  // total_bytes shrunk or grown, the buffer with it
+      const int64_t by = rng.Uniform(1, int64_t(total / 2));
+      const uint64_t size =
+          rng.Uniform(0, 1) == 0 ? total - uint64_t(by) : total + uint64_t(by);
+      bytes.resize(size, 0);
+      put({offsetof(BlockHeader, total_bytes), 8}, size);
+      break;
+    }
+  }
+  return bytes;
+}
+
+/// Attributes of `mutated` whose AttrMeta and extent equal `good`'s while
+/// the header is unchanged: a read of only these must stay intact.
+std::vector<uint32_t> UntouchedColumns(const DataBlock& good,
+                                       const DataBlock& mutated) {
+  std::vector<uint32_t> cols;
+  std::vector<uint64_t> begins, mutated_begins;
+  if (std::memcmp(good.raw_bytes(), mutated.raw_bytes(),
+                  sizeof(BlockHeader)) != 0 ||
+      !good.Extents(&begins).ok() || !mutated.Extents(&mutated_begins).ok()) {
+    return cols;
+  }
+  for (uint32_t c = 0; c < good.num_columns(); ++c) {
+    if (std::memcmp(&good.attr(c), &mutated.attr(c), sizeof(AttrMeta)) == 0 &&
+        begins[c] == mutated_begins[c] &&
+        begins[c + 1] == mutated_begins[c + 1]) {
+      cols.push_back(c);
+    }
+  }
+  return cols;
+}
+
+// Seeded mutations of the header and AttrMeta fields of built blocks, made
+// before AppendBlock so the checksums cover the malformed layout, each
+// read back through Read in three shapes: all columns, a projected set
+// and point reads of sampled rows. Every append and read is OK or
+// kCorruption (never an abort, nor a sanitizer report), every value an OK
+// read returns can be decoded, and a projected or point read of columns
+// the mutation left alone stays OK and returns the original values.
+TEST(BlockArchiveMutations, MalformedSpinesAreCorruptionOrReadIntact) {
+  constexpr int kMutationsPerBlock = 1000;
+  const std::string path = "/tmp/datablocks_archive_mutations.dbar";
+  auto ok_or_corrupt = [](const Status& s) {
+    return s.ok() || s.code() == StatusCode::kCorruption;
+  };
+  int appended = 0, intact_reads = 0, corrupt_reads = 0;
+  for (uint64_t seed : {41, 42, 43, 44}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint32_t rows = seed % 2 == 0 ? 1500 : 700;
+    Table t = MakeWideTable(rows, rows, /*psma=*/seed < 43, seed);
+    const DataBlock& good = *t.frozen_block(0);
+    Rng rng(seed);
+    StatusOr<BlockArchive> created = BlockArchive::Create(path);
+    ASSERT_TRUE(created.ok());
+    BlockArchive& a = *created;
+    for (int i = 0; i < kMutationsPerBlock; ++i) {
+      SCOPED_TRACE("mutation " + std::to_string(i));
+      const std::vector<uint8_t> bytes = MutateSpine(good, rng);
+      BlockImage mutated;
+      std::memcpy(mutated.Reset(bytes.size()), bytes.data(), bytes.size());
+      StatusOr<size_t> id = a.AppendBlock(mutated.block());
+      ASSERT_TRUE(ok_or_corrupt(id.status())) << id.status().ToString();
+      if (!id.ok()) continue;
+      ++appended;
+      const uint32_t n = mutated.block().num_rows();
+      const uint32_t ncols = mutated.block().num_columns();
+      std::vector<uint32_t> sampled;
+      for (int k = 0; k < 6 && n > 0; ++k)
+        sampled.push_back(uint32_t(rng.Uniform(0, int64_t(n) - 1)));
+      // Decodes what an OK read claims to hold: its point accessors must
+      // stay inside the block.
+      auto decode = [&](const BlockImage& image, uint32_t col) {
+        for (uint32_t row : sampled) (void)image.block().GetValue(col, row);
+      };
+      auto tally = [&](const Status& s) {
+        ASSERT_TRUE(ok_or_corrupt(s)) << s.ToString();
+        ++(s.ok() ? intact_reads : corrupt_reads);
+      };
+
+      // All columns.
+      StatusOr<DataBlock> full = a.ReadBlock(*id);
+      tally(full.status());
+      if (full.ok()) {
+        for (uint32_t c = 0; c < ncols; ++c)
+          for (uint32_t row : sampled) (void)full->GetValue(c, row);
+      }
+      // A projected set: the untouched columns, or random ones.
+      const std::vector<uint32_t> untouched =
+          UntouchedColumns(good, mutated.block());
+      std::vector<uint32_t> cols = untouched;
+      if (cols.empty()) {
+        for (uint32_t c = 0; c < std::min(ncols, kWideCols); ++c)
+          if (rng.Uniform(0, 2) == 0) cols.push_back(c);
+      }
+      BlockImage image;
+      StatusOr<uint64_t> projected =
+          ScanRead(a, *id, ColumnSet(cols), &image);
+      tally(projected.status());
+      if (!untouched.empty()) {
+        ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+        for (uint32_t c : untouched) {
+          for (uint32_t row = 0; row < n; ++row) {
+            ASSERT_TRUE(image.block().GetValue(c, row) ==
+                        good.GetValue(c, row))
+                << c << "/" << row;
+          }
+        }
+      } else if (projected.ok()) {
+        for (uint32_t c : cols) decode(image, c);
+      }
+      // Point reads of the sampled rows, one image across them.
+      BlockImage points;
+      for (uint32_t row : sampled) {
+        const uint32_t col = uint32_t(rng.Uniform(0, kWideCols - 1));
+        StatusOr<uint64_t> point = PointRead(a, *id, col, row, &points);
+        tally(point.status());
+        const bool intact = std::count(untouched.begin(), untouched.end(),
+                                       col) != 0;
+        if (intact) {
+          ASSERT_TRUE(point.ok()) << point.status().ToString();
+          EXPECT_TRUE(points.block().GetValue(col, row) ==
+                      good.GetValue(col, row));
+        } else if (point.ok()) {
+          (void)points.block().GetValue(col, row);
+        }
+      }
+    }
+  }
+  // The mix reaches every outcome.
+  EXPECT_GT(appended, 4 * kMutationsPerBlock / 2);
+  EXPECT_GT(intact_reads, 1000);
+  EXPECT_GT(corrupt_reads, 1000);
   std::remove(path.c_str());
 }
 

@@ -520,17 +520,17 @@ DataBlock BuildUnpackBlock(const std::vector<UnpackSpec>& specs, uint32_t n,
   // Re-label "trunc8" (built raw, min 0 needed) as truncated.
   for (uint32_t c = 0; c < specs.size(); ++c) {
     if (std::string_view(specs[c].name) != "trunc8") continue;
-    std::vector<uint8_t> bytes(block.raw_bytes(),
-                               block.raw_bytes() + block.SizeBytes());
+    BlockImage image;
+    uint8_t* bytes = image.Reset(block.SizeBytes());
+    std::memcpy(bytes, block.raw_bytes(), block.SizeBytes());
     AttrMeta m = block.attr(c);
     m.compression = uint8_t(Compression::kTruncation);
     m.min_val = 0;
     const uint8_t* at = reinterpret_cast<const uint8_t*>(&block.attr(c));
-    std::memcpy(bytes.data() + (at - block.raw_bytes()), &m, sizeof(m));
-    StatusOr<DataBlock> relabelled =
-        DataBlock::FromBytes(bytes.data(), bytes.size());
-    EXPECT_TRUE(relabelled.ok()) << relabelled.status().ToString();
-    block = std::move(relabelled).value();
+    std::memcpy(bytes + (at - block.raw_bytes()), &m, sizeof(m));
+    EXPECT_TRUE(image.AdoptSpine().ok());
+    EXPECT_TRUE(image.block().Validate(ColumnSet::All()).ok());
+    block = image.TakeBlock();
   }
   return block;
 }

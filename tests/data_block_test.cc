@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "datablock/data_block.h"
@@ -194,23 +195,31 @@ TEST(DataBlock, RawBytesRoundTrip) {
          rng.Uniform(0, 4) == 0 ? Cell::Null() : Cell::Int(rng.Uniform(0, 9))});
   }
   DataBlock block = DataBlock::Build(chunk);
-  // The flat block is its own serialization: copy the bytes out and back.
+  // The flat block is its own serialization: copy the bytes out and into an
+  // image, which checks them as an archive read does.
   std::vector<uint8_t> bytes(block.raw_bytes(),
                              block.raw_bytes() + block.SizeBytes());
-  StatusOr<DataBlock> copy = DataBlock::FromBytes(bytes.data(), bytes.size());
-  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
-  ASSERT_EQ(copy->num_rows(), block.num_rows());
-  ASSERT_EQ(copy->num_columns(), block.num_columns());
+  auto load = [&bytes](uint64_t n, BlockImage* image) {
+    uint8_t* buf = image->Reset(n);
+    if (n > 0) std::memcpy(buf, bytes.data(), n);
+    if (Status s = image->AdoptSpine(); !s.ok()) return s;
+    return image->block().Validate(ColumnSet::All());
+  };
+  BlockImage image;
+  ASSERT_TRUE(load(bytes.size(), &image).ok());
+  const DataBlock& copy = image.block();
+  ASSERT_EQ(copy.num_rows(), block.num_rows());
+  ASSERT_EQ(copy.num_columns(), block.num_columns());
   for (uint32_t c = 0; c < block.num_columns(); ++c) {
-    EXPECT_EQ(copy->compression(c), block.compression(c));
+    EXPECT_EQ(copy.compression(c), block.compression(c));
     for (uint32_t r = 0; r < block.num_rows(); ++r)
-      EXPECT_TRUE(copy->GetValue(c, r) == block.GetValue(c, r));
+      EXPECT_TRUE(copy.GetValue(c, r) == block.GetValue(c, r));
   }
   // A truncated copy is corruption, not an abort.
   for (uint64_t cut : {uint64_t{0}, uint64_t{16}, uint64_t(bytes.size() / 2),
                        uint64_t(bytes.size() - 1)}) {
-    EXPECT_EQ(DataBlock::FromBytes(bytes.data(), cut).status().code(),
-              StatusCode::kCorruption)
+    BlockImage cut_image;
+    EXPECT_EQ(load(cut, &cut_image).code(), StatusCode::kCorruption)
         << "cut=" << cut;
   }
 }

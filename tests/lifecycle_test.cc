@@ -1231,6 +1231,74 @@ TEST(Lifecycle, EvictedPointReadsAcrossPageBoundariesMatchResident) {
   std::remove(path.c_str());
 }
 
+// The archive work of a fixed mix of evicted reads is pinned exactly:
+// projected scans fetch the spine and their columns' whole extents on every
+// open, point reads fetch the pages of their row, a scan after a point read
+// of the same chunk on the same thread reuses none of its pages, and a full
+// read fetches the whole block. Each step's payload reads, bytes and pages
+// are constants; a change to what any read fetches moves them.
+TEST(Lifecycle, EvictedReadWorkIsExact) {
+  constexpr uint32_t kCap = 8192;
+  Table t = MakePagedTable(2 * kCap + 1000, kCap);
+  const std::string path = TempArchive("exact_work");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      ASSERT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+    const BlockArchive* a = mgr.archive();
+    struct Work {
+      uint64_t reads, bytes, pages;
+    };
+    auto expect_work = [&](const char* step, Work want) {
+      SCOPED_TRACE(step);
+      EXPECT_EQ(a->payload_reads(), want.reads);
+      EXPECT_EQ(a->payload_bytes_read(), want.bytes);
+      EXPECT_EQ(a->payload_pages_read(), want.pages);
+    };
+    auto scan_rows = [&](std::vector<uint32_t> cols,
+                         std::vector<Predicate> preds) {
+      TableScanner scan(t, std::move(cols), std::move(preds),
+                        ScanMode::kDataBlocks);
+      Batch b;
+      uint64_t rows = 0;
+      while (scan.Next(&b)) rows += b.count;
+      return rows;
+    };
+    expect_work("evicted", {0, 0, 0});
+
+    // Projected scans of two column sets.
+    EXPECT_EQ(scan_rows({0, 5}, {}), t.num_rows());
+    expect_work("scan {0, 5}", {3, 188640, 48});
+    EXPECT_GT(scan_rows({10}, {Predicate::IsNotNull(9)}), 0u);
+    expect_work("scan {9, 10}", {6, 1528496, 377});
+
+    // Point reads of rows on different pages of chunk 1, two columns each.
+    for (uint32_t row : {10u, 3000u, 7000u, 10u}) {
+      (void)t.GetValue(MakeRowId(1, row), 0);
+      (void)t.GetValue(MakeRowId(1, row), 10);
+    }
+    expect_work("point reads", {12, 1574368, 388});
+
+    // On this thread: a point read, then a scan of the same chunk's column.
+    (void)t.GetValue(MakeRowId(0, 4000), 2);
+    expect_work("point read of chunk 0", {13, 1579280, 389});
+    {
+      TableScanner scan(t, {2}, {}, ScanMode::kDataBlocks);
+      Batch b;
+      ASSERT_TRUE(scan.Next(&b));
+    }
+    expect_work("scan of chunk 0", {14, 1657920, 408});
+
+    // A full read.
+    ASSERT_TRUE(a->ReadBlock(1).ok());
+    expect_work("full read", {15, 2529888, 625});
+  }
+  std::remove(path.c_str());
+}
+
 // A point read of a row in a tombstoned chunk throws StorageException
 // naming the table and the chunk; the dropped payload is never touched.
 TEST(Lifecycle, PointReadOfTombstonedChunkThrows) {

@@ -328,10 +328,7 @@ class CountingFetcher {
         if (it == ids_.end()) return Status::NotFound("chunk not archived");
         id = it->second;
       }
-      StatusOr<uint64_t> bytes =
-          read.kind == BlockRead::kPoint
-              ? archive_.ReadRow(id, read.col, read.row, read.pages)
-              : archive_.ReadBlock(id, read.columns, read.image);
+      StatusOr<uint64_t> bytes = archive_.Read(id, read);
       return bytes.ok() ? Status::Ok() : bytes.status();
     });
   }
@@ -360,11 +357,9 @@ class CountingFetcher {
       std::lock_guard<std::mutex> lock(mu_);
       id = ids_.at(c);
     }
-    DataBlock block;
-    StatusOr<uint64_t> bytes =
-        archive_.ReadBlock(id, ColumnSet::All(), &block);
-    if (!bytes.ok()) return bytes.status();
-    return t.ReadmitChunk(c, std::move(block));
+    StatusOr<DataBlock> block = archive_.ReadBlock(id);
+    if (!block.ok()) return block.status();
+    return t.ReadmitChunk(c, std::move(*block));
   }
   uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
@@ -679,7 +674,7 @@ TEST(ReadSection, ScansAndBlockReadersRaceEvictReadmitAndTombstone) {
   // yielded their block.
   auto read_blocks = [&] {
     std::set<uint32_t> chunks;
-    DataBlock image;
+    BlockImage image;
     for (uint32_t c = 0; c < kChunks; ++c) {
       Table::ReadSection section;
       const DataBlock* block =
@@ -941,7 +936,7 @@ TEST(ReadSectionDeathTest, SynchronizeAndTransitionsAbortInsideASection) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Table t("t", TestSchema(), 64);
   t.Insert(Row(1, 1, "x"));
-  DataBlock image;
+  BlockImage image;
   EXPECT_DEATH(
       {
         Table::ReadSection section;
