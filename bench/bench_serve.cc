@@ -18,8 +18,7 @@
 //   * Before the loop, every TPC-H query in the set runs once through
 //     the serving layer AND via direct RunQuery; the payloads must
 //     match, and the combined FNV checksum is printed — the serve-path
-//     twin of bench_table2_tpch's t1-vs-t4 CI guard (and it primes the
-//     admission cost model).
+//     twin of bench_table2_tpch's t1-vs-t4 CI guard.
 //
 // Usage: bench_serve [--quick] [--json out] [--threads N] [--clients N]
 //                    [--duration-s S] [--think-ms T] [--max-running R]

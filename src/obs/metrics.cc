@@ -269,7 +269,6 @@ void RegisterEngineMetrics() {
   r.GetHistogram("serve.queue_wait_ns");
   r.GetHistogram("serve.oltp_latency_ns");
   r.GetHistogram("serve.olap_latency_ns");
-  r.GetHistogram("serve.batch_latency_ns");
 }
 
 }  // namespace datablocks::obs

@@ -44,7 +44,6 @@ const char* PriorityName(Priority p) {
   switch (p) {
     case Priority::kOltp: return "oltp";
     case Priority::kOlap: return "olap";
-    case Priority::kBatch: return "batch";
   }
   return "?";
 }
@@ -65,17 +64,8 @@ AdmissionController::AdmissionController(AdmissionConfig cfg,
     : cfg_([&] {
         AdmissionConfig c = cfg;
         if (c.max_running == 0) c.max_running = std::max(1u, default_running);
-        if (c.max_heavy_running == 0) {
-          c.max_heavy_running = std::max(1u, c.max_running / 2);
-        }
         return c;
       }()) {}
-
-bool AdmissionController::CanRunLocked(const Ticket& t) const {
-  if (running_ >= cfg_.max_running) return false;
-  if (t.heavy && running_heavy_ >= cfg_.max_heavy_running) return false;
-  return true;
-}
 
 void AdmissionController::GaugesLocked() const {
   Metrics().running->Set(int64_t(running_));
@@ -88,7 +78,6 @@ void AdmissionController::ExpireLocked(
     for (auto it = queue.begin(); it != queue.end();) {
       Ticket& t = *it->ticket;
       if (t.has_deadline && t.deadline <= now) {
-        it->state = TicketState::kDropped;
         actions->push_back({std::move(it->ticket), false, 0,
                             Status::kTimedOut});
         it = queue.erase(it);
@@ -103,32 +92,22 @@ void AdmissionController::ExpireLocked(
 void AdmissionController::PumpLocked(
     std::chrono::steady_clock::time_point now, std::vector<Action>* actions) {
   for (auto& queue : queues_) {
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (running_ >= cfg_.max_running) return;  // nothing can be granted
-      Ticket& t = *it->ticket;
+    while (running_ < cfg_.max_running && !queue.empty()) {
+      Slot& head = queue.front();
+      const Ticket& t = *head.ticket;
       if (t.has_deadline && t.deadline <= now) {
-        it->state = TicketState::kDropped;
-        actions->push_back({std::move(it->ticket), false, 0,
+        actions->push_back({std::move(head.ticket), false, 0,
                             Status::kTimedOut});
-        it = queue.erase(it);
-        --queued_;
-        continue;
+      } else {
+        ++running_;
+        const uint64_t queue_ns = uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                now - head.enqueued)
+                .count());
+        actions->push_back({std::move(head.ticket), true, queue_ns,
+                            Status::kOk});
       }
-      if (!CanRunLocked(t)) {
-        // Heavy-gated: leave it queued, let lighter entries bypass.
-        ++it;
-        continue;
-      }
-      ++running_;
-      if (t.heavy) ++running_heavy_;
-      const uint64_t queue_ns = uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now - it->enqueued)
-              .count());
-      it->state = TicketState::kGranted;
-      actions->push_back({std::move(it->ticket), true, queue_ns,
-                          Status::kOk});
-      it = queue.erase(it);
+      queue.pop_front();
       --queued_;
     }
   }
@@ -172,55 +151,35 @@ void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
       RunActions(actions);
       return;
     }
-    const unsigned pri = unsigned(t->priority);
-    queues_[pri].push_back({t, now, TicketState::kQueued});
+    std::deque<Slot>& own = queues_[unsigned(t->priority)];
+    own.push_back({t, now});
     ++queued_;
     PumpLocked(now, &actions);
-    // Overflow: if the arrival is still queued past the bound, evict the
-    // newest entry of the lowest class *below* it — or the arrival
-    // itself when nothing outranked exists.
     if (queued_ > cfg_.max_queued) {
-      bool evicted = false;
-      for (unsigned p = kNumPriorities; p-- > pri + 1 && !evicted;) {
-        if (!queues_[p].empty()) {
-          Slot& victim = queues_[p].back();
-          victim.state = TicketState::kDropped;
-          actions.push_back({std::move(victim.ticket), false, 0,
-                             Status::kRejected});
-          queues_[p].pop_back();
-          --queued_;
-          evicted = true;
-        }
-      }
-      if (!evicted) {
-        // The arrival may itself have been granted by the pump; only a
-        // still-queued arrival can be bounced.
-        auto& queue = queues_[pri];
-        if (!queue.empty() && queue.back().ticket == t) {
-          queue.back().state = TicketState::kDropped;
-          actions.push_back({std::move(queue.back().ticket), false, 0,
-                             Status::kRejected});
-          queue.pop_back();
-          --queued_;
-        }
-      }
+      // Overflow. The pump freed no room, so the arrival is still the
+      // newest entry of its class. An OLTP arrival evicts the newest
+      // queued OLAP entry in its place; otherwise the arrival bounces.
+      DB_DCHECK(own.back().ticket == t);
+      std::deque<Slot>& olap = queues_[unsigned(Priority::kOlap)];
+      std::deque<Slot>& victims =
+          t->priority == Priority::kOltp && !olap.empty() ? olap : own;
+      actions.push_back({std::move(victims.back().ticket), false, 0,
+                         Status::kRejected});
+      victims.pop_back();
+      --queued_;
     }
     GaugesLocked();
   }
   RunActions(actions);
 }
 
-void AdmissionController::OnDone(bool heavy) {
+void AdmissionController::OnDone() {
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = std::chrono::steady_clock::now();  // see Submit
     DB_CHECK(running_ > 0);
     --running_;
-    if (heavy) {
-      DB_CHECK(running_heavy_ > 0);
-      --running_heavy_;
-    }
     PumpLocked(now, &actions);
     GaugesLocked();
     if (running_ == 0 && queued_ == 0) idle_cv_.notify_all();
@@ -234,12 +193,9 @@ void AdmissionController::ReapExpired() {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = std::chrono::steady_clock::now();  // see Submit
     ExpireLocked(now, &actions);
-    if (!actions.empty()) {
-      // Expiry can unblock the heavy gate's bypass scan.
-      PumpLocked(now, &actions);
-      GaugesLocked();
-      if (running_ == 0 && queued_ == 0) idle_cv_.notify_all();
-    }
+    // Queued tickets wait only while every slot is taken, and expiry
+    // frees none: nothing to grant, and never idle afterwards.
+    if (!actions.empty()) GaugesLocked();
   }
   RunActions(actions);
 }
@@ -251,7 +207,6 @@ void AdmissionController::Shutdown() {
     shutdown_ = true;
     for (auto& queue : queues_) {
       for (Slot& slot : queue) {
-        slot.state = TicketState::kDropped;
         actions.push_back({std::move(slot.ticket), false, 0,
                            Status::kShutdown});
       }

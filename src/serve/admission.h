@@ -3,29 +3,25 @@
 
 // Admission control for the serving front end (serve/server.h): decides,
 // for every submitted request, whether it runs now, waits in a bounded
-// pending queue, or is refused — so a burst of heavy scans cannot bury
-// the engine or starve point operations.
+// pending queue, or is refused — so a burst of scans cannot bury the
+// engine or starve point operations.
 //
-// Three mechanisms, in the order they apply:
+// Two mechanisms:
 //
 //  * Concurrency limit. At most `max_running` requests execute at once
 //    (default: one per scheduler worker); the rest queue.
 //  * Priority classes. The pending queue is one FIFO per class
-//    (kOltp > kOlap > kBatch); a freed slot always goes to the highest
-//    non-empty class, so OLTP point ops overtake long scans. On queue
-//    overflow a newer *lower*-priority entry is evicted in favor of the
-//    arrival when one exists; otherwise the arrival is rejected.
-//  * Heavy gate. Requests whose learned cost (an EWMA over the measured
-//    execution times of earlier requests with the same name — the same
-//    wall-clock number a per-query profile (obs/query_profile.h) reports)
-//    exceeds `heavy_cost_ns` additionally count against
-//    `max_heavy_running`, keeping slots free for cheap requests even
-//    when the queue is full of scans. Gated-out heavy entries are
-//    *skipped*, not popped: lighter entries behind them may bypass.
+//    (kOltp > kOlap); a freed slot always goes to the head of the highest
+//    non-empty class, so OLTP point ops overtake queued scans. On queue
+//    overflow an OLTP arrival evicts the newest queued OLAP entry when
+//    one exists; otherwise the arrival is rejected.
+//
+// Every operation leaves the controller with all slots taken or nothing
+// queued, so a queued ticket always waits on a running one.
 //
 // Queued entries time out: each ticket can carry a deadline, enforced by
 // a periodic reaper (the server registers it on the shared scheduler)
-// and opportunistically on every queue operation.
+// and whenever a queue head is about to be granted.
 //
 // The controller is callback-based and lock-internal: exactly one of
 // `grant` / `drop` fires per ticket, never while the controller lock is
@@ -44,11 +40,10 @@
 
 namespace datablocks::serve {
 
-/// Priority classes, highest first. OLTP point ops go ahead of
-/// interactive scans, which go ahead of batch/background work.
-enum class Priority : uint8_t { kOltp = 0, kOlap = 1, kBatch = 2 };
-inline constexpr unsigned kNumPriorities = 3;
-const char* PriorityName(Priority p);  // "oltp" / "olap" / "batch"
+/// Priority classes, highest first: OLTP point ops go ahead of scans.
+enum class Priority : uint8_t { kOltp = 0, kOlap = 1 };
+inline constexpr unsigned kNumPriorities = 2;
+const char* PriorityName(Priority p);  // "oltp" / "olap"
 
 /// Terminal state of one request, as delivered in its Response.
 enum class Status : uint8_t {
@@ -63,15 +58,8 @@ const char* StatusName(Status s);
 struct AdmissionConfig {
   /// Concurrently executing requests; 0 = one per scheduler worker.
   unsigned max_running = 0;
-  /// Concurrently executing *heavy* requests (learned cost above
-  /// `heavy_cost_ns`); 0 = max(1, max_running / 2).
-  unsigned max_heavy_running = 0;
-  /// Learned-cost threshold above which a request counts as heavy.
-  uint64_t heavy_cost_ns = 50'000'000;  // 50 ms
-  /// Bounded pending queue, across all priority classes.
+  /// Bounded pending queue, across both priority classes.
   size_t max_queued = 64;
-  /// Granularity of queued-timeout enforcement (the server's reaper).
-  std::chrono::milliseconds reap_interval{5};
 };
 
 class AdmissionController {
@@ -80,7 +68,6 @@ class AdmissionController {
   /// controller sees only what it decides on.
   struct Ticket {
     Priority priority = Priority::kOlap;
-    bool heavy = false;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     /// Runs the request (called with the time spent queued). Must be
@@ -104,9 +91,10 @@ class AdmissionController {
 
   /// A granted ticket's work finished: frees its slot and pumps the
   /// queue (may grant queued tickets inline).
-  void OnDone(bool heavy);
+  void OnDone();
 
-  /// Drops queued tickets whose deadline passed (kTimedOut).
+  /// Drops queued tickets whose deadline passed (kTimedOut). Frees no
+  /// slot, so it grants nothing.
   void ReapExpired();
 
   /// Refuses all queued tickets (kShutdown) and every later Submit.
@@ -122,11 +110,9 @@ class AdmissionController {
   const AdmissionConfig& config() const { return cfg_; }
 
  private:
-  enum class TicketState : uint8_t { kQueued, kGranted, kDropped };
   struct Slot {  // queue entry
     std::shared_ptr<Ticket> ticket;
     std::chrono::steady_clock::time_point enqueued;
-    TicketState state = TicketState::kQueued;
   };
   struct Action {  // decided under the lock, executed outside it
     std::shared_ptr<Ticket> ticket;
@@ -135,9 +121,8 @@ class AdmissionController {
     Status drop_status = Status::kRejected;
   };
 
-  bool CanRunLocked(const Ticket& t) const;
-  /// Grants queued tickets while capacity allows, skipping heavy-gated
-  /// entries so lighter ones bypass. Appends to `actions`.
+  /// Pops queue heads, highest class first, while a slot is free: an
+  /// expired head is dropped, any other granted. Appends to `actions`.
   void PumpLocked(std::chrono::steady_clock::time_point now,
                   std::vector<Action>* actions);
   void ExpireLocked(std::chrono::steady_clock::time_point now,
@@ -151,7 +136,6 @@ class AdmissionController {
   std::condition_variable idle_cv_;
   bool shutdown_ = false;
   unsigned running_ = 0;
-  unsigned running_heavy_ = 0;
   size_t queued_ = 0;  // sum over queues_
   std::deque<Slot> queues_[kNumPriorities];
 };

@@ -11,6 +11,9 @@ namespace datablocks::serve {
 
 namespace {
 
+/// Cadence of the reaper that times out queued requests.
+constexpr std::chrono::milliseconds kReapInterval{5};
+
 /// Process-wide completion metrics ("serve.*"), resolved once.
 struct ServeMetrics {
   obs::Counter* completed;
@@ -32,8 +35,6 @@ const ServeMetrics& Metrics() {
         r.GetHistogram("serve.oltp_latency_ns");
     sm.latency_by_priority[unsigned(Priority::kOlap)] =
         r.GetHistogram("serve.olap_latency_ns");
-    sm.latency_by_priority[unsigned(Priority::kBatch)] =
-        r.GetHistogram("serve.batch_latency_ns");
     return sm;
   }();
   return m;
@@ -101,7 +102,7 @@ Server::Server(ServerConfig cfg)
     : scheduler_(cfg.scheduler != nullptr ? cfg.scheduler
                                           : &Scheduler::Default()),
       admission_(cfg.admission, scheduler_->num_workers()) {
-  reaper_id_ = scheduler_->AddPeriodic(admission_.config().reap_interval,
+  reaper_id_ = scheduler_->AddPeriodic(kReapInterval,
                                        [this] { admission_.ReapExpired(); });
 }
 
@@ -135,19 +136,6 @@ void Server::Shutdown() {
   }
 }
 
-uint64_t Server::CostNs(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  auto it = cost_ewma_ns_.find(name);
-  return it != cost_ewma_ns_.end() ? it->second : 0;
-}
-
-void Server::UpdateCost(const std::string& name, uint64_t exec_ns) {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  uint64_t& ewma = cost_ewma_ns_[name];
-  // First sample seeds the estimate; later ones fold in at 1/4 weight.
-  ewma = ewma == 0 ? exec_ns : (ewma * 3 + exec_ns) / 4;
-}
-
 void Server::Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
                      Response response) {
   response.total_ns = obs::MonotonicNs() - state->submit_ns;
@@ -165,7 +153,6 @@ void Server::Dispatch(Request req,
   state->submit_ns = obs::MonotonicNs();
   session->OnSubmit();
 
-  const bool heavy = CostNs(req.name) > admission_.config().heavy_cost_ns;
   const Priority priority = req.priority;
   auto rq = std::make_shared<Request>(std::move(req));
 
@@ -187,13 +174,12 @@ void Server::Dispatch(Request req,
 
   auto ticket = std::make_shared<AdmissionController::Ticket>();
   ticket->priority = priority;
-  ticket->heavy = heavy;
   if (rq->queue_timeout.count() > 0) {
     ticket->has_deadline = true;
     ticket->deadline = std::chrono::steady_clock::now() + rq->queue_timeout;
   }
-  ticket->grant = [this, rq, complete, heavy](uint64_t queue_ns) {
-    auto run = [this, rq, complete, heavy, queue_ns] {
+  ticket->grant = [this, rq, complete](uint64_t queue_ns) {
+    auto run = [this, rq, complete, queue_ns] {
       Response resp;
       resp.queue_ns = queue_ns;
       const uint64_t t0 = obs::MonotonicNs();
@@ -216,17 +202,13 @@ void Server::Dispatch(Request req,
       }
       resp.exec_ns = obs::MonotonicNs() - t0;
       if (rq->profile != nullptr) {
-        // The request carried an execution profile: its wall time is
-        // the cost-model sample (identical clock, richer attribution).
+        // The request carried an execution profile: its wall time is the
+        // reported execution time (identical clock, richer attribution).
         rq->profile->Finish();
         if (rq->profile->wall_ns() > 0) resp.exec_ns = rq->profile->wall_ns();
       }
-      if (resp.status == Status::kOk) {
-        UpdateCost(rq->name, resp.exec_ns);
-      } else {
-        Metrics().errors->Add();
-      }
-      admission_.OnDone(heavy);
+      if (resp.status != Status::kOk) Metrics().errors->Add();
+      admission_.OnDone();
       complete(std::move(resp));
     };
     // Point ops jump the worker queues; scans line up behind running

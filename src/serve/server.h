@@ -21,12 +21,6 @@
 // serve.client.<name>.latency_ns histogram (obs/metrics.h), so
 // percentiles per class and per client fall out of the registry.
 //
-// Cost model: the server keeps an EWMA of measured execution time per
-// request name (when the request carries an obs::QueryProfile the
-// profile's wall time — the same number EXPLAIN ANALYZE shows — is the
-// sample) and feeds it to admission's heavy gate, so repeat offenders
-// are classified before they run.
-//
 // Lifecycle: Server::Shutdown() (also run by the destructor) stops
 // intake, flushes the pending queue as kShutdown, and drains running
 // requests. Session::Close() (also its destructor) stops that session's
@@ -65,8 +59,8 @@ struct Response {
 };
 
 struct Request {
-  /// Cost-model key ("tpch.q6", "tpcc.mixed"); also the handler verb
-  /// when built by Session::Call.
+  /// Request label ("tpch.q6", "tpcc.mixed"); the handler verb when
+  /// built by Session::Call.
   std::string name;
   Priority priority = Priority::kOlap;
   /// Max time queued before kTimedOut; zero = wait indefinitely.
@@ -74,8 +68,8 @@ struct Request {
   /// The work itself; runs on a scheduler worker.
   std::function<std::string()> work;
   /// Optional execution profile owned by the caller; the server calls
-  /// Finish() after `work` returns and feeds wall_ns() to the cost
-  /// model instead of its own stopwatch.
+  /// Finish() after `work` returns and reports its wall_ns() as
+  /// Response::exec_ns instead of its own stopwatch.
   obs::QueryProfile* profile = nullptr;
 };
 
@@ -146,8 +140,6 @@ class Server {
   const AdmissionConfig& admission_config() const {
     return admission_.config();
   }
-  /// Learned cost of a request name; 0 = never completed.
-  uint64_t CostNs(const std::string& name) const;
 
   Scheduler& scheduler() const { return *scheduler_; }
 
@@ -157,7 +149,6 @@ class Server {
 
   void Dispatch(Request req, std::shared_ptr<ResponseFuture::State> state,
                 std::shared_ptr<SessionState> session);
-  void UpdateCost(const std::string& name, uint64_t exec_ns);
   static void Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
                       Response response);
 
@@ -169,9 +160,6 @@ class Server {
   std::atomic<bool> shutdown_{false};
   std::mutex handlers_mu_;
   std::map<std::string, Handler, std::less<>> handlers_;
-
-  mutable std::mutex cost_mu_;
-  std::map<std::string, uint64_t, std::less<>> cost_ewma_ns_;
 };
 
 class Session {

@@ -1,10 +1,9 @@
 // Serving front end: admission control (queue-full rejection, priority
-// eviction and ordering, queued-request timeout, the heavy gate),
-// session lifecycle (close-with-queries-in-flight, server shutdown),
-// handler errors, and serve-vs-direct TPC-H result equality. The
-// concurrency here — clients racing admission, grants firing from
-// finishing workers, the reaper expiring queued tickets — is what the
-// TSan CI leg exercises.
+// eviction and ordering, queued-request timeout), session lifecycle
+// (close-with-queries-in-flight, server shutdown), handler errors, and
+// serve-vs-direct TPC-H result equality. The concurrency here — clients
+// racing admission, grants firing from finishing workers, the reaper
+// expiring queued tickets — is what the TSan CI leg exercises.
 
 #include <gtest/gtest.h>
 
@@ -76,7 +75,6 @@ serve::ServerConfig TinyAdmission(Scheduler* scheduler, unsigned max_running,
   cfg.scheduler = scheduler;
   cfg.admission.max_running = max_running;
   cfg.admission.max_queued = max_queued;
-  cfg.admission.reap_interval = std::chrono::milliseconds(2);
   return cfg;
 }
 
@@ -125,7 +123,7 @@ TEST(Admission, QueueFullRejectsNewestSamePriority) {
   server.Shutdown();
 }
 
-TEST(Admission, OltpArrivalEvictsQueuedBatchOnOverflow) {
+TEST(Admission, OltpArrivalEvictsQueuedOlapOnOverflow) {
   Scheduler scheduler(SmallPool());
   serve::Server server(TinyAdmission(&scheduler, 1, 1));
   auto session = server.OpenSession("t");
@@ -135,11 +133,11 @@ TEST(Admission, OltpArrivalEvictsQueuedBatchOnOverflow) {
   ResponseFuture a = session->Submit(Blocking("a", &gate, &started));
   ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
 
-  Request batch;
-  batch.name = "batch";
-  batch.priority = Priority::kBatch;
-  batch.work = [] { return std::string("batch"); };
-  ResponseFuture fb = session->Submit(std::move(batch));
+  Request olap;
+  olap.name = "olap";
+  olap.priority = Priority::kOlap;
+  olap.work = [] { return std::string("olap"); };
+  ResponseFuture fb = session->Submit(std::move(olap));
   ASSERT_TRUE(WaitFor([&] { return server.queued() == 1; }));
 
   Request oltp;
@@ -148,7 +146,7 @@ TEST(Admission, OltpArrivalEvictsQueuedBatchOnOverflow) {
   oltp.work = [] { return std::string("oltp"); };
   ResponseFuture fo = session->Submit(std::move(oltp));
 
-  // The batch entry was evicted in favor of the higher class...
+  // The OLAP entry was evicted in favor of the higher class...
   EXPECT_EQ(fb.Get().status, Status::kRejected);
   // ...which runs once the slot frees.
   gate.Open();
@@ -172,7 +170,7 @@ TEST(Admission, QueuedRequestTimesOutWhileSlotIsHeld) {
   b.queue_timeout = std::chrono::milliseconds(20);
   b.work = [] { return std::string("b"); };
   ResponseFuture fb = session->Submit(std::move(b));
-  // The reaper (2 ms cadence on the second worker) expires it; the
+  // The reaper (5 ms cadence on the second worker) expires it; the
   // slot-holder never finishes first.
   EXPECT_EQ(fb.Get().status, Status::kTimedOut);
   EXPECT_EQ(server.queued(), 0u);
@@ -205,62 +203,20 @@ TEST(Admission, PriorityClassesDrainHighestFirst) {
     };
     return req;
   };
-  // Submitted worst-first; admission must invert the order.
-  ResponseFuture fb = session->Submit(make("batch", Priority::kBatch));
-  ResponseFuture fo1 = session->Submit(make("olap", Priority::kOlap));
-  ResponseFuture ft = session->Submit(make("oltp", Priority::kOltp));
-  ASSERT_TRUE(WaitFor([&] { return server.queued() == 3; }));
+  // Submitted worst class first; admission must put OLTP ahead and keep
+  // each class in arrival order.
+  std::vector<ResponseFuture> futures;
+  futures.push_back(session->Submit(make("olap1", Priority::kOlap)));
+  futures.push_back(session->Submit(make("olap2", Priority::kOlap)));
+  futures.push_back(session->Submit(make("oltp1", Priority::kOltp)));
+  futures.push_back(session->Submit(make("oltp2", Priority::kOltp)));
+  ASSERT_TRUE(WaitFor([&] { return server.queued() == 4; }));
 
   gate.Open();
   EXPECT_EQ(a.Get().status, Status::kOk);
-  EXPECT_EQ(fb.Get().status, Status::kOk);
-  EXPECT_EQ(fo1.Get().status, Status::kOk);
-  EXPECT_EQ(ft.Get().status, Status::kOk);
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"oltp", "olap", "batch"}));
-  server.Shutdown();
-}
-
-TEST(Admission, HeavyGateLetsLightRequestsBypass) {
-  Scheduler scheduler(SmallPool());
-  serve::ServerConfig cfg = TinyAdmission(&scheduler, 2, 8);
-  cfg.admission.max_heavy_running = 1;
-  cfg.admission.heavy_cost_ns = 1;  // any completed name counts as heavy
-  serve::Server server(cfg);
-  auto session = server.OpenSession("t");
-
-  // Prime the cost model: the first "hv" completion teaches the server
-  // that this name is expensive (EWMA > 1 ns).
-  {
-    Request prime;
-    prime.name = "hv";
-    prime.work = [] { return std::string("p"); };
-    EXPECT_EQ(session->Submit(std::move(prime)).Get().status, Status::kOk);
-  }
-  ASSERT_GT(server.CostNs("hv"), 1u);
-
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture hv1 = session->Submit(Blocking("hv", &gate, &started));
-  ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
-
-  Request hv2;
-  hv2.name = "hv";
-  hv2.work = [] { return std::string("hv2"); };
-  ResponseFuture fhv2 = session->Submit(std::move(hv2));
-  ASSERT_TRUE(WaitFor([&] { return server.queued() == 1; }));
-
-  // A light request bypasses the gated heavy entry and completes while
-  // the heavy one is still held back.
-  Request light;
-  light.name = "lt";
-  light.work = [] { return std::string("lt"); };
-  EXPECT_EQ(session->Submit(std::move(light)).Get().payload, "lt");
-  EXPECT_EQ(server.queued(), 1u);
-
-  gate.Open();
-  EXPECT_EQ(hv1.Get().status, Status::kOk);
-  EXPECT_EQ(fhv2.Get().payload, "hv2");
+  for (ResponseFuture& f : futures) EXPECT_EQ(f.Get().status, Status::kOk);
+  EXPECT_EQ(order, (std::vector<std::string>{"oltp1", "oltp2", "olap1",
+                                             "olap2"}));
   server.Shutdown();
 }
 
@@ -407,49 +363,81 @@ TEST(Server, ConcurrentClientsAllComplete) {
   server.Shutdown();
 }
 
-TEST(Admission, RacingSubmitAndDoneNeverWrapQueueTime) {
-  // One slot: nearly every ticket queues, and every OnDone grants the next
-  // queued one while other threads keep submitting into the same lock. A
-  // grant stamped with a clock read before the lock could precede its
-  // ticket's enqueue, and queue_ns would wrap to ~2^64. The controller is
-  // driven directly: without a scheduler hop between the calls, they
-  // contend for its lock far more often than through a Server.
+TEST(Admission, RacingSubmitDoneAndReapResolveEachTicketOnce) {
+  // One slot: nearly every ticket queues, every OnDone grants the next
+  // queued one while other threads keep submitting into the same lock, and
+  // a reaper expires queued tickets in between. The controller is driven
+  // directly: without a scheduler hop between the calls, they contend for
+  // its lock far more often than through a Server. Checked:
+  //  * queue_ns never wraps. A grant stamped with a clock read before the
+  //    lock could precede its ticket's enqueue, and queue_ns would wrap
+  //    to ~2^64.
+  //  * Every ticket resolves exactly once, as a grant or kTimedOut. Half
+  //    carry deadlines short enough to expire in the queue (a zero one
+  //    always does).
+  //  * The controller drains to idle, waking a waiter started before
+  //    the drain. ReapExpired neither grants nor wakes WaitIdle: a queued
+  //    ticket always waits on a running one, and expiry frees no slot.
   serve::AdmissionConfig cfg;
   cfg.max_running = 1;
   cfg.max_queued = 1 << 20;
   serve::AdmissionController admission(cfg, 1);
+  constexpr int kSubmitters = 2;
+  constexpr int kPerSubmitter = 20000;
+  constexpr int kTickets = kSubmitters * kPerSubmitter;
+  std::vector<std::atomic<int>> resolved(kTickets);
   std::atomic<int> owed{0};  // granted tickets not finished yet
-  std::atomic<int> granted{0}, wrapped{0};
-  auto submit = [&] {
+  std::atomic<int> granted{0}, timed_out{0}, wrapped{0};
+  auto submit = [&](int id) {
     auto t = std::make_shared<serve::AdmissionController::Ticket>();
     const uint64_t submit_ns = obs::MonotonicNs();
-    t->grant = [&, submit_ns](uint64_t queue_ns) {
+    if (id % 2 == 0) {
+      t->has_deadline = true;
+      t->deadline = std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(id % 8 * 15);
+    }
+    t->grant = [&, id, submit_ns](uint64_t queue_ns) {
       // The server's total_ns: submit to response, here cut at the grant.
       const uint64_t total_ns = obs::MonotonicNs() - submit_ns;
       if (queue_ns > total_ns) wrapped.fetch_add(1);
+      resolved[id].fetch_add(1);
       granted.fetch_add(1);
       owed.fetch_add(1);
     };
-    t->drop = [](Status s) { ADD_FAILURE() << serve::StatusName(s); };
+    t->drop = [&, id](Status s) {
+      resolved[id].fetch_add(1);
+      if (s == Status::kTimedOut) {
+        timed_out.fetch_add(1);
+      } else {
+        ADD_FAILURE() << serve::StatusName(s);
+      }
+    };
     admission.Submit(std::move(t));
   };
   auto finish_one = [&] {
     int o = owed.load();
     while (o > 0 && !owed.compare_exchange_weak(o, o - 1)) {
     }
-    if (o > 0) admission.OnDone(/*heavy=*/false);
+    if (o > 0) admission.OnDone();
     return o > 0;
   };
 
+  std::atomic<bool> reaping{true};
+  std::thread reaper([&] {
+    while (reaping.load()) {
+      admission.ReapExpired();
+      // A reaper spinning on the lock would starve the other threads;
+      // the server's reaper fires every few milliseconds.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
   // Submitters and finishers on separate threads: a finisher's OnDone is
   // in flight nearly whenever a submitter enqueues behind the one slot.
-  constexpr int kSubmitters = 2;
-  constexpr int kPerSubmitter = 20000;
   std::atomic<int> submitting{kSubmitters};
   std::vector<std::thread> threads;
   for (int c = 0; c < kSubmitters; ++c) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerSubmitter; ++i) submit();
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kPerSubmitter; ++i) submit(c * kPerSubmitter + i);
       submitting.fetch_sub(1);
     });
     threads.emplace_back([&] {
@@ -457,9 +445,27 @@ TEST(Admission, RacingSubmitAndDoneNeverWrapQueueTime) {
     });
   }
   for (auto& t : threads) t.join();
-  while (finish_one()) {  // drain: each OnDone grants the next queued one
+
+  // Shutdown only unblocks a hung wait so the failure is reported
+  // instead of stalling the suite.
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    admission.WaitIdle();
+    idle.store(true);
+  });
+  while (finish_one()) {  // drain while the reaper keeps running
   }
-  EXPECT_EQ(granted.load(), kSubmitters * kPerSubmitter);
+  EXPECT_TRUE(WaitFor([&] { return idle.load(); }));
+  reaping.store(false);
+  reaper.join();
+  if (!idle.load()) admission.Shutdown();
+  waiter.join();
+
+  for (int id = 0; id < kTickets; ++id) {
+    ASSERT_EQ(resolved[id].load(), 1) << "ticket " << id;
+  }
+  EXPECT_EQ(granted.load() + timed_out.load(), kTickets);
+  EXPECT_GT(timed_out.load(), 0);
   EXPECT_EQ(wrapped.load(), 0);
   EXPECT_EQ(admission.running(), 0u);
   EXPECT_EQ(admission.queued(), 0u);
