@@ -81,7 +81,6 @@ int main() {
   // again.
   LifecycleConfig lcfg;
   lcfg.cold_threshold = 2;
-  lcfg.freeze_after_cold_epochs = 2;
   lcfg.memory_budget_bytes = orders.FrozenBytes() / 2;
   lcfg.tick_interval = std::chrono::milliseconds(10);
   LifecycleManager lifecycle(&orders, "/tmp/hybrid_orders.dbar", lcfg);

@@ -61,21 +61,29 @@ const LifecycleMetrics& Metrics() {
   return m;
 }
 
+bool FullyDeleted(const Table& t, size_t chunk_idx) {
+  const uint32_t rows = t.chunk_rows(chunk_idx);
+  return rows > 0 && t.deleted_in_chunk(chunk_idx) == rows;
+}
+
+/// A hot chunk freezes after this many consecutive cold epochs. It freezes
+/// with Table::FreezeChunk's defaults, unsorted (indexes point into the
+/// tables) and with PSMAs, and its resident summary keeps the PSMAs.
+constexpr uint32_t kFreezeAfterColdEpochs = 2;
+
 }  // namespace
 
 obs::TraceRing& LifecycleManager::trace() const {
   return cfg_.trace != nullptr ? *cfg_.trace : obs::TraceRing::Default();
 }
 
-LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
+LifecycleManager::LifecycleManager(std::vector<Table*> tables,
+                                   std::string archive_path,
                                    LifecycleConfig config)
-    : table_(table),
-      cfg_(config),
-      archive_path_(std::move(archive_path)) {
-  DB_CHECK(table_ != nullptr);
+    : cfg_(config), archive_path_(std::move(archive_path)) {
   // Archive creation can fail (bad path, disk full). A manager without an
   // archive is born degraded: it never evicts (nothing could be read back),
-  // but the table keeps working fully resident.
+  // but the tables keep working fully resident.
   auto created = BlockArchive::Create(archive_path_);
   if (created.ok()) {
     archive_ = std::make_unique<BlockArchive>(std::move(*created));
@@ -89,59 +97,74 @@ LifecycleManager::LifecycleManager(Table* table, std::string archive_path,
     Metrics().degraded->Add(1);
     trace().Publish("lifecycle", "degrade", 0);
   }
-  // The table's read path for evicted chunks: one archive read into the
+  tables_.reserve(tables.size());
+  for (Table* t : tables) {
+    DB_CHECK(t != nullptr);
+    tables_.push_back(Managed{t, {}, {}, {}});
+  }
+  // Each table's read path for evicted chunks: one archive read into the
   // reader's image, for scans and point reads alike. It must not call
   // back into Table — ReadChunk only touches the manager's own state (mu_)
-  // and the archive.
-  table_->SetBlockFetcher(
-      [this](size_t chunk_idx, const BlockRead& read) -> Status {
-        StatusOr<uint64_t> bytes = ReadChunk(chunk_idx, read);
-        if (!bytes.ok()) return bytes.status();
-        const bool point = read.row.has_value();
-        if (point) Metrics().point_reads->Add();
-        trace().Publish("lifecycle", point ? "point_read" : "scan_read",
-                        int64_t(chunk_idx), int64_t(*bytes));
-        return Status::Ok();
-      });
+  // and the archive. tables_ never changes again, so the fetcher may hold
+  // its table's entry: chunk 3 of one table never reads another's block.
+  for (Managed& m : tables_) {
+    m.table->SetBlockFetcher(
+        [this, &m](size_t chunk_idx, const BlockRead& read) -> Status {
+          StatusOr<uint64_t> bytes = ReadChunk(m, chunk_idx, read);
+          if (!bytes.ok()) return bytes.status();
+          const bool point = read.row.has_value();
+          if (point) Metrics().point_reads->Add();
+          trace().Publish("lifecycle", point ? "point_read" : "scan_read",
+                          int64_t(chunk_idx), int64_t(*bytes));
+          return Status::Ok();
+        });
+  }
 }
 
 LifecycleManager::~LifecycleManager() {
   Stop();
-  // Leave the table self-contained: readmit every evicted block, then
-  // detach. Afterwards the table no longer depends on this manager or its
-  // archive file. A chunk whose read fails here is unrecoverable — its
-  // only payload copy is the unreadable archive entry — so warn and detach
+  // Leave the tables self-contained: readmit every evicted block, then
+  // detach. Afterwards no table depends on this manager or its archive
+  // file. A chunk whose read fails here is unrecoverable — its only
+  // payload copy is the unreadable archive entry — so warn and detach
   // anyway rather than aborting the process. The final attempt ignores
   // any backoff deadline.
   ResetQuarantine();
-  for (size_t c = 0; c < table_->num_chunks(); ++c) {
-    if (!table_->is_evicted(c)) continue;
-    if (Status s = Readmit(c); !s.ok()) {
-      std::fprintf(stderr,
-                   "lifecycle: chunk %zu of table '%s' lost at detach "
-                   "(read failed: %s)\n",
-                   c, table_->name().c_str(), s.ToString().c_str());
+  for (Managed& m : tables_) {
+    for (size_t c = 0; c < m.table->num_chunks(); ++c) {
+      if (!m.table->is_evicted(c)) continue;
+      BlockImage image;
+      StatusOr<uint64_t> read =
+          ReadChunk(m, c, BlockRead::Scan(ColumnSet::All(), &image));
+      Status s = read.ok() ? m.table->ReadmitChunk(c, image.TakeBlock())
+                           : read.status();
+      if (!s.ok()) {
+        std::fprintf(stderr,
+                     "lifecycle: chunk %zu of table '%s' lost at detach "
+                     "(read failed: %s)\n",
+                     c, m.table->name().c_str(), s.ToString().c_str());
+        continue;
+      }
+      Metrics().reloads->Add();
+      trace().Publish("lifecycle", "reload", int64_t(c), int64_t(*read));
     }
+    m.table->SetBlockFetcher(nullptr);
   }
-  table_->SetBlockFetcher(nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!quarantine_.empty()) Metrics().quarantined->Add(-int64_t(quarantine_.size()));
-    quarantine_.clear();
-  }
+  const size_t quarantined = quarantined_chunks();
+  if (quarantined != 0) Metrics().quarantined->Add(-int64_t(quarantined));
   if (degraded_.load(std::memory_order_relaxed)) Metrics().degraded->Add(-1);
   // The archive is scratch (see the class comment): nothing reopens it, and
   // the next manager on this path truncates it anyway.
   if (archive_ != nullptr) std::remove(archive_path_.c_str());
 }
 
-StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
+StatusOr<uint64_t> LifecycleManager::ReadChunk(Managed& m, size_t chunk_idx,
                                                const BlockRead& read) {
   size_t block_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto q = quarantine_.find(chunk_idx);
-    if (q != quarantine_.end()) {
+    auto q = m.quarantine.find(chunk_idx);
+    if (q != m.quarantine.end()) {
       // Quarantined: fail fast while the backoff runs, so a flood of
       // queries over a broken chunk does not hammer the disk. Once the
       // deadline passes, the next read (query or Tick probe) retries.
@@ -153,15 +176,12 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
       retry_attempts_.fetch_add(1, std::memory_order_relaxed);
       Metrics().retries->Add();
     }
-    auto it = archived_.find(chunk_idx);
-    if (it == archived_.end()) {
+    auto it = m.archived.find(chunk_idx);
+    if (it == m.archived.end()) {
       return Status::NotFound("chunk " + std::to_string(chunk_idx) +
                               " is evicted but has no archive entry");
     }
-    block_id = it->second.id;
-  }
-  if (archive_ == nullptr) {
-    return Status::Unavailable("no archive (manager degraded at create)");
+    block_id = it->second.id;  // archived, so archive_ exists
   }
   StatusOr<uint64_t> bytes =
       DB_FAILPOINT("lifecycle.reload")
@@ -169,55 +189,37 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(size_t chunk_idx,
                 "injected reload failure (failpoint lifecycle.reload)"))
           : archive_->Read(block_id, read);
   if (!bytes.ok()) {
-    QuarantineChunk(chunk_idx, bytes.status());
+    QuarantineChunk(m, chunk_idx, bytes.status());
     return bytes;
   }
-  ClearQuarantine(chunk_idx);
+  ClearQuarantine(m, chunk_idx);
   Metrics().archive_bytes_read->Add(*bytes);
   return bytes;
 }
 
-Status LifecycleManager::Readmit(size_t chunk_idx) {
-  BlockImage image;
-  StatusOr<uint64_t> read =
-      ReadChunk(chunk_idx, BlockRead::Scan(ColumnSet::All(), &image));
-  if (!read.ok()) return read.status();
-  if (Status s = table_->ReadmitChunk(chunk_idx, image.TakeBlock()); !s.ok())
-    return s;
-  Metrics().reloads->Add();
-  trace().Publish("lifecycle", "reload", int64_t(chunk_idx), int64_t(*read));
-  return Status::Ok();
-}
-
-bool LifecycleManager::FullyDeleted(size_t chunk_idx) const {
-  const uint32_t rows = table_->chunk_rows(chunk_idx);
-  return rows > 0 && table_->deleted_in_chunk(chunk_idx) == rows;
-}
-
-bool LifecycleManager::ArchiveChunk(size_t idx) {
+bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
   if (archive_ == nullptr) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (archived_.count(idx) != 0) return false;
+    if (m.archived.count(idx) != 0) return false;
   }
   // Fully-deleted chunks are never archived: their payload can never be
   // needed again (scans skip them, visibility checks only read the side
   // bitmap), so archiving would create instant garbage.
-  if (FullyDeleted(idx)) return false;
+  if (FullyDeleted(*m.table, idx)) return false;
   // The section keeps the block allocated while it is written; only this
   // manager's Tick evicts or tombstones it, and not meanwhile.
   Table::ReadSection section;
-  const DataBlock* block = table_->frozen_block(idx);
+  const DataBlock* block = m.table->frozen_block(idx);
   if (block == nullptr) return false;  // not frozen (any more) — skip
   // Extract and install the resident summary before the chunk can be
   // evicted — scanners rely on "evicted implies summary present" to prune
   // without opening the chunk. A summary installed earlier (by a manager
   // attached before this one) is reused: summaries are install-once (see
   // Table::SetBlockSummary).
-  if (table_->block_summary(idx) == nullptr) {
-    table_->SetBlockSummary(
-        idx, std::make_unique<BlockSummary>(
-                 BlockSummary::Extract(*block, cfg_.keep_summary_psma)));
+  if (m.table->block_summary(idx) == nullptr) {
+    m.table->SetBlockSummary(
+        idx, std::make_unique<BlockSummary>(BlockSummary::Extract(*block)));
   }
   // Only the block goes to the archive: the delete bitmap and the summary
   // stay in table memory across eviction, the bitmap mutable.
@@ -231,27 +233,34 @@ bool LifecycleManager::ArchiveChunk(size_t idx) {
   }
   NoteWriteSuccess();
   std::lock_guard<std::mutex> lock(mu_);
-  archived_[idx] = Archived{*id, block->SizeBytes()};
+  m.archived[idx] = Archived{*id, block->SizeBytes()};
   return true;
 }
 
 uint64_t LifecycleManager::ResidentBytesLocked() const {
   uint64_t total = 0;
-  for (const auto& [chunk, a] : archived_)
-    if (table_->chunk_state(chunk) == ChunkState::kFrozen) total += a.bytes;
+  for (const Managed& m : tables_) {
+    for (const auto& [chunk, a] : m.archived)
+      if (m.table->chunk_state(chunk) == ChunkState::kFrozen) total += a.bytes;
+  }
   return total;
 }
 
-size_t LifecycleManager::PickVictimLocked() const {
-  size_t victim = SIZE_MAX;
-  uint64_t oldest = UINT64_MAX;
-  for (const auto& [chunk, a] : archived_) {
-    if (table_->chunk_state(chunk) != ChunkState::kFrozen) continue;
-    const uint64_t stamp = table_->chunk_last_access(chunk);
-    // Tie-break on chunk index for determinism.
-    if (stamp < oldest || (stamp == oldest && chunk < victim)) {
-      oldest = stamp;
-      victim = chunk;
+std::pair<LifecycleManager::Managed*, size_t>
+LifecycleManager::PickVictimLocked() {
+  std::pair<Managed*, size_t> victim{nullptr, 0};
+  uint32_t oldest = 0;
+  for (Managed& m : tables_) {
+    const uint32_t epoch = m.table->access_epoch();
+    for (const auto& [chunk, a] : m.archived) {
+      if (m.table->chunk_state(chunk) != ChunkState::kFrozen) continue;
+      const uint32_t age = epoch - m.table->chunk_last_access(chunk);
+      // Ties go to the earlier table, then the lower chunk: determinism.
+      if (victim.first == nullptr || age > oldest ||
+          (age == oldest && victim.first == &m && chunk < victim.second)) {
+        oldest = age;
+        victim = {&m, chunk};
+      }
     }
   }
   return victim;
@@ -259,60 +268,51 @@ size_t LifecycleManager::PickVictimLocked() const {
 
 void LifecycleManager::EnforceBudget() {
   const uint64_t budget = cfg_.memory_budget_bytes;
-  if (degraded_.load(std::memory_order_relaxed)) {
-    // No-evict degraded mode: archive writes keep failing, so evicting a
-    // block whose archive copy cannot be trusted risks losing it. The
-    // budget is soft-violated instead — loudly, so operators see it.
-    uint64_t over = 0;
+  for (;;) {
+    std::pair<Managed*, size_t> victim;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const uint64_t bytes = ResidentBytesLocked();
-      if (bytes > budget) over = bytes - budget;
-    }
-    if (over > 0)
-      trace().Publish("lifecycle", "budget_overrun", int64_t(over));
-    return;
-  }
-  for (;;) {
-    size_t victim = SIZE_MAX;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (ResidentBytesLocked() <= budget) return;
+      if (bytes <= budget) return;
+      if (degraded_.load(std::memory_order_relaxed)) {
+        // No-evict degraded mode: archive writes keep failing, so evicting
+        // a block whose archive copy cannot be trusted risks losing it.
+        // The budget is soft-violated instead — loudly, so operators see
+        // it.
+        trace().Publish("lifecycle", "budget_overrun", int64_t(bytes - budget));
+        return;
+      }
       victim = PickVictimLocked();
     }
-    if (victim == SIZE_MAX) return;
+    if (victim.first == nullptr) return;
     // A resident victim always evicts (open scans only delay it), unless a
     // caller outside this manager changed its state meanwhile: then the
     // next tick tries again.
-    if (!table_->EvictChunk(victim)) return;
+    if (!victim.first->table->EvictChunk(victim.second)) return;
     Metrics().evictions->Add();
-    trace().Publish("lifecycle", "evict", int64_t(victim));
+    trace().Publish("lifecycle", "evict", int64_t(victim.second));
   }
 }
 
-void LifecycleManager::DetachFullyDeletedLocked() {
-  // Snapshot outside mu_ (TombstoneChunk takes the table's lifecycle
-  // mutex, which must never nest inside mu_).
-  std::vector<size_t> chunks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    chunks.reserve(archived_.size());
-    for (const auto& [chunk, a] : archived_) chunks.push_back(chunk);
-  }
-  for (size_t chunk : chunks) {
-    if (!FullyDeleted(chunk)) continue;
+void LifecycleManager::DetachFullyDeletedLocked(Managed& m) {
+  Table& t = *m.table;
+  for (size_t chunk = 0; chunk < t.num_chunks(); ++chunk) {
+    const ChunkState st = t.chunk_state(chunk);
+    if (st != ChunkState::kFrozen && st != ChunkState::kEvicted) continue;
     // Tombstone-before-release: the transition drops the resident payload
     // (if any) and returns only after every read section that could still
     // read the archive copy has closed, so the copy can be freed without
-    // reading it back first. A chunk that is no longer frozen or evicted
-    // fails the transition and stays attached.
-    if (!table_->TombstoneChunk(chunk)) continue;
+    // reading it back first. (mu_ is not held: TombstoneChunk takes the
+    // table's lifecycle mutex, which must never nest inside mu_.)
+    if (!FullyDeleted(t, chunk) || !t.TombstoneChunk(chunk)) continue;
     Metrics().tombstoned->Add();
     trace().Publish("lifecycle", "tombstone", int64_t(chunk));
     Archived a;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      a = archived_.extract(chunk).mapped();
+      auto node = m.archived.extract(chunk);
+      if (node.empty()) continue;  // never archived: nothing to release
+      a = node.mapped();
     }
     // A failed punch costs disk space only: the block is already
     // unreadable and no live block is touched, so it does not count
@@ -321,7 +321,7 @@ void LifecycleManager::DetachFullyDeletedLocked() {
       std::fprintf(stderr,
                    "lifecycle: releasing the archive block of chunk %zu of "
                    "table '%s' failed: %s\n",
-                   chunk, table_->name().c_str(), s.ToString().c_str());
+                   chunk, t.name().c_str(), s.ToString().c_str());
       continue;
     }
     reclaimed_blocks_.fetch_add(1, std::memory_order_relaxed);
@@ -331,73 +331,51 @@ void LifecycleManager::DetachFullyDeletedLocked() {
   }
 }
 
-void LifecycleManager::Tick() {
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
-  const uint64_t tick_start = obs::MonotonicNs();
-  table_->AdvanceAccessEpoch();
-  const size_t n = table_->num_chunks();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cold_epochs_.size() < n) cold_epochs_.resize(n, 0);
-  }
-
+void LifecycleManager::TickTable(Managed& m) {
+  Table& t = *m.table;
+  const size_t n = t.num_chunks();
+  if (m.cold_epochs.size() < n) m.cold_epochs.resize(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    ChunkState st = table_->chunk_state(i);
+    const ChunkState st = t.chunk_state(i);
     if (st == ChunkState::kHot) {
-      const uint32_t clock = table_->chunk_clock(i);
-      const bool candidate = table_->chunk_full(i) || cfg_.freeze_partial_tail;
-      uint32_t cold;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!candidate || clock > cfg_.cold_threshold)
-          cold_epochs_[i] = 0;
-        else
-          ++cold_epochs_[i];
-        cold = cold_epochs_[i];
-      }
-      if (candidate && cold >= cfg_.freeze_after_cold_epochs) {
+      const bool candidate = t.chunk_full(i) || cfg_.freeze_partial_tail;
+      uint32_t& cold = m.cold_epochs[i];
+      cold = candidate && t.chunk_clock(i) <= cfg_.cold_threshold ? cold + 1
+                                                                 : 0;
+      if (cold >= kFreezeAfterColdEpochs) {
         const uint64_t freeze_start = obs::MonotonicNs();
-        if (table_->FreezeChunk(i, cfg_.sort_col, cfg_.build_psma)) {
+        if (t.FreezeChunk(i)) {
           const uint64_t freeze_ns = obs::MonotonicNs() - freeze_start;
           freezes_.fetch_add(1, std::memory_order_relaxed);
           Metrics().freezes->Add();
           Metrics().freeze_ns->Observe(freeze_ns);
           trace().Publish("lifecycle", "freeze", int64_t(i),
                           int64_t(freeze_ns));
-          ArchiveChunk(i);
+          ArchiveChunk(m, i);
         }
       }
-    } else if (st == ChunkState::kFrozen) {
-      // A fully-deleted frozen chunk that was never archived (ArchiveChunk
-      // refuses them) has no reason to stay resident either: drop the
-      // payload right away instead of adopting it. (mu_ is released before
-      // TombstoneChunk — Tick never calls into Table while holding mu_.)
-      bool unarchived;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        unarchived = archived_.count(i) == 0;
-      }
-      if (unarchived && FullyDeleted(i) && table_->TombstoneChunk(i)) {
-        Metrics().tombstoned->Add();
-        trace().Publish("lifecycle", "tombstone", int64_t(i));
-        continue;
-      }
+    } else if (st == ChunkState::kFrozen && ArchiveChunk(m, i)) {
+      // Adopted a chunk frozen outside the policy (FreezeAll, explicit
+      // FreezeChunk): archiving it makes it evictable too. A fully-deleted
+      // one is not archived but tombstoned (DetachFullyDeletedLocked).
+      adopted_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().adopted->Add();
+      trace().Publish("lifecycle", "adopt", int64_t(i));
     }
-    if (st == ChunkState::kFrozen) {
-      // Adopt chunks frozen outside the policy (FreezeAll, explicit
-      // FreezeChunk): archiving them makes them evictable too.
-      if (ArchiveChunk(i)) {
-        adopted_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().adopted->Add();
-        trace().Publish("lifecycle", "adopt", int64_t(i));
-      }
-    }
-    table_->DecayChunkClock(i, cfg_.decay_shift);
+    t.DecayChunkClock(i, cfg_.decay_shift);
   }
+}
 
-  RetryQuarantinedLocked();
+void LifecycleManager::Tick() {
+  std::lock_guard<std::mutex> tick_lock(tick_mu_);
+  const uint64_t tick_start = obs::MonotonicNs();
+  // Every table's epoch advances before any chunk is looked at, so ages
+  // compare across tables.
+  for (Managed& m : tables_) m.table->AdvanceAccessEpoch();
+  for (Managed& m : tables_) TickTable(m);
+  for (Managed& m : tables_) RetryQuarantinedLocked(m);
   EnforceBudget();
-  DetachFullyDeletedLocked();
+  for (Managed& m : tables_) DetachFullyDeletedLocked(m);
   const uint64_t epoch = epochs_.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t tick_ns = obs::MonotonicNs() - tick_start;
   Metrics().ticks->Add();
@@ -405,13 +383,14 @@ void LifecycleManager::Tick() {
   trace().Publish("lifecycle", "tick", int64_t(epoch), int64_t(tick_ns));
 }
 
-void LifecycleManager::QuarantineChunk(size_t chunk_idx, const Status& why) {
+void LifecycleManager::QuarantineChunk(Managed& m, size_t chunk_idx,
+                                       const Status& why) {
   reload_failures_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reload_failures->Add();
   uint32_t retries;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = quarantine_.try_emplace(chunk_idx);
+    auto [it, inserted] = m.quarantine.try_emplace(chunk_idx);
     if (inserted) Metrics().quarantined->Add(1);
     Quarantined& q = it->second;
     ++q.retries;
@@ -431,15 +410,15 @@ void LifecycleManager::QuarantineChunk(size_t chunk_idx, const Status& why) {
   std::fprintf(stderr,
                "lifecycle: quarantining chunk %zu of table '%s' "
                "(attempt %u): %s\n",
-               chunk_idx, table_->name().c_str(), retries,
+               chunk_idx, m.table->name().c_str(), retries,
                why.ToString().c_str());
 }
 
-void LifecycleManager::ClearQuarantine(size_t chunk_idx) {
+void LifecycleManager::ClearQuarantine(Managed& m, size_t chunk_idx) {
   bool cleared;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    cleared = quarantine_.erase(chunk_idx) != 0;
+    cleared = m.quarantine.erase(chunk_idx) != 0;
   }
   if (cleared) {
     Metrics().quarantined->Add(-1);
@@ -447,19 +426,19 @@ void LifecycleManager::ClearQuarantine(size_t chunk_idx) {
   }
 }
 
-void LifecycleManager::RetryQuarantinedLocked() {
+void LifecycleManager::RetryQuarantinedLocked(Managed& m) {
   // Snapshot the due chunks: the probe below takes mu_.
   std::vector<size_t> due;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    for (const auto& [chunk, q] : quarantine_)
+    for (const auto& [chunk, q] : m.quarantine)
       if (now >= q.next_retry) due.push_back(chunk);
   }
   for (size_t chunk : due) {
-    if (!table_->is_evicted(chunk)) {
+    if (!m.table->is_evicted(chunk)) {
       // Tombstoned behind our back — quarantine is moot.
-      ClearQuarantine(chunk);
+      ClearQuarantine(m, chunk);
       continue;
     }
     // Probe with a spine read. Success heals (ReadChunk clears the
@@ -468,7 +447,8 @@ void LifecycleManager::RetryQuarantinedLocked() {
     // which holds tick_mu_ for this whole pass.
     BlockImage spine;
     (void)ReadChunk(
-        chunk, BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
+        m, chunk,
+        BlockRead::Scan(ColumnSet(std::vector<uint32_t>{}), &spine));
   }
 }
 
@@ -485,9 +465,9 @@ void LifecycleManager::NoteWriteFailure(const Status& why) {
     Metrics().degraded->Add(1);
     trace().Publish("lifecycle", "degrade", int64_t(streak));
     std::fprintf(stderr,
-                 "lifecycle: entering no-evict degraded mode for table '%s' "
+                 "lifecycle: entering no-evict degraded mode for '%s' "
                  "after %u consecutive archive write failures\n",
-                 table_->name().c_str(), streak);
+                 archive_path_.c_str(), streak);
   }
 }
 
@@ -497,22 +477,25 @@ void LifecycleManager::NoteWriteSuccess() {
     Metrics().degraded->Add(-1);
     trace().Publish("lifecycle", "recover");
     std::fprintf(stderr,
-                 "lifecycle: archive writes recovered for table '%s'; "
+                 "lifecycle: archive writes recovered for '%s'; "
                  "leaving degraded mode\n",
-                 table_->name().c_str());
+                 archive_path_.c_str());
   }
 }
 
 size_t LifecycleManager::quarantined_chunks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return quarantine_.size();
+  size_t n = 0;
+  for (const Managed& m : tables_) n += m.quarantine.size();
+  return n;
 }
 
 void LifecycleManager::ResetQuarantine() {
   std::lock_guard<std::mutex> lock(mu_);
   // Keep the entries (and the gauge) but zero the counters and deadlines:
   // the next read retries immediately, and a success erases the entry.
-  for (auto& [chunk, q] : quarantine_) q = Quarantined{};
+  for (Managed& m : tables_)
+    for (auto& [chunk, q] : m.quarantine) q = Quarantined{};
 }
 
 void LifecycleManager::Start() {
@@ -541,18 +524,20 @@ LifecycleStats LifecycleManager::stats() const {
   s.epochs = epochs_.load(std::memory_order_relaxed);
   s.freezes = freezes_.load(std::memory_order_relaxed);
   s.adopted = adopted_.load(std::memory_order_relaxed);
-  s.evictions = table_->evictions();
-  s.reloads = table_->reloads();
   s.reclaimed_blocks = reclaimed_blocks_.load(std::memory_order_relaxed);
   s.reclaimed_bytes = reclaimed_bytes_.load(std::memory_order_relaxed);
-  s.tombstoned = table_->tombstones();
   s.reload_failures = reload_failures_.load(std::memory_order_relaxed);
   s.retry_attempts = retry_attempts_.load(std::memory_order_relaxed);
   s.write_failures = write_failures_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
-  for (size_t c = 0; c < table_->num_chunks(); ++c) {
-    if (const BlockSummary* sum = table_->block_summary(c))
-      s.summary_bytes += sum->MemoryBytes();
+  for (const Managed& m : tables_) {
+    s.evictions += m.table->evictions();
+    s.reloads += m.table->reloads();
+    s.tombstoned += m.table->tombstones();
+    for (size_t c = 0; c < m.table->num_chunks(); ++c) {
+      if (const BlockSummary* sum = m.table->block_summary(c))
+        s.summary_bytes += sum->MemoryBytes();
+    }
   }
   if (archive_ != nullptr) {
     s.archive_bytes = archive_->PayloadBytes() - s.reclaimed_bytes;
@@ -561,8 +546,10 @@ LifecycleStats LifecycleManager::stats() const {
     s.archive_pages_read = archive_->payload_pages_read();
   }
   std::lock_guard<std::mutex> lock(mu_);
-  s.quarantined = quarantine_.size();
-  s.archived_blocks = archived_.size();
+  for (const Managed& m : tables_) {
+    s.quarantined += m.quarantine.size();
+    s.archived_blocks += m.archived.size();
+  }
   s.resident_bytes = ResidentBytesLocked();
   return s;
 }

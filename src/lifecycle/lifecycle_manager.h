@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/block_archive.h"
@@ -23,30 +24,21 @@ class TraceRing;
 /// Policy knobs of the block lifecycle (see README "Block lifecycle").
 struct LifecycleConfig {
   // -- Freeze policy (hot -> frozen) --------------------------------------
-  /// A chunk whose per-epoch access clock is <= this counts as cold.
+  /// A chunk whose per-epoch access clock is <= this for two consecutive
+  /// epochs counts as cold and is frozen (unsorted, with PSMAs).
   uint32_t cold_threshold = 0;
-  /// Consecutive cold epochs before a full hot chunk is frozen.
-  uint32_t freeze_after_cold_epochs = 2;
   /// Clocks are decayed by `clock >>= decay_shift` every epoch.
   uint32_t decay_shift = 1;
-  /// Sort criterion passed to FreezeChunk. Sorting invalidates RowIds, so
-  /// leave at -1 whenever indexes point into the table.
-  int sort_col = -1;
-  bool build_psma = true;
   /// Also freeze a cooled-down partially-filled tail chunk. Off by default:
   /// the tail is normally still receiving inserts.
   bool freeze_partial_tail = false;
 
   // -- Eviction policy (frozen -> evicted) --------------------------------
-  /// Budget for resident frozen-block bytes; the coldest blocks are evicted
-  /// to the archive until the residency fits. UINT64_MAX = never evict.
+  /// Budget for the resident frozen-block bytes of all managed tables
+  /// together; the coldest blocks of any of them are evicted to the archive
+  /// until the residency fits. Hot chunks are outside it. UINT64_MAX =
+  /// never evict.
   uint64_t memory_budget_bytes = UINT64_MAX;
-
-  // -- Resident block summaries -------------------------------------------
-  /// Keep each archived block's PSMA lookup tables in its resident
-  /// BlockSummary (more memory, tighter summary-only pruning of evicted
-  /// blocks). SMAs are always kept.
-  bool keep_summary_psma = true;
 
   // -- Fault tolerance ------------------------------------------------------
   /// A chunk whose archive read failed is quarantined: reads fail fast
@@ -69,7 +61,7 @@ struct LifecycleConfig {
   /// Period of the ticks Start() schedules; rounded up to 1 ms.
   std::chrono::milliseconds tick_interval{50};
   /// Pool the ticks run on as a periodic task; nullptr =
-  /// Scheduler::Default(). N managed tables cost no extra threads. The
+  /// Scheduler::Default(). A manager costs no thread of its own. The
   /// pool must outlive the manager (or at least its Stop()).
   Scheduler* scheduler = nullptr;
 
@@ -113,22 +105,29 @@ struct LifecycleStats {
 /// image, and the chunk stays evicted. The manager is the only code that
 /// installs a block, and only when it detaches (see the destructor).
 ///
-/// One manager owns the lifecycle of one Table:
+/// One manager owns the lifecycle of a set of tables, typically all the
+/// managed tables of one database:
 ///
 ///   hot --(cold for N epochs)--> frozen --(over budget, LRU)--> evicted
 ///                                  ^                               |
 ///                                  +-----------(detach)------------+
 ///
+/// The tables share one archive file, one memory budget over their frozen
+/// bytes and one LRU: a victim is the block whose chunk went the most
+/// epochs without an access (Table::access_epoch() minus
+/// Table::chunk_last_access()), ties broken by table order, then chunk
+/// index. Each tick advances every table's epoch once.
+///
 /// Blocks are archived once, at freeze time (they are immutable; the
 /// mutable side delete-bitmap stays in memory), so eviction itself is just
 /// dropping the resident copy. At archive time the block's BlockSummary
-/// (SMA min/max, dictionary domain, optional PSMA) is extracted and
-/// installed in the table — it stays resident across eviction, so
-/// SMA-pruned scans skip evicted blocks without any archive read. Ticks
-/// run from a caller thread (Tick()) or, between Start() and Stop(), as a
-/// periodic task on a worker pool (config.scheduler, default
-/// Scheduler::Default()); both may be active concurrently with OLTP point
-/// accesses and OLAP scans on the table.
+/// (SMA min/max, dictionary domain, PSMA) is extracted and installed in the
+/// table — it stays resident across eviction, so SMA-pruned scans skip
+/// evicted blocks without any archive read. Ticks run from a caller thread
+/// (Tick()) or, between Start() and Stop(), as a periodic task on a worker
+/// pool (config.scheduler, default Scheduler::Default()); both may be
+/// active concurrently with OLTP point accesses and OLAP scans on the
+/// tables.
 ///
 /// Every tick tombstones the archived chunks that became fully deleted
 /// (Table::TombstoneChunk, which waits out the reads of the chunk) and then
@@ -142,22 +141,28 @@ struct LifecycleStats {
 /// recovering one would also need a log of the hot chunks, which this
 /// engine does not keep.
 ///
-/// The manager must outlive all use of the table's evicted chunks; its
-/// destructor readmits every evicted block (restoring a fully resident
-/// table), detaches from the table and deletes the archive file.
+/// The manager must outlive all use of the tables' evicted chunks; its
+/// destructor readmits every evicted block (restoring fully resident
+/// tables), detaches from the tables and deletes the archive file.
 class LifecycleManager {
  public:
-  LifecycleManager(Table* table, std::string archive_path,
+  /// Manages `tables` (distinct, each managed by no other manager); their
+  /// order breaks eviction ties.
+  LifecycleManager(std::vector<Table*> tables, std::string archive_path,
                    LifecycleConfig config = {});
+  LifecycleManager(Table* table, std::string archive_path,
+                   LifecycleConfig config = {})
+      : LifecycleManager(std::vector<Table*>{table}, std::move(archive_path),
+                         config) {}
   ~LifecycleManager();
 
   LifecycleManager(const LifecycleManager&) = delete;
   LifecycleManager& operator=(const LifecycleManager&) = delete;
 
-  /// One policy epoch: decay clocks, freeze cooled-down chunks (archiving
-  /// them), adopt manually-frozen chunks, probe quarantined chunks, enforce
-  /// the memory budget, and tombstone fully-deleted archived chunks,
-  /// releasing their archive blocks.
+  /// One policy epoch over every table: decay clocks, freeze cooled-down
+  /// chunks (archiving them), adopt manually-frozen chunks, probe
+  /// quarantined chunks, enforce the memory budget, and tombstone
+  /// fully-deleted archived chunks, releasing their archive blocks.
   /// Thread-safe; concurrent ticks are serialized.
   void Tick();
 
@@ -169,9 +174,9 @@ class LifecycleManager {
   void Stop();
   bool running() const { return periodic_id_ != 0; }
 
+  /// Counters summed over the managed tables.
   LifecycleStats stats() const;
   const LifecycleConfig& config() const { return cfg_; }
-  Table* table() const { return table_; }
 
   /// True while the manager refuses to evict because archive writes keep
   /// failing (or the archive could not be created at all).
@@ -187,67 +192,73 @@ class LifecycleManager {
   const BlockArchive* archive() const { return archive_.get(); }
 
  private:
-  /// Archives chunk `idx`'s resident block if not archived yet; extracts
-  /// and installs its summary. Returns true if newly archived.
-  bool ArchiveChunk(size_t idx);
+  struct Archived {
+    size_t id;       // archive block id
+    uint64_t bytes;  // block size (blocks are immutable)
+  };
+  struct Quarantined {
+    uint32_t retries = 0;  // consecutive failed reads
+    std::chrono::steady_clock::time_point next_retry{};
+  };
+  /// One managed table and its chunks' policy state. The maps are guarded
+  /// by mu_; only Tick touches cold_epochs.
+  struct Managed {
+    Table* table;
+    std::unordered_map<size_t, Archived> archived;  // chunk -> its block
+    std::vector<uint32_t> cold_epochs;  // consecutive cold epochs per chunk
+    std::unordered_map<size_t, Quarantined> quarantine;
+  };
+
+  /// Runs the per-chunk freeze/adopt/decay pass over `m`; requires tick_mu_.
+  void TickTable(Managed& m);
+  /// Archives chunk `idx` of `m` if not archived yet; extracts and
+  /// installs its summary. Returns true if newly archived.
+  bool ArchiveChunk(Managed& m, size_t idx);
   void EnforceBudget();
   /// Bytes of archived blocks whose chunk is resident; requires mu_.
   /// Residency is read from the chunk states, never mirrored: only this
   /// manager evicts (in a tick) or installs (at detach) a block.
   uint64_t ResidentBytesLocked() const;
-  /// Least recently used resident archived chunk, the lowest index among
-  /// equals (SIZE_MAX if none); requires mu_.
-  size_t PickVictimLocked() const;
-  /// Performs `read` of evicted chunk `chunk_idx` from the archive — a
-  /// scan's columns or a point read's pages: the one read path (quarantine
-  /// backoff, the lifecycle.reload failpoint, checksums, Validate or the
-  /// row check). A failure quarantines the chunk, a success heals it.
-  /// Returns the bytes read.
-  StatusOr<uint64_t> ReadChunk(size_t chunk_idx, const BlockRead& read);
-  /// Reads chunk `chunk_idx`'s whole block and installs it resident (at
-  /// detach).
-  Status Readmit(size_t chunk_idx);
-  /// Detaches fully-deleted archived chunks by tombstoning them
-  /// (Table::TombstoneChunk), then releases their archive blocks: the
-  /// in-memory payload and the disk copy both go — no read, no residual
-  /// RAM cost. The transition waits for open reads of the chunk first.
-  /// Requires tick_mu_.
-  void DetachFullyDeletedLocked();
-  bool FullyDeleted(size_t chunk_idx) const;
+  /// The resident archived chunk with the most epochs since its last
+  /// access, first in table then chunk order among equals ({nullptr, 0}
+  /// if none); requires mu_.
+  std::pair<Managed*, size_t> PickVictimLocked();
+  /// Performs `read` of evicted chunk `chunk_idx` of `m` from the archive
+  /// — a scan's columns or a point read's pages: the one read path
+  /// (quarantine backoff, the lifecycle.reload failpoint, checksums,
+  /// Validate or the row check). A failure quarantines the chunk, a
+  /// success heals it. Returns the bytes read.
+  StatusOr<uint64_t> ReadChunk(Managed& m, size_t chunk_idx,
+                               const BlockRead& read);
+  /// Tombstones the fully-deleted frozen and evicted chunks of `m`
+  /// (Table::TombstoneChunk), then releases the archive blocks of those
+  /// that had one: the in-memory payload and the disk copy both go — no
+  /// read, no residual RAM cost. The transition waits for open reads of
+  /// the chunk first. Requires tick_mu_.
+  void DetachFullyDeletedLocked(Managed& m);
   obs::TraceRing& trace() const;
-  /// Records a failed read of `chunk_idx`: enters/extends quarantine with
+  /// Records a failed read of the chunk: enters/extends quarantine with
   /// doubled backoff, parks the chunk after quarantine_max_retries.
-  void QuarantineChunk(size_t chunk_idx, const Status& why);
-  /// Drops `chunk_idx` from quarantine (successful read / tombstoned).
-  void ClearQuarantine(size_t chunk_idx);
+  void QuarantineChunk(Managed& m, size_t chunk_idx, const Status& why);
+  /// Drops the chunk from quarantine (successful read / tombstoned).
+  void ClearQuarantine(Managed& m, size_t chunk_idx);
   /// Probes quarantined chunks whose backoff expired with a spine read;
   /// runs from Tick (requires tick_mu_).
-  void RetryQuarantinedLocked();
+  void RetryQuarantinedLocked(Managed& m);
   /// Failed archive write: bumps the failure streak and degrades past the
   /// configured threshold. A successful write (NoteWriteSuccess) heals.
   void NoteWriteFailure(const Status& why);
   void NoteWriteSuccess();
 
-  Table* table_;
   LifecycleConfig cfg_;
   std::string archive_path_;
 
-  /// Guards archived_/cold_epochs_/quarantine_. Tick never starts a
-  /// Table state change (freeze, evict, tombstone) while holding mu_.
+  /// Guards the policy state of tables_. Tick never starts a Table state
+  /// change (freeze, evict, tombstone) while holding mu_.
   mutable std::mutex mu_;
   std::mutex tick_mu_;  // serializes Tick
   std::unique_ptr<BlockArchive> archive_;  // set once, in the constructor
-  struct Archived {
-    size_t id;       // archive block id
-    uint64_t bytes;  // block size (blocks are immutable)
-  };
-  std::unordered_map<size_t, Archived> archived_;  // chunk -> its block
-  std::vector<uint32_t> cold_epochs_;
-  struct Quarantined {
-    uint32_t retries = 0;  // consecutive failed reads
-    std::chrono::steady_clock::time_point next_retry{};
-  };
-  std::unordered_map<size_t, Quarantined> quarantine_;  // guarded by mu_
+  std::vector<Managed> tables_;  // fixed at construction
 
   std::atomic<uint64_t> epochs_{0};
   std::atomic<uint64_t> freezes_{0};

@@ -308,22 +308,13 @@ void TpccDatabase::SetLine(OrderEntry& e, int l, RowId id) {
 
 void TpccDatabase::EnableLifecycle(const LifecycleConfig& config,
                                    const std::string& dir) {
-  DB_CHECK(lifecycle_.empty());
-  for (Table* t : {&history, &neworder, &order, &orderline}) {
-    lifecycle_.push_back(std::make_unique<LifecycleManager>(
-        t, dir + "/tpcc_" + t->name() + ".dbar", config));
-  }
+  DB_CHECK(lifecycle_ == nullptr);
+  lifecycle_ = std::make_unique<LifecycleManager>(
+      std::vector<Table*>{&history, &neworder, &order, &orderline},
+      dir + "/tpcc.dbar", config);
 }
 
-void TpccDatabase::LifecycleTick() {
-  for (auto& m : lifecycle_) m->Tick();
-}
-
-std::vector<LifecycleManager*> TpccDatabase::lifecycle_managers() {
-  std::vector<LifecycleManager*> out;
-  for (auto& m : lifecycle_) out.push_back(m.get());
-  return out;
-}
+void TpccDatabase::LifecycleTick() { lifecycle_->Tick(); }
 
 void TpccDatabase::FreezeEverything() {
   item.FreezeAll();

@@ -96,10 +96,11 @@ class TpccDatabase {
   void FreezeEverything();
 
   // -- Block lifecycle -----------------------------------------------------
-  /// Attaches a LifecycleManager to each append-mostly table (history,
+  /// Attaches one LifecycleManager to the append-mostly tables (history,
   /// neworder, order, orderline): OLTP point accesses drive their
-  /// temperature, cooled-down chunks freeze automatically and frozen blocks
-  /// evict to per-table archives under `dir` when over the memory budget.
+  /// temperature, cooled-down chunks freeze automatically, and when the
+  /// four tables' frozen bytes together exceed the memory budget, the
+  /// coldest blocks among them evict to one archive, `dir`/tpcc.dbar.
   /// Tables receiving unconditional in-place updates (warehouse, district,
   /// customer, stock) and the read-only item table stay unmanaged.
   /// Transactions remain correct when managed rows freeze: Table::UpdateRow
@@ -107,10 +108,16 @@ class TpccDatabase {
   /// Section 3) and the index takes its new RowId.
   void EnableLifecycle(const LifecycleConfig& config, const std::string& dir);
 
-  /// Runs one policy epoch on every attached manager.
+  /// Runs one policy epoch of the manager (EnableLifecycle first).
   void LifecycleTick();
 
-  std::vector<LifecycleManager*> lifecycle_managers();
+  /// The manager, or nullptr before EnableLifecycle.
+  LifecycleManager* lifecycle() const { return lifecycle_.get(); }
+  /// {lifecycle()}: the one-element list bench/e2e/oltp.cc still sums over.
+  std::vector<LifecycleManager*> lifecycle_managers() const {
+    if (lifecycle_ == nullptr) return {};
+    return {lifecycle_.get()};
+  }
 
   /// Validates invariants (W_YTD = sum(D_YTD), order/orderline counts, ...).
   bool CheckConsistency(std::string* msg) const;
@@ -179,7 +186,7 @@ class TpccDatabase {
   std::vector<int32_t> last_order_of_cust_;           // by CustKey; 0 = none
   std::vector<RowId> scattered_;  // lines of non-consecutive orders
 
-  std::vector<std::unique_ptr<LifecycleManager>> lifecycle_;
+  std::unique_ptr<LifecycleManager> lifecycle_;
 };
 
 }  // namespace datablocks::tpcc

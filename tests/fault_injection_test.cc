@@ -47,7 +47,6 @@ std::string TempArchive(const char* name) {
 LifecycleConfig QuickCooling() {
   LifecycleConfig cfg;
   cfg.cold_threshold = 0;
-  cfg.freeze_after_cold_epochs = 2;
   cfg.decay_shift = 32;  // clocks reset every epoch
   return cfg;
 }

@@ -35,7 +35,6 @@ Table MakeTable(uint32_t n, uint32_t chunk_capacity) {
 LifecycleConfig QuickCooling() {
   LifecycleConfig cfg;
   cfg.cold_threshold = 0;
-  cfg.freeze_after_cold_epochs = 2;
   cfg.decay_shift = 32;  // clocks reset every epoch
   return cfg;
 }
@@ -44,12 +43,20 @@ std::string TempArchive(const char* name) {
   return std::string("/tmp/datablocks_lifecycle_") + name + ".dbar";
 }
 
+// Full chunks freeze after two cold epochs. Each freeze is timed on its
+// trace event and in the lifecycle.freeze_ns histogram.
 TEST(Lifecycle, ChunksFreezeAutomaticallyAfterCooling) {
   Table t = MakeTable(1000, 256);  // 3 full chunks + hot tail
   ASSERT_EQ(t.num_chunks(), 4u);
   const std::string path = TempArchive("freeze");
+  obs::TraceRing ring;
+  obs::Histogram* freeze_ns =
+      obs::MetricsRegistry::Default().GetHistogram("lifecycle.freeze_ns");
+  const uint64_t observed_before = freeze_ns->count();
   {
-    LifecycleManager mgr(&t, path, QuickCooling());
+    LifecycleConfig cfg = QuickCooling();
+    cfg.trace = &ring;
+    LifecycleManager mgr(&t, path, cfg);
     // Epoch 1: insert clocks still warm -> nothing freezes.
     mgr.Tick();
     EXPECT_EQ(mgr.stats().freezes, 0u);
@@ -64,11 +71,20 @@ TEST(Lifecycle, ChunksFreezeAutomaticallyAfterCooling) {
     EXPECT_EQ(mgr.stats().archived_blocks, 3u);
   }
   std::remove(path.c_str());
+
+  int freezes = 0;
+  for (const obs::TraceEvent& ev : ring.Snapshot()) {
+    if (std::string(ev.name) != "freeze") continue;
+    ++freezes;
+    EXPECT_GT(ev.b, 0) << "freeze of chunk " << ev.a << " carries its ns";
+  }
+  EXPECT_EQ(freezes, 3);
+  EXPECT_EQ(freeze_ns->count() - observed_before, 3u);
 }
 
-// A policy freeze sorted on a column carries each delete flag with its row:
-// block row i is deleted iff source row perm[i] was. Each freeze is timed
-// on its trace event and in the lifecycle.freeze_ns histogram.
+// A freeze sorted on a column carries each delete flag with its row: block
+// row i is deleted iff source row perm[i] was, and so it stays once the
+// manager adopts and evicts the sorted blocks.
 TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
   constexpr uint32_t kRows = 1024, kCap = 256;
   Table t = MakeTable(kRows, kCap);  // 4 full chunks, id == insert index
@@ -88,34 +104,28 @@ TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
       visible[i] = {t.GetInt(id, 1), std::string(t.GetStringView(id, 2))};
     }
   }
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    ASSERT_TRUE(t.FreezeChunk(c, /*sort_col=*/1)) << c;
+    EXPECT_EQ(t.deleted_in_chunk(c), deleted[c]) << c;
+    // The block is sorted on val, and exactly the rows whose id was
+    // deleted are flagged.
+    const DataBlock* block = t.frozen_block(c);
+    const uint64_t* flags = t.delete_bitmap(c);
+    ASSERT_NE(flags, nullptr);
+    for (uint32_t r = 0; r < block->num_rows(); ++r) {
+      if (r > 0) {
+        EXPECT_LE(block->GetInt(1, r - 1), block->GetInt(1, r));
+      }
+      EXPECT_EQ(BitmapTest(flags, r), block->GetInt(0, r) % 5 == 0) << r;
+    }
+  }
   const std::string path = TempArchive("sorted_deletes");
-  obs::TraceRing ring;
-  obs::Histogram* freeze_ns =
-      obs::MetricsRegistry::Default().GetHistogram("lifecycle.freeze_ns");
-  const uint64_t observed_before = freeze_ns->count();
   {
     LifecycleConfig cfg = QuickCooling();
-    cfg.sort_col = 1;
-    cfg.trace = &ring;
+    cfg.memory_budget_bytes = 0;
     LifecycleManager mgr(&t, path, cfg);
-    for (int e = 0; e < 3; ++e) mgr.Tick();
-    ASSERT_EQ(mgr.stats().freezes, kRows / kCap);
-
-    for (size_t c = 0; c < t.num_chunks(); ++c) {
-      ASSERT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
-      EXPECT_EQ(t.deleted_in_chunk(c), deleted[c]) << c;
-      // The block is sorted on val, and exactly the rows whose id was
-      // deleted are flagged.
-      const DataBlock* block = t.frozen_block(c);
-      const uint64_t* flags = t.delete_bitmap(c);
-      ASSERT_NE(flags, nullptr);
-      for (uint32_t r = 0; r < block->num_rows(); ++r) {
-        if (r > 0) {
-          EXPECT_LE(block->GetInt(1, r - 1), block->GetInt(1, r));
-        }
-        EXPECT_EQ(BitmapTest(flags, r), block->GetInt(0, r) % 5 == 0) << r;
-      }
-    }
+    mgr.Tick();
+    ASSERT_EQ(mgr.stats().adopted, kRows / kCap);
     std::map<int64_t, Row> scanned;
     TableScanner scan(t, {0, 1, 2}, {}, ScanMode::kDataBlocks);
     Batch b;
@@ -126,17 +136,12 @@ TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
       }
     }
     EXPECT_TRUE(scanned == visible);
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
+      EXPECT_EQ(t.deleted_in_chunk(c), deleted[c]) << c;
+    }
   }
   std::remove(path.c_str());
-
-  int freezes = 0;
-  for (const obs::TraceEvent& ev : ring.Snapshot()) {
-    if (std::string(ev.name) != "freeze") continue;
-    ++freezes;
-    EXPECT_GT(ev.b, 0) << "freeze of chunk " << ev.a << " carries its ns";
-  }
-  EXPECT_EQ(freezes, int(kRows / kCap));
-  EXPECT_EQ(freeze_ns->count() - observed_before, kRows / kCap);
 }
 
 TEST(Lifecycle, PointAccessesKeepChunksHot) {
@@ -390,13 +395,9 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
   for (int e = 0; e < 8; ++e) db.LifecycleTick();
 
   // The whole lifecycle ran: chunks froze and were evicted.
-  uint64_t total_freezes = 0, total_evictions = 0;
-  for (LifecycleManager* m : db.lifecycle_managers()) {
-    total_freezes += m->stats().freezes;
-    total_evictions += m->stats().evictions;
-  }
-  EXPECT_GT(total_freezes, 0u);
-  EXPECT_GT(total_evictions, 0u);
+  const LifecycleStats s = db.lifecycle()->stats();
+  EXPECT_GT(s.freezes, 0u);
+  EXPECT_GT(s.evictions, 0u);
   for (size_t c = 0; c < db.orderline.num_chunks(); ++c)
     EXPECT_TRUE(db.orderline.is_frozen(c));
 
@@ -411,11 +412,6 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
   for (int i = 0; i < 200; ++i) db.RunMixedTransaction(rng);
   for (int e = 0; e < 3; ++e) db.LifecycleTick();
   ASSERT_TRUE(db.CheckConsistency(&msg)) << msg;
-
-  for (const char* name : {"tpcc_history", "tpcc_neworder", "tpcc_order",
-                           "tpcc_orderline"}) {
-    std::remove((std::string("/tmp/") + name + ".dbar").c_str());
-  }
 }
 
 // Tentpole acceptance: a scan whose predicate excludes every evicted
@@ -509,30 +505,6 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
       EXPECT_EQ(uint64_t(ev.b), read);
     }
     EXPECT_EQ(scan_reads, 1);
-  }
-  std::remove(path.c_str());
-}
-
-// Summaries survive in SMA-only form when PSMA retention is disabled, and
-// summary pruning still never touches the archive.
-TEST(Lifecycle, SummaryPruningWorksWithoutResidentPsma) {
-  Table t = MakeTable(2048, 512);
-  const std::string path = TempArchive("summary_nopsma");
-  {
-    LifecycleConfig cfg = QuickCooling();
-    cfg.memory_budget_bytes = 0;
-    cfg.keep_summary_psma = false;
-    LifecycleManager mgr(&t, path, cfg);
-    for (int e = 0; e < 4; ++e) mgr.Tick();
-    const uint64_t reads_before = mgr.stats().archive_reads;
-    TableScanner scan(t, {0}, {Predicate::Lt(0, Value::Int(-5))},
-                      ScanMode::kDataBlocksPsma);
-    Batch b;
-    while (scan.Next(&b)) {
-    }
-    EXPECT_EQ(scan.evicted_chunks_skipped(), t.num_chunks());
-    EXPECT_EQ(mgr.stats().archive_reads, reads_before);
-    EXPECT_GT(mgr.stats().summary_bytes, 0u);
   }
   std::remove(path.c_str());
 }
@@ -1505,6 +1477,244 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
                   Cell::Str("name_" + std::to_string(rng.Uniform(0, 50)))});
     }
     EXPECT_TRUE(FullScan(t) == FullScan(ref));
+  }
+  std::remove(path.c_str());
+}
+
+
+// -- One manager over several tables -------------------------------------
+
+/// Column 1 of every row of `t`, row-major (its chunks must be resident).
+std::vector<int64_t> Vals(const Table& t) {
+  std::vector<int64_t> out;
+  for (size_t c = 0; c < t.num_chunks(); ++c)
+    for (uint32_t r = 0; r < t.chunk_rows(c); ++r)
+      out.push_back(t.GetInt(MakeRowId(c, r), 1));
+  return out;
+}
+
+// Two tables share one budget: the block that went the most epochs without
+// an access is evicted first, whichever table holds it, and blocks of equal
+// age go in table order, then chunk order. Ages are counted in each table's
+// own epochs, which need not agree.
+TEST(Lifecycle, TwoTablesEvictTheColdestBlockOfEitherFirst) {
+  Table a = MakeTestTable(2048, 512, 0, /*freeze=*/true, /*seed=*/7);
+  Table b = MakeTestTable(2048, 512, 0, /*freeze=*/true, /*seed=*/8);
+  const std::string path = TempArchive("two_tables_lru");
+  LifecycleConfig cfg = QuickCooling();
+  cfg.memory_budget_bytes = a.FrozenBytes() + b.FrozenBytes() - 1;  // one goes
+  auto evicted = [&] {
+    std::vector<std::pair<char, size_t>> out;
+    for (size_t c = 0; c < a.num_chunks(); ++c)
+      if (a.is_evicted(c)) out.emplace_back('a', c);
+    for (size_t c = 0; c < b.num_chunks(); ++c)
+      if (b.is_evicted(c)) out.emplace_back('b', c);
+    return out;
+  };
+  using Evicted = std::vector<std::pair<char, size_t>>;
+  {
+    // No chunk was read: every age ties, and the first table's chunk 0
+    // goes, not the second's.
+    LifecycleManager mgr({&a, &b}, path, cfg);
+    mgr.Tick();
+    EXPECT_EQ(mgr.stats().evictions, 1u);
+    EXPECT_EQ(evicted(), (Evicted{{'a', 0}}));
+  }
+  {
+    LifecycleManager mgr({&b, &a}, path, cfg);
+    mgr.Tick();
+    EXPECT_EQ(evicted(), (Evicted{{'b', 0}}));
+  }
+  // Both tables are at epoch 2. Table a moves on alone to epoch 4; its
+  // chunk 3 is read at 3 and its other chunks at 4, every chunk of b at 2.
+  a.AdvanceAccessEpoch();
+  (void)a.GetInt(MakeRowId(3, 0), 0);
+  a.AdvanceAccessEpoch();
+  for (size_t c = 0; c < 3; ++c) (void)a.GetInt(MakeRowId(c, 0), 0);
+  for (size_t c = 0; c < 4; ++c) (void)b.GetInt(MakeRowId(c, 0), 0);
+  {
+    // After the tick a's chunk 3 is two epochs old and every other chunk
+    // one: it goes, though b's stamps are the lowest.
+    LifecycleManager mgr({&b, &a}, path, cfg);
+    mgr.Tick();
+    EXPECT_EQ(a.access_epoch(), 5u);
+    EXPECT_EQ(b.access_epoch(), 3u);
+    EXPECT_EQ(evicted(), (Evicted{{'a', 3}}));
+    EXPECT_LE(mgr.stats().resident_bytes, cfg.memory_budget_bytes);
+  }
+  std::remove(path.c_str());
+}
+
+// Chunk 0 of two tables under one manager: both evict into the one archive,
+// and each table's scans and point reads return its own rows. A failed read
+// quarantines the failing table's chunk only, and tombstoning one table's
+// chunk releases that table's block only.
+TEST(Lifecycle, TwoTablesKeepTheirOwnChunksInOneArchive) {
+  Table a = MakeTestTable(1024, 256, 0, /*freeze=*/true, /*seed=*/7);
+  Table b = MakeTestTable(1024, 256, 0, /*freeze=*/true, /*seed=*/8);
+  const ScanResult scan_a = FullScan(a), scan_b = FullScan(b);
+  ASSERT_FALSE(scan_a == scan_b);
+  const std::vector<int64_t> vals_a = Vals(a), vals_b = Vals(b);
+  const std::string path = TempArchive("two_tables");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.quarantine_backoff = std::chrono::minutes(1);
+    LifecycleManager mgr({&a, &b}, path, cfg);
+    mgr.Tick();
+    ASSERT_EQ(mgr.stats().archived_blocks, 8u);
+    ASSERT_EQ(mgr.archive()->num_blocks(), 8u);
+    ASSERT_TRUE(a.is_evicted(0) && b.is_evicted(0));
+    EXPECT_EQ(mgr.stats().resident_bytes, 0u);
+
+    // One failed read: a's chunk 0 is quarantined, b's chunk 0 is not.
+    ASSERT_TRUE(
+        fail::FailpointRegistry::Instance().Arm("lifecycle.reload", "once"));
+    EXPECT_THROW((void)a.GetInt(MakeRowId(0, 5), 1), StorageException);
+    fail::FailpointRegistry::Instance().Disarm("lifecycle.reload");
+    EXPECT_EQ(mgr.quarantined_chunks(), 1u);
+    EXPECT_EQ(b.GetInt(MakeRowId(0, 5), 1), vals_b[5]);
+    try {
+      (void)a.GetInt(MakeRowId(0, 6), 1);
+      ADD_FAILURE() << "a's chunk 0 must still be quarantined";
+    } catch (const StorageException& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kUnavailable);
+    }
+    EXPECT_EQ(a.GetInt(MakeRowId(1, 5), 1), vals_a[256 + 5]);
+    mgr.ResetQuarantine();
+
+    // Each table reads its own rows, by scan and by point read.
+    EXPECT_TRUE(FullScan(a) == scan_a);
+    EXPECT_TRUE(FullScan(b) == scan_b);
+    EXPECT_EQ(mgr.quarantined_chunks(), 0u);
+    for (uint32_t i = 0; i < 1024; i += 37) {
+      const RowId id = MakeRowId(i / 256, i % 256);
+      EXPECT_EQ(a.GetInt(id, 1), vals_a[i]) << i;
+      EXPECT_EQ(b.GetInt(id, 1), vals_b[i]) << i;
+    }
+
+    // b's chunk 1 dies: its block alone is released, a's chunk 1 reads on.
+    DeleteChunkRows(b, 1);
+    mgr.Tick();
+    EXPECT_EQ(b.chunk_state(1), ChunkState::kTombstone);
+    EXPECT_EQ(a.chunk_state(1), ChunkState::kEvicted);
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.tombstoned, 1u);
+    EXPECT_EQ(s.reclaimed_blocks, 1u);
+    EXPECT_EQ(s.archived_blocks, 7u);
+    EXPECT_TRUE(FullScan(a) == scan_a);
+    EXPECT_EQ(a.GetInt(MakeRowId(1, 9), 1), vals_a[256 + 9]);
+    EXPECT_EQ(FullScan(b).count, 1024 - 256);
+  }
+  for (size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(a.chunk_state(c), ChunkState::kFrozen) << c;
+    if (c != 1) {
+      EXPECT_EQ(b.chunk_state(c), ChunkState::kFrozen) << c;
+    }
+  }
+  EXPECT_TRUE(Vals(a) == vals_a);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/// Appends `n` rows to a MakeTestTable table, ids continuing its own.
+void AppendRows(Table& t, uint32_t n, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t first = int64_t(t.num_rows());
+  for (uint32_t i = 0; i < n; ++i) {
+    t.Insert({Cell::Int(first + i), Cell::Int(int32_t(rng.Uniform(0, 1000))),
+              Cell::Str("name_" + std::to_string(rng.Uniform(0, 50)))});
+  }
+}
+
+// One started manager over two tables: its periodic ticks adopt and evict
+// both tables' blocks, then freeze and evict the chunks a writer appends to
+// both, while scans and point reads run on both. (The TSan CI leg repeats
+// this suite.)
+TEST(Lifecycle, OneStartedManagerOverTwoTablesWithConcurrentReads) {
+  constexpr uint32_t kCap = 512;
+  constexpr size_t kChunks = 6, kNew = 3;  // per table
+  Table a = MakeTestTable(kChunks * kCap, kCap, 0, /*freeze=*/true, 7);
+  Table b = MakeTestTable(kChunks * kCap, kCap, 0, /*freeze=*/true, 8);
+  const std::vector<int64_t> vals_a = Vals(a), vals_b = Vals(b);
+  const ScanResult scan_a = FullScan(a), scan_b = FullScan(b);
+  const std::string path = TempArchive("two_tables_started");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = (a.FrozenBytes() / kChunks) * 3;  // ~3 blocks
+    cfg.tick_interval = std::chrono::milliseconds(1);
+    LifecycleManager mgr({&a, &b}, path, cfg);
+
+    std::atomic<bool> failed{false}, writer_done{false};
+    auto point_reader = [&](uint64_t seed) {
+      Rng rng(seed);
+      for (int i = 0; i < 500 || !writer_done.load(); ++i) {
+        const bool on_a = rng.Uniform(0, 1) == 0;
+        const Table& t = on_a ? a : b;
+        const std::vector<int64_t>& vals = on_a ? vals_a : vals_b;
+        const size_t chunk = size_t(rng.Uniform(0, kChunks - 1));
+        const uint32_t row = uint32_t(rng.Uniform(0, kCap - 1));
+        const RowId id = MakeRowId(chunk, row);
+        if (t.GetInt(id, 0) != int64_t(chunk * kCap + row) ||
+            t.GetInt(id, 1) != vals[chunk * kCap + row]) {
+          failed = true;
+        }
+      }
+    };
+    // Scans see the first kChunks chunks unchanged, whatever the writer
+    // has appended so far.
+    auto scanner = [&](const Table& t, const ScanResult& want) {
+      for (int i = 0; i < 4 || !writer_done.load(); ++i) {
+        TableScanner scan(t, {0, 1, 2},
+                          {Predicate::Lt(0, Value::Int(kChunks * kCap))},
+                          ScanMode::kDataBlocks);
+        Batch batch;
+        ScanResult r;
+        while (scan.Next(&batch)) {
+          for (uint32_t k = 0; k < batch.count; ++k) {
+            ++r.count;
+            r.sum += batch.cols[0].i64[k] + batch.cols[1].i32[k];
+            r.str_hash ^= std::hash<std::string_view>()(batch.cols[2].Str(k)) +
+                          0x9e3779b9 + (r.str_hash << 6) + (r.str_hash >> 2);
+          }
+        }
+        if (!(r == want)) failed = true;
+      }
+    };
+    auto writer = [&] {
+      for (int i = 0; i < 2000 && mgr.stats().adopted < 2 * kChunks; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      AppendRows(a, kNew * kCap, 44);
+      AppendRows(b, kNew * kCap, 45);
+      for (int i = 0; i < 2000 && mgr.stats().freezes < 2 * kNew; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      writer_done = true;
+    };
+    std::vector<std::thread> threads;
+    threads.emplace_back(point_reader, 51);
+    threads.emplace_back(point_reader, 52);
+    threads.emplace_back(scanner, std::cref(a), std::cref(scan_a));
+    threads.emplace_back(scanner, std::cref(b), std::cref(scan_b));
+    mgr.Start();
+    threads.emplace_back(writer);
+    for (auto& th : threads) th.join();
+    mgr.Stop();
+    mgr.Tick();
+
+    EXPECT_FALSE(failed.load());
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.adopted, 2 * kChunks);
+    EXPECT_EQ(s.freezes, 2 * kNew);
+    EXPECT_EQ(s.reload_failures, 0u);
+    EXPECT_EQ(s.reloads, 0u);
+    EXPECT_GE(s.evictions, 2 * (kChunks + kNew) - 4);
+    EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);
+    Table ref_a = MakeTestTable(kChunks * kCap, kCap, 0, false, 7);
+    Table ref_b = MakeTestTable(kChunks * kCap, kCap, 0, false, 8);
+    AppendRows(ref_a, kNew * kCap, 44);
+    AppendRows(ref_b, kNew * kCap, 45);
+    EXPECT_TRUE(FullScan(a) == FullScan(ref_a));
+    EXPECT_TRUE(FullScan(b) == FullScan(ref_b));
   }
   std::remove(path.c_str());
 }

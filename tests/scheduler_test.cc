@@ -207,7 +207,6 @@ TEST(Scheduler, LifecycleTicksRunOnTheSharedPool) {
     {
       LifecycleConfig cfg;
       cfg.cold_threshold = 0;
-      cfg.freeze_after_cold_epochs = 2;
       cfg.decay_shift = 32;
       cfg.tick_interval = std::chrono::milliseconds(1);
       cfg.scheduler = configured;
@@ -343,7 +342,6 @@ TEST(Scheduler, ParallelQueriesVsEvictionAndReleaseStress) {
   {
     LifecycleConfig cfg;
     cfg.cold_threshold = 0;
-    cfg.freeze_after_cold_epochs = 2;
     cfg.decay_shift = 32;
     cfg.memory_budget_bytes = (t.FrozenBytes() / 12) * 3;
     cfg.tick_interval = std::chrono::milliseconds(1);

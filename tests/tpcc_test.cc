@@ -305,10 +305,7 @@ TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
       db.RunMixedTransaction(rng);
       if (i % 50 == 0) db.LifecycleTick();
     }
-    uint64_t evictions = 0;
-    for (LifecycleManager* m : db.lifecycle_managers())
-      evictions += m->stats().evictions;
-    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(db.lifecycle()->stats().evictions, 0u);
     // Both uncommon paths ran: some order lists its lines explicitly, and
     // Delivery relocated orders and lines out of frozen chunks (each
     // relocation leaves a deleted row behind).
@@ -316,6 +313,44 @@ TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
     EXPECT_GT(db.order.num_rows(), db.order.num_visible());
     EXPECT_GT(db.orderline.num_rows(), db.orderline.num_visible());
     ExpectIndexAgrees(db);
+    std::string msg;
+    EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// One manager runs the lifecycle of the four append-mostly tables: its
+// budget bounds their resident frozen bytes together after every tick (four
+// managers with that budget each exceed it), and one spill file holds the
+// blocks of all four.
+TEST_F(TpccTest, OneLifecycleBudgetBoundsTheFourTablesTogether) {
+  constexpr uint64_t kBudget = 256 << 10;
+  const std::string dir = ::testing::TempDir() + "tpcc_budget_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  {
+    TpccDatabase db(SmallConfig());
+    db.Load();
+    LifecycleConfig lc;
+    lc.cold_threshold = 64;
+    lc.freeze_partial_tail = true;
+    lc.memory_budget_bytes = kBudget;
+    db.EnableLifecycle(lc, dir);
+    ASSERT_EQ(db.lifecycle_managers().size(), 1u);
+    Rng rng(43);
+    for (int i = 1; i <= 4000; ++i) {
+      db.RunMixedTransaction(rng);
+      if (i % 50 != 0) continue;
+      db.LifecycleTick();
+      ASSERT_LE(db.lifecycle()->stats().resident_bytes, kBudget) << i;
+    }
+    const LifecycleStats s = db.lifecycle()->stats();
+    EXPECT_GT(s.evictions, 0u);
+    EXPECT_EQ(s.epochs, 4000u / 50);
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+      files.push_back(e.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"tpcc.dbar"});
     std::string msg;
     EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
   }
@@ -346,10 +381,7 @@ TEST_F(TpccTest, DeliveryRelocatesFrozenRowsUnderTheBenchLifecycle) {
       db.RunMixedTransaction(rng);
       if (i % 100 == 0) db.LifecycleTick();
     }
-    uint64_t freezes = 0;
-    for (LifecycleManager* m : db.lifecycle_managers())
-      freezes += m->stats().freezes;
-    EXPECT_GT(freezes, 0u);
+    EXPECT_GT(db.lifecycle()->stats().freezes, 0u);
     EXPECT_GT(relocations->Value(), before);
     ExpectIndexAgrees(db);
     std::string msg;
