@@ -17,8 +17,9 @@
 // do.
 // Beside the lookups it prints the OLTP write unit costs in ns per row:
 // an insert of a whole customer row into the hot tail, a one-column
-// in-place update of a hot row, and a relocation (Table::UpdateRow of a
-// frozen row: the row copied out of its Data Block into the hot tail).
+// in-place update of a hot row, a relocation (Table::UpdateRow of a
+// frozen row: the row copied out of its Data Block into the hot tail), and
+// a delete of a hot row (one atomic fetch_or on its chunk's delete bitmap).
 
 #include <algorithm>
 #include <cstdio>
@@ -81,15 +82,16 @@ std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
 }
 
 struct WriteCosts {
-  double insert_ns = 0, inplace_ns = 0, relocate_ns = 0;
+  double insert_ns = 0, inplace_ns = 0, relocate_ns = 0, delete_ns = 0;
 };
 
 /// Write unit costs over `n` rows, the median of three runs on fresh
 /// tables: n inserts of `src`'s rows (cycled), each written as cells of
 /// the row's values, one in-place update of c_acctbal per inserted row,
-/// and, after freezing the table, one UpdateRow of c_acctbal per row, each
-/// a relocation out of the resident block. Writes run 16 to a read
-/// section, as a transaction's do.
+/// after freezing the table, one UpdateRow of c_acctbal per row, each a
+/// relocation out of the resident block, and then one Delete per relocated
+/// row, which sits in the hot tail. Writes run 16 to a read section, as a
+/// transaction's do.
 WriteCosts MeasureWrites(const Table& src, int n) {
   constexpr int kPerSection = 16;
   const uint32_t ncols = src.schema().num_columns();
@@ -102,7 +104,7 @@ WriteCosts MeasureWrites(const Table& src, int n) {
     }
   }
   std::vector<Cell> cells(ncols);
-  std::vector<double> insert, inplace, relocate;
+  std::vector<double> insert, inplace, relocate, del;
   for (int rep = 0; rep < 3; ++rep) {
     Table t("writes", src.schema(), src.chunk_capacity());
     std::vector<RowId> ids(size_t(n), 0);
@@ -134,12 +136,14 @@ WriteCosts MeasureWrites(const Table& src, int n) {
         t.GetInt(ids[0], col::customer::acctbal) != 0) {
       std::abort();
     }
+    del.push_back(per_row([&](size_t i) { t.Delete(ids[i]); }));
+    if (t.num_visible() != 0) std::abort();
   }
   auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  return {median(insert), median(inplace), median(relocate)};
+  return {median(insert), median(inplace), median(relocate), median(del)};
 }
 
 /// One point query via a full (SMA/PSMA-narrowed) scan.
@@ -387,6 +391,7 @@ int main(int argc, char** argv) {
                writes.inplace_ns);
   report_write("relocation (frozen row)", "table3_write_relocate",
                writes.relocate_ns);
+  report_write("delete (hot)", "table3_write_delete", writes.delete_ns);
   std::printf(
       "\n(Expected shape, per the paper: indexed lookups on Data Blocks run\n"
       " at a constant factor below uncompressed; index-less scans are\n"

@@ -24,8 +24,8 @@ namespace datablocks {
 /// own queue drains. Query pipelines submit coarse tasks (one per
 /// parallelism slot) whose inner loop claims chunks as morsels from one
 /// shared cursor (MorselDriver); the lifecycle manager registers its ticks
-/// as periodic tasks, so background freezing, eviction and compaction share
-/// the same threads. This pool and its timer are the only threads the
+/// as periodic tasks, so background freezing, eviction and tombstoning
+/// share the same threads. This pool and its timer are the only threads the
 /// engine starts.
 ///
 /// Workers are pinned to cores round-robin over the usable cpus (util/cpu

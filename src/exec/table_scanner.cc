@@ -193,8 +193,7 @@ bool TableScanner::TrySkipUnopened() {
   const uint32_t rows = table_->chunk_rows(c);
   if (rows == 0) return false;  // PrepareChunk handles empty chunks cheaply
   const ChunkState st = table_->chunk_state(c);
-  // Hot chunks are excluded: their delete counter is not synchronized for
-  // lock-free readers, and they are resident anyway — nothing to save.
+  // Hot chunks are excluded: they are resident anyway — nothing to save.
   // Tombstones qualify: they are fully deleted by construction and their
   // payload is gone for good, so the bitmap check below always skips them.
   if (st != ChunkState::kFrozen && st != ChunkState::kEvicted &&
@@ -278,11 +277,9 @@ void TableScanner::PrepareChunk() {
       }
     }
   }
-  if (block != nullptr) {
-    frozen_deleted_ = table_->SnapshotDeleteBitmap(chunk_idx_, &deleted_copy_)
-                          ? deleted_copy_.data()
-                          : nullptr;
-  }
+  deleted_ = table_->SnapshotDeleteBitmap(chunk_idx_, &deleted_copy_)
+                 ? deleted_copy_.data()
+                 : nullptr;
   ++chunks_scanned_;
   rows_considered_ += range_end_ - range_begin_;
   Metrics().chunks_scanned->Add();
@@ -440,7 +437,7 @@ void TableScanner::GatherFromChunk(const Chunk& chunk, const uint32_t* pos,
 
 uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
                                         uint32_t to, Batch* batch) {
-  const uint64_t* deleted = chunk.delete_bitmap();
+  const uint64_t* deleted = deleted_;
 
   if (mode_ == ScanMode::kJit) {
     uint32_t produced = 0;
@@ -514,7 +511,7 @@ uint32_t TableScanner::ProduceHotWindow(const Chunk& chunk, uint32_t from,
 
 uint32_t TableScanner::ProduceFrozenJit(const DataBlock& block, uint32_t from,
                                         uint32_t to, Batch* batch) {
-  const uint64_t* deleted = frozen_deleted_;
+  const uint64_t* deleted = deleted_;
   uint32_t produced = 0;
   for (uint32_t row = from; row < to; ++row) {
     if (deleted != nullptr && BitmapTest(deleted, row)) continue;
@@ -530,7 +527,7 @@ uint32_t TableScanner::ProduceFrozenDecompressAll(const DataBlock& block,
                                                   Batch* batch) {
   // Vectorwise-style: decompress full vector ranges of every required and
   // predicate column, then filter tuple-at-a-time on the decompressed data.
-  const uint64_t* deleted = frozen_deleted_;
+  const uint64_t* deleted = deleted_;
   const uint32_t window = to - from;
 
   for (size_t i = 0; i < columns_.size(); ++i)
@@ -558,7 +555,7 @@ uint32_t TableScanner::ProduceFrozenWindow(const DataBlock& block,
   if (mode_ == ScanMode::kVectorized)
     return ProduceFrozenDecompressAll(block, from, to, batch);
 
-  const uint64_t* deleted = frozen_deleted_;
+  const uint64_t* deleted = deleted_;
 
   // The Data Blocks modes emit dictionary-compressed string columns as
   // code-carrying vectors: survivors stay compressed through the pipeline

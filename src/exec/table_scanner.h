@@ -164,9 +164,9 @@ class TableScanner {
   bool skip_chunk_ = false;
   uint32_t range_begin_ = 0, range_end_ = 0;
   BlockScanPrep block_prep_;
-  // Deleted rows of the current frozen chunk (nullptr: none), copied once
-  // per chunk because deletes may land while the scan runs.
-  const uint64_t* frozen_deleted_ = nullptr;
+  // Deleted rows of the current chunk, hot or frozen (nullptr: none),
+  // copied once per chunk because deletes may land while the scan runs.
+  const uint64_t* deleted_ = nullptr;
   std::vector<uint64_t> deleted_copy_;
   uint64_t chunks_skipped_ = 0;
   uint64_t evicted_skips_ = 0;

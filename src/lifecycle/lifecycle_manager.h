@@ -119,15 +119,15 @@ struct LifecycleStats {
 /// index. Each tick advances every table's epoch once.
 ///
 /// Blocks are archived once, at freeze time (they are immutable; the
-/// mutable side delete-bitmap stays in memory), so eviction itself is just
-/// dropping the resident copy. At archive time the block's BlockSummary
-/// (SMA min/max, dictionary domain, PSMA) is extracted and installed in the
-/// table — it stays resident across eviction, so SMA-pruned scans skip
-/// evicted blocks without any archive read. Ticks run from a caller thread
-/// (Tick()) or, between Start() and Stop(), as a periodic task on a worker
-/// pool (config.scheduler, default Scheduler::Default()); both may be
-/// active concurrently with OLTP point accesses and OLAP scans on the
-/// tables.
+/// chunk's delete bitmap, which every state shares, stays in memory), so
+/// eviction itself is just dropping the resident copy. At archive time the
+/// block's BlockSummary (SMA min/max, dictionary domain, PSMA) is extracted
+/// and installed in the table — it stays resident across eviction, so
+/// SMA-pruned scans skip evicted blocks without any archive read. Ticks run
+/// from a caller thread (Tick()) or, between Start() and Stop(), as a
+/// periodic task on a worker pool (config.scheduler, default
+/// Scheduler::Default()); both may be active concurrently with OLTP point
+/// accesses and OLAP scans on the tables.
 ///
 /// Every tick tombstones the archived chunks that became fully deleted
 /// (Table::TombstoneChunk, which waits out the reads of the chunk) and then

@@ -56,15 +56,6 @@ void Chunk::SetNull(uint32_t col, uint32_t row) {
   std::memset(cols_[col].fixed.data() + uint64_t(row) * width, 0, width);
 }
 
-void Chunk::MarkDeleted(uint32_t row) {
-  DB_DCHECK(row < size_);
-  if (deleted_.empty()) deleted_.assign(BitmapWords(capacity_), 0);
-  if (!BitmapTest(deleted_.data(), row)) {
-    BitmapSet(deleted_.data(), row);
-    ++num_deleted_;
-  }
-}
-
 uint64_t Chunk::MemoryBytes() const {
   uint64_t total = 0;
   for (uint32_t c = 0; c < schema_->num_columns(); ++c) {
@@ -72,7 +63,6 @@ uint64_t Chunk::MemoryBytes() const {
     total += cols_[c].arena.size_bytes();
     total += cols_[c].nulls.size() * 8;
   }
-  total += deleted_.size() * 8;
   return total;
 }
 

@@ -21,7 +21,9 @@ namespace datablocks {
 /// live in one chunk).
 ///
 /// Chunks are the unit of freezing: a full chunk identified as cold is
-/// compressed into an immutable DataBlock (paper Section 1/3).
+/// compressed into an immutable DataBlock (paper Section 1/3). A chunk holds
+/// no deletion state: the Table flags deleted rows in its chunk slot's
+/// delete bitmap, which the frozen block later shares.
 ///
 /// Each fixed-width column is sized for `capacity` rows up front, and each
 /// string column's arena grows with its strings. Large ones are page-backed
@@ -114,17 +116,6 @@ class Chunk {
 
   bool has_nulls(uint32_t col) const { return !cols_[col].nulls.empty(); }
 
-  /// Deletion support (visibility). Deleted rows keep their slot so row ids
-  /// stay stable; scans and point accesses skip them.
-  void MarkDeleted(uint32_t row);
-  bool IsDeleted(uint32_t row) const {
-    return !deleted_.empty() && BitmapTest(deleted_.data(), row);
-  }
-  uint32_t num_deleted() const { return num_deleted_; }
-  const uint64_t* delete_bitmap() const {
-    return deleted_.empty() ? nullptr : deleted_.data();
-  }
-
   /// Bytes of memory used by this chunk's data (for compression-ratio
   /// reporting, Table 1 / Figure 10).
   uint64_t MemoryBytes() const;
@@ -143,9 +134,7 @@ class Chunk {
   const Schema* schema_;
   uint32_t capacity_;
   uint32_t size_ = 0;
-  uint32_t num_deleted_ = 0;
   std::vector<ColumnStore> cols_;
-  std::vector<uint64_t> deleted_;  // lazily allocated bitmap
 };
 
 }  // namespace datablocks

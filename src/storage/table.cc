@@ -41,6 +41,12 @@ struct PointImage {
 };
 thread_local PointImage t_point_image;
 
+/// Word `w` of a delete bitmap that deletes may be setting meanwhile.
+uint64_t LoadDeleteWord(const std::vector<uint64_t>& deleted, size_t w) {
+  return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(deleted[w]))
+      .load(std::memory_order_relaxed);
+}
+
 // -- Read sections ----------------------------------------------------------
 
 /// One thread's read-section slot, alone on its cache line. Its sequence
@@ -200,7 +206,6 @@ Table::Table(Table&& o) noexcept
       schema_(std::move(o.schema_)),
       chunk_capacity_(o.chunk_capacity_),
       num_rows_(o.num_rows_),
-      num_deleted_(o.num_deleted_.load(std::memory_order_relaxed)),
       fetcher_(std::move(o.fetcher_)),
       id_(g_next_table_id.fetch_add(1, std::memory_order_relaxed)),
       access_epoch_(o.access_epoch_.load(std::memory_order_relaxed)),
@@ -215,7 +220,6 @@ Table::Table(Table&& o) noexcept
   num_slots_.store(o.num_slots_.exchange(0, std::memory_order_relaxed),
                    std::memory_order_relaxed);
   o.num_rows_ = 0;
-  o.num_deleted_.store(0, std::memory_order_relaxed);
 }
 
 Table::~Table() {
@@ -260,6 +264,7 @@ RowId Table::Insert(std::span<const Cell> row) {
     // a new chunk and retry.
     Slot& fresh = NewSlot();
     fresh.hot = std::make_unique<Chunk>(schema_.get(), chunk_capacity_);
+    fresh.deleted.assign(BitmapWords(chunk_capacity_), 0);
     PublishSlot();
   }
 }
@@ -357,47 +362,19 @@ void Table::SetBlockFetcher(BlockFetcher fetcher) {
 }
 
 void Table::Delete(RowId id) {
-  const size_t chunk = RowIdChunk(id);
-  Slot& slot = this->slot(chunk);
+  Slot& slot = this->slot(RowIdChunk(id));
   const uint32_t row = RowIdRow(id);
   DB_CHECK(row < slot.rows.load(std::memory_order_acquire));
-  ReadSection section;
   Touch(slot);
-  auto delete_hot = [&] {
-    const uint32_t before = slot.hot->num_deleted();
-    slot.hot->MarkDeleted(row);
-    num_deleted_.fetch_add(slot.hot->num_deleted() - before,
-                           std::memory_order_relaxed);
-  };
-  // Frozen, evicted or tombstoned: flag the row in the side bitmap — the
-  // block itself stays immutable and is never read. Only a freeze rewrites
-  // the bitmap, before it publishes kFrozen. atomic_ref: scans and
-  // IsVisible read these words lock-free; the count's release/acquire
-  // pairing publishes the set bit, and fetch_or counts a racing double
-  // delete once.
-  auto delete_frozen = [&] {
-    const uint64_t bit = uint64_t(1) << (row & 63);
-    if ((std::atomic_ref<uint64_t>(slot.frozen_deleted[row >> 6])
-             .fetch_or(bit, std::memory_order_relaxed) &
-         bit) == 0) {
-      slot.frozen_deleted_count.fetch_add(1, std::memory_order_release);
-      num_deleted_.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  const ChunkState st = slot.state.load(std::memory_order_seq_cst);
-  if (st == ChunkState::kHot) {
-    delete_hot();
-  } else if (st == ChunkState::kFreezing) {
-    // The freezer copies the hot chunk's flags into the side bitmap under
-    // the lifecycle mutex, so mark under it: in the hot chunk while the
-    // freeze is still in flight, in the side bitmap once it installed.
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (IsHotState(slot.state.load(std::memory_order_relaxed)))
-      delete_hot();
-    else
-      delete_frozen();
-  } else {
-    delete_frozen();
+  // The same in every state: neither the hot chunk nor the block is
+  // written, so no section is needed. fetch_or counts a racing double
+  // delete once, and the count's release increment publishes the bit to
+  // IsVisible and SnapshotDeleteBitmap.
+  const uint64_t bit = uint64_t(1) << (row & 63);
+  if ((std::atomic_ref<uint64_t>(slot.deleted[row >> 6])
+           .fetch_or(bit, std::memory_order_relaxed) &
+       bit) == 0) {
+    slot.deleted_count.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -462,15 +439,8 @@ bool Table::IsVisible(RowId id) const {
   const Slot& slot = this->slot(RowIdChunk(id));
   const uint32_t row = RowIdRow(id);
   if (row >= slot.rows.load(std::memory_order_acquire)) return false;
-  ReadSection section;
-  if (IsHotState(slot.state.load(std::memory_order_seq_cst)))
-    return !slot.hot->IsDeleted(row);
-  // Frozen, evicted or tombstoned (settled or not): the side bitmap,
-  // preallocated at freeze time and rewritten only by a freeze.
-  return slot.frozen_deleted_count.load(std::memory_order_acquire) == 0 ||
-         (std::atomic_ref<uint64_t>(
-              const_cast<uint64_t&>(slot.frozen_deleted[row >> 6]))
-              .load(std::memory_order_relaxed) &
+  return slot.deleted_count.load(std::memory_order_acquire) == 0 ||
+         (LoadDeleteWord(slot.deleted, row >> 6) &
           (uint64_t(1) << (row & 63))) == 0;
 }
 
@@ -578,26 +548,13 @@ std::string_view Table::GetStringView(RowId id, uint32_t col) const {
       [col](const Chunk& c, uint32_t row) { return c.GetString(col, row); });
 }
 
-const uint64_t* Table::delete_bitmap(size_t chunk_idx) const {
-  const Slot& slot = this->slot(chunk_idx);
-  if (IsHotState(slot.state.load(std::memory_order_acquire)))
-    return slot.hot->delete_bitmap();
-  return slot.frozen_deleted_count.load(std::memory_order_acquire) == 0
-             ? nullptr
-             : slot.frozen_deleted.data();
-}
-
 bool Table::SnapshotDeleteBitmap(size_t chunk_idx,
                                  std::vector<uint64_t>* out) const {
   const Slot& slot = this->slot(chunk_idx);
-  if (slot.frozen_deleted_count.load(std::memory_order_acquire) == 0)
-    return false;
-  out->resize(slot.frozen_deleted.size());
-  for (size_t w = 0; w < out->size(); ++w) {
-    (*out)[w] = std::atomic_ref<uint64_t>(
-                    const_cast<uint64_t&>(slot.frozen_deleted[w]))
-                    .load(std::memory_order_relaxed);
-  }
+  if (slot.deleted_count.load(std::memory_order_acquire) == 0) return false;
+  out->resize(BitmapWords(slot.rows.load(std::memory_order_acquire)));
+  for (size_t w = 0; w < out->size(); ++w)
+    (*out)[w] = LoadDeleteWord(slot.deleted, w);
   return true;
 }
 
@@ -618,16 +575,16 @@ void Table::SetBlockSummary(size_t chunk_idx,
   DB_CHECK(old == nullptr);
 }
 
+uint64_t Table::num_visible() const {
+  uint64_t deleted = 0;
+  const size_t n = num_chunks();
+  for (size_t i = 0; i < n; ++i)
+    deleted += slot(i).deleted_count.load(std::memory_order_relaxed);
+  return num_rows_ - deleted;
+}
+
 uint32_t Table::deleted_in_chunk(size_t chunk_idx) const {
-  const Slot& slot = this->slot(chunk_idx);
-  // By the state, not by which pointer is set: a frozen chunk's hot chunk
-  // outlives kFrozen by a grace period, and callers (a scanner's
-  // fully-deleted check) must then read the side count. The section
-  // keeps a hot chunk that freezes meanwhile allocated.
-  ReadSection section;
-  if (IsHotState(slot.state.load(std::memory_order_seq_cst)))
-    return slot.hot->num_deleted();
-  return slot.frozen_deleted_count.load(std::memory_order_acquire);
+  return slot(chunk_idx).deleted_count.load(std::memory_order_acquire);
 }
 
 bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
@@ -641,10 +598,11 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   if (slot.rows.load(std::memory_order_acquire) == 0) return false;
 
   // Compress without holding the mutex, once the read sections that saw
-  // kHot — and may still update, delete or append in place — have closed.
-  // Then the chunk is private to this freezer: reads and scans only read
-  // it, point writes relocate (deletes mark under the mutex) and the
-  // writer starts a fresh tail.
+  // kHot — and may still update or append in place — have closed. Then
+  // the chunk is private to this freezer: reads and scans only read it,
+  // point writes relocate and the writer starts a fresh tail. Deletes
+  // never write the chunk: they set bits in the slot's bitmap, which the
+  // block shares.
   slot.state.store(ChunkState::kFreezing, std::memory_order_seq_cst);
   lock.unlock();
   Synchronize();
@@ -672,27 +630,23 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
       });
     }
     perm_ptr = perm.data();
+    // Block row i is deleted iff source row perm[i] was. A sorted freeze
+    // runs with no delete in flight (RowIds into the chunk change), so the
+    // words are rewritten in place.
+    if (slot.deleted_count.load(std::memory_order_relaxed) != 0) {
+      const std::vector<uint64_t> unsorted = slot.deleted;
+      std::fill(slot.deleted.begin(), slot.deleted.end(), 0);
+      for (uint32_t r = 0; r < chunk->size(); ++r) {
+        if (BitmapTest(unsorted.data(), perm[r]))
+          BitmapSet(slot.deleted.data(), r);
+      }
+    }
   }
 
   auto block = std::make_unique<DataBlock>(
       DataBlock::Build(*chunk, perm_ptr, build_psma));
 
   lock.lock();
-  // Side bitmap is preallocated for every frozen chunk so later deletes
-  // never reallocate it under concurrent readers. Deletion flags carry over
-  // through the sort: block row i is deleted iff source row perm[i] was.
-  slot.frozen_deleted.assign(BitmapWords(chunk->size()), 0);
-  slot.frozen_deleted_count.store(0, std::memory_order_relaxed);
-  if (chunk->num_deleted() > 0) {
-    for (uint32_t r = 0; r < chunk->size(); ++r) {
-      if (chunk->IsDeleted(perm_ptr != nullptr ? perm_ptr[r] : r)) {
-        BitmapSet(slot.frozen_deleted.data(), r);
-      }
-    }
-    slot.frozen_deleted_count.store(chunk->num_deleted(),
-                                    std::memory_order_release);
-  }
-  slot.rows.store(chunk->size(), std::memory_order_relaxed);
   slot.frozen = std::move(block);
   slot.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
   lock.unlock();
@@ -735,7 +689,7 @@ bool Table::TombstoneChunk(size_t chunk_idx) {
   if (st != ChunkState::kFrozen && st != ChunkState::kEvicted) return false;
   const uint32_t rows = slot.rows.load(std::memory_order_relaxed);
   if (rows == 0 ||
-      slot.frozen_deleted_count.load(std::memory_order_acquire) != rows) {
+      slot.deleted_count.load(std::memory_order_acquire) != rows) {
     return false;  // not fully deleted: the payload is still live data
   }
   // From kEvicted too: sections that read the archive copy close before
@@ -753,8 +707,7 @@ void Table::AppendFrozen(DataBlock block) {
   Slot& slot = NewSlot();
   const uint32_t rows = block.num_rows();
   slot.rows.store(rows, std::memory_order_relaxed);
-  slot.frozen_deleted.assign(BitmapWords(rows), 0);
-  slot.frozen_deleted_count.store(0, std::memory_order_relaxed);
+  slot.deleted.assign(BitmapWords(rows), 0);
   slot.frozen = std::make_unique<DataBlock>(std::move(block));
   slot.state.store(ChunkState::kFrozen, std::memory_order_relaxed);
   num_rows_ += rows;
@@ -773,8 +726,10 @@ uint64_t Table::HotBytes() const {
   ReadSection section;  // keeps each hot chunk allocated while it is measured
   for (size_t i = 0; i < n; ++i) {
     const Slot& s = slot(i);
-    if (IsHotState(s.state.load(std::memory_order_seq_cst)))
-      total += s.hot->MemoryBytes();
+    if (!IsHotState(s.state.load(std::memory_order_seq_cst))) continue;
+    total += s.hot->MemoryBytes();
+    if (s.deleted_count.load(std::memory_order_relaxed) != 0)
+      total += s.deleted.size() * sizeof(uint64_t);
   }
   return total;
 }

@@ -47,17 +47,21 @@ inline uint32_t RowIdRow(RowId id) {
 ///              scans still read the intact hot chunk, writes relocate and
 ///              Insert starts a new tail
 ///   kFrozen    immutable compressed DataBlock resident in memory
-///   kEvicted   the block lives only in the archive; the side delete bitmap
-///              and row count stay in memory. Reads never install it: a
+///   kEvicted   the block lives only in the archive; the delete bitmap and
+///              row count stay in memory. Reads never install it: a
 ///              scan reads its columns into its own image, a point read the
 ///              accessed column into the thread's point image, and the
 ///              chunk stays evicted. Only the lifecycle manager readmits it,
 ///              when it detaches (ReadmitChunk)
 ///   kTombstone terminal: every row of the chunk was deleted and its
 ///              payload (resident block and archive copy alike) has been
-///              dropped for good. Only the side delete bitmap and row
-///              count remain; scans skip the chunk in every mode and
-///              visibility checks answer from the bitmap.
+///              dropped for good. Only the delete bitmap and row count
+///              remain; scans skip the chunk in every mode and visibility
+///              checks answer from the bitmap.
+///
+/// Deleted rows are flagged outside the chunk's payload, in one delete
+/// bitmap per chunk slot that every state shares: it is sized when the slot
+/// is created, never reallocated, and only a sorted freeze rewrites it.
 enum class ChunkState : uint8_t {
   kHot,
   kFreezing,
@@ -98,15 +102,18 @@ inline bool IsHotState(ChunkState s) {
 /// of a frozen one into a delete plus an insert into the hot tail
 /// (Section 3).
 ///
-/// Concurrency contract: point accesses, scans, Delete on frozen rows,
-/// FreezeChunk, EvictChunk, TombstoneChunk and lifecycle ticks (a caller's
-/// Tick() or the periodic task on a worker pool) may run concurrently with
-/// each other and with a single writer (Insert, Update, UpdateInPlace,
-/// UpdateRow and hot deletes). Readers take no per-chunk lock or count: a
-/// point access runs inside a read section (ReadSection), and so does a
-/// scan of one chunk (OpenForScan). A state changer publishes the new state and
-/// compresses a hot chunk or frees a resident block only after
-/// Synchronize() has waited out every section that could still read it.
+/// Concurrency contract: point accesses, scans, Delete, FreezeChunk,
+/// EvictChunk, TombstoneChunk and lifecycle ticks (a caller's Tick() or the
+/// periodic task on a worker pool) may run concurrently with each other and
+/// with a single writer (Insert, Update, UpdateInPlace and UpdateRow).
+/// Readers take no per-chunk lock or count: a point access runs inside a
+/// read section (ReadSection), and so does a scan of one chunk
+/// (OpenForScan). A delete sets its bit with one atomic fetch_or in any
+/// state, and visibility checks and scans read the bitmap word by word,
+/// so a delete racing a scan is seen by it or not, never torn. A state
+/// changer publishes the new state and compresses a hot chunk or frees a
+/// resident block only after Synchronize() has waited out every section
+/// that could still read it.
 /// Chunk slots live in a segmented directory with stable addresses —
 /// structural growth never reallocates existing slots, and num_chunks() is
 /// published only after the new slot is fully initialized — so slot
@@ -147,9 +154,9 @@ class Table {
     return Insert(std::span<const Cell>(row.begin(), row.size()));
   }
 
-  /// Marks a row deleted (works on hot, frozen and evicted rows; frozen
-  /// records are flagged in a side bitmap, the block itself stays
-  /// immutable — deleting from an evicted chunk does not reload it).
+  /// Marks a row deleted in its chunk's delete bitmap, in any state: the
+  /// hot chunk and the block stay as they are, and deleting from an
+  /// evicted chunk does not reload it.
   void Delete(RowId id);
 
   /// Replaces a whole row: delete + insert (paper Section 3). Returns the
@@ -215,9 +222,8 @@ class Table {
   void Prefetch(RowId id, std::initializer_list<uint32_t> cols) const;
 
   uint64_t num_rows() const { return num_rows_; }
-  uint64_t num_visible() const {
-    return num_rows_ - num_deleted_.load(std::memory_order_relaxed);
-  }
+  /// Rows minus the chunks' delete counts (one pass over the chunks).
+  uint64_t num_visible() const;
   /// Published with release ordering after the slot is fully initialized,
   /// so concurrent readers (lifecycle ticks, scans) may index any chunk
   /// below this count.
@@ -227,9 +233,6 @@ class Table {
 
   ChunkState chunk_state(size_t chunk_idx) const {
     return slot(chunk_idx).state.load(std::memory_order_acquire);
-  }
-  bool is_frozen(size_t chunk_idx) const {
-    return chunk_state(chunk_idx) != ChunkState::kHot;
   }
   bool is_evicted(size_t chunk_idx) const {
     return chunk_state(chunk_idx) == ChunkState::kEvicted;
@@ -259,14 +262,11 @@ class Table {
     return chunk_rows(chunk_idx) == chunk_capacity_;
   }
 
-  /// Delete bitmap of a chunk (the hot chunk's while hot or freezing, else
-  /// the side bitmap); nullptr if nothing deleted. A hot chunk's bitmap is
-  /// valid only inside the read section it was taken in.
-  const uint64_t* delete_bitmap(size_t chunk_idx) const;
-  /// Copies the side delete bitmap of a frozen, evicted or tombstoned chunk
-  /// into `out` and returns true; false, leaving `out` alone, when none of
-  /// its rows is deleted. Each word is read atomically, so deletes may race
-  /// the copy (a scan sees each of them or not).
+  /// Copies the delete bitmap of a chunk, in any state, into `out` (the
+  /// words that cover its rows) and returns true; false, leaving `out`
+  /// alone, when none of its rows is deleted. Each word is read
+  /// atomically, so deletes may race the copy (a scan sees each of them or
+  /// not); a delete that returned before the call is in the copy.
   bool SnapshotDeleteBitmap(size_t chunk_idx,
                             std::vector<uint64_t>* out) const;
   uint32_t deleted_in_chunk(size_t chunk_idx) const;
@@ -295,10 +295,11 @@ class Table {
 
   /// RAII read section of the calling thread, not tied to a table. Inside
   /// one, a point access (GetInt, GetDouble, GetStringView, GetValue,
-  /// IsVisible, UpdateInPlace, UpdateRow, Delete, Insert) only loads the chunk
-  /// state and reads or writes what it names — no lock, no locked
-  /// read-modify-write on the chunk slot. Whatever hot chunk or resident
-  /// block a section saw stays allocated until the section closes: state
+  /// UpdateInPlace, UpdateRow, Insert) only loads the chunk state and reads
+  /// or writes what it names — no lock, and no locked read-modify-write on
+  /// the chunk slot but a relocation's delete. Delete and IsVisible touch
+  /// only the slot's delete bitmap and open no section. Whatever hot chunk
+  /// or resident block a section saw stays allocated until it closes: state
   /// changers publish the new state and call Synchronize() before they
   /// compress a hot chunk or free anything. A section holder never waits
   /// for a state changer in return (on kFreezing a read uses the intact
@@ -394,8 +395,9 @@ class Table {
   /// Freezes chunk `chunk_idx` into a DataBlock. `sort_col >= 0` reorders
   /// the block's rows by that column before compressing (Section 3.2:
   /// clustering improves PSMA precision); sorting invalidates RowIds into
-  /// this chunk, so it must only be used before indexes are built. Deleted
-  /// rows stay deleted: the delete flags move with their rows.
+  /// this chunk, so it must only be used before indexes are built, with no
+  /// delete running. Deleted rows stay deleted: a sorted freeze permutes
+  /// the delete bitmap with the rows, once, before it publishes kFrozen.
   /// Returns false (and leaves the chunk alone) if the chunk is not hot or
   /// is empty. The hot chunk is freed a grace period after kFrozen is
   /// published.
@@ -415,7 +417,7 @@ class Table {
   /// freed and no read will ever be attempted. Returns only after every
   /// read section that could still read the archive copy has closed, so
   /// the caller may then release that copy (BlockArchive::Release). The
-  /// side delete bitmap and row count stay, so IsVisible and scans keep
+  /// delete bitmap and row count stay, so IsVisible and scans keep
   /// answering correctly (all rows deleted). Returns false if the chunk is
   /// not fully deleted or not frozen/evicted.
   bool TombstoneChunk(size_t chunk_idx);
@@ -447,8 +449,9 @@ class Table {
   /// The block's column types must match the schema.
   void AppendFrozen(DataBlock block);
 
-  /// Memory accounting for the compression experiments. FrozenBytes counts
-  /// only *resident* blocks; evicted chunks contribute nothing.
+  /// Memory accounting for the compression experiments. HotBytes counts a
+  /// hot chunk's delete bitmap once one of its rows is deleted; FrozenBytes
+  /// counts only *resident* blocks, and evicted chunks contribute nothing.
   uint64_t HotBytes() const;
   uint64_t FrozenBytes() const;
   uint64_t MemoryBytes() const { return HotBytes() + FrozenBytes(); }
@@ -469,10 +472,14 @@ class Table {
     std::atomic<const BlockSummary*> summary{nullptr};
 
     ~Slot() { delete summary.load(std::memory_order_relaxed); }
-    std::vector<uint64_t> frozen_deleted;  // side bitmap for frozen chunks
+    // Delete bitmap of the chunk in every state: sized before the slot is
+    // published, never reallocated. Its words are set with atomic_ref
+    // fetch_or by any thread and read word by word lock-free; the count's
+    // release increment publishes each set bit to acquire readers.
+    std::vector<uint64_t> deleted;
+    std::atomic<uint32_t> deleted_count{0};
     // Written by the single writer / under the lifecycle mutex, but read
-    // lock-free from scans and lifecycle ticks, so both are atomic.
-    std::atomic<uint32_t> frozen_deleted_count{0};
+    // lock-free from scans and lifecycle ticks.
     std::atomic<uint32_t> rows{0};
     std::atomic<ChunkState> state{ChunkState::kHot};
     mutable std::atomic<uint32_t> clock{0};
@@ -545,9 +552,6 @@ class Table {
   std::unique_ptr<Schema> schema_;
   uint32_t chunk_capacity_;
   uint64_t num_rows_ = 0;  // single inserting writer
-  // Deletes on frozen rows may come from any thread (hot-path deletes are
-  // writer-only but race with them), so the counter is atomic.
-  std::atomic<uint64_t> num_deleted_{0};
   std::array<std::atomic<SlotSegment*>, kMaxSlotSegments> segments_{};
   std::atomic<size_t> num_slots_{0};
 

@@ -289,7 +289,8 @@ void TpccDatabase::Load() {
 void TpccDatabase::FreezeOldNewOrders() {
   // All but the tail chunk are cold: the queue consumes from the oldest end.
   for (size_t i = 0; i + 1 < neworder.num_chunks(); ++i) {
-    if (!neworder.is_frozen(i) && neworder.chunk_rows(i) > 0)
+    if (neworder.chunk_state(i) == ChunkState::kHot &&
+        neworder.chunk_rows(i) > 0)
       neworder.FreezeChunk(i);
   }
 }

@@ -2,14 +2,16 @@
 // interleavings of inserts, deletes, updates, row updates (in place while
 // the row is hot, else relocations out of its frozen chunk) and chunk
 // freezes while a simple in-memory model tracks the expected visible rows.
-// After every phase, point accesses and full scans under every ScanMode
-// must agree with the model exactly.
+// After every operation each chunk's delete count and bitmap, and after
+// every phase point accesses and full scans under every ScanMode, must
+// agree with the model exactly.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "exec/table_scanner.h"
 #include "util/rng.h"
@@ -107,6 +109,32 @@ class FuzzModel {
     EXPECT_EQ(got_count, expect_count);
   }
 
+  /// Each chunk's delete state against the model, in whatever state the
+  /// chunk is: its count, and a snapshot that flags exactly the rows the
+  /// model deleted (none past the chunk's rows) or is refused when there
+  /// are none.
+  void VerifyDeletes() {
+    const size_t chunks = table_.num_chunks();
+    std::vector<std::vector<uint64_t>> expect(chunks);
+    std::vector<uint32_t> count(chunks, 0);
+    for (size_t c = 0; c < chunks; ++c)
+      expect[c].assign(BitmapWords(table_.chunk_rows(c)), 0);
+    for (const RowId id : dead_) {
+      BitmapSet(expect[RowIdChunk(id)].data(), RowIdRow(id));
+      ++count[RowIdChunk(id)];
+    }
+    for (size_t c = 0; c < chunks; ++c) {
+      const char* state = ChunkStateName(table_.chunk_state(c));
+      EXPECT_EQ(table_.deleted_in_chunk(c), count[c]) << c << " " << state;
+      std::vector<uint64_t> got;
+      ASSERT_EQ(table_.SnapshotDeleteBitmap(c, &got), count[c] != 0)
+          << c << " " << state;
+      if (count[c] != 0) {
+        EXPECT_EQ(got, expect[c]) << c << " " << state;
+      }
+    }
+  }
+
  private:
   void Insert() {
     ModelRow row;
@@ -133,6 +161,7 @@ class FuzzModel {
     RowId id = PickLive();
     table_.Delete(id);
     live_.erase(id);
+    dead_.insert(id);
   }
 
   void UpdateRandom() {
@@ -143,6 +172,7 @@ class FuzzModel {
     row.tag = "u" + std::to_string(rng_.Uniform(0, 20));
     RowId fresh = table_.Update(id, Cells(row));
     live_.erase(id);
+    dead_.insert(id);
     live_[fresh] = row;
   }
 
@@ -160,7 +190,10 @@ class FuzzModel {
         id, {{1, Cell::Int(row.val)},
              {2, Cell::Str(row.tag)},
              {3, row.opt ? Cell::Int(*row.opt) : Cell::Null()}});
-    EXPECT_EQ(moved == id, !table_.is_frozen(RowIdChunk(id)));
+    // kHot alone updates in place: UpdateRow relocates a kFreezing row too.
+    EXPECT_EQ(moved == id,
+              table_.chunk_state(RowIdChunk(id)) == ChunkState::kHot);
+    if (moved != id) dead_.insert(id);
     live_.erase(id);
     live_[moved] = row;
   }
@@ -173,7 +206,8 @@ class FuzzModel {
 
   void FreezeOneChunk() {
     for (size_t c = 0; c + 1 < table_.num_chunks(); ++c) {
-      if (!table_.is_frozen(c) && table_.chunk_rows(c) == 256) {
+      if (table_.chunk_state(c) == ChunkState::kHot &&
+          table_.chunk_rows(c) == 256) {
         table_.FreezeChunk(c);
         return;
       }
@@ -184,6 +218,7 @@ class FuzzModel {
   Schema schema_;
   Table table_;
   std::map<RowId, ModelRow> live_;
+  std::set<RowId> dead_;  // deleted, replaced or relocated away
   int64_t next_key_ = 0;
 };
 
@@ -192,7 +227,11 @@ class TableFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(TableFuzz, RandomOperationsMatchModel) {
   FuzzModel model(uint64_t(GetParam()) * 7919 + 13);
   for (int phase = 0; phase < 8; ++phase) {
-    for (int op = 0; op < 200; ++op) model.RandomOp();
+    for (int op = 0; op < 200; ++op) {
+      model.RandomOp();
+      model.VerifyDeletes();
+      if (::testing::Test::HasFailure()) return;
+    }
     model.Verify();
     if (::testing::Test::HasFailure()) return;
   }

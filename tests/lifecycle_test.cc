@@ -110,13 +110,14 @@ TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
     // The block is sorted on val, and exactly the rows whose id was
     // deleted are flagged.
     const DataBlock* block = t.frozen_block(c);
-    const uint64_t* flags = t.delete_bitmap(c);
-    ASSERT_NE(flags, nullptr);
+    std::vector<uint64_t> flags;
+    ASSERT_TRUE(t.SnapshotDeleteBitmap(c, &flags));
     for (uint32_t r = 0; r < block->num_rows(); ++r) {
       if (r > 0) {
         EXPECT_LE(block->GetInt(1, r - 1), block->GetInt(1, r));
       }
-      EXPECT_EQ(BitmapTest(flags, r), block->GetInt(0, r) % 5 == 0) << r;
+      EXPECT_EQ(BitmapTest(flags.data(), r), block->GetInt(0, r) % 5 == 0)
+          << r;
     }
   }
   const std::string path = TempArchive("sorted_deletes");
@@ -399,7 +400,7 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
   EXPECT_GT(s.freezes, 0u);
   EXPECT_GT(s.evictions, 0u);
   for (size_t c = 0; c < db.orderline.num_chunks(); ++c)
-    EXPECT_TRUE(db.orderline.is_frozen(c));
+    EXPECT_NE(db.orderline.chunk_state(c), ChunkState::kHot) << c;
 
   // Scans over the frozen+evicted tables are identical.
   std::vector<ScanResult> after = scan_tables();
@@ -617,7 +618,7 @@ TEST(Lifecycle, TicksReleaseFullyDeletedBlocks) {
 
 // The tombstone transition itself: only fully-deleted frozen/evicted
 // chunks qualify, and a tombstoned chunk answers scans and visibility
-// checks from the side bitmap alone.
+// checks from the delete bitmap alone.
 TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
   Table t = MakeTable(1024, 512);  // 2 full chunks
   t.FreezeAll();
@@ -643,7 +644,7 @@ TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
     EXPECT_EQ(count, 512) << ScanModeName(mode);
     EXPECT_GE(scan.chunks_skipped(), 1u) << ScanModeName(mode);
   }
-  // Visibility and repeated deletes keep working off the side bitmap.
+  // Visibility and repeated deletes keep working off the delete bitmap.
   EXPECT_FALSE(t.IsVisible(MakeRowId(0, 17)));
   t.Delete(MakeRowId(0, 17));  // idempotent no-op
   EXPECT_EQ(t.num_visible(), 512u);

@@ -3,7 +3,8 @@
 // the string arena behind hot string columns, and read sections: point
 // accesses racing freeze, evict and tombstone, the grace period that keeps
 // what a section or a scan saw allocated, scans and whole-block readers
-// racing eviction, readmission and tombstones, and the Prefetch contract.
+// racing eviction, readmission and tombstones, hot deletes racing scans and
+// visibility checks, and the Prefetch contract.
 
 #include <gtest/gtest.h>
 
@@ -137,9 +138,9 @@ TEST(Table, FreezePreservesRowIdsAndValues) {
     ids.push_back(t.Insert(Row(i, i, "s" + std::to_string(i % 7))));
   t.FreezeChunk(0);
   t.FreezeChunk(1);
-  EXPECT_TRUE(t.is_frozen(0));
-  EXPECT_TRUE(t.is_frozen(1));
-  EXPECT_FALSE(t.is_frozen(2));
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+  EXPECT_EQ(t.chunk_state(1), ChunkState::kFrozen);
+  EXPECT_EQ(t.chunk_state(2), ChunkState::kHot);
   for (int i = 0; i < 300; ++i) {
     EXPECT_EQ(t.GetInt(ids[size_t(i)], 0), i) << i;
     EXPECT_EQ(t.GetStringView(ids[size_t(i)], 2), "s" + std::to_string(i % 7));
@@ -170,7 +171,7 @@ TEST(Table, DeleteOnFrozenRows) {
   // Update of a frozen row relocates it to the hot tail (Section 3).
   RowId moved = t.Update(ids[20], Row(20, 999, "moved"));
   EXPECT_FALSE(t.IsVisible(ids[20]));
-  EXPECT_FALSE(t.is_frozen(RowIdChunk(moved)));
+  EXPECT_EQ(t.chunk_state(RowIdChunk(moved)), ChunkState::kHot);
   EXPECT_EQ(t.GetInt(moved, 1), 999);
 }
 
@@ -178,12 +179,12 @@ TEST(Table, FreezeAllIncludesPartialTail) {
   Table t("t", TestSchema(), 64);
   for (int i = 0; i < 100; ++i) t.Insert(Row(i, i, "x"));
   t.FreezeAll();
-  EXPECT_TRUE(t.is_frozen(0));
-  EXPECT_TRUE(t.is_frozen(1));
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+  EXPECT_EQ(t.chunk_state(1), ChunkState::kFrozen);
   EXPECT_EQ(t.frozen_block(1)->num_rows(), 36u);
   // Inserts after freezing start a new hot chunk.
   RowId a = t.Insert(Row(1000, 1, "new"));
-  EXPECT_FALSE(t.is_frozen(RowIdChunk(a)));
+  EXPECT_EQ(t.chunk_state(RowIdChunk(a)), ChunkState::kHot);
   EXPECT_EQ(t.num_chunks(), 3u);
 }
 
@@ -763,6 +764,99 @@ TEST(ReadSection, ScansAndBlockReadersRaceEvictReadmitAndTombstone) {
   t.TombstoneChunk(7);
   EXPECT_EQ(t.tombstones(), 2u);
   EXPECT_EQ(read_blocks().size(), kLive);
+}
+
+// The writer deletes hot rows, the first delete of every chunk included,
+// while a second thread scans the same chunks in every mode and checks
+// IsVisible and deleted_in_chunk. Every delete sets its bit in the chunk
+// slot's bitmap atomically, and a scan copies the bitmap once per chunk:
+// each scan returns between the visible rows at its end and at its start,
+// and never a row whose delete returned before it began.
+TEST(ReadSection, HotDeletesRaceScansAndVisibilityChecks) {
+  constexpr uint32_t kCap = 256, kChunks = 6;
+  constexpr int64_t kRows = int64_t(kCap) * kChunks;
+  Table t("t", TestSchema(), kCap);
+  for (int64_t i = 0; i < kRows; ++i) t.Insert(Row(i, int32_t(i), "h"));
+  // Round robin over the chunks, so the first six deletes are each chunk's
+  // first; every fourth row stays.
+  std::vector<RowId> order;
+  std::vector<int64_t> delete_index(kRows, kRows);  // by key; kRows: kept
+  for (uint32_t r = 0; r < kCap; ++r) {
+    for (uint32_t c = 0; c < kChunks; ++c) {
+      if (r % 4 == 3) continue;
+      delete_index[c * kCap + r] = int64_t(order.size());
+      order.push_back(MakeRowId(c, r));
+    }
+  }
+  const int64_t kDeletes = int64_t(order.size());
+  for (uint32_t c = 0; c < kChunks; ++c)
+    ASSERT_EQ(t.chunk_state(c), ChunkState::kHot);
+
+  // Deletes [0, done) have returned, deletes [0, started) have begun.
+  std::atomic<int64_t> started{0}, done{0};
+  std::atomic<uint64_t> scans{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (scans.load() == 0 && !stop.load()) std::this_thread::yield();
+    for (int64_t k = 0; k < kDeletes && !stop.load(); ++k) {
+      started.store(k + 1);
+      t.Delete(order[size_t(k)]);
+      done.store(k + 1);
+      if (k % 4 == 3)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  StopAndJoin join_writer{[&] { stop.store(true); }, writer};
+
+  const ScanMode kModes[] = {ScanMode::kJit, ScanMode::kVectorized,
+                             ScanMode::kVectorizedSarg, ScanMode::kDataBlocks,
+                             ScanMode::kDataBlocksPsma};
+  const Predicate every_row =
+      Predicate::Between(1, Value::Int(0), Value::Int(kRows));
+  std::vector<uint32_t> last_deleted(kChunks, 0);
+  uint64_t overlapping = 0;
+  for (uint64_t s = 0; done.load() < kDeletes || s < 2 * std::size(kModes);
+       ++s) {
+    const ScanMode mode = kModes[s % std::size(kModes)];
+    std::vector<Predicate> preds;
+    if ((s / std::size(kModes)) % 2 == 1) preds.push_back(every_row);
+    const int64_t before = done.load();
+    TableScanner scan(t, {0}, preds, mode, /*vector_size=*/64);
+    Batch b;
+    int64_t count = 0;
+    std::set<int64_t> keys;
+    while (scan.Next(&b)) {
+      for (uint32_t i = 0; i < b.count; ++i) {
+        const int64_t key = b.cols[0].i64[i];
+        ASSERT_GE(delete_index[size_t(key)], before)
+            << ScanModeName(mode) << " returned key " << key;
+        keys.insert(key);
+      }
+      count += b.count;
+    }
+    const int64_t after = started.load();
+    ASSERT_EQ(keys.size(), size_t(count)) << ScanModeName(mode);
+    ASSERT_LE(count, kRows - before) << ScanModeName(mode);
+    ASSERT_GE(count, kRows - after) << ScanModeName(mode);
+    if (before != after) ++overlapping;
+    scans.fetch_add(1);
+
+    for (uint32_t c = 0; c < kChunks; ++c) {
+      const uint32_t n = t.deleted_in_chunk(c);
+      ASSERT_GE(n, last_deleted[c]) << "chunk " << c;
+      last_deleted[c] = n;
+    }
+    const int64_t returned = done.load();
+    for (int64_t k = s % 7; k < returned; k += 7)
+      ASSERT_FALSE(t.IsVisible(order[size_t(k)])) << k;
+    for (uint32_t c = 0; c < kChunks; ++c)
+      ASSERT_TRUE(t.IsVisible(MakeRowId(c, 3 + 4 * (s % (kCap / 4)))));
+  }
+  writer.join();
+  EXPECT_GT(overlapping, 0u);
+  EXPECT_EQ(t.num_visible(), uint64_t(kRows - kDeletes));
+  for (uint32_t c = 0; c < kChunks; ++c)
+    EXPECT_EQ(t.deleted_in_chunk(c), kCap / 4 * 3) << c;
 }
 
 // A freeze compresses only after the sections that saw the chunk hot have

@@ -123,7 +123,7 @@ TEST_F(TpccFixture, FrozenNewOrdersKeepWorking) {
   // to be meaningful.
   bool any_frozen = false;
   for (size_t c = 0; c < db_->neworder.num_chunks(); ++c)
-    any_frozen |= db_->neworder.is_frozen(c);
+    any_frozen |= db_->neworder.chunk_state(c) == ChunkState::kFrozen;
   EXPECT_TRUE(any_frozen);
   // Deliveries must drain frozen neworder rows via delete flags; new orders
   // keep inserting into the hot tail.
