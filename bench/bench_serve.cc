@@ -363,11 +363,7 @@ int main(int argc, char** argv) {
 
   server.Shutdown();
   if (chaos) {
-    // Disarm before the manager's destructor reloads every evicted block:
-    // with the failpoint still live the restore pass itself would be hit.
-    fail::FailpointRegistry::Instance().DisarmAll();
     chaos_mgr->Stop();
-    chaos_mgr->ResetQuarantine();
     chaos_mgr.reset();
     std::remove(chaos_archive);
   }

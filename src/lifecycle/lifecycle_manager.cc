@@ -24,7 +24,6 @@ struct LifecycleMetrics {
   obs::Counter* freezes;
   obs::Counter* adopted;
   obs::Counter* evictions;
-  obs::Counter* reloads;  // blocks installed (at detach)
   obs::Counter* point_reads;
   obs::Counter* archive_bytes_read;
   obs::Counter* tombstoned;
@@ -45,7 +44,6 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.freezes"),
                             r.GetCounter("lifecycle.adopted"),
                             r.GetCounter("lifecycle.evictions"),
-                            r.GetCounter("lifecycle.reloads"),
                             r.GetCounter("lifecycle.point_reads"),
                             r.GetCounter("lifecycle.archive_bytes_read"),
                             r.GetCounter("lifecycle.tombstoned"),
@@ -123,33 +121,12 @@ LifecycleManager::LifecycleManager(std::vector<Table*> tables,
 
 LifecycleManager::~LifecycleManager() {
   Stop();
-  // Leave the tables self-contained: readmit every evicted block, then
-  // detach. Afterwards no table depends on this manager or its archive
-  // file. A chunk whose read fails here is unrecoverable — its only
-  // payload copy is the unreadable archive entry — so warn and detach
-  // anyway rather than aborting the process. The final attempt ignores
-  // any backoff deadline.
-  ResetQuarantine();
-  for (Managed& m : tables_) {
-    for (size_t c = 0; c < m.table->num_chunks(); ++c) {
-      if (!m.table->is_evicted(c)) continue;
-      BlockImage image;
-      StatusOr<uint64_t> read =
-          ReadChunk(m, c, BlockRead::Scan(ColumnSet::All(), &image));
-      Status s = read.ok() ? m.table->ReadmitChunk(c, image.TakeBlock())
-                           : read.status();
-      if (!s.ok()) {
-        std::fprintf(stderr,
-                     "lifecycle: chunk %zu of table '%s' lost at detach "
-                     "(read failed: %s)\n",
-                     c, m.table->name().c_str(), s.ToString().c_str());
-        continue;
-      }
-      Metrics().reloads->Add();
-      trace().Publish("lifecycle", "reload", int64_t(c), int64_t(*read));
-    }
-    m.table->SetBlockFetcher(nullptr);
-  }
+  // Detach without reading anything: evicted chunks stay evicted, and a
+  // later read of one throws (see the class comment). A read that copied
+  // a fetcher runs inside a read section, so once those close none can
+  // reach this manager or its archive any more.
+  for (Managed& m : tables_) m.table->SetBlockFetcher(nullptr);
+  Table::Synchronize();
   const size_t quarantined = quarantined_chunks();
   if (quarantined != 0) Metrics().quarantined->Add(-int64_t(quarantined));
   if (degraded_.load(std::memory_order_relaxed)) Metrics().degraded->Add(-1);
@@ -396,8 +373,7 @@ void LifecycleManager::QuarantineChunk(Managed& m, size_t chunk_idx,
     ++q.retries;
     retries = q.retries;
     if (q.retries >= cfg_.quarantine_max_retries) {
-      // Parked: no more automatic probes. ResetQuarantine (or detach)
-      // re-arms it.
+      // Parked: no more automatic probes. ResetQuarantine re-arms it.
       q.next_retry = std::chrono::steady_clock::time_point::max();
     } else {
       const uint32_t shift = std::min(q.retries - 1, 16u);
@@ -532,7 +508,6 @@ LifecycleStats LifecycleManager::stats() const {
   s.degraded = degraded_.load(std::memory_order_relaxed);
   for (const Managed& m : tables_) {
     s.evictions += m.table->evictions();
-    s.reloads += m.table->reloads();
     s.tombstoned += m.table->tombstones();
     for (size_t c = 0; c < m.table->num_chunks(); ++c) {
       if (const BlockSummary* sum = m.table->block_summary(c))

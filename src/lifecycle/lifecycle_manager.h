@@ -67,7 +67,7 @@ struct LifecycleConfig {
 
   // -- Observability --------------------------------------------------------
   /// Ring the manager publishes lifecycle events into (freeze, evict,
-  /// reads and installs, tombstone, release, tick durations). nullptr =
+  /// archive reads, tombstone, release, tick durations). nullptr =
   /// the process-wide obs::TraceRing::Default(); tests inject private rings.
   obs::TraceRing* trace = nullptr;
 };
@@ -77,11 +77,15 @@ struct LifecycleStats {
   uint64_t freezes = 0;          // chunks auto-frozen by the policy
   uint64_t adopted = 0;          // manually-frozen chunks archived for eviction
   uint64_t evictions = 0;        // blocks dropped from memory
-  uint64_t reloads = 0;          // blocks installed (at detach)
+  /// Always 0: nothing installs an evicted block any more. Kept only
+  /// because the end-to-end benchmark still reports it as
+  /// lifecycle.reloads_per_op; it goes with that benchmark's next change
+  /// (ROADMAP item 7).
+  uint64_t reloads = 0;
   uint64_t archived_blocks = 0;  // live blocks in the archive
   uint64_t archive_bytes = 0;    // live archive payload (released excluded)
   uint64_t resident_bytes = 0;   // resident bytes of archived blocks
-  uint64_t archive_reads = 0;    // payload reads: scans, points, installs
+  uint64_t archive_reads = 0;    // payload reads: scans, points, probes
   uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
   uint64_t archive_pages_read = 0;  // extent pages those reads fetched
   uint64_t summary_bytes = 0;    // resident BlockSummary footprint
@@ -102,15 +106,13 @@ struct LifecycleStats {
 /// BlockArchive. Reads never install an evicted block: a scan
 /// reads just its columns from the archive into its own image, a point
 /// read the spine and the pages that hold its row into its thread's point
-/// image, and the chunk stays evicted. The manager is the only code that
-/// installs a block, and only when it detaches (see the destructor).
+/// image, and the chunk stays evicted. No code installs a block again:
+/// chunk states only move forward (see ChunkState).
 ///
 /// One manager owns the lifecycle of a set of tables, typically all the
 /// managed tables of one database:
 ///
 ///   hot --(cold for N epochs)--> frozen --(over budget, LRU)--> evicted
-///                                  ^                               |
-///                                  +-----------(detach)------------+
 ///
 /// The tables share one archive file, one memory budget over their frozen
 /// bytes and one LRU: a victim is the block whose chunk went the most
@@ -141,9 +143,12 @@ struct LifecycleStats {
 /// recovering one would also need a log of the hot chunks, which this
 /// engine does not keep.
 ///
-/// The manager must outlive all use of the tables' evicted chunks; its
-/// destructor readmits every evicted block (restoring fully resident
-/// tables), detaches from the tables and deletes the archive file.
+/// The tables depend on their manager for their evicted chunks for life.
+/// Its destructor stops the ticks, unhooks the tables' block fetchers and
+/// deletes the archive file, reading nothing: evicted chunks stay evicted,
+/// and a later read of one throws StorageException (kUnavailable), as a
+/// read of a tombstone does. Hot, frozen and tombstoned chunks and the
+/// delete bitmaps are untouched.
 class LifecycleManager {
  public:
   /// Manages `tables` (distinct, each managed by no other manager); their
@@ -217,7 +222,7 @@ class LifecycleManager {
   void EnforceBudget();
   /// Bytes of archived blocks whose chunk is resident; requires mu_.
   /// Residency is read from the chunk states, never mirrored: only this
-  /// manager evicts (in a tick) or installs (at detach) a block.
+  /// manager evicts a block (in a tick), and nothing installs one.
   uint64_t ResidentBytesLocked() const;
   /// The resident archived chunk with the most epochs since its last
   /// access, first in table then chunk order among equals ({nullptr, 0}

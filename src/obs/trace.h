@@ -2,8 +2,8 @@
 #define DATABLOCKS_OBS_TRACE_H_
 
 // Bounded in-memory event trace: the lifecycle manager and scheduler
-// publish discrete events (freeze, evict, archive reads, installs,
-// tombstone, release, tick durations, ...) into a fixed-capacity ring
+// publish discrete events (freeze, evict, archive reads, tombstone,
+// release, tick durations, ...) into a fixed-capacity ring
 // that overwrites its oldest entries — a flight recorder, not a log.
 // Events are small PODs (no allocation on the publish path) and publishing
 // takes one short mutex section, which is fine at lifecycle/scheduler

@@ -210,7 +210,6 @@ Table::Table(Table&& o) noexcept
       id_(g_next_table_id.fetch_add(1, std::memory_order_relaxed)),
       access_epoch_(o.access_epoch_.load(std::memory_order_relaxed)),
       evictions_(o.evictions_.load(std::memory_order_relaxed)),
-      reloads_(o.reloads_.load(std::memory_order_relaxed)),
       tombstones_(o.tombstones_.load(std::memory_order_relaxed)) {
   for (size_t i = 0; i < kMaxSlotSegments; ++i) {
     segments_[i].store(o.segments_[i].exchange(nullptr,
@@ -328,32 +327,6 @@ Table::ScanSource Table::OpenForScan(size_t chunk_idx,
   image->Clear();
   ThrowIfError(FetchEvicted(chunk_idx, BlockRead::Scan(columns, image)));
   return {nullptr, &image->block()};
-}
-
-Status Table::ReadmitChunk(size_t chunk_idx, DataBlock block) {
-  CheckOutsideSection();
-  if (Status s = CheckBlock(chunk_idx, block); !s.ok())
-    return s;
-  Slot& target = slot(chunk_idx);
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    // A reader reads the archived copy until the state store below, and
-    // the installed block after it. A block still set is an eviction's,
-    // freed when its grace period ends.
-    if (target.state.load(std::memory_order_relaxed) !=
-            ChunkState::kEvicted ||
-        target.frozen != nullptr) {
-      return Status::FailedPrecondition(
-          "chunk " + std::to_string(chunk_idx) + " of table '" + name_ +
-          "' is not evicted or is still being evicted");
-    }
-    target.frozen = std::make_unique<DataBlock>(std::move(block));
-    reloads_.fetch_add(1, std::memory_order_relaxed);
-    target.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
-  }
-  // Sections that saw kEvicted may still be reading the archived copy.
-  Synchronize();
-  return Status::Ok();
 }
 
 void Table::SetBlockFetcher(BlockFetcher fetcher) {
@@ -603,7 +576,7 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   // point writes relocate and the writer starts a fresh tail. Deletes
   // never write the chunk: they set bits in the slot's bitmap, which the
   // block shares.
-  slot.state.store(ChunkState::kFreezing, std::memory_order_seq_cst);
+  SetState(slot, ChunkState::kFreezing);
   lock.unlock();
   Synchronize();
 
@@ -648,7 +621,7 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
 
   lock.lock();
   slot.frozen = std::move(block);
-  slot.state.store(ChunkState::kFrozen, std::memory_order_seq_cst);
+  SetState(slot, ChunkState::kFrozen);
   lock.unlock();
   // Sections that saw kFreezing may still read the hot chunk. Nothing else
   // loads `hot` once the state says kFrozen, so it is reset unlocked.
@@ -657,11 +630,15 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   return true;
 }
 
+void Table::SetState(Slot& slot, ChunkState to) {
+  DB_CHECK(to > slot.state.load(std::memory_order_relaxed));
+  slot.state.store(to, std::memory_order_seq_cst);
+}
+
 void Table::RetireBlock(Slot& slot, ChunkState to,
                         std::unique_lock<std::mutex>& lock) {
-  slot.state.store(to, std::memory_order_seq_cst);
-  // Sections that saw kFrozen may still read the block. Meanwhile the
-  // block stays set, which keeps ReadmitChunk off the slot.
+  SetState(slot, to);
+  // Sections that saw kFrozen may still read the block.
   lock.unlock();
   Synchronize();
   lock.lock();
@@ -674,7 +651,7 @@ bool Table::EvictChunk(size_t chunk_idx) {
   std::unique_lock<std::mutex> lock(lifecycle_mu_);
   if (slot.state.load(std::memory_order_relaxed) != ChunkState::kFrozen)
     return false;
-  // Without a fetcher the block could never come back.
+  // Without a fetcher the block could never be read again.
   if (fetcher_ == nullptr) return false;
   RetireBlock(slot, ChunkState::kEvicted, lock);
   evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -709,7 +686,7 @@ void Table::AppendFrozen(DataBlock block) {
   slot.rows.store(rows, std::memory_order_relaxed);
   slot.deleted.assign(BitmapWords(rows), 0);
   slot.frozen = std::make_unique<DataBlock>(std::move(block));
-  slot.state.store(ChunkState::kFrozen, std::memory_order_relaxed);
+  SetState(slot, ChunkState::kFrozen);
   num_rows_ += rows;
   PublishSlot();
 }

@@ -48,16 +48,21 @@ inline uint32_t RowIdRow(RowId id) {
 ///              Insert starts a new tail
 ///   kFrozen    immutable compressed DataBlock resident in memory
 ///   kEvicted   the block lives only in the archive; the delete bitmap and
-///              row count stay in memory. Reads never install it: a
+///              row count stay in memory. Nothing installs it again: a
 ///              scan reads its columns into its own image, a point read the
 ///              accessed column into the thread's point image, and the
-///              chunk stays evicted. Only the lifecycle manager readmits it,
-///              when it detaches (ReadmitChunk)
+///              chunk stays evicted. Once its lifecycle manager detaches,
+///              a read of it throws (kUnavailable)
 ///   kTombstone terminal: every row of the chunk was deleted and its
 ///              payload (resident block and archive copy alike) has been
 ///              dropped for good. Only the delete bitmap and row count
 ///              remain; scans skip the chunk in every mode and visibility
 ///              checks answer from the bitmap.
+///
+/// A chunk's state only moves forward, in declaration order (enforced):
+/// toward colder storage, never back. Not every state is visited — a
+/// frozen chunk may become a tombstone without being evicted, and
+/// AppendFrozen starts a chunk frozen.
 ///
 /// Deleted rows are flagged outside the chunk's payload, in one delete
 /// bitmap per chunk slot that every state shares: it is sized when the slot
@@ -422,16 +427,8 @@ class Table {
   /// not fully deleted or not frozen/evicted.
   bool TombstoneChunk(size_t chunk_idx);
 
-  /// Installs `block`, read whole from the archive, as the resident block
-  /// of evicted chunk `chunk_idx` (evicted -> frozen). Only the lifecycle
-  /// manager calls it, when it detaches. kCorruption if the block
-  /// does not belong to the chunk (row count, schema types),
-  /// kFailedPrecondition if the chunk is not evicted or its eviction is
-  /// still in its grace period. Returns once no read section still reads
-  /// the chunk as evicted, so the caller may then drop the archive copy.
-  Status ReadmitChunk(size_t chunk_idx, DataBlock block);
-
-  /// Installs the read path for evicted chunks (OpenForScan, point reads).
+  /// Installs the read path for evicted chunks (OpenForScan, point reads);
+  /// nullptr unhooks it, after which those reads throw (kUnavailable).
   void SetBlockFetcher(BlockFetcher fetcher);
   bool has_block_fetcher() const { return fetcher_ != nullptr; }
 
@@ -439,8 +436,6 @@ class Table {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Blocks installed by ReadmitChunk.
-  uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
   uint64_t tombstones() const {
     return tombstones_.load(std::memory_order_relaxed);
   }
@@ -509,9 +504,14 @@ class Table {
                      std::memory_order_release);
   }
 
-  /// Publishes `to` (a state that leaves kFrozen) and frees the resident
-  /// block once Synchronize() has waited out every section that may still
-  /// read it. Called with `lock` held on lifecycle_mu_; drops it meanwhile.
+  /// Publishes `to` as the state of `slot`: the one store to Slot::state.
+  /// DB_CHECKs that `to` comes after the current state (states only move
+  /// forward). Called under lifecycle_mu_, or before the slot is published.
+  static void SetState(Slot& slot, ChunkState to);
+  /// Publishes `to` (kEvicted or kTombstone, both after kFrozen) and frees
+  /// the resident block once Synchronize() has waited out every section
+  /// that may still read it. Called with `lock` held on lifecycle_mu_;
+  /// drops it meanwhile.
   void RetireBlock(Slot& slot, ChunkState to,
                    std::unique_lock<std::mutex>& lock);
   /// Performs `read` of evicted chunk `chunk_idx` through the fetcher —
@@ -555,7 +555,7 @@ class Table {
   std::array<std::atomic<SlotSegment*>, kMaxSlotSegments> segments_{};
   std::atomic<size_t> num_slots_{0};
 
-  /// Serializes lifecycle transitions (freeze/evict/readmit/tombstone); not
+  /// Serializes lifecycle transitions (freeze/evict/tombstone); not
   /// held across the fetcher's archive I/O or Synchronize() (section
   /// holders take it briefly). Never held while calling user code.
   mutable std::mutex lifecycle_mu_;
@@ -565,7 +565,6 @@ class Table {
   uint64_t id_;
   std::atomic<uint32_t> access_epoch_{0};
   mutable std::atomic<uint64_t> evictions_{0};
-  mutable std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> tombstones_{0};
 };
 

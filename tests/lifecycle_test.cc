@@ -195,29 +195,96 @@ TEST(Lifecycle, EvictsUnderMemoryBudgetAndReloadsTransparently) {
     EXPECT_EQ(t.GetStringView(probe, 2), probe_str);
     EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
     EXPECT_EQ(mgr.stats().archive_reads, reads_before + 2);
-    EXPECT_EQ(mgr.stats().reloads, 0u);
     // Nor does a tick install it.
     mgr.Tick();
     EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
-    EXPECT_EQ(mgr.stats().reloads, 0u);
 
     // A full scan over the evicted table matches the never-frozen scan.
     EXPECT_TRUE(FullScan(t) == before);
     EXPECT_TRUE(FullScan(t, ScanMode::kJit) == before);
 
     // Deletes on evicted chunks do NOT reload the block.
-    uint64_t reloads_before_delete = mgr.stats().reloads;
     mgr.Tick();
+    const uint64_t reads_before_delete = mgr.stats().archive_reads;
     t.Delete(MakeRowId(2, 3));
-    EXPECT_EQ(mgr.stats().reloads, reloads_before_delete);
+    EXPECT_EQ(t.chunk_state(2), ChunkState::kEvicted);
+    EXPECT_EQ(mgr.stats().archive_reads, reads_before_delete);
     ScanResult after_delete = FullScan(t);
     EXPECT_EQ(after_delete.count, before.count - 1);
   }
-  // Manager teardown restores a fully-resident, self-contained table.
-  for (size_t c = 0; c < t.num_chunks(); ++c)
-    EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
-  EXPECT_GT(t.FrozenBytes(), 0u);
   std::remove(path.c_str());
+}
+
+// A destroyed manager reads nothing: its evicted chunks stay evicted and
+// reads of them throw (no fetcher), while the hot, frozen and tombstoned
+// chunks and every delete bitmap answer as before. The archive file goes.
+TEST(Lifecycle, DetachLeavesEvictedChunksEvicted) {
+  constexpr uint32_t kCap = 512;
+  Table t = MakeTable(5 * kCap, kCap);  // 5 full chunks
+  for (size_t c = 0; c < 3; ++c) ASSERT_TRUE(t.FreezeChunk(c));
+  for (uint32_t r = 0; r < kCap; ++r) t.Delete(MakeRowId(2, r));
+  for (size_t c : {0, 1, 3, 4})
+    for (uint32_t r = 0; r < kCap; r += 7) t.Delete(MakeRowId(c, r));
+  const std::string path = TempArchive("detach");
+  obs::TraceRing ring;
+  obs::Counter* bytes_read = obs::MetricsRegistry::Default().GetCounter(
+      "lifecycle.archive_bytes_read");
+  std::vector<bool> visible;
+  std::map<RowId, int64_t> resident;  // visible rows of chunks 3 and 4
+  uint64_t num_visible = 0, bytes_before = 0, events_before = 0;
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;  // evict every archived block
+    cfg.trace = &ring;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();  // adopts and evicts 0 and 1, tombstones 2; 3 and 4 stay hot
+    ASSERT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+    ASSERT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+    ASSERT_EQ(t.chunk_state(2), ChunkState::kTombstone);
+    ASSERT_TRUE(t.FreezeChunk(3));  // frozen, never archived
+    ASSERT_EQ(t.chunk_state(4), ChunkState::kHot);
+    // Readable while the manager is attached.
+    EXPECT_EQ(t.GetInt(MakeRowId(1, 1), 0), int64_t(kCap + 1));
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      for (uint32_t r = 0; r < kCap; ++r) {
+        const RowId id = MakeRowId(c, r);
+        visible.push_back(t.IsVisible(id));
+        if (c >= 3 && visible.back()) resident[id] = t.GetInt(id, 1);
+      }
+    }
+    num_visible = t.num_visible();
+    bytes_before = bytes_read->Value();
+    events_before = ring.published();
+  }
+  // Nothing was read on the way out: no bytes, and no trace event at all.
+  EXPECT_EQ(bytes_read->Value(), bytes_before);
+  EXPECT_EQ(ring.published(), events_before);
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+  EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+  EXPECT_EQ(t.chunk_state(2), ChunkState::kTombstone);
+  EXPECT_EQ(t.chunk_state(3), ChunkState::kFrozen);
+  EXPECT_EQ(t.chunk_state(4), ChunkState::kHot);
+  for (size_t c = 0; c < 2; ++c) {
+    try {
+      (void)t.GetValue(MakeRowId(c, 1), 0);
+      ADD_FAILURE() << "read of evicted chunk " << c << " returned";
+    } catch (const StorageException& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kUnavailable) << c;
+    }
+  }
+  for (ScanMode mode :
+       {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
+        ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
+    EXPECT_THROW(FullScan(t, mode), StorageException) << ScanModeName(mode);
+  }
+  for (const auto& [id, val] : resident) EXPECT_EQ(t.GetInt(id, 1), val);
+  size_t i = 0;
+  for (size_t c = 0; c < t.num_chunks(); ++c)
+    for (uint32_t r = 0; r < kCap; ++r, ++i)
+      EXPECT_EQ(t.IsVisible(MakeRowId(c, r)), bool(visible[i])) << c << "/" << r;
+  EXPECT_EQ(t.num_visible(), num_visible);
 }
 
 TEST(Lifecycle, AdoptsManuallyFrozenChunksForEviction) {
@@ -408,8 +475,8 @@ TEST(Lifecycle, TpccTablesSurviveFullLifecycleWithIdenticalScans) {
     EXPECT_TRUE(before[i] == after[i]) << "table " << i;
 
   // OLTP keeps running on the lifecycle-managed database: updates to
-  // frozen rows become delete + reinsert, point reads reload evicted
-  // blocks, and the TPC-C invariants still hold.
+  // frozen rows become delete + reinsert, point reads read evicted
+  // chunks from the archive, and the TPC-C invariants still hold.
   for (int i = 0; i < 200; ++i) db.RunMixedTransaction(rng);
   for (int e = 0; e < 3; ++e) db.LifecycleTick();
   ASSERT_TRUE(db.CheckConsistency(&msg)) << msg;
@@ -437,7 +504,6 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
       ASSERT_NE(t.block_summary(c), nullptr) << c;
 
     const uint64_t reads_before = mgr.stats().archive_reads;
-    const uint64_t reloads_before = mgr.stats().reloads;
 
     // ids are 0..4095; this predicate lies outside every block's SMA range.
     for (ScanMode mode : {ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma,
@@ -453,7 +519,6 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
     }
     // No payload was fetched, nothing was reloaded, nothing was promoted.
     EXPECT_EQ(mgr.stats().archive_reads, reads_before);
-    EXPECT_EQ(mgr.stats().reloads, reloads_before);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
 
@@ -477,7 +542,6 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
     EXPECT_EQ(scan.archive_reloads(), 1u);
     const LifecycleStats after = mgr.stats();
     EXPECT_EQ(after.archive_reads, reads_before + 1);
-    EXPECT_EQ(after.reloads, reloads_before);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
     // Spine + extents of attributes 0 and 1 end where attribute 2's begins.
@@ -494,12 +558,11 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
     EXPECT_LE(read, begins[2]);
     EXPECT_LT(begins[2], whole->SizeBytes());
     // The process-wide counter and the trace agree: one scan_read of chunk
-    // 2 carrying those bytes, and no reload.
+    // 2 carrying those bytes.
     EXPECT_EQ(bytes_counter->Value() - counter_before, read);
     int scan_reads = 0;
     for (const obs::TraceEvent& ev : ring.Snapshot()) {
       if (ev.seq < events_before) continue;
-      EXPECT_STRNE(ev.name, "reload");
       if (std::string(ev.name) != "scan_read") continue;
       ++scan_reads;
       EXPECT_EQ(ev.a, 2);
@@ -513,17 +576,18 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
 // A table that an earlier manager summarized keeps those summaries after
 // that manager detached; a second manager adopting it must reuse them
 // (summaries are install-once) and still prune evicted blocks without
-// archive reads.
+// archive reads. The first manager evicts nothing: a chunk it evicted
+// would stay evicted, unreadable, once it detached.
 TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
   Table t = MakeTestTable(2048, 512, /*delete_every=*/0, /*freeze=*/true);
-  LifecycleConfig cfg = QuickCooling();
-  cfg.memory_budget_bytes = 0;
   const std::string first_path = TempArchive("reuse_first");
   {
-    LifecycleManager mgr(&t, first_path, cfg);
-    mgr.Tick();  // adopt, summarize + evict everything
-    ASSERT_EQ(mgr.stats().evictions, t.num_chunks());
-  }  // readmits every block
+    LifecycleManager mgr(&t, first_path, QuickCooling());  // no budget
+    mgr.Tick();  // adopt: archive + summarize everything
+    ASSERT_EQ(mgr.stats().adopted, t.num_chunks());
+    ASSERT_EQ(mgr.stats().evictions, 0u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(first_path));
   std::vector<const BlockSummary*> summaries;
   for (size_t c = 0; c < t.num_chunks(); ++c) {
     ASSERT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
@@ -533,9 +597,12 @@ TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
 
   const std::string path = TempArchive("reuse_second");
   {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
     LifecycleManager mgr(&t, path, cfg);
     mgr.Tick();  // adopt + evict everything
     EXPECT_EQ(mgr.stats().adopted, t.num_chunks());
+    EXPECT_EQ(mgr.stats().evictions, t.num_chunks());
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.block_summary(c), summaries[c]) << c;
     const uint64_t reads = mgr.stats().archive_reads;
@@ -547,7 +614,6 @@ TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
     EXPECT_EQ(scan.evicted_chunks_skipped(), t.num_chunks());
     EXPECT_EQ(mgr.stats().archive_reads, reads);
   }
-  std::remove(first_path.c_str());
   std::remove(path.c_str());
 }
 
@@ -862,7 +928,7 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
     // chunks from the archive without installing them.
     EXPECT_GT(mgr.stats().evictions, 0u);
     EXPECT_GT(point_reads->Value(), point_reads_before);
-    EXPECT_GT(mgr.stats().archive_reads, mgr.stats().reloads);
+    EXPECT_GT(mgr.stats().archive_reads, 0u);
     EXPECT_EQ(t.chunk_state(kVictim), ChunkState::kTombstone);
     EXPECT_TRUE(FullScan(t) == expect.after);
   }
@@ -981,7 +1047,6 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
     EXPECT_EQ(after.archive_pages_read - mid.archive_pages_read,
               mid.archive_pages_read - before.archive_pages_read);
     EXPECT_EQ(point_reads->Value() - counter_before, reads);
-    EXPECT_EQ(after.reloads, before.reloads);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
     const BlockArchive* archive = mgr.archive();
@@ -1007,7 +1072,6 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
     EXPECT_LT(pass_bytes, block_bytes);
     int traced = 0;
     for (const obs::TraceEvent& ev : ring.Snapshot()) {
-      EXPECT_STRNE(ev.name, "reload");
       if (std::string(ev.name) == "point_read") {
         ++traced;
         EXPECT_GT(ev.b, 0);
@@ -1022,11 +1086,9 @@ TEST(Lifecycle, PointReadsOfEvictedChunksMatchResidentBlocks) {
     const std::string copy(name);
     for (uint32_t col = 0; col < ncols; ++col) (void)t.GetValue(probe, col);
     EXPECT_EQ(name, copy);
+    // The probe reads changed nothing: every value still matches.
+    EXPECT_TRUE(AllValues(t) == resident);
   }
-  // Detach readmits every block: the resident values are unchanged.
-  for (size_t c = 0; c < t.num_chunks(); ++c)
-    EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
-  EXPECT_TRUE(AllValues(t) == resident);
   std::remove(path.c_str());
 }
 
@@ -1195,7 +1257,6 @@ TEST(Lifecycle, EvictedPointReadsAcrossPageBoundariesMatchResident) {
       ASSERT_TRUE(t.GetValue(p.id, p.col) == p.v);
       ASSERT_TRUE(TypedRead(t, p.id, p.col, p.v) == p.v);
     }
-    EXPECT_EQ(mgr.stats().reloads, 0u);
     // No probe read more than the spine and five pages.
     EXPECT_LE(mgr.stats().archive_bytes_read,
               mgr.stats().archive_reads *
@@ -1323,10 +1384,8 @@ TEST(Lifecycle, UpdateRowOnEvictedRowRelocatesWithoutReload) {
     ASSERT_EQ(t.chunk_state(2), ChunkState::kEvicted);
     const std::string name(t.GetStringView(id, 2));
     const uint64_t reads = mgr.stats().archive_reads;
-    const uint64_t reloads = mgr.stats().reloads;
     const RowId moved = t.UpdateRow(id, {{1, Cell::Int(77)}});
     EXPECT_GT(mgr.stats().archive_reads, reads);
-    EXPECT_EQ(mgr.stats().reloads, reloads);
     EXPECT_EQ(t.chunk_state(2), ChunkState::kEvicted);
     EXPECT_FALSE(t.IsVisible(id));
     EXPECT_EQ(t.GetInt(moved, 0), 2 * 256 + 5);
@@ -1378,7 +1437,6 @@ TEST(Lifecycle, FailedPointReadQuarantinesAndHeals) {
     EXPECT_EQ(t.GetInt(id, 1), val);
     EXPECT_EQ(mgr.quarantined_chunks(), 0u);
     EXPECT_EQ(t.chunk_state(3), ChunkState::kEvicted);
-    EXPECT_EQ(mgr.stats().reloads, 0u);
   }
   std::remove(path.c_str());
 }
@@ -1460,7 +1518,6 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
     EXPECT_EQ(s.tombstoned, 3u);
     EXPECT_EQ(s.reclaimed_blocks, 3u);
     EXPECT_EQ(s.freezes, kNew);
-    EXPECT_EQ(s.reloads, 0u);
     // 13 live resident blocks and kNew new ones, about 3 kept.
     EXPECT_GE(s.evictions, 13 + kNew - 4);
     EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);
@@ -1499,48 +1556,56 @@ std::vector<int64_t> Vals(const Table& t) {
 // age go in table order, then chunk order. Ages are counted in each table's
 // own epochs, which need not agree.
 TEST(Lifecycle, TwoTablesEvictTheColdestBlockOfEitherFirst) {
-  Table a = MakeTestTable(2048, 512, 0, /*freeze=*/true, /*seed=*/7);
-  Table b = MakeTestTable(2048, 512, 0, /*freeze=*/true, /*seed=*/8);
+  // Each case starts on fresh tables: a block a manager evicted stays
+  // evicted after the manager detached.
+  auto table = [](uint64_t seed) {
+    return MakeTestTable(2048, 512, 0, /*freeze=*/true, seed);
+  };
   const std::string path = TempArchive("two_tables_lru");
   LifecycleConfig cfg = QuickCooling();
-  cfg.memory_budget_bytes = a.FrozenBytes() + b.FrozenBytes() - 1;  // one goes
-  auto evicted = [&] {
-    std::vector<std::pair<char, size_t>> out;
+  cfg.memory_budget_bytes =
+      table(7).FrozenBytes() + table(8).FrozenBytes() - 1;  // one goes
+  using Evicted = std::vector<std::pair<char, size_t>>;
+  auto evicted = [](const Table& a, const Table& b) {
+    Evicted out;
     for (size_t c = 0; c < a.num_chunks(); ++c)
       if (a.is_evicted(c)) out.emplace_back('a', c);
     for (size_t c = 0; c < b.num_chunks(); ++c)
       if (b.is_evicted(c)) out.emplace_back('b', c);
     return out;
   };
-  using Evicted = std::vector<std::pair<char, size_t>>;
   {
     // No chunk was read: every age ties, and the first table's chunk 0
     // goes, not the second's.
+    Table a = table(7), b = table(8);
     LifecycleManager mgr({&a, &b}, path, cfg);
     mgr.Tick();
     EXPECT_EQ(mgr.stats().evictions, 1u);
-    EXPECT_EQ(evicted(), (Evicted{{'a', 0}}));
+    EXPECT_EQ(evicted(a, b), (Evicted{{'a', 0}}));
   }
   {
+    Table a = table(7), b = table(8);
     LifecycleManager mgr({&b, &a}, path, cfg);
     mgr.Tick();
-    EXPECT_EQ(evicted(), (Evicted{{'b', 0}}));
+    EXPECT_EQ(evicted(a, b), (Evicted{{'b', 0}}));
   }
-  // Both tables are at epoch 2. Table a moves on alone to epoch 4; its
-  // chunk 3 is read at 3 and its other chunks at 4, every chunk of b at 2.
-  a.AdvanceAccessEpoch();
-  (void)a.GetInt(MakeRowId(3, 0), 0);
-  a.AdvanceAccessEpoch();
-  for (size_t c = 0; c < 3; ++c) (void)a.GetInt(MakeRowId(c, 0), 0);
-  for (size_t c = 0; c < 4; ++c) (void)b.GetInt(MakeRowId(c, 0), 0);
   {
+    // Both tables are at epoch 0. Table a moves on alone to epoch 2; its
+    // chunk 3 is read at 1 and its other chunks at 2, every chunk of b at
+    // 0.
+    Table a = table(7), b = table(8);
+    a.AdvanceAccessEpoch();
+    (void)a.GetInt(MakeRowId(3, 0), 0);
+    a.AdvanceAccessEpoch();
+    for (size_t c = 0; c < 3; ++c) (void)a.GetInt(MakeRowId(c, 0), 0);
+    for (size_t c = 0; c < 4; ++c) (void)b.GetInt(MakeRowId(c, 0), 0);
     // After the tick a's chunk 3 is two epochs old and every other chunk
     // one: it goes, though b's stamps are the lowest.
     LifecycleManager mgr({&b, &a}, path, cfg);
     mgr.Tick();
-    EXPECT_EQ(a.access_epoch(), 5u);
-    EXPECT_EQ(b.access_epoch(), 3u);
-    EXPECT_EQ(evicted(), (Evicted{{'a', 3}}));
+    EXPECT_EQ(a.access_epoch(), 3u);
+    EXPECT_EQ(b.access_epoch(), 1u);
+    EXPECT_EQ(evicted(a, b), (Evicted{{'a', 3}}));
     EXPECT_LE(mgr.stats().resident_bytes, cfg.memory_budget_bytes);
   }
   std::remove(path.c_str());
@@ -1606,14 +1671,8 @@ TEST(Lifecycle, TwoTablesKeepTheirOwnChunksInOneArchive) {
     EXPECT_TRUE(FullScan(a) == scan_a);
     EXPECT_EQ(a.GetInt(MakeRowId(1, 9), 1), vals_a[256 + 9]);
     EXPECT_EQ(FullScan(b).count, 1024 - 256);
+    EXPECT_TRUE(Vals(a) == vals_a);
   }
-  for (size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(a.chunk_state(c), ChunkState::kFrozen) << c;
-    if (c != 1) {
-      EXPECT_EQ(b.chunk_state(c), ChunkState::kFrozen) << c;
-    }
-  }
-  EXPECT_TRUE(Vals(a) == vals_a);
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
@@ -1707,7 +1766,6 @@ TEST(Lifecycle, OneStartedManagerOverTwoTablesWithConcurrentReads) {
     EXPECT_EQ(s.adopted, 2 * kChunks);
     EXPECT_EQ(s.freezes, 2 * kNew);
     EXPECT_EQ(s.reload_failures, 0u);
-    EXPECT_EQ(s.reloads, 0u);
     EXPECT_GE(s.evictions, 2 * (kChunks + kNew) - 4);
     EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);
     Table ref_a = MakeTestTable(kChunks * kCap, kCap, 0, false, 7);

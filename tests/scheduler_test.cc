@@ -246,7 +246,8 @@ class ParallelTpch : public ::testing::TestWithParam<int> {
     evicted_ = tpch::MakeTpch(cfg).release();
     evicted_->FreezeAll();
     // The managers live for the whole suite: they own the fetchers that
-    // fault evicted blocks back in.
+    // read evicted blocks from the archive, and the evicted tables depend
+    // on them for those blocks for life.
     managers_ = new std::vector<std::unique_ptr<LifecycleManager>>();
     LifecycleConfig lcfg;
     lcfg.memory_budget_bytes = 0;  // evict everything frozen
@@ -257,7 +258,7 @@ class ParallelTpch : public ::testing::TestWithParam<int> {
     sched_ = new Scheduler(Scheduler::Options{.num_workers = 3});
   }
   static void TearDownTestSuite() {
-    delete managers_;  // reloads every evicted block before evicted_ goes
+    delete managers_;  // detaches, reading nothing: evicted_ stays evicted
     for (const Table* t : {&evicted_->lineitem, &evicted_->orders}) {
       std::remove(ArchivePath(*t).c_str());
     }

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -350,18 +351,6 @@ class CountingFetcher {
     std::lock_guard<std::mutex> lock(mu_);
     return ids_.count(c) != 0;
   }
-  /// Reads archived chunk `c` whole and readmits it (fails unless it is
-  /// evicted and past its eviction's grace period).
-  Status Readmit(Table& t, size_t c) {
-    size_t id;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      id = ids_.at(c);
-    }
-    StatusOr<DataBlock> block = archive_.ReadBlock(id);
-    if (!block.ok()) return block.status();
-    return t.ReadmitChunk(c, std::move(*block));
-  }
   uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
  private:
@@ -643,127 +632,227 @@ TEST(ReadSection, TombstoneWaitsForTheScanThatHoldsTheChunk) {
   CheckBlockOutlivesSection(Change::kTombstone, /*scanner=*/true);
 }
 
-// Scans, whole-block readers and point readers race a changer that really
-// evicts and readmits every chunk and, halfway through, tombstones the
-// fully deleted chunks 6 and 7: every scan sum is exact, and every
-// whole-block pass, one section per chunk, reads each chunk that is frozen
-// or evicted at its turn, byte for byte. Run under TSan in CI; under ASan,
-// a block freed while a scan or a whole-block reader still reads it is a
-// use-after-free.
-TEST(ReadSection, ScansAndBlockReadersRaceEvictReadmitAndTombstone) {
-  CountingFetcher fetcher("scan_race");
-  Table t("t", TestSchema(), 64);
-  fetcher.Install(t);
+// Scans, whole-block readers and point readers race a changer that evicts
+// every chunk and tombstones the fully deleted chunks 6 and 7, in every
+// round: every scan sum is exact, and every whole-block pass, one section
+// per chunk, reads each chunk that is frozen or evicted at its turn, byte
+// for byte. A chunk never comes back from the archive, so each round
+// starts over on a fresh table whose chunks are all frozen. Run under TSan
+// in CI; under ASan, a block freed while a scan or a whole-block reader
+// still reads it is a use-after-free.
+TEST(ReadSection, ScansAndBlockReadersRaceEvictAndTombstone) {
   constexpr size_t kChunks = 8, kLive = 6;  // chunks 6 and 7 fully deleted
-  std::vector<RowId> ids;
-  for (int i = 0; i < int(kChunks) * 64; ++i)
-    ids.push_back(t.Insert(Row(i, i, "b")));
-  for (size_t c = 0; c < kChunks; ++c) {
-    ASSERT_TRUE(t.FreezeChunk(c));
-    ASSERT_TRUE(fetcher.Archive(t, c));
-  }
-  for (size_t i = kLive * 64; i < ids.size(); ++i) t.Delete(ids[i]);
   int64_t expected = 0;
   for (int i = 0; i < int(kLive) * 64; ++i) expected += i;
   auto block_sum = [](const DataBlock& block) {
     return BlockArchive::Checksum(block.raw_bytes(), block.SizeBytes());
   };
-  std::vector<uint64_t> sums;
-  for (size_t c = 0; c < kChunks; ++c)
-    sums.push_back(block_sum(*t.frozen_block(c)));
-  // One pass of whole-block reads, one section per chunk: the chunks that
-  // yielded their block.
-  auto read_blocks = [&] {
-    std::set<uint32_t> chunks;
-    BlockImage image;
-    for (uint32_t c = 0; c < kChunks; ++c) {
-      Table::ReadSection section;
-      const DataBlock* block =
-          t.OpenForScan(c, ColumnSet::All(), &image).block;
-      if (block == nullptr) continue;
-      EXPECT_EQ(block_sum(*block), sums[c]) << "chunk " << c;
-      chunks.insert(c);
-    }
-    return chunks;
-  };
-
   constexpr int kRounds = 200;
-  std::atomic<int> round{0};
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> evictions{0}, readmits{0}, passes{0};
-  std::thread changer([&] {
-    Rng rng(5);
-    while (!stop.load()) {
-      for (size_t c = 0; c < kChunks; ++c) {
-        if (t.EvictChunk(c)) evictions.fetch_add(1);
-        if (rng.Uniform(0, 1) == 0 && fetcher.Readmit(t, c).ok())
-          readmits.fetch_add(1);
-      }
-      if (round.load() >= kRounds / 2) {
-        t.TombstoneChunk(6);
-        t.TombstoneChunk(7);
-      }
-      passes.fetch_add(1);
-    }
-  });
-  StopAndJoin join_changer{[&] { stop.store(true); }, changer};
-  // Point reads in read sections stretch each eviction's grace period.
-  std::thread reader([&] {
-    Rng rng(7);
-    while (!stop.load()) {
-      Table::ReadSection section;
-      const int i = int(rng.Uniform(0, int64_t(kLive) * 64 - 1));
-      EXPECT_EQ(t.GetInt(ids[size_t(i)], 1), i);
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-  });
-  StopAndJoin join_reader{[&] { stop.store(true); }, reader};
-
-  auto tombstoned = [&](size_t c) {
-    return t.chunk_state(c) == ChunkState::kTombstone;
-  };
+  Rng rng(5);
   for (int r = 0; r < kRounds; ++r) {
-    round.store(r);
-    const uint64_t passes_before = passes.load();
-    const ScanMode mode = r % 2 == 0 ? ScanMode::kDataBlocks : ScanMode::kJit;
-    TableScanner scan(t, {1}, {}, mode, /*vector_size=*/16);
-    Batch b;
-    int64_t sum = 0;
-    while (scan.Next(&b)) {
-      for (uint32_t i = 0; i < b.count; ++i) sum += b.cols[0].i32[i];
+    CountingFetcher fetcher("scan_race");
+    Table t("t", TestSchema(), 64);
+    fetcher.Install(t);
+    std::vector<RowId> ids;
+    for (int i = 0; i < int(kChunks) * 64; ++i)
+      ids.push_back(t.Insert(Row(i, i, "b")));
+    std::vector<uint64_t> sums;
+    for (size_t c = 0; c < kChunks; ++c) {
+      ASSERT_TRUE(t.FreezeChunk(c));
+      ASSERT_TRUE(fetcher.Archive(t, c));
+      sums.push_back(block_sum(*t.frozen_block(c)));
     }
-    ASSERT_EQ(sum, expected) << "round " << r;
-
-    // Chunks 0-5 are frozen or evicted throughout; 6 and 7 until their
-    // tombstone, which is terminal.
-    const bool gone_before[] = {tombstoned(6), tombstoned(7)};
-    const std::set<uint32_t> chunks = read_blocks();
-    const bool gone_after[] = {tombstoned(6), tombstoned(7)};
-    for (uint32_t c = 0; c < kLive; ++c)
-      ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
-    for (uint32_t c = kLive; c < kChunks; ++c) {
-      if (gone_before[c - kLive]) {
-        ASSERT_EQ(chunks.count(c), 0u) << "round " << r << " chunk " << c;
+    for (size_t i = kLive * 64; i < ids.size(); ++i) t.Delete(ids[i]);
+    // One pass of whole-block reads, one section per chunk: the chunks
+    // that yielded their block.
+    auto read_blocks = [&] {
+      std::set<uint32_t> chunks;
+      BlockImage image;
+      for (uint32_t c = 0; c < kChunks; ++c) {
+        Table::ReadSection section;
+        const DataBlock* block =
+            t.OpenForScan(c, ColumnSet::All(), &image).block;
+        if (block == nullptr) continue;
+        EXPECT_EQ(block_sum(*block), sums[c]) << "chunk " << c;
+        chunks.insert(c);
       }
-      if (!gone_after[c - kLive]) {
+      return chunks;
+    };
+
+    // The changer evicts the chunks in a random order and tombstones 6 and
+    // 7 after a random number of the evictions.
+    std::vector<size_t> order(kChunks);
+    std::iota(order.begin(), order.end(), size_t(0));
+    for (size_t k = kChunks - 1; k > 0; --k)
+      std::swap(order[k], order[size_t(rng.Uniform(0, int64_t(k)))]);
+    const size_t tombstone_at = size_t(rng.Uniform(0, kChunks));
+    std::atomic<bool> done{false}, stop{false};
+    std::atomic<uint64_t> evictions{0};
+    std::thread changer([&] {
+      for (size_t k = 0; k <= kChunks; ++k) {
+        if (k == tombstone_at) {
+          t.TombstoneChunk(6);
+          t.TombstoneChunk(7);
+        }
+        if (k < kChunks && t.EvictChunk(order[k])) evictions.fetch_add(1);
+        std::this_thread::yield();
+      }
+      done.store(true);
+    });
+    StopAndJoin join_changer{[] {}, changer};
+    // Point reads in read sections stretch each eviction's grace period.
+    std::thread reader([&, seed = uint64_t(r)] {
+      Rng reads(seed);
+      while (!stop.load()) {
+        Table::ReadSection section;
+        const int i = int(reads.Uniform(0, int64_t(kLive) * 64 - 1));
+        EXPECT_EQ(t.GetInt(ids[size_t(i)], 1), i);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+    StopAndJoin join_reader{[&] { stop.store(true); }, reader};
+
+    auto tombstoned = [&](size_t c) {
+      return t.chunk_state(c) == ChunkState::kTombstone;
+    };
+    // Scan until the changer is done, so the scans overlap all of its
+    // transitions, however fast each one runs.
+    int scans = 0;
+    do {
+      const ScanMode mode =
+          scans++ % 2 == 0 ? ScanMode::kDataBlocks : ScanMode::kJit;
+      TableScanner scan(t, {1}, {}, mode, /*vector_size=*/16);
+      Batch b;
+      int64_t sum = 0;
+      while (scan.Next(&b)) {
+        for (uint32_t i = 0; i < b.count; ++i) sum += b.cols[0].i32[i];
+      }
+      ASSERT_EQ(sum, expected) << "round " << r;
+
+      // Chunks 0-5 are frozen or evicted throughout; 6 and 7 until their
+      // tombstone, which is terminal.
+      const bool gone_before[] = {tombstoned(6), tombstoned(7)};
+      const std::set<uint32_t> chunks = read_blocks();
+      const bool gone_after[] = {tombstoned(6), tombstoned(7)};
+      for (uint32_t c = 0; c < kLive; ++c)
         ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
+      for (uint32_t c = kLive; c < kChunks; ++c) {
+        if (gone_before[c - kLive]) {
+          ASSERT_EQ(chunks.count(c), 0u) << "round " << r << " chunk " << c;
+        }
+        if (!gone_after[c - kLive]) {
+          ASSERT_EQ(chunks.count(c), 1u) << "round " << r << " chunk " << c;
+        }
+      }
+    } while (!done.load());
+    changer.join();
+    stop.store(true);
+    reader.join();
+
+    // Every live chunk ended evicted, and both fully deleted chunks as
+    // tombstones that yield no block.
+    ASSERT_GE(evictions.load(), kLive) << "round " << r;
+    for (size_t c = 0; c < kLive; ++c)
+      ASSERT_EQ(t.chunk_state(c), ChunkState::kEvicted) << "round " << r;
+    ASSERT_EQ(t.tombstones(), 2u) << "round " << r;
+    ASSERT_EQ(read_blocks().size(), kLive) << "round " << r;
+  }
+}
+
+// Every transition the API allows moves a chunk's state forward, and every
+// transition it refuses leaves the state alone. A watcher thread samples
+// each chunk's state the whole time and never sees one go back; a read
+// section held across a freeze makes kFreezing observable.
+TEST(TableLifecycle, ChunkStatesOnlyMoveForward) {
+  CountingFetcher fetcher("forward");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  for (int i = 0; i < 3 * 64; ++i) t.Insert(Row(i, i, "f"));  // chunks 0-2
+  constexpr size_t kMaxChunks = 4;
+  auto bit = [](ChunkState s) { return uint8_t(1u << int(s)); };
+  std::array<std::atomic<uint8_t>, kMaxChunks> seen{};  // states sampled
+  std::atomic<bool> stop{false}, went_back{false};
+  std::thread watcher([&] {
+    std::array<ChunkState, kMaxChunks> last{};  // kHot
+    while (!stop.load()) {
+      const size_t n = t.num_chunks();
+      for (size_t c = 0; c < n; ++c) {
+        const ChunkState st = t.chunk_state(c);
+        if (st < last[c]) went_back.store(true);
+        last[c] = st;
+        seen[c].fetch_or(bit(st));
       }
     }
-    // Every round overlaps at least one whole changer pass, however fast
-    // the round itself runs.
-    while (passes.load() == passes_before) std::this_thread::yield();
-  }
-  stop.store(true);
-  changer.join();
-  reader.join();
-  EXPECT_GT(evictions.load(), 0u);
-  EXPECT_GT(readmits.load(), 0u);
+  });
+  StopAndJoin join_watcher{[&] { stop.store(true); }, watcher};
+  // Waits until the watcher sampled state `s` of chunk `c`; the test
+  // holds each state until then.
+  auto wait_seen = [&](size_t c, ChunkState s) {
+    while ((seen[c].load() & bit(s)) == 0) std::this_thread::yield();
+  };
+  auto delete_chunk = [&](size_t c) {
+    for (uint32_t r = 0; r < t.chunk_rows(c); ++r) t.Delete(MakeRowId(c, r));
+  };
 
-  // Both fully deleted chunks end as tombstones and yield no block.
-  t.TombstoneChunk(6);
-  t.TombstoneChunk(7);
-  EXPECT_EQ(t.tombstones(), 2u);
-  EXPECT_EQ(read_blocks().size(), kLive);
+  // Chunk 0: hot -> freezing -> frozen -> evicted -> tombstone.
+  wait_seen(0, ChunkState::kHot);
+  std::atomic<bool> in_section{false}, release{false}, froze{false};
+  std::thread holder([&] {
+    Table::ReadSection section;
+    in_section.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!in_section.load()) std::this_thread::yield();
+  std::thread freezer([&] { froze.store(t.FreezeChunk(0)); });
+  wait_seen(0, ChunkState::kFreezing);  // the freeze waits for `holder`
+  release.store(true);
+  holder.join();
+  freezer.join();
+  ASSERT_TRUE(froze.load());
+  wait_seen(0, ChunkState::kFrozen);
+  EXPECT_FALSE(t.FreezeChunk(0));
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+  ASSERT_TRUE(t.EvictChunk(0));
+  wait_seen(0, ChunkState::kEvicted);
+  EXPECT_FALSE(t.EvictChunk(0));
+  EXPECT_FALSE(t.FreezeChunk(0));
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+  delete_chunk(0);
+  ASSERT_TRUE(t.TombstoneChunk(0));
+  wait_seen(0, ChunkState::kTombstone);
+  EXPECT_FALSE(t.EvictChunk(0));
+  EXPECT_FALSE(t.FreezeChunk(0));
+  EXPECT_FALSE(t.TombstoneChunk(0));
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kTombstone);
+
+  // Chunk 1: a fully deleted hot chunk is no tombstone; frozen, it becomes
+  // one without being evicted.
+  delete_chunk(1);
+  EXPECT_FALSE(t.TombstoneChunk(1));
+  EXPECT_FALSE(t.EvictChunk(1));
+  EXPECT_EQ(t.chunk_state(1), ChunkState::kHot);
+  ASSERT_TRUE(t.FreezeChunk(1));
+  wait_seen(1, ChunkState::kFrozen);
+  ASSERT_TRUE(t.TombstoneChunk(1));
+  wait_seen(1, ChunkState::kTombstone);
+
+  // Chunk 3: AppendFrozen publishes a chunk that is frozen from the start,
+  // and it evicts like any other.
+  Chunk hot(&t.schema(), 64);
+  for (int i = 0; i < 64; ++i) hot.Append(Row(i, i, "a"));
+  t.AppendFrozen(DataBlock::Build(hot));
+  ASSERT_EQ(t.num_chunks(), kMaxChunks);
+  wait_seen(3, ChunkState::kFrozen);
+  ASSERT_TRUE(t.EvictChunk(3));
+  wait_seen(3, ChunkState::kEvicted);
+  EXPECT_FALSE(t.EvictChunk(3));
+  EXPECT_EQ(t.chunk_state(3), ChunkState::kEvicted);
+
+  stop.store(true);
+  watcher.join();
+  EXPECT_FALSE(went_back.load());
+  EXPECT_EQ(seen[2].load(), bit(ChunkState::kHot));  // never moved
+  EXPECT_EQ(seen[3].load() & bit(ChunkState::kHot), 0);
 }
 
 // The writer deletes hot rows, the first delete of every chunk included,
@@ -1045,8 +1134,7 @@ TEST(ReadSectionDeathTest, SynchronizeAndTransitionsAbortInsideASection) {
       },
       "DB_CHECK failed");
   // Lifecycle transitions check on entry, also when they would return
-  // false: the chunk is hot, so it cannot be evicted, tombstoned or
-  // readmitted.
+  // false: the chunk is hot, so it can be neither evicted nor tombstoned.
   EXPECT_DEATH(
       {
         Table::ReadSection section;
@@ -1057,12 +1145,6 @@ TEST(ReadSectionDeathTest, SynchronizeAndTransitionsAbortInsideASection) {
       {
         Table::ReadSection section;
         t.TombstoneChunk(0);
-      },
-      "DB_CHECK failed");
-  EXPECT_DEATH(
-      {
-        Table::ReadSection section;
-        (void)t.ReadmitChunk(0, DataBlock());
       },
       "DB_CHECK failed");
   EXPECT_DEATH(t.OpenForScan(0, ColumnSet::All(), &image), "DB_CHECK failed");
