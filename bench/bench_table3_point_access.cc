@@ -47,16 +47,16 @@ namespace {
 
 /// Archive KB an evicted lookup may read: the row's pages of every column,
 /// not their extents. Deterministic for the fixed seeds: lookups read
-/// 44.5 KB with --quick and 58.6 KB at the default SF 0.5, where reading
+/// 42.2 KB with --quick and 57.9 KB at the default SF 0.5, where reading
 /// the accessed columns' whole extents took 172 KB and 1867 KB.
 constexpr double kMaxEvictedKbPerLookup = 64;
 
 /// Archive bytes and extent pages all evicted lookups of a --quick run at
-/// its default scale read, ordered and shuffled: 44.5 and 44.4 KB, 12.0
-/// pages a lookup. The run pins them exactly, so a change to what a point
+/// its default scale read, ordered and shuffled: 42.2 KB and 11.4 pages a
+/// lookup each. The run pins them exactly, so a change to what a point
 /// read fetches fails it.
-constexpr uint64_t kQuickEvictedBytes[2] = {1139267808, 1136058272};
-constexpr uint64_t kQuickEvictedPages[2] = {299752, 298938};
+constexpr uint64_t kQuickEvictedBytes[2] = {1079944064, 1079927424};
+constexpr uint64_t kQuickEvictedPages[2] = {285411, 285385};
 
 std::unique_ptr<Table> CopyRows(const Table& src, bool shuffle,
                                 uint64_t seed,

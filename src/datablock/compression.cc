@@ -364,7 +364,7 @@ CompressionChoice ChooseCompression(TypeId type, const ColumnStats& stats) {
     c.code_width = 0;
     if (type == TypeId::kString && !stats.all_null) {
       // The single string value lives in the dictionary area.
-      c.dict_bytes = 8;  // one StringDictRef
+      c.dict_bytes = 2 * sizeof(uint32_t);  // its string's two offsets
       c.string_bytes = stats.dict_s.empty() ? 0 : stats.dict_s[0].size();
     }
     return c;
@@ -375,7 +375,8 @@ CompressionChoice ChooseCompression(TypeId type, const ColumnStats& stats) {
     c.scheme = Compression::kDictionary;
     c.code_width = CodeWidthFor(stats.dict_s.size() - 1);
     c.data_bytes = n * c.code_width;
-    c.dict_bytes = stats.dict_s.size() * 8;  // StringDictRef entries
+    // One offset per entry into the string area, plus its end.
+    c.dict_bytes = (stats.dict_s.size() + 1) * sizeof(uint32_t);
     c.string_bytes = stats.distinct_string_bytes;
     return c;
   }

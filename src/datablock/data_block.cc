@@ -131,20 +131,13 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
       m.psma_offset = offset;
       offset += uint64_t(m.psma_entries) * sizeof(PsmaEntry);
     }
-    if (ch.dict_bytes > 0 ||
-        (ch.scheme == Compression::kDictionary && !s.all_null)) {
+    if (ch.dict_bytes > 0) {
       offset = AlignUp(offset, 32);
       m.dict_offset = offset;
-      if (ch.scheme == Compression::kSingleValue) {
-        m.dict_count = 1;
-        offset += sizeof(StringDictRef);
-      } else if (schema.type(c) == TypeId::kString) {
-        m.dict_count = uint32_t(s.dict_s.size());
-        offset += uint64_t(m.dict_count) * sizeof(StringDictRef);
-      } else {
-        m.dict_count = uint32_t(s.dict_i.size());
-        offset += uint64_t(m.dict_count) * 8;
-      }
+      m.dict_count = uint32_t(schema.type(c) == TypeId::kString
+                                  ? s.dict_s.size()
+                                  : s.dict_i.size());
+      offset += ch.dict_bytes;
     }
     if (ch.data_bytes > 0) {
       offset = AlignUp(offset, 32);
@@ -194,30 +187,22 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
         }
       }
     }
-    if (scheme == Compression::kSingleValue) {
-      if (type == TypeId::kString && !s.all_null) {
-        StringDictRef* refs =
-            reinterpret_cast<StringDictRef*>(buf + m.dict_offset);
-        std::string_view v = s.dict_s[0];
-        refs[0] = {0, uint32_t(v.size())};
-        std::memcpy(buf + m.string_offset, v.data(), v.size());
+    if (type == TypeId::kString && m.dict_count > 0) {
+      // The ordered dictionary (a single value's is one entry): each
+      // string's bytes, and the offset where the next one begins.
+      uint32_t* off = reinterpret_cast<uint32_t*>(buf + m.dict_offset);
+      off[0] = 0;
+      for (uint32_t k = 0; k < m.dict_count; ++k) {
+        std::string_view v = s.dict_s[k];
+        std::memcpy(buf + m.string_offset + off[k], v.data(), v.size());
+        off[k + 1] = off[k] + uint32_t(v.size());
       }
-      continue;
     }
+    if (scheme == Compression::kSingleValue) continue;
 
     uint8_t* codes = buf + m.data_offset;
     if (type == TypeId::kString) {
-      // The ordered dictionary, then the codes CollectStats assigned.
-      StringDictRef* refs =
-          reinterpret_cast<StringDictRef*>(buf + m.dict_offset);
-      uint8_t* str_area = buf + m.string_offset;
-      uint32_t str_off = 0;
-      for (uint32_t k = 0; k < s.dict_s.size(); ++k) {
-        std::string_view v = s.dict_s[k];
-        refs[k] = {str_off, uint32_t(v.size())};
-        std::memcpy(str_area + str_off, v.data(), v.size());
-        str_off += uint32_t(v.size());
-      }
+      // The codes CollectStats assigned.
       WithCodeType(m.code_width, [&](auto tag) {
         using C = decltype(tag);
         C* out = reinterpret_cast<C*>(codes);
@@ -334,18 +319,12 @@ uint64_t FirstRegion(const AttrMeta& m, uint32_t rows, uint64_t none) {
   return first;
 }
 
-/// Whether the string `ref` names lies inside the attribute's string area,
-/// which runs from its string offset to the extent's end `hi`. An empty
-/// string reads no byte and always does.
-bool StringInside(const AttrMeta& m, const StringDictRef& ref, uint64_t lo,
-                  uint64_t hi) {
-  if (ref.length == 0) return true;
-  // Overflow-proof: the offsets are untrusted.
-  if (m.string_offset < lo || m.string_offset > hi ||
-      ref.offset > hi - m.string_offset) {
-    return false;
-  }
-  return ref.length <= hi - (m.string_offset + ref.offset);
+/// Bytes of an attribute's string area, which runs from its string offset
+/// to the end `hi` of the extent [lo, hi): none if the offset lies outside.
+uint64_t StringAreaBytes(const AttrMeta& m, uint64_t lo, uint64_t hi) {
+  return m.string_offset >= lo && m.string_offset <= hi
+             ? hi - m.string_offset
+             : 0;
 }
 
 /// Largest code of a `width`-byte data vector of `n` codes.
@@ -436,8 +415,7 @@ Status DataBlock::ValidateAttr(uint32_t c, uint64_t lo, uint64_t hi) const {
     if (!array_inside(m.data_offset, uint64_t(n) * w))
       return fail("codes outside the extent or misaligned");
   }
-  if (m.dict_count > 0 &&
-      !array_inside(m.dict_offset, uint64_t(m.dict_count) * 8))
+  if (m.dict_count > 0 && !array_inside(m.dict_offset, m.dict_bytes()))
     return fail("dictionary outside the extent");
   if (m.psma_entries > 0 &&
       !array_inside(m.psma_offset,
@@ -478,13 +456,17 @@ Status DataBlock::Validate(const ColumnSet& columns) const {
         MaxCode(codes(c), m.code_width, num_rows()) >= m.dict_count) {
       return fail("dictionary code out of range");
     }
-    if (TypeId(m.type) != TypeId::kString) continue;
-    const StringDictRef* refs =
-        reinterpret_cast<const StringDictRef*>(buf_.data() + m.dict_offset);
-    for (uint32_t k = 0; k < m.dict_count; ++k) {
-      if (!StringInside(m, refs[k], begins[c], begins[c + 1]))
-        return fail("dictionary string outside the extent");
-    }
+    if (TypeId(m.type) != TypeId::kString || m.dict_count == 0) continue;
+    // One pass over the string offsets: from 0, never decreasing, ending
+    // inside the string area.
+    const uint32_t* off =
+        reinterpret_cast<const uint32_t*>(buf_.data() + m.dict_offset);
+    bool ordered = off[0] == 0;
+    for (uint32_t k = 0; k < m.dict_count; ++k)
+      ordered &= off[k] <= off[k + 1];
+    if (!ordered) return fail("dictionary offsets out of order");
+    if (off[m.dict_count] > StringAreaBytes(m, begins[c], begins[c + 1]))
+      return fail("dictionary string outside the extent");
   }
   return Status::Ok();
 }
@@ -525,17 +507,19 @@ Status DataBlock::ValidateRow(
              m.dict_count == 0) {
     return Status::Ok();
   }
-  if (Status s = need(m.dict_offset + code * 8, 8); !s.ok()) return s;
+  // An integer entry, or the two string offsets that bound the entry.
+  const uint64_t entry = str ? sizeof(uint32_t) : sizeof(int64_t);
+  if (Status s = need(m.dict_offset + code * entry, 8); !s.ok()) return s;
   if (!str) return Status::Ok();
-  const StringDictRef ref = reinterpret_cast<const StringDictRef*>(
-      buf_.data() + m.dict_offset)[code];
-  if (ref.length == 0) return Status::Ok();
-  if (!StringInside(m, ref, lo, hi)) {
+  const uint32_t* off =
+      reinterpret_cast<const uint32_t*>(buf_.data() + m.dict_offset) + code;
+  if (off[1] < off[0] || off[1] > StringAreaBytes(m, lo, hi)) {
     return Status::Corruption("attribute " + std::to_string(col) +
                               ": dictionary string outside the extent at "
                               "row " + std::to_string(row));
   }
-  return need(m.string_offset + ref.offset, ref.length);
+  if (off[1] == off[0]) return Status::Ok();
+  return need(m.string_offset + off[0], off[1] - off[0]);
 }
 
 Status BlockImage::AdoptSpine() {

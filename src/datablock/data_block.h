@@ -17,7 +17,12 @@
 namespace datablocks {
 
 /// On-buffer per-attribute metadata (paper Figure 3: compression method and
-/// offsets to SMA, dictionary, compressed data vector and string data).
+/// offsets to SMA, dictionary, compressed data vector and string data). An
+/// integer dictionary is dict_count sorted int64 values. A string
+/// dictionary is dict_count + 1 uint32 offsets into the string area: the
+/// first is 0, none is below its predecessor, and entry k is the string
+/// bytes [off[k], off[k + 1]); a single string value is such a dictionary
+/// of one entry.
 struct AttrMeta {
   uint8_t compression;   // Compression
   uint8_t type;          // TypeId (1-byte tag so blocks are self-contained)
@@ -36,6 +41,15 @@ struct AttrMeta {
 
   static constexpr uint8_t kHasNulls = 1;
   static constexpr uint8_t kAllNull = 2;
+
+  /// Bytes of the dictionary region: its values, or a string dictionary's
+  /// offsets.
+  uint64_t dict_bytes() const {
+    if (dict_count == 0) return 0;
+    return TypeId(type) == TypeId::kString
+               ? (uint64_t(dict_count) + 1) * sizeof(uint32_t)
+               : uint64_t(dict_count) * sizeof(int64_t);
+  }
 };
 static_assert(sizeof(AttrMeta) == 72);
 
@@ -47,14 +61,6 @@ struct BlockHeader {
   uint32_t reserved;
   uint64_t total_bytes;
 };
-
-/// Dictionary entry for string attributes: offset/length into the
-/// attribute's string data area.
-struct StringDictRef {
-  uint32_t offset;
-  uint32_t length;
-};
-static_assert(sizeof(StringDictRef) == 8);
 
 /// A set of a block's attributes: all of them, or a list of indexes. Names
 /// what a projected archive read fetches and what DataBlock::Validate
@@ -133,13 +139,15 @@ class DataBlock {
                                             attr(col).dict_offset);
   }
 
-  /// String dictionary entry `idx` (entries sorted lexicographically).
+  /// String dictionary entry `idx` (entries sorted lexicographically): the
+  /// string area's bytes between offsets idx and idx + 1.
   std::string_view dict_string(uint32_t col, uint32_t idx) const {
-    const StringDictRef* refs = reinterpret_cast<const StringDictRef*>(
-        buf_.data() + attr(col).dict_offset);
+    const AttrMeta& m = attr(col);
+    const uint32_t* off =
+        reinterpret_cast<const uint32_t*>(buf_.data() + m.dict_offset) + idx;
     return std::string_view(reinterpret_cast<const char*>(buf_.data()) +
-                                attr(col).string_offset + refs[idx].offset,
-                            refs[idx].length);
+                                m.string_offset + off[0],
+                            off[1] - off[0]);
   }
 
   const PsmaEntry* psma(uint32_t col) const {
@@ -246,7 +254,9 @@ class DataBlock {
   /// for each such attribute a valid scheme/type/code-width combination
   /// whose every region (PSMA table, dictionary, codes, strings, NULL
   /// bitmap) lies inside the attribute's extent, with dictionary codes
-  /// below the dictionary size. kCorruption names the first violation; a
+  /// below the dictionary size and string offsets that start at 0, never
+  /// decrease and end inside the string area, which runs to the extent's
+  /// end. kCorruption names the first violation; a
   /// block that passes is safe to scan and point-access on those
   /// attributes.
   Status Validate(const ColumnSet& columns) const;
@@ -257,11 +267,12 @@ class DataBlock {
   /// Checks attribute `col`'s scheme, type and regions as Validate does,
   /// then calls `need(offset, len)` on each byte range a point access of
   /// (col, row) reads, before reading it and in order: the NULL-bitmap
-  /// word, the code, then for dictionaries the entry and the string bytes,
-  /// each located through the bytes before it. `need` returns Ok once the
-  /// range is present; any other Status ends the walk and is returned.
-  /// kCorruption if the code is not below dict_count or the string lies
-  /// outside the string area, which ends with the extent [lo, hi).
+  /// word, the code, then for dictionaries the entry (for strings the two
+  /// offsets that bound it) and the string bytes, each located through the
+  /// bytes before it. `need` returns Ok once the range is present; any
+  /// other Status ends the walk and is returned. kCorruption if the code is
+  /// not below dict_count or the string's offsets decrease or leave the
+  /// string area, which ends with the extent [lo, hi).
   Status ValidateRow(
       uint32_t col, uint32_t row, uint64_t lo, uint64_t hi,
       const std::function<Status(uint64_t offset, uint64_t len)>& need) const;

@@ -636,6 +636,8 @@ TEST(BlockArchiveProjected, MalformedLayoutBehindValidChecksumsIsCorruption) {
        [&](AttrMeta& m) { m.string_offset = total - 8; }},
       {"dictionary shrunk below its codes", 3,
        [](AttrMeta& m) { m.dict_count = 1; }},
+      {"string dictionary grown past the extent", 3,
+       [](AttrMeta& m) { m.dict_count = UINT32_MAX; }},
       {"NULL bitmap moved past the block", 4,
        [&](AttrMeta& m) { m.null_offset = total - 8; }},
       {"misaligned codes", 0, [](AttrMeta& m) { m.data_offset += 4; }},
@@ -837,18 +839,21 @@ TEST(BlockArchivePoint, MalformedRowBehindValidChecksumsIsCorruption) {
                                m.code_width);
                  }),
                  "dictionary code out of range");
-  // An entry whose string runs past the extent.
-  ASSERT_NE(good.ReadCode(kName, kBad), good.ReadCode(kName, kNeighbour));
-  expect_bad_row(archive_mutated([&](uint8_t* buf) {
-                   const uint64_t code = good.ReadCode(kName, kBad);
-                   StringDictRef ref;
-                   uint8_t* at =
-                       buf + m.dict_offset + code * sizeof(StringDictRef);
-                   std::memcpy(&ref, at, sizeof(ref));
-                   ref.length = 0x7fffffff;
-                   std::memcpy(at, &ref, sizeof(ref));
-                 }),
-                 "dictionary string outside the extent");
+  // An entry whose end offset, the start of the next entry, runs past the
+  // extent or falls below its start. Neither entry is the neighbour's.
+  const uint64_t code = good.ReadCode(kName, kBad);
+  ASSERT_GT(code, 0u);
+  ASSERT_NE(code, good.ReadCode(kName, kNeighbour));
+  ASSERT_NE(code + 1, good.ReadCode(kName, kNeighbour));
+  uint32_t begin;
+  std::memcpy(&begin, good.raw_bytes() + m.dict_offset + code * 4, 4);
+  for (uint32_t end : {uint32_t(0x7fffffff), begin - 1}) {
+    expect_bad_row(archive_mutated([&](uint8_t* buf) {
+                     std::memcpy(buf + m.dict_offset + (code + 1) * 4, &end,
+                                 4);
+                   }),
+                   "dictionary string outside the extent");
+  }
   std::remove(path.c_str());
 }
 
@@ -1070,6 +1075,169 @@ TEST(BlockArchiveMutations, MalformedSpinesAreCorruptionOrReadIntact) {
   EXPECT_GT(appended, 4 * kMutationsPerBlock / 2);
   EXPECT_GT(intact_reads, 1000);
   EXPECT_GT(corrupt_reads, 1000);
+  std::remove(path.c_str());
+}
+
+// Seeded mutations of one string dictionary's offsets in built blocks,
+// made before AppendBlock: an offset lowered below its predecessor, the
+// first offset non-zero, a middle offset past the string area, or the
+// last offset short of or past the area's end. The mutated block is the
+// archived copy of an evicted chunk. Every scan of the column, in all five
+// ScanModes with and without a predicate on it, every projected read and
+// every point read either fails with kCorruption or returns only strings
+// that lie inside the block's string area, which runs from the column's
+// string offset to the end of its extent.
+TEST(BlockArchiveMutations, MalformedStringOffsetsAreCorruptionOrInside) {
+  const std::string path = "/tmp/datablocks_archive_offsets.dbar";
+  constexpr uint32_t kStringCols[] = {3, 7, 8};  // dictionary x2, single
+  constexpr int kKinds = 5, kMutationsPerKind = 6;
+  int intact = 0, corrupt = 0;
+  for (uint64_t seed : {51, 52}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint32_t rows = seed % 2 == 0 ? 1500 : 700;
+    Table src = MakeWideTable(rows, rows, /*psma=*/seed == 51, seed);
+    const DataBlock& good = *src.frozen_block(0);
+    std::vector<uint64_t> begins;
+    ASSERT_TRUE(good.Extents(&begins).ok());
+    StatusOr<BlockArchive> created = BlockArchive::Create(path);
+    ASSERT_TRUE(created.ok());
+    BlockArchive& a = *created;
+    ASSERT_TRUE(a.AppendBlock(good).ok());  // id 0: copies for AppendFrozen
+    Rng rng(seed);
+    for (uint32_t col : kStringCols) {
+      const AttrMeta& m = good.attr(col);
+      ASSERT_GT(m.dict_count, 0u);
+      const uint32_t count = m.dict_count;
+      const uint32_t area = uint32_t(begins[col + 1] - m.string_offset);
+      for (int kind = 0; kind < kKinds; ++kind) {
+        for (int i = 0; i < kMutationsPerKind; ++i) {
+          SCOPED_TRACE("column " + std::to_string(col) + " kind " +
+                       std::to_string(kind) + " mutation " +
+                       std::to_string(i));
+          BlockImage mutated;
+          uint8_t* buf = mutated.Reset(good.SizeBytes());
+          std::memcpy(buf, good.raw_bytes(), good.SizeBytes());
+          uint32_t* off = reinterpret_cast<uint32_t*>(buf + m.dict_offset);
+          const auto k = uint32_t(rng.Uniform(1, count));
+          switch (kind) {
+            case 0:  // below its predecessor
+              if (off[k - 1] > 0) {
+                off[k] = uint32_t(rng.Uniform(0, off[k - 1] - 1));
+              } else {
+                off[k - 1] = off[k] + uint32_t(rng.Uniform(1, 64));
+              }
+              break;
+            case 1:  // the first one non-zero
+              off[0] = uint32_t(rng.Uniform(1, off[count]));
+              break;
+            case 2:  // one past the string area
+              off[count == 1 ? rng.Uniform(0, 1) : rng.Uniform(1, count - 1)] =
+                  i == 0 ? UINT32_MAX
+                         : area + uint32_t(rng.Uniform(1, 4096));
+              break;
+            case 3:  // the last one short of the area's end
+              off[count] = uint32_t(rng.Uniform(0, off[count] - 1));
+              break;
+            default:  // the last one at, or past, the area's end
+              off[count] = i == 0 ? area : area + uint32_t(rng.Uniform(1, 64));
+              break;
+          }
+          StatusOr<size_t> id = a.AppendBlock(mutated.block());
+          ASSERT_TRUE(id.ok()) << id.status().ToString();
+          // The string area of an image or a table's batch: whatever a
+          // read returns must be its bytes.
+          const std::string_view bytes(
+              reinterpret_cast<const char*>(buf) + m.string_offset, area);
+          auto inside_bytes = [&](std::string_view v) {
+            return v.size() <= area && bytes.find(v) != std::string_view::npos;
+          };
+          auto inside_image = [&](const BlockImage& image, std::string_view v) {
+            const auto lo = reinterpret_cast<uintptr_t>(
+                                image.block().raw_bytes()) + m.string_offset;
+            const auto at = reinterpret_cast<uintptr_t>(v.data());
+            return v.empty() ||
+                   (at >= lo && at <= lo + area && v.size() <= lo + area - at);
+          };
+          auto tally = [&](const Status& s) {
+            ASSERT_TRUE(s.ok() || s.code() == StatusCode::kCorruption)
+                << s.ToString();
+            ++(s.ok() ? intact : corrupt);
+          };
+
+          // A table whose only chunk is evicted, its archived copy the
+          // mutated block.
+          Table t("wide", WideSchema(), rows);
+          StatusOr<DataBlock> copy = a.ReadBlock(0);
+          ASSERT_TRUE(copy.ok());
+          t.AppendFrozen(std::move(*copy));
+          const size_t bad = *id;
+          t.SetBlockFetcher([&a, bad](size_t, const BlockRead& read) {
+            StatusOr<uint64_t> got = a.Read(bad, read);
+            return got.ok() ? Status::Ok() : got.status();
+          });
+          ASSERT_TRUE(t.EvictChunk(0));
+
+          for (ScanMode mode :
+               {ScanMode::kJit, ScanMode::kVectorized,
+                ScanMode::kVectorizedSarg, ScanMode::kDataBlocks,
+                ScanMode::kDataBlocksPsma}) {
+            for (bool filtered : {false, true}) {
+              SCOPED_TRACE(std::string(ScanModeName(mode)) +
+                           (filtered ? " filtered" : ""));
+              std::vector<Predicate> preds;
+              if (filtered) preds.push_back(RandomPredicate(col, rng));
+              Status status;
+              try {
+                TableScanner scan(t, {col}, std::move(preds), mode);
+                Batch b;
+                while (scan.Next(&b)) {
+                  for (uint32_t r = 0; r < b.count; ++r) {
+                    if (b.cols[0].IsNull(r)) continue;
+                    ASSERT_TRUE(inside_bytes(b.cols[0].Str(r))) << r;
+                  }
+                }
+              } catch (const StorageException& e) {
+                status = e.status();
+              }
+              tally(status);
+            }
+          }
+          {
+            BlockImage image;
+            StatusOr<uint64_t> projected =
+                ScanRead(a, bad, ColumnSet({col}), &image);
+            tally(projected.status());
+            for (uint32_t e = 0; projected.ok() && e < count; ++e) {
+              ASSERT_TRUE(
+                  inside_image(image, image.block().dict_string(col, e)));
+            }
+          }
+          BlockImage points;
+          for (uint32_t row = 0; row < rows; ++row) {
+            Status status;
+            try {
+              const Value v = t.GetValue(MakeRowId(0, row), col);
+              ASSERT_TRUE(v.is_null() || inside_bytes(v.str())) << row;
+            } catch (const StorageException& e) {
+              status = e.status();
+            }
+            tally(status);
+            if (row % 16 != 0) continue;
+            StatusOr<uint64_t> point = PointRead(a, bad, col, row, &points);
+            tally(point.status());
+            if (point.ok() && !points.block().IsNull(col, row)) {
+              ASSERT_TRUE(
+                  inside_image(points, points.block().GetStringView(col, row)))
+                  << row;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The mix reaches both outcomes.
+  EXPECT_GT(intact, 1000);
+  EXPECT_GT(corrupt, 1000);
   std::remove(path.c_str());
 }
 

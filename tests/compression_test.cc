@@ -131,7 +131,7 @@ TEST(Choose, StringsAlwaysDictionary) {
   CompressionChoice c = ChooseCompression(TypeId::kString, s);
   EXPECT_EQ(c.scheme, Compression::kDictionary);
   EXPECT_EQ(c.code_width, 1u);
-  EXPECT_EQ(c.dict_bytes, 2 * sizeof(StringDictRef));
+  EXPECT_EQ(c.dict_bytes, 3 * sizeof(uint32_t));  // two entries and the end
   EXPECT_EQ(c.string_bytes, 4u);  // "aa" + "bb"
 }
 
@@ -269,7 +269,7 @@ CompressionChoice ReferenceChoice(TypeId type, const Reference& ref,
   if (all_null || (all_equal && !ref.has_nulls)) {
     c.scheme = Compression::kSingleValue;
     if (type == TypeId::kString && !all_null) {
-      c.dict_bytes = 8;
+      c.dict_bytes = 2 * 4;  // one string's two offsets
       c.string_bytes = ref.strings.begin()->size();
     }
     return c;
@@ -278,7 +278,7 @@ CompressionChoice ReferenceChoice(TypeId type, const Reference& ref,
     c.scheme = Compression::kDictionary;
     c.code_width = CodeWidthFor(distinct - 1);
     c.data_bytes = n * c.code_width;
-    c.dict_bytes = distinct * 8;
+    c.dict_bytes = (distinct + 1) * 4;
     for (const std::string& v : ref.strings) c.string_bytes += v.size();
     return c;
   }
