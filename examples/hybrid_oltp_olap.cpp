@@ -130,13 +130,13 @@ int main() {
     LifecycleStats ls = lifecycle.stats();
     std::printf(
         "round %d: %6.0f OLTP txn/s | OLAP open-amount=%.2f in %.1f ms "
-        "(%llu rows, %llu visible) | lifecycle: %llu frozen, %llu evicted, "
-        "%llu archive reads, %.1f MB resident | engine %.1f MB, process "
-        "RSS %.1f MB\n",
+        "(%llu rows, %llu visible) | lifecycle: %llu auto-frozen, %llu "
+        "evicted, %llu archive reads, %.1f MB resident | engine %.1f MB, "
+        "process RSS %.1f MB\n",
         round + 1, tps, double(open_frozen) / 100, olap_ms,
         (unsigned long long)orders.num_rows(),
         (unsigned long long)orders.num_visible(),
-        (unsigned long long)(ls.freezes + ls.adopted),
+        (unsigned long long)ls.freezes,
         (unsigned long long)ls.evictions,
         (unsigned long long)ls.archive_reads,
         double(ls.resident_bytes) / 1e6, double(orders.MemoryBytes()) / 1e6,

@@ -22,7 +22,6 @@ namespace {
 struct LifecycleMetrics {
   obs::Counter* ticks;
   obs::Counter* freezes;
-  obs::Counter* adopted;
   obs::Counter* evictions;
   obs::Counter* point_reads;
   obs::Counter* archive_bytes_read;
@@ -42,7 +41,6 @@ const LifecycleMetrics& Metrics() {
     obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
     return LifecycleMetrics{r.GetCounter("lifecycle.ticks"),
                             r.GetCounter("lifecycle.freezes"),
-                            r.GetCounter("lifecycle.adopted"),
                             r.GetCounter("lifecycle.evictions"),
                             r.GetCounter("lifecycle.point_reads"),
                             r.GetCounter("lifecycle.archive_bytes_read"),
@@ -62,6 +60,13 @@ const LifecycleMetrics& Metrics() {
 bool FullyDeleted(const Table& t, size_t chunk_idx) {
   const uint32_t rows = t.chunk_rows(chunk_idx);
   return rows > 0 && t.deleted_in_chunk(chunk_idx) == rows;
+}
+
+/// The resident block of a chunk that counts against the budget and may be
+/// evicted: frozen and not fully deleted (the tick tombstones those).
+const DataBlock* BudgetedBlock(const Table& t, size_t chunk_idx) {
+  const DataBlock* block = t.frozen_block(chunk_idx);
+  return block != nullptr && !FullyDeleted(t, chunk_idx) ? block : nullptr;
 }
 
 /// A hot chunk freezes after this many consecutive cold epochs. It freezes
@@ -176,14 +181,6 @@ StatusOr<uint64_t> LifecycleManager::ReadChunk(Managed& m, size_t chunk_idx,
 
 bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
   if (archive_ == nullptr) return false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (m.archived.count(idx) != 0) return false;
-  }
-  // Fully-deleted chunks are never archived: their payload can never be
-  // needed again (scans skip them, visibility checks only read the side
-  // bitmap), so archiving would create instant garbage.
-  if (FullyDeleted(*m.table, idx)) return false;
   // The section keeps the block allocated while it is written; only this
   // manager's Tick evicts or tombstones it, and not meanwhile.
   Table::ReadSection section;
@@ -204,7 +201,7 @@ bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
   if (!id.ok()) {
     // The append left the archive file truncated back to its previous end
     // (see BlockArchive::AppendBlock), so prior entries stay readable. The
-    // chunk simply stays unarchived — and thus un-evictable.
+    // chunk stays resident and readable.
     NoteWriteFailure(id.status());
     return false;
   }
@@ -216,9 +213,11 @@ bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
 
 uint64_t LifecycleManager::ResidentBytesLocked() const {
   uint64_t total = 0;
+  Table::ReadSection section;  // keeps each block allocated while measured
   for (const Managed& m : tables_) {
-    for (const auto& [chunk, a] : m.archived)
-      if (m.table->chunk_state(chunk) == ChunkState::kFrozen) total += a.bytes;
+    for (size_t c = 0; c < m.table->num_chunks(); ++c)
+      if (const DataBlock* block = BudgetedBlock(*m.table, c))
+        total += block->SizeBytes();
   }
   return total;
 }
@@ -229,12 +228,11 @@ LifecycleManager::PickVictimLocked() {
   uint32_t oldest = 0;
   for (Managed& m : tables_) {
     const uint32_t epoch = m.table->access_epoch();
-    for (const auto& [chunk, a] : m.archived) {
-      if (m.table->chunk_state(chunk) != ChunkState::kFrozen) continue;
+    for (size_t chunk = 0; chunk < m.table->num_chunks(); ++chunk) {
+      if (BudgetedBlock(*m.table, chunk) == nullptr) continue;
       const uint32_t age = epoch - m.table->chunk_last_access(chunk);
       // Ties go to the earlier table, then the lower chunk: determinism.
-      if (victim.first == nullptr || age > oldest ||
-          (age == oldest && victim.first == &m && chunk < victim.second)) {
+      if (victim.first == nullptr || age > oldest) {
         oldest = age;
         victim = {&m, chunk};
       }
@@ -247,24 +245,27 @@ void LifecycleManager::EnforceBudget() {
   const uint64_t budget = cfg_.memory_budget_bytes;
   for (;;) {
     std::pair<Managed*, size_t> victim;
+    uint64_t bytes;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const uint64_t bytes = ResidentBytesLocked();
+      bytes = ResidentBytesLocked();
       if (bytes <= budget) return;
-      if (degraded_.load(std::memory_order_relaxed)) {
-        // No-evict degraded mode: archive writes keep failing, so evicting
-        // a block whose archive copy cannot be trusted risks losing it.
-        // The budget is soft-violated instead — loudly, so operators see
-        // it.
-        trace().Publish("lifecycle", "budget_overrun", int64_t(bytes - budget));
-        return;
-      }
       victim = PickVictimLocked();
     }
     if (victim.first == nullptr) return;
+    // The victim is written just before it leaves memory. A failed append
+    // leaves it resident and ends this tick's enforcement; in degraded mode
+    // that one append is the tick's probe, and its success heals the mode.
+    // Until then the budget is soft-violated — loudly, so operators see it.
+    if (!ArchiveChunk(*victim.first, victim.second)) {
+      if (degraded())
+        trace().Publish("lifecycle", "budget_overrun", int64_t(bytes - budget));
+      return;
+    }
     // A resident victim always evicts (open scans only delay it), unless a
-    // caller outside this manager changed its state meanwhile: then the
-    // next tick tries again.
+    // caller outside this manager changed its state meanwhile. States only
+    // move forward, so the chunk is never a victim again: it is archived
+    // at most once.
     if (!victim.first->table->EvictChunk(victim.second)) return;
     Metrics().evictions->Add();
     trace().Publish("lifecycle", "evict", int64_t(victim.second));
@@ -313,8 +314,7 @@ void LifecycleManager::TickTable(Managed& m) {
   const size_t n = t.num_chunks();
   if (m.cold_epochs.size() < n) m.cold_epochs.resize(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    const ChunkState st = t.chunk_state(i);
-    if (st == ChunkState::kHot) {
+    if (t.chunk_state(i) == ChunkState::kHot) {
       const bool candidate = t.chunk_full(i) || cfg_.freeze_partial_tail;
       uint32_t& cold = m.cold_epochs[i];
       cold = candidate && t.chunk_clock(i) <= cfg_.cold_threshold ? cold + 1
@@ -328,16 +328,8 @@ void LifecycleManager::TickTable(Managed& m) {
           Metrics().freeze_ns->Observe(freeze_ns);
           trace().Publish("lifecycle", "freeze", int64_t(i),
                           int64_t(freeze_ns));
-          ArchiveChunk(m, i);
         }
       }
-    } else if (st == ChunkState::kFrozen && ArchiveChunk(m, i)) {
-      // Adopted a chunk frozen outside the policy (FreezeAll, explicit
-      // FreezeChunk): archiving it makes it evictable too. A fully-deleted
-      // one is not archived but tombstoned (DetachFullyDeletedLocked).
-      adopted_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().adopted->Add();
-      trace().Publish("lifecycle", "adopt", int64_t(i));
     }
     t.DecayChunkClock(i, cfg_.decay_shift);
   }
@@ -499,7 +491,6 @@ LifecycleStats LifecycleManager::stats() const {
   LifecycleStats s;
   s.epochs = epochs_.load(std::memory_order_relaxed);
   s.freezes = freezes_.load(std::memory_order_relaxed);
-  s.adopted = adopted_.load(std::memory_order_relaxed);
   s.reclaimed_blocks = reclaimed_blocks_.load(std::memory_order_relaxed);
   s.reclaimed_bytes = reclaimed_bytes_.load(std::memory_order_relaxed);
   s.reload_failures = reload_failures_.load(std::memory_order_relaxed);

@@ -52,9 +52,10 @@ struct LifecycleConfig {
   uint32_t quarantine_max_retries = 5;
   /// Consecutive archive append failures (disk full, I/O errors) before
   /// the manager flips into no-evict degraded mode: the memory budget is
-  /// soft-violated — loudly metered via the lifecycle.degraded gauge and
-  /// budget_overrun trace events — instead of evicting blocks whose
-  /// archive copy cannot be trusted. A later successful append heals it.
+  /// soft-violated — loudly metered via the lifecycle.degraded gauge and a
+  /// budget_overrun trace event per tick — since a block only evicts once
+  /// its append succeeded. Each tick still tries the LRU victim's append
+  /// once, as the probe; its success heals the mode.
   uint32_t degrade_after_write_failures = 3;
 
   // -- Background ticks -----------------------------------------------------
@@ -75,16 +76,15 @@ struct LifecycleConfig {
 struct LifecycleStats {
   uint64_t epochs = 0;           // completed ticks
   uint64_t freezes = 0;          // chunks auto-frozen by the policy
-  uint64_t adopted = 0;          // manually-frozen chunks archived for eviction
   uint64_t evictions = 0;        // blocks dropped from memory
   /// Always 0: nothing installs an evicted block any more. Kept only
   /// because the end-to-end benchmark still reports it as
   /// lifecycle.reloads_per_op; it goes with that benchmark's next change
   /// (ROADMAP item 7).
   uint64_t reloads = 0;
-  uint64_t archived_blocks = 0;  // live blocks in the archive
+  uint64_t archived_blocks = 0;  // evicted blocks not yet released
   uint64_t archive_bytes = 0;    // live archive payload (released excluded)
-  uint64_t resident_bytes = 0;   // resident bytes of archived blocks
+  uint64_t resident_bytes = 0;   // budgeted resident frozen bytes
   uint64_t archive_reads = 0;    // payload reads: scans, points, probes
   uint64_t archive_bytes_read = 0;  // payload bytes those reads fetched
   uint64_t archive_pages_read = 0;  // extent pages those reads fetched
@@ -120,21 +120,24 @@ struct LifecycleStats {
 /// Table::chunk_last_access()), ties broken by table order, then chunk
 /// index. Each tick advances every table's epoch once.
 ///
-/// Blocks are archived once, at freeze time (they are immutable; the
-/// chunk's delete bitmap, which every state shares, stays in memory), so
-/// eviction itself is just dropping the resident copy. At archive time the
-/// block's BlockSummary (SMA min/max, dictionary domain, PSMA) is extracted
-/// and installed in the table — it stays resident across eviction, so
-/// SMA-pruned scans skip evicted blocks without any archive read. Ticks run
-/// from a caller thread (Tick()) or, between Start() and Stop(), as a
-/// periodic task on a worker pool (config.scheduler, default
-/// Scheduler::Default()); both may be active concurrently with OLTP point
-/// accesses and OLAP scans on the tables.
+/// Every resident frozen block counts against the budget, whoever froze
+/// it, unless its chunk is fully deleted (the same tick tombstones it). A
+/// block is archived once, just before its eviction (blocks are immutable;
+/// the delete bitmap, which every state shares, stays in memory), so the
+/// archive holds only evicted blocks; a failed append leaves the victim
+/// resident. Before the append the block's BlockSummary (SMA min/max,
+/// dictionary domain, PSMA) is installed in the table — it stays resident
+/// across eviction, so SMA-pruned scans skip evicted blocks without any
+/// archive read. Ticks run from a caller thread (Tick()) or, between
+/// Start() and Stop(), as a periodic task on a worker pool
+/// (config.scheduler, default Scheduler::Default()); both may be active
+/// concurrently with OLTP point accesses and OLAP scans on the tables.
 ///
-/// Every tick tombstones the archived chunks that became fully deleted
-/// (Table::TombstoneChunk, which waits out the reads of the chunk) and then
-/// releases their archive blocks in place (BlockArchive::Release): the
-/// disk space comes back at once, and no live block moves.
+/// Every tick tombstones the frozen and evicted chunks that became fully
+/// deleted (Table::TombstoneChunk, which waits out the reads of the chunk)
+/// and then releases the archive blocks of the evicted ones in place
+/// (BlockArchive::Release): the disk space comes back at once, and no live
+/// block moves.
 ///
 /// The archive is a spill file, not a snapshot: it is created truncated at
 /// `archive_path`, holds block payloads only (catalog and checksums stay in
@@ -165,9 +168,9 @@ class LifecycleManager {
   LifecycleManager& operator=(const LifecycleManager&) = delete;
 
   /// One policy epoch over every table: decay clocks, freeze cooled-down
-  /// chunks (archiving them), adopt manually-frozen chunks, probe
-  /// quarantined chunks, enforce the memory budget, and tombstone
-  /// fully-deleted archived chunks, releasing their archive blocks.
+  /// chunks, probe quarantined chunks, enforce the memory budget (archiving
+  /// each victim, then evicting it), and tombstone fully-deleted frozen and
+  /// evicted chunks, releasing the archive blocks of the evicted ones.
   /// Thread-safe; concurrent ticks are serialized.
   void Tick();
 
@@ -183,8 +186,8 @@ class LifecycleManager {
   LifecycleStats stats() const;
   const LifecycleConfig& config() const { return cfg_; }
 
-  /// True while the manager refuses to evict because archive writes keep
-  /// failing (or the archive could not be created at all).
+  /// True while no block evicts because archive writes keep failing (or
+  /// the archive could not be created at all).
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
   /// Chunks currently quarantined after failed archive reads.
   size_t quarantined_chunks() const;
@@ -209,24 +212,25 @@ class LifecycleManager {
   /// by mu_; only Tick touches cold_epochs.
   struct Managed {
     Table* table;
-    std::unordered_map<size_t, Archived> archived;  // chunk -> its block
+    std::unordered_map<size_t, Archived> archived;  // evicted chunk -> block
     std::vector<uint32_t> cold_epochs;  // consecutive cold epochs per chunk
     std::unordered_map<size_t, Quarantined> quarantine;
   };
 
-  /// Runs the per-chunk freeze/adopt/decay pass over `m`; requires tick_mu_.
+  /// Runs the per-chunk freeze/decay pass over `m`; requires tick_mu_.
   void TickTable(Managed& m);
-  /// Archives chunk `idx` of `m` if not archived yet; extracts and
-  /// installs its summary. Returns true if newly archived.
+  /// Archives frozen chunk `idx` of `m`, installing its summary first.
+  /// Returns true if the append succeeded.
   bool ArchiveChunk(Managed& m, size_t idx);
   void EnforceBudget();
-  /// Bytes of archived blocks whose chunk is resident; requires mu_.
-  /// Residency is read from the chunk states, never mirrored: only this
-  /// manager evicts a block (in a tick), and nothing installs one.
+  /// Bytes of resident frozen blocks, fully-deleted chunks excluded;
+  /// requires mu_. Residency is read from the chunk states, never
+  /// mirrored: only this manager evicts a block (in a tick), and nothing
+  /// installs one.
   uint64_t ResidentBytesLocked() const;
-  /// The resident archived chunk with the most epochs since its last
-  /// access, first in table then chunk order among equals ({nullptr, 0}
-  /// if none); requires mu_.
+  /// The resident frozen chunk, not fully deleted, with the most epochs
+  /// since its last access, first in table then chunk order among equals
+  /// ({nullptr, 0} if none); requires mu_.
   std::pair<Managed*, size_t> PickVictimLocked();
   /// Performs `read` of evicted chunk `chunk_idx` of `m` from the archive
   /// — a scan's columns or a point read's pages: the one read path
@@ -267,7 +271,6 @@ class LifecycleManager {
 
   std::atomic<uint64_t> epochs_{0};
   std::atomic<uint64_t> freezes_{0};
-  std::atomic<uint64_t> adopted_{0};
   std::atomic<uint64_t> reclaimed_blocks_{0};
   std::atomic<uint64_t> reclaimed_bytes_{0};
   std::atomic<uint64_t> reload_failures_{0};

@@ -225,7 +225,6 @@ void RegisterEngineMetrics() {
   // Lifecycle manager (lifecycle/lifecycle_manager.cc).
   r.GetCounter("lifecycle.ticks");
   r.GetCounter("lifecycle.freezes");
-  r.GetCounter("lifecycle.adopted");
   r.GetCounter("lifecycle.evictions");
   r.GetCounter("lifecycle.point_reads");
   r.GetCounter("lifecycle.archive_bytes_read");

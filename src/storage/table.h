@@ -413,8 +413,8 @@ class Table {
 
   /// Drops a frozen chunk's resident block (frozen -> evicted). Requires an
   /// installed block fetcher (the archived copy must exist — the caller,
-  /// normally the lifecycle manager, archives at freeze time). Returns
-  /// false if the chunk is not frozen or no fetcher is installed.
+  /// normally the lifecycle manager, archives the block just before).
+  /// Returns false if the chunk is not frozen or no fetcher is installed.
   bool EvictChunk(size_t chunk_idx);
 
   /// Drops the payload of a *fully deleted* frozen or evicted chunk

@@ -26,6 +26,7 @@
 #include "exec/scheduler.h"
 #include "lifecycle/lifecycle_manager.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "storage/block_archive.h"
 #include "test_table_util.h"
@@ -487,10 +488,12 @@ TEST(Quarantine, PageReadsFailAndHealLikeExtentReads) {
 TEST(Degraded, RepeatedWriteFailuresFlipNoEvictAndHeal) {
   Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
   const std::string path = TempArchive("degraded");
+  obs::TraceRing ring;
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;  // wants to evict everything
     cfg.degrade_after_write_failures = 2;
+    cfg.trace = &ring;
     LifecycleManager mgr(&t, path, cfg);
 
     {
@@ -499,10 +502,15 @@ TEST(Degraded, RepeatedWriteFailuresFlipNoEvictAndHeal) {
     }
     // Appends kept failing: the manager degraded instead of evicting
     // blocks it could not archive — everything stays resident despite the
-    // zero budget, and the failures are accounted.
+    // zero budget, and the failures are accounted: one append per tick,
+    // the LRU victim's, and a budget_overrun from each degraded tick.
     EXPECT_TRUE(mgr.degraded());
     EXPECT_TRUE(mgr.stats().degraded);
-    EXPECT_GE(mgr.stats().write_failures, 2u);
+    EXPECT_EQ(mgr.stats().write_failures, 4u);
+    int overruns = 0;
+    for (const obs::TraceEvent& ev : ring.Snapshot())
+      overruns += std::string(ev.name) == "budget_overrun";
+    EXPECT_EQ(overruns, 3);
     EXPECT_EQ(mgr.stats().archived_blocks, 0u);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_FALSE(t.is_evicted(c)) << c;

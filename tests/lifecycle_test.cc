@@ -67,8 +67,9 @@ TEST(Lifecycle, ChunksFreezeAutomaticallyAfterCooling) {
     for (size_t c = 0; c < 3; ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
     EXPECT_EQ(t.chunk_state(3), ChunkState::kHot);
-    // Frozen blocks were archived at freeze time.
-    EXPECT_EQ(mgr.stats().archived_blocks, 3u);
+    // A freeze writes nothing: only an eviction does.
+    EXPECT_EQ(mgr.stats().archived_blocks, 0u);
+    EXPECT_EQ(mgr.archive()->PayloadBytes(), 0u);
   }
   std::remove(path.c_str());
 
@@ -84,7 +85,7 @@ TEST(Lifecycle, ChunksFreezeAutomaticallyAfterCooling) {
 
 // A freeze sorted on a column carries each delete flag with its row: block
 // row i is deleted iff source row perm[i] was, and so it stays once the
-// manager adopts and evicts the sorted blocks.
+// manager evicts the sorted blocks.
 TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
   constexpr uint32_t kRows = 1024, kCap = 256;
   Table t = MakeTable(kRows, kCap);  // 4 full chunks, id == insert index
@@ -126,7 +127,7 @@ TEST(Lifecycle, SortedFreezeKeepsDeletedRowsDeleted) {
     cfg.memory_budget_bytes = 0;
     LifecycleManager mgr(&t, path, cfg);
     mgr.Tick();
-    ASSERT_EQ(mgr.stats().adopted, kRows / kCap);
+    ASSERT_EQ(mgr.stats().evictions, kRows / kCap);
     std::map<int64_t, Row> scanned;
     TableScanner scan(t, {0, 1, 2}, {}, ScanMode::kDataBlocks);
     Batch b;
@@ -234,10 +235,10 @@ TEST(Lifecycle, DetachLeavesEvictedChunksEvicted) {
   uint64_t num_visible = 0, bytes_before = 0, events_before = 0;
   {
     LifecycleConfig cfg = QuickCooling();
-    cfg.memory_budget_bytes = 0;  // evict every archived block
+    cfg.memory_budget_bytes = 0;  // evict every frozen block
     cfg.trace = &ring;
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopts and evicts 0 and 1, tombstones 2; 3 and 4 stay hot
+    mgr.Tick();  // evicts 0 and 1, tombstones 2; 3 and 4 stay hot
     ASSERT_EQ(t.chunk_state(0), ChunkState::kEvicted);
     ASSERT_EQ(t.chunk_state(1), ChunkState::kEvicted);
     ASSERT_EQ(t.chunk_state(2), ChunkState::kTombstone);
@@ -287,18 +288,21 @@ TEST(Lifecycle, DetachLeavesEvictedChunksEvicted) {
   EXPECT_EQ(t.num_visible(), num_visible);
 }
 
-TEST(Lifecycle, AdoptsManuallyFrozenChunksForEviction) {
+// Chunks frozen outside the policy (FreezeAll) count against the budget
+// and evict like the ones a tick froze.
+TEST(Lifecycle, ManuallyFrozenChunksEvictUnderTheBudget) {
   Table t = MakeTable(2048, 512);
   t.FreezeAll();
-  const std::string path = TempArchive("adopt");
+  const std::string path = TempArchive("manual_freeze");
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
     LifecycleManager mgr(&t, path, cfg);
     mgr.Tick();
     LifecycleStats s = mgr.stats();
-    EXPECT_EQ(s.adopted, 4u);
-    EXPECT_GE(s.evictions, 4u);
+    EXPECT_EQ(s.freezes, 0u);
+    EXPECT_EQ(s.evictions, 4u);
+    EXPECT_EQ(s.archived_blocks, 4u);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kEvicted) << c;
   }
@@ -573,19 +577,32 @@ TEST(Lifecycle, SummaryPruningSkipsEvictedBlocksWithoutArchiveReads) {
   std::remove(path.c_str());
 }
 
-// A table that an earlier manager summarized keeps those summaries after
-// that manager detached; a second manager adopting it must reuse them
-// (summaries are install-once) and still prune evicted blocks without
-// archive reads. The first manager evicts nothing: a chunk it evicted
-// would stay evicted, unreadable, once it detached.
+// A victim whose append failed keeps the summary installed before the
+// append, also after its manager detached; a second manager evicting it
+// must reuse that summary (summaries are install-once) and still prune
+// evicted blocks without archive reads. The first manager evicts nothing:
+// every append it tries fails (a chunk it evicted would stay evicted,
+// unreadable, once it detached).
 TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
   Table t = MakeTestTable(2048, 512, /*delete_every=*/0, /*freeze=*/true);
   const std::string first_path = TempArchive("reuse_first");
   {
-    LifecycleManager mgr(&t, first_path, QuickCooling());  // no budget
-    mgr.Tick();  // adopt: archive + summarize everything
-    ASSERT_EQ(mgr.stats().adopted, t.num_chunks());
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    LifecycleManager mgr(&t, first_path, cfg);
+    ASSERT_TRUE(fail::FailpointRegistry::Instance().Arm(
+        "archive.append.nospace", "always"));
+    // Each tick tries one append, the LRU victim's; reading the chunks
+    // tried so far makes the next chunk the oldest.
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      mgr.Tick();
+      EXPECT_NE(t.block_summary(c), nullptr) << c;
+      for (size_t k = 0; k <= c; ++k) (void)t.GetInt(MakeRowId(k, 0), 0);
+    }
+    fail::FailpointRegistry::Instance().Disarm("archive.append.nospace");
+    ASSERT_EQ(mgr.stats().write_failures, t.num_chunks());
     ASSERT_EQ(mgr.stats().evictions, 0u);
+    ASSERT_EQ(mgr.stats().archived_blocks, 0u);
   }
   EXPECT_FALSE(std::filesystem::exists(first_path));
   std::vector<const BlockSummary*> summaries;
@@ -600,8 +617,7 @@ TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopt + evict everything
-    EXPECT_EQ(mgr.stats().adopted, t.num_chunks());
+    mgr.Tick();  // evict everything
     EXPECT_EQ(mgr.stats().evictions, t.num_chunks());
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_EQ(t.block_summary(c), summaries[c]) << c;
@@ -617,9 +633,10 @@ TEST(Lifecycle, SecondManagerReusesInstalledSummaries) {
   std::remove(path.c_str());
 }
 
-// Ticks alone tombstone fully-deleted archived chunks, resident and
-// evicted alike (their payload dropped from memory), and release their
-// archive blocks in place; live evicted blocks stay put and readable.
+// Ticks alone tombstone fully-deleted frozen chunks, resident and evicted
+// alike (their payload dropped from memory), and release the archive
+// blocks of the evicted ones in place; a resident one was never written.
+// Live evicted blocks stay put and readable.
 TEST(Lifecycle, TicksReleaseFullyDeletedBlocks) {
   Table t = MakeTable(4096, 512);  // 8 full chunks
   t.FreezeAll();
@@ -630,8 +647,8 @@ TEST(Lifecycle, TicksReleaseFullyDeletedBlocks) {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = (t.FrozenBytes() / 8) * 5 / 2;  // ~2.5 blocks
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopt all 8, evict the lowest indexes down to 6 and 7
-    ASSERT_EQ(mgr.stats().archived_blocks, 8u);
+    mgr.Tick();  // evict the lowest indexes down to 6 and 7
+    ASSERT_EQ(mgr.stats().archived_blocks, 6u);
     ASSERT_TRUE(t.is_evicted(0) && t.is_evicted(1));
     ASSERT_EQ(t.chunk_state(7), ChunkState::kFrozen);
     const LifecycleStats before = mgr.stats();
@@ -656,9 +673,9 @@ TEST(Lifecycle, TicksReleaseFullyDeletedBlocks) {
     for (size_t c : dead)
       EXPECT_EQ(t.chunk_state(c), ChunkState::kTombstone) << c;
     EXPECT_EQ(s.tombstoned, 3u);
-    EXPECT_EQ(s.reclaimed_blocks, 3u);
+    EXPECT_EQ(s.reclaimed_blocks, 2u);  // 0 and 1; 7 was never written
     EXPECT_EQ(s.reclaimed_bytes, dead_bytes);
-    EXPECT_EQ(s.archived_blocks, 5u);
+    EXPECT_EQ(s.archived_blocks, 4u);
     EXPECT_EQ(s.archive_bytes, before.archive_bytes - dead_bytes);
     EXPECT_EQ(s.archive_reads, before.archive_reads);  // nothing read back
     for (const ArchiveEntry& e : mgr.archive()->EntriesSnapshot())
@@ -674,9 +691,10 @@ TEST(Lifecycle, TicksReleaseFullyDeletedBlocks) {
     while (scan.Next(&b)) count += b.count;
     EXPECT_EQ(count, int64_t(4096 - 3 * 512));
     EXPECT_EQ(scan.chunks_skipped(), 3u);
-    mgr.Tick();
-    EXPECT_EQ(mgr.stats().archived_blocks, 5u);  // not re-adopted
-    EXPECT_EQ(mgr.stats().reclaimed_blocks, 3u);
+    mgr.Tick();  // chunk 6 fits the budget: nothing more is written
+    EXPECT_EQ(mgr.stats().archived_blocks, 4u);
+    EXPECT_EQ(mgr.stats().reclaimed_blocks, 2u);
+    EXPECT_EQ(t.chunk_state(6), ChunkState::kFrozen);
   }
   // The archive is scratch: the manager deletes it.
   EXPECT_FALSE(std::filesystem::exists(path));
@@ -720,6 +738,134 @@ TEST(Lifecycle, TombstoneDropsPayloadOfFullyDeletedChunks) {
 void DeleteChunkRows(Table& t, size_t c, uint32_t keep = UINT32_MAX) {
   for (uint32_t r = 0; r < t.chunk_rows(c); ++r)
     if (r != keep) t.Delete(MakeRowId(c, r));
+}
+
+using RowMap = std::map<int64_t, std::pair<int64_t, std::string>>;
+
+/// Every visible row of a MakeTestTable table as `mode` scans it:
+/// id -> (val, name).
+RowMap ScanRows(const Table& t, ScanMode mode) {
+  RowMap rows;
+  TableScanner scan(t, {0, 1, 2}, {}, mode);
+  Batch b;
+  while (scan.Next(&b)) {
+    for (uint32_t i = 0; i < b.count; ++i)
+      rows[b.cols[0].i64[i]] = {b.cols[1].i32[i],
+                                std::string(b.cols[2].Str(i))};
+  }
+  return rows;
+}
+
+// The archive holds only what was evicted: freezing writes nothing, an
+// eviction writes its block once (and the chunk reads back as before), a
+// chunk fully deleted while resident is tombstoned unwritten, and a failed
+// append leaves its victim resident until a later tick evicts it.
+TEST(Lifecycle, ArchivesOnlyWhatItEvicts) {
+  constexpr uint32_t kCap = 512;
+  constexpr size_t kChunks = 8, kKept = 3, kEvicted = kChunks - kKept;
+  const std::string path = TempArchive("only_evicted");
+  LifecycleConfig evict_all = QuickCooling();
+  evict_all.memory_budget_bytes = 0;
+  {  // No budget: ticks freeze every full chunk and write nothing.
+    Table t = MakeTable(kChunks * kCap, kCap);
+    LifecycleManager mgr(&t, path, QuickCooling());
+    for (int e = 0; e < 4; ++e) mgr.Tick();
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.freezes, kChunks);
+    EXPECT_EQ(s.archived_blocks, 0u);
+    EXPECT_EQ(s.archive_bytes, 0u);
+    EXPECT_EQ(mgr.archive()->PayloadBytes(), 0u);
+  }
+  {  // A budget that fits the last kKept blocks: ages tie, so the lowest
+     // indexes evict, each written once, just before it left memory.
+    Table t = MakeTestTable(kChunks * kCap, kCap, /*delete_every=*/7,
+                            /*freeze=*/true);
+    uint64_t kept_bytes = 0, evicted_bytes = 0;
+    for (size_t c = 0; c < kChunks; ++c)
+      (c < kEvicted ? evicted_bytes : kept_bytes) +=
+          t.frozen_block(c)->SizeBytes();
+    const std::vector<ScanMode> modes = {
+        ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
+        ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma};
+    std::vector<RowMap> scans;
+    for (ScanMode mode : modes) scans.push_back(ScanRows(t, mode));
+    std::map<std::pair<RowId, uint32_t>, Value> points;
+    for (size_t c = 0; c < kEvicted; ++c) {
+      for (uint32_t r = 0; r < kCap; r += 5) {
+        const RowId id = MakeRowId(c, r);
+        if (!t.IsVisible(id)) continue;
+        for (uint32_t col = 0; col < 3; ++col)
+          points.emplace(std::pair(id, col), t.GetValue(id, col));
+      }
+    }
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = kept_bytes;
+    LifecycleManager mgr(&t, path, cfg);
+    mgr.Tick();
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(s.evictions, kEvicted);
+    EXPECT_EQ(s.archived_blocks, kEvicted);
+    EXPECT_EQ(s.archive_bytes, evicted_bytes);
+    EXPECT_EQ(mgr.archive()->PayloadBytes(), evicted_bytes);
+    EXPECT_EQ(s.resident_bytes, kept_bytes);
+    for (size_t c = 0; c < kChunks; ++c) {
+      EXPECT_EQ(t.chunk_state(c),
+                c < kEvicted ? ChunkState::kEvicted : ChunkState::kFrozen)
+          << c;
+    }
+    for (size_t i = 0; i < modes.size(); ++i)
+      EXPECT_TRUE(ScanRows(t, modes[i]) == scans[i]) << ScanModeName(modes[i]);
+    for (const auto& [at, value] : points) {
+      const auto& [id, col] = at;
+      EXPECT_TRUE(t.GetValue(id, col) == value)
+          << RowIdChunk(id) << "/" << RowIdRow(id) << "/" << col;
+    }
+    mgr.Tick();  // the resident blocks fit: nothing more is written
+    EXPECT_EQ(mgr.archive()->PayloadBytes(), evicted_bytes);
+  }
+  {  // A chunk fully deleted while resident is tombstoned, never written.
+    Table t = MakeTestTable(4 * kCap, kCap, 0, /*freeze=*/true);
+    DeleteChunkRows(t, 0);
+    LifecycleManager mgr(&t, path, evict_all);
+    mgr.Tick();
+    const LifecycleStats s = mgr.stats();
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kTombstone);
+    EXPECT_EQ(s.tombstoned, 1u);
+    EXPECT_EQ(s.reclaimed_blocks, 0u);
+    EXPECT_EQ(s.evictions, 3u);
+    EXPECT_EQ(s.archived_blocks, 3u);
+    const std::vector<ArchiveEntry> entries =
+        mgr.archive()->EntriesSnapshot();
+    EXPECT_EQ(entries.size(), 3u);
+    for (const ArchiveEntry& e : entries) EXPECT_NE(e.chunk_index, 0u);
+  }
+  {  // A failed append leaves its victim resident and readable; the next
+     // tick evicts it.
+    Table t = MakeTestTable(2 * kCap, kCap, 0, /*freeze=*/true);
+    const RowId probe = MakeRowId(0, 9);
+    const Value name = t.GetValue(probe, 2);
+    LifecycleManager mgr(&t, path, evict_all);
+    ASSERT_TRUE(fail::FailpointRegistry::Instance().Arm(
+        "archive.append.nospace", "once"));
+    mgr.Tick();
+    LifecycleStats s = mgr.stats();
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kFrozen);
+    EXPECT_EQ(t.chunk_state(1), ChunkState::kFrozen);
+    EXPECT_EQ(s.write_failures, 1u);
+    EXPECT_EQ(s.evictions, 0u);
+    EXPECT_EQ(s.archived_blocks, 0u);
+    EXPECT_FALSE(s.degraded);
+    EXPECT_TRUE(t.GetValue(probe, 2) == name);
+    mgr.Tick();
+    fail::FailpointRegistry::Instance().Disarm("archive.append.nospace");
+    s = mgr.stats();
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+    EXPECT_EQ(t.chunk_state(1), ChunkState::kEvicted);
+    EXPECT_EQ(s.write_failures, 1u);
+    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_EQ(s.archived_blocks, 2u);
+    EXPECT_TRUE(t.GetValue(probe, 2) == name);
+  }
 }
 
 /// What FullScan returns over the MakeTable(n, cap) table once chunks
@@ -771,7 +917,7 @@ TEST(Lifecycle, ReleaseConcurrentWithScansIsConsistent) {
     cfg.memory_budget_bytes = (t.FrozenBytes() / 12) * 3 / 2;
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopt every frozen chunk, evict all but the last
+    mgr.Tick();  // evict every frozen chunk but the last
     // The first background tick tombstones these and releases their
     // blocks while the workers are reading.
     for (size_t c = 0; c < kDead; ++c) DeleteChunkRows(t, c);
@@ -865,7 +1011,7 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
     cfg.memory_budget_bytes = (t.FrozenBytes() / 20) * 3;
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopt every frozen chunk, evict down to ~3 resident
+    mgr.Tick();  // evict down to ~3 resident
     obs::Counter* point_reads =
         obs::MetricsRegistry::Default().GetCounter("lifecycle.point_reads");
     const uint64_t point_reads_before = point_reads->Value();
@@ -1445,9 +1591,9 @@ TEST(Lifecycle, FailedPointReadQuarantinesAndHeals) {
 }
 
 // Point readers on several threads race background ticks that archive and
-// evict the very chunks they read, tombstone chunks and release their
-// archive blocks, and evict again once a writer's inserts freeze. (The
-// TSan CI leg repeats this suite.)
+// evict the very chunks they read, tombstone evicted chunks and release
+// their archive blocks, and evict again once a writer's inserts freeze.
+// (The TSan CI leg repeats this suite.)
 TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
   constexpr uint32_t kCap = 512;
   constexpr size_t kRead = 12;  // readers use chunks [0, kRead)
@@ -1464,7 +1610,7 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
   const std::string path = TempArchive("point_stress");
   {
     LifecycleConfig cfg = QuickCooling();
-    cfg.memory_budget_bytes = (t.FrozenBytes() / 16) * 7 / 2;  // ~3.5 blocks
+    cfg.memory_budget_bytes = (t.FrozenBytes() / 16) * 3 / 2;  // ~1.5 blocks
     cfg.tick_interval = std::chrono::milliseconds(1);
     LifecycleManager mgr(&t, path, cfg);
 
@@ -1486,14 +1632,16 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
         }
       }
     };
-    // The readers start on resident blocks; the first ticks archive and
-    // evict them. Once all are archived, chunks 13..15 are deleted,
-    // tombstone and have their archive blocks released, then kNew chunks of
-    // new rows freeze and push the residency over budget again.
+    // The readers start on resident blocks; the first tick archives and
+    // evicts all but one, chunks 12..14 among them: no reader touches
+    // 12..15, so none is younger than a read chunk, and ties go to the
+    // lowest index. Then chunks 12..14 are deleted, tombstone and have
+    // their archive blocks released, and kNew chunks of new rows freeze and
+    // push the residency over budget again.
     auto writer = [&] {
-      for (int i = 0; i < 2000 && mgr.stats().adopted < 16; ++i)
+      for (int i = 0; i < 2000 && mgr.stats().epochs == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      for (size_t c = 13; c < 16; ++c) {
+      for (size_t c = 12; c < 15; ++c) {
         DeleteChunkRows(t, c);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
@@ -1521,8 +1669,9 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
     EXPECT_EQ(s.tombstoned, 3u);
     EXPECT_EQ(s.reclaimed_blocks, 3u);
     EXPECT_EQ(s.freezes, kNew);
-    // 13 live resident blocks and kNew new ones, about 3 kept.
-    EXPECT_GE(s.evictions, 13 + kNew - 4);
+    // 16 resident blocks and kNew new ones, about 1 kept.
+    EXPECT_GE(s.evictions, 16 + kNew - 2);
+    EXPECT_EQ(s.archived_blocks, s.evictions - 3);
     EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);
     for (size_t c = 0; c < kRead; ++c) {
       const RowId id = MakeRowId(c, 11);
@@ -1530,7 +1679,7 @@ TEST(Lifecycle, PointReadsConcurrentWithEvictionAndRelease) {
     }
     // The same deletes and inserts on a table that never left memory.
     Table ref = MakeTable(16 * kCap, kCap);
-    for (size_t c = 13; c < 16; ++c) DeleteChunkRows(ref, c);
+    for (size_t c = 12; c < 15; ++c) DeleteChunkRows(ref, c);
     Rng rng(44);
     for (uint32_t i = 0; i < kNew * kCap; ++i) {
       ref.Insert({Cell::Int(16 * kCap + i),
@@ -1689,10 +1838,10 @@ void AppendRows(Table& t, uint32_t n, uint64_t seed) {
   }
 }
 
-// One started manager over two tables: its periodic ticks adopt and evict
-// both tables' blocks, then freeze and evict the chunks a writer appends to
-// both, while scans and point reads run on both. (The TSan CI leg repeats
-// this suite.)
+// One started manager over two tables: its periodic ticks evict both
+// tables' manually frozen blocks, then freeze and evict the chunks a writer
+// appends to both, while scans and point reads run on both. (The TSan CI
+// leg repeats this suite.)
 TEST(Lifecycle, OneStartedManagerOverTwoTablesWithConcurrentReads) {
   constexpr uint32_t kCap = 512;
   constexpr size_t kChunks = 6, kNew = 3;  // per table
@@ -1744,7 +1893,7 @@ TEST(Lifecycle, OneStartedManagerOverTwoTablesWithConcurrentReads) {
       }
     };
     auto writer = [&] {
-      for (int i = 0; i < 2000 && mgr.stats().adopted < 2 * kChunks; ++i)
+      for (int i = 0; i < 2000 && mgr.stats().epochs == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       AppendRows(a, kNew * kCap, 44);
       AppendRows(b, kNew * kCap, 45);
@@ -1766,8 +1915,8 @@ TEST(Lifecycle, OneStartedManagerOverTwoTablesWithConcurrentReads) {
 
     EXPECT_FALSE(failed.load());
     const LifecycleStats s = mgr.stats();
-    EXPECT_EQ(s.adopted, 2 * kChunks);
     EXPECT_EQ(s.freezes, 2 * kNew);
+    EXPECT_EQ(s.archived_blocks, s.evictions);  // only evicted blocks
     EXPECT_EQ(s.reload_failures, 0u);
     EXPECT_GE(s.evictions, 2 * (kChunks + kNew) - 4);
     EXPECT_LE(s.resident_bytes, cfg.memory_budget_bytes);

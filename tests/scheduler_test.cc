@@ -348,7 +348,7 @@ TEST(Scheduler, ParallelQueriesVsEvictionAndReleaseStress) {
     cfg.tick_interval = std::chrono::milliseconds(1);
     cfg.scheduler = &sched;
     LifecycleManager mgr(&t, path, cfg);
-    mgr.Tick();  // adopt every frozen chunk, evict down to ~3 resident
+    mgr.Tick();  // evict down to ~3 resident
     // Fully delete 5 of 12 chunks: ticks will tombstone them and release
     // their archive blocks while the parallel scans below are in flight.
     for (size_t c = 0; c < 5; ++c)
