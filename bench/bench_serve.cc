@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
     LifecycleConfig lc;
     lc.memory_budget_bytes = 0;  // background ticks keep lineitem evicted
     lc.quarantine_backoff = std::chrono::milliseconds(25);
-    lc.quarantine_max_retries = 1u << 20;  // probe for the whole run
     lc.tick_interval = std::chrono::milliseconds(20);
     std::remove(chaos_archive);
     chaos_mgr = std::make_unique<LifecycleManager>(&olap_db->lineitem,

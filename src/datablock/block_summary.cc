@@ -20,7 +20,7 @@ ColumnSma ColumnSummary::sma() const {
   return sma;
 }
 
-BlockSummary BlockSummary::Extract(const DataBlock& block, bool keep_psma) {
+BlockSummary BlockSummary::Extract(const DataBlock& block) {
   BlockSummary s;
   s.row_count_ = block.num_rows();
   s.cols_.resize(block.num_columns());
@@ -37,7 +37,7 @@ BlockSummary BlockSummary::Extract(const DataBlock& block, bool keep_psma) {
       cs.min_str = std::string(block.dict_string(c, 0));
       cs.max_str = std::string(block.dict_string(c, m.dict_count - 1));
     }
-    if (keep_psma && m.psma_entries > 0) {
+    if (m.psma_entries > 0) {
       const PsmaEntry* table = block.psma(c);
       cs.psma.assign(table, table + m.psma_entries);
     }

@@ -44,10 +44,9 @@ class BlockSummary {
  public:
   BlockSummary() = default;
 
-  /// Extracts the summary from a frozen block. `keep_psma` controls whether
-  /// PSMA lookup tables are copied into the summary (memory/pruning-power
-  /// trade-off); SMAs are always kept.
-  static BlockSummary Extract(const DataBlock& block, bool keep_psma = true);
+  /// Extracts the summary from a frozen block: its SMAs and a copy of its
+  /// PSMA lookup tables.
+  static BlockSummary Extract(const DataBlock& block);
 
   uint32_t row_count() const { return row_count_; }
   uint32_t num_columns() const { return uint32_t(cols_.size()); }

@@ -63,8 +63,7 @@ void BuildCodePsma(const AttrMeta& m, uint8_t* buf, uint32_t n) {
 
 }  // namespace
 
-DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
-                           bool build_psma) {
+DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm) {
   const Schema& schema = chunk.schema();
   const uint32_t n = chunk.size();
   const uint32_t ncols = schema.num_columns();
@@ -104,8 +103,7 @@ DataBlock DataBlock::Build(const Chunk& chunk, const uint32_t* perm,
     // PSMA sizing: built for integer-coded attributes. Deltas are the codes
     // for truncation/dictionary and (v - min) for raw integers.
     uint64_t max_delta = 0;
-    bool want_psma = build_psma && !s.all_null &&
-                     ch.scheme != Compression::kSingleValue;
+    bool want_psma = !s.all_null && ch.scheme != Compression::kSingleValue;
     switch (ch.scheme) {
       case Compression::kTruncation:
         max_delta = uint64_t(s.max_i) - uint64_t(s.min_i);

@@ -100,10 +100,8 @@ class DataBlock {
 
   /// Freezes `chunk` into a Data Block. `perm`, if non-null, is a
   /// permutation: output position i stores chunk row perm[i] (used to
-  /// cluster blocks on a sort criterion, Section 3.2). `build_psma`
-  /// controls whether PSMA lookup tables are materialized.
-  static DataBlock Build(const Chunk& chunk, const uint32_t* perm = nullptr,
-                         bool build_psma = true);
+  /// cluster blocks on a sort criterion, Section 3.2).
+  static DataBlock Build(const Chunk& chunk, const uint32_t* perm = nullptr);
 
   bool empty() const { return buf_.empty(); }
   uint32_t num_rows() const { return header()->tuple_count; }

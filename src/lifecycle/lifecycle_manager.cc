@@ -33,7 +33,6 @@ struct LifecycleMetrics {
   obs::Counter* retries;
   obs::Counter* write_failures;
   obs::Gauge* quarantined;  // chunks quarantined, summed over managers
-  obs::Gauge* degraded;     // managers currently in no-evict mode
 };
 
 const LifecycleMetrics& Metrics() {
@@ -51,8 +50,7 @@ const LifecycleMetrics& Metrics() {
                             r.GetCounter("lifecycle.reload_failures"),
                             r.GetCounter("lifecycle.retries"),
                             r.GetCounter("lifecycle.write_failures"),
-                            r.GetGauge("lifecycle.quarantined"),
-                            r.GetGauge("lifecycle.degraded")};
+                            r.GetGauge("lifecycle.quarantined")};
   }();
   return m;
 }
@@ -85,20 +83,17 @@ LifecycleManager::LifecycleManager(std::vector<Table*> tables,
                                    LifecycleConfig config)
     : cfg_(config), archive_path_(std::move(archive_path)) {
   // Archive creation can fail (bad path, disk full). A manager without an
-  // archive is born degraded: it never evicts (nothing could be read back),
-  // but the tables keep working fully resident.
+  // archive never evicts (nothing could be read back), but the tables keep
+  // working fully resident.
   auto created = BlockArchive::Create(archive_path_);
   if (created.ok()) {
     archive_ = std::make_unique<BlockArchive>(std::move(*created));
   } else {
     std::fprintf(stderr,
                  "lifecycle: archive create failed for '%s' (%s); "
-                 "running degraded (no eviction)\n",
+                 "no block will be evicted\n",
                  archive_path_.c_str(),
                  created.status().ToString().c_str());
-    degraded_.store(true, std::memory_order_relaxed);
-    Metrics().degraded->Add(1);
-    trace().Publish("lifecycle", "degrade", 0);
   }
   tables_.reserve(tables.size());
   for (Table* t : tables) {
@@ -134,7 +129,6 @@ LifecycleManager::~LifecycleManager() {
   Table::Synchronize();
   const size_t quarantined = quarantined_chunks();
   if (quarantined != 0) Metrics().quarantined->Add(-int64_t(quarantined));
-  if (degraded_.load(std::memory_order_relaxed)) Metrics().degraded->Add(-1);
   // The archive is scratch (see the class comment): nothing reopens it, and
   // the next manager on this path truncates it anyway.
   if (archive_ != nullptr) std::remove(archive_path_.c_str());
@@ -202,10 +196,13 @@ bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
     // The append left the archive file truncated back to its previous end
     // (see BlockArchive::AppendBlock), so prior entries stay readable. The
     // chunk stays resident and readable.
-    NoteWriteFailure(id.status());
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().write_failures->Add();
+    trace().Publish("lifecycle", "write_error");
+    std::fprintf(stderr, "lifecycle: archive write failed for '%s': %s\n",
+                 archive_path_.c_str(), id.status().ToString().c_str());
     return false;
   }
-  NoteWriteSuccess();
   std::lock_guard<std::mutex> lock(mu_);
   m.archived[idx] = Archived{*id, block->SizeBytes()};
   return true;
@@ -254,12 +251,11 @@ void LifecycleManager::EnforceBudget() {
     }
     if (victim.first == nullptr) return;
     // The victim is written just before it leaves memory. A failed append
-    // leaves it resident and ends this tick's enforcement; in degraded mode
-    // that one append is the tick's probe, and its success heals the mode.
-    // Until then the budget is soft-violated — loudly, so operators see it.
+    // leaves it resident and ends this tick's enforcement; the next tick
+    // tries again. Until then the budget is soft-violated — loudly, so
+    // operators see it.
     if (!ArchiveChunk(*victim.first, victim.second)) {
-      if (degraded())
-        trace().Publish("lifecycle", "budget_overrun", int64_t(bytes - budget));
+      trace().Publish("lifecycle", "budget_overrun", int64_t(bytes - budget));
       return;
     }
     // A resident victim always evicts (open scans only delay it), unless a
@@ -293,8 +289,8 @@ void LifecycleManager::DetachFullyDeletedLocked(Managed& m) {
       a = node.mapped();
     }
     // A failed punch costs disk space only: the block is already
-    // unreadable and no live block is touched, so it does not count
-    // towards degraded mode.
+    // unreadable and no live block is touched, so it is not a write
+    // failure.
     if (Status s = archive_->Release(a.id); !s.ok()) {
       std::fprintf(stderr,
                    "lifecycle: releasing the archive block of chunk %zu of "
@@ -315,10 +311,10 @@ void LifecycleManager::TickTable(Managed& m) {
   if (m.cold_epochs.size() < n) m.cold_epochs.resize(n, 0);
   for (size_t i = 0; i < n; ++i) {
     if (t.chunk_state(i) == ChunkState::kHot) {
-      const bool candidate = t.chunk_full(i) || cfg_.freeze_partial_tail;
       uint32_t& cold = m.cold_epochs[i];
-      cold = candidate && t.chunk_clock(i) <= cfg_.cold_threshold ? cold + 1
-                                                                 : 0;
+      cold = t.chunk_full(i) && t.chunk_clock(i) <= cfg_.cold_threshold
+                 ? cold + 1
+                 : 0;
       if (cold >= kFreezeAfterColdEpochs) {
         const uint64_t freeze_start = obs::MonotonicNs();
         if (t.FreezeChunk(i)) {
@@ -364,14 +360,10 @@ void LifecycleManager::QuarantineChunk(Managed& m, size_t chunk_idx,
     Quarantined& q = it->second;
     ++q.retries;
     retries = q.retries;
-    if (q.retries >= cfg_.quarantine_max_retries) {
-      // Parked: no more automatic probes. ResetQuarantine re-arms it.
-      q.next_retry = std::chrono::steady_clock::time_point::max();
-    } else {
-      const uint32_t shift = std::min(q.retries - 1, 16u);
-      q.next_retry = std::chrono::steady_clock::now() +
-                     cfg_.quarantine_backoff * (uint64_t(1) << shift);
-    }
+    // A chunk that keeps failing is probed less and less often.
+    const uint32_t shift = std::min(q.retries - 1, 16u);
+    q.next_retry = std::chrono::steady_clock::now() +
+                   cfg_.quarantine_backoff * (uint64_t(1) << shift);
   }
   trace().Publish("lifecycle", "quarantine", int64_t(chunk_idx),
                   int64_t(retries));
@@ -420,37 +412,6 @@ void LifecycleManager::RetryQuarantinedLocked(Managed& m) {
   }
 }
 
-void LifecycleManager::NoteWriteFailure(const Status& why) {
-  write_failures_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().write_failures->Add();
-  trace().Publish("lifecycle", "write_error");
-  std::fprintf(stderr, "lifecycle: archive write failed for '%s': %s\n",
-               archive_path_.c_str(), why.ToString().c_str());
-  const uint32_t streak =
-      append_fail_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= cfg_.degrade_after_write_failures &&
-      !degraded_.exchange(true, std::memory_order_relaxed)) {
-    Metrics().degraded->Add(1);
-    trace().Publish("lifecycle", "degrade", int64_t(streak));
-    std::fprintf(stderr,
-                 "lifecycle: entering no-evict degraded mode for '%s' "
-                 "after %u consecutive archive write failures\n",
-                 archive_path_.c_str(), streak);
-  }
-}
-
-void LifecycleManager::NoteWriteSuccess() {
-  append_fail_streak_.store(0, std::memory_order_relaxed);
-  if (degraded_.exchange(false, std::memory_order_relaxed)) {
-    Metrics().degraded->Add(-1);
-    trace().Publish("lifecycle", "recover");
-    std::fprintf(stderr,
-                 "lifecycle: archive writes recovered for '%s'; "
-                 "leaving degraded mode\n",
-                 archive_path_.c_str());
-  }
-}
-
 size_t LifecycleManager::quarantined_chunks() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
@@ -496,7 +457,6 @@ LifecycleStats LifecycleManager::stats() const {
   s.reload_failures = reload_failures_.load(std::memory_order_relaxed);
   s.retry_attempts = retry_attempts_.load(std::memory_order_relaxed);
   s.write_failures = write_failures_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
   for (const Managed& m : tables_) {
     s.evictions += m.table->evictions();
     s.tombstoned += m.table->tombstones();

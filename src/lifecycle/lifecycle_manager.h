@@ -24,14 +24,12 @@ class TraceRing;
 /// Policy knobs of the block lifecycle (see README "Block lifecycle").
 struct LifecycleConfig {
   // -- Freeze policy (hot -> frozen) --------------------------------------
-  /// A chunk whose per-epoch access clock is <= this for two consecutive
-  /// epochs counts as cold and is frozen (unsorted, with PSMAs).
+  /// A full chunk whose per-epoch access clock is <= this for two
+  /// consecutive epochs counts as cold and is frozen (unsorted, with
+  /// PSMAs). A partial tail is never frozen: it still receives inserts.
   uint32_t cold_threshold = 0;
   /// Clocks are decayed by `clock >>= decay_shift` every epoch.
   uint32_t decay_shift = 1;
-  /// Also freeze a cooled-down partially-filled tail chunk. Off by default:
-  /// the tail is normally still receiving inserts.
-  bool freeze_partial_tail = false;
 
   // -- Eviction policy (frozen -> evicted) --------------------------------
   /// Budget for the resident frozen-block bytes of all managed tables
@@ -44,19 +42,8 @@ struct LifecycleConfig {
   /// A chunk whose archive read failed is quarantined: reads fail fast
   /// with kUnavailable while the backoff runs, then the lifecycle tick
   /// probes a retry. The backoff doubles per consecutive failure, starting
-  /// here.
+  /// here, up to 2^16 times this.
   std::chrono::milliseconds quarantine_backoff{100};
-  /// After this many consecutive read failures the chunk stays
-  /// quarantined indefinitely (no more automatic probes; a successful
-  /// scan or point read after ResetQuarantine still heals it).
-  uint32_t quarantine_max_retries = 5;
-  /// Consecutive archive append failures (disk full, I/O errors) before
-  /// the manager flips into no-evict degraded mode: the memory budget is
-  /// soft-violated — loudly metered via the lifecycle.degraded gauge and a
-  /// budget_overrun trace event per tick — since a block only evicts once
-  /// its append succeeded. Each tick still tries the LRU victim's append
-  /// once, as the probe; its success heals the mode.
-  uint32_t degrade_after_write_failures = 3;
 
   // -- Background ticks -----------------------------------------------------
   /// Period of the ticks Start() schedules; rounded up to 1 ms.
@@ -97,7 +84,6 @@ struct LifecycleStats {
   uint64_t reload_failures = 0;  // failed archive reads (incl. retries)
   uint64_t retry_attempts = 0;   // quarantine retries attempted
   uint64_t write_failures = 0;   // failed archive appends
-  bool degraded = false;         // no-evict degraded mode active
 };
 
 /// The block lifecycle subsystem: per-chunk temperature statistics drive
@@ -124,14 +110,16 @@ struct LifecycleStats {
 /// it, unless its chunk is fully deleted (the same tick tombstones it). A
 /// block is archived once, just before its eviction (blocks are immutable;
 /// the delete bitmap, which every state shares, stays in memory), so the
-/// archive holds only evicted blocks; a failed append leaves the victim
-/// resident. Before the append the block's BlockSummary (SMA min/max,
-/// dictionary domain, PSMA) is installed in the table — it stays resident
-/// across eviction, so SMA-pruned scans skip evicted blocks without any
-/// archive read. Ticks run from a caller thread (Tick()) or, between
-/// Start() and Stop(), as a periodic task on a worker pool
-/// (config.scheduler, default Scheduler::Default()); both may be active
-/// concurrently with OLTP point accesses and OLAP scans on the tables.
+/// archive holds only evicted blocks. A failed append leaves the victim
+/// resident and ends the tick's enforcement, which then publishes a
+/// budget_overrun trace event; the next tick tries again. Before the append
+/// the block's BlockSummary (SMA min/max, dictionary domain, PSMA) is
+/// installed in the table — it stays resident across eviction, so
+/// SMA-pruned scans skip evicted blocks without any archive read. Ticks run
+/// from a caller thread (Tick()) or, between Start() and Stop(), as a
+/// periodic task on a worker pool (config.scheduler, default
+/// Scheduler::Default()); both may be active concurrently with OLTP point
+/// accesses and OLAP scans on the tables.
 ///
 /// Every tick tombstones the frozen and evicted chunks that became fully
 /// deleted (Table::TombstoneChunk, which waits out the reads of the chunk)
@@ -186,9 +174,6 @@ class LifecycleManager {
   LifecycleStats stats() const;
   const LifecycleConfig& config() const { return cfg_; }
 
-  /// True while no block evicts because archive writes keep failing (or
-  /// the archive could not be created at all).
-  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
   /// Chunks currently quarantined after failed archive reads.
   size_t quarantined_chunks() const;
   /// Clears all quarantine state (retry counters and backoff deadlines):
@@ -247,17 +232,13 @@ class LifecycleManager {
   void DetachFullyDeletedLocked(Managed& m);
   obs::TraceRing& trace() const;
   /// Records a failed read of the chunk: enters/extends quarantine with
-  /// doubled backoff, parks the chunk after quarantine_max_retries.
+  /// doubled backoff.
   void QuarantineChunk(Managed& m, size_t chunk_idx, const Status& why);
   /// Drops the chunk from quarantine (successful read / tombstoned).
   void ClearQuarantine(Managed& m, size_t chunk_idx);
   /// Probes quarantined chunks whose backoff expired with a spine read;
   /// runs from Tick (requires tick_mu_).
   void RetryQuarantinedLocked(Managed& m);
-  /// Failed archive write: bumps the failure streak and degrades past the
-  /// configured threshold. A successful write (NoteWriteSuccess) heals.
-  void NoteWriteFailure(const Status& why);
-  void NoteWriteSuccess();
 
   LifecycleConfig cfg_;
   std::string archive_path_;
@@ -276,8 +257,6 @@ class LifecycleManager {
   std::atomic<uint64_t> reload_failures_{0};
   std::atomic<uint64_t> retry_attempts_{0};
   std::atomic<uint64_t> write_failures_{0};
-  std::atomic<uint32_t> append_fail_streak_{0};
-  std::atomic<bool> degraded_{false};
 
   Scheduler* ticker_ = nullptr;  // pool the periodic ticks run on
   uint64_t periodic_id_ = 0;     // nonzero between Start() and Stop()

@@ -236,7 +236,6 @@ void RegisterEngineMetrics() {
   r.GetCounter("lifecycle.retries");
   r.GetCounter("lifecycle.write_failures");
   r.GetGauge("lifecycle.quarantined");
-  r.GetGauge("lifecycle.degraded");
   // JIT (jit/jit_compiler.cc).
   r.GetCounter("jit.compiles");
   r.GetCounter("jit.compile_failures");

@@ -239,7 +239,7 @@ Table::Slot& Table::NewSlot() {
 }
 
 RowId Table::Insert(std::span<const Cell> row) {
-  // A freezer (e.g. freeze_partial_tail) that publishes kFreezing waits
+  // A freezer (e.g. Table::FreezeAll) that publishes kFreezing waits
   // for this section before it reads the tail, so a tail seen hot stays
   // ours for the append.
   ReadSection section;
@@ -560,7 +560,7 @@ uint32_t Table::deleted_in_chunk(size_t chunk_idx) const {
   return slot(chunk_idx).deleted_count.load(std::memory_order_acquire);
 }
 
-bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
+bool Table::FreezeChunk(size_t chunk_idx, int sort_col) {
   CheckOutsideSection();
   Slot& slot = this->slot(chunk_idx);
   std::unique_lock<std::mutex> lock(lifecycle_mu_);
@@ -617,7 +617,7 @@ bool Table::FreezeChunk(size_t chunk_idx, int sort_col, bool build_psma) {
   }
 
   auto block = std::make_unique<DataBlock>(
-      DataBlock::Build(*chunk, perm_ptr, build_psma));
+      DataBlock::Build(*chunk, perm_ptr));
 
   lock.lock();
   slot.frozen = std::move(block);
@@ -691,10 +691,10 @@ void Table::AppendFrozen(DataBlock block) {
   PublishSlot();
 }
 
-void Table::FreezeAll(int sort_col, bool build_psma) {
+void Table::FreezeAll(int sort_col) {
   // FreezeChunk skips chunks that are not hot or empty.
   const size_t n = num_chunks();
-  for (size_t i = 0; i < n; ++i) FreezeChunk(i, sort_col, build_psma);
+  for (size_t i = 0; i < n; ++i) FreezeChunk(i, sort_col);
 }
 
 uint64_t Table::HotBytes() const {

@@ -406,10 +406,10 @@ class Table {
   /// Returns false (and leaves the chunk alone) if the chunk is not hot or
   /// is empty. The hot chunk is freed a grace period after kFrozen is
   /// published.
-  bool FreezeChunk(size_t chunk_idx, int sort_col = -1, bool build_psma = true);
+  bool FreezeChunk(size_t chunk_idx, int sort_col = -1);
 
   /// Freezes all hot chunks (including a partially filled tail).
-  void FreezeAll(int sort_col = -1, bool build_psma = true);
+  void FreezeAll(int sort_col = -1);
 
   /// Drops a frozen chunk's resident block (frozen -> evicted). Requires an
   /// installed block fetcher (the archived copy must exist — the caller,

@@ -206,18 +206,16 @@ int64_t TpchDatabase::NumOrders() const {
   return std::max<int64_t>(1500, int64_t(config.scale_factor * 1500000));
 }
 
-void TpchDatabase::FreezeAll(bool sort_lineitem_by_shipdate,
-                             bool build_psma) {
-  region.FreezeAll(-1, build_psma);
-  nation.FreezeAll(-1, build_psma);
-  supplier.FreezeAll(-1, build_psma);
-  customer.FreezeAll(-1, build_psma);
-  part.FreezeAll(-1, build_psma);
-  partsupp.FreezeAll(-1, build_psma);
-  orders.FreezeAll(-1, build_psma);
-  lineitem.FreezeAll(
-      sort_lineitem_by_shipdate ? int(col::lineitem::shipdate) : -1,
-      build_psma);
+void TpchDatabase::FreezeAll(bool sort_lineitem_by_shipdate) {
+  region.FreezeAll();
+  nation.FreezeAll();
+  supplier.FreezeAll();
+  customer.FreezeAll();
+  part.FreezeAll();
+  partsupp.FreezeAll();
+  orders.FreezeAll();
+  lineitem.FreezeAll(sort_lineitem_by_shipdate ? int(col::lineitem::shipdate)
+                                               : -1);
 }
 
 uint64_t TpchDatabase::TotalBytes() const {

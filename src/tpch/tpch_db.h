@@ -78,8 +78,7 @@ class TpchDatabase {
   /// Freezes every table into Data Blocks. `sort_lineitem_by_shipdate`
   /// reproduces the Figure 11 "+SORT" configuration (each lineitem block
   /// sorted on l_shipdate before compression).
-  void FreezeAll(bool sort_lineitem_by_shipdate = false,
-                 bool build_psma = true);
+  void FreezeAll(bool sort_lineitem_by_shipdate = false);
 
   uint64_t TotalBytes() const;
 

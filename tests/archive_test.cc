@@ -373,8 +373,7 @@ Schema WideSchema() {
 }
 constexpr uint32_t kWideCols = 10;
 
-Table MakeWideTable(uint32_t n, uint32_t chunk_capacity, bool psma,
-                    uint64_t seed) {
+Table MakeWideTable(uint32_t n, uint32_t chunk_capacity, uint64_t seed) {
   Table t("wide", WideSchema(), chunk_capacity);
   Rng rng(seed);
   for (uint32_t i = 0; i < n; ++i) {
@@ -393,7 +392,7 @@ Table MakeWideTable(uint32_t n, uint32_t chunk_capacity, bool psma,
               Cell::Str("same"),
               Cell::Int(9000 + rng.Uniform(0, 365))});
   }
-  t.FreezeAll(/*sort_col=*/-1, psma);
+  t.FreezeAll();
   return t;
 }
 
@@ -452,82 +451,79 @@ Predicate RandomPredicate(uint32_t col, Rng& rng) {
 }
 
 TEST(BlockArchiveProjected, ProjectedReadsScanLikeFullReloads) {
-  for (bool psma : {true, false}) {
-    SCOPED_TRACE(psma ? "PSMA on" : "PSMA off");
-    Table src = MakeWideTable(3 * 1500 + 700, 1500, psma, /*seed=*/11);
-    const std::string path = "/tmp/datablocks_archive_projected.dbar";
-    BlockArchive a = SpillAll(src, path);
-    ASSERT_EQ(a.num_blocks(), 4u);
+  Table src = MakeWideTable(3 * 1500 + 700, 1500, /*seed=*/11);
+  const std::string path = "/tmp/datablocks_archive_projected.dbar";
+  BlockArchive a = SpillAll(src, path);
+  ASSERT_EQ(a.num_blocks(), 4u);
 
-    Table full("full", WideSchema(), 1500);
-    for (size_t id = 0; id < a.num_blocks(); ++id) {
-      StatusOr<DataBlock> block = a.ReadBlock(id);
-      ASSERT_TRUE(block.ok()) << block.status().ToString();
-      full.AppendFrozen(std::move(*block));
-    }
-
-    Rng rng(psma ? 101 : 202);
-    BlockImage reused;  // one image refilled across blocks, as a scan does
-    for (int round = 0; round < 24; ++round) {
-      std::vector<uint32_t> out, pred_cols;
-      for (uint32_t c = 0; c < kWideCols; ++c) {
-        if (rng.Uniform(0, 2) == 0) out.push_back(c);
-        if (rng.Uniform(0, 4) == 0) pred_cols.push_back(c);
-      }
-      std::vector<Predicate> preds;
-      for (uint32_t c : pred_cols) preds.push_back(RandomPredicate(c, rng));
-      std::vector<uint32_t> cols = out;
-      cols.insert(cols.end(), pred_cols.begin(), pred_cols.end());
-      const ColumnSet set(cols);
-      SCOPED_TRACE("round " + std::to_string(round));
-
-      Table projected("projected", WideSchema(), 1500);
-      const uint64_t bytes_before = a.payload_bytes_read();
-      uint64_t bytes = 0;
-      for (size_t id = 0; id < a.num_blocks(); ++id) {
-        reused.Clear();
-        StatusOr<uint64_t> got = ScanRead(a, id, set, &reused);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        bytes += *got;
-        // The reused image holds the spine and the requested extents
-        // byte for byte as the full reload does.
-        const DataBlock& whole = *full.frozen_block(id);
-        std::vector<uint64_t> begins;
-        ASSERT_TRUE(whole.Extents(&begins).ok());
-        EXPECT_EQ(std::memcmp(reused.block().raw_bytes(), whole.raw_bytes(),
-                              DataBlock::SpineBytes(kWideCols)),
-                  0);
-        uint64_t expect_bytes = DataBlock::SpineBytes(kWideCols);
-        for (uint32_t i = 0; i < set.size(kWideCols); ++i) {
-          const uint32_t c = set.at(i);
-          EXPECT_EQ(std::memcmp(reused.block().raw_bytes() + begins[c],
-                                whole.raw_bytes() + begins[c],
-                                begins[c + 1] - begins[c]),
-                    0)
-              << "attribute " << c;
-          expect_bytes += begins[c + 1] - begins[c];
-        }
-        EXPECT_EQ(*got, expect_bytes);
-        // A fresh image per block for the scan comparison below.
-        BlockImage image;
-        ASSERT_TRUE(ScanRead(a, id, set, &image).ok());
-        bytes += expect_bytes;
-        projected.AppendFrozen(image.TakeBlock());
-      }
-      EXPECT_EQ(a.payload_bytes_read() - bytes_before, bytes);
-
-      for (ScanMode mode :
-           {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
-            ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
-        EXPECT_EQ(ScanFingerprint(projected, out, preds, mode),
-                  ScanFingerprint(full, out, preds, mode))
-            << ScanModeName(mode);
-      }
-    }
-    EXPECT_EQ(ScanFingerprint(full, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks),
-              ScanFingerprint(src, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks));
-    std::remove(path.c_str());
+  Table full("full", WideSchema(), 1500);
+  for (size_t id = 0; id < a.num_blocks(); ++id) {
+    StatusOr<DataBlock> block = a.ReadBlock(id);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    full.AppendFrozen(std::move(*block));
   }
+
+  Rng rng(101);
+  BlockImage reused;  // one image refilled across blocks, as a scan does
+  for (int round = 0; round < 24; ++round) {
+    std::vector<uint32_t> out, pred_cols;
+    for (uint32_t c = 0; c < kWideCols; ++c) {
+      if (rng.Uniform(0, 2) == 0) out.push_back(c);
+      if (rng.Uniform(0, 4) == 0) pred_cols.push_back(c);
+    }
+    std::vector<Predicate> preds;
+    for (uint32_t c : pred_cols) preds.push_back(RandomPredicate(c, rng));
+    std::vector<uint32_t> cols = out;
+    cols.insert(cols.end(), pred_cols.begin(), pred_cols.end());
+    const ColumnSet set(cols);
+    SCOPED_TRACE("round " + std::to_string(round));
+
+    Table projected("projected", WideSchema(), 1500);
+    const uint64_t bytes_before = a.payload_bytes_read();
+    uint64_t bytes = 0;
+    for (size_t id = 0; id < a.num_blocks(); ++id) {
+      reused.Clear();
+      StatusOr<uint64_t> got = ScanRead(a, id, set, &reused);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      bytes += *got;
+      // The reused image holds the spine and the requested extents
+      // byte for byte as the full reload does.
+      const DataBlock& whole = *full.frozen_block(id);
+      std::vector<uint64_t> begins;
+      ASSERT_TRUE(whole.Extents(&begins).ok());
+      EXPECT_EQ(std::memcmp(reused.block().raw_bytes(), whole.raw_bytes(),
+                            DataBlock::SpineBytes(kWideCols)),
+                0);
+      uint64_t expect_bytes = DataBlock::SpineBytes(kWideCols);
+      for (uint32_t i = 0; i < set.size(kWideCols); ++i) {
+        const uint32_t c = set.at(i);
+        EXPECT_EQ(std::memcmp(reused.block().raw_bytes() + begins[c],
+                              whole.raw_bytes() + begins[c],
+                              begins[c + 1] - begins[c]),
+                  0)
+            << "attribute " << c;
+        expect_bytes += begins[c + 1] - begins[c];
+      }
+      EXPECT_EQ(*got, expect_bytes);
+      // A fresh image per block for the scan comparison below.
+      BlockImage image;
+      ASSERT_TRUE(ScanRead(a, id, set, &image).ok());
+      bytes += expect_bytes;
+      projected.AppendFrozen(image.TakeBlock());
+    }
+    EXPECT_EQ(a.payload_bytes_read() - bytes_before, bytes);
+
+    for (ScanMode mode :
+         {ScanMode::kJit, ScanMode::kVectorized, ScanMode::kVectorizedSarg,
+          ScanMode::kDataBlocks, ScanMode::kDataBlocksPsma}) {
+      EXPECT_EQ(ScanFingerprint(projected, out, preds, mode),
+                ScanFingerprint(full, out, preds, mode))
+          << ScanModeName(mode);
+    }
+  }
+  EXPECT_EQ(ScanFingerprint(full, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks),
+            ScanFingerprint(src, {0, 3, 4, 7}, {}, ScanMode::kDataBlocks));
+  std::remove(path.c_str());
 }
 
 /// Attribute extents of block `id` of `a`, from a clean full read.
@@ -540,7 +536,7 @@ std::vector<uint64_t> BlockExtents(const BlockArchive& a, size_t id) {
 }
 
 TEST(BlockArchiveProjected, FlipInUnrequestedExtentFailsOnlyReadsThatNeedIt) {
-  Table t = MakeWideTable(3000, 1500, /*psma=*/true, /*seed=*/5);
+  Table t = MakeWideTable(3000, 1500, /*seed=*/5);
   const std::string path = "/tmp/datablocks_archive_extent_flip.dbar";
   BlockArchive a = SpillAll(t, path);
   const std::vector<uint64_t> begins = BlockExtents(a, 1);
@@ -568,7 +564,7 @@ TEST(BlockArchiveProjected, FlipInUnrequestedExtentFailsOnlyReadsThatNeedIt) {
 }
 
 TEST(BlockArchiveProjected, FlipInSpineOrRequestedExtentIsCorruption) {
-  Table t = MakeWideTable(3000, 1500, /*psma=*/true, /*seed=*/6);
+  Table t = MakeWideTable(3000, 1500, /*seed=*/6);
   const std::string path = "/tmp/datablocks_archive_spine_flip.dbar";
   BlockArchive a = SpillAll(t, path);
   const std::vector<uint64_t> begins = BlockExtents(a, 0);
@@ -611,7 +607,7 @@ BlockArchive ArchiveAsIs(const DataBlock& block, const std::string& path) {
 }
 
 TEST(BlockArchiveProjected, MalformedLayoutBehindValidChecksumsIsCorruption) {
-  Table t = MakeWideTable(1500, 1500, /*psma=*/true, /*seed=*/8);
+  Table t = MakeWideTable(1500, 1500, /*seed=*/8);
   const DataBlock& good = *t.frozen_block(0);
   std::vector<uint64_t> begins;
   ASSERT_TRUE(good.Extents(&begins).ok());
@@ -694,7 +690,7 @@ uint64_t CodeOffset(const DataBlock& block, uint32_t col, uint32_t row) {
 
 TEST(BlockArchivePoint, PointReadsFetchOnlyTheRowsPages) {
   constexpr uint32_t kRows = 12000;
-  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/21);
+  Table t = MakeWideTable(kRows, kRows, /*seed=*/21);
   const DataBlock& whole = *t.frozen_block(0);
   const std::string path = "/tmp/datablocks_archive_rows.dbar";
   BlockArchive a = SpillAll(t, path);
@@ -752,7 +748,7 @@ TEST(BlockArchivePoint, PointReadsFetchOnlyTheRowsPages) {
 
 TEST(BlockArchivePoint, FlippedPageFailsOnlyRowsOnThatPage) {
   constexpr uint32_t kRows = 12000;
-  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/22);
+  Table t = MakeWideTable(kRows, kRows, /*seed=*/22);
   const DataBlock& whole = *t.frozen_block(0);
   const std::string path = "/tmp/datablocks_archive_page_flip.dbar";
   BlockArchive a = SpillAll(t, path);
@@ -791,7 +787,7 @@ TEST(BlockArchivePoint, FlippedPageFailsOnlyRowsOnThatPage) {
 
 TEST(BlockArchivePoint, MalformedRowBehindValidChecksumsIsCorruption) {
   constexpr uint32_t kRows = 6000;
-  Table t = MakeWideTable(kRows, kRows, /*psma=*/true, /*seed=*/24);
+  Table t = MakeWideTable(kRows, kRows, /*seed=*/24);
   const DataBlock& good = *t.frozen_block(0);
   const uint64_t total = good.SizeBytes();
   constexpr uint32_t kName = 3;  // dictionary strings
@@ -992,7 +988,7 @@ TEST(BlockArchiveMutations, MalformedSpinesAreCorruptionOrReadIntact) {
   for (uint64_t seed : {41, 42, 43, 44}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const uint32_t rows = seed % 2 == 0 ? 1500 : 700;
-    Table t = MakeWideTable(rows, rows, /*psma=*/seed < 43, seed);
+    Table t = MakeWideTable(rows, rows, seed);
     const DataBlock& good = *t.frozen_block(0);
     Rng rng(seed);
     StatusOr<BlockArchive> created = BlockArchive::Create(path);
@@ -1095,7 +1091,7 @@ TEST(BlockArchiveMutations, MalformedStringOffsetsAreCorruptionOrInside) {
   for (uint64_t seed : {51, 52}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const uint32_t rows = seed % 2 == 0 ? 1500 : 700;
-    Table src = MakeWideTable(rows, rows, /*psma=*/seed == 51, seed);
+    Table src = MakeWideTable(rows, rows, seed);
     const DataBlock& good = *src.frozen_block(0);
     std::vector<uint64_t> begins;
     ASSERT_TRUE(good.Extents(&begins).ok());

@@ -316,34 +316,30 @@ TEST_P(BlockScanRandom, SummarySkipImpliesBlockSkip) {
   }
 
   int summary_skips = 0, block_only_skips = 0, scans = 0;
-  for (bool keep_psma : {false, true}) {
-    const BlockSummary summary = BlockSummary::Extract(rb.block, keep_psma);
-    for (const std::vector<Predicate>& preds : cases) {
-      for (bool use_psma : {false, true}) {
-        const bool summary_skip =
-            PrepareSummaryScan(summary, preds, use_psma).skip;
-        const bool block_skip =
-            PrepareBlockScan(rb.block, preds, use_psma).skip;
-        uint32_t matches = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-          bool all = true;
-          for (const Predicate& p : preds) all = all && RefEval(rb, p, i);
-          matches += all;
-        }
-        const std::string label = "case " +
-                                  std::to_string(&preds - cases.data()) +
-                                  " psma=" + std::to_string(use_psma) +
-                                  " kept=" + std::to_string(keep_psma);
-        if (summary_skip) {
-          EXPECT_TRUE(block_skip) << label;
-        }
-        if (block_skip) {
-          EXPECT_EQ(matches, 0u) << label;
-        }
-        summary_skips += summary_skip;
-        block_only_skips += block_skip && !summary_skip;
-        scans += !block_skip;
+  const BlockSummary summary = BlockSummary::Extract(rb.block);
+  for (const std::vector<Predicate>& preds : cases) {
+    for (bool use_psma : {false, true}) {
+      const bool summary_skip =
+          PrepareSummaryScan(summary, preds, use_psma).skip;
+      const bool block_skip = PrepareBlockScan(rb.block, preds, use_psma).skip;
+      uint32_t matches = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        bool all = true;
+        for (const Predicate& p : preds) all = all && RefEval(rb, p, i);
+        matches += all;
       }
+      const std::string label = "case " +
+                                std::to_string(&preds - cases.data()) +
+                                " psma=" + std::to_string(use_psma);
+      if (summary_skip) {
+        EXPECT_TRUE(block_skip) << label;
+      }
+      if (block_skip) {
+        EXPECT_EQ(matches, 0u) << label;
+      }
+      summary_skips += summary_skip;
+      block_only_skips += block_skip && !summary_skip;
+      scans += !block_skip;
     }
   }
   // Both outcomes occur, so the implications above are exercised.

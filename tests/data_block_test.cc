@@ -238,9 +238,6 @@ TEST(DataBlock, PsmaPresenceRules) {
   EXPECT_NE(block.psma(0), nullptr);   // integers get a PSMA
   EXPECT_EQ(block.psma(1), nullptr);   // doubles do not
   EXPECT_EQ(block.psma(2), nullptr);   // single-value does not
-  DataBlock no_psma = DataBlock::Build(chunk, nullptr, /*build_psma=*/false);
-  EXPECT_EQ(no_psma.psma(0), nullptr);
-  EXPECT_LT(no_psma.SizeBytes(), block.SizeBytes());
 }
 
 TEST(DataBlock, PsmaFootprintMatchesPaper) {

@@ -1,9 +1,9 @@
 // Fault injection: failpoint semantics (spec grammar, once/every/prob,
 // env arming), storage faults surfacing as typed Status instead of aborts,
-// a failed release of a dead archive block (disk space only, never
-// degraded mode), quarantine + backoff + healing of chunks whose reload
-// fails, no-evict degraded mode under repeated archive write failures,
-// exception propagation through the worker pool (a parallel dense
+// a failed release of a dead archive block (disk space only, never a write
+// failure), quarantine + backoff + healing of chunks whose reload fails,
+// victims that stay resident while archive appends fail, exception
+// propagation through the worker pool (a parallel dense
 // aggregation over failing reloads ends in an error, not a hang), and the
 // end-to-end acceptance shape: a query over a broken evicted block fails
 // through Session::Call while concurrent healthy queries keep completing
@@ -263,9 +263,9 @@ TEST(ArchiveFaults, ReleaseIoErrorIsReturnedAndCounted) {
 
 // A failed punch: the block is already dead, so the failure costs disk
 // space only. The chunk still tombstones and detaches, its bytes stay in
-// the file until the manager deletes it, nothing counts as reclaimed, and
-// the manager does not degrade: every live block still reads.
-TEST(ArchiveFaults, FailedReleaseKeepsBytesAndDoesNotDegrade) {
+// the file until the manager deletes it, nothing counts as reclaimed or as
+// a write failure, and every live block still reads.
+TEST(ArchiveFaults, FailedReleaseKeepsBytesAndIsNoWriteFailure) {
   Table t = MakeTestTable(4 * 2048, 2048, /*delete_every=*/0, /*freeze=*/true);
   const std::string path = TempArchive("release");
   obs::Counter* write_errors =
@@ -273,7 +273,6 @@ TEST(ArchiveFaults, FailedReleaseKeepsBytesAndDoesNotDegrade) {
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
-    cfg.degrade_after_write_failures = 1;  // any counted failure degrades
     LifecycleManager mgr(&t, path, cfg);
     EvictAll(mgr, t, t.num_chunks());
     const LifecycleStats before = mgr.stats();
@@ -294,7 +293,7 @@ TEST(ArchiveFaults, FailedReleaseKeepsBytesAndDoesNotDegrade) {
     EXPECT_EQ(s.reclaimed_blocks, 0u);
     EXPECT_EQ(s.reclaimed_bytes, 0u);
     EXPECT_EQ(s.archive_bytes, before.archive_bytes);
-    EXPECT_FALSE(mgr.degraded());
+    EXPECT_EQ(s.write_failures, before.write_failures);
     struct stat st_after;
     ASSERT_EQ(::stat(path.c_str(), &st_after), 0);
     EXPECT_EQ(st_after.st_blocks, st_before.st_blocks);
@@ -331,7 +330,7 @@ TEST(Quarantine, FailedReloadQuarantinesThenFailsFast) {
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
-    cfg.quarantine_backoff = std::chrono::milliseconds(60000);  // park it
+    cfg.quarantine_backoff = std::chrono::milliseconds(60000);
     LifecycleManager mgr(&t, path, cfg);
     EvictAll(mgr, t, t.num_chunks());
 
@@ -399,33 +398,64 @@ TEST(Quarantine, TickProbesAndHealsAfterBackoff) {
   std::remove(path.c_str());
 }
 
-TEST(Quarantine, ParkedAfterMaxRetriesUntilReset) {
+// A chunk is never given up on: with a zero backoff every read goes to the
+// archive again, however often it failed, and so does every tick's probe.
+// Once the fault is gone, the next read heals the chunk without an operator.
+TEST(Quarantine, RepeatedFailuresKeepRetrying) {
   Table t = MakeTestTable(512, 256, /*delete_every=*/0, /*freeze=*/true);
-  const std::string path = TempArchive("parked");
+  const std::string path = TempArchive("retrying");
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
     cfg.quarantine_backoff = std::chrono::milliseconds(0);  // always due
-    cfg.quarantine_max_retries = 2;
     LifecycleManager mgr(&t, path, cfg);
     EvictAll(mgr, t, t.num_chunks());
 
-    ScopedFailpoint fp("lifecycle.reload", "always");
-    ASSERT_FALSE(PointRead(t, 0).ok());  // retries = 1, still due
-    ASSERT_FALSE(PointRead(t, 0).ok());  // retries = 2 = max -> parked
-    // Parked: fails fast forever, and Tick does not probe it either.
-    mgr.Tick();
-    Status parked = PointRead(t, 0);
-    ASSERT_FALSE(parked.ok());
-    EXPECT_EQ(parked.code(), StatusCode::kUnavailable);
-    EXPECT_EQ(mgr.quarantined_chunks(), 1u);
+    {
+      ScopedFailpoint fp("lifecycle.reload", "always");
+      for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(PointRead(t, 0).code(), StatusCode::kIoError) << i;
+      EXPECT_EQ(mgr.stats().reload_failures, 10u);
+      EXPECT_EQ(mgr.stats().retry_attempts, 9u);
+      EXPECT_EQ(mgr.quarantined_chunks(), 1u);
+      // The tick probes the chunk too, and fails with it.
+      mgr.Tick();
+      EXPECT_EQ(mgr.stats().reload_failures, 11u);
+      EXPECT_EQ(mgr.stats().retry_attempts, 10u);
+    }
+    EXPECT_TRUE(PointRead(t, 0).ok());
+    EXPECT_EQ(mgr.quarantined_chunks(), 0u);
+    EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+  }
+  std::remove(path.c_str());
+}
 
-    // Even disarmed, the park holds (no probe will ever run)...
-    FailpointRegistry::Instance().Disarm("lifecycle.reload");
+// Inside the backoff window a read fails fast and reads nothing from the
+// archive, even after the fault is gone; ResetQuarantine sends the next
+// read to the archive at once.
+TEST(Quarantine, BackoffFailsFastUntilReset) {
+  Table t = MakeTestTable(512, 256, /*delete_every=*/0, /*freeze=*/true);
+  const std::string path = TempArchive("backoff");
+  {
+    LifecycleConfig cfg = QuickCooling();
+    cfg.memory_budget_bytes = 0;
+    cfg.quarantine_backoff = std::chrono::milliseconds(50);
+    LifecycleManager mgr(&t, path, cfg);
+    EvictAll(mgr, t, t.num_chunks());
+
+    {
+      ScopedFailpoint fp("lifecycle.reload", "always");
+      EXPECT_EQ(PointRead(t, 0).code(), StatusCode::kIoError);
+    }
+    ASSERT_EQ(mgr.quarantined_chunks(), 1u);
+    const uint64_t reads = mgr.stats().archive_reads;
     EXPECT_EQ(PointRead(t, 0).code(), StatusCode::kUnavailable);
-    // ...until the operator resets.
+    EXPECT_EQ(mgr.stats().archive_reads, reads);
+    EXPECT_EQ(mgr.stats().retry_attempts, 0u);
+
     mgr.ResetQuarantine();
     EXPECT_TRUE(PointRead(t, 0).ok());
+    EXPECT_GT(mgr.stats().archive_reads, reads);
     EXPECT_EQ(mgr.quarantined_chunks(), 0u);
   }
   std::remove(path.c_str());
@@ -443,7 +473,7 @@ TEST(Quarantine, PageReadsFailAndHealLikeExtentReads) {
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
-    cfg.quarantine_backoff = std::chrono::milliseconds(60000);  // park it
+    cfg.quarantine_backoff = std::chrono::milliseconds(60000);
     LifecycleManager mgr(&t, path, cfg);
     EvictAll(mgr, t, t.num_chunks());
     ASSERT_EQ(t.GetInt(MakeRowId(0, 0), 0), 0);  // the spine and one page
@@ -482,17 +512,28 @@ TEST(Quarantine, PageReadsFailAndHealLikeExtentReads) {
 }
 
 // ---------------------------------------------------------------------------
-// Degraded no-evict mode under repeated write failures
+// Archive write failures: victims stay resident, the budget is overrun
 // ---------------------------------------------------------------------------
 
-TEST(Degraded, RepeatedWriteFailuresFlipNoEvictAndHeal) {
+/// Number of budget_overrun events in `ring`.
+int Overruns(const obs::TraceRing& ring) {
+  int overruns = 0;
+  for (const obs::TraceEvent& ev : ring.Snapshot())
+    overruns += std::string(ev.name) == "budget_overrun";
+  return overruns;
+}
+
+// Every tick tries the LRU victim's append once. While appends fail, each
+// tick counts one write failure and publishes one budget_overrun, nothing
+// evicts, and every chunk reads. The first tick after the fault evicts.
+TEST(WriteFaults, FailedAppendsOverrunEachTickUntilTheDiskRecovers) {
   Table t = MakeTestTable(1024, 256, /*delete_every=*/0, /*freeze=*/true);
-  const std::string path = TempArchive("degraded");
+  const ScanResult expect = FullScan(t);
+  const std::string path = TempArchive("write_faults");
   obs::TraceRing ring;
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;  // wants to evict everything
-    cfg.degrade_after_write_failures = 2;
     cfg.trace = &ring;
     LifecycleManager mgr(&t, path, cfg);
 
@@ -500,44 +541,46 @@ TEST(Degraded, RepeatedWriteFailuresFlipNoEvictAndHeal) {
       ScopedFailpoint fp("archive.append.nospace", "always");
       for (int i = 0; i < 4; ++i) mgr.Tick();
     }
-    // Appends kept failing: the manager degraded instead of evicting
-    // blocks it could not archive — everything stays resident despite the
-    // zero budget, and the failures are accounted: one append per tick,
-    // the LRU victim's, and a budget_overrun from each degraded tick.
-    EXPECT_TRUE(mgr.degraded());
-    EXPECT_TRUE(mgr.stats().degraded);
     EXPECT_EQ(mgr.stats().write_failures, 4u);
-    int overruns = 0;
-    for (const obs::TraceEvent& ev : ring.Snapshot())
-      overruns += std::string(ev.name) == "budget_overrun";
-    EXPECT_EQ(overruns, 3);
+    EXPECT_EQ(Overruns(ring), 4);
+    EXPECT_EQ(mgr.stats().evictions, 0u);
     EXPECT_EQ(mgr.stats().archived_blocks, 0u);
-    for (size_t c = 0; c < t.num_chunks(); ++c)
-      EXPECT_FALSE(t.is_evicted(c)) << c;
+    for (size_t c = 0; c < t.num_chunks(); ++c) {
+      EXPECT_EQ(t.chunk_state(c), ChunkState::kFrozen) << c;
+      EXPECT_TRUE(PointRead(t, c).ok()) << c;
+    }
+    EXPECT_TRUE(FullScan(t) == expect);
 
-    // Disk recovers: the next tick's successful append heals the mode and
-    // the budget is enforced again.
-    for (int i = 0; i < 4; ++i) mgr.Tick();
-    EXPECT_FALSE(mgr.degraded());
-    EXPECT_GT(mgr.stats().archived_blocks, 0u);
-    EXPECT_TRUE(t.is_evicted(0));
+    // The disk recovered: the next tick enforces the budget again.
+    mgr.Tick();
+    EXPECT_EQ(mgr.stats().write_failures, 4u);
+    EXPECT_EQ(Overruns(ring), 4);
+    for (size_t c = 0; c < t.num_chunks(); ++c)
+      EXPECT_TRUE(t.is_evicted(c)) << c;
+    EXPECT_TRUE(FullScan(t) == expect);
   }
   std::remove(path.c_str());
 }
 
-TEST(Degraded, UncreatableArchiveMeansBornDegraded) {
+TEST(WriteFaults, UncreatableArchiveNeverEvicts) {
   Table t = MakeTestTable(512, 256, /*delete_every=*/0, /*freeze=*/true);
+  const ScanResult expect = FullScan(t);
+  obs::TraceRing ring;
   {
     LifecycleConfig cfg = QuickCooling();
     cfg.memory_budget_bytes = 0;
+    cfg.trace = &ring;
     LifecycleManager mgr(&t, "/nonexistent_dir_xyz/archive.dbar", cfg);
-    EXPECT_TRUE(mgr.degraded());
+    EXPECT_EQ(mgr.archive(), nullptr);
     for (int i = 0; i < 4; ++i) mgr.Tick();
-    // No archive -> nothing archived, nothing evicted, nothing crashed.
+    // No archive -> nothing archived, nothing evicted, nothing crashed,
+    // and each tick reports the overrun.
+    EXPECT_EQ(Overruns(ring), 4);
+    EXPECT_EQ(mgr.stats().evictions, 0u);
     EXPECT_EQ(mgr.stats().archived_blocks, 0u);
     for (size_t c = 0; c < t.num_chunks(); ++c)
       EXPECT_FALSE(t.is_evicted(c)) << c;
-    EXPECT_TRUE(FullScan(t) == FullScan(t));  // scans still work
+    EXPECT_TRUE(FullScan(t) == expect);  // scans still work
   }
 }
 

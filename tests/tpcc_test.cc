@@ -285,7 +285,7 @@ class TpccTest : public ::testing::Test {
   }
 };
 
-// Orders and order lines freeze (partial tails included), evict and get
+// Full chunks of orders and order lines freeze, evict and get
 // relocated by Delivery while the mix runs; every index entry must still
 // name the rows of its key.
 TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
@@ -297,7 +297,6 @@ TEST_F(TpccTest, IndexAgreesWithRowsThroughFreezeEvictAndRelocation) {
     db.Load();
     LifecycleConfig lc;
     lc.cold_threshold = 64;
-    lc.freeze_partial_tail = true;
     lc.memory_budget_bytes = 256 << 10;
     db.EnableLifecycle(lc, dir);
     Rng rng(37);
@@ -333,7 +332,6 @@ TEST_F(TpccTest, OneLifecycleBudgetBoundsTheFourTablesTogether) {
     db.Load();
     LifecycleConfig lc;
     lc.cold_threshold = 64;
-    lc.freeze_partial_tail = true;
     lc.memory_budget_bytes = kBudget;
     db.EnableLifecycle(lc, dir);
     ASSERT_EQ(db.lifecycle_managers().size(), 1u);
