@@ -87,8 +87,8 @@ struct WriteCosts {
 
 /// Write unit costs over `n` rows, the median of three runs on fresh
 /// tables: n inserts of `src`'s rows (cycled), each written as cells of
-/// the row's values, one in-place update of c_acctbal per inserted row,
-/// after freezing the table, one UpdateRow of c_acctbal per row, each a
+/// the row's values, one UpdateRow of c_acctbal per inserted row, in place
+/// (the row is hot), after freezing the table one more per row, each a
 /// relocation out of the resident block, and then one Delete per relocated
 /// row, which sits in the hot tail. Writes run 16 to a read section, as a
 /// transaction's do.
@@ -124,8 +124,8 @@ WriteCosts MeasureWrites(const Table& src, int n) {
       ids[i] = t.Insert(cells);
     }));
     inplace.push_back(per_row([&](size_t i) {
-      t.UpdateInPlace(ids[i],
-                      {{col::customer::acctbal, Cell::Int(int64_t(i))}});
+      ids[i] = t.UpdateRow(ids[i],
+                           {{col::customer::acctbal, Cell::Int(int64_t(i))}});
     }));
     t.FreezeAll();
     relocate.push_back(per_row([&](size_t i) {

@@ -225,10 +225,10 @@ bool TableScanner::TrySkipUnopened() {
       mode_ != ScanMode::kDataBlocksPsma) {
     return false;
   }
-  const BlockSummary* summary = table_->block_summary(c);
-  if (summary == nullptr) return false;  // not archived by a manager: open
-  SummaryScanPrep prep = PrepareSummaryScan(
-      *summary, predicates_, mode_ == ScanMode::kDataBlocksPsma);
+  // Every evicted chunk has a summary (Table::EvictChunk makes it).
+  SummaryScanPrep prep =
+      PrepareSummaryScan(*table_->block_summary(c), predicates_,
+                         mode_ == ScanMode::kDataBlocksPsma);
   if (!prep.skip) return false;
   ++chunks_skipped_;
   ++evicted_skips_;

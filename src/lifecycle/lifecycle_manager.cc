@@ -180,17 +180,9 @@ bool LifecycleManager::ArchiveChunk(Managed& m, size_t idx) {
   Table::ReadSection section;
   const DataBlock* block = m.table->frozen_block(idx);
   if (block == nullptr) return false;  // not frozen (any more) — skip
-  // Extract and install the resident summary before the chunk can be
-  // evicted — scanners rely on "evicted implies summary present" to prune
-  // without opening the chunk. A summary installed earlier (by a manager
-  // attached before this one) is reused: summaries are install-once (see
-  // Table::SetBlockSummary).
-  if (m.table->block_summary(idx) == nullptr) {
-    m.table->SetBlockSummary(
-        idx, std::make_unique<BlockSummary>(BlockSummary::Extract(*block)));
-  }
   // Only the block goes to the archive: the delete bitmap and the summary
-  // stay in table memory across eviction, the bitmap mutable.
+  // (Table::EvictChunk makes it) stay in table memory across eviction, the
+  // bitmap mutable.
   StatusOr<size_t> id = archive_->AppendBlock(*block, uint32_t(idx));
   if (!id.ok()) {
     // The append left the archive file truncated back to its previous end

@@ -112,10 +112,10 @@ struct LifecycleStats {
 /// the delete bitmap, which every state shares, stays in memory), so the
 /// archive holds only evicted blocks. A failed append leaves the victim
 /// resident and ends the tick's enforcement, which then publishes a
-/// budget_overrun trace event; the next tick tries again. Before the append
-/// the block's BlockSummary (SMA min/max, dictionary domain, PSMA) is
-/// installed in the table — it stays resident across eviction, so
-/// SMA-pruned scans skip evicted blocks without any archive read. Ticks run
+/// budget_overrun trace event; the next tick tries again. The eviction
+/// keeps the block's BlockSummary (SMA min/max, dictionary domain, PSMA)
+/// resident in the table (Table::EvictChunk), so SMA-pruned scans skip
+/// evicted blocks without any archive read. Ticks run
 /// from a caller thread (Tick()) or, between Start() and Stop(), as a
 /// periodic task on a worker pool (config.scheduler, default
 /// Scheduler::Default()); both may be active concurrently with OLTP point
@@ -204,8 +204,8 @@ class LifecycleManager {
 
   /// Runs the per-chunk freeze/decay pass over `m`; requires tick_mu_.
   void TickTable(Managed& m);
-  /// Archives frozen chunk `idx` of `m`, installing its summary first.
-  /// Returns true if the append succeeded.
+  /// Archives frozen chunk `idx` of `m`. Returns true if the append
+  /// succeeded.
   bool ArchiveChunk(Managed& m, size_t idx);
   void EnforceBudget();
   /// Bytes of resident frozen blocks, fully-deleted chunks excluded;

@@ -351,22 +351,6 @@ void Table::Delete(RowId id) {
   }
 }
 
-RowId Table::Update(RowId id, std::span<const Cell> row) {
-  Delete(id);
-  return Insert(row);
-}
-
-void Table::UpdateInPlace(RowId id, std::span<const CellUpdate> changes) {
-  Slot& slot = this->slot(RowIdChunk(id));
-  ReadSection section;
-  Touch(slot);
-  // Not on kFreezing either: the freezer may be reading the chunk.
-  DB_CHECK(slot.state.load(std::memory_order_seq_cst) == ChunkState::kHot);
-  const uint32_t row = RowIdRow(id);
-  for (const CellUpdate& u : changes) slot.hot->Set(u.col, row, u.cell);
-  ++t_section.writes.inplace_updates;
-}
-
 RowId Table::UpdateRow(RowId id, std::span<const CellUpdate> changes) {
   const size_t chunk = RowIdChunk(id);
   const uint32_t row = RowIdRow(id);
@@ -376,6 +360,8 @@ RowId Table::UpdateRow(RowId id, std::span<const CellUpdate> changes) {
   ReadSection section;
   Touch(slot);
   const ChunkState st = slot.state.load(std::memory_order_seq_cst);
+  // In place only on kHot: on kFreezing the freezer may be reading the
+  // chunk.
   if (st == ChunkState::kHot) {
     for (const CellUpdate& u : changes) slot.hot->Set(u.col, row, u.cell);
     ++t_section.writes.inplace_updates;
@@ -531,23 +517,6 @@ bool Table::SnapshotDeleteBitmap(size_t chunk_idx,
   return true;
 }
 
-void Table::SetBlockSummary(size_t chunk_idx,
-                            std::unique_ptr<const BlockSummary> summary) {
-  Slot& slot = this->slot(chunk_idx);
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  // The chunk must be frozen and resident: the summary describes the block,
-  // and installing it before any eviction is what lets summary readers rely
-  // on "evicted implies summary present".
-  DB_CHECK(slot.state.load(std::memory_order_relaxed) == ChunkState::kFrozen);
-  DB_CHECK(summary == nullptr ||
-           summary->row_count() == slot.rows.load(std::memory_order_relaxed));
-  const BlockSummary* old =
-      slot.summary.exchange(summary.release(), std::memory_order_release);
-  // Install-once: readers (summary pruning, stats) may hold the pointer
-  // without a lock, so replacement would be a use-after-free.
-  DB_CHECK(old == nullptr);
-}
-
 uint64_t Table::num_visible() const {
   uint64_t deleted = 0;
   const size_t n = num_chunks();
@@ -653,6 +622,13 @@ bool Table::EvictChunk(size_t chunk_idx) {
     return false;
   // Without a fetcher the block could never be read again.
   if (fetcher_ == nullptr) return false;
+  // Scans prune the evicted chunk on its summary without a fetch. It is
+  // stored before kEvicted is published, so whoever sees kEvicted sees it,
+  // and never replaced: readers hold it without a lock, and states only
+  // move forward, so a chunk is evicted once.
+  DB_CHECK(slot.summary.load(std::memory_order_relaxed) == nullptr);
+  slot.summary.store(new BlockSummary(BlockSummary::Extract(*slot.frozen)),
+                     std::memory_order_release);
   RetireBlock(slot, ChunkState::kEvicted, lock);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return true;

@@ -103,14 +103,16 @@ inline bool IsHotState(ChunkState s) {
 /// A relation: a sequence of fixed-size chunks, each either hot
 /// (uncompressed, mutable) or frozen into an immutable compressed DataBlock
 /// (paper Figure 1). Writes take Cells (storage/cell.h), which borrow
-/// their strings. UpdateRow updates a hot row in place and turns the update
-/// of a frozen one into a delete plus an insert into the hot tail
-/// (Section 3).
+/// their strings. A row changes only through Insert, Delete and UpdateRow,
+/// which updates a hot row in place and turns the update of any other into
+/// a delete plus an insert into the hot tail (Section 3). How each chunk
+/// state is written, and that an evicted chunk keeps its block's summary,
+/// is decided here alone.
 ///
 /// Concurrency contract: point accesses, scans, Delete, FreezeChunk,
 /// EvictChunk, TombstoneChunk and lifecycle ticks (a caller's Tick() or the
 /// periodic task on a worker pool) may run concurrently with each other and
-/// with a single writer (Insert, Update, UpdateInPlace and UpdateRow).
+/// with a single writer (Insert and UpdateRow).
 /// Readers take no per-chunk lock or count: a point access runs inside a
 /// read section (ReadSection), and so does a scan of one chunk
 /// (OpenForScan). A delete sets its bit with one atomic fetch_or in any
@@ -164,32 +166,21 @@ class Table {
   /// evicted chunk does not reload it.
   void Delete(RowId id);
 
-  /// Replaces a whole row: delete + insert (paper Section 3). Returns the
-  /// new RowId.
-  RowId Update(RowId id, std::span<const Cell> row);
-
-  /// Updates attributes of a hot row in place, with one chunk lookup for
-  /// the row. Only legal while the chunk is kHot (DB_CHECK): frozen data is
-  /// immutable, and a freezing chunk is being compressed — UpdateRow
-  /// handles both.
-  void UpdateInPlace(RowId id, std::span<const CellUpdate> changes);
-  void UpdateInPlace(RowId id, std::initializer_list<CellUpdate> changes) {
-    UpdateInPlace(id, std::span<const CellUpdate>(changes.begin(),
-                                                  changes.size()));
-  }
-
   /// Updates attributes of a row and returns its RowId afterwards — the
   /// paper's rule for frozen tuples (Section 3). While the chunk is kHot
-  /// the row is updated in place and keeps `id`. Otherwise (freezing,
-  /// frozen or evicted) the row is relocated: its cells are read, typed,
-  /// from the intact hot chunk, the resident block or the thread's point
-  /// image (an evicted chunk stays evicted; see GetValue), the changes are
-  /// overlaid, the row is deleted and reinserted into the hot tail, and the
-  /// new RowId is returned for the caller's index. Throws StorageException
+  /// the row is updated in place, with one chunk lookup, and keeps `id`.
+  /// Otherwise (freezing, frozen or evicted) the row is relocated: its
+  /// cells are read, typed, from the intact hot chunk, the resident block
+  /// or the thread's point image (an evicted chunk stays evicted; see
+  /// GetValue), the changes are overlaid, the row is deleted and
+  /// reinserted into the hot tail, and the new RowId is returned for the
+  /// caller's index. Throws StorageException
   /// as a point read does (failed archive read, tombstoned chunk), before
-  /// anything is written.
-  RowId UpdateRow(RowId id, std::span<const CellUpdate> changes);
-  RowId UpdateRow(RowId id, std::initializer_list<CellUpdate> changes) {
+  /// anything is written. A caller that drops the result loses the row.
+  [[nodiscard]] RowId UpdateRow(RowId id,
+                                std::span<const CellUpdate> changes);
+  [[nodiscard]] RowId UpdateRow(RowId id,
+                                std::initializer_list<CellUpdate> changes) {
     return UpdateRow(id, std::span<const CellUpdate>(changes.begin(),
                                                      changes.size()));
   }
@@ -278,29 +269,21 @@ class Table {
 
   // -- Resident block summaries (SMA pruning without reload) --------------
 
-  /// Always-resident summary of a frozen chunk's block, surviving eviction
-  /// (nullptr until installed). Installed at archive time by the lifecycle
-  /// manager, before the chunk can be evicted, and immutable afterwards:
-  /// scans may consult it without opening the chunk — the acquire load
-  /// pairs with the installing release store — and an evicted chunk always
-  /// has one.
+  /// Resident summary of an evicted chunk's block (nullptr until the
+  /// chunk is evicted). EvictChunk extracts it from the block and stores it
+  /// before it publishes kEvicted, and it never changes afterwards, also
+  /// not when the chunk becomes a tombstone. Scans may consult it without
+  /// opening the chunk — the acquire load pairs with that release store —
+  /// and every evicted chunk has one.
   const BlockSummary* block_summary(size_t chunk_idx) const {
     return slot(chunk_idx).summary.load(std::memory_order_acquire);
   }
-
-  /// Installs a frozen chunk's summary (taking ownership). Only legal
-  /// while the chunk is frozen and resident (the lifecycle manager installs
-  /// it inside a read section, in the tick that alone evicts the chunk),
-  /// and only once per chunk — readers hold the pointer without a lock or
-  /// section, so replacement would be a use-after-free (enforced).
-  void SetBlockSummary(size_t chunk_idx,
-                       std::unique_ptr<const BlockSummary> summary);
 
   // -- Read sections (point accesses vs freeze/evict/tombstone) ----------
 
   /// RAII read section of the calling thread, not tied to a table. Inside
   /// one, a point access (GetInt, GetDouble, GetStringView, GetValue,
-  /// UpdateInPlace, UpdateRow, Insert) only loads the chunk state and reads
+  /// UpdateRow, Insert) only loads the chunk state and reads
   /// or writes what it names — no lock, and no locked read-modify-write on
   /// the chunk slot but a relocation's delete. Delete and IsVisible touch
   /// only the slot's delete bitmap and open no section. Whatever hot chunk
@@ -411,10 +394,11 @@ class Table {
   /// Freezes all hot chunks (including a partially filled tail).
   void FreezeAll(int sort_col = -1);
 
-  /// Drops a frozen chunk's resident block (frozen -> evicted). Requires an
-  /// installed block fetcher (the archived copy must exist — the caller,
-  /// normally the lifecycle manager, archives the block just before).
-  /// Returns false if the chunk is not frozen or no fetcher is installed.
+  /// Drops a frozen chunk's resident block (frozen -> evicted), keeping
+  /// its summary (block_summary) resident. Requires an installed block
+  /// fetcher (the archived copy must exist — the caller, normally the
+  /// lifecycle manager, archives the block just before). Returns false if
+  /// the chunk is not frozen or no fetcher is installed.
   bool EvictChunk(size_t chunk_idx);
 
   /// Drops the payload of a *fully deleted* frozen or evicted chunk
@@ -430,7 +414,6 @@ class Table {
   /// Installs the read path for evicted chunks (OpenForScan, point reads);
   /// nullptr unhooks it, after which those reads throw (kUnavailable).
   void SetBlockFetcher(BlockFetcher fetcher);
-  bool has_block_fetcher() const { return fetcher_ != nullptr; }
 
   /// Lifetime counters for lifecycle observability.
   uint64_t evictions() const {
@@ -460,10 +443,9 @@ class Table {
     // Synchronize(), never while a reader may still load them.
     std::unique_ptr<Chunk> hot;
     std::unique_ptr<DataBlock> frozen;
-    /// Resident summary (SMA/PSMA metadata) of the frozen block; installed
-    /// at archive time (release store), kept across eviction, freed by the
-    /// slot. Atomic so stats readers and scans can load it while an install
-    /// races.
+    /// Resident summary (SMA/PSMA metadata) of the evicted block: stored
+    /// once by EvictChunk (release store), freed by the slot. Atomic so
+    /// stats readers and scans can load it while an eviction races.
     std::atomic<const BlockSummary*> summary{nullptr};
 
     ~Slot() { delete summary.load(std::memory_order_relaxed); }

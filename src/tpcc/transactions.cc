@@ -1,9 +1,11 @@
 // The five TPC-C transactions, implemented against the Table point-access
 // API. Reads transparently hit hot chunks or frozen Data Blocks (single
-// position decompression); writes follow the paper's rules: hot rows are
-// updated in place, frozen rows can only be deleted, so Table::UpdateRow
-// relocates them into the hot tail (Section 3). Rows are written as Cells,
-// never as owning Values.
+// position decompression). Every update goes through Table::UpdateRow,
+// which follows the paper's rules: hot rows are updated in place, frozen
+// rows can only be deleted, so it relocates them into the hot tail
+// (Section 3), and the index takes the RowId it returns. So the
+// transactions run in every chunk state, whichever tables freeze. Rows are
+// written as Cells, never as owning Values.
 
 #include <algorithm>
 #include <span>
@@ -30,9 +32,10 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
     int i_id;
     int supply_w;
     int qty;
+    // s_row serves the prefetches; the update loop reads the index again.
     RowId i_row, s_row;
-    // The stock row's, borrowed: no write in this transaction touches the
-    // stock table's strings.
+    // The stock row's, borrowed: only a relocation's insert writes the
+    // stock table's strings (see the last loop).
     std::string_view dist;
   };
   Line lines[15];  // ol_cnt <= 15
@@ -70,11 +73,11 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
                               col::stock::order_cnt, col::stock::dist});
   }
 
-  RowId d_row = district_idx_[DistKey(w, d)];
+  RowId& d_row = district_idx_[DistKey(w, d)];
   const int32_t o_id =
       int32_t(district.GetInt(d_row, col::district::next_o_id));
-  district.UpdateInPlace(d_row,
-                         {{col::district::next_o_id, Cell::Int(o_id + 1)}});
+  d_row = district.UpdateRow(d_row,
+                             {{col::district::next_o_id, Cell::Int(o_id + 1)}});
   const int64_t w_tax =
       warehouse.GetInt(warehouse_idx_[size_t(w - 1)], col::warehouse::tax);
   const int64_t d_tax = district.GetInt(d_row, col::district::tax);
@@ -100,9 +103,14 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
   }
 
   int64_t total = 0;
+  bool relocated = false;
   for (int l = 0; l < ol_cnt; ++l) {
-    const Line& ln = lines[l];
-    const RowId s_row = ln.s_row;
+    Line& ln = lines[l];
+    // An item ordered twice: the first line may have relocated its row.
+    RowId& s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
+    // A relocation inserts into the stock tail, whose strings may move:
+    // after one, read the view again.
+    if (relocated) ln.dist = stock.GetStringView(s_row, col::stock::dist);
     int64_t price = item.GetInt(ln.i_row, col::item::price);
     int32_t s_qty = int32_t(stock.GetInt(s_row, col::stock::quantity));
     s_qty = s_qty >= ln.qty + 10 ? s_qty - ln.qty : s_qty - ln.qty + 91;
@@ -117,7 +125,10 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
         {col::stock::remote_cnt,
          Cell::Int(remote ? stock.GetInt(s_row, col::stock::remote_cnt) + 1
                           : 0)}};
-    stock.UpdateInPlace(s_row, std::span(changes, remote ? 4 : 3));
+    const RowId updated =
+        stock.UpdateRow(s_row, std::span(changes, remote ? 4 : 3));
+    relocated |= updated != s_row;
+    s_row = updated;
     int64_t amount = price * ln.qty;
     total += amount;
     SetLine(e, l,
@@ -150,18 +161,18 @@ void TpccDatabase::Payment(Rng& rng) {
   customer.Prefetch(c_row, {col::customer::balance, col::customer::ytd_payment,
                             col::customer::payment_cnt});
 
-  RowId w_row = warehouse_idx_[size_t(w - 1)];
-  warehouse.UpdateInPlace(
+  RowId& w_row = warehouse_idx_[size_t(w - 1)];
+  w_row = warehouse.UpdateRow(
       w_row,
       {{col::warehouse::ytd,
         Cell::Int(warehouse.GetInt(w_row, col::warehouse::ytd) + amount)}});
-  RowId d_row = district_idx_[DistKey(w, d)];
-  district.UpdateInPlace(
+  RowId& d_row = district_idx_[DistKey(w, d)];
+  d_row = district.UpdateRow(
       d_row,
       {{col::district::ytd,
         Cell::Int(district.GetInt(d_row, col::district::ytd) + amount)}});
 
-  customer.UpdateInPlace(
+  customer_idx_[CustKey(c_w, c_d, c)] = customer.UpdateRow(
       c_row,
       {{col::customer::balance,
         Cell::Int(customer.GetInt(c_row, col::customer::balance) - amount)},
@@ -228,8 +239,8 @@ int TpccDatabase::Delivery(Rng& rng) {
       SetLine(e, l, ol);
       total += orderline.GetInt(ol, col::orderline::amount);
     }
-    RowId c_row = customer_idx_[CustKey(w, d, c)];
-    customer.UpdateInPlace(
+    RowId& c_row = customer_idx_[CustKey(w, d, c)];
+    c_row = customer.UpdateRow(
         c_row,
         {{col::customer::balance,
           Cell::Int(customer.GetInt(c_row, col::customer::balance) + total)},

@@ -170,7 +170,8 @@ class FuzzModel {
     ModelRow row = live_[id];
     row.val = rng_.Uniform(0, 999);
     row.tag = "u" + std::to_string(rng_.Uniform(0, 20));
-    RowId fresh = table_.Update(id, Cells(row));
+    table_.Delete(id);
+    RowId fresh = table_.Insert(Cells(row));
     live_.erase(id);
     dead_.insert(id);
     live_[fresh] = row;

@@ -103,33 +103,25 @@ TEST(Table, DeleteHidesRow) {
   EXPECT_EQ(t.num_visible(), 1u);
 }
 
-TEST(Table, UpdateIsDeletePlusInsert) {
+TEST(Table, UpdateRowOnHotRowsStaysInPlace) {
   Table t("t", TestSchema(), 64);
   RowId a = t.Insert(Row(1, 10, "a"));
-  RowId a2 = t.Update(a, Row(1, 11, "a'"));
-  EXPECT_NE(a, a2);
-  EXPECT_FALSE(t.IsVisible(a));
-  EXPECT_TRUE(t.IsVisible(a2));
-  EXPECT_EQ(t.GetInt(a2, 1), 11);
-  EXPECT_EQ(t.num_visible(), 1u);
-}
-
-TEST(Table, UpdateInPlaceOnHotRows) {
-  Table t("t", TestSchema(), 64);
-  RowId a = t.Insert(Row(1, 10, "a"));
-  t.UpdateInPlace(a, {{1, Cell::Int(99)}});
+  EXPECT_EQ(t.UpdateRow(a, {{1, Cell::Int(99)}}), a);
   EXPECT_EQ(t.GetInt(a, 1), 99);
-  t.UpdateInPlace(a, {{2, Cell::Str("changed")}, {0, Cell::Int(2)}});
+  EXPECT_EQ(t.UpdateRow(a, {{2, Cell::Str("changed")}, {0, Cell::Int(2)}}),
+            a);
   EXPECT_EQ(t.GetStringView(a, 2), "changed");
   EXPECT_EQ(t.GetInt(a, 0), 2);
   // A string copied within its chunk survives the arena growing under it.
   const RowId b = t.Insert(Row(3, 30, std::string(300, 'b')));
   for (int i = 0; i < 20; ++i) {
-    t.UpdateInPlace(a, {{2, Cell::Str(t.GetStringView(b, 2))}});
-    t.UpdateInPlace(b, {{2, Cell::Str(t.GetStringView(a, 2))}});
+    ASSERT_EQ(t.UpdateRow(a, {{2, Cell::Str(t.GetStringView(b, 2))}}), a);
+    ASSERT_EQ(t.UpdateRow(b, {{2, Cell::Str(t.GetStringView(a, 2))}}), b);
   }
   EXPECT_EQ(t.GetStringView(a, 2), std::string(300, 'b'));
   EXPECT_EQ(t.GetStringView(b, 2), std::string(300, 'b'));
+  EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.num_visible(), 2u);
 }
 
 TEST(Table, FreezePreservesRowIdsAndValues) {
@@ -170,10 +162,14 @@ TEST(Table, DeleteOnFrozenRows) {
   EXPECT_FALSE(t.IsVisible(ids[10]));
   EXPECT_EQ(t.deleted_in_chunk(0), 1u);
   // Update of a frozen row relocates it to the hot tail (Section 3).
-  RowId moved = t.Update(ids[20], Row(20, 999, "moved"));
+  RowId moved =
+      t.UpdateRow(ids[20], {{1, Cell::Int(999)}, {2, Cell::Str("moved")}});
+  EXPECT_NE(moved, ids[20]);
   EXPECT_FALSE(t.IsVisible(ids[20]));
   EXPECT_EQ(t.chunk_state(RowIdChunk(moved)), ChunkState::kHot);
+  EXPECT_EQ(t.GetInt(moved, 0), 20);
   EXPECT_EQ(t.GetInt(moved, 1), 999);
+  EXPECT_EQ(t.GetStringView(moved, 2), "moved");
 }
 
 TEST(Table, FreezeAllIncludesPartialTail) {
@@ -296,9 +292,10 @@ TEST(TableDeathTest, MismatchedCellKindAborts) {
   EXPECT_DEATH(t.Insert({Cell::Int(1), Cell::Str("2")}), "DB_CHECK failed");
   EXPECT_DEATH(t.Insert({Cell::Int(1), Cell::Null()}), "DB_CHECK failed");
   EXPECT_DEATH(t.Insert({Cell::Int(1)}), "DB_CHECK failed");
-  EXPECT_DEATH(t.UpdateInPlace(id, {{0, Cell::Double(1.5)}}),
+  EXPECT_DEATH((void)t.UpdateRow(id, {{0, Cell::Double(1.5)}}),
                "DB_CHECK failed");
-  EXPECT_DEATH(t.UpdateRow(id, {{1, Cell::Str("2")}}), "DB_CHECK failed");
+  EXPECT_DEATH((void)t.UpdateRow(id, {{1, Cell::Str("2")}}),
+               "DB_CHECK failed");
   EXPECT_EQ(t.GetInt(id, 0), 1);
   EXPECT_EQ(t.GetInt(id, 1), 2);
 }
@@ -1053,6 +1050,38 @@ TEST(Table, PrefetchLeavesClockRecencyAndArchiveAlone) {
   EXPECT_EQ(fetcher.calls(), calls);
 }
 
+// A chunk evicted by hand, with no lifecycle manager, has a summary all
+// the same: EvictChunk makes it from the block. A kDataBlocks scan whose
+// predicate lies outside the chunk's SMA skips the chunk without a fetch;
+// one the SMA cannot rule out opens it with one.
+TEST(TableLifecycle, HandEvictedChunkPrunesWithoutAFetch) {
+  CountingFetcher fetcher("hand_evict");
+  Table t("t", TestSchema(), 64);
+  fetcher.Install(t);
+  for (int i = 0; i < 64; ++i) t.Insert(Row(i, i, "h"));
+  ASSERT_TRUE(t.FreezeChunk(0));
+  EXPECT_EQ(t.block_summary(0), nullptr);  // frozen: the block is resident
+  ASSERT_TRUE(fetcher.Archive(t, 0));
+  ASSERT_TRUE(t.EvictChunk(0));
+
+  // Rows out and evicted chunks skipped.
+  using Counts = std::pair<uint64_t, uint64_t>;
+  auto scan = [&](Predicate p) {
+    TableScanner scan(t, {0}, {p}, ScanMode::kDataBlocks);
+    Batch b;
+    uint64_t rows = 0;
+    while (scan.Next(&b)) rows += b.count;
+    return Counts(rows, scan.evicted_chunks_skipped());
+  };
+  EXPECT_EQ(scan(Predicate::Gt(0, Value::Int(1000))), Counts(0, 1));
+  EXPECT_EQ(fetcher.calls(), 0u);
+  EXPECT_EQ(scan(Predicate::Lt(0, Value::Int(10))), Counts(10, 0));
+  EXPECT_EQ(fetcher.calls(), 1u);
+  EXPECT_EQ(t.chunk_state(0), ChunkState::kEvicted);
+  ASSERT_NE(t.block_summary(0), nullptr);
+  EXPECT_EQ(t.block_summary(0)->row_count(), 64u);
+}
+
 // A scan that opens a chunk while it is kFreezing reads its hot chunk to
 // the end, also once the freezer has installed the block mid-chunk (and
 // hot_chunk() would answer nullptr): every row exactly once.
@@ -1247,11 +1276,8 @@ TEST(TableWrites, EveryTypeRoundTripsThroughUpdateFreezeAndRelocation) {
   for (auto& [id, row] : model) {
     if (rng.Uniform(0, 1) == 0) continue;
     gen_changes(&row, &changes);
-    if (in_place++ % 2 == 0) {
-      t.UpdateInPlace(id, changes);
-    } else {
-      ASSERT_EQ(t.UpdateRow(id, changes), id);  // hot: stays in place
-    }
+    ASSERT_EQ(t.UpdateRow(id, changes), id);  // hot: stays in place
+    ++in_place;
   }
   check("in-place update");
 

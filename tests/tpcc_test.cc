@@ -242,14 +242,22 @@ class TpccTest : public ::testing::Test {
     return db.scattered_.size();
   }
 
-  // Reads every order and its lines, and a sample of stock and customer
-  // rows, through the index and checks the keys stored in the rows.
+  // Reads every warehouse, district, order and its lines, and a sample of
+  // stock and customer rows, through the index and checks that each row is
+  // visible and holds the keys of its entry.
   static void ExpectIndexAgrees(const TpccDatabase& db) {
     namespace o = col::order;
     namespace ol = col::orderline;
     const TpccConfig& cfg = db.config();
     for (int w = 1; w <= cfg.num_warehouses; ++w) {
+      const RowId w_row = db.warehouse_idx_[size_t(w - 1)];
+      ASSERT_TRUE(db.warehouse.IsVisible(w_row)) << w;
+      ASSERT_EQ(db.warehouse.GetInt(w_row, col::warehouse::id), w);
       for (int d = 1; d <= 10; ++d) {
+        const RowId d_row = db.district_idx_[db.DistKey(w, d)];
+        ASSERT_TRUE(db.district.IsVisible(d_row)) << w << "/" << d;
+        ASSERT_EQ(db.district.GetInt(d_row, col::district::id), d);
+        ASSERT_EQ(db.district.GetInt(d_row, col::district::w_id), w);
         const auto& orders = db.orders_[db.DistKey(w, d)];
         for (size_t i = 0; i < orders.size(); ++i) {
           const auto& e = orders[i];
@@ -271,6 +279,7 @@ class TpccTest : public ::testing::Test {
         }
         for (int c = 1; c <= cfg.customers_per_district; c += 7) {
           const RowId id = db.customer_idx_[db.CustKey(w, d, c)];
+          ASSERT_TRUE(db.customer.IsVisible(id)) << w << "/" << d << "/" << c;
           ASSERT_EQ(db.customer.GetInt(id, col::customer::id), c);
           ASSERT_EQ(db.customer.GetInt(id, col::customer::d_id), d);
           ASSERT_EQ(db.customer.GetInt(id, col::customer::w_id), w);
@@ -278,6 +287,7 @@ class TpccTest : public ::testing::Test {
       }
       for (int i = 1; i <= cfg.num_items; i += 13) {
         const RowId id = db.stock_idx_[db.StockKey(w, i)];
+        ASSERT_TRUE(db.stock.IsVisible(id)) << w << "/" << i;
         ASSERT_EQ(db.stock.GetInt(id, col::stock::i_id), i);
         ASSERT_EQ(db.stock.GetInt(id, col::stock::w_id), w);
       }
@@ -386,6 +396,27 @@ TEST_F(TpccTest, DeliveryRelocatesFrozenRowsUnderTheBenchLifecycle) {
     EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
   }
   std::filesystem::remove_all(dir);
+}
+
+// Every table frozen, then the whole mix: each update of a warehouse,
+// district, customer or stock row relocates it into its table's hot tail
+// (paper Section 3), and the index follows the RowId UpdateRow returns.
+// An item ordered twice in one NewOrder is relocated by its first line
+// and updated in place by the second.
+TEST_F(TpccTest, FullMixOnFullyFrozenDatabase) {
+  TpccDatabase db(SmallConfig());
+  db.Load();
+  Rng rng(47);
+  for (int i = 0; i < 500; ++i) db.RunMixedTransaction(rng);
+  db.FreezeEverything();
+  const uint64_t stock_rows = db.stock.num_rows();
+  const uint64_t stock_visible = db.stock.num_visible();
+  for (int i = 0; i < 3000; ++i) db.RunMixedTransaction(rng);
+  EXPECT_GT(db.stock.num_rows(), stock_rows);
+  EXPECT_EQ(db.stock.num_visible(), stock_visible);
+  ExpectIndexAgrees(db);
+  std::string msg;
+  EXPECT_TRUE(db.CheckConsistency(&msg)) << msg;
 }
 
 }  // namespace datablocks::tpcc
