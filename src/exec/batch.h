@@ -38,8 +38,9 @@ using UninitVector = std::vector<T, DefaultInitAllocator<T>>;
 /// consumed tuple-at-a-time by the query pipeline.
 ///
 /// Physical mapping: kInt32/kDate/kChar1 -> i32, kInt64 -> i64,
-/// kDouble -> f64, kString -> str (views into block dictionaries or chunk
-/// arenas; valid until the underlying table is modified).
+/// kDouble -> f64, kString -> str (views into block dictionaries, chunk
+/// arenas or scan images; a view lives as long as the read section it was
+/// taken in, see below).
 ///
 /// String columns produced from frozen Data Blocks can alternatively be
 /// *code-carrying*: `codes` holds the dictionary codes of the matching rows

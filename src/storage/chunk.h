@@ -26,10 +26,11 @@ namespace datablocks {
 /// delete bitmap, which the frozen block later shares.
 ///
 /// Each fixed-width column is sized for `capacity` rows up front, and each
-/// string column's arena grows with its strings. Large ones are page-backed
-/// (AlignedBuffer): a chunk holding a few rows keeps only the pages those
-/// rows touch resident, and freeing a frozen chunk returns its pages to the
-/// OS, so the process's resident set follows MemoryBytes().
+/// string column's arena adds segments as its strings arrive, never moving
+/// the bytes it holds. Large buffers are page-backed (AlignedBuffer): a
+/// chunk holding a few rows keeps only the pages those rows touch resident,
+/// and freeing a frozen chunk returns its pages to the OS, so the process's
+/// resident set follows MemoryBytes().
 class Chunk {
  public:
   Chunk(const Schema* schema, uint32_t capacity);
@@ -65,11 +66,11 @@ class Chunk {
     return cols_[col].arena.Get(refs[row]);
   }
 
-  /// Typed point accessors. GetCell borrows a string from the arena (valid
-  /// until the column's next write). Set checks `v` as Append does; an
-  /// in-place string update appends the new bytes to the arena, and the
-  /// superseded bytes are reclaimed when the chunk is frozen (rewritten
-  /// into the block's dictionary).
+  /// Typed point accessors. GetCell borrows a string from the arena: the
+  /// view lives as long as the read section it was taken in. Set checks `v`
+  /// as Append does; an in-place string update appends the new bytes to the
+  /// arena, and the superseded bytes are reclaimed when the chunk is frozen
+  /// (rewritten into the block's dictionary).
   Cell GetCell(uint32_t col, uint32_t row) const;
   Value GetValue(uint32_t col, uint32_t row) const {
     return Value::Of(GetCell(col, row));

@@ -112,7 +112,9 @@ inline bool IsHotState(ChunkState s) {
 /// Concurrency contract: point accesses, scans, Delete, FreezeChunk,
 /// EvictChunk, TombstoneChunk and lifecycle ticks (a caller's Tick() or the
 /// periodic task on a worker pool) may run concurrently with each other and
-/// with a single writer (Insert and UpdateRow).
+/// with a single writer (Insert and UpdateRow). One exception stands until
+/// scans carry snapshots (ROADMAP item 1, step 2): UpdateRow of a hot row
+/// writes its cells in place, so it must not run beside scans of its chunk.
 /// Readers take no per-chunk lock or count: a point access runs inside a
 /// read section (ReadSection), and so does a scan of one chunk
 /// (OpenForScan). A delete sets its bit with one atomic fetch_or in any
@@ -199,12 +201,11 @@ class Table {
   /// StorageException, and so does a read of a tombstoned chunk, whose rows
   /// are all deleted.
   /// The string_view of GetStringView points into the chunk, the resident
-  /// block or the point image: for a hot or frozen row it stays valid
-  /// while the chunk stays in that state; for an evicted row, until the
-  /// same thread next point-reads an evicted chunk other than this one.
-  /// "While the chunk stays in that state" includes the read section the
-  /// view was taken in: a freeze, eviction or tombstone frees the bytes
-  /// only after that section closes.
+  /// block or the point image. For a hot or frozen row it lives as long as
+  /// the read section it was taken in: a hot chunk's string bytes never
+  /// move, and a freeze, eviction or tombstone frees them only after that
+  /// section closes. For an evicted row it lives until the same thread
+  /// next point-reads an evicted chunk other than this one.
   Value GetValue(RowId id, uint32_t col) const;
   int64_t GetInt(RowId id, uint32_t col) const;
   double GetDouble(RowId id, uint32_t col) const;

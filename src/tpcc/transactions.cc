@@ -34,9 +34,7 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
     int qty;
     // s_row serves the prefetches; the update loop reads the index again.
     RowId i_row, s_row;
-    // The stock row's, borrowed: only a relocation's insert writes the
-    // stock table's strings (see the last loop).
-    std::string_view dist;
+    std::string_view dist;  // the stock row's, borrowed
   };
   Line lines[15];  // ol_cnt <= 15
   for (int l = 0; l < ol_cnt; ++l) {
@@ -103,14 +101,11 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
   }
 
   int64_t total = 0;
-  bool relocated = false;
   for (int l = 0; l < ol_cnt; ++l) {
     Line& ln = lines[l];
-    // An item ordered twice: the first line may have relocated its row.
+    // An item ordered twice: the first line's update may have given its row
+    // a new id.
     RowId& s_row = stock_idx_[StockKey(ln.supply_w, ln.i_id)];
-    // A relocation inserts into the stock tail, whose strings may move:
-    // after one, read the view again.
-    if (relocated) ln.dist = stock.GetStringView(s_row, col::stock::dist);
     int64_t price = item.GetInt(ln.i_row, col::item::price);
     int32_t s_qty = int32_t(stock.GetInt(s_row, col::stock::quantity));
     s_qty = s_qty >= ln.qty + 10 ? s_qty - ln.qty : s_qty - ln.qty + 91;
@@ -125,10 +120,7 @@ NewOrderResult TpccDatabase::NewOrder(Rng& rng) {
         {col::stock::remote_cnt,
          Cell::Int(remote ? stock.GetInt(s_row, col::stock::remote_cnt) + 1
                           : 0)}};
-    const RowId updated =
-        stock.UpdateRow(s_row, std::span(changes, remote ? 4 : 3));
-    relocated |= updated != s_row;
-    s_row = updated;
+    s_row = stock.UpdateRow(s_row, std::span(changes, remote ? 4 : 3));
     int64_t amount = price * ln.qty;
     total += amount;
     SetLine(e, l,

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,38 +70,6 @@ void AlignedBuffer::ResizeForOverwrite(uint64_t size) {
   const uint64_t old_size = std::exchange(size_, size);
   PoisonSlack(old_size);
   std::memset(data_ + size, 0, kScanPadding);
-}
-
-void AlignedBuffer::Grow(uint64_t size) {
-  DB_CHECK(size >= size_);
-  const uint64_t old_size = size_;
-  const uint64_t old_capacity = capacity_;
-  if (PaddedBytes(size) > capacity_) {
-    if (!page_backed()) {
-      AlignedBuffer grown(size);
-      if (old_size > 0) std::memcpy(grown.data_, data_, old_size);
-      *this = std::move(grown);
-      return;
-    }
-    // Move the pages rather than copy them. The target is a fresh mapping
-    // because ThreadSanitizer sees mmap and munmap but not mremap: it
-    // resets its shadow of the target, and the old range it never sees
-    // unmapped is reset by whichever mmap reuses it.
-    DB_UNPOISON(data_ + size_ + kScanPadding, capacity_ - size_ - kScanPadding);
-    const uint64_t capacity = PageRound(PaddedBytes(size));
-    uint8_t* to = MapPages(capacity);
-    void* moved =
-        mremap(data_, capacity_, capacity, MREMAP_MAYMOVE | MREMAP_FIXED, to);
-    DB_CHECK(moved == to);
-    data_ = to;
-    capacity_ = capacity;  // the pages past old_capacity are fresh zeros
-  }
-  size_ = size;
-  PoisonSlack(old_size);
-  // Bytes past the old size may be stale: a ResizeForOverwrite shrank the
-  // buffer.
-  std::memset(data_ + old_size, 0,
-              std::min(size + kScanPadding, old_capacity) - old_size);
 }
 
 void AlignedBuffer::PoisonSlack(uint64_t old_size) {

@@ -64,14 +64,6 @@ class AlignedBuffer {
   /// Otherwise as Allocate.
   void ResizeForOverwrite(uint64_t size);
 
-  /// Grows the buffer to `size` >= size() bytes, keeping the current bytes;
-  /// the new ones are zero. It grows in place while the allocation has room
-  /// (a page-backed one up to its last page). Beyond that a heap buffer is
-  /// copied into a new allocation, and a page-backed one moves its pages
-  /// to a larger mapping (mremap) without copying them. Callers grow
-  /// geometrically.
-  void Grow(uint64_t size);
-
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
   uint64_t size() const { return size_; }
