@@ -4,9 +4,10 @@
 // of one bench main().
 //
 //   * Half the clients are OLTP (one TPC-C mixed transaction per
-//     request, Priority::kOltp — urgent-submitted, jumps worker
-//     queues); the rest are OLAP (TPC-H queries on a frozen Data
-//     Blocks instance, Priority::kOlap, parallel pipelines at
+//     request, Priority::kOltp — run in the server's ordered lane, one
+//     at a time, by a submitting client's thread); the rest are OLAP
+//     (TPC-H queries on a frozen Data Blocks instance, Priority::kOlap,
+//     admitted and run on the worker pool with parallel pipelines at
 //     --threads N).
 //   * Closed loop: every client submits, waits for the response,
 //     thinks T ms, repeats until the duration elapses — so offered
@@ -24,10 +25,13 @@
 //                    [--duration-s S] [--think-ms T] [--max-running R]
 //                    [--max-queued Q] [--timeout-ms X] [--saturate]
 //
-// --saturate shrinks admission (max_running 1, max_queued 4, 50 ms
-// queue timeout, zero think time) so the run *must* produce rejections
-// and queue timeouts — the serve-stress CI job runs it under TSan and
-// ASan/UBSan and fails unless both counters moved and nothing hung.
+// --saturate shrinks admission (max_running 1, max_queued 2, 50 ms
+// queue timeout, zero think time) so the run *must* produce refusals:
+// with four clients per class, one running and two waiting, the OLAP
+// queue and the OLTP lane (bounded by the same max_queued) both
+// overflow, and slow builds time queued requests out as well. The
+// serve-stress CI job runs it under TSan and ASan/UBSan and fails unless
+// the refusal counters moved and nothing hung.
 //
 // --chaos evicts the whole lineitem table to a block archive (lifecycle
 // budget 0, background ticks keep re-evicting) and arms the
@@ -45,7 +49,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,7 +168,7 @@ int main(int argc, char** argv) {
   const long max_running =
       FlagInt(&argc, argv, "--max-running", saturate ? 1 : 0);
   const long max_queued =
-      FlagInt(&argc, argv, "--max-queued", saturate ? 4 : 64);
+      FlagInt(&argc, argv, "--max-queued", saturate ? 2 : 64);
   const long timeout_ms =
       FlagInt(&argc, argv, "--timeout-ms", saturate ? 50 : 0);
 
@@ -193,15 +196,11 @@ int main(int argc, char** argv) {
   server_cfg.admission.max_queued = size_t(max_queued);
   serve::Server server(server_cfg);
 
-  // The OLTP lane: TPC-C transactions are single-threaded, so requests
-  // serialize on one mutex — a global commit lock, the honest statement
-  // of what the engine supports until snapshot-isolated writes land
-  // (ROADMAP). The lock is INSIDE the handler: admission and scheduling
-  // stay concurrent, execution serializes.
-  std::mutex oltp_mu;
+  // TPC-C transactions are single-threaded: the server's OLTP lane runs
+  // them one at a time in arrival order, so the lane is the commit order
+  // and the handler needs no lock of its own.
   Rng oltp_rng(7);
   server.RegisterHandler("tpcc.mixed", [&](std::string_view) {
-    std::lock_guard<std::mutex> lock(oltp_mu);
     const int type = oltp_db.RunMixedTransaction(oltp_rng);
     return std::string(1, char('0' + type));
   });

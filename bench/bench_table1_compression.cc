@@ -2,19 +2,24 @@
 // cast_info relation, and the flights data set. A sub-byte bit-packed size
 // estimate stands in for the "Vectorwise compressed" reference column (see
 // DESIGN.md substitution 4). Each data set's freeze is timed as well: the
-// thread CPU time of FreezeAll, in total and per frozen value. A second
-// table splits each data set's Data Blocks bytes into codes, dictionaries
-// (integer values, or a string dictionary's offsets), string bytes, PSMA
-// tables and the rest (spines, NULL bitmaps, alignment). With --quick at
-// its default scale the run exits non-zero unless the TPC-H Data Blocks
-// bytes equal kQuickTpchBytes, so a change to the block layout or to
-// scheme choice must update them deliberately.
+// thread CPU time of FreezeAll, in total and per frozen value. A freeze
+// CPU split follows (advisory, nothing pinned): the string columns'
+// CollectStats, timed in a pass of its own just before the freeze,
+// against the rest of DataBlock::Build, with the costliest string column
+// per block. A third table splits each data set's Data Blocks bytes into
+// codes, dictionaries (integer values, or a string dictionary's offsets),
+// string bytes, PSMA tables and the rest (spines, NULL bitmaps,
+// alignment). With --quick at its default scale the run exits non-zero
+// unless the TPC-H Data Blocks bytes equal kQuickTpchBytes, so a change to
+// the block layout or to scheme choice must update them deliberately.
 
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <string>
 #include <vector>
 
+#include "datablock/compression.h"
 #include "tpch/tpch_db.h"
 #include "util/bits.h"
 #include "workloads/flights.h"
@@ -84,20 +89,58 @@ double ThreadCpuSeconds() {
   return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
+/// A data set's freeze CPU, and the share its string columns' stats take.
+struct FreezeCpu {
+  double freeze_s = 0;
+  double string_stats_s = 0;
+  std::string worst_column;  // costliest string column per block
+  double worst_ms_per_block = 0;
+};
+
+/// Times CollectStats of every string column of `t`'s hot chunks, as
+/// DataBlock::Build's first pass runs it (no sort permutation).
+void TimeStringStats(const Table& t, FreezeCpu* cpu) {
+  const Schema& schema = t.schema();
+  for (uint32_t c = 0; c < schema.num_columns(); ++c) {
+    if (schema.type(c) != TypeId::kString) continue;
+    double column_s = 0;
+    size_t blocks = 0;
+    for (size_t k = 0; k < t.num_chunks(); ++k) {
+      const Chunk* chunk = t.hot_chunk(k);
+      if (chunk == nullptr || chunk->size() == 0) continue;
+      const double start = ThreadCpuSeconds();
+      CollectStats(*chunk, c, nullptr);
+      column_s += ThreadCpuSeconds() - start;
+      ++blocks;
+    }
+    cpu->string_stats_s += column_s;
+    const double ms_per_block =
+        blocks == 0 ? 0.0 : column_s * 1e3 / double(blocks);
+    if (ms_per_block > cpu->worst_ms_per_block) {
+      cpu->worst_ms_per_block = ms_per_block;
+      cpu->worst_column = t.name() + "." + schema.column(c).name;
+    }
+  }
+}
+
 struct Row {
   const char* name;
   Sizes sizes;
+  FreezeCpu cpu;
 };
 
 /// Freezes the tables, prints their sizes and the freeze's CPU time, in
-/// total and per frozen value (rows x attributes), and returns the sizes.
-Sizes Report(const char* name, uint64_t uncompressed, Table* tables[],
-             int num_tables) {
-  Sizes sizes;
+/// total and per frozen value (rows x attributes), and returns the sizes
+/// and the freeze CPU split.
+Row Report(const char* name, uint64_t uncompressed, Table* tables[],
+           int num_tables) {
+  Row row{name, {}, {}};
+  Sizes& sizes = row.sizes;
   uint64_t compressed = 0, values = 0;
-  double freeze_s = 0;
+  double& freeze_s = row.cpu.freeze_s;
   for (int i = 0; i < num_tables; ++i) {
     values += tables[i]->num_rows() * tables[i]->schema().num_columns();
+    TimeStringStats(*tables[i], &row.cpu);
     const double start = ThreadCpuSeconds();
     tables[i]->FreezeAll();
     freeze_s += ThreadCpuSeconds() - start;
@@ -111,7 +154,7 @@ Sizes Report(const char* name, uint64_t uncompressed, Table* tables[],
       double(uncompressed) / double(compressed),
       double(compressed) / double(sizes.bitpacked), freeze_s * 1e3,
       values == 0 ? 0.0 : freeze_s * 1e9 / double(values));
-  return sizes;
+  return row;
 }
 
 }  // namespace
@@ -140,7 +183,7 @@ int main(int argc, char** argv) {
     Table* tables[8] = {&db->region, &db->nation,   &db->supplier,
                         &db->customer, &db->part,   &db->partsupp,
                         &db->orders,  &db->lineitem};
-    rows.push_back({tpch_name, Report(tpch_name, hot, tables, 8)});
+    rows.push_back(Report(tpch_name, hot, tables, 8));
   }
   {
     workloads::ImdbConfig cfg;
@@ -148,8 +191,7 @@ int main(int argc, char** argv) {
     auto t = workloads::MakeCastInfo(cfg);
     uint64_t hot = t->MemoryBytes();
     Table* tables[1] = {t.get()};
-    rows.push_back(
-        {"IMDB cast_info", Report("IMDB cast_info", hot, tables, 1)});
+    rows.push_back(Report("IMDB cast_info", hot, tables, 1));
   }
   {
     workloads::FlightsConfig cfg;
@@ -157,12 +199,27 @@ int main(int argc, char** argv) {
     auto t = workloads::MakeFlights(cfg);
     uint64_t hot = t->MemoryBytes();
     Table* tables[1] = {t.get()};
-    rows.push_back({"Flights", Report("Flights", hot, tables, 1)});
+    rows.push_back(Report("Flights", hot, tables, 1));
   }
   std::printf(
       "\n(Paper Table 1: HyPer compresses TPC-H ~1.9x, cast_info ~3.6x,\n"
       " flights ~5x; Vectorwise's heavier sub-byte schemes save another\n"
       " ~25%%, which the bit-packed estimate column mirrors.)\n");
+
+  std::printf("\n=== Freeze CPU split (advisory) ===\n");
+  std::printf("%-16s %12s %14s %12s  %s\n", "data set", "freeze ms",
+              "string stats", "rest ms", "costliest string column");
+  for (const Row& r : rows) {
+    const FreezeCpu& c = r.cpu;
+    std::printf("%-16s %12.1f %11.1f ms %12.1f  %s", r.name,
+                c.freeze_s * 1e3, c.string_stats_s * 1e3,
+                (c.freeze_s - c.string_stats_s) * 1e3,
+                c.worst_column.empty() ? "-" : c.worst_column.c_str());
+    if (!c.worst_column.empty()) {
+      std::printf(" (%.2f ms per block)", c.worst_ms_per_block);
+    }
+    std::printf("\n");
+  }
 
   std::printf("\n=== Data Blocks bytes by region (MB) ===\n");
   std::printf("%-16s %12s %12s %12s %12s %12s %12s\n", "data set", "total",

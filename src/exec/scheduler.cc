@@ -90,27 +90,16 @@ Scheduler& Scheduler::Default() {
 }
 
 void Scheduler::Submit(std::function<void()> fn) {
-  SubmitInternal(std::move(fn), /*front=*/false);
-}
-
-void Scheduler::SubmitUrgent(std::function<void()> fn) {
-  SubmitInternal(std::move(fn), /*front=*/true);
-}
-
-void Scheduler::SubmitInternal(std::function<void()> fn, bool front) {
   const unsigned target =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % num_workers();
   {
-    std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    if (front) {
-      workers_[target]->queue.push_front(std::move(fn));
-    } else {
-      workers_[target]->queue.push_back(std::move(fn));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
+    // Counted and published in one sleep_mu_ section: a worker that pops
+    // the task at once finds it in pending_ (the count cannot wrap), and a
+    // worker that sees it in pending_ finds it queued (nobody spins on a
+    // count whose task is not there yet).
+    std::scoped_lock lock(sleep_mu_, workers_[target]->mu);
     ++pending_;
+    workers_[target]->queue.push_back(std::move(fn));
   }
   sleep_cv_.notify_one();
 }
@@ -144,6 +133,7 @@ bool Scheduler::TryRunOne(unsigned self) {
   if (!task) return false;
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
+    DB_CHECK(pending_ > 0);
     --pending_;
   }
   task();

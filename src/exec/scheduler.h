@@ -66,14 +66,6 @@ class Scheduler {
   /// joinable work.
   void Submit(std::function<void()> fn);
 
-  /// Enqueues one task at the *front* of its worker's queue, overtaking
-  /// every task queued with Submit: the serving layer routes OLTP point
-  /// ops here so they never wait behind queued scan morsels. Urgent
-  /// tasks are LIFO among themselves (they are expected to be short and
-  /// rare relative to queue depth) and, sitting at the front, are the
-  /// last ones siblings steal.
-  void SubmitUrgent(std::function<void()> fn);
-
   /// Registers `fn` to run roughly every `interval` on pool workers.
   /// Returns a nonzero id for RemovePeriodic. Firings are skipped while a
   /// previous firing of the same task is still executing, so a slow task
@@ -119,7 +111,6 @@ class Scheduler {
     bool removed = false;
   };
 
-  void SubmitInternal(std::function<void()> fn, bool front);
   void WorkerLoop(unsigned self);
   bool TryRunOne(unsigned self);
   void FirePeriodic(uint64_t id);
@@ -128,7 +119,8 @@ class Scheduler {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<unsigned> next_queue_{0};  // Submit round-robin cursor
 
-  // Idle workers sleep here; pending_ counts queued-but-unclaimed tasks.
+  // Idle workers sleep here; pending_ counts submitted tasks no worker has
+  // claimed yet.
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
   size_t pending_ = 0;
@@ -219,8 +211,6 @@ class TaskGroup {
       });
     }
   }
-
-  Scheduler& scheduler() const { return *scheduler_; }
 
  private:
   struct State {

@@ -3,50 +3,9 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/query_profile.h"  // MonotonicNs
-#include "obs/trace.h"
 #include "util/macros.h"
 
 namespace datablocks::serve {
-
-namespace {
-
-/// Process-wide admission counters ("serve.*"), resolved once.
-struct AdmissionMetrics {
-  obs::Counter* submitted;
-  obs::Counter* admitted;
-  obs::Counter* rejected;
-  obs::Counter* timed_out;
-  obs::Counter* cancelled;
-  obs::Gauge* running;
-  obs::Gauge* queued;
-  obs::Histogram* queue_wait_ns;
-};
-
-const AdmissionMetrics& Metrics() {
-  static const AdmissionMetrics m = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-    return AdmissionMetrics{r.GetCounter("serve.submitted"),
-                            r.GetCounter("serve.admitted"),
-                            r.GetCounter("serve.rejected"),
-                            r.GetCounter("serve.timed_out"),
-                            r.GetCounter("serve.cancelled"),
-                            r.GetGauge("serve.running"),
-                            r.GetGauge("serve.queued"),
-                            r.GetHistogram("serve.queue_wait_ns")};
-  }();
-  return m;
-}
-
-}  // namespace
-
-const char* PriorityName(Priority p) {
-  switch (p) {
-    case Priority::kOltp: return "oltp";
-    case Priority::kOlap: return "olap";
-  }
-  return "?";
-}
 
 const char* StatusName(Status s) {
   switch (s) {
@@ -68,77 +27,58 @@ AdmissionController::AdmissionController(AdmissionConfig cfg,
       }()) {}
 
 void AdmissionController::GaugesLocked() const {
-  Metrics().running->Set(int64_t(running_));
-  Metrics().queued->Set(int64_t(queued_));
+  static obs::Gauge* const running =
+      obs::MetricsRegistry::Default().GetGauge("serve.running");
+  static obs::Gauge* const queued =
+      obs::MetricsRegistry::Default().GetGauge("serve.queued");
+  running->Set(int64_t(running_));
+  queued->Set(int64_t(queue_.size()));
 }
 
 void AdmissionController::ExpireLocked(
     std::chrono::steady_clock::time_point now, std::vector<Action>* actions) {
-  for (auto& queue : queues_) {
-    for (auto it = queue.begin(); it != queue.end();) {
-      Ticket& t = *it->ticket;
-      if (t.has_deadline && t.deadline <= now) {
-        actions->push_back({std::move(it->ticket), false, 0,
-                            Status::kTimedOut});
-        it = queue.erase(it);
-        --queued_;
-      } else {
-        ++it;
-      }
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    const Ticket& t = *it->ticket;
+    if (t.has_deadline && t.deadline <= now) {
+      actions->push_back({std::move(it->ticket), Status::kTimedOut});
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
   }
 }
 
 void AdmissionController::PumpLocked(
     std::chrono::steady_clock::time_point now, std::vector<Action>* actions) {
-  for (auto& queue : queues_) {
-    while (running_ < cfg_.max_running && !queue.empty()) {
-      Slot& head = queue.front();
-      const Ticket& t = *head.ticket;
-      if (t.has_deadline && t.deadline <= now) {
-        actions->push_back({std::move(head.ticket), false, 0,
-                            Status::kTimedOut});
-      } else {
-        ++running_;
-        const uint64_t queue_ns = uint64_t(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - head.enqueued)
-                .count());
-        actions->push_back({std::move(head.ticket), true, queue_ns,
-                            Status::kOk});
-      }
-      queue.pop_front();
-      --queued_;
+  while (running_ < cfg_.max_running && !queue_.empty()) {
+    Slot& head = queue_.front();
+    const Ticket& t = *head.ticket;
+    if (t.has_deadline && t.deadline <= now) {
+      actions->push_back({std::move(head.ticket), Status::kTimedOut});
+    } else {
+      ++running_;
+      const uint64_t queue_ns = uint64_t(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              now - head.enqueued)
+              .count());
+      actions->push_back({std::move(head.ticket), Status::kOk, queue_ns});
     }
+    queue_.pop_front();
   }
 }
 
 void AdmissionController::RunActions(std::vector<Action>& actions) {
   for (Action& a : actions) {
-    if (a.granted) {
-      Metrics().admitted->Add();
-      Metrics().queue_wait_ns->Observe(a.queue_ns);
+    if (a.status == Status::kOk) {
       a.ticket->grant(a.queue_ns);
     } else {
-      if (a.drop_status == Status::kTimedOut) {
-        Metrics().timed_out->Add();
-        obs::TraceRing::Default().Publish(
-            "serve", "timed_out", int64_t(a.ticket->priority), 0);
-      } else if (a.drop_status == Status::kRejected) {
-        Metrics().rejected->Add();
-        obs::TraceRing::Default().Publish(
-            "serve", "rejected", int64_t(a.ticket->priority), 0);
-      } else {
-        Metrics().cancelled->Add();
-      }
-      a.ticket->drop(a.drop_status);
+      a.ticket->drop(a.status);
     }
   }
 }
 
 void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
   DB_CHECK(t != nullptr && t->grant && t->drop);
-  Metrics().submitted->Add();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -147,28 +87,20 @@ void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
     // precedes its ticket's enqueue and queue_ns cannot wrap.
     const auto now = std::chrono::steady_clock::now();
     if (shutdown_) {
-      actions.push_back({std::move(t), false, 0, Status::kShutdown});
-      RunActions(actions);
-      return;
+      actions.push_back({std::move(t), Status::kShutdown});
+    } else {
+      queue_.push_back({t, now});
+      PumpLocked(now, &actions);
+      if (queue_.size() > cfg_.max_queued) {
+        // Overflow. The pump freed no room, so the arrival is still the
+        // newest entry: it bounces.
+        DB_DCHECK(queue_.back().ticket == t);
+        actions.push_back({std::move(queue_.back().ticket),
+                           Status::kRejected});
+        queue_.pop_back();
+      }
+      GaugesLocked();
     }
-    std::deque<Slot>& own = queues_[unsigned(t->priority)];
-    own.push_back({t, now});
-    ++queued_;
-    PumpLocked(now, &actions);
-    if (queued_ > cfg_.max_queued) {
-      // Overflow. The pump freed no room, so the arrival is still the
-      // newest entry of its class. An OLTP arrival evicts the newest
-      // queued OLAP entry in its place; otherwise the arrival bounces.
-      DB_DCHECK(own.back().ticket == t);
-      std::deque<Slot>& olap = queues_[unsigned(Priority::kOlap)];
-      std::deque<Slot>& victims =
-          t->priority == Priority::kOltp && !olap.empty() ? olap : own;
-      actions.push_back({std::move(victims.back().ticket), false, 0,
-                         Status::kRejected});
-      victims.pop_back();
-      --queued_;
-    }
-    GaugesLocked();
   }
   RunActions(actions);
 }
@@ -182,7 +114,7 @@ void AdmissionController::OnDone() {
     --running_;
     PumpLocked(now, &actions);
     GaugesLocked();
-    if (running_ == 0 && queued_ == 0) idle_cv_.notify_all();
+    if (running_ == 0 && queue_.empty()) idle_cv_.notify_all();
   }
   RunActions(actions);
 }
@@ -205,14 +137,10 @@ void AdmissionController::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    for (auto& queue : queues_) {
-      for (Slot& slot : queue) {
-        actions.push_back({std::move(slot.ticket), false, 0,
-                           Status::kShutdown});
-      }
-      queue.clear();
+    for (Slot& slot : queue_) {
+      actions.push_back({std::move(slot.ticket), Status::kShutdown});
     }
-    queued_ = 0;
+    queue_.clear();
     GaugesLocked();
     if (running_ == 0) idle_cv_.notify_all();
   }
@@ -221,7 +149,7 @@ void AdmissionController::Shutdown() {
 
 void AdmissionController::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return running_ == 0 && queued_ == 0; });
+  idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
 }
 
 unsigned AdmissionController::running() const {
@@ -231,7 +159,7 @@ unsigned AdmissionController::running() const {
 
 size_t AdmissionController::queued() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
+  return queue_.size();
 }
 
 }  // namespace datablocks::serve

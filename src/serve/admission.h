@@ -1,23 +1,17 @@
 #ifndef DATABLOCKS_SERVE_ADMISSION_H_
 #define DATABLOCKS_SERVE_ADMISSION_H_
 
-// Admission control for the serving front end (serve/server.h): decides,
-// for every submitted request, whether it runs now, waits in a bounded
-// pending queue, or is refused — so a burst of scans cannot bury the
-// engine or starve point operations.
+// Admission control for the serving front end's OLAP requests
+// (serve/server.h): decides, for every submitted request, whether it runs
+// now, waits in a bounded pending queue, or is refused, so a burst of
+// scans cannot bury the engine. OLTP requests never come here; they run
+// in the server's ordered lane.
 //
-// Two mechanisms:
-//
-//  * Concurrency limit. At most `max_running` requests execute at once
-//    (default: one per scheduler worker); the rest queue.
-//  * Priority classes. The pending queue is one FIFO per class
-//    (kOltp > kOlap); a freed slot always goes to the head of the highest
-//    non-empty class, so OLTP point ops overtake queued scans. On queue
-//    overflow an OLTP arrival evicts the newest queued OLAP entry when
-//    one exists; otherwise the arrival is rejected.
-//
-// Every operation leaves the controller with all slots taken or nothing
-// queued, so a queued ticket always waits on a running one.
+// At most `max_running` requests execute at once (default: one per
+// scheduler worker). The rest wait in one FIFO of at most `max_queued`
+// entries; an arrival that finds it full is rejected. Every operation
+// leaves the controller with all slots taken or nothing queued, so a
+// queued ticket always waits on a running one.
 //
 // Queued entries time out: each ticket can carry a deadline, enforced by
 // a periodic reaper (the server registers it on the shared scheduler)
@@ -40,17 +34,12 @@
 
 namespace datablocks::serve {
 
-/// Priority classes, highest first: OLTP point ops go ahead of scans.
-enum class Priority : uint8_t { kOltp = 0, kOlap = 1 };
-inline constexpr unsigned kNumPriorities = 2;
-const char* PriorityName(Priority p);  // "oltp" / "olap"
-
 /// Terminal state of one request, as delivered in its Response.
 enum class Status : uint8_t {
   kOk = 0,        // executed, payload valid
   kError,         // handler threw; payload holds the message
-  kRejected,      // pending queue full (or evicted by a higher priority)
-  kTimedOut,      // queue deadline passed before a slot freed
+  kRejected,      // pending queue (or OLTP lane) full
+  kTimedOut,      // queue deadline passed before the request could run
   kShutdown,      // server shutting down / session closed
 };
 const char* StatusName(Status s);
@@ -58,7 +47,7 @@ const char* StatusName(Status s);
 struct AdmissionConfig {
   /// Concurrently executing requests; 0 = one per scheduler worker.
   unsigned max_running = 0;
-  /// Bounded pending queue, across both priority classes.
+  /// Bounded pending queue; also bounds the server's OLTP lane.
   size_t max_queued = 64;
 };
 
@@ -67,7 +56,6 @@ class AdmissionController {
   /// One admission unit. The server owns the request itself; the
   /// controller sees only what it decides on.
   struct Ticket {
-    Priority priority = Priority::kOlap;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     /// Runs the request (called with the time spent queued). Must be
@@ -116,13 +104,12 @@ class AdmissionController {
   };
   struct Action {  // decided under the lock, executed outside it
     std::shared_ptr<Ticket> ticket;
-    bool granted = false;
+    Status status = Status::kOk;  // kOk grants, anything else drops
     uint64_t queue_ns = 0;
-    Status drop_status = Status::kRejected;
   };
 
-  /// Pops queue heads, highest class first, while a slot is free: an
-  /// expired head is dropped, any other granted. Appends to `actions`.
+  /// Pops queue heads while a slot is free: an expired head is dropped,
+  /// any other granted. Appends to `actions`.
   void PumpLocked(std::chrono::steady_clock::time_point now,
                   std::vector<Action>* actions);
   void ExpireLocked(std::chrono::steady_clock::time_point now,
@@ -136,8 +123,7 @@ class AdmissionController {
   std::condition_variable idle_cv_;
   bool shutdown_ = false;
   unsigned running_ = 0;
-  size_t queued_ = 0;  // sum over queues_
-  std::deque<Slot> queues_[kNumPriorities];
+  std::deque<Slot> queue_;
 };
 
 }  // namespace datablocks::serve

@@ -14,22 +14,34 @@ namespace {
 /// Cadence of the reaper that times out queued requests.
 constexpr std::chrono::milliseconds kReapInterval{5};
 
-/// Process-wide completion metrics ("serve.*"), resolved once.
+/// Process-wide serving metrics ("serve.*"), resolved once.
 struct ServeMetrics {
+  obs::Counter* submitted;
+  obs::Counter* admitted;  // started executing, on either path
+  obs::Counter* rejected;
+  obs::Counter* timed_out;
+  obs::Counter* cancelled;
   obs::Counter* completed;
   obs::Counter* errors;
   obs::Counter* storage_errors;
   obs::Gauge* sessions;
+  obs::Histogram* queue_wait_ns;
   obs::Histogram* latency_by_priority[kNumPriorities];
 };
 
 const ServeMetrics& Metrics() {
   static const ServeMetrics m = [] {
     obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-    ServeMetrics sm{r.GetCounter("serve.completed"),
+    ServeMetrics sm{r.GetCounter("serve.submitted"),
+                    r.GetCounter("serve.admitted"),
+                    r.GetCounter("serve.rejected"),
+                    r.GetCounter("serve.timed_out"),
+                    r.GetCounter("serve.cancelled"),
+                    r.GetCounter("serve.completed"),
                     r.GetCounter("serve.errors"),
                     r.GetCounter("serve.storage_errors"),
                     r.GetGauge("serve.sessions"),
+                    r.GetHistogram("serve.queue_wait_ns"),
                     {}};
     sm.latency_by_priority[unsigned(Priority::kOltp)] =
         r.GetHistogram("serve.oltp_latency_ns");
@@ -40,7 +52,51 @@ const ServeMetrics& Metrics() {
   return m;
 }
 
+Response Refusal(Status status) { return Response{status, {}}; }
+
+/// Runs a request that waited `queue_ns`, on either path: handler
+/// exceptions become kError, and the execution time is the profile's
+/// wall time when the request carries one.
+Response Execute(const Request& rq, uint64_t queue_ns) {
+  Metrics().admitted->Add();
+  Metrics().queue_wait_ns->Observe(queue_ns);
+  Response resp{Status::kOk, {}, queue_ns};
+  const uint64_t t0 = obs::MonotonicNs();
+  try {
+    resp.payload = rq.work();
+  } catch (const StorageException& e) {
+    // A storage fault (unreadable archive block, quarantined chunk)
+    // fails THIS query, not the process; concurrent healthy queries
+    // keep flowing. Metered separately from generic handler errors.
+    Metrics().storage_errors->Add();
+    resp.status = Status::kError;
+    resp.payload = e.what();
+  } catch (const std::exception& e) {
+    resp.status = Status::kError;
+    resp.payload = e.what();
+  } catch (...) {
+    resp.status = Status::kError;
+    resp.payload = "unknown exception";
+  }
+  resp.exec_ns = obs::MonotonicNs() - t0;
+  if (rq.profile != nullptr) {
+    // The request carried an execution profile: its wall time is the
+    // reported execution time (identical clock, richer attribution).
+    rq.profile->Finish();
+    if (rq.profile->wall_ns() > 0) resp.exec_ns = rq.profile->wall_ns();
+  }
+  return resp;
+}
+
 }  // namespace
+
+const char* PriorityName(Priority p) {
+  switch (p) {
+    case Priority::kOltp: return "oltp";
+    case Priority::kOlap: return "olap";
+  }
+  return "?";
+}
 
 // ---------------------------------------------------------------------------
 // ResponseFuture
@@ -54,8 +110,7 @@ const Response& ResponseFuture::Get() const& {
 }
 
 Response ResponseFuture::Get() && {
-  Response copy = static_cast<const ResponseFuture&>(*this).Get();
-  return copy;
+  return static_cast<const ResponseFuture&>(*this).Get();
 }
 
 bool ResponseFuture::WaitFor(std::chrono::milliseconds timeout) const {
@@ -129,6 +184,16 @@ void Server::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
   shutdown_.store(true, std::memory_order_relaxed);
   admission_.Shutdown();
+  // A lane arrival reads shutdown_ under lane_mu_, so none can slip in
+  // after the flush.
+  std::unique_lock<std::mutex> lane_lock(lane_mu_);
+  std::deque<LaneEntry> flushed;
+  flushed.swap(lane_);
+  lane_lock.unlock();
+  for (LaneEntry& e : flushed) e.complete(Refusal(Status::kShutdown));
+  lane_lock.lock();
+  lane_idle_cv_.wait(lane_lock, [this] { return !lane_draining_; });
+  lane_lock.unlock();
   admission_.WaitIdle();
   if (reaper_id_ != 0) {
     scheduler_->RemovePeriodic(reaper_id_);
@@ -150,81 +215,89 @@ void Server::Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
 void Server::Dispatch(Request req,
                       std::shared_ptr<ResponseFuture::State> state,
                       std::shared_ptr<SessionState> session) {
-  state->submit_ns = obs::MonotonicNs();
   session->OnSubmit();
+  Metrics().submitted->Add();
 
   const Priority priority = req.priority;
-  auto rq = std::make_shared<Request>(std::move(req));
-
-  auto complete = [state, session, priority](Response resp) {
+  Completion complete = [state, session, priority](Response resp) {
     // Metrics land BEFORE the future is fulfilled: a caller returning
     // from Get() must see its own request in the histograms. OnDone
     // stays last so Session::Close => responses delivered.
-    if (resp.status == Status::kOk) {
-      // Latency percentiles cover completed work only; refusals are
-      // counted, not timed.
-      const uint64_t total_ns = obs::MonotonicNs() - state->submit_ns;
-      Metrics().latency_by_priority[unsigned(priority)]->Observe(total_ns);
-      session->latency_ns->Observe(total_ns);
+    switch (resp.status) {
+      case Status::kOk: {
+        // Latency percentiles cover completed work only; refusals are
+        // counted, not timed.
+        const uint64_t total_ns = obs::MonotonicNs() - state->submit_ns;
+        Metrics().latency_by_priority[unsigned(priority)]->Observe(total_ns);
+        session->latency_ns->Observe(total_ns);
+        break;
+      }
+      case Status::kError: Metrics().errors->Add(); break;
+      case Status::kRejected: Metrics().rejected->Add(); break;
+      case Status::kTimedOut: Metrics().timed_out->Add(); break;
+      case Status::kShutdown: Metrics().cancelled->Add(); break;
+    }
+    if (resp.status == Status::kRejected || resp.status == Status::kTimedOut) {
+      obs::TraceRing::Default().Publish("serve", StatusName(resp.status),
+                                        int64_t(priority), 0);
     }
     Metrics().completed->Add();
     Fulfill(state, std::move(resp));
     session->OnDone();
   };
 
+  if (priority == Priority::kOltp) {
+    RunInLane(std::move(req), std::move(complete));
+    return;
+  }
+  auto rq = std::make_shared<Request>(std::move(req));
   auto ticket = std::make_shared<AdmissionController::Ticket>();
-  ticket->priority = priority;
   if (rq->queue_timeout.count() > 0) {
     ticket->has_deadline = true;
     ticket->deadline = std::chrono::steady_clock::now() + rq->queue_timeout;
   }
   ticket->grant = [this, rq, complete](uint64_t queue_ns) {
-    auto run = [this, rq, complete, queue_ns] {
-      Response resp;
-      resp.queue_ns = queue_ns;
-      const uint64_t t0 = obs::MonotonicNs();
-      try {
-        resp.payload = rq->work();
-        resp.status = Status::kOk;
-      } catch (const StorageException& e) {
-        // A storage fault (unreadable archive block, quarantined chunk)
-        // fails THIS query, not the process; concurrent healthy queries
-        // keep flowing. Metered separately from generic handler errors.
-        Metrics().storage_errors->Add();
-        resp.status = Status::kError;
-        resp.payload = e.what();
-      } catch (const std::exception& e) {
-        resp.status = Status::kError;
-        resp.payload = e.what();
-      } catch (...) {
-        resp.status = Status::kError;
-        resp.payload = "unknown exception";
-      }
-      resp.exec_ns = obs::MonotonicNs() - t0;
-      if (rq->profile != nullptr) {
-        // The request carried an execution profile: its wall time is the
-        // reported execution time (identical clock, richer attribution).
-        rq->profile->Finish();
-        if (rq->profile->wall_ns() > 0) resp.exec_ns = rq->profile->wall_ns();
-      }
-      if (resp.status != Status::kOk) Metrics().errors->Add();
+    scheduler_->Submit([this, rq, complete, queue_ns] {
+      Response resp = Execute(*rq, queue_ns);
       admission_.OnDone();
       complete(std::move(resp));
-    };
-    // Point ops jump the worker queues; scans line up behind running
-    // morsel tasks.
-    if (rq->priority == Priority::kOltp) {
-      scheduler_->SubmitUrgent(std::move(run));
-    } else {
-      scheduler_->Submit(std::move(run));
-    }
+    });
   };
-  ticket->drop = [complete](Status status) {
-    Response resp;
-    resp.status = status;
-    complete(std::move(resp));
-  };
+  ticket->drop = [complete](Status status) { complete(Refusal(status)); };
   admission_.Submit(std::move(ticket));
+}
+
+void Server::RunInLane(Request req, Completion complete) {
+  std::unique_lock<std::mutex> lock(lane_mu_);
+  // The request being run is not counted: max_queued bounds the waiting.
+  const bool closed = shutdown_.load(std::memory_order_relaxed);
+  if (closed ||
+      (lane_draining_ && lane_.size() >= admission_.config().max_queued)) {
+    const Status status = closed ? Status::kShutdown : Status::kRejected;
+    lock.unlock();
+    complete(Refusal(status));
+    return;
+  }
+  lane_.push_back(
+      {std::move(req), std::move(complete), std::chrono::steady_clock::now()});
+  if (lane_draining_) return;  // the draining thread runs it in turn
+  lane_draining_ = true;
+  while (!lane_.empty()) {
+    LaneEntry e = std::move(lane_.front());
+    lane_.pop_front();
+    // Read under the lock, like the enqueue stamp: the wait cannot wrap.
+    const auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - e.enqueued);
+    lock.unlock();
+    if (e.req.queue_timeout.count() > 0 && waited >= e.req.queue_timeout) {
+      e.complete(Refusal(Status::kTimedOut));
+    } else {
+      e.complete(Execute(e.req, uint64_t(waited.count())));
+    }
+    lock.lock();
+  }
+  lane_draining_ = false;
+  lane_idle_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -239,12 +312,10 @@ ResponseFuture Session::Submit(Request req) {
   future.state_->submit_ns = obs::MonotonicNs();
   if (state_->closed.load(std::memory_order_relaxed) ||
       server_->shutdown_.load(std::memory_order_relaxed)) {
-    Response resp;
-    resp.status = Status::kShutdown;
-    Server::Fulfill(future.state_, std::move(resp));
-    return future;
+    Server::Fulfill(future.state_, Refusal(Status::kShutdown));
+  } else {
+    server_->Dispatch(std::move(req), future.state_, state_);
   }
-  server_->Dispatch(std::move(req), future.state_, state_);
   return future;
 }
 
@@ -265,10 +336,8 @@ ResponseFuture Session::Call(std::string verb, std::string args,
     ResponseFuture future;
     future.state_ = std::make_shared<ResponseFuture::State>();
     future.state_->submit_ns = obs::MonotonicNs();
-    Response resp;
-    resp.status = Status::kError;
-    resp.payload = "unknown verb: " + verb;
-    Server::Fulfill(future.state_, std::move(resp));
+    Server::Fulfill(future.state_,
+                    Response{Status::kError, "unknown verb: " + verb});
     return future;
   }
   Request req;

@@ -2,11 +2,16 @@
 #define DATABLOCKS_SERVE_SERVER_H_
 
 // Multi-client serving front end: the first layer of the engine that
-// more than one caller talks to. A Server owns an admission controller
-// (serve/admission.h) and a handler table, and executes admitted
-// requests on the shared morsel scheduler (exec/scheduler.h) — OLTP
-// point ops submitted queue-front (Scheduler::SubmitUrgent) so they
-// overtake queued scan tasks, everything else queue-back.
+// more than one caller talks to. A Server owns a handler table and runs
+// requests along one of two paths, chosen by the request's class:
+//
+//  * kOltp requests run in one ordered lane, one at a time in arrival
+//    order. The lane has no thread of its own: the submitting thread
+//    that finds it idle drains it, and other submitters only append.
+//    OLTP therefore never waits for a pool worker, and the lane is the
+//    serial commit order HyPer-style transaction processing assumes.
+//  * kOlap requests pass the admission controller (serve/admission.h)
+//    and run on the shared morsel scheduler (exec/scheduler.h).
 //
 // Clients talk through Sessions — one per connection. The submission
 // surface is deliberately socket-ready: a request is a (name, priority,
@@ -22,15 +27,17 @@
 // percentiles per class and per client fall out of the registry.
 //
 // Lifecycle: Server::Shutdown() (also run by the destructor) stops
-// intake, flushes the pending queue as kShutdown, and drains running
-// requests. Session::Close() (also its destructor) stops that session's
-// intake and waits for its in-flight requests — responses are still
-// delivered. Sessions must not outlive their Server.
+// intake, flushes the admission queue and the lane as kShutdown, and
+// waits for running requests and the lane's drainer. Session::Close()
+// (also its destructor) stops that session's intake and waits for its
+// in-flight requests — responses are still delivered. Sessions must not
+// outlive their Server.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -49,11 +56,17 @@ class QueryProfile;
 
 namespace datablocks::serve {
 
+/// Request classes. They route a request (kOltp to the lane, kOlap to
+/// admission) and label the latency histograms.
+enum class Priority : uint8_t { kOltp = 0, kOlap = 1 };
+inline constexpr unsigned kNumPriorities = 2;
+const char* PriorityName(Priority p);  // "oltp" / "olap"
+
 struct Response {
   Status status = Status::kOk;
   /// Handler return value on kOk; the exception message on kError.
   std::string payload;
-  uint64_t queue_ns = 0;  // time spent in the admission queue
+  uint64_t queue_ns = 0;  // time spent in the admission queue or the lane
   uint64_t exec_ns = 0;   // handler wall time
   uint64_t total_ns = 0;  // submit -> response (closed-loop latency)
 };
@@ -65,7 +78,8 @@ struct Request {
   Priority priority = Priority::kOlap;
   /// Max time queued before kTimedOut; zero = wait indefinitely.
   std::chrono::milliseconds queue_timeout{0};
-  /// The work itself; runs on a scheduler worker.
+  /// The work itself; kOlap runs on a scheduler worker, kOltp on the
+  /// thread that drains the lane.
   std::function<std::string()> work;
   /// Optional execution profile owned by the caller; the server calls
   /// Finish() after `work` returns and reports its wall_ns() as
@@ -130,30 +144,45 @@ class Server {
   std::unique_ptr<Session> OpenSession(
       std::string client, Priority default_priority = Priority::kOlap);
 
-  /// Stops intake (later submits answer kShutdown), flushes the pending
-  /// queue as kShutdown, and blocks until running requests drained.
-  /// Idempotent.
+  /// Stops intake (later submits answer kShutdown), flushes the
+  /// admission queue and the lane as kShutdown, and blocks until running
+  /// requests drained and no thread drains the lane. Idempotent; must not
+  /// be called from a handler.
   void Shutdown();
 
+  /// Running and queued OLAP requests (the admission controller's).
   unsigned running() const { return admission_.running(); }
   size_t queued() const { return admission_.queued(); }
   const AdmissionConfig& admission_config() const {
     return admission_.config();
   }
 
-  Scheduler& scheduler() const { return *scheduler_; }
-
  private:
   friend class Session;
   struct SessionState;
+  /// Resolves one dispatched request: counts it and fulfils its future.
+  using Completion = std::function<void(Response)>;
+  struct LaneEntry {
+    Request req;
+    Completion complete;
+    std::chrono::steady_clock::time_point enqueued;
+  };
 
   void Dispatch(Request req, std::shared_ptr<ResponseFuture::State> state,
                 std::shared_ptr<SessionState> session);
+  /// Appends a kOltp request to the lane and, if no thread drains it,
+  /// drains it on the calling thread.
+  void RunInLane(Request req, Completion complete);
   static void Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
                       Response response);
 
   Scheduler* const scheduler_;
   AdmissionController admission_;
+
+  std::mutex lane_mu_;  // held only to push and pop
+  std::condition_variable lane_idle_cv_;
+  std::deque<LaneEntry> lane_;  // waiting, in arrival order
+  bool lane_draining_ = false;  // a thread is draining the lane
 
   std::mutex shutdown_mu_;     // serializes Shutdown callers
   uint64_t reaper_id_ = 0;     // guarded by shutdown_mu_
@@ -169,9 +198,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Submits an arbitrary request. Never blocks on admission — the
-  /// returned future resolves to kRejected/kTimedOut/kShutdown when the
-  /// request does not run.
+  /// Submits an arbitrary request. The returned future resolves to
+  /// kRejected/kTimedOut/kShutdown when the request does not run. A kOlap
+  /// submit never blocks. A kOltp submit that finds the lane idle runs
+  /// the lane on this thread until it is empty, so it may return after
+  /// its own request (and others queued behind it) ran. A lane handler
+  /// must therefore not wait on another kOltp request: the thread that
+  /// would run it is the one waiting.
   ResponseFuture Submit(Request req);
 
   /// Packages a registered handler into a request. Unknown verbs

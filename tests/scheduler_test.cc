@@ -1,8 +1,9 @@
-// Morsel-driven execution engine: worker pool + work stealing, the morsel
-// cursor's exactly-once handout, periodic tasks, lifecycle ticks on a
-// private and on the default pool, parallel TPC-H result equality on hot,
-// frozen and evicted tables, and the parallel-query-vs-eviction/release
-// stress the TSan CI leg leans on.
+// Morsel-driven execution engine: worker pool + work stealing, concurrent
+// submitters against the pending count, the morsel cursor's exactly-once
+// handout, periodic tasks, lifecycle ticks on a private and on the default
+// pool, parallel TPC-H result equality on hot, frozen and evicted tables,
+// and the parallel-query-vs-eviction/release stress the TSan CI leg leans
+// on.
 
 #include <gtest/gtest.h>
 
@@ -77,34 +78,33 @@ TEST(Scheduler, WorkStealingDrainsABlockedWorkersQueue) {
   release.set_value();
 }
 
-TEST(Scheduler, UrgentSubmitOvertakesQueuedTasks) {
-  // One worker, no stealing: queue order is execution order. An urgent
-  // task enqueued last must still run before the earlier normal tasks —
-  // this is what lets OLTP point ops overtake queued scan morsels.
-  Scheduler sched(Scheduler::Options{.num_workers = 1});
-  std::promise<void> release;
-  std::shared_future<void> released(release.get_future());
-  std::atomic<bool> started{false};
-  sched.Submit([&] {
-    started = true;
-    released.wait();
-  });
-  ASSERT_TRUE(WaitFor([&] { return started.load(); }));
-  std::vector<int> order;
-  std::mutex order_mu;
-  auto record = [&](int tag) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(tag);
-  };
-  sched.Submit([&, tag = 1] { record(tag); });
-  sched.Submit([&, tag = 2] { record(tag); });
-  sched.SubmitUrgent([&, tag = 0] { record(tag); });
-  release.set_value();
-  EXPECT_TRUE(WaitFor([&] {
-    std::lock_guard<std::mutex> lock(order_mu);
-    return order.size() == 3;
-  }));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+TEST(Scheduler, ConcurrentSubmittersNeverUnderflowPending) {
+  // Four threads submit no-op tasks to four workers as fast as they can.
+  // A task is counted as pending before any worker can claim it, so a
+  // worker that pops a task the moment it is published never decrements
+  // the count below zero (the pool DB_CHECKs it).
+  Scheduler sched(Scheduler::Options{.num_workers = 4, .pin_workers = false});
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 200000;
+  std::atomic<int> done{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        sched.Submit(
+            [&done] { done.fetch_add(1, std::memory_order_relaxed); });
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  // Sanitizer builds run the backlog slowly: a minute, not WaitFor's 5 s.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (done.load() < kSubmitters * kPerSubmitter &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(done.load(), kSubmitters * kPerSubmitter);
 }
 
 /// Ids (column 0) each of four slots of a four-worker pool scanned from

@@ -1,15 +1,19 @@
-// Serving front end: admission control (queue-full rejection, priority
-// eviction and ordering, queued-request timeout), session lifecycle
+// Serving front end: admission control (queue-full rejection, queued-
+// request timeout), the ordered OLTP lane (one request at a time in
+// submission order, drained by a submitting thread; overflow, timeout at
+// the head, shutdown and handler errors), session lifecycle
 // (close-with-queries-in-flight, server shutdown), handler errors, and
 // serve-vs-direct TPC-H result equality. The concurrency here — clients
-// racing admission, grants firing from finishing workers, the reaper
-// expiring queued tickets — is what the TSan CI leg exercises.
+// racing admission and the lane, grants firing from finishing workers,
+// the reaper expiring queued tickets — is what the TSan CI leg exercises.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -91,7 +95,7 @@ Request Blocking(std::string name, Gate* gate, std::atomic<int>* started,
   return req;
 }
 
-TEST(Admission, QueueFullRejectsNewestSamePriority) {
+TEST(Admission, QueueFullRejectsTheArrival) {
   Scheduler scheduler(SmallPool());
   serve::Server server(TinyAdmission(&scheduler, 1, 1));
   auto session = server.OpenSession("t");
@@ -111,7 +115,7 @@ TEST(Admission, QueueFullRejectsNewestSamePriority) {
   c.name = "c";
   c.work = [] { return std::string("c"); };
   ResponseFuture fc = session->Submit(std::move(c));
-  // No lower-priority victim exists: the arrival itself bounces, inline.
+  // The arrival itself bounces, inline.
   EXPECT_EQ(fc.Get().status, Status::kRejected);
 
   gate.Open();
@@ -120,38 +124,6 @@ TEST(Admission, QueueFullRejectsNewestSamePriority) {
   EXPECT_EQ(rb.status, Status::kOk);
   EXPECT_EQ(rb.payload, "b");
   EXPECT_GT(rb.queue_ns, 0u);
-  server.Shutdown();
-}
-
-TEST(Admission, OltpArrivalEvictsQueuedOlapOnOverflow) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 1));
-  auto session = server.OpenSession("t");
-
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture a = session->Submit(Blocking("a", &gate, &started));
-  ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
-
-  Request olap;
-  olap.name = "olap";
-  olap.priority = Priority::kOlap;
-  olap.work = [] { return std::string("olap"); };
-  ResponseFuture fb = session->Submit(std::move(olap));
-  ASSERT_TRUE(WaitFor([&] { return server.queued() == 1; }));
-
-  Request oltp;
-  oltp.name = "oltp";
-  oltp.priority = Priority::kOltp;
-  oltp.work = [] { return std::string("oltp"); };
-  ResponseFuture fo = session->Submit(std::move(oltp));
-
-  // The OLAP entry was evicted in favor of the higher class...
-  EXPECT_EQ(fb.Get().status, Status::kRejected);
-  // ...which runs once the slot frees.
-  gate.Open();
-  EXPECT_EQ(a.Get().status, Status::kOk);
-  EXPECT_EQ(fo.Get().payload, "oltp");
   server.Shutdown();
 }
 
@@ -180,43 +152,217 @@ TEST(Admission, QueuedRequestTimesOutWhileSlotIsHeld) {
   server.Shutdown();
 }
 
-TEST(Admission, PriorityClassesDrainHighestFirst) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 8));
-  auto session = server.OpenSession("t");
+Request Oltp(std::string name, std::function<std::string()> work) {
+  Request req;
+  req.name = std::move(name);
+  req.priority = Priority::kOltp;
+  req.work = std::move(work);
+  return req;
+}
 
+/// Occupies the lane: submits a kOltp request that blocks on `gate` from
+/// a thread of its own, which then drains the lane. Returns once the
+/// request started; the thread ends when the lane is empty again.
+std::thread OccupyLane(serve::Session* session, Gate* gate,
+                       std::atomic<int>* started, ResponseFuture* out) {
+  std::thread drainer([=] {
+    *out = session->Submit(Blocking("blocker", gate, started,
+                                    Priority::kOltp));
+  });
+  EXPECT_TRUE(WaitFor([&] { return started->load() == 1; }));
+  return drainer;
+}
+
+TEST(Lane, RunsOneAtATimeInSubmissionOrderOnSubmitters) {
+  // Submitters race to append to the lane; whichever finds it idle drains
+  // it on its own thread. Checked: the handler never runs twice at once,
+  // each submitter's requests run in its submission order, every request
+  // runs once on a submitting thread (never a pool worker), and every
+  // future resolves exactly once (serve.completed moves by the total).
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 2, 1 << 16));
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 500;
+  obs::Counter* completed =
+      obs::MetricsRegistry::Default().GetCounter("serve.completed");
+  const uint64_t completed_before = completed->Value();
+
+  std::atomic<int> in_flight{0}, overlapped{0}, off_submitter{0};
+  std::vector<std::thread::id> submitter_ids(kSubmitters);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::atomic<int>> runs(kSubmitters * kPerSubmitter);
+  std::vector<int> last_run(kSubmitters, -1);  // touched only in the lane
+  std::atomic<int> out_of_order{0};
+  std::vector<std::vector<ResponseFuture>> futures(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      submitter_ids[s] = std::this_thread::get_id();
+      auto session = server.OpenSession("lane" + std::to_string(s),
+                                        Priority::kOltp);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        futures[s].push_back(session->Submit(Oltp("txn", [&, s, i] {
+          if (in_flight.fetch_add(1) != 0) overlapped.fetch_add(1);
+          const std::thread::id self = std::this_thread::get_id();
+          if (std::find(submitter_ids.begin(), submitter_ids.end(), self) ==
+              submitter_ids.end()) {
+            off_submitter.fetch_add(1);
+          }
+          if (i <= last_run[s]) out_of_order.fetch_add(1);
+          last_run[s] = i;
+          runs[s * kPerSubmitter + i].fetch_add(1);
+          in_flight.fetch_sub(1);
+          return std::string("ok");
+        })));
+      }
+      session->Close();
+    });
+  }
+  ASSERT_TRUE(WaitFor([&] { return ready.load() == kSubmitters; }));
+  go.store(true);
+  for (std::thread& t : submitters) t.join();
+
+  for (auto& mine : futures) {
+    ASSERT_EQ(mine.size(), size_t(kPerSubmitter));
+    for (ResponseFuture& f : mine) {
+      ASSERT_TRUE(f.WaitFor(std::chrono::milliseconds(0)));
+      EXPECT_EQ(f.Get().status, Status::kOk);
+    }
+  }
+  for (std::atomic<int>& r : runs) ASSERT_EQ(r.load(), 1);
+  EXPECT_EQ(overlapped.load(), 0);
+  EXPECT_EQ(out_of_order.load(), 0);
+  EXPECT_EQ(off_submitter.load(), 0);
+  EXPECT_EQ(completed->Value() - completed_before,
+            uint64_t(kSubmitters * kPerSubmitter));
+  server.Shutdown();
+}
+
+TEST(Lane, OverflowingArrivalIsRejected) {
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 2));
+  auto session = server.OpenSession("t", Priority::kOltp);
   Gate gate;
   std::atomic<int> started{0};
-  ResponseFuture a = session->Submit(Blocking("a", &gate, &started));
-  ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
+  ResponseFuture blocker;
+  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
 
-  std::mutex order_mu;
-  std::vector<std::string> order;
-  auto make = [&](std::string name, Priority priority) {
-    Request req;
-    req.name = name;
-    req.priority = priority;
-    req.work = [&, name] {
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(name);
-      return name;
-    };
-    return req;
+  // The running request does not count: two wait, the third bounces.
+  std::atomic<int> ran{0};
+  auto count = [&] {
+    ran.fetch_add(1);
+    return std::string("x");
   };
-  // Submitted worst class first; admission must put OLTP ahead and keep
-  // each class in arrival order.
-  std::vector<ResponseFuture> futures;
-  futures.push_back(session->Submit(make("olap1", Priority::kOlap)));
-  futures.push_back(session->Submit(make("olap2", Priority::kOlap)));
-  futures.push_back(session->Submit(make("oltp1", Priority::kOltp)));
-  futures.push_back(session->Submit(make("oltp2", Priority::kOltp)));
-  ASSERT_TRUE(WaitFor([&] { return server.queued() == 4; }));
+  ResponseFuture b = session->Submit(Oltp("b", count));
+  ResponseFuture c = session->Submit(Oltp("c", count));
+  ResponseFuture d = session->Submit(Oltp("d", count));
+  ASSERT_TRUE(d.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_EQ(d.Get().status, Status::kRejected);
 
   gate.Open();
-  EXPECT_EQ(a.Get().status, Status::kOk);
-  for (ResponseFuture& f : futures) EXPECT_EQ(f.Get().status, Status::kOk);
-  EXPECT_EQ(order, (std::vector<std::string>{"oltp1", "oltp2", "olap1",
-                                             "olap2"}));
+  drainer.join();
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  EXPECT_EQ(b.Get().status, Status::kOk);
+  EXPECT_EQ(c.Get().status, Status::kOk);
+  EXPECT_GT(b.Get().queue_ns, 0u);
+  EXPECT_EQ(ran.load(), 2);
+  server.Shutdown();
+}
+
+TEST(Lane, RequestPastItsTimeoutAtTheHeadTimesOut) {
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 8));
+  auto session = server.OpenSession("t", Priority::kOltp);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
+
+  std::atomic<int> ran{0};
+  Request late = Oltp("late", [&] {
+    ran.fetch_add(1);
+    return std::string("late");
+  });
+  late.queue_timeout = std::chrono::milliseconds(20);
+  ResponseFuture fl = session->Submit(std::move(late));
+  ResponseFuture fo = session->Submit(Oltp("patient", [] {
+    return std::string("patient");
+  }));
+  // No reaper expires lane requests: the deadline is checked at the head.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  EXPECT_FALSE(fl.WaitFor(std::chrono::milliseconds(0)));
+
+  gate.Open();
+  drainer.join();
+  EXPECT_EQ(fl.Get().status, Status::kTimedOut);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(fo.Get().payload, "patient");
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  server.Shutdown();
+}
+
+TEST(Lane, ShutdownFlushesQueuedAndWaitsForTheDrainer) {
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 8));
+  auto session = server.OpenSession("t", Priority::kOltp);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
+
+  std::atomic<int> ran{0};
+  auto count = [&] {
+    ran.fetch_add(1);
+    return std::string("x");
+  };
+  ResponseFuture b = session->Submit(Oltp("b", count));
+  ResponseFuture c = session->Submit(Oltp("c", count));
+  std::atomic<bool> shut{false};
+  std::thread stopper([&] {
+    server.Shutdown();
+    shut.store(true);
+  });
+  // The queued requests are flushed while the blocker still runs, and
+  // Shutdown waits for the thread draining the lane.
+  EXPECT_EQ(b.Get().status, Status::kShutdown);
+  EXPECT_EQ(c.Get().status, Status::kShutdown);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(shut.load());
+
+  gate.Open();
+  stopper.join();
+  EXPECT_TRUE(shut.load());
+  drainer.join();
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(session->Submit(Oltp("after", count)).Get().status,
+            Status::kShutdown);
+}
+
+TEST(Lane, HandlerExceptionIsAnErrorAndTheDrainGoesOn) {
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 8));
+  auto session = server.OpenSession("t", Priority::kOltp);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
+
+  ResponseFuture boom = session->Submit(Oltp("boom", []() -> std::string {
+    throw std::runtime_error("kaput");
+  }));
+  ResponseFuture next = session->Submit(Oltp("next", [] {
+    return std::string("next");
+  }));
+  gate.Open();
+  drainer.join();
+  EXPECT_EQ(boom.Get().status, Status::kError);
+  EXPECT_EQ(boom.Get().payload, "kaput");
+  EXPECT_EQ(next.Get().status, Status::kOk);
+  EXPECT_EQ(next.Get().payload, "next");
   server.Shutdown();
 }
 
