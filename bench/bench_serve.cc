@@ -25,11 +25,13 @@
 //                    [--duration-s S] [--think-ms T] [--max-running R]
 //                    [--max-queued Q] [--timeout-ms X] [--saturate]
 //
-// --saturate shrinks admission (max_running 1, max_queued 2, 50 ms
-// queue timeout, zero think time) so the run *must* produce refusals:
-// with four clients per class, one running and two waiting, the OLAP
-// queue and the OLTP lane (bounded by the same max_queued) both
-// overflow, and slow builds time queued requests out as well. The
+// --saturate shrinks both queues (max_running 1, max_queued 2, 50 ms
+// queue timeout, zero think time) so the run *must* produce refusals.
+// Both classes follow one rule: an arrival that finds every slot busy
+// and max_queued requests waiting is rejected, and a head that waited
+// past its timeout is refused when a slot frees. With four clients per
+// class, one running and two waiting, the OLAP queue and the OLTP lane
+// both overflow, and slow builds time heads out as well. The
 // serve-stress CI job runs it under TSan and ASan/UBSan and fails unless
 // the refusal counters moved and nothing hung.
 //

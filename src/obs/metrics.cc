@@ -249,7 +249,7 @@ void RegisterEngineMetrics() {
   r.GetGauge("agg.peak_total_bytes");
   // Query drivers (tpch/query_registry.cc).
   r.GetHistogram("tpch.query_wall_ns");
-  // Serving front end (serve/admission.cc, serve/server.cc). Per-client
+  // Serving front end (serve/server.cc). Per-client
   // "serve.client.<name>.latency_ns" histograms register dynamically at
   // OpenSession and are deliberately absent here.
   r.GetCounter("serve.submitted");

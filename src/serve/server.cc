@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <exception>
 
 #include "obs/query_profile.h"
@@ -10,9 +11,6 @@
 namespace datablocks::serve {
 
 namespace {
-
-/// Cadence of the reaper that times out queued requests.
-constexpr std::chrono::milliseconds kReapInterval{5};
 
 /// Process-wide serving metrics ("serve.*"), resolved once.
 struct ServeMetrics {
@@ -54,7 +52,7 @@ const ServeMetrics& Metrics() {
 
 Response Refusal(Status status) { return Response{status, {}}; }
 
-/// Runs a request that waited `queue_ns`, on either path: handler
+/// Runs a request that waited `queue_ns`, in either class: handler
 /// exceptions become kError, and the execution time is the profile's
 /// wall time when the request carries one.
 Response Execute(const Request& rq, uint64_t queue_ns) {
@@ -89,6 +87,17 @@ Response Execute(const Request& rq, uint64_t queue_ns) {
 }
 
 }  // namespace
+
+const char* StatusName(Status s) {
+  switch (s) {
+    case Status::kOk: return "ok";
+    case Status::kError: return "error";
+    case Status::kRejected: return "rejected";
+    case Status::kTimedOut: return "timed_out";
+    case Status::kShutdown: return "shutdown";
+  }
+  return "?";
+}
 
 const char* PriorityName(Priority p) {
   switch (p) {
@@ -156,9 +165,14 @@ struct Server::SessionState {
 Server::Server(ServerConfig cfg)
     : scheduler_(cfg.scheduler != nullptr ? cfg.scheduler
                                           : &Scheduler::Default()),
-      admission_(cfg.admission, scheduler_->num_workers()) {
-  reaper_id_ = scheduler_->AddPeriodic(kReapInterval,
-                                       [this] { admission_.ReapExpired(); });
+      config_([&] {
+        AdmissionConfig c = cfg.admission;
+        if (c.max_running == 0) {
+          c.max_running = std::max(1u, scheduler_->num_workers());
+        }
+        return c;
+      }()) {
+  olap_.width = config_.max_running;
 }
 
 Server::~Server() { Shutdown(); }
@@ -180,25 +194,38 @@ std::unique_ptr<Session> Server::OpenSession(std::string client,
 }
 
 void Server::Shutdown() {
-  // Serialized: concurrent callers all return only once drained.
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   shutdown_.store(true, std::memory_order_relaxed);
-  admission_.Shutdown();
-  // A lane arrival reads shutdown_ under lane_mu_, so none can slip in
-  // after the flush.
-  std::unique_lock<std::mutex> lane_lock(lane_mu_);
-  std::deque<LaneEntry> flushed;
-  flushed.swap(lane_);
-  lane_lock.unlock();
-  for (LaneEntry& e : flushed) e.complete(Refusal(Status::kShutdown));
-  lane_lock.lock();
-  lane_idle_cv_.wait(lane_lock, [this] { return !lane_draining_; });
-  lane_lock.unlock();
-  admission_.WaitIdle();
-  if (reaper_id_ != 0) {
-    scheduler_->RemovePeriodic(reaper_id_);
-    reaper_id_ = 0;
+  std::deque<Entry> flushed;
+  for (Queue* q : {&lane_, &olap_}) {
+    for (Entry& e : q->waiting) flushed.push_back(std::move(e));
+    q->waiting.clear();
   }
+  GaugesLocked(olap_);
+  lock.unlock();
+  for (Entry& e : flushed) e.complete(Refusal(Status::kShutdown));
+  lock.lock();
+  idle_cv_.wait(lock, [this] { return lane_.running + olap_.running == 0; });
+}
+
+unsigned Server::running() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return olap_.running;
+}
+
+size_t Server::queued() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return olap_.waiting.size();
+}
+
+void Server::GaugesLocked(const Queue& q) const {
+  if (&q != &olap_) return;  // serve.running / serve.queued count kOlap
+  static obs::Gauge* const running =
+      obs::MetricsRegistry::Default().GetGauge("serve.running");
+  static obs::Gauge* const queued =
+      obs::MetricsRegistry::Default().GetGauge("serve.queued");
+  running->Set(int64_t(q.running));
+  queued->Set(int64_t(q.waiting.size()));
 }
 
 void Server::Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
@@ -246,58 +273,72 @@ void Server::Dispatch(Request req,
     session->OnDone();
   };
 
-  if (priority == Priority::kOltp) {
-    RunInLane(std::move(req), std::move(complete));
+  Queue& q = priority == Priority::kOltp ? lane_ : olap_;
+  std::optional<Entry> e = Admit(q, Entry{std::move(req), std::move(complete)});
+  if (!e) return;
+  if (priority == Priority::kOlap) {
+    StartOlap(std::move(*e));
     return;
   }
-  auto rq = std::make_shared<Request>(std::move(req));
-  auto ticket = std::make_shared<AdmissionController::Ticket>();
-  if (rq->queue_timeout.count() > 0) {
-    ticket->has_deadline = true;
-    ticket->deadline = std::chrono::steady_clock::now() + rq->queue_timeout;
-  }
-  ticket->grant = [this, rq, complete](uint64_t queue_ns) {
-    scheduler_->Submit([this, rq, complete, queue_ns] {
-      Response resp = Execute(*rq, queue_ns);
-      admission_.OnDone();
-      complete(std::move(resp));
-    });
-  };
-  ticket->drop = [complete](Status status) { complete(Refusal(status)); };
-  admission_.Submit(std::move(ticket));
+  // This thread took the lane's slot: it drains the lane.
+  for (; e; e = Next(lane_)) e->complete(Execute(e->req, e->queue_ns));
 }
 
-void Server::RunInLane(Request req, Completion complete) {
-  std::unique_lock<std::mutex> lock(lane_mu_);
-  // The request being run is not counted: max_queued bounds the waiting.
+std::optional<Server::Entry> Server::Admit(Queue& q, Entry e) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // The running requests do not count: max_queued bounds the waiting.
   const bool closed = shutdown_.load(std::memory_order_relaxed);
   if (closed ||
-      (lane_draining_ && lane_.size() >= admission_.config().max_queued)) {
-    const Status status = closed ? Status::kShutdown : Status::kRejected;
+      (q.running == q.width && q.waiting.size() >= config_.max_queued)) {
     lock.unlock();
-    complete(Refusal(status));
-    return;
+    e.complete(Refusal(closed ? Status::kShutdown : Status::kRejected));
+    return std::nullopt;
   }
-  lane_.push_back(
-      {std::move(req), std::move(complete), std::chrono::steady_clock::now()});
-  if (lane_draining_) return;  // the draining thread runs it in turn
-  lane_draining_ = true;
-  while (!lane_.empty()) {
-    LaneEntry e = std::move(lane_.front());
-    lane_.pop_front();
-    // Read under the lock, like the enqueue stamp: the wait cannot wrap.
-    const auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - e.enqueued);
-    lock.unlock();
-    if (e.req.queue_timeout.count() > 0 && waited >= e.req.queue_timeout) {
-      e.complete(Refusal(Status::kTimedOut));
-    } else {
-      e.complete(Execute(e.req, uint64_t(waited.count())));
+  if (q.running < q.width) {
+    DB_DCHECK(q.waiting.empty());  // nothing waits while a slot is free
+    ++q.running;
+    GaugesLocked(q);
+    return e;
+  }
+  // Clocks are read under the lock: enqueue stamps and pops are ordered
+  // like the critical sections, so queue_ns cannot wrap.
+  e.enqueued = std::chrono::steady_clock::now();
+  q.waiting.push_back(std::move(e));
+  GaugesLocked(q);
+  return std::nullopt;
+}
+
+std::optional<Server::Entry> Server::Next(Queue& q) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!q.waiting.empty()) {
+    Entry e = std::move(q.waiting.front());
+    q.waiting.pop_front();
+    GaugesLocked(q);
+    const auto waited = std::chrono::steady_clock::now() - e.enqueued;
+    if (e.req.queue_timeout.count() == 0 || waited < e.req.queue_timeout) {
+      e.queue_ns = uint64_t(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
+              .count());
+      return e;
     }
+    lock.unlock();
+    e.complete(Refusal(Status::kTimedOut));
     lock.lock();
   }
-  lane_draining_ = false;
-  lane_idle_cv_.notify_all();
+  --q.running;
+  GaugesLocked(q);
+  if (shutdown_.load(std::memory_order_relaxed) &&
+      lane_.running + olap_.running == 0) {
+    idle_cv_.notify_all();
+  }
+  return std::nullopt;
+}
+
+void Server::StartOlap(Entry e) {
+  scheduler_->Submit([this, e = std::move(e)] {
+    e.complete(Execute(e.req, e.queue_ns));
+    if (std::optional<Entry> next = Next(olap_)) StartOlap(std::move(*next));
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -2,16 +2,28 @@
 #define DATABLOCKS_SERVE_SERVER_H_
 
 // Multi-client serving front end: the first layer of the engine that
-// more than one caller talks to. A Server owns a handler table and runs
-// requests along one of two paths, chosen by the request's class:
+// more than one caller talks to. A Server owns a handler table and one
+// bounded FIFO per request class, both under one rule:
 //
-//  * kOltp requests run in one ordered lane, one at a time in arrival
-//    order. The lane has no thread of its own: the submitting thread
-//    that finds it idle drains it, and other submitters only append.
-//    OLTP therefore never waits for a pool worker, and the lane is the
-//    serial commit order HyPer-style transaction processing assumes.
-//  * kOlap requests pass the admission controller (serve/admission.h)
-//    and run on the shared morsel scheduler (exec/scheduler.h).
+//  * Admit: a request runs at once if its class has a free slot, and
+//    waits otherwise; an arrival that finds every slot busy and
+//    `max_queued` requests waiting is rejected.
+//  * Pop: a finished request's slot takes the queue head. A head whose
+//    `queue_timeout` passed while it waited times out there; nothing
+//    expires a request before it reaches the head.
+//
+// The classes differ only in width and in who runs a request:
+//
+//  * kOltp has one slot, the ordered lane: one request at a time in
+//    arrival order. The lane has no thread of its own: the submitting
+//    thread that finds it idle drains it, and other submitters only
+//    append. OLTP therefore never waits for a pool worker, and the lane
+//    is the serial commit order HyPer-style transaction processing
+//    assumes.
+//  * kOlap has `max_running` slots. Each request runs as one task on the
+//    shared morsel scheduler (exec/scheduler.h); when it finishes, its
+//    slot submits the next waiting request as a new task, so the pool
+//    stays FIFO for other work.
 //
 // Clients talk through Sessions — one per connection. The submission
 // surface is deliberately socket-ready: a request is a (name, priority,
@@ -27,11 +39,10 @@
 // percentiles per class and per client fall out of the registry.
 //
 // Lifecycle: Server::Shutdown() (also run by the destructor) stops
-// intake, flushes the admission queue and the lane as kShutdown, and
-// waits for running requests and the lane's drainer. Session::Close()
-// (also its destructor) stops that session's intake and waits for its
-// in-flight requests — responses are still delivered. Sessions must not
-// outlive their Server.
+// intake, flushes both queues as kShutdown, and waits for running
+// requests. Session::Close() (also its destructor) stops that session's
+// intake and waits for its in-flight requests — responses are still
+// delivered. Sessions must not outlive their Server.
 
 #include <atomic>
 #include <chrono>
@@ -42,13 +53,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
-#include "serve/admission.h"
 
 namespace datablocks::obs {
 class QueryProfile;
@@ -56,17 +67,34 @@ class QueryProfile;
 
 namespace datablocks::serve {
 
-/// Request classes. They route a request (kOltp to the lane, kOlap to
-/// admission) and label the latency histograms.
+/// Request classes. They pick a request's queue (kOltp the lane, kOlap
+/// the pool's) and label the latency histograms.
 enum class Priority : uint8_t { kOltp = 0, kOlap = 1 };
 inline constexpr unsigned kNumPriorities = 2;
 const char* PriorityName(Priority p);  // "oltp" / "olap"
+
+/// Terminal state of one request, as delivered in its Response.
+enum class Status : uint8_t {
+  kOk = 0,        // executed, payload valid
+  kError,         // handler threw; payload holds the message
+  kRejected,      // every slot busy and the queue full
+  kTimedOut,      // queue deadline passed before the request could run
+  kShutdown,      // server shutting down / session closed
+};
+const char* StatusName(Status s);
+
+struct AdmissionConfig {
+  /// Concurrently executing kOlap requests; 0 = one per scheduler worker.
+  unsigned max_running = 0;
+  /// Requests waiting in each class's queue.
+  size_t max_queued = 64;
+};
 
 struct Response {
   Status status = Status::kOk;
   /// Handler return value on kOk; the exception message on kError.
   std::string payload;
-  uint64_t queue_ns = 0;  // time spent in the admission queue or the lane
+  uint64_t queue_ns = 0;  // time spent waiting in the class's queue
   uint64_t exec_ns = 0;   // handler wall time
   uint64_t total_ns = 0;  // submit -> response (closed-loop latency)
 };
@@ -77,7 +105,7 @@ struct Request {
   std::string name;
   Priority priority = Priority::kOlap;
   /// Max time queued before kTimedOut; zero = wait indefinitely.
-  std::chrono::milliseconds queue_timeout{0};
+  std::chrono::microseconds queue_timeout{0};
   /// The work itself; kOlap runs on a scheduler worker, kOltp on the
   /// thread that drains the lane.
   std::function<std::string()> work;
@@ -144,49 +172,56 @@ class Server {
   std::unique_ptr<Session> OpenSession(
       std::string client, Priority default_priority = Priority::kOlap);
 
-  /// Stops intake (later submits answer kShutdown), flushes the
-  /// admission queue and the lane as kShutdown, and blocks until running
-  /// requests drained and no thread drains the lane. Idempotent; must not
+  /// Stops intake (later submits answer kShutdown), flushes both queues
+  /// as kShutdown, and blocks until no request runs. Idempotent; must not
   /// be called from a handler.
   void Shutdown();
 
-  /// Running and queued OLAP requests (the admission controller's).
-  unsigned running() const { return admission_.running(); }
-  size_t queued() const { return admission_.queued(); }
-  const AdmissionConfig& admission_config() const {
-    return admission_.config();
-  }
+  /// Running and queued kOlap requests.
+  unsigned running() const;
+  size_t queued() const;
+  /// The config, with max_running resolved.
+  const AdmissionConfig& admission_config() const { return config_; }
 
  private:
   friend class Session;
   struct SessionState;
   /// Resolves one dispatched request: counts it and fulfils its future.
   using Completion = std::function<void(Response)>;
-  struct LaneEntry {
+  struct Entry {
     Request req;
     Completion complete;
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point enqueued{};
+    uint64_t queue_ns = 0;  // set when it leaves the queue to run
+  };
+  /// One class's slots and waiting requests, guarded by mu_.
+  struct Queue {
+    unsigned width = 1;  // requests that may run at once
+    unsigned running = 0;
+    std::deque<Entry> waiting;  // in arrival order
   };
 
   void Dispatch(Request req, std::shared_ptr<ResponseFuture::State> state,
                 std::shared_ptr<SessionState> session);
-  /// Appends a kOltp request to the lane and, if no thread drains it,
-  /// drains it on the calling thread.
-  void RunInLane(Request req, Completion complete);
+  /// Refuses the entry, queues it, or returns it holding a free slot.
+  std::optional<Entry> Admit(Queue& q, Entry e);
+  /// For a slot whose request finished: the next head to run, after
+  /// timing out heads past their deadline; or none, freeing the slot.
+  std::optional<Entry> Next(Queue& q);
+  /// Runs a kOlap entry as one scheduler task, then its slot's next.
+  void StartOlap(Entry e);
+  void GaugesLocked(const Queue& q) const;
   static void Fulfill(const std::shared_ptr<ResponseFuture::State>& state,
                       Response response);
 
   Scheduler* const scheduler_;
-  AdmissionController admission_;
+  const AdmissionConfig config_;
 
-  std::mutex lane_mu_;  // held only to push and pop
-  std::condition_variable lane_idle_cv_;
-  std::deque<LaneEntry> lane_;  // waiting, in arrival order
-  bool lane_draining_ = false;  // a thread is draining the lane
-
-  std::mutex shutdown_mu_;     // serializes Shutdown callers
-  uint64_t reaper_id_ = 0;     // guarded by shutdown_mu_
-  std::atomic<bool> shutdown_{false};
+  mutable std::mutex mu_;
+  std::condition_variable idle_cv_;  // Shutdown waits for no slot held
+  Queue lane_;  // kOltp
+  Queue olap_;
+  std::atomic<bool> shutdown_{false};  // written under mu_
   std::mutex handlers_mu_;
   std::map<std::string, Handler, std::less<>> handlers_;
 };

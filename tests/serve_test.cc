@@ -1,11 +1,12 @@
-// Serving front end: admission control (queue-full rejection, queued-
-// request timeout), the ordered OLTP lane (one request at a time in
-// submission order, drained by a submitting thread; overflow, timeout at
-// the head, shutdown and handler errors), session lifecycle
+// Serving front end: the one queue rule of both request classes
+// (overflow rejection, timeout at the head, shutdown flush — each run
+// over kOltp and kOlap), the ordered OLTP lane (one request at a time in
+// submission order, drained by a submitting thread; handler errors),
+// kOlap's slot bound under racing submitters, session lifecycle
 // (close-with-queries-in-flight, server shutdown), handler errors, and
 // serve-vs-direct TPC-H result equality. The concurrency here — clients
-// racing admission and the lane, grants firing from finishing workers,
-// the reaper expiring queued tickets — is what the TSan CI leg exercises.
+// racing to admit, finishing workers popping the next head, heads timing
+// out — is what the TSan CI leg exercises.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
-#include "obs/query_profile.h"  // MonotonicNs
 #include "serve/server.h"
 #include "tpch/queries.h"
 
@@ -82,96 +82,159 @@ serve::ServerConfig TinyAdmission(Scheduler* scheduler, unsigned max_running,
   return cfg;
 }
 
-Request Blocking(std::string name, Gate* gate, std::atomic<int>* started,
-                 Priority priority = Priority::kOlap) {
+Request OfClass(Priority priority, std::string name,
+                std::function<std::string()> work) {
   Request req;
   req.name = std::move(name);
   req.priority = priority;
-  req.work = [gate, started] {
-    started->fetch_add(1);
-    gate->Wait();
-    return std::string("done");
-  };
-  return req;
-}
-
-TEST(Admission, QueueFullRejectsTheArrival) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 1));
-  auto session = server.OpenSession("t");
-
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture a = session->Submit(Blocking("a", &gate, &started));
-  ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
-
-  Request b;
-  b.name = "b";
-  b.work = [] { return std::string("b"); };
-  ResponseFuture fb = session->Submit(std::move(b));
-  ASSERT_TRUE(WaitFor([&] { return server.queued() == 1; }));
-
-  Request c;
-  c.name = "c";
-  c.work = [] { return std::string("c"); };
-  ResponseFuture fc = session->Submit(std::move(c));
-  // The arrival itself bounces, inline.
-  EXPECT_EQ(fc.Get().status, Status::kRejected);
-
-  gate.Open();
-  EXPECT_EQ(a.Get().status, Status::kOk);
-  const Response& rb = fb.Get();
-  EXPECT_EQ(rb.status, Status::kOk);
-  EXPECT_EQ(rb.payload, "b");
-  EXPECT_GT(rb.queue_ns, 0u);
-  server.Shutdown();
-}
-
-TEST(Admission, QueuedRequestTimesOutWhileSlotIsHeld) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 8));
-  auto session = server.OpenSession("t");
-
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture a = session->Submit(Blocking("a", &gate, &started));
-  ASSERT_TRUE(WaitFor([&] { return started.load() == 1; }));
-
-  Request b;
-  b.name = "b";
-  b.queue_timeout = std::chrono::milliseconds(20);
-  b.work = [] { return std::string("b"); };
-  ResponseFuture fb = session->Submit(std::move(b));
-  // The reaper (5 ms cadence on the second worker) expires it; the
-  // slot-holder never finishes first.
-  EXPECT_EQ(fb.Get().status, Status::kTimedOut);
-  EXPECT_EQ(server.queued(), 0u);
-
-  gate.Open();
-  EXPECT_EQ(a.Get().status, Status::kOk);
-  server.Shutdown();
-}
-
-Request Oltp(std::string name, std::function<std::string()> work) {
-  Request req;
-  req.name = std::move(name);
-  req.priority = Priority::kOltp;
   req.work = std::move(work);
   return req;
 }
 
-/// Occupies the lane: submits a kOltp request that blocks on `gate` from
-/// a thread of its own, which then drains the lane. Returns once the
-/// request started; the thread ends when the lane is empty again.
-std::thread OccupyLane(serve::Session* session, Gate* gate,
-                       std::atomic<int>* started, ResponseFuture* out) {
-  std::thread drainer([=] {
-    *out = session->Submit(Blocking("blocker", gate, started,
-                                    Priority::kOltp));
+Request Oltp(std::string name, std::function<std::string()> work) {
+  return OfClass(Priority::kOltp, std::move(name), std::move(work));
+}
+
+/// Occupies every slot of `priority`'s class, at max_running 1: submits
+/// a request that blocks on `gate` from a thread of its own and returns
+/// once it started. A kOlap request runs on a pool worker and the thread
+/// ends at once; a kOltp thread drains the lane and ends when it is empty
+/// again.
+std::thread Occupy(serve::Session* session, Priority priority, Gate* gate,
+                   std::atomic<int>* started, ResponseFuture* out) {
+  std::thread submitter([=] {
+    *out = session->Submit(OfClass(priority, "blocker", [gate, started] {
+      started->fetch_add(1);
+      gate->Wait();
+      return std::string("done");
+    }));
   });
   EXPECT_TRUE(WaitFor([&] { return started->load() == 1; }));
-  return drainer;
+  return submitter;
 }
+
+/// One refusal rule per test, each run over both request classes.
+class Refusal : public ::testing::TestWithParam<Priority> {};
+
+TEST_P(Refusal, ArrivalPastTheQueueBoundIsRejected) {
+  const Priority priority = GetParam();
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 2));
+  auto session = server.OpenSession("t", priority);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread occupier =
+      Occupy(session.get(), priority, &gate, &started, &blocker);
+
+  // The running request does not count: two wait, the third bounces,
+  // inline.
+  std::mutex order_mu;
+  std::string order;
+  auto run = [&](char name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order += name;
+      return std::string(1, name);
+    };
+  };
+  ResponseFuture b = session->Submit(OfClass(priority, "b", run('b')));
+  ResponseFuture c = session->Submit(OfClass(priority, "c", run('c')));
+  ResponseFuture d = session->Submit(OfClass(priority, "d", run('d')));
+  ASSERT_TRUE(d.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_EQ(d.Get().status, Status::kRejected);
+
+  gate.Open();
+  occupier.join();
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  EXPECT_EQ(b.Get().status, Status::kOk);
+  EXPECT_EQ(c.Get().status, Status::kOk);
+  EXPECT_GT(b.Get().queue_ns, 0u);
+  std::lock_guard<std::mutex> lock(order_mu);
+  EXPECT_EQ(order, "bc");  // in arrival order
+  server.Shutdown();
+}
+
+TEST_P(Refusal, RequestPastItsTimeoutAtTheHeadTimesOut) {
+  const Priority priority = GetParam();
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 8));
+  auto session = server.OpenSession("t", priority);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread occupier =
+      Occupy(session.get(), priority, &gate, &started, &blocker);
+
+  std::atomic<int> ran{0};
+  Request late = OfClass(priority, "late", [&] {
+    ran.fetch_add(1);
+    return std::string("late");
+  });
+  late.queue_timeout = std::chrono::milliseconds(20);
+  ResponseFuture fl = session->Submit(std::move(late));
+  ResponseFuture fo = session->Submit(OfClass(priority, "patient", [] {
+    return std::string("patient");
+  }));
+  // Nothing expires a waiting request: the deadline is checked at the
+  // head, once the slot frees.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  EXPECT_FALSE(fl.WaitFor(std::chrono::milliseconds(0)));
+
+  gate.Open();
+  occupier.join();
+  EXPECT_EQ(fl.Get().status, Status::kTimedOut);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(fo.Get().payload, "patient");
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  server.Shutdown();
+}
+
+TEST_P(Refusal, ShutdownFlushesQueuedAndWaitsForTheRunning) {
+  const Priority priority = GetParam();
+  Scheduler scheduler(SmallPool());
+  serve::Server server(TinyAdmission(&scheduler, 1, 8));
+  auto session = server.OpenSession("t", priority);
+  Gate gate;
+  std::atomic<int> started{0};
+  ResponseFuture blocker;
+  std::thread occupier =
+      Occupy(session.get(), priority, &gate, &started, &blocker);
+
+  std::atomic<int> ran{0};
+  auto count = [&] {
+    ran.fetch_add(1);
+    return std::string("x");
+  };
+  ResponseFuture b = session->Submit(OfClass(priority, "b", count));
+  ResponseFuture c = session->Submit(OfClass(priority, "c", count));
+  std::atomic<bool> shut{false};
+  std::thread stopper([&] {
+    server.Shutdown();
+    shut.store(true);
+  });
+  // The queued requests are flushed while the blocker still runs, and
+  // Shutdown waits for it.
+  EXPECT_EQ(b.Get().status, Status::kShutdown);
+  EXPECT_EQ(c.Get().status, Status::kShutdown);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(shut.load());
+
+  gate.Open();
+  stopper.join();
+  EXPECT_TRUE(shut.load());
+  occupier.join();
+  EXPECT_EQ(blocker.Get().status, Status::kOk);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(session->Submit(OfClass(priority, "after", count)).Get().status,
+            Status::kShutdown);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothClasses, Refusal,
+                         ::testing::Values(Priority::kOltp, Priority::kOlap),
+                         [](const ::testing::TestParamInfo<Priority>& info) {
+                           return std::string(serve::PriorityName(info.param));
+                         });
 
 TEST(Lane, RunsOneAtATimeInSubmissionOrderOnSubmitters) {
   // Submitters race to append to the lane; whichever finds it idle drains
@@ -241,107 +304,6 @@ TEST(Lane, RunsOneAtATimeInSubmissionOrderOnSubmitters) {
   server.Shutdown();
 }
 
-TEST(Lane, OverflowingArrivalIsRejected) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 2));
-  auto session = server.OpenSession("t", Priority::kOltp);
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture blocker;
-  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
-
-  // The running request does not count: two wait, the third bounces.
-  std::atomic<int> ran{0};
-  auto count = [&] {
-    ran.fetch_add(1);
-    return std::string("x");
-  };
-  ResponseFuture b = session->Submit(Oltp("b", count));
-  ResponseFuture c = session->Submit(Oltp("c", count));
-  ResponseFuture d = session->Submit(Oltp("d", count));
-  ASSERT_TRUE(d.WaitFor(std::chrono::milliseconds(0)));
-  EXPECT_EQ(d.Get().status, Status::kRejected);
-
-  gate.Open();
-  drainer.join();
-  EXPECT_EQ(blocker.Get().status, Status::kOk);
-  EXPECT_EQ(b.Get().status, Status::kOk);
-  EXPECT_EQ(c.Get().status, Status::kOk);
-  EXPECT_GT(b.Get().queue_ns, 0u);
-  EXPECT_EQ(ran.load(), 2);
-  server.Shutdown();
-}
-
-TEST(Lane, RequestPastItsTimeoutAtTheHeadTimesOut) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 8));
-  auto session = server.OpenSession("t", Priority::kOltp);
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture blocker;
-  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
-
-  std::atomic<int> ran{0};
-  Request late = Oltp("late", [&] {
-    ran.fetch_add(1);
-    return std::string("late");
-  });
-  late.queue_timeout = std::chrono::milliseconds(20);
-  ResponseFuture fl = session->Submit(std::move(late));
-  ResponseFuture fo = session->Submit(Oltp("patient", [] {
-    return std::string("patient");
-  }));
-  // No reaper expires lane requests: the deadline is checked at the head.
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_FALSE(fl.WaitFor(std::chrono::milliseconds(0)));
-
-  gate.Open();
-  drainer.join();
-  EXPECT_EQ(fl.Get().status, Status::kTimedOut);
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(fo.Get().payload, "patient");
-  EXPECT_EQ(blocker.Get().status, Status::kOk);
-  server.Shutdown();
-}
-
-TEST(Lane, ShutdownFlushesQueuedAndWaitsForTheDrainer) {
-  Scheduler scheduler(SmallPool());
-  serve::Server server(TinyAdmission(&scheduler, 1, 8));
-  auto session = server.OpenSession("t", Priority::kOltp);
-  Gate gate;
-  std::atomic<int> started{0};
-  ResponseFuture blocker;
-  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
-
-  std::atomic<int> ran{0};
-  auto count = [&] {
-    ran.fetch_add(1);
-    return std::string("x");
-  };
-  ResponseFuture b = session->Submit(Oltp("b", count));
-  ResponseFuture c = session->Submit(Oltp("c", count));
-  std::atomic<bool> shut{false};
-  std::thread stopper([&] {
-    server.Shutdown();
-    shut.store(true);
-  });
-  // The queued requests are flushed while the blocker still runs, and
-  // Shutdown waits for the thread draining the lane.
-  EXPECT_EQ(b.Get().status, Status::kShutdown);
-  EXPECT_EQ(c.Get().status, Status::kShutdown);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(shut.load());
-
-  gate.Open();
-  stopper.join();
-  EXPECT_TRUE(shut.load());
-  drainer.join();
-  EXPECT_EQ(blocker.Get().status, Status::kOk);
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(session->Submit(Oltp("after", count)).Get().status,
-            Status::kShutdown);
-}
-
 TEST(Lane, HandlerExceptionIsAnErrorAndTheDrainGoesOn) {
   Scheduler scheduler(SmallPool());
   serve::Server server(TinyAdmission(&scheduler, 1, 8));
@@ -349,7 +311,8 @@ TEST(Lane, HandlerExceptionIsAnErrorAndTheDrainGoesOn) {
   Gate gate;
   std::atomic<int> started{0};
   ResponseFuture blocker;
-  std::thread drainer = OccupyLane(session.get(), &gate, &started, &blocker);
+  std::thread drainer = Occupy(session.get(), Priority::kOltp, &gate,
+                               &started, &blocker);
 
   ResponseFuture boom = session->Submit(Oltp("boom", []() -> std::string {
     throw std::runtime_error("kaput");
@@ -509,112 +472,105 @@ TEST(Server, ConcurrentClientsAllComplete) {
   server.Shutdown();
 }
 
-TEST(Admission, RacingSubmitDoneAndReapResolveEachTicketOnce) {
-  // One slot: nearly every ticket queues, every OnDone grants the next
-  // queued one while other threads keep submitting into the same lock, and
-  // a reaper expires queued tickets in between. The controller is driven
-  // directly: without a scheduler hop between the calls, they contend for
-  // its lock far more often than through a Server. Checked:
-  //  * queue_ns never wraps. A grant stamped with a clock read before the
-  //    lock could precede its ticket's enqueue, and queue_ns would wrap
-  //    to ~2^64.
-  //  * Every ticket resolves exactly once, as a grant or kTimedOut. Half
-  //    carry deadlines short enough to expire in the queue (a zero one
-  //    always does).
-  //  * The controller drains to idle, waking a waiter started before
-  //    the drain. ReapExpired neither grants nor wakes WaitIdle: a queued
-  //    ticket always waits on a running one, and expiry frees no slot.
-  serve::AdmissionConfig cfg;
-  cfg.max_running = 1;
-  cfg.max_queued = 1 << 20;
-  serve::AdmissionController admission(cfg, 1);
-  constexpr int kSubmitters = 2;
-  constexpr int kPerSubmitter = 20000;
-  constexpr int kTickets = kSubmitters * kPerSubmitter;
-  std::vector<std::atomic<int>> resolved(kTickets);
-  std::atomic<int> owed{0};  // granted tickets not finished yet
-  std::atomic<int> granted{0}, timed_out{0}, wrapped{0};
-  auto submit = [&](int id) {
-    auto t = std::make_shared<serve::AdmissionController::Ticket>();
-    const uint64_t submit_ns = obs::MonotonicNs();
-    if (id % 2 == 0) {
-      t->has_deadline = true;
-      t->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(id % 8 * 15);
-    }
-    t->grant = [&, id, submit_ns](uint64_t queue_ns) {
-      // The server's total_ns: submit to response, here cut at the grant.
-      const uint64_t total_ns = obs::MonotonicNs() - submit_ns;
-      if (queue_ns > total_ns) wrapped.fetch_add(1);
-      resolved[id].fetch_add(1);
-      granted.fetch_add(1);
-      owed.fetch_add(1);
-    };
-    t->drop = [&, id](Status s) {
-      resolved[id].fetch_add(1);
-      if (s == Status::kTimedOut) {
-        timed_out.fetch_add(1);
-      } else {
-        ADD_FAILURE() << serve::StatusName(s);
+TEST(Server, RacingOlapSubmittersResolveEachRequestOnce) {
+  // Four submitters race to admit kOlap requests at two slots on a
+  // four-worker pool, so arrivals, finishing tasks popping the next head
+  // and heads timing out contend for the server's lock. Half of the
+  // requests carry 0-90 us timeouts, short enough to expire in the queue
+  // (zero waits indefinitely). Checked:
+  //  * No more than two handlers ever run at once, each on a pool worker.
+  //  * Every future resolves exactly once, as kOk or kTimedOut, and only
+  //    the kOk ones ran. serve.completed moves by exactly the total.
+  //  * queue_ns + exec_ns <= total_ns on every kOk: a pop stamped with a
+  //    clock read before its entry's enqueue would wrap queue_ns.
+  //  * The server drains to idle: running(), queued() and the
+  //    serve.running / serve.queued gauges read 0.
+  Scheduler::Options opts;
+  opts.num_workers = 4;
+  opts.pin_workers = false;
+  Scheduler scheduler(opts);
+  serve::Server server(TinyAdmission(&scheduler, 2, 1 << 20));
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 5000;
+  constexpr int kRequests = kSubmitters * kPerSubmitter;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* completed = registry.GetCounter("serve.completed");
+  const uint64_t completed_before = completed->Value();
+
+  std::atomic<int> in_flight{0}, max_in_flight{0}, off_pool{0};
+  std::vector<std::thread::id> client_ids(kSubmitters + 1);
+  client_ids[kSubmitters] = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(kRequests);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::vector<ResponseFuture>> futures(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      client_ids[s] = std::this_thread::get_id();
+      auto session = server.OpenSession("race" + std::to_string(s));
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        const int id = s * kPerSubmitter + i;
+        Request req = OfClass(Priority::kOlap, "olap", [&, id] {
+          const int now = in_flight.fetch_add(1) + 1;
+          int seen = max_in_flight.load();
+          while (now > seen &&
+                 !max_in_flight.compare_exchange_weak(seen, now)) {
+          }
+          if (std::find(client_ids.begin(), client_ids.end(),
+                        std::this_thread::get_id()) != client_ids.end()) {
+            off_pool.fetch_add(1);
+          }
+          runs[id].fetch_add(1);
+          in_flight.fetch_sub(1);
+          return std::string("ok");
+        });
+        if (id % 2 == 0) {
+          req.queue_timeout = std::chrono::microseconds(id / 2 % 7 * 15);
+        }
+        futures[s].push_back(session->Submit(std::move(req)));
       }
-    };
-    admission.Submit(std::move(t));
-  };
-  auto finish_one = [&] {
-    int o = owed.load();
-    while (o > 0 && !owed.compare_exchange_weak(o, o - 1)) {
-    }
-    if (o > 0) admission.OnDone();
-    return o > 0;
-  };
-
-  std::atomic<bool> reaping{true};
-  std::thread reaper([&] {
-    while (reaping.load()) {
-      admission.ReapExpired();
-      // A reaper spinning on the lock would starve the other threads;
-      // the server's reaper fires every few milliseconds.
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-  });
-  // Submitters and finishers on separate threads: a finisher's OnDone is
-  // in flight nearly whenever a submitter enqueues behind the one slot.
-  std::atomic<int> submitting{kSubmitters};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kSubmitters; ++c) {
-    threads.emplace_back([&, c] {
-      for (int i = 0; i < kPerSubmitter; ++i) submit(c * kPerSubmitter + i);
-      submitting.fetch_sub(1);
-    });
-    threads.emplace_back([&] {
-      while (submitting.load() > 0) finish_one();
+      session->Close();
+      EXPECT_EQ(session->completed(), uint64_t(kPerSubmitter));
     });
   }
-  for (auto& t : threads) t.join();
+  ASSERT_TRUE(WaitFor([&] { return ready.load() == kSubmitters; }));
+  go.store(true);
+  for (std::thread& t : submitters) t.join();
 
-  // Shutdown only unblocks a hung wait so the failure is reported
-  // instead of stalling the suite.
-  std::atomic<bool> idle{false};
-  std::thread waiter([&] {
-    admission.WaitIdle();
-    idle.store(true);
-  });
-  while (finish_one()) {  // drain while the reaper keeps running
+  int ok = 0, timed_out = 0;
+  for (int s = 0; s < kSubmitters; ++s) {
+    ASSERT_EQ(futures[s].size(), size_t(kPerSubmitter));
+    for (int i = 0; i < kPerSubmitter; ++i) {
+      const ResponseFuture& f = futures[s][i];
+      ASSERT_TRUE(f.WaitFor(std::chrono::milliseconds(0)));
+      const Response& r = f.Get();
+      const int id = s * kPerSubmitter + i;
+      if (r.status == Status::kOk) {
+        ++ok;
+        ASSERT_EQ(runs[id].load(), 1) << "request " << id;
+        ASSERT_LE(r.queue_ns + r.exec_ns, r.total_ns) << "request " << id;
+      } else {
+        ASSERT_EQ(r.status, Status::kTimedOut) << serve::StatusName(r.status);
+        ++timed_out;
+        ASSERT_EQ(runs[id].load(), 0) << "request " << id;
+      }
+    }
   }
-  EXPECT_TRUE(WaitFor([&] { return idle.load(); }));
-  reaping.store(false);
-  reaper.join();
-  if (!idle.load()) admission.Shutdown();
-  waiter.join();
+  EXPECT_EQ(ok + timed_out, kRequests);
+  EXPECT_GT(timed_out, 0);
+  EXPECT_LE(max_in_flight.load(), 2);
+  EXPECT_EQ(off_pool.load(), 0);
+  EXPECT_EQ(completed->Value() - completed_before, uint64_t(kRequests));
 
-  for (int id = 0; id < kTickets; ++id) {
-    ASSERT_EQ(resolved[id].load(), 1) << "ticket " << id;
-  }
-  EXPECT_EQ(granted.load() + timed_out.load(), kTickets);
-  EXPECT_GT(timed_out.load(), 0);
-  EXPECT_EQ(wrapped.load(), 0);
-  EXPECT_EQ(admission.running(), 0u);
-  EXPECT_EQ(admission.queued(), 0u);
+  // A slot is freed just after its request's response: wait for the last.
+  ASSERT_TRUE(WaitFor([&] { return server.running() == 0; }));
+  EXPECT_EQ(server.queued(), 0u);
+  EXPECT_EQ(registry.GetGauge("serve.running")->Value(), 0);
+  EXPECT_EQ(registry.GetGauge("serve.queued")->Value(), 0);
+  server.Shutdown();
 }
 
 TEST(Serve, TpchThroughServerMatchesDirectCall) {
